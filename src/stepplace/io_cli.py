@@ -49,7 +49,9 @@ from stepplace.netmodel import (
     Rect,
     bb_netlength,
     footprint,
+    footprint_grid,
     is_legal,
+    meet,
 )
 from stepplace.placer import (
     LegalizationError,
@@ -67,13 +69,14 @@ class InstanceFormatError(ValueError):
     """Malformed or inconsistent instance/result file."""
 
 
-def _atomic_write(path: str, write_body) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def _atomic_write(path: str, write_body):
+    """Write via a temp file in the target directory, then rename; returns
+    what ``write_body`` returned."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fp:
-            write_body(fp)
+            result = write_body(fp)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -81,6 +84,7 @@ def _atomic_write(path: str, write_body) -> None:
         except OSError:
             pass
         raise
+    return result
 
 
 def _parse_float(tok: str, ln: int, what: str) -> float:
@@ -229,14 +233,11 @@ def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
         bb_netlength([placement[mid] for mid in net.members])
         for net in netlist.nets
     )
-    rects = {m.id: footprint(m, placement[m.id]) for m in netlist.macros}
-    ids = sorted(rects)
+    grid = footprint_grid(netlist, placement)
     overlap = 0.0
-    for i, mi in enumerate(ids):
-        for mj in ids[i + 1 :]:
-            inter = rects[mi].intersect(rects[mj])
-            if inter is not None:
-                overlap += inter.area
+    for mi, mj in grid.pairs():
+        ix1, iy1, ix2, iy2 = meet(grid.boxes[mi], grid.boxes[mj])
+        overlap += (ix2 - ix1) * (iy2 - iy1)
     legal = is_legal(placement, netlist, area).legal if placement else True
     return total_bb, overlap, legal
 
@@ -247,7 +248,9 @@ def write_result(
     netlist: Netlist,
     area: PlacementArea,
     config: PlacerConfig,
-) -> None:
+) -> tuple[float, float, bool]:
+    """Write a result file; returns its summary (netlength_bb, overlap_area,
+    legal)."""
     total_bb, overlap, legal = _summarize(placement, netlist, area)
     fp.write("# stepplace result\n")
     for f in dataclasses.fields(config):
@@ -259,6 +262,7 @@ def write_result(
     for mid in sorted(placement):
         x, y = placement[mid]
         fp.write(f"place {mid} {x!r} {y!r}\n")
+    return total_bb, overlap, legal
 
 
 def save_result(
@@ -267,8 +271,10 @@ def save_result(
     netlist: Netlist,
     area: PlacementArea,
     config: PlacerConfig,
-) -> None:
-    _atomic_write(
+) -> tuple[float, float, bool]:
+    """Atomically write a result file; returns its summary (netlength_bb,
+    overlap_area, legal)."""
+    return _atomic_write(
         path, lambda fp: write_result(fp, placement, netlist, area, config)
     )
 
@@ -685,8 +691,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
             final = placement
             code = 2
     out = _out_path(args.out)
-    save_result(out, final, netlist, area, config)
-    total_bb, overlap, legal = _summarize(final, netlist, area)
+    total_bb, overlap, legal = save_result(out, final, netlist, area, config)
     print(
         f"placed {len(netlist.macros)} macros in {config.max_rounds} rounds: "
         f"netlength_bb={total_bb:.6g} overlap_area={overlap:.6g} "

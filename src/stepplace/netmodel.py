@@ -148,12 +148,112 @@ class PlacementArea:
                 raise ValueError(f"blockage {b} outside the placement area")
 
 
-def footprint(macro: Macro, pos: Point) -> Rect:
-    """Region occupied by a macro centered at ``pos``."""
+Box = tuple[float, float, float, float]  # (x1, y1, x2, y2), half-open like Rect
+
+
+def footprint_box(macro: Macro, pos: Point) -> Box:
+    """Corners of the region occupied by a macro centered at ``pos``."""
     x, y = pos
     hx = macro.size_x / 2.0
     hy = macro.size_y / 2.0
-    return Rect(x - hx, y - hy, x + hx, y + hy)
+    return (x - hx, y - hy, x + hx, y + hy)
+
+
+def footprint(macro: Macro, pos: Point) -> Rect:
+    """Region occupied by a macro centered at ``pos``."""
+    return Rect(*footprint_box(macro, pos))
+
+
+def meet(a: Box, b: Box) -> Box:
+    """Intersection corners of two boxes; positive-area only if they overlap.
+
+    Same arithmetic as :meth:`Rect.intersect`, so widths, areas and
+    circumferences derived from it are bit-identical.
+    """
+    return (max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3]))
+
+
+class BucketGrid:
+    """Spatial hash of macro footprints answering "which macros overlap this
+    rectangle".
+
+    Each footprint is stored, keyed by macro id, under every cell
+    ``(floor(x / cell_x), floor(y / cell_y))`` its closed extent touches.  Two
+    boxes sharing an interior point share the cell of that point, so the
+    buckets yield a superset of the overlapping boxes and an exact half-open
+    test (the one of :meth:`Rect.overlaps`) filters it: the cell size affects
+    speed only, never results.  With cells as large as the largest macro
+    (:func:`footprint_grid`), a footprint query visits at most 2x2 cells.
+    """
+
+    def __init__(self, cell_x: float, cell_y: float) -> None:
+        self.cell_x = cell_x
+        self.cell_y = cell_y
+        self.boxes: dict[str, Box] = {}
+        self.cells: dict[tuple[int, int], set[str]] = {}
+
+    def _cells(self, box: Box):
+        x1, y1, x2, y2 = box
+        cx, cy = self.cell_x, self.cell_y
+        ys = range(math.floor(y1 / cy), math.floor(y2 / cy) + 1)
+        for i in range(math.floor(x1 / cx), math.floor(x2 / cx) + 1):
+            for j in ys:
+                yield i, j
+
+    def put(self, key: str, box: Box) -> None:
+        """Insert ``key`` with footprint ``box``, or move it there."""
+        cells = self.cells
+        old = self.boxes.get(key)
+        if old is not None:
+            for c in self._cells(old):
+                cells[c].discard(key)
+        self.boxes[key] = box
+        for c in self._cells(box):
+            bucket = cells.get(c)
+            if bucket is None:
+                cells[c] = {key}
+            else:
+                bucket.add(key)
+
+    def hits(self, x1: float, y1: float, x2: float, y2: float) -> list[str]:
+        """Keys whose box meets the query with positive area, ascending."""
+        cells = self.cells
+        cand: set[str] = set()
+        for c in self._cells((x1, y1, x2, y2)):
+            bucket = cells.get(c)
+            if bucket:
+                cand |= bucket
+        boxes = self.boxes
+        out = []
+        for key in cand:
+            bx1, by1, bx2, by2 = boxes[key]
+            # max(..) < min(..) per axis, written out to skip the calls
+            if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
+                by1 if by1 > y1 else y1
+            ) < (by2 if by2 < y2 else y2):
+                out.append(key)
+        out.sort()
+        return out
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """Every overlapping pair ``(a, b)`` with ``a < b``, in ascending order."""
+        boxes = self.boxes
+        return [
+            (a, b) for a in sorted(boxes) for b in self.hits(*boxes[a]) if b > a
+        ]
+
+
+def footprint_grid(netlist: Netlist, placement: Placement) -> BucketGrid:
+    """Bucket grid of the footprints of every placed macro of the netlist,
+    with cells as large as the netlist's largest macro width and height."""
+    grid = BucketGrid(
+        max((m.size_x for m in netlist.macros), default=1.0),
+        max((m.size_y for m in netlist.macros), default=1.0),
+    )
+    for m in netlist.macros:
+        if m.id in placement:
+            grid.put(m.id, footprint_box(m, placement[m.id]))
+    return grid
 
 
 @dataclass
@@ -175,31 +275,24 @@ def is_legal(
     """Check the three legality conditions: inside the area, pairwise
     disjoint, disjoint from every blockage.  Half-open footprints make
     edge-to-edge contact legal."""
-    rects: dict[str, Rect] = {}
     for m in netlist.macros:
         if m.id not in placement:
             raise ValueError(f"macro {m.id!r} has no position")
-        rects[m.id] = footprint(m, placement[m.id])
+    grid = footprint_grid(netlist, placement)
+    boxes = grid.boxes
 
     out_of_area = [
         mid
-        for mid, r in rects.items()
-        if not (r.x1 >= 0 and r.x2 <= area.width and r.y1 >= 0 and r.y2 <= area.height)
+        for mid, (x1, y1, x2, y2) in boxes.items()
+        if not (x1 >= 0 and x2 <= area.width and y1 >= 0 and y2 <= area.height)
     ]
-    ids = sorted(rects)
-    overlaps = [
-        (ids[i], ids[j])
-        for i in range(len(ids))
-        for j in range(i + 1, len(ids))
-        if rects[ids[i]].overlaps(rects[ids[j]])
-    ]
-    blockage_overlaps = [
-        (mid, bi)
-        for mid in ids
-        for bi, b in enumerate(area.blockages)
-        if rects[mid].overlaps(b)
-    ]
-    return LegalityReport(out_of_area, overlaps, blockage_overlaps)
+    blockage_overlaps = []
+    for mid in sorted(boxes):
+        r = Rect(*boxes[mid])
+        blockage_overlaps += [
+            (mid, bi) for bi, b in enumerate(area.blockages) if r.overlaps(b)
+        ]
+    return LegalityReport(out_of_area, grid.pairs(), blockage_overlaps)
 
 
 def bb_netlength(points: list[Point]) -> float:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from stepplace.netmodel import (
+    BucketGrid,
     Macro,
     Netlist,
     NetModel,
@@ -39,7 +40,10 @@ from stepplace.netmodel import (
     bb_netlength,
     beta_schedule,
     footprint,
+    footprint_box,
+    footprint_grid,
     is_legal,
+    meet,
     model_length,
 )
 from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect
@@ -189,11 +193,14 @@ class PlacerState:
     bounds: dict[str, MacroBounds]
     round: int
     macro_order: list[str]
-    footprints: dict[str, Rect]
+    # footprints of every macro at its current position
+    grid: BucketGrid
     net_bb: list[float]
     net_indices_of: dict[str, list[int]]
     # only pairs with positive intersection area are stored
     pair_overlap: dict[tuple[str, str], float]
+    # the macros each macro overlaps, i.e. its keys in pair_overlap
+    partners: dict[str, set[str]]
     trace: list[RoundStats] = field(default_factory=list)
     # diagnostics of the most recent round (for tests and debugging)
     last_macro: str | None = None
@@ -280,25 +287,24 @@ def penalty(
     placement: Placement,
     netlist: Netlist,
     config: PlacerConfig,
-    footprints: dict[str, Rect] | None = None,
+    grid: BucketGrid | None = None,
 ) -> float:
     """Overlap penalty of ``macro`` at ``pos`` against all other macros:
     the penalty constant times the step's multiplier times the total
-    circumference of the pairwise footprint intersections."""
-    cand = footprint(macro, pos)
-    if footprints is None:
-        footprints = {
-            mid: footprint(netlist.by_id[mid], placement[mid])
-            for mid in sorted(placement)
-            if mid in netlist.by_id
-        }
+    circumference of the pairwise footprint intersections.
+
+    ``grid`` holds the footprints of ``placement`` (the state's grid); without
+    it one is built."""
+    if grid is None:
+        grid = footprint_grid(netlist, placement)
+    cand = footprint_box(macro, pos)
+    boxes = grid.boxes
     total_circ = 0.0
-    for mid, fp in footprints.items():
+    for mid in grid.hits(*cand):
         if mid == macro.id:
             continue
-        inter = cand.intersect(fp)
-        if inter is not None:
-            total_circ += inter.circumference
+        ix1, iy1, ix2, iy2 = meet(cand, boxes[mid])
+        total_circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1))
     return config.penalty_c * config.delta_at(step) * total_circ
 
 
@@ -328,7 +334,7 @@ def candidate_score(
         score += model_length(pts, model)
     score += penalty(
         state.round, macro, pos, state.placement, state.netlist, config,
-        state.footprints,
+        state.grid,
     )
     for b in state.area.blockages:
         inter = fp.intersect(b)
@@ -371,9 +377,7 @@ def new_state(
         if snapped is not None:
             fld.increase(snapped, config.blockage_weight)
 
-    footprints = {
-        mid: footprint(netlist.by_id[mid], placement[mid]) for mid in macro_order
-    }
+    grid = footprint_grid(netlist, placement)
     net_indices_of: dict[str, list[int]] = {mid: [] for mid in macro_order}
     net_bb: list[float] = []
     for ni, net in enumerate(netlist.nets):
@@ -381,11 +385,12 @@ def new_state(
         for mid in net.members:
             net_indices_of[mid].append(ni)
     pair_overlap: dict[tuple[str, str], float] = {}
-    for i, mi in enumerate(macro_order):
-        for mj in macro_order[i + 1 :]:
-            inter = footprints[mi].intersect(footprints[mj])
-            if inter is not None:
-                pair_overlap[(mi, mj)] = inter.area
+    partners: dict[str, set[str]] = {mid: set() for mid in macro_order}
+    for mi, mj in grid.pairs():
+        ix1, iy1, ix2, iy2 = meet(grid.boxes[mi], grid.boxes[mj])
+        pair_overlap[(mi, mj)] = (ix2 - ix1) * (iy2 - iy1)
+        partners[mi].add(mj)
+        partners[mj].add(mi)
 
     state = PlacerState(
         netlist=netlist,
@@ -396,10 +401,11 @@ def new_state(
         bounds=bounds,
         round=0,
         macro_order=macro_order,
-        footprints=footprints,
+        grid=grid,
         net_bb=net_bb,
         net_indices_of=net_indices_of,
         pair_overlap=pair_overlap,
+        partners=partners,
     )
     state.trace.append(_stats_row(state, config))
     return state
@@ -448,26 +454,31 @@ def round_step(state: PlacerState, config: PlacerConfig) -> None:
     chosen = candidates[best]
 
     state.placement[mid] = chosen
-    new_fp = footprint(macro, chosen)
-    state.footprints[mid] = new_fp
+    new_fp = footprint_box(macro, chosen)
+    grid = state.grid
+    grid.put(mid, new_fp)
     for ni in state.net_indices_of[mid]:
         net = state.netlist.nets[ni]
         state.net_bb[ni] = bb_netlength(
             [state.placement[m2] for m2 in net.members]
         )
     w = config.w_at(state.round)
-    for other in state.macro_order:
-        if other == mid:
-            continue
-        inter = new_fp.intersect(state.footprints[other])
+    # hits come in macro_order, so pair_overlap gains new keys and the field
+    # its increases in the order of a scan over every macro
+    hits = [other for other in grid.hits(*new_fp) if other != mid]
+    partners = state.partners
+    for other in partners[mid].difference(hits):
+        state.pair_overlap.pop((mid, other) if mid < other else (other, mid))
+        partners[other].discard(mid)
+    partners[mid] = set(hits)
+    for other in hits:
+        partners[other].add(mid)
+        inter = Rect(*meet(new_fp, grid.boxes[other]))
         key = (mid, other) if mid < other else (other, mid)
-        if inter is None:
-            state.pair_overlap.pop(key, None)
-        else:
-            state.pair_overlap[key] = inter.area
-            snapped = snap_to_grid(inter, state.area, config.grid_p, config.grid_q)
-            if snapped is not None:
-                state.field.increase(snapped, w)
+        state.pair_overlap[key] = inter.area
+        snapped = snap_to_grid(inter, state.area, config.grid_p, config.grid_q)
+        if snapped is not None:
+            state.field.increase(snapped, w)
     state.field.inflate(config.inflation_rho)
 
     state.round += 1
@@ -540,19 +551,16 @@ def naive_legalize(
     gx = area.width / (1 << gp)
     gy = area.height / (1 << gq)
 
-    placed: dict[str, Rect] = {}
+    placed = footprint_grid(netlist, {})
 
     def conflict_free(m: Macro, pos: Point, b: MacroBounds) -> bool:
         if not (b.x_min <= pos[0] <= b.x_max and b.y_min <= pos[1] <= b.y_max):
             return False
-        fp = footprint(m, pos)
-        for r in placed.values():
-            if fp.overlaps(r):
-                return False
-        for blk in area.blockages:
-            if fp.overlaps(blk):
-                return False
-        return True
+        box = footprint_box(m, pos)
+        if placed.hits(*box):
+            return False
+        fp = Rect(*box)
+        return not any(fp.overlaps(blk) for blk in area.blockages)
 
     out: Placement = {}
     order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
@@ -565,7 +573,7 @@ def naive_legalize(
         y = min(max(y, b.y_min), b.y_max)
         if conflict_free(m, (x, y), b):
             out[m.id] = (x, y)
-            placed[m.id] = footprint(m, (x, y))
+            placed.put(m.id, footprint_box(m, (x, y)))
             continue
         xs = _lattice(b.x_min, b.x_max, gx)
         ys = _lattice(b.y_min, b.y_max, gy)
@@ -598,12 +606,16 @@ def naive_legalize(
         if found is None:
             raise LegalizationError(m.id)
         out[m.id] = found
-        placed[m.id] = footprint(m, found)
+        placed.put(m.id, footprint_box(m, found))
 
     report = is_legal(out, netlist, area)
     if not report.legal:
+        culprits = (
+            report.out_of_area
+            + [a for a, _ in report.overlaps]
+            + [mid for mid, _ in report.blockage_overlaps]
+        )
         raise LegalizationError(
-            next(iter(report.out_of_area), "?"),
-            f"legalizer produced an illegal placement: {report}",
+            culprits[0], f"legalizer produced an illegal placement: {report}"
         )
     return out

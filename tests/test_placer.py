@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepplace.placer as placer
 from stepplace.netmodel import (
+    LegalityReport,
     Macro,
     Net,
     Netlist,
@@ -548,3 +550,18 @@ class TestNaiveLegalize:
         nl = Netlist([Macro("a", 1, 1)], [])
         with pytest.raises(ValueError, match="'a'"):
             naive_legalize({}, nl, PlacementArea(4, 4))
+
+    @pytest.mark.parametrize(
+        "report, culprit",
+        [
+            (LegalityReport([], [("b", "c")], []), "b"),
+            (LegalityReport([], [], [("c", 0)]), "c"),
+        ],
+    )
+    def test_final_check_error_names_a_macro(self, monkeypatch, report, culprit):
+        nl = Netlist([Macro(m, 1, 1) for m in "abc"], [])
+        placement = {"a": (0.5, 0.5), "b": (1.5, 0.5), "c": (2.5, 0.5)}
+        monkeypatch.setattr(placer, "is_legal", lambda *args: report)
+        with pytest.raises(LegalizationError) as err:
+            naive_legalize(placement, nl, PlacementArea(4, 4))
+        assert err.value.macro_id == culprit
