@@ -17,17 +17,13 @@ from stepplace.netmodel import (
     Macro,
     Net,
     Netlist,
-    NetModel,
     PlacementArea,
     Rect,
     bb_netlength,
     beta_schedule,
     footprint,
     is_legal,
-    lp_netlength,
     lse_netlength,
-    marginal_cost,
-    net_length,
     nl_netlength,
 )
 from stepplace.placer import (
@@ -53,11 +49,7 @@ from stepplace.stepfield import (
     BasisIndex,
     CostField,
     GridRect,
-    all_basis_indices,
-    basis_vector_1d,
     nonzero_basis_1d,
-    star_1d,
-    star_2d,
 )
 
 __version__ = "0.1.0"

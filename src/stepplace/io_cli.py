@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import html
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from stepplace.netmodel import (
     Rect,
     bb_netlength,
     footprint,
-    footprint_grid,
+    footprint_box,
     is_legal,
     meet,
 )
@@ -233,13 +234,18 @@ def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
         bb_netlength([placement[mid] for mid in net.members])
         for net in netlist.nets
     )
-    grid = footprint_grid(netlist, placement)
+    if not placement:
+        return total_bb, 0.0, True
+    report = is_legal(placement, netlist, area)
+    by_id = netlist.by_id
     overlap = 0.0
-    for mi, mj in grid.pairs():
-        ix1, iy1, ix2, iy2 = meet(grid.boxes[mi], grid.boxes[mj])
+    for mi, mj in report.overlaps:
+        ix1, iy1, ix2, iy2 = meet(
+            footprint_box(by_id[mi], placement[mi]),
+            footprint_box(by_id[mj], placement[mj]),
+        )
         overlap += (ix2 - ix1) * (iy2 - iy1)
-    legal = is_legal(placement, netlist, area).legal if placement else True
-    return total_bb, overlap, legal
+    return total_bb, overlap, report.legal
 
 
 def write_result(
@@ -490,7 +496,8 @@ def render_svg(
         )
         fp.write(
             f'<text x="{X(cx)}" y="{Y(cy)}" font-size="{f(font)}" '
-            f'text-anchor="middle" dominant-baseline="middle">{m.id}</text>\n'
+            f'text-anchor="middle" dominant-baseline="middle">'
+            f"{html.escape(m.id)}</text>\n"
         )
     for net in netlist.nets:
         pts = [placement[mid] for mid in net.members if mid in placement]

@@ -106,7 +106,6 @@ class Netlist:
     macros: list[Macro]
     nets: list[Net]
     by_id: dict[str, Macro] = field(init=False, repr=False)
-    _nets_of: dict[str, list[Net]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.by_id = {}
@@ -114,18 +113,12 @@ class Netlist:
             if m.id in self.by_id:
                 raise ValueError(f"duplicate macro id {m.id!r}")
             self.by_id[m.id] = m
-        self._nets_of = {m.id: [] for m in self.macros}
         for net in self.nets:
             for mid in net.members:
                 if mid not in self.by_id:
                     raise ValueError(
                         f"net {net.members!r} references unknown macro {mid!r}"
                     )
-                self._nets_of[mid].append(net)
-
-    def nets_of(self, macro_id: str) -> list[Net]:
-        """Nets containing the given macro."""
-        return self._nets_of[macro_id]
 
     @property
     def total_macro_area(self) -> float:
@@ -328,28 +321,6 @@ def lse_netlength(points: list[Point], alpha: float) -> float:
     )
 
 
-def lp_netlength(points: list[Point], alpha: float, pw: float) -> float:
-    """Clique smoothing: sum of ``(|d|**pw + alpha)**(1/pw)`` over unordered
-    pin pairs, per axis.
-
-    Converges to the pair distance as ``alpha -> 0, pw -> inf`` for 2-pin
-    nets; for larger nets the clique sum exceeds the bounding-box length.
-    """
-    if len(points) < 2:
-        raise ValueError("a net needs at least 2 pins")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not pw >= 1:
-        raise ValueError("pw must be >= 1")
-    tot = 0.0
-    for axis in (0, 1):
-        vals = [p[axis] for p in points]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                tot += (abs(vals[i] - vals[j]) ** pw + alpha) ** (1.0 / pw)
-    return tot
-
-
 def nl_netlength(dx: float, dy: float, beta: float) -> float:
     """Smoothed absolute length of a 2-pin edge with coordinate differences
     ``(dx, dy)``: ``(1/beta)*log(exp(beta*d) + exp(-beta*d))`` per axis.
@@ -376,107 +347,18 @@ def beta_schedule(rnd: int, max_rounds: int) -> float:
     return max_rounds / (max_rounds - rnd + 1)
 
 
-@dataclass(frozen=True)
-class NetModel:
-    """Net-length model selector.
+def model_length(points: list[Point], beta: float | None) -> float:
+    """Length of a pin set as the placer scores it.
 
-    ``kind`` is one of ``bb``, ``lse``, ``lp``, ``nl``.  The ``nl`` kind is
-    the smoothed regime: 2-pin nets use the exponential edge smoothing with
-    sharpness ``beta``; larger nets fall back to log-sum-exp with
-    ``alpha = 1/beta`` (the edge formula's convergence to the bounding box
-    only holds per coordinate difference, i.e. for 2-pin nets).
+    ``beta=None`` is the exact bounding box.  Otherwise the smoothed regime:
+    2-pin nets use the exponential edge smoothing with sharpness ``beta``;
+    larger nets fall back to log-sum-exp with ``alpha = 1/beta`` (the edge
+    formula's convergence to the bounding box only holds per coordinate
+    difference, i.e. for 2-pin nets).
     """
-
-    kind: str
-    alpha: float | None = None
-    pw: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("bb", "lse", "lp", "nl"):
-            raise ValueError(f"unknown net model {self.kind!r}")
-        if self.kind == "lse" and not (self.alpha and self.alpha > 0):
-            raise ValueError("lse model needs alpha > 0")
-        if self.kind == "lp" and not (
-            self.alpha and self.alpha > 0 and self.pw and self.pw >= 1
-        ):
-            raise ValueError("lp model needs alpha > 0 and pw >= 1")
-        if self.kind == "nl" and not (self.beta and self.beta > 0):
-            raise ValueError("nl model needs beta > 0")
-
-    @staticmethod
-    def bb() -> "NetModel":
-        return NetModel("bb")
-
-    @staticmethod
-    def lse(alpha: float) -> "NetModel":
-        return NetModel("lse", alpha=alpha)
-
-    @staticmethod
-    def lp(alpha: float, pw: float) -> "NetModel":
-        return NetModel("lp", alpha=alpha, pw=pw)
-
-    @staticmethod
-    def nl(beta: float) -> "NetModel":
-        return NetModel("nl", beta=beta)
-
-
-def model_length(points: list[Point], model: NetModel) -> float:
-    """Length of a pin set under the selected model (see :class:`NetModel`)."""
-    if model.kind == "bb":
+    if beta is None:
         return bb_netlength(points)
-    if model.kind == "lse":
-        return lse_netlength(points, model.alpha)
-    if model.kind == "lp":
-        return lp_netlength(points, model.alpha, model.pw)
-    # smoothed regime
     if len(points) == 2:
         (x1, y1), (x2, y2) = points
-        return nl_netlength(x1 - x2, y1 - y2, model.beta)
-    return lse_netlength(points, 1.0 / model.beta)
-
-
-def net_points(net: Net, placement: Placement) -> list[Point]:
-    """Pin positions of a net; every member must be placed."""
-    pts = []
-    for mid in net.members:
-        if mid not in placement:
-            raise ValueError(f"macro {mid!r} of net {net.members!r} is not placed")
-        pts.append(placement[mid])
-    return pts
-
-
-def net_length(net: Net, placement: Placement, model: NetModel) -> float:
-    """Length of one net under the selected model."""
-    return model_length(net_points(net, placement), model)
-
-
-def marginal_cost(
-    macro: Macro,
-    candidate: Point,
-    placement: Placement,
-    netlist: Netlist,
-    field_cost: float,
-    model: NetModel,
-) -> float:
-    """Marginal contribution of placing ``macro`` at ``candidate``: the
-    supplied field cost of the spot plus the length of every net containing
-    the macro, evaluated with the macro moved there.
-
-    Only nets containing the macro enter the sum, so positions of unrelated
-    macros cannot affect the result.
-    """
-    tot = field_cost
-    for net in netlist.nets_of(macro.id):
-        pts = []
-        for mid in net.members:
-            if mid == macro.id:
-                pts.append(candidate)
-            elif mid in placement:
-                pts.append(placement[mid])
-            else:
-                raise ValueError(
-                    f"macro {mid!r} of net {net.members!r} is not placed"
-                )
-        tot += model_length(pts, model)
-    return tot
+        return nl_netlength(x1 - x2, y1 - y2, beta)
+    return lse_netlength(points, 1.0 / beta)

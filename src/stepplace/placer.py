@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from stepplace.netmodel import (
     BucketGrid,
     Macro,
     Netlist,
-    NetModel,
     Placement,
     PlacementArea,
     Point,
@@ -57,6 +57,12 @@ class LegalizationError(Exception):
         super().__init__(message or f"no legal position found for macro {macro_id!r}")
 
 
+_INT_FIELDS = frozenset(
+    ("max_rounds", "candidates_per_round", "grid_p", "grid_q", "seed",
+     "model_switch_round")
+)
+
+
 @dataclass(frozen=True)
 class PlacerConfig:
     """Every tunable of the placement loop.
@@ -65,7 +71,9 @@ class PlacerConfig:
     multiplies the respective schedule by 1000 over the whole run.  The
     ``model_switch_round`` defaults to 80% of ``max_rounds``; rounds at or
     after it score with the exact bounding-box model instead of the smoothed
-    one.
+    one.  Integer fields take ``int`` only (no ``bool`` or ``float``), the
+    others any finite ``int`` or ``float``; violations raise ``ValueError``
+    naming the field.
     """
 
     max_rounds: int
@@ -83,6 +91,17 @@ class PlacerConfig:
     model_switch_round: int | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if f.name in _INT_FIELDS:
+                ok, kind = isinstance(v, int), "an integer"
+            else:
+                ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+                kind = "a finite number"
+            if isinstance(v, bool) or not ok:
+                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
         if self.candidates_per_round < 0:
@@ -202,9 +221,7 @@ class PlacerState:
     # the macros each macro overlaps, i.e. its keys in pair_overlap
     partners: dict[str, set[str]]
     trace: list[RoundStats] = field(default_factory=list)
-    # diagnostics of the most recent round (for tests and debugging)
-    last_macro: str | None = None
-    last_candidates: list[Point] | None = None
+    # scores and winning index of the most recent round's candidates
     last_scores: list[float] | None = None
     last_choice: int | None = None
 
@@ -308,12 +325,13 @@ def penalty(
     return config.penalty_c * config.delta_at(step) * total_circ
 
 
-def _round_model(rnd: int, config: PlacerConfig) -> NetModel:
-    """Scoring model for a 1-based round: smoothed before the switch round,
-    exact bounding box at and after it."""
+def _round_beta(rnd: int, config: PlacerConfig) -> float | None:
+    """Net-model sharpness for a 1-based round (see :func:`model_length`):
+    the beta schedule before the switch round, None (exact bounding box) at
+    and after it."""
     if rnd >= config.switch_round:
-        return NetModel.bb()
-    return NetModel.nl(beta_schedule(rnd, config.max_rounds))
+        return None
+    return beta_schedule(rnd, config.max_rounds)
 
 
 def candidate_score(
@@ -325,13 +343,13 @@ def candidate_score(
     fp = footprint(macro, pos)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
     score = state.field.cost(snapped) if snapped is not None else 0.0
-    model = _round_model(state.round + 1, config)
+    beta = _round_beta(state.round + 1, config)
     for ni in state.net_indices_of[macro.id]:
         net = state.netlist.nets[ni]
         pts = [
             pos if mid == macro.id else state.placement[mid] for mid in net.members
         ]
-        score += model_length(pts, model)
+        score += model_length(pts, beta)
     score += penalty(
         state.round, macro, pos, state.placement, state.netlist, config,
         state.grid,
@@ -413,8 +431,7 @@ def new_state(
 
 def _stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     rnd = state.round
-    beta = beta_schedule(rnd, config.max_rounds) if 1 <= rnd <= config.max_rounds \
-        else (beta_schedule(1, config.max_rounds) if config.max_rounds >= 1 else 1.0)
+    beta = beta_schedule(rnd, config.max_rounds) if rnd else 1.0
     step = max(0, rnd - 1)
     return RoundStats(
         round=rnd,
@@ -432,8 +449,9 @@ def round_step(state: PlacerState, config: PlacerConfig) -> None:
     lowest index, the current position first), grow the field under every
     remaining overlap of the moved macro, inflate, advance statistics.
 
-    Diagnostics of the executed round are left on ``state.last_*``.  The
-    config must be the one the state was created with.
+    The candidates' scores and the winner's index are left on
+    ``state.last_scores`` and ``state.last_choice``.  The config must be the
+    one the state was created with.
     """
     if state.round >= config.max_rounds:
         raise ValueError("all configured rounds already executed")
@@ -483,8 +501,6 @@ def round_step(state: PlacerState, config: PlacerConfig) -> None:
 
     state.round += 1
     state.trace.append(_stats_row(state, config))
-    state.last_macro = mid
-    state.last_candidates = candidates
     state.last_scores = scores
     state.last_choice = best
 

@@ -12,9 +12,10 @@ increments touch at most ``(2p+1)*(2q+1)`` coefficients.
 Rectangles are half-open in cell indices: ``GridRect(a1, b1, a2, b2)`` covers
 cells ``a1 <= i < a2``, ``b1 <= j < b2`` (0-based).
 
-Concurrency: single writer.  ``cost`` never mutates and is safe to call from
-several threads while no ``increase``/``inflate`` is in flight; mutations
-require exclusive access.
+Concurrency: single writer.  ``cost`` leaves the coefficients unchanged and
+records ``last_touched``; it may run from several threads while no
+``increase``/``inflate`` is in flight, but ``last_touched`` then reports
+whichever call finished last.  Mutations require exclusive access.
 
 Backends: the C core ``_fieldcore`` is used when it imports; otherwise the
 first import compiles ``_fieldcore.c`` into the user cache
@@ -30,7 +31,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from types import ModuleType
-from typing import IO, Iterator, NamedTuple
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -186,15 +187,6 @@ def blocks_at_level(p: int, a: int) -> int:
     return 1 << (p - a - 1)
 
 
-def all_basis_indices(p: int, q: int) -> Iterator[BasisIndex]:
-    """Every product basis element of the (2**p) x (2**q) grid, nm in total."""
-    for a in range(p + 1):
-        for k in range(1, blocks_at_level(p, a) + 1):
-            for b in range(q + 1):
-                for l in range(1, blocks_at_level(q, b) + 1):
-                    yield BasisIndex(a, k, b, l)
-
-
 def flat_axis_id(p: int, a: int, k: int) -> int:
     """Dense position of axis element (a, k) in [0, 2**p); all-ones is last."""
     if not 1 <= k <= blocks_at_level(p, a):
@@ -235,56 +227,6 @@ def nonzero_basis_1d(s: int, t: int, p: int) -> list[tuple[int, int, float]]:
                 out.append((a, kt, float(v)))
     out.append((p, 1, float(t - s)))
     return out
-
-
-def star_1d(s: int, t: int, p: int, a: int, k: int) -> float:
-    """Inner product of the indicator of cells [s, t) with axis element (a, k).
-
-    Case analysis on which of the interval endpoints the element's support
-    straddles; zero when it straddles neither.
-    """
-    n = 1 << p
-    if not 0 <= s < t <= n:
-        raise ValueError(f"invalid cell interval [{s}, {t}) for n={n}")
-    if not 1 <= k <= blocks_at_level(p, a):
-        raise ValueError(f"block {k} out of range at level {a} (exponent {p})")
-    if a == p:
-        return float(t - s)
-    lo = (2 * k - 2) << a
-    hi = (2 * k) << a
-    hit_s = lo < s <= hi
-    hit_t = lo < t <= hi
-    v = 0
-    if hit_s:
-        v -= min(s - lo, hi - s)
-    if hit_t:
-        v += min(t - lo, hi - t)
-    return float(v)
-
-
-def star_2d(rect: GridRect, idx: BasisIndex, p: int, q: int) -> float:
-    """Inner product of a rectangle indicator with a product basis element."""
-    return star_1d(rect.a1, rect.a2, p, idx.a, idx.k) * star_1d(
-        rect.b1, rect.b2, q, idx.b, idx.l
-    )
-
-
-def basis_vector_1d(p: int, a: int, k: int) -> np.ndarray:
-    """Dense form of axis element (a, k): +1 block then -1 block, or all ones."""
-    n = 1 << p
-    if a == p:
-        if k != 1:
-            raise ValueError("the all-ones element has block index 1")
-        return np.ones(n)
-    if not 1 <= k <= blocks_at_level(p, a):
-        raise ValueError(f"block {k} out of range at level {a} (exponent {p})")
-    v = np.zeros(n)
-    lo = (2 * k - 2) << a
-    mid = (2 * k - 1) << a
-    hi = (2 * k) << a
-    v[lo:mid] = 1.0
-    v[mid:hi] = -1.0
-    return v
 
 
 class _PyFieldCore:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.dom.minidom
 
 import pytest
 
@@ -284,6 +285,16 @@ class TestRenderSvg:
         )
         assert 'fill="url(#hatch)"' in buf.getvalue()
 
+    def test_ids_escaped_to_well_formed_xml(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("area 10 10\nmacro a&<b 2 2\nmacro \"c'>\" 2 2\n"
+                        "place a&<b 3 3\nplace \"c'>\" 7 7\n")
+        out = tmp_path / "out.svg"
+        assert main(["render", "--instance", str(inst), "--out", str(out)]) == 0
+        doc = xml.dom.minidom.parse(str(out))
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert labels == ["a&<b", "\"c'>\""]
+
     def test_deterministic_bytes(self):
         nl = Netlist([Macro("a", 2, 2)], [])
         outs = []
@@ -419,6 +430,29 @@ class TestCli:
         )
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"grid_p": 5.0}', "grid_p"),
+            ('{"seed": true}', "seed"),
+            ('{"penalty_c": NaN}', "penalty_c"),
+            ('{"blockage_weight": Infinity}', "blockage_weight"),
+        ],
+    )
+    def test_bad_config_value_rejected(
+        self, tmp_path, instance_file, capsys, text, field
+    ):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        out = tmp_path / "r.txt"
+        code = main(
+            ["place", "--in", instance_file, "--out", str(out),
+             "--config", str(cfgfile)]
+        )
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_dir_env_var(self, tmp_path, instance_file, monkeypatch):
         outdir = tmp_path / "outputs"

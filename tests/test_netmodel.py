@@ -8,19 +8,18 @@ from stepplace.netmodel import (
     Macro,
     Net,
     Netlist,
-    NetModel,
     PlacementArea,
     Rect,
     bb_netlength,
     beta_schedule,
     footprint,
     is_legal,
-    lp_netlength,
     lse_netlength,
-    marginal_cost,
-    net_length,
+    model_length,
     nl_netlength,
 )
+from stepplace.placer import PlacerConfig, candidate_score, new_state, snap_to_grid
+from stepplace.stepfield import GridRect
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 points_lists = st.lists(st.tuples(coords, coords), min_size=2, max_size=6)
@@ -83,12 +82,13 @@ class TestDomainValidation:
             Netlist([Macro("a", 1, 1), Macro("a", 2, 2)], [])
 
     def test_nets_of(self):
+        # the placer's per-macro net index, in netlist order
         nl = Netlist(
             [Macro("a", 1, 1), Macro("b", 1, 1), Macro("c", 1, 1)],
             [Net(("a", "b")), Net(("b", "c"))],
         )
-        assert [n.members for n in nl.nets_of("b")] == [("a", "b"), ("b", "c")]
-        assert nl.nets_of("a") == [nl.nets[0]]
+        state = new_state(nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1))
+        assert state.net_indices_of == {"a": [0], "b": [0, 1], "c": [1]}
 
     def test_blockage_must_be_inside_area(self):
         with pytest.raises(ValueError):
@@ -186,35 +186,6 @@ class TestLSE:
         assert math.isfinite(lse_netlength(pts, 0.01))
 
 
-class TestLP:
-    def test_frozen_scalar_value(self):
-        pts = [(0.0, 0.0), (3.0, 0.0)]
-        assert lp_netlength(pts, 0.25, 2) == pytest.approx(
-            3.5413812651491097, rel=1e-12
-        )
-
-    def test_two_pin_limit_converges_to_bb(self):
-        pts = [(0.0, 0.0), (3.0, 4.0)]
-        bb = bb_netlength(pts)
-        prev_gap = None
-        for alpha, pw in ((0.5, 2), (0.1, 4), (0.01, 8), (1e-4, 16)):
-            gap = lp_netlength(pts, alpha, pw) - bb
-            assert gap > 0
-            if prev_gap is not None:
-                assert gap < prev_gap
-            prev_gap = gap
-        assert prev_gap < 1e-2
-
-    def test_clique_overcount_for_three_pins(self):
-        # collinear 3-pin net: the x pairs alone sum to 1 + 2 + 1 = 4 > 2,
-        # so the clique model exceeds the bounding box even in the sharp
-        # limit; the three zero-length y pairs add alpha**(1/pw) each
-        pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-        val = lp_netlength(pts, 1e-6, 32)
-        assert val == pytest.approx(4.0 + 3.0 * 1e-6 ** (1 / 32), abs=1e-2)
-        assert val > bb_netlength(pts) + 1.9
-
-
 class TestNL:
     def test_frozen_scalar_value(self):
         assert nl_netlength(2.0, 0.0, 1.0) == pytest.approx(
@@ -257,43 +228,30 @@ class TestBetaSchedule:
 
 
 class TestNetLengthDispatch:
-    def nl2(self):
-        return Netlist(
-            [Macro("a", 1, 1), Macro("b", 1, 1), Macro("c", 1, 1)],
-            [Net(("a", "b")), Net(("a", "b", "c"))],
-        )
-
     def test_bb_dispatch(self):
-        p = {"a": (0, 0), "b": (3, 4)}
-        assert net_length(Net(("a", "b")), p, NetModel.bb()) == 7.0
+        assert model_length([(0, 0), (3, 4)], None) == 7.0
+        assert model_length([(0, 0), (3, 4), (1, 1)], None) == 7.0
 
     def test_nl_two_pin_near_bb_at_high_beta(self):
-        p = {"a": (0, 0), "b": (3, 4)}
         beta = beta_schedule(1000, 1000)
-        got = net_length(Net(("a", "b")), p, NetModel.nl(beta))
+        got = model_length([(0, 0), (3, 4)], beta)
+        assert got == nl_netlength(-3, -4, beta)
         assert abs(got - 7.0) <= 2 * math.log(2) / beta
 
     def test_smoothed_multi_pin_uses_lse(self):
-        p = {"a": (0, 0), "b": (3, 4), "c": (1, 1)}
-        net = Net(("a", "b", "c"))
+        pts = [(0, 0), (3, 4), (1, 1)]
         beta = 2.0
-        assert net_length(net, p, NetModel.nl(beta)) == lse_netlength(
-            [p["a"], p["b"], p["c"]], 1.0 / beta
-        )
-
-    def test_unplaced_member_names_macro_and_net(self):
-        with pytest.raises(ValueError, match="'b'"):
-            net_length(Net(("a", "b")), {"a": (0, 0)}, NetModel.bb())
+        assert model_length(pts, beta) == lse_netlength(pts, 1.0 / beta)
 
     def test_model_validation(self):
+        # a non-positive sharpness is rejected by either smoothed formula
+        for pts in ([(0, 0), (1, 1)], [(0, 0), (1, 1), (2, 0)]):
+            with pytest.raises(ValueError):
+                model_length(pts, -1.0)
         with pytest.raises(ValueError):
-            NetModel("nope")
+            model_length([(0, 0), (1, 1)], 0.0)
         with pytest.raises(ValueError):
-            NetModel.lse(-1.0)
-        with pytest.raises(ValueError):
-            NetModel.lp(0.5, 0.5)
-        with pytest.raises(ValueError):
-            NetModel.nl(0.0)
+            model_length([(0, 0)], None)
 
 
 class TestInvariances:
@@ -305,9 +263,6 @@ class TestInvariances:
         assert lse_netlength(moved, 0.7) == pytest.approx(
             lse_netlength(pts, 0.7), abs=1e-6
         )
-        assert lp_netlength(moved, 0.3, 2) == pytest.approx(
-            lp_netlength(pts, 0.3, 2), abs=1e-6
-        )
 
     @settings(max_examples=60, deadline=None)
     @given(points_lists)
@@ -316,9 +271,6 @@ class TestInvariances:
         assert bb_netlength(flipped) == pytest.approx(bb_netlength(pts), abs=1e-9)
         assert lse_netlength(flipped, 0.5) == pytest.approx(
             lse_netlength(pts, 0.5), abs=1e-7
-        )
-        assert lp_netlength(flipped, 0.5, 3) == pytest.approx(
-            lp_netlength(pts, 0.5, 3), abs=1e-7
         )
 
     @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(0.1, 10))
@@ -329,32 +281,39 @@ class TestInvariances:
 
 
 class TestMarginalCost:
-    def netlist(self):
-        return Netlist(
-            [Macro("m", 1, 1), Macro("n1", 1, 1), Macro("n2", 1, 1), Macro("far", 1, 1)],
-            [Net(("m", "n1")), Net(("n1", "n2"))],
-        )
+    """The placer's candidate score: field cost of the spot plus the lengths
+    of the nets containing the macro (no overlaps or blockages here)."""
+
+    def score(self, nl, placement, mid, pos, model_switch_round=1):
+        # switch round 1 scores with the exact bounding box from the start
+        cfg = PlacerConfig(max_rounds=10, model_switch_round=model_switch_round)
+        state = new_state(nl, PlacementArea(20, 20), cfg, placement)
+        return candidate_score(nl.by_id[mid], pos, state, cfg)
 
     def test_no_nets_returns_field_cost(self):
-        nl = Netlist([Macro("solo", 1, 1), Macro("o", 1, 1)], [Net(("o", "o2"))]) \
-            if False else Netlist([Macro("solo", 1, 1)], [])
-        got = marginal_cost(
-            nl.macros[0], (1, 1), {}, nl, field_cost=5.5, model=NetModel.bb()
-        )
-        assert got == 5.5
+        nl = Netlist([Macro("solo", 1, 1)], [])
+        cfg = PlacerConfig(max_rounds=10)
+        state = new_state(nl, PlacementArea(20, 20), cfg, {"solo": (1, 1)})
+        state.field.increase(GridRect(0, 0, 64, 64), 1.5)
+        got = candidate_score(nl.by_id["solo"], (4, 5), state, cfg)
+        snapped = snap_to_grid(footprint(nl.by_id["solo"], (4, 5)), state.area, 6, 6)
+        assert got == state.field.cost(snapped) > 0
 
     def test_two_pin_bb_example(self):
         nl = Netlist([Macro("m", 1, 1), Macro("o", 1, 1)], [Net(("m", "o"))])
-        got = marginal_cost(
-            nl.by_id["m"], (3, 4), {"o": (0, 0)}, nl, field_cost=5.0,
-            model=NetModel.bb(),
-        )
-        assert got == 12.0
+        got = self.score(nl, {"m": (9, 9), "o": (1, 1)}, "m", (4, 5))
+        assert got == 7.0
 
     def test_locality(self):
-        nl = self.netlist()
-        base = {"n1": (1, 1), "n2": (5, 5), "far": (9, 9)}
-        a = marginal_cost(nl.by_id["m"], (2, 2), base, nl, 0.0, NetModel.bb())
-        moved = dict(base, far=(0, 0), n2=(7, 1))
-        b = marginal_cost(nl.by_id["m"], (2, 2), moved, nl, 0.0, NetModel.bb())
-        assert a == b  # only nets containing m matter, and they ignore n2/far
+        nl = Netlist(
+            [Macro(mid, 1, 1) for mid in ("m", "n1", "n2", "far")],
+            [Net(("m", "n1")), Net(("n1", "n2"))],
+        )
+        base = {"m": (9, 9), "n1": (1, 1), "n2": (5, 5), "far": (15, 15)}
+        moved = dict(base, far=(1, 18), n2=(17, 3))
+        # only nets containing m matter, and they ignore n2/far, in the
+        # smoothed (switch round 10) and the bounding-box regime alike
+        for switch in (1, 10):
+            a = self.score(nl, base, "m", (2, 3), switch)
+            b = self.score(nl, moved, "m", (2, 3), switch)
+            assert a == b
