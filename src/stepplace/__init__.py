@@ -42,6 +42,7 @@ from stepplace.placer import (
     round_step,
     run_placer,
     snap_to_grid,
+    stats_row,
 )
 from stepplace.stepfield import (
     HAVE_C_CORE,

@@ -7,10 +7,12 @@
  *
  * Inflation (geometric decay of all non-constant coefficients) is lazy: a
  * cumulative log-decay counter advances in O(1) and each coefficient is
- * rescaled on its next touch.
+ * rescaled on its next increase (cost applies the pending decay without
+ * writing it back).
  *
- * Single writer: increase/inflate require exclusive access; cost never
- * mutates and is safe for concurrent readers while no mutation is in flight.
+ * Single writer: increase/inflate require exclusive access; cost leaves the
+ * coefficients unchanged but records last_touched, so concurrent readers are
+ * safe while no mutation is in flight.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -24,7 +26,7 @@ typedef struct {
     int p, q;
     Py_ssize_t n, m;
     double *coef;      /* n*m coefficients, flat axis-major: coef[fx*m + fy] */
-    double *dlog_at;   /* log-decay stamp at last touch; NULL until decay starts */
+    double *dlog_at;   /* n*m stamps: dlog_total when each coef was last rescaled */
     double dlog_total; /* cumulative sum of log(rho) over all inflate calls */
     Py_ssize_t last_touched;
 } FieldCore;
@@ -110,31 +112,18 @@ FieldCore_increase(FieldCore *self, PyObject *args)
     double *C = self->coef;
     double *D = self->dlog_at;
     Py_ssize_t m = self->m;
-    if (D) {
-        double dl = self->dlog_total;
-        Py_ssize_t cidx = self->n * m - 1; /* the constant element never decays */
-        for (int i = 0; i < kx; i++) {
-            double vx = sx[i] * nx[i] * value;
-            Py_ssize_t row = ix[i] * m;
-            for (int j = 0; j < ky; j++) {
-                Py_ssize_t k = row + iy[j];
-                if (k != cidx) {
-                    double diff = dl - D[k];
-                    if (diff != 0.0) {
-                        C[k] *= exp(diff);
-                        D[k] = dl;
-                    }
-                }
-                C[k] += vx * (sy[j] * ny[j]);
+    double dl = self->dlog_total;
+    for (int i = 0; i < kx; i++) {
+        double vx = sx[i] * nx[i] * value;
+        Py_ssize_t row = ix[i] * m;
+        for (int j = 0; j < ky; j++) {
+            Py_ssize_t k = row + iy[j];
+            double diff = dl - D[k];
+            if (diff != 0.0) {
+                C[k] *= exp(diff);
+                D[k] = dl;
             }
-        }
-    }
-    else {
-        for (int i = 0; i < kx; i++) {
-            double vx = sx[i] * nx[i] * value;
-            double *row = C + ix[i] * m;
-            for (int j = 0; j < ky; j++)
-                row[iy[j]] += vx * (sy[j] * ny[j]);
+            C[k] += vx * (sy[j] * ny[j]);
         }
     }
     self->last_touched = (Py_ssize_t)kx * ky;
@@ -160,34 +149,20 @@ FieldCore_cost(FieldCore *self, PyObject *args)
     double *D = self->dlog_at;
     Py_ssize_t m = self->m;
     double tot = 0.0;
-    if (D) {
-        /* read-only: apply pending decay on the fly, do not write back */
-        double dl = self->dlog_total;
-        Py_ssize_t cidx = self->n * m - 1;
-        for (int i = 0; i < kx; i++) {
-            Py_ssize_t row = ix[i] * m;
-            double sub = 0.0;
-            for (int j = 0; j < ky; j++) {
-                Py_ssize_t k = row + iy[j];
-                double c = C[k];
-                if (k != cidx) {
-                    double diff = dl - D[k];
-                    if (diff != 0.0)
-                        c *= exp(diff);
-                }
-                sub += c * sy[j];
-            }
-            tot += sub * sx[i];
+    /* read-only: apply pending decay on the fly, do not write back */
+    double dl = self->dlog_total;
+    for (int i = 0; i < kx; i++) {
+        Py_ssize_t row = ix[i] * m;
+        double sub = 0.0;
+        for (int j = 0; j < ky; j++) {
+            Py_ssize_t k = row + iy[j];
+            double c = C[k];
+            double diff = dl - D[k];
+            if (diff != 0.0)
+                c *= exp(diff);
+            sub += c * sy[j];
         }
-    }
-    else {
-        for (int i = 0; i < kx; i++) {
-            double *row = C + ix[i] * m;
-            double sub = 0.0;
-            for (int j = 0; j < ky; j++)
-                sub += row[iy[j]] * sy[j];
-            tot += sub * sx[i];
-        }
+        tot += sub * sx[i];
     }
     self->last_touched = (Py_ssize_t)kx * ky;
     return PyFloat_FromDouble(tot);
@@ -203,15 +178,9 @@ FieldCore_inflate(FieldCore *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "decay factor must be in (0, 1]");
         return NULL;
     }
-    if (rho == 1.0)
-        Py_RETURN_NONE;
-    if (!self->dlog_at) {
-        /* all prior touches happened at cumulative log-decay 0 */
-        self->dlog_at = calloc((size_t)(self->n * self->m), sizeof(double));
-        if (!self->dlog_at)
-            return PyErr_NoMemory();
-    }
     self->dlog_total += log(rho);
+    /* the constant element never decays: keep its stamp current */
+    self->dlog_at[self->n * self->m - 1] = self->dlog_total;
     Py_RETURN_NONE;
 }
 
@@ -226,13 +195,7 @@ FieldCore_coefficient(FieldCore *self, PyObject *args)
         return NULL;
     }
     Py_ssize_t k = fx * self->m + fy;
-    double c = self->coef[k];
-    if (self->dlog_at && k != self->n * self->m - 1) {
-        double diff = self->dlog_total - self->dlog_at[k];
-        if (diff != 0.0)
-            c *= exp(diff);
-    }
-    return PyFloat_FromDouble(c);
+    return PyFloat_FromDouble(self->coef[k] * exp(self->dlog_total - self->dlog_at[k]));
 }
 
 static int
@@ -253,10 +216,10 @@ FieldCore_init(FieldCore *self, PyObject *args, PyObject *kwds)
     free(self->coef);
     free(self->dlog_at);
     self->coef = calloc((size_t)(self->n * self->m), sizeof(double));
-    self->dlog_at = NULL;
+    self->dlog_at = calloc((size_t)(self->n * self->m), sizeof(double));
     self->dlog_total = 0.0;
     self->last_touched = 0;
-    if (!self->coef) {
+    if (self->coef == NULL || self->dlog_at == NULL) {
         PyErr_NoMemory();
         return -1;
     }

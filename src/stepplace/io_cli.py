@@ -61,6 +61,7 @@ from stepplace.placer import (
     naive_legalize,
     new_state,
     round_step,
+    stats_row,
 )
 
 OUT_DIR_ENV = "STEPPLACE_OUT_DIR"
@@ -109,6 +110,7 @@ def parse_instance(
     area_dims: tuple[float, float] | None = None
     blockages: list[Rect] = []
     macros: list[Macro] = []
+    macro_lines: list[int] = []
     nets: list[Net] = []
     places: Placement = {}
     for ln, raw in enumerate(fp, start=1):
@@ -147,6 +149,7 @@ def parse_instance(
                 )
             except ValueError as e:
                 raise InstanceFormatError(f"line {ln}: {e}")
+            macro_lines.append(ln)
         elif kind == "net":
             if len(args) < 2:
                 raise InstanceFormatError(
@@ -172,6 +175,15 @@ def parse_instance(
 
     if area_dims is None:
         raise InstanceFormatError("missing area line")
+    # a footprint needs distinct edge coordinates anywhere in the area
+    ulp = math.ulp(max(area_dims))
+    for m, ln in zip(macros, macro_lines):
+        if not min(m.size_x, m.size_y) / 2.0 > ulp:
+            raise InstanceFormatError(
+                f"line {ln}: macro {m.id} is too small for a "
+                f"{area_dims[0]!r} x {area_dims[1]!r} area: its half-size must "
+                f"exceed {ulp!r}"
+            )
     try:
         area = PlacementArea(area_dims[0], area_dims[1], tuple(blockages))
         netlist = Netlist(macros, nets)
@@ -318,21 +330,15 @@ def load_result(path: str) -> ResultData:
         raise InstanceFormatError(f"result file missing summary field {e}")
 
 
-STATS_HEADER = "round,netlength_bb,overlap_area,delta,beta,w"
+STATS_HEADER = ",".join(RoundStats._fields)
 
 
-def _stats_line(row: RoundStats) -> str:
-    return (
-        f"{row.round},{row.netlength_bb!r},{row.overlap_area!r},"
-        f"{row.delta!r},{row.beta!r},{row.w!r}"
-    )
-
-
-def write_stats_csv(fp: IO[str], trace: Sequence[RoundStats]) -> None:
-    """Per-round statistics stream with a fixed header."""
+def write_stats_csv(fp: IO[str], rows: Iterable[RoundStats]) -> None:
+    """Per-round statistics stream with a fixed header; each row is written
+    as it arrives, so ``rows`` may be a generator that runs the rounds."""
     fp.write(STATS_HEADER + "\n")
-    for row in trace:
-        fp.write(_stats_line(row) + "\n")
+    for row in rows:
+        fp.write(",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -667,23 +673,19 @@ def _cmd_place(args: argparse.Namespace) -> int:
         return 1
     state = new_state(netlist, area, config, initial)
 
-    def run_rounds(stats_fp: IO[str] | None = None) -> None:
-        # rows are streamed as rounds execute; with a stats file the whole
-        # run happens inside the atomic write, so the final file is complete
-        if stats_fp is not None:
-            stats_fp.write(STATS_HEADER + "\n")
-            stats_fp.write(_stats_line(state.trace[0]) + "\n")
-        if not state.macro_order:
-            return
-        for _ in range(config.max_rounds):
-            round_step(state, config)
-            if stats_fp is not None:
-                stats_fp.write(_stats_line(state.trace[-1]) + "\n")
+    def rows():
+        # row 0, then one round per row; with a stats file the whole run
+        # happens inside the atomic write, so the final file is complete
+        yield stats_row(state, config)
+        if state.macro_order:
+            for _ in range(config.max_rounds):
+                yield round_step(state, config)
 
     if args.stats:
-        _atomic_write(_out_path(args.stats), run_rounds)
+        _atomic_write(_out_path(args.stats), lambda fp: write_stats_csv(fp, rows()))
     else:
-        run_rounds()
+        for _ in rows():
+            pass
     placement = state.placement
     code = 0
     if args.skip_legalize:

@@ -76,8 +76,11 @@ class Macro:
     size_y: float
 
     def __post_init__(self) -> None:
-        if not self.id or any(c.isspace() for c in self.id):
-            raise ValueError(f"macro id must be non-empty without whitespace: {self.id!r}")
+        if not self.id or not self.id.isprintable() or any(c.isspace() for c in self.id):
+            raise ValueError(
+                f"macro id must be non-empty and printable without whitespace: "
+                f"{self.id!r}"
+            )
         if not (self.size_x > 0 and self.size_y > 0):
             raise ValueError(f"macro {self.id}: sizes must be positive")
 

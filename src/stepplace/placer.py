@@ -26,7 +26,7 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from stepplace.netmodel import (
@@ -220,7 +220,6 @@ class PlacerState:
     pair_overlap: dict[tuple[str, str], float]
     # the macros each macro overlaps, i.e. its keys in pair_overlap
     partners: dict[str, set[str]]
-    trace: list[RoundStats] = field(default_factory=list)
     # scores and winning index of the most recent round's candidates
     last_scores: list[float] | None = None
     last_choice: int | None = None
@@ -369,7 +368,8 @@ def new_state(
 ) -> PlacerState:
     """Initial loop state: bounds, placement (given positions clamped into
     bounds, missing ones drawn uniformly), zero field plus one static
-    increase per blockage, and fresh statistics caches."""
+    increase per blockage, and fresh statistics caches; :func:`stats_row`
+    gives its statistics row 0."""
     bounds = {m.id: compute_bounds(m, area) for m in netlist.macros}
     if initial is not None:
         for mid in initial:
@@ -410,7 +410,7 @@ def new_state(
         partners[mi].add(mj)
         partners[mj].add(mi)
 
-    state = PlacerState(
+    return PlacerState(
         netlist=netlist,
         area=area,
         rng=rng,
@@ -425,11 +425,10 @@ def new_state(
         pair_overlap=pair_overlap,
         partners=partners,
     )
-    state.trace.append(_stats_row(state, config))
-    return state
 
 
-def _stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
+def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
+    """Statistics of the state as it stands after ``state.round`` rounds."""
     rnd = state.round
     beta = beta_schedule(rnd, config.max_rounds) if rnd else 1.0
     step = max(0, rnd - 1)
@@ -443,11 +442,12 @@ def _stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     )
 
 
-def round_step(state: PlacerState, config: PlacerConfig) -> None:
+def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     """One round: pick a macro at random, score the current position plus
     ``candidates_per_round`` proposals, move to the argmin (ties to the
     lowest index, the current position first), grow the field under every
-    remaining overlap of the moved macro, inflate, advance statistics.
+    remaining overlap of the moved macro, inflate.  Returns the round's
+    statistics row.
 
     The candidates' scores and the winner's index are left on
     ``state.last_scores`` and ``state.last_choice``.  The config must be the
@@ -500,9 +500,9 @@ def round_step(state: PlacerState, config: PlacerConfig) -> None:
     state.field.inflate(config.inflation_rho)
 
     state.round += 1
-    state.trace.append(_stats_row(state, config))
     state.last_scores = scores
     state.last_choice = best
+    return stats_row(state, config)
 
 
 def run_placer(
@@ -514,10 +514,10 @@ def run_placer(
     """Run the full loop and return the final placement plus the statistics
     trace (row 0 describes the initial placement, then one row per round)."""
     state = new_state(netlist, area, config, initial)
+    trace = [stats_row(state, config)]
     if state.macro_order:
-        for _ in range(config.max_rounds):
-            round_step(state, config)
-    return state.placement, state.trace
+        trace.extend(round_step(state, config) for _ in range(config.max_rounds))
+    return state.placement, trace
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:

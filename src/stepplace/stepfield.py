@@ -130,8 +130,9 @@ except ImportError:
 #: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
 HAVE_C_CORE = _CFieldCore is not None
 
-#: Largest accepted grid exponent per axis (resource guard: the coefficient
-#: store is dense, so an axis pair (p, q) allocates 2**(p+q) doubles).
+#: Largest accepted grid exponent per axis (resource guard: the coefficients
+#: and their decay stamps are two dense arrays, so an axis pair (p, q)
+#: allocates 2 * 2**(p+q) doubles at construction).
 MAX_GRID_EXPONENT = 11
 
 
@@ -238,7 +239,7 @@ class _PyFieldCore:
         self.n = 1 << p
         self.m = 1 << q
         self._coef = np.zeros(self.n * self.m)
-        self._dlog_at: np.ndarray | None = None
+        self._dlog_at = np.zeros(self.n * self.m)
         self._dlog_total = 0.0
         self.last_touched = 0
 
@@ -270,43 +271,28 @@ class _PyFieldCore:
     def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
         self._check(a1, b1, a2, b2)
         flat, _, proj = self._flat_block(a1, b1, a2, b2)
-        cur = self._coef.take(flat)
-        if self._dlog_at is not None:
-            f = np.exp(self._dlog_total - self._dlog_at.take(flat))
-            f[-1] = 1.0  # constant element (always last in the block) is exempt
-            cur = cur * f
-            self._dlog_at[flat] = self._dlog_total
-        self._coef[flat] = cur + proj * value
+        f = np.exp(self._dlog_total - self._dlog_at.take(flat))
+        self._dlog_at[flat] = self._dlog_total
+        self._coef[flat] = self._coef.take(flat) * f + proj * value
 
     def cost(self, a1: int, b1: int, a2: int, b2: int) -> float:
         self._check(a1, b1, a2, b2)
         flat, stars, _ = self._flat_block(a1, b1, a2, b2)
-        cur = self._coef.take(flat)
-        if self._dlog_at is not None:
-            f = np.exp(self._dlog_total - self._dlog_at.take(flat))
-            f[-1] = 1.0
-            cur = cur * f
-        return float(np.dot(cur, stars))
+        f = np.exp(self._dlog_total - self._dlog_at.take(flat))
+        return float(np.dot(self._coef.take(flat) * f, stars))
 
     def inflate(self, rho: float) -> None:
         if not 0.0 < rho <= 1.0:
             raise ValueError("decay factor must be in (0, 1]")
-        if rho == 1.0:
-            return
-        if self._dlog_at is None:
-            self._dlog_at = np.zeros(self.n * self.m)
         self._dlog_total += math.log(rho)
+        # the constant element never decays: keep its stamp current
+        self._dlog_at[-1] = self._dlog_total
 
     def coefficient(self, fx: int, fy: int) -> float:
         if not (0 <= fx < self.n and 0 <= fy < self.m):
             raise ValueError("axis component id out of range")
         k = fx * self.m + fy
-        c = float(self._coef[k])
-        if self._dlog_at is not None and k != self.n * self.m - 1:
-            diff = self._dlog_total - float(self._dlog_at[k])
-            if diff != 0.0:
-                c *= math.exp(diff)
-        return c
+        return float(self._coef[k]) * math.exp(self._dlog_total - self._dlog_at[k])
 
 
 class CostField:
@@ -343,23 +329,14 @@ class CostField:
         self.n = 1 << p
         self.m = 1 << q
 
-    def _check_rect(self, rect: GridRect) -> None:
-        if rect.a2 > self.n or rect.b2 > self.m:
-            raise ValueError(
-                f"rectangle ({rect.a1},{rect.b1})-({rect.a2},{rect.b2}) "
-                f"outside {self.n}x{self.m} grid"
-            )
-
     def increase(self, rect: GridRect, value: float) -> None:
         """Add ``value`` to every cell of ``rect``."""
-        self._check_rect(rect)
         if not math.isfinite(value):
             raise ValueError("increase value must be finite")
         self._core.increase(rect.a1, rect.b1, rect.a2, rect.b2, value)
 
     def cost(self, rect: GridRect) -> float:
         """Sum of all cell values inside ``rect``."""
-        self._check_rect(rect)
         return self._core.cost(rect.a1, rect.b1, rect.a2, rect.b2)
 
     def inflate(self, rho: float) -> None:

@@ -1,8 +1,10 @@
 """Behaviour pin: ``place`` writes the same result and stats bytes as before.
 
 The SHA-256 values were recorded from the code before the bucket-grid
-geometry kernel replaced the overlap scans.  A change that alters these bytes
-changes placer behaviour and must say so and re-pin them.
+geometry kernel replaced the overlap scans; the ``undecayed`` pins from the
+code before the field cores lost their separate path for a field that never
+decayed.  A change that alters these bytes changes placer behaviour and must
+say so and re-pin them.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import stepplace.stepfield as stepfield
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
 from stepplace.netmodel import PlacementArea, Rect
 
-# (GenSpec, blockages as fractions of the area, rounds)
+# (GenSpec, blockages as fractions of the area, rounds, extra place flags)
 INSTANCES = {
     # mixed sizes (1 to 9 units): the overlap schedule drives overlap to 0
     "mixed": (
@@ -21,12 +23,22 @@ INSTANCES = {
                 utilization=0.55, seed=11),
         (),
         1200,
+        (),
     ),
     # two keep-outs and a short run: the legalizer has overlaps to remove
     "blocked": (
         GenSpec(macros=30, nets=45, utilization=0.5, seed=12),
         ((0.1, 0.2, 0.3, 0.45), (0.6, 0.55, 0.8, 0.7)),
         200,
+        (),
+    ),
+    # no decay: the field only ever grows, with a keep-out seeded before
+    # round 1
+    "undecayed": (
+        GenSpec(macros=30, nets=45, utilization=0.5, seed=13),
+        ((0.35, 0.35, 0.6, 0.55),),
+        300,
+        ("--rho", "1.0"),
     ),
 }
 
@@ -48,6 +60,14 @@ PINS = {
         "7a2c605c0642e98fe953a1f7f203b39683f9fdd890394bd523a06d7e2978c895",
         "4f3f72379ac931dc3a5dc33c5747da339ecc8e2a94dc8ac2454d40e7973fdbc5",
     ),
+    ("undecayed", "c"): (
+        "726f9c63a484faf897a56efaa41c3efd2e1ce00dfedc04938aaba9ac9b82e367",
+        "b6c96236944189137ffa5416606f447d9f041fa3753203e828fc6dc9cf0b327b",
+    ),
+    ("undecayed", "py"): (
+        "726f9c63a484faf897a56efaa41c3efd2e1ce00dfedc04938aaba9ac9b82e367",
+        "b6c96236944189137ffa5416606f447d9f041fa3753203e828fc6dc9cf0b327b",
+    ),
 }
 
 
@@ -58,7 +78,7 @@ def _digest(path):
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
-    spec, blockages, rounds = INSTANCES[name]
+    spec, blockages, rounds, flags = INSTANCES[name]
     netlist, area = generate_instance(spec)
     w, h = area.width, area.height
     area = PlacementArea(
@@ -71,6 +91,6 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     # the placer's field picks its backend through HAVE_C_CORE
     monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,
-                 "--rounds", str(rounds), "--seed", "3"])
+                 "--rounds", str(rounds), "--seed", "3", *flags])
     assert code == 0
     assert (_digest(res), _digest(stats)) == PINS[(name, backend)]

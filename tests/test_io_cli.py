@@ -8,6 +8,7 @@ import xml.dom.minidom
 
 import pytest
 
+import stepplace
 from stepplace.io_cli import (
     GenSpec,
     InstanceFormatError,
@@ -23,7 +24,7 @@ from stepplace.io_cli import (
     write_stats_csv,
 )
 from stepplace.netmodel import Macro, Net, Netlist, PlacementArea, Rect, is_legal
-from stepplace.placer import PlacerConfig, RoundStats
+from stepplace.placer import PlacerConfig, RoundStats, run_placer
 
 MINIMAL = """\
 # smallest useful instance
@@ -74,6 +75,7 @@ class TestParseInstance:
             ("area 4 4\nmacro a 1 1\nplace a 1 1\nplace a 2 2\n", "duplicate place"),
             ("area 4 4\nplace ghost 1 1\n", "unknown macro 'ghost'"),
             ("area 4 4\nmacro a 0 1\n", "sizes must be positive"),
+            ("area 4 4\nmacro a\x01b 1 1\n", "line 2: .*printable"),
         ],
     )
     def test_errors_carry_location_or_entity(self, text, needle):
@@ -295,6 +297,14 @@ class TestRenderSvg:
         labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
         assert labels == ["a&<b", "\"c'>\""]
 
+    def test_non_printable_id_rejected(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("area 10 10\nmacro a\x01b 2 2\nplace a\x01b 3 3\n")
+        out = tmp_path / "out.svg"
+        assert main(["render", "--instance", str(inst), "--out", str(out)]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self):
         nl = Netlist([Macro("a", 2, 2)], [])
         outs = []
@@ -330,6 +340,33 @@ class TestCli:
             lines = fp.read().splitlines()
         assert lines[0] == "round,netlength_bb,overlap_area,delta,beta,w"
         assert len(lines) == 2002  # header + round 0 + one row per round
+
+    def test_stats_file_matches_run_placer_trace(self, tmp_path, instance_file):
+        stats = tmp_path / "stats.csv"
+        assert main(
+            ["place", "--in", instance_file, "--out", str(tmp_path / "res.txt"),
+             "--stats", str(stats), "--rounds", "300", "--seed", "5"]
+        ) == 0
+        netlist, area, initial = load_instance(instance_file)
+        _, trace = run_placer(
+            netlist, area, PlacerConfig(max_rounds=300, seed=5), initial
+        )
+        buf = io.StringIO()
+        write_stats_csv(buf, trace)
+        assert stats.read_bytes() == buf.getvalue().encode()
+
+    def test_unrepresentable_macro_size_rejected(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("area 1e308 1e308\nmacro a 1e-300 1e-300\n"
+                        "macro b 2 2\nnet a b\n")
+        out = tmp_path / "r.txt"
+        code = main(["place", "--in", str(inst), "--out", str(out),
+                     "--rounds", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "macro a" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_place_missing_input_exits_1(self, tmp_path, capsys):
         code = main(
@@ -468,10 +505,13 @@ class TestCli:
 
     def test_module_entrypoint_smoke(self, tmp_path, instance_file):
         res = str(tmp_path / "res.txt")
+        # the child imports the package this process imports
+        src = os.path.dirname(os.path.dirname(stepplace.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "stepplace", "place", "--in", instance_file,
              "--out", res, "--rounds", "200", "--seed", "4"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(res)

@@ -31,6 +31,7 @@ from stepplace.placer import (
     round_step,
     run_placer,
     snap_to_grid,
+    stats_row,
 )
 from stepplace.stepfield import GridRect
 
@@ -350,7 +351,7 @@ class TestRoundStep:
             bb_netlength([state.placement[m] for m in net.members])
             for net in nl.nets
         )
-        assert state.trace[-1].netlength_bb == fresh_bb
+        assert stats_row(state, cfg).netlength_bb == fresh_bb
         ids = sorted(state.placement)
         fresh_ov = 0.0
         for i, mi in enumerate(ids):
@@ -359,7 +360,7 @@ class TestRoundStep:
                     footprint(nl.by_id[mj], state.placement[mj])
                 )
                 fresh_ov += inter.area if inter is not None else 0.0
-        assert state.trace[-1].overlap_area == pytest.approx(fresh_ov, rel=1e-12, abs=1e-12)
+        assert stats_row(state, cfg).overlap_area == pytest.approx(fresh_ov, rel=1e-12, abs=1e-12)
 
 
 class TestCoolingRemark:
@@ -460,7 +461,7 @@ class TestBackendsAndSwitch:
             bb_netlength([state.placement[m] for m in net.members])
             for net in nl.nets
         )
-        assert state.trace[-1].netlength_bb == fresh_bb
+        assert stats_row(state, cfg).netlength_bb == fresh_bb
 
     def test_switch_round_beyond_run_keeps_smoothing(self):
         nl, area = tiny_instance(13)
