@@ -21,7 +21,6 @@ from stepplace.netmodel import (
     Rect,
     bb_netlength,
     beta_schedule,
-    footprint,
     is_legal,
     lse_netlength,
     nl_netlength,

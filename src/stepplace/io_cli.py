@@ -49,7 +49,6 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
-    footprint,
     footprint_box,
     is_legal,
     meet,
@@ -75,7 +74,10 @@ def _atomic_write(path: str, write_body):
     """Write via a temp file in the target directory, then rename; returns
     what ``write_body`` returned."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    except OSError as e:  # name the target, not the temp file
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fp:
             result = write_body(fp)
@@ -107,8 +109,9 @@ def parse_instance(
     Raises :class:`InstanceFormatError` with a line number on parse errors
     and with the offending entity on validation errors.
     """
-    area_dims: tuple[float, float] | None = None
+    area: PlacementArea | None = None
     blockages: list[Rect] = []
+    blockage_lines: list[int] = []
     macros: list[Macro] = []
     macro_lines: list[int] = []
     nets: list[Net] = []
@@ -120,33 +123,30 @@ def parse_instance(
         toks = line.split()
         kind, args = toks[0], toks[1:]
         if kind == "area":
-            if area_dims is not None:
+            if area is not None:
                 raise InstanceFormatError(f"line {ln}: duplicate area line")
             if len(args) != 2:
                 raise InstanceFormatError(f"line {ln}: area needs width and height")
-            area_dims = (
-                _parse_float(args[0], ln, "area width"),
-                _parse_float(args[1], ln, "area height"),
-            )
+            w = _parse_float(args[0], ln, "area width")
+            h = _parse_float(args[1], ln, "area height")
+            try:
+                area = PlacementArea(w, h)
+            except ValueError as e:
+                raise InstanceFormatError(f"line {ln}: {e}")
         elif kind == "blockage":
             if len(args) != 4:
                 raise InstanceFormatError(f"line {ln}: blockage needs x1 y1 x2 y2")
-            x1, y1, x2, y2 = (_parse_float(a, ln, "blockage corner") for a in args)
-            try:
-                blockages.append(Rect(x1, y1, x2, y2))
-            except ValueError as e:
-                raise InstanceFormatError(f"line {ln}: {e}")
+            blockages.append(
+                Rect(*(_parse_float(a, ln, "blockage corner") for a in args))
+            )
+            blockage_lines.append(ln)
         elif kind == "macro":
             if len(args) != 3:
                 raise InstanceFormatError(f"line {ln}: macro needs id size_x size_y")
+            sx = _parse_float(args[1], ln, "macro size_x")
+            sy = _parse_float(args[2], ln, "macro size_y")
             try:
-                macros.append(
-                    Macro(
-                        args[0],
-                        _parse_float(args[1], ln, "macro size_x"),
-                        _parse_float(args[2], ln, "macro size_y"),
-                    )
-                )
+                macros.append(Macro(args[0], sx, sy))
             except ValueError as e:
                 raise InstanceFormatError(f"line {ln}: {e}")
             macro_lines.append(ln)
@@ -173,19 +173,30 @@ def parse_instance(
         else:
             raise InstanceFormatError(f"line {ln}: unknown directive {kind!r}")
 
-    if area_dims is None:
+    if area is None:
         raise InstanceFormatError("missing area line")
+    w, h = area.width, area.height
+    # each blockage alone, so an error can name its line
+    for b, ln in zip(blockages, blockage_lines):
+        try:
+            PlacementArea(w, h, (b,))
+        except ValueError as e:
+            raise InstanceFormatError(f"line {ln}: {e}")
+    area = PlacementArea(w, h, tuple(blockages))
     # a footprint needs distinct edge coordinates anywhere in the area
-    ulp = math.ulp(max(area_dims))
+    ulp = math.ulp(max(w, h))
     for m, ln in zip(macros, macro_lines):
+        if m.size_x > w or m.size_y > h:
+            raise InstanceFormatError(
+                f"line {ln}: macro {m.id} ({m.size_x!r} x {m.size_y!r}) does not "
+                f"fit the {w!r} x {h!r} area"
+            )
         if not min(m.size_x, m.size_y) / 2.0 > ulp:
             raise InstanceFormatError(
-                f"line {ln}: macro {m.id} is too small for a "
-                f"{area_dims[0]!r} x {area_dims[1]!r} area: its half-size must "
-                f"exceed {ulp!r}"
+                f"line {ln}: macro {m.id} is too small for a {w!r} x {h!r} "
+                f"area: its half-size must exceed {ulp!r}"
             )
     try:
-        area = PlacementArea(area_dims[0], area_dims[1], tuple(blockages))
         netlist = Netlist(macros, nets)
     except ValueError as e:
         raise InstanceFormatError(str(e))
@@ -484,20 +495,20 @@ def render_svg(
         f'<rect x="0" y="0" width="{f(w)}" height="{f(h)}" fill="white" '
         f'stroke="black" stroke-width="2"/>\n'
     )
-    for b in area.blockages:
+    for x1, y1, x2, y2 in area.blockages:
         fp.write(
-            f'<rect x="{X(b.x1)}" y="{Y(b.y2)}" width="{f(b.width * s)}" '
-            f'height="{f(b.height * s)}" fill="url(#hatch)" stroke="#555"/>\n'
+            f'<rect x="{X(x1)}" y="{Y(y2)}" width="{f((x2 - x1) * s)}" '
+            f'height="{f((y2 - y1) * s)}" fill="url(#hatch)" stroke="#555"/>\n'
         )
     for m in netlist.macros:
         if m.id not in placement:
             continue
-        r = footprint(m, placement[m.id])
         cx, cy = placement[m.id]
+        x1, y1, x2, y2 = footprint_box(m, (cx, cy))
         font = max(6.0, min(m.size_x, m.size_y) * s / 3.0)
         fp.write(
-            f'<rect x="{X(r.x1)}" y="{Y(r.y2)}" width="{f(r.width * s)}" '
-            f'height="{f(r.height * s)}" fill="#9db8d9" fill-opacity="0.7" '
+            f'<rect x="{X(x1)}" y="{Y(y2)}" width="{f((x2 - x1) * s)}" '
+            f'height="{f((y2 - y1) * s)}" fill="#9db8d9" fill-opacity="0.7" '
             f'stroke="#345"/>\n'
         )
         fp.write(
@@ -671,6 +682,11 @@ def _cmd_place(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    out = _out_path(args.out)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        # fail before the run, not after it
+        print(f"error: no directory to write {out!r} into", file=sys.stderr)
+        return 1
     state = new_state(netlist, area, config, initial)
 
     def rows():
@@ -699,7 +715,6 @@ def _cmd_place(args: argparse.Namespace) -> int:
             print(f"legalization failed: {e}", file=sys.stderr)
             final = placement
             code = 2
-    out = _out_path(args.out)
     total_bb, overlap, legal = save_result(out, final, netlist, area, config)
     print(
         f"placed {len(netlist.macros)} macros in {config.max_rounds} rounds: "
@@ -821,7 +836,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:  # an output file could not be written
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

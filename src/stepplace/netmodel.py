@@ -13,58 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Point = tuple[float, float]
 Placement = dict[str, Point]
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-parallel rectangle with half-open extent ``(x1, x2] x (y1, y2]``."""
+class Rect(NamedTuple):
+    """Axis-parallel rectangle ``(x1, x2] x (y1, y2]``: a :data:`Box` with
+    named fields, for parsed input such as blockages."""
 
     x1: float
     y1: float
     x2: float
     y2: float
-
-    def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(
-                f"degenerate rectangle ({self.x1},{self.y1})-({self.x2},{self.y2})"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def circumference(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    def intersect(self, other: "Rect") -> "Rect | None":
-        """Intersection, or None when empty.  Half-open semantics make
-        boundary contact empty."""
-        x1 = max(self.x1, other.x1)
-        y1 = max(self.y1, other.y1)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
-        if x1 < x2 and y1 < y2:
-            return Rect(x1, y1, x2, y2)
-        return None
-
-    def overlaps(self, other: "Rect") -> bool:
-        return (
-            max(self.x1, other.x1) < min(self.x2, other.x2)
-            and max(self.y1, other.y1) < min(self.y2, other.y2)
-        )
 
 
 @dataclass(frozen=True)
@@ -139,12 +101,15 @@ class PlacementArea:
     def __post_init__(self) -> None:
         if not (self.width > 0 and self.height > 0):
             raise ValueError("placement area must have positive size")
-        for b in self.blockages:
-            if not (0 <= b.x1 and b.x2 <= self.width and 0 <= b.y1 and b.y2 <= self.height):
-                raise ValueError(f"blockage {b} outside the placement area")
+        for x1, y1, x2, y2 in self.blockages:
+            if not (0 <= x1 < x2 <= self.width and 0 <= y1 < y2 <= self.height):
+                raise ValueError(
+                    f"blockage {x1!r} {y1!r} {x2!r} {y2!r} is empty or outside "
+                    f"the placement area [0, {self.width!r}] x [0, {self.height!r}]"
+                )
 
 
-Box = tuple[float, float, float, float]  # (x1, y1, x2, y2), half-open like Rect
+Box = tuple[float, float, float, float]  # (x1, y1, x2, y2), as a Rect
 
 
 def footprint_box(macro: Macro, pos: Point) -> Box:
@@ -155,18 +120,16 @@ def footprint_box(macro: Macro, pos: Point) -> Box:
     return (x - hx, y - hy, x + hx, y + hy)
 
 
-def footprint(macro: Macro, pos: Point) -> Rect:
-    """Region occupied by a macro centered at ``pos``."""
-    return Rect(*footprint_box(macro, pos))
-
-
 def meet(a: Box, b: Box) -> Box:
     """Intersection corners of two boxes; positive-area only if they overlap.
-
-    Same arithmetic as :meth:`Rect.intersect`, so widths, areas and
-    circumferences derived from it are bit-identical.
-    """
+    Half-open semantics make boundary contact empty."""
     return (max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3]))
+
+
+def overlaps(a: Box, b: Box) -> bool:
+    """Whether two boxes share an interior point (positive-area meet)."""
+    x1, y1, x2, y2 = meet(a, b)
+    return x1 < x2 and y1 < y2
 
 
 class BucketGrid:
@@ -177,7 +140,7 @@ class BucketGrid:
     ``(floor(x / cell_x), floor(y / cell_y))`` its closed extent touches.  Two
     boxes sharing an interior point share the cell of that point, so the
     buckets yield a superset of the overlapping boxes and an exact half-open
-    test (the one of :meth:`Rect.overlaps`) filters it: the cell size affects
+    test (the one of :func:`overlaps`) filters it: the cell size affects
     speed only, never results.  With cells as large as the largest macro
     (:func:`footprint_grid`), a footprint query visits at most 2x2 cells.
     """
@@ -282,12 +245,12 @@ def is_legal(
         for mid, (x1, y1, x2, y2) in boxes.items()
         if not (x1 >= 0 and x2 <= area.width and y1 >= 0 and y2 <= area.height)
     ]
-    blockage_overlaps = []
-    for mid in sorted(boxes):
-        r = Rect(*boxes[mid])
-        blockage_overlaps += [
-            (mid, bi) for bi, b in enumerate(area.blockages) if r.overlaps(b)
-        ]
+    blockage_overlaps = [
+        (mid, bi)
+        for mid in sorted(boxes)
+        for bi, b in enumerate(area.blockages)
+        if overlaps(boxes[mid], b)
+    ]
     return LegalityReport(out_of_area, grid.pairs(), blockage_overlaps)
 
 

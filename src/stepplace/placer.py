@@ -30,21 +30,21 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from stepplace.netmodel import (
+    Box,
     BucketGrid,
     Macro,
     Netlist,
     Placement,
     PlacementArea,
     Point,
-    Rect,
     bb_netlength,
     beta_schedule,
-    footprint,
     footprint_box,
     footprint_grid,
     is_legal,
     meet,
     model_length,
+    overlaps,
 )
 from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect
 
@@ -232,9 +232,9 @@ class PlacerState:
 
 
 def snap_to_grid(
-    rect: Rect, area: PlacementArea, p: int, q: int
+    box: Box, area: PlacementArea, p: int, q: int
 ) -> GridRect | None:
-    """Smallest grid rectangle covering ``rect`` (clipped to the area).
+    """Smallest grid rectangle covering ``box`` (clipped to the area).
 
     Cell sizes are ``area.width / 2**p`` by ``area.height / 2**q``.  Returns
     None when the clipped rectangle is degenerate (a no-op for callers).
@@ -244,10 +244,7 @@ def snap_to_grid(
     n, m = 1 << p, 1 << q
     cx = area.width / n
     cy = area.height / m
-    x1 = max(rect.x1, 0.0)
-    y1 = max(rect.y1, 0.0)
-    x2 = min(rect.x2, area.width)
-    y2 = min(rect.y2, area.height)
+    x1, y1, x2, y2 = meet(box, (0.0, 0.0, area.width, area.height))
     if not (x1 < x2 and y1 < y2):
         return None
     a1 = max(0, min(n - 1, math.floor(x1 / cx)))
@@ -339,7 +336,7 @@ def candidate_score(
     """Score of moving ``macro`` to ``pos`` in the current round: field cost
     of the snapped footprint, plus the lengths of the macro's nets, plus the
     overlap penalty, plus the weighted blockage overlap area."""
-    fp = footprint(macro, pos)
+    fp = footprint_box(macro, pos)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
     score = state.field.cost(snapped) if snapped is not None else 0.0
     beta = _round_beta(state.round + 1, config)
@@ -354,9 +351,9 @@ def candidate_score(
         state.grid,
     )
     for b in state.area.blockages:
-        inter = fp.intersect(b)
-        if inter is not None:
-            score += config.blockage_weight * inter.area
+        ix1, iy1, ix2, iy2 = meet(fp, b)
+        if ix1 < ix2 and iy1 < iy2:
+            score += config.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
     return score
 
 
@@ -491,9 +488,9 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     partners[mid] = set(hits)
     for other in hits:
         partners[other].add(mid)
-        inter = Rect(*meet(new_fp, grid.boxes[other]))
+        inter = meet(new_fp, grid.boxes[other])
         key = (mid, other) if mid < other else (other, mid)
-        state.pair_overlap[key] = inter.area
+        state.pair_overlap[key] = (inter[2] - inter[0]) * (inter[3] - inter[1])
         snapped = snap_to_grid(inter, state.area, config.grid_p, config.grid_q)
         if snapped is not None:
             state.field.increase(snapped, w)
@@ -573,10 +570,9 @@ def naive_legalize(
         if not (b.x_min <= pos[0] <= b.x_max and b.y_min <= pos[1] <= b.y_max):
             return False
         box = footprint_box(m, pos)
-        if placed.hits(*box):
-            return False
-        fp = Rect(*box)
-        return not any(fp.overlaps(blk) for blk in area.blockages)
+        return not placed.hits(*box) and not any(
+            overlaps(box, blk) for blk in area.blockages
+        )
 
     out: Placement = {}
     order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))

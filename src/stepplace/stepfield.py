@@ -10,7 +10,9 @@ products per axis, both rectangle-sum queries and rectangle constant
 increments touch at most ``(2p+1)*(2q+1)`` coefficients.
 
 Rectangles are half-open in cell indices: ``GridRect(a1, b1, a2, b2)`` covers
-cells ``a1 <= i < a2``, ``b1 <= j < b2`` (0-based).
+cells ``a1 <= i < a2``, ``b1 <= j < b2`` (0-based).  A ``GridRect`` is a plain
+named tuple; ``CostField.cost`` and ``increase`` validate it, since both cores
+reject non-integer, degenerate and out-of-grid rectangles.
 
 Concurrency: single writer.  ``cost`` leaves the coefficients unchanged and
 records ``last_touched``; it may run from several threads while no
@@ -26,10 +28,10 @@ fails it warns once and falls back to the numpy core.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from types import ModuleType
 from typing import IO, NamedTuple
 
@@ -136,36 +138,15 @@ HAVE_C_CORE = _CFieldCore is not None
 MAX_GRID_EXPONENT = 11
 
 
-@dataclass(frozen=True)
-class GridRect:
-    """Non-degenerate half-open cell rectangle ``[a1, a2) x [b1, b2)``."""
+class GridRect(NamedTuple):
+    """Half-open cell rectangle ``[a1, a2) x [b1, b2)``; :class:`CostField`
+    rejects it if degenerate or out of the grid (``ValueError``), or if an
+    index is not an integer (``TypeError``)."""
 
     a1: int
     b1: int
     a2: int
     b2: int
-
-    def __post_init__(self) -> None:
-        for v in (self.a1, self.b1, self.a2, self.b2):
-            if not isinstance(v, int):
-                raise TypeError(f"grid indices must be ints, got {v!r}")
-        if not (0 <= self.a1 < self.a2 and 0 <= self.b1 < self.b2):
-            raise ValueError(
-                f"degenerate or negative grid rectangle "
-                f"({self.a1},{self.b1})-({self.a2},{self.b2})"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.a2 - self.a1
-
-    @property
-    def height(self) -> int:
-        return self.b2 - self.b1
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
 
 
 class BasisIndex(NamedTuple):
@@ -262,6 +243,8 @@ class _PyFieldCore:
         return flat, stars, proj
 
     def _check(self, a1: int, b1: int, a2: int, b2: int) -> None:
+        for v in (a1, b1, a2, b2):
+            operator.index(v)  # TypeError on non-integers, as the C core's "n"
         if not (0 <= a1 < a2 <= self.n and 0 <= b1 < b2 <= self.m):
             raise ValueError(
                 f"rectangle ({a1},{b1})-({a2},{b2}) invalid for "
@@ -333,11 +316,11 @@ class CostField:
         """Add ``value`` to every cell of ``rect``."""
         if not math.isfinite(value):
             raise ValueError("increase value must be finite")
-        self._core.increase(rect.a1, rect.b1, rect.a2, rect.b2, value)
+        self._core.increase(*rect, value)
 
     def cost(self, rect: GridRect) -> float:
         """Sum of all cell values inside ``rect``."""
-        return self._core.cost(rect.a1, rect.b1, rect.a2, rect.b2)
+        return self._core.cost(*rect)
 
     def inflate(self, rho: float) -> None:
         """Decay all non-constant coefficients by ``rho`` in (0, 1].

@@ -1,8 +1,9 @@
 """Brute-force oracles shared by the test suite.
 
 Everything here is built directly from definitions (dense vectors and
-matrices updated by slicing), independent of the library's coefficient
-arithmetic, so tests compare two unrelated computation paths.
+matrices updated by slicing, rectangle corners compared one by one),
+independent of the library's coefficient and geometry-kernel arithmetic, so
+tests compare two unrelated computation paths.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ class NaiveField:
 
     def cost(self, r: GridRect) -> float:
         return float(self.arr[r.a1 : r.a2, r.b1 : r.b2].sum())
+
+
+def intersection(a, b):
+    """Corners of the intersection of two half-open ``(x1, y1, x2, y2)``
+    rectangles, or None when it is empty (boundary contact is empty)."""
+    x1, y1 = max(a[0], b[0]), max(a[1], b[1])
+    x2, y2 = min(a[2], b[2]), min(a[3], b[3])
+    return (x1, y1, x2, y2) if x1 < x2 and y1 < y2 else None
 
 
 def random_grid_rect(rng, n: int, m: int) -> GridRect:

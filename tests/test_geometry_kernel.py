@@ -8,12 +8,12 @@ rest, so the grid's cells are much larger than most footprints.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import intersection
 from stepplace.netmodel import (
     Macro,
     Netlist,
     PlacementArea,
     Rect,
-    footprint,
     footprint_box,
     footprint_grid,
     is_legal,
@@ -44,7 +44,7 @@ def brute_hits(netlist, placement, query):
     return sorted(
         mid
         for mid, pos in placement.items()
-        if query.overlaps(footprint(netlist.by_id[mid], pos))
+        if intersection(query, footprint_box(netlist.by_id[mid], pos))
     )
 
 
@@ -58,24 +58,23 @@ def test_hits_equal_brute_force_after_moves(layout, moves, qx, qy, qw, qh):
         m = netlist.macros[k % len(netlist.macros)]
         placement[m.id] = (x, y)
         grid.put(m.id, footprint_box(m, (x, y)))
-    query = Rect(qx, qy, qx + qw, qy + qh)
-    assert grid.hits(qx, qy, qx + qw, qy + qh) == brute_hits(netlist, placement, query)
+    query = (qx, qy, qx + qw, qy + qh)
+    assert grid.hits(*query) == brute_hits(netlist, placement, query)
     for m in netlist.macros:
-        fp = footprint(m, placement[m.id])
-        assert grid.hits(fp.x1, fp.y1, fp.x2, fp.y2) == brute_hits(
-            netlist, placement, fp
-        )
+        fp = footprint_box(m, placement[m.id])
+        assert grid.hits(*fp) == brute_hits(netlist, placement, fp)
 
 
 def all_pairs_penalty(step, macro, pos, placement, netlist, config):
-    cand = footprint(macro, pos)
+    cand = footprint_box(macro, pos)
     total_circ = 0.0
     for mid in sorted(placement):
         if mid == macro.id:
             continue
-        inter = cand.intersect(footprint(netlist.by_id[mid], placement[mid]))
+        inter = intersection(cand, footprint_box(netlist.by_id[mid], placement[mid]))
         if inter is not None:
-            total_circ += inter.circumference
+            x1, y1, x2, y2 = inter
+            total_circ += 2.0 * ((x2 - x1) + (y2 - y1))
     return config.penalty_c * config.delta_at(step) * total_circ
 
 
@@ -109,23 +108,23 @@ def test_is_legal_lists_equal_brute_force(layout, blocks):
         for x, y, w, h in blocks
     )
     area = PlacementArea(AREA, AREA, blockages)
-    rects = {m.id: footprint(m, placement[m.id]) for m in netlist.macros}
+    rects = {m.id: footprint_box(m, placement[m.id]) for m in netlist.macros}
     ids = sorted(rects)
     report = is_legal(placement, netlist, area)
     assert report.out_of_area == [
         mid
         for mid, r in rects.items()
-        if not (r.x1 >= 0 and r.x2 <= AREA and r.y1 >= 0 and r.y2 <= AREA)
+        if not (r[0] >= 0 and r[2] <= AREA and r[1] >= 0 and r[3] <= AREA)
     ]
     assert report.overlaps == [
         (a, b)
         for i, a in enumerate(ids)
         for b in ids[i + 1:]
-        if rects[a].overlaps(rects[b])
+        if intersection(rects[a], rects[b])
     ]
     assert report.blockage_overlaps == [
         (mid, bi)
         for mid in ids
         for bi, blk in enumerate(blockages)
-        if rects[mid].overlaps(blk)
+        if intersection(rects[mid], blk)
     ]

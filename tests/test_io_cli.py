@@ -72,6 +72,12 @@ class TestParseInstance:
             ("area 4 4\nmacro a 1 1\nmacro a 2 2\n", "duplicate macro id"),
             ("area 4 4\nwat 1 2\n", "unknown directive"),
             ("area 4 4\nblockage 0 0 9 1\n", "outside the placement area"),
+            ("area 5 5\n\nblockage 1 1 50 2\n",
+             r"^line 3: blockage 1\.0 1\.0 50\.0 2\.0 is empty or outside the "
+             r"placement area \[0, 5\.0\] x \[0, 5\.0\]$"),
+            ("area 5 5\nblockage 1 2 3 2\n", "^line 2: blockage .* is empty"),
+            ("area 0 5\n", "^line 1: placement area must have positive size"),
+            ("area 5 5\nmacro a 10 2\n", "^line 2: macro a .* does not fit"),
             ("area 4 4\nmacro a 1 1\nplace a 1 1\nplace a 2 2\n", "duplicate place"),
             ("area 4 4\nplace ghost 1 1\n", "unknown macro 'ghost'"),
             ("area 4 4\nmacro a 0 1\n", "sizes must be positive"),
@@ -436,6 +442,33 @@ class TestCli:
         ) == 0
         body = open(svg).read()
         assert body.startswith("<svg ") and body.rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize("target", ["missing-dir", "is-a-dir"])
+    @pytest.mark.parametrize("command", ["place", "stats", "gen", "render"])
+    def test_write_failure_exits_1(
+        self, tmp_path, instance_file, capsys, command, target
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        if target == "is-a-dir":
+            path = work / "taken"
+            path.mkdir()
+        else:
+            path = work / "missing" / "file"
+        place = ["place", "--in", instance_file, "--rounds", "20", "--out"]
+        argv = {
+            "place": place + [str(path)],
+            "stats": place + [str(work / "r.txt"), "--stats", str(path)],
+            "gen": ["gen", "--out", str(path), "--macros", "3", "--nets", "2"],
+            "render": ["render", "--instance", instance_file, "--out", str(path)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+        # no temp file and no partial output is left behind
+        left = [p.name for p in work.rglob("*")]
+        assert left == (["taken"] if target == "is-a-dir" else [])
 
     def test_gen_infeasible_exits_1(self, tmp_path, capsys):
         code = main(

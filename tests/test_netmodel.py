@@ -12,11 +12,13 @@ from stepplace.netmodel import (
     Rect,
     bb_netlength,
     beta_schedule,
-    footprint,
+    footprint_box,
     is_legal,
     lse_netlength,
+    meet,
     model_length,
     nl_netlength,
+    overlaps,
 )
 from stepplace.placer import PlacerConfig, candidate_score, new_state, snap_to_grid
 from stepplace.stepfield import GridRect
@@ -29,37 +31,38 @@ class TestRect:
     def test_half_open_adjacency_is_disjoint(self):
         a = Rect(0, 0, 2, 2)
         b = Rect(2, 0, 4, 2)
-        assert a.intersect(b) is None
-        assert not a.overlaps(b)
+        assert meet(a, b) == (2, 0, 2, 2)
+        assert not overlaps(a, b)
 
     def test_intersection(self):
         a = Rect(0, 0, 3, 3)
-        b = Rect(1, 2, 5, 5)
-        got = a.intersect(b)
+        b = (1, 2, 5, 5)
+        got = meet(a, b)
         assert got == Rect(1, 2, 3, 3)
-        assert got.area == 2.0
-        assert got.circumference == 6.0
+        assert overlaps(a, b)
+        x1, y1, x2, y2 = got
+        assert (x2 - x1) * (y2 - y1) == 2.0
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            Rect(0, 0, 0, 1)
+        with pytest.raises(ValueError, match="is empty or outside"):
+            PlacementArea(4, 4, (Rect(0, 0, 0, 1),))
 
 
 class TestFootprint:
     def test_direct_substitution(self):
         m = Macro("a", 2, 4)
-        assert footprint(m, (1, 2)) == Rect(0, 0, 2, 4)
+        assert footprint_box(m, (1, 2)) == Rect(0, 0, 2, 4)
 
     def test_unit_macro(self):
         m = Macro("a", 1, 1)
-        assert footprint(m, (0.5, 0.5)) == Rect(0, 0, 1, 1)
+        assert footprint_box(m, (0.5, 0.5)) == Rect(0, 0, 1, 1)
 
     def test_side_by_side_share_boundary_only(self):
         m = Macro("a", 2, 2)
-        f1 = footprint(m, (1, 1))
-        f2 = footprint(m, (3, 1))
-        assert f1.intersect(f2) is None
-        assert f1.x2 == f2.x1
+        f1 = footprint_box(m, (1, 1))
+        f2 = footprint_box(m, (3, 1))
+        assert not overlaps(f1, f2)
+        assert f1[2] == f2[0]
 
 
 class TestDomainValidation:
@@ -296,7 +299,8 @@ class TestMarginalCost:
         state = new_state(nl, PlacementArea(20, 20), cfg, {"solo": (1, 1)})
         state.field.increase(GridRect(0, 0, 64, 64), 1.5)
         got = candidate_score(nl.by_id["solo"], (4, 5), state, cfg)
-        snapped = snap_to_grid(footprint(nl.by_id["solo"], (4, 5)), state.area, 6, 6)
+        fp = footprint_box(nl.by_id["solo"], (4, 5))
+        snapped = snap_to_grid(fp, state.area, 6, 6)
         assert got == state.field.cost(snapped) > 0
 
     def test_two_pin_bb_example(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepplace.placer as placer
+from oracles import intersection
 from stepplace.netmodel import (
     LegalityReport,
     Macro,
@@ -14,8 +15,10 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
-    footprint,
+    footprint_box,
     is_legal,
+    meet,
+    overlaps,
 )
 from stepplace.placer import (
     LegalizationError,
@@ -33,7 +36,7 @@ from stepplace.placer import (
     snap_to_grid,
     stats_row,
 )
-from stepplace.stepfield import GridRect
+from stepplace.stepfield import MAX_GRID_EXPONENT, GridRect
 
 
 def square_area(side=8.0, blockages=()):
@@ -66,6 +69,45 @@ class TestSnapToGrid:
         area = PlacementArea(10, 10)  # cell 2.5 x 2.5 on a 4x4 grid
         got = snap_to_grid(Rect(2.4, 0.0, 2.6, 2.5), area, 2, 2)
         assert got == GridRect(0, 0, 2, 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_property_indices_in_grid(self, data):
+        # the field's own checks are the only guard on these indices
+        draw = data.draw
+        w, h = draw(st.floats(0.5, 1e4)), draw(st.floats(0.5, 1e4))
+        p, q = (draw(st.integers(0, MAX_GRID_EXPONENT)) for _ in "pq")
+
+        def corners(span, n):  # low and high corner on one axis
+            # anywhere, on a cell edge, or an ulp beside one
+            lo = draw(st.one_of(
+                st.floats(-span, 2.0 * span),
+                st.integers(-n, 2 * n).map(lambda k: k * span / n),
+            ))
+            lo = draw(st.sampled_from(
+                [lo, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf)]
+            ))
+            # as wide as twice the area, at most one cell, or a few ulps
+            size = draw(st.one_of(
+                st.floats(0.0, 2.0 * span),
+                st.floats(0.0, span / n),
+                st.integers(1, 3).map(lambda k: k * math.ulp(lo)),
+            ))
+            return lo, lo + size
+
+        def box():
+            (x1, x2), (y1, y2) = corners(w, 1 << p), corners(h, 1 << q)
+            return (x1, y1, x2, y2)
+
+        b = box()
+        if draw(st.booleans()):  # the overlap of two footprints
+            b = meet(b, box())
+        got = snap_to_grid(b, PlacementArea(w, h), p, q)
+        assert (got is None) == (not overlaps(b, (0.0, 0.0, w, h)))
+        if got is not None:
+            assert all(type(v) is int for v in got)
+            assert 0 <= got.a1 < got.a2 <= 1 << p
+            assert 0 <= got.b1 < got.b2 <= 1 << q
 
 
 class TestGamma:
@@ -164,8 +206,8 @@ class TestBounds:
         area = PlacementArea(10.28, 10.35)
         m = Macro("a", 4.1, 4.6)
         b = compute_bounds(m, area)
-        fp = footprint(m, (b.x_max, b.y_max))
-        assert fp.x2 <= area.width and fp.y2 <= area.height
+        _, _, x2, y2 = footprint_box(m, (b.x_max, b.y_max))
+        assert x2 <= area.width and y2 <= area.height
         nl = Netlist([m], [])
         assert is_legal({"a": (b.x_max, b.y_max)}, nl, area).legal
 
@@ -356,10 +398,13 @@ class TestRoundStep:
         fresh_ov = 0.0
         for i, mi in enumerate(ids):
             for mj in ids[i + 1 :]:
-                inter = footprint(nl.by_id[mi], state.placement[mi]).intersect(
-                    footprint(nl.by_id[mj], state.placement[mj])
+                inter = intersection(
+                    footprint_box(nl.by_id[mi], state.placement[mi]),
+                    footprint_box(nl.by_id[mj], state.placement[mj]),
                 )
-                fresh_ov += inter.area if inter is not None else 0.0
+                if inter is not None:
+                    x1, y1, x2, y2 = inter
+                    fresh_ov += (x2 - x1) * (y2 - y1)
         assert stats_row(state, cfg).overlap_area == pytest.approx(fresh_ov, rel=1e-12, abs=1e-12)
 
 

@@ -36,19 +36,32 @@ from stepplace.stepfield import (
 )
 
 
+BACKENDS = ("c", "py") if HAVE_C_CORE else ("py",)
+
+
 class TestGridRect:
+    """A GridRect is a plain named tuple; the field validates it on each core."""
+
     def test_properties(self):
         r = GridRect(1, 2, 4, 7)
-        assert (r.width, r.height, r.area) == (3, 5, 15)
+        assert (r.a1, r.b1, r.a2, r.b2) == tuple(r) == (1, 2, 4, 7)
 
     @pytest.mark.parametrize("bad", [(2, 0, 2, 4), (3, 0, 2, 4), (0, -1, 2, 4), (-1, 0, 2, 4)])
     def test_degenerate_rejected(self, bad):
-        with pytest.raises(ValueError):
-            GridRect(*bad)
+        for backend in BACKENDS:
+            f = CostField(3, 3, backend=backend)
+            with pytest.raises(ValueError):
+                f.cost(GridRect(*bad))
+            with pytest.raises(ValueError):
+                f.increase(GridRect(*bad), 1.0)
 
     def test_non_int_rejected(self):
-        with pytest.raises(TypeError):
-            GridRect(0.0, 0, 1, 1)
+        for backend in BACKENDS:
+            f = CostField(3, 3, backend=backend)
+            with pytest.raises(TypeError):
+                f.cost(GridRect(0.0, 0, 1, 1))
+            with pytest.raises(TypeError):
+                f.increase(GridRect(0, 0, 1, 1.5), 1.0)
 
 
 class TestBasis1D:
