@@ -7,6 +7,8 @@ setup(
         Extension(
             "stepplace._fieldcore",
             sources=["src/stepplace/_fieldcore.c"],
+            # no fused multiply-add: the net terms must round as Python does
+            extra_compile_args=["-ffp-contract=off"],
             optional=True,
         )
     ]

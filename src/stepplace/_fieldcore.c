@@ -13,11 +13,16 @@
  * Single writer: increase/inflate require exclusive access; cost leaves the
  * coefficients unchanged but records last_touched, so concurrent readers are
  * safe while no mutation is in flight.
+ *
+ * The module function net_terms scores the nets of one moving pin, bit for
+ * bit as the placer's Python reference does (build with -ffp-contract=off so
+ * no multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define MAX_AXIS_COMPONENTS 64 /* 2*exponent + 1; exponents are capped well below */
 
@@ -278,11 +283,153 @@ static PyTypeObject FieldCoreType = {
     .tp_getset = FieldCore_getset,
 };
 
+/* Coordinate `axis` of pin i of a net whose moving pin, at `moving`, is pin
+ * j; the other pins are stored in order as x, y pairs in `fixed`. */
+static inline double
+pin_at(const double *fixed, Py_ssize_t j, const double *moving, Py_ssize_t i, int axis)
+{
+    return i == j ? moving[axis] : fixed[2 * (i - (i > j)) + axis];
+}
+
+/* First largest and first smallest coordinate in pin order, as Python's
+ * max() and min() pick them. */
+static void
+axis_extremes(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving,
+              int axis, double *hi, double *lo)
+{
+    double h = pin_at(fixed, j, moving, 0, axis), l = h;
+    for (Py_ssize_t i = 1; i < n; i++) {
+        double v = pin_at(fixed, j, moving, i, axis);
+        if (v > h)
+            h = v;
+        if (v < l)
+            l = v;
+    }
+    *hi = h;
+    *lo = l;
+}
+
+/* netmodel._lse_axis */
+static double
+lse_axis(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving,
+         int axis, double alpha)
+{
+    double hi, lo, sp = 0.0, sn = 0.0;
+    axis_extremes(fixed, n, j, moving, axis, &hi, &lo);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double v = pin_at(fixed, j, moving, i, axis);
+        sp += exp((v - hi) / alpha);
+        sn += exp((lo - v) / alpha);
+    }
+    double pos = alpha * log(sp) + hi;
+    double neg = alpha * log(sn) - lo;
+    return pos + neg;
+}
+
+/* one axis of netmodel.nl_netlength */
+static double
+edge_axis(double d, double beta)
+{
+    double a = fabs(beta * d);
+    return (a + log1p(exp(-2.0 * a))) / beta;
+}
+
+/* netmodel.model_length of one net; -1 with its exception set where it raises */
+static int
+net_length(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving,
+           PyObject *beta_obj, double beta, double *out)
+{
+    if (beta_obj == Py_None) {
+        double hx, lx, hy, ly;
+        axis_extremes(fixed, n, j, moving, 0, &hx, &lx);
+        axis_extremes(fixed, n, j, moving, 1, &hy, &ly);
+        *out = hx - lx + hy - ly;
+        return 0;
+    }
+    if (n == 2) {
+        if (!(beta > 0.0)) {
+            PyErr_SetString(PyExc_ValueError, "beta must be positive");
+            return -1;
+        }
+        double dx = pin_at(fixed, j, moving, 0, 0) - pin_at(fixed, j, moving, 1, 0);
+        double dy = pin_at(fixed, j, moving, 0, 1) - pin_at(fixed, j, moving, 1, 1);
+        *out = edge_axis(dx, beta) + edge_axis(dy, beta);
+        return 0;
+    }
+    if (beta == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return -1;
+    }
+    double alpha = 1.0 / beta;
+    if (!(alpha > 0.0)) {
+        PyErr_SetString(PyExc_ValueError, "alpha must be positive");
+        return -1;
+    }
+    *out = lse_axis(fixed, n, j, moving, 0, alpha) + lse_axis(fixed, n, j, moving, 1, alpha);
+    return 0;
+}
+
+static PyObject *
+net_terms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "net_terms expected 5 arguments, got %zd", nargs);
+        return NULL;
+    }
+    double score = PyFloat_AsDouble(args[0]);
+    double moving[2] = {PyFloat_AsDouble(args[1]), PyFloat_AsDouble(args[2])};
+    double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[4], &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (view.itemsize != sizeof(double) || strcmp(view.format, "d") != 0) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_TypeError, "pins must be a buffer of doubles");
+        return NULL;
+    }
+    const double *pins = view.buf;
+    Py_ssize_t len = view.len / (Py_ssize_t)sizeof(double);
+    for (Py_ssize_t i = 0; i < len;) {
+        double nd = pins[i];
+        /* n >= 2 pins: the header, then the n - 1 fixed pins, all in range */
+        if (!(nd >= 2.0 && 2.0 * nd <= (double)(len - i)) || nd != floor(nd)) {
+            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
+            break;
+        }
+        Py_ssize_t n = (Py_ssize_t)nd;
+        double jd = pins[i + 1];
+        if (!(jd >= 0.0 && jd < nd) || jd != floor(jd)) {
+            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
+            break;
+        }
+        double length;
+        if (net_length(pins + i + 2, n, (Py_ssize_t)jd, moving, args[3], beta, &length) < 0)
+            break;
+        score += length;
+        i += 2 * n;
+    }
+    PyBuffer_Release(&view);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyFloat_FromDouble(score);
+}
+
+static PyMethodDef fieldcore_functions[] = {
+    {"net_terms", (PyCFunction)(void (*)(void))net_terms, METH_FASTCALL,
+     "net_terms(score, x, y, beta, pins) -> float\n\n"
+     "score plus the length of each net packed in pins, in order, with the\n"
+     "moving pin at (x, y); see stepplace.placer.py_net_terms."},
+    {NULL}
+};
+
 static PyModuleDef fieldcoremodule = {
     PyModuleDef_HEAD_INIT,
     .m_name = "stepplace._fieldcore",
-    .m_doc = "C accelerator for the step-function cost field.",
+    .m_doc = "C accelerator for the step-function cost field and the net terms.",
     .m_size = -1,
+    .m_methods = fieldcore_functions,
 };
 
 PyMODINIT_FUNC

@@ -683,10 +683,15 @@ def _cmd_place(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = _out_path(args.out)
-    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+    stats = _out_path(args.stats) if args.stats else None
+    for path in [out] + ([stats] if stats else []):
         # fail before the run, not after it
-        print(f"error: no directory to write {out!r} into", file=sys.stderr)
-        return 1
+        if os.path.isdir(path):
+            print(f"error: {path!r} is a directory", file=sys.stderr)
+            return 1
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"error: no directory to write {path!r} into", file=sys.stderr)
+            return 1
     state = new_state(netlist, area, config, initial)
 
     def rows():
@@ -697,8 +702,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
             for _ in range(config.max_rounds):
                 yield round_step(state, config)
 
-    if args.stats:
-        _atomic_write(_out_path(args.stats), lambda fp: write_stats_csv(fp, rows()))
+    if stats:
+        _atomic_write(stats, lambda fp: write_stats_csv(fp, rows()))
     else:
         for _ in rows():
             pass

@@ -12,8 +12,11 @@ immutable snapshot, so concurrent evaluation is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from stepplace.stepfield import MAX_GRID_EXPONENT
 
 Point = tuple[float, float]
 Placement = dict[str, Point]
@@ -90,9 +93,16 @@ class Netlist:
         return sum(m.area for m in self.macros)
 
 
+#: Smallest side of a placement area: a grid cell is the side over up to
+#: ``2**MAX_GRID_EXPONENT``, which is exact (a normal float) from here up, so
+#: grid snapping never leaves the grid.
+MIN_AREA_SIDE = math.ldexp(sys.float_info.min, MAX_GRID_EXPONENT)
+
+
 @dataclass(frozen=True)
 class PlacementArea:
-    """Placement rectangle ``[0, width] x [0, height]`` with keep-out blockages."""
+    """Placement rectangle ``[0, width] x [0, height]`` with keep-out blockages;
+    each side must be at least :data:`MIN_AREA_SIDE`."""
 
     width: float
     height: float
@@ -101,6 +111,11 @@ class PlacementArea:
     def __post_init__(self) -> None:
         if not (self.width > 0 and self.height > 0):
             raise ValueError("placement area must have positive size")
+        if not (self.width >= MIN_AREA_SIDE and self.height >= MIN_AREA_SIDE):
+            raise ValueError(
+                f"placement area {self.width!r} x {self.height!r} is too small: "
+                f"each side must be at least {MIN_AREA_SIDE!r}"
+            )
         for x1, y1, x2, y2 in self.blockages:
             if not (0 <= x1 < x2 <= self.width and 0 <= y1 < y2 <= self.height):
                 raise ValueError(
@@ -264,11 +279,17 @@ def bb_netlength(points: list[Point]) -> float:
 
 
 def _lse_axis(vals: list[float], alpha: float) -> float:
-    # alpha*log(sum(exp(v/alpha))) + alpha*log(sum(exp(-v/alpha))), max-shifted
+    # alpha*log(sum(exp(v/alpha))) + alpha*log(sum(exp(-v/alpha))), max-shifted;
+    # summed left to right (builtin sum compensates since Python 3.12), as
+    # the C core's net_terms does
     hi = max(vals)
     lo = min(vals)
-    pos = alpha * math.log(sum(math.exp((v - hi) / alpha) for v in vals)) + hi
-    neg = alpha * math.log(sum(math.exp((lo - v) / alpha) for v in vals)) - lo
+    sp = sn = 0.0
+    for v in vals:
+        sp += math.exp((v - hi) / alpha)
+        sn += math.exp((lo - v) / alpha)
+    pos = alpha * math.log(sp) + hi
+    neg = alpha * math.log(sn) - lo
     return pos + neg
 
 

@@ -17,7 +17,10 @@ result is near-legal; :func:`naive_legalize` removes the residual overlaps.
 
 The round loop is sequential.  Scoring candidates within a round is read-only
 with respect to the placement and the field; the winning move and field
-updates are applied afterwards.  Runs are deterministic for a given seed.
+updates are applied afterwards.  What every candidate of a round shares (the
+macro's half-sizes, the net model's sharpness, the other pins of its nets) is
+gathered once per round in a :class:`ScoreContext`.  Runs are deterministic
+for a given seed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -46,7 +50,7 @@ from stepplace.netmodel import (
     model_length,
     overlaps,
 )
-from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect
+from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect, c_net_terms
 
 
 class LegalizationError(Exception):
@@ -247,10 +251,12 @@ def snap_to_grid(
     x1, y1, x2, y2 = meet(box, (0.0, 0.0, area.width, area.height))
     if not (x1 < x2 and y1 < y2):
         return None
-    a1 = max(0, min(n - 1, math.floor(x1 / cx)))
-    b1 = max(0, min(m - 1, math.floor(y1 / cy)))
-    a2 = max(a1 + 1, min(n, math.ceil(x2 / cx)))
-    b2 = max(b1 + 1, min(m, math.ceil(y2 / cy)))
+    # 0 <= x1 < x2 <= width, and cx is width over a power of two exactly
+    # (PlacementArea's minimum side), so 0 <= x1 / cx < n and x2 / cx <= n
+    a1 = math.floor(x1 / cx)
+    b1 = math.floor(y1 / cy)
+    a2 = max(a1 + 1, math.ceil(x2 / cx))
+    b2 = max(b1 + 1, math.ceil(y2 / cy))
     return GridRect(a1, b1, a2, b2)
 
 
@@ -330,22 +336,93 @@ def _round_beta(rnd: int, config: PlacerConfig) -> float | None:
     return beta_schedule(rnd, config.max_rounds)
 
 
+def py_net_terms(
+    score: float, x: float, y: float, beta: float | None, pins: array
+) -> float:
+    """``score`` plus the :func:`model_length` of each net packed in ``pins``,
+    added in order, with the moving pin at ``(x, y)``.
+
+    ``pins`` holds one record per net: its pin count ``n``, the index ``j``
+    of the moving pin among them, then the other ``n - 1`` pins' ``x, y`` in
+    order (``2 * n`` doubles).  A record with ``n < 2``, ``j`` outside
+    ``[0, n)``, a non-integral ``n`` or ``j``, or too few coordinates raises
+    ``ValueError``.  This is the reference of the C core's ``net_terms``,
+    which returns the same float bit for bit.
+    """
+    p = pins.tolist()
+    i, end = 0, len(p)
+    while i < end:
+        n = p[i]
+        if not (2 <= n and 2 * n <= end - i and n % 1 == 0):
+            raise ValueError(f"malformed net record at offset {i}")
+        j = p[i + 1]
+        if not (0 <= j < n and j % 1 == 0):
+            raise ValueError(f"malformed net record at offset {i}")
+        e = i + 2 * int(n)
+        pts = list(zip(p[i + 2 : e : 2], p[i + 3 : e : 2]))
+        pts.insert(int(j), (x, y))
+        score += model_length(pts, beta)
+        i = e
+    return score
+
+
+#: The net-term kernel the placer scores with: the C core's when it loaded.
+net_terms = c_net_terms if c_net_terms is not None else py_net_terms
+
+
+class ScoreContext(NamedTuple):
+    """What the candidates of one round share: the moving macro's
+    half-sizes, the round's net-model sharpness (see :func:`model_length`),
+    and its nets' other pins packed for :func:`net_terms`, in
+    ``net_indices_of`` order."""
+
+    hx: float
+    hy: float
+    beta: float | None
+    pins: array
+
+
+def score_context(
+    macro: Macro, state: PlacerState, config: PlacerConfig
+) -> ScoreContext:
+    """The :class:`ScoreContext` of moving ``macro`` in the current round."""
+    mid = macro.id
+    placement = state.placement
+    nets = state.netlist.nets
+    pins: list[float] = []
+    for ni in state.net_indices_of[mid]:
+        members = nets[ni].members
+        pins += (len(members), members.index(mid))
+        for other in members:
+            if other != mid:
+                pins += placement[other]
+    return ScoreContext(
+        macro.size_x / 2.0,
+        macro.size_y / 2.0,
+        _round_beta(state.round + 1, config),
+        array("d", pins),
+    )
+
+
 def candidate_score(
-    macro: Macro, pos: Point, state: PlacerState, config: PlacerConfig
+    macro: Macro,
+    pos: Point,
+    state: PlacerState,
+    config: PlacerConfig,
+    ctx: ScoreContext | None = None,
 ) -> float:
     """Score of moving ``macro`` to ``pos`` in the current round: field cost
     of the snapped footprint, plus the lengths of the macro's nets, plus the
-    overlap penalty, plus the weighted blockage overlap area."""
-    fp = footprint_box(macro, pos)
+    overlap penalty, plus the weighted blockage overlap area.
+
+    ``ctx`` is the round's :func:`score_context`; without it one is built."""
+    if ctx is None:
+        ctx = score_context(macro, state, config)
+    x, y = pos
+    fp = (x - ctx.hx, y - ctx.hy, x + ctx.hx, y + ctx.hy)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
     score = state.field.cost(snapped) if snapped is not None else 0.0
-    beta = _round_beta(state.round + 1, config)
-    for ni in state.net_indices_of[macro.id]:
-        net = state.netlist.nets[ni]
-        pts = [
-            pos if mid == macro.id else state.placement[mid] for mid in net.members
-        ]
-        score += model_length(pts, beta)
+    score = net_terms(score, x, y, ctx.beta, ctx.pins)
     score += penalty(
         state.round, macro, pos, state.placement, state.netlist, config,
         state.grid,
@@ -461,7 +538,8 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     candidates = [x0]
     for _ in range(config.candidates_per_round):
         candidates.append(move_macro(x0, state.bounds[mid], rng))
-    scores = [candidate_score(macro, c, state, config) for c in candidates]
+    ctx = score_context(macro, state, config)
+    scores = [candidate_score(macro, c, state, config, ctx) for c in candidates]
     best = 0
     for i in range(1, len(scores)):
         if scores[i] < scores[best]:

@@ -22,7 +22,8 @@ whichever call finished last.  Mutations require exclusive access.
 Backends: the C core ``_fieldcore`` is used when it imports; otherwise the
 first import compiles ``_fieldcore.c`` into the user cache
 (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), and if that
-fails it warns once and falls back to the numpy core.
+fails it warns once and falls back to the numpy core.  The same C module
+holds the placer's net-term kernel, :data:`c_net_terms`.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ def _load_c_core(
     A build is named by the SHA-256 of the source and the interpreter's
     extension suffix, so an edited source never loads a stale build.
     ``compiler`` is the command the interpreter's ``CFLAGS``, ``CCSHARED``,
-    include dir, source and output are appended to; it defaults to the
-    interpreter's ``LDSHARED``, as ``setup.py build_ext`` uses.  The loaded
-    module is registered as ``stepplace._fieldcore``.  On any failure
-    returns ``None`` after one ``RuntimeWarning`` naming the reason.
+    ``-ffp-contract=off``, include dir, source and output are appended to;
+    it defaults to the interpreter's ``LDSHARED``, as ``setup.py build_ext``
+    uses.  The loaded module is registered as ``stepplace._fieldcore``.  On
+    any failure returns ``None`` after one ``RuntimeWarning`` naming the
+    reason.
     """
     import hashlib
     import importlib.machinery
@@ -108,6 +110,8 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
             *compiler,
             *shlex.split(cfg("CFLAGS") or ""),
             *shlex.split(cfg("CCSHARED") or ""),
+            # no fused multiply-add: the net terms must round as Python does
+            "-ffp-contract=off",
             "-I" + sysconfig.get_path("include"),
             source,
             "-o",
@@ -125,9 +129,14 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
 
 
 try:
-    from stepplace._fieldcore import FieldCore as _CFieldCore
+    import stepplace._fieldcore as _c_module
 except ImportError:
-    _CFieldCore = getattr(_load_c_core(_user_cache_dir()), "FieldCore", None)
+    _c_module = _load_c_core(_user_cache_dir())
+_CFieldCore = getattr(_c_module, "FieldCore", None)
+
+#: The C core's ``net_terms`` (see :func:`stepplace.placer.py_net_terms`),
+#: or None without the C core.
+c_net_terms = getattr(_c_module, "net_terms", None)
 
 #: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
 HAVE_C_CORE = _CFieldCore is not None

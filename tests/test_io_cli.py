@@ -9,6 +9,7 @@ import xml.dom.minidom
 import pytest
 
 import stepplace
+import stepplace.io_cli as io_cli
 from stepplace.io_cli import (
     GenSpec,
     InstanceFormatError,
@@ -77,6 +78,8 @@ class TestParseInstance:
              r"placement area \[0, 5\.0\] x \[0, 5\.0\]$"),
             ("area 5 5\nblockage 1 2 3 2\n", "^line 2: blockage .* is empty"),
             ("area 0 5\n", "^line 1: placement area must have positive size"),
+            # cells of 1e-321 / 2**11 would round to 0 and divide by zero
+            ("area 5 1e-321\n", r"^line 1: placement area 5\.0 x 1e-321 is too small"),
             ("area 5 5\nmacro a 10 2\n", "^line 2: macro a .* does not fit"),
             ("area 4 4\nmacro a 1 1\nplace a 1 1\nplace a 2 2\n", "duplicate place"),
             ("area 4 4\nplace ghost 1 1\n", "unknown macro 'ghost'"),
@@ -446,8 +449,16 @@ class TestCli:
     @pytest.mark.parametrize("target", ["missing-dir", "is-a-dir"])
     @pytest.mark.parametrize("command", ["place", "stats", "gen", "render"])
     def test_write_failure_exits_1(
-        self, tmp_path, instance_file, capsys, command, target
+        self, tmp_path, instance_file, capsys, monkeypatch, command, target
     ):
+        rounds = []
+        real_round_step = io_cli.round_step
+
+        def counted(state, config):
+            rounds.append(state.round)
+            return real_round_step(state, config)
+
+        monkeypatch.setattr(io_cli, "round_step", counted)
         work = tmp_path / "work"
         work.mkdir()
         if target == "is-a-dir":
@@ -466,6 +477,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
+        # place checks both of its targets before the first round
+        assert rounds == []
         # no temp file and no partial output is left behind
         left = [p.name for p in work.rglob("*")]
         assert left == (["taken"] if target == "is-a-dir" else [])

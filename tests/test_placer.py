@@ -1,13 +1,17 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepplace.placer as placer
+import stepplace.stepfield as stepfield
 from oracles import intersection
+from stepplace.io_cli import GenSpec, generate_instance
 from stepplace.netmodel import (
+    MIN_AREA_SIDE,
     LegalityReport,
     Macro,
     Net,
@@ -15,9 +19,11 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
+    beta_schedule,
     footprint_box,
     is_legal,
     meet,
+    model_length,
     overlaps,
 )
 from stepplace.placer import (
@@ -33,6 +39,7 @@ from stepplace.placer import (
     penalty,
     round_step,
     run_placer,
+    score_context,
     snap_to_grid,
     stats_row,
 )
@@ -75,7 +82,12 @@ class TestSnapToGrid:
     def test_property_indices_in_grid(self, data):
         # the field's own checks are the only guard on these indices
         draw = data.draw
-        w, h = draw(st.floats(0.5, 1e4)), draw(st.floats(0.5, 1e4))
+        # or just above the smallest side, where a cell (side / 2**p) is
+        # barely a normal float, so still exact
+        side = st.one_of(
+            st.floats(0.5, 1e4), st.floats(MIN_AREA_SIDE, 4 * MIN_AREA_SIDE)
+        )
+        w, h = draw(side), draw(side)
         p, q = (draw(st.integers(0, MAX_GRID_EXPONENT)) for _ in "pq")
 
         def corners(span, n):  # low and high corner on one axis
@@ -309,6 +321,147 @@ class TestCandidateScore:
         assert got == penalty(
             0, nl.by_id["a"], (3.0, 3.0), state.placement, nl, cfg
         )
+
+
+needs_c_kernel = pytest.mark.skipif(
+    stepfield.c_net_terms is None, reason="C core not built"
+)
+
+
+def pack_nets(nets):
+    """``py_net_terms`` records of ``(pins, j)`` nets, the moving pin
+    omitted from ``pins``."""
+    out = []
+    for pins, j in nets:
+        out += (len(pins) + 1, j)
+        for x, y in pins:
+            out += (x, y)
+    return array("d", out)
+
+
+def both_kernels(score, x, y, beta, pins):
+    """The reference's and the C core's result (the reference twice without
+    the C core)."""
+    c = stepfield.c_net_terms or placer.py_net_terms
+    return placer.py_net_terms(score, x, y, beta, pins), c(score, x, y, beta, pins)
+
+
+class TestNetTerms:
+    """The C core's ``net_terms`` returns its Python reference's float bit for
+    bit: every regime, the moving pin anywhere, nets of 2 to 200 pins."""
+
+    @needs_c_kernel
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_c_kernel_equals_python_reference(self, data):
+        draw = data.draw
+        # coordinates over a window of 1e-3 to 1e9 units, at the origin, near
+        # it, or anywhere in +-1e9; near the origin the smoothing terms are
+        # not rounded away against the coordinates
+        width = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e6, 1e9]))
+        lo = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e9, 1e9)))
+        coord = st.floats(lo, lo + width)
+        max_rounds = draw(st.integers(1, 10**6))
+        rnd = draw(st.one_of(st.sampled_from([1, max_rounds]), st.integers(1, max_rounds)))
+        # None is the exact bounding box; else the schedule's 1 ... max_rounds
+        beta = draw(st.one_of(
+            st.none(), st.just(beta_schedule(rnd, max_rounds)), st.floats(0.5, 50.0)
+        ))
+        sizes = st.one_of(st.just(2), st.integers(3, 8), st.integers(9, 200))
+        nets = []
+        for n in draw(st.lists(sizes, max_size=4), label="sizes"):
+            pins = [(draw(coord), draw(coord)) for _ in range(n - 1)]
+            nets.append((pins, draw(st.integers(0, n - 1))))
+        pins = pack_nets(nets)
+        score = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+        x, y = draw(coord), draw(coord)
+        want, got = both_kernels(score, x, y, beta, pins)
+        assert got.hex() == want.hex()
+
+    @needs_c_kernel
+    def test_small_span_sweep_bit_exact(self):
+        # where no term is rounded away: spans near the smoothing width
+        # 1/beta, a few pins, scores starting at 0
+        rng = random.Random(3)
+        for _ in range(3000):
+            n = rng.choice((2, 2, 3, 4, 6))
+            span = rng.choice((0.01, 0.3, 1.0, 4.0, 30.0))
+            beta = rng.choice(
+                (None, 1.0, rng.uniform(0.5, 20.0), rng.uniform(20.0, 1e3))
+            )
+            fixed = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n - 1)]
+            pins = pack_nets([(fixed, rng.randrange(n))])
+            x, y = rng.uniform(0, span), rng.uniform(0, span)
+            want, got = both_kernels(0.0, x, y, beta, pins)
+            assert got.hex() == want.hex(), (n, beta, fixed, x, y)
+
+    @pytest.mark.parametrize("beta", [None, 1.0, 37.5, 1e6])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_moving_pin_at_every_index(self, n, beta):
+        rng = random.Random(n)
+        fixed = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(n - 1)]
+        for j in range(n):
+            pts = fixed[:j] + [(7.25, 3.5)] + fixed[j:]
+            want = 2.0 + model_length(pts, beta)
+            got = both_kernels(2.0, 7.25, 3.5, beta, pack_nets([(fixed, j)]))
+            assert [g.hex() for g in got] == [want.hex()] * 2
+
+    def test_no_nets_returns_score(self):
+        assert both_kernels(4.5, 1.0, 1.0, 2.0, array("d")) == (4.5, 4.5)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [1, 0],  # one pin
+            [2, 2, 0, 0],  # moving index past the end
+            [2, -1, 0, 0],
+            [2, 0.5, 0, 0],  # fractional index
+            [2.5, 0, 0, 0, 0],  # fractional count
+            [3, 0, 0, 0],  # too few coordinates
+            [float("nan"), 0, 0, 0],
+            [2],  # header cut short
+        ],
+    )
+    def test_malformed_record_rejected(self, record):
+        pins = array("d", [2, 0, 1.0, 1.0] + record)  # a good record first
+        for kernel in {placer.py_net_terms, stepfield.c_net_terms} - {None}:
+            with pytest.raises(ValueError, match="malformed net record at offset 4"):
+                kernel(0.0, 0.0, 0.0, None, pins)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bad_beta_raises_as_the_reference(self, n, beta):
+        pins = pack_nets([([(1.0, 1.0)] * (n - 1), 0)])
+        raised = []
+        for kernel in {placer.py_net_terms, stepfield.c_net_terms} - {None}:
+            with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+                kernel(0.0, 0.0, 0.0, beta, pins)
+            raised.append((exc.type, str(exc.value)))
+        assert len(set(raised)) == 1
+
+    @needs_c_kernel
+    def test_c_kernel_wants_doubles(self):
+        with pytest.raises(TypeError, match="doubles"):
+            stepfield.c_net_terms(0.0, 0.0, 0.0, None, array("f", [2, 0, 1, 1]))
+
+    def test_round_context_scores_equal_contextless(self, monkeypatch):
+        # multi-pin nets, both net-model regimes (switch at round 16)
+        nl, area = generate_instance(GenSpec(macros=10, nets=16, seed=2))
+        cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=4)
+        state = new_state(nl, area, cfg)
+        rng = random.Random(8)
+        for _ in range(cfg.max_rounds):
+            macro = nl.by_id[rng.choice(state.macro_order)]
+            ctx = score_context(macro, state, cfg)
+            for _ in range(4):
+                b = state.bounds[macro.id]
+                pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
+                want = candidate_score(macro, pos, state, cfg)
+                assert candidate_score(macro, pos, state, cfg, ctx) == want
+                with monkeypatch.context() as m:
+                    m.setattr(placer, "net_terms", placer.py_net_terms)
+                    assert candidate_score(macro, pos, state, cfg, ctx) == want
+            round_step(state, cfg)
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):

@@ -1,5 +1,6 @@
 import importlib.machinery
 import io
+import json
 import math
 import os
 import random
@@ -22,6 +23,8 @@ from oracles import (
     indicator_1d,
     random_grid_rect,
 )
+from stepplace.io_cli import GenSpec, generate_instance
+from stepplace.placer import PlacerConfig, run_placer
 from stepplace.stepfield import (
     HAVE_C_CORE,
     MAX_GRID_EXPONENT,
@@ -424,6 +427,12 @@ FAILING_COMPILER = [
 SYSCONFIG_CC = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
 
 
+# a short run with 2-pin and larger nets, 8 of its 40 rounds past the switch
+# to the bounding-box model
+FALLBACK_SPEC = GenSpec(macros=12, nets=20, seed=5)
+FALLBACK_CONFIG = PlacerConfig(max_rounds=40, seed=5)
+
+
 class TestCCoreLoader:
     @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
     def test_cold_build_then_cached_load(self, tmp_path, monkeypatch):
@@ -465,6 +474,23 @@ class TestCCoreLoader:
         assert "fatal error: Python.h" in str(record[0].message)
         assert os.listdir(tmp_path) == []
 
+    def test_compiler_gets_no_fp_contraction(self, tmp_path):
+        # A compiler that records its arguments, then fails.
+        record = tmp_path / "argv.json"
+        recorder = [
+            sys.executable, "-c",
+            f"import json, sys; json.dump(sys.argv[1:], open({str(record)!r}, 'w'));"
+            " sys.exit(1)",
+        ]
+        with pytest.warns(RuntimeWarning):
+            assert _load_c_core(str(tmp_path / "cache"), recorder) is None
+        argv = json.loads(record.read_text())
+        # the last contraction flag wins, so the interpreter's CFLAGS cannot
+        # turn fused multiply-add back on
+        assert [a for a in argv if a.startswith("-ffp-contract")][-1] == (
+            "-ffp-contract=off"
+        )
+
     def test_have_c_core_reports_the_auto_backend(self):
         assert HAVE_C_CORE == (CostField(1, 1).backend == "c")
         if HAVE_C_CORE:
@@ -483,6 +509,11 @@ class TestCCoreLoader:
             "from stepplace.stepfield import CostField\n"
             "n = sum(issubclass(x.category, RuntimeWarning) for x in w)\n"
             "print(stepplace.HAVE_C_CORE, CostField(1, 1).backend, n)\n"
+            "from stepplace.io_cli import GenSpec, generate_instance\n"
+            "import stepplace.placer as placer\n"
+            "print(placer.net_terms is placer.py_net_terms)\n"
+            f"nl, area = generate_instance({FALLBACK_SPEC!r})\n"
+            f"print(repr(placer.run_placer(nl, area, placer.{FALLBACK_CONFIG!r})))\n"
         )
         path = os.pathsep.join(sys.path)  # the package this process imports
         env = {**os.environ, "PYTHONPATH": path, "XDG_CACHE_HOME": str(tmp_path)}
@@ -493,7 +524,13 @@ class TestCCoreLoader:
             text=True,
             check=True,
         )
-        assert out.stdout.split() == ["False", "py", "1"]
+        first, kernel, run = out.stdout.splitlines()
+        assert first.split() == ["False", "py", "1"]
+        # the placer scores nets with the Python reference, and a short run
+        # gives the same placement and trace as on the C core
+        assert kernel == "True"
+        nl, area = generate_instance(FALLBACK_SPEC)
+        assert run == repr(run_placer(nl, area, FALLBACK_CONFIG))
 
 
 @settings(max_examples=60, deadline=None)
