@@ -14,9 +14,11 @@
  * coefficients unchanged but records last_touched, so concurrent readers are
  * safe while no mutation is in flight.
  *
- * The module function net_terms scores the nets of one moving pin, bit for
- * bit as the placer's Python reference does (build with -ffp-contract=off so
- * no multiply-add is fused).
+ * The module function score_candidate scores one candidate move of the
+ * placer (field sum, net terms, overlap penalty and blockage term) and
+ * net_terms the nets of one moving pin, each bit for bit as the placer's
+ * Python reference does (build with -ffp-contract=off so no multiply-add is
+ * fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -135,15 +137,12 @@ FieldCore_increase(FieldCore *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-FieldCore_cost(FieldCore *self, PyObject *args)
+/* Sum of the cells of a rectangle that passed check_rect; records
+ * last_touched.  Read-only: applies the pending decay on the fly and does not
+ * write it back. */
+static double
+field_cost(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_ssize_t b2)
 {
-    Py_ssize_t a1, b1, a2, b2;
-    if (!PyArg_ParseTuple(args, "nnnn:cost", &a1, &b1, &a2, &b2))
-        return NULL;
-    if (check_rect(self, a1, b1, a2, b2) < 0)
-        return NULL;
-
     Py_ssize_t ix[MAX_AXIS_COMPONENTS], iy[MAX_AXIS_COMPONENTS];
     double sx[MAX_AXIS_COMPONENTS], sy[MAX_AXIS_COMPONENTS];
     double nx[MAX_AXIS_COMPONENTS], ny[MAX_AXIS_COMPONENTS];
@@ -154,7 +153,6 @@ FieldCore_cost(FieldCore *self, PyObject *args)
     double *D = self->dlog_at;
     Py_ssize_t m = self->m;
     double tot = 0.0;
-    /* read-only: apply pending decay on the fly, do not write back */
     double dl = self->dlog_total;
     for (int i = 0; i < kx; i++) {
         Py_ssize_t row = ix[i] * m;
@@ -170,7 +168,18 @@ FieldCore_cost(FieldCore *self, PyObject *args)
         tot += sub * sx[i];
     }
     self->last_touched = (Py_ssize_t)kx * ky;
-    return PyFloat_FromDouble(tot);
+    return tot;
+}
+
+static PyObject *
+FieldCore_cost(FieldCore *self, PyObject *args)
+{
+    Py_ssize_t a1, b1, a2, b2;
+    if (!PyArg_ParseTuple(args, "nnnn:cost", &a1, &b1, &a2, &b2))
+        return NULL;
+    if (check_rect(self, a1, b1, a2, b2) < 0)
+        return NULL;
+    return PyFloat_FromDouble(field_cost(self, a1, b1, a2, b2));
 }
 
 static PyObject *
@@ -369,6 +378,51 @@ net_length(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving
     return 0;
 }
 
+/* Acquire obj as a C-contiguous buffer of doubles, or raise TypeError naming
+ * `what`; on success the caller releases the view. */
+static int
+get_doubles(PyObject *obj, Py_buffer *view, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->itemsize != sizeof(double) || view->format == NULL
+        || strcmp(view->format, "d") != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be a buffer of doubles", what);
+        return -1;
+    }
+    return 0;
+}
+
+/* Add to *score the length of each net packed in pins[0:len], in order, with
+ * the moving pin at `moving`; -1 with an exception set on a malformed record
+ * or a bad beta. */
+static int
+add_net_terms(double *score, const double *moving, PyObject *beta_obj, double beta,
+              const double *pins, Py_ssize_t len)
+{
+    for (Py_ssize_t i = 0; i < len;) {
+        double nd = pins[i];
+        /* n >= 2 pins: the header, then the n - 1 fixed pins, all in range */
+        if (!(nd >= 2.0 && 2.0 * nd <= (double)(len - i)) || nd != floor(nd)) {
+            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
+            return -1;
+        }
+        Py_ssize_t n = (Py_ssize_t)nd;
+        double jd = pins[i + 1];
+        if (!(jd >= 0.0 && jd < nd) || jd != floor(jd)) {
+            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
+            return -1;
+        }
+        double length;
+        if (net_length(pins + i + 2, n, (Py_ssize_t)jd, moving, beta_obj, beta, &length) < 0)
+            return -1;
+        *score += length;
+        i += 2 * n;
+    }
+    return 0;
+}
+
 static PyObject *
 net_terms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -382,38 +436,140 @@ net_terms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (PyErr_Occurred())
         return NULL;
     Py_buffer view;
-    if (PyObject_GetBuffer(args[4], &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    if (get_doubles(args[4], &view, "pins") < 0)
         return NULL;
-    if (view.itemsize != sizeof(double) || strcmp(view.format, "d") != 0) {
-        PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_TypeError, "pins must be a buffer of doubles");
-        return NULL;
-    }
-    const double *pins = view.buf;
-    Py_ssize_t len = view.len / (Py_ssize_t)sizeof(double);
-    for (Py_ssize_t i = 0; i < len;) {
-        double nd = pins[i];
-        /* n >= 2 pins: the header, then the n - 1 fixed pins, all in range */
-        if (!(nd >= 2.0 && 2.0 * nd <= (double)(len - i)) || nd != floor(nd)) {
-            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
-            break;
-        }
-        Py_ssize_t n = (Py_ssize_t)nd;
-        double jd = pins[i + 1];
-        if (!(jd >= 0.0 && jd < nd) || jd != floor(jd)) {
-            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
-            break;
-        }
-        double length;
-        if (net_length(pins + i + 2, n, (Py_ssize_t)jd, moving, args[3], beta, &length) < 0)
-            break;
-        score += length;
-        i += 2 * n;
-    }
+    int rc = add_net_terms(&score, moving, args[3], beta, view.buf,
+                           view.len / (Py_ssize_t)sizeof(double));
     PyBuffer_Release(&view);
+    return rc < 0 ? NULL : PyFloat_FromDouble(score);
+}
+
+/* Python's max(a, b) and min(a, b): the first argument unless the second is
+ * strictly beyond it (this decides which zero a tie of 0.0 and -0.0 keeps) */
+static inline double
+py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+static inline double
+py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* stepplace.placer.py_candidate_score in one call, term for term in its
+ * order: the field sum under the footprint snapped to the grid, the net
+ * terms, the overlap penalty against every footprint but `skip`, and the
+ * weighted blockage overlap areas. */
+static PyObject *
+score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 14) {
+        PyErr_Format(PyExc_TypeError, "score_candidate expected 14 arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(args[0], &FieldCoreType)) {
+        PyErr_SetString(PyExc_TypeError, "core must be a FieldCore");
+        return NULL;
+    }
+    FieldCore *core = (FieldCore *)args[0];
+    double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
+    double hx = PyFloat_AsDouble(args[3]), hy = PyFloat_AsDouble(args[4]);
+    double width = PyFloat_AsDouble(args[5]), height = PyFloat_AsDouble(args[6]);
+    double beta = args[7] == Py_None ? 0.0 : PyFloat_AsDouble(args[7]);
+    Py_ssize_t skip = PyNumber_AsSsize_t(args[10], PyExc_OverflowError);
+    double factor = PyFloat_AsDouble(args[11]), weight = PyFloat_AsDouble(args[13]);
     if (PyErr_Occurred())
         return NULL;
-    return PyFloat_FromDouble(score);
+
+    PyObject *result = NULL;
+    Py_buffer pins, fps, blk;
+    if (get_doubles(args[8], &pins, "pins") < 0)
+        return NULL;
+    if (get_doubles(args[9], &fps, "footprints") < 0)
+        goto release_pins;
+    if (get_doubles(args[12], &blk, "blockages") < 0)
+        goto release_fps;
+    Py_ssize_t n_fps = fps.len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t n_blk = blk.len / (Py_ssize_t)sizeof(double);
+    if (n_fps % 4 || n_blk % 4) {
+        PyErr_SetString(PyExc_ValueError,
+                        "footprints and blockages must hold 4 doubles per box");
+        goto release_all;
+    }
+    if (skip < 0 || skip >= n_fps / 4) {
+        PyErr_Format(PyExc_ValueError, "skip index %zd out of range for %zd footprints",
+                     skip, n_fps / 4);
+        goto release_all;
+    }
+    if (!(isfinite(x) && isfinite(y))) {
+        PyErr_SetString(PyExc_ValueError, "candidate center must be finite");
+        goto release_all;
+    }
+
+    const double fx1 = x - hx, fy1 = y - hy, fx2 = x + hx, fy2 = y + hy;
+    double score = 0.0;
+
+    /* placer.snap_to_grid: the footprint clipped to the area, covered by cells */
+    double sx1 = py_max(fx1, 0.0), sy1 = py_max(fy1, 0.0);
+    double sx2 = py_min(fx2, width), sy2 = py_min(fy2, height);
+    if (sx1 < sx2 && sy1 < sy2) {
+        double cx = width / (double)core->n, cy = height / (double)core->m;
+        double fa1 = floor(sx1 / cx), fb1 = floor(sy1 / cy);
+        double fa2 = ceil(sx2 / cx), fb2 = ceil(sy2 / cy);
+        /* rules out NaN and anything a cast could not hold */
+        if (!(0.0 <= fa1 && fa1 <= fa2 && fa2 <= (double)core->n
+              && 0.0 <= fb1 && fb1 <= fb2 && fb2 <= (double)core->m)) {
+            PyErr_SetString(PyExc_ValueError, "footprint snaps outside the grid");
+            goto release_all;
+        }
+        Py_ssize_t a1 = (Py_ssize_t)fa1, b1 = (Py_ssize_t)fb1;
+        Py_ssize_t a2 = (Py_ssize_t)fa2, b2 = (Py_ssize_t)fb2;
+        if (a2 < a1 + 1)
+            a2 = a1 + 1;
+        if (b2 < b1 + 1)
+            b2 = b1 + 1;
+        if (check_rect(core, a1, b1, a2, b2) < 0)
+            goto release_all;
+        score = field_cost(core, a1, b1, a2, b2);
+    }
+
+    const double moving[2] = {x, y};
+    if (add_net_terms(&score, moving, args[7], beta, pins.buf,
+                      pins.len / (Py_ssize_t)sizeof(double)) < 0)
+        goto release_all;
+
+    /* placer.penalty: circumference of every positive-area meet, in order */
+    const double *f = fps.buf;
+    double circ = 0.0;
+    for (Py_ssize_t k = 0; k < n_fps; k += 4) {
+        if (k == 4 * skip)
+            continue;
+        double ix1 = py_max(fx1, f[k]), iy1 = py_max(fy1, f[k + 1]);
+        double ix2 = py_min(fx2, f[k + 2]), iy2 = py_min(fy2, f[k + 3]);
+        if (ix1 < ix2 && iy1 < iy2)
+            circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
+    }
+    score += factor * circ;
+
+    const double *b = blk.buf;
+    for (Py_ssize_t k = 0; k < n_blk; k += 4) {
+        double ix1 = py_max(fx1, b[k]), iy1 = py_max(fy1, b[k + 1]);
+        double ix2 = py_min(fx2, b[k + 2]), iy2 = py_min(fy2, b[k + 3]);
+        if (ix1 < ix2 && iy1 < iy2)
+            score += weight * ((ix2 - ix1) * (iy2 - iy1));
+    }
+    result = PyFloat_FromDouble(score);
+
+release_all:
+    PyBuffer_Release(&blk);
+release_fps:
+    PyBuffer_Release(&fps);
+release_pins:
+    PyBuffer_Release(&pins);
+    return result;
 }
 
 static PyMethodDef fieldcore_functions[] = {
@@ -421,13 +577,22 @@ static PyMethodDef fieldcore_functions[] = {
      "net_terms(score, x, y, beta, pins) -> float\n\n"
      "score plus the length of each net packed in pins, in order, with the\n"
      "moving pin at (x, y); see stepplace.placer.py_net_terms."},
+    {"score_candidate", (PyCFunction)(void (*)(void))score_candidate, METH_FASTCALL,
+     "score_candidate(core, x, y, hx, hy, width, height, beta, pins, footprints,\n"
+     "                skip, factor, blockages, weight) -> float\n\n"
+     "Score of the candidate centered at (x, y) with half-sizes hx, hy:\n"
+     "the field sum of core under the footprint snapped to a width x height\n"
+     "area, plus net_terms over pins, plus factor times the overlap\n"
+     "circumference against every box of footprints but the skip-th, plus\n"
+     "weight times the overlap area with each box of blockages (boxes are\n"
+     "x1, y1, x2, y2); see stepplace.placer.py_candidate_score."},
     {NULL}
 };
 
 static PyModuleDef fieldcoremodule = {
     PyModuleDef_HEAD_INIT,
     .m_name = "stepplace._fieldcore",
-    .m_doc = "C accelerator for the step-function cost field and the net terms.",
+    .m_doc = "C accelerator for the step-function cost field and candidate scoring.",
     .m_size = -1,
     .m_methods = fieldcore_functions,
 };

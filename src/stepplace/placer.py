@@ -19,8 +19,9 @@ The round loop is sequential.  Scoring candidates within a round is read-only
 with respect to the placement and the field; the winning move and field
 updates are applied afterwards.  What every candidate of a round shares (the
 macro's half-sizes, the net model's sharpness, the other pins of its nets) is
-gathered once per round in a :class:`ScoreContext`.  Runs are deterministic
-for a given seed.
+gathered once per round in a :class:`ScoreContext`; on the C field core each
+candidate is then scored in one C call.  Runs are deterministic for a given
+seed.
 """
 
 from __future__ import annotations
@@ -50,7 +51,13 @@ from stepplace.netmodel import (
     model_length,
     overlaps,
 )
-from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect, c_net_terms
+from stepplace.stepfield import (
+    MAX_GRID_EXPONENT,
+    CostField,
+    GridRect,
+    c_net_terms,
+    c_score_candidate,
+)
 
 
 class LegalizationError(Exception):
@@ -218,6 +225,10 @@ class PlacerState:
     macro_order: list[str]
     # footprints of every macro at its current position
     grid: BucketGrid
+    # the same footprints as x1, y1, x2, y2 per macro, in macro_order, and
+    # the area's blockages likewise, for the C scoring kernel
+    footprints: array
+    blockage_boxes: array
     net_bb: list[float]
     net_indices_of: dict[str, list[int]]
     # only pairs with positive intersection area are stored
@@ -373,13 +384,16 @@ net_terms = c_net_terms if c_net_terms is not None else py_net_terms
 class ScoreContext(NamedTuple):
     """What the candidates of one round share: the moving macro's
     half-sizes, the round's net-model sharpness (see :func:`model_length`),
-    and its nets' other pins packed for :func:`net_terms`, in
-    ``net_indices_of`` order."""
+    its nets' other pins packed for :func:`net_terms`, in ``net_indices_of``
+    order, its index in ``macro_order``, and the round's penalty factor
+    (``penalty_c`` times the round's :meth:`PlacerConfig.delta_at`)."""
 
     hx: float
     hy: float
     beta: float | None
     pins: array
+    index: int
+    penalty_factor: float
 
 
 def score_context(
@@ -401,6 +415,8 @@ def score_context(
         macro.size_y / 2.0,
         _round_beta(state.round + 1, config),
         array("d", pins),
+        bisect_left(state.macro_order, mid),
+        config.penalty_c * config.delta_at(state.round),
     )
 
 
@@ -415,9 +431,33 @@ def candidate_score(
     of the snapped footprint, plus the lengths of the macro's nets, plus the
     overlap penalty, plus the weighted blockage overlap area.
 
-    ``ctx`` is the round's :func:`score_context`; without it one is built."""
+    ``ctx`` is the round's :func:`score_context`; without it one is built.
+    On the C field core the score is one call of its ``score_candidate``
+    kernel, else :func:`py_candidate_score`; both return the same float."""
     if ctx is None:
         ctx = score_context(macro, state, config)
+    fld = state.field
+    if fld.backend != "c":
+        return py_candidate_score(macro, pos, state, config, ctx)
+    x, y = pos
+    area = state.area
+    return c_score_candidate(
+        fld.core, x, y, ctx.hx, ctx.hy, area.width, area.height, ctx.beta,
+        ctx.pins, state.footprints, ctx.index, ctx.penalty_factor,
+        state.blockage_boxes, config.blockage_weight,
+    )
+
+
+def py_candidate_score(
+    macro: Macro,
+    pos: Point,
+    state: PlacerState,
+    config: PlacerConfig,
+    ctx: ScoreContext,
+) -> float:
+    """:func:`candidate_score` on the numpy field core, and the reference of
+    the C core's ``score_candidate``, which sums the same terms in the same
+    order."""
     x, y = pos
     fp = (x - ctx.hx, y - ctx.hy, x + ctx.hx, y + ctx.hy)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
@@ -470,6 +510,7 @@ def new_state(
             fld.increase(snapped, config.blockage_weight)
 
     grid = footprint_grid(netlist, placement)
+    footprints = array("d", [v for mid in macro_order for v in grid.boxes[mid]])
     net_indices_of: dict[str, list[int]] = {mid: [] for mid in macro_order}
     net_bb: list[float] = []
     for ni, net in enumerate(netlist.nets):
@@ -494,6 +535,8 @@ def new_state(
         round=0,
         macro_order=macro_order,
         grid=grid,
+        footprints=footprints,
+        blockage_boxes=array("d", [v for b in area.blockages for v in b]),
         net_bb=net_bb,
         net_indices_of=net_indices_of,
         pair_overlap=pair_overlap,
@@ -532,7 +575,8 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     if (config.grid_p, config.grid_q) != (state.field.p, state.field.q):
         raise ValueError("config grid exponents differ from the state's field")
     rng = state.rng
-    mid = state.macro_order[rng.randrange(len(state.macro_order))]
+    mi = rng.randrange(len(state.macro_order))
+    mid = state.macro_order[mi]
     macro = state.netlist.by_id[mid]
     x0 = state.placement[mid]
     candidates = [x0]
@@ -550,6 +594,7 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     new_fp = footprint_box(macro, chosen)
     grid = state.grid
     grid.put(mid, new_fp)
+    state.footprints[4 * mi : 4 * mi + 4] = array("d", new_fp)
     for ni in state.net_indices_of[mid]:
         net = state.netlist.nets[ni]
         state.net_bb[ni] = bb_netlength(

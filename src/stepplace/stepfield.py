@@ -23,11 +23,13 @@ Backends: the C core ``_fieldcore`` is used when it imports; otherwise the
 first import compiles ``_fieldcore.c`` into the user cache
 (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), and if that
 fails it warns once and falls back to the numpy core.  The same C module
-holds the placer's net-term kernel, :data:`c_net_terms`.
+holds the placer's scoring kernels, :data:`c_score_candidate` and
+:data:`c_net_terms`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -138,6 +140,10 @@ _CFieldCore = getattr(_c_module, "FieldCore", None)
 #: or None without the C core.
 c_net_terms = getattr(_c_module, "net_terms", None)
 
+#: The C core's ``score_candidate`` (see
+#: :func:`stepplace.placer.py_candidate_score`), or None without the C core.
+c_score_candidate = getattr(_c_module, "score_candidate", None)
+
 #: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
 HAVE_C_CORE = _CFieldCore is not None
 
@@ -220,6 +226,27 @@ def nonzero_basis_1d(s: int, t: int, p: int) -> list[tuple[int, int, float]]:
     return out
 
 
+#: Most cell intervals :func:`_axis_block` keeps (an axis at exponent 11 has
+#: about two million).
+AXIS_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=AXIS_CACHE_SIZE)
+def _axis_block(s: int, t: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero 1D components of the indicator of cells [s, t) at exponent
+    ``p``: their flat axis ids, inner products, and inner products over the
+    element's squared norm (projection weights), as read-only arrays.
+    Memoized for the most recent :data:`AXIS_CACHE_SIZE` intervals."""
+    comps = nonzero_basis_1d(s, t, p)
+    ids = np.array([flat_axis_id(p, a, k) for a, k, _ in comps], dtype=np.intp)
+    stars = np.array([v for _, _, v in comps])
+    norms = np.array([float(2 << a) if a < p else float(1 << p) for a, _, _ in comps])
+    proj = stars / norms
+    for arr in (ids, stars, proj):
+        arr.flags.writeable = False
+    return ids, stars, proj
+
+
 class _PyFieldCore:
     """numpy fallback with the same interface and semantics as the C core."""
 
@@ -237,17 +264,11 @@ class _PyFieldCore:
         """Flat coefficient ids of the touched block plus the raw inner
         products and the products normalized by each element's squared norm
         (the projection weights used by increase)."""
-        ax = nonzero_basis_1d(a1, a2, self.p)
-        ay = nonzero_basis_1d(b1, b2, self.q)
-        ix = np.array([flat_axis_id(self.p, a, k) for a, k, _ in ax], dtype=np.intp)
-        iy = np.array([flat_axis_id(self.q, b, l) for b, l, _ in ay], dtype=np.intp)
-        sx = np.array([v for _, _, v in ax])
-        sy = np.array([v for _, _, v in ay])
-        nx = np.array([float(2 << a) if a < self.p else float(self.n) for a, _, _ in ax])
-        ny = np.array([float(2 << b) if b < self.q else float(self.m) for b, _, _ in ay])
+        ix, sx, px = _axis_block(a1, a2, self.p)
+        iy, sy, py = _axis_block(b1, b2, self.q)
         flat = (ix[:, None] * self.m + iy[None, :]).ravel()
         stars = (sx[:, None] * sy[None, :]).ravel()
-        proj = ((sx / nx)[:, None] * (sy / ny)[None, :]).ravel()
+        proj = (px[:, None] * py[None, :]).ravel()
         self.last_touched = flat.size
         return flat, stars, proj
 
@@ -295,6 +316,9 @@ class CostField:
     ``inflate`` decays every non-constant coefficient, flattening the field
     toward its mean while preserving the total.  Negative increase values are
     accepted (the placer only ever adds non-negative mass).
+
+    ``backend`` is ``"c"`` or ``"py"``, and ``core`` the backend's coefficient
+    store; a C ``FieldCore`` is what :data:`c_score_candidate` reads.
     """
 
     def __init__(self, p: int, q: int, backend: str = "auto") -> None:
@@ -310,9 +334,9 @@ class CostField:
         if backend == "c":
             if not HAVE_C_CORE:
                 raise RuntimeError("C field core is not available")
-            self._core = _CFieldCore(p, q)
+            self.core = _CFieldCore(p, q)
         elif backend == "py":
-            self._core = _PyFieldCore(p, q)
+            self.core = _PyFieldCore(p, q)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -325,11 +349,11 @@ class CostField:
         """Add ``value`` to every cell of ``rect``."""
         if not math.isfinite(value):
             raise ValueError("increase value must be finite")
-        self._core.increase(*rect, value)
+        self.core.increase(*rect, value)
 
     def cost(self, rect: GridRect) -> float:
         """Sum of all cell values inside ``rect``."""
-        return self._core.cost(*rect)
+        return self.core.cost(*rect)
 
     def inflate(self, rho: float) -> None:
         """Decay all non-constant coefficients by ``rho`` in (0, 1].
@@ -337,18 +361,18 @@ class CostField:
         Lazy: O(1) now, each coefficient rescaled on next touch.  The total
         of the represented matrix is preserved exactly.
         """
-        self._core.inflate(rho)
+        self.core.inflate(rho)
 
     def coefficient(self, idx: BasisIndex) -> float:
         """Current coefficient of one basis element (decay applied)."""
         fx = flat_axis_id(self.p, idx.a, idx.k)
         fy = flat_axis_id(self.q, idx.b, idx.l)
-        return self._core.coefficient(fx, fy)
+        return self.core.coefficient(fx, fy)
 
     @property
     def last_touched(self) -> int:
         """Coefficients touched by the most recent increase/cost."""
-        return self._core.last_touched
+        return self.core.last_touched
 
     def to_dense(self) -> np.ndarray:
         """Materialize the represented matrix; entry [i, j] is the cell value

@@ -37,13 +37,14 @@ from stepplace.placer import (
     naive_legalize,
     new_state,
     penalty,
+    py_candidate_score,
     round_step,
     run_placer,
     score_context,
     snap_to_grid,
     stats_row,
 )
-from stepplace.stepfield import MAX_GRID_EXPONENT, GridRect
+from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect
 
 
 def square_area(side=8.0, blockages=()):
@@ -460,8 +461,223 @@ class TestNetTerms:
                 assert candidate_score(macro, pos, state, cfg, ctx) == want
                 with monkeypatch.context() as m:
                     m.setattr(placer, "net_terms", placer.py_net_terms)
-                    assert candidate_score(macro, pos, state, cfg, ctx) == want
+                    got = py_candidate_score(macro, pos, state, cfg, ctx)
+                    assert got.hex() == want.hex()
             round_step(state, cfg)
+
+
+needs_c_score = pytest.mark.skipif(
+    stepfield.c_score_candidate is None, reason="C core not built"
+)
+
+
+def reference_score(macro, pos, state, cfg, ctx):
+    """``py_candidate_score`` with the Python net kernel: it shares only the
+    field sum (``FieldCore.cost``) with the C kernel."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(placer, "net_terms", placer.py_net_terms)
+        return py_candidate_score(macro, pos, state, cfg, ctx)
+
+
+def candidate_at(draw, kind, macro, state):
+    """A candidate center of the given kind for ``macro`` in ``state``."""
+    area = state.area
+    hx, hy = macro.size_x / 2.0, macro.size_y / 2.0
+    b = state.bounds[macro.id]
+    if kind == "inside":
+        return draw(st.floats(b.x_min, b.x_max)), draw(st.floats(b.y_min, b.y_max))
+    if kind == "outside":
+        return (draw(st.floats(-area.width, 2 * area.width)),
+                draw(st.floats(-area.height, 2 * area.height)))
+    if kind == "edge":
+        # the footprint straddles (or ends on) a side of the area
+        x = draw(st.sampled_from([0.0, hx, area.width - hx, area.width]))
+        y = draw(st.sampled_from([0.0, hy, area.height - hy, area.height]))
+        return x + draw(st.floats(-hx, hx)), y
+    if kind == "own":
+        return state.placement[macro.id]
+    # the footprint's edge on (or one ulp off) another macro's opposite edge
+    other = draw(st.sampled_from([m for m in state.macro_order if m != macro.id]))
+    ox1, oy1, ox2, oy2 = state.grid.boxes[other]
+    ox, oy = state.placement[other]
+    side = draw(st.sampled_from(["left", "right", "below", "above", "on"]))
+    nudge = draw(st.sampled_from([None, math.inf, -math.inf]))
+
+    def at(v):
+        return v if nudge is None else math.nextafter(v, nudge)
+
+    return {
+        "left": (at(ox1 - hx), oy),
+        "right": (at(ox2 + hx), oy),
+        "below": (ox, at(oy1 - hy)),
+        "above": (ox, at(oy2 + hy)),
+        "on": (ox, oy),
+    }[side]
+
+
+class TestScoreCandidate:
+    """On the C core, ``candidate_score`` is one call of ``score_candidate``,
+    which returns ``py_candidate_score``'s float bit for bit."""
+
+    @needs_c_score
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_c_kernel_equals_python_reference(self, data):
+        draw = data.draw
+        n_macros = draw(st.integers(2, 12), label="macros")
+        spec = GenSpec(
+            macros=n_macros,
+            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+            seed=draw(st.integers(0, 10**6), label="instance"),
+        )
+        nl, area = generate_instance(spec)
+        w, h = area.width, area.height
+        blockages = []
+        for _ in range(draw(st.integers(0, 3), label="blockages")):
+            x1, y1 = draw(st.floats(0, 0.8)), draw(st.floats(0, 0.8))
+            x2, y2 = x1 + draw(st.floats(0.05, 0.2)), y1 + draw(st.floats(0.05, 0.2))
+            blockages.append(Rect(x1 * w, y1 * h, x2 * w, y2 * h))
+        area = PlacementArea(w, h, tuple(blockages))
+        switch = draw(st.integers(1, 40), label="switch")
+        cfg = PlacerConfig(
+            max_rounds=40,
+            grid_p=draw(st.integers(0, 7)),
+            grid_q=draw(st.integers(0, 7)),
+            seed=draw(st.integers(0, 99)),
+            model_switch_round=switch,
+        )
+        state = new_state(nl, area, cfg)
+        for _ in range(draw(st.integers(0, 12), label="rounds")):
+            round_step(state, cfg)
+        # the scored round: the last smoothed one, the switch, or any
+        rnd = draw(st.sampled_from([switch - 2, switch - 1, state.round]))
+        state.round = max(0, rnd)
+        macro = nl.by_id[draw(st.sampled_from(state.macro_order))]
+        ctx = score_context(macro, state, cfg)
+        for kind in ("inside", "outside", "edge", "own", "touch"):
+            pos = candidate_at(draw, kind, macro, state)
+            want = reference_score(macro, pos, state, cfg, ctx)
+            touched = state.field.last_touched
+            got = candidate_score(macro, pos, state, cfg, ctx)
+            assert got.hex() == want.hex(), (kind, pos)
+            assert state.field.last_touched == touched
+
+    @needs_c_score
+    def test_box_meets_follow_python_max_and_min(self):
+        # boxes no placer state holds (a NaN corner, signed zeros): the
+        # kernel's meets are netmodel.meet's, so a NaN corner drops out of
+        # the meet as Python's max and min drop it
+        nan = math.nan
+        boxes = [
+            (0.0, 0.0, 2.0, 2.0),  # skipped
+            (nan, 0.5, 3.0, 1.5),
+            (0.5, nan, 1.5, nan),
+            (-0.0, -0.0, 1.0, 1.0),
+            (2.0, 0.0, 3.0, 3.0),  # touches the candidate's right edge
+        ]
+        blockages = [(nan, nan, 1.5, 0.5), (-0.0, 0.5, 0.5, nan)]
+        cand = (0.0, 0.0, 2.0, 2.0)
+
+        def circ_area(box):
+            ix1, iy1, ix2, iy2 = meet(cand, box)
+            if ix1 < ix2 and iy1 < iy2:
+                return 2.0 * ((ix2 - ix1) + (iy2 - iy1)), (ix2 - ix1) * (iy2 - iy1)
+            return 0.0, 0.0
+
+        want = 0.0 + 3.0 * sum(circ_area(b)[0] for b in boxes[1:])
+        for b in blockages:
+            want += 5.0 * circ_area(b)[1]
+        got = stepfield.c_score_candidate(
+            CostField(2, 2, "c").core, 1.0, 1.0, 1.0, 1.0, 8.0, 8.0, None,
+            array("d"), array("d", [v for b in boxes for v in b]), 0, 3.0,
+            array("d", [v for b in blockages for v in b]), 5.0,
+        )
+        assert want > 0.0 and got.hex() == want.hex()
+
+    @needs_c_score
+    def test_rounds_never_reach_the_python_terms(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the C path ran a Python scoring term")
+
+        nl, area = generate_instance(GenSpec(macros=12, nets=18, seed=5))
+        area = PlacementArea(area.width, area.height, (Rect(0, 0, 4.0, 4.0),))
+        cfg = PlacerConfig(max_rounds=30, grid_p=4, grid_q=4, seed=2)
+        state = new_state(nl, area, cfg)
+        assert state.field.backend == "c"
+        for name in ("penalty", "py_net_terms", "py_candidate_score"):
+            monkeypatch.setattr(placer, name, boom)
+        monkeypatch.setattr(CostField, "cost", boom)
+        for _ in range(cfg.max_rounds):
+            round_step(state, cfg)
+
+    def test_numpy_field_runs_the_reference(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the numpy field reached the C kernel")
+
+        calls = []
+        reference = placer.py_candidate_score
+
+        def counted(*args):
+            calls.append(args[1])
+            return reference(*args)
+
+        nl, area = generate_instance(GenSpec(macros=12, nets=18, seed=5))
+        cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=2)
+        state = new_state(nl, area, cfg)
+        state.field = CostField(cfg.grid_p, cfg.grid_q, backend="py")
+        monkeypatch.setattr(placer, "c_score_candidate", boom)
+        monkeypatch.setattr(placer, "py_candidate_score", counted)
+        for _ in range(cfg.max_rounds):
+            round_step(state, cfg)
+        assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
+
+    def test_footprints_follow_the_grid(self):
+        nl, area = generate_instance(GenSpec(macros=15, nets=20, seed=6))
+        cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=3)
+        state = new_state(nl, area, cfg)
+        for _ in range(cfg.max_rounds):
+            round_step(state, cfg)
+        boxes = state.grid.boxes
+        assert state.footprints == array(
+            "d", [v for mid in state.macro_order for v in boxes[mid]]
+        )
+
+    @pytest.mark.parametrize(
+        "index, value, error, match",
+        [
+            (0, None, TypeError, "FieldCore"),
+            (0, "py core", TypeError, "FieldCore"),
+            (8, array("f", [2, 0, 1, 1]), TypeError, "pins must be a buffer of doubles"),
+            (9, array("f", [0, 0, 1, 1]), TypeError, "footprints must be a buffer"),
+            (12, array("f"), TypeError, "blockages must be a buffer"),
+            (9, [0.0, 0.0, 1.0, 1.0], TypeError, None),
+            (9, array("d", [0, 0, 1, 1, 2, 2, 3]), ValueError, "4 doubles per box"),
+            (12, array("d", [0, 0, 1]), ValueError, "4 doubles per box"),
+            (10, -1, ValueError, "skip index -1 out of range for 2"),
+            (10, 2, ValueError, "skip index 2 out of range for 2"),
+            (10, 1.0, TypeError, None),
+            (1, math.nan, ValueError, "finite"),
+            (2, math.inf, ValueError, "finite"),
+            (5, math.nan, ValueError, "outside the grid"),
+            (1, "1.0", TypeError, None),
+            (8, array("d", [2, 5, 1, 1]), ValueError, "malformed net record"),
+        ],
+    )
+    @needs_c_score
+    def test_c_kernel_rejects_bad_input(self, index, value, error, match):
+        args = [
+            CostField(2, 2, "c").core, 1.0, 1.0, 0.5, 0.5, 4.0, 4.0, None,
+            array("d", [2, 0, 3.0, 3.0]), array("d", [0, 0, 1, 1, 2, 2, 3, 3]),
+            0, 1.0, array("d", [0, 0, 1, 1]), 1.0,
+        ]
+        assert isinstance(stepfield.c_score_candidate(*args), float)
+        if value == "py core":
+            value = CostField(2, 2, "py").core
+        args[index] = value
+        with pytest.raises(error, match=match):
+            stepfield.c_score_candidate(*args)
+        with pytest.raises(TypeError, match="14 arguments"):
+            stepfield.c_score_candidate(*args[:-1])
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):

@@ -26,6 +26,7 @@ from oracles import (
 from stepplace.io_cli import GenSpec, generate_instance
 from stepplace.placer import PlacerConfig, run_placer
 from stepplace.stepfield import (
+    AXIS_CACHE_SIZE,
     HAVE_C_CORE,
     MAX_GRID_EXPONENT,
     BasisIndex,
@@ -34,6 +35,7 @@ from stepplace.stepfield import (
     blocks_at_level,
     flat_axis_id,
     nonzero_basis_1d,
+    _axis_block,
     _load_c_core,
     _PyFieldCore,
 )
@@ -418,6 +420,21 @@ class TestCostField:
             else:
                 r = random_grid_rect(rng, 16, 16)
                 assert fc.cost(r) == pytest.approx(fp.cost(r), rel=1e-12, abs=1e-12)
+
+    def test_numpy_axis_cache_is_capped(self):
+        # an axis at exponent 11 has about two million cell intervals; the
+        # numpy core keeps the components of the most recent few thousand
+        _axis_block.cache_clear()
+        rng = random.Random(51)
+        f = CostField(MAX_GRID_EXPONENT, 1, backend="py")
+        n = 1 << MAX_GRID_EXPONENT
+        for _ in range(AXIS_CACHE_SIZE + 1000):
+            f.cost(random_grid_rect(rng, n, 2))
+        info = _axis_block.cache_info()
+        assert info.maxsize == AXIS_CACHE_SIZE
+        assert info.currsize == AXIS_CACHE_SIZE
+        # every caller gets the same arrays: they must not be writable
+        assert not any(a.flags.writeable for a in _axis_block(3, 9, 4))
 
 
 # A compiler command that fails like a compile error: stderr text, exit 1.
