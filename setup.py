@@ -1,7 +1,7 @@
 from setuptools import Extension, setup
 
 # The C accelerator is optional: if it fails to build, the package falls back
-# to the pure-Python field core with identical semantics.
+# to the numpy field core with identical semantics.
 setup(
     ext_modules=[
         Extension(

@@ -15,10 +15,9 @@
  * safe while no mutation is in flight.
  *
  * The module function score_candidate scores one candidate move of the
- * placer (field sum, net terms, overlap penalty and blockage term) and
- * net_terms the nets of one moving pin, each bit for bit as the placer's
- * Python reference does (build with -ffp-contract=off so no multiply-add is
- * fused).
+ * placer (field sum, net terms, overlap penalty and blockage term) bit for
+ * bit as the placer's Python reference does (build with -ffp-contract=off so
+ * no multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -254,11 +253,6 @@ FieldCore_get_last_touched(FieldCore *self, void *closure)
     return PyLong_FromSsize_t(self->last_touched);
 }
 
-static PyObject *
-FieldCore_get_p(FieldCore *self, void *closure) { return PyLong_FromLong(self->p); }
-static PyObject *
-FieldCore_get_q(FieldCore *self, void *closure) { return PyLong_FromLong(self->q); }
-
 static PyMethodDef FieldCore_methods[] = {
     {"increase", (PyCFunction)FieldCore_increase, METH_VARARGS,
      "increase(a1, b1, a2, b2, value)\n\nAdd value to every cell of the rectangle."},
@@ -274,8 +268,6 @@ static PyMethodDef FieldCore_methods[] = {
 static PyGetSetDef FieldCore_getset[] = {
     {"last_touched", (getter)FieldCore_get_last_touched, NULL,
      "number of coefficients touched by the most recent increase/cost", NULL},
-    {"p", (getter)FieldCore_get_p, NULL, NULL, NULL},
-    {"q", (getter)FieldCore_get_q, NULL, NULL, NULL},
     {NULL}
 };
 
@@ -396,7 +388,8 @@ get_doubles(PyObject *obj, Py_buffer *view, const char *what)
 
 /* Add to *score the length of each net packed in pins[0:len], in order, with
  * the moving pin at `moving`; -1 with an exception set on a malformed record
- * or a bad beta. */
+ * or a bad beta.  A record is the net's pin count n, the index j of the
+ * moving pin among them, then the other n - 1 pins' x, y in order. */
 static int
 add_net_terms(double *score, const double *moving, PyObject *beta_obj, double beta,
               const double *pins, Py_ssize_t len)
@@ -421,27 +414,6 @@ add_net_terms(double *score, const double *moving, PyObject *beta_obj, double be
         i += 2 * n;
     }
     return 0;
-}
-
-static PyObject *
-net_terms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "net_terms expected 5 arguments, got %zd", nargs);
-        return NULL;
-    }
-    double score = PyFloat_AsDouble(args[0]);
-    double moving[2] = {PyFloat_AsDouble(args[1]), PyFloat_AsDouble(args[2])};
-    double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
-    if (PyErr_Occurred())
-        return NULL;
-    Py_buffer view;
-    if (get_doubles(args[4], &view, "pins") < 0)
-        return NULL;
-    int rc = add_net_terms(&score, moving, args[3], beta, view.buf,
-                           view.len / (Py_ssize_t)sizeof(double));
-    PyBuffer_Release(&view);
-    return rc < 0 ? NULL : PyFloat_FromDouble(score);
 }
 
 /* Python's max(a, b) and min(a, b): the first argument unless the second is
@@ -573,19 +545,15 @@ release_pins:
 }
 
 static PyMethodDef fieldcore_functions[] = {
-    {"net_terms", (PyCFunction)(void (*)(void))net_terms, METH_FASTCALL,
-     "net_terms(score, x, y, beta, pins) -> float\n\n"
-     "score plus the length of each net packed in pins, in order, with the\n"
-     "moving pin at (x, y); see stepplace.placer.py_net_terms."},
     {"score_candidate", (PyCFunction)(void (*)(void))score_candidate, METH_FASTCALL,
      "score_candidate(core, x, y, hx, hy, width, height, beta, pins, footprints,\n"
      "                skip, factor, blockages, weight) -> float\n\n"
      "Score of the candidate centered at (x, y) with half-sizes hx, hy:\n"
      "the field sum of core under the footprint snapped to a width x height\n"
-     "area, plus net_terms over pins, plus factor times the overlap\n"
-     "circumference against every box of footprints but the skip-th, plus\n"
-     "weight times the overlap area with each box of blockages (boxes are\n"
-     "x1, y1, x2, y2); see stepplace.placer.py_candidate_score."},
+     "area, plus the length of each net packed in pins, plus factor times\n"
+     "the overlap circumference against every box of footprints but the\n"
+     "skip-th, plus weight times the overlap area with each box of blockages\n"
+     "(boxes are x1, y1, x2, y2); see stepplace.placer.py_candidate_score."},
     {NULL}
 };
 

@@ -309,9 +309,11 @@ def save_result(
 
 
 def load_result(path: str) -> ResultData:
+    """Load a result file; a malformed, unknown or duplicate line raises
+    :class:`InstanceFormatError` naming it, as does a missing summary."""
     positions: Placement = {}
     config: dict[str, str] = {}
-    summary: dict[str, str] = {}
+    summary: dict[str, float | bool] = {}
     with open(path) as fp:
         for ln, raw in enumerate(fp, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -321,8 +323,20 @@ def load_result(path: str) -> ResultData:
             if toks[0] == "config" and len(toks) == 3:
                 config[toks[1]] = toks[2]
             elif toks[0] == "summary" and len(toks) == 3:
-                summary[toks[1]] = toks[2]
+                key, tok = toks[1], toks[2]
+                if key in summary:
+                    raise InstanceFormatError(f"line {ln}: duplicate summary {key}")
+                if key == "legal" and tok in ("true", "false"):
+                    summary[key] = tok == "true"
+                elif key in ("netlength_bb", "overlap_area"):
+                    summary[key] = _parse_float(tok, ln, f"summary {key}")
+                else:
+                    raise InstanceFormatError(f"line {ln}: bad summary line {line!r}")
             elif toks[0] == "place" and len(toks) == 4:
+                if toks[1] in positions:
+                    raise InstanceFormatError(
+                        f"line {ln}: duplicate place for macro {toks[1]!r}"
+                    )
                 positions[toks[1]] = (
                     _parse_float(toks[2], ln, "place x"),
                     _parse_float(toks[3], ln, "place y"),
@@ -332,9 +346,9 @@ def load_result(path: str) -> ResultData:
     try:
         return ResultData(
             positions=positions,
-            netlength_bb=float(summary["netlength_bb"]),
-            overlap_area=float(summary["overlap_area"]),
-            legal=summary["legal"] == "true",
+            netlength_bb=summary["netlength_bb"],
+            overlap_area=summary["overlap_area"],
+            legal=summary["legal"],
             config=config,
         )
     except KeyError as e:
@@ -387,9 +401,11 @@ class GenSpec:
         if self.degree_cap < 1:
             raise ValueError("degree_cap must be >= 1")
         if not self.degree_weights or any(
-            d < 2 or w < 0 for d, w in self.degree_weights
+            d < 2 or not 0 <= w < math.inf for d, w in self.degree_weights
         ):
-            raise ValueError("degree weights need degrees >= 2 and weights >= 0")
+            raise ValueError(
+                "degree weights need degrees >= 2 and finite weights >= 0"
+            )
         if sum(w for _, w in self.degree_weights) <= 0:
             raise ValueError("degree weights must not all be zero")
 
@@ -617,23 +633,6 @@ def _out_path(path: str) -> str:
     return path
 
 
-_CONFIG_FLAGS = {
-    "rounds": "max_rounds",
-    "candidates": "candidates_per_round",
-    "grid_p": "grid_p",
-    "grid_q": "grid_q",
-    "penalty_c": "penalty_c",
-    "delta0": "delta0",
-    "delta_growth": "delta_growth",
-    "w0": "w0",
-    "w_growth": "w_growth",
-    "rho": "inflation_rho",
-    "blockage_weight": "blockage_weight",
-    "seed": "seed",
-    "model_switch_round": "model_switch_round",
-}
-
-
 def _build_config(args: argparse.Namespace) -> PlacerConfig:
     """Defaults, overridden by --config JSON, overridden by explicit flags."""
     values: dict = {}
@@ -647,28 +646,34 @@ def _build_config(args: argparse.Namespace) -> PlacerConfig:
             if k not in valid:
                 raise InstanceFormatError(f"unknown config key {k!r}")
             values[k] = v
-    for flag, fname in _CONFIG_FLAGS.items():
-        v = getattr(args, flag)
+    for f in dataclasses.fields(PlacerConfig):
+        v = getattr(args, f.name)
         if v is not None:
-            values[fname] = v
+            values[f.name] = v
     if "max_rounds" not in values:
         values["max_rounds"] = 10000
     return PlacerConfig(**values)
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rounds", type=int, help="number of rounds (max_rounds)")
-    sub.add_argument("--candidates", type=int, help="candidate positions per round")
+    """One flag per :class:`PlacerConfig` field, stored under its name."""
+    sub.add_argument("--rounds", dest="max_rounds", metavar="ROUNDS", type=int,
+                     help="number of rounds (max_rounds)")
+    sub.add_argument("--candidates", dest="candidates_per_round",
+                     metavar="CANDIDATES", type=int,
+                     help="candidate positions per round")
     sub.add_argument("--grid-p", dest="grid_p", type=int, help="x grid exponent")
     sub.add_argument("--grid-q", dest="grid_q", type=int, help="y grid exponent")
     sub.add_argument("--penalty-c", dest="penalty_c", type=float)
-    sub.add_argument("--delta0", type=float, help="penalty multiplier base")
+    sub.add_argument("--delta0", dest="delta0", type=float,
+                     help="penalty multiplier base")
     sub.add_argument("--delta-growth", dest="delta_growth", type=float)
-    sub.add_argument("--w0", type=float, help="field increment base")
+    sub.add_argument("--w0", dest="w0", type=float, help="field increment base")
     sub.add_argument("--w-growth", dest="w_growth", type=float)
-    sub.add_argument("--rho", type=float, help="field inflation factor per round")
+    sub.add_argument("--rho", dest="inflation_rho", metavar="RHO", type=float,
+                     help="field inflation factor per round")
     sub.add_argument("--blockage-weight", dest="blockage_weight", type=float)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", dest="seed", type=int)
     sub.add_argument("--model-switch-round", dest="model_switch_round", type=int)
     sub.add_argument(
         "--config", help="JSON file with PlacerConfig fields (flags take precedence)"
@@ -742,12 +747,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if legal else 1
 
 
+def _degree_weights(text: str) -> tuple[tuple[int, float], ...]:
+    """The ``--degree-weights`` value as ``(degree, weight)`` pairs."""
+    try:
+        pairs = (pair.split(":") for pair in text.split(","))
+        return tuple((int(d), float(w)) for d, w in pairs)
+    except ValueError:
+        msg = f"--degree-weights {text!r}: expected degree:weight pairs"
+        raise ValueError(msg) from None
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        weights = tuple(
-            (int(d), float(w))
-            for d, w in (pair.split(":") for pair in args.degree_weights.split(","))
-        )
+        weights = _degree_weights(args.degree_weights)
         spec = GenSpec(
             macros=args.macros,
             nets=args.nets,

@@ -55,7 +55,6 @@ from stepplace.stepfield import (
     MAX_GRID_EXPONENT,
     CostField,
     GridRect,
-    c_net_terms,
     c_score_candidate,
 )
 
@@ -311,22 +310,12 @@ def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
 
 
 def penalty(
-    step: int,
-    macro: Macro,
-    pos: Point,
-    placement: Placement,
-    netlist: Netlist,
-    config: PlacerConfig,
-    grid: BucketGrid | None = None,
+    step: int, macro: Macro, pos: Point, grid: BucketGrid, config: PlacerConfig
 ) -> float:
-    """Overlap penalty of ``macro`` at ``pos`` against all other macros:
-    the penalty constant times the step's multiplier times the total
-    circumference of the pairwise footprint intersections.
-
-    ``grid`` holds the footprints of ``placement`` (the state's grid); without
-    it one is built."""
-    if grid is None:
-        grid = footprint_grid(netlist, placement)
+    """Overlap penalty of ``macro`` at ``pos`` against all other macros, whose
+    footprints ``grid`` holds (the state's grid): the penalty constant times
+    the step's multiplier times the total circumference of the pairwise
+    footprint intersections."""
     cand = footprint_box(macro, pos)
     boxes = grid.boxes
     total_circ = 0.0
@@ -347,46 +336,14 @@ def _round_beta(rnd: int, config: PlacerConfig) -> float | None:
     return beta_schedule(rnd, config.max_rounds)
 
 
-def py_net_terms(
-    score: float, x: float, y: float, beta: float | None, pins: array
-) -> float:
-    """``score`` plus the :func:`model_length` of each net packed in ``pins``,
-    added in order, with the moving pin at ``(x, y)``.
-
-    ``pins`` holds one record per net: its pin count ``n``, the index ``j``
-    of the moving pin among them, then the other ``n - 1`` pins' ``x, y`` in
-    order (``2 * n`` doubles).  A record with ``n < 2``, ``j`` outside
-    ``[0, n)``, a non-integral ``n`` or ``j``, or too few coordinates raises
-    ``ValueError``.  This is the reference of the C core's ``net_terms``,
-    which returns the same float bit for bit.
-    """
-    p = pins.tolist()
-    i, end = 0, len(p)
-    while i < end:
-        n = p[i]
-        if not (2 <= n and 2 * n <= end - i and n % 1 == 0):
-            raise ValueError(f"malformed net record at offset {i}")
-        j = p[i + 1]
-        if not (0 <= j < n and j % 1 == 0):
-            raise ValueError(f"malformed net record at offset {i}")
-        e = i + 2 * int(n)
-        pts = list(zip(p[i + 2 : e : 2], p[i + 3 : e : 2]))
-        pts.insert(int(j), (x, y))
-        score += model_length(pts, beta)
-        i = e
-    return score
-
-
-#: The net-term kernel the placer scores with: the C core's when it loaded.
-net_terms = c_net_terms if c_net_terms is not None else py_net_terms
-
-
 class ScoreContext(NamedTuple):
     """What the candidates of one round share: the moving macro's
     half-sizes, the round's net-model sharpness (see :func:`model_length`),
-    its nets' other pins packed for :func:`net_terms`, in ``net_indices_of``
-    order, its index in ``macro_order``, and the round's penalty factor
-    (``penalty_c`` times the round's :meth:`PlacerConfig.delta_at`)."""
+    its nets in ``net_indices_of`` order packed for the C core's
+    ``score_candidate`` (per net: its pin count, the moving pin's index among
+    them, then the other pins' ``x, y`` in order), its index in
+    ``macro_order``, and the round's penalty factor (``penalty_c`` times the
+    round's :meth:`PlacerConfig.delta_at`)."""
 
     hx: float
     hy: float
@@ -462,11 +419,13 @@ def py_candidate_score(
     fp = (x - ctx.hx, y - ctx.hy, x + ctx.hx, y + ctx.hy)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
     score = state.field.cost(snapped) if snapped is not None else 0.0
-    score = net_terms(score, x, y, ctx.beta, ctx.pins)
-    score += penalty(
-        state.round, macro, pos, state.placement, state.netlist, config,
-        state.grid,
-    )
+    mid = macro.id
+    placement = state.placement
+    nets = state.netlist.nets
+    for ni in state.net_indices_of[mid]:
+        pts = [pos if m == mid else placement[m] for m in nets[ni].members]
+        score += model_length(pts, ctx.beta)
+    score += penalty(state.round, macro, pos, state.grid, config)
     for b in state.area.blockages:
         ix1, iy1, ix2, iy2 = meet(fp, b)
         if ix1 < ix2 and iy1 < iy2:

@@ -23,8 +23,7 @@ Backends: the C core ``_fieldcore`` is used when it imports; otherwise the
 first import compiles ``_fieldcore.c`` into the user cache
 (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), and if that
 fails it warns once and falls back to the numpy core.  The same C module
-holds the placer's scoring kernels, :data:`c_score_candidate` and
-:data:`c_net_terms`.
+holds the placer's scoring kernel, :data:`c_score_candidate`.
 """
 
 from __future__ import annotations
@@ -135,10 +134,6 @@ try:
 except ImportError:
     _c_module = _load_c_core(_user_cache_dir())
 _CFieldCore = getattr(_c_module, "FieldCore", None)
-
-#: The C core's ``net_terms`` (see :func:`stepplace.placer.py_net_terms`),
-#: or None without the C core.
-c_net_terms = getattr(_c_module, "net_terms", None)
 
 #: The C core's ``score_candidate`` (see
 #: :func:`stepplace.placer.py_candidate_score`), or None without the C core.

@@ -11,7 +11,6 @@ import hashlib
 
 import pytest
 
-import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
 from stepplace.netmodel import PlacementArea, Rect
@@ -89,11 +88,9 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     res = str(tmp_path / "res.txt")
     stats = str(tmp_path / "stats.csv")
     save_instance(inst, netlist, area)
-    # the placer's field picks its backend through HAVE_C_CORE; the py pins
-    # are the fallback's, so they also score nets with the Python reference
+    # the placer's field picks its backend through HAVE_C_CORE, and the
+    # placer scores with that backend's path
     monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
-    if backend == "py":
-        monkeypatch.setattr(placer, "net_terms", placer.py_net_terms)
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,
                  "--rounds", str(rounds), "--seed", "3", *flags])
     assert code == 0

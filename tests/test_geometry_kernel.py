@@ -94,8 +94,7 @@ def test_penalty_equals_all_pairs_formula(layout, x, y, step):
             spots.append((ox, oy + (macro.size_y + o.size_y) / 2.0))
         for pos in spots:
             expected = all_pairs_penalty(step, macro, pos, placement, netlist, config)
-            assert penalty(step, macro, pos, placement, netlist, config) == expected
-            assert penalty(step, macro, pos, placement, netlist, config, grid) == expected
+            assert penalty(step, macro, pos, grid, config) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -142,6 +142,38 @@ class TestResultFile:
         with pytest.raises(InstanceFormatError, match="missing summary"):
             load_result(str(path))
 
+    @pytest.mark.parametrize(
+        "lines, needle",
+        [
+            ({5: "place a 3 4"}, "^line 5: duplicate place for macro 'a'$"),
+            ({1: "summary netlength_bb abc"},
+             "^line 1: summary netlength_bb is not a number: 'abc'$"),
+            ({2: "summary overlap_area nan"},
+             "^line 2: summary overlap_area must be finite: 'nan'$"),
+            ({1: "summary netlength_bb inf"}, "^line 1: .* must be finite"),
+            ({3: "summary legal maybe"},
+             "^line 3: bad summary line 'summary legal maybe'$"),
+            ({5: "summary legal false"}, "^line 5: duplicate summary legal$"),
+            ({5: "summary hpwl 1.0"}, "^line 5: bad summary line"),
+        ],
+        ids=["duplicate-place", "not-a-number", "nan", "inf", "legal-maybe",
+             "duplicate-summary", "unknown-summary"],
+    )
+    def test_bad_line_named(self, tmp_path, lines, needle):
+        # a valid file with one line replaced (or, past its end, appended)
+        text = [
+            "summary netlength_bb 1.5",
+            "summary overlap_area 0.0",
+            "summary legal true",
+            "place a 1 2",
+        ]
+        for ln, line in lines.items():
+            text[ln - 1 : ln] = [line]
+        path = tmp_path / "res.txt"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(InstanceFormatError, match=needle):
+            load_result(str(path))
+
 
 class TestStatsCsv:
     def test_schema_and_values(self):
@@ -202,6 +234,9 @@ class TestGenerator:
     def test_infeasible_spec_errors(self):
         with pytest.raises(ValueError):
             GenSpec(macros=5, nets=1, utilization=1.5)
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite weights"):
+                GenSpec(macros=5, nets=1, degree_weights=((2, 0.5), (3, w)))
         with pytest.raises(ValueError, match="degree cap"):
             generate_instance(GenSpec(macros=1, nets=1, seed=1))
 
@@ -489,6 +524,41 @@ class TestCli:
              "--nets", "2", "--seed", "1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "weights, needle",
+        [
+            ("2", "--degree-weights '2': expected degree:weight pairs"),
+            ("2:0.5,x:1", "--degree-weights '2:0.5,x:1': expected"),
+            ("2:0.5,3:", "--degree-weights '2:0.5,3:': expected"),
+            ("2:nan", "finite weights"),
+            ("2:0.5,3:inf", "finite weights"),
+        ],
+        ids=["no-colon", "bad-degree", "no-weight", "nan", "inf"],
+    )
+    def test_gen_bad_degree_weights_exit_1(self, tmp_path, capsys, weights, needle):
+        out = tmp_path / "g.txt"
+        code = main(
+            ["gen", "--out", str(out), "--macros", "4", "--nets", "3",
+             "--degree-weights", weights]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert not out.exists()
+
+    def test_check_rejects_bad_summary_legal(self, tmp_path, instance_file, capsys):
+        res = tmp_path / "r.txt"
+        assert main(["place", "--in", instance_file, "--out", str(res),
+                     "--rounds", "10"]) in (0, 2)
+        lines = [
+            "summary legal maybe" if line.startswith("summary legal ") else line
+            for line in res.read_text().splitlines()
+        ]
+        res.write_text("\n".join(lines) + "\n")
+        code = main(["check", "--instance", instance_file, "--result", str(res)])
+        assert code == 1
+        assert "bad summary line 'summary legal maybe'" in capsys.readouterr().err
 
     def test_config_file_flags_precedence(self, tmp_path, instance_file):
         cfgfile = tmp_path / "cfg.json"

@@ -21,6 +21,7 @@ from stepplace.netmodel import (
     bb_netlength,
     beta_schedule,
     footprint_box,
+    footprint_grid,
     is_legal,
     meet,
     model_length,
@@ -232,14 +233,16 @@ class TestPenalty:
     def test_no_overlap_is_zero(self):
         nl = self.netlist2()
         cfg = PlacerConfig(max_rounds=10, delta0=0.5, delta_growth=1.0)
-        got = penalty(0, nl.by_id["a"], (1, 1.5), {"b": (5, 1.5)}, nl, cfg)
+        grid = footprint_grid(nl, {"b": (5, 1.5)})
+        got = penalty(0, nl.by_id["a"], (1, 1.5), grid, cfg)
         assert got == 0.0
 
     def test_single_intersection_example(self):
         # footprints overlap in a 2x3 rectangle; c=1, delta=0.5 -> 0.5*2*(2+3)
         nl = self.netlist2()
         cfg = PlacerConfig(max_rounds=10, penalty_c=1.0, delta0=0.5, delta_growth=1.0)
-        got = penalty(0, nl.by_id["a"], (1, 1.5), {"b": (1, 1.5)}, nl, cfg)
+        grid = footprint_grid(nl, {"b": (1, 1.5)})
+        got = penalty(0, nl.by_id["a"], (1, 1.5), grid, cfg)
         assert got == 5.0
 
     def test_vanishing_overlap_is_continuous(self):
@@ -247,7 +250,8 @@ class TestPenalty:
         cfg = PlacerConfig(max_rounds=10, delta0=0.5, delta_growth=1.0)
         vals = []
         for eps in (0.1, 0.01, 0.0):
-            got = penalty(0, nl.by_id["a"], (1, 1.5), {"b": (3 - eps, 1.5)}, nl, cfg)
+            grid = footprint_grid(nl, {"b": (3 - eps, 1.5)})
+            got = penalty(0, nl.by_id["a"], (1, 1.5), grid, cfg)
             vals.append(got)
         assert vals[2] == 0.0
         assert vals[0] > vals[1] > 0  # width shrinks toward zero
@@ -319,18 +323,16 @@ class TestCandidateScore:
         state = new_state(nl, square_area(), cfg, initial=init)
         # field is empty, no nets: the score at b's position is the penalty
         got = candidate_score(nl.by_id["a"], (3.0, 3.0), state, cfg)
-        assert got == penalty(
-            0, nl.by_id["a"], (3.0, 3.0), state.placement, nl, cfg
-        )
+        assert got == penalty(0, nl.by_id["a"], (3.0, 3.0), state.grid, cfg)
 
 
-needs_c_kernel = pytest.mark.skipif(
-    stepfield.c_net_terms is None, reason="C core not built"
+needs_c_score = pytest.mark.skipif(
+    stepfield.c_score_candidate is None, reason="C core not built"
 )
 
 
 def pack_nets(nets):
-    """``py_net_terms`` records of ``(pins, j)`` nets, the moving pin
+    """``ScoreContext.pins`` records of ``(pins, j)`` nets, the moving pin
     omitted from ``pins``."""
     out = []
     for pins, j in nets:
@@ -340,18 +342,38 @@ def pack_nets(nets):
     return array("d", out)
 
 
-def both_kernels(score, x, y, beta, pins):
-    """The reference's and the C core's result (the reference twice without
-    the C core)."""
-    c = stepfield.c_net_terms or placer.py_net_terms
-    return placer.py_net_terms(score, x, y, beta, pins), c(score, x, y, beta, pins)
+#: a half-size that covers the whole 1 x 1 area from any test coordinate
+COVER = 1e10
+
+
+def kernel_sum(score, x, y, beta, pins):
+    """``score`` plus the nets packed in ``pins``, the moving pin at
+    ``(x, y)``, from the C core's ``score_candidate``: the single cell of a
+    1 x 1 field holds ``score`` and the footprint covers it; the one other
+    footprint is skipped, and no blockage or penalty term adds anything."""
+    fld = CostField(0, 0, "c")
+    fld.increase(GridRect(0, 0, 1, 1), score)
+    far = array("d", [-3 * COVER, -3 * COVER, -2 * COVER, -2 * COVER])
+    return stepfield.c_score_candidate(
+        fld.core, x, y, COVER, COVER, 1.0, 1.0, beta, pins, far, 0, 0.0,
+        array("d"), 0.0,
+    )
+
+
+def reference_sum(score, x, y, beta, nets):
+    """``score`` plus the ``model_length`` of each ``(pins, j)`` net, in
+    order, with the moving pin at ``(x, y)`` inserted at index ``j``."""
+    score += 0.0  # as the field's cell holds it: a sum is never -0.0
+    for pins, j in nets:
+        score += model_length(pins[:j] + [(x, y)] + pins[j:], beta)
+    return score
 
 
 class TestNetTerms:
-    """The C core's ``net_terms`` returns its Python reference's float bit for
-    bit: every regime, the moving pin anywhere, nets of 2 to 200 pins."""
+    """The C core's ``score_candidate`` adds each net's ``model_length`` bit
+    for bit: every regime, the moving pin anywhere, nets of 2 to 200 pins."""
 
-    @needs_c_kernel
+    @needs_c_score
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_c_kernel_equals_python_reference(self, data):
@@ -373,13 +395,13 @@ class TestNetTerms:
         for n in draw(st.lists(sizes, max_size=4), label="sizes"):
             pins = [(draw(coord), draw(coord)) for _ in range(n - 1)]
             nets.append((pins, draw(st.integers(0, n - 1))))
-        pins = pack_nets(nets)
         score = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
         x, y = draw(coord), draw(coord)
-        want, got = both_kernels(score, x, y, beta, pins)
+        want = reference_sum(score, x, y, beta, nets)
+        got = kernel_sum(score, x, y, beta, pack_nets(nets))
         assert got.hex() == want.hex()
 
-    @needs_c_kernel
+    @needs_c_score
     def test_small_span_sweep_bit_exact(self):
         # where no term is rounded away: spans near the smoothing width
         # 1/beta, a few pins, scores starting at 0
@@ -391,11 +413,13 @@ class TestNetTerms:
                 (None, 1.0, rng.uniform(0.5, 20.0), rng.uniform(20.0, 1e3))
             )
             fixed = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n - 1)]
-            pins = pack_nets([(fixed, rng.randrange(n))])
+            nets = [(fixed, rng.randrange(n))]
             x, y = rng.uniform(0, span), rng.uniform(0, span)
-            want, got = both_kernels(0.0, x, y, beta, pins)
+            want = reference_sum(0.0, x, y, beta, nets)
+            got = kernel_sum(0.0, x, y, beta, pack_nets(nets))
             assert got.hex() == want.hex(), (n, beta, fixed, x, y)
 
+    @needs_c_score
     @pytest.mark.parametrize("beta", [None, 1.0, 37.5, 1e6])
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_moving_pin_at_every_index(self, n, beta):
@@ -404,12 +428,14 @@ class TestNetTerms:
         for j in range(n):
             pts = fixed[:j] + [(7.25, 3.5)] + fixed[j:]
             want = 2.0 + model_length(pts, beta)
-            got = both_kernels(2.0, 7.25, 3.5, beta, pack_nets([(fixed, j)]))
-            assert [g.hex() for g in got] == [want.hex()] * 2
+            got = kernel_sum(2.0, 7.25, 3.5, beta, pack_nets([(fixed, j)]))
+            assert got.hex() == want.hex()
 
+    @needs_c_score
     def test_no_nets_returns_score(self):
-        assert both_kernels(4.5, 1.0, 1.0, 2.0, array("d")) == (4.5, 4.5)
+        assert kernel_sum(4.5, 1.0, 1.0, 2.0, array("d")) == 4.5
 
+    @needs_c_score
     @pytest.mark.parametrize(
         "record",
         [
@@ -425,27 +451,27 @@ class TestNetTerms:
     )
     def test_malformed_record_rejected(self, record):
         pins = array("d", [2, 0, 1.0, 1.0] + record)  # a good record first
-        for kernel in {placer.py_net_terms, stepfield.c_net_terms} - {None}:
-            with pytest.raises(ValueError, match="malformed net record at offset 4"):
-                kernel(0.0, 0.0, 0.0, None, pins)
+        with pytest.raises(ValueError, match="malformed net record at offset 4"):
+            kernel_sum(0.0, 0.0, 0.0, None, pins)
 
+    @needs_c_score
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("n", [2, 3])
     def test_bad_beta_raises_as_the_reference(self, n, beta):
-        pins = pack_nets([([(1.0, 1.0)] * (n - 1), 0)])
+        nets = [([(1.0, 1.0)] * (n - 1), 0)]
         raised = []
-        for kernel in {placer.py_net_terms, stepfield.c_net_terms} - {None}:
+        for kernel, arg in ((reference_sum, nets), (kernel_sum, pack_nets(nets))):
             with pytest.raises((ValueError, ZeroDivisionError)) as exc:
-                kernel(0.0, 0.0, 0.0, beta, pins)
+                kernel(0.0, 0.0, 0.0, beta, arg)
             raised.append((exc.type, str(exc.value)))
         assert len(set(raised)) == 1
 
-    @needs_c_kernel
+    @needs_c_score
     def test_c_kernel_wants_doubles(self):
         with pytest.raises(TypeError, match="doubles"):
-            stepfield.c_net_terms(0.0, 0.0, 0.0, None, array("f", [2, 0, 1, 1]))
+            kernel_sum(0.0, 0.0, 0.0, None, array("f", [2, 0, 1, 1]))
 
-    def test_round_context_scores_equal_contextless(self, monkeypatch):
+    def test_round_context_scores_equal_contextless(self):
         # multi-pin nets, both net-model regimes (switch at round 16)
         nl, area = generate_instance(GenSpec(macros=10, nets=16, seed=2))
         cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=4)
@@ -459,24 +485,9 @@ class TestNetTerms:
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
                 want = candidate_score(macro, pos, state, cfg)
                 assert candidate_score(macro, pos, state, cfg, ctx) == want
-                with monkeypatch.context() as m:
-                    m.setattr(placer, "net_terms", placer.py_net_terms)
-                    got = py_candidate_score(macro, pos, state, cfg, ctx)
-                    assert got.hex() == want.hex()
+                got = py_candidate_score(macro, pos, state, cfg, ctx)
+                assert got.hex() == want.hex()
             round_step(state, cfg)
-
-
-needs_c_score = pytest.mark.skipif(
-    stepfield.c_score_candidate is None, reason="C core not built"
-)
-
-
-def reference_score(macro, pos, state, cfg, ctx):
-    """``py_candidate_score`` with the Python net kernel: it shares only the
-    field sum (``FieldCore.cost``) with the C kernel."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(placer, "net_terms", placer.py_net_terms)
-        return py_candidate_score(macro, pos, state, cfg, ctx)
 
 
 def candidate_at(draw, kind, macro, state):
@@ -556,7 +567,7 @@ class TestScoreCandidate:
         ctx = score_context(macro, state, cfg)
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, state)
-            want = reference_score(macro, pos, state, cfg, ctx)
+            want = py_candidate_score(macro, pos, state, cfg, ctx)
             touched = state.field.last_touched
             got = candidate_score(macro, pos, state, cfg, ctx)
             assert got.hex() == want.hex(), (kind, pos)
@@ -604,7 +615,7 @@ class TestScoreCandidate:
         cfg = PlacerConfig(max_rounds=30, grid_p=4, grid_q=4, seed=2)
         state = new_state(nl, area, cfg)
         assert state.field.backend == "c"
-        for name in ("penalty", "py_net_terms", "py_candidate_score"):
+        for name in ("penalty", "model_length", "py_candidate_score"):
             monkeypatch.setattr(placer, name, boom)
         monkeypatch.setattr(CostField, "cost", boom)
         for _ in range(cfg.max_rounds):
