@@ -392,12 +392,12 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.macros < 0 or self.nets < 0:
             raise ValueError("macro and net counts must be >= 0")
-        if not 0 < self.size_min <= self.size_max:
-            raise ValueError("need 0 < size_min <= size_max")
+        if not 0 < self.size_min <= self.size_max < math.inf:
+            raise ValueError("need 0 < size_min <= size_max, size_max finite")
         if not 0 < self.utilization <= 1:
             raise ValueError("utilization must be in (0, 1]")
-        if not self.aspect > 0:
-            raise ValueError("aspect must be positive")
+        if not 0 < self.aspect < math.inf:
+            raise ValueError("aspect must be positive and finite")
         if self.degree_cap < 1:
             raise ValueError("degree_cap must be >= 1")
         if not self.degree_weights or any(
@@ -415,8 +415,9 @@ def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:
 
     Sizes are drawn uniformly and discretized to 0.1 units; the area is sized
     for the utilization target (within rounding) with the requested aspect
-    ratio.  Net degrees are drawn from the weighted distribution, members
-    without replacement among macros still under the per-macro net cap.
+    ratio; a spec whose area sides round to zero or overflow is rejected.
+    Net degrees are drawn from the weighted distribution, members without
+    replacement among macros still under the per-macro net cap.
     """
     rng = random.Random(spec.seed)
     width = len(str(max(spec.macros - 1, 0)))
@@ -433,7 +434,13 @@ def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:
         return Netlist([], []), area
     target = total / spec.utilization
     a_w = round(math.sqrt(target * spec.aspect), 2)
-    a_h = round(target / a_w, 2)
+    a_h = round(target / a_w, 2) if a_w else 0.0
+    if not (0 < a_w < math.inf and 0 < a_h < math.inf):
+        raise ValueError(
+            f"infeasible spec: the area for size_max {spec.size_max!r}, "
+            f"utilization {spec.utilization!r} and aspect {spec.aspect!r} "
+            f"rounds to {a_w}x{a_h}; both sides must be positive and finite"
+        )
     for m in macros:
         if m.size_x > a_w or m.size_y > a_h:
             raise ValueError(
@@ -481,13 +488,12 @@ def render_svg(
     area: PlacementArea,
     placement: Placement,
     fp: IO[str],
-    pixel_width: float = 800.0,
 ) -> None:
-    """Draw the instance: area outline, hatched blockages, labeled macro
-    rectangles, and nets as center-to-center lines (centroid star for nets
-    with more than two pins).  Output bytes are deterministic."""
-    s = pixel_width / area.width
-    w = pixel_width
+    """Draw the instance 800 pixels wide: area outline, hatched blockages,
+    labeled macro rectangles, and nets as center-to-center lines (centroid
+    star for nets with more than two pins).  Output bytes are deterministic."""
+    w = 800.0
+    s = w / area.width
     h = area.height * s
     f = _svg_fmt
 
@@ -681,22 +687,16 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    try:
-        netlist, area, initial = load_instance(args.infile)
-        config = _build_config(args)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    netlist, area, initial = load_instance(args.infile)
+    config = _build_config(args)
     out = _out_path(args.out)
     stats = _out_path(args.stats) if args.stats else None
     for path in [out] + ([stats] if stats else []):
         # fail before the run, not after it
         if os.path.isdir(path):
-            print(f"error: {path!r} is a directory", file=sys.stderr)
-            return 1
+            raise ValueError(f"{path!r} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            print(f"error: no directory to write {path!r} into", file=sys.stderr)
-            return 1
+            raise ValueError(f"no directory to write {path!r} into")
     state = new_state(netlist, area, config, initial)
 
     def rows():
@@ -735,12 +735,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        netlist, area, _ = load_instance(args.instance)
-        result = load_result(args.result)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    netlist, area, _ = load_instance(args.instance)
+    result = load_result(args.result)
     legal, lines = check_result(netlist, area, result)
     for line in lines:
         print(line)
@@ -758,23 +754,18 @@ def _degree_weights(text: str) -> tuple[tuple[int, float], ...]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        weights = _degree_weights(args.degree_weights)
-        spec = GenSpec(
-            macros=args.macros,
-            nets=args.nets,
-            size_min=args.size_min,
-            size_max=args.size_max,
-            utilization=args.utilization,
-            degree_weights=weights,
-            degree_cap=args.degree_cap,
-            aspect=args.aspect,
-            seed=args.seed,
-        )
-        netlist, area = generate_instance(spec)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    spec = GenSpec(
+        macros=args.macros,
+        nets=args.nets,
+        size_min=args.size_min,
+        size_max=args.size_max,
+        utilization=args.utilization,
+        degree_weights=_degree_weights(args.degree_weights),
+        degree_cap=args.degree_cap,
+        aspect=args.aspect,
+        seed=args.seed,
+    )
+    netlist, area = generate_instance(spec)
     out = _out_path(args.out)
     save_instance(out, netlist, area)
     print(
@@ -785,15 +776,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    try:
-        netlist, area, initial = load_instance(args.instance)
-        if args.result:
-            placement = load_result(args.result).positions
-        else:
-            placement = initial or {}
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    netlist, area, initial = load_instance(args.instance)
+    if args.result:
+        placement = load_result(args.result).positions
+    else:
+        placement = initial or {}
     out = _out_path(args.out)
     _atomic_write(out, lambda fp: render_svg(netlist, area, placement, fp))
     print(f"wrote {out}")
@@ -855,7 +842,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as e:  # an output file could not be written
+    except (OSError, ValueError) as e:  # bad input, or a file not read/written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -83,7 +83,8 @@ class PlacerConfig:
     after it score with the exact bounding-box model instead of the smoothed
     one.  Integer fields take ``int`` only (no ``bool`` or ``float``), the
     others any finite ``int`` or ``float``; violations raise ``ValueError``
-    naming the field.
+    naming the field, as does a schedule that overflows by the last round
+    (``penalty_c * delta_at(max_rounds - 1)`` or ``w_at(max_rounds - 1)``).
     """
 
     max_rounds: int
@@ -136,21 +137,34 @@ class PlacerConfig:
             raise ValueError("blockage_weight must be >= 0")
         if self.model_switch_round is not None and self.model_switch_round < 1:
             raise ValueError("model_switch_round must be >= 1")
+        last = max(self.max_rounds - 1, 0)
+        if not math.isfinite(self.penalty_c * self.delta_at(last)):
+            raise ValueError(
+                "penalty_c * delta0 * delta_growth**(max_rounds - 1) must be finite"
+            )
+        if not math.isfinite(self.w_at(last)):
+            raise ValueError("w0 * w_growth**(max_rounds - 1) must be finite")
 
     def _default_growth(self) -> float:
         if self.max_rounds <= 1:
             return 1000.0
         return 1000.0 ** (1.0 / self.max_rounds)
 
+    def _grown(self, base: float, growth: float | None, step: int) -> float:
+        """``base * growth**step``, infinite where that overflows."""
+        try:
+            g = growth if growth is not None else self._default_growth()
+            return base * g**step
+        except OverflowError:
+            return math.inf
+
     def delta_at(self, step: int) -> float:
         """Penalty multiplier for a 0-based step."""
-        g = self.delta_growth if self.delta_growth is not None else self._default_growth()
-        return self.delta0 * g**step
+        return self._grown(self.delta0, self.delta_growth, step)
 
     def w_at(self, rnd: int) -> float:
         """Field increment for a 0-based round."""
-        g = self.w_growth if self.w_growth is not None else self._default_growth()
-        return self.w0 * g**rnd
+        return self._grown(self.w0, self.w_growth, rnd)
 
     @property
     def switch_round(self) -> int:
@@ -237,12 +251,6 @@ class PlacerState:
     # scores and winning index of the most recent round's candidates
     last_scores: list[float] | None = None
     last_choice: int | None = None
-
-    def total_netlength_bb(self) -> float:
-        return sum(self.net_bb)
-
-    def total_overlap_area(self) -> float:
-        return sum(self.pair_overlap.values())
 
 
 def snap_to_grid(
@@ -382,17 +390,15 @@ def candidate_score(
     pos: Point,
     state: PlacerState,
     config: PlacerConfig,
-    ctx: ScoreContext | None = None,
+    ctx: ScoreContext,
 ) -> float:
     """Score of moving ``macro`` to ``pos`` in the current round: field cost
     of the snapped footprint, plus the lengths of the macro's nets, plus the
     overlap penalty, plus the weighted blockage overlap area.
 
-    ``ctx`` is the round's :func:`score_context`; without it one is built.
-    On the C field core the score is one call of its ``score_candidate``
-    kernel, else :func:`py_candidate_score`; both return the same float."""
-    if ctx is None:
-        ctx = score_context(macro, state, config)
+    ``ctx`` is the round's :func:`score_context`.  On the C field core the
+    score is one call of its ``score_candidate`` kernel, else
+    :func:`py_candidate_score`; both return the same float."""
     fld = state.field
     if fld.backend != "c":
         return py_candidate_score(macro, pos, state, config, ctx)
@@ -510,8 +516,8 @@ def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     step = max(0, rnd - 1)
     return RoundStats(
         round=rnd,
-        netlength_bb=state.total_netlength_bb(),
-        overlap_area=state.total_overlap_area(),
+        netlength_bb=sum(state.net_bb),
+        overlap_area=sum(state.pair_overlap.values()),
         delta=config.delta_at(step),
         beta=beta,
         w=config.w_at(step),
@@ -617,34 +623,20 @@ def naive_legalize(
     placement: Placement,
     netlist: Netlist,
     area: PlacementArea,
-    grid_p: int | None = None,
-    grid_q: int | None = None,
+    grid_p: int,
+    grid_q: int,
 ) -> Placement:
     """Greedy legalizer for nearly-legal placements.
 
     Macros are processed by area, largest first.  Each keeps its position if
     conflict-free; otherwise it moves to the nearest conflict-free lattice
-    position (Manhattan rings over a grid-resolution sweep, deterministic tie
-    order).  Raises :class:`LegalizationError` when a macro cannot be placed,
-    and never returns an illegal placement.
-
-    Without explicit exponents the sweep resolution is chosen so a cell is at
-    most half the smallest macro dimension (capped at 2**10 cells per axis).
+    position (Manhattan rings over a lattice whose pitch is the area over
+    ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Raises
+    :class:`LegalizationError` when a macro cannot be placed, and never
+    returns an illegal placement.
     """
-    if not netlist.macros:
-        return dict(placement)
-    min_dim = min(min(m.size_x, m.size_y) for m in netlist.macros)
-
-    def auto_exp(span: float) -> int:
-        e = 0
-        while span / (1 << e) > min_dim / 2.0 and e < 10:
-            e += 1
-        return e
-
-    gp = grid_p if grid_p is not None else auto_exp(area.width)
-    gq = grid_q if grid_q is not None else auto_exp(area.height)
-    gx = area.width / (1 << gp)
-    gy = area.height / (1 << gq)
+    gx = area.width / (1 << grid_p)
+    gy = area.height / (1 << grid_q)
 
     placed = footprint_grid(netlist, {})
 

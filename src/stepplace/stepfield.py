@@ -19,11 +19,11 @@ records ``last_touched``; it may run from several threads while no
 ``increase``/``inflate`` is in flight, but ``last_touched`` then reports
 whichever call finished last.  Mutations require exclusive access.
 
-Backends: the C core ``_fieldcore`` is used when it imports; otherwise the
-first import compiles ``_fieldcore.c`` into the user cache
-(``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), and if that
-fails it warns once and falls back to the numpy core.  The same C module
-holds the placer's scoring kernel, :data:`c_score_candidate`.
+Backends: the first import loads the C core ``_fieldcore`` from the user
+cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
+``_fieldcore.c`` there first if the cache holds no build of this exact
+source; if that fails it warns once and falls back to the numpy core.  The
+same C module holds the placer's scoring kernel, :data:`c_score_candidate`.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ def _load_c_core(
     extension suffix, so an edited source never loads a stale build.
     ``compiler`` is the command the interpreter's ``CFLAGS``, ``CCSHARED``,
     ``-ffp-contract=off``, include dir, source and output are appended to;
-    it defaults to the interpreter's ``LDSHARED``, as ``setup.py build_ext``
-    uses.  The loaded module is registered as ``stepplace._fieldcore``.  On
-    any failure returns ``None`` after one ``RuntimeWarning`` naming the
-    reason.
+    it defaults to the interpreter's ``LDSHARED``.  The loaded module is
+    registered as ``stepplace._fieldcore``.  On any failure returns ``None``
+    after one ``RuntimeWarning`` naming the reason.
     """
     import hashlib
     import importlib.machinery
@@ -129,10 +128,7 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
             os.unlink(tmp)
 
 
-try:
-    import stepplace._fieldcore as _c_module
-except ImportError:
-    _c_module = _load_c_core(_user_cache_dir())
+_c_module = _load_c_core(_user_cache_dir())
 _CFieldCore = getattr(_c_module, "FieldCore", None)
 
 #: The C core's ``score_candidate`` (see

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -7,6 +8,8 @@ import sys
 import xml.dom.minidom
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepplace
 import stepplace.io_cli as io_cli
@@ -547,6 +550,36 @@ class TestCli:
         assert err.startswith("error: ") and needle in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["gen", "--aspect", "1e-300"], "aspect 1e-300"),
+            (["gen", "--aspect", "inf"], "aspect must be positive and finite"),
+            (["gen", "--size-max", "inf"], "size_max finite"),
+            (["gen", "--size-max", "1e308", "--size-min", "1e307"], "size_max 1e+308"),
+            (["gen", "--utilization", "1e-320"], "utilization 1e-320"),
+            (["place", "--rounds", "5", "--delta-growth", "1e308"], "delta_growth"),
+            (["place", "--rounds", "3000", "--w0", "1e300", "--w-growth", "10"],
+             "w_growth"),
+            (["place", "--penalty-c", "1e308", "--delta0", "1e308"], "penalty_c"),
+        ],
+        ids=["tiny-aspect", "inf-aspect", "inf-size", "huge-sizes", "tiny-util",
+             "delta-overflow", "w-overflow", "penalty-overflow"],
+    )
+    def test_overflowing_input_exits_1(
+        self, tmp_path, instance_file, capsys, argv, needle
+    ):
+        out = tmp_path / "out.txt"
+        if argv[0] == "gen":
+            argv = [*argv, "--out", str(out), "--macros", "3", "--nets", "2"]
+        else:
+            argv = [*argv, "--in", instance_file, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
     def test_check_rejects_bad_summary_legal(self, tmp_path, instance_file, capsys):
         res = tmp_path / "r.txt"
         assert main(["place", "--in", instance_file, "--out", str(res),
@@ -645,3 +678,77 @@ class TestCli:
                 (open(res, "rb").read(), open(stats, "rb").read())
             )
         assert blobs[0] == blobs[1]
+
+
+# flag values: extreme, infinite and tiny floats, and anything else
+FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e300, 1e308, math.inf, -math.inf,
+         math.nan]
+    ),
+    st.floats(),
+).map(repr)
+GEN_FLAGS = {
+    "--size-min": FLOATS,
+    "--size-max": FLOATS,
+    "--utilization": FLOATS,
+    "--aspect": FLOATS,
+    "--degree-cap": st.integers(-1, 10).map(str),
+    "--degree-weights": st.sampled_from(["2:1", "3:1e308,4:1e308", "2:0", "2"]),
+    "--seed": st.integers(0, 99).map(str),
+}
+PLACE_FLAGS = {
+    "--candidates": st.integers(-1, 8).map(str),
+    "--grid-p": st.sampled_from(["-1", "0", "1", "3", "6", "12"]),
+    "--grid-q": st.sampled_from(["-1", "0", "1", "3", "6", "12"]),
+    "--penalty-c": FLOATS,
+    "--delta0": FLOATS,
+    "--delta-growth": FLOATS,
+    "--w0": FLOATS,
+    "--w-growth": FLOATS,
+    "--rho": FLOATS,
+    "--blockage-weight": FLOATS,
+    "--seed": st.integers(-5, 99).map(str),
+    "--model-switch-round": st.integers(-1, 25).map(str),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_workdir(tmp_path_factory):
+    """A scratch directory holding a 5-macro instance."""
+    work = tmp_path_factory.mktemp("cli")
+    netlist, area = generate_instance(GenSpec(macros=5, nets=6, seed=3))
+    save_instance(str(work / "inst.txt"), netlist, area)
+    return work
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_property_cli_never_raises(cli_workdir, data):
+    """``gen`` and ``place`` with random flags exit 0, 1 or 2 and raise
+    nothing; exit 1 comes with exactly one ``error:`` line."""
+    draw = data.draw
+
+    def some(flags):
+        # each flag given or not; --flag=value, so "-inf" stays a value
+        return [f"{f}={draw(v, label=f)}" for f, v in flags.items()
+                if draw(st.booleans())]
+
+    gen = ["gen", "--out", str(cli_workdir / "g.txt"),
+           f"--macros={draw(st.integers(-1, 8), label='--macros')}",
+           f"--nets={draw(st.integers(-1, 12), label='--nets')}", *some(GEN_FLAGS)]
+    place = ["place", "--in", str(cli_workdir / "inst.txt"),
+             "--out", str(cli_workdir / "r.txt"),
+             "--stats", str(cli_workdir / "s.csv"),
+             f"--rounds={draw(st.integers(-1, 20), label='--rounds')}",
+             *some(PLACE_FLAGS)]
+    if draw(st.booleans()):
+        place.append("--skip-legalize")
+    for argv in (gen, place):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

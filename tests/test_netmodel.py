@@ -20,7 +20,13 @@ from stepplace.netmodel import (
     nl_netlength,
     overlaps,
 )
-from stepplace.placer import PlacerConfig, candidate_score, new_state, snap_to_grid
+from stepplace.placer import (
+    PlacerConfig,
+    candidate_score,
+    new_state,
+    score_context,
+    snap_to_grid,
+)
 from stepplace.stepfield import GridRect
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -291,14 +297,16 @@ class TestMarginalCost:
         # switch round 1 scores with the exact bounding box from the start
         cfg = PlacerConfig(max_rounds=10, model_switch_round=model_switch_round)
         state = new_state(nl, PlacementArea(20, 20), cfg, placement)
-        return candidate_score(nl.by_id[mid], pos, state, cfg)
+        macro = nl.by_id[mid]
+        return candidate_score(macro, pos, state, cfg, score_context(macro, state, cfg))
 
     def test_no_nets_returns_field_cost(self):
         nl = Netlist([Macro("solo", 1, 1)], [])
         cfg = PlacerConfig(max_rounds=10)
         state = new_state(nl, PlacementArea(20, 20), cfg, {"solo": (1, 1)})
         state.field.increase(GridRect(0, 0, 64, 64), 1.5)
-        got = candidate_score(nl.by_id["solo"], (4, 5), state, cfg)
+        solo = nl.by_id["solo"]
+        got = candidate_score(solo, (4, 5), state, cfg, score_context(solo, state, cfg))
         fp = footprint_box(nl.by_id["solo"], (4, 5))
         snapped = snap_to_grid(fp, state.area, 6, 6)
         assert got == state.field.cost(snapped) > 0

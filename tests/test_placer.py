@@ -267,8 +267,10 @@ class TestCandidateScore:
         nl = Netlist([Macro("a", 2, 2)], [])
         cfg = PlacerConfig(max_rounds=10, grid_p=3, grid_q=3, seed=1)
         state = new_state(nl, square_area(), cfg)
+        a = nl.by_id["a"]
+        ctx = score_context(a, state, cfg)
         for pos in [(1, 1), (4, 4), (6.5, 2.5)]:
-            assert candidate_score(nl.by_id["a"], pos, state, cfg) == 0.0
+            assert candidate_score(a, pos, state, cfg, ctx) == 0.0
 
     def test_two_pin_net_minimized_at_neighbor(self):
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [Net(("a", "b"))])
@@ -277,9 +279,11 @@ class TestCandidateScore:
         )
         state = new_state(nl, square_area(), cfg, initial={"b": (6.0, 6.0)})
         target = (6.0, 6.0)
+        a = nl.by_id["a"]
+        ctx = score_context(a, state, cfg)
         best = min(
             [(2, 2), (6, 6), (3, 7), (7, 3)],
-            key=lambda c: candidate_score(nl.by_id["a"], c, state, cfg),
+            key=lambda c: candidate_score(a, c, state, cfg, ctx),
         )
         assert best == target
 
@@ -294,8 +298,10 @@ class TestCandidateScore:
         height = 3.0
         s_uniform.field.increase(GridRect(0, 0, 8, 8), height)
         cands = [(1.0, 1.0), (5.0, 5.0), (7.0, 3.0), (3.0, 6.0)]
-        plain = [candidate_score(nl.by_id["a"], c, s_plain, cfg) for c in cands]
-        unif = [candidate_score(nl.by_id["a"], c, s_uniform, cfg) for c in cands]
+        a = nl.by_id["a"]
+        ctx = score_context(a, s_plain, cfg)  # the same in both states
+        plain = [candidate_score(a, c, s_plain, cfg, ctx) for c in cands]
+        unif = [candidate_score(a, c, s_uniform, cfg, ctx) for c in cands]
         # every candidate footprint snaps to a 2x2=4 cell region
         for p, u in zip(plain, unif):
             assert u == pytest.approx(p + height * 4, rel=1e-12)
@@ -308,8 +314,10 @@ class TestCandidateScore:
             max_rounds=10, grid_p=3, grid_q=3, seed=1, blockage_weight=50.0
         )
         state = new_state(nl, square_area(blockages=(blk,)), cfg)
-        on_block = candidate_score(nl.by_id["a"], (2.0, 2.0), state, cfg)
-        off_block = candidate_score(nl.by_id["a"], (6.9, 6.9), state, cfg)
+        a = nl.by_id["a"]
+        ctx = score_context(a, state, cfg)
+        on_block = candidate_score(a, (2.0, 2.0), state, cfg, ctx)
+        off_block = candidate_score(a, (6.9, 6.9), state, cfg, ctx)
         assert on_block >= 50.0 * 4.0  # full 2x2 footprint on the blockage
         assert off_block < on_block
 
@@ -322,8 +330,9 @@ class TestCandidateScore:
         init = {"a": (3.0, 3.0), "b": (3.0, 3.0)}
         state = new_state(nl, square_area(), cfg, initial=init)
         # field is empty, no nets: the score at b's position is the penalty
-        got = candidate_score(nl.by_id["a"], (3.0, 3.0), state, cfg)
-        assert got == penalty(0, nl.by_id["a"], (3.0, 3.0), state.grid, cfg)
+        a = nl.by_id["a"]
+        got = candidate_score(a, (3.0, 3.0), state, cfg, score_context(a, state, cfg))
+        assert got == penalty(0, a, (3.0, 3.0), state.grid, cfg)
 
 
 needs_c_score = pytest.mark.skipif(
@@ -483,9 +492,10 @@ class TestNetTerms:
             for _ in range(4):
                 b = state.bounds[macro.id]
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                want = candidate_score(macro, pos, state, cfg)
-                assert candidate_score(macro, pos, state, cfg, ctx) == want
-                got = py_candidate_score(macro, pos, state, cfg, ctx)
+                # the reference takes only the half-sizes and beta from ctx,
+                # the nets and the penalty factor from the state
+                want = py_candidate_score(macro, pos, state, cfg, ctx)
+                got = candidate_score(macro, pos, state, cfg, ctx)
                 assert got.hex() == want.hex()
             round_step(state, cfg)
 
@@ -931,13 +941,13 @@ class TestNaiveLegalize:
         nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
         area = PlacementArea(4, 2)
         placement = {"a": (1.0, 1.0), "b": (3.0, 1.0)}
-        assert naive_legalize(placement, nl, area) == placement
+        assert naive_legalize(placement, nl, area, 2, 1) == placement
 
     def test_stacked_unit_macros_split_to_free_cell(self):
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [])
         area = PlacementArea(2, 1)
         placement = {"a": (0.5, 0.5), "b": (0.5, 0.5)}
-        got = naive_legalize(placement, nl, area)
+        got = naive_legalize(placement, nl, area, 2, 1)
         assert got["a"] == (0.5, 0.5)
         assert got["b"] == (1.5, 0.5)
         assert is_legal(got, nl, area).legal
@@ -947,12 +957,12 @@ class TestNaiveLegalize:
         area = PlacementArea(2, 1)
         placement = {f"m{i}": (0.5, 0.5) for i in range(3)}
         with pytest.raises(LegalizationError):
-            naive_legalize(placement, nl, area)
+            naive_legalize(placement, nl, area, 2, 1)
 
     def test_blockage_respected(self):
         nl = Netlist([Macro("a", 2, 2)], [])
         area = PlacementArea(6, 2, (Rect(0, 0, 2, 2),))
-        got = naive_legalize({"a": (1.0, 1.0)}, nl, area)
+        got = naive_legalize({"a": (1.0, 1.0)}, nl, area, 3, 1)
         assert is_legal(got, nl, area).legal
 
     @pytest.mark.parametrize("seed", range(6))
@@ -969,13 +979,15 @@ class TestNaiveLegalize:
                    rng.uniform(m.size_y / 2, 10 - m.size_y / 2))
             for m in macros
         }
-        got = naive_legalize(placement, nl, area)
+        # a lattice pitch of 10 / 2**e at most half the smallest macro side
+        e = 4 if min(min(m.size_x, m.size_y) for m in macros) >= 1.25 else 5
+        got = naive_legalize(placement, nl, area, e, e)
         assert is_legal(got, nl, area).legal
 
     def test_missing_position_errors(self):
         nl = Netlist([Macro("a", 1, 1)], [])
         with pytest.raises(ValueError, match="'a'"):
-            naive_legalize({}, nl, PlacementArea(4, 4))
+            naive_legalize({}, nl, PlacementArea(4, 4), 3, 3)
 
     @pytest.mark.parametrize(
         "report, culprit",
@@ -989,5 +1001,5 @@ class TestNaiveLegalize:
         placement = {"a": (0.5, 0.5), "b": (1.5, 0.5), "c": (2.5, 0.5)}
         monkeypatch.setattr(placer, "is_legal", lambda *args: report)
         with pytest.raises(LegalizationError) as err:
-            naive_legalize(placement, nl, PlacementArea(4, 4))
+            naive_legalize(placement, nl, PlacementArea(4, 4), 3, 3)
         assert err.value.macro_id == culprit

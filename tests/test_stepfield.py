@@ -1,3 +1,4 @@
+import hashlib
 import importlib.machinery
 import io
 import json
@@ -37,6 +38,7 @@ from stepplace.stepfield import (
     flat_axis_id,
     nonzero_basis_1d,
     _axis_block,
+    _compile_c_core,
     _load_c_core,
     _PyFieldCore,
 )
@@ -511,18 +513,45 @@ class TestCCoreLoader:
 
     @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
     def test_source_compiles_without_warnings(self, tmp_path):
-        # -Wall reports an unused static function, so no deletion can leave
-        # dead C behind; it does so only when compiling, not under
-        # -fsyntax-only
+        # the loader's own recipe, warnings as errors; -Wall reports an unused
+        # static function, so no deletion can leave dead C behind.  A failed
+        # build raises ImportError with the compiler's messages.
         source = os.path.join(os.path.dirname(stepplace.__file__), "_fieldcore.c")
-        cmd = [
-            *shlex.split(sysconfig.get_config_var("CC") or "cc"),
-            "-c", "-Wall", "-Werror", "-ffp-contract=off",
-            "-I" + sysconfig.get_path("include"), source,
-            "-o", str(tmp_path / "fieldcore.o"),
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        ldshared = shlex.split(sysconfig.get_config_var("LDSHARED"))
+        _compile_c_core(
+            source, str(tmp_path / "fieldcore.so"), [*ldshared, "-Wall", "-Werror"]
+        )
+
+    @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
+    def test_module_beside_the_source_is_not_loaded(self, tmp_path):
+        # A stale in-tree build of an older source sits where an import of
+        # stepplace._fieldcore would find it; the loader must build and load
+        # this source's hash-named build from the cache instead.
+        pkg = tmp_path / "src" / "stepplace"
+        shutil.copytree(
+            os.path.dirname(stepplace.__file__), pkg,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (pkg / "_fieldcore.py").write_text("# a stale in-tree build\n")
+        digest = hashlib.sha256((pkg / "_fieldcore.c").read_bytes()).hexdigest()
+        code = (
+            "import sys\n"
+            "import stepplace.stepfield as f\n"
+            "print(sys.modules['stepplace._fieldcore'].__file__, f.HAVE_C_CORE)\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(tmp_path / "src"),
+            "XDG_CACHE_HOME": str(tmp_path / "cache"),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path,
+            capture_output=True, text=True, check=True,
+        )
+        path, have = out.stdout.split()
+        assert os.path.dirname(path) == str(tmp_path / "cache" / "stepplace")
+        assert os.path.basename(path).startswith(f"_fieldcore-{digest}.")
+        assert have == "True"
 
     def test_have_c_core_reports_the_auto_backend(self):
         assert HAVE_C_CORE == (CostField(1, 1).backend == "c")
@@ -531,11 +560,10 @@ class TestCCoreLoader:
 
     def test_import_falls_back_to_numpy_with_one_warning(self, tmp_path):
         # A regular file where the cache dir should be makes the build fail;
-        # the None entry hides any installed build from the import.
+        # the cache is the only place the C core loads from.
         (tmp_path / "stepplace").write_text("")
         code = (
-            "import sys, warnings\n"
-            "sys.modules['stepplace._fieldcore'] = None\n"
+            "import warnings\n"
             "with warnings.catch_warnings(record=True) as w:\n"
             "    warnings.simplefilter('always')\n"
             "    import stepplace\n"
