@@ -113,8 +113,8 @@ class PlacerConfig:
                 kind = "a finite number"
             if isinstance(v, bool) or not ok:
                 raise ValueError(f"{f.name} must be {kind}, got {v!r}")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
+        if not 0 <= self.max_rounds <= sys.maxsize:
+            raise ValueError(f"max_rounds must be in [0, {sys.maxsize}]")
         if self.candidates_per_round < 0:
             raise ValueError("candidates_per_round must be >= 0")
         for name in ("grid_p", "grid_q"):
@@ -418,7 +418,7 @@ def py_candidate_score(
     config: PlacerConfig,
     ctx: ScoreContext,
 ) -> float:
-    """:func:`candidate_score` on the numpy field core, and the reference of
+    """:func:`candidate_score` on the Python field core, and the reference of
     the C core's ``score_candidate``, which sums the same terms in the same
     order."""
     x, y = pos
@@ -533,7 +533,8 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
 
     The candidates' scores and the winner's index are left on
     ``state.last_scores`` and ``state.last_choice``.  The config must be the
-    one the state was created with.
+    one the state was created with.  A score that is not finite (the field or
+    the penalty overflowed) raises ``ValueError`` before anything moves.
     """
     if state.round >= config.max_rounds:
         raise ValueError("all configured rounds already executed")
@@ -549,6 +550,11 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
         candidates.append(move_macro(x0, state.bounds[mid], rng))
     ctx = score_context(macro, state, config)
     scores = [candidate_score(macro, c, state, config, ctx) for c in candidates]
+    if not all(map(math.isfinite, scores)):
+        raise ValueError(
+            f"round {state.round + 1}: a candidate score is not finite; "
+            "lower w0, w_growth, penalty_c or delta0"
+        )
     best = 0
     for i in range(1, len(scores)):
         if scores[i] < scores[best]:

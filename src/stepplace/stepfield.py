@@ -22,8 +22,9 @@ whichever call finished last.  Mutations require exclusive access.
 Backends: the first import loads the C core ``_fieldcore`` from the user
 cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 ``_fieldcore.c`` there first if the cache holds no build of this exact
-source; if that fails it warns once and falls back to the numpy core.  The
-same C module holds the placer's scoring kernel, :data:`c_score_candidate`.
+source; if that fails it warns once and falls back to the Python core, which
+returns the same bits.  The same C module holds the placer's scoring kernel,
+:data:`c_score_candidate`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import sys
 import warnings
 from types import ModuleType
 from typing import IO, NamedTuple
-
-import numpy as np
 
 
 def _user_cache_dir() -> str:
@@ -82,7 +81,7 @@ def _load_c_core(
         return module
     except (OSError, ImportError) as exc:
         warnings.warn(
-            f"C field core unavailable ({exc}); using the slower numpy core",
+            f"C field core unavailable ({exc}); using the slower Python core",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -223,47 +222,35 @@ AXIS_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=AXIS_CACHE_SIZE)
-def _axis_block(s: int, t: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _axis_block(s: int, t: int, p: int) -> tuple[tuple, tuple, tuple]:
     """The nonzero 1D components of the indicator of cells [s, t) at exponent
-    ``p``: their flat axis ids, inner products, and inner products over the
-    element's squared norm (projection weights), as read-only arrays.
+    ``p``, as the C core's ``axis_components`` writes them: their flat axis
+    ids, inner products, and the reciprocals of the elements' squared norms.
     Memoized for the most recent :data:`AXIS_CACHE_SIZE` intervals."""
     comps = nonzero_basis_1d(s, t, p)
-    ids = np.array([flat_axis_id(p, a, k) for a, k, _ in comps], dtype=np.intp)
-    stars = np.array([v for _, _, v in comps])
-    norms = np.array([float(2 << a) if a < p else float(1 << p) for a, _, _ in comps])
-    proj = stars / norms
-    for arr in (ids, stars, proj):
-        arr.flags.writeable = False
-    return ids, stars, proj
+    ids = tuple(flat_axis_id(p, a, k) for a, k, _ in comps)
+    stars = tuple(v for _, _, v in comps)
+    inv_norms = tuple(1.0 / (2 << a if a < p else 1 << p) for a, _, _ in comps)
+    return ids, stars, inv_norms
 
 
 class _PyFieldCore:
-    """numpy fallback with the same interface and semantics as the C core."""
+    """Python core with the same interface as the C core, doing the same
+    float operations in the same order, so both return the same bits."""
 
     def __init__(self, p: int, q: int) -> None:
         self.p = p
         self.q = q
         self.n = 1 << p
         self.m = 1 << q
-        self._coef = np.zeros(self.n * self.m)
-        self._dlog_at = np.zeros(self.n * self.m)
+        self._coef = [0.0] * (self.n * self.m)
+        self._dlog_at = [0.0] * (self.n * self.m)
         self._dlog_total = 0.0
         self.last_touched = 0
 
-    def _flat_block(self, a1: int, b1: int, a2: int, b2: int):
-        """Flat coefficient ids of the touched block plus the raw inner
-        products and the products normalized by each element's squared norm
-        (the projection weights used by increase)."""
-        ix, sx, px = _axis_block(a1, a2, self.p)
-        iy, sy, py = _axis_block(b1, b2, self.q)
-        flat = (ix[:, None] * self.m + iy[None, :]).ravel()
-        stars = (sx[:, None] * sy[None, :]).ravel()
-        proj = (px[:, None] * py[None, :]).ravel()
-        self.last_touched = flat.size
-        return flat, stars, proj
-
-    def _check(self, a1: int, b1: int, a2: int, b2: int) -> None:
+    def _blocks(self, a1: int, b1: int, a2: int, b2: int):
+        """The rectangle's x and y :func:`_axis_block`, once it passed the C
+        core's checks; records ``last_touched``."""
         for v in (a1, b1, a2, b2):
             operator.index(v)  # TypeError on non-integers, as the C core's "n"
         if not (0 <= a1 < a2 <= self.n and 0 <= b1 < b2 <= self.m):
@@ -271,19 +258,41 @@ class _PyFieldCore:
                 f"rectangle ({a1},{b1})-({a2},{b2}) invalid for "
                 f"{self.n}x{self.m} grid"
             )
+        bx, by = _axis_block(a1, a2, self.p), _axis_block(b1, b2, self.q)
+        self.last_touched = len(bx[0]) * len(by[0])
+        return bx, by
 
     def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
-        self._check(a1, b1, a2, b2)
-        flat, _, proj = self._flat_block(a1, b1, a2, b2)
-        f = np.exp(self._dlog_total - self._dlog_at.take(flat))
-        self._dlog_at[flat] = self._dlog_total
-        self._coef[flat] = self._coef.take(flat) * f + proj * value
+        (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
+        coef, stamp, dl, m = self._coef, self._dlog_at, self._dlog_total, self.m
+        wy = [s * r for s, r in zip(sy, ny)]
+        for fx, s, r in zip(ix, sx, nx):
+            vx = s * r * value
+            row = fx * m
+            for fy, w in zip(iy, wy):
+                k = row + fy
+                diff = dl - stamp[k]
+                if diff != 0.0:
+                    coef[k] *= math.exp(diff)
+                    stamp[k] = dl
+                coef[k] += vx * w
 
     def cost(self, a1: int, b1: int, a2: int, b2: int) -> float:
-        self._check(a1, b1, a2, b2)
-        flat, stars, _ = self._flat_block(a1, b1, a2, b2)
-        f = np.exp(self._dlog_total - self._dlog_at.take(flat))
-        return float(np.dot(self._coef.take(flat) * f, stars))
+        (ix, sx, _), (iy, sy, _) = self._blocks(a1, b1, a2, b2)
+        coef, stamp, dl, m = self._coef, self._dlog_at, self._dlog_total, self.m
+        tot = 0.0
+        for fx, s in zip(ix, sx):
+            row = fx * m
+            sub = 0.0
+            for fy, t in zip(iy, sy):
+                k = row + fy
+                c = coef[k]
+                diff = dl - stamp[k]
+                if diff != 0.0:
+                    c *= math.exp(diff)
+                sub += c * t
+            tot += sub * s
+        return tot
 
     def inflate(self, rho: float) -> None:
         if not 0.0 < rho <= 1.0:
@@ -296,7 +305,7 @@ class _PyFieldCore:
         if not (0 <= fx < self.n and 0 <= fy < self.m):
             raise ValueError("axis component id out of range")
         k = fx * self.m + fy
-        return float(self._coef[k]) * math.exp(self._dlog_total - self._dlog_at[k])
+        return self._coef[k] * math.exp(self._dlog_total - self._dlog_at[k])
 
 
 class CostField:
@@ -365,14 +374,14 @@ class CostField:
         """Coefficients touched by the most recent increase/cost."""
         return self.core.last_touched
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the represented matrix; entry [i, j] is the cell value
-        at x-cell i, y-cell j.  Intended for debugging and small grids."""
-        out = np.empty((self.n, self.m))
-        for i in range(self.n):
-            for j in range(self.m):
-                out[i, j] = self.cost(GridRect(i, j, i + 1, j + 1))
-        return out
+    def to_dense(self) -> list[list[float]]:
+        """Materialize the represented matrix as a list of rows; entry
+        ``[i][j]`` is the cell value at x-cell i, y-cell j.  Intended for
+        debugging and small grids."""
+        return [
+            [self.cost(GridRect(i, j, i + 1, j + 1)) for j in range(self.m)]
+            for i in range(self.n)
+        ]
 
     def dump_csv(self, fp: IO[str]) -> None:
         """Debug dump of the dense matrix as CSV.
@@ -387,5 +396,5 @@ class CostField:
         )
         fp.write(f"# {self.n} columns x {self.m} rows\n")
         for j in range(self.m):
-            fp.write(",".join(repr(float(dense[i, j])) for i in range(self.n)))
+            fp.write(",".join(repr(dense[i][j]) for i in range(self.n)))
             fp.write("\n")

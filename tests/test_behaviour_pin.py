@@ -3,8 +3,9 @@
 The SHA-256 values were recorded from the code before the bucket-grid
 geometry kernel replaced the overlap scans; the ``undecayed`` pins from the
 code before the field cores lost their separate path for a field that never
-decayed.  A change that alters these bytes changes placer behaviour and must
-say so and re-pin them.
+decayed.  The Python field core does the C core's float operations in the C
+core's order, so each instance has one pair for both backends.  A change that
+alters these bytes changes placer behaviour and must say so and re-pin them.
 """
 
 import hashlib
@@ -42,29 +43,17 @@ INSTANCES = {
     ),
 }
 
-# (instance, field backend) -> (result sha256, stats sha256)
+# instance -> (result sha256, stats sha256), the same on both field backends
 PINS = {
-    ("blocked", "c"): (
+    "blocked": (
         "5fa11213cf36f2247e80f10cf9990951314f131412c3f659f39686b038b71708",
         "f93c5b1c673b213d7b40af1cbcbd68334cc13a7aa349a151b0da79bfc10aff9f",
     ),
-    ("blocked", "py"): (
-        "5fa11213cf36f2247e80f10cf9990951314f131412c3f659f39686b038b71708",
-        "f93c5b1c673b213d7b40af1cbcbd68334cc13a7aa349a151b0da79bfc10aff9f",
-    ),
-    ("mixed", "c"): (
+    "mixed": (
         "3ee2fbd51d6c8f3651b16e7099703ff2a8e72ec589944a76afeef45650e5647a",
         "1546594433a616cbf178b2d29ea1eb8ecbe6bb4d824827e868f5c2e94a165af1",
     ),
-    ("mixed", "py"): (
-        "7a2c605c0642e98fe953a1f7f203b39683f9fdd890394bd523a06d7e2978c895",
-        "4f3f72379ac931dc3a5dc33c5747da339ecc8e2a94dc8ac2454d40e7973fdbc5",
-    ),
-    ("undecayed", "c"): (
-        "726f9c63a484faf897a56efaa41c3efd2e1ce00dfedc04938aaba9ac9b82e367",
-        "b6c96236944189137ffa5416606f447d9f041fa3753203e828fc6dc9cf0b327b",
-    ),
-    ("undecayed", "py"): (
+    "undecayed": (
         "726f9c63a484faf897a56efaa41c3efd2e1ce00dfedc04938aaba9ac9b82e367",
         "b6c96236944189137ffa5416606f447d9f041fa3753203e828fc6dc9cf0b327b",
     ),
@@ -94,4 +83,4 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,
                  "--rounds", str(rounds), "--seed", "3", *flags])
     assert code == 0
-    assert (_digest(res), _digest(stats)) == PINS[(name, backend)]
+    assert (_digest(res), _digest(stats)) == PINS[name]

@@ -8,7 +8,7 @@ import sys
 import xml.dom.minidom
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import stepplace
@@ -562,9 +562,14 @@ class TestCli:
             (["place", "--rounds", "3000", "--w0", "1e300", "--w-growth", "10"],
              "w_growth"),
             (["place", "--penalty-c", "1e308", "--delta0", "1e308"], "penalty_c"),
+            # finite schedules whose sum on one field coefficient is not
+            (["place", "--rounds", "40", "--seed", "1", "--w0", "1e307",
+              "--w-growth", "1.0"], "round 2: a candidate score is not finite"),
+            (["place", "--rounds", "1" + "0" * 400], "max_rounds must be in"),
         ],
         ids=["tiny-aspect", "inf-aspect", "inf-size", "huge-sizes", "tiny-util",
-             "delta-overflow", "w-overflow", "penalty-overflow"],
+             "delta-overflow", "w-overflow", "penalty-overflow", "score-overflow",
+             "rounds-overflow"],
     )
     def test_overflowing_input_exits_1(
         self, tmp_path, instance_file, capsys, argv, needle
@@ -665,6 +670,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(res)
 
+    def test_place_never_imports_numpy(self, tmp_path, instance_file):
+        # both field cores are numpy-free, so a fresh place never loads it
+        src = os.path.dirname(os.path.dirname(stepplace.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        argv = ["place", "--in", instance_file, "--out", str(tmp_path / "r.txt"),
+                "--stats", str(tmp_path / "s.csv"), "--rounds", "200", "--seed", "4"]
+        code = (
+            "import sys\n"
+            "import stepplace.io_cli\n"
+            f"code = stepplace.io_cli.main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_determinism_of_result_and_stats_bytes(self, tmp_path, instance_file):
         blobs = []
         for tag in ("x", "y"):
@@ -752,3 +775,56 @@ def test_property_cli_never_raises(cli_workdir, data):
         assert code in (0, 1, 2), (argv, code)
         if code == 1:
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_place_on_random_instances(cli_workdir, data):
+    """``place`` on a random generated instance with keep-outs exits 0, 1 or
+    2; exit 1 prints one ``error:`` line, exit 2 a failed legalization naming
+    a macro, and ``check`` agrees with the result's ``summary legal``."""
+    draw = data.draw
+    macros = draw(st.integers(1, 25), label="macros")
+    spec = GenSpec(macros=macros, nets=draw(st.integers(0, 2 * (macros - 1))),
+                   utilization=draw(st.floats(0.1, 0.8)),
+                   seed=draw(st.integers(0, 99)))
+    try:
+        netlist, area = generate_instance(spec)
+    except ValueError:  # a macro larger than the area the spec implies
+        reject()
+    w, h = area.width, area.height
+    keepouts = []
+    for _ in range(draw(st.integers(0, 2), label="keep-outs")):
+        x1, x2 = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2,
+                                      unique=True)))
+        y1, y2 = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2,
+                                      unique=True)))
+        keepouts.append(Rect(x1 * w, y1 * h, x2 * w, y2 * h))
+    inst, res = str(cli_workdir / "rand.txt"), str(cli_workdir / "rand-r.txt")
+    save_instance(inst, netlist, PlacementArea(w, h, tuple(keepouts)))
+    if os.path.exists(res):
+        os.unlink(res)
+    argv = ["place", "--in", inst, "--out", res,
+            f"--rounds={draw(st.integers(0, 60), label='rounds')}",
+            f"--grid-p={draw(st.integers(0, 6), label='grid-p')}",
+            f"--grid-q={draw(st.integers(0, 6), label='grid-q')}",
+            f"--seed={draw(st.integers(0, 99), label='seed')}"]
+    if draw(st.booleans(), label="skip-legalize"):
+        argv.append("--skip-legalize")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        return
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("legalization failed: ")
+        assert any(m.id in lines[0] for m in netlist.macros), lines
+    with open(res) as fp:
+        summary = [ln for ln in fp if ln.startswith("summary legal ")]
+    assert len(summary) == 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        checked = main(["check", "--instance", inst, "--result", res])
+    assert (checked == 0) == (summary[0].split()[2] == "true"), argv

@@ -724,6 +724,21 @@ class TestRoundStep:
             assert state.last_scores[state.last_choice] <= state.last_scores[0]
             assert state.last_scores[state.last_choice] == min(state.last_scores)
 
+    def test_non_finite_score_raises_before_moving(self, backend):
+        # each increment is finite, but two of them on one field coefficient
+        # are not
+        nl, area = tiny_instance(1)
+        cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=5, w0=1e308,
+                           w_growth=1.0)
+        state = new_state(nl, area, cfg)
+        state.field = CostField(cfg.grid_p, cfg.grid_q, backend=backend)
+        whole = GridRect(0, 0, 16, 16)
+        with pytest.raises(ValueError, match="not finite; lower w0, w_growth"):
+            for _ in range(cfg.max_rounds):
+                before = repr((state.round, state.placement, state.field.cost(whole)))
+                round_step(state, cfg)
+        assert repr((state.round, state.placement, state.field.cost(whole))) == before
+
     def test_single_macro_stays_when_alone_scores_zero(self):
         nl = Netlist([Macro("a", 2, 2)], [])
         cfg = PlacerConfig(max_rounds=30, grid_p=3, grid_q=3, seed=2)
@@ -879,6 +894,9 @@ class TestRunPlacer:
             PlacerConfig(max_rounds=10, w_growth=0.5)
         with pytest.raises(ValueError):
             PlacerConfig(max_rounds=10, grid_p=99)
+        # beyond the float range, before 1 / max_rounds overflows
+        with pytest.raises(ValueError, match="max_rounds must be in"):
+            PlacerConfig(max_rounds=10**400)
 
 
 class TestBackendsAndSwitch:
