@@ -31,6 +31,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -625,6 +626,41 @@ def _lattice(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
+# boxes that blocked recent legalizer probes, tested before the full check;
+# on fine-blocked a length of 1 left a grid query in 37% of the probes and 8
+# in under 1%, and lengths of 2 to 16 took about the same time
+_RECENT_BLOCKERS = 8
+# where a lattice has no free position, the legalizer retries on finer ones
+# up to this exponent (the default grid)
+_FINEST_RETRY = 6
+
+
+def _nearest_index(vals: list[float], v: float) -> int:
+    """Index of the sorted ``vals`` entry nearest ``v``, ties to the lower."""
+    i = min(bisect_left(vals, v), len(vals) - 1)
+    return i - 1 if i > 0 and abs(vals[i - 1] - v) <= abs(vals[i] - v) else i
+
+
+def _nearest_free(
+    xs: list[float], ys: list[float], pos: Point, free: Callable[[Point], bool]
+) -> Point | None:
+    """First lattice point ``(xs[i], ys[j])`` that ``free`` accepts, in
+    Manhattan rings of index distance around the point nearest ``pos``: each
+    ring by ascending ``i``, ``+dj`` before ``-dj``."""
+    ci, cj = _nearest_index(xs, pos[0]), _nearest_index(ys, pos[1])
+    for r in range(len(xs) + len(ys) + 1):
+        for di in range(-r, r + 1):
+            i = ci + di
+            if not 0 <= i < len(xs):
+                continue
+            rem = r - abs(di)
+            for dj in ((rem, -rem) if rem else (0,)):
+                j = cj + dj
+                if 0 <= j < len(ys) and free((xs[i], ys[j])):
+                    return xs[i], ys[j]
+    return None
+
+
 def naive_legalize(
     placement: Placement,
     netlist: Netlist,
@@ -637,22 +673,41 @@ def naive_legalize(
     Macros are processed by area, largest first.  Each keeps its position if
     conflict-free; otherwise it moves to the nearest conflict-free lattice
     position (Manhattan rings over a lattice whose pitch is the area over
-    ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Raises
-    :class:`LegalizationError` when a macro cannot be placed, and never
-    returns an illegal placement.
+    ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Where that
+    lattice has no free position, the search repeats on a lattice one
+    exponent finer per axis, up to ``max(exponent, 6)``.  A probe first tests
+    the few placed footprints and keep-outs that blocked recent probes, and
+    queries the bucket grid and the keep-outs only when none of them blocks;
+    either way it answers whether a real box overlaps, so the result is that
+    of the full check.  Raises :class:`LegalizationError` when a macro
+    cannot be placed, and never returns an illegal placement.
     """
-    gx = area.width / (1 << grid_p)
-    gy = area.height / (1 << grid_q)
-
     placed = footprint_grid(netlist, {})
+    recent: list[Box] = []  # newest first
 
     def conflict_free(m: Macro, pos: Point, b: MacroBounds) -> bool:
         if not (b.x_min <= pos[0] <= b.x_max and b.y_min <= pos[1] <= b.y_max):
             return False
-        box = footprint_box(m, pos)
-        return not placed.hits(*box) and not any(
-            overlaps(box, blk) for blk in area.blockages
-        )
+        box = x1, y1, x2, y2 = footprint_box(m, pos)
+        for k, blk in enumerate(recent):
+            bx1, by1, bx2, by2 = blk
+            # overlaps(box, blk), written out to skip the calls
+            if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
+                by1 if by1 > y1 else y1
+            ) < (by2 if by2 < y2 else y2):
+                if k:
+                    recent.insert(0, recent.pop(k))
+                return False
+        hit = placed.hits(*box)
+        if hit:
+            blk = placed.boxes[hit[0]]
+        else:
+            blk = next((r for r in area.blockages if overlaps(box, r)), None)
+            if blk is None:
+                return True
+        recent.insert(0, blk)
+        del recent[_RECENT_BLOCKERS:]
+        return False
 
     out: Placement = {}
     order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
@@ -661,40 +716,19 @@ def naive_legalize(
             raise ValueError(f"macro {m.id!r} has no position")
         b = compute_bounds(m, area)
         x, y = placement[m.id]
-        x = min(max(x, b.x_min), b.x_max)
-        y = min(max(y, b.y_min), b.y_max)
-        if conflict_free(m, (x, y), b):
-            out[m.id] = (x, y)
-            placed.put(m.id, footprint_box(m, (x, y)))
-            continue
-        xs = _lattice(b.x_min, b.x_max, gx)
-        ys = _lattice(b.y_min, b.y_max, gy)
-        ci = min(bisect_left(xs, x), len(xs) - 1)
-        if ci > 0 and abs(xs[ci - 1] - x) <= abs(xs[ci] - x):
-            ci -= 1
-        cj = min(bisect_left(ys, y), len(ys) - 1)
-        if cj > 0 and abs(ys[cj - 1] - y) <= abs(ys[cj] - y):
-            cj -= 1
-        found: Point | None = None
-        max_r = len(xs) + len(ys)
-        for r in range(max_r + 1):
-            for di in range(-r, r + 1):
-                i = ci + di
-                if not 0 <= i < len(xs):
-                    continue
-                rem = r - abs(di)
-                for dj in ((rem, -rem) if rem else (0,)):
-                    j = cj + dj
-                    if not 0 <= j < len(ys):
-                        continue
-                    cand = (xs[i], ys[j])
-                    if conflict_free(m, cand, b):
-                        found = cand
-                        break
-                if found:
-                    break
-            if found:
+        start = (min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max))
+        found = start if conflict_free(m, start, b) else None
+        for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
+            if found is not None:
                 break
+            p = max(grid_p, min(grid_p + k, _FINEST_RETRY))
+            q = max(grid_q, min(grid_q + k, _FINEST_RETRY))
+            found = _nearest_free(
+                _lattice(b.x_min, b.x_max, area.width / (1 << p)),
+                _lattice(b.y_min, b.y_max, area.height / (1 << q)),
+                start,
+                lambda pos: conflict_free(m, pos, b),
+            )
         if found is None:
             raise LegalizationError(m.id)
         out[m.id] = found

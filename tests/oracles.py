@@ -3,13 +3,19 @@
 Everything here is built directly from definitions (dense vectors and
 matrices updated by slicing, rectangle corners compared one by one),
 independent of the library's coefficient and geometry-kernel arithmetic, so
-tests compare two unrelated computation paths.
+tests compare two unrelated computation paths.  The one exception is
+:func:`oracle_legalize`, the legalizer's plain search kept as a reference for
+its faster probing: it shares the bucket grid and ``compute_bounds``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
+from stepplace.netmodel import footprint_box, footprint_grid, overlaps
+from stepplace.placer import LegalizationError, compute_bounds
 from stepplace.stepfield import GridRect
 
 
@@ -79,3 +85,65 @@ def random_grid_rect(rng, n: int, m: int) -> GridRect:
     b1 = rng.randrange(m)
     b2 = rng.randrange(b1 + 1, m + 1)
     return GridRect(a1, b1, a2, b2)
+
+
+def oracle_legalize(placement, netlist, area, grid_p, grid_q):
+    """The greedy legalizer as it was before blocker-first probing: every
+    probe queries the bucket grid and scans every keep-out, and the search
+    covers only the ``2**grid_p`` by ``2**grid_q`` lattice.  Raises
+    :class:`LegalizationError` when a macro finds no free lattice point."""
+    gx = area.width / (1 << grid_p)
+    gy = area.height / (1 << grid_q)
+    placed = footprint_grid(netlist, {})
+
+    def lattice(lo, hi, step):
+        vals = []
+        i = 0
+        while lo + i * step < hi:
+            vals.append(lo + i * step)
+            i += 1
+        return vals + [hi]
+
+    def nearest(vals, v):
+        i = min(bisect_left(vals, v), len(vals) - 1)
+        if i > 0 and abs(vals[i - 1] - v) <= abs(vals[i] - v):
+            i -= 1
+        return i
+
+    def conflict_free(m, pos, b):
+        if not (b.x_min <= pos[0] <= b.x_max and b.y_min <= pos[1] <= b.y_max):
+            return False
+        box = footprint_box(m, pos)
+        return not placed.hits(*box) and not any(
+            overlaps(box, blk) for blk in area.blockages
+        )
+
+    out = {}
+    for m in sorted(netlist.macros, key=lambda m: (-m.area, m.id)):
+        b = compute_bounds(m, area)
+        x, y = placement[m.id]
+        x = min(max(x, b.x_min), b.x_max)
+        y = min(max(y, b.y_min), b.y_max)
+        found = (x, y) if conflict_free(m, (x, y), b) else None
+        xs = lattice(b.x_min, b.x_max, gx)
+        ys = lattice(b.y_min, b.y_max, gy)
+        ci, cj = nearest(xs, x), nearest(ys, y)
+        for r in range(len(xs) + len(ys) + 1):
+            if found:
+                break
+            for di in range(-r, r + 1):
+                i = ci + di
+                rem = r - abs(di)
+                for dj in (rem, -rem) if rem else (0,):
+                    j = cj + dj
+                    if (0 <= i < len(xs) and 0 <= j < len(ys)
+                            and conflict_free(m, (xs[i], ys[j]), b)):
+                        found = (xs[i], ys[j])
+                        break
+                if found:
+                    break
+        if found is None:
+            raise LegalizationError(m.id)
+        out[m.id] = found
+        placed.put(m.id, footprint_box(m, found))
+    return out

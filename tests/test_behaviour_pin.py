@@ -3,7 +3,8 @@
 The SHA-256 values were recorded from the code before the bucket-grid
 geometry kernel replaced the overlap scans; the ``undecayed`` pins from the
 code before the field cores lost their separate path for a field that never
-decayed.  The Python field core does the C core's float operations in the C
+decayed; the ``coarse`` pins from the first legalizer that retries on a finer
+lattice.  The Python field core does the C core's float operations in the C
 core's order, so each instance has one pair for both backends.  A change that
 alters these bytes changes placer behaviour and must say so and re-pin them.
 """
@@ -41,10 +42,22 @@ INSTANCES = {
         300,
         ("--rho", "1.0"),
     ),
+    # a 4x4 lattice too coarse for the last macros: the legalizer places
+    # them on a finer one (the plain search failed here, exit 2)
+    "coarse": (
+        GenSpec(macros=15, nets=20, utilization=0.5, seed=21),
+        (),
+        40,
+        ("--grid-p", "2", "--grid-q", "2"),
+    ),
 }
 
 # instance -> (result sha256, stats sha256), the same on both field backends
 PINS = {
+    "coarse": (
+        "de33f1025604fe5dc73ea673d35d96ab4e2b0b912703a916250e32abbe537704",
+        "994deecb4f1d4677474d09c5b27f9e95c970faade65593122b800f1260ca5c93",
+    ),
     "blocked": (
         "5fa11213cf36f2247e80f10cf9990951314f131412c3f659f39686b038b71708",
         "f93c5b1c673b213d7b40af1cbcbd68334cc13a7aa349a151b0da79bfc10aff9f",

@@ -25,10 +25,11 @@ from stepplace.io_cli import (
     render_svg,
     save_instance,
     save_result,
+    write_instance,
     write_stats_csv,
 )
 from stepplace.netmodel import Macro, Net, Netlist, PlacementArea, Rect, is_legal
-from stepplace.placer import PlacerConfig, RoundStats, run_placer
+from stepplace.placer import PlacerConfig, RoundStats, new_state, run_placer
 
 MINIMAL = """\
 # smallest useful instance
@@ -828,3 +829,91 @@ def test_property_place_on_random_instances(cli_workdir, data):
     with contextlib.redirect_stdout(io.StringIO()):
         checked = main(["check", "--instance", inst, "--result", res])
     assert (checked == 0) == (summary[0].split()[2] == "true"), argv
+
+
+# instance tokens: directives, ids of FULL, numbers at the edges, and any text
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["area", "blockage", "macro", "net", "place", "a", "b", "c", "d", "#",
+         "0", "-1", "0.5", "1", "2", "3", "10.5", "1e308", "1e-320", "5e-324",
+         "nan", "inf", "-inf"]
+    ),
+    st.text(min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_instance_text_parses_or_names_the_error(data):
+    """Mutated lines of a valid instance and random token lines either raise
+    :class:`InstanceFormatError` or parse to an instance that writes back to
+    itself and that the placer accepts; no other exception escapes."""
+    draw = data.draw
+    lines = FULL.splitlines()
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        i = draw(st.integers(0, len(lines)), label="line")
+        edit = draw(st.sampled_from(["token", "drop", "copy", "insert"]))
+        if edit == "insert" or i == len(lines):
+            head = draw(st.sampled_from(["area", "blockage", "macro", "net", "place"]))
+            lines.insert(i, " ".join([head, *draw(st.lists(TOKENS, max_size=4))]))
+        elif edit == "token":
+            toks = lines[i].split()
+            k = draw(st.integers(0, len(toks)), label="token")
+            toks[k:k + draw(st.integers(0, 1))] = [draw(TOKENS)]
+            lines[i] = " ".join(toks)
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    text = "\n".join(lines) + "\n"
+    try:
+        netlist, area, initial = parse_instance(io.StringIO(text))
+    except InstanceFormatError:
+        return
+    buf = io.StringIO()
+    write_instance(buf, netlist, area, initial)
+    again = parse_instance(io.StringIO(buf.getvalue()))
+    assert (again[0].macros, again[0].nets, again[1], again[2]) == (
+        netlist.macros, netlist.nets, area, initial), text
+    new_state(netlist, area, PlacerConfig(max_rounds=0), initial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_rendered_svg_is_well_formed(data):
+    """``render_svg`` on a random generated instance, with random printable
+    macro ids, keep-outs and a partial placement, writes XML that
+    ``xml.dom.minidom`` parses, with one label per placed macro."""
+    draw = data.draw
+    macros = draw(st.integers(1, 20), label="macros")
+    spec = GenSpec(macros=macros, nets=draw(st.integers(0, 2 * (macros - 1))),
+                   utilization=draw(st.floats(0.1, 0.8)),
+                   seed=draw(st.integers(0, 99)))
+    try:
+        netlist, area = generate_instance(spec)
+    except ValueError:  # a macro larger than the area the spec implies
+        reject()
+    # printable without whitespace, as Macro requires; the index keeps ids unique
+    chars = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Z"))
+    rename = {m.id: draw(st.text(chars, max_size=3), label="id") + str(i)
+              for i, m in enumerate(netlist.macros)}
+    netlist = Netlist(
+        [Macro(rename[m.id], m.size_x, m.size_y) for m in netlist.macros],
+        [Net(tuple(rename[x] for x in n.members)) for n in netlist.nets],
+    )
+    w, h = area.width, area.height
+    keepouts = []
+    for _ in range(draw(st.integers(0, 3), label="keep-outs")):
+        x1, x2 = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2,
+                                      unique=True)))
+        y1, y2 = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2,
+                                      unique=True)))
+        keepouts.append(Rect(x1 * w, y1 * h, x2 * w, y2 * h))
+    placed = [m.id for m in netlist.macros if draw(st.booleans())]
+    placement = {mid: (draw(st.floats(0, w)), draw(st.floats(0, h)))
+                 for mid in placed}
+    buf = io.StringIO()
+    render_svg(netlist, PlacementArea(w, h, tuple(keepouts)), placement, buf)
+    doc = xml.dom.minidom.parseString(buf.getvalue())
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert labels == placed

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import stepplace.placer as placer
 import stepplace.stepfield as stepfield
-from oracles import intersection
+import oracles
+from oracles import intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
+    BucketGrid,
     LegalityReport,
     Macro,
     Net,
@@ -977,6 +979,16 @@ class TestNaiveLegalize:
         with pytest.raises(LegalizationError):
             naive_legalize(placement, nl, area, 2, 1)
 
+    def test_coarse_lattice_falls_back_to_finer(self):
+        # at exponent 0 the unit lattice is {0.5, 3.5}, and c finds both taken
+        nl = Netlist([Macro(m, 1, 1) for m in "abc"], [])
+        area = PlacementArea(4, 1)
+        placement = {m: (0.5, 0.5) for m in "abc"}
+        with pytest.raises(LegalizationError):
+            oracle_legalize(placement, nl, area, 0, 0)
+        got = naive_legalize(placement, nl, area, 0, 0)
+        assert got == {"a": (0.5, 0.5), "b": (3.5, 0.5), "c": (2.5, 0.5)}
+
     def test_blockage_respected(self):
         nl = Netlist([Macro("a", 2, 2)], [])
         area = PlacementArea(6, 2, (Rect(0, 0, 2, 2),))
@@ -1021,3 +1033,86 @@ class TestNaiveLegalize:
         with pytest.raises(LegalizationError) as err:
             naive_legalize(placement, nl, PlacementArea(4, 4), 3, 3)
         assert err.value.macro_id == culprit
+
+    def test_blocker_first_probes_skip_most_queries(self, monkeypatch):
+        """The probes are the oracle's, one for one, and at most a tenth of
+        them query the bucket grid.  Exact counts, so the test repeats."""
+        netlist, area = generate_instance(GenSpec(macros=30, nets=0, seed=4))
+        w, h = area.width, area.height
+        area = PlacementArea(w, h, (
+            Rect(0.1 * w, 0.2 * h, 0.25 * w, 0.3 * h),
+            Rect(0.5 * w, 0.5 * h, 0.6 * w, 0.75 * h),
+            Rect(0.7 * w, 0.1 * h, 0.9 * w, 0.2 * h),
+        ))
+        rng = random.Random(4)
+        # every macro starts in the lower-left quarter, so most must move
+        start = {m.id: (rng.uniform(0, w / 2), rng.uniform(0, h / 2))
+                 for m in netlist.macros}
+        counts = {"hits": 0, "boxes": 0}
+        hits, box = BucketGrid.hits, footprint_box
+
+        def counted_hits(self, *query):
+            counts["hits"] += 1
+            return hits(self, *query)
+
+        def counted_box(*args):
+            counts["boxes"] += 1
+            return box(*args)
+
+        monkeypatch.setattr(BucketGrid, "hits", counted_hits)
+        monkeypatch.setattr(oracles, "footprint_box", counted_box)
+        monkeypatch.setattr(placer, "footprint_box", counted_box)
+        # one footprint per probe, plus one per placed macro
+        want = oracle_legalize(start, netlist, area, 6, 6)
+        oracle_probes = counts["boxes"] - len(netlist.macros)
+        counts.update(hits=0, boxes=0)
+        got = naive_legalize(start, netlist, area, 6, 6)
+        probes = counts["boxes"] - len(netlist.macros)
+        assert got == want
+        assert probes == oracle_probes > 1000
+        assert counts["hits"] <= probes // 10, (counts, probes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_oracle(self, data):
+        """Where the plain search succeeds, the legalizer returns its
+        placement to the bit; where it fails, the legalizer returns a legal
+        placement or raises :class:`LegalizationError`."""
+        draw = data.draw
+        rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+        w, h = rng.uniform(4, 40), rng.uniform(4, 40)
+        # macro sides up to a third of the area, total area up to 60% of it
+        n = draw(st.integers(1, 30), label="macros")
+        util = draw(st.floats(0.05, 0.6), label="utilization")
+        side = math.sqrt(util * w * h / n)
+        macros = [
+            Macro(f"m{i}", min(w / 3, side * rng.uniform(0.4, 1.6)),
+                  min(h / 3, side * rng.uniform(0.4, 1.6)))
+            for i in range(n)
+        ]
+        keepouts = []
+        for _ in range(draw(st.integers(0, 3), label="keep-outs")):
+            kw, kh = w * rng.uniform(0.02, 0.3), h * rng.uniform(0.02, 0.3)
+            x, y = rng.uniform(0, w - kw), rng.uniform(0, h - kh)
+            keepouts.append(Rect(x, y, x + kw, y + kh))
+        area = PlacementArea(w, h, tuple(keepouts))
+        # centers drawn from a window of the area, so footprints overlap
+        f = draw(st.floats(0.0, 1.0), label="window")
+        start = {m.id: (rng.uniform(0, f * w), rng.uniform(0, f * h))
+                 for m in macros}
+        p = draw(st.integers(2, 8), label="grid_p")
+        q = draw(st.integers(2, 8), label="grid_q")
+        nl = Netlist(macros, [])
+        try:
+            want = oracle_legalize(start, nl, area, p, q)
+        except LegalizationError:
+            want = None
+        try:
+            got = naive_legalize(start, nl, area, p, q)
+        except LegalizationError:
+            assert want is None
+            return
+        assert is_legal(got, nl, area).legal
+        if want is not None:
+            assert {k: (x.hex(), y.hex()) for k, (x, y) in got.items()} == {
+                k: (x.hex(), y.hex()) for k, (x, y) in want.items()}
