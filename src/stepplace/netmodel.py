@@ -209,6 +209,22 @@ class BucketGrid:
         out.sort()
         return out
 
+    def first_hit(self, x1: float, y1: float, x2: float, y2: float) -> Box | None:
+        """Box of the least key that meets the query with positive area in
+        the first cell, in :meth:`_cells` order, holding one; None if none."""
+        cells, boxes = self.cells, self.boxes
+        for c in self._cells((x1, y1, x2, y2)):
+            best = None
+            for key in cells.get(c, ()):
+                bx1, by1, bx2, by2 = boxes[key]
+                if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
+                    by1 if by1 > y1 else y1
+                ) < (by2 if by2 < y2 else y2) and (best is None or key < best):
+                    best = key
+            if best is not None:
+                return boxes[best]
+        return None
+
     def pairs(self) -> list[tuple[str, str]]:
         """Every overlapping pair ``(a, b)`` with ``a < b``, in ascending order."""
         boxes = self.boxes

@@ -30,9 +30,10 @@ import math
 import random
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from operator import lt
 from typing import NamedTuple
 
 from stepplace.netmodel import (
@@ -626,10 +627,6 @@ def _lattice(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
-# boxes that blocked recent legalizer probes, tested before the full check;
-# on fine-blocked a length of 1 left a grid query in 37% of the probes and 8
-# in under 1%, and lengths of 2 to 16 took about the same time
-_RECENT_BLOCKERS = 8
 # where a lattice has no free position, the legalizer retries on finer ones
 # up to this exponent (the default grid)
 _FINEST_RETRY = 6
@@ -642,22 +639,60 @@ def _nearest_index(vals: list[float], v: float) -> int:
 
 
 def _nearest_free(
-    xs: list[float], ys: list[float], pos: Point, free: Callable[[Point], bool]
+    xs: list[float],
+    ys: list[float],
+    pos: Point,
+    half: Point,
+    blocker: Callable[[Box], Box | None],
 ) -> Point | None:
-    """First lattice point ``(xs[i], ys[j])`` that ``free`` accepts, in
+    """First lattice point ``(xs[i], ys[j])`` whose footprint, ``half`` the
+    macro's sides around it, ``blocker`` finds no box overlapping, in
     Manhattan rings of index distance around the point nearest ``pos``: each
-    ring by ascending ``i``, ``+dj`` before ``-dj``."""
+    ring by ascending ``i``, ``+dj`` before ``-dj``.
+
+    Ring ``r`` holds at most one point of column ``i`` at or above row ``cj``
+    and one below it, so only two cursors per column are probed: the nearest
+    rows up and down not known to be blocked, ring by ring in that order.  A
+    blocker moves every cursor it covers past its rows, found by bisecting
+    the footprint edges, which are monotone and computed as in the overlap
+    test: the result is that of probing every point."""
+    hx, hy = half
     ci, cj = _nearest_index(xs, pos[0]), _nearest_index(ys, pos[1])
-    for r in range(len(xs) + len(ys) + 1):
-        for di in range(-r, r + 1):
-            i = ci + di
-            if not 0 <= i < len(xs):
+    lefts, rights = [x - hx for x in xs], [x + hx for x in xs]
+    bottoms, tops = [y - hy for y in ys], [y + hy for y in ys]
+    # an empty footprint overlaps nothing, so no jump may pass it; where one
+    # exists the probed cursor steps one row at a time
+    exact = all(map(lt, lefts, rights)) and all(map(lt, bottoms, tops))
+    row = [cj, cj - 1] * len(xs)  # row[2 * i]: upward cursor, + 1: downward
+    queue: dict[int, list[int]] = {}  # ring -> cursors, some since moved on
+    for r in range(len(xs) + len(ys) - 1):
+        ring = queue.pop(r, [])
+        # columns ci - r and ci + r enter the search on ring r
+        for i in (ci - r, ci + r) if r else (ci,):
+            if 0 <= i < len(xs):
+                ring.append(2 * i)
+                if cj:
+                    queue.setdefault(r + 1, []).append(2 * i + 1)
+        ring.sort()
+        for c in ring:
+            i, j = c >> 1, row[c]
+            if abs(i - ci) + abs(j - cj) != r:
                 continue
-            rem = r - abs(di)
-            for dj in ((rem, -rem) if rem else (0,)):
-                j = cj + dj
-                if 0 <= j < len(ys) and free((xs[i], ys[j])):
-                    return xs[i], ys[j]
+            x, y = xs[i], ys[j]
+            blk = blocker((x - hx, y - hy, x + hx, y + hy))
+            if blk is None:
+                return x, y
+            if exact:  # blk covers rows lo..hi - 1 of these columns
+                lo, hi = bisect_right(tops, blk[1]), bisect_left(bottoms, blk[3])
+                cols = range(bisect_right(rights, blk[0]), bisect_left(lefts, blk[2]))
+            else:
+                lo, hi, cols = j, j + 1, (i,)
+            for k in cols:
+                for u, to in ((2 * k, hi), (2 * k + 1, lo - 1)):
+                    if lo <= row[u] < hi:
+                        row[u] = to
+                        if 0 <= to < len(ys):
+                            queue.setdefault(abs(k - ci) + abs(to - cj), []).append(u)
     return None
 
 
@@ -675,39 +710,20 @@ def naive_legalize(
     position (Manhattan rings over a lattice whose pitch is the area over
     ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Where that
     lattice has no free position, the search repeats on a lattice one
-    exponent finer per axis, up to ``max(exponent, 6)``.  A probe first tests
-    the few placed footprints and keep-outs that blocked recent probes, and
-    queries the bucket grid and the keep-outs only when none of them blocks;
-    either way it answers whether a real box overlaps, so the result is that
-    of the full check.  Raises :class:`LegalizationError` when a macro
-    cannot be placed, and never returns an illegal placement.
+    exponent finer per axis, up to ``max(exponent, 6)``.  The ring search
+    (:func:`_nearest_free`) probes only one cursor per column and direction,
+    and a probe's blocker, a placed footprint from the bucket grid or else a
+    keep-out, moves the cursors past exactly the points it covers: in ring
+    order the first free cursor is the first free ring point, so the result
+    is that of probing every point.  Raises :class:`LegalizationError` when
+    a macro cannot be placed, and never returns an illegal placement.
     """
     placed = footprint_grid(netlist, {})
-    recent: list[Box] = []  # newest first
 
-    def conflict_free(m: Macro, pos: Point, b: MacroBounds) -> bool:
-        if not (b.x_min <= pos[0] <= b.x_max and b.y_min <= pos[1] <= b.y_max):
-            return False
-        box = x1, y1, x2, y2 = footprint_box(m, pos)
-        for k, blk in enumerate(recent):
-            bx1, by1, bx2, by2 = blk
-            # overlaps(box, blk), written out to skip the calls
-            if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
-                by1 if by1 > y1 else y1
-            ) < (by2 if by2 < y2 else y2):
-                if k:
-                    recent.insert(0, recent.pop(k))
-                return False
-        hit = placed.hits(*box)
-        if hit:
-            blk = placed.boxes[hit[0]]
-        else:
-            blk = next((r for r in area.blockages if overlaps(box, r)), None)
-            if blk is None:
-                return True
-        recent.insert(0, blk)
-        del recent[_RECENT_BLOCKERS:]
-        return False
+    def blocker(box: Box) -> Box | None:
+        return placed.first_hit(*box) or next(
+            (r for r in area.blockages if overlaps(box, r)), None
+        )
 
     out: Placement = {}
     order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
@@ -717,7 +733,8 @@ def naive_legalize(
         b = compute_bounds(m, area)
         x, y = placement[m.id]
         start = (min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max))
-        found = start if conflict_free(m, start, b) else None
+        inside = b.x_min <= start[0] <= b.x_max and b.y_min <= start[1] <= b.y_max
+        found = start if inside and blocker(footprint_box(m, start)) is None else None
         for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
             if found is not None:
                 break
@@ -727,7 +744,8 @@ def naive_legalize(
                 _lattice(b.x_min, b.x_max, area.width / (1 << p)),
                 _lattice(b.y_min, b.y_max, area.height / (1 << q)),
                 start,
-                lambda pos: conflict_free(m, pos, b),
+                (m.size_x / 2.0, m.size_y / 2.0),
+                blocker,
             )
         if found is None:
             raise LegalizationError(m.id)

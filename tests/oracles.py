@@ -6,6 +6,7 @@ independent of the library's coefficient and geometry-kernel arithmetic, so
 tests compare two unrelated computation paths.  The one exception is
 :func:`oracle_legalize`, the legalizer's plain search kept as a reference for
 its faster probing: it shares the bucket grid and ``compute_bounds``.
+:func:`oracle_nearest_free` is the ring search alone, tested point by point.
 """
 
 from __future__ import annotations
@@ -87,10 +88,45 @@ def random_grid_rect(rng, n: int, m: int) -> GridRect:
     return GridRect(a1, b1, a2, b2)
 
 
+def ring_walk(xs, ys, pos):
+    """Every lattice point ``(xs[i], ys[j])`` in the legalizer's probe order:
+    Manhattan rings of index distance around the point nearest ``pos`` (ties
+    to the lower index), each ring by ascending ``i``, ``+dj`` before
+    ``-dj``."""
+
+    def nearest(vals, v):
+        i = min(bisect_left(vals, v), len(vals) - 1)
+        if i > 0 and abs(vals[i - 1] - v) <= abs(vals[i] - v):
+            i -= 1
+        return i
+
+    ci, cj = nearest(xs, pos[0]), nearest(ys, pos[1])
+    for r in range(len(xs) + len(ys) + 1):
+        for di in range(-r, r + 1):
+            i = ci + di
+            rem = r - abs(di)
+            for dj in (rem, -rem) if rem else (0,):
+                j = cj + dj
+                if 0 <= i < len(xs) and 0 <= j < len(ys):
+                    yield xs[i], ys[j]
+
+
+def oracle_nearest_free(xs, ys, pos, half, boxes):
+    """First point of :func:`ring_walk` whose footprint, ``half`` the sides
+    around it, meets none of ``boxes``; every point is tested in turn."""
+    hx, hy = half
+    return next(
+        ((x, y) for x, y in ring_walk(xs, ys, pos)
+         if not any(intersection((x - hx, y - hy, x + hx, y + hy), b)
+                    for b in boxes)),
+        None,
+    )
+
+
 def oracle_legalize(placement, netlist, area, grid_p, grid_q):
-    """The greedy legalizer as it was before blocker-first probing: every
-    probe queries the bucket grid and scans every keep-out, and the search
-    covers only the ``2**grid_p`` by ``2**grid_q`` lattice.  Raises
+    """The greedy legalizer as it was before its probes skipped anything:
+    every probe queries the bucket grid and scans every keep-out, and the
+    search covers only the ``2**grid_p`` by ``2**grid_q`` lattice.  Raises
     :class:`LegalizationError` when a macro finds no free lattice point."""
     gx = area.width / (1 << grid_p)
     gy = area.height / (1 << grid_q)
@@ -103,12 +139,6 @@ def oracle_legalize(placement, netlist, area, grid_p, grid_q):
             vals.append(lo + i * step)
             i += 1
         return vals + [hi]
-
-    def nearest(vals, v):
-        i = min(bisect_left(vals, v), len(vals) - 1)
-        if i > 0 and abs(vals[i - 1] - v) <= abs(vals[i] - v):
-            i -= 1
-        return i
 
     def conflict_free(m, pos, b):
         if not (b.x_min <= pos[0] <= b.x_max and b.y_min <= pos[1] <= b.y_max):
@@ -125,23 +155,13 @@ def oracle_legalize(placement, netlist, area, grid_p, grid_q):
         x = min(max(x, b.x_min), b.x_max)
         y = min(max(y, b.y_min), b.y_max)
         found = (x, y) if conflict_free(m, (x, y), b) else None
-        xs = lattice(b.x_min, b.x_max, gx)
-        ys = lattice(b.y_min, b.y_max, gy)
-        ci, cj = nearest(xs, x), nearest(ys, y)
-        for r in range(len(xs) + len(ys) + 1):
-            if found:
-                break
-            for di in range(-r, r + 1):
-                i = ci + di
-                rem = r - abs(di)
-                for dj in (rem, -rem) if rem else (0,):
-                    j = cj + dj
-                    if (0 <= i < len(xs) and 0 <= j < len(ys)
-                            and conflict_free(m, (xs[i], ys[j]), b)):
-                        found = (xs[i], ys[j])
-                        break
-                if found:
-                    break
+        if found is None:
+            xs = lattice(b.x_min, b.x_max, gx)
+            ys = lattice(b.y_min, b.y_max, gy)
+            found = next(
+                (p for p in ring_walk(xs, ys, (x, y)) if conflict_free(m, p, b)),
+                None,
+            )
         if found is None:
             raise LegalizationError(m.id)
         out[m.id] = found

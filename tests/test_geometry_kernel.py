@@ -59,10 +59,11 @@ def test_hits_equal_brute_force_after_moves(layout, moves, qx, qy, qw, qh):
         placement[m.id] = (x, y)
         grid.put(m.id, footprint_box(m, (x, y)))
     query = (qx, qy, qx + qw, qy + qh)
-    assert grid.hits(*query) == brute_hits(netlist, placement, query)
-    for m in netlist.macros:
-        fp = footprint_box(m, placement[m.id])
-        assert grid.hits(*fp) == brute_hits(netlist, placement, fp)
+    for box in [query] + [footprint_box(m, placement[m.id]) for m in netlist.macros]:
+        want = brute_hits(netlist, placement, box)
+        assert grid.hits(*box) == want
+        # first_hit reports the box of one of them, None if there is none
+        assert grid.first_hit(*box) in ([grid.boxes[k] for k in want] or [None])
 
 
 def all_pairs_penalty(step, macro, pos, placement, netlist, config):

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from array import array
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stepplace.placer as placer
@@ -13,7 +17,6 @@ from oracles import intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
-    BucketGrid,
     LegalityReport,
     Macro,
     Net,
@@ -52,6 +55,101 @@ from stepplace.stepfield import MAX_GRID_EXPONENT, CostField, GridRect
 
 def square_area(side=8.0, blockages=()):
     return PlacementArea(side, side, blockages)
+
+
+# ring probes of naive_legalize on blocked_instance(), plus one per macro
+PROBES = 451
+
+
+def blocked_instance():
+    """30 macros started in the lower-left quarter of an area with three
+    keep-outs, so most of them must move."""
+    netlist, area = generate_instance(GenSpec(macros=30, nets=0, seed=4))
+    w, h = area.width, area.height
+    area = PlacementArea(w, h, (
+        Rect(0.1 * w, 0.2 * h, 0.25 * w, 0.3 * h),
+        Rect(0.5 * w, 0.5 * h, 0.6 * w, 0.75 * h),
+        Rect(0.7 * w, 0.1 * h, 0.9 * w, 0.2 * h),
+    ))
+    rng = random.Random(4)
+    start = {m.id: (rng.uniform(0, w / 2), rng.uniform(0, h / 2))
+             for m in netlist.macros}
+    return start, netlist, area
+
+
+def counted_legalize(start, netlist, area):
+    """``naive_legalize`` at exponent 6 and its probes: one for each macro's
+    start, one for each blocker query of the ring search."""
+    probes = len(netlist.macros)
+    search = placer._nearest_free
+
+    def counted_search(xs, ys, pos, half, blocker):
+        def probe(box):
+            nonlocal probes
+            probes += 1
+            return blocker(box)
+
+        return search(xs, ys, pos, half, probe)
+
+    placer._nearest_free = counted_search
+    try:
+        got = naive_legalize(start, netlist, area, 6, 6)
+    finally:
+        placer._nearest_free = search
+    return got, probes
+
+
+@st.composite
+def ring_searches(draw):
+    """Arguments of ``_nearest_free`` plus the boxes its blocker reports.
+
+    At ``2**51`` floats are 0.5 apart, so a half side of 0.25 leaves the
+    footprints at even multiples of 0.5 empty (``y - hy == y + hy``) and
+    those at odd ones not.  Box edges come from the footprint edges, so
+    boxes often touch footprints edge to edge, and from beyond the lattice,
+    so some span whole columns or rows."""
+    if draw(st.booleans(), label="at 2**51"):
+        base, step = 2.0**51, st.sampled_from([0.5, 1.0, 1.5])
+        half = st.sampled_from([0.25, 0.25, 0.5])
+    else:
+        base, step = draw(st.floats(0, 100), label="base"), st.floats(0.125, 3)
+        half = st.one_of(st.floats(0.05, 4), st.just(1e-300))
+    xs, ys = (list(accumulate([base] + draw(st.lists(step, max_size=9), label=a)))
+              for a in ("xs", "ys"))
+    hx, hy = draw(half, label="hx"), draw(half, label="hy")
+
+    def edges(vals, h):
+        far = 4 * h + 4
+        return sorted({v - h for v in vals} | {v + h for v in vals}
+                      | {vals[0] - far, vals[-1] + far})
+
+    ex, ey = edges(xs, hx), edges(ys, hy)
+    ix, iy = st.integers(0, len(ex) - 1), st.integers(0, len(ey) - 1)
+    boxes = [
+        (ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)])
+        for a, b, c, d in draw(st.lists(st.tuples(ix, ix, iy, iy), max_size=6),
+                               label="boxes")
+    ]
+    # centers on, between and beyond the lattice points
+    pos = tuple(
+        draw(st.sampled_from([v[0] - 1] + v + [v[-1] + 1]), label=f"{a} center")
+        + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset")
+        for a, v in (("x", xs), ("y", ys))
+    )
+    return xs, ys, pos, (hx, hy), boxes
+
+
+# empty footprints a jump would pass: at 2**51 + 1 in a column, in a row
+_B = 2.0**51
+EMPTY_COLUMN = ([_B, _B + 0.5, _B + 1], [_B], (_B - 1, _B - 1), (0.25, 0.25),
+                [(_B - 5, _B - 5, _B + 6, _B)])
+EMPTY_ROW = ([_B], [_B, _B + 0.5, _B + 1, _B + 1.5], (_B, _B), (0.25, 0.25),
+             [(_B - 5, _B - 5, _B + 5, _B + 3)])
+# a box that blocks the center and touches the free column or row beside it
+TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
+                   [(-0.5, 1.5, 1.0, 3.0)])
+TOUCHING_ROW = ([0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
+                [(-1.0, 1.5, 1.0, 3.0)])
 
 
 class TestSnapToGrid:
@@ -1034,43 +1132,69 @@ class TestNaiveLegalize:
             naive_legalize(placement, nl, PlacementArea(4, 4), 3, 3)
         assert err.value.macro_id == culprit
 
-    def test_blocker_first_probes_skip_most_queries(self, monkeypatch):
-        """The probes are the oracle's, one for one, and at most a tenth of
-        them query the bucket grid.  Exact counts, so the test repeats."""
-        netlist, area = generate_instance(GenSpec(macros=30, nets=0, seed=4))
-        w, h = area.width, area.height
-        area = PlacementArea(w, h, (
-            Rect(0.1 * w, 0.2 * h, 0.25 * w, 0.3 * h),
-            Rect(0.5 * w, 0.5 * h, 0.6 * w, 0.75 * h),
-            Rect(0.7 * w, 0.1 * h, 0.9 * w, 0.2 * h),
-        ))
-        rng = random.Random(4)
-        # every macro starts in the lower-left quarter, so most must move
-        start = {m.id: (rng.uniform(0, w / 2), rng.uniform(0, h / 2))
-                 for m in netlist.macros}
-        counts = {"hits": 0, "boxes": 0}
-        hits, box = BucketGrid.hits, footprint_box
-
-        def counted_hits(self, *query):
-            counts["hits"] += 1
-            return hits(self, *query)
+    def test_cursor_probes_are_a_fraction_of_the_oracles(self, monkeypatch):
+        """Same placement as the oracle, which probes every ring point, from
+        under a fifth of its probes.  The blocker choice is deterministic, so
+        the count is exact."""
+        start, netlist, area = blocked_instance()
+        boxes = 0
+        box = footprint_box
 
         def counted_box(*args):
-            counts["boxes"] += 1
+            nonlocal boxes
+            boxes += 1
             return box(*args)
 
-        monkeypatch.setattr(BucketGrid, "hits", counted_hits)
         monkeypatch.setattr(oracles, "footprint_box", counted_box)
-        monkeypatch.setattr(placer, "footprint_box", counted_box)
-        # one footprint per probe, plus one per placed macro
         want = oracle_legalize(start, netlist, area, 6, 6)
-        oracle_probes = counts["boxes"] - len(netlist.macros)
-        counts.update(hits=0, boxes=0)
-        got = naive_legalize(start, netlist, area, 6, 6)
-        probes = counts["boxes"] - len(netlist.macros)
+        # one footprint per probe, plus one per placed macro
+        oracle_probes = boxes - len(netlist.macros)
+        got, probes = counted_legalize(start, netlist, area)
         assert got == want
-        assert probes == oracle_probes > 1000
-        assert counts["hits"] <= probes // 10, (counts, probes)
+        assert oracle_probes == 35240
+        assert probes == PROBES <= oracle_probes // 5
+
+    def test_probes_do_not_depend_on_the_hash_seed(self):
+        """String hashes order the bucket grid's sets; the blocker a probe
+        reports, and so the probe count, must not follow that order."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(placer.__file__))
+        code = (
+            "from test_placer import blocked_instance, counted_legalize\n"
+            "got, probes = counted_legalize(*blocked_instance())\n"
+            "print(sorted((k, x.hex(), y.hex()) for k, (x, y) in got.items()))\n"
+            "print(probes)\n"
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                 "PYTHONPATH": os.pathsep.join((src, here))},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0].split()[-1] == str(PROBES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ring_searches())
+    @example(case=EMPTY_COLUMN)
+    @example(case=EMPTY_ROW)
+    @example(case=TOUCHING_COLUMN)
+    @example(case=TOUCHING_ROW)
+    def test_ring_search_matches_point_by_point_walk(self, case):
+        """The cursor walk returns the first free point of the walk that
+        probes every ring point, to the bit, whichever overlapping box the
+        blocker reports."""
+        xs, ys, pos, half, boxes = case
+
+        def blocker(box):
+            return next((b for b in boxes if intersection(box, b)), None)
+
+        got = placer._nearest_free(xs, ys, pos, half, blocker)
+        want = oracles.oracle_nearest_free(xs, ys, pos, half, boxes)
+        assert (got and tuple(v.hex() for v in got)) == (
+            want and tuple(v.hex() for v in want))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
