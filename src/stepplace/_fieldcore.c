@@ -14,10 +14,13 @@
  * coefficients unchanged but records last_touched, so concurrent readers are
  * safe while no mutation is in flight.
  *
- * The module function score_candidate scores one candidate move of the
- * placer (field sum, net terms, overlap penalty and blockage term) bit for
- * bit as the placer's Python reference does (build with -ffp-contract=off so
- * no multiply-add is fused).
+ * FootprintIndex holds the placer's macro footprints by macro index,
+ * bucketed in a grid of cells, so an overlap query tests only the boxes near
+ * it.  The module function score_candidate scores one candidate move of the
+ * placer (field sum, net terms, overlap penalty against the index, and
+ * blockage term) bit for bit as the placer's Python reference does (build
+ * with -ffp-contract=off so no multiply-add is fused); ordered_sum adds
+ * floats as Python 3.11's builtin sum does.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -430,10 +433,295 @@ py_min(double a, double b)
     return b < a ? b : a;
 }
 
+/* The keys of one cell, in no particular order. */
+typedef struct {
+    Py_ssize_t *keys;
+    Py_ssize_t len, cap;
+} Bucket;
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t count;      /* keys are 0 .. count - 1 */
+    Py_ssize_t cols, rows; /* cells; the border ones reach to infinity */
+    double cell_x, cell_y;
+    Bucket *cells;         /* cols * rows, cells[i * rows + j] */
+    double *boxes;         /* x1, y1, x2, y2 per key; NaN while it has none */
+    Py_ssize_t *mark;      /* per key: the last query that tested it */
+    Py_ssize_t query;
+    Py_ssize_t *found;     /* the keys the last query found */
+} FootprintIndex;
+
+/* The cell of coordinate v along an axis of n cells of the given size;
+ * values beyond either border (and NaN) fall in the border cells. */
+static inline Py_ssize_t
+cell_at(double v, double size, Py_ssize_t n)
+{
+    double f = floor(v / size);
+    if (!(f > 0.0))
+        return 0;
+    return f < (double)(n - 1) ? (Py_ssize_t)f : n - 1;
+}
+
+/* The first and last column and row of the cells a box's closed extent
+ * touches. */
+static void
+box_cells(const FootprintIndex *idx, const double *box, Py_ssize_t *c)
+{
+    c[0] = cell_at(box[0], idx->cell_x, idx->cols);
+    c[1] = cell_at(box[1], idx->cell_y, idx->rows);
+    c[2] = cell_at(box[2], idx->cell_x, idx->cols);
+    c[3] = cell_at(box[3], idx->cell_y, idx->rows);
+}
+
+static int
+compare_keys(const void *a, const void *b)
+{
+    Py_ssize_t x = *(const Py_ssize_t *)a, y = *(const Py_ssize_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Writes to idx->found, ascending, every key but skip whose box meets the
+ * query with positive area (netmodel.overlaps); returns their count.  Two
+ * such boxes share the cell of a common point, and the clamp at the border
+ * is monotone, so the cells the query's closed extent touches hold them. */
+static Py_ssize_t
+index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
+{
+    Py_ssize_t c[4], q = ++idx->query, n = 0;
+    box_cells(idx, query, c);
+    for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
+        for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
+            const Bucket *b = &idx->cells[i * idx->rows + j];
+            for (Py_ssize_t t = 0; t < b->len; t++) {
+                Py_ssize_t k = b->keys[t];
+                if (idx->mark[k] == q || k == skip)
+                    continue;
+                idx->mark[k] = q;
+                const double *f = idx->boxes + 4 * k;
+                if (py_max(query[0], f[0]) < py_min(query[2], f[2])
+                    && py_max(query[1], f[1]) < py_min(query[3], f[3]))
+                    idx->found[n++] = k;
+            }
+        }
+    }
+    /* a footprint meets a few boxes: sort them in place, unless many */
+    Py_ssize_t *found = idx->found;
+    if (n > 16) {
+        qsort(found, (size_t)n, sizeof(Py_ssize_t), compare_keys);
+    } else {
+        for (Py_ssize_t a = 1; a < n; a++) {
+            Py_ssize_t k = found[a], b = a;
+            for (; b > 0 && found[b - 1] > k; b--)
+                found[b] = found[b - 1];
+            found[b] = k;
+        }
+    }
+    return n;
+}
+
+static void
+FootprintIndex_dealloc(FootprintIndex *self)
+{
+    for (Py_ssize_t c = 0; self->cells != NULL && c < self->cols * self->rows; c++)
+        free(self->cells[c].keys);
+    free(self->cells);
+    free(self->boxes);
+    free(self->mark);
+    free(self->found);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+FootprintIndex_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"count", "width", "height", "min_cell_x", "min_cell_y", NULL};
+    Py_ssize_t count;
+    double width, height, min_x, min_y;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ndddd:FootprintIndex", kwlist, &count,
+                                     &width, &height, &min_x, &min_y))
+        return NULL;
+    if (count < 0 || count > PY_SSIZE_T_MAX / (Py_ssize_t)(4 * sizeof(double))) {
+        PyErr_Format(PyExc_ValueError, "count %zd out of range", count);
+        return NULL;
+    }
+    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
+          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "area sides and cell sizes must be positive and finite");
+        return NULL;
+    }
+    FootprintIndex *self = (FootprintIndex *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    /* cells at least min_cell_x by min_cell_y, and at most about count */
+    Py_ssize_t side = (Py_ssize_t)sqrt((double)count);
+    while (side * side > count)
+        side--;
+    while ((side + 1) * (side + 1) <= count)
+        side++;
+    side = side > 1 ? side : 1;
+    double fx = floor(width / min_x), fy = floor(height / min_y);
+    self->cols = fx < 1.0 ? 1 : fx < (double)side ? (Py_ssize_t)fx : side;
+    self->rows = fy < 1.0 ? 1 : fy < (double)side ? (Py_ssize_t)fy : side;
+    self->cell_x = width / (double)self->cols;
+    self->cell_y = height / (double)self->rows;
+    self->count = count;
+    size_t n = count ? (size_t)count : 1;
+    self->cells = calloc((size_t)(self->cols * self->rows), sizeof(Bucket));
+    self->boxes = malloc(4 * n * sizeof(double));
+    self->mark = calloc(n, sizeof(Py_ssize_t));
+    self->found = malloc(n * sizeof(Py_ssize_t));
+    if (!self->cells || !self->boxes || !self->mark || !self->found) {
+        Py_DECREF(self);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t k = 0; k < 4 * count; k++)
+        self->boxes[k] = NAN;
+    return (PyObject *)self;
+}
+
+/* The key, or -1 with an exception set if it is not one of the index's. */
+static Py_ssize_t
+index_key(FootprintIndex *self, PyObject *obj)
+{
+    Py_ssize_t key = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    if (key == -1 && PyErr_Occurred())
+        return -1;
+    if (key < 0 || key >= self->count) {
+        PyErr_Format(PyExc_ValueError, "key %zd out of range for %zd footprints", key,
+                     self->count);
+        return -1;
+    }
+    return key;
+}
+
+static PyObject *
+FootprintIndex_put(FootprintIndex *self, PyObject *args)
+{
+    PyObject *key_obj;
+    double box[4];
+    if (!PyArg_ParseTuple(args, "O(dddd):put", &key_obj, &box[0], &box[1], &box[2], &box[3]))
+        return NULL;
+    Py_ssize_t key = index_key(self, key_obj), c[4];
+    if (key < 0)
+        return NULL;
+    if (!(isfinite(box[0]) && isfinite(box[1]) && isfinite(box[2]) && isfinite(box[3]))) {
+        PyErr_SetString(PyExc_ValueError, "footprint must be finite");
+        return NULL;
+    }
+    /* room first, so a failed allocation leaves the index as it was */
+    box_cells(self, box, c);
+    for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
+        for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
+            Bucket *b = &self->cells[i * self->rows + j];
+            if (b->len == b->cap) {
+                Py_ssize_t cap = b->cap ? 2 * b->cap : 4;
+                Py_ssize_t *keys = realloc(b->keys, (size_t)cap * sizeof(Py_ssize_t));
+                if (keys == NULL)
+                    return PyErr_NoMemory();
+                b->keys = keys;
+                b->cap = cap;
+            }
+        }
+    }
+    double *old = self->boxes + 4 * key;
+    if (!isnan(old[0])) {
+        Py_ssize_t o[4];
+        box_cells(self, old, o);
+        for (Py_ssize_t i = o[0]; i <= o[2]; i++) {
+            for (Py_ssize_t j = o[1]; j <= o[3]; j++) {
+                Bucket *b = &self->cells[i * self->rows + j];
+                Py_ssize_t t = 0;
+                while (b->keys[t] != key)
+                    t++;
+                b->keys[t] = b->keys[--b->len];
+            }
+        }
+    }
+    for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
+        for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
+            Bucket *b = &self->cells[i * self->rows + j];
+            b->keys[b->len++] = key;
+        }
+    }
+    memcpy(old, box, sizeof(box));
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+FootprintIndex_hits(FootprintIndex *self, PyObject *args)
+{
+    double query[4];
+    if (!PyArg_ParseTuple(args, "dddd:hits", &query[0], &query[1], &query[2], &query[3]))
+        return NULL;
+    Py_ssize_t n = index_hits(self, query, -1);
+    PyObject *out = PyList_New(n);
+    for (Py_ssize_t t = 0; out != NULL && t < n; t++) {
+        PyObject *k = PyLong_FromSsize_t(self->found[t]);
+        if (k == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, t, k);
+    }
+    return out;
+}
+
+static PyObject *
+FootprintIndex_subscript(FootprintIndex *self, PyObject *key_obj)
+{
+    Py_ssize_t key = index_key(self, key_obj);
+    if (key < 0)
+        return NULL;
+    const double *f = self->boxes + 4 * key;
+    if (isnan(f[0])) {
+        PyErr_Format(PyExc_KeyError, "key %zd holds no footprint", key);
+        return NULL;
+    }
+    PyObject *box = PyTuple_New(4);
+    for (int c = 0; box != NULL && c < 4; c++) {
+        PyObject *v = PyFloat_FromDouble(f[c]);
+        if (v == NULL)
+            Py_CLEAR(box);
+        else
+            PyTuple_SET_ITEM(box, c, v);
+    }
+    return box;
+}
+
+static PyMethodDef FootprintIndex_methods[] = {
+    {"put", (PyCFunction)FootprintIndex_put, METH_VARARGS,
+     "put(key, box)\n\nStore the footprint box (x1, y1, x2, y2) under key, or move it there."},
+    {"hits", (PyCFunction)FootprintIndex_hits, METH_VARARGS,
+     "hits(x1, y1, x2, y2) -> list[int]\n\n"
+     "Keys whose box meets the query with positive area, ascending."},
+    {NULL}
+};
+
+static PyMappingMethods FootprintIndex_mapping = {
+    .mp_subscript = (binaryfunc)FootprintIndex_subscript,
+};
+
+static PyTypeObject FootprintIndexType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "stepplace._fieldcore.FootprintIndex",
+    .tp_doc = "FootprintIndex(count, width, height, min_cell_x, min_cell_y)\n\n"
+              "Finite footprint boxes keyed 0 .. count - 1 in a grid of cells over\n"
+              "a width x height area: cells at least min_cell_x by min_cell_y, at\n"
+              "most about count of them, the border cells reaching to infinity.\n"
+              "index[key] is the box stored under key.  netmodel.BucketGrid is its\n"
+              "Python counterpart.",
+    .tp_basicsize = sizeof(FootprintIndex),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = FootprintIndex_new,
+    .tp_dealloc = (destructor)FootprintIndex_dealloc,
+    .tp_methods = FootprintIndex_methods,
+    .tp_as_mapping = &FootprintIndex_mapping,
+};
+
 /* stepplace.placer.py_candidate_score in one call, term for term in its
  * order: the field sum under the footprint snapped to the grid, the net
- * terms, the overlap penalty against every footprint but `skip`, and the
- * weighted blockage overlap areas. */
+ * terms, the overlap penalty against every box of the footprint index but
+ * key `skip`'s, in key order, and the weighted blockage overlap areas. */
 static PyObject *
 score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -456,24 +744,26 @@ score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (PyErr_Occurred())
         return NULL;
 
+    if (!PyObject_TypeCheck(args[9], &FootprintIndexType)) {
+        PyErr_SetString(PyExc_TypeError, "footprints must be a FootprintIndex");
+        return NULL;
+    }
+    FootprintIndex *footprints = (FootprintIndex *)args[9];
+    if (skip < 0 || skip >= footprints->count) {
+        PyErr_Format(PyExc_ValueError, "skip index %zd out of range for %zd footprints",
+                     skip, footprints->count);
+        return NULL;
+    }
+
     PyObject *result = NULL;
-    Py_buffer pins, fps, blk;
+    Py_buffer pins, blk;
     if (get_doubles(args[8], &pins, "pins") < 0)
         return NULL;
-    if (get_doubles(args[9], &fps, "footprints") < 0)
-        goto release_pins;
     if (get_doubles(args[12], &blk, "blockages") < 0)
-        goto release_fps;
-    Py_ssize_t n_fps = fps.len / (Py_ssize_t)sizeof(double);
+        goto release_pins;
     Py_ssize_t n_blk = blk.len / (Py_ssize_t)sizeof(double);
-    if (n_fps % 4 || n_blk % 4) {
-        PyErr_SetString(PyExc_ValueError,
-                        "footprints and blockages must hold 4 doubles per box");
-        goto release_all;
-    }
-    if (skip < 0 || skip >= n_fps / 4) {
-        PyErr_Format(PyExc_ValueError, "skip index %zd out of range for %zd footprints",
-                     skip, n_fps / 4);
+    if (n_blk % 4) {
+        PyErr_SetString(PyExc_ValueError, "blockages must hold 4 doubles per box");
         goto release_all;
     }
     if (!(isfinite(x) && isfinite(y))) {
@@ -513,16 +803,17 @@ score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                       pins.len / (Py_ssize_t)sizeof(double)) < 0)
         goto release_all;
 
-    /* placer.penalty: circumference of every positive-area meet, in order */
-    const double *f = fps.buf;
+    /* placer.penalty: circumference of every positive-area meet, in key
+     * order, so the same floats are added in the same order as by a scan
+     * over every footprint */
+    const double fp[4] = {fx1, fy1, fx2, fy2};
+    Py_ssize_t n_hits = index_hits(footprints, fp, skip);
     double circ = 0.0;
-    for (Py_ssize_t k = 0; k < n_fps; k += 4) {
-        if (k == 4 * skip)
-            continue;
-        double ix1 = py_max(fx1, f[k]), iy1 = py_max(fy1, f[k + 1]);
-        double ix2 = py_min(fx2, f[k + 2]), iy2 = py_min(fy2, f[k + 3]);
-        if (ix1 < ix2 && iy1 < iy2)
-            circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
+    for (Py_ssize_t t = 0; t < n_hits; t++) {
+        const double *f = footprints->boxes + 4 * footprints->found[t];
+        double ix1 = py_max(fx1, f[0]), iy1 = py_max(fy1, f[1]);
+        double ix2 = py_min(fx2, f[2]), iy2 = py_min(fy2, f[3]);
+        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
     }
     score += factor * circ;
 
@@ -537,11 +828,60 @@ score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 release_all:
     PyBuffer_Release(&blk);
-release_fps:
-    PyBuffer_Release(&fps);
 release_pins:
     PyBuffer_Release(&pins);
     return result;
+}
+
+/* Builtin sum(values) as Python 3.11 computes it: from int 0, left to
+ * right; while the sum is a float, float items are added as C doubles (3.12
+ * compensates), and anything else goes through the number protocol. */
+static PyObject *
+ordered_sum(PyObject *module, PyObject *values)
+{
+    if (PyList_CheckExact(values)) {
+        /* the common case, a list of floats, without the iterator */
+        double f = 0.0;
+        Py_ssize_t i = 0, n = PyList_GET_SIZE(values);
+        for (; i < n && PyFloat_CheckExact(PyList_GET_ITEM(values, i)); i++)
+            f += PyFloat_AS_DOUBLE(PyList_GET_ITEM(values, i));
+        if (i == n)
+            return n ? PyFloat_FromDouble(f) : PyLong_FromLong(0);
+    }
+    PyObject *it = PyObject_GetIter(values);
+    if (it == NULL)
+        return NULL;
+    PyObject *acc = PyLong_FromLong(0), *item; /* the sum, or NULL while it is f */
+    double f = 0.0;
+    int failed = acc == NULL;
+    while (!failed && (item = PyIter_Next(it)) != NULL) {
+        if (acc == NULL) {
+            if (PyFloat_CheckExact(item)) {
+                f += PyFloat_AS_DOUBLE(item);
+                Py_DECREF(item);
+                continue;
+            }
+            acc = PyFloat_FromDouble(f);
+        }
+        PyObject *sum = acc != NULL ? PyNumber_Add(acc, item) : NULL;
+        Py_DECREF(item);
+        Py_XDECREF(acc);
+        acc = NULL;
+        if (sum == NULL) {
+            failed = 1;
+        } else if (PyFloat_CheckExact(sum)) {
+            f = PyFloat_AS_DOUBLE(sum);
+            Py_DECREF(sum);
+        } else {
+            acc = sum;
+        }
+    }
+    Py_DECREF(it);
+    if (failed || PyErr_Occurred()) {
+        Py_XDECREF(acc);
+        return NULL;
+    }
+    return acc != NULL ? acc : PyFloat_FromDouble(f);
 }
 
 static PyMethodDef fieldcore_functions[] = {
@@ -551,9 +891,14 @@ static PyMethodDef fieldcore_functions[] = {
      "Score of the candidate centered at (x, y) with half-sizes hx, hy:\n"
      "the field sum of core under the footprint snapped to a width x height\n"
      "area, plus the length of each net packed in pins, plus factor times\n"
-     "the overlap circumference against every box of footprints but the\n"
-     "skip-th, plus weight times the overlap area with each box of blockages\n"
-     "(boxes are x1, y1, x2, y2); see stepplace.placer.py_candidate_score."},
+     "the overlap circumference against every box of the FootprintIndex\n"
+     "footprints but key skip's, plus weight times the overlap area with\n"
+     "each box of blockages (boxes are x1, y1, x2, y2); see\n"
+     "stepplace.placer.py_candidate_score."},
+    {"ordered_sum", (PyCFunction)ordered_sum, METH_O,
+     "ordered_sum(values) -> float | int\n\n"
+     "Builtin sum of an iterable as Python 3.11 adds floats: left to right,\n"
+     "0 when there is nothing to sum; see stepplace.stepfield.py_ordered_sum."},
     {NULL}
 };
 
@@ -569,7 +914,7 @@ PyMODINIT_FUNC
 PyInit__fieldcore(void)
 {
     PyObject *mod;
-    if (PyType_Ready(&FieldCoreType) < 0)
+    if (PyType_Ready(&FieldCoreType) < 0 || PyType_Ready(&FootprintIndexType) < 0)
         return NULL;
     mod = PyModule_Create(&fieldcoremodule);
     if (!mod)
@@ -577,6 +922,12 @@ PyInit__fieldcore(void)
     Py_INCREF(&FieldCoreType);
     if (PyModule_AddObject(mod, "FieldCore", (PyObject *)&FieldCoreType) < 0) {
         Py_DECREF(&FieldCoreType);
+        Py_DECREF(mod);
+        return NULL;
+    }
+    Py_INCREF(&FootprintIndexType);
+    if (PyModule_AddObject(mod, "FootprintIndex", (PyObject *)&FootprintIndexType) < 0) {
+        Py_DECREF(&FootprintIndexType);
         Py_DECREF(mod);
         return NULL;
     }

@@ -639,6 +639,20 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _distinct_files(*flags: tuple[str, str | None]) -> None:
+    """Raise ``ValueError`` naming both flags if two of the ``(flag, path)``
+    pairs name one file, so no output overwrites an input or another
+    output; a ``None`` path is a flag not given."""
+    seen: dict[str, str] = {}
+    for flag, path in flags:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {flag} name the same file {path!r}")
+        seen[real] = flag
+
+
 def _build_config(args: argparse.Namespace) -> PlacerConfig:
     """Defaults, overridden by --config JSON, overridden by explicit flags."""
     values: dict = {}
@@ -687,10 +701,11 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    netlist, area, initial = load_instance(args.infile)
-    config = _build_config(args)
     out = _out_path(args.out)
     stats = _out_path(args.stats) if args.stats else None
+    _distinct_files(("--in", args.infile), ("--out", out), ("--stats", stats))
+    netlist, area, initial = load_instance(args.infile)
+    config = _build_config(args)
     for path in [out] + ([stats] if stats else []):
         # fail before the run, not after it
         if os.path.isdir(path):
@@ -776,12 +791,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
+    _distinct_files(
+        ("--instance", args.instance), ("--result", args.result), ("--out", out)
+    )
     netlist, area, initial = load_instance(args.instance)
     if args.result:
         placement = load_result(args.result).positions
     else:
         placement = initial or {}
-    out = _out_path(args.out)
     _atomic_write(out, lambda fp: render_svg(netlist, area, placement, fp))
     print(f"wrote {out}")
     return 0

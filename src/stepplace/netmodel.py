@@ -151,52 +151,60 @@ class BucketGrid:
     """Spatial hash of macro footprints answering "which macros overlap this
     rectangle".
 
-    Each footprint is stored, keyed by macro id, under every cell
+    Each footprint is stored, keyed by macro id (or by any ordered key, such
+    as the placer's macro index), under every cell
     ``(floor(x / cell_x), floor(y / cell_y))`` its closed extent touches.  Two
     boxes sharing an interior point share the cell of that point, so the
     buckets yield a superset of the overlapping boxes and an exact half-open
     test (the one of :func:`overlaps`) filters it: the cell size affects
     speed only, never results.  With cells as large as the largest macro
     (:func:`footprint_grid`), a footprint query visits at most 2x2 cells.
+    ``grid[key]`` is the box stored under ``key``.  The C core's
+    ``FootprintIndex`` answers ``put``, ``hits`` and ``grid[key]`` alike.
     """
 
     def __init__(self, cell_x: float, cell_y: float) -> None:
         self.cell_x = cell_x
         self.cell_y = cell_y
-        self.boxes: dict[str, Box] = {}
-        self.cells: dict[tuple[int, int], set[str]] = {}
+        self.boxes: dict = {}
+        self.cells: dict[tuple[int, int], set] = {}
 
-    def _cells(self, box: Box):
-        x1, y1, x2, y2 = box
+    def __getitem__(self, key) -> Box:
+        return self.boxes[key]
+
+    def put(self, key, box: Box) -> None:
+        """Insert ``key`` with footprint ``box``, or move it there."""
+        cells = self.cells
         cx, cy = self.cell_x, self.cell_y
+        old = self.boxes.get(key)
+        if old is not None:
+            x1, y1, x2, y2 = old
+            ys = range(math.floor(y1 / cy), math.floor(y2 / cy) + 1)
+            for i in range(math.floor(x1 / cx), math.floor(x2 / cx) + 1):
+                for j in ys:
+                    cells[i, j].discard(key)
+        self.boxes[key] = box
+        x1, y1, x2, y2 = box
         ys = range(math.floor(y1 / cy), math.floor(y2 / cy) + 1)
         for i in range(math.floor(x1 / cx), math.floor(x2 / cx) + 1):
             for j in ys:
-                yield i, j
+                bucket = cells.get((i, j))
+                if bucket is None:
+                    cells[i, j] = {key}
+                else:
+                    bucket.add(key)
 
-    def put(self, key: str, box: Box) -> None:
-        """Insert ``key`` with footprint ``box``, or move it there."""
-        cells = self.cells
-        old = self.boxes.get(key)
-        if old is not None:
-            for c in self._cells(old):
-                cells[c].discard(key)
-        self.boxes[key] = box
-        for c in self._cells(box):
-            bucket = cells.get(c)
-            if bucket is None:
-                cells[c] = {key}
-            else:
-                bucket.add(key)
-
-    def hits(self, x1: float, y1: float, x2: float, y2: float) -> list[str]:
+    def hits(self, x1: float, y1: float, x2: float, y2: float) -> list:
         """Keys whose box meets the query with positive area, ascending."""
         cells = self.cells
-        cand: set[str] = set()
-        for c in self._cells((x1, y1, x2, y2)):
-            bucket = cells.get(c)
-            if bucket:
-                cand |= bucket
+        cx, cy = self.cell_x, self.cell_y
+        ys = range(math.floor(y1 / cy), math.floor(y2 / cy) + 1)
+        cand: set = set()
+        for i in range(math.floor(x1 / cx), math.floor(x2 / cx) + 1):
+            for j in ys:
+                bucket = cells.get((i, j))
+                if bucket:
+                    cand |= bucket
         boxes = self.boxes
         out = []
         for key in cand:
@@ -211,21 +219,25 @@ class BucketGrid:
 
     def first_hit(self, x1: float, y1: float, x2: float, y2: float) -> Box | None:
         """Box of the least key that meets the query with positive area in
-        the first cell, in :meth:`_cells` order, holding one; None if none."""
+        the first cell holding one, the cells taken by column, then by row;
+        None if none."""
         cells, boxes = self.cells, self.boxes
-        for c in self._cells((x1, y1, x2, y2)):
-            best = None
-            for key in cells.get(c, ()):
-                bx1, by1, bx2, by2 = boxes[key]
-                if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
-                    by1 if by1 > y1 else y1
-                ) < (by2 if by2 < y2 else y2) and (best is None or key < best):
-                    best = key
-            if best is not None:
-                return boxes[best]
+        cx, cy = self.cell_x, self.cell_y
+        ys = range(math.floor(y1 / cy), math.floor(y2 / cy) + 1)
+        for i in range(math.floor(x1 / cx), math.floor(x2 / cx) + 1):
+            for j in ys:
+                best = None
+                for key in cells.get((i, j), ()):
+                    bx1, by1, bx2, by2 = boxes[key]
+                    if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
+                        by1 if by1 > y1 else y1
+                    ) < (by2 if by2 < y2 else y2) and (best is None or key < best):
+                        best = key
+                if best is not None:
+                    return boxes[best]
         return None
 
-    def pairs(self) -> list[tuple[str, str]]:
+    def pairs(self) -> list[tuple]:
         """Every overlapping pair ``(a, b)`` with ``a < b``, in ascending order."""
         boxes = self.boxes
         return [

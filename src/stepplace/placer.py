@@ -5,7 +5,7 @@ moves it to the candidate minimizing
 
     field cost of the snapped footprint
     + length of every net containing the macro
-    + overlap penalty against all other macros
+    + overlap penalty against the other macros it overlaps
     + weighted overlap area with blockages.
 
 Afterwards the field gains mass under every remaining overlap of the moved
@@ -20,8 +20,11 @@ with respect to the placement and the field; the winning move and field
 updates are applied afterwards.  What every candidate of a round shares (the
 macro's half-sizes, the net model's sharpness, the other pins of its nets) is
 gathered once per round in a :class:`ScoreContext`; on the C field core each
-candidate is then scored in one C call.  Runs are deterministic for a given
-seed.
+candidate is then scored in one C call.  The macros' footprints live in one
+index keyed by macro index, the C core's ``FootprintIndex`` or else a
+:class:`BucketGrid`, so the penalty and the round's overlap update test a
+footprint only against the macros near it.  Runs are deterministic for a
+given seed.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ from stepplace.netmodel import (
 )
 from stepplace.stepfield import (
     MAX_GRID_EXPONENT,
+    CFootprintIndex,
     CostField,
     GridRect,
     c_score_candidate,
+    ordered_sum,
 )
 
 
@@ -139,6 +144,13 @@ class PlacerConfig:
             raise ValueError("blockage_weight must be >= 0")
         if self.model_switch_round is not None and self.model_switch_round < 1:
             raise ValueError("model_switch_round must be >= 1")
+        # the default growth, once: the schedules are read several times a
+        # round (an attribute, not a field: fields() and eq are unchanged)
+        object.__setattr__(
+            self,
+            "_growth",
+            1000.0 if self.max_rounds <= 1 else 1000.0 ** (1.0 / self.max_rounds),
+        )
         last = max(self.max_rounds - 1, 0)
         if not math.isfinite(self.penalty_c * self.delta_at(last)):
             raise ValueError(
@@ -147,15 +159,10 @@ class PlacerConfig:
         if not math.isfinite(self.w_at(last)):
             raise ValueError("w0 * w_growth**(max_rounds - 1) must be finite")
 
-    def _default_growth(self) -> float:
-        if self.max_rounds <= 1:
-            return 1000.0
-        return 1000.0 ** (1.0 / self.max_rounds)
-
     def _grown(self, base: float, growth: float | None, step: int) -> float:
         """``base * growth**step``, infinite where that overflows."""
         try:
-            g = growth if growth is not None else self._default_growth()
+            g = growth if growth is not None else self._growth
             return base * g**step
         except OverflowError:
             return math.inf
@@ -238,18 +245,18 @@ class PlacerState:
     bounds: dict[str, MacroBounds]
     round: int
     macro_order: list[str]
-    # footprints of every macro at its current position
-    grid: BucketGrid
-    # the same footprints as x1, y1, x2, y2 per macro, in macro_order, and
-    # the area's blockages likewise, for the C scoring kernel
-    footprints: array
+    # footprints of every macro at its current position, keyed by index in
+    # macro_order: the C core's FootprintIndex on the C field core (the
+    # scoring kernel reads it), else a BucketGrid
+    grid: BucketGrid | CFootprintIndex
+    # the area's blockages as x1, y1, x2, y2 each, for the C scoring kernel
     blockage_boxes: array
     net_bb: list[float]
     net_indices_of: dict[str, list[int]]
-    # only pairs with positive intersection area are stored
-    pair_overlap: dict[tuple[str, str], float]
-    # the macros each macro overlaps, i.e. its keys in pair_overlap
-    partners: dict[str, set[str]]
+    # macro index pairs (i, j), i < j, with positive intersection area
+    pair_overlap: dict[tuple[int, int], float]
+    # per macro index, the indices it overlaps, i.e. its keys in pair_overlap
+    partners: list[set[int]]
     # scores and winning index of the most recent round's candidates
     last_scores: list[float] | None = None
     last_choice: int | None = None
@@ -320,19 +327,26 @@ def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
 
 
 def penalty(
-    step: int, macro: Macro, pos: Point, grid: BucketGrid, config: PlacerConfig
+    step: int,
+    macro: Macro,
+    pos: Point,
+    grid: BucketGrid | CFootprintIndex,
+    config: PlacerConfig,
+    key=None,
 ) -> float:
-    """Overlap penalty of ``macro`` at ``pos`` against all other macros, whose
-    footprints ``grid`` holds (the state's grid): the penalty constant times
-    the step's multiplier times the total circumference of the pairwise
-    footprint intersections."""
+    """Overlap penalty of ``macro`` at ``pos`` against every footprint of
+    ``grid`` but its own, stored under ``key`` (by default its id; the
+    state's grid keys by index in ``macro_order``): the penalty constant
+    times the step's multiplier times the total circumference of the
+    pairwise footprint intersections, added in key order."""
+    if key is None:
+        key = macro.id
     cand = footprint_box(macro, pos)
-    boxes = grid.boxes
     total_circ = 0.0
-    for mid in grid.hits(*cand):
-        if mid == macro.id:
+    for k in grid.hits(*cand):
+        if k == key:
             continue
-        ix1, iy1, ix2, iy2 = meet(cand, boxes[mid])
+        ix1, iy1, ix2, iy2 = meet(cand, grid[k])
         total_circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1))
     return config.penalty_c * config.delta_at(step) * total_circ
 
@@ -408,7 +422,7 @@ def candidate_score(
     area = state.area
     return c_score_candidate(
         fld.core, x, y, ctx.hx, ctx.hy, area.width, area.height, ctx.beta,
-        ctx.pins, state.footprints, ctx.index, ctx.penalty_factor,
+        ctx.pins, state.grid, ctx.index, ctx.penalty_factor,
         state.blockage_boxes, config.blockage_weight,
     )
 
@@ -433,7 +447,7 @@ def py_candidate_score(
     for ni in state.net_indices_of[mid]:
         pts = [pos if m == mid else placement[m] for m in nets[ni].members]
         score += model_length(pts, ctx.beta)
-    score += penalty(state.round, macro, pos, state.grid, config)
+    score += penalty(state.round, macro, pos, state.grid, config, ctx.index)
     for b in state.area.blockages:
         ix1, iy1, ix2, iy2 = meet(fp, b)
         if ix1 < ix2 and iy1 < iy2:
@@ -476,23 +490,24 @@ def new_state(
         if snapped is not None:
             fld.increase(snapped, config.blockage_weight)
 
-    grid = footprint_grid(netlist, placement)
-    footprints = array("d", [v for mid in macro_order for v in grid.boxes[mid]])
+    # cells at least as large as the largest macro: a footprint touches at
+    # most 2x2 of them
+    big_x = max((m.size_x for m in netlist.macros), default=1.0)
+    big_y = max((m.size_y for m in netlist.macros), default=1.0)
+    if fld.backend == "c":
+        grid = CFootprintIndex(len(macro_order), area.width, area.height, big_x, big_y)
+    else:
+        grid = BucketGrid(big_x, big_y)
+    for i, mid in enumerate(macro_order):
+        grid.put(i, footprint_box(netlist.by_id[mid], placement[mid]))
     net_indices_of: dict[str, list[int]] = {mid: [] for mid in macro_order}
     net_bb: list[float] = []
     for ni, net in enumerate(netlist.nets):
         net_bb.append(bb_netlength([placement[mid] for mid in net.members]))
         for mid in net.members:
             net_indices_of[mid].append(ni)
-    pair_overlap: dict[tuple[str, str], float] = {}
-    partners: dict[str, set[str]] = {mid: set() for mid in macro_order}
-    for mi, mj in grid.pairs():
-        ix1, iy1, ix2, iy2 = meet(grid.boxes[mi], grid.boxes[mj])
-        pair_overlap[(mi, mj)] = (ix2 - ix1) * (iy2 - iy1)
-        partners[mi].add(mj)
-        partners[mj].add(mi)
 
-    return PlacerState(
+    state = PlacerState(
         netlist=netlist,
         area=area,
         rng=rng,
@@ -502,13 +517,43 @@ def new_state(
         round=0,
         macro_order=macro_order,
         grid=grid,
-        footprints=footprints,
         blockage_boxes=array("d", [v for b in area.blockages for v in b]),
         net_bb=net_bb,
         net_indices_of=net_indices_of,
-        pair_overlap=pair_overlap,
-        partners=partners,
+        pair_overlap={},
+        partners=[set() for _ in macro_order],
     )
+    # every pair enters pair_overlap as (i, j) in ascending order, as it
+    # would from a scan over all pairs
+    for i in range(len(macro_order)):
+        _update_overlaps(state, i)
+    return state
+
+
+def _update_overlaps(state: PlacerState, i: int) -> list[Box]:
+    """Bring ``pair_overlap`` and ``partners`` up to date for macro index
+    ``i`` at its footprint in ``state.grid``; returns the meets of that
+    footprint with every other one it overlaps, in index order."""
+    grid = state.grid
+    box = grid[i]
+    # hits come in index order, so pair_overlap gains new keys, and the
+    # caller's field its increases, in the order of a scan over every macro
+    hits = [j for j in grid.hits(*box) if j != i]
+    partners = state.partners
+    pair_overlap = state.pair_overlap
+    for j in partners[i].difference(hits):
+        pair_overlap.pop((i, j) if i < j else (j, i))
+        partners[j].discard(i)
+    partners[i] = set(hits)
+    meets = []
+    for j in hits:
+        partners[j].add(i)
+        inter = meet(box, grid[j])
+        pair_overlap[(i, j) if i < j else (j, i)] = (inter[2] - inter[0]) * (
+            inter[3] - inter[1]
+        )
+        meets.append(inter)
+    return meets
 
 
 def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
@@ -518,8 +563,8 @@ def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     step = max(0, rnd - 1)
     return RoundStats(
         round=rnd,
-        netlength_bb=sum(state.net_bb),
-        overlap_area=sum(state.pair_overlap.values()),
+        netlength_bb=ordered_sum(state.net_bb),
+        overlap_area=ordered_sum(state.pair_overlap.values()),
         delta=config.delta_at(step),
         beta=beta,
         w=config.w_at(step),
@@ -564,29 +609,14 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     chosen = candidates[best]
 
     state.placement[mid] = chosen
-    new_fp = footprint_box(macro, chosen)
-    grid = state.grid
-    grid.put(mid, new_fp)
-    state.footprints[4 * mi : 4 * mi + 4] = array("d", new_fp)
+    state.grid.put(mi, footprint_box(macro, chosen))
     for ni in state.net_indices_of[mid]:
         net = state.netlist.nets[ni]
         state.net_bb[ni] = bb_netlength(
             [state.placement[m2] for m2 in net.members]
         )
     w = config.w_at(state.round)
-    # hits come in macro_order, so pair_overlap gains new keys and the field
-    # its increases in the order of a scan over every macro
-    hits = [other for other in grid.hits(*new_fp) if other != mid]
-    partners = state.partners
-    for other in partners[mid].difference(hits):
-        state.pair_overlap.pop((mid, other) if mid < other else (other, mid))
-        partners[other].discard(mid)
-    partners[mid] = set(hits)
-    for other in hits:
-        partners[other].add(mid)
-        inter = meet(new_fp, grid.boxes[other])
-        key = (mid, other) if mid < other else (other, mid)
-        state.pair_overlap[key] = (inter[2] - inter[0]) * (inter[3] - inter[1])
+    for inter in _update_overlaps(state, mi):
         snapped = snap_to_grid(inter, state.area, config.grid_p, config.grid_q)
         if snapped is not None:
             state.field.increase(snapped, w)

@@ -24,7 +24,8 @@ cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 ``_fieldcore.c`` there first if the cache holds no build of this exact
 source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's scoring kernel,
-:data:`c_score_candidate`.
+:data:`c_score_candidate`, the footprint index it reads,
+:data:`CFootprintIndex`, and :data:`ordered_sum`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import operator
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from types import ModuleType
 from typing import IO, NamedTuple
 
@@ -133,6 +135,21 @@ _CFieldCore = getattr(_c_module, "FieldCore", None)
 #: The C core's ``score_candidate`` (see
 #: :func:`stepplace.placer.py_candidate_score`), or None without the C core.
 c_score_candidate = getattr(_c_module, "score_candidate", None)
+
+#: The C core's ``FootprintIndex``, whose ``put``, ``hits`` and ``index[key]``
+#: answer as :class:`stepplace.netmodel.BucketGrid`'s do; ``score_candidate``
+#: reads it.  None without the C core.
+CFootprintIndex = getattr(_c_module, "FootprintIndex", None)
+
+
+def py_ordered_sum(values: Iterable) -> float | int:
+    """Builtin ``sum(values)`` as Python 3.11 adds floats: left to right
+    (3.12 compensates), ``0`` when there is nothing to sum."""
+    return functools.reduce(operator.add, values, 0)
+
+
+#: :func:`py_ordered_sum`, in C where the C core loaded (the same bits).
+ordered_sum = getattr(_c_module, "ordered_sum", py_ordered_sum)
 
 #: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
 HAVE_C_CORE = _CFieldCore is not None

@@ -4,7 +4,9 @@ The SHA-256 values were recorded from the code before the bucket-grid
 geometry kernel replaced the overlap scans; the ``undecayed`` pins from the
 code before the field cores lost their separate path for a field that never
 decayed; the ``coarse`` pins from the first legalizer that retries on a finer
-lattice.  The Python field core does the C core's float operations in the C
+lattice; the ``dense`` pins from the code before the C scoring kernel and the
+round's overlap update read a bucketed footprint index instead of scanning
+or hashing every footprint.  The Python field core does the C core's float operations in the C
 core's order, so each instance has one pair for both backends.  A change that
 alters these bytes changes placer behaviour and must say so and re-pin them.
 """
@@ -50,10 +52,22 @@ INSTANCES = {
         40,
         ("--grid-p", "2", "--grid-q", "2"),
     ),
+    # 300 macros: the footprint index holds a few macros per cell and prunes
+    # most of them, where the pins above have at most 40 macros
+    "dense": (
+        GenSpec(macros=300, nets=450, utilization=0.5, seed=14),
+        (),
+        400,
+        (),
+    ),
 }
 
 # instance -> (result sha256, stats sha256), the same on both field backends
 PINS = {
+    "dense": (
+        "dfaf9fdc69be2844621195b8ea537e5864e0bb8872561ff34acbb626a5a3f582",
+        "533145f9d7eb1f15c707955840665b053f3a0aab403384f45e0a4f1a821f085b",
+    ),
     "coarse": (
         "de33f1025604fe5dc73ea673d35d96ab4e2b0b912703a916250e32abbe537704",
         "994deecb4f1d4677474d09c5b27f9e95c970faade65593122b800f1260ca5c93",

@@ -1,15 +1,21 @@
-"""The bucket-grid geometry kernel against brute-force all-pairs scans.
+"""The geometry kernels against brute-force all-pairs scans: the bucket
+grid, and the C core's footprint index against both.
 
 Layouts mix sizes, put footprints edge to edge (half-unit lattice), partly or
 wholly outside the area, and sometimes include one macro far larger than the
 rest, so the grid's cells are much larger than most footprints.
 """
 
-from hypothesis import given, settings
+import math
+import random
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import intersection
 from stepplace.netmodel import (
+    BucketGrid,
     Macro,
     Netlist,
     PlacementArea,
@@ -19,6 +25,7 @@ from stepplace.netmodel import (
     is_legal,
 )
 from stepplace.placer import PlacerConfig, penalty
+from stepplace.stepfield import CFootprintIndex
 
 AREA = 10.0
 
@@ -128,3 +135,102 @@ def test_is_legal_lists_equal_brute_force(layout, blocks):
         for bi, blk in enumerate(blockages)
         if intersection(rects[mid], blk)
     ]
+
+
+# a lattice of 120 steps a side: its points include the cell edges of every
+# index of 1 to 6 columns or rows, and boxes built on it meet edge to edge
+LATTICE = 120
+
+
+@st.composite
+def index_cases(draw):
+    """An index's size and area, the bucket grid's and the index's minimum
+    cell sides, a sequence of ``(key, box)`` puts (keys repeat, so boxes
+    move), and a few more query boxes."""
+    count = draw(st.integers(1, 30), label="count")
+    # 1000 a side with boxes of a few steps: tiny macros in a large area,
+    # where the cap of about count cells binds
+    side = draw(st.sampled_from([AREA, 1000.0]), label="side")
+    step = side / LATTICE
+    # on the lattice, from beyond the area, or anywhere
+    lattice = st.integers(-20, LATTICE + 20).map(lambda k: k * step)
+    coord = st.one_of(lattice, st.floats(-side, 2 * side))
+    length = st.one_of(
+        st.integers(0, 12).map(lambda k: k * step), st.floats(0.0, side / 10)
+    )
+
+    def box():
+        x, y = draw(coord), draw(coord)
+        return (x, y, x + draw(length), y + draw(length))
+
+    puts = [
+        (draw(st.integers(0, count - 1)), box())
+        for _ in range(draw(st.integers(1, 30), label="puts"))
+    ]
+    queries = [box() for _ in range(draw(st.integers(0, 6), label="queries"))]
+    # cells as large as the largest box (at least a step, so that no query
+    # spans too many of the bucket grid's cells), and for the index also far
+    # smaller than the boxes, so that only the cap on their number sizes them
+    largest = max(step, *(max(b[2] - b[0], b[3] - b[1]) for _, b in puts))
+    cell = draw(st.sampled_from([largest, step / 64]), label="cell")
+    return count, side, largest, cell, puts, queries
+
+
+@pytest.mark.skipif(CFootprintIndex is None, reason="C core not built")
+@settings(max_examples=80, deadline=None)
+@given(index_cases())
+@example(  # two boxes edge to edge on a cell edge, queries on both sides
+    (4, AREA, 5.0, 5.0, [(0, (0.0, 0.0, 5.0, 5.0)), (1, (5.0, 0.0, 10.0, 5.0))],
+     [(4.0, 1.0, 5.0, 2.0), (5.0, 1.0, 6.0, 2.0), (4.5, 1.0, 5.5, 2.0)]),
+)
+def test_footprint_index_hits_equal_bucket_grid_and_brute_force(case):
+    count, side, largest, cell, puts, queries = case
+    index = CFootprintIndex(count, side, side, cell, cell)
+    grid = BucketGrid(largest, largest)
+    boxes = {}
+    for key, box in puts:
+        index.put(key, box)
+        grid.put(key, box)
+        boxes[key] = box
+    for q in list(boxes.values()) + queries:
+        want = sorted(k for k, b in boxes.items() if intersection(q, b))
+        assert index.hits(*q) == grid.hits(*q) == want, q
+    assert {k: index[k] for k in boxes} == boxes
+
+
+@pytest.mark.skipif(CFootprintIndex is None, reason="C core not built")
+def test_footprint_index_sorts_many_hits():
+    # more hits than one cell's few, put in shuffled key order
+    rng = random.Random(4)
+    keys = list(range(40))
+    rng.shuffle(keys)
+    index = CFootprintIndex(len(keys), AREA, AREA, 1.0, 1.0)
+    for k in keys:
+        x, y = rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)
+        index.put(k, (x, y, x + 2.0, y + 2.0))
+    assert index.hits(-1.0, -1.0, AREA + 1.0, AREA + 1.0) == list(range(40))
+
+
+@pytest.mark.skipif(CFootprintIndex is None, reason="C core not built")
+def test_footprint_index_rejects_bad_input():
+    index = CFootprintIndex(2, 10.0, 10.0, 1.0, 1.0)
+    index.put(1, (1.0, 1.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match="key 2 out of range for 2 footprints"):
+        index.put(2, (0.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="key -1 out of range"):
+        index[-1]
+    with pytest.raises(KeyError, match="key 0 holds no footprint"):
+        index[0]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="footprint must be finite"):
+            index.put(0, (0.0, bad, 1.0, 1.0))
+    with pytest.raises(TypeError):
+        index.put(0, (0.0, 0.0, 1.0))
+    for args in [(-1, 1.0, 1.0, 1.0, 1.0), (2, 0.0, 1.0, 1.0, 1.0),
+                 (2, 1.0, 1.0, math.inf, 1.0), (2, 1.0, 1.0, 1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            CFootprintIndex(*args)
+    with pytest.raises(TypeError):
+        CFootprintIndex()
+    # a failed put leaves the index as it was
+    assert index[1] == (1.0, 1.0, 2.0, 2.0) and index.hits(0.0, 0.0, 9.0, 9.0) == [1]

@@ -522,6 +522,45 @@ class TestCli:
         left = [p.name for p in work.rglob("*")]
         assert left == (["taken"] if target == "is-a-dir" else [])
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["place", "--in", "inst", "--out", "r", "--stats", "r"],
+             "--out and --stats"),
+            (["place", "--in", "inst", "--out", "inst"], "--in and --out"),
+            # a symlink and a detour through a subdirectory name one file too
+            (["place", "--in", "inst", "--out", "r", "--stats", "link"],
+             "--in and --stats"),
+            (["place", "--in", "inst", "--out", "sub/../r", "--stats", "r"],
+             "--out and --stats"),
+            (["render", "--instance", "inst", "--result", "r", "--out", "r"],
+             "--result and --out"),
+            (["render", "--instance", "inst", "--out", "link"],
+             "--instance and --out"),
+        ],
+        ids=["place-out-stats", "place-in-out", "place-symlink", "place-dotdot",
+             "render-result-out", "render-symlink"],
+    )
+    def test_one_file_for_two_flags_exits_1(
+        self, tmp_path, instance_file, capsys, monkeypatch, argv, flags
+    ):
+        def boom(*args, **kwargs):
+            raise AssertionError("the command read its input")
+
+        monkeypatch.setattr(io_cli, "load_instance", boom)
+        inst, res = tmp_path / "inst", tmp_path / "r"
+        inst.write_bytes(open(instance_file, "rb").read())
+        res.write_text("keep\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(inst)
+        before = inst.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flags in err and "same file" in err
+        assert inst.read_bytes() == before and res.read_text() == "keep\n"
+
     def test_gen_infeasible_exits_1(self, tmp_path, capsys):
         code = main(
             ["gen", "--out", str(tmp_path / "x.txt"), "--macros", "1",

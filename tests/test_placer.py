@@ -4,7 +4,9 @@ import random
 import subprocess
 import sys
 from array import array
+from dataclasses import fields
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from oracles import intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
+    BucketGrid,
     LegalityReport,
     Macro,
     Net,
@@ -361,6 +364,18 @@ class TestPenalty:
         assert cfg.delta_at(0) == 0.01
         assert cfg.delta_at(10) == pytest.approx(0.01 * 1.1**10, rel=1e-12)
 
+    @pytest.mark.parametrize("max_rounds", [0, 1, 7, 1600, 10**6])
+    def test_default_growth_is_computed_once_with_the_same_bits(self, max_rounds):
+        cfg = PlacerConfig(max_rounds=max_rounds, delta0=0.3, w0=0.7)
+        growth = 1000.0 if max_rounds <= 1 else 1000.0 ** (1.0 / max_rounds)
+        for step in (0, 1, 5, max(max_rounds - 1, 0)):
+            assert cfg.delta_at(step).hex() == (0.3 * growth**step).hex()
+            assert cfg.w_at(step).hex() == (0.7 * growth**step).hex()
+        # the cached growth is no field: fields, repr and equality stay
+        names = [f.name for f in fields(PlacerConfig)]
+        assert "_growth" not in names and " _growth=" not in repr(cfg)
+        assert cfg == PlacerConfig(max_rounds=max_rounds, delta0=0.3, w0=0.7)
+
 
 class TestCandidateScore:
     def test_everything_empty_scores_zero(self):
@@ -432,7 +447,8 @@ class TestCandidateScore:
         # field is empty, no nets: the score at b's position is the penalty
         a = nl.by_id["a"]
         got = candidate_score(a, (3.0, 3.0), state, cfg, score_context(a, state, cfg))
-        assert got == penalty(0, a, (3.0, 3.0), state.grid, cfg)
+        # the state's grid keys footprints by index in macro_order
+        assert got == penalty(0, a, (3.0, 3.0), state.grid, cfg, 0)
 
 
 needs_c_score = pytest.mark.skipif(
@@ -462,7 +478,8 @@ def kernel_sum(score, x, y, beta, pins):
     footprint is skipped, and no blockage or penalty term adds anything."""
     fld = CostField(0, 0, "c")
     fld.increase(GridRect(0, 0, 1, 1), score)
-    far = array("d", [-3 * COVER, -3 * COVER, -2 * COVER, -2 * COVER])
+    far = stepfield.CFootprintIndex(1, 1.0, 1.0, 1.0, 1.0)
+    far.put(0, (-3 * COVER, -3 * COVER, -2 * COVER, -2 * COVER))
     return stepfield.c_score_candidate(
         fld.core, x, y, COVER, COVER, 1.0, 1.0, beta, pins, far, 0, 0.0,
         array("d"), 0.0,
@@ -619,7 +636,7 @@ def candidate_at(draw, kind, macro, state):
         return state.placement[macro.id]
     # the footprint's edge on (or one ulp off) another macro's opposite edge
     other = draw(st.sampled_from([m for m in state.macro_order if m != macro.id]))
-    ox1, oy1, ox2, oy2 = state.grid.boxes[other]
+    ox1, oy1, ox2, oy2 = state.grid[state.macro_order.index(other)]
     ox, oy = state.placement[other]
     side = draw(st.sampled_from(["left", "right", "below", "above", "on"]))
     nudge = draw(st.sampled_from([None, math.inf, -math.inf]))
@@ -684,16 +701,56 @@ class TestScoreCandidate:
             assert state.field.last_touched == touched
 
     @needs_c_score
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_c_kernel_equals_python_path_at_scale(self, data):
+        # instances of up to 200 macros, so the index's cells hold a few
+        # macros each and prune most of them: the C state (field core and
+        # footprint index) scores as the Python state (Python core and
+        # bucket grid) after the same rounds
+        draw = data.draw
+        n_macros = draw(st.integers(50, 200), label="macros")
+        spec = GenSpec(
+            macros=n_macros,
+            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+            utilization=draw(st.sampled_from([0.3, 0.5, 0.8]), label="utilization"),
+            seed=draw(st.integers(0, 10**6), label="instance"),
+        )
+        nl, area = generate_instance(spec)
+        cfg = PlacerConfig(
+            max_rounds=40,
+            grid_p=draw(st.integers(0, 7)),
+            grid_q=draw(st.integers(0, 7)),
+            seed=draw(st.integers(0, 99)),
+            model_switch_round=draw(st.integers(1, 40), label="switch"),
+        )
+        c_state = new_state(nl, area, cfg)
+        with mock.patch.object(stepfield, "HAVE_C_CORE", False):
+            py_state = new_state(nl, area, cfg)
+        assert isinstance(c_state.grid, stepfield.CFootprintIndex)
+        assert isinstance(py_state.grid, BucketGrid)
+        for _ in range(draw(st.integers(0, 10), label="rounds")):
+            assert round_step(c_state, cfg) == round_step(py_state, cfg)
+        macro = nl.by_id[draw(st.sampled_from(c_state.macro_order))]
+        ctx = score_context(macro, c_state, cfg)
+        for kind in ("inside", "outside", "edge", "own", "touch"):
+            pos = candidate_at(draw, kind, macro, c_state)
+            want = py_candidate_score(macro, pos, py_state, cfg, ctx)
+            got = candidate_score(macro, pos, c_state, cfg, ctx)
+            assert got.hex() == want.hex(), (kind, pos)
+
+    @needs_c_score
     def test_box_meets_follow_python_max_and_min(self):
-        # boxes no placer state holds (a NaN corner, signed zeros): the
-        # kernel's meets are netmodel.meet's, so a NaN corner drops out of
-        # the meet as Python's max and min drop it
+        # boxes no placer state holds (signed zeros; a NaN corner, which only
+        # a blockage can have, as the index rejects it): the kernel's meets
+        # are netmodel.meet's, so a NaN corner drops out of the meet as
+        # Python's max and min drop it
         nan = math.nan
         boxes = [
             (0.0, 0.0, 2.0, 2.0),  # skipped
-            (nan, 0.5, 3.0, 1.5),
-            (0.5, nan, 1.5, nan),
+            (1.0, 0.5, 3.0, 1.5),
             (-0.0, -0.0, 1.0, 1.0),
+            (0.5, -0.0, 1.5, 0.0),  # empty
             (2.0, 0.0, 3.0, 3.0),  # touches the candidate's right edge
         ]
         blockages = [(nan, nan, 1.5, 0.5), (-0.0, 0.5, 0.5, nan)]
@@ -708,9 +765,12 @@ class TestScoreCandidate:
         want = 0.0 + 3.0 * sum(circ_area(b)[0] for b in boxes[1:])
         for b in blockages:
             want += 5.0 * circ_area(b)[1]
+        index = stepfield.CFootprintIndex(len(boxes), 8.0, 8.0, 1.0, 1.0)
+        for k, b in enumerate(boxes):
+            index.put(k, b)
         got = stepfield.c_score_candidate(
             CostField(2, 2, "c").core, 1.0, 1.0, 1.0, 1.0, 8.0, 8.0, None,
-            array("d"), array("d", [v for b in boxes for v in b]), 0, 3.0,
+            array("d"), index, 0, 3.0,
             array("d", [v for b in blockages for v in b]), 5.0,
         )
         assert want > 0.0 and got.hex() == want.hex()
@@ -728,6 +788,21 @@ class TestScoreCandidate:
         for name in ("penalty", "model_length", "py_candidate_score"):
             monkeypatch.setattr(placer, name, boom)
         monkeypatch.setattr(CostField, "cost", boom)
+        for _ in range(cfg.max_rounds):
+            round_step(state, cfg)
+
+    @needs_c_score
+    def test_rounds_never_reach_the_bucket_grid(self, monkeypatch):
+        # on the C core the state's footprints live in the C index alone
+        def boom(*args, **kwargs):
+            raise AssertionError("the C path used the bucket grid")
+
+        for name in ("put", "hits", "first_hit", "pairs", "__getitem__"):
+            monkeypatch.setattr(BucketGrid, name, boom)
+        nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
+        cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=2)
+        state = new_state(nl, area, cfg)
+        assert state.pair_overlap  # the random start overlaps
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
 
@@ -753,15 +828,17 @@ class TestScoreCandidate:
         assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
 
     def test_footprints_follow_the_grid(self):
+        # the state's one footprint index holds each macro's footprint at its
+        # current position, under its index in macro_order
         nl, area = generate_instance(GenSpec(macros=15, nets=20, seed=6))
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=3)
         state = new_state(nl, area, cfg)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
-        boxes = state.grid.boxes
-        assert state.footprints == array(
-            "d", [v for mid in state.macro_order for v in boxes[mid]]
-        )
+        assert [state.grid[i] for i in range(len(state.macro_order))] == [
+            footprint_box(nl.by_id[mid], state.placement[mid])
+            for mid in state.macro_order
+        ]
 
     @pytest.mark.parametrize(
         "index, value, error, match",
@@ -769,10 +846,12 @@ class TestScoreCandidate:
             (0, None, TypeError, "FieldCore"),
             (0, "py core", TypeError, "FieldCore"),
             (8, array("f", [2, 0, 1, 1]), TypeError, "pins must be a buffer of doubles"),
-            (9, array("f", [0, 0, 1, 1]), TypeError, "footprints must be a buffer"),
+            (9, array("f", [0, 0, 1, 1]), TypeError,
+             "footprints must be a FootprintIndex"),
             (12, array("f"), TypeError, "blockages must be a buffer"),
             (9, [0.0, 0.0, 1.0, 1.0], TypeError, None),
-            (9, array("d", [0, 0, 1, 1, 2, 2, 3]), ValueError, "4 doubles per box"),
+            # the flat buffer of four doubles per macro the kernel once read
+            (9, array("d", [0, 0, 1, 1, 2, 2, 3, 3]), TypeError, "a FootprintIndex"),
             (12, array("d", [0, 0, 1]), ValueError, "4 doubles per box"),
             (10, -1, ValueError, "skip index -1 out of range for 2"),
             (10, 2, ValueError, "skip index 2 out of range for 2"),
@@ -786,9 +865,12 @@ class TestScoreCandidate:
     )
     @needs_c_score
     def test_c_kernel_rejects_bad_input(self, index, value, error, match):
+        footprints = stepfield.CFootprintIndex(2, 4.0, 4.0, 1.0, 1.0)
+        footprints.put(0, (0.0, 0.0, 1.0, 1.0))
+        footprints.put(1, (2.0, 2.0, 3.0, 3.0))
         args = [
             CostField(2, 2, "c").core, 1.0, 1.0, 0.5, 0.5, 4.0, 4.0, None,
-            array("d", [2, 0, 3.0, 3.0]), array("d", [0, 0, 1, 1, 2, 2, 3, 3]),
+            array("d", [2, 0, 3.0, 3.0]), footprints,
             0, 1.0, array("d", [0, 0, 1, 1]), 1.0,
         ]
         assert isinstance(stepfield.c_score_candidate(*args), float)

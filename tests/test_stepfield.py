@@ -37,6 +37,8 @@ from stepplace.stepfield import (
     blocks_at_level,
     flat_axis_id,
     nonzero_basis_1d,
+    ordered_sum,
+    py_ordered_sum,
     _axis_block,
     _compile_c_core,
     _load_c_core,
@@ -653,3 +655,47 @@ def test_property_backends_return_the_same_bits(data):
             r = rect()
             assert fc.cost(r).hex() == fp.cost(r).hex()
             assert fc.last_touched == fp.last_touched
+
+
+class _Float(float):
+    """A float that is not exactly a float, so sums take the generic path."""
+
+
+@pytest.mark.skipif(not HAVE_C_CORE, reason="C field core not built")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(),
+            st.floats(-1e6, 1e6),
+            st.integers(-(10**20), 10**20),
+            st.floats(-10.0, 10.0).map(_Float),
+        ),
+        max_size=20,
+    ),
+    st.sampled_from(["list", "dict values", "tuple"]),
+)
+def test_ordered_sum_is_python_311_sum(values, form):
+    # the C core's ordered_sum and its Python twin return the same bits and
+    # type as builtin sum on 3.11 (3.12 compensates), also for an empty input
+    # and for items other than exact floats
+    arg = {
+        "list": lambda: list(values),
+        "dict values": lambda: {i: v for i, v in enumerate(values)}.values(),
+        "tuple": lambda: tuple(values),
+    }[form]
+    got = ordered_sum(arg())
+    want = py_ordered_sum(arg())
+    assert type(got) is type(want) and repr(got) == repr(want)
+    if sys.version_info < (3, 12):
+        builtin = sum(arg())
+        assert type(got) is type(builtin) and repr(got) == repr(builtin)
+
+
+@pytest.mark.skipif(not HAVE_C_CORE, reason="C field core not built")
+def test_ordered_sum_raises_as_sum_does():
+    for values in ([1.0, "a"], ["a"], [1.0, None, 2.0], 3):
+        with pytest.raises(TypeError):
+            ordered_sum(values)
+        with pytest.raises(TypeError):
+            sum(values)
