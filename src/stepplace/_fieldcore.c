@@ -5,10 +5,12 @@
  * plus the all-ones vector).  Rectangle sum queries and rectangle constant
  * increments touch at most (2p+1)*(2q+1) coefficients.
  *
- * Inflation (geometric decay of all non-constant coefficients) is lazy: a
- * cumulative log-decay counter advances in O(1) and each coefficient is
- * rescaled on its next increase (cost applies the pending decay without
- * writing it back).
+ * Every coefficient is stored divided by one global scale, so inflation
+ * (geometric decay of all non-constant coefficients) multiplies the scale by
+ * rho and divides the constant coefficient, which never decays, by rho.
+ * Once the scale falls below FOLD_BELOW it is folded into every coefficient
+ * and reset to 1, an O(n*m) step that a decay of 0.995 per inflate takes
+ * once in 4425 inflates.
  *
  * Single writer: increase/inflate require exclusive access; cost leaves the
  * coefficients unchanged but records last_touched, so concurrent readers are
@@ -29,14 +31,14 @@
 #include <string.h>
 
 #define MAX_AXIS_COMPONENTS 64 /* 2*exponent + 1; exponents are capped well below */
+#define FOLD_BELOW 0x1p-32     /* smallest scale kept apart from the coefficients */
 
 typedef struct {
     PyObject_HEAD
     int p, q;
     Py_ssize_t n, m;
-    double *coef;      /* n*m coefficients, flat axis-major: coef[fx*m + fy] */
-    double *dlog_at;   /* n*m stamps: dlog_total when each coef was last rescaled */
-    double dlog_total; /* cumulative sum of log(rho) over all inflate calls */
+    double *coef;  /* n*m coefficients over scale, flat axis-major: coef[fx*m + fy] */
+    double scale;  /* in [FOLD_BELOW, 1]: the factor every stored coef omits */
     Py_ssize_t last_touched;
 } FieldCore;
 
@@ -119,29 +121,20 @@ FieldCore_increase(FieldCore *self, PyObject *args)
     /* expansion coefficients take the projection: inner product over the
      * element's squared norm */
     double *C = self->coef;
-    double *D = self->dlog_at;
     Py_ssize_t m = self->m;
-    double dl = self->dlog_total;
+    double v = value / self->scale;
     for (int i = 0; i < kx; i++) {
-        double vx = sx[i] * nx[i] * value;
+        double vx = sx[i] * nx[i] * v;
         Py_ssize_t row = ix[i] * m;
-        for (int j = 0; j < ky; j++) {
-            Py_ssize_t k = row + iy[j];
-            double diff = dl - D[k];
-            if (diff != 0.0) {
-                C[k] *= exp(diff);
-                D[k] = dl;
-            }
-            C[k] += vx * (sy[j] * ny[j]);
-        }
+        for (int j = 0; j < ky; j++)
+            C[row + iy[j]] += vx * (sy[j] * ny[j]);
     }
     self->last_touched = (Py_ssize_t)kx * ky;
     Py_RETURN_NONE;
 }
 
 /* Sum of the cells of a rectangle that passed check_rect; records
- * last_touched.  Read-only: applies the pending decay on the fly and does not
- * write it back. */
+ * last_touched. */
 static double
 field_cost(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_ssize_t b2)
 {
@@ -152,25 +145,17 @@ field_cost(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_ssiz
     int ky = axis_components(b1, b2, self->q, self->m, iy, sy, ny);
 
     double *C = self->coef;
-    double *D = self->dlog_at;
     Py_ssize_t m = self->m;
     double tot = 0.0;
-    double dl = self->dlog_total;
     for (int i = 0; i < kx; i++) {
         Py_ssize_t row = ix[i] * m;
         double sub = 0.0;
-        for (int j = 0; j < ky; j++) {
-            Py_ssize_t k = row + iy[j];
-            double c = C[k];
-            double diff = dl - D[k];
-            if (diff != 0.0)
-                c *= exp(diff);
-            sub += c * sy[j];
-        }
+        for (int j = 0; j < ky; j++)
+            sub += C[row + iy[j]] * sy[j];
         tot += sub * sx[i];
     }
     self->last_touched = (Py_ssize_t)kx * ky;
-    return tot;
+    return tot * self->scale;
 }
 
 static PyObject *
@@ -194,9 +179,18 @@ FieldCore_inflate(FieldCore *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "decay factor must be in (0, 1]");
         return NULL;
     }
-    self->dlog_total += log(rho);
-    /* the constant element never decays: keep its stamp current */
-    self->dlog_at[self->n * self->m - 1] = self->dlog_total;
+    double s = self->scale * rho;
+    Py_ssize_t last = self->n * self->m - 1; /* the constant element */
+    if (s < FOLD_BELOW) {
+        for (Py_ssize_t k = 0; k < last; k++)
+            self->coef[k] *= s;
+        self->coef[last] *= self->scale;
+        self->scale = 1.0;
+    }
+    else {
+        self->scale = s;
+        self->coef[last] /= rho; /* it never decays */
+    }
     Py_RETURN_NONE;
 }
 
@@ -210,8 +204,7 @@ FieldCore_coefficient(FieldCore *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "axis component id out of range");
         return NULL;
     }
-    Py_ssize_t k = fx * self->m + fy;
-    return PyFloat_FromDouble(self->coef[k] * exp(self->dlog_total - self->dlog_at[k]));
+    return PyFloat_FromDouble(self->coef[fx * self->m + fy] * self->scale);
 }
 
 static int
@@ -230,12 +223,10 @@ FieldCore_init(FieldCore *self, PyObject *args, PyObject *kwds)
     self->n = (Py_ssize_t)1 << p;
     self->m = (Py_ssize_t)1 << q;
     free(self->coef);
-    free(self->dlog_at);
     self->coef = calloc((size_t)(self->n * self->m), sizeof(double));
-    self->dlog_at = calloc((size_t)(self->n * self->m), sizeof(double));
-    self->dlog_total = 0.0;
+    self->scale = 1.0;
     self->last_touched = 0;
-    if (self->coef == NULL || self->dlog_at == NULL) {
+    if (self->coef == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -246,7 +237,6 @@ static void
 FieldCore_dealloc(FieldCore *self)
 {
     free(self->coef);
-    free(self->dlog_at);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -262,7 +252,7 @@ static PyMethodDef FieldCore_methods[] = {
     {"cost", (PyCFunction)FieldCore_cost, METH_VARARGS,
      "cost(a1, b1, a2, b2) -> float\n\nSum of all cell values inside the rectangle."},
     {"inflate", (PyCFunction)FieldCore_inflate, METH_VARARGS,
-     "inflate(rho)\n\nDecay every non-constant coefficient by rho (lazily)."},
+     "inflate(rho)\n\nDecay every non-constant coefficient by rho."},
     {"coefficient", (PyCFunction)FieldCore_coefficient, METH_VARARGS,
      "coefficient(fx, fy) -> float\n\nCurrent coefficient by flat axis ids."},
     {NULL}

@@ -19,7 +19,10 @@ the positions, and one ``place`` line per macro:
 
 All coordinates are area units; occupied regions are half-open rectangles, so
 edge-to-edge contact is not an overlap.  Floats are written with ``repr`` and
-round-trip exactly.  File writes are atomic (write temp, then rename).
+round-trip exactly.  File writes are atomic (write temp, then rename), and
+the written file gets the mode ``open()`` would give it.  Every float total
+that reaches a file is added left to right (:data:`ordered_sum`), so the bytes
+do not depend on whether the interpreter's ``sum`` compensates.
 
 The ``stepplace`` CLI wraps this: ``place`` runs the placer, ``check``
 independently verifies a result, ``gen`` emits random instances, ``render``
@@ -62,6 +65,7 @@ from stepplace.placer import (
     round_step,
     stats_row,
 )
+from stepplace.stepfield import ordered_sum
 
 OUT_DIR_ENV = "STEPPLACE_OUT_DIR"
 
@@ -72,13 +76,17 @@ class InstanceFormatError(ValueError):
 
 def _atomic_write(path: str, write_body):
     """Write via a temp file in the target directory, then rename; returns
-    what ``write_body`` returned."""
+    what ``write_body`` returned.  The file gets mode ``0o666`` less the
+    umask, as ``open()`` creates files (``mkstemp`` would leave ``0o600``)."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     except OSError as e:  # name the target, not the temp file
         raise OSError(e.errno, e.strerror, path) from None
     try:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fp:
             result = write_body(fp)
         os.replace(tmp, path)
@@ -253,10 +261,10 @@ class ResultData:
 
 
 def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
-    total_bb = sum(
+    total_bb = ordered_sum([
         bb_netlength([placement[mid] for mid in net.members])
         for net in netlist.nets
-    )
+    ])
     if not placement:
         return total_bb, 0.0, True
     report = is_legal(placement, netlist, area)
@@ -426,7 +434,7 @@ def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:
         sx = round(rng.uniform(spec.size_min, spec.size_max), 1)
         sy = round(rng.uniform(spec.size_min, spec.size_max), 1)
         macros.append(Macro(f"m{i:0{width}d}", sx, sy))
-    total = sum(m.area for m in macros)
+    total = ordered_sum([m.area for m in macros])
     if total == 0:
         if spec.nets:
             raise ValueError("cannot generate nets without macros")
@@ -451,7 +459,7 @@ def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:
 
     degrees = [d for d, _ in spec.degree_weights]
     weights = [w for _, w in spec.degree_weights]
-    wsum = sum(weights)
+    wsum = ordered_sum(weights)
     load = {m.id: 0 for m in macros}
     nets = []
     for _ in range(spec.nets):
@@ -549,8 +557,8 @@ def render_svg(
                 f'stroke="#c33" stroke-width="1" stroke-opacity="0.6"/>\n'
             )
         else:
-            cx = sum(p[0] for p in pts) / len(pts)
-            cy = sum(p[1] for p in pts) / len(pts)
+            cx = ordered_sum([p[0] for p in pts]) / len(pts)
+            cy = ordered_sum([p[1] for p in pts]) / len(pts)
             for x1, y1 in pts:
                 fp.write(
                     f'<line x1="{X(x1)}" y1="{Y(y1)}" x2="{X(cx)}" y2="{Y(cy)}" '
@@ -566,11 +574,15 @@ def render_svg(
 def check_result(
     netlist: Netlist, area: PlacementArea, result: ResultData
 ) -> tuple[bool, list[str]]:
-    """Re-derive legality and total bounding-box netlength from scratch.
+    """Re-derive legality and total bounding-box netlength from scratch, and
+    compare them with the result's ``summary legal`` and ``summary
+    netlength_bb`` lines (the netlength bit for bit: both add the nets left to
+    right in the instance's order).
 
     This is deliberately a separate code path from
     :func:`stepplace.netmodel.is_legal` so the checker cannot inherit a
-    placer-side mistake.  Returns (legal, report lines).
+    placer-side mistake.  Returns (legal with a summary that agrees, report
+    lines); the last two lines are the recomputed netlength and legality.
     """
     lines: list[str] = []
     inst_ids = sorted(netlist.by_id)
@@ -623,9 +635,21 @@ def check_result(
         xs = [result.positions[mid][0] for mid in net.members]
         ys = [result.positions[mid][1] for mid in net.members]
         total += max(xs) - min(xs) + max(ys) - min(ys)
+    disagreements = []
+    if total.hex() != result.netlength_bb.hex():
+        disagreements.append(
+            f"summary netlength_bb {result.netlength_bb!r} disagrees with "
+            f"the recomputed {total!r}"
+        )
+    if legal != result.legal:
+        disagreements.append(
+            f"summary legal {'true' if result.legal else 'false'} disagrees "
+            f"with the recomputed {'true' if legal else 'false'}"
+        )
+    lines += disagreements
     lines.append(f"total bounding-box netlength: {total!r}")
     lines.append(f"legal: {'true' if legal else 'false'}")
-    return legal, lines
+    return legal and not disagreements, lines
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +776,10 @@ def _cmd_place(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     netlist, area, _ = load_instance(args.instance)
     result = load_result(args.result)
-    legal, lines = check_result(netlist, area, result)
+    ok, lines = check_result(netlist, area, result)
     for line in lines:
         print(line)
-    return 0 if legal else 1
+    return 0 if ok else 1
 
 
 def _degree_weights(text: str) -> tuple[tuple[int, float], ...]:

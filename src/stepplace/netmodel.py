@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from stepplace.stepfield import MAX_GRID_EXPONENT
+from stepplace.stepfield import MAX_GRID_EXPONENT, ordered_sum
 
 Point = tuple[float, float]
 Placement = dict[str, Point]
@@ -90,7 +90,7 @@ class Netlist:
 
     @property
     def total_macro_area(self) -> float:
-        return sum(m.area for m in self.macros)
+        return ordered_sum([m.area for m in self.macros])
 
 
 #: Smallest side of a placement area: a grid cell is the side over up to

@@ -155,8 +155,8 @@ ordered_sum = getattr(_c_module, "ordered_sum", py_ordered_sum)
 HAVE_C_CORE = _CFieldCore is not None
 
 #: Largest accepted grid exponent per axis (resource guard: the coefficients
-#: and their decay stamps are two dense arrays, so an axis pair (p, q)
-#: allocates 2 * 2**(p+q) doubles at construction).
+#: are one dense array, so an axis pair (p, q) allocates 2**(p+q) doubles at
+#: construction, 32 MiB at the cap).
 MAX_GRID_EXPONENT = 11
 
 
@@ -251,6 +251,11 @@ def _axis_block(s: int, t: int, p: int) -> tuple[tuple, tuple, tuple]:
     return ids, stars, inv_norms
 
 
+#: Smallest scale the field cores keep apart from the coefficients; below it
+#: ``inflate`` folds the scale into every coefficient.
+FOLD_BELOW = 2.0**-32
+
+
 class _PyFieldCore:
     """Python core with the same interface as the C core, doing the same
     float operations in the same order, so both return the same bits."""
@@ -261,8 +266,7 @@ class _PyFieldCore:
         self.n = 1 << p
         self.m = 1 << q
         self._coef = [0.0] * (self.n * self.m)
-        self._dlog_at = [0.0] * (self.n * self.m)
-        self._dlog_total = 0.0
+        self._scale = 1.0  # every stored coefficient omits this factor
         self.last_touched = 0
 
     def _blocks(self, a1: int, b1: int, a2: int, b2: int):
@@ -281,48 +285,45 @@ class _PyFieldCore:
 
     def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
         (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
-        coef, stamp, dl, m = self._coef, self._dlog_at, self._dlog_total, self.m
+        coef, m = self._coef, self.m
+        v = value / self._scale
         wy = [s * r for s, r in zip(sy, ny)]
         for fx, s, r in zip(ix, sx, nx):
-            vx = s * r * value
+            vx = s * r * v
             row = fx * m
             for fy, w in zip(iy, wy):
-                k = row + fy
-                diff = dl - stamp[k]
-                if diff != 0.0:
-                    coef[k] *= math.exp(diff)
-                    stamp[k] = dl
-                coef[k] += vx * w
+                coef[row + fy] += vx * w
 
     def cost(self, a1: int, b1: int, a2: int, b2: int) -> float:
         (ix, sx, _), (iy, sy, _) = self._blocks(a1, b1, a2, b2)
-        coef, stamp, dl, m = self._coef, self._dlog_at, self._dlog_total, self.m
+        coef, m = self._coef, self.m
         tot = 0.0
         for fx, s in zip(ix, sx):
             row = fx * m
             sub = 0.0
             for fy, t in zip(iy, sy):
-                k = row + fy
-                c = coef[k]
-                diff = dl - stamp[k]
-                if diff != 0.0:
-                    c *= math.exp(diff)
-                sub += c * t
+                sub += coef[row + fy] * t
             tot += sub * s
-        return tot
+        return tot * self._scale
 
     def inflate(self, rho: float) -> None:
         if not 0.0 < rho <= 1.0:
             raise ValueError("decay factor must be in (0, 1]")
-        self._dlog_total += math.log(rho)
-        # the constant element never decays: keep its stamp current
-        self._dlog_at[-1] = self._dlog_total
+        coef, s = self._coef, self._scale * rho
+        if s < FOLD_BELOW:
+            const = coef[-1] * self._scale
+            # a zero keeps its bits (and its shared object) times s >= 0
+            self._coef = [c * s if c else c for c in coef]
+            self._coef[-1] = const
+            self._scale = 1.0
+        else:
+            self._scale = s
+            coef[-1] /= rho  # the constant element never decays
 
     def coefficient(self, fx: int, fy: int) -> float:
         if not (0 <= fx < self.n and 0 <= fy < self.m):
             raise ValueError("axis component id out of range")
-        k = fx * self.m + fy
-        return self._coef[k] * math.exp(self._dlog_total - self._dlog_at[k])
+        return self._coef[fx * self.m + fy] * self._scale
 
 
 class CostField:
@@ -373,15 +374,14 @@ class CostField:
         return self.core.cost(*rect)
 
     def inflate(self, rho: float) -> None:
-        """Decay all non-constant coefficients by ``rho`` in (0, 1].
-
-        Lazy: O(1) now, each coefficient rescaled on next touch.  The total
-        of the represented matrix is preserved exactly.
-        """
+        """Decay all non-constant coefficients by ``rho`` in (0, 1]; the
+        total is preserved up to rounding.  O(1), except when the global
+        scale would fall below :data:`FOLD_BELOW`: then it is folded into
+        every coefficient, in O(n*m)."""
         self.core.inflate(rho)
 
     def coefficient(self, idx: BasisIndex) -> float:
-        """Current coefficient of one basis element (decay applied)."""
+        """Current coefficient of one basis element (times the global scale)."""
         fx = flat_axis_id(self.p, idx.a, idx.k)
         fy = flat_axis_id(self.q, idx.b, idx.l)
         return self.core.coefficient(fx, fy)

@@ -16,6 +16,7 @@ import stepplace.io_cli as io_cli
 from stepplace.io_cli import (
     GenSpec,
     InstanceFormatError,
+    ResultData,
     check_result,
     generate_instance,
     load_instance,
@@ -298,6 +299,27 @@ class TestChecker:
         )
         assert math.isclose(reported, data.netlength_bb, rel_tol=1e-9)
 
+    def test_summary_adds_left_to_right(self):
+        # net lengths 1e16, 1 and 1: left to right each 1 is lost to
+        # rounding, a compensated sum (builtin sum since Python 3.12) keeps both
+        macros = [Macro(f"m{i}", 1.0, 1.0) for i in range(6)]
+        nets = [Net(("m0", "m1")), Net(("m2", "m3")), Net(("m4", "m5"))]
+        placement = {
+            "m0": (1.0, 1.0), "m1": (1.0 + 1e16, 1.0),
+            "m2": (3.0, 3.0), "m3": (4.0, 3.0),
+            "m4": (6.0, 6.0), "m5": (6.0, 7.0),
+        }
+        netlist = Netlist(macros, nets)
+        area = PlacementArea(2e16, 10.0)
+        lengths = [1e16, 1.0, 1.0]
+        assert math.fsum(lengths) == 1e16 + 2  # the two rules differ here
+        total_bb, _, legal = io_cli._summarize(placement, netlist, area)
+        assert total_bb.hex() == (1e16).hex()
+        assert legal
+        data = ResultData(placement, total_bb, 0.0, legal, {})
+        ok, lines = check_result(netlist, area, data)
+        assert ok and lines == ["total bounding-box netlength: 1e+16", "legal: true"]
+
 
 class TestRenderSvg:
     def test_empty_instance_draws_outline_only(self):
@@ -388,6 +410,51 @@ class TestCli:
             lines = fp.read().splitlines()
         assert lines[0] == "round,netlength_bb,overlap_area,delta,beta,w"
         assert len(lines) == 2002  # header + round 0 + one row per round
+
+    @pytest.mark.parametrize("edit", ["netlength one ulp up", "legal flipped"])
+    def test_check_rejects_a_summary_that_disagrees(
+        self, tmp_path, instance_file, capsys, edit
+    ):
+        res = tmp_path / "r.txt"
+        assert main(["place", "--in", instance_file, "--out", str(res),
+                     "--rounds", "200", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["check", "--instance", instance_file, "--result", str(res)]) == 0
+        intact = capsys.readouterr().out.splitlines()
+        text = res.read_text()
+        if edit == "legal flipped":
+            old, new = "summary legal true", "summary legal false"
+            want = "summary legal false disagrees with the recomputed true"
+        else:
+            old = next(ln for ln in text.splitlines()
+                       if ln.startswith("summary netlength_bb "))
+            v = float(old.split()[2])
+            new = f"summary netlength_bb {math.nextafter(v, math.inf)!r}"
+            want = (f"summary netlength_bb {math.nextafter(v, math.inf)!r} "
+                    f"disagrees with the recomputed {v!r}")
+        res.write_text(text.replace(old, new))
+        code = main(["check", "--instance", instance_file, "--result", str(res)])
+        assert code == 1
+        # one more line, before the two the checker always ends with
+        assert capsys.readouterr().out.splitlines() == [*intact[:-2], want, *intact[-2:]]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_output_files_follow_the_umask(self, tmp_path, umask):
+        inst, res = tmp_path / "inst.txt", tmp_path / "r.txt"
+        stats, svg = tmp_path / "s.csv", tmp_path / "p.svg"
+        old = os.umask(umask)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "--out", str(inst), "--macros", "4",
+                             "--nets", "3", "--seed", "1"]) == 0
+                assert main(["place", "--in", str(inst), "--out", str(res),
+                             "--stats", str(stats), "--rounds", "5"]) == 0
+                assert main(["render", "--instance", str(inst), "--result",
+                             str(res), "--out", str(svg)]) == 0
+        finally:
+            os.umask(old)
+        for path in (inst, res, stats, svg):
+            assert oct(os.stat(path).st_mode & 0o777) == oct(0o666 & ~umask), path
 
     def test_stats_file_matches_run_placer_trace(self, tmp_path, instance_file):
         stats = tmp_path / "stats.csv"
