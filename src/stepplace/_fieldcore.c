@@ -10,22 +10,26 @@
  * rho and divides the constant coefficient, which never decays, by rho.
  * Once the scale falls below FOLD_BELOW it is folded into every coefficient
  * and reset to 1, an O(n*m) step that a decay of 0.995 per inflate takes
- * once in 4425 inflates.
+ * once in 4425 inflates, or that an increase takes first where its value
+ * over the scale would overflow.
  *
  * Single writer: increase/inflate require exclusive access; cost leaves the
  * coefficients unchanged but records last_touched, so concurrent readers are
  * safe while no mutation is in flight.
  *
- * FootprintIndex holds the placer's macro footprints by macro index,
- * bucketed in a grid of cells, so an overlap query tests only the boxes near
- * it.  The module function score_candidate scores one candidate move of the
- * placer (field sum, net terms, overlap penalty against the index, and
- * blockage term) bit for bit as the placer's Python reference does (build
- * with -ffp-contract=off so no multiply-add is fused); ordered_sum adds
- * floats as Python 3.11's builtin sum does.
+ * FootprintIndex holds macro footprints by macro index, bucketed in a grid
+ * of cells, so an overlap query tests only the boxes near it.
+ * PlacementStore is the placer's placement: centers, footprints (in a
+ * FootprintIndex), net boxes and live overlap pairs, so that a round commits
+ * its move in one call.  The module function score_candidate scores one
+ * candidate move of the placer (field sum, net terms, overlap penalty
+ * against the index, and blockage term).  Both do the float operations of
+ * the placer's Python reference in its order, so they return its bits
+ * (build with -ffp-contract=off so no multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
@@ -102,6 +106,18 @@ check_rect(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_ssiz
     return 0;
 }
 
+/* Multiplies every non-constant coefficient by s and the constant one by the
+ * scale, then resets the scale to 1: O(n*m). */
+static void
+fold_scale(FieldCore *self, double s)
+{
+    Py_ssize_t last = self->n * self->m - 1; /* the constant element */
+    for (Py_ssize_t k = 0; k < last; k++)
+        self->coef[k] *= s;
+    self->coef[last] *= self->scale;
+    self->scale = 1.0;
+}
+
 static PyObject *
 FieldCore_increase(FieldCore *self, PyObject *args)
 {
@@ -119,10 +135,15 @@ FieldCore_increase(FieldCore *self, PyObject *args)
     int ky = axis_components(b1, b2, self->q, self->m, iy, sy, ny);
 
     /* expansion coefficients take the projection: inner product over the
-     * element's squared norm */
+     * element's squared norm; a value the scale would overflow takes the
+     * scale folded in first */
+    double v = value / self->scale;
+    if (!isfinite(v) && isfinite(value)) {
+        fold_scale(self, self->scale);
+        v = value / self->scale;
+    }
     double *C = self->coef;
     Py_ssize_t m = self->m;
-    double v = value / self->scale;
     for (int i = 0; i < kx; i++) {
         double vx = sx[i] * nx[i] * v;
         Py_ssize_t row = ix[i] * m;
@@ -180,16 +201,12 @@ FieldCore_inflate(FieldCore *self, PyObject *args)
         return NULL;
     }
     double s = self->scale * rho;
-    Py_ssize_t last = self->n * self->m - 1; /* the constant element */
     if (s < FOLD_BELOW) {
-        for (Py_ssize_t k = 0; k < last; k++)
-            self->coef[k] *= s;
-        self->coef[last] *= self->scale;
-        self->scale = 1.0;
+        fold_scale(self, s);
     }
     else {
         self->scale = s;
-        self->coef[last] /= rho; /* it never decays */
+        self->coef[self->n * self->m - 1] /= rho; /* the constant never decays */
     }
     Py_RETURN_NONE;
 }
@@ -423,7 +440,7 @@ py_min(double a, double b)
     return b < a ? b : a;
 }
 
-/* The keys of one cell, in no particular order. */
+/* Keys in no particular order: one cell's, or the slots of one macro's pairs. */
 typedef struct {
     Py_ssize_t *keys;
     Py_ssize_t len, cap;
@@ -585,48 +602,58 @@ index_key(FootprintIndex *self, PyObject *obj)
     return key;
 }
 
-static PyObject *
-FootprintIndex_put(FootprintIndex *self, PyObject *args)
+/* Room in b for `extra` more keys; -1 with MemoryError set if there is none. */
+static int
+bucket_reserve(Bucket *b, Py_ssize_t extra)
 {
-    PyObject *key_obj;
-    double box[4];
-    if (!PyArg_ParseTuple(args, "O(dddd):put", &key_obj, &box[0], &box[1], &box[2], &box[3]))
-        return NULL;
-    Py_ssize_t key = index_key(self, key_obj), c[4];
-    if (key < 0)
-        return NULL;
+    if (b->len + extra <= b->cap)
+        return 0;
+    Py_ssize_t cap = b->cap ? 2 * b->cap : 4;
+    while (cap < b->len + extra)
+        cap *= 2;
+    Py_ssize_t *keys = realloc(b->keys, (size_t)cap * sizeof(Py_ssize_t));
+    if (keys == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    b->keys = keys;
+    b->cap = cap;
+    return 0;
+}
+
+/* Removes one key that b holds; the order of the others changes. */
+static void
+bucket_remove(Bucket *b, Py_ssize_t key)
+{
+    Py_ssize_t t = 0;
+    while (b->keys[t] != key)
+        t++;
+    b->keys[t] = b->keys[--b->len];
+}
+
+/* Stores box under key, or moves it there; -1 with an exception set, and the
+ * index as it was, on a box that is not finite or a failed allocation. */
+static int
+index_put(FootprintIndex *self, Py_ssize_t key, const double *box)
+{
+    Py_ssize_t c[4];
     if (!(isfinite(box[0]) && isfinite(box[1]) && isfinite(box[2]) && isfinite(box[3]))) {
         PyErr_SetString(PyExc_ValueError, "footprint must be finite");
-        return NULL;
+        return -1;
     }
-    /* room first, so a failed allocation leaves the index as it was */
+    /* room first */
     box_cells(self, box, c);
-    for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
-        for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
-            Bucket *b = &self->cells[i * self->rows + j];
-            if (b->len == b->cap) {
-                Py_ssize_t cap = b->cap ? 2 * b->cap : 4;
-                Py_ssize_t *keys = realloc(b->keys, (size_t)cap * sizeof(Py_ssize_t));
-                if (keys == NULL)
-                    return PyErr_NoMemory();
-                b->keys = keys;
-                b->cap = cap;
-            }
-        }
-    }
+    for (Py_ssize_t i = c[0]; i <= c[2]; i++)
+        for (Py_ssize_t j = c[1]; j <= c[3]; j++)
+            if (bucket_reserve(&self->cells[i * self->rows + j], 1) < 0)
+                return -1;
     double *old = self->boxes + 4 * key;
     if (!isnan(old[0])) {
         Py_ssize_t o[4];
         box_cells(self, old, o);
-        for (Py_ssize_t i = o[0]; i <= o[2]; i++) {
-            for (Py_ssize_t j = o[1]; j <= o[3]; j++) {
-                Bucket *b = &self->cells[i * self->rows + j];
-                Py_ssize_t t = 0;
-                while (b->keys[t] != key)
-                    t++;
-                b->keys[t] = b->keys[--b->len];
-            }
-        }
+        for (Py_ssize_t i = o[0]; i <= o[2]; i++)
+            for (Py_ssize_t j = o[1]; j <= o[3]; j++)
+                bucket_remove(&self->cells[i * self->rows + j], key);
     }
     for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
         for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
@@ -634,7 +661,20 @@ FootprintIndex_put(FootprintIndex *self, PyObject *args)
             b->keys[b->len++] = key;
         }
     }
-    memcpy(old, box, sizeof(box));
+    memcpy(old, box, 4 * sizeof(double));
+    return 0;
+}
+
+static PyObject *
+FootprintIndex_put(FootprintIndex *self, PyObject *args)
+{
+    PyObject *key_obj;
+    double box[4];
+    if (!PyArg_ParseTuple(args, "O(dddd):put", &key_obj, &box[0], &box[1], &box[2], &box[3]))
+        return NULL;
+    Py_ssize_t key = index_key(self, key_obj);
+    if (key < 0 || index_put(self, key, box) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -708,6 +748,34 @@ static PyTypeObject FootprintIndexType = {
     .tp_as_mapping = &FootprintIndex_mapping,
 };
 
+/* placer.snap_to_grid: the cells of an n x m grid over a width x height
+ * area that cover box clipped to the area, half-open, written to r; 1 if
+ * the clipped box is not empty, else 0; -1 with an exception set where the
+ * cover leaves the grid. */
+static int
+snap_box(const double *box, double width, double height, Py_ssize_t n, Py_ssize_t m,
+         Py_ssize_t *r)
+{
+    double sx1 = py_max(box[0], 0.0), sy1 = py_max(box[1], 0.0);
+    double sx2 = py_min(box[2], width), sy2 = py_min(box[3], height);
+    if (!(sx1 < sx2 && sy1 < sy2))
+        return 0;
+    double cx = width / (double)n, cy = height / (double)m;
+    double fa1 = floor(sx1 / cx), fb1 = floor(sy1 / cy);
+    double fa2 = ceil(sx2 / cx), fb2 = ceil(sy2 / cy);
+    /* rules out NaN and anything a cast could not hold */
+    if (!(0.0 <= fa1 && fa1 <= fa2 && fa2 <= (double)n
+          && 0.0 <= fb1 && fb1 <= fb2 && fb2 <= (double)m)) {
+        PyErr_SetString(PyExc_ValueError, "footprint snaps outside the grid");
+        return -1;
+    }
+    r[0] = (Py_ssize_t)fa1;
+    r[1] = (Py_ssize_t)fb1;
+    r[2] = (Py_ssize_t)fa2 > r[0] + 1 ? (Py_ssize_t)fa2 : r[0] + 1;
+    r[3] = (Py_ssize_t)fb2 > r[1] + 1 ? (Py_ssize_t)fb2 : r[1] + 1;
+    return 1;
+}
+
 /* stepplace.placer.py_candidate_score in one call, term for term in its
  * order: the field sum under the footprint snapped to the grid, the net
  * terms, the overlap penalty against every box of the footprint index but
@@ -764,29 +832,13 @@ score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     const double fx1 = x - hx, fy1 = y - hy, fx2 = x + hx, fy2 = y + hy;
     double score = 0.0;
 
-    /* placer.snap_to_grid: the footprint clipped to the area, covered by cells */
-    double sx1 = py_max(fx1, 0.0), sy1 = py_max(fy1, 0.0);
-    double sx2 = py_min(fx2, width), sy2 = py_min(fy2, height);
-    if (sx1 < sx2 && sy1 < sy2) {
-        double cx = width / (double)core->n, cy = height / (double)core->m;
-        double fa1 = floor(sx1 / cx), fb1 = floor(sy1 / cy);
-        double fa2 = ceil(sx2 / cx), fb2 = ceil(sy2 / cy);
-        /* rules out NaN and anything a cast could not hold */
-        if (!(0.0 <= fa1 && fa1 <= fa2 && fa2 <= (double)core->n
-              && 0.0 <= fb1 && fb1 <= fb2 && fb2 <= (double)core->m)) {
-            PyErr_SetString(PyExc_ValueError, "footprint snaps outside the grid");
-            goto release_all;
-        }
-        Py_ssize_t a1 = (Py_ssize_t)fa1, b1 = (Py_ssize_t)fb1;
-        Py_ssize_t a2 = (Py_ssize_t)fa2, b2 = (Py_ssize_t)fb2;
-        if (a2 < a1 + 1)
-            a2 = a1 + 1;
-        if (b2 < b1 + 1)
-            b2 = b1 + 1;
-        if (check_rect(core, a1, b1, a2, b2) < 0)
-            goto release_all;
-        score = field_cost(core, a1, b1, a2, b2);
-    }
+    const double fp[4] = {fx1, fy1, fx2, fy2};
+    Py_ssize_t r[4];
+    int snapped = snap_box(fp, width, height, core->n, core->m, r);
+    if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
+        goto release_all;
+    if (snapped)
+        score = field_cost(core, r[0], r[1], r[2], r[3]);
 
     const double moving[2] = {x, y};
     if (add_net_terms(&score, moving, args[7], beta, pins.buf,
@@ -796,7 +848,6 @@ score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     /* placer.penalty: circumference of every positive-area meet, in key
      * order, so the same floats are added in the same order as by a scan
      * over every footprint */
-    const double fp[4] = {fx1, fy1, fx2, fy2};
     Py_ssize_t n_hits = index_hits(footprints, fp, skip);
     double circ = 0.0;
     for (Py_ssize_t t = 0; t < n_hits; t++) {
@@ -823,56 +874,546 @@ release_pins:
     return result;
 }
 
-/* Builtin sum(values) as Python 3.11 computes it: from int 0, left to
- * right; while the sum is a float, float items are added as C doubles (3.12
- * compensates), and anything else goes through the number protocol. */
-static PyObject *
-ordered_sum(PyObject *module, PyObject *values)
+/* The placer's placement, as stepplace.placer.PlacementStore keeps it in
+ * Python: each macro's center, half-sizes and footprint (in a FootprintIndex),
+ * the nets as index arrays with their bounding-box lengths, and the live
+ * overlap pairs with their areas in the order the pairs entered. */
+typedef struct {
+    PyObject_HEAD
+    FootprintIndex *index;         /* the footprints, keyed by macro index */
+    PyTypeObject *rect_type;       /* the tuple type of move's rectangles */
+    Py_ssize_t count;              /* macros */
+    double *half, *center;         /* hx, hy and x, y per macro */
+    double width, height;
+    Py_ssize_t cells_x, cells_y;   /* the field's grid, for snapping */
+    Py_ssize_t n_nets;
+    Py_ssize_t *net_at, *members;  /* net k: members[net_at[k] .. net_at[k + 1]) */
+    Py_ssize_t *nets_at, *nets_of; /* macro i: nets_of[nets_at[i] .. nets_at[i + 1]) */
+    double *net_bb;                /* per net */
+    /* a dropped pair's slot is dead (first index -1, area +0.0) until the
+     * dead slots exceed a quarter of the live ones and are compacted away;
+     * adding +0.0 to a sum of non-negative areas changes no bit */
+    Py_ssize_t n_slots, cap_slots, n_live;
+    Py_ssize_t *pair;              /* i, j per slot, i < j */
+    double *area;                  /* per slot */
+    Bucket *partners;              /* per macro: the slots of its live pairs */
+    Py_ssize_t *slot_of, *scratch; /* per macro; slot_of is -1 between calls */
+    double *meets;                 /* 4 per macro: the meets of one move */
+} PlacementStore;
+
+static PyObject *array_type; /* array.array: pins returns its instances */
+
+/* netmodel.bb_netlength of net k: ((max x - min x) + max y) - min y, each
+ * extreme the first in member order, as Python's max and min pick it. */
+static double
+net_box(const PlacementStore *s, Py_ssize_t k)
 {
-    if (PyList_CheckExact(values)) {
-        /* the common case, a list of floats, without the iterator */
-        double f = 0.0;
-        Py_ssize_t i = 0, n = PyList_GET_SIZE(values);
-        for (; i < n && PyFloat_CheckExact(PyList_GET_ITEM(values, i)); i++)
-            f += PyFloat_AS_DOUBLE(PyList_GET_ITEM(values, i));
-        if (i == n)
-            return n ? PyFloat_FromDouble(f) : PyLong_FromLong(0);
+    const Py_ssize_t *mem = s->members + s->net_at[k];
+    Py_ssize_t n = s->net_at[k + 1] - s->net_at[k];
+    const double *c = s->center;
+    double hx = c[2 * mem[0]], lx = hx, hy = c[2 * mem[0] + 1], ly = hy;
+    for (Py_ssize_t t = 1; t < n; t++) {
+        double x = c[2 * mem[t]], y = c[2 * mem[t] + 1];
+        if (x > hx)
+            hx = x;
+        if (x < lx)
+            lx = x;
+        if (y > hy)
+            hy = y;
+        if (y < ly)
+            ly = y;
     }
-    PyObject *it = PyObject_GetIter(values);
-    if (it == NULL)
-        return NULL;
-    PyObject *acc = PyLong_FromLong(0), *item; /* the sum, or NULL while it is f */
-    double f = 0.0;
-    int failed = acc == NULL;
-    while (!failed && (item = PyIter_Next(it)) != NULL) {
-        if (acc == NULL) {
-            if (PyFloat_CheckExact(item)) {
-                f += PyFloat_AS_DOUBLE(item);
-                Py_DECREF(item);
-                continue;
-            }
-            acc = PyFloat_FromDouble(f);
-        }
-        PyObject *sum = acc != NULL ? PyNumber_Add(acc, item) : NULL;
-        Py_DECREF(item);
-        Py_XDECREF(acc);
-        acc = NULL;
-        if (sum == NULL) {
-            failed = 1;
-        } else if (PyFloat_CheckExact(sum)) {
-            f = PyFloat_AS_DOUBLE(sum);
-            Py_DECREF(sum);
-        } else {
-            acc = sum;
-        }
-    }
-    Py_DECREF(it);
-    if (failed || PyErr_Occurred()) {
-        Py_XDECREF(acc);
-        return NULL;
-    }
-    return acc != NULL ? acc : PyFloat_FromDouble(f);
+    return hx - lx + hy - ly;
 }
+
+/* Room for `need` slots in all; -1 with MemoryError set if there is none. */
+static int
+reserve_slots(PlacementStore *s, Py_ssize_t need)
+{
+    if (need <= s->cap_slots)
+        return 0;
+    Py_ssize_t cap = s->cap_slots ? 2 * s->cap_slots : 64;
+    while (cap < need)
+        cap *= 2;
+    Py_ssize_t *pair = realloc(s->pair, (size_t)cap * 2 * sizeof(Py_ssize_t));
+    if (pair == NULL)
+        goto nomem;
+    s->pair = pair;
+    double *area = realloc(s->area, (size_t)cap * sizeof(double));
+    if (area == NULL)
+        goto nomem;
+    s->area = area;
+    s->cap_slots = cap;
+    return 0;
+nomem:
+    PyErr_NoMemory();
+    return -1;
+}
+
+static inline Py_ssize_t
+partner(const PlacementStore *s, Py_ssize_t slot, Py_ssize_t i)
+{
+    return s->pair[2 * slot] == i ? s->pair[2 * slot + 1] : s->pair[2 * slot];
+}
+
+/* Drops the dead slots; the live ones keep their order. */
+static void
+compact_pairs(PlacementStore *s)
+{
+    Py_ssize_t t = 0;
+    for (Py_ssize_t sl = 0; sl < s->n_slots; sl++) {
+        if (s->pair[2 * sl] < 0)
+            continue;
+        if (t != sl) {
+            /* renumbered in ascending order, so a partner list holds sl
+             * once, beside new numbers below t and old ones above sl */
+            for (int e = 0; e < 2; e++) {
+                Bucket *b = &s->partners[s->pair[2 * sl + e]];
+                Py_ssize_t u = 0;
+                while (b->keys[u] != sl)
+                    u++;
+                b->keys[u] = t;
+            }
+            s->pair[2 * t] = s->pair[2 * sl];
+            s->pair[2 * t + 1] = s->pair[2 * sl + 1];
+            s->area[t] = s->area[sl];
+        }
+        t++;
+    }
+    s->n_slots = t;
+}
+
+/* Brings the pairs of macro i up to date with its footprint, as
+ * placer.PlacementStore._update_overlaps does: a pair that stays keeps its
+ * slot and takes its new area, a new pair takes a slot at the end, and a
+ * dropped pair's slot dies.  The meets with the other footprints go to
+ * s->meets in index order.  Returns their count, or -1 with MemoryError set
+ * and nothing changed. */
+static Py_ssize_t
+update_pairs(PlacementStore *s, Py_ssize_t i)
+{
+    FootprintIndex *idx = s->index;
+    const double *box = idx->boxes + 4 * i;
+    Py_ssize_t n = index_hits(idx, box, i);
+    Bucket *mine = &s->partners[i];
+    /* room first */
+    if (reserve_slots(s, s->n_slots + n) < 0 || bucket_reserve(mine, n - mine->len) < 0)
+        return -1;
+    for (Py_ssize_t t = 0; t < n; t++)
+        if (bucket_reserve(&s->partners[idx->found[t]], 1) < 0)
+            return -1;
+
+    for (Py_ssize_t t = 0; t < mine->len; t++)
+        s->slot_of[partner(s, mine->keys[t], i)] = mine->keys[t];
+    for (Py_ssize_t t = 0; t < n; t++) {
+        Py_ssize_t j = idx->found[t], sl = s->slot_of[j];
+        const double *f = idx->boxes + 4 * j;
+        double *m = s->meets + 4 * t;
+        m[0] = py_max(box[0], f[0]);
+        m[1] = py_max(box[1], f[1]);
+        m[2] = py_min(box[2], f[2]);
+        m[3] = py_min(box[3], f[3]);
+        if (sl >= 0) {
+            s->slot_of[j] = -1;
+        } else {
+            sl = s->n_slots++;
+            s->pair[2 * sl] = i < j ? i : j;
+            s->pair[2 * sl + 1] = i < j ? j : i;
+            s->n_live++;
+            Bucket *theirs = &s->partners[j];
+            theirs->keys[theirs->len++] = sl;
+        }
+        s->area[sl] = (m[2] - m[0]) * (m[3] - m[1]);
+        s->scratch[t] = sl;
+    }
+    for (Py_ssize_t t = 0; t < mine->len; t++) {
+        Py_ssize_t sl = mine->keys[t], j = partner(s, sl, i);
+        if (s->slot_of[j] == sl) { /* no longer a hit: the pair ends */
+            s->pair[2 * sl] = -1;
+            s->area[sl] = 0.0;
+            s->n_live--;
+            bucket_remove(&s->partners[j], sl);
+        }
+        s->slot_of[j] = -1;
+    }
+    memcpy(mine->keys, s->scratch, (size_t)n * sizeof(Py_ssize_t));
+    mine->len = n;
+    if (4 * (s->n_slots - s->n_live) > s->n_live)
+        compact_pairs(s);
+    return n;
+}
+
+static void
+PlacementStore_dealloc(PlacementStore *self)
+{
+    for (Py_ssize_t i = 0; self->partners != NULL && i < self->count; i++)
+        free(self->partners[i].keys);
+    free(self->partners);
+    free(self->half);
+    free(self->center);
+    free(self->net_at);
+    free(self->members);
+    free(self->nets_at);
+    free(self->nets_of);
+    free(self->net_bb);
+    free(self->pair);
+    free(self->area);
+    free(self->slot_of);
+    free(self->scratch);
+    free(self->meets);
+    Py_XDECREF(self->index);
+    Py_XDECREF(self->rect_type);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Reads the nets into the store's arrays: each a sequence of at least two
+ * distinct macro indices.  -1 with an exception set on a bad net. */
+static int
+read_nets(PlacementStore *self, PyObject *nets_obj)
+{
+    PyObject *nets = PySequence_Fast(nets_obj, "nets must be a sequence");
+    if (nets == NULL)
+        return -1;
+    Py_ssize_t n_nets = PySequence_Fast_GET_SIZE(nets), total = 0;
+    int ok = 0;
+    self->n_nets = n_nets;
+    self->net_at = malloc((size_t)(n_nets + 1) * sizeof(Py_ssize_t));
+    self->net_bb = malloc((size_t)(n_nets ? n_nets : 1) * sizeof(double));
+    self->nets_at = calloc((size_t)self->count + 1, sizeof(Py_ssize_t));
+    if (!self->net_at || !self->net_bb || !self->nets_at) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    self->net_at[0] = 0;
+    for (Py_ssize_t k = 0; k < n_nets; k++) {
+        PyObject *net = PySequence_Fast(PySequence_Fast_GET_ITEM(nets, k),
+                                        "each net must be a sequence");
+        if (net == NULL)
+            goto done;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(net);
+        Py_ssize_t *mem = realloc(self->members, (size_t)(total + n + 1) * sizeof(Py_ssize_t));
+        if (mem == NULL) {
+            Py_DECREF(net);
+            PyErr_NoMemory();
+            goto done;
+        }
+        self->members = mem;
+        if (n < 2)
+            PyErr_Format(PyExc_ValueError, "net %zd has fewer than 2 members", k);
+        for (Py_ssize_t t = 0; t < n && !PyErr_Occurred(); t++) {
+            Py_ssize_t i = PyNumber_AsSsize_t(PySequence_Fast_GET_ITEM(net, t),
+                                              PyExc_OverflowError);
+            if (PyErr_Occurred())
+                break;
+            if (i < 0 || i >= self->count)
+                PyErr_Format(PyExc_ValueError, "net %zd: macro %zd out of range", k, i);
+            else if (self->slot_of[i] == k)
+                PyErr_Format(PyExc_ValueError, "net %zd: macro %zd twice", k, i);
+            else {
+                self->slot_of[i] = k;
+                self->nets_at[i + 1]++;
+                mem[total + t] = i;
+            }
+        }
+        Py_DECREF(net);
+        if (PyErr_Occurred())
+            goto done;
+        total += n;
+        self->net_at[k + 1] = total;
+    }
+    for (Py_ssize_t i = 0; i < self->count; i++) {
+        self->slot_of[i] = -1;
+        self->nets_at[i + 1] += self->nets_at[i];
+    }
+    /* each macro's nets ascending: fill by net, advancing a cursor per macro */
+    self->nets_of = malloc((size_t)(total ? total : 1) * sizeof(Py_ssize_t));
+    if (self->nets_of == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(self->scratch, self->nets_at, (size_t)self->count * sizeof(Py_ssize_t));
+    for (Py_ssize_t k = 0; k < n_nets; k++)
+        for (Py_ssize_t t = self->net_at[k]; t < self->net_at[k + 1]; t++)
+            self->nets_of[self->scratch[self->members[t]]++] = k;
+    ok = 1;
+done:
+    Py_DECREF(nets);
+    return ok ? 0 : -1;
+}
+
+/* Copies a buffer of 2 * count doubles; -1 with an exception set. */
+static int
+read_xy(PyObject *obj, Py_ssize_t count, double **out, const char *what)
+{
+    Py_buffer view;
+    if (get_doubles(obj, &view, what) < 0)
+        return -1;
+    int ok = view.len == 2 * count * (Py_ssize_t)sizeof(double);
+    if (!ok)
+        PyErr_Format(PyExc_ValueError, "%s must hold 2 doubles per macro", what);
+    else if ((*out = malloc((size_t)(count ? 2 * count : 1) * sizeof(double))) == NULL)
+        ok = !PyErr_NoMemory();
+    else
+        memcpy(*out, view.buf, (size_t)view.len);
+    PyBuffer_Release(&view);
+    return ok ? 0 : -1;
+}
+
+static PyObject *
+PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"width", "height", "min_cell_x", "min_cell_y", "p", "q",
+                             "halves", "centers", "nets", "rect", NULL};
+    double width, height, min_x, min_y;
+    int p, q;
+    PyObject *halves, *centers, *nets, *rect;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ddddiiOOOO:PlacementStore", kwlist,
+                                     &width, &height, &min_x, &min_y, &p, &q, &halves,
+                                     &centers, &nets, &rect))
+        return NULL;
+    if (p < 0 || q < 0 || p >= 30 || q >= 30) {
+        PyErr_SetString(PyExc_ValueError, "grid exponents out of range");
+        return NULL;
+    }
+    if (!PyType_Check(rect) || !PyType_IsSubtype((PyTypeObject *)rect, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "rect must be a subtype of tuple");
+        return NULL;
+    }
+    Py_buffer view;
+    if (get_doubles(centers, &view, "centers") < 0)
+        return NULL;
+    Py_ssize_t count = view.len / (Py_ssize_t)(2 * sizeof(double));
+    PyBuffer_Release(&view);
+
+    PlacementStore *self = (PlacementStore *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->index = (FootprintIndex *)PyObject_CallFunction(
+        (PyObject *)&FootprintIndexType, "ndddd", count, width, height, min_x, min_y);
+    if (self->index == NULL)
+        goto fail;
+    Py_INCREF(rect);
+    self->rect_type = (PyTypeObject *)rect;
+    self->count = count;
+    self->width = width;
+    self->height = height;
+    self->cells_x = (Py_ssize_t)1 << p;
+    self->cells_y = (Py_ssize_t)1 << q;
+    size_t n = count ? (size_t)count : 1;
+    self->partners = calloc(n, sizeof(Bucket));
+    self->slot_of = malloc(n * sizeof(Py_ssize_t));
+    self->scratch = malloc(n * sizeof(Py_ssize_t));
+    self->meets = malloc(4 * n * sizeof(double));
+    if (!self->partners || !self->slot_of || !self->scratch || !self->meets) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t i = 0; i < count; i++)
+        self->slot_of[i] = -1;
+    if (read_xy(halves, count, &self->half, "halves") < 0
+        || read_xy(centers, count, &self->center, "centers") < 0
+        || read_nets(self, nets) < 0)
+        goto fail;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const double *c = self->center + 2 * i, *h = self->half + 2 * i;
+        const double box[4] = {c[0] - h[0], c[1] - h[1], c[0] + h[0], c[1] + h[1]};
+        if (index_put(self->index, i, box) < 0)
+            goto fail;
+    }
+    for (Py_ssize_t k = 0; k < self->n_nets; k++)
+        self->net_bb[k] = net_box(self, k);
+    /* every pair enters as (i, j) in ascending order, as from a scan over
+     * all pairs */
+    for (Py_ssize_t i = 0; i < count; i++)
+        if (update_pairs(self, i) < 0)
+            goto fail;
+    return (PyObject *)self;
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyObject *
+PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "move expected 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_ssize_t i = index_key(self->index, args[0]);
+    if (i < 0)
+        return NULL;
+    double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
+    if (PyErr_Occurred())
+        return NULL;
+    const double *h = self->half + 2 * i;
+    const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
+    if (index_put(self->index, i, box) < 0)
+        return NULL;
+    self->center[2 * i] = x;
+    self->center[2 * i + 1] = y;
+    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++)
+        self->net_bb[self->nets_of[t]] = net_box(self, self->nets_of[t]);
+    Py_ssize_t n = update_pairs(self, i);
+    if (n < 0)
+        return NULL;
+
+    PyObject *out = PyList_New(0);
+    for (Py_ssize_t t = 0; out != NULL && t < n; t++) {
+        Py_ssize_t r[4];
+        int snapped = snap_box(self->meets + 4 * t, self->width, self->height,
+                               self->cells_x, self->cells_y, r);
+        PyObject *rect = NULL;
+        if (snapped > 0 && (rect = self->rect_type->tp_alloc(self->rect_type, 4)) != NULL) {
+            for (int c = 0; c < 4; c++) {
+                PyObject *v = PyLong_FromSsize_t(r[c]);
+                if (v == NULL) {
+                    Py_CLEAR(rect);
+                    break;
+                }
+                PyTuple_SET_ITEM(rect, c, v);
+            }
+        }
+        if (snapped < 0 || (snapped > 0 && (rect == NULL || PyList_Append(out, rect) < 0)))
+            Py_CLEAR(out);
+        Py_XDECREF(rect);
+    }
+    return out;
+}
+
+static PyObject *
+PlacementStore_pins(PlacementStore *self, PyObject *arg)
+{
+    Py_ssize_t i = index_key(self->index, arg), len = 0;
+    if (i < 0)
+        return NULL;
+    const Py_ssize_t *net_at = self->net_at;
+    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++)
+        len += 2 * (net_at[self->nets_of[t] + 1] - net_at[self->nets_of[t]]);
+    PyObject *bytes = PyBytes_FromStringAndSize(NULL, len * (Py_ssize_t)sizeof(double));
+    if (bytes == NULL)
+        return NULL;
+    double *out = (double *)PyBytes_AS_STRING(bytes);
+    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++) {
+        Py_ssize_t k = self->nets_of[t], n = net_at[k + 1] - net_at[k];
+        const Py_ssize_t *mem = self->members + net_at[k];
+        double *head = out;
+        *out++ = (double)n;
+        out++;
+        for (Py_ssize_t u = 0; u < n; u++) {
+            if (mem[u] == i) {
+                head[1] = (double)u;
+            } else {
+                *out++ = self->center[2 * mem[u]];
+                *out++ = self->center[2 * mem[u] + 1];
+            }
+        }
+    }
+    PyObject *pins = PyObject_CallFunction(array_type, "CO", 'd', bytes);
+    Py_DECREF(bytes);
+    return pins;
+}
+
+static PyObject *
+PlacementStore_totals(PlacementStore *self, PyObject *unused)
+{
+    /* the two sums, each left to right from 0 (int 0 with nothing to sum),
+     * in one loop, so that the two chains of dependent adds overlap */
+    const double *bb = self->net_bb, *area = self->area;
+    Py_ssize_t n_bb = self->n_nets, n_area = self->n_slots, k = 0;
+    double sum_bb = 0.0, sum_area = 0.0;
+    for (; k < n_bb && k < n_area; k++) {
+        sum_bb += bb[k];
+        sum_area += area[k];
+    }
+    for (Py_ssize_t t = k; t < n_bb; t++)
+        sum_bb += bb[t];
+    for (Py_ssize_t t = k; t < n_area; t++)
+        sum_area += area[t];
+    PyObject *a = n_bb ? PyFloat_FromDouble(sum_bb) : PyLong_FromLong(0);
+    PyObject *b = self->n_live ? PyFloat_FromDouble(sum_area) : PyLong_FromLong(0);
+    PyObject *out = a && b ? PyTuple_Pack(2, a, b) : NULL;
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    return out;
+}
+
+static PyObject *
+PlacementStore_net_lengths(PlacementStore *self, PyObject *unused)
+{
+    PyObject *out = PyList_New(self->n_nets);
+    for (Py_ssize_t k = 0; out != NULL && k < self->n_nets; k++) {
+        PyObject *v = PyFloat_FromDouble(self->net_bb[k]);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, k, v);
+    }
+    return out;
+}
+
+static PyObject *
+PlacementStore_pairs(PlacementStore *self, PyObject *unused)
+{
+    PyObject *out = PyList_New(0);
+    for (Py_ssize_t sl = 0; out != NULL && sl < self->n_slots; sl++) {
+        if (self->pair[2 * sl] < 0)
+            continue;
+        PyObject *p = Py_BuildValue("(nnd)", self->pair[2 * sl], self->pair[2 * sl + 1],
+                                    self->area[sl]);
+        if (p == NULL || PyList_Append(out, p) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(p);
+    }
+    return out;
+}
+
+static PyMethodDef PlacementStore_methods[] = {
+    {"move", (PyCFunction)(void (*)(void))PlacementStore_move, METH_FASTCALL,
+     "move(i, x, y) -> list[rect]\n\n"
+     "Center macro i at (x, y): store its footprint, recompute its nets' boxes\n"
+     "and bring its overlap pairs up to date; returns the snapped cells of\n"
+     "each of its meets with another footprint, in index order."},
+    {"pins", (PyCFunction)PlacementStore_pins, METH_O,
+     "pins(i) -> array('d')\n\n"
+     "The nets of macro i packed for score_candidate, in net order."},
+    {"totals", (PyCFunction)PlacementStore_totals, METH_NOARGS,
+     "totals() -> (netlength, overlap)\n\n"
+     "The sums of the net boxes in net order and of the live pairs' areas in\n"
+     "the order the pairs entered; int 0 where there is nothing to sum."},
+    {"net_lengths", (PyCFunction)PlacementStore_net_lengths, METH_NOARGS,
+     "net_lengths() -> list[float]\n\nThe bounding-box length of each net."},
+    {"pairs", (PyCFunction)PlacementStore_pairs, METH_NOARGS,
+     "pairs() -> list[(i, j, area)]\n\n"
+     "The live overlap pairs, i < j, in the order they entered."},
+    {NULL}
+};
+
+static PyMemberDef PlacementStore_members[] = {
+    {"footprints", T_OBJECT_EX, offsetof(PlacementStore, index), READONLY,
+     "the macros' footprints, a FootprintIndex keyed by macro index; only move\n"
+     "may change it"},
+    {NULL}
+};
+
+static PyTypeObject PlacementStoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "stepplace._fieldcore.PlacementStore",
+    .tp_doc = "PlacementStore(width, height, min_cell_x, min_cell_y, p, q, halves,\n"
+              "               centers, nets, rect)\n\n"
+              "The placer's placement of the macros 0 .. count - 1 over a width x\n"
+              "height area: halves and centers hold hx, hy and x, y per macro, nets\n"
+              "the members of each net as macro indices, footprints their boxes in\n"
+              "a FootprintIndex with cells of at least min_cell_x by min_cell_y.\n"
+              "move snaps meets to a 2**p x 2**q grid and returns them as rect\n"
+              "instances.  stepplace.placer.PlacementStore is its Python reference.",
+    .tp_basicsize = sizeof(PlacementStore),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PlacementStore_new,
+    .tp_dealloc = (destructor)PlacementStore_dealloc,
+    .tp_methods = PlacementStore_methods,
+    .tp_members = PlacementStore_members,
+};
 
 static PyMethodDef fieldcore_functions[] = {
     {"score_candidate", (PyCFunction)(void (*)(void))score_candidate, METH_FASTCALL,
@@ -885,10 +1426,6 @@ static PyMethodDef fieldcore_functions[] = {
      "footprints but key skip's, plus weight times the overlap area with\n"
      "each box of blockages (boxes are x1, y1, x2, y2); see\n"
      "stepplace.placer.py_candidate_score."},
-    {"ordered_sum", (PyCFunction)ordered_sum, METH_O,
-     "ordered_sum(values) -> float | int\n\n"
-     "Builtin sum of an iterable as Python 3.11 adds floats: left to right,\n"
-     "0 when there is nothing to sum; see stepplace.stepfield.py_ordered_sum."},
     {NULL}
 };
 
@@ -904,7 +1441,15 @@ PyMODINIT_FUNC
 PyInit__fieldcore(void)
 {
     PyObject *mod;
-    if (PyType_Ready(&FieldCoreType) < 0 || PyType_Ready(&FootprintIndexType) < 0)
+    if (PyType_Ready(&FieldCoreType) < 0 || PyType_Ready(&FootprintIndexType) < 0
+        || PyType_Ready(&PlacementStoreType) < 0)
+        return NULL;
+    PyObject *array_mod = PyImport_ImportModule("array");
+    if (array_mod == NULL)
+        return NULL;
+    array_type = PyObject_GetAttrString(array_mod, "array");
+    Py_DECREF(array_mod);
+    if (array_type == NULL)
         return NULL;
     mod = PyModule_Create(&fieldcoremodule);
     if (!mod)
@@ -918,6 +1463,12 @@ PyInit__fieldcore(void)
     Py_INCREF(&FootprintIndexType);
     if (PyModule_AddObject(mod, "FootprintIndex", (PyObject *)&FootprintIndexType) < 0) {
         Py_DECREF(&FootprintIndexType);
+        Py_DECREF(mod);
+        return NULL;
+    }
+    Py_INCREF(&PlacementStoreType);
+    if (PyModule_AddObject(mod, "PlacementStore", (PyObject *)&PlacementStoreType) < 0) {
+        Py_DECREF(&PlacementStoreType);
         Py_DECREF(mod);
         return NULL;
     }

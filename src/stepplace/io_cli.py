@@ -21,7 +21,7 @@ All coordinates are area units; occupied regions are half-open rectangles, so
 edge-to-edge contact is not an overlap.  Floats are written with ``repr`` and
 round-trip exactly.  File writes are atomic (write temp, then rename), and
 the written file gets the mode ``open()`` would give it.  Every float total
-that reaches a file is added left to right (:data:`ordered_sum`), so the bytes
+that reaches a file is added left to right (:func:`ordered_sum`), so the bytes
 do not depend on whether the interpreter's ``sum`` compensates.
 
 The ``stepplace`` CLI wraps this: ``place`` runs the placer, ``check``
@@ -574,10 +574,12 @@ def render_svg(
 def check_result(
     netlist: Netlist, area: PlacementArea, result: ResultData
 ) -> tuple[bool, list[str]]:
-    """Re-derive legality and total bounding-box netlength from scratch, and
-    compare them with the result's ``summary legal`` and ``summary
-    netlength_bb`` lines (the netlength bit for bit: both add the nets left to
-    right in the instance's order).
+    """Re-derive legality, total bounding-box netlength and total pairwise
+    overlap area from scratch, and compare them with the result's ``summary
+    legal``, ``summary netlength_bb`` and ``summary overlap_area`` lines (the
+    totals bit for bit: both add the nets left to right in the instance's
+    order, and the overlapping pairs from ``0.0`` in ascending order of
+    their ids).
 
     This is deliberately a separate code path from
     :func:`stepplace.netmodel.is_legal` so the checker cannot inherit a
@@ -611,6 +613,7 @@ def check_result(
         if x1 < 0 or x2 > area.width or y1 < 0 or y2 > area.height:
             lines.append(f"macro {mid} leaves the placement area")
             legal = False
+    overlap = 0.0
     for i, mi in enumerate(inst_ids):
         a = spans[mi]
         for mj in inst_ids[i + 1 :]:
@@ -620,6 +623,9 @@ def check_result(
                 and max(a[2], b[2]) < min(a[3], b[3])
             ):
                 lines.append(f"macros {mi} and {mj} overlap")
+                overlap += (min(a[1], b[1]) - max(a[0], b[0])) * (
+                    min(a[3], b[3]) - max(a[2], b[2])
+                )
                 legal = False
     for mid, a in spans.items():
         for bi, blk in enumerate(area.blockages):
@@ -640,6 +646,11 @@ def check_result(
         disagreements.append(
             f"summary netlength_bb {result.netlength_bb!r} disagrees with "
             f"the recomputed {total!r}"
+        )
+    if overlap.hex() != result.overlap_area.hex():
+        disagreements.append(
+            f"summary overlap_area {result.overlap_area!r} disagrees with "
+            f"the recomputed {overlap!r}"
         )
     if legal != result.legal:
         disagreements.append(

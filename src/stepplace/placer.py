@@ -20,9 +20,16 @@ with respect to the placement and the field; the winning move and field
 updates are applied afterwards.  What every candidate of a round shares (the
 macro's half-sizes, the net model's sharpness, the other pins of its nets) is
 gathered once per round in a :class:`ScoreContext`; on the C field core each
-candidate is then scored in one C call.  The macros' footprints live in one
-index keyed by macro index, the C core's ``FootprintIndex`` or else a
-:class:`BucketGrid`, so the penalty and the round's overlap update test a
+candidate is then scored in one C call.
+
+The placement the rounds read and commit lives in one store keyed by macro
+index: each macro's center and footprint, the nets' bounding-box lengths and
+the live overlap pairs with their areas.  On the C field core it is the C
+core's ``PlacementStore``, else a :class:`PlacementStore`, its Python
+reference, which answers with the same bits.  A round's commit is one
+``move`` on it, which returns the grid rectangles the field then grows
+under, and the statistics row takes both its totals from it.  Footprints
+sit in a spatial index, so the penalty and the overlap update test a
 footprint only against the macros near it.  Runs are deterministic for a
 given seed.
 """
@@ -34,7 +41,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from operator import lt
 from typing import NamedTuple
@@ -58,8 +65,8 @@ from stepplace.netmodel import (
 )
 from stepplace.stepfield import (
     MAX_GRID_EXPONENT,
-    CFootprintIndex,
     CostField,
+    CPlacementStore,
     GridRect,
     c_score_candidate,
     ordered_sum,
@@ -245,18 +252,12 @@ class PlacerState:
     bounds: dict[str, MacroBounds]
     round: int
     macro_order: list[str]
-    # footprints of every macro at its current position, keyed by index in
-    # macro_order: the C core's FootprintIndex on the C field core (the
-    # scoring kernel reads it), else a BucketGrid
-    grid: BucketGrid | CFootprintIndex
+    # the placement keyed by index in macro_order: the C core's
+    # PlacementStore on the C field core (the scoring kernel reads its
+    # footprints), else a PlacementStore
+    store: PlacementStore | CPlacementStore
     # the area's blockages as x1, y1, x2, y2 each, for the C scoring kernel
     blockage_boxes: array
-    net_bb: list[float]
-    net_indices_of: dict[str, list[int]]
-    # macro index pairs (i, j), i < j, with positive intersection area
-    pair_overlap: dict[tuple[int, int], float]
-    # per macro index, the indices it overlaps, i.e. its keys in pair_overlap
-    partners: list[set[int]]
     # scores and winning index of the most recent round's candidates
     last_scores: list[float] | None = None
     last_choice: int | None = None
@@ -285,6 +286,132 @@ def snap_to_grid(
     a2 = max(a1 + 1, math.ceil(x2 / cx))
     b2 = max(b1 + 1, math.ceil(y2 / cy))
     return GridRect(a1, b1, a2, b2)
+
+
+class PlacementStore:
+    """The placement as the rounds read and commit it, in Python: the
+    reference of the C core's ``PlacementStore``, which answers every method
+    with the same bits.
+
+    Macros are keyed by index.  ``halves`` and ``centers`` hold ``hx, hy``
+    and ``x, y`` per macro, and ``nets`` each net's members as macro
+    indices.  The store keeps each macro's center, its footprint in
+    ``footprints`` (a :class:`BucketGrid` with ``cell_x`` by ``cell_y``
+    cells), the nets' bounding-box lengths, and the live overlap pairs
+    ``(i, j)``, ``i < j``, with their areas, in the order the pairs entered:
+    a pair that ends and overlaps again goes to the end.  :meth:`move` snaps
+    meets to the ``2**p`` by ``2**q`` grid over ``area``.
+    """
+
+    def __init__(
+        self,
+        area: PlacementArea,
+        cell_x: float,
+        cell_y: float,
+        p: int,
+        q: int,
+        halves: Sequence[float],
+        centers: Sequence[float],
+        nets: Sequence[Sequence[int]],
+    ) -> None:
+        self.area, self.p, self.q = area, p, q
+        count = len(centers) // 2
+        self.halves = [(halves[2 * i], halves[2 * i + 1]) for i in range(count)]
+        self.centers = [(centers[2 * i], centers[2 * i + 1]) for i in range(count)]
+        self.nets = [list(net) for net in nets]
+        self.nets_of: list[list[int]] = [[] for _ in range(count)]
+        for k, net in enumerate(self.nets):
+            for i in net:
+                self.nets_of[i].append(k)
+        self.footprints = BucketGrid(cell_x, cell_y)
+        for i in range(count):
+            self.footprints.put(i, self._box(i))
+        self.net_bb = [self._net_box(k) for k in range(len(self.nets))]
+        # macro index pairs (i, j), i < j, with positive intersection area
+        self.pair_overlap: dict[tuple[int, int], float] = {}
+        # per macro index, the indices it overlaps, i.e. its keys in pair_overlap
+        self.partners: list[set[int]] = [set() for _ in range(count)]
+        # every pair enters pair_overlap as (i, j) in ascending order, as it
+        # would from a scan over all pairs
+        for i in range(count):
+            self._update_overlaps(i)
+
+    def _box(self, i: int) -> Box:
+        (x, y), (hx, hy) = self.centers[i], self.halves[i]
+        return (x - hx, y - hy, x + hx, y + hy)
+
+    def _net_box(self, k: int) -> float:
+        return bb_netlength([self.centers[i] for i in self.nets[k]])
+
+    def _update_overlaps(self, i: int) -> list[Box]:
+        """Bring ``pair_overlap`` and ``partners`` up to date for macro ``i``
+        at its footprint; returns the meets of that footprint with every
+        other one it overlaps, in index order."""
+        grid = self.footprints
+        box = grid[i]
+        # hits come in index order, so pair_overlap gains new keys, and the
+        # caller's field its increases, in the order of a scan over every macro
+        hits = [j for j in grid.hits(*box) if j != i]
+        partners = self.partners
+        pair_overlap = self.pair_overlap
+        for j in partners[i].difference(hits):
+            pair_overlap.pop((i, j) if i < j else (j, i))
+            partners[j].discard(i)
+        partners[i] = set(hits)
+        meets = []
+        for j in hits:
+            partners[j].add(i)
+            inter = meet(box, grid[j])
+            pair_overlap[(i, j) if i < j else (j, i)] = (inter[2] - inter[0]) * (
+                inter[3] - inter[1]
+            )
+            meets.append(inter)
+        return meets
+
+    def move(self, i: int, x: float, y: float) -> list[GridRect]:
+        """Center macro ``i`` at ``(x, y)``: store its footprint, recompute
+        the boxes of its nets, and bring its overlap pairs up to date.
+        Returns the :func:`snap_to_grid` cells of each meet of its footprint
+        with another one, in index order, leaving out empty ones."""
+        self.centers[i] = (float(x), float(y))
+        self.footprints.put(i, self._box(i))
+        for k in self.nets_of[i]:
+            self.net_bb[k] = self._net_box(k)
+        rects = []
+        for inter in self._update_overlaps(i):
+            snapped = snap_to_grid(inter, self.area, self.p, self.q)
+            if snapped is not None:
+                rects.append(snapped)
+        return rects
+
+    def pins(self, i: int) -> array:
+        """The nets of macro ``i`` in net order, packed for the C core's
+        ``score_candidate``: per net its member count, the index of ``i``
+        among them, then the other members' ``x, y`` in order."""
+        centers = self.centers
+        pins: list[float] = []
+        for k in self.nets_of[i]:
+            net = self.nets[k]
+            pins += (len(net), net.index(i))
+            for j in net:
+                if j != i:
+                    pins += centers[j]
+        return array("d", pins)
+
+    def totals(self) -> tuple[float | int, float | int]:
+        """The sum of the net boxes in net order and of the live pairs'
+        areas in the order the pairs entered, each by :func:`ordered_sum`
+        (so int ``0`` where there is nothing to sum)."""
+        return ordered_sum(self.net_bb), ordered_sum(self.pair_overlap.values())
+
+    def net_lengths(self) -> list[float]:
+        """The bounding-box length of each net."""
+        return list(self.net_bb)
+
+    def pairs(self) -> list[tuple[int, int, float]]:
+        """The live overlap pairs ``(i, j, area)``, ``i < j``, in the order
+        they entered."""
+        return [(i, j, a) for (i, j), a in self.pair_overlap.items()]
 
 
 def gamma(span: float, u: float) -> float:
@@ -363,11 +490,10 @@ def _round_beta(rnd: int, config: PlacerConfig) -> float | None:
 class ScoreContext(NamedTuple):
     """What the candidates of one round share: the moving macro's
     half-sizes, the round's net-model sharpness (see :func:`model_length`),
-    its nets in ``net_indices_of`` order packed for the C core's
-    ``score_candidate`` (per net: its pin count, the moving pin's index among
-    them, then the other pins' ``x, y`` in order), its index in
-    ``macro_order``, and the round's penalty factor (``penalty_c`` times the
-    round's :meth:`PlacerConfig.delta_at`)."""
+    its nets as :meth:`PlacementStore.pins` packs them (per net: its pin
+    count, the moving pin's index among them, then the other pins' ``x, y``
+    in order), its index in ``macro_order``, and the round's penalty factor
+    (``penalty_c`` times the round's :meth:`PlacerConfig.delta_at`)."""
 
     hx: float
     hy: float
@@ -381,22 +507,13 @@ def score_context(
     macro: Macro, state: PlacerState, config: PlacerConfig
 ) -> ScoreContext:
     """The :class:`ScoreContext` of moving ``macro`` in the current round."""
-    mid = macro.id
-    placement = state.placement
-    nets = state.netlist.nets
-    pins: list[float] = []
-    for ni in state.net_indices_of[mid]:
-        members = nets[ni].members
-        pins += (len(members), members.index(mid))
-        for other in members:
-            if other != mid:
-                pins += placement[other]
+    index = bisect_left(state.macro_order, macro.id)
     return ScoreContext(
         macro.size_x / 2.0,
         macro.size_y / 2.0,
         _round_beta(state.round + 1, config),
-        array("d", pins),
-        bisect_left(state.macro_order, mid),
+        state.store.pins(index),
+        index,
         config.penalty_c * config.delta_at(state.round),
     )
 
@@ -422,7 +539,7 @@ def candidate_score(
     area = state.area
     return c_score_candidate(
         fld.core, x, y, ctx.hx, ctx.hy, area.width, area.height, ctx.beta,
-        ctx.pins, state.grid, ctx.index, ctx.penalty_factor,
+        ctx.pins, state.store.footprints, ctx.index, ctx.penalty_factor,
         state.blockage_boxes, config.blockage_weight,
     )
 
@@ -436,18 +553,20 @@ def py_candidate_score(
 ) -> float:
     """:func:`candidate_score` on the Python field core, and the reference of
     the C core's ``score_candidate``, which sums the same terms in the same
-    order."""
+    order; the nets are those packed in ``ctx.pins``."""
     x, y = pos
     fp = (x - ctx.hx, y - ctx.hy, x + ctx.hx, y + ctx.hy)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
     score = state.field.cost(snapped) if snapped is not None else 0.0
-    mid = macro.id
-    placement = state.placement
-    nets = state.netlist.nets
-    for ni in state.net_indices_of[mid]:
-        pts = [pos if m == mid else placement[m] for m in nets[ni].members]
+    pins = ctx.pins
+    k = 0
+    while k < len(pins):
+        n, j = int(pins[k]), int(pins[k + 1])
+        pts = [(pins[t], pins[t + 1]) for t in range(k + 2, k + 2 * n, 2)]
+        pts.insert(j, pos)
         score += model_length(pts, ctx.beta)
-    score += penalty(state.round, macro, pos, state.grid, config, ctx.index)
+        k += 2 * n
+    score += penalty(state.round, macro, pos, state.store.footprints, config, ctx.index)
     for b in state.area.blockages:
         ix1, iy1, ix2, iy2 = meet(fp, b)
         if ix1 < ix2 and iy1 < iy2:
@@ -463,8 +582,8 @@ def new_state(
 ) -> PlacerState:
     """Initial loop state: bounds, placement (given positions clamped into
     bounds, missing ones drawn uniformly), zero field plus one static
-    increase per blockage, and fresh statistics caches; :func:`stats_row`
-    gives its statistics row 0."""
+    increase per blockage, and the placement store; :func:`stats_row` gives
+    its statistics row 0."""
     bounds = {m.id: compute_bounds(m, area) for m in netlist.macros}
     if initial is not None:
         for mid in initial:
@@ -490,24 +609,24 @@ def new_state(
         if snapped is not None:
             fld.increase(snapped, config.blockage_weight)
 
-    # cells at least as large as the largest macro: a footprint touches at
-    # most 2x2 of them
-    big_x = max((m.size_x for m in netlist.macros), default=1.0)
-    big_y = max((m.size_y for m in netlist.macros), default=1.0)
+    # footprint cells at least as large as the largest macro: a footprint
+    # touches at most 2x2 of them
+    macros = [netlist.by_id[mid] for mid in macro_order]
+    args = (
+        max((m.size_x for m in macros), default=1.0),
+        max((m.size_y for m in macros), default=1.0),
+        config.grid_p,
+        config.grid_q,
+        # half-sizes as footprint_box computes them
+        array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
+        array("d", [v for mid in macro_order for v in placement[mid]]),
+        [[bisect_left(macro_order, mid) for mid in net.members] for net in netlist.nets],
+    )
     if fld.backend == "c":
-        grid = CFootprintIndex(len(macro_order), area.width, area.height, big_x, big_y)
+        store = CPlacementStore(area.width, area.height, *args, GridRect)
     else:
-        grid = BucketGrid(big_x, big_y)
-    for i, mid in enumerate(macro_order):
-        grid.put(i, footprint_box(netlist.by_id[mid], placement[mid]))
-    net_indices_of: dict[str, list[int]] = {mid: [] for mid in macro_order}
-    net_bb: list[float] = []
-    for ni, net in enumerate(netlist.nets):
-        net_bb.append(bb_netlength([placement[mid] for mid in net.members]))
-        for mid in net.members:
-            net_indices_of[mid].append(ni)
-
-    state = PlacerState(
+        store = PlacementStore(area, *args)
+    return PlacerState(
         netlist=netlist,
         area=area,
         rng=rng,
@@ -516,44 +635,9 @@ def new_state(
         bounds=bounds,
         round=0,
         macro_order=macro_order,
-        grid=grid,
+        store=store,
         blockage_boxes=array("d", [v for b in area.blockages for v in b]),
-        net_bb=net_bb,
-        net_indices_of=net_indices_of,
-        pair_overlap={},
-        partners=[set() for _ in macro_order],
     )
-    # every pair enters pair_overlap as (i, j) in ascending order, as it
-    # would from a scan over all pairs
-    for i in range(len(macro_order)):
-        _update_overlaps(state, i)
-    return state
-
-
-def _update_overlaps(state: PlacerState, i: int) -> list[Box]:
-    """Bring ``pair_overlap`` and ``partners`` up to date for macro index
-    ``i`` at its footprint in ``state.grid``; returns the meets of that
-    footprint with every other one it overlaps, in index order."""
-    grid = state.grid
-    box = grid[i]
-    # hits come in index order, so pair_overlap gains new keys, and the
-    # caller's field its increases, in the order of a scan over every macro
-    hits = [j for j in grid.hits(*box) if j != i]
-    partners = state.partners
-    pair_overlap = state.pair_overlap
-    for j in partners[i].difference(hits):
-        pair_overlap.pop((i, j) if i < j else (j, i))
-        partners[j].discard(i)
-    partners[i] = set(hits)
-    meets = []
-    for j in hits:
-        partners[j].add(i)
-        inter = meet(box, grid[j])
-        pair_overlap[(i, j) if i < j else (j, i)] = (inter[2] - inter[0]) * (
-            inter[3] - inter[1]
-        )
-        meets.append(inter)
-    return meets
 
 
 def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
@@ -561,10 +645,11 @@ def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     rnd = state.round
     beta = beta_schedule(rnd, config.max_rounds) if rnd else 1.0
     step = max(0, rnd - 1)
+    netlength_bb, overlap_area = state.store.totals()
     return RoundStats(
         round=rnd,
-        netlength_bb=ordered_sum(state.net_bb),
-        overlap_area=ordered_sum(state.pair_overlap.values()),
+        netlength_bb=netlength_bb,
+        overlap_area=overlap_area,
         delta=config.delta_at(step),
         beta=beta,
         w=config.w_at(step),
@@ -609,17 +694,9 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     chosen = candidates[best]
 
     state.placement[mid] = chosen
-    state.grid.put(mi, footprint_box(macro, chosen))
-    for ni in state.net_indices_of[mid]:
-        net = state.netlist.nets[ni]
-        state.net_bb[ni] = bb_netlength(
-            [state.placement[m2] for m2 in net.members]
-        )
     w = config.w_at(state.round)
-    for inter in _update_overlaps(state, mi):
-        snapped = snap_to_grid(inter, state.area, config.grid_p, config.grid_q)
-        if snapped is not None:
-            state.field.increase(snapped, w)
+    for rect in state.store.move(mi, *chosen):
+        state.field.increase(rect, w)
     state.field.inflate(config.inflation_rho)
 
     state.round += 1

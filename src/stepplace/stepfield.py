@@ -25,7 +25,8 @@ cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's scoring kernel,
 :data:`c_score_candidate`, the footprint index it reads,
-:data:`CFootprintIndex`, and :data:`ordered_sum`.
+:data:`CFootprintIndex`, and the placement store that commits a round,
+:data:`CPlacementStore`.
 """
 
 from __future__ import annotations
@@ -141,15 +142,16 @@ c_score_candidate = getattr(_c_module, "score_candidate", None)
 #: reads it.  None without the C core.
 CFootprintIndex = getattr(_c_module, "FootprintIndex", None)
 
+#: The C core's ``PlacementStore``, which answers as
+#: :class:`stepplace.placer.PlacementStore` does, bit for bit; its
+#: ``footprints`` are a ``FootprintIndex``.  None without the C core.
+CPlacementStore = getattr(_c_module, "PlacementStore", None)
 
-def py_ordered_sum(values: Iterable) -> float | int:
+
+def ordered_sum(values: Iterable) -> float | int:
     """Builtin ``sum(values)`` as Python 3.11 adds floats: left to right
     (3.12 compensates), ``0`` when there is nothing to sum."""
     return functools.reduce(operator.add, values, 0)
-
-
-#: :func:`py_ordered_sum`, in C where the C core loaded (the same bits).
-ordered_sum = getattr(_c_module, "ordered_sum", py_ordered_sum)
 
 #: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
 HAVE_C_CORE = _CFieldCore is not None
@@ -283,10 +285,23 @@ class _PyFieldCore:
         self.last_touched = len(bx[0]) * len(by[0])
         return bx, by
 
+    def _fold(self, s: float) -> None:
+        """Multiply every non-constant coefficient by ``s`` and the constant
+        one by the scale, then reset the scale to 1."""
+        const = self._coef[-1] * self._scale
+        # a zero keeps its bits (and its shared object) times s >= 0
+        self._coef = [c * s if c else c for c in self._coef]
+        self._coef[-1] = const
+        self._scale = 1.0
+
     def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
         (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
-        coef, m = self._coef, self.m
         v = value / self._scale
+        if not math.isfinite(v) and math.isfinite(value):
+            # a value the scale would overflow takes the scale folded in first
+            self._fold(self._scale)
+            v = value / self._scale
+        coef, m = self._coef, self.m
         wy = [s * r for s, r in zip(sy, ny)]
         for fx, s, r in zip(ix, sx, nx):
             vx = s * r * v
@@ -309,16 +324,12 @@ class _PyFieldCore:
     def inflate(self, rho: float) -> None:
         if not 0.0 < rho <= 1.0:
             raise ValueError("decay factor must be in (0, 1]")
-        coef, s = self._coef, self._scale * rho
+        s = self._scale * rho
         if s < FOLD_BELOW:
-            const = coef[-1] * self._scale
-            # a zero keeps its bits (and its shared object) times s >= 0
-            self._coef = [c * s if c else c for c in coef]
-            self._coef[-1] = const
-            self._scale = 1.0
+            self._fold(s)
         else:
             self._scale = s
-            coef[-1] /= rho  # the constant element never decays
+            self._coef[-1] /= rho  # the constant element never decays
 
     def coefficient(self, fx: int, fy: int) -> float:
         if not (0 <= fx < self.n and 0 <= fy < self.m):
@@ -364,7 +375,9 @@ class CostField:
         self.m = 1 << q
 
     def increase(self, rect: GridRect, value: float) -> None:
-        """Add ``value`` to every cell of ``rect``."""
+        """Add ``value`` to every cell of ``rect``.  Where ``value`` over the
+        global scale would overflow, the scale is folded into every
+        coefficient first, in O(n*m)."""
         if not math.isfinite(value):
             raise ValueError("increase value must be finite")
         self.core.increase(*rect, value)

@@ -411,7 +411,9 @@ class TestCli:
         assert lines[0] == "round,netlength_bb,overlap_area,delta,beta,w"
         assert len(lines) == 2002  # header + round 0 + one row per round
 
-    @pytest.mark.parametrize("edit", ["netlength one ulp up", "legal flipped"])
+    @pytest.mark.parametrize(
+        "edit", ["netlength one ulp up", "legal flipped", "overlap_area edited"]
+    )
     def test_check_rejects_a_summary_that_disagrees(
         self, tmp_path, instance_file, capsys, edit
     ):
@@ -425,6 +427,9 @@ class TestCli:
         if edit == "legal flipped":
             old, new = "summary legal true", "summary legal false"
             want = "summary legal false disagrees with the recomputed true"
+        elif edit == "overlap_area edited":
+            old, new = "summary overlap_area 0.0", "summary overlap_area 123.0"
+            want = "summary overlap_area 123.0 disagrees with the recomputed 0.0"
         else:
             old = next(ln for ln in text.splitlines()
                        if ln.startswith("summary netlength_bb "))
@@ -437,6 +442,22 @@ class TestCli:
         assert code == 1
         # one more line, before the two the checker always ends with
         assert capsys.readouterr().out.splitlines() == [*intact[:-2], want, *intact[-2:]]
+
+    def test_check_agrees_with_an_overlapping_summary(self, tmp_path, capsys):
+        # a raw placement with real overlap: the checker adds the pairs in
+        # the summary's order and finds the same bits
+        inst, res = tmp_path / "inst.txt", tmp_path / "r.txt"
+        netlist, area = generate_instance(GenSpec(macros=30, nets=40, seed=2))
+        save_instance(str(inst), netlist, area)
+        assert main(["place", "--in", str(inst), "--out", str(res), "--rounds",
+                     "20", "--seed", "3", "--skip-legalize"]) == 0
+        capsys.readouterr()
+        assert load_result(str(res)).overlap_area > 0.0
+        assert main(["check", "--instance", str(inst), "--result", str(res)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "legal: false"
+        assert sum("overlap" in ln for ln in out) > 1
+        assert not any("disagrees" in ln for ln in out)
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_output_files_follow_the_umask(self, tmp_path, umask):
@@ -999,9 +1020,10 @@ def test_property_rendered_svg_is_well_formed(data):
         netlist, area = generate_instance(spec)
     except ValueError:  # a macro larger than the area the spec implies
         reject()
-    # printable without whitespace, as Macro requires; the index keeps ids unique
+    # printable without whitespace, as Macro requires; the index, two digits
+    # wide, keeps ids unique ("1" + "1" and "" + "11" would collide)
     chars = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Z"))
-    rename = {m.id: draw(st.text(chars, max_size=3), label="id") + str(i)
+    rename = {m.id: draw(st.text(chars, max_size=3), label="id") + f"{i:02d}"
               for i, m in enumerate(netlist.macros)}
     netlist = Netlist(
         [Macro(rename[m.id], m.size_x, m.size_y) for m in netlist.macros],

@@ -91,13 +91,19 @@ class TestDomainValidation:
             Netlist([Macro("a", 1, 1), Macro("a", 2, 2)], [])
 
     def test_nets_of(self):
-        # the placer's per-macro net index, in netlist order
+        # the placer's per-macro nets, in netlist order
         nl = Netlist(
             [Macro("a", 1, 1), Macro("b", 1, 1), Macro("c", 1, 1)],
             [Net(("a", "b")), Net(("b", "c"))],
         )
-        state = new_state(nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1))
-        assert state.net_indices_of == {"a": [0], "b": [0, 1], "c": [1]}
+        at = {"a": (1.0, 1.5), "b": (2.0, 2.5), "c": (3.0, 3.5)}
+        state = new_state(nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1), at)
+        pins = [list(state.store.pins(i)) for i in range(3)]
+        assert pins == [
+            [2, 0, *at["b"]],
+            [2, 1, *at["a"], 2, 0, *at["c"]],
+            [2, 1, *at["b"]],
+        ]
 
     def test_blockage_must_be_inside_area(self):
         with pytest.raises(ValueError):

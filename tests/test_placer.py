@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -16,7 +17,7 @@ import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 import oracles
 from oracles import intersection, oracle_legalize
-from stepplace.io_cli import GenSpec, generate_instance
+from stepplace.io_cli import GenSpec, generate_instance, write_stats_csv
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
     BucketGrid,
@@ -447,8 +448,8 @@ class TestCandidateScore:
         # field is empty, no nets: the score at b's position is the penalty
         a = nl.by_id["a"]
         got = candidate_score(a, (3.0, 3.0), state, cfg, score_context(a, state, cfg))
-        # the state's grid keys footprints by index in macro_order
-        assert got == penalty(0, a, (3.0, 3.0), state.grid, cfg, 0)
+        # the state's store keys footprints by index in macro_order
+        assert got == penalty(0, a, (3.0, 3.0), state.store.footprints, cfg, 0)
 
 
 needs_c_score = pytest.mark.skipif(
@@ -606,11 +607,19 @@ class TestNetTerms:
         for _ in range(cfg.max_rounds):
             macro = nl.by_id[rng.choice(state.macro_order)]
             ctx = score_context(macro, state, cfg)
+            # the context packs the macro's nets as the netlist and the
+            # placement give them
+            nets = [
+                ([state.placement[m] for m in net.members if m != macro.id],
+                 net.members.index(macro.id))
+                for net in nl.nets
+                if macro.id in net.members
+            ]
+            assert ctx.pins == pack_nets(nets)
             for _ in range(4):
                 b = state.bounds[macro.id]
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                # the reference takes only the half-sizes and beta from ctx,
-                # the nets and the penalty factor from the state
+                # the reference takes the penalty factor from the state
                 want = py_candidate_score(macro, pos, state, cfg, ctx)
                 got = candidate_score(macro, pos, state, cfg, ctx)
                 assert got.hex() == want.hex()
@@ -636,7 +645,7 @@ def candidate_at(draw, kind, macro, state):
         return state.placement[macro.id]
     # the footprint's edge on (or one ulp off) another macro's opposite edge
     other = draw(st.sampled_from([m for m in state.macro_order if m != macro.id]))
-    ox1, oy1, ox2, oy2 = state.grid[state.macro_order.index(other)]
+    ox1, oy1, ox2, oy2 = state.store.footprints[state.macro_order.index(other)]
     ox, oy = state.placement[other]
     side = draw(st.sampled_from(["left", "right", "below", "above", "on"]))
     nudge = draw(st.sampled_from([None, math.inf, -math.inf]))
@@ -651,6 +660,25 @@ def candidate_at(draw, kind, macro, state):
         "above": (ox, at(oy2 + hy)),
         "on": (ox, oy),
     }[side]
+
+
+def exact(v):
+    """A float's bits, or the int a total with nothing to sum stays."""
+    return v.hex() if isinstance(v, float) else v
+
+
+def assert_stores_agree(c_store, py_store, count):
+    """The C and the Python placement store answer alike, bit for bit."""
+    assert [exact(v) for v in c_store.net_lengths()] == [
+        exact(v) for v in py_store.net_lengths()
+    ]
+    assert [(i, j, exact(a)) for i, j, a in c_store.pairs()] == [
+        (i, j, exact(a)) for i, j, a in py_store.pairs()
+    ]
+    assert [exact(v) for v in c_store.totals()] == [exact(v) for v in py_store.totals()]
+    for i in range(count):
+        assert c_store.pins(i).tobytes() == py_store.pins(i).tobytes()
+        assert c_store.footprints[i] == py_store.footprints[i]
 
 
 class TestScoreCandidate:
@@ -727,10 +755,30 @@ class TestScoreCandidate:
         c_state = new_state(nl, area, cfg)
         with mock.patch.object(stepfield, "HAVE_C_CORE", False):
             py_state = new_state(nl, area, cfg)
-        assert isinstance(c_state.grid, stepfield.CFootprintIndex)
-        assert isinstance(py_state.grid, BucketGrid)
+        assert isinstance(c_state.store, stepfield.CPlacementStore)
+        assert isinstance(py_state.store, placer.PlacementStore)
+        assert isinstance(c_state.store.footprints, stepfield.CFootprintIndex)
+        assert isinstance(py_state.store.footprints, BucketGrid)
+        # the rectangles each store's move returned, in the order the round
+        # grew its field under them
+        grown = {"c": [], "py": []}
+
+        def recording(field):
+            def increase(rect, w):
+                grown[field.backend].append(rect)
+                CostField.increase(field, rect, w)
+            return increase
+
+        for state in (c_state, py_state):
+            state.field.increase = recording(state.field)
+        assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
         for _ in range(draw(st.integers(0, 10), label="rounds")):
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
+            assert grown["c"] == grown["py"]
+            assert all(type(r) is GridRect for r in grown["c"])
+            assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
+            grown["c"].clear()
+            grown["py"].clear()
         macro = nl.by_id[draw(st.sampled_from(c_state.macro_order))]
         ctx = score_context(macro, c_state, cfg)
         for kind in ("inside", "outside", "edge", "own", "touch"):
@@ -802,7 +850,7 @@ class TestScoreCandidate:
         nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=2)
         state = new_state(nl, area, cfg)
-        assert state.pair_overlap  # the random start overlaps
+        assert state.store.pairs()  # the random start overlaps
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
 
@@ -828,14 +876,15 @@ class TestScoreCandidate:
         assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
 
     def test_footprints_follow_the_grid(self):
-        # the state's one footprint index holds each macro's footprint at its
+        # the store's one footprint index holds each macro's footprint at its
         # current position, under its index in macro_order
         nl, area = generate_instance(GenSpec(macros=15, nets=20, seed=6))
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=3)
         state = new_state(nl, area, cfg)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
-        assert [state.grid[i] for i in range(len(state.macro_order))] == [
+        footprints = state.store.footprints
+        assert [footprints[i] for i in range(len(state.macro_order))] == [
             footprint_box(nl.by_id[mid], state.placement[mid])
             for mid in state.macro_order
         ]
@@ -881,6 +930,174 @@ class TestScoreCandidate:
             stepfield.c_score_candidate(*args)
         with pytest.raises(TypeError, match="14 arguments"):
             stepfield.c_score_candidate(*args[:-1])
+
+
+def state_on(backend, netlist, area, config, initial=None):
+    """``new_state`` on the given field backend, with its placement store."""
+    with mock.patch.object(stepfield, "HAVE_C_CORE", backend == "c"):
+        state = new_state(netlist, area, config, initial)
+    assert state.field.backend == backend
+    return state
+
+
+class TestPlacementStore:
+    """The store a round commits to: the C core's ``PlacementStore`` and its
+    Python reference ``placer.PlacementStore``."""
+
+    def test_reentered_pair_goes_to_the_end(self, backend):
+        # three disjoint pairs of areas 1, e and e (e = 2**-53): in key order
+        # they add up to (1 + e) + e == 1, in the order (2, 3), (4, 5),
+        # (0, 1) to (e + e) + 1 == 1 + 2**-52
+        e = 2.0**-53
+        nl = Netlist([Macro(f"m{i}", 2, 2) for i in range(6)], [])
+        init = {
+            "m0": (5.0, 5.0), "m1": (6.0, 6.0),
+            "m2": (20.0, 20.0), "m3": (22.0 - 2.0**-27, 22.0 - 2.0**-26),
+            "m4": (40.0, 40.0), "m5": (42.0 - 2.0**-27, 42.0 - 2.0**-26),
+        }
+        cfg = PlacerConfig(max_rounds=1)
+        state = state_on(backend, nl, PlacementArea(64, 64), cfg, init)
+        store = state.store
+        assert store.pairs() == [(0, 1, 1.0), (2, 3, e), (4, 5, e)]
+        assert stats_row(state, cfg).overlap_area == 1.0
+        assert store.move(0, 5.0, 30.0) == []  # the pair (0, 1) ends
+        assert store.pairs() == [(2, 3, e), (4, 5, e)]
+        assert store.move(0, 5.0, 5.0) == [snap_to_grid((5.0, 5.0, 6.0, 6.0),
+                                                        state.area, 6, 6)]
+        assert store.pairs() == [(2, 3, e), (4, 5, e), (0, 1, 1.0)]
+        assert (e + e) + 1.0 != (1.0 + e) + e
+        assert store.totals() == (0, (e + e) + 1.0)
+        assert stats_row(state, cfg).overlap_area == (e + e) + 1.0
+
+    def test_one_ulp_meet_snaps_to_one_cell(self, backend):
+        # cells of 0.7 / 8: the meet's sides x1 and x2 = 0.4375, one ulp
+        # apart, both divide to 5 cells, so the cover takes its one cell
+        # from the lower bound
+        x2 = 0.4375
+        x1 = math.nextafter(x2, 0.0)
+        nl = Netlist([Macro("a", 0.25, 0.25), Macro("b", 0.125, 0.25)], [])
+        init = {"a": (x2 - 0.125, 0.35), "b": (x1 + 0.0625, 0.35)}
+        cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=3)
+        state = state_on(backend, nl, PlacementArea(0.7, 0.7), cfg, init)
+        assert state.store.footprints[0][2] == x2 and state.store.footprints[1][0] == x1
+        rects = state.store.move(0, *init["a"])
+        assert rects == [GridRect(5, 2, 6, 6)]
+
+    def test_no_pair_and_no_net_writes_int_zero(self, backend):
+        nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
+        cfg = PlacerConfig(max_rounds=1)
+        state = state_on(backend, nl, square_area(), cfg, {"a": (1, 1), "b": (5, 5)})
+        row = stats_row(state, cfg)
+        assert type(row.netlength_bb) is int and type(row.overlap_area) is int
+        buf = io.StringIO()
+        write_stats_csv(buf, [row])
+        assert buf.getvalue().splitlines()[1].startswith("0,0,0,")
+
+    @needs_c_score
+    def test_many_moves_keep_both_stores_equal(self):
+        # a crowded area, so pairs end and enter often and the C store
+        # compacts its dead slots many times
+        rng = random.Random(3)
+        nl, area = tiny_instance(4, n_macros=14, n_nets=12, side=9.0)
+        cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=5)
+        c, py = (state_on(b, nl, area, cfg).store for b in ("c", "py"))
+        ids = sorted(nl.by_id)
+        for _ in range(3000):
+            i = rng.randrange(len(ids))
+            b = compute_bounds(nl.by_id[ids[i]], area)
+            x, y = rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max)
+            assert c.move(i, x, y) == py.move(i, x, y)
+            assert_stores_agree(c, py, len(ids))
+
+    @needs_c_score
+    @pytest.mark.parametrize(
+        "change, error, match",
+        [
+            ({"nets": [[0]]}, ValueError, "fewer than 2 members"),
+            ({"nets": [[0, 0]]}, ValueError, "macro 0 twice"),
+            ({"nets": [[0, 2]]}, ValueError, "macro 2 out of range"),
+            ({"nets": [[0, -1]]}, ValueError, "macro -1 out of range"),
+            ({"nets": [0]}, TypeError, "each net must be a sequence"),
+            ({"nets": 5}, TypeError, "nets must be a sequence"),
+            ({"halves": array("d", [1.0])}, ValueError, "2 doubles per macro"),
+            ({"centers": array("f", [1.0, 1.0])}, TypeError, "doubles"),
+            ({"centers": array("d", [math.nan, 1.0, 5.0, 5.0])}, ValueError, "finite"),
+            ({"rect": list}, TypeError, "subtype of tuple"),
+            ({"p": 30}, ValueError, "grid exponents"),
+            ({"width": 0.0}, ValueError, "positive and finite"),
+        ],
+    )
+    def test_c_store_rejects_bad_input(self, change, error, match):
+        args = dict(
+            width=8.0, height=8.0, min_cell_x=2.0, min_cell_y=2.0, p=3, q=3,
+            halves=array("d", [1.0, 1.0, 1.0, 1.0]),
+            centers=array("d", [1.0, 1.0, 5.0, 5.0]),
+            nets=[[0, 1]], rect=GridRect,
+        )
+        store = stepfield.CPlacementStore(**args)
+        with pytest.raises(ValueError, match="out of range"):
+            store.move(2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            store.move(0, math.inf, 1.0)
+        with pytest.raises(TypeError, match="3 arguments"):
+            store.move(0, 1.0)
+        assert store.pairs() == [] and store.net_lengths() == [8.0]
+        with pytest.raises(error, match=match):
+            stepfield.CPlacementStore(**{**args, **change})
+
+    @needs_c_score
+    def test_round_calls_what_the_benchmark_counts(self, monkeypatch):
+        # the benchmark's tracer counts these calls; per round on the C core:
+        # candidates + 1 candidate_score, candidates move_macro, one
+        # CostField.increase per snapped meet of the moved macro, one inflate
+        calls = {}
+        moved = []
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapped(*args):
+                calls[name] = calls.get(name, 0) + 1
+                if name == "candidate_score":
+                    moved.append(args[0])
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("candidate_score", "move_macro"):
+            counting(placer, name)
+        for name in ("increase", "inflate"):
+            counting(CostField, name)
+        nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
+        cfg = PlacerConfig(max_rounds=200, grid_p=4, grid_q=4, seed=2)
+        state = new_state(nl, area, cfg)
+        assert state.field.backend == "c"
+        grown = 0
+        for _ in range(cfg.max_rounds):
+            calls.clear()
+            moved.clear()
+            state.last_choice = None
+            round_step(state, cfg)
+            macro = moved[0]
+            assert moved == [macro] * (cfg.candidates_per_round + 1)
+            box = footprint_box(macro, state.placement[macro.id])
+            meets = [
+                snap_to_grid(meet(box, footprint_box(m, state.placement[m.id])),
+                             area, cfg.grid_p, cfg.grid_q)
+                for m in nl.macros
+                if m is not macro
+                and overlaps(box, footprint_box(m, state.placement[m.id]))
+            ]
+            want = sum(r is not None for r in meets)
+            assert calls == {
+                "candidate_score": cfg.candidates_per_round + 1,
+                "move_macro": cfg.candidates_per_round,
+                "inflate": 1,
+                **({"increase": want} if want else {}),
+            }
+            assert state.last_choice is not None
+            grown += want
+        assert grown > 0
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):
