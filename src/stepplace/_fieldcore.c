@@ -17,19 +17,18 @@
  * coefficients unchanged but records last_touched, so concurrent readers are
  * safe while no mutation is in flight.
  *
- * FootprintIndex holds macro footprints by macro index, bucketed in a grid
- * of cells, so an overlap query tests only the boxes near it.
- * PlacementStore is the placer's placement: centers, footprints (in a
- * FootprintIndex), net boxes and live overlap pairs, so that a round commits
- * its move in one call.  The module function score_candidate scores one
- * candidate move of the placer (field sum, net terms, overlap penalty
- * against the index, and blockage term).  Both do the float operations of
- * the placer's Python reference in its order, so they return its bits
- * (build with -ffp-contract=off so no multiply-add is fused).
+ * PlacementStore is the placer's placement: centers, half-sizes, nets, net
+ * boxes, live overlap pairs and footprints, the footprints bucketed in a
+ * grid of cells (a FootprintIndex) so that an overlap query tests only the
+ * boxes near it.  A round commits its move to it in one call.  The module
+ * function score_candidate scores one candidate move of the placer straight
+ * from a store (field sum, net terms, overlap penalty against the other
+ * footprints, and blockage term).  Both do the float operations of the
+ * placer's Python reference in its order, so they return its bits (build
+ * with -ffp-contract=off so no multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
@@ -294,23 +293,31 @@ static PyTypeObject FieldCoreType = {
     .tp_getset = FieldCore_getset,
 };
 
-/* Coordinate `axis` of pin i of a net whose moving pin, at `moving`, is pin
- * j; the other pins are stored in order as x, y pairs in `fixed`. */
+/* One net's pins as a candidate move sees them: the centers of its members,
+ * with macro `moving`'s pin at `at` (no pin moves where `moving` is -1). */
+typedef struct {
+    const Py_ssize_t *mem;
+    Py_ssize_t n;
+    const double *center; /* x, y per macro */
+    Py_ssize_t moving;
+    const double *at;
+} NetPins;
+
+/* Coordinate `axis` of pin t. */
 static inline double
-pin_at(const double *fixed, Py_ssize_t j, const double *moving, Py_ssize_t i, int axis)
+pin_at(NetPins p, Py_ssize_t t, int axis)
 {
-    return i == j ? moving[axis] : fixed[2 * (i - (i > j)) + axis];
+    return p.mem[t] == p.moving ? p.at[axis] : p.center[2 * p.mem[t] + axis];
 }
 
 /* First largest and first smallest coordinate in pin order, as Python's
  * max() and min() pick them. */
 static void
-axis_extremes(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving,
-              int axis, double *hi, double *lo)
+axis_extremes(NetPins p, int axis, double *hi, double *lo)
 {
-    double h = pin_at(fixed, j, moving, 0, axis), l = h;
-    for (Py_ssize_t i = 1; i < n; i++) {
-        double v = pin_at(fixed, j, moving, i, axis);
+    double h = pin_at(p, 0, axis), l = h;
+    for (Py_ssize_t t = 1; t < p.n; t++) {
+        double v = pin_at(p, t, axis);
         if (v > h)
             h = v;
         if (v < l)
@@ -320,15 +327,24 @@ axis_extremes(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *mov
     *lo = l;
 }
 
+/* netmodel.bb_netlength: ((max x - min x) + max y) - min y */
+static double
+bb_length(NetPins p)
+{
+    double hx, lx, hy, ly;
+    axis_extremes(p, 0, &hx, &lx);
+    axis_extremes(p, 1, &hy, &ly);
+    return hx - lx + hy - ly;
+}
+
 /* netmodel._lse_axis */
 static double
-lse_axis(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving,
-         int axis, double alpha)
+lse_axis(NetPins p, int axis, double alpha)
 {
     double hi, lo, sp = 0.0, sn = 0.0;
-    axis_extremes(fixed, n, j, moving, axis, &hi, &lo);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        double v = pin_at(fixed, j, moving, i, axis);
+    axis_extremes(p, axis, &hi, &lo);
+    for (Py_ssize_t t = 0; t < p.n; t++) {
+        double v = pin_at(p, t, axis);
         sp += exp((v - hi) / alpha);
         sn += exp((lo - v) / alpha);
     }
@@ -347,23 +363,19 @@ edge_axis(double d, double beta)
 
 /* netmodel.model_length of one net; -1 with its exception set where it raises */
 static int
-net_length(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving,
-           PyObject *beta_obj, double beta, double *out)
+net_length(NetPins p, PyObject *beta_obj, double beta, double *out)
 {
     if (beta_obj == Py_None) {
-        double hx, lx, hy, ly;
-        axis_extremes(fixed, n, j, moving, 0, &hx, &lx);
-        axis_extremes(fixed, n, j, moving, 1, &hy, &ly);
-        *out = hx - lx + hy - ly;
+        *out = bb_length(p);
         return 0;
     }
-    if (n == 2) {
+    if (p.n == 2) {
         if (!(beta > 0.0)) {
             PyErr_SetString(PyExc_ValueError, "beta must be positive");
             return -1;
         }
-        double dx = pin_at(fixed, j, moving, 0, 0) - pin_at(fixed, j, moving, 1, 0);
-        double dy = pin_at(fixed, j, moving, 0, 1) - pin_at(fixed, j, moving, 1, 1);
+        double dx = pin_at(p, 0, 0) - pin_at(p, 1, 0);
+        double dy = pin_at(p, 0, 1) - pin_at(p, 1, 1);
         *out = edge_axis(dx, beta) + edge_axis(dy, beta);
         return 0;
     }
@@ -376,7 +388,7 @@ net_length(const double *fixed, Py_ssize_t n, Py_ssize_t j, const double *moving
         PyErr_SetString(PyExc_ValueError, "alpha must be positive");
         return -1;
     }
-    *out = lse_axis(fixed, n, j, moving, 0, alpha) + lse_axis(fixed, n, j, moving, 1, alpha);
+    *out = lse_axis(p, 0, alpha) + lse_axis(p, 1, alpha);
     return 0;
 }
 
@@ -392,36 +404,6 @@ get_doubles(PyObject *obj, Py_buffer *view, const char *what)
         PyBuffer_Release(view);
         PyErr_Format(PyExc_TypeError, "%s must be a buffer of doubles", what);
         return -1;
-    }
-    return 0;
-}
-
-/* Add to *score the length of each net packed in pins[0:len], in order, with
- * the moving pin at `moving`; -1 with an exception set on a malformed record
- * or a bad beta.  A record is the net's pin count n, the index j of the
- * moving pin among them, then the other n - 1 pins' x, y in order. */
-static int
-add_net_terms(double *score, const double *moving, PyObject *beta_obj, double beta,
-              const double *pins, Py_ssize_t len)
-{
-    for (Py_ssize_t i = 0; i < len;) {
-        double nd = pins[i];
-        /* n >= 2 pins: the header, then the n - 1 fixed pins, all in range */
-        if (!(nd >= 2.0 && 2.0 * nd <= (double)(len - i)) || nd != floor(nd)) {
-            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
-            return -1;
-        }
-        Py_ssize_t n = (Py_ssize_t)nd;
-        double jd = pins[i + 1];
-        if (!(jd >= 0.0 && jd < nd) || jd != floor(jd)) {
-            PyErr_Format(PyExc_ValueError, "malformed net record at offset %zd", i);
-            return -1;
-        }
-        double length;
-        if (net_length(pins + i + 2, n, (Py_ssize_t)jd, moving, beta_obj, beta, &length) < 0)
-            return -1;
-        *score += length;
-        i += 2 * n;
     }
     return 0;
 }
@@ -446,9 +428,10 @@ typedef struct {
     Py_ssize_t len, cap;
 } Bucket;
 
+/* Footprint boxes keyed by macro index, bucketed in a grid of cells, so that
+ * an overlap query tests only the boxes near it; netmodel.BucketGrid is its
+ * Python counterpart. */
 typedef struct {
-    PyObject_HEAD
-    Py_ssize_t count;      /* keys are 0 .. count - 1 */
     Py_ssize_t cols, rows; /* cells; the border ones reach to infinity */
     double cell_x, cell_y;
     Bucket *cells;         /* cols * rows, cells[i * rows + j] */
@@ -526,41 +509,13 @@ index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
     return n;
 }
 
-static void
-FootprintIndex_dealloc(FootprintIndex *self)
+/* Sets idx up for the keys 0 .. count - 1 over a width x height area, in
+ * cells at least min_x by min_y and at most about count of them; -1 with
+ * MemoryError set where an allocation fails (index_free still frees it). */
+static int
+index_init(FootprintIndex *idx, Py_ssize_t count, double width, double height,
+           double min_x, double min_y)
 {
-    for (Py_ssize_t c = 0; self->cells != NULL && c < self->cols * self->rows; c++)
-        free(self->cells[c].keys);
-    free(self->cells);
-    free(self->boxes);
-    free(self->mark);
-    free(self->found);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-FootprintIndex_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"count", "width", "height", "min_cell_x", "min_cell_y", NULL};
-    Py_ssize_t count;
-    double width, height, min_x, min_y;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ndddd:FootprintIndex", kwlist, &count,
-                                     &width, &height, &min_x, &min_y))
-        return NULL;
-    if (count < 0 || count > PY_SSIZE_T_MAX / (Py_ssize_t)(4 * sizeof(double))) {
-        PyErr_Format(PyExc_ValueError, "count %zd out of range", count);
-        return NULL;
-    }
-    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
-          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
-        PyErr_SetString(PyExc_ValueError,
-                        "area sides and cell sizes must be positive and finite");
-        return NULL;
-    }
-    FootprintIndex *self = (FootprintIndex *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    /* cells at least min_cell_x by min_cell_y, and at most about count */
     Py_ssize_t side = (Py_ssize_t)sqrt((double)count);
     while (side * side > count)
         side--;
@@ -568,38 +523,33 @@ FootprintIndex_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         side++;
     side = side > 1 ? side : 1;
     double fx = floor(width / min_x), fy = floor(height / min_y);
-    self->cols = fx < 1.0 ? 1 : fx < (double)side ? (Py_ssize_t)fx : side;
-    self->rows = fy < 1.0 ? 1 : fy < (double)side ? (Py_ssize_t)fy : side;
-    self->cell_x = width / (double)self->cols;
-    self->cell_y = height / (double)self->rows;
-    self->count = count;
+    idx->cols = fx < 1.0 ? 1 : fx < (double)side ? (Py_ssize_t)fx : side;
+    idx->rows = fy < 1.0 ? 1 : fy < (double)side ? (Py_ssize_t)fy : side;
+    idx->cell_x = width / (double)idx->cols;
+    idx->cell_y = height / (double)idx->rows;
     size_t n = count ? (size_t)count : 1;
-    self->cells = calloc((size_t)(self->cols * self->rows), sizeof(Bucket));
-    self->boxes = malloc(4 * n * sizeof(double));
-    self->mark = calloc(n, sizeof(Py_ssize_t));
-    self->found = malloc(n * sizeof(Py_ssize_t));
-    if (!self->cells || !self->boxes || !self->mark || !self->found) {
-        Py_DECREF(self);
-        return PyErr_NoMemory();
+    idx->cells = calloc((size_t)(idx->cols * idx->rows), sizeof(Bucket));
+    idx->boxes = malloc(4 * n * sizeof(double));
+    idx->mark = calloc(n, sizeof(Py_ssize_t));
+    idx->found = malloc(n * sizeof(Py_ssize_t));
+    if (!idx->cells || !idx->boxes || !idx->mark || !idx->found) {
+        PyErr_NoMemory();
+        return -1;
     }
     for (Py_ssize_t k = 0; k < 4 * count; k++)
-        self->boxes[k] = NAN;
-    return (PyObject *)self;
+        idx->boxes[k] = NAN;
+    return 0;
 }
 
-/* The key, or -1 with an exception set if it is not one of the index's. */
-static Py_ssize_t
-index_key(FootprintIndex *self, PyObject *obj)
+static void
+index_free(FootprintIndex *idx)
 {
-    Py_ssize_t key = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
-    if (key == -1 && PyErr_Occurred())
-        return -1;
-    if (key < 0 || key >= self->count) {
-        PyErr_Format(PyExc_ValueError, "key %zd out of range for %zd footprints", key,
-                     self->count);
-        return -1;
-    }
-    return key;
+    for (Py_ssize_t c = 0; idx->cells != NULL && c < idx->cols * idx->rows; c++)
+        free(idx->cells[c].keys);
+    free(idx->cells);
+    free(idx->boxes);
+    free(idx->mark);
+    free(idx->found);
 }
 
 /* Room in b for `extra` more keys; -1 with MemoryError set if there is none. */
@@ -665,89 +615,6 @@ index_put(FootprintIndex *self, Py_ssize_t key, const double *box)
     return 0;
 }
 
-static PyObject *
-FootprintIndex_put(FootprintIndex *self, PyObject *args)
-{
-    PyObject *key_obj;
-    double box[4];
-    if (!PyArg_ParseTuple(args, "O(dddd):put", &key_obj, &box[0], &box[1], &box[2], &box[3]))
-        return NULL;
-    Py_ssize_t key = index_key(self, key_obj);
-    if (key < 0 || index_put(self, key, box) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-FootprintIndex_hits(FootprintIndex *self, PyObject *args)
-{
-    double query[4];
-    if (!PyArg_ParseTuple(args, "dddd:hits", &query[0], &query[1], &query[2], &query[3]))
-        return NULL;
-    Py_ssize_t n = index_hits(self, query, -1);
-    PyObject *out = PyList_New(n);
-    for (Py_ssize_t t = 0; out != NULL && t < n; t++) {
-        PyObject *k = PyLong_FromSsize_t(self->found[t]);
-        if (k == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, t, k);
-    }
-    return out;
-}
-
-static PyObject *
-FootprintIndex_subscript(FootprintIndex *self, PyObject *key_obj)
-{
-    Py_ssize_t key = index_key(self, key_obj);
-    if (key < 0)
-        return NULL;
-    const double *f = self->boxes + 4 * key;
-    if (isnan(f[0])) {
-        PyErr_Format(PyExc_KeyError, "key %zd holds no footprint", key);
-        return NULL;
-    }
-    PyObject *box = PyTuple_New(4);
-    for (int c = 0; box != NULL && c < 4; c++) {
-        PyObject *v = PyFloat_FromDouble(f[c]);
-        if (v == NULL)
-            Py_CLEAR(box);
-        else
-            PyTuple_SET_ITEM(box, c, v);
-    }
-    return box;
-}
-
-static PyMethodDef FootprintIndex_methods[] = {
-    {"put", (PyCFunction)FootprintIndex_put, METH_VARARGS,
-     "put(key, box)\n\nStore the footprint box (x1, y1, x2, y2) under key, or move it there."},
-    {"hits", (PyCFunction)FootprintIndex_hits, METH_VARARGS,
-     "hits(x1, y1, x2, y2) -> list[int]\n\n"
-     "Keys whose box meets the query with positive area, ascending."},
-    {NULL}
-};
-
-static PyMappingMethods FootprintIndex_mapping = {
-    .mp_subscript = (binaryfunc)FootprintIndex_subscript,
-};
-
-static PyTypeObject FootprintIndexType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "stepplace._fieldcore.FootprintIndex",
-    .tp_doc = "FootprintIndex(count, width, height, min_cell_x, min_cell_y)\n\n"
-              "Finite footprint boxes keyed 0 .. count - 1 in a grid of cells over\n"
-              "a width x height area: cells at least min_cell_x by min_cell_y, at\n"
-              "most about count of them, the border cells reaching to infinity.\n"
-              "index[key] is the box stored under key.  netmodel.BucketGrid is its\n"
-              "Python counterpart.",
-    .tp_basicsize = sizeof(FootprintIndex),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = FootprintIndex_new,
-    .tp_dealloc = (destructor)FootprintIndex_dealloc,
-    .tp_methods = FootprintIndex_methods,
-    .tp_as_mapping = &FootprintIndex_mapping,
-};
-
 /* placer.snap_to_grid: the cells of an n x m grid over a width x height
  * area that cover box clipped to the area, half-open, written to r; 1 if
  * the clipped box is not empty, else 0; -1 with an exception set where the
@@ -776,111 +643,13 @@ snap_box(const double *box, double width, double height, Py_ssize_t n, Py_ssize_
     return 1;
 }
 
-/* stepplace.placer.py_candidate_score in one call, term for term in its
- * order: the field sum under the footprint snapped to the grid, the net
- * terms, the overlap penalty against every box of the footprint index but
- * key `skip`'s, in key order, and the weighted blockage overlap areas. */
-static PyObject *
-score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 14) {
-        PyErr_Format(PyExc_TypeError, "score_candidate expected 14 arguments, got %zd",
-                     nargs);
-        return NULL;
-    }
-    if (!PyObject_TypeCheck(args[0], &FieldCoreType)) {
-        PyErr_SetString(PyExc_TypeError, "core must be a FieldCore");
-        return NULL;
-    }
-    FieldCore *core = (FieldCore *)args[0];
-    double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
-    double hx = PyFloat_AsDouble(args[3]), hy = PyFloat_AsDouble(args[4]);
-    double width = PyFloat_AsDouble(args[5]), height = PyFloat_AsDouble(args[6]);
-    double beta = args[7] == Py_None ? 0.0 : PyFloat_AsDouble(args[7]);
-    Py_ssize_t skip = PyNumber_AsSsize_t(args[10], PyExc_OverflowError);
-    double factor = PyFloat_AsDouble(args[11]), weight = PyFloat_AsDouble(args[13]);
-    if (PyErr_Occurred())
-        return NULL;
-
-    if (!PyObject_TypeCheck(args[9], &FootprintIndexType)) {
-        PyErr_SetString(PyExc_TypeError, "footprints must be a FootprintIndex");
-        return NULL;
-    }
-    FootprintIndex *footprints = (FootprintIndex *)args[9];
-    if (skip < 0 || skip >= footprints->count) {
-        PyErr_Format(PyExc_ValueError, "skip index %zd out of range for %zd footprints",
-                     skip, footprints->count);
-        return NULL;
-    }
-
-    PyObject *result = NULL;
-    Py_buffer pins, blk;
-    if (get_doubles(args[8], &pins, "pins") < 0)
-        return NULL;
-    if (get_doubles(args[12], &blk, "blockages") < 0)
-        goto release_pins;
-    Py_ssize_t n_blk = blk.len / (Py_ssize_t)sizeof(double);
-    if (n_blk % 4) {
-        PyErr_SetString(PyExc_ValueError, "blockages must hold 4 doubles per box");
-        goto release_all;
-    }
-    if (!(isfinite(x) && isfinite(y))) {
-        PyErr_SetString(PyExc_ValueError, "candidate center must be finite");
-        goto release_all;
-    }
-
-    const double fx1 = x - hx, fy1 = y - hy, fx2 = x + hx, fy2 = y + hy;
-    double score = 0.0;
-
-    const double fp[4] = {fx1, fy1, fx2, fy2};
-    Py_ssize_t r[4];
-    int snapped = snap_box(fp, width, height, core->n, core->m, r);
-    if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
-        goto release_all;
-    if (snapped)
-        score = field_cost(core, r[0], r[1], r[2], r[3]);
-
-    const double moving[2] = {x, y};
-    if (add_net_terms(&score, moving, args[7], beta, pins.buf,
-                      pins.len / (Py_ssize_t)sizeof(double)) < 0)
-        goto release_all;
-
-    /* placer.penalty: circumference of every positive-area meet, in key
-     * order, so the same floats are added in the same order as by a scan
-     * over every footprint */
-    Py_ssize_t n_hits = index_hits(footprints, fp, skip);
-    double circ = 0.0;
-    for (Py_ssize_t t = 0; t < n_hits; t++) {
-        const double *f = footprints->boxes + 4 * footprints->found[t];
-        double ix1 = py_max(fx1, f[0]), iy1 = py_max(fy1, f[1]);
-        double ix2 = py_min(fx2, f[2]), iy2 = py_min(fy2, f[3]);
-        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
-    }
-    score += factor * circ;
-
-    const double *b = blk.buf;
-    for (Py_ssize_t k = 0; k < n_blk; k += 4) {
-        double ix1 = py_max(fx1, b[k]), iy1 = py_max(fy1, b[k + 1]);
-        double ix2 = py_min(fx2, b[k + 2]), iy2 = py_min(fy2, b[k + 3]);
-        if (ix1 < ix2 && iy1 < iy2)
-            score += weight * ((ix2 - ix1) * (iy2 - iy1));
-    }
-    result = PyFloat_FromDouble(score);
-
-release_all:
-    PyBuffer_Release(&blk);
-release_pins:
-    PyBuffer_Release(&pins);
-    return result;
-}
-
 /* The placer's placement, as stepplace.placer.PlacementStore keeps it in
- * Python: each macro's center, half-sizes and footprint (in a FootprintIndex),
- * the nets as index arrays with their bounding-box lengths, and the live
- * overlap pairs with their areas in the order the pairs entered. */
+ * Python: each macro's center, half-sizes and footprint, the nets as index
+ * arrays with their bounding-box lengths, and the live overlap pairs with
+ * their areas in the order the pairs entered. */
 typedef struct {
     PyObject_HEAD
-    FootprintIndex *index;         /* the footprints, keyed by macro index */
+    FootprintIndex index;          /* the footprints, keyed by macro index */
     PyTypeObject *rect_type;       /* the tuple type of move's rectangles */
     Py_ssize_t count;              /* macros */
     double *half, *center;         /* hx, hy and x, y per macro */
@@ -901,29 +670,28 @@ typedef struct {
     double *meets;                 /* 4 per macro: the meets of one move */
 } PlacementStore;
 
-static PyObject *array_type; /* array.array: pins returns its instances */
-
-/* netmodel.bb_netlength of net k: ((max x - min x) + max y) - min y, each
- * extreme the first in member order, as Python's max and min pick it. */
-static double
-net_box(const PlacementStore *s, Py_ssize_t k)
+/* The pins of net k, with macro i's pin at `at`. */
+static inline NetPins
+net_pins(const PlacementStore *s, Py_ssize_t k, Py_ssize_t i, const double *at)
 {
-    const Py_ssize_t *mem = s->members + s->net_at[k];
-    Py_ssize_t n = s->net_at[k + 1] - s->net_at[k];
-    const double *c = s->center;
-    double hx = c[2 * mem[0]], lx = hx, hy = c[2 * mem[0] + 1], ly = hy;
-    for (Py_ssize_t t = 1; t < n; t++) {
-        double x = c[2 * mem[t]], y = c[2 * mem[t] + 1];
-        if (x > hx)
-            hx = x;
-        if (x < lx)
-            lx = x;
-        if (y > hy)
-            hy = y;
-        if (y < ly)
-            ly = y;
+    NetPins p = {s->members + s->net_at[k], s->net_at[k + 1] - s->net_at[k], s->center, i, at};
+    return p;
+}
+
+/* The macro index obj names, or -1 with an exception set if it is not one
+ * of the store's. */
+static Py_ssize_t
+store_key(const PlacementStore *s, PyObject *obj)
+{
+    Py_ssize_t i = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    if (i == -1 && PyErr_Occurred())
+        return -1;
+    if (i < 0 || i >= s->count) {
+        PyErr_Format(PyExc_ValueError, "macro index %zd out of range for %zd macros", i,
+                     s->count);
+        return -1;
     }
-    return hx - lx + hy - ly;
+    return i;
 }
 
 /* Room for `need` slots in all; -1 with MemoryError set if there is none. */
@@ -992,7 +760,7 @@ compact_pairs(PlacementStore *s)
 static Py_ssize_t
 update_pairs(PlacementStore *s, Py_ssize_t i)
 {
-    FootprintIndex *idx = s->index;
+    FootprintIndex *idx = &s->index;
     const double *box = idx->boxes + 4 * i;
     Py_ssize_t n = index_hits(idx, box, i);
     Bucket *mine = &s->partners[i];
@@ -1046,6 +814,7 @@ update_pairs(PlacementStore *s, Py_ssize_t i)
 static void
 PlacementStore_dealloc(PlacementStore *self)
 {
+    index_free(&self->index);
     for (Py_ssize_t i = 0; self->partners != NULL && i < self->count; i++)
         free(self->partners[i].keys);
     free(self->partners);
@@ -1061,7 +830,6 @@ PlacementStore_dealloc(PlacementStore *self)
     free(self->slot_of);
     free(self->scratch);
     free(self->meets);
-    Py_XDECREF(self->index);
     Py_XDECREF(self->rect_type);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -1171,6 +939,12 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                      &width, &height, &min_x, &min_y, &p, &q, &halves,
                                      &centers, &nets, &rect))
         return NULL;
+    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
+          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "area sides and cell sizes must be positive and finite");
+        return NULL;
+    }
     if (p < 0 || q < 0 || p >= 30 || q >= 30) {
         PyErr_SetString(PyExc_ValueError, "grid exponents out of range");
         return NULL;
@@ -1188,10 +962,6 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     PlacementStore *self = (PlacementStore *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
-    self->index = (FootprintIndex *)PyObject_CallFunction(
-        (PyObject *)&FootprintIndexType, "ndddd", count, width, height, min_x, min_y);
-    if (self->index == NULL)
-        goto fail;
     Py_INCREF(rect);
     self->rect_type = (PyTypeObject *)rect;
     self->count = count;
@@ -1208,6 +978,8 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         goto fail;
     }
+    if (index_init(&self->index, count, width, height, min_x, min_y) < 0)
+        goto fail;
     for (Py_ssize_t i = 0; i < count; i++)
         self->slot_of[i] = -1;
     if (read_xy(halves, count, &self->half, "halves") < 0
@@ -1217,11 +989,11 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     for (Py_ssize_t i = 0; i < count; i++) {
         const double *c = self->center + 2 * i, *h = self->half + 2 * i;
         const double box[4] = {c[0] - h[0], c[1] - h[1], c[0] + h[0], c[1] + h[1]};
-        if (index_put(self->index, i, box) < 0)
+        if (index_put(&self->index, i, box) < 0)
             goto fail;
     }
     for (Py_ssize_t k = 0; k < self->n_nets; k++)
-        self->net_bb[k] = net_box(self, k);
+        self->net_bb[k] = bb_length(net_pins(self, k, -1, NULL));
     /* every pair enters as (i, j) in ascending order, as from a scan over
      * all pairs */
     for (Py_ssize_t i = 0; i < count; i++)
@@ -1240,7 +1012,7 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
         PyErr_Format(PyExc_TypeError, "move expected 3 arguments, got %zd", nargs);
         return NULL;
     }
-    Py_ssize_t i = index_key(self->index, args[0]);
+    Py_ssize_t i = store_key(self, args[0]);
     if (i < 0)
         return NULL;
     double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
@@ -1248,12 +1020,14 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
         return NULL;
     const double *h = self->half + 2 * i;
     const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
-    if (index_put(self->index, i, box) < 0)
+    if (index_put(&self->index, i, box) < 0)
         return NULL;
     self->center[2 * i] = x;
     self->center[2 * i + 1] = y;
-    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++)
-        self->net_bb[self->nets_of[t]] = net_box(self, self->nets_of[t]);
+    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++) {
+        Py_ssize_t k = self->nets_of[t];
+        self->net_bb[k] = bb_length(net_pins(self, k, -1, NULL));
+    }
     Py_ssize_t n = update_pairs(self, i);
     if (n < 0)
         return NULL;
@@ -1282,36 +1056,13 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
 }
 
 static PyObject *
-PlacementStore_pins(PlacementStore *self, PyObject *arg)
+PlacementStore_box(PlacementStore *self, PyObject *arg)
 {
-    Py_ssize_t i = index_key(self->index, arg), len = 0;
+    Py_ssize_t i = store_key(self, arg);
     if (i < 0)
         return NULL;
-    const Py_ssize_t *net_at = self->net_at;
-    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++)
-        len += 2 * (net_at[self->nets_of[t] + 1] - net_at[self->nets_of[t]]);
-    PyObject *bytes = PyBytes_FromStringAndSize(NULL, len * (Py_ssize_t)sizeof(double));
-    if (bytes == NULL)
-        return NULL;
-    double *out = (double *)PyBytes_AS_STRING(bytes);
-    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++) {
-        Py_ssize_t k = self->nets_of[t], n = net_at[k + 1] - net_at[k];
-        const Py_ssize_t *mem = self->members + net_at[k];
-        double *head = out;
-        *out++ = (double)n;
-        out++;
-        for (Py_ssize_t u = 0; u < n; u++) {
-            if (mem[u] == i) {
-                head[1] = (double)u;
-            } else {
-                *out++ = self->center[2 * mem[u]];
-                *out++ = self->center[2 * mem[u] + 1];
-            }
-        }
-    }
-    PyObject *pins = PyObject_CallFunction(array_type, "CO", 'd', bytes);
-    Py_DECREF(bytes);
-    return pins;
+    const double *f = self->index.boxes + 4 * i;
+    return Py_BuildValue("(dddd)", f[0], f[1], f[2], f[3]);
 }
 
 static PyObject *
@@ -1374,9 +1125,8 @@ static PyMethodDef PlacementStore_methods[] = {
      "Center macro i at (x, y): store its footprint, recompute its nets' boxes\n"
      "and bring its overlap pairs up to date; returns the snapped cells of\n"
      "each of its meets with another footprint, in index order."},
-    {"pins", (PyCFunction)PlacementStore_pins, METH_O,
-     "pins(i) -> array('d')\n\n"
-     "The nets of macro i packed for score_candidate, in net order."},
+    {"box", (PyCFunction)PlacementStore_box, METH_O,
+     "box(i) -> (x1, y1, x2, y2)\n\nThe footprint of macro i."},
     {"totals", (PyCFunction)PlacementStore_totals, METH_NOARGS,
      "totals() -> (netlength, overlap)\n\n"
      "The sums of the net boxes in net order and of the live pairs' areas in\n"
@@ -1389,13 +1139,6 @@ static PyMethodDef PlacementStore_methods[] = {
     {NULL}
 };
 
-static PyMemberDef PlacementStore_members[] = {
-    {"footprints", T_OBJECT_EX, offsetof(PlacementStore, index), READONLY,
-     "the macros' footprints, a FootprintIndex keyed by macro index; only move\n"
-     "may change it"},
-    {NULL}
-};
-
 static PyTypeObject PlacementStoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "stepplace._fieldcore.PlacementStore",
@@ -1403,28 +1146,119 @@ static PyTypeObject PlacementStoreType = {
               "               centers, nets, rect)\n\n"
               "The placer's placement of the macros 0 .. count - 1 over a width x\n"
               "height area: halves and centers hold hx, hy and x, y per macro, nets\n"
-              "the members of each net as macro indices, footprints their boxes in\n"
-              "a FootprintIndex with cells of at least min_cell_x by min_cell_y.\n"
-              "move snaps meets to a 2**p x 2**q grid and returns them as rect\n"
-              "instances.  stepplace.placer.PlacementStore is its Python reference.",
+              "the members of each net as macro indices.  The footprints sit in a\n"
+              "grid of cells of at least min_cell_x by min_cell_y, at most about\n"
+              "count of them, the border cells reaching to infinity.  move snaps\n"
+              "meets to a 2**p x 2**q grid and returns them as rect instances.\n"
+              "score_candidate reads the store.  stepplace.placer.PlacementStore\n"
+              "is its Python reference.",
     .tp_basicsize = sizeof(PlacementStore),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PlacementStore_new,
     .tp_dealloc = (destructor)PlacementStore_dealloc,
     .tp_methods = PlacementStore_methods,
-    .tp_members = PlacementStore_members,
 };
+
+/* stepplace.placer.py_candidate_score in one call, term for term in its
+ * order: the field sum under macro i's footprint at (x, y) snapped to the
+ * grid, the lengths of i's nets in net order with its pin at (x, y), the
+ * overlap penalty against every other footprint of the store, in index
+ * order, and the weighted blockage overlap areas. */
+static PyObject *
+score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 9) {
+        PyErr_Format(PyExc_TypeError, "score_candidate expected 9 arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(args[0], &FieldCoreType)) {
+        PyErr_SetString(PyExc_TypeError, "core must be a FieldCore");
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(args[1], &PlacementStoreType)) {
+        PyErr_SetString(PyExc_TypeError, "store must be a PlacementStore");
+        return NULL;
+    }
+    FieldCore *core = (FieldCore *)args[0];
+    PlacementStore *s = (PlacementStore *)args[1];
+    Py_ssize_t i = store_key(s, args[2]);
+    if (i < 0)
+        return NULL;
+    double x = PyFloat_AsDouble(args[3]), y = PyFloat_AsDouble(args[4]);
+    double beta = args[5] == Py_None ? 0.0 : PyFloat_AsDouble(args[5]);
+    double factor = PyFloat_AsDouble(args[6]), weight = PyFloat_AsDouble(args[8]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (!(isfinite(x) && isfinite(y))) {
+        PyErr_SetString(PyExc_ValueError, "candidate center must be finite");
+        return NULL;
+    }
+    Py_buffer blk;
+    if (get_doubles(args[7], &blk, "blockages") < 0)
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n_blk = blk.len / (Py_ssize_t)sizeof(double);
+    if (n_blk % 4) {
+        PyErr_SetString(PyExc_ValueError, "blockages must hold 4 doubles per box");
+        goto done;
+    }
+
+    const double *h = s->half + 2 * i;
+    const double fx1 = x - h[0], fy1 = y - h[1], fx2 = x + h[0], fy2 = y + h[1];
+    const double fp[4] = {fx1, fy1, fx2, fy2};
+    double score = 0.0;
+    Py_ssize_t r[4];
+    int snapped = snap_box(fp, s->width, s->height, core->n, core->m, r);
+    if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
+        goto done;
+    if (snapped)
+        score = field_cost(core, r[0], r[1], r[2], r[3]);
+
+    const double at[2] = {x, y};
+    for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
+        double length;
+        if (net_length(net_pins(s, s->nets_of[t], i, at), args[5], beta, &length) < 0)
+            goto done;
+        score += length;
+    }
+
+    /* placer.penalty: circumference of every positive-area meet, in index
+     * order, so the same floats are added in the same order as by a scan
+     * over every footprint */
+    FootprintIndex *idx = &s->index;
+    Py_ssize_t n_hits = index_hits(idx, fp, i);
+    double circ = 0.0;
+    for (Py_ssize_t t = 0; t < n_hits; t++) {
+        const double *f = idx->boxes + 4 * idx->found[t];
+        double ix1 = py_max(fx1, f[0]), iy1 = py_max(fy1, f[1]);
+        double ix2 = py_min(fx2, f[2]), iy2 = py_min(fy2, f[3]);
+        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
+    }
+    score += factor * circ;
+
+    const double *b = blk.buf;
+    for (Py_ssize_t k = 0; k < n_blk; k += 4) {
+        double ix1 = py_max(fx1, b[k]), iy1 = py_max(fy1, b[k + 1]);
+        double ix2 = py_min(fx2, b[k + 2]), iy2 = py_min(fy2, b[k + 3]);
+        if (ix1 < ix2 && iy1 < iy2)
+            score += weight * ((ix2 - ix1) * (iy2 - iy1));
+    }
+    result = PyFloat_FromDouble(score);
+done:
+    PyBuffer_Release(&blk);
+    return result;
+}
 
 static PyMethodDef fieldcore_functions[] = {
     {"score_candidate", (PyCFunction)(void (*)(void))score_candidate, METH_FASTCALL,
-     "score_candidate(core, x, y, hx, hy, width, height, beta, pins, footprints,\n"
-     "                skip, factor, blockages, weight) -> float\n\n"
-     "Score of the candidate centered at (x, y) with half-sizes hx, hy:\n"
-     "the field sum of core under the footprint snapped to a width x height\n"
-     "area, plus the length of each net packed in pins, plus factor times\n"
-     "the overlap circumference against every box of the FootprintIndex\n"
-     "footprints but key skip's, plus weight times the overlap area with\n"
-     "each box of blockages (boxes are x1, y1, x2, y2); see\n"
+     "score_candidate(core, store, i, x, y, beta, factor, blockages, weight) -> float\n\n"
+     "Score of macro i of the PlacementStore store centered at (x, y): the\n"
+     "field sum of core under its footprint snapped to the store's area, plus\n"
+     "the model length (beta, None for the bounding box) of each of its nets\n"
+     "with its pin at (x, y), plus factor times the overlap circumference\n"
+     "against every other footprint of the store, plus weight times the\n"
+     "overlap area with each box of blockages (x1, y1, x2, y2 each); see\n"
      "stepplace.placer.py_candidate_score."},
     {NULL}
 };
@@ -1440,35 +1274,11 @@ static PyModuleDef fieldcoremodule = {
 PyMODINIT_FUNC
 PyInit__fieldcore(void)
 {
-    PyObject *mod;
-    if (PyType_Ready(&FieldCoreType) < 0 || PyType_Ready(&FootprintIndexType) < 0
-        || PyType_Ready(&PlacementStoreType) < 0)
+    PyObject *mod = PyModule_Create(&fieldcoremodule);
+    if (mod == NULL)
         return NULL;
-    PyObject *array_mod = PyImport_ImportModule("array");
-    if (array_mod == NULL)
-        return NULL;
-    array_type = PyObject_GetAttrString(array_mod, "array");
-    Py_DECREF(array_mod);
-    if (array_type == NULL)
-        return NULL;
-    mod = PyModule_Create(&fieldcoremodule);
-    if (!mod)
-        return NULL;
-    Py_INCREF(&FieldCoreType);
-    if (PyModule_AddObject(mod, "FieldCore", (PyObject *)&FieldCoreType) < 0) {
-        Py_DECREF(&FieldCoreType);
-        Py_DECREF(mod);
-        return NULL;
-    }
-    Py_INCREF(&FootprintIndexType);
-    if (PyModule_AddObject(mod, "FootprintIndex", (PyObject *)&FootprintIndexType) < 0) {
-        Py_DECREF(&FootprintIndexType);
-        Py_DECREF(mod);
-        return NULL;
-    }
-    Py_INCREF(&PlacementStoreType);
-    if (PyModule_AddObject(mod, "PlacementStore", (PyObject *)&PlacementStoreType) < 0) {
-        Py_DECREF(&PlacementStoreType);
+    if (PyModule_AddType(mod, &FieldCoreType) < 0
+        || PyModule_AddType(mod, &PlacementStoreType) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -160,7 +160,8 @@ class BucketGrid:
     speed only, never results.  With cells as large as the largest macro
     (:func:`footprint_grid`), a footprint query visits at most 2x2 cells.
     ``grid[key]`` is the box stored under ``key``.  The C core's
-    ``FootprintIndex`` answers ``put``, ``hits`` and ``grid[key]`` alike.
+    ``PlacementStore`` keeps its footprints in a C index of the same design,
+    whose overlap queries find the same keys in the same order.
     """
 
     def __init__(self, cell_x: float, cell_y: float) -> None:

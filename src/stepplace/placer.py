@@ -18,20 +18,20 @@ result is near-legal; :func:`naive_legalize` removes the residual overlaps.
 The round loop is sequential.  Scoring candidates within a round is read-only
 with respect to the placement and the field; the winning move and field
 updates are applied afterwards.  What every candidate of a round shares (the
-macro's half-sizes, the net model's sharpness, the other pins of its nets) is
-gathered once per round in a :class:`ScoreContext`; on the C field core each
-candidate is then scored in one C call.
+macro's index, the net model's sharpness, the penalty factor) is gathered
+once per round in a :class:`ScoreContext`.
 
 The placement the rounds read and commit lives in one store keyed by macro
-index: each macro's center and footprint, the nets' bounding-box lengths and
-the live overlap pairs with their areas.  On the C field core it is the C
-core's ``PlacementStore``, else a :class:`PlacementStore`, its Python
-reference, which answers with the same bits.  A round's commit is one
-``move`` on it, which returns the grid rectangles the field then grows
-under, and the statistics row takes both its totals from it.  Footprints
-sit in a spatial index, so the penalty and the overlap update test a
-footprint only against the macros near it.  Runs are deterministic for a
-given seed.
+index: each macro's center, half-sizes and footprint, the nets with their
+bounding-box lengths and the live overlap pairs with their areas.  On the C
+field core it is the C core's ``PlacementStore``, else a
+:class:`PlacementStore`, its Python reference, which answers with the same
+bits.  A candidate is scored straight from the store, on the C field core in
+one C call; a round's commit is one ``move`` on it, which returns the grid
+rectangles the field then grows under, and the statistics row takes both
+its totals from it.  Footprints sit in a spatial index, so the penalty and
+the overlap update test a footprint only against the macros near it.  Runs
+are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ class PlacerState:
     round: int
     macro_order: list[str]
     # the placement keyed by index in macro_order: the C core's
-    # PlacementStore on the C field core (the scoring kernel reads its
-    # footprints), else a PlacementStore
+    # PlacementStore on the C field core (the scoring kernel reads it), else
+    # a PlacementStore
     store: PlacementStore | CPlacementStore
     # the area's blockages as x1, y1, x2, y2 each, for the C scoring kernel
     blockage_boxes: array
@@ -295,12 +295,14 @@ class PlacementStore:
 
     Macros are keyed by index.  ``halves`` and ``centers`` hold ``hx, hy``
     and ``x, y`` per macro, and ``nets`` each net's members as macro
-    indices.  The store keeps each macro's center, its footprint in
-    ``footprints`` (a :class:`BucketGrid` with ``cell_x`` by ``cell_y``
-    cells), the nets' bounding-box lengths, and the live overlap pairs
-    ``(i, j)``, ``i < j``, with their areas, in the order the pairs entered:
-    a pair that ends and overlaps again goes to the end.  :meth:`move` snaps
-    meets to the ``2**p`` by ``2**q`` grid over ``area``.
+    indices.  The store keeps each macro's half-sizes (``halves[i]``) and
+    center (``centers[i]``), the nets (``nets``, and each macro's net indices
+    ascending in ``nets_of[i]``) with their bounding-box lengths, the
+    footprints in ``grid`` (a :class:`BucketGrid` with ``cell_x`` by
+    ``cell_y`` cells), and the live overlap pairs ``(i, j)``, ``i < j``, with
+    their areas, in the order the pairs entered: a pair that ends and
+    overlaps again goes to the end.  :meth:`move` snaps meets to the
+    ``2**p`` by ``2**q`` grid over ``area``.
     """
 
     def __init__(
@@ -323,9 +325,9 @@ class PlacementStore:
         for k, net in enumerate(self.nets):
             for i in net:
                 self.nets_of[i].append(k)
-        self.footprints = BucketGrid(cell_x, cell_y)
+        self.grid = BucketGrid(cell_x, cell_y)
         for i in range(count):
-            self.footprints.put(i, self._box(i))
+            self.grid.put(i, self.box(i))
         self.net_bb = [self._net_box(k) for k in range(len(self.nets))]
         # macro index pairs (i, j), i < j, with positive intersection area
         self.pair_overlap: dict[tuple[int, int], float] = {}
@@ -336,7 +338,8 @@ class PlacementStore:
         for i in range(count):
             self._update_overlaps(i)
 
-    def _box(self, i: int) -> Box:
+    def box(self, i: int) -> Box:
+        """The footprint of macro ``i``."""
         (x, y), (hx, hy) = self.centers[i], self.halves[i]
         return (x - hx, y - hy, x + hx, y + hy)
 
@@ -347,7 +350,7 @@ class PlacementStore:
         """Bring ``pair_overlap`` and ``partners`` up to date for macro ``i``
         at its footprint; returns the meets of that footprint with every
         other one it overlaps, in index order."""
-        grid = self.footprints
+        grid = self.grid
         box = grid[i]
         # hits come in index order, so pair_overlap gains new keys, and the
         # caller's field its increases, in the order of a scan over every macro
@@ -374,7 +377,7 @@ class PlacementStore:
         Returns the :func:`snap_to_grid` cells of each meet of its footprint
         with another one, in index order, leaving out empty ones."""
         self.centers[i] = (float(x), float(y))
-        self.footprints.put(i, self._box(i))
+        self.grid.put(i, self.box(i))
         for k in self.nets_of[i]:
             self.net_bb[k] = self._net_box(k)
         rects = []
@@ -383,20 +386,6 @@ class PlacementStore:
             if snapped is not None:
                 rects.append(snapped)
         return rects
-
-    def pins(self, i: int) -> array:
-        """The nets of macro ``i`` in net order, packed for the C core's
-        ``score_candidate``: per net its member count, the index of ``i``
-        among them, then the other members' ``x, y`` in order."""
-        centers = self.centers
-        pins: list[float] = []
-        for k in self.nets_of[i]:
-            net = self.nets[k]
-            pins += (len(net), net.index(i))
-            for j in net:
-                if j != i:
-                    pins += centers[j]
-        return array("d", pins)
 
     def totals(self) -> tuple[float | int, float | int]:
         """The sum of the net boxes in net order and of the live pairs'
@@ -457,7 +446,7 @@ def penalty(
     step: int,
     macro: Macro,
     pos: Point,
-    grid: BucketGrid | CFootprintIndex,
+    grid: BucketGrid,
     config: PlacerConfig,
     key=None,
 ) -> float:
@@ -488,17 +477,13 @@ def _round_beta(rnd: int, config: PlacerConfig) -> float | None:
 
 
 class ScoreContext(NamedTuple):
-    """What the candidates of one round share: the moving macro's
-    half-sizes, the round's net-model sharpness (see :func:`model_length`),
-    its nets as :meth:`PlacementStore.pins` packs them (per net: its pin
-    count, the moving pin's index among them, then the other pins' ``x, y``
-    in order), its index in ``macro_order``, and the round's penalty factor
-    (``penalty_c`` times the round's :meth:`PlacerConfig.delta_at`)."""
+    """What the candidates of one round share: the round's net-model
+    sharpness (see :func:`model_length`), the moving macro's index in
+    ``macro_order``, under which the state's store keeps it, and the round's
+    penalty factor (``penalty_c`` times the round's
+    :meth:`PlacerConfig.delta_at`)."""
 
-    hx: float
-    hy: float
     beta: float | None
-    pins: array
     index: int
     penalty_factor: float
 
@@ -507,13 +492,9 @@ def score_context(
     macro: Macro, state: PlacerState, config: PlacerConfig
 ) -> ScoreContext:
     """The :class:`ScoreContext` of moving ``macro`` in the current round."""
-    index = bisect_left(state.macro_order, macro.id)
     return ScoreContext(
-        macro.size_x / 2.0,
-        macro.size_y / 2.0,
         _round_beta(state.round + 1, config),
-        state.store.pins(index),
-        index,
+        bisect_left(state.macro_order, macro.id),
         config.penalty_c * config.delta_at(state.round),
     )
 
@@ -530,16 +511,14 @@ def candidate_score(
     overlap penalty, plus the weighted blockage overlap area.
 
     ``ctx`` is the round's :func:`score_context`.  On the C field core the
-    score is one call of its ``score_candidate`` kernel, else
-    :func:`py_candidate_score`; both return the same float."""
+    score is one call of its ``score_candidate`` kernel on the state's
+    store, else :func:`py_candidate_score`; both return the same float."""
     fld = state.field
     if fld.backend != "c":
         return py_candidate_score(macro, pos, state, config, ctx)
     x, y = pos
-    area = state.area
     return c_score_candidate(
-        fld.core, x, y, ctx.hx, ctx.hy, area.width, area.height, ctx.beta,
-        ctx.pins, state.store.footprints, ctx.index, ctx.penalty_factor,
+        fld.core, state.store, ctx.index, x, y, ctx.beta, ctx.penalty_factor,
         state.blockage_boxes, config.blockage_weight,
     )
 
@@ -553,20 +532,19 @@ def py_candidate_score(
 ) -> float:
     """:func:`candidate_score` on the Python field core, and the reference of
     the C core's ``score_candidate``, which sums the same terms in the same
-    order; the nets are those packed in ``ctx.pins``."""
+    order.  It reads the macro and its nets from the state's
+    :class:`PlacementStore`, the macro's pin at ``pos``."""
+    store, i = state.store, ctx.index
     x, y = pos
-    fp = (x - ctx.hx, y - ctx.hy, x + ctx.hx, y + ctx.hy)
+    hx, hy = store.halves[i]
+    fp = (x - hx, y - hy, x + hx, y + hy)
     snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
     score = state.field.cost(snapped) if snapped is not None else 0.0
-    pins = ctx.pins
-    k = 0
-    while k < len(pins):
-        n, j = int(pins[k]), int(pins[k + 1])
-        pts = [(pins[t], pins[t + 1]) for t in range(k + 2, k + 2 * n, 2)]
-        pts.insert(j, pos)
+    centers = store.centers
+    for k in store.nets_of[i]:
+        pts = [pos if j == i else centers[j] for j in store.nets[k]]
         score += model_length(pts, ctx.beta)
-        k += 2 * n
-    score += penalty(state.round, macro, pos, state.store.footprints, config, ctx.index)
+    score += penalty(state.round, macro, pos, store.grid, config, i)
     for b in state.area.blockages:
         ix1, iy1, ix2, iy2 = meet(fp, b)
         if ix1 < ix2 and iy1 < iy2:

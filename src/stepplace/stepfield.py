@@ -23,10 +23,10 @@ Backends: the first import loads the C core ``_fieldcore`` from the user
 cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 ``_fieldcore.c`` there first if the cache holds no build of this exact
 source; if that fails it warns once and falls back to the Python core, which
-returns the same bits.  The same C module holds the placer's scoring kernel,
-:data:`c_score_candidate`, the footprint index it reads,
-:data:`CFootprintIndex`, and the placement store that commits a round,
-:data:`CPlacementStore`.
+returns the same bits.  The same C module holds the placer's placement
+store, :data:`CPlacementStore`, which commits a round, and its scoring
+kernel, :data:`c_score_candidate`, which scores a candidate straight from
+that store.
 """
 
 from __future__ import annotations
@@ -133,18 +133,14 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
 _c_module = _load_c_core(_user_cache_dir())
 _CFieldCore = getattr(_c_module, "FieldCore", None)
 
-#: The C core's ``score_candidate`` (see
-#: :func:`stepplace.placer.py_candidate_score`), or None without the C core.
+#: The C core's ``score_candidate``, which scores a candidate from a
+#: ``PlacementStore`` (see :func:`stepplace.placer.py_candidate_score`), or
+#: None without the C core.
 c_score_candidate = getattr(_c_module, "score_candidate", None)
 
-#: The C core's ``FootprintIndex``, whose ``put``, ``hits`` and ``index[key]``
-#: answer as :class:`stepplace.netmodel.BucketGrid`'s do; ``score_candidate``
-#: reads it.  None without the C core.
-CFootprintIndex = getattr(_c_module, "FootprintIndex", None)
-
 #: The C core's ``PlacementStore``, which answers as
-#: :class:`stepplace.placer.PlacementStore` does, bit for bit; its
-#: ``footprints`` are a ``FootprintIndex``.  None without the C core.
+#: :class:`stepplace.placer.PlacementStore` does, bit for bit.  None without
+#: the C core.
 CPlacementStore = getattr(_c_module, "PlacementStore", None)
 
 
@@ -152,6 +148,7 @@ def ordered_sum(values: Iterable) -> float | int:
     """Builtin ``sum(values)`` as Python 3.11 adds floats: left to right
     (3.12 compensates), ``0`` when there is nothing to sum."""
     return functools.reduce(operator.add, values, 0)
+
 
 #: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
 HAVE_C_CORE = _CFieldCore is not None

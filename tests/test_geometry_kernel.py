@@ -1,5 +1,6 @@
 """The geometry kernels against brute-force all-pairs scans: the bucket
-grid, and the C core's footprint index against both.
+grid, and the overlap pairs of the C core's placement store, whose footprint
+index answers every overlap query, against both.
 
 Layouts mix sizes, put footprints edge to edge (half-unit lattice), partly or
 wholly outside the area, and sometimes include one macro far larger than the
@@ -8,6 +9,7 @@ rest, so the grid's cells are much larger than most footprints.
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 
 from oracles import intersection
 from stepplace.netmodel import (
-    BucketGrid,
     Macro,
     Netlist,
     PlacementArea,
@@ -24,8 +25,8 @@ from stepplace.netmodel import (
     footprint_grid,
     is_legal,
 )
-from stepplace.placer import PlacerConfig, penalty
-from stepplace.stepfield import CFootprintIndex
+from stepplace.placer import PlacementStore, PlacerConfig, penalty
+from stepplace.stepfield import CPlacementStore, GridRect
 
 AREA = 10.0
 
@@ -137,100 +138,133 @@ def test_is_legal_lists_equal_brute_force(layout, blocks):
     ]
 
 
-# a lattice of 120 steps a side: its points include the cell edges of every
-# index of 1 to 6 columns or rows, and boxes built on it meet edge to edge
-LATTICE = 120
+needs_c = pytest.mark.skipif(CPlacementStore is None, reason="C core not built")
+
+
+def half_units(lo, hi):
+    """Multiples of 0.5 from ``lo`` to ``hi``: a center plus or minus a
+    half-size on them is exact, so boxes meet edge to edge."""
+    return st.integers(int(2 * lo), int(2 * hi)).map(lambda k: k / 2.0)
 
 
 @st.composite
-def index_cases(draw):
-    """An index's size and area, the bucket grid's and the index's minimum
-    cell sides, a sequence of ``(key, box)`` puts (keys repeat, so boxes
-    move), and a few more query boxes."""
+def store_cases(draw):
+    """A store's area side and its index's minimum cell side, its macros'
+    centers and half-sizes, and a sequence of moves ``(i, x, y)`` (indices
+    repeat, so a macro moves several times), all on half-unit lattices."""
     count = draw(st.integers(1, 30), label="count")
-    # 1000 a side with boxes of a few steps: tiny macros in a large area,
+    # 1000 a side with boxes of a few units: tiny macros in a large area,
     # where the cap of about count cells binds
     side = draw(st.sampled_from([AREA, 1000.0]), label="side")
-    step = side / LATTICE
-    # on the lattice, from beyond the area, or anywhere
-    lattice = st.integers(-20, LATTICE + 20).map(lambda k: k * step)
-    coord = st.one_of(lattice, st.floats(-side, 2 * side))
-    length = st.one_of(
-        st.integers(0, 12).map(lambda k: k * step), st.floats(0.0, side / 10)
-    )
+    coord = half_units(-10, side + 10)  # on the area, or beyond it
+    half = half_units(0, 4)  # zero: an empty footprint
 
-    def box():
-        x, y = draw(coord), draw(coord)
-        return (x, y, x + draw(length), y + draw(length))
+    def pt(c):
+        return (draw(c), draw(c))
 
-    puts = [
-        (draw(st.integers(0, count - 1)), box())
-        for _ in range(draw(st.integers(1, 30), label="puts"))
+    centers = [pt(coord) for _ in range(count)]
+    halves = [pt(half) for _ in range(count)]
+    moves = [
+        (draw(st.integers(0, count - 1)), *pt(coord))
+        for _ in range(draw(st.integers(0, 30), label="moves"))
     ]
-    queries = [box() for _ in range(draw(st.integers(0, 6), label="queries"))]
-    # cells as large as the largest box (at least a step, so that no query
-    # spans too many of the bucket grid's cells), and for the index also far
-    # smaller than the boxes, so that only the cap on their number sizes them
-    largest = max(step, *(max(b[2] - b[0], b[3] - b[1]) for _, b in puts))
-    cell = draw(st.sampled_from([largest, step / 64]), label="cell")
-    return count, side, largest, cell, puts, queries
+    # cells as large as the largest box, or far smaller than the boxes, so
+    # that only the cap on their number sizes them
+    largest = max(1.0, *(2 * h for hs in halves for h in hs))
+    cell = draw(st.sampled_from([largest, 1 / 128]), label="cell")
+    return side, cell, centers, halves, moves
 
 
-@pytest.mark.skipif(CFootprintIndex is None, reason="C core not built")
+def stores(side, cell, centers, halves):
+    """The C store with cells of at least ``cell`` a side, and the Python
+    store, whose bucket grid has cells as large as the largest box."""
+    largest = max(1.0, *(2 * h for hs in halves for h in hs))
+    args = (3, 3, array("d", [v for h in halves for v in h]),
+            array("d", [v for c in centers for v in c]), [])
+    return (CPlacementStore(side, side, cell, cell, *args, GridRect),
+            PlacementStore(PlacementArea(side, side), largest, largest, *args))
+
+
+def assert_pairs_agree(c_store, py_store, count):
+    """Both stores hold the same boxes and the same pairs in the same order,
+    and the pairs are those of a brute-force scan, with their areas."""
+    boxes = [c_store.box(i) for i in range(count)]
+    assert boxes == [py_store.box(i) for i in range(count)]
+    pairs = c_store.pairs()
+    assert pairs == py_store.pairs()
+    want = {}
+    for i in range(count):
+        for j in range(i + 1, count):
+            inter = intersection(boxes[i], boxes[j])
+            if inter is not None:
+                want[i, j] = (inter[2] - inter[0]) * (inter[3] - inter[1])
+    assert {(i, j): a for i, j, a in pairs} == want
+
+
+@needs_c
 @settings(max_examples=80, deadline=None)
-@given(index_cases())
-@example(  # two boxes edge to edge on a cell edge, queries on both sides
-    (4, AREA, 5.0, 5.0, [(0, (0.0, 0.0, 5.0, 5.0)), (1, (5.0, 0.0, 10.0, 5.0))],
-     [(4.0, 1.0, 5.0, 2.0), (5.0, 1.0, 6.0, 2.0), (4.5, 1.0, 5.5, 2.0)]),
+@given(store_cases())
+@example(  # two boxes edge to edge on a cell edge, then a box on either
+    # side of it and one across it
+    (AREA, 5.0, [(2.5, 2.5), (7.5, 2.5), (-5.0, -5.0), (-5.0, 5.0)],
+     [(2.5, 2.5), (2.5, 2.5), (0.5, 0.5), (0.5, 0.5)],
+     [(2, 4.5, 1.5), (2, 5.5, 1.5), (3, 5.0, 1.5)]),
 )
 def test_footprint_index_hits_equal_bucket_grid_and_brute_force(case):
-    count, side, largest, cell, puts, queries = case
-    index = CFootprintIndex(count, side, side, cell, cell)
-    grid = BucketGrid(largest, largest)
-    boxes = {}
-    for key, box in puts:
-        index.put(key, box)
-        grid.put(key, box)
-        boxes[key] = box
-    for q in list(boxes.values()) + queries:
-        want = sorted(k for k, b in boxes.items() if intersection(q, b))
-        assert index.hits(*q) == grid.hits(*q) == want, q
-    assert {k: index[k] for k in boxes} == boxes
+    side, cell, centers, halves, moves = case
+    c_store, py_store = stores(side, cell, centers, halves)
+    assert_pairs_agree(c_store, py_store, len(centers))
+    for i, x, y in moves:
+        assert c_store.move(i, x, y) == py_store.move(i, x, y)
+        assert_pairs_agree(c_store, py_store, len(centers))
 
 
-@pytest.mark.skipif(CFootprintIndex is None, reason="C core not built")
+@needs_c
 def test_footprint_index_sorts_many_hits():
-    # more hits than one cell's few, put in shuffled key order
+    # more hits than one cell's few: macro 0 moves over 40 macros that
+    # entered the cells in shuffled order, and its pairs enter in index order
     rng = random.Random(4)
-    keys = list(range(40))
-    rng.shuffle(keys)
-    index = CFootprintIndex(len(keys), AREA, AREA, 1.0, 1.0)
-    for k in keys:
-        x, y = rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)
-        index.put(k, (x, y, x + 2.0, y + 2.0))
-    assert index.hits(-1.0, -1.0, AREA + 1.0, AREA + 1.0) == list(range(40))
+    n = 40
+    centers = [(-20.0, -20.0)] + [(-20.0 - 4 * k, 30.0) for k in range(n)]
+    halves = [(6.0, 6.0)] + [(1.0, 1.0)] * n
+    c_store, py_store = stores(AREA, 1.0, centers, halves)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    for k in order:
+        x, y = rng.randint(2, 18) / 2.0, rng.randint(2, 18) / 2.0
+        assert c_store.move(k, x, y) == py_store.move(k, x, y)
+    assert c_store.move(0, 5.0, 5.0) == py_store.move(0, 5.0, 5.0)
+    # its pairs come last, in index order
+    assert [(i, j) for i, j, _ in c_store.pairs()[-n:]] == [(0, j) for j in range(1, n + 1)]
+    assert_pairs_agree(c_store, py_store, n + 1)
 
 
-@pytest.mark.skipif(CFootprintIndex is None, reason="C core not built")
+@needs_c
 def test_footprint_index_rejects_bad_input():
-    index = CFootprintIndex(2, 10.0, 10.0, 1.0, 1.0)
-    index.put(1, (1.0, 1.0, 2.0, 2.0))
-    with pytest.raises(ValueError, match="key 2 out of range for 2 footprints"):
-        index.put(2, (0.0, 0.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="key -1 out of range"):
-        index[-1]
-    with pytest.raises(KeyError, match="key 0 holds no footprint"):
-        index[0]
-    for bad in (math.nan, math.inf):
+    # a move the footprints cannot take raises and leaves the store as it was
+    halves, centers = array("d", [0.5] * 4), array("d", [1.0, 1.0, 1.5, 1.5])
+    store = CPlacementStore(10.0, 10.0, 1.0, 1.0, 3, 3, halves, centers, [[0, 1]],
+                            GridRect)
+
+    def state():
+        return store.pairs(), [store.box(i) for i in range(2)], store.net_lengths()
+
+    before = state()
+    assert before == ([(0, 1, 0.25)], [(0.5, 0.5, 1.5, 1.5), (1.0, 1.0, 2.0, 2.0)],
+                      [1.0])
+    for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="footprint must be finite"):
-            index.put(0, (0.0, bad, 1.0, 1.0))
+            store.move(0, 1.0, bad)
+        assert state() == before
+    with pytest.raises(ValueError, match="macro index 2 out of range for 2 macros"):
+        store.move(2, 0.0, 0.0)
+    with pytest.raises(ValueError, match="macro index -1 out of range"):
+        store.box(-1)
     with pytest.raises(TypeError):
-        index.put(0, (0.0, 0.0, 1.0))
-    for args in [(-1, 1.0, 1.0, 1.0, 1.0), (2, 0.0, 1.0, 1.0, 1.0),
-                 (2, 1.0, 1.0, math.inf, 1.0), (2, 1.0, 1.0, 1.0, math.nan)]:
-        with pytest.raises(ValueError):
-            CFootprintIndex(*args)
-    with pytest.raises(TypeError):
-        CFootprintIndex()
-    # a failed put leaves the index as it was
-    assert index[1] == (1.0, 1.0, 2.0, 2.0) and index.hits(0.0, 0.0, 9.0, 9.0) == [1]
+        store.box(0.0)
+    with pytest.raises(TypeError, match="3 arguments"):
+        store.move(0, 1.0)
+    for sides in [(0.0, 10.0, 1.0, 1.0), (10.0, -1.0, 1.0, 1.0),
+                  (10.0, 10.0, math.inf, 1.0), (10.0, 10.0, 1.0, math.nan)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            CPlacementStore(*sides, 3, 3, halves, centers, [], GridRect)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from stepplace.placer import (
     score_context,
     snap_to_grid,
 )
+from stepplace import stepfield
 from stepplace.stepfield import GridRect
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -96,14 +98,16 @@ class TestDomainValidation:
             [Macro("a", 1, 1), Macro("b", 1, 1), Macro("c", 1, 1)],
             [Net(("a", "b")), Net(("b", "c"))],
         )
-        at = {"a": (1.0, 1.5), "b": (2.0, 2.5), "c": (3.0, 3.5)}
-        state = new_state(nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1), at)
-        pins = [list(state.store.pins(i)) for i in range(3)]
-        assert pins == [
-            [2, 0, *at["b"]],
-            [2, 1, *at["a"], 2, 0, *at["c"]],
-            [2, 1, *at["b"]],
-        ]
+        at = {"a": (1.0, 1.5), "b": (2.0, 2.5), "c": (3.5, 3.5)}
+        args = (nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1), at)
+        with mock.patch.object(stepfield, "HAVE_C_CORE", False):
+            store = new_state(*args).store
+        assert store.nets == [[0, 1], [1, 2]]
+        assert store.nets_of == [[0], [0, 1], [1]]
+        assert store.net_lengths() == [2.0, 2.5]
+        # the C store reads the same nets
+        if stepfield.HAVE_C_CORE:
+            assert new_state(*args).store.net_lengths() == [2.0, 2.5]
 
     def test_blockage_must_be_inside_area(self):
         with pytest.raises(ValueError):

@@ -448,8 +448,7 @@ class TestCandidateScore:
         # field is empty, no nets: the score at b's position is the penalty
         a = nl.by_id["a"]
         got = candidate_score(a, (3.0, 3.0), state, cfg, score_context(a, state, cfg))
-        # the state's store keys footprints by index in macro_order
-        assert got == penalty(0, a, (3.0, 3.0), state.store.footprints, cfg, 0)
+        assert got == penalty(0, a, (3.0, 3.0), footprint_grid(nl, init), cfg)
 
 
 needs_c_score = pytest.mark.skipif(
@@ -457,33 +456,32 @@ needs_c_score = pytest.mark.skipif(
 )
 
 
-def pack_nets(nets):
-    """``ScoreContext.pins`` records of ``(pins, j)`` nets, the moving pin
-    omitted from ``pins``."""
-    out = []
-    for pins, j in nets:
-        out += (len(pins) + 1, j)
-        for x, y in pins:
-            out += (x, y)
-    return array("d", out)
-
-
 #: a half-size that covers the whole 1 x 1 area from any test coordinate
 COVER = 1e10
 
 
-def kernel_sum(score, x, y, beta, pins):
-    """``score`` plus the nets packed in ``pins``, the moving pin at
-    ``(x, y)``, from the C core's ``score_candidate``: the single cell of a
-    1 x 1 field holds ``score`` and the footprint covers it; the one other
-    footprint is skipped, and no blockage or penalty term adds anything."""
+def kernel_sum(score, x, y, beta, nets):
+    """``score`` plus the ``model_length`` of each ``(pins, j)`` net, the
+    moving pin at ``(x, y)`` inserted at index ``j``, from the C core's
+    ``score_candidate`` on a store of these nets: macro 0 moves, and its
+    footprint covers the single cell of a 1 x 1 field, which holds
+    ``score``; the fixed pins are macros of their own with empty
+    footprints, so no penalty or blockage term adds anything."""
+    centers, members = [0.0, 0.0], []
+    for pins, j in nets:
+        net = list(range(len(centers) // 2, len(centers) // 2 + len(pins)))
+        net.insert(j, 0)
+        members.append(net)
+        centers += [v for pin in pins for v in pin]
+    halves = [COVER, COVER] + [0.0] * (len(centers) - 2)
+    store = stepfield.CPlacementStore(
+        1.0, 1.0, 1.0, 1.0, 0, 0, array("d", halves), array("d", centers), members,
+        GridRect,
+    )
     fld = CostField(0, 0, "c")
     fld.increase(GridRect(0, 0, 1, 1), score)
-    far = stepfield.CFootprintIndex(1, 1.0, 1.0, 1.0, 1.0)
-    far.put(0, (-3 * COVER, -3 * COVER, -2 * COVER, -2 * COVER))
     return stepfield.c_score_candidate(
-        fld.core, x, y, COVER, COVER, 1.0, 1.0, beta, pins, far, 0, 0.0,
-        array("d"), 0.0,
+        fld.core, store, 0, x, y, beta, 0.0, array("d"), 0.0
     )
 
 
@@ -525,7 +523,7 @@ class TestNetTerms:
         score = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
         x, y = draw(coord), draw(coord)
         want = reference_sum(score, x, y, beta, nets)
-        got = kernel_sum(score, x, y, beta, pack_nets(nets))
+        got = kernel_sum(score, x, y, beta, nets)
         assert got.hex() == want.hex()
 
     @needs_c_score
@@ -543,7 +541,7 @@ class TestNetTerms:
             nets = [(fixed, rng.randrange(n))]
             x, y = rng.uniform(0, span), rng.uniform(0, span)
             want = reference_sum(0.0, x, y, beta, nets)
-            got = kernel_sum(0.0, x, y, beta, pack_nets(nets))
+            got = kernel_sum(0.0, x, y, beta, nets)
             assert got.hex() == want.hex(), (n, beta, fixed, x, y)
 
     @needs_c_score
@@ -555,31 +553,12 @@ class TestNetTerms:
         for j in range(n):
             pts = fixed[:j] + [(7.25, 3.5)] + fixed[j:]
             want = 2.0 + model_length(pts, beta)
-            got = kernel_sum(2.0, 7.25, 3.5, beta, pack_nets([(fixed, j)]))
+            got = kernel_sum(2.0, 7.25, 3.5, beta, [(fixed, j)])
             assert got.hex() == want.hex()
 
     @needs_c_score
     def test_no_nets_returns_score(self):
-        assert kernel_sum(4.5, 1.0, 1.0, 2.0, array("d")) == 4.5
-
-    @needs_c_score
-    @pytest.mark.parametrize(
-        "record",
-        [
-            [1, 0],  # one pin
-            [2, 2, 0, 0],  # moving index past the end
-            [2, -1, 0, 0],
-            [2, 0.5, 0, 0],  # fractional index
-            [2.5, 0, 0, 0, 0],  # fractional count
-            [3, 0, 0, 0],  # too few coordinates
-            [float("nan"), 0, 0, 0],
-            [2],  # header cut short
-        ],
-    )
-    def test_malformed_record_rejected(self, record):
-        pins = array("d", [2, 0, 1.0, 1.0] + record)  # a good record first
-        with pytest.raises(ValueError, match="malformed net record at offset 4"):
-            kernel_sum(0.0, 0.0, 0.0, None, pins)
+        assert kernel_sum(4.5, 1.0, 1.0, 2.0, []) == 4.5
 
     @needs_c_score
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
@@ -587,43 +566,39 @@ class TestNetTerms:
     def test_bad_beta_raises_as_the_reference(self, n, beta):
         nets = [([(1.0, 1.0)] * (n - 1), 0)]
         raised = []
-        for kernel, arg in ((reference_sum, nets), (kernel_sum, pack_nets(nets))):
+        for kernel in (reference_sum, kernel_sum):
             with pytest.raises((ValueError, ZeroDivisionError)) as exc:
-                kernel(0.0, 0.0, 0.0, beta, arg)
+                kernel(0.0, 0.0, 0.0, beta, nets)
             raised.append((exc.type, str(exc.value)))
         assert len(set(raised)) == 1
 
     @needs_c_score
-    def test_c_kernel_wants_doubles(self):
-        with pytest.raises(TypeError, match="doubles"):
-            kernel_sum(0.0, 0.0, 0.0, None, array("f", [2, 0, 1, 1]))
-
     def test_round_context_scores_equal_contextless(self):
-        # multi-pin nets, both net-model regimes (switch at round 16)
+        # multi-pin nets, both net-model regimes (switch at round 16): the C
+        # state scores every candidate as the Python state does
         nl, area = generate_instance(GenSpec(macros=10, nets=16, seed=2))
         cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=4)
-        state = new_state(nl, area, cfg)
+        c_state, py_state = (state_on(b, nl, area, cfg) for b in ("c", "py"))
         rng = random.Random(8)
         for _ in range(cfg.max_rounds):
-            macro = nl.by_id[rng.choice(state.macro_order)]
-            ctx = score_context(macro, state, cfg)
-            # the context packs the macro's nets as the netlist and the
-            # placement give them
-            nets = [
-                ([state.placement[m] for m in net.members if m != macro.id],
-                 net.members.index(macro.id))
-                for net in nl.nets
-                if macro.id in net.members
+            macro = nl.by_id[rng.choice(c_state.macro_order)]
+            ctx = score_context(macro, c_state, cfg)
+            assert ctx == score_context(macro, py_state, cfg)
+            # the reference reads the macro's nets from the store as the
+            # netlist gives them
+            index = c_state.macro_order.index
+            store = py_state.store
+            assert ctx.index == index(macro.id)
+            assert [store.nets[k] for k in store.nets_of[ctx.index]] == [
+                [index(m) for m in net.members] for net in nl.nets if macro.id in net.members
             ]
-            assert ctx.pins == pack_nets(nets)
             for _ in range(4):
-                b = state.bounds[macro.id]
+                b = c_state.bounds[macro.id]
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                # the reference takes the penalty factor from the state
-                want = py_candidate_score(macro, pos, state, cfg, ctx)
-                got = candidate_score(macro, pos, state, cfg, ctx)
+                want = py_candidate_score(macro, pos, py_state, cfg, ctx)
+                got = candidate_score(macro, pos, c_state, cfg, ctx)
                 assert got.hex() == want.hex()
-            round_step(state, cfg)
+            assert round_step(c_state, cfg) == round_step(py_state, cfg)
 
 
 def candidate_at(draw, kind, macro, state):
@@ -645,7 +620,7 @@ def candidate_at(draw, kind, macro, state):
         return state.placement[macro.id]
     # the footprint's edge on (or one ulp off) another macro's opposite edge
     other = draw(st.sampled_from([m for m in state.macro_order if m != macro.id]))
-    ox1, oy1, ox2, oy2 = state.store.footprints[state.macro_order.index(other)]
+    ox1, oy1, ox2, oy2 = state.store.box(state.macro_order.index(other))
     ox, oy = state.placement[other]
     side = draw(st.sampled_from(["left", "right", "below", "above", "on"]))
     nudge = draw(st.sampled_from([None, math.inf, -math.inf]))
@@ -676,9 +651,7 @@ def assert_stores_agree(c_store, py_store, count):
         (i, j, exact(a)) for i, j, a in py_store.pairs()
     ]
     assert [exact(v) for v in c_store.totals()] == [exact(v) for v in py_store.totals()]
-    for i in range(count):
-        assert c_store.pins(i).tobytes() == py_store.pins(i).tobytes()
-        assert c_store.footprints[i] == py_store.footprints[i]
+    assert [c_store.box(i) for i in range(count)] == [py_store.box(i) for i in range(count)]
 
 
 class TestScoreCandidate:
@@ -712,21 +685,20 @@ class TestScoreCandidate:
             seed=draw(st.integers(0, 99)),
             model_switch_round=switch,
         )
-        state = new_state(nl, area, cfg)
+        c_state, py_state = (state_on(b, nl, area, cfg) for b in ("c", "py"))
         for _ in range(draw(st.integers(0, 12), label="rounds")):
-            round_step(state, cfg)
+            assert round_step(c_state, cfg) == round_step(py_state, cfg)
         # the scored round: the last smoothed one, the switch, or any
-        rnd = draw(st.sampled_from([switch - 2, switch - 1, state.round]))
-        state.round = max(0, rnd)
-        macro = nl.by_id[draw(st.sampled_from(state.macro_order))]
-        ctx = score_context(macro, state, cfg)
+        rnd = draw(st.sampled_from([switch - 2, switch - 1, c_state.round]))
+        c_state.round = py_state.round = max(0, rnd)
+        macro = nl.by_id[draw(st.sampled_from(c_state.macro_order))]
+        ctx = score_context(macro, c_state, cfg)
         for kind in ("inside", "outside", "edge", "own", "touch"):
-            pos = candidate_at(draw, kind, macro, state)
-            want = py_candidate_score(macro, pos, state, cfg, ctx)
-            touched = state.field.last_touched
-            got = candidate_score(macro, pos, state, cfg, ctx)
+            pos = candidate_at(draw, kind, macro, c_state)
+            want = py_candidate_score(macro, pos, py_state, cfg, ctx)
+            got = candidate_score(macro, pos, c_state, cfg, ctx)
             assert got.hex() == want.hex(), (kind, pos)
-            assert state.field.last_touched == touched
+            assert c_state.field.last_touched == py_state.field.last_touched
 
     @needs_c_score
     @settings(max_examples=25, deadline=None)
@@ -734,8 +706,8 @@ class TestScoreCandidate:
     def test_c_kernel_equals_python_path_at_scale(self, data):
         # instances of up to 200 macros, so the index's cells hold a few
         # macros each and prune most of them: the C state (field core and
-        # footprint index) scores as the Python state (Python core and
-        # bucket grid) after the same rounds
+        # store) scores as the Python state (Python core and store) after
+        # the same rounds
         draw = data.draw
         n_macros = draw(st.integers(50, 200), label="macros")
         spec = GenSpec(
@@ -757,8 +729,6 @@ class TestScoreCandidate:
             py_state = new_state(nl, area, cfg)
         assert isinstance(c_state.store, stepfield.CPlacementStore)
         assert isinstance(py_state.store, placer.PlacementStore)
-        assert isinstance(c_state.store.footprints, stepfield.CFootprintIndex)
-        assert isinstance(py_state.store.footprints, BucketGrid)
         # the rectangles each store's move returned, in the order the round
         # grew its field under them
         grown = {"c": [], "py": []}
@@ -790,19 +760,19 @@ class TestScoreCandidate:
     @needs_c_score
     def test_box_meets_follow_python_max_and_min(self):
         # boxes no placer state holds (signed zeros; a NaN corner, which only
-        # a blockage can have, as the index rejects it): the kernel's meets
+        # a blockage can have, as the store rejects it): the kernel's meets
         # are netmodel.meet's, so a NaN corner drops out of the meet as
         # Python's max and min drop it
         nan = math.nan
-        boxes = [
-            (0.0, 0.0, 2.0, 2.0),  # skipped
-            (1.0, 0.5, 3.0, 1.5),
-            (-0.0, -0.0, 1.0, 1.0),
-            (0.5, -0.0, 1.5, 0.0),  # empty
-            (2.0, 0.0, 3.0, 3.0),  # touches the candidate's right edge
-        ]
+        # centers and half-sizes of: the moving macro, centered at the
+        # candidate (1, 1); two overlapping ones; an empty one from y = -0.0
+        # to 0.0; one that touches the candidate's right edge
+        centers = [(1.0, 1.0), (2.0, 1.0), (0.5, 0.5), (1.0, -0.0), (2.5, 1.5)]
+        halves = [(1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.5, 1.5)]
+        boxes = [(x - hx, y - hy, x + hx, y + hy) for (x, y), (hx, hy) in zip(centers, halves)]
+        assert math.copysign(1.0, boxes[3][1]) == -1.0
         blockages = [(nan, nan, 1.5, 0.5), (-0.0, 0.5, 0.5, nan)]
-        cand = (0.0, 0.0, 2.0, 2.0)
+        cand = boxes[0]
 
         def circ_area(box):
             ix1, iy1, ix2, iy2 = meet(cand, box)
@@ -813,12 +783,12 @@ class TestScoreCandidate:
         want = 0.0 + 3.0 * sum(circ_area(b)[0] for b in boxes[1:])
         for b in blockages:
             want += 5.0 * circ_area(b)[1]
-        index = stepfield.CFootprintIndex(len(boxes), 8.0, 8.0, 1.0, 1.0)
-        for k, b in enumerate(boxes):
-            index.put(k, b)
+        store = stepfield.CPlacementStore(
+            8.0, 8.0, 1.0, 1.0, 2, 2, array("d", [v for h in halves for v in h]),
+            array("d", [v for c in centers for v in c]), [], GridRect,
+        )
         got = stepfield.c_score_candidate(
-            CostField(2, 2, "c").core, 1.0, 1.0, 1.0, 1.0, 8.0, 8.0, None,
-            array("d"), index, 0, 3.0,
+            CostField(2, 2, "c").core, store, 0, 1.0, 1.0, None, 3.0,
             array("d", [v for b in blockages for v in b]), 5.0,
         )
         assert want > 0.0 and got.hex() == want.hex()
@@ -841,7 +811,7 @@ class TestScoreCandidate:
 
     @needs_c_score
     def test_rounds_never_reach_the_bucket_grid(self, monkeypatch):
-        # on the C core the state's footprints live in the C index alone
+        # on the C core the state's footprints live in the C store alone
         def boom(*args, **kwargs):
             raise AssertionError("the C path used the bucket grid")
 
@@ -867,8 +837,7 @@ class TestScoreCandidate:
 
         nl, area = generate_instance(GenSpec(macros=12, nets=18, seed=5))
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=2)
-        state = new_state(nl, area, cfg)
-        state.field = CostField(cfg.grid_p, cfg.grid_q, backend="py")
+        state = state_on("py", nl, area, cfg)
         monkeypatch.setattr(placer, "c_score_candidate", boom)
         monkeypatch.setattr(placer, "py_candidate_score", counted)
         for _ in range(cfg.max_rounds):
@@ -876,15 +845,14 @@ class TestScoreCandidate:
         assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
 
     def test_footprints_follow_the_grid(self):
-        # the store's one footprint index holds each macro's footprint at its
-        # current position, under its index in macro_order
+        # the store holds each macro's footprint at its current position,
+        # under its index in macro_order
         nl, area = generate_instance(GenSpec(macros=15, nets=20, seed=6))
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=3)
         state = new_state(nl, area, cfg)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
-        footprints = state.store.footprints
-        assert [footprints[i] for i in range(len(state.macro_order))] == [
+        assert [state.store.box(i) for i in range(len(state.macro_order))] == [
             footprint_box(nl.by_id[mid], state.placement[mid])
             for mid in state.macro_order
         ]
@@ -894,41 +862,44 @@ class TestScoreCandidate:
         [
             (0, None, TypeError, "FieldCore"),
             (0, "py core", TypeError, "FieldCore"),
-            (8, array("f", [2, 0, 1, 1]), TypeError, "pins must be a buffer of doubles"),
-            (9, array("f", [0, 0, 1, 1]), TypeError,
-             "footprints must be a FootprintIndex"),
-            (12, array("f"), TypeError, "blockages must be a buffer"),
-            (9, [0.0, 0.0, 1.0, 1.0], TypeError, None),
-            # the flat buffer of four doubles per macro the kernel once read
-            (9, array("d", [0, 0, 1, 1, 2, 2, 3, 3]), TypeError, "a FootprintIndex"),
-            (12, array("d", [0, 0, 1]), ValueError, "4 doubles per box"),
-            (10, -1, ValueError, "skip index -1 out of range for 2"),
-            (10, 2, ValueError, "skip index 2 out of range for 2"),
-            (10, 1.0, TypeError, None),
-            (1, math.nan, ValueError, "finite"),
-            (2, math.inf, ValueError, "finite"),
-            (5, math.nan, ValueError, "outside the grid"),
             (1, "1.0", TypeError, None),
-            (8, array("d", [2, 5, 1, 1]), ValueError, "malformed net record"),
+            (1, "py store", TypeError, "store must be a PlacementStore"),
+            (2, -1, ValueError, "macro index -1 out of range for 2 macros"),
+            (2, 2, ValueError, "macro index 2 out of range for 2 macros"),
+            (2, 1.0, TypeError, None),
+            (3, math.nan, ValueError, "candidate center must be finite"),
+            (4, math.inf, ValueError, "candidate center must be finite"),
+            (3, "1.0", TypeError, None),
+            (5, "1.0", TypeError, None),
+            (6, None, TypeError, None),
+            (8, "1.0", TypeError, None),
+            (7, array("f"), TypeError, "blockages must be a buffer of doubles"),
+            (7, [0.0, 0.0, 1.0, 1.0], TypeError, None),
+            (7, array("d", [0, 0, 1]), ValueError, "4 doubles per box"),
         ],
     )
     @needs_c_score
     def test_c_kernel_rejects_bad_input(self, index, value, error, match):
-        footprints = stepfield.CFootprintIndex(2, 4.0, 4.0, 1.0, 1.0)
-        footprints.put(0, (0.0, 0.0, 1.0, 1.0))
-        footprints.put(1, (2.0, 2.0, 3.0, 3.0))
+        halves, centers = [0.5] * 4, [0.5, 0.5, 2.5, 2.5]
+        store = stepfield.CPlacementStore(
+            4.0, 4.0, 1.0, 1.0, 2, 2, array("d", halves), array("d", centers),
+            [[0, 1]], GridRect,
+        )
         args = [
-            CostField(2, 2, "c").core, 1.0, 1.0, 0.5, 0.5, 4.0, 4.0, None,
-            array("d", [2, 0, 3.0, 3.0]), footprints,
-            0, 1.0, array("d", [0, 0, 1, 1]), 1.0,
+            CostField(2, 2, "c").core, store, 0, 1.0, 1.0, None, 1.0,
+            array("d", [0, 0, 1, 1]), 1.0,
         ]
         assert isinstance(stepfield.c_score_candidate(*args), float)
         if value == "py core":
             value = CostField(2, 2, "py").core
+        elif value == "py store":
+            value = placer.PlacementStore(
+                PlacementArea(4, 4), 1.0, 1.0, 2, 2, halves, centers, [[0, 1]]
+            )
         args[index] = value
         with pytest.raises(error, match=match):
             stepfield.c_score_candidate(*args)
-        with pytest.raises(TypeError, match="14 arguments"):
+        with pytest.raises(TypeError, match="9 arguments"):
             stepfield.c_score_candidate(*args[:-1])
 
 
@@ -979,7 +950,7 @@ class TestPlacementStore:
         init = {"a": (x2 - 0.125, 0.35), "b": (x1 + 0.0625, 0.35)}
         cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=3)
         state = state_on(backend, nl, PlacementArea(0.7, 0.7), cfg, init)
-        assert state.store.footprints[0][2] == x2 and state.store.footprints[1][0] == x1
+        assert state.store.box(0)[2] == x2 and state.store.box(1)[0] == x1
         rects = state.store.move(0, *init["a"])
         assert rects == [GridRect(5, 2, 6, 6)]
 
@@ -1129,8 +1100,7 @@ class TestRoundStep:
         nl, area = tiny_instance(1)
         cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=5, w0=1e308,
                            w_growth=1.0)
-        state = new_state(nl, area, cfg)
-        state.field = CostField(cfg.grid_p, cfg.grid_q, backend=backend)
+        state = state_on(backend, nl, area, cfg)
         whole = GridRect(0, 0, 16, 16)
         with pytest.raises(ValueError, match="not finite; lower w0, w_growth"):
             for _ in range(cfg.max_rounds):
@@ -1304,8 +1274,7 @@ class TestBackendsAndSwitch:
 
         nl, area = tiny_instance(12)
         cfg = PlacerConfig(max_rounds=80, grid_p=4, grid_q=4, seed=3)
-        state = new_state(nl, area, cfg)
-        state.field = CostField(cfg.grid_p, cfg.grid_q, backend="py")
+        state = state_on("py", nl, area, cfg)
         for _ in range(80):
             round_step(state, cfg)
             assert state.last_scores[state.last_choice] <= state.last_scores[0]

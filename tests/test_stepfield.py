@@ -39,7 +39,6 @@ from stepplace.stepfield import (
     nonzero_basis_1d,
     ordered_sum,
     _axis_block,
-    _compile_c_core,
     _load_c_core,
     _PyFieldCore,
 )
@@ -531,16 +530,22 @@ class TestCCoreLoader:
             "-ffp-contract=off"
         )
 
-    @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
-    def test_source_compiles_without_warnings(self, tmp_path):
+    @pytest.mark.skipif(
+        not sysconfig.get_config_var("LDSHARED") or shutil.which(SYSCONFIG_CC) is None,
+        reason="the interpreter names no LDSHARED, or its compiler is missing",
+    )
+    def test_source_compiles_without_warnings(self, tmp_path, monkeypatch):
         # the loader's own recipe, warnings as errors; -Wall reports an unused
         # static function, so no deletion can leave dead C behind.  A failed
-        # build raises ImportError with the compiler's messages.
-        source = os.path.join(os.path.dirname(stepplace.__file__), "_fieldcore.c")
+        # build warns with the compiler's messages, here raised as an error.
+        monkeypatch.delitem(sys.modules, "stepplace._fieldcore", raising=False)
         ldshared = shlex.split(sysconfig.get_config_var("LDSHARED"))
-        _compile_c_core(
-            source, str(tmp_path / "fieldcore.so"), [*ldshared, "-Wall", "-Werror"]
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            core = _load_c_core(str(tmp_path), [*ldshared, "-Wall", "-Werror"])
+        assert sorted(n for n in vars(core) if not n.startswith("_")) == [
+            "FieldCore", "PlacementStore", "score_candidate"
+        ]
 
     @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
     def test_module_beside_the_source_is_not_loaded(self, tmp_path):
