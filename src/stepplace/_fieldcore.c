@@ -11,7 +11,8 @@
  * Once the scale falls below FOLD_BELOW it is folded into every coefficient
  * and reset to 1, an O(n*m) step that a decay of 0.995 per inflate takes
  * once in 4425 inflates, or that an increase takes first where its value
- * over the scale would overflow.
+ * over the scale exceeds FOLD_ABOVE, so that no stored coefficient and no
+ * read overflows where the field's values do not.
  *
  * Single writer: increase/inflate require exclusive access; cost leaves the
  * coefficients unchanged but records last_touched, so concurrent readers are
@@ -23,9 +24,10 @@
  * boxes near it.  A round commits its move to it in one call.  The module
  * function score_candidate scores one candidate move of the placer straight
  * from a store (field sum, net terms, overlap penalty against the other
- * footprints, and blockage term).  Both do the float operations of the
- * placer's Python reference in its order, so they return its bits (build
- * with -ffp-contract=off so no multiply-add is fused).
+ * footprints, and blockage term), and move_macro draws one proposal of a
+ * round from its rng.  All three do the float operations of the placer's
+ * Python reference in its order, so they return its bits (build with
+ * -ffp-contract=off so no multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -35,6 +37,19 @@
 
 #define MAX_AXIS_COMPONENTS 64 /* 2*exponent + 1; exponents are capped well below */
 #define FOLD_BELOW 0x1p-32     /* smallest scale kept apart from the coefficients */
+/* Largest |value / scale| an increase stores while the scale is below 1;
+ * above it the scale is folded in first.  An increase adds at most
+ * |value / scale| to a stored coefficient (each axis factor, inner product
+ * times reciprocal squared norm, is at most 1).  Until the next fold the
+ * stored constant coefficient grows through inflates by at most
+ * 1 / FOLD_BELOW = 2^32.  A read multiplies the stored coefficients by inner
+ * products whose magnitudes sum to below 2^31 per axis (exponent p < 30:
+ * t - s <= 2^p for the all-ones element, at most two block elements of at
+ * most 2^a at each level a < p), so below 2^62 in all.  So what k
+ * increments since the last fold add to a read (beside the field's own
+ * values at that fold) stays below k * 2^(800 + 32 + 62), which is finite
+ * for every k below 2^129. */
+#define FOLD_ABOVE 0x1p800
 
 typedef struct {
     PyObject_HEAD
@@ -134,10 +149,10 @@ FieldCore_increase(FieldCore *self, PyObject *args)
     int ky = axis_components(b1, b2, self->q, self->m, iy, sy, ny);
 
     /* expansion coefficients take the projection: inner product over the
-     * element's squared norm; a value the scale would overflow takes the
+     * element's squared norm; a value too large over the scale takes the
      * scale folded in first */
     double v = value / self->scale;
-    if (!isfinite(v) && isfinite(value)) {
+    if (self->scale < 1.0 && fabs(v) > FOLD_ABOVE) {
         fold_scale(self, self->scale);
         v = value / self->scale;
     }
@@ -1250,6 +1265,106 @@ done:
     return result;
 }
 
+/* The names move_macro looks up and the 0.5 its coins compare with, made
+ * once at module init. */
+static PyObject *str_random, *str_x_min, *str_x_max, *str_y_min, *str_y_max, *one_half;
+
+/* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
+static int
+coin(PyObject *draw)
+{
+    if (PyFloat_CheckExact(draw))
+        return PyFloat_AS_DOUBLE(draw) < 0.5;
+    return PyObject_RichCompareBool(draw, one_half, Py_LT);
+}
+
+/* obj as a double; -1 with an exception set. */
+static int
+to_double(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* placer.gamma(span, u) into *out; u is read only where span >= 1, and an
+ * exp that overflows raises OverflowError, as math.exp does.  -1 with an
+ * exception set. */
+static int
+gamma_jump(double span, PyObject *u_obj, double *out)
+{
+    if (span < 1.0) {
+        *out = 0.0;
+        return 0;
+    }
+    double u;
+    if (to_double(u_obj, &u) < 0)
+        return -1;
+    double e = log(span) * u;
+    *out = exp(e);
+    if (isinf(*out) && isfinite(e)) {
+        PyErr_SetString(PyExc_OverflowError, "math range error");
+        return -1;
+    }
+    return 0;
+}
+
+/* A bounds attribute as a double; -1 with an exception set. */
+static int
+bound(PyObject *bounds, PyObject *name, double *out)
+{
+    PyObject *v = PyObject_GetAttr(bounds, name);
+    if (v == NULL)
+        return -1;
+    int r = to_double(v, out);
+    Py_DECREF(v);
+    return r;
+}
+
+/* stepplace.placer.py_move_macro: the same four rng.random() draws in its
+ * order, and the same float operations. */
+static PyObject *
+move_macro(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "move_macro expected 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *pos = PySequence_Tuple(args[0]), *draw[4] = {NULL, NULL, NULL, NULL};
+    PyObject *result = NULL;
+    if (pos == NULL)
+        return NULL;
+    if (PyTuple_GET_SIZE(pos) != 2) {
+        PyErr_Format(PyExc_ValueError, "pos must hold 2 values, got %zd",
+                     PyTuple_GET_SIZE(pos));
+        goto done;
+    }
+    /* direction x, direction y, jump x, jump y */
+    for (int k = 0; k < 4; k++)
+        if ((draw[k] = PyObject_CallMethodNoArgs(args[2], str_random)) == NULL)
+            goto done;
+    int a = coin(draw[0]);
+    int b = a < 0 ? -1 : coin(draw[1]);
+    if (b < 0)
+        goto done;
+    double x, y, x_min, x_max, y_min, y_max, gx, gy;
+    if (to_double(PyTuple_GET_ITEM(pos, 0), &x) < 0
+        || to_double(PyTuple_GET_ITEM(pos, 1), &y) < 0
+        || bound(args[1], str_x_min, &x_min) < 0
+        || bound(args[1], str_x_max, &x_max) < 0 || bound(args[1], str_y_min, &y_min) < 0
+        || bound(args[1], str_y_max, &y_max) < 0
+        || gamma_jump(a ? x - x_min + 1.0 : x_max - x, draw[2], &gx) < 0
+        || gamma_jump(b ? y - y_min + 1.0 : y_max - y, draw[3], &gy) < 0)
+        goto done;
+    double x_new = a ? x - gx : x + gx, y_new = b ? y - gy : y + gy;
+    result = Py_BuildValue("(dd)", py_min(py_max(x_new, x_min), x_max),
+                           py_min(py_max(y_new, y_min), y_max));
+done:
+    for (int k = 0; k < 4; k++)
+        Py_XDECREF(draw[k]);
+    Py_DECREF(pos);
+    return result;
+}
+
 static PyMethodDef fieldcore_functions[] = {
     {"score_candidate", (PyCFunction)(void (*)(void))score_candidate, METH_FASTCALL,
      "score_candidate(core, store, i, x, y, beta, factor, blockages, weight) -> float\n\n"
@@ -1260,6 +1375,13 @@ static PyMethodDef fieldcore_functions[] = {
      "against every other footprint of the store, plus weight times the\n"
      "overlap area with each box of blockages (x1, y1, x2, y2 each); see\n"
      "stepplace.placer.py_candidate_score."},
+    {"move_macro", (PyCFunction)(void (*)(void))move_macro, METH_FASTCALL,
+     "move_macro(pos, bounds, rng) -> (x, y)\n\n"
+     "A proposal around pos: per axis a coin picks the direction, the jump\n"
+     "is log-uniform over the span to the bound on that side, and the\n"
+     "result is clamped into bounds (x_min, x_max, y_min, y_max).  Draws\n"
+     "rng.random() four times: direction x, direction y, jump x, jump y; see\n"
+     "stepplace.placer.py_move_macro."},
     {NULL}
 };
 
@@ -1274,6 +1396,16 @@ static PyModuleDef fieldcoremodule = {
 PyMODINIT_FUNC
 PyInit__fieldcore(void)
 {
+    if (str_random == NULL
+        && ((str_random = PyUnicode_InternFromString("random")) == NULL
+            || (str_x_min = PyUnicode_InternFromString("x_min")) == NULL
+            || (str_x_max = PyUnicode_InternFromString("x_max")) == NULL
+            || (str_y_min = PyUnicode_InternFromString("y_min")) == NULL
+            || (str_y_max = PyUnicode_InternFromString("y_max")) == NULL
+            || (one_half = PyFloat_FromDouble(0.5)) == NULL)) {
+        Py_CLEAR(str_random);
+        return NULL;
+    }
     PyObject *mod = PyModule_Create(&fieldcoremodule);
     if (mod == NULL)
         return NULL;

@@ -26,12 +26,17 @@ index: each macro's center, half-sizes and footprint, the nets with their
 bounding-box lengths and the live overlap pairs with their areas.  On the C
 field core it is the C core's ``PlacementStore``, else a
 :class:`PlacementStore`, its Python reference, which answers with the same
-bits.  A candidate is scored straight from the store, on the C field core in
-one C call; a round's commit is one ``move`` on it, which returns the grid
+bits.  A candidate is scored straight from the store, on a C store in one C
+call; a round's commit is one ``move`` on it, which returns the grid
 rectangles the field then grows under, and the statistics row takes both
 its totals from it.  Footprints sit in a spatial index, so the penalty and
-the overlap update test a footprint only against the macros near it.  Runs
-are deterministic for a given seed.
+the overlap update test a footprint only against the macros near it.
+
+Where the C core loaded, each proposal is one call of its ``move_macro``,
+which draws from the round's rng as :func:`py_move_macro` does and returns
+the same bits.  A round evaluates its schedules (delta, beta and w) once,
+for its scoring context, its field growth and its statistics row.  Runs are
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from stepplace.stepfield import (
     CostField,
     CPlacementStore,
     GridRect,
+    c_move_macro,
     c_score_candidate,
     ordered_sum,
 )
@@ -93,7 +99,8 @@ class PlacerConfig:
 
     ``delta_growth``/``w_growth`` default to the per-round factor that
     multiplies the respective schedule by 1000 over the whole run.  The
-    ``model_switch_round`` defaults to 80% of ``max_rounds``; rounds at or
+    attribute ``switch_round``, set at construction, is
+    ``model_switch_round``, by default 80% of ``max_rounds``; rounds at or
     after it score with the exact bounding-box model instead of the smoothed
     one.  Integer fields take ``int`` only (no ``bool`` or ``float``), the
     others any finite ``int`` or ``float``; violations raise ``ValueError``
@@ -151,12 +158,20 @@ class PlacerConfig:
             raise ValueError("blockage_weight must be >= 0")
         if self.model_switch_round is not None and self.model_switch_round < 1:
             raise ValueError("model_switch_round must be >= 1")
-        # the default growth, once: the schedules are read several times a
-        # round (an attribute, not a field: fields() and eq are unchanged)
+        # the default growth and the switch round, once: the schedules are
+        # read every round (attributes, not fields: fields() and eq are
+        # unchanged)
         object.__setattr__(
             self,
             "_growth",
             1000.0 if self.max_rounds <= 1 else 1000.0 ** (1.0 / self.max_rounds),
+        )
+        object.__setattr__(
+            self,
+            "switch_round",
+            self.model_switch_round
+            if self.model_switch_round is not None
+            else max(1, int(round(0.8 * self.max_rounds))),
         )
         last = max(self.max_rounds - 1, 0)
         if not math.isfinite(self.penalty_c * self.delta_at(last)):
@@ -181,13 +196,6 @@ class PlacerConfig:
     def w_at(self, rnd: int) -> float:
         """Field increment for a 0-based round."""
         return self._grown(self.w0, self.w_growth, rnd)
-
-    @property
-    def switch_round(self) -> int:
-        """First 1-based round scored with the exact bounding-box model."""
-        if self.model_switch_round is not None:
-            return self.model_switch_round
-        return max(1, int(round(0.8 * self.max_rounds)))
 
 
 @dataclass(frozen=True)
@@ -414,7 +422,7 @@ def gamma(span: float, u: float) -> float:
     return math.exp(math.log(span) * u)
 
 
-def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
+def py_move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
     """Propose a new position around ``pos``.
 
     Per axis a fair coin picks the direction; the jump length is log-uniform
@@ -422,6 +430,10 @@ def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
     measured to the bound, plus one unit so a minimal jump stays possible).
     Consumes exactly four rng draws: direction x, direction y, jump x, jump y.
     The result is clamped into ``bounds``.
+
+    :func:`move_macro` is the C core's twin of this function where the C
+    core loaded, which draws the same and returns the same bits; else it is
+    this function.
     """
     x, y = pos
     a = 1 if rng.random() < 0.5 else -1
@@ -440,6 +452,9 @@ def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
         min(max(x_new, bounds.x_min), bounds.x_max),
         min(max(y_new, bounds.y_min), bounds.y_max),
     )
+
+
+move_macro = py_move_macro if c_move_macro is None else c_move_macro
 
 
 def penalty(
@@ -467,35 +482,55 @@ def penalty(
     return config.penalty_c * config.delta_at(step) * total_circ
 
 
-def _round_beta(rnd: int, config: PlacerConfig) -> float | None:
-    """Net-model sharpness for a 1-based round (see :func:`model_length`):
-    the beta schedule before the switch round, None (exact bounding box) at
-    and after it."""
-    if rnd >= config.switch_round:
-        return None
-    return beta_schedule(rnd, config.max_rounds)
+def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
+    """The ``delta``, ``beta`` and ``w`` of the 1-based round ``rnd``: its
+    penalty multiplier and field increment (:meth:`PlacerConfig.delta_at`
+    and :meth:`PlacerConfig.w_at` of step ``rnd - 1``) and its net-model
+    sharpness (:func:`beta_schedule`).  Round 0, the statistics row of the
+    initial state, takes step 0 and beta 1."""
+    if not rnd:
+        return config.delta_at(0), 1.0, config.w_at(0)
+    step = rnd - 1
+    return (
+        config.delta_at(step),
+        beta_schedule(rnd, config.max_rounds),
+        config.w_at(step),
+    )
 
 
 class ScoreContext(NamedTuple):
     """What the candidates of one round share: the round's net-model
-    sharpness (see :func:`model_length`), the moving macro's index in
-    ``macro_order``, under which the state's store keeps it, and the round's
-    penalty factor (``penalty_c`` times the round's
-    :meth:`PlacerConfig.delta_at`)."""
+    sharpness (see :func:`model_length`: the round's beta before
+    ``switch_round``, None for the exact bounding box from it on), the
+    moving macro's index in ``macro_order``, under which the state's store
+    keeps it, and the round's penalty factor (``penalty_c`` times the
+    round's delta)."""
 
     beta: float | None
     index: int
     penalty_factor: float
+
+    @classmethod
+    def of_round(
+        cls, rnd: int, index: int, delta: float, beta: float, config: PlacerConfig
+    ) -> ScoreContext:
+        """The context of moving macro ``index`` in the 1-based round
+        ``rnd``, whose :func:`_schedules` give ``delta`` and ``beta``."""
+        return cls(
+            None if rnd >= config.switch_round else beta,
+            index,
+            config.penalty_c * delta,
+        )
 
 
 def score_context(
     macro: Macro, state: PlacerState, config: PlacerConfig
 ) -> ScoreContext:
     """The :class:`ScoreContext` of moving ``macro`` in the current round."""
-    return ScoreContext(
-        _round_beta(state.round + 1, config),
-        bisect_left(state.macro_order, macro.id),
-        config.penalty_c * config.delta_at(state.round),
+    rnd = state.round + 1
+    delta, beta, _ = _schedules(rnd, config)
+    return ScoreContext.of_round(
+        rnd, bisect_left(state.macro_order, macro.id), delta, beta, config
     )
 
 
@@ -510,15 +545,17 @@ def candidate_score(
     of the snapped footprint, plus the lengths of the macro's nets, plus the
     overlap penalty, plus the weighted blockage overlap area.
 
-    ``ctx`` is the round's :func:`score_context`.  On the C field core the
-    score is one call of its ``score_candidate`` kernel on the state's
-    store, else :func:`py_candidate_score`; both return the same float."""
-    fld = state.field
-    if fld.backend != "c":
+    ``ctx`` is the round's :func:`score_context`.  On a C placement store
+    the score is one call of the C core's ``score_candidate`` kernel, which
+    wants a C field core too (else ``TypeError``), on a
+    :class:`PlacementStore` it is :func:`py_candidate_score`; both return
+    the same float."""
+    store = state.store
+    if type(store) is not CPlacementStore:
         return py_candidate_score(macro, pos, state, config, ctx)
     x, y = pos
     return c_score_candidate(
-        fld.core, state.store, ctx.index, x, y, ctx.beta, ctx.penalty_factor,
+        state.field.core, store, ctx.index, x, y, ctx.beta, ctx.penalty_factor,
         state.blockage_boxes, config.blockage_weight,
     )
 
@@ -621,17 +658,7 @@ def new_state(
 def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     """Statistics of the state as it stands after ``state.round`` rounds."""
     rnd = state.round
-    beta = beta_schedule(rnd, config.max_rounds) if rnd else 1.0
-    step = max(0, rnd - 1)
-    netlength_bb, overlap_area = state.store.totals()
-    return RoundStats(
-        round=rnd,
-        netlength_bb=netlength_bb,
-        overlap_area=overlap_area,
-        delta=config.delta_at(step),
-        beta=beta,
-        w=config.w_at(step),
-    )
+    return RoundStats(rnd, *state.store.totals(), *_schedules(rnd, config))
 
 
 def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
@@ -644,43 +671,50 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     The candidates' scores and the winner's index are left on
     ``state.last_scores`` and ``state.last_choice``.  The config must be the
     one the state was created with.  A score that is not finite (the field or
-    the penalty overflowed) raises ``ValueError`` before anything moves.
+    the penalty overflowed) raises ``ValueError`` before anything moves, as
+    does a state whose field and placement store are of different cores.
     """
-    if state.round >= config.max_rounds:
+    rnd = state.round + 1
+    if rnd > config.max_rounds:
         raise ValueError("all configured rounds already executed")
-    if (config.grid_p, config.grid_q) != (state.field.p, state.field.q):
+    fld, store = state.field, state.store
+    if fld.p != config.grid_p or fld.q != config.grid_q:
         raise ValueError("config grid exponents differ from the state's field")
+    if (fld.backend == "c") != (type(store) is CPlacementStore):
+        raise ValueError(
+            f"the state's field runs on the {fld.backend!r} core but its "
+            f"placement store is a {type(store).__module__}.PlacementStore"
+        )
     rng = state.rng
     mi = rng.randrange(len(state.macro_order))
     mid = state.macro_order[mi]
     macro = state.netlist.by_id[mid]
     x0 = state.placement[mid]
+    bounds = state.bounds[mid]
     candidates = [x0]
     for _ in range(config.candidates_per_round):
-        candidates.append(move_macro(x0, state.bounds[mid], rng))
-    ctx = score_context(macro, state, config)
+        candidates.append(move_macro(x0, bounds, rng))
+    delta, beta, w = _schedules(rnd, config)
+    ctx = ScoreContext.of_round(rnd, mi, delta, beta, config)
     scores = [candidate_score(macro, c, state, config, ctx) for c in candidates]
     if not all(map(math.isfinite, scores)):
         raise ValueError(
-            f"round {state.round + 1}: a candidate score is not finite; "
+            f"round {rnd}: a candidate score is not finite; "
             "lower w0, w_growth, penalty_c or delta0"
         )
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] < scores[best]:
-            best = i
+    # the first lowest score: ties go to the lowest index
+    best = scores.index(min(scores))
     chosen = candidates[best]
 
     state.placement[mid] = chosen
-    w = config.w_at(state.round)
-    for rect in state.store.move(mi, *chosen):
-        state.field.increase(rect, w)
-    state.field.inflate(config.inflation_rho)
+    for rect in store.move(mi, *chosen):
+        fld.increase(rect, w)
+    fld.inflate(config.inflation_rho)
 
-    state.round += 1
+    state.round = rnd
     state.last_scores = scores
     state.last_choice = best
-    return stats_row(state, config)
+    return RoundStats(rnd, *store.totals(), delta, beta, w)
 
 
 def run_placer(

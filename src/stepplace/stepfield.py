@@ -138,6 +138,11 @@ _CFieldCore = getattr(_c_module, "FieldCore", None)
 #: None without the C core.
 c_score_candidate = getattr(_c_module, "score_candidate", None)
 
+#: The C core's ``move_macro``, which draws and returns the proposals of
+#: :func:`stepplace.placer.py_move_macro` with the same bits, or None without
+#: the C core.
+c_move_macro = getattr(_c_module, "move_macro", None)
+
 #: The C core's ``PlacementStore``, which answers as
 #: :class:`stepplace.placer.PlacementStore` does, bit for bit.  None without
 #: the C core.
@@ -254,6 +259,12 @@ def _axis_block(s: int, t: int, p: int) -> tuple[tuple, tuple, tuple]:
 #: ``inflate`` folds the scale into every coefficient.
 FOLD_BELOW = 2.0**-32
 
+#: Largest ``|value / scale|`` an ``increase`` stores while the scale is below
+#: 1; above it the scale is folded in first, so that neither the stored
+#: coefficients nor a read overflow where the field's values do not (the
+#: bound is derived beside the C core's ``FOLD_ABOVE``).
+FOLD_ABOVE = 2.0**800
+
 
 class _PyFieldCore:
     """Python core with the same interface as the C core, doing the same
@@ -294,8 +305,8 @@ class _PyFieldCore:
     def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
         (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
         v = value / self._scale
-        if not math.isfinite(v) and math.isfinite(value):
-            # a value the scale would overflow takes the scale folded in first
+        if self._scale < 1.0 and abs(v) > FOLD_ABOVE:
+            # a value too large over the scale takes the scale folded in first
             self._fold(self._scale)
             v = value / self._scale
         coef, m = self._coef, self.m
@@ -373,8 +384,8 @@ class CostField:
 
     def increase(self, rect: GridRect, value: float) -> None:
         """Add ``value`` to every cell of ``rect``.  Where ``value`` over the
-        global scale would overflow, the scale is folded into every
-        coefficient first, in O(n*m)."""
+        global scale exceeds :data:`FOLD_ABOVE`, the scale is folded into
+        every coefficient first, in O(n*m)."""
         if not math.isfinite(value):
             raise ValueError("increase value must be finite")
         self.core.increase(*rect, value)

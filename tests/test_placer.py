@@ -247,16 +247,43 @@ class TestGamma:
         assert 1.0 <= g <= span * (1 + 1e-12)
 
 
+class FixedRng:
+    """Returns the given draws in order from ``random()``."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+needs_c_move = pytest.mark.skipif(stepfield.c_move_macro is None, reason="C core not built")
+
+
+def both_moves(pos, bounds, make_rng):
+    """``py_move_macro`` and the C core's ``move_macro`` on an rng each from
+    ``make_rng()``: per function its result as float hex strings, or the type
+    of what it raised, with the rng's state after the call."""
+    out = []
+    for fn in (placer.py_move_macro, stepfield.c_move_macro):
+        rng = make_rng()
+        try:
+            got = tuple(float.hex(v) for v in fn(pos, bounds, rng))
+        except Exception as exc:  # the type is compared
+            got = type(exc)
+        out.append((got, rng.getstate() if hasattr(rng, "getstate") else rng.draws))
+    return out
+
+
+# direction draws, just below and at the coin's edge, ints, and NaN; jump
+# draws, also beyond [0, 1] (random.Random draws the uniforms in between)
+COIN_DRAWS = [0, 1, 0.0, math.nextafter(0.5, 0.0), 0.5, 0.25, 0.75, math.nan]
+JUMP_DRAWS = [0, 1, 0.0, 1.0, math.nextafter(1.0, 0.0), 0.5, math.nan, -3.5, 7.0]
+
+
 class TestMoveMacro:
     def test_no_room_rightward_stays(self):
         b = MacroBounds(1.0, 9.0, 1.0, 9.0)
-
-        class FixedRng:
-            def __init__(self, draws):
-                self.draws = list(draws)
-
-            def random(self):
-                return self.draws.pop(0)
 
         # a=-1 (rightward) at x=x_max: span 0 -> gamma 0 -> no x move
         rng = FixedRng([0.9, 0.9, 0.5, 0.5])
@@ -265,14 +292,6 @@ class TestMoveMacro:
 
     def test_unit_left_jump_for_u_zero(self):
         b = MacroBounds(1.0, 9.0, 1.0, 9.0)
-
-        class FixedRng:
-            def __init__(self, draws):
-                self.draws = list(draws)
-
-            def random(self):
-                return self.draws.pop(0)
-
         rng = FixedRng([0.1, 0.1, 0.0, 0.0])  # a=1, b=1, u=0 twice
         x, y = move_macro((5.0, 5.0), b, rng)
         assert (x, y) == (4.0, 4.0)
@@ -292,6 +311,86 @@ class TestMoveMacro:
             (4.808698155305271, 1.0),
             (6.38023858219465, 1.0),
         ]
+
+    @needs_c_move
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x_min=st.floats(-1e6, 1e6),
+        y_min=st.floats(-1e6, 1e6),
+        # spans below 1 leave no room to jump
+        spans=st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e6))] * 2),
+        # where the macro sits in its bounds, up to 2 units beyond them
+        at=st.tuples(*[st.floats(-2.0, 3.0)] * 2),
+        seed=st.one_of(st.none(), st.integers(0, 2**64)),
+        draws=st.tuples(
+            st.sampled_from(COIN_DRAWS),
+            st.sampled_from(COIN_DRAWS),
+            st.sampled_from(JUMP_DRAWS),
+            st.sampled_from(JUMP_DRAWS),
+        ),
+    )
+    # proposals clamped to the lower bounds (a jump one unit past them) and
+    # to the upper ones (from beyond them, with no room to jump)
+    @example(x_min=2.0, y_min=2.0, spans=(6.0, 6.0), at=(0.0, 0.0), seed=None,
+             draws=(0.1, 0.1, 1.0, 1.0))
+    @example(x_min=2.0, y_min=2.0, spans=(6.0, 6.0), at=(1.5, 1.5), seed=None,
+             draws=(0.9, 0.9, 0.5, 0.5))
+    # a NaN jump with room to jump: the clamp keeps the NaN, as max and min do
+    @example(x_min=2.0, y_min=2.0, spans=(6.0, 6.0), at=(0.5, 0.5), seed=None,
+             draws=(0.1, 0.9, math.nan, math.nan))
+    def test_c_twin_draws_and_returns_the_same_bits(
+        self, x_min, y_min, spans, at, seed, draws
+    ):
+        b = MacroBounds(x_min, x_min + spans[0], y_min, y_min + spans[1])
+        pos = (x_min + at[0] * spans[0], y_min + at[1] * spans[1])
+        if seed is None:
+            py, c = both_moves(pos, b, lambda: FixedRng(draws))
+        else:
+            py, c = both_moves(pos, b, lambda: random.Random(seed))
+        assert c == py
+        assert isinstance(c[0], tuple)
+
+    @needs_c_move
+    def test_c_twin_lands_on_each_bound(self):
+        # the two clamping examples above, landing on all four bounds
+        b = MacroBounds(2.0, 8.0, 2.0, 8.0)
+        for pos, draws, want in [
+            ((2.0, 2.0), (0.1, 0.1, 1.0, 1.0), (2.0, 2.0)),
+            ((11.0, 11.0), (0.9, 0.9, 0.5, 0.5), (8.0, 8.0)),
+        ]:
+            py, c = both_moves(pos, b, lambda: FixedRng(draws))
+            assert c == py
+            assert tuple(map(float.fromhex, c[0])) == want
+
+    @needs_c_move
+    def test_c_twin_raises_as_the_reference(self):
+        b = MacroBounds(0.0, 2000.0, 0.0, 2000.0)
+
+        class Boom(FixedRng):
+            def random(self):
+                if len(self.draws) == 2:
+                    raise RuntimeError("rng failed")
+                return super().random()
+
+        # the third draw raises; a jump draw far above 1 over a span of 1001
+        # overflows exp, as math.exp raises
+        for make, error in [
+            (lambda: Boom([0.1, 0.1, 0.5, 0.5]), RuntimeError),
+            (lambda: FixedRng([0.1, 0.1, 1e6, 0.5]), OverflowError),
+            (lambda: FixedRng([0.9, 0.9, 0.5, 1e6]), OverflowError),
+            (lambda: FixedRng([0.1, 0.1, "u", 0.5]), TypeError),
+        ]:
+            py, c = both_moves((1000.0, 1000.0), b, make)
+            assert c == py and c[0] is error
+        for pos in [(1.0,), (1.0, 2.0, 3.0)]:
+            py, c = both_moves(pos, b, lambda: FixedRng([0.1] * 4))
+            assert c == py and c[0] is ValueError
+        with pytest.raises(TypeError, match="3 arguments"):
+            stepfield.c_move_macro((1.0, 1.0), b)
+
+    def test_move_macro_is_the_c_twin_where_the_core_loaded(self):
+        want = stepfield.c_move_macro or placer.py_move_macro
+        assert move_macro is want
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
@@ -1291,6 +1390,59 @@ class TestBackendsAndSwitch:
         )
         placement, trace = run_placer(nl, area, cfg)
         assert len(trace) == 31
+
+    def test_round_row_is_the_stats_row(self, backend, monkeypatch):
+        # round_step builds its row from the schedules it scored with; it
+        # equals stats_row's, field by field, on every round, among them
+        # the first, those around the switch round and the last, and the
+        # round's context agrees with it
+        nl, area = tiny_instance(3)
+        cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=2)
+        state = state_on(backend, nl, area, cfg)
+        assert 1 < cfg.switch_round - 1 < cfg.switch_round < cfg.max_rounds
+        seen = []
+        score = placer.candidate_score
+
+        def recording(macro, pos, state, config, ctx):
+            seen.append((macro.id, ctx))
+            return score(macro, pos, state, config, ctx)
+
+        monkeypatch.setattr(placer, "candidate_score", recording)
+        for _ in range(cfg.max_rounds):
+            seen.clear()
+            row = round_step(state, cfg)
+            want = stats_row(state, cfg)
+            assert [exact(v) for v in row] == [exact(v) for v in want]
+            assert row.round == state.round
+            (mid, ctx), = set(seen)
+            assert ctx == (
+                None if row.round >= cfg.switch_round else row.beta,
+                state.macro_order.index(mid),
+                cfg.penalty_c * row.delta,
+            )
+        assert state.round == cfg.max_rounds
+
+    @needs_c_score
+    def test_mixed_cores_rejected(self):
+        # a field of one core with the placement store of the other
+        nl, area = tiny_instance(16)
+        cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
+        states = {b: state_on(b, nl, area, cfg) for b in ("c", "py")}
+        fields_ = {b: s.field for b, s in states.items()}
+        macro = nl.by_id[states["c"].macro_order[0]]
+        for backend, other in (("c", "py"), ("py", "c")):
+            state = states[backend]
+            state.field = fields_[other]
+            before = dict(state.placement)
+            with pytest.raises(
+                ValueError, match=f"field runs on the '{other}' core but its placement store"
+            ):
+                round_step(state, cfg)
+            assert state.round == 0 and state.placement == before
+        # scoring a C store takes the C field core
+        state = states["c"]
+        with pytest.raises(TypeError, match="core must be a FieldCore"):
+            candidate_score(macro, (1.0, 1.0), state, cfg, score_context(macro, state, cfg))
 
     def test_mismatched_config_grid_rejected(self):
         nl, area = tiny_instance(14)

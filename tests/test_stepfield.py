@@ -32,6 +32,7 @@ from stepplace.stepfield import (
     HAVE_C_CORE,
     MAX_GRID_EXPONENT,
     BasisIndex,
+    FOLD_ABOVE,
     CostField,
     GridRect,
     blocks_at_level,
@@ -400,6 +401,40 @@ class TestCostField:
             assert math.isfinite(got[-1]) and got[-1] == pytest.approx(1e300)
         assert got[0].hex() == got[1].hex()
 
+    def test_increase_folds_before_the_stored_coefficients_overflow(self):
+        # after 27 halvings 1e300 over the scale is finite, but two such
+        # increases of one cell sum past the float range; the scale is
+        # folded in first, so the cell reads the 2e300 it holds
+        pytest.importorskip("stepplace._fieldcore")
+        got = []
+        for backend in ("c", "py"):
+            f = CostField(2, 2, backend=backend)
+            f.increase(GridRect(1, 1, 4, 4), 3.0)
+            for _ in range(27):
+                f.inflate(0.5)
+            f.increase(GridRect(0, 0, 1, 1), 1e300)
+            f.increase(GridRect(0, 0, 1, 1), 1e300)
+            got.append([f.cost(GridRect(0, 0, 1, 1)), f.cost(GridRect(0, 0, 4, 4))])
+            assert got[-1][0] == pytest.approx(2e300)
+            assert got[-1][1] == pytest.approx(2e300 + 27.0)
+        assert [v.hex() for v in got[0]] == [v.hex() for v in got[1]]
+
+    def test_fold_above_is_the_threshold(self):
+        # over a scale of 0.5, FOLD_ABOVE / 2 is stored as is and the next
+        # float up folds the scale in first, on both cores alike
+        pytest.importorskip("stepplace._fieldcore")
+        edge = FOLD_ABOVE / 2
+        for value, scale in ((edge, 0.5), (math.nextafter(edge, math.inf), 1.0)):
+            coefs = []
+            for backend in ("c", "py"):
+                f = CostField(2, 2, backend=backend)
+                f.increase(GridRect(1, 0, 3, 2), 3.0)
+                f.inflate(0.5)
+                f.increase(GridRect(0, 0, 1, 1), value)
+                coefs.append([f.core.coefficient(i, j).hex() for i in range(4) for j in range(4)])
+            assert f.core._scale == scale
+            assert coefs[0] == coefs[1]
+
     def test_inflate_bad_rho(self, backend):
         f = CostField(2, 2, backend=backend)
         for rho in (0.0, -0.5, 1.5):
@@ -544,7 +579,7 @@ class TestCCoreLoader:
             warnings.simplefilter("error", RuntimeWarning)
             core = _load_c_core(str(tmp_path), [*ldshared, "-Wall", "-Werror"])
         assert sorted(n for n in vars(core) if not n.startswith("_")) == [
-            "FieldCore", "PlacementStore", "score_candidate"
+            "FieldCore", "PlacementStore", "move_macro", "score_candidate"
         ]
 
     @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
