@@ -21,13 +21,14 @@
  * PlacementStore is the placer's placement: centers, half-sizes, nets, net
  * boxes, live overlap pairs and footprints, the footprints bucketed in a
  * grid of cells (a FootprintIndex) so that an overlap query tests only the
- * boxes near it.  A round commits its move to it in one call.  The module
- * function score_candidate scores one candidate move of the placer straight
- * from a store (field sum, net terms, overlap penalty against the other
- * footprints, and blockage term), and move_macro draws one proposal of a
- * round from its rng.  All three do the float operations of the placer's
- * Python reference in its order, so they return its bits (build with
- * -ffp-contract=off so no multiply-add is fused).
+ * boxes near it.  It is built on the cost field it scores against and holds
+ * the area's keep-outs with their weight, so its score method scores one
+ * candidate move of the placer from what it holds (field sum, net terms,
+ * overlap penalty against the other footprints, and keep-out term).  A
+ * round commits its move to it in one call.  The module function move_macro
+ * draws one proposal of a round from its rng.  Both do the float operations
+ * of the placer's Python reference in its order, so they return its bits
+ * (build with -ffp-contract=off so no multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -407,22 +408,6 @@ net_length(NetPins p, PyObject *beta_obj, double beta, double *out)
     return 0;
 }
 
-/* Acquire obj as a C-contiguous buffer of doubles, or raise TypeError naming
- * `what`; on success the caller releases the view. */
-static int
-get_doubles(PyObject *obj, Py_buffer *view, const char *what)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    if (view->itemsize != sizeof(double) || view->format == NULL
-        || strcmp(view->format, "d") != 0) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_TypeError, "%s must be a buffer of doubles", what);
-        return -1;
-    }
-    return 0;
-}
-
 /* Python's max(a, b) and min(a, b): the first argument unless the second is
  * strictly beyond it (this decides which zero a tie of 0.0 and -0.0 keeps) */
 static inline double
@@ -659,17 +644,21 @@ snap_box(const double *box, double width, double height, Py_ssize_t n, Py_ssize_
 }
 
 /* The placer's placement, as stepplace.placer.PlacementStore keeps it in
- * Python: each macro's center, half-sizes and footprint, the nets as index
+ * Python: the cost field it scores against, the area's keep-outs with their
+ * weight, each macro's center, half-sizes and footprint, the nets as index
  * arrays with their bounding-box lengths, and the live overlap pairs with
  * their areas in the order the pairs entered. */
 typedef struct {
     PyObject_HEAD
+    PyObject *field;               /* the CostField, and its core */
+    FieldCore *core;
     FootprintIndex index;          /* the footprints, keyed by macro index */
     PyTypeObject *rect_type;       /* the tuple type of move's rectangles */
     Py_ssize_t count;              /* macros */
     double *half, *center;         /* hx, hy and x, y per macro */
     double width, height;
-    Py_ssize_t cells_x, cells_y;   /* the field's grid, for snapping */
+    Py_ssize_t n_blk;              /* keep-outs */
+    double *blk, weight;           /* x1, y1, x2, y2 per keep-out; its weight */
     Py_ssize_t n_nets;
     Py_ssize_t *net_at, *members;  /* net k: members[net_at[k] .. net_at[k + 1]) */
     Py_ssize_t *nets_at, *nets_of; /* macro i: nets_of[nets_at[i] .. nets_at[i + 1]) */
@@ -845,7 +834,10 @@ PlacementStore_dealloc(PlacementStore *self)
     free(self->slot_of);
     free(self->scratch);
     free(self->meets);
+    free(self->blk);
     Py_XDECREF(self->rect_type);
+    Py_XDECREF(self->core);
+    Py_XDECREF(self->field);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -924,20 +916,31 @@ done:
     return ok ? 0 : -1;
 }
 
-/* Copies a buffer of 2 * count doubles; -1 with an exception set. */
+/* Copies obj, a C-contiguous buffer of doubles, `per` to an item, to a new
+ * array *out.  *count is its number of items: where it is -1 the buffer sets
+ * it, else the buffer must hold that many.  -1 with an exception naming
+ * `what` set. */
 static int
-read_xy(PyObject *obj, Py_ssize_t count, double **out, const char *what)
+read_doubles(PyObject *obj, Py_ssize_t per, const char *item, Py_ssize_t *count,
+             double **out, const char *what)
 {
     Py_buffer view;
-    if (get_doubles(obj, &view, what) < 0)
+    if (PyObject_GetBuffer(obj, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
-    int ok = view.len == 2 * count * (Py_ssize_t)sizeof(double);
-    if (!ok)
-        PyErr_Format(PyExc_ValueError, "%s must hold 2 doubles per macro", what);
-    else if ((*out = malloc((size_t)(count ? 2 * count : 1) * sizeof(double))) == NULL)
-        ok = !PyErr_NoMemory();
-    else
+    int ok = 0;
+    Py_ssize_t n = view.len / (Py_ssize_t)sizeof(double);
+    if (view.itemsize != sizeof(double) || view.format == NULL
+        || strcmp(view.format, "d") != 0)
+        PyErr_Format(PyExc_TypeError, "%s must be a buffer of doubles", what);
+    else if (n % per || (*count >= 0 && n != per * *count))
+        PyErr_Format(PyExc_ValueError, "%s must hold %zd doubles per %s", what, per, item);
+    else if ((*out = malloc((size_t)(n ? n : 1) * sizeof(double))) == NULL)
+        PyErr_NoMemory();
+    else {
         memcpy(*out, view.buf, (size_t)view.len);
+        *count = n / per;
+        ok = 1;
+    }
     PyBuffer_Release(&view);
     return ok ? 0 : -1;
 }
@@ -945,14 +948,14 @@ read_xy(PyObject *obj, Py_ssize_t count, double **out, const char *what)
 static PyObject *
 PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"width", "height", "min_cell_x", "min_cell_y", "p", "q",
-                             "halves", "centers", "nets", "rect", NULL};
-    double width, height, min_x, min_y;
-    int p, q;
-    PyObject *halves, *centers, *nets, *rect;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ddddiiOOOO:PlacementStore", kwlist,
-                                     &width, &height, &min_x, &min_y, &p, &q, &halves,
-                                     &centers, &nets, &rect))
+    static char *kwlist[] = {"field", "width", "height", "min_cell_x", "min_cell_y",
+                             "halves", "centers", "nets", "blockages", "blockage_weight",
+                             "rect", NULL};
+    double width, height, min_x, min_y, weight;
+    PyObject *field, *halves, *centers, *nets, *blockages, *rect;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OddddOOOOdO:PlacementStore", kwlist,
+                                     &field, &width, &height, &min_x, &min_y, &halves,
+                                     &centers, &nets, &blockages, &weight, &rect))
         return NULL;
     if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
           && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
@@ -960,30 +963,42 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                         "area sides and cell sizes must be positive and finite");
         return NULL;
     }
-    if (p < 0 || q < 0 || p >= 30 || q >= 30) {
-        PyErr_SetString(PyExc_ValueError, "grid exponents out of range");
-        return NULL;
-    }
     if (!PyType_Check(rect) || !PyType_IsSubtype((PyTypeObject *)rect, &PyTuple_Type)) {
         PyErr_SetString(PyExc_TypeError, "rect must be a subtype of tuple");
         return NULL;
     }
-    Py_buffer view;
-    if (get_doubles(centers, &view, "centers") < 0)
+    PyObject *core = PyObject_GetAttrString(field, "core");
+    if (core == NULL && PyErr_ExceptionMatches(PyExc_AttributeError))
+        PyErr_Clear();
+    if (core == NULL ? !PyErr_Occurred() : !PyObject_TypeCheck(core, &FieldCoreType))
+        PyErr_Format(PyExc_TypeError,
+                     "field must be a CostField on the C core (its core a FieldCore), "
+                     "got %s%.200s", core ? "a field whose core is a " : "",
+                     Py_TYPE(core ? core : field)->tp_name);
+    if (PyErr_Occurred()) {
+        Py_XDECREF(core);
         return NULL;
-    Py_ssize_t count = view.len / (Py_ssize_t)(2 * sizeof(double));
-    PyBuffer_Release(&view);
+    }
 
     PlacementStore *self = (PlacementStore *)type->tp_alloc(type, 0);
-    if (self == NULL)
+    if (self == NULL) {
+        Py_DECREF(core);
         return NULL;
+    }
+    Py_INCREF(field);
+    self->field = field;
+    self->core = (FieldCore *)core;
     Py_INCREF(rect);
     self->rect_type = (PyTypeObject *)rect;
-    self->count = count;
     self->width = width;
     self->height = height;
-    self->cells_x = (Py_ssize_t)1 << p;
-    self->cells_y = (Py_ssize_t)1 << q;
+    self->weight = weight;
+    self->count = self->n_blk = -1;
+    if (read_doubles(centers, 2, "macro", &self->count, &self->center, "centers") < 0
+        || read_doubles(halves, 2, "macro", &self->count, &self->half, "halves") < 0
+        || read_doubles(blockages, 4, "box", &self->n_blk, &self->blk, "blockages") < 0)
+        goto fail;
+    Py_ssize_t count = self->count;
     size_t n = count ? (size_t)count : 1;
     self->partners = calloc(n, sizeof(Bucket));
     self->slot_of = malloc(n * sizeof(Py_ssize_t));
@@ -997,9 +1012,7 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         goto fail;
     for (Py_ssize_t i = 0; i < count; i++)
         self->slot_of[i] = -1;
-    if (read_xy(halves, count, &self->half, "halves") < 0
-        || read_xy(centers, count, &self->center, "centers") < 0
-        || read_nets(self, nets) < 0)
+    if (read_nets(self, nets) < 0)
         goto fail;
     for (Py_ssize_t i = 0; i < count; i++) {
         const double *c = self->center + 2 * i, *h = self->half + 2 * i;
@@ -1051,7 +1064,7 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
     for (Py_ssize_t t = 0; out != NULL && t < n; t++) {
         Py_ssize_t r[4];
         int snapped = snap_box(self->meets + 4 * t, self->width, self->height,
-                               self->cells_x, self->cells_y, r);
+                               self->core->n, self->core->m, r);
         PyObject *rect = NULL;
         if (snapped > 0 && (rect = self->rect_type->tp_alloc(self->rect_type, 4)) != NULL) {
             for (int c = 0; c < 4; c++) {
@@ -1134,7 +1147,90 @@ PlacementStore_pairs(PlacementStore *self, PyObject *unused)
     return out;
 }
 
+/* stepplace.placer.PlacementStore.score, term for term in its order: the
+ * field sum under macro i's footprint at (x, y) snapped to the field's grid,
+ * the lengths of i's nets in net order with its pin at (x, y), the overlap
+ * penalty against every other footprint, in index order, and the weighted
+ * keep-out overlap areas. */
+static PyObject *
+PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "score expected 5 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_ssize_t i = store_key(s, args[0]);
+    if (i < 0)
+        return NULL;
+    double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
+    double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
+    double factor = PyFloat_AsDouble(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (!(isfinite(x) && isfinite(y))) {
+        PyErr_SetString(PyExc_ValueError, "candidate center must be finite");
+        return NULL;
+    }
+
+    const double *h = s->half + 2 * i;
+    const double fx1 = x - h[0], fy1 = y - h[1], fx2 = x + h[0], fy2 = y + h[1];
+    const double fp[4] = {fx1, fy1, fx2, fy2};
+    FieldCore *core = s->core;
+    double score = 0.0;
+    Py_ssize_t r[4];
+    int snapped = snap_box(fp, s->width, s->height, core->n, core->m, r);
+    if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
+        return NULL;
+    if (snapped)
+        score = field_cost(core, r[0], r[1], r[2], r[3]);
+
+    const double at[2] = {x, y};
+    for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
+        double length;
+        if (net_length(net_pins(s, s->nets_of[t], i, at), args[3], beta, &length) < 0)
+            return NULL;
+        score += length;
+    }
+
+    /* placer.penalty: circumference of every positive-area meet, in index
+     * order, so the same floats are added in the same order as by a scan
+     * over every footprint */
+    FootprintIndex *idx = &s->index;
+    Py_ssize_t n_hits = index_hits(idx, fp, i);
+    double circ = 0.0;
+    for (Py_ssize_t t = 0; t < n_hits; t++) {
+        const double *f = idx->boxes + 4 * idx->found[t];
+        double ix1 = py_max(fx1, f[0]), iy1 = py_max(fy1, f[1]);
+        double ix2 = py_min(fx2, f[2]), iy2 = py_min(fy2, f[3]);
+        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
+    }
+    score += factor * circ;
+
+    for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4) {
+        double ix1 = py_max(fx1, b[0]), iy1 = py_max(fy1, b[1]);
+        double ix2 = py_min(fx2, b[2]), iy2 = py_min(fy2, b[3]);
+        if (ix1 < ix2 && iy1 < iy2)
+            score += s->weight * ((ix2 - ix1) * (iy2 - iy1));
+    }
+    return PyFloat_FromDouble(score);
+}
+
+static PyObject *
+PlacementStore_get_field(PlacementStore *self, void *closure)
+{
+    Py_INCREF(self->field);
+    return self->field;
+}
+
 static PyMethodDef PlacementStore_methods[] = {
+    {"score", (PyCFunction)(void (*)(void))PlacementStore_score, METH_FASTCALL,
+     "score(i, x, y, beta, factor) -> float\n\n"
+     "Score of macro i centered at (x, y): the field sum under its footprint\n"
+     "snapped to the field's grid, plus the model length (beta, None for the\n"
+     "bounding box) of each of its nets with its pin at (x, y), plus factor\n"
+     "times the overlap circumference against every other footprint, plus\n"
+     "the keep-out weight times the overlap area with each keep-out; see\n"
+     "stepplace.placer.PlacementStore.score."},
     {"move", (PyCFunction)(void (*)(void))PlacementStore_move, METH_FASTCALL,
      "move(i, x, y) -> list[rect]\n\n"
      "Center macro i at (x, y): store its footprint, recompute its nets' boxes\n"
@@ -1154,120 +1250,38 @@ static PyMethodDef PlacementStore_methods[] = {
     {NULL}
 };
 
+static PyGetSetDef PlacementStore_getset[] = {
+    {"field", (getter)PlacementStore_get_field, NULL, "the CostField the store scores against",
+     NULL},
+    {NULL}
+};
+
 static PyTypeObject PlacementStoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "stepplace._fieldcore.PlacementStore",
-    .tp_doc = "PlacementStore(width, height, min_cell_x, min_cell_y, p, q, halves,\n"
-              "               centers, nets, rect)\n\n"
+    .tp_doc = "PlacementStore(field, width, height, min_cell_x, min_cell_y, halves,\n"
+              "               centers, nets, blockages, blockage_weight, rect)\n\n"
               "The placer's placement of the macros 0 .. count - 1 over a width x\n"
-              "height area: halves and centers hold hx, hy and x, y per macro, nets\n"
-              "the members of each net as macro indices.  The footprints sit in a\n"
-              "grid of cells of at least min_cell_x by min_cell_y, at most about\n"
-              "count of them, the border cells reaching to infinity.  move snaps\n"
-              "meets to a 2**p x 2**q grid and returns them as rect instances.\n"
-              "score_candidate reads the store.  stepplace.placer.PlacementStore\n"
-              "is its Python reference.",
+              "height area, scored against field, a CostField on the C core:\n"
+              "halves and centers hold hx, hy and x, y per macro, nets the members\n"
+              "of each net as macro indices, blockages x1, y1, x2, y2 per keep-out,\n"
+              "each overlap area with one weighing blockage_weight in a score.  The\n"
+              "footprints sit in a grid of cells of at least min_cell_x by\n"
+              "min_cell_y, at most about count of them, the border cells reaching to\n"
+              "infinity.  move snaps meets to the field's grid and returns them as\n"
+              "rect instances.  stepplace.placer.PlacementStore is its Python\n"
+              "reference.",
     .tp_basicsize = sizeof(PlacementStore),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PlacementStore_new,
     .tp_dealloc = (destructor)PlacementStore_dealloc,
     .tp_methods = PlacementStore_methods,
+    .tp_getset = PlacementStore_getset,
 };
 
-/* stepplace.placer.py_candidate_score in one call, term for term in its
- * order: the field sum under macro i's footprint at (x, y) snapped to the
- * grid, the lengths of i's nets in net order with its pin at (x, y), the
- * overlap penalty against every other footprint of the store, in index
- * order, and the weighted blockage overlap areas. */
-static PyObject *
-score_candidate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 9) {
-        PyErr_Format(PyExc_TypeError, "score_candidate expected 9 arguments, got %zd",
-                     nargs);
-        return NULL;
-    }
-    if (!PyObject_TypeCheck(args[0], &FieldCoreType)) {
-        PyErr_SetString(PyExc_TypeError, "core must be a FieldCore");
-        return NULL;
-    }
-    if (!PyObject_TypeCheck(args[1], &PlacementStoreType)) {
-        PyErr_SetString(PyExc_TypeError, "store must be a PlacementStore");
-        return NULL;
-    }
-    FieldCore *core = (FieldCore *)args[0];
-    PlacementStore *s = (PlacementStore *)args[1];
-    Py_ssize_t i = store_key(s, args[2]);
-    if (i < 0)
-        return NULL;
-    double x = PyFloat_AsDouble(args[3]), y = PyFloat_AsDouble(args[4]);
-    double beta = args[5] == Py_None ? 0.0 : PyFloat_AsDouble(args[5]);
-    double factor = PyFloat_AsDouble(args[6]), weight = PyFloat_AsDouble(args[8]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (!(isfinite(x) && isfinite(y))) {
-        PyErr_SetString(PyExc_ValueError, "candidate center must be finite");
-        return NULL;
-    }
-    Py_buffer blk;
-    if (get_doubles(args[7], &blk, "blockages") < 0)
-        return NULL;
-    PyObject *result = NULL;
-    Py_ssize_t n_blk = blk.len / (Py_ssize_t)sizeof(double);
-    if (n_blk % 4) {
-        PyErr_SetString(PyExc_ValueError, "blockages must hold 4 doubles per box");
-        goto done;
-    }
-
-    const double *h = s->half + 2 * i;
-    const double fx1 = x - h[0], fy1 = y - h[1], fx2 = x + h[0], fy2 = y + h[1];
-    const double fp[4] = {fx1, fy1, fx2, fy2};
-    double score = 0.0;
-    Py_ssize_t r[4];
-    int snapped = snap_box(fp, s->width, s->height, core->n, core->m, r);
-    if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
-        goto done;
-    if (snapped)
-        score = field_cost(core, r[0], r[1], r[2], r[3]);
-
-    const double at[2] = {x, y};
-    for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
-        double length;
-        if (net_length(net_pins(s, s->nets_of[t], i, at), args[5], beta, &length) < 0)
-            goto done;
-        score += length;
-    }
-
-    /* placer.penalty: circumference of every positive-area meet, in index
-     * order, so the same floats are added in the same order as by a scan
-     * over every footprint */
-    FootprintIndex *idx = &s->index;
-    Py_ssize_t n_hits = index_hits(idx, fp, i);
-    double circ = 0.0;
-    for (Py_ssize_t t = 0; t < n_hits; t++) {
-        const double *f = idx->boxes + 4 * idx->found[t];
-        double ix1 = py_max(fx1, f[0]), iy1 = py_max(fy1, f[1]);
-        double ix2 = py_min(fx2, f[2]), iy2 = py_min(fy2, f[3]);
-        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
-    }
-    score += factor * circ;
-
-    const double *b = blk.buf;
-    for (Py_ssize_t k = 0; k < n_blk; k += 4) {
-        double ix1 = py_max(fx1, b[k]), iy1 = py_max(fy1, b[k + 1]);
-        double ix2 = py_min(fx2, b[k + 2]), iy2 = py_min(fy2, b[k + 3]);
-        if (ix1 < ix2 && iy1 < iy2)
-            score += weight * ((ix2 - ix1) * (iy2 - iy1));
-    }
-    result = PyFloat_FromDouble(score);
-done:
-    PyBuffer_Release(&blk);
-    return result;
-}
-
-/* The names move_macro looks up and the 0.5 its coins compare with, made
- * once at module init. */
-static PyObject *str_random, *str_x_min, *str_x_max, *str_y_min, *str_y_max, *one_half;
+/* The name move_macro calls and the 0.5 its coins compare with, made once at
+ * module init. */
+static PyObject *str_random, *one_half;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1308,18 +1322,6 @@ gamma_jump(double span, PyObject *u_obj, double *out)
     return 0;
 }
 
-/* A bounds attribute as a double; -1 with an exception set. */
-static int
-bound(PyObject *bounds, PyObject *name, double *out)
-{
-    PyObject *v = PyObject_GetAttr(bounds, name);
-    if (v == NULL)
-        return -1;
-    int r = to_double(v, out);
-    Py_DECREF(v);
-    return r;
-}
-
 /* stepplace.placer.py_move_macro: the same four rng.random() draws in its
  * order, and the same float operations. */
 static PyObject *
@@ -1346,12 +1348,18 @@ move_macro(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int b = a < 0 ? -1 : coin(draw[1]);
     if (b < 0)
         goto done;
+    PyObject *bounds = args[1];
+    if (!PyTuple_Check(bounds) || PyTuple_GET_SIZE(bounds) != 4) {
+        PyErr_SetString(PyExc_TypeError, "bounds must be a 4-tuple: x_min, x_max, y_min, y_max");
+        goto done;
+    }
     double x, y, x_min, x_max, y_min, y_max, gx, gy;
     if (to_double(PyTuple_GET_ITEM(pos, 0), &x) < 0
         || to_double(PyTuple_GET_ITEM(pos, 1), &y) < 0
-        || bound(args[1], str_x_min, &x_min) < 0
-        || bound(args[1], str_x_max, &x_max) < 0 || bound(args[1], str_y_min, &y_min) < 0
-        || bound(args[1], str_y_max, &y_max) < 0
+        || to_double(PyTuple_GET_ITEM(bounds, 0), &x_min) < 0
+        || to_double(PyTuple_GET_ITEM(bounds, 1), &x_max) < 0
+        || to_double(PyTuple_GET_ITEM(bounds, 2), &y_min) < 0
+        || to_double(PyTuple_GET_ITEM(bounds, 3), &y_max) < 0
         || gamma_jump(a ? x - x_min + 1.0 : x_max - x, draw[2], &gx) < 0
         || gamma_jump(b ? y - y_min + 1.0 : y_max - y, draw[3], &gy) < 0)
         goto done;
@@ -1366,22 +1374,13 @@ done:
 }
 
 static PyMethodDef fieldcore_functions[] = {
-    {"score_candidate", (PyCFunction)(void (*)(void))score_candidate, METH_FASTCALL,
-     "score_candidate(core, store, i, x, y, beta, factor, blockages, weight) -> float\n\n"
-     "Score of macro i of the PlacementStore store centered at (x, y): the\n"
-     "field sum of core under its footprint snapped to the store's area, plus\n"
-     "the model length (beta, None for the bounding box) of each of its nets\n"
-     "with its pin at (x, y), plus factor times the overlap circumference\n"
-     "against every other footprint of the store, plus weight times the\n"
-     "overlap area with each box of blockages (x1, y1, x2, y2 each); see\n"
-     "stepplace.placer.py_candidate_score."},
     {"move_macro", (PyCFunction)(void (*)(void))move_macro, METH_FASTCALL,
      "move_macro(pos, bounds, rng) -> (x, y)\n\n"
      "A proposal around pos: per axis a coin picks the direction, the jump\n"
      "is log-uniform over the span to the bound on that side, and the\n"
-     "result is clamped into bounds (x_min, x_max, y_min, y_max).  Draws\n"
-     "rng.random() four times: direction x, direction y, jump x, jump y; see\n"
-     "stepplace.placer.py_move_macro."},
+     "result is clamped into bounds, a 4-tuple (x_min, x_max, y_min, y_max).\n"
+     "Draws rng.random() four times: direction x, direction y, jump x, jump\n"
+     "y; see stepplace.placer.py_move_macro."},
     {NULL}
 };
 
@@ -1398,10 +1397,6 @@ PyInit__fieldcore(void)
 {
     if (str_random == NULL
         && ((str_random = PyUnicode_InternFromString("random")) == NULL
-            || (str_x_min = PyUnicode_InternFromString("x_min")) == NULL
-            || (str_x_max = PyUnicode_InternFromString("x_max")) == NULL
-            || (str_y_min = PyUnicode_InternFromString("y_min")) == NULL
-            || (str_y_max = PyUnicode_InternFromString("y_max")) == NULL
             || (one_half = PyFloat_FromDouble(0.5)) == NULL)) {
         Py_CLEAR(str_random);
         return NULL;

@@ -214,10 +214,22 @@ def parse_instance(
     return netlist, area, (places or None)
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file; a file that does not decode raises
+    :class:`InstanceFormatError` naming it."""
+    with open(path) as fp:
+        try:
+            return fp.readlines()
+        except UnicodeDecodeError as e:
+            raise InstanceFormatError(
+                f"{path!r} is not {e.encoding} text: {e.reason} "
+                f"(byte 0x{e.object[e.start]:02x})"
+            ) from None
+
+
 def load_instance(path: str) -> tuple[Netlist, PlacementArea, Placement | None]:
     """Load and validate an instance file."""
-    with open(path) as fp:
-        return parse_instance(fp)
+    return parse_instance(_read_lines(path))
 
 
 def write_instance(
@@ -322,35 +334,34 @@ def load_result(path: str) -> ResultData:
     positions: Placement = {}
     config: dict[str, str] = {}
     summary: dict[str, float | bool] = {}
-    with open(path) as fp:
-        for ln, raw in enumerate(fp, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if toks[0] == "config" and len(toks) == 3:
-                config[toks[1]] = toks[2]
-            elif toks[0] == "summary" and len(toks) == 3:
-                key, tok = toks[1], toks[2]
-                if key in summary:
-                    raise InstanceFormatError(f"line {ln}: duplicate summary {key}")
-                if key == "legal" and tok in ("true", "false"):
-                    summary[key] = tok == "true"
-                elif key in ("netlength_bb", "overlap_area"):
-                    summary[key] = _parse_float(tok, ln, f"summary {key}")
-                else:
-                    raise InstanceFormatError(f"line {ln}: bad summary line {line!r}")
-            elif toks[0] == "place" and len(toks) == 4:
-                if toks[1] in positions:
-                    raise InstanceFormatError(
-                        f"line {ln}: duplicate place for macro {toks[1]!r}"
-                    )
-                positions[toks[1]] = (
-                    _parse_float(toks[2], ln, "place x"),
-                    _parse_float(toks[3], ln, "place y"),
-                )
+    for ln, raw in enumerate(_read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        if toks[0] == "config" and len(toks) == 3:
+            config[toks[1]] = toks[2]
+        elif toks[0] == "summary" and len(toks) == 3:
+            key, tok = toks[1], toks[2]
+            if key in summary:
+                raise InstanceFormatError(f"line {ln}: duplicate summary {key}")
+            if key == "legal" and tok in ("true", "false"):
+                summary[key] = tok == "true"
+            elif key in ("netlength_bb", "overlap_area"):
+                summary[key] = _parse_float(tok, ln, f"summary {key}")
             else:
-                raise InstanceFormatError(f"line {ln}: bad result line {line!r}")
+                raise InstanceFormatError(f"line {ln}: bad summary line {line!r}")
+        elif toks[0] == "place" and len(toks) == 4:
+            if toks[1] in positions:
+                raise InstanceFormatError(
+                    f"line {ln}: duplicate place for macro {toks[1]!r}"
+                )
+            positions[toks[1]] = (
+                _parse_float(toks[2], ln, "place x"),
+                _parse_float(toks[3], ln, "place y"),
+            )
+        else:
+            raise InstanceFormatError(f"line {ln}: bad result line {line!r}")
     try:
         return ResultData(
             positions=positions,
@@ -692,10 +703,14 @@ def _build_config(args: argparse.Namespace) -> PlacerConfig:
     """Defaults, overridden by --config JSON, overridden by explicit flags."""
     values: dict = {}
     if args.config:
-        with open(args.config) as fp:
-            loaded = json.load(fp)
+        try:
+            loaded = json.loads("".join(_read_lines(args.config)))
+        except json.JSONDecodeError as e:
+            raise InstanceFormatError(f"config file {args.config!r}: {e}") from None
         if not isinstance(loaded, dict):
-            raise InstanceFormatError("config file must hold a JSON object")
+            raise InstanceFormatError(
+                f"config file {args.config!r} must hold a JSON object"
+            )
         valid = {f.name for f in dataclasses.fields(PlacerConfig)}
         for k, v in loaded.items():
             if k not in valid:

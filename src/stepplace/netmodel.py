@@ -310,7 +310,7 @@ def bb_netlength(points: list[Point]) -> float:
 def _lse_axis(vals: list[float], alpha: float) -> float:
     # alpha*log(sum(exp(v/alpha))) + alpha*log(sum(exp(-v/alpha))), max-shifted;
     # summed left to right (builtin sum compensates since Python 3.12), as
-    # the C core's score_candidate does
+    # the C placement store's score does
     hi = max(vals)
     lo = min(vals)
     sp = sn = 0.0

@@ -22,11 +22,13 @@ macro's index, the net model's sharpness, the penalty factor) is gathered
 once per round in a :class:`ScoreContext`.
 
 The placement the rounds read and commit lives in one store keyed by macro
-index: each macro's center, half-sizes and footprint, the nets with their
-bounding-box lengths and the live overlap pairs with their areas.  On the C
-field core it is the C core's ``PlacementStore``, else a
-:class:`PlacementStore`, its Python reference, which answers with the same
-bits.  A candidate is scored straight from the store, on a C store in one C
+index, the run's one backend object: the cost field it is built on, the
+area's keep-outs with their weight, each macro's center, half-sizes and
+footprint, the nets with their bounding-box lengths and the live overlap
+pairs with their areas.  On the C field core it is the C core's
+``PlacementStore``, else a :class:`PlacementStore`, its Python reference,
+which answers with the same bits; the state's field is the store's.  A
+candidate is scored by one ``score`` call on the store, on a C store one C
 call; a round's commit is one ``move`` on it, which returns the grid
 rectangles the field then grows under, and the statistics row takes both
 its totals from it.  Footprints sit in a spatial index, so the penalty and
@@ -74,7 +76,6 @@ from stepplace.stepfield import (
     CPlacementStore,
     GridRect,
     c_move_macro,
-    c_score_candidate,
     ordered_sum,
 )
 
@@ -198,8 +199,7 @@ class PlacerConfig:
         return self._grown(self.w0, self.w_growth, rnd)
 
 
-@dataclass(frozen=True)
-class MacroBounds:
+class MacroBounds(NamedTuple):
     """Feasible center coordinates keeping a macro inside the area."""
 
     x_min: float
@@ -256,19 +256,21 @@ class PlacerState:
     area: PlacementArea
     rng: random.Random
     placement: Placement
-    field: CostField
     bounds: dict[str, MacroBounds]
     round: int
     macro_order: list[str]
-    # the placement keyed by index in macro_order: the C core's
-    # PlacementStore on the C field core (the scoring kernel reads it), else
-    # a PlacementStore
+    # the placement keyed by index in macro_order, with the field and the
+    # keep-outs it scores against: the C core's PlacementStore on the C
+    # field core, else a PlacementStore
     store: PlacementStore | CPlacementStore
-    # the area's blockages as x1, y1, x2, y2 each, for the C scoring kernel
-    blockage_boxes: array
     # scores and winning index of the most recent round's candidates
     last_scores: list[float] | None = None
     last_choice: int | None = None
+
+    @property
+    def field(self) -> CostField:
+        """The cost field, the one the store scores against."""
+        return self.store.field
 
 
 def snap_to_grid(
@@ -297,34 +299,36 @@ def snap_to_grid(
 
 
 class PlacementStore:
-    """The placement as the rounds read and commit it, in Python: the
+    """The placement as the rounds read and commit it, with the cost field
+    and the keep-outs a candidate is scored against, in Python: the
     reference of the C core's ``PlacementStore``, which answers every method
     with the same bits.
 
     Macros are keyed by index.  ``halves`` and ``centers`` hold ``hx, hy``
     and ``x, y`` per macro, and ``nets`` each net's members as macro
-    indices.  The store keeps each macro's half-sizes (``halves[i]``) and
-    center (``centers[i]``), the nets (``nets``, and each macro's net indices
+    indices.  The store keeps ``field``, the area with its keep-outs and
+    ``blockage_weight``, each macro's half-sizes (``halves[i]``) and center
+    (``centers[i]``), the nets (``nets``, and each macro's net indices
     ascending in ``nets_of[i]``) with their bounding-box lengths, the
     footprints in ``grid`` (a :class:`BucketGrid` with ``cell_x`` by
     ``cell_y`` cells), and the live overlap pairs ``(i, j)``, ``i < j``, with
     their areas, in the order the pairs entered: a pair that ends and
     overlaps again goes to the end.  :meth:`move` snaps meets to the
-    ``2**p`` by ``2**q`` grid over ``area``.
+    field's grid over ``area``.
     """
 
     def __init__(
         self,
+        field: CostField,
         area: PlacementArea,
         cell_x: float,
         cell_y: float,
-        p: int,
-        q: int,
         halves: Sequence[float],
         centers: Sequence[float],
         nets: Sequence[Sequence[int]],
+        blockage_weight: float,
     ) -> None:
-        self.area, self.p, self.q = area, p, q
+        self.field, self.area, self.blockage_weight = field, area, blockage_weight
         count = len(centers) // 2
         self.halves = [(halves[2 * i], halves[2 * i + 1]) for i in range(count)]
         self.centers = [(centers[2 * i], centers[2 * i + 1]) for i in range(count)]
@@ -389,11 +393,36 @@ class PlacementStore:
         for k in self.nets_of[i]:
             self.net_bb[k] = self._net_box(k)
         rects = []
+        p, q = self.field.p, self.field.q
         for inter in self._update_overlaps(i):
-            snapped = snap_to_grid(inter, self.area, self.p, self.q)
+            snapped = snap_to_grid(inter, self.area, p, q)
             if snapped is not None:
                 rects.append(snapped)
         return rects
+
+    def score(
+        self, i: int, x: float, y: float, beta: float | None, factor: float
+    ) -> float:
+        """Score of macro ``i`` centered at ``(x, y)``: the field cost of its
+        snapped footprint, plus the :func:`model_length` (sharpness ``beta``)
+        of each of its nets with its pin at ``(x, y)``, plus the
+        :func:`penalty` of ``factor``, plus ``blockage_weight`` times its
+        overlap area with each keep-out.  The C store's ``score`` adds the
+        same terms in the same order."""
+        hx, hy = self.halves[i]
+        fp = (x - hx, y - hy, x + hx, y + hy)
+        snapped = snap_to_grid(fp, self.area, self.field.p, self.field.q)
+        score = self.field.cost(snapped) if snapped is not None else 0.0
+        centers = self.centers
+        for k in self.nets_of[i]:
+            pts = [(x, y) if j == i else centers[j] for j in self.nets[k]]
+            score += model_length(pts, beta)
+        score += penalty(factor, fp, self.grid, i)
+        for b in self.area.blockages:
+            ix1, iy1, ix2, iy2 = meet(fp, b)
+            if ix1 < ix2 and iy1 < iy2:
+                score += self.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
+        return score
 
     def totals(self) -> tuple[float | int, float | int]:
         """The sum of the net boxes in net order and of the live pairs'
@@ -457,29 +486,18 @@ def py_move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
 move_macro = py_move_macro if c_move_macro is None else c_move_macro
 
 
-def penalty(
-    step: int,
-    macro: Macro,
-    pos: Point,
-    grid: BucketGrid,
-    config: PlacerConfig,
-    key=None,
-) -> float:
-    """Overlap penalty of ``macro`` at ``pos`` against every footprint of
-    ``grid`` but its own, stored under ``key`` (by default its id; the
-    state's grid keys by index in ``macro_order``): the penalty constant
-    times the step's multiplier times the total circumference of the
-    pairwise footprint intersections, added in key order."""
-    if key is None:
-        key = macro.id
-    cand = footprint_box(macro, pos)
+def penalty(factor: float, box: Box, grid: BucketGrid, key) -> float:
+    """Overlap penalty of the footprint ``box`` against every footprint of
+    ``grid`` but the one stored under ``key``: ``factor`` (the round's
+    penalty constant times its multiplier) times the total circumference of
+    the pairwise footprint intersections, added in key order."""
     total_circ = 0.0
-    for k in grid.hits(*cand):
+    for k in grid.hits(*box):
         if k == key:
             continue
-        ix1, iy1, ix2, iy2 = meet(cand, grid[k])
+        ix1, iy1, ix2, iy2 = meet(box, grid[k])
         total_circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1))
-    return config.penalty_c * config.delta_at(step) * total_circ
+    return factor * total_circ
 
 
 def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
@@ -545,48 +563,11 @@ def candidate_score(
     of the snapped footprint, plus the lengths of the macro's nets, plus the
     overlap penalty, plus the weighted blockage overlap area.
 
-    ``ctx`` is the round's :func:`score_context`.  On a C placement store
-    the score is one call of the C core's ``score_candidate`` kernel, which
-    wants a C field core too (else ``TypeError``), on a
-    :class:`PlacementStore` it is :func:`py_candidate_score`; both return
-    the same float."""
-    store = state.store
-    if type(store) is not CPlacementStore:
-        return py_candidate_score(macro, pos, state, config, ctx)
+    ``ctx`` is the round's :func:`score_context`.  The score is one ``score``
+    call on the state's store, which returns the same float on both cores
+    (see :meth:`PlacementStore.score`)."""
     x, y = pos
-    return c_score_candidate(
-        state.field.core, store, ctx.index, x, y, ctx.beta, ctx.penalty_factor,
-        state.blockage_boxes, config.blockage_weight,
-    )
-
-
-def py_candidate_score(
-    macro: Macro,
-    pos: Point,
-    state: PlacerState,
-    config: PlacerConfig,
-    ctx: ScoreContext,
-) -> float:
-    """:func:`candidate_score` on the Python field core, and the reference of
-    the C core's ``score_candidate``, which sums the same terms in the same
-    order.  It reads the macro and its nets from the state's
-    :class:`PlacementStore`, the macro's pin at ``pos``."""
-    store, i = state.store, ctx.index
-    x, y = pos
-    hx, hy = store.halves[i]
-    fp = (x - hx, y - hy, x + hx, y + hy)
-    snapped = snap_to_grid(fp, state.area, config.grid_p, config.grid_q)
-    score = state.field.cost(snapped) if snapped is not None else 0.0
-    centers = store.centers
-    for k in store.nets_of[i]:
-        pts = [pos if j == i else centers[j] for j in store.nets[k]]
-        score += model_length(pts, ctx.beta)
-    score += penalty(state.round, macro, pos, store.grid, config, i)
-    for b in state.area.blockages:
-        ix1, iy1, ix2, iy2 = meet(fp, b)
-        if ix1 < ix2 and iy1 < iy2:
-            score += config.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
-    return score
+    return state.store.score(ctx.index, x, y, ctx.beta, ctx.penalty_factor)
 
 
 def new_state(
@@ -627,31 +608,31 @@ def new_state(
     # footprint cells at least as large as the largest macro: a footprint
     # touches at most 2x2 of them
     macros = [netlist.by_id[mid] for mid in macro_order]
-    args = (
+    cells = (
         max((m.size_x for m in macros), default=1.0),
         max((m.size_y for m in macros), default=1.0),
-        config.grid_p,
-        config.grid_q,
+    )
+    args = (
         # half-sizes as footprint_box computes them
         array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
         array("d", [v for mid in macro_order for v in placement[mid]]),
         [[bisect_left(macro_order, mid) for mid in net.members] for net in netlist.nets],
     )
     if fld.backend == "c":
-        store = CPlacementStore(area.width, area.height, *args, GridRect)
+        blockages = array("d", [v for b in area.blockages for v in b])
+        store = CPlacementStore(fld, area.width, area.height, *cells, *args, blockages,
+                                config.blockage_weight, GridRect)
     else:
-        store = PlacementStore(area, *args)
+        store = PlacementStore(fld, area, *cells, *args, config.blockage_weight)
     return PlacerState(
         netlist=netlist,
         area=area,
         rng=rng,
         placement=placement,
-        field=fld,
         bounds=bounds,
         round=0,
         macro_order=macro_order,
         store=store,
-        blockage_boxes=array("d", [v for b in area.blockages for v in b]),
     )
 
 
@@ -671,8 +652,7 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     The candidates' scores and the winner's index are left on
     ``state.last_scores`` and ``state.last_choice``.  The config must be the
     one the state was created with.  A score that is not finite (the field or
-    the penalty overflowed) raises ``ValueError`` before anything moves, as
-    does a state whose field and placement store are of different cores.
+    the penalty overflowed) raises ``ValueError`` before anything moves.
     """
     rnd = state.round + 1
     if rnd > config.max_rounds:
@@ -680,11 +660,6 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     fld, store = state.field, state.store
     if fld.p != config.grid_p or fld.q != config.grid_q:
         raise ValueError("config grid exponents differ from the state's field")
-    if (fld.backend == "c") != (type(store) is CPlacementStore):
-        raise ValueError(
-            f"the state's field runs on the {fld.backend!r} core but its "
-            f"placement store is a {type(store).__module__}.PlacementStore"
-        )
     rng = state.rng
     mi = rng.randrange(len(state.macro_order))
     mid = state.macro_order[mi]

@@ -24,9 +24,9 @@ cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 ``_fieldcore.c`` there first if the cache holds no build of this exact
 source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
-store, :data:`CPlacementStore`, which commits a round, and its scoring
-kernel, :data:`c_score_candidate`, which scores a candidate straight from
-that store.
+store, :data:`CPlacementStore`, which is built on a C-core
+:class:`CostField`, commits a round and scores a candidate from what it
+holds.
 """
 
 from __future__ import annotations
@@ -133,19 +133,14 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
 _c_module = _load_c_core(_user_cache_dir())
 _CFieldCore = getattr(_c_module, "FieldCore", None)
 
-#: The C core's ``score_candidate``, which scores a candidate from a
-#: ``PlacementStore`` (see :func:`stepplace.placer.py_candidate_score`), or
-#: None without the C core.
-c_score_candidate = getattr(_c_module, "score_candidate", None)
-
 #: The C core's ``move_macro``, which draws and returns the proposals of
 #: :func:`stepplace.placer.py_move_macro` with the same bits, or None without
 #: the C core.
 c_move_macro = getattr(_c_module, "move_macro", None)
 
 #: The C core's ``PlacementStore``, which answers as
-#: :class:`stepplace.placer.PlacementStore` does, bit for bit.  None without
-#: the C core.
+#: :class:`stepplace.placer.PlacementStore` does, bit for bit, and takes a
+#: :class:`CostField` on the C core.  None without the C core.
 CPlacementStore = getattr(_c_module, "PlacementStore", None)
 
 
@@ -355,7 +350,9 @@ class CostField:
     accepted (the placer only ever adds non-negative mass).
 
     ``backend`` is ``"c"`` or ``"py"``, and ``core`` the backend's coefficient
-    store; a C ``FieldCore`` is what :data:`c_score_candidate` reads.
+    store.  A placement store is built on the field it scores against: a
+    :data:`CPlacementStore` on a field whose core is a C ``FieldCore``, and
+    reads that core directly.
     """
 
     def __init__(self, p: int, q: int, backend: str = "auto") -> None:

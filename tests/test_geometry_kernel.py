@@ -26,7 +26,7 @@ from stepplace.netmodel import (
     is_legal,
 )
 from stepplace.placer import PlacementStore, PlacerConfig, penalty
-from stepplace.stepfield import CPlacementStore, GridRect
+from stepplace.stepfield import CostField, CPlacementStore, GridRect
 
 AREA = 10.0
 
@@ -103,7 +103,9 @@ def test_penalty_equals_all_pairs_formula(layout, x, y, step):
             spots.append((ox, oy + (macro.size_y + o.size_y) / 2.0))
         for pos in spots:
             expected = all_pairs_penalty(step, macro, pos, placement, netlist, config)
-            assert penalty(step, macro, pos, grid, config) == expected
+            factor = config.penalty_c * config.delta_at(step)
+            got = penalty(factor, footprint_box(macro, pos), grid, macro.id)
+            assert got == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,10 +181,12 @@ def stores(side, cell, centers, halves):
     """The C store with cells of at least ``cell`` a side, and the Python
     store, whose bucket grid has cells as large as the largest box."""
     largest = max(1.0, *(2 * h for hs in halves for h in hs))
-    args = (3, 3, array("d", [v for h in halves for v in h]),
+    args = (array("d", [v for h in halves for v in h]),
             array("d", [v for c in centers for v in c]), [])
-    return (CPlacementStore(side, side, cell, cell, *args, GridRect),
-            PlacementStore(PlacementArea(side, side), largest, largest, *args))
+    return (CPlacementStore(CostField(3, 3, "c"), side, side, cell, cell, *args,
+                            array("d"), 1.0, GridRect),
+            PlacementStore(CostField(3, 3, "py"), PlacementArea(side, side), largest,
+                           largest, *args, 1.0))
 
 
 def assert_pairs_agree(c_store, py_store, count):
@@ -243,8 +247,8 @@ def test_footprint_index_sorts_many_hits():
 def test_footprint_index_rejects_bad_input():
     # a move the footprints cannot take raises and leaves the store as it was
     halves, centers = array("d", [0.5] * 4), array("d", [1.0, 1.0, 1.5, 1.5])
-    store = CPlacementStore(10.0, 10.0, 1.0, 1.0, 3, 3, halves, centers, [[0, 1]],
-                            GridRect)
+    store = CPlacementStore(CostField(3, 3, "c"), 10.0, 10.0, 1.0, 1.0, halves, centers,
+                            [[0, 1]], array("d"), 1.0, GridRect)
 
     def state():
         return store.pairs(), [store.box(i) for i in range(2)], store.net_lengths()
@@ -267,4 +271,5 @@ def test_footprint_index_rejects_bad_input():
     for sides in [(0.0, 10.0, 1.0, 1.0), (10.0, -1.0, 1.0, 1.0),
                   (10.0, 10.0, math.inf, 1.0), (10.0, 10.0, 1.0, math.nan)]:
         with pytest.raises(ValueError, match="positive and finite"):
-            CPlacementStore(*sides, 3, 3, halves, centers, [], GridRect)
+            CPlacementStore(CostField(3, 3, "c"), *sides, halves, centers, [], array("d"),
+                            1.0, GridRect)

@@ -506,6 +506,42 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("place", "--in"),
+            ("place", "--config"),
+            ("check", "--instance"),
+            ("check", "--result"),
+            ("render", "--instance"),
+            ("render", "--result"),
+        ],
+    )
+    def test_unreadable_input_names_its_file(
+        self, tmp_path, instance_file, capsys, command, flag
+    ):
+        # a file that is not UTF-8 text, or a config that is not JSON
+        res = str(tmp_path / "r.txt")
+        assert main(["place", "--in", instance_file, "--out", res, "--rounds", "20"]) == 0
+        bad = tmp_path / "bad.txt"
+        if flag == "--config":
+            bad.write_text("nonsense")
+            want = "Expecting value: line 1 column 1"
+        else:
+            bad.write_bytes(b"\xff")
+            want = "is not utf-8 text: invalid start byte (byte 0xff)"
+        files = {
+            "place": {"--in": instance_file, "--out": str(tmp_path / "o.txt")},
+            "check": {"--instance": instance_file, "--result": res},
+            "render": {"--instance": instance_file, "--result": res,
+                       "--out": str(tmp_path / "o.svg")},
+        }[command]
+        files[flag] = str(bad)
+        capsys.readouterr()
+        assert main([command, *(v for kv in files.items() for v in kv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(bad)) in err and want in err
+
     def test_place_missing_input_exits_1(self, tmp_path, capsys):
         code = main(
             ["place", "--in", str(tmp_path / "nope.txt"), "--out",

@@ -47,7 +47,6 @@ from stepplace.placer import (
     naive_legalize,
     new_state,
     penalty,
-    py_candidate_score,
     round_step,
     run_placer,
     score_context,
@@ -385,6 +384,10 @@ class TestMoveMacro:
         for pos in [(1.0,), (1.0, 2.0, 3.0)]:
             py, c = both_moves(pos, b, lambda: FixedRng([0.1] * 4))
             assert c == py and c[0] is ValueError
+        # the C twin unpacks the bounds as a 4-tuple, which a MacroBounds is
+        for bounds in [list(b), tuple(b)[:3]]:
+            with pytest.raises(TypeError, match="bounds must be a 4-tuple"):
+                stepfield.c_move_macro((1000.0, 1000.0), bounds, FixedRng([0.1] * 4))
         with pytest.raises(TypeError, match="3 arguments"):
             stepfield.c_move_macro((1.0, 1.0), b)
 
@@ -429,6 +432,11 @@ class TestBounds:
         assert is_legal({"a": (b.x_max, b.y_max)}, nl, area).legal
 
 
+def a_box(netlist, pos):
+    """The footprint of macro ``a`` of ``netlist`` centered at ``pos``."""
+    return footprint_box(netlist.by_id["a"], pos)
+
+
 class TestPenalty:
     def netlist2(self):
         return Netlist([Macro("a", 2, 3), Macro("b", 2, 3)], [])
@@ -437,7 +445,7 @@ class TestPenalty:
         nl = self.netlist2()
         cfg = PlacerConfig(max_rounds=10, delta0=0.5, delta_growth=1.0)
         grid = footprint_grid(nl, {"b": (5, 1.5)})
-        got = penalty(0, nl.by_id["a"], (1, 1.5), grid, cfg)
+        got = penalty(cfg.penalty_c * cfg.delta_at(0), a_box(nl, (1, 1.5)), grid, "a")
         assert got == 0.0
 
     def test_single_intersection_example(self):
@@ -445,7 +453,7 @@ class TestPenalty:
         nl = self.netlist2()
         cfg = PlacerConfig(max_rounds=10, penalty_c=1.0, delta0=0.5, delta_growth=1.0)
         grid = footprint_grid(nl, {"b": (1, 1.5)})
-        got = penalty(0, nl.by_id["a"], (1, 1.5), grid, cfg)
+        got = penalty(cfg.penalty_c * cfg.delta_at(0), a_box(nl, (1, 1.5)), grid, "a")
         assert got == 5.0
 
     def test_vanishing_overlap_is_continuous(self):
@@ -454,7 +462,7 @@ class TestPenalty:
         vals = []
         for eps in (0.1, 0.01, 0.0):
             grid = footprint_grid(nl, {"b": (3 - eps, 1.5)})
-            got = penalty(0, nl.by_id["a"], (1, 1.5), grid, cfg)
+            got = penalty(cfg.penalty_c * cfg.delta_at(0), a_box(nl, (1, 1.5)), grid, "a")
             vals.append(got)
         assert vals[2] == 0.0
         assert vals[0] > vals[1] > 0  # width shrinks toward zero
@@ -547,11 +555,12 @@ class TestCandidateScore:
         # field is empty, no nets: the score at b's position is the penalty
         a = nl.by_id["a"]
         got = candidate_score(a, (3.0, 3.0), state, cfg, score_context(a, state, cfg))
-        assert got == penalty(0, a, (3.0, 3.0), footprint_grid(nl, init), cfg)
+        factor = cfg.penalty_c * cfg.delta_at(0)
+        assert got == penalty(factor, a_box(nl, (3.0, 3.0)), footprint_grid(nl, init), "a")
 
 
 needs_c_score = pytest.mark.skipif(
-    stepfield.c_score_candidate is None, reason="C core not built"
+    stepfield.CPlacementStore is None, reason="C core not built"
 )
 
 
@@ -561,11 +570,11 @@ COVER = 1e10
 
 def kernel_sum(score, x, y, beta, nets):
     """``score`` plus the ``model_length`` of each ``(pins, j)`` net, the
-    moving pin at ``(x, y)`` inserted at index ``j``, from the C core's
-    ``score_candidate`` on a store of these nets: macro 0 moves, and its
-    footprint covers the single cell of a 1 x 1 field, which holds
-    ``score``; the fixed pins are macros of their own with empty
-    footprints, so no penalty or blockage term adds anything."""
+    moving pin at ``(x, y)`` inserted at index ``j``, from ``score`` of a C
+    store of these nets: macro 0 moves, and its footprint covers the single
+    cell of its 1 x 1 field, which holds ``score``; the fixed pins are
+    macros of their own with empty footprints, so no penalty or keep-out
+    term adds anything."""
     centers, members = [0.0, 0.0], []
     for pins, j in nets:
         net = list(range(len(centers) // 2, len(centers) // 2 + len(pins)))
@@ -573,15 +582,13 @@ def kernel_sum(score, x, y, beta, nets):
         members.append(net)
         centers += [v for pin in pins for v in pin]
     halves = [COVER, COVER] + [0.0] * (len(centers) - 2)
-    store = stepfield.CPlacementStore(
-        1.0, 1.0, 1.0, 1.0, 0, 0, array("d", halves), array("d", centers), members,
-        GridRect,
-    )
     fld = CostField(0, 0, "c")
     fld.increase(GridRect(0, 0, 1, 1), score)
-    return stepfield.c_score_candidate(
-        fld.core, store, 0, x, y, beta, 0.0, array("d"), 0.0
+    store = stepfield.CPlacementStore(
+        fld, 1.0, 1.0, 1.0, 1.0, array("d", halves), array("d", centers), members,
+        array("d"), 0.0, GridRect,
     )
+    return store.score(0, x, y, beta, 0.0)
 
 
 def reference_sum(score, x, y, beta, nets):
@@ -594,8 +601,8 @@ def reference_sum(score, x, y, beta, nets):
 
 
 class TestNetTerms:
-    """The C core's ``score_candidate`` adds each net's ``model_length`` bit
-    for bit: every regime, the moving pin anywhere, nets of 2 to 200 pins."""
+    """The C store's ``score`` adds each net's ``model_length`` bit for bit:
+    every regime, the moving pin anywhere, nets of 2 to 200 pins."""
 
     @needs_c_score
     @settings(max_examples=300, deadline=None)
@@ -694,7 +701,7 @@ class TestNetTerms:
             for _ in range(4):
                 b = c_state.bounds[macro.id]
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                want = py_candidate_score(macro, pos, py_state, cfg, ctx)
+                want = candidate_score(macro, pos, py_state, cfg, ctx)
                 got = candidate_score(macro, pos, c_state, cfg, ctx)
                 assert got.hex() == want.hex()
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
@@ -754,8 +761,8 @@ def assert_stores_agree(c_store, py_store, count):
 
 
 class TestScoreCandidate:
-    """On the C core, ``candidate_score`` is one call of ``score_candidate``,
-    which returns ``py_candidate_score``'s float bit for bit."""
+    """``candidate_score`` is one ``score`` call on the state's store; the C
+    store's returns the float of the Python store's bit for bit."""
 
     @needs_c_score
     @settings(max_examples=250, deadline=None)
@@ -794,7 +801,7 @@ class TestScoreCandidate:
         ctx = score_context(macro, c_state, cfg)
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, c_state)
-            want = py_candidate_score(macro, pos, py_state, cfg, ctx)
+            want = candidate_score(macro, pos, py_state, cfg, ctx)
             got = candidate_score(macro, pos, c_state, cfg, ctx)
             assert got.hex() == want.hex(), (kind, pos)
             assert c_state.field.last_touched == py_state.field.last_touched
@@ -852,7 +859,7 @@ class TestScoreCandidate:
         ctx = score_context(macro, c_state, cfg)
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, c_state)
-            want = py_candidate_score(macro, pos, py_state, cfg, ctx)
+            want = candidate_score(macro, pos, py_state, cfg, ctx)
             got = candidate_score(macro, pos, c_state, cfg, ctx)
             assert got.hex() == want.hex(), (kind, pos)
 
@@ -883,13 +890,12 @@ class TestScoreCandidate:
         for b in blockages:
             want += 5.0 * circ_area(b)[1]
         store = stepfield.CPlacementStore(
-            8.0, 8.0, 1.0, 1.0, 2, 2, array("d", [v for h in halves for v in h]),
-            array("d", [v for c in centers for v in c]), [], GridRect,
+            CostField(2, 2, "c"), 8.0, 8.0, 1.0, 1.0,
+            array("d", [v for h in halves for v in h]),
+            array("d", [v for c in centers for v in c]), [],
+            array("d", [v for b in blockages for v in b]), 5.0, GridRect,
         )
-        got = stepfield.c_score_candidate(
-            CostField(2, 2, "c").core, store, 0, 1.0, 1.0, None, 3.0,
-            array("d", [v for b in blockages for v in b]), 5.0,
-        )
+        got = store.score(0, 1.0, 1.0, None, 3.0)
         assert want > 0.0 and got.hex() == want.hex()
 
     @needs_c_score
@@ -902,8 +908,9 @@ class TestScoreCandidate:
         cfg = PlacerConfig(max_rounds=30, grid_p=4, grid_q=4, seed=2)
         state = new_state(nl, area, cfg)
         assert state.field.backend == "c"
-        for name in ("penalty", "model_length", "py_candidate_score"):
+        for name in ("penalty", "model_length"):
             monkeypatch.setattr(placer, name, boom)
+        monkeypatch.setattr(placer.PlacementStore, "score", boom)
         monkeypatch.setattr(CostField, "cost", boom)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
@@ -924,21 +931,20 @@ class TestScoreCandidate:
             round_step(state, cfg)
 
     def test_numpy_field_runs_the_reference(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("the numpy field reached the C kernel")
-
+        # a state on the Python field core scores every candidate through
+        # the Python store, the reference
         calls = []
-        reference = placer.py_candidate_score
+        reference = placer.PlacementStore.score
 
-        def counted(*args):
-            calls.append(args[1])
-            return reference(*args)
+        def counted(store, *args):
+            calls.append(args[0])
+            return reference(store, *args)
 
         nl, area = generate_instance(GenSpec(macros=12, nets=18, seed=5))
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=2)
         state = state_on("py", nl, area, cfg)
-        monkeypatch.setattr(placer, "c_score_candidate", boom)
-        monkeypatch.setattr(placer, "py_candidate_score", counted)
+        assert type(state.store) is placer.PlacementStore
+        monkeypatch.setattr(placer.PlacementStore, "score", counted)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
         assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
@@ -962,7 +968,8 @@ class TestScoreCandidate:
             (0, None, TypeError, "FieldCore"),
             (0, "py core", TypeError, "FieldCore"),
             (1, "1.0", TypeError, None),
-            (1, "py store", TypeError, "store must be a PlacementStore"),
+            pytest.param(1, "py store", TypeError, "PlacementStore",
+                         id="1-py store-TypeError-store must be a PlacementStore"),
             (2, -1, ValueError, "macro index -1 out of range for 2 macros"),
             (2, 2, ValueError, "macro index 2 out of range for 2 macros"),
             (2, 1.0, TypeError, None),
@@ -979,27 +986,38 @@ class TestScoreCandidate:
     )
     @needs_c_score
     def test_c_kernel_rejects_bad_input(self, index, value, error, match):
+        # ``index`` names one of what a score reads: the field (0), the keep-
+        # outs (7) and their weight (8), which the store takes when it is
+        # built, the store itself (1), and score's i, x, y, beta and factor
+        # (2 to 6)
         halves, centers = [0.5] * 4, [0.5, 0.5, 2.5, 2.5]
-        store = stepfield.CPlacementStore(
-            4.0, 4.0, 1.0, 1.0, 2, 2, array("d", halves), array("d", centers),
-            [[0, 1]], GridRect,
-        )
-        args = [
-            CostField(2, 2, "c").core, store, 0, 1.0, 1.0, None, 1.0,
-            array("d", [0, 0, 1, 1]), 1.0,
-        ]
-        assert isinstance(stepfield.c_score_candidate(*args), float)
+
+        def build(field, blockages, weight):
+            return stepfield.CPlacementStore(
+                field, 4.0, 4.0, 1.0, 1.0, array("d", halves), array("d", centers),
+                [[0, 1]], blockages, weight, GridRect,
+            )
+
+        field, blockages, weight = CostField(2, 2, "c"), array("d", [0, 0, 1, 1]), 1.0
+        store = build(field, blockages, weight)
+        inputs = [field, store, 0, 1.0, 1.0, None, 1.0, blockages, weight]
+        assert isinstance(store.score(*inputs[2:7]), float)
+        with pytest.raises(TypeError, match="5 arguments"):
+            store.score(*inputs[2:6])
         if value == "py core":
-            value = CostField(2, 2, "py").core
+            value = CostField(2, 2, "py")
         elif value == "py store":
             value = placer.PlacementStore(
-                PlacementArea(4, 4), 1.0, 1.0, 2, 2, halves, centers, [[0, 1]]
+                CostField(2, 2, "py"), PlacementArea(4, 4), 1.0, 1.0, halves, centers,
+                [[0, 1]], 1.0,
             )
-        args[index] = value
+        inputs[index] = value
         with pytest.raises(error, match=match):
-            stepfield.c_score_candidate(*args)
-        with pytest.raises(TypeError, match="9 arguments"):
-            stepfield.c_score_candidate(*args[:-1])
+            if index in (0, 7, 8):
+                build(inputs[0], *inputs[7:])
+            else:
+                # the C method refuses anything but a C store
+                stepfield.CPlacementStore.score(*inputs[1:7])
 
 
 def state_on(backend, netlist, area, config, initial=None):
@@ -1093,16 +1111,16 @@ class TestPlacementStore:
             ({"centers": array("f", [1.0, 1.0])}, TypeError, "doubles"),
             ({"centers": array("d", [math.nan, 1.0, 5.0, 5.0])}, ValueError, "finite"),
             ({"rect": list}, TypeError, "subtype of tuple"),
-            ({"p": 30}, ValueError, "grid exponents"),
+            ({"field": None}, TypeError, "field must be a CostField on the C core"),
             ({"width": 0.0}, ValueError, "positive and finite"),
         ],
     )
     def test_c_store_rejects_bad_input(self, change, error, match):
         args = dict(
-            width=8.0, height=8.0, min_cell_x=2.0, min_cell_y=2.0, p=3, q=3,
-            halves=array("d", [1.0, 1.0, 1.0, 1.0]),
-            centers=array("d", [1.0, 1.0, 5.0, 5.0]),
-            nets=[[0, 1]], rect=GridRect,
+            field=CostField(3, 3, "c"), width=8.0, height=8.0, min_cell_x=2.0,
+            min_cell_y=2.0, halves=array("d", [1.0, 1.0, 1.0, 1.0]),
+            centers=array("d", [1.0, 1.0, 5.0, 5.0]), nets=[[0, 1]],
+            blockages=array("d"), blockage_weight=1.0, rect=GridRect,
         )
         store = stepfield.CPlacementStore(**args)
         with pytest.raises(ValueError, match="out of range"):
@@ -1424,25 +1442,38 @@ class TestBackendsAndSwitch:
 
     @needs_c_score
     def test_mixed_cores_rejected(self):
-        # a field of one core with the placement store of the other
+        # the store is built on its field, so a state cannot pair a field of
+        # one core with the store of the other: a C store refuses a field
+        # on the Python core, and the state's field is the store's
         nl, area = tiny_instance(16)
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
         states = {b: state_on(b, nl, area, cfg) for b in ("c", "py")}
-        fields_ = {b: s.field for b, s in states.items()}
-        macro = nl.by_id[states["c"].macro_order[0]]
+        with pytest.raises(TypeError, match="field must be a CostField on the C core"):
+            stepfield.CPlacementStore(
+                states["py"].field, area.width, area.height, 1.0, 1.0, array("d"),
+                array("d"), [], array("d"), 1.0, GridRect,
+            )
         for backend, other in (("c", "py"), ("py", "c")):
-            state = states[backend]
-            state.field = fields_[other]
-            before = dict(state.placement)
-            with pytest.raises(
-                ValueError, match=f"field runs on the '{other}' core but its placement store"
-            ):
-                round_step(state, cfg)
-            assert state.round == 0 and state.placement == before
-        # scoring a C store takes the C field core
-        state = states["c"]
-        with pytest.raises(TypeError, match="core must be a FieldCore"):
-            candidate_score(macro, (1.0, 1.0), state, cfg, score_context(macro, state, cfg))
+            with pytest.raises(AttributeError):
+                states[backend].field = states[other].field
+            assert states[backend].field.backend == backend
+
+    def test_both_stores_expose_the_same_methods(self, backend):
+        # the C store and its Python reference answer the same calls, and
+        # each holds the field its state reads
+        methods = [n for n in dir(placer.PlacementStore) if not n.startswith("_")]
+        assert methods == ["box", "move", "net_lengths", "pairs", "score", "totals"]
+        if stepfield.CPlacementStore is not None:
+            assert [n for n in dir(stepfield.CPlacementStore) if not n.startswith("_")] == (
+                sorted(methods + ["field"])
+            )
+        nl, area = tiny_instance(17)
+        cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=1)
+        state = state_on(backend, nl, area, cfg)
+        assert type(state.store) is (
+            placer.PlacementStore if backend == "py" else stepfield.CPlacementStore
+        )
+        assert state.field is state.store.field and state.field.backend == backend
 
     def test_mismatched_config_grid_rejected(self):
         nl, area = tiny_instance(14)
