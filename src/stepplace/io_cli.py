@@ -227,9 +227,19 @@ def _read_lines(path: str) -> list[str]:
             ) from None
 
 
+def _parse_file(path: str, parse):
+    """``parse`` of the lines of the file at ``path``; the
+    :class:`InstanceFormatError` it raises is prefixed with the path."""
+    lines = _read_lines(path)
+    try:
+        return parse(lines)
+    except InstanceFormatError as e:
+        raise InstanceFormatError(f"{path!r}: {e}") from None
+
+
 def load_instance(path: str) -> tuple[Netlist, PlacementArea, Placement | None]:
-    """Load and validate an instance file."""
-    return parse_instance(_read_lines(path))
+    """Load and validate an instance file; a parse error names the file."""
+    return _parse_file(path, parse_instance)
 
 
 def write_instance(
@@ -330,11 +340,17 @@ def save_result(
 
 def load_result(path: str) -> ResultData:
     """Load a result file; a malformed, unknown or duplicate line raises
-    :class:`InstanceFormatError` naming it, as does a missing summary."""
+    :class:`InstanceFormatError` naming the file and the line, as does a
+    missing summary."""
+    return _parse_file(path, _parse_result)
+
+
+def _parse_result(lines: Iterable[str]) -> ResultData:
+    """The result file of ``lines``; errors name the line."""
     positions: Placement = {}
     config: dict[str, str] = {}
     summary: dict[str, float | bool] = {}
-    for ln, raw in enumerate(_read_lines(path), start=1):
+    for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -714,7 +730,9 @@ def _build_config(args: argparse.Namespace) -> PlacerConfig:
         valid = {f.name for f in dataclasses.fields(PlacerConfig)}
         for k, v in loaded.items():
             if k not in valid:
-                raise InstanceFormatError(f"unknown config key {k!r}")
+                raise InstanceFormatError(
+                    f"config file {args.config!r}: unknown config key {k!r}"
+                )
             values[k] = v
     for f in dataclasses.fields(PlacerConfig):
         v = getattr(args, f.name)
@@ -753,7 +771,10 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 def _cmd_place(args: argparse.Namespace) -> int:
     out = _out_path(args.out)
     stats = _out_path(args.stats) if args.stats else None
-    _distinct_files(("--in", args.infile), ("--out", out), ("--stats", stats))
+    _distinct_files(
+        ("--in", args.infile), ("--config", args.config), ("--out", out),
+        ("--stats", stats),
+    )
     netlist, area, initial = load_instance(args.infile)
     config = _build_config(args)
     for path in [out] + ([stats] if stats else []):

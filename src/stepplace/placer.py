@@ -17,9 +17,7 @@ result is near-legal; :func:`naive_legalize` removes the residual overlaps.
 
 The round loop is sequential.  Scoring candidates within a round is read-only
 with respect to the placement and the field; the winning move and field
-updates are applied afterwards.  What every candidate of a round shares (the
-macro's index, the net model's sharpness, the penalty factor) is gathered
-once per round in a :class:`ScoreContext`.
+updates are applied afterwards.
 
 The placement the rounds read and commit lives in one store keyed by macro
 index, the run's one backend object: the cost field it is built on, the
@@ -37,8 +35,8 @@ the overlap update test a footprint only against the macros near it.
 Where the C core loaded, each proposal is one call of its ``move_macro``,
 which draws from the round's rng as :func:`py_move_macro` does and returns
 the same bits.  A round evaluates its schedules (delta, beta and w) once,
-for its scoring context, its field growth and its statistics row.  Runs are
-deterministic for a given seed.
+for its candidates' net-model sharpness and penalty factor, its field growth
+and its statistics row.  Runs are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -250,13 +248,14 @@ class RoundStats(NamedTuple):
 
 @dataclass
 class PlacerState:
-    """Mutable loop state; create with :func:`new_state`."""
+    """Mutable loop state; create with :func:`new_state`, whose ``config``
+    is the only one its rounds and statistics rows accept."""
 
-    netlist: Netlist
-    area: PlacementArea
+    config: PlacerConfig
     rng: random.Random
     placement: Placement
-    bounds: dict[str, MacroBounds]
+    # each macro's feasible centers, indexed like the store
+    bounds: list[MacroBounds]
     round: int
     macro_order: list[str]
     # the placement keyed by index in macro_order, with the field and the
@@ -516,58 +515,15 @@ def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
     )
 
 
-class ScoreContext(NamedTuple):
-    """What the candidates of one round share: the round's net-model
-    sharpness (see :func:`model_length`: the round's beta before
-    ``switch_round``, None for the exact bounding box from it on), the
-    moving macro's index in ``macro_order``, under which the state's store
-    keeps it, and the round's penalty factor (``penalty_c`` times the
-    round's delta)."""
-
-    beta: float | None
-    index: int
-    penalty_factor: float
-
-    @classmethod
-    def of_round(
-        cls, rnd: int, index: int, delta: float, beta: float, config: PlacerConfig
-    ) -> ScoreContext:
-        """The context of moving macro ``index`` in the 1-based round
-        ``rnd``, whose :func:`_schedules` give ``delta`` and ``beta``."""
-        return cls(
-            None if rnd >= config.switch_round else beta,
-            index,
-            config.penalty_c * delta,
-        )
-
-
-def score_context(
-    macro: Macro, state: PlacerState, config: PlacerConfig
-) -> ScoreContext:
-    """The :class:`ScoreContext` of moving ``macro`` in the current round."""
-    rnd = state.round + 1
-    delta, beta, _ = _schedules(rnd, config)
-    return ScoreContext.of_round(
-        rnd, bisect_left(state.macro_order, macro.id), delta, beta, config
-    )
-
-
 def candidate_score(
-    macro: Macro,
-    pos: Point,
-    state: PlacerState,
-    config: PlacerConfig,
-    ctx: ScoreContext,
+    state: PlacerState, i: int, pos: Point, beta: float | None, factor: float
 ) -> float:
-    """Score of moving ``macro`` to ``pos`` in the current round: field cost
-    of the snapped footprint, plus the lengths of the macro's nets, plus the
-    overlap penalty, plus the weighted blockage overlap area.
-
-    ``ctx`` is the round's :func:`score_context`.  The score is one ``score``
-    call on the state's store, which returns the same float on both cores
-    (see :meth:`PlacementStore.score`)."""
+    """Score of moving macro ``i`` (its index in ``macro_order``) to ``pos``
+    with net-model sharpness ``beta`` and penalty factor ``factor``: one
+    ``score`` call on the state's store (see :meth:`PlacementStore.score`),
+    which returns the same float on both cores."""
     x, y = pos
-    return state.store.score(ctx.index, x, y, ctx.beta, ctx.penalty_factor)
+    return state.store.score(i, x, y, beta, factor)
 
 
 def new_state(
@@ -580,16 +536,16 @@ def new_state(
     bounds, missing ones drawn uniformly), zero field plus one static
     increase per blockage, and the placement store; :func:`stats_row` gives
     its statistics row 0."""
-    bounds = {m.id: compute_bounds(m, area) for m in netlist.macros}
+    macro_order = sorted(m.id for m in netlist.macros)
+    macros = [netlist.by_id[mid] for mid in macro_order]
+    bounds = [compute_bounds(m, area) for m in macros]
     if initial is not None:
         for mid in initial:
-            if mid not in bounds:
+            if mid not in netlist.by_id:
                 raise ValueError(f"initial position for unknown macro {mid!r}")
     rng = random.Random(config.seed)
-    macro_order = sorted(m.id for m in netlist.macros)
     placement: Placement = {}
-    for mid in macro_order:
-        b = bounds[mid]
+    for mid, b in zip(macro_order, bounds):
         if initial is not None and mid in initial:
             x, y = initial[mid]
             x = min(max(x, b.x_min), b.x_max)
@@ -607,7 +563,6 @@ def new_state(
 
     # footprint cells at least as large as the largest macro: a footprint
     # touches at most 2x2 of them
-    macros = [netlist.by_id[mid] for mid in macro_order]
     cells = (
         max((m.size_x for m in macros), default=1.0),
         max((m.size_y for m in macros), default=1.0),
@@ -625,8 +580,7 @@ def new_state(
     else:
         store = PlacementStore(fld, area, *cells, *args, config.blockage_weight)
     return PlacerState(
-        netlist=netlist,
-        area=area,
+        config=config,
         rng=rng,
         placement=placement,
         bounds=bounds,
@@ -636,8 +590,15 @@ def new_state(
     )
 
 
+def _check_config(state: PlacerState, config: PlacerConfig) -> None:
+    """Raise ``ValueError`` unless ``config`` equals the state's own."""
+    if config is not state.config and config != state.config:
+        raise ValueError("config differs from the one the state was created with")
+
+
 def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
     """Statistics of the state as it stands after ``state.round`` rounds."""
+    _check_config(state, config)
     rnd = state.round
     return RoundStats(rnd, *state.store.totals(), *_schedules(rnd, config))
 
@@ -649,29 +610,29 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     remaining overlap of the moved macro, inflate.  Returns the round's
     statistics row.
 
+    The round's schedules give every candidate's net-model sharpness (None
+    from ``switch_round`` on) and penalty factor (``penalty_c * delta``).
     The candidates' scores and the winner's index are left on
-    ``state.last_scores`` and ``state.last_choice``.  The config must be the
-    one the state was created with.  A score that is not finite (the field or
-    the penalty overflowed) raises ``ValueError`` before anything moves.
+    ``state.last_scores`` and ``state.last_choice``.  A ``config`` not equal
+    to ``state.config``, or a score that is not finite (the field or the
+    penalty overflowed), raises ``ValueError`` before anything moves.
     """
+    _check_config(state, config)
     rnd = state.round + 1
     if rnd > config.max_rounds:
         raise ValueError("all configured rounds already executed")
-    fld, store = state.field, state.store
-    if fld.p != config.grid_p or fld.q != config.grid_q:
-        raise ValueError("config grid exponents differ from the state's field")
-    rng = state.rng
+    fld, store, rng = state.field, state.store, state.rng
     mi = rng.randrange(len(state.macro_order))
     mid = state.macro_order[mi]
-    macro = state.netlist.by_id[mid]
     x0 = state.placement[mid]
-    bounds = state.bounds[mid]
+    bounds = state.bounds[mi]
     candidates = [x0]
     for _ in range(config.candidates_per_round):
         candidates.append(move_macro(x0, bounds, rng))
     delta, beta, w = _schedules(rnd, config)
-    ctx = ScoreContext.of_round(rnd, mi, delta, beta, config)
-    scores = [candidate_score(macro, c, state, config, ctx) for c in candidates]
+    model_beta = None if rnd >= config.switch_round else beta
+    factor = config.penalty_c * delta
+    scores = [candidate_score(state, mi, c, model_beta, factor) for c in candidates]
     if not all(map(math.isfinite, scores)):
         raise ValueError(
             f"round {rnd}: a candidate score is not finite; "

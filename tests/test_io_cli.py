@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -178,8 +179,12 @@ class TestResultFile:
             text[ln - 1 : ln] = [line]
         path = tmp_path / "res.txt"
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(InstanceFormatError, match=needle):
+        with pytest.raises(InstanceFormatError) as exc:
             load_result(str(path))
+        # the message names the file, then the line
+        prefix = f"{str(path)!r}: "
+        msg = str(exc.value)
+        assert msg.startswith(prefix) and re.search(needle, msg[len(prefix):])
 
 
 class TestStatsCsv:
@@ -520,27 +525,31 @@ class TestCli:
     def test_unreadable_input_names_its_file(
         self, tmp_path, instance_file, capsys, command, flag
     ):
-        # a file that is not UTF-8 text, or a config that is not JSON
+        # a file that is not UTF-8 text, or one with a malformed line (for
+        # --config, text that is not JSON)
         res = str(tmp_path / "r.txt")
         assert main(["place", "--in", instance_file, "--out", res, "--rounds", "20"]) == 0
         bad = tmp_path / "bad.txt"
-        if flag == "--config":
-            bad.write_text("nonsense")
-            want = "Expecting value: line 1 column 1"
-        else:
-            bad.write_bytes(b"\xff")
-            want = "is not utf-8 text: invalid start byte (byte 0xff)"
-        files = {
-            "place": {"--in": instance_file, "--out": str(tmp_path / "o.txt")},
-            "check": {"--instance": instance_file, "--result": res},
-            "render": {"--instance": instance_file, "--result": res,
-                       "--out": str(tmp_path / "o.svg")},
-        }[command]
-        files[flag] = str(bad)
-        capsys.readouterr()
-        assert main([command, *(v for kv in files.items() for v in kv)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(str(bad)) in err and want in err
+        malformed = {
+            "--config": ("nonsense", "config file {}: Expecting value: line 1 column 1"),
+            "--result": ("garbage", "{}: line 1: bad result line 'garbage'"),
+        }.get(flag, ("garbage", "{}: line 1: unknown directive 'garbage'"))
+        for content, want in (
+            (b"\xff", "{} is not utf-8 text: invalid start byte (byte 0xff)"),
+            (malformed[0].encode() + b"\n", malformed[1]),
+        ):
+            bad.write_bytes(content)
+            files = {
+                "place": {"--in": instance_file, "--out": str(tmp_path / "o.txt")},
+                "check": {"--instance": instance_file, "--result": res},
+                "render": {"--instance": instance_file, "--result": res,
+                           "--out": str(tmp_path / "o.svg")},
+            }[command]
+            files[flag] = str(bad)
+            capsys.readouterr()
+            assert main([command, *(v for kv in files.items() for v in kv)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and want.format(repr(str(bad))) in err
 
     def test_place_missing_input_exits_1(self, tmp_path, capsys):
         code = main(
@@ -663,9 +672,15 @@ class TestCli:
              "--result and --out"),
             (["render", "--instance", "inst", "--out", "link"],
              "--instance and --out"),
+            # neither output may overwrite the config it was run with
+            (["place", "--in", "inst", "--config", "r", "--out", "r"],
+             "--config and --out"),
+            (["place", "--in", "inst", "--config", "r", "--out", "o", "--stats", "r"],
+             "--config and --stats"),
         ],
         ids=["place-out-stats", "place-in-out", "place-symlink", "place-dotdot",
-             "render-result-out", "render-symlink"],
+             "render-result-out", "render-symlink", "place-config-out",
+             "place-config-stats"],
     )
     def test_one_file_for_two_flags_exits_1(
         self, tmp_path, instance_file, capsys, monkeypatch, argv, flags
@@ -786,7 +801,8 @@ class TestCli:
              "--config", str(cfgfile)]
         )
         assert code == 1
-        assert "unknown config key" in capsys.readouterr().err
+        want = f"config file {str(cfgfile)!r}: unknown config key 'not_a_field'"
+        assert want in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, field",

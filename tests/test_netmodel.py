@@ -25,7 +25,6 @@ from stepplace.placer import (
     PlacerConfig,
     candidate_score,
     new_state,
-    score_context,
     snap_to_grid,
 )
 from stepplace import stepfield
@@ -303,22 +302,21 @@ class TestMarginalCost:
     """The placer's candidate score: field cost of the spot plus the lengths
     of the nets containing the macro (no overlaps or blockages here)."""
 
-    def score(self, nl, placement, mid, pos, model_switch_round=1):
-        # switch round 1 scores with the exact bounding box from the start
-        cfg = PlacerConfig(max_rounds=10, model_switch_round=model_switch_round)
+    def score(self, nl, placement, mid, pos, beta=None):
+        # beta None scores with the exact bounding box
+        cfg = PlacerConfig(max_rounds=10)
         state = new_state(nl, PlacementArea(20, 20), cfg, placement)
-        macro = nl.by_id[mid]
-        return candidate_score(macro, pos, state, cfg, score_context(macro, state, cfg))
+        return candidate_score(state, state.macro_order.index(mid), pos, beta, 0.1)
 
     def test_no_nets_returns_field_cost(self):
         nl = Netlist([Macro("solo", 1, 1)], [])
         cfg = PlacerConfig(max_rounds=10)
-        state = new_state(nl, PlacementArea(20, 20), cfg, {"solo": (1, 1)})
+        area = PlacementArea(20, 20)
+        state = new_state(nl, area, cfg, {"solo": (1, 1)})
         state.field.increase(GridRect(0, 0, 64, 64), 1.5)
-        solo = nl.by_id["solo"]
-        got = candidate_score(solo, (4, 5), state, cfg, score_context(solo, state, cfg))
+        got = candidate_score(state, 0, (4, 5), 1.0, 0.1)
         fp = footprint_box(nl.by_id["solo"], (4, 5))
-        snapped = snap_to_grid(fp, state.area, 6, 6)
+        snapped = snap_to_grid(fp, area, 6, 6)
         assert got == state.field.cost(snapped) > 0
 
     def test_two_pin_bb_example(self):
@@ -334,8 +332,8 @@ class TestMarginalCost:
         base = {"m": (9, 9), "n1": (1, 1), "n2": (5, 5), "far": (15, 15)}
         moved = dict(base, far=(1, 18), n2=(17, 3))
         # only nets containing m matter, and they ignore n2/far, in the
-        # smoothed (switch round 10) and the bounding-box regime alike
-        for switch in (1, 10):
-            a = self.score(nl, base, "m", (2, 3), switch)
-            b = self.score(nl, moved, "m", (2, 3), switch)
+        # smoothed (beta 1) and the bounding-box regime alike
+        for beta in (None, 1.0):
+            a = self.score(nl, base, "m", (2, 3), beta)
+            b = self.score(nl, moved, "m", (2, 3), beta)
             assert a == b

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from array import array
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import accumulate
 from unittest import mock
 
@@ -49,7 +49,6 @@ from stepplace.placer import (
     penalty,
     round_step,
     run_placer,
-    score_context,
     snap_to_grid,
     stats_row,
 )
@@ -490,10 +489,8 @@ class TestCandidateScore:
         nl = Netlist([Macro("a", 2, 2)], [])
         cfg = PlacerConfig(max_rounds=10, grid_p=3, grid_q=3, seed=1)
         state = new_state(nl, square_area(), cfg)
-        a = nl.by_id["a"]
-        ctx = score_context(a, state, cfg)
         for pos in [(1, 1), (4, 4), (6.5, 2.5)]:
-            assert candidate_score(a, pos, state, cfg, ctx) == 0.0
+            assert candidate_score(state, 0, pos, 1.0, 0.1) == 0.0
 
     def test_two_pin_net_minimized_at_neighbor(self):
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [Net(("a", "b"))])
@@ -502,11 +499,9 @@ class TestCandidateScore:
         )
         state = new_state(nl, square_area(), cfg, initial={"b": (6.0, 6.0)})
         target = (6.0, 6.0)
-        a = nl.by_id["a"]
-        ctx = score_context(a, state, cfg)
         best = min(
             [(2, 2), (6, 6), (3, 7), (7, 3)],
-            key=lambda c: candidate_score(a, c, state, cfg, ctx),
+            key=lambda c: candidate_score(state, 0, c, None, 0.1),
         )
         assert best == target
 
@@ -521,10 +516,8 @@ class TestCandidateScore:
         height = 3.0
         s_uniform.field.increase(GridRect(0, 0, 8, 8), height)
         cands = [(1.0, 1.0), (5.0, 5.0), (7.0, 3.0), (3.0, 6.0)]
-        a = nl.by_id["a"]
-        ctx = score_context(a, s_plain, cfg)  # the same in both states
-        plain = [candidate_score(a, c, s_plain, cfg, ctx) for c in cands]
-        unif = [candidate_score(a, c, s_uniform, cfg, ctx) for c in cands]
+        plain = [candidate_score(s_plain, 0, c, 1.0, 0.1) for c in cands]
+        unif = [candidate_score(s_uniform, 0, c, 1.0, 0.1) for c in cands]
         # every candidate footprint snaps to a 2x2=4 cell region
         for p, u in zip(plain, unif):
             assert u == pytest.approx(p + height * 4, rel=1e-12)
@@ -537,10 +530,8 @@ class TestCandidateScore:
             max_rounds=10, grid_p=3, grid_q=3, seed=1, blockage_weight=50.0
         )
         state = new_state(nl, square_area(blockages=(blk,)), cfg)
-        a = nl.by_id["a"]
-        ctx = score_context(a, state, cfg)
-        on_block = candidate_score(a, (2.0, 2.0), state, cfg, ctx)
-        off_block = candidate_score(a, (6.9, 6.9), state, cfg, ctx)
+        on_block = candidate_score(state, 0, (2.0, 2.0), 1.0, 0.1)
+        off_block = candidate_score(state, 0, (6.9, 6.9), 1.0, 0.1)
         assert on_block >= 50.0 * 4.0  # full 2x2 footprint on the blockage
         assert off_block < on_block
 
@@ -553,9 +544,8 @@ class TestCandidateScore:
         init = {"a": (3.0, 3.0), "b": (3.0, 3.0)}
         state = new_state(nl, square_area(), cfg, initial=init)
         # field is empty, no nets: the score at b's position is the penalty
-        a = nl.by_id["a"]
-        got = candidate_score(a, (3.0, 3.0), state, cfg, score_context(a, state, cfg))
         factor = cfg.penalty_c * cfg.delta_at(0)
+        got = candidate_score(state, 0, (3.0, 3.0), None, factor)
         assert got == penalty(factor, a_box(nl, (3.0, 3.0)), footprint_grid(nl, init), "a")
 
 
@@ -687,31 +677,37 @@ class TestNetTerms:
         c_state, py_state = (state_on(b, nl, area, cfg) for b in ("c", "py"))
         rng = random.Random(8)
         for _ in range(cfg.max_rounds):
-            macro = nl.by_id[rng.choice(c_state.macro_order)]
-            ctx = score_context(macro, c_state, cfg)
-            assert ctx == score_context(macro, py_state, cfg)
+            i = rng.randrange(len(c_state.macro_order))
+            mid = c_state.macro_order[i]
+            args = round_args(cfg, c_state.round + 1)
             # the reference reads the macro's nets from the store as the
             # netlist gives them
             index = c_state.macro_order.index
             store = py_state.store
-            assert ctx.index == index(macro.id)
-            assert [store.nets[k] for k in store.nets_of[ctx.index]] == [
-                [index(m) for m in net.members] for net in nl.nets if macro.id in net.members
+            assert [store.nets[k] for k in store.nets_of[i]] == [
+                [index(m) for m in net.members] for net in nl.nets if mid in net.members
             ]
             for _ in range(4):
-                b = c_state.bounds[macro.id]
+                b = c_state.bounds[i]
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                want = candidate_score(macro, pos, py_state, cfg, ctx)
-                got = candidate_score(macro, pos, c_state, cfg, ctx)
+                want = candidate_score(py_state, i, pos, *args)
+                got = candidate_score(c_state, i, pos, *args)
                 assert got.hex() == want.hex()
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
 
 
-def candidate_at(draw, kind, macro, state):
-    """A candidate center of the given kind for ``macro`` in ``state``."""
-    area = state.area
+def round_args(cfg, rnd):
+    """The ``beta`` and ``factor`` every candidate of the 1-based round
+    ``rnd`` is scored with."""
+    beta = None if rnd >= cfg.switch_round else beta_schedule(rnd, cfg.max_rounds)
+    return beta, cfg.penalty_c * cfg.delta_at(rnd - 1)
+
+
+def candidate_at(draw, kind, macro, state, area):
+    """A candidate center of the given kind for ``macro`` in ``state`` on
+    ``area``."""
     hx, hy = macro.size_x / 2.0, macro.size_y / 2.0
-    b = state.bounds[macro.id]
+    b = state.bounds[state.macro_order.index(macro.id)]
     if kind == "inside":
         return draw(st.floats(b.x_min, b.x_max)), draw(st.floats(b.y_min, b.y_max))
     if kind == "outside":
@@ -795,14 +791,14 @@ class TestScoreCandidate:
         for _ in range(draw(st.integers(0, 12), label="rounds")):
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
         # the scored round: the last smoothed one, the switch, or any
-        rnd = draw(st.sampled_from([switch - 2, switch - 1, c_state.round]))
-        c_state.round = py_state.round = max(0, rnd)
-        macro = nl.by_id[draw(st.sampled_from(c_state.macro_order))]
-        ctx = score_context(macro, c_state, cfg)
+        rnd = draw(st.sampled_from([switch - 1, switch, c_state.round + 1]))
+        args = round_args(cfg, max(1, rnd))
+        i = draw(st.integers(0, n_macros - 1))
+        macro = nl.by_id[c_state.macro_order[i]]
         for kind in ("inside", "outside", "edge", "own", "touch"):
-            pos = candidate_at(draw, kind, macro, c_state)
-            want = candidate_score(macro, pos, py_state, cfg, ctx)
-            got = candidate_score(macro, pos, c_state, cfg, ctx)
+            pos = candidate_at(draw, kind, macro, c_state, area)
+            want = candidate_score(py_state, i, pos, *args)
+            got = candidate_score(c_state, i, pos, *args)
             assert got.hex() == want.hex(), (kind, pos)
             assert c_state.field.last_touched == py_state.field.last_touched
 
@@ -855,12 +851,13 @@ class TestScoreCandidate:
             assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
             grown["c"].clear()
             grown["py"].clear()
-        macro = nl.by_id[draw(st.sampled_from(c_state.macro_order))]
-        ctx = score_context(macro, c_state, cfg)
+        i = draw(st.integers(0, n_macros - 1))
+        macro = nl.by_id[c_state.macro_order[i]]
+        args = round_args(cfg, c_state.round + 1)
         for kind in ("inside", "outside", "edge", "own", "touch"):
-            pos = candidate_at(draw, kind, macro, c_state)
-            want = candidate_score(macro, pos, py_state, cfg, ctx)
-            got = candidate_score(macro, pos, c_state, cfg, ctx)
+            pos = candidate_at(draw, kind, macro, c_state, area)
+            want = candidate_score(py_state, i, pos, *args)
+            got = candidate_score(c_state, i, pos, *args)
             assert got.hex() == want.hex(), (kind, pos)
 
     @needs_c_score
@@ -1044,14 +1041,15 @@ class TestPlacementStore:
             "m4": (40.0, 40.0), "m5": (42.0 - 2.0**-27, 42.0 - 2.0**-26),
         }
         cfg = PlacerConfig(max_rounds=1)
-        state = state_on(backend, nl, PlacementArea(64, 64), cfg, init)
+        area = PlacementArea(64, 64)
+        state = state_on(backend, nl, area, cfg, init)
         store = state.store
         assert store.pairs() == [(0, 1, 1.0), (2, 3, e), (4, 5, e)]
         assert stats_row(state, cfg).overlap_area == 1.0
         assert store.move(0, 5.0, 30.0) == []  # the pair (0, 1) ends
         assert store.pairs() == [(2, 3, e), (4, 5, e)]
         assert store.move(0, 5.0, 5.0) == [snap_to_grid((5.0, 5.0, 6.0, 6.0),
-                                                        state.area, 6, 6)]
+                                                        area, 6, 6)]
         assert store.pairs() == [(2, 3, e), (4, 5, e), (0, 1, 1.0)]
         assert (e + e) + 1.0 != (1.0 + e) + e
         assert store.totals() == (0, (e + e) + 1.0)
@@ -1147,7 +1145,7 @@ class TestPlacementStore:
             def wrapped(*args):
                 calls[name] = calls.get(name, 0) + 1
                 if name == "candidate_score":
-                    moved.append(args[0])
+                    moved.append(args[1])
                 return fn(*args)
 
             monkeypatch.setattr(owner, name, wrapped)
@@ -1166,8 +1164,8 @@ class TestPlacementStore:
             moved.clear()
             state.last_choice = None
             round_step(state, cfg)
-            macro = moved[0]
-            assert moved == [macro] * (cfg.candidates_per_round + 1)
+            assert moved == [moved[0]] * (cfg.candidates_per_round + 1)
+            macro = nl.by_id[state.macro_order[moved[0]]]
             box = footprint_box(macro, state.placement[macro.id])
             meets = [
                 snap_to_grid(meet(box, footprint_box(m, state.placement[m.id])),
@@ -1241,7 +1239,7 @@ class TestRoundStep:
         for _ in range(150):
             round_step(state, cfg)
             for mid, (x, y) in state.placement.items():
-                b = state.bounds[mid]
+                b = state.bounds[state.macro_order.index(mid)]
                 assert b.x_min <= x <= b.x_max
                 assert b.y_min <= y <= b.y_max
 
@@ -1253,7 +1251,7 @@ class TestRoundStep:
             seed=4, inflation_rho=1.0,
         )
         state = new_state(nl, square_area(), cfg, initial=init)
-        probe = snap_to_grid(Rect(2.5, 2.5, 4.0, 4.0), state.area, 3, 3)
+        probe = snap_to_grid(Rect(2.5, 2.5, 4.0, 4.0), square_area(), 3, 3)
         before = state.field.cost(probe)
         for _ in range(40):
             round_step(state, cfg)
@@ -1412,8 +1410,8 @@ class TestBackendsAndSwitch:
     def test_round_row_is_the_stats_row(self, backend, monkeypatch):
         # round_step builds its row from the schedules it scored with; it
         # equals stats_row's, field by field, on every round, among them
-        # the first, those around the switch round and the last, and the
-        # round's context agrees with it
+        # the first, those around the switch round and the last, and every
+        # candidate is scored with the row's beta and delta
         nl, area = tiny_instance(3)
         cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=2)
         state = state_on(backend, nl, area, cfg)
@@ -1421,9 +1419,9 @@ class TestBackendsAndSwitch:
         seen = []
         score = placer.candidate_score
 
-        def recording(macro, pos, state, config, ctx):
-            seen.append((macro.id, ctx))
-            return score(macro, pos, state, config, ctx)
+        def recording(*args):
+            seen.append(args)
+            return score(*args)
 
         monkeypatch.setattr(placer, "candidate_score", recording)
         for _ in range(cfg.max_rounds):
@@ -1432,12 +1430,13 @@ class TestBackendsAndSwitch:
             want = stats_row(state, cfg)
             assert [exact(v) for v in row] == [exact(v) for v in want]
             assert row.round == state.round
-            (mid, ctx), = set(seen)
-            assert ctx == (
-                None if row.round >= cfg.switch_round else row.beta,
-                state.macro_order.index(mid),
-                cfg.penalty_c * row.delta,
-            )
+            assert len(seen) == cfg.candidates_per_round + 1 == 9
+            beta = None if row.round >= cfg.switch_round else row.beta
+            factor = (cfg.penalty_c * row.delta).hex()
+            (i,) = {args[1] for args in seen}
+            assert 0 <= i < len(state.macro_order)
+            for scored, _, _, b, f in seen:
+                assert scored is state and b == beta and f.hex() == factor
         assert state.round == cfg.max_rounds
 
     @needs_c_score
@@ -1480,8 +1479,33 @@ class TestBackendsAndSwitch:
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
         state = new_state(nl, area, cfg)
         other = PlacerConfig(max_rounds=10, grid_p=5, grid_q=4, seed=1)
-        with pytest.raises(ValueError, match="grid exponents"):
+        with pytest.raises(ValueError, match="config differs from the one the state"):
             round_step(state, other)
+
+    def test_equal_config_accepted(self, backend):
+        # an equal config need not be the state's own object
+        nl, area = tiny_instance(14)
+        cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
+        state = state_on(backend, nl, area, cfg)
+        twin = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
+        assert twin == cfg and twin is not cfg and state.config is cfg
+        assert stats_row(state, twin) == stats_row(state, cfg)
+        row = round_step(state, twin)
+        assert row.round == state.round == 1 and row == stats_row(state, twin)
+
+    def test_other_config_refused_before_anything_moves(self, backend):
+        # a config differing only in a field the grid does not show
+        nl, area = tiny_instance(14)
+        cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
+        state = state_on(backend, nl, area, cfg)
+        round_step(state, cfg)
+        other = replace(cfg, blockage_weight=0.0)
+        whole = GridRect(0, 0, 16, 16)
+        before = repr((state.round, state.placement, state.field.cost(whole)))
+        for step in (round_step, stats_row):
+            with pytest.raises(ValueError, match="config differs from the one the state"):
+                step(state, other)
+            assert repr((state.round, state.placement, state.field.cost(whole))) == before
 
     def test_unknown_initial_macro_rejected(self):
         nl, area = tiny_instance(15)
