@@ -26,9 +26,16 @@
  * candidate move of the placer from what it holds (field sum, net terms,
  * overlap penalty against the other footprints, and keep-out term).  A
  * round commits its move to it in one call.  The module function move_macro
- * draws one proposal of a round from its rng.  Both do the float operations
- * of the placer's Python reference in its order, so they return its bits
- * (build with -ffp-contract=off so no multiply-add is fused).
+ * draws one proposal of a round from its rng.
+ *
+ * FreeSpace is the legalizer's: the footprints it has placed, in a
+ * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
+ * search's lattices and runs the ring search of placer._nearest_free over
+ * them, with the same cursors and jumps, so it finds the same point.
+ *
+ * All of these do the float operations of the placer's Python reference in
+ * its order, so they return its bits (build with -ffp-contract=off so no
+ * multiply-add is fused).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -422,6 +429,14 @@ py_min(double a, double b)
     return b < a ? b : a;
 }
 
+/* Whether boxes a and b, x1, y1, x2, y2 each, meet with positive area
+ * (netmodel.overlaps). */
+static inline int
+boxes_meet(const double *a, const double *b)
+{
+    return py_max(a[0], b[0]) < py_min(a[2], b[2]) && py_max(a[1], b[1]) < py_min(a[3], b[3]);
+}
+
 /* Keys in no particular order: one cell's, or the slots of one macro's pairs. */
 typedef struct {
     Py_ssize_t *keys;
@@ -471,9 +486,9 @@ compare_keys(const void *a, const void *b)
 }
 
 /* Writes to idx->found, ascending, every key but skip whose box meets the
- * query with positive area (netmodel.overlaps); returns their count.  Two
- * such boxes share the cell of a common point, and the clamp at the border
- * is monotone, so the cells the query's closed extent touches hold them. */
+ * query; returns their count.  Two such boxes share the cell of a common
+ * point, and the clamp at the border is monotone, so the cells the query's
+ * closed extent touches hold them. */
 static Py_ssize_t
 index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
 {
@@ -488,8 +503,7 @@ index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
                     continue;
                 idx->mark[k] = q;
                 const double *f = idx->boxes + 4 * k;
-                if (py_max(query[0], f[0]) < py_min(query[2], f[2])
-                    && py_max(query[1], f[1]) < py_min(query[3], f[3]))
+                if (boxes_meet(query, f))
                     idx->found[n++] = k;
             }
         }
@@ -1373,6 +1387,349 @@ done:
     return result;
 }
 
+/* The footprints the legalizer has placed and the area's keep-outs, with the
+ * lattice search of stepplace.placer._nearest_free over them; its Python
+ * reference is stepplace.placer.PyFreeSpace. */
+typedef struct {
+    PyObject_HEAD
+    FootprintIndex index;  /* the placed footprints, keyed 0 .. count - 1 */
+    Py_ssize_t count;
+    Py_ssize_t n_blk;      /* keep-outs */
+    double *blk;           /* x1, y1, x2, y2 per keep-out */
+} FreeSpace;
+
+/* netmodel.BucketGrid.first_hit over the index, then the first keep-out: a
+ * box that meets query, or NULL if there is none. */
+static const double *
+blocker(const FreeSpace *s, const double *query)
+{
+    const FootprintIndex *idx = &s->index;
+    Py_ssize_t c[4];
+    box_cells(idx, query, c);
+    for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
+        for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
+            const Bucket *b = &idx->cells[i * idx->rows + j];
+            Py_ssize_t best = -1;
+            for (Py_ssize_t t = 0; t < b->len; t++) {
+                Py_ssize_t k = b->keys[t];
+                if ((best < 0 || k < best) && boxes_meet(query, idx->boxes + 4 * k))
+                    best = k;
+            }
+            if (best >= 0)
+                return idx->boxes + 4 * best;
+        }
+    }
+    for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4)
+        if (boxes_meet(query, b))
+            return b;
+    return NULL;
+}
+
+/* One axis of a search: its n lattice points and the footprint edges
+ * around them. */
+typedef struct {
+    Py_ssize_t n;
+    double *at, *low, *high;
+} Lattice;
+
+/* Most points one lattice axis may hold (the legalizer's hold at most about
+ * 2**11, at the grid cap). */
+#define MAX_LATTICE ((Py_ssize_t)1 << 20)
+
+/* The number of points of placer._lattice(lo, hi, step): lo + i * step
+ * while below hi, then hi; -1 above MAX_LATTICE. */
+static Py_ssize_t
+lattice_count(double lo, double hi, double step)
+{
+    Py_ssize_t n = 0;
+    while (n < MAX_LATTICE && lo + (double)n * step < hi)
+        n++;
+    return n < MAX_LATTICE ? n + 1 : -1;
+}
+
+/* Writes the points of placer._lattice(lo, hi, step) and the edges
+ * v - half and v + half of the footprints around them. */
+static void
+lattice_fill(Lattice *a, double lo, double hi, double step, double half)
+{
+    for (Py_ssize_t i = 0; i < a->n; i++) {
+        double v = i < a->n - 1 ? lo + (double)i * step : hi;
+        a->at[i] = v;
+        a->low[i] = v - half;
+        a->high[i] = v + half;
+    }
+}
+
+/* bisect.bisect_left and bisect_right over n ascending values */
+static Py_ssize_t
+bisect_left(const double *a, Py_ssize_t n, double v)
+{
+    Py_ssize_t lo = 0;
+    while (lo < n) {
+        Py_ssize_t mid = (lo + n) / 2;
+        if (a[mid] < v)
+            lo = mid + 1;
+        else
+            n = mid;
+    }
+    return lo;
+}
+
+static Py_ssize_t
+bisect_right(const double *a, Py_ssize_t n, double v)
+{
+    Py_ssize_t lo = 0;
+    while (lo < n) {
+        Py_ssize_t mid = (lo + n) / 2;
+        if (v < a[mid])
+            n = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* placer._nearest_index */
+static Py_ssize_t
+nearest_index(const Lattice *a, double v)
+{
+    Py_ssize_t i = bisect_left(a->at, a->n, v);
+    if (i > a->n - 1)
+        i = a->n - 1;
+    return i > 0 && fabs(a->at[i - 1] - v) <= fabs(a->at[i] - v) ? i - 1 : i;
+}
+
+/* Whether every footprint of the axis is not empty. */
+static int
+all_wide(const Lattice *a)
+{
+    for (Py_ssize_t i = 0; i < a->n; i++)
+        if (!(a->low[i] < a->high[i]))
+            return 0;
+    return 1;
+}
+
+/* placer._nearest_free over the lattice xs x ys, with row holding two
+ * cursors per column: the first point whose footprint no blocker meets, in
+ * rings of index distance r around the point nearest (px, py), each by
+ * ascending column, the upward cursor before the downward one.  Every cursor
+ * of ring r is at distance r or more when the ring starts (one at less was
+ * probed and moved on), and a blocker moves cursors only farther out, so
+ * visiting the ring's columns in order and probing the cursors found at
+ * distance r probes what the Python bucket queue does, in its order.  The
+ * point goes to out; returns 1, or 0 if every point is blocked. */
+static int
+ring_search(const FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
+            double px, double py, double *out)
+{
+    Py_ssize_t nx = xs->n, ny = ys->n;
+    Py_ssize_t ci = nearest_index(xs, px), cj = nearest_index(ys, py);
+    /* an empty footprint meets nothing, so no jump may pass it; where one
+     * exists the probed cursor steps one row at a time */
+    int exact = all_wide(xs) && all_wide(ys);
+    for (Py_ssize_t k = 0; k < nx; k++) {
+        row[2 * k] = cj;
+        row[2 * k + 1] = cj - 1;
+    }
+    for (Py_ssize_t r = 0; r < nx + ny - 1; r++) {
+        Py_ssize_t k_end = ci + r < nx - 1 ? ci + r : nx - 1;
+        for (Py_ssize_t k = ci - r > 0 ? ci - r : 0; k <= k_end; k++) {
+            Py_ssize_t rem = r - (k < ci ? ci - k : k - ci);
+            for (Py_ssize_t u = 2 * k; u <= 2 * k + 1; u++) {
+                Py_ssize_t j = row[u];
+                if (j < 0 || j >= ny || (j < cj ? cj - j : j - cj) != rem)
+                    continue;
+                const double box[4] = {xs->low[k], ys->low[j], xs->high[k], ys->high[j]};
+                const double *blk = blocker(s, box);
+                if (blk == NULL) {
+                    out[0] = xs->at[k];
+                    out[1] = ys->at[j];
+                    return 1;
+                }
+                /* blk covers rows lo .. hi - 1 of columns c1 .. c2 - 1 */
+                Py_ssize_t lo = j, hi = j + 1, c1 = k, c2 = k + 1;
+                if (exact) {
+                    lo = bisect_right(ys->high, ny, blk[1]);
+                    hi = bisect_left(ys->low, ny, blk[3]);
+                    c1 = bisect_right(xs->high, nx, blk[0]);
+                    c2 = bisect_left(xs->low, nx, blk[2]);
+                }
+                for (Py_ssize_t c = c1; c < c2; c++) {
+                    if (lo <= row[2 * c] && row[2 * c] < hi)
+                        row[2 * c] = hi;
+                    if (lo <= row[2 * c + 1] && row[2 * c + 1] < hi)
+                        row[2 * c + 1] = lo - 1;
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* The count doubles of a fastcall, each as Python's float() takes it; -1 with
+ * an exception set. */
+static int
+fast_doubles(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t count, const char *name,
+             double *out)
+{
+    if (nargs != count) {
+        PyErr_Format(PyExc_TypeError, "%s expected %zd arguments, got %zd", name, count,
+                     nargs);
+        return -1;
+    }
+    for (Py_ssize_t t = 0; t < count; t++)
+        if (to_double(args[t], &out[t]) < 0)
+            return -1;
+    return 0;
+}
+
+static PyObject *
+FreeSpace_nearest_free(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[10]; /* x_lo, x_hi, x_step, y_lo, y_hi, y_step, x, y, hx, hy */
+    if (fast_doubles(args, nargs, 10, "nearest_free", a) < 0)
+        return NULL;
+    for (int t = 0; t < 10; t++) {
+        if (!isfinite(a[t]) || ((t == 2 || t == 5) && !(a[t] > 0.0))) {
+            PyErr_SetString(PyExc_ValueError,
+                            "nearest_free takes finite values and positive steps");
+            return NULL;
+        }
+    }
+    Lattice xs = {lattice_count(a[0], a[1], a[2])}, ys = {lattice_count(a[3], a[4], a[5])};
+    if (xs.n < 0 || ys.n < 0) {
+        PyErr_SetString(PyExc_ValueError, "lattice step too fine for its span");
+        return NULL;
+    }
+    double *v = malloc((size_t)(3 * (xs.n + ys.n)) * sizeof(double));
+    Py_ssize_t *row = malloc((size_t)(2 * xs.n) * sizeof(Py_ssize_t));
+    PyObject *out = NULL;
+    double found[2];
+    if (v == NULL || row == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    xs.at = v;
+    xs.low = v + xs.n;
+    xs.high = v + 2 * xs.n;
+    ys.at = v + 3 * xs.n;
+    ys.low = ys.at + ys.n;
+    ys.high = ys.at + 2 * ys.n;
+    lattice_fill(&xs, a[0], a[1], a[2], a[8]);
+    lattice_fill(&ys, a[3], a[4], a[5], a[9]);
+    if (ring_search(s, &xs, &ys, row, a[6], a[7], found))
+        out = Py_BuildValue("(dd)", found[0], found[1]);
+    else
+        out = Py_NewRef(Py_None);
+done:
+    free(v);
+    free(row);
+    return out;
+}
+
+static PyObject *
+FreeSpace_blocked(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    double box[4];
+    if (fast_doubles(args, nargs, 4, "blocked", box) < 0)
+        return NULL;
+    return PyBool_FromLong(blocker(s, box) != NULL);
+}
+
+static PyObject *
+FreeSpace_put(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    double box[4];
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "put expected 5 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_ssize_t key = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    if (key == -1 && PyErr_Occurred())
+        return NULL;
+    if (key < 0 || key >= s->count) {
+        PyErr_Format(PyExc_ValueError, "key %zd out of range for %zd footprints", key,
+                     s->count);
+        return NULL;
+    }
+    if (fast_doubles(args + 1, 4, 4, "put", box) < 0 || index_put(&s->index, key, box) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static void
+FreeSpace_dealloc(FreeSpace *s)
+{
+    index_free(&s->index);
+    free(s->blk);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static PyObject *
+FreeSpace_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"width", "height", "min_cell_x", "min_cell_y", "count",
+                             "blockages", NULL};
+    double width, height, min_x, min_y;
+    Py_ssize_t count;
+    PyObject *blockages;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ddddnO:FreeSpace", kwlist, &width, &height,
+                                     &min_x, &min_y, &count, &blockages))
+        return NULL;
+    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
+          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "area sides and cell sizes must be positive and finite");
+        return NULL;
+    }
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
+        return NULL;
+    }
+    FreeSpace *s = (FreeSpace *)type->tp_alloc(type, 0);
+    if (s == NULL)
+        return NULL;
+    s->count = count;
+    s->n_blk = -1;
+    if (read_doubles(blockages, 4, "box", &s->n_blk, &s->blk, "blockages") < 0
+        || index_init(&s->index, count, width, height, min_x, min_y) < 0) {
+        Py_DECREF(s);
+        return NULL;
+    }
+    return (PyObject *)s;
+}
+
+static PyMethodDef FreeSpace_methods[] = {
+    {"put", (PyCFunction)(void (*)(void))FreeSpace_put, METH_FASTCALL,
+     "put(key, x1, y1, x2, y2)\n\nStore the footprint under key, or move it there."},
+    {"blocked", (PyCFunction)(void (*)(void))FreeSpace_blocked, METH_FASTCALL,
+     "blocked(x1, y1, x2, y2) -> bool\n\n"
+     "Whether a placed footprint or a keep-out meets the box with positive area."},
+    {"nearest_free", (PyCFunction)(void (*)(void))FreeSpace_nearest_free, METH_FASTCALL,
+     "nearest_free(x_lo, x_hi, x_step, y_lo, y_hi, y_step, x, y, hx, hy)\n"
+     "    -> (x, y) | None\n\n"
+     "The first point of the lattice lo + i * step below hi, then hi, per\n"
+     "axis, whose footprint (hx, hy the half sides around it) meets nothing,\n"
+     "in rings of index distance around the point nearest (x, y); None if\n"
+     "there is none.  See stepplace.placer._nearest_free."},
+    {NULL}
+};
+
+static PyTypeObject FreeSpaceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "stepplace._fieldcore.FreeSpace",
+    .tp_doc = "FreeSpace(width, height, min_cell_x, min_cell_y, count, blockages)\n\n"
+              "The legalizer's placed footprints, keyed 0 .. count - 1 and bucketed\n"
+              "as in PlacementStore over a width x height area, and the keep-outs,\n"
+              "x1, y1, x2, y2 per keep-out in a buffer of doubles.\n"
+              "stepplace.placer.PyFreeSpace is its Python reference.",
+    .tp_basicsize = sizeof(FreeSpace),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = FreeSpace_new,
+    .tp_dealloc = (destructor)FreeSpace_dealloc,
+    .tp_methods = FreeSpace_methods,
+};
+
 static PyMethodDef fieldcore_functions[] = {
     {"move_macro", (PyCFunction)(void (*)(void))move_macro, METH_FASTCALL,
      "move_macro(pos, bounds, rng) -> (x, y)\n\n"
@@ -1405,7 +1762,8 @@ PyInit__fieldcore(void)
     if (mod == NULL)
         return NULL;
     if (PyModule_AddType(mod, &FieldCoreType) < 0
-        || PyModule_AddType(mod, &PlacementStoreType) < 0) {
+        || PyModule_AddType(mod, &PlacementStoreType) < 0
+        || PyModule_AddType(mod, &FreeSpaceType) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -610,8 +610,11 @@ def check_result(
 
     This is deliberately a separate code path from
     :func:`stepplace.netmodel.is_legal` so the checker cannot inherit a
-    placer-side mistake.  Returns (legal with a summary that agrees, report
-    lines); the last two lines are the recomputed netlength and legality.
+    placer-side mistake.  Overlapping pairs are found by sort and sweep:
+    the boxes by left edge, each tested against the earlier ones whose right
+    edge lies beyond that edge.  Returns (legal with a summary that agrees,
+    report lines); the last two lines are the recomputed netlength and
+    legality.
     """
     lines: list[str] = []
     inst_ids = sorted(netlist.by_id)
@@ -640,20 +643,27 @@ def check_result(
         if x1 < 0 or x2 > area.width or y1 < 0 or y2 > area.height:
             lines.append(f"macro {mid} leaves the placement area")
             legal = False
+    # an active box starts at or before x1 and ends after it, so it meets
+    # the box at x1, if neither is empty, where along y each one's low edge
+    # lies below the other's high edge; an empty box meets nothing
+    boxes = list(spans.values())
+    pairs = []
+    active: list[tuple[float, float, float, int]] = []  # x2, y1, y2, index
+    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x1, x2, y1, y2 = boxes[k]
+        if x1 < x2 and y1 < y2:
+            active = [a for a in active if a[0] > x1]
+            pairs += [(i, k) if i < k else (k, i)
+                      for _, b1, b2, i in active if b1 < y2 and y1 < b2]
+            active.append((x2, y1, y2, k))
     overlap = 0.0
-    for i, mi in enumerate(inst_ids):
-        a = spans[mi]
-        for mj in inst_ids[i + 1 :]:
-            b = spans[mj]
-            if (
-                max(a[0], b[0]) < min(a[1], b[1])
-                and max(a[2], b[2]) < min(a[3], b[3])
-            ):
-                lines.append(f"macros {mi} and {mj} overlap")
-                overlap += (min(a[1], b[1]) - max(a[0], b[0])) * (
-                    min(a[3], b[3]) - max(a[2], b[2])
-                )
-                legal = False
+    for i, j in sorted(pairs):
+        a, b = boxes[i], boxes[j]
+        lines.append(f"macros {inst_ids[i]} and {inst_ids[j]} overlap")
+        overlap += (min(a[1], b[1]) - max(a[0], b[0])) * (
+            min(a[3], b[3]) - max(a[2], b[2])
+        )
+        legal = False
     for mid, a in spans.items():
         for bi, blk in enumerate(area.blockages):
             if (
@@ -716,7 +726,15 @@ def _distinct_files(*flags: tuple[str, str | None]) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> PlacerConfig:
-    """Defaults, overridden by --config JSON, overridden by explicit flags."""
+    """Defaults, overridden by --config JSON, overridden by explicit flags.
+    A config the flags alone would leave valid raises a ``ValueError`` that
+    names the config file."""
+    defaults = {"max_rounds": 10000}
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(PlacerConfig)
+        if getattr(args, f.name) is not None
+    }
     values: dict = {}
     if args.config:
         try:
@@ -734,13 +752,11 @@ def _build_config(args: argparse.Namespace) -> PlacerConfig:
                     f"config file {args.config!r}: unknown config key {k!r}"
                 )
             values[k] = v
-    for f in dataclasses.fields(PlacerConfig):
-        v = getattr(args, f.name)
-        if v is not None:
-            values[f.name] = v
-    if "max_rounds" not in values:
-        values["max_rounds"] = 10000
-    return PlacerConfig(**values)
+    try:
+        return PlacerConfig(**{**defaults, **values, **flags})
+    except ValueError as e:
+        PlacerConfig(**{**defaults, **flags})  # a bad flag raises its own message
+        raise InstanceFormatError(f"config file {args.config!r}: {e}") from None
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:

@@ -161,7 +161,8 @@ class BucketGrid:
     (:func:`footprint_grid`), a footprint query visits at most 2x2 cells.
     ``grid[key]`` is the box stored under ``key``.  The C core's
     ``PlacementStore`` keeps its footprints in a C index of the same design,
-    whose overlap queries find the same keys in the same order.
+    whose overlap queries find the same keys in the same order, and so does
+    its legalizer's ``FreeSpace``.
     """
 
     def __init__(self, cell_x: float, cell_y: float) -> None:

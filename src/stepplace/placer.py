@@ -36,7 +36,9 @@ Where the C core loaded, each proposal is one call of its ``move_macro``,
 which draws from the round's rng as :func:`py_move_macro` does and returns
 the same bits.  A round evaluates its schedules (delta, beta and w) once,
 for its candidates' net-model sharpness and penalty factor, its field growth
-and its statistics row.  Runs are deterministic for a given seed.
+and its statistics row.  Likewise the legalizer's lattice search runs in the
+C core's ``FreeSpace`` where it loaded, which finds the points of
+:class:`PyFreeSpace`.  Runs are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from stepplace.netmodel import (
     bb_netlength,
     beta_schedule,
     footprint_box,
-    footprint_grid,
     is_legal,
     meet,
     model_length,
@@ -71,6 +72,7 @@ from stepplace.netmodel import (
 from stepplace.stepfield import (
     MAX_GRID_EXPONENT,
     CostField,
+    CFreeSpace,
     CPlacementStore,
     GridRect,
     c_move_macro,
@@ -683,8 +685,8 @@ def _lattice(lo: float, hi: float, step: float) -> list[float]:
 
 
 # where a lattice has no free position, the legalizer retries on finer ones
-# up to this exponent (the default grid)
-_FINEST_RETRY = 6
+# up to this exponent (two past the default grid)
+_FINEST_RETRY = 8
 
 
 def _nearest_index(vals: list[float], v: float) -> int:
@@ -751,6 +753,62 @@ def _nearest_free(
     return None
 
 
+class PyFreeSpace:
+    """The footprints the legalizer has placed and the area's keep-outs, with
+    the lattice search over them, in Python: the reference of the C core's
+    ``FreeSpace``, which finds the same positions.
+
+    Footprints are keyed by ``0 .. count - 1`` in a :class:`BucketGrid` of
+    ``cell_x`` by ``cell_y`` cells, and ``blockages`` holds ``x1, y1, x2,
+    y2`` per keep-out.  A probe's blocker is the box
+    :meth:`BucketGrid.first_hit` reports, else the first keep-out that meets
+    the probe; ``width``, ``height`` and ``count`` size the C index only.
+    """
+
+    def __init__(
+        self,
+        width: float,
+        height: float,
+        cell_x: float,
+        cell_y: float,
+        count: int,
+        blockages: Sequence[float],
+    ) -> None:
+        self.placed = BucketGrid(cell_x, cell_y)
+        self.blockages = [
+            tuple(blockages[k : k + 4]) for k in range(0, len(blockages), 4)
+        ]
+
+    def blocker(self, box: Box) -> Box | None:
+        """A placed footprint or keep-out that meets ``box``, or None."""
+        return self.placed.first_hit(*box) or next(
+            (r for r in self.blockages if overlaps(box, r)), None
+        )
+
+    def put(self, key: int, x1: float, y1: float, x2: float, y2: float) -> None:
+        """Store the footprint under ``key``, or move it there."""
+        self.placed.put(key, (x1, y1, x2, y2))
+
+    def blocked(self, x1: float, y1: float, x2: float, y2: float) -> bool:
+        """Whether a placed footprint or a keep-out meets the box."""
+        return self.blocker((x1, y1, x2, y2)) is not None
+
+    def nearest_free(
+        self, x_lo: float, x_hi: float, x_step: float, y_lo: float, y_hi: float,
+        y_step: float, x: float, y: float, hx: float, hy: float,
+    ) -> Point | None:
+        """:func:`_nearest_free` over the lattice of :func:`_lattice` per
+        axis, from ``(x, y)``, for footprints ``hx`` by ``hy`` the half sides
+        around a point."""
+        return _nearest_free(
+            _lattice(x_lo, x_hi, x_step), _lattice(y_lo, y_hi, y_step), (x, y),
+            (hx, hy), self.blocker,
+        )
+
+
+FreeSpace = PyFreeSpace if CFreeSpace is None else CFreeSpace
+
+
 def naive_legalize(
     placement: Placement,
     netlist: Netlist,
@@ -765,21 +823,28 @@ def naive_legalize(
     position (Manhattan rings over a lattice whose pitch is the area over
     ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Where that
     lattice has no free position, the search repeats on a lattice one
-    exponent finer per axis, up to ``max(exponent, 6)``.  The ring search
-    (:func:`_nearest_free`) probes only one cursor per column and direction,
-    and a probe's blocker, a placed footprint from the bucket grid or else a
-    keep-out, moves the cursors past exactly the points it covers: in ring
-    order the first free cursor is the first free ring point, so the result
-    is that of probing every point.  Raises :class:`LegalizationError` when
-    a macro cannot be placed, and never returns an illegal placement.
+    exponent finer per axis, up to ``max(exponent, 8)``.  The placed
+    footprints and the keep-outs sit in a :data:`FreeSpace`: the C core's,
+    whose search runs in C, where it loaded, else :class:`PyFreeSpace`.  The
+    ring search (:func:`_nearest_free`) probes only one cursor per column and
+    direction, and a probe's blocker, a placed footprint or else a keep-out,
+    moves the cursors past exactly the points it covers: in ring order the
+    first free cursor is the first free ring point, so the result is that of
+    probing every point, on both cores.  Raises :class:`LegalizationError`
+    when a macro cannot be placed, and never returns an illegal placement.
     """
-    placed = footprint_grid(netlist, {})
-
-    def blocker(box: Box) -> Box | None:
-        return placed.first_hit(*box) or next(
-            (r for r in area.blockages if overlaps(box, r)), None
-        )
-
+    ids = sorted(netlist.by_id)
+    # keys in id order, so that the reference's first_hit, which reports
+    # the least key, picks the least id
+    key = {mid: k for k, mid in enumerate(ids)}
+    space = FreeSpace(
+        area.width,
+        area.height,
+        max((m.size_x for m in netlist.macros), default=1.0),
+        max((m.size_y for m in netlist.macros), default=1.0),
+        len(ids),
+        array("d", [v for b in area.blockages for v in b]),
+    )
     out: Placement = {}
     order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
     for m in order:
@@ -789,23 +854,22 @@ def naive_legalize(
         x, y = placement[m.id]
         start = (min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max))
         inside = b.x_min <= start[0] <= b.x_max and b.y_min <= start[1] <= b.y_max
-        found = start if inside and blocker(footprint_box(m, start)) is None else None
+        free = inside and not space.blocked(*footprint_box(m, start))
+        found = start if free else None
         for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
             if found is not None:
                 break
             p = max(grid_p, min(grid_p + k, _FINEST_RETRY))
             q = max(grid_q, min(grid_q + k, _FINEST_RETRY))
-            found = _nearest_free(
-                _lattice(b.x_min, b.x_max, area.width / (1 << p)),
-                _lattice(b.y_min, b.y_max, area.height / (1 << q)),
-                start,
-                (m.size_x / 2.0, m.size_y / 2.0),
-                blocker,
+            found = space.nearest_free(
+                b.x_min, b.x_max, area.width / (1 << p),
+                b.y_min, b.y_max, area.height / (1 << q),
+                *start, m.size_x / 2.0, m.size_y / 2.0,
             )
         if found is None:
             raise LegalizationError(m.id)
         out[m.id] = found
-        placed.put(m.id, footprint_box(m, found))
+        space.put(key[m.id], *footprint_box(m, found))
 
     report = is_legal(out, netlist, area)
     if not report.legal:

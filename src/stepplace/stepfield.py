@@ -26,7 +26,7 @@ source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
 store, :data:`CPlacementStore`, which is built on a C-core
 :class:`CostField`, commits a round and scores a candidate from what it
-holds.
+holds, and the legalizer's :data:`CFreeSpace`.
 """
 
 from __future__ import annotations
@@ -142,6 +142,12 @@ c_move_macro = getattr(_c_module, "move_macro", None)
 #: :class:`stepplace.placer.PlacementStore` does, bit for bit, and takes a
 #: :class:`CostField` on the C core.  None without the C core.
 CPlacementStore = getattr(_c_module, "PlacementStore", None)
+
+#: The C core's ``FreeSpace``, the legalizer's placed footprints and
+#: keep-outs with its lattice search, which finds the positions of
+#: :class:`stepplace.placer.PyFreeSpace`, bit for bit.  None without the C
+#: core.
+CFreeSpace = getattr(_c_module, "FreeSpace", None)
 
 
 def ordered_sum(values: Iterable) -> float | int:

@@ -6,7 +6,8 @@ independent of the library's coefficient and geometry-kernel arithmetic, so
 tests compare two unrelated computation paths.  The one exception is
 :func:`oracle_legalize`, the legalizer's plain search kept as a reference for
 its faster probing: it shares the bucket grid and ``compute_bounds``.
-:func:`oracle_nearest_free` is the ring search alone, tested point by point.
+:func:`oracle_nearest_free` is the ring search alone, tested point by point,
+and :func:`oracle_check_result` the result checker that tests every pair.
 """
 
 from __future__ import annotations
@@ -167,3 +168,83 @@ def oracle_legalize(placement, netlist, area, grid_p, grid_q):
         out[m.id] = found
         placed.put(m.id, footprint_box(m, found))
     return out
+
+
+def oracle_check_result(netlist, area, result):
+    """``io_cli.check_result`` as it was before its sweep: every pair of
+    macros tested in ascending id order."""
+    lines = []
+    inst_ids = sorted(netlist.by_id)
+    res_ids = sorted(result.positions)
+    if inst_ids != res_ids:
+        missing = sorted(set(inst_ids) - set(res_ids))
+        extra = sorted(set(res_ids) - set(inst_ids))
+        if missing:
+            lines.append(f"macros missing from result: {', '.join(missing)}")
+        if extra:
+            lines.append(f"macros not in instance: {', '.join(extra)}")
+        return False, lines
+
+    spans = {}
+    for mid in inst_ids:
+        m = netlist.by_id[mid]
+        x, y = result.positions[mid]
+        spans[mid] = (
+            x - m.size_x / 2.0,
+            x + m.size_x / 2.0,
+            y - m.size_y / 2.0,
+            y + m.size_y / 2.0,
+        )
+    legal = True
+    for mid, (x1, x2, y1, y2) in spans.items():
+        if x1 < 0 or x2 > area.width or y1 < 0 or y2 > area.height:
+            lines.append(f"macro {mid} leaves the placement area")
+            legal = False
+    overlap = 0.0
+    for i, mi in enumerate(inst_ids):
+        a = spans[mi]
+        for mj in inst_ids[i + 1 :]:
+            b = spans[mj]
+            if (
+                max(a[0], b[0]) < min(a[1], b[1])
+                and max(a[2], b[2]) < min(a[3], b[3])
+            ):
+                lines.append(f"macros {mi} and {mj} overlap")
+                overlap += (min(a[1], b[1]) - max(a[0], b[0])) * (
+                    min(a[3], b[3]) - max(a[2], b[2])
+                )
+                legal = False
+    for mid, a in spans.items():
+        for bi, blk in enumerate(area.blockages):
+            if (
+                max(a[0], blk.x1) < min(a[1], blk.x2)
+                and max(a[2], blk.y1) < min(a[3], blk.y2)
+            ):
+                lines.append(f"macro {mid} overlaps blockage {bi}")
+                legal = False
+
+    total = 0.0
+    for net in netlist.nets:
+        xs = [result.positions[mid][0] for mid in net.members]
+        ys = [result.positions[mid][1] for mid in net.members]
+        total += max(xs) - min(xs) + max(ys) - min(ys)
+    disagreements = []
+    if total.hex() != result.netlength_bb.hex():
+        disagreements.append(
+            f"summary netlength_bb {result.netlength_bb!r} disagrees with "
+            f"the recomputed {total!r}"
+        )
+    if overlap.hex() != result.overlap_area.hex():
+        disagreements.append(
+            f"summary overlap_area {result.overlap_area!r} disagrees with "
+            f"the recomputed {overlap!r}"
+        )
+    if legal != result.legal:
+        disagreements.append(
+            f"summary legal {'true' if result.legal else 'false'} disagrees "
+            f"with the recomputed {'true' if legal else 'false'}"
+        )
+    lines += disagreements
+    lines.append(f"total bounding-box netlength: {total!r}")
+    lines.append(f"legal: {'true' if legal else 'false'}")
+    return legal and not disagreements, lines

@@ -32,6 +32,7 @@ from stepplace.io_cli import (
     write_instance,
     write_stats_csv,
 )
+from oracles import oracle_check_result
 from stepplace.netmodel import Macro, Net, Netlist, PlacementArea, Rect, is_legal
 from stepplace.placer import PlacerConfig, RoundStats, new_state, run_placer
 
@@ -328,6 +329,40 @@ class TestChecker:
         assert ok and lines == ["total bounding-box netlength: 1e+16", "legal: true"]
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sweep_reports_what_the_pairwise_checker_does(self, data):
+        """The sweep's report lines and verdict are those of the check of
+        every pair, on random results: sides and centers on half units (so
+        footprints touch edge to edge), or drawn freely, some sides too thin
+        to leave a footprint that is not empty, with keep-outs, and with
+        summaries recomputed or off by one."""
+        draw = data.draw
+        n = draw(st.integers(0, 25), label="macros")
+        on_grid = draw(st.booleans(), label="half units")
+        coord = (st.integers(0, 40).map(lambda k: k / 2) if on_grid
+                 else st.floats(0, 20, allow_subnormal=False))
+        # a side of 2e-300 leaves the footprint empty along that axis
+        side = st.one_of(st.integers(1, 8).map(lambda k: k / 2) if on_grid
+                         else st.floats(0.01, 6), st.just(2e-300))
+        macros = [Macro(f"m{i}", draw(side, label="w"), draw(side, label="h"))
+                  for i in range(n)]
+        keepouts = []
+        for x1, y1, x2, y2 in draw(st.lists(st.tuples(coord, coord, coord, coord),
+                                            max_size=3), label="keep-outs"):
+            if min(x1, x2) < max(x1, x2) and min(y1, y2) < max(y1, y2):
+                keepouts.append(Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)))
+        netlist = Netlist(macros, [])
+        area = PlacementArea(20.0, 20.0, tuple(keepouts))
+        positions = {m.id: (draw(coord, label="x"), draw(coord, label="y"))
+                     for m in macros}
+        total_bb, overlap, legal = io_cli._summarize(positions, netlist, area)
+        if draw(st.booleans(), label="summary off"):
+            overlap += 1.0
+        result = ResultData(positions, float(total_bb), overlap, legal, {})
+        assert check_result(netlist, area, result) == oracle_check_result(
+            netlist, area, result)
+
 class TestRenderSvg:
     def test_empty_instance_draws_outline_only(self):
         buf = io.StringIO()
@@ -602,6 +637,22 @@ class TestCli:
         assert "legalization failed" in capsys.readouterr().err
         assert os.path.exists(res)
 
+    def test_default_grid_run_legalizes_on_a_finer_lattice(self, tmp_path, capsys):
+        """a spans [0, 10.3] and c [15.6, 64], so b (5 wide) fits only with
+        its left edge in [10.3, 10.6].  On the default 2**6 lattice its left
+        edges lie 1 apart and miss that gap; when the retry stopped at 2**6
+        the run exited 2.  The retry at 2**7 puts b at 13.0."""
+        inst = tmp_path / "inst.txt"
+        inst.write_text(
+            "area 64 1\nmacro a 10.3 1\nmacro b 5 1\nmacro c 48.4 1\n"
+            "place a 5.15 0.5\nplace b 5 0.5\nplace c 39.8 0.5\n"
+        )
+        res = str(tmp_path / "res.txt")
+        assert main(["place", "--in", str(inst), "--out", res, "--rounds", "0"]) == 0
+        assert load_result(res).positions == {
+            "a": (5.15, 0.5), "b": (13.0, 0.5), "c": (39.8, 0.5)}
+        assert main(["check", "--instance", str(inst), "--result", res]) == 0
+
     def test_gen_cli_and_render(self, tmp_path, capsys):
         inst = str(tmp_path / "g.txt")
         assert main(
@@ -826,6 +877,38 @@ class TestCli:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"grid_p": 5.0}', "grid_p must be an integer, got 5.0"),
+            ('{"grid_p": 12}', "grid_p must be in [0, 11]"),
+            ('{"w_growth": 10.0}', "w0 * w_growth**(max_rounds - 1) must be finite"),
+        ],
+    )
+    def test_bad_config_file_value_names_the_file(
+        self, tmp_path, instance_file, capsys, text, message
+    ):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(text)
+        place = ["place", "--in", instance_file, "--out", str(tmp_path / "r.txt")]
+        assert main([*place, "--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {str(cfgfile)!r}: {message}\n")
+        # a flag that makes the file's value valid runs
+        assert main([*place, "--config", str(cfgfile), "--grid-p", "5",
+                     "--rounds", "5"]) in (0, 2)
+
+    def test_bad_config_flag_value_keeps_its_message(
+        self, tmp_path, instance_file, capsys
+    ):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"seed": 3}')
+        place = ["place", "--in", instance_file, "--out", str(tmp_path / "r.txt"),
+                 "--grid-p", "12"]
+        for extra in ([], ["--config", str(cfgfile)]):
+            assert main([*place, *extra]) == 1
+            assert capsys.readouterr().err == "error: grid_p must be in [0, 11]\n"
 
     def test_out_dir_env_var(self, tmp_path, instance_file, monkeypatch):
         outdir = tmp_path / "outputs"

@@ -80,10 +80,11 @@ def blocked_instance():
 
 
 def counted_legalize(start, netlist, area):
-    """``naive_legalize`` at exponent 6 and its probes: one for each macro's
-    start, one for each blocker query of the ring search."""
+    """``naive_legalize`` at exponent 6 on the Python reference search, and
+    its probes: one for each macro's start, one for each blocker query of the
+    ring search."""
     probes = len(netlist.macros)
-    search = placer._nearest_free
+    search, space = placer._nearest_free, placer.FreeSpace
 
     def counted_search(xs, ys, pos, half, blocker):
         def probe(box):
@@ -93,12 +94,20 @@ def counted_legalize(start, netlist, area):
 
         return search(xs, ys, pos, half, probe)
 
-    placer._nearest_free = counted_search
+    placer._nearest_free, placer.FreeSpace = counted_search, placer.PyFreeSpace
     try:
         got = naive_legalize(start, netlist, area, 6, 6)
     finally:
-        placer._nearest_free = search
+        placer._nearest_free, placer.FreeSpace = search, space
     return got, probes
+
+
+def box_edges(vals, h):
+    """The edges of the footprints ``h`` either side of ``vals`` and two
+    beyond them, ascending."""
+    far = 4 * h + 4
+    return sorted({v - h for v in vals} | {v + h for v in vals}
+                  | {vals[0] - far, vals[-1] + far})
 
 
 @st.composite
@@ -120,12 +129,7 @@ def ring_searches(draw):
               for a in ("xs", "ys"))
     hx, hy = draw(half, label="hx"), draw(half, label="hy")
 
-    def edges(vals, h):
-        far = 4 * h + 4
-        return sorted({v - h for v in vals} | {v + h for v in vals}
-                      | {vals[0] - far, vals[-1] + far})
-
-    ex, ey = edges(xs, hx), edges(ys, hy)
+    ex, ey = box_edges(xs, hx), box_edges(ys, hy)
     ix, iy = st.integers(0, len(ex) - 1), st.integers(0, len(ey) - 1)
     boxes = [
         (ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)])
@@ -152,6 +156,114 @@ TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                    [(-0.5, 1.5, 1.0, 3.0)])
 TOUCHING_ROW = ([0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                 [(-1.0, 1.5, 1.0, 3.0)])
+
+
+needs_c_space = pytest.mark.skipif(stepfield.CFreeSpace is None, reason="C core not built")
+
+
+@st.composite
+def lattice_searches(draw):
+    """Arguments of ``FreeSpace.nearest_free`` (the lattice ``lo + i *
+    step`` below ``hi``, then ``hi``, per axis, a start and half sides) and
+    the boxes to block it with, each put as a footprint or a keep-out, as in
+    :func:`ring_searches`: lattices near 0–100 and at ``2**51`` (where a half
+    side of 0.25 leaves every other footprint empty), one-point lattices
+    (``hi == lo``), box edges from the footprint edges and from beyond."""
+    big = draw(st.booleans(), label="at 2**51")
+    if big:
+        base = st.sampled_from([_B + k / 2 for k in range(-2, 3)])
+        step, half = st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.25, 0.25, 0.5])
+    else:
+        base, step = st.floats(0, 100), st.floats(0.125, 3)
+        half = st.one_of(st.floats(0.05, 4), st.just(1e-300))
+    axes = []
+    for a in ("x", "y"):
+        lo, d = draw(base, label=f"{a} lo"), draw(step, label=f"{a} step")
+        n = draw(st.integers(0, 9), label=f"{a} points")
+        hi = lo + n * d + draw(st.sampled_from([0.0, d / 2]), label=f"{a} beyond")
+        vals = placer._lattice(lo, hi, d)
+        axes.append((lo, hi, d, vals, draw(half, label=f"h{a}")))
+    (_, _, _, xs, hx), (_, _, _, ys, hy) = axes
+
+    ex, ey = box_edges(xs, hx), box_edges(ys, hy)
+    ix, iy = st.integers(0, len(ex) - 1), st.integers(0, len(ey) - 1)
+    boxes = [
+        (ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)], keepout)
+        for a, b, c, d, keepout in draw(
+            st.lists(st.tuples(ix, ix, iy, iy, st.booleans()), max_size=6), label="boxes")
+    ]
+    pos = tuple(
+        draw(st.sampled_from([v[0] - 1] + v + [v[-1] + 1]), label=f"{a} center")
+        + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset")
+        for a, v in (("x", xs), ("y", ys))
+    )
+    (x_lo, x_hi, x_step, _, _), (y_lo, y_hi, y_step, _, _) = axes
+    return (x_lo, x_hi, x_step, y_lo, y_hi, y_step, *pos, hx, hy), boxes
+
+
+def spaces_blocked_by(boxes, side):
+    """A C and a Python free space over a ``side`` x ``side`` area, holding
+    each box as a placed footprint or, where its flag says so, a keep-out."""
+    footprints = [b[:4] for b in boxes if not b[4]]
+    keepouts = array("d", [v for b in boxes if b[4] for v in b[:4]])
+    spaces = [make(side, side, 1.0, 1.0, len(footprints), keepouts)
+              for make in (stepfield.CFreeSpace, placer.PyFreeSpace)]
+    for space in spaces:
+        for k, box in enumerate(footprints):
+            space.put(k, *box)
+    return spaces
+
+
+@st.composite
+def legalizer_instances(draw):
+    """A start placement, netlist, area and grid exponents for
+    ``naive_legalize``: random macros and keep-outs over a window of the area
+    (``random``), macros and keep-outs on whole units, so that footprints
+    touch edge to edge, and macros 2e-300 wide at the left edge
+    (``touching``), macros as tall as the area, so that
+    their row lattice is one point (``row``), or thin macros at ``2**51``
+    with footprints that the lattice leaves empty (``2**51``).  Exponents
+    from 0 make the coarse lattices fail and retry finer, and full areas
+    make the search fail."""
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    kind = draw(st.sampled_from(["random", "touching", "row", "2**51"]), label="kind")
+    n = draw(st.integers(1, 16), label="macros")
+    keepouts = []
+    if kind == "random":
+        w, h = rng.uniform(4, 40), rng.uniform(4, 40)
+        side = math.sqrt(rng.uniform(0.05, 1.0) * w * h / n)
+        sizes = [(min(w / 2, side * rng.uniform(0.4, 1.6)),
+                  min(h / 2, side * rng.uniform(0.4, 1.6))) for _ in range(n)]
+        for _ in range(rng.randrange(4)):
+            kw, kh = w * rng.uniform(0.02, 0.3), h * rng.uniform(0.02, 0.3)
+            x, y = rng.uniform(0, w - kw), rng.uniform(0, h - kh)
+            keepouts.append(Rect(x, y, x + kw, y + kh))
+        f = rng.random()
+        starts = [(rng.uniform(0, f * w), rng.uniform(0, f * h)) for _ in range(n)]
+    elif kind == "touching":
+        w = h = 16.0
+        sizes = [(float(rng.randint(1, 4)), float(rng.randint(1, 4))) for _ in range(n)]
+        for _ in range(rng.randrange(3)):
+            x, y = rng.randrange(15), rng.randrange(15)
+            keepouts.append(Rect(x, y, x + rng.randint(1, 16 - x), y + rng.randint(1, 16 - y)))
+        # a few macros 2e-300 wide: their footprints are empty off the left edge
+        sizes = [(2e-300, sy) if rng.random() < 0.2 else (sx, sy) for sx, sy in sizes]
+        starts = [(rng.randint(0, 8) * (sx > 1) + sx / 2, rng.randint(0, 8) + sy / 2)
+                  for sx, sy in sizes]
+    elif kind == "row":
+        w, h = rng.uniform(4, 40), rng.uniform(0.5, 4)
+        sizes = [(rng.uniform(0.2, w / 3), h) for _ in range(n)]
+        starts = [(rng.uniform(0, w), h / 2) for _ in range(n)]
+    else:
+        w, h = 2.0**52, 4.0
+        sizes = [(rng.choice([0.5, 1.0, 1.5]), rng.choice([1.0, 2.0])) for _ in range(n)]
+        keepouts.append(Rect(_B - 2, 0.0, _B + rng.randint(0, 4) / 2, rng.randint(1, 4)))
+        starts = [(_B + rng.randint(-4, 4) / 2, rng.uniform(0, h)) for _ in range(n)]
+    macros = [Macro(f"m{i:02d}", sx, sy) for i, (sx, sy) in enumerate(sizes)]
+    start = {m.id: pos for m, pos in zip(macros, starts)}
+    p = draw(st.integers(0, 8), label="grid_p")
+    q = draw(st.integers(0, 8), label="grid_q")
+    return start, Netlist(macros, []), PlacementArea(w, h, tuple(keepouts)), p, q
 
 
 class TestSnapToGrid:
@@ -1670,6 +1782,80 @@ class TestNaiveLegalize:
         want = oracles.oracle_nearest_free(xs, ys, pos, half, boxes)
         assert (got and tuple(v.hex() for v in got)) == (
             want and tuple(v.hex() for v in want))
+
+    @needs_c_space
+    @settings(max_examples=200, deadline=None)
+    @given(case=lattice_searches())
+    def test_c_search_matches_python_reference(self, case):
+        """The C core's lattice search finds the Python reference's point,
+        to the bit, and its start probe the same answer."""
+        args, boxes = case
+        c_space, py_space = spaces_blocked_by(boxes, 2.0**53)
+        got, want = c_space.nearest_free(*args), py_space.nearest_free(*args)
+        assert (got and tuple(v.hex() for v in got)) == (
+            want and tuple(v.hex() for v in want))
+        x, y, hx, hy = args[6:]
+        box = (x - hx, y - hy, x + hx, y + hy)
+        assert c_space.blocked(*box) == py_space.blocked(*box)
+
+    @needs_c_space
+    @settings(max_examples=120, deadline=None)
+    @given(case=legalizer_instances())
+    def test_c_legalizer_matches_python_reference(self, case):
+        """``naive_legalize`` on the C core returns the Python reference's
+        placement by ``float.hex``, or both raise :class:`LegalizationError`
+        naming the same macro."""
+        outcomes = []
+        for space in (stepfield.CFreeSpace, placer.PyFreeSpace):
+            with mock.patch.object(placer, "FreeSpace", space):
+                try:
+                    got = naive_legalize(*case)
+                    outcomes.append({k: (x.hex(), y.hex()) for k, (x, y) in got.items()})
+                except LegalizationError as e:
+                    outcomes.append(("LegalizationError", e.macro_id))
+        assert outcomes[0] == outcomes[1]
+
+    @needs_c_space
+    def test_c_free_space_rejects_bad_input(self):
+        make = stepfield.CFreeSpace
+        with pytest.raises(ValueError, match="positive and finite"):
+            make(math.inf, 4.0, 1.0, 1.0, 2, array("d"))
+        with pytest.raises(ValueError, match="4 doubles per box"):
+            make(4.0, 4.0, 1.0, 1.0, 2, array("d", [0.0, 0.0, 1.0]))
+        space = make(4.0, 4.0, 1.0, 1.0, 2, array("d"))
+        with pytest.raises(ValueError, match="key 2 out of range"):
+            space.put(2, 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="footprint must be finite"):
+            space.put(0, 0.0, 0.0, math.nan, 1.0)
+        with pytest.raises(TypeError, match="expected 4 arguments"):
+            space.blocked(0.0, 0.0, 1.0)
+        search = [0.5, 3.5, 1.0, 0.5, 3.5, 1.0, 1.0, 1.0, 0.5, 0.5]
+        assert space.nearest_free(*search) == (0.5, 0.5)
+        for k, bad in ((2, 0.0), (6, math.inf), (9, math.nan)):
+            with pytest.raises(ValueError, match="finite values and positive steps"):
+                space.nearest_free(*search[:k], bad, *search[k + 1:])
+        with pytest.raises(ValueError, match="too fine"):
+            space.nearest_free(0.0, 1.0, 1e-9, *search[3:])
+
+    def test_naive_legalize_runs_the_c_search_where_the_core_loaded(self, monkeypatch):
+        """On the C core no Python search runs; without it the Python
+        reference does, and both give the same placement."""
+        assert placer.FreeSpace is (stepfield.CFreeSpace or placer.PyFreeSpace)
+        start, netlist, area = blocked_instance()
+        calls = 0
+        search = placer._nearest_free
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(placer, "_nearest_free", counted)
+        got = naive_legalize(start, netlist, area, 6, 6)
+        assert (calls == 0) == (stepfield.CFreeSpace is not None)
+        monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
+        assert naive_legalize(start, netlist, area, 6, 6) == got
+        assert calls > 0
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
