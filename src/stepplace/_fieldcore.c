@@ -31,7 +31,8 @@
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
  * search's lattices and runs the ring search of placer._nearest_free over
- * them, with the same cursors and jumps, so it finds the same point.
+ * them, with the same cursors and jumps, so it finds the same point; both
+ * take lattices whose footprints are all non-empty (netmodel.check_placeable).
  *
  * All of these do the float operations of the placer's Python reference in
  * its order, so they return its bits (build with -ffp-contract=off so no
@@ -629,6 +630,21 @@ index_put(FootprintIndex *self, Py_ssize_t key, const double *box)
     return 0;
 }
 
+/* The key obj names, one of 0 .. count - 1, or -1 with an exception set
+ * that calls it a `what` out of range for count `of`. */
+static Py_ssize_t
+index_key(PyObject *obj, Py_ssize_t count, const char *what, const char *of)
+{
+    Py_ssize_t k = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
+    if (k == -1 && PyErr_Occurred())
+        return -1;
+    if (k < 0 || k >= count) {
+        PyErr_Format(PyExc_ValueError, "%s %zd out of range for %zd %s", what, k, count, of);
+        return -1;
+    }
+    return k;
+}
+
 /* placer.snap_to_grid: the cells of an n x m grid over a width x height
  * area that cover box clipped to the area, half-open, written to r; 1 if
  * the clipped box is not empty, else 0; -1 with an exception set where the
@@ -694,22 +710,6 @@ net_pins(const PlacementStore *s, Py_ssize_t k, Py_ssize_t i, const double *at)
 {
     NetPins p = {s->members + s->net_at[k], s->net_at[k + 1] - s->net_at[k], s->center, i, at};
     return p;
-}
-
-/* The macro index obj names, or -1 with an exception set if it is not one
- * of the store's. */
-static Py_ssize_t
-store_key(const PlacementStore *s, PyObject *obj)
-{
-    Py_ssize_t i = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
-    if (i == -1 && PyErr_Occurred())
-        return -1;
-    if (i < 0 || i >= s->count) {
-        PyErr_Format(PyExc_ValueError, "macro index %zd out of range for %zd macros", i,
-                     s->count);
-        return -1;
-    }
-    return i;
 }
 
 /* Room for `need` slots in all; -1 with MemoryError set if there is none. */
@@ -959,6 +959,24 @@ read_doubles(PyObject *obj, Py_ssize_t per, const char *item, Py_ssize_t *count,
     return ok ? 0 : -1;
 }
 
+/* Checks the sizes, copies the keep-outs (x1, y1, x2, y2 each) to *blk, *n_blk of
+ * them, and index_init's idx; -1 with an exception set (the caller frees). */
+static int
+space_init(FootprintIndex *idx, Py_ssize_t count, double width, double height,
+           double min_x, double min_y, PyObject *blockages, Py_ssize_t *n_blk, double **blk)
+{
+    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
+          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "area sides and cell sizes must be positive and finite");
+        return -1;
+    }
+    *n_blk = -1;
+    if (read_doubles(blockages, 4, "box", n_blk, blk, "blockages") < 0)
+        return -1;
+    return index_init(idx, count, width, height, min_x, min_y);
+}
+
 static PyObject *
 PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
@@ -971,12 +989,6 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                      &field, &width, &height, &min_x, &min_y, &halves,
                                      &centers, &nets, &blockages, &weight, &rect))
         return NULL;
-    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
-          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
-        PyErr_SetString(PyExc_ValueError,
-                        "area sides and cell sizes must be positive and finite");
-        return NULL;
-    }
     if (!PyType_Check(rect) || !PyType_IsSubtype((PyTypeObject *)rect, &PyTuple_Type)) {
         PyErr_SetString(PyExc_TypeError, "rect must be a subtype of tuple");
         return NULL;
@@ -1007,10 +1019,11 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->width = width;
     self->height = height;
     self->weight = weight;
-    self->count = self->n_blk = -1;
+    self->count = -1;
     if (read_doubles(centers, 2, "macro", &self->count, &self->center, "centers") < 0
         || read_doubles(halves, 2, "macro", &self->count, &self->half, "halves") < 0
-        || read_doubles(blockages, 4, "box", &self->n_blk, &self->blk, "blockages") < 0)
+        || space_init(&self->index, self->count, width, height, min_x, min_y, blockages,
+                      &self->n_blk, &self->blk) < 0)
         goto fail;
     Py_ssize_t count = self->count;
     size_t n = count ? (size_t)count : 1;
@@ -1022,8 +1035,6 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         goto fail;
     }
-    if (index_init(&self->index, count, width, height, min_x, min_y) < 0)
-        goto fail;
     for (Py_ssize_t i = 0; i < count; i++)
         self->slot_of[i] = -1;
     if (read_nets(self, nets) < 0)
@@ -1054,7 +1065,7 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
         PyErr_Format(PyExc_TypeError, "move expected 3 arguments, got %zd", nargs);
         return NULL;
     }
-    Py_ssize_t i = store_key(self, args[0]);
+    Py_ssize_t i = index_key(args[0], self->count, "macro index", "macros");
     if (i < 0)
         return NULL;
     double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
@@ -1100,7 +1111,7 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
 static PyObject *
 PlacementStore_box(PlacementStore *self, PyObject *arg)
 {
-    Py_ssize_t i = store_key(self, arg);
+    Py_ssize_t i = index_key(arg, self->count, "macro index", "macros");
     if (i < 0)
         return NULL;
     const double *f = self->index.boxes + 4 * i;
@@ -1173,7 +1184,7 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_TypeError, "score expected 5 arguments, got %zd", nargs);
         return NULL;
     }
-    Py_ssize_t i = store_key(s, args[0]);
+    Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros");
     if (i < 0)
         return NULL;
     double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
@@ -1499,16 +1510,6 @@ nearest_index(const Lattice *a, double v)
     return i > 0 && fabs(a->at[i - 1] - v) <= fabs(a->at[i] - v) ? i - 1 : i;
 }
 
-/* Whether every footprint of the axis is not empty. */
-static int
-all_wide(const Lattice *a)
-{
-    for (Py_ssize_t i = 0; i < a->n; i++)
-        if (!(a->low[i] < a->high[i]))
-            return 0;
-    return 1;
-}
-
 /* placer._nearest_free over the lattice xs x ys, with row holding two
  * cursors per column: the first point whose footprint no blocker meets, in
  * rings of index distance r around the point nearest (px, py), each by
@@ -1516,17 +1517,15 @@ all_wide(const Lattice *a)
  * of ring r is at distance r or more when the ring starts (one at less was
  * probed and moved on), and a blocker moves cursors only farther out, so
  * visiting the ring's columns in order and probing the cursors found at
- * distance r probes what the Python bucket queue does, in its order.  The
- * point goes to out; returns 1, or 0 if every point is blocked. */
+ * distance r probes what the Python bucket queue does, in its order.  With
+ * every footprint non-empty, the point is the first free one of the rings.
+ * The point goes to out; returns 1, or 0 if every point is blocked. */
 static int
 ring_search(const FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
             double px, double py, double *out)
 {
     Py_ssize_t nx = xs->n, ny = ys->n;
     Py_ssize_t ci = nearest_index(xs, px), cj = nearest_index(ys, py);
-    /* an empty footprint meets nothing, so no jump may pass it; where one
-     * exists the probed cursor steps one row at a time */
-    int exact = all_wide(xs) && all_wide(ys);
     for (Py_ssize_t k = 0; k < nx; k++) {
         row[2 * k] = cj;
         row[2 * k + 1] = cj - 1;
@@ -1546,14 +1545,11 @@ ring_search(const FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t
                     out[1] = ys->at[j];
                     return 1;
                 }
-                /* blk covers rows lo .. hi - 1 of columns c1 .. c2 - 1 */
-                Py_ssize_t lo = j, hi = j + 1, c1 = k, c2 = k + 1;
-                if (exact) {
-                    lo = bisect_right(ys->high, ny, blk[1]);
-                    hi = bisect_left(ys->low, ny, blk[3]);
-                    c1 = bisect_right(xs->high, nx, blk[0]);
-                    c2 = bisect_left(xs->low, nx, blk[2]);
-                }
+                /* blk covers rows lo .. hi - 1 of columns c1 .. c2 - 1, this point's too */
+                Py_ssize_t lo = bisect_right(ys->high, ny, blk[1]);
+                Py_ssize_t hi = bisect_left(ys->low, ny, blk[3]);
+                Py_ssize_t c1 = bisect_right(xs->high, nx, blk[0]);
+                Py_ssize_t c2 = bisect_left(xs->low, nx, blk[2]);
                 for (Py_ssize_t c = c1; c < c2; c++) {
                     if (lo <= row[2 * c] && row[2 * c] < hi)
                         row[2 * c] = hi;
@@ -1644,15 +1640,9 @@ FreeSpace_put(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_TypeError, "put expected 5 arguments, got %zd", nargs);
         return NULL;
     }
-    Py_ssize_t key = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
-    if (key == -1 && PyErr_Occurred())
-        return NULL;
-    if (key < 0 || key >= s->count) {
-        PyErr_Format(PyExc_ValueError, "key %zd out of range for %zd footprints", key,
-                     s->count);
-        return NULL;
-    }
-    if (fast_doubles(args + 1, 4, 4, "put", box) < 0 || index_put(&s->index, key, box) < 0)
+    Py_ssize_t key = index_key(args[0], s->count, "key", "footprints");
+    if (key < 0 || fast_doubles(args + 1, 4, 4, "put", box) < 0
+        || index_put(&s->index, key, box) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1676,12 +1666,6 @@ FreeSpace_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "ddddnO:FreeSpace", kwlist, &width, &height,
                                      &min_x, &min_y, &count, &blockages))
         return NULL;
-    if (!(width > 0.0 && height > 0.0 && min_x > 0.0 && min_y > 0.0 && isfinite(width)
-          && isfinite(height) && isfinite(min_x) && isfinite(min_y))) {
-        PyErr_SetString(PyExc_ValueError,
-                        "area sides and cell sizes must be positive and finite");
-        return NULL;
-    }
     if (count < 0) {
         PyErr_SetString(PyExc_ValueError, "count must be >= 0");
         return NULL;
@@ -1690,9 +1674,8 @@ FreeSpace_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (s == NULL)
         return NULL;
     s->count = count;
-    s->n_blk = -1;
-    if (read_doubles(blockages, 4, "box", &s->n_blk, &s->blk, "blockages") < 0
-        || index_init(&s->index, count, width, height, min_x, min_y) < 0) {
+    if (space_init(&s->index, count, width, height, min_x, min_y, blockages, &s->n_blk,
+                   &s->blk) < 0) {
         Py_DECREF(s);
         return NULL;
     }
@@ -1711,7 +1694,8 @@ static PyMethodDef FreeSpace_methods[] = {
      "The first point of the lattice lo + i * step below hi, then hi, per\n"
      "axis, whose footprint (hx, hy the half sides around it) meets nothing,\n"
      "in rings of index distance around the point nearest (x, y); None if\n"
-     "there is none.  See stepplace.placer._nearest_free."},
+     "there is none.  Every footprint of the lattice must be non-empty.\n"
+     "See stepplace.placer._nearest_free."},
     {NULL}
 };
 

@@ -52,6 +52,7 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
+    check_placeable,
     footprint_box,
     is_legal,
     meet,
@@ -191,19 +192,11 @@ def parse_instance(
         except ValueError as e:
             raise InstanceFormatError(f"line {ln}: {e}")
     area = PlacementArea(w, h, tuple(blockages))
-    # a footprint needs distinct edge coordinates anywhere in the area
-    ulp = math.ulp(max(w, h))
     for m, ln in zip(macros, macro_lines):
-        if m.size_x > w or m.size_y > h:
-            raise InstanceFormatError(
-                f"line {ln}: macro {m.id} ({m.size_x!r} x {m.size_y!r}) does not "
-                f"fit the {w!r} x {h!r} area"
-            )
-        if not min(m.size_x, m.size_y) / 2.0 > ulp:
-            raise InstanceFormatError(
-                f"line {ln}: macro {m.id} is too small for a {w!r} x {h!r} "
-                f"area: its half-size must exceed {ulp!r}"
-            )
+        try:
+            check_placeable(m, area)
+        except ValueError as e:
+            raise InstanceFormatError(f"line {ln}: {e}")
     try:
         netlist = Netlist(macros, nets)
     except ValueError as e:

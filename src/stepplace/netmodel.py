@@ -102,13 +102,17 @@ MIN_AREA_SIDE = math.ldexp(sys.float_info.min, MAX_GRID_EXPONENT)
 @dataclass(frozen=True)
 class PlacementArea:
     """Placement rectangle ``[0, width] x [0, height]`` with keep-out blockages;
-    each side must be at least :data:`MIN_AREA_SIDE`."""
+    each side must be finite and at least :data:`MIN_AREA_SIDE`, and each
+    blockage a non-empty rectangle inside the area."""
 
     width: float
     height: float
     blockages: tuple[Rect, ...] = ()
 
     def __post_init__(self) -> None:
+        for name, side in (("width", self.width), ("height", self.height)):
+            if not math.isfinite(side):
+                raise ValueError(f"placement area {name} must be finite: {side!r}")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("placement area must have positive size")
         if not (self.width >= MIN_AREA_SIDE and self.height >= MIN_AREA_SIDE):
@@ -122,6 +126,21 @@ class PlacementArea:
                     f"blockage {x1!r} {y1!r} {x2!r} {y2!r} is empty or outside "
                     f"the placement area [0, {self.width!r}] x [0, {self.height!r}]"
                 )
+
+
+def check_placeable(macro: Macro, area: PlacementArea) -> None:
+    """Raise ``ValueError`` naming the macro unless it fits the area and its
+    half sides exceed one ulp of the area's larger side, so that its
+    footprint has distinct edges wherever its center lies in the area."""
+    w, h = area.width, area.height
+    sx, sy = macro.size_x, macro.size_y
+    if sx > w or sy > h:
+        raise ValueError(f"macro {macro.id} ({sx!r} x {sy!r}) does not fit the "
+                         f"{w!r} x {h!r} area")
+    ulp = math.ulp(max(w, h))
+    if not min(sx, sy) / 2.0 > ulp:
+        raise ValueError(f"macro {macro.id} is too small for a {w!r} x {h!r} area: "
+                         f"its half-size must exceed {ulp!r}")
 
 
 Box = tuple[float, float, float, float]  # (x1, y1, x2, y2), as a Rect

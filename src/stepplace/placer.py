@@ -50,7 +50,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
-from operator import lt
 from typing import NamedTuple
 
 from stepplace.netmodel import (
@@ -63,6 +62,7 @@ from stepplace.netmodel import (
     Point,
     bb_netlength,
     beta_schedule,
+    check_placeable,
     footprint_box,
     is_legal,
     meet,
@@ -221,20 +221,27 @@ def _safe_upper(span: float, half: float) -> float:
 
 
 def compute_bounds(macro: Macro, area: PlacementArea) -> MacroBounds:
-    """Center-coordinate bounds of a macro; error if it cannot fit."""
+    """Center-coordinate bounds of a macro that passes :func:`check_placeable`."""
+    check_placeable(macro, area)
     hx = macro.size_x / 2.0
     hy = macro.size_y / 2.0
-    if macro.size_x > area.width or macro.size_y > area.height:
-        raise ValueError(f"macro {macro.id!r} does not fit the placement area")
     # the lower bound is always exact: hx - hx == 0; the center hx itself is
     # feasible because hx + hx == size_x <= width
-    b = MacroBounds(
+    return MacroBounds(
         hx,
         max(_safe_upper(area.width, hx), hx),
         hy,
         max(_safe_upper(area.height, hy), hy),
     )
-    return b
+
+
+def _clamped(mid: str, pos: Point, b: MacroBounds) -> Point:
+    """``pos`` clamped into the bounds ``b`` of macro ``mid``; ``ValueError``
+    naming the macro where a coordinate is NaN, which no clamp can place."""
+    x, y = pos
+    if x != x or y != y:
+        raise ValueError(f"macro {mid!r} has a NaN position ({x!r}, {y!r})")
+    return min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max)
 
 
 class RoundStats(NamedTuple):
@@ -305,31 +312,37 @@ class PlacementStore:
     reference of the C core's ``PlacementStore``, which answers every method
     with the same bits.
 
-    Macros are keyed by index.  ``halves`` and ``centers`` hold ``hx, hy``
-    and ``x, y`` per macro, and ``nets`` each net's members as macro
-    indices.  The store keeps ``field``, the area with its keep-outs and
-    ``blockage_weight``, each macro's half-sizes (``halves[i]``) and center
-    (``centers[i]``), the nets (``nets``, and each macro's net indices
-    ascending in ``nets_of[i]``) with their bounding-box lengths, the
-    footprints in ``grid`` (a :class:`BucketGrid` with ``cell_x`` by
-    ``cell_y`` cells), and the live overlap pairs ``(i, j)``, ``i < j``, with
-    their areas, in the order the pairs entered: a pair that ends and
+    It takes the C store's arguments, keying macros by index: ``halves``,
+    ``centers`` and ``blockages`` hold ``hx, hy``, ``x, y`` and ``x1, y1,
+    x2, y2`` per macro or keep-out, ``nets`` each net's members.  It keeps
+    ``field``, the ``width`` by ``height`` ``area``, the ``blockages`` and
+    their ``blockage_weight``, each macro's half-sizes (``halves[i]``) and
+    center (``centers[i]``), the nets (``nets``, and each macro's net
+    indices ascending in ``nets_of[i]``) with their bounding-box lengths, the
+    footprints in ``grid`` (a :class:`BucketGrid` with ``min_cell_x`` by
+    ``min_cell_y`` cells), and the live overlap pairs ``(i, j)``, ``i < j``,
+    with their areas, in the order the pairs entered: a pair that ends and
     overlaps again goes to the end.  :meth:`move` snaps meets to the
-    field's grid over ``area``.
+    field's grid over the area, as :class:`GridRect`, the C store's ``rect``.
     """
 
     def __init__(
         self,
         field: CostField,
-        area: PlacementArea,
-        cell_x: float,
-        cell_y: float,
+        width: float,
+        height: float,
+        min_cell_x: float,
+        min_cell_y: float,
         halves: Sequence[float],
         centers: Sequence[float],
         nets: Sequence[Sequence[int]],
+        blockages: Sequence[float],
         blockage_weight: float,
+        rect: type,
     ) -> None:
-        self.field, self.area, self.blockage_weight = field, area, blockage_weight
+        self.field, self.blockage_weight = field, blockage_weight
+        self.area = PlacementArea(width, height)
+        self.blockages = list(zip(*[iter(blockages)] * 4))  # x1, y1, x2, y2 each
         count = len(centers) // 2
         self.halves = [(halves[2 * i], halves[2 * i + 1]) for i in range(count)]
         self.centers = [(centers[2 * i], centers[2 * i + 1]) for i in range(count)]
@@ -338,7 +351,7 @@ class PlacementStore:
         for k, net in enumerate(self.nets):
             for i in net:
                 self.nets_of[i].append(k)
-        self.grid = BucketGrid(cell_x, cell_y)
+        self.grid = BucketGrid(min_cell_x, min_cell_y)
         for i in range(count):
             self.grid.put(i, self.box(i))
         self.net_bb = [self._net_box(k) for k in range(len(self.nets))]
@@ -419,7 +432,7 @@ class PlacementStore:
             pts = [(x, y) if j == i else centers[j] for j in self.nets[k]]
             score += model_length(pts, beta)
         score += penalty(factor, fp, self.grid, i)
-        for b in self.area.blockages:
+        for b in self.blockages:
             ix1, iy1, ix2, iy2 = meet(fp, b)
             if ix1 < ix2 and iy1 < iy2:
                 score += self.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
@@ -536,8 +549,10 @@ def new_state(
 ) -> PlacerState:
     """Initial loop state: bounds, placement (given positions clamped into
     bounds, missing ones drawn uniformly), zero field plus one static
-    increase per blockage, and the placement store; :func:`stats_row` gives
-    its statistics row 0."""
+    increase per blockage, and the placement store (the C core's on a C
+    field); :func:`stats_row` gives its statistics row 0.  A macro
+    :func:`~stepplace.netmodel.check_placeable` refuses, or an initial
+    position that is NaN or names no macro, raises ``ValueError`` first."""
     macro_order = sorted(m.id for m in netlist.macros)
     macros = [netlist.by_id[mid] for mid in macro_order]
     bounds = [compute_bounds(m, area) for m in macros]
@@ -549,13 +564,10 @@ def new_state(
     placement: Placement = {}
     for mid, b in zip(macro_order, bounds):
         if initial is not None and mid in initial:
-            x, y = initial[mid]
-            x = min(max(x, b.x_min), b.x_max)
-            y = min(max(y, b.y_min), b.y_max)
+            placement[mid] = _clamped(mid, initial[mid], b)
         else:
             x = rng.uniform(b.x_min, b.x_max)
-            y = rng.uniform(b.y_min, b.y_max)
-        placement[mid] = (x, y)
+            placement[mid] = (x, rng.uniform(b.y_min, b.y_max))
 
     fld = CostField(config.grid_p, config.grid_q)
     for blk in area.blockages:
@@ -565,22 +577,17 @@ def new_state(
 
     # footprint cells at least as large as the largest macro: a footprint
     # touches at most 2x2 of them
-    cells = (
+    store = (CPlacementStore if fld.backend == "c" else PlacementStore)(
+        fld, area.width, area.height,
         max((m.size_x for m in macros), default=1.0),
         max((m.size_y for m in macros), default=1.0),
-    )
-    args = (
         # half-sizes as footprint_box computes them
         array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
         array("d", [v for mid in macro_order for v in placement[mid]]),
         [[bisect_left(macro_order, mid) for mid in net.members] for net in netlist.nets],
+        array("d", [v for b in area.blockages for v in b]),
+        config.blockage_weight, GridRect,
     )
-    if fld.backend == "c":
-        blockages = array("d", [v for b in area.blockages for v in b])
-        store = CPlacementStore(fld, area.width, area.height, *cells, *args, blockages,
-                                config.blockage_weight, GridRect)
-    else:
-        store = PlacementStore(fld, area, *cells, *args, config.blockage_weight)
     return PlacerState(
         config=config,
         rng=rng,
@@ -712,14 +719,14 @@ def _nearest_free(
     rows up and down not known to be blocked, ring by ring in that order.  A
     blocker moves every cursor it covers past its rows, found by bisecting
     the footprint edges, which are monotone and computed as in the overlap
-    test: the result is that of probing every point."""
+    test.  Precondition: every lattice footprint is non-empty, as
+    :func:`~stepplace.netmodel.check_placeable` makes the legalizer's; then
+    the result is that of probing every point.  (A jump may pass an empty
+    footprint, which overlaps nothing; the C search passes the same ones.)"""
     hx, hy = half
     ci, cj = _nearest_index(xs, pos[0]), _nearest_index(ys, pos[1])
     lefts, rights = [x - hx for x in xs], [x + hx for x in xs]
     bottoms, tops = [y - hy for y in ys], [y + hy for y in ys]
-    # an empty footprint overlaps nothing, so no jump may pass it; where one
-    # exists the probed cursor steps one row at a time
-    exact = all(map(lt, lefts, rights)) and all(map(lt, bottoms, tops))
     row = [cj, cj - 1] * len(xs)  # row[2 * i]: upward cursor, + 1: downward
     queue: dict[int, list[int]] = {}  # ring -> cursors, some since moved on
     for r in range(len(xs) + len(ys) - 1):
@@ -739,12 +746,9 @@ def _nearest_free(
             blk = blocker((x - hx, y - hy, x + hx, y + hy))
             if blk is None:
                 return x, y
-            if exact:  # blk covers rows lo..hi - 1 of these columns
-                lo, hi = bisect_right(tops, blk[1]), bisect_left(bottoms, blk[3])
-                cols = range(bisect_right(rights, blk[0]), bisect_left(lefts, blk[2]))
-            else:
-                lo, hi, cols = j, j + 1, (i,)
-            for k in cols:
+            # blk covers rows lo .. hi - 1 of these columns, this point's too
+            lo, hi = bisect_right(tops, blk[1]), bisect_left(bottoms, blk[3])
+            for k in range(bisect_right(rights, blk[0]), bisect_left(lefts, blk[2])):
                 for u, to in ((2 * k, hi), (2 * k + 1, lo - 1)):
                     if lo <= row[u] < hi:
                         row[u] = to
@@ -763,6 +767,7 @@ class PyFreeSpace:
     y2`` per keep-out.  A probe's blocker is the box
     :meth:`BucketGrid.first_hit` reports, else the first keep-out that meets
     the probe; ``width``, ``height`` and ``count`` size the C index only.
+    :meth:`nearest_free` takes the precondition of :func:`_nearest_free`.
     """
 
     def __init__(
@@ -775,9 +780,7 @@ class PyFreeSpace:
         blockages: Sequence[float],
     ) -> None:
         self.placed = BucketGrid(cell_x, cell_y)
-        self.blockages = [
-            tuple(blockages[k : k + 4]) for k in range(0, len(blockages), 4)
-        ]
+        self.blockages = list(zip(*[iter(blockages)] * 4))
 
     def blocker(self, box: Box) -> Box | None:
         """A placed footprint or keep-out that meets ``box``, or None."""
@@ -830,32 +833,31 @@ def naive_legalize(
     direction, and a probe's blocker, a placed footprint or else a keep-out,
     moves the cursors past exactly the points it covers: in ring order the
     first free cursor is the first free ring point, so the result is that of
-    probing every point, on both cores.  Raises :class:`LegalizationError`
-    when a macro cannot be placed, and never returns an illegal placement.
+    probing every point, on both cores.  Before any search is built, a
+    macro without a position, with a NaN one, or that
+    :func:`~stepplace.netmodel.check_placeable` refuses (which leaves every
+    lattice footprint non-empty) raises ``ValueError`` naming it.  Raises
+    :class:`LegalizationError` when a macro cannot be placed, and never
+    returns an illegal placement.
     """
+    starts = []
+    for m in sorted(netlist.macros, key=lambda m: (-m.area, m.id)):
+        if m.id not in placement:
+            raise ValueError(f"macro {m.id!r} has no position")
+        b = compute_bounds(m, area)
+        starts.append((m, b, _clamped(m.id, placement[m.id], b)))
     ids = sorted(netlist.by_id)
     # keys in id order, so that the reference's first_hit, which reports
     # the least key, picks the least id
     key = {mid: k for k, mid in enumerate(ids)}
     space = FreeSpace(
-        area.width,
-        area.height,
-        max((m.size_x for m in netlist.macros), default=1.0),
-        max((m.size_y for m in netlist.macros), default=1.0),
-        len(ids),
+        area.width, area.height, max((m.size_x for m in netlist.macros), default=1.0),
+        max((m.size_y for m in netlist.macros), default=1.0), len(ids),
         array("d", [v for b in area.blockages for v in b]),
     )
     out: Placement = {}
-    order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
-    for m in order:
-        if m.id not in placement:
-            raise ValueError(f"macro {m.id!r} has no position")
-        b = compute_bounds(m, area)
-        x, y = placement[m.id]
-        start = (min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max))
-        inside = b.x_min <= start[0] <= b.x_max and b.y_min <= start[1] <= b.y_max
-        free = inside and not space.blocked(*footprint_box(m, start))
-        found = start if free else None
+    for m, b, start in starts:
+        found = None if space.blocked(*footprint_box(m, start)) else start
         for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
             if found is not None:
                 break

@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
 from stepplace.netmodel import PlacementArea, Rect
@@ -109,8 +110,12 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     stats = str(tmp_path / "stats.csv")
     save_instance(inst, netlist, area)
     # the placer's field picks its backend through HAVE_C_CORE, and the
-    # placer scores with that backend's path
+    # placer scores with that backend's path; the py run also proposes and
+    # legalizes in Python, as a run without a C compiler does
     monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
+    if backend == "py":
+        monkeypatch.setattr(placer, "move_macro", placer.py_move_macro)
+        monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,
                  "--rounds", str(rounds), "--seed", "3", *flags])
     assert code == 0

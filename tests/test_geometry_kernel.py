@@ -185,8 +185,8 @@ def stores(side, cell, centers, halves):
             array("d", [v for c in centers for v in c]), [])
     return (CPlacementStore(CostField(3, 3, "c"), side, side, cell, cell, *args,
                             array("d"), 1.0, GridRect),
-            PlacementStore(CostField(3, 3, "py"), PlacementArea(side, side), largest,
-                           largest, *args, 1.0))
+            PlacementStore(CostField(3, 3, "py"), side, side, largest, largest, *args,
+                           array("d"), 1.0, GridRect))
 
 
 def assert_pairs_agree(c_store, py_store, count):

@@ -33,7 +33,15 @@ from stepplace.io_cli import (
     write_stats_csv,
 )
 from oracles import oracle_check_result
-from stepplace.netmodel import Macro, Net, Netlist, PlacementArea, Rect, is_legal
+from stepplace.netmodel import (
+    Macro,
+    Net,
+    Netlist,
+    PlacementArea,
+    Rect,
+    check_placeable,
+    is_legal,
+)
 from stepplace.placer import PlacerConfig, RoundStats, new_state, run_placer
 
 MINIMAL = """\
@@ -1130,18 +1138,77 @@ TOKENS = st.one_of(
 )
 
 
+def library_refuses(text):
+    """Whether the library refuses the values of an instance text: built
+    through :class:`PlacementArea`, :class:`Macro`, :class:`Netlist` and
+    :func:`check_placeable`, a ``ValueError`` escapes.  None where the text
+    breaks the grammar: a line of the wrong shape, a number that is not
+    finite, no area line or two, a second ``place`` for a macro or one for
+    an unknown macro."""
+    areas, blockages, macros, nets, places = [], [], [], [], {}
+    shapes = {"area": 2, "blockage": 4, "macro": 3, "place": 3}
+    for raw in io.StringIO(text):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        kind, args = toks[0], toks[1:]
+        if kind == "net":
+            if len(args) < 2:
+                return None
+            nets.append(tuple(args))
+            continue
+        if shapes.get(kind) != len(args):
+            return None
+        nums = args[1:] if kind in ("macro", "place") else args
+        try:
+            vals = [float(a) for a in nums]
+        except ValueError:
+            return None
+        if not all(map(math.isfinite, vals)):
+            return None
+        if kind == "area":
+            areas.append(vals)
+        elif kind == "blockage":
+            blockages.append(vals)
+        elif kind == "macro":
+            macros.append((args[0], *vals))
+        elif args[0] in places:
+            return None
+        else:
+            places[args[0]] = vals
+    if len(areas) != 1 or not places.keys() <= {m[0] for m in macros}:
+        return None
+    try:
+        area = PlacementArea(*areas[0], tuple(Rect(*b) for b in blockages))
+        built = [Macro(*m) for m in macros]
+        Netlist(built, [Net(n) for n in nets])
+        for m in built:
+            check_placeable(m, area)
+    except ValueError:
+        return True
+    return False
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_property_instance_text_parses_or_names_the_error(data):
     """Mutated lines of a valid instance and random token lines either raise
     :class:`InstanceFormatError` or parse to an instance that writes back to
-    itself and that the placer accepts; no other exception escapes."""
+    itself and that the placer accepts; no other exception escapes.  A text
+    of the grammar's shape is refused exactly where the library refuses its
+    values (:func:`library_refuses`)."""
     draw = data.draw
     lines = FULL.splitlines()
     for _ in range(draw(st.integers(1, 3), label="edits")):
         i = draw(st.integers(0, len(lines)), label="line")
-        edit = draw(st.sampled_from(["token", "drop", "copy", "insert"]))
-        if edit == "insert" or i == len(lines):
+        edit = draw(st.sampled_from(["token", "drop", "copy", "insert", "widen"]))
+        if edit == "widen":
+            # ulps of 0.25, 0.5 and 2: the 1 x 1 macro passes, is at, or
+            # is below the placeability rule's bound
+            wide = draw(st.sampled_from(["2e15", "4e15", "1e16"]), label="width")
+            lines = [f"area {wide} 8.25" if ln.startswith("area ") else ln
+                     for ln in lines]
+        elif edit == "insert" or i == len(lines):
             head = draw(st.sampled_from(["area", "blockage", "macro", "net", "place"]))
             lines.insert(i, " ".join([head, *draw(st.lists(TOKENS, max_size=4))]))
         elif edit == "token":
@@ -1154,10 +1221,13 @@ def test_property_instance_text_parses_or_names_the_error(data):
         else:
             lines.insert(i, lines[i])
     text = "\n".join(lines) + "\n"
+    refused = library_refuses(text)
     try:
         netlist, area, initial = parse_instance(io.StringIO(text))
     except InstanceFormatError:
+        assert refused is not False, text
         return
+    assert refused is False, text
     buf = io.StringIO()
     write_instance(buf, netlist, area, initial)
     again = parse_instance(io.StringIO(buf.getvalue()))

@@ -112,19 +112,19 @@ def box_edges(vals, h):
 
 @st.composite
 def ring_searches(draw):
-    """Arguments of ``_nearest_free`` plus the boxes its blocker reports.
+    """Arguments of ``_nearest_free`` plus the boxes its blocker reports,
+    with every footprint non-empty, as the legalizer's are.
 
-    At ``2**51`` floats are 0.5 apart, so a half side of 0.25 leaves the
-    footprints at even multiples of 0.5 empty (``y - hy == y + hy``) and
-    those at odd ones not.  Box edges come from the footprint edges, so
-    boxes often touch footprints edge to edge, and from beyond the lattice,
-    so some span whole columns or rows."""
+    At ``2**51`` floats are 0.5 apart, so a half side of 0.75 rounds the
+    footprint edges (to even) and one of 0.5 does not.  Box edges come from
+    the footprint edges, so boxes often touch footprints edge to edge, and
+    from beyond the lattice, so some span whole columns or rows."""
     if draw(st.booleans(), label="at 2**51"):
         base, step = 2.0**51, st.sampled_from([0.5, 1.0, 1.5])
-        half = st.sampled_from([0.25, 0.25, 0.5])
+        half = st.sampled_from([0.5, 0.75, 1.0])
     else:
         base, step = draw(st.floats(0, 100), label="base"), st.floats(0.125, 3)
-        half = st.one_of(st.floats(0.05, 4), st.just(1e-300))
+        half = st.floats(0.05, 4)
     xs, ys = (list(accumulate([base] + draw(st.lists(step, max_size=9), label=a)))
               for a in ("xs", "ys"))
     hx, hy = draw(half, label="hx"), draw(half, label="hy")
@@ -145,12 +145,13 @@ def ring_searches(draw):
     return xs, ys, pos, (hx, hy), boxes
 
 
-# empty footprints a jump would pass: at 2**51 + 1 in a column, in a row
+# empty footprints a jump passes, at 2**51 + 1 in a column and in a row:
+# arguments of FreeSpace.nearest_free and the footprint blocking the rest
 _B = 2.0**51
-EMPTY_COLUMN = ([_B, _B + 0.5, _B + 1], [_B], (_B - 1, _B - 1), (0.25, 0.25),
-                [(_B - 5, _B - 5, _B + 6, _B)])
-EMPTY_ROW = ([_B], [_B, _B + 0.5, _B + 1, _B + 1.5], (_B, _B), (0.25, 0.25),
-             [(_B - 5, _B - 5, _B + 5, _B + 3)])
+EMPTY_COLUMN = ((_B, _B + 1, 0.5, _B, _B, 1.0, _B - 1, _B - 1, 0.25, 0.25),
+                [(_B - 5, _B - 5, _B + 6, _B, False)])
+EMPTY_ROW = ((_B, _B, 1.0, _B, _B + 1.5, 0.5, _B, _B, 0.25, 0.25),
+             [(_B - 5, _B - 5, _B + 5, _B + 3, False)])
 # a box that blocks the center and touches the free column or row beside it
 TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                    [(-0.5, 1.5, 1.0, 3.0)])
@@ -165,10 +166,11 @@ needs_c_space = pytest.mark.skipif(stepfield.CFreeSpace is None, reason="C core 
 def lattice_searches(draw):
     """Arguments of ``FreeSpace.nearest_free`` (the lattice ``lo + i *
     step`` below ``hi``, then ``hi``, per axis, a start and half sides) and
-    the boxes to block it with, each put as a footprint or a keep-out, as in
-    :func:`ring_searches`: lattices near 0–100 and at ``2**51`` (where a half
-    side of 0.25 leaves every other footprint empty), one-point lattices
-    (``hi == lo``), box edges from the footprint edges and from beyond."""
+    the boxes to block it with, each put as a footprint or a keep-out:
+    lattices near 0–100 (where a half side of 1e-300 leaves every footprint
+    empty) and at ``2**51`` (where one of 0.25 leaves every other footprint
+    empty), one-point lattices (``hi == lo``), box edges from the footprint
+    edges and from beyond, as in :func:`ring_searches`."""
     big = draw(st.booleans(), label="at 2**51")
     if big:
         base = st.sampled_from([_B + k / 2 for k in range(-2, 3)])
@@ -219,12 +221,11 @@ def legalizer_instances(draw):
     """A start placement, netlist, area and grid exponents for
     ``naive_legalize``: random macros and keep-outs over a window of the area
     (``random``), macros and keep-outs on whole units, so that footprints
-    touch edge to edge, and macros 2e-300 wide at the left edge
-    (``touching``), macros as tall as the area, so that
-    their row lattice is one point (``row``), or thin macros at ``2**51``
-    with footprints that the lattice leaves empty (``2**51``).  Exponents
-    from 0 make the coarse lattices fail and retry finer, and full areas
-    make the search fail."""
+    touch edge to edge (``touching``), macros as tall as the area, so that
+    their row lattice is one point (``row``), or macros at ``2**51``, where
+    floats are 0.5 apart, with half sides just above the ulp of the area's
+    ``2**52`` side (``2**51``).  Exponents from 0 make the coarse lattices
+    fail and retry finer, and full areas make the search fail."""
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
     kind = draw(st.sampled_from(["random", "touching", "row", "2**51"]), label="kind")
     n = draw(st.integers(1, 16), label="macros")
@@ -246,9 +247,7 @@ def legalizer_instances(draw):
         for _ in range(rng.randrange(3)):
             x, y = rng.randrange(15), rng.randrange(15)
             keepouts.append(Rect(x, y, x + rng.randint(1, 16 - x), y + rng.randint(1, 16 - y)))
-        # a few macros 2e-300 wide: their footprints are empty off the left edge
-        sizes = [(2e-300, sy) if rng.random() < 0.2 else (sx, sy) for sx, sy in sizes]
-        starts = [(rng.randint(0, 8) * (sx > 1) + sx / 2, rng.randint(0, 8) + sy / 2)
+        starts = [(rng.randint(0, 8) + sx / 2, rng.randint(0, 8) + sy / 2)
                   for sx, sy in sizes]
     elif kind == "row":
         w, h = rng.uniform(4, 40), rng.uniform(0.5, 4)
@@ -256,7 +255,7 @@ def legalizer_instances(draw):
         starts = [(rng.uniform(0, w), h / 2) for _ in range(n)]
     else:
         w, h = 2.0**52, 4.0
-        sizes = [(rng.choice([0.5, 1.0, 1.5]), rng.choice([1.0, 2.0])) for _ in range(n)]
+        sizes = [(rng.choice([2.5, 3.0, 3.5]), rng.choice([2.5, 4.0])) for _ in range(n)]
         keepouts.append(Rect(_B - 2, 0.0, _B + rng.randint(0, 4) / 2, rng.randint(1, 4)))
         starts = [(_B + rng.randint(-4, 4) / 2, rng.uniform(0, h)) for _ in range(n)]
     macros = [Macro(f"m{i:02d}", sx, sy) for i, (sx, sy) in enumerate(sizes)]
@@ -1117,8 +1116,8 @@ class TestScoreCandidate:
             value = CostField(2, 2, "py")
         elif value == "py store":
             value = placer.PlacementStore(
-                CostField(2, 2, "py"), PlacementArea(4, 4), 1.0, 1.0, halves, centers,
-                [[0, 1]], 1.0,
+                CostField(2, 2, "py"), 4.0, 4.0, 1.0, 1.0, halves, centers, [[0, 1]],
+                array("d"), 1.0, GridRect,
             )
         inputs[index] = value
         with pytest.raises(error, match=match):
@@ -1765,8 +1764,6 @@ class TestNaiveLegalize:
 
     @settings(max_examples=150, deadline=None)
     @given(case=ring_searches())
-    @example(case=EMPTY_COLUMN)
-    @example(case=EMPTY_ROW)
     @example(case=TOUCHING_COLUMN)
     @example(case=TOUCHING_ROW)
     def test_ring_search_matches_point_by_point_walk(self, case):
@@ -1786,9 +1783,12 @@ class TestNaiveLegalize:
     @needs_c_space
     @settings(max_examples=200, deadline=None)
     @given(case=lattice_searches())
+    @example(case=EMPTY_COLUMN)
+    @example(case=EMPTY_ROW)
     def test_c_search_matches_python_reference(self, case):
         """The C core's lattice search finds the Python reference's point,
-        to the bit, and its start probe the same answer."""
+        to the bit, and its start probe the same answer, on empty footprints
+        too, which both jump over alike."""
         args, boxes = case
         c_space, py_space = spaces_blocked_by(boxes, 2.0**53)
         got, want = c_space.nearest_free(*args), py_space.nearest_free(*args)
@@ -1901,3 +1901,61 @@ class TestNaiveLegalize:
         if want is not None:
             assert {k: (x.hex(), y.hex()) for k, (x, y) in got.items()} == {
                 k: (x.hex(), y.hex()) for k, (x, y) in want.items()}
+
+
+def on_core(monkeypatch, backend):
+    """Run the placer and the legalizer on one core: on ``py`` the field,
+    the store, the proposals and the lattice search are all Python's."""
+    monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
+    if backend == "py":
+        monkeypatch.setattr(placer, "move_macro", placer.py_move_macro)
+        monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
+
+
+class TestPlaceability:
+    """Inputs the CLI refuses are refused by the library too, on both
+    cores, with one message and before any store or search is built."""
+
+    @pytest.mark.parametrize("w, h, side", [(math.inf, 4.0, "width"),
+                                            (4.0, -math.inf, "height"),
+                                            (math.nan, 4.0, "width")])
+    def test_non_finite_area_side(self, monkeypatch, backend, w, h, side):
+        on_core(monkeypatch, backend)
+        with pytest.raises(ValueError, match=f"^placement area {side} must be finite: "):
+            PlacementArea(w, h)
+
+    @pytest.mark.parametrize("sizes, area, ulp", [
+        # a footprint 2e-300 wide is empty off the left edge
+        ([(2e-300, 2.0), (2.0, 2.0)], PlacementArea(16.0, 16.0), "3.552713678800501e-15"),
+        # at 2**52 floats are 1 apart: a half side of 0.25 leaves most
+        # footprints empty; one of 1.0, the ulp itself, is refused too
+        ([(0.5, 1.0)], PlacementArea(2.0**52, 4.0), "1.0"),
+        ([(2.0, 2.0)], PlacementArea(2.0**52, 4.0), "1.0"),
+    ])
+    def test_sub_ulp_macro(self, monkeypatch, backend, sizes, area, ulp):
+        on_core(monkeypatch, backend)
+        nl = Netlist([Macro(f"m{i}", sx, sy) for i, (sx, sy) in enumerate(sizes)], [])
+        want = (rf"^macro m0 is too small for a {area.width!r} x {area.height!r} "
+                rf"area: its half-size must exceed {ulp}$")
+        with pytest.raises(ValueError, match=want):
+            run_placer(nl, area, PlacerConfig(max_rounds=5, seed=1))
+        built = []
+        monkeypatch.setattr(placer, "FreeSpace", lambda *args: built.append(args))
+        start = {m.id: (m.size_x / 2, m.size_y / 2) for m in nl.macros}
+        with pytest.raises(ValueError, match=want):
+            naive_legalize(start, nl, area, 6, 6)
+        assert built == []
+
+    def test_nan_position(self, monkeypatch, backend):
+        on_core(monkeypatch, backend)
+        nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
+        area = PlacementArea(10, 10)
+        placement = {"a": (math.nan, 3.0), "b": (5.0, 5.0)}
+        want = r"^macro 'a' has a NaN position \(nan, 3\.0\)$"
+        with pytest.raises(ValueError, match=want):
+            new_state(nl, area, PlacerConfig(max_rounds=5, seed=1), placement)
+        built = []
+        monkeypatch.setattr(placer, "FreeSpace", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=want):
+            naive_legalize(placement, nl, area, 6, 6)
+        assert built == []
