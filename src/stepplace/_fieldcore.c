@@ -37,6 +37,11 @@
  * All of these do the float operations of the placer's Python reference in
  * its order, so they return its bits (build with -ffp-contract=off so no
  * multiply-add is fused).
+ *
+ * The module function repr_line writes the line of floats and ints that
+ * every file writer of stepplace.io_cli writes, with the bytes repr writes;
+ * it finds most floats' shortest digits in 128-bit integer arithmetic
+ * instead of the interpreter's big-number dtoa.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1398,6 +1403,304 @@ done:
     return result;
 }
 
+/* repr_line: sep.join(map(repr, values)) + "\n" for floats and ints, the
+ * line every file writer of stepplace.io_cli writes (its Python reference
+ * is io_cli.py_repr_line).
+ *
+ * repr(x) of a float is the shortest decimal that reads back as x, the one
+ * nearest x among those (David Gay's dtoa, mode 0, behind
+ * PyOS_double_to_string).  For a normal x between 2^-13 and 2^123 the same
+ * digits come from exact 128-bit integer arithmetic.  With x = m * 2^e, x
+ * and both ends of its rounding interval, in quarter ulps 4m, 4m + 2 and
+ * 4m - 2 (4m - 1 where the gap below is half the gap above), are scaled by
+ * a power of ten to 18 or 19 digits, each with a flag telling whether its
+ * floor is exact; then digits are removed while the interval still holds a
+ * shorter decimal, as Ryu does (Adams, PLDI 2018).  An interval end is part
+ * of the interval exactly when m is even (a round-half-even read returns x
+ * from it).  Zero is written directly.  PyOS_double_to_string writes the
+ * rest: non-finite and subnormal values, magnitudes outside that range, a
+ * value exactly halfway between its two nearest shortest decimals, and
+ * every value where the compiler has no 128-bit integer. */
+
+typedef struct {
+    char *data;
+    Py_ssize_t len, cap;
+    char stack[512];
+} LineBuf;
+
+/* Room for n more bytes; -1 with MemoryError. */
+static int
+line_reserve(LineBuf *b, Py_ssize_t n)
+{
+    if (b->len + n <= b->cap)
+        return 0;
+    Py_ssize_t cap = 2 * (b->len + n);
+    char *data = b->data == b->stack ? PyMem_Malloc(cap) : PyMem_Realloc(b->data, cap);
+    if (data == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (b->data == b->stack)
+        memcpy(data, b->stack, b->len);
+    b->data = data;
+    b->cap = cap;
+    return 0;
+}
+
+static int
+line_append(LineBuf *b, const char *s, Py_ssize_t n)
+{
+    if (line_reserve(b, n) < 0)
+        return -1;
+    memcpy(b->data + b->len, s, n);
+    b->len += n;
+    return 0;
+}
+
+/* Writes the decimal digits of v at the end of the 20 bytes at end - 20;
+ * returns how many. */
+static int
+put_digits(char *end, uint64_t v)
+{
+    int n = 0;
+    do {
+        *--end = (char)('0' + v % 10);
+        v /= 10;
+        n++;
+    } while (v);
+    return n;
+}
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+    1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/* 10^k for 0 <= k <= 38 */
+static u128
+pow10_u128(int k)
+{
+    return k < 20 ? POW10[k] : (u128)POW10[19] * POW10[k - 19];
+}
+
+/* floor(n * 2^e * 10^s), with *exact set when the floor drops nothing.
+ * Callers keep n < 2^56, s <= 21, and e + 56 <= 127; s < 0 only where
+ * e >= 0 and e < 0 only where s > 0. */
+static uint64_t
+scaled_floor(uint64_t n, int e, int s, int *exact)
+{
+    u128 x = (u128)n;
+    if (s > 0)
+        x *= pow10_u128(s);
+    if (e < 0) {
+        *exact = (x & (((u128)1 << -e) - 1)) == 0;
+        return (uint64_t)(x >> -e);
+    }
+    x <<= e;
+    if (s >= 0) {
+        *exact = 1;
+        return (uint64_t)x;
+    }
+    u128 d = pow10_u128(-s);
+    *exact = x % d == 0;
+    return (uint64_t)(x / d);
+}
+
+/* The shortest decimal digits of the normal double m * 2^e (m holds the
+ * implicit bit, 2^-13 <= value < 2^123) as *digits * 10^*exp10, the one
+ * nearest the value among them; -1 for a value exactly halfway between two
+ * such decimals. */
+static int
+shortest_digits(uint64_t m, int e, uint64_t *digits, int *exp10)
+{
+    int even = (m & 1) == 0;
+    /* the gap below a power of two is half the gap above it */
+    uint64_t below = m == (1ULL << 52) ? 1 : 2;
+    /* 10^(k - 1) <= value < 10^(k + 1), so 10^17 <= vr < 10^19 */
+    int k = (int)floor((e + 52) * 0.30102999566398120);
+    int s = 17 - k, vr_exact, vp_exact, vm_exact;
+    uint64_t vr = scaled_floor(4 * m, e - 2, s, &vr_exact);
+    uint64_t vp = scaled_floor(4 * m + 2, e - 2, s, &vp_exact);
+    uint64_t vm = scaled_floor(4 * m - below, e - 2, s, &vm_exact);
+    if (!even)
+        vp -= vp_exact;  /* the upper end is not part of the interval */
+    int vm_zeros = even && vm_exact;  /* vm is the lower end, which is part */
+    int vr_zeros = vr_exact;          /* what vr dropped was 0 before last */
+    int removed = 0;
+    unsigned last = 0;                /* the digit vr dropped last */
+    while (vp / 10 > vm / 10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (unsigned)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vm_zeros)
+        while (vm % 10 == 0) {
+            vr_zeros &= last == 0;
+            last = (unsigned)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+    if (vr_zeros && last == 5)
+        return -1;
+    *digits = vr + ((vr == vm && !vm_zeros) || last >= 5);
+    *exp10 = removed - s;
+    return 0;
+}
+#endif
+
+/* Appends repr(x), for a float x. */
+static int
+line_append_float(LineBuf *b, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int negative = (int)(bits >> 63), biased = (int)(bits >> 52) & 0x7ff;
+    uint64_t frac = bits & ((1ULL << 52) - 1);
+    if (biased == 0 && frac == 0)
+        return negative ? line_append(b, "-0.0", 4) : line_append(b, "0.0", 3);
+#ifdef __SIZEOF_INT128__
+    uint64_t digits;
+    int exp10;
+    if (biased >= 1023 - 13 && biased < 1023 + 123
+        && shortest_digits(frac | (1ULL << 52), biased - 1075, &digits, &exp10) == 0) {
+        char d[20], *out;
+        int n = put_digits(d + 20, digits), point = n + exp10;
+        const char *first = d + 20 - n;
+        /* at most 25 bytes: '-', "0.000" and 19 digits, or '-', 19 digits
+         * with a point and "e+XX" */
+        if (line_reserve(b, 40) < 0)
+            return -1;
+        out = b->data + b->len;
+        if (negative)
+            *out++ = '-';
+        if (point <= -4 || point > 16) {
+            /* d[.ddd]e+XX, the exponent of at least two digits */
+            int ex = point - 1;
+            *out++ = first[0];
+            if (n > 1) {
+                *out++ = '.';
+                memcpy(out, first + 1, n - 1);
+                out += n - 1;
+            }
+            *out++ = 'e';
+            *out++ = ex < 0 ? '-' : '+';
+            ex = ex < 0 ? -ex : ex;
+            *out++ = (char)('0' + ex / 10);
+            *out++ = (char)('0' + ex % 10);
+        }
+        else {
+            /* the digits with the point among them, padded with zeros */
+            if (point <= 0) {
+                memcpy(out, "0.000", 2 - point);
+                out += 2 - point;
+            }
+            for (int i = 0; i < n || i < point; i++) {
+                if (i && i == point)
+                    *out++ = '.';
+                *out++ = i < n ? first[i] : '0';
+            }
+            if (point >= n) {
+                memcpy(out, ".0", 2);
+                out += 2;
+            }
+        }
+        b->len = out - b->data;
+        return 0;
+    }
+#endif
+    char *s = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+    if (s == NULL)
+        return -1;
+    int rc = line_append(b, s, (Py_ssize_t)strlen(s));
+    PyMem_Free(s);
+    return rc;
+}
+
+/* Appends repr(v) for an int or a float v; TypeError for anything else. */
+static int
+line_append_number(LineBuf *b, PyObject *v)
+{
+    if (PyFloat_CheckExact(v))
+        return line_append_float(b, PyFloat_AS_DOUBLE(v));
+    if (PyLong_CheckExact(v)) {
+        int overflow;
+        long long i = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (i == -1 && PyErr_Occurred())
+            return -1;
+        if (!overflow) {
+            char d[21];
+            int n = put_digits(d + 21, i < 0 ? 0 - (uint64_t)i : (uint64_t)i);
+            if (i < 0)
+                d[21 - ++n] = '-';
+            return line_append(b, d + 21 - n, n);
+        }
+    }
+    else if (!PyFloat_Check(v) && !PyLong_Check(v)) {
+        PyErr_Format(PyExc_TypeError, "repr_line takes floats and ints, not %.200s",
+                     Py_TYPE(v)->tp_name);
+        return -1;
+    }
+    /* a subclass, whose repr may differ, or an int beyond 64 bits */
+    PyObject *r = PyObject_Repr(v);
+    if (r == NULL)
+        return -1;
+    Py_ssize_t n;
+    const char *s = PyUnicode_AsUTF8AndSize(r, &n);
+    int rc = s == NULL ? -1 : line_append(b, s, n);
+    Py_DECREF(r);
+    return rc;
+}
+
+static PyObject *
+repr_line(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "repr_line expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if (!PyUnicode_Check(args[1])) {
+        PyErr_Format(PyExc_TypeError, "sep must be a str, not %.200s",
+                     Py_TYPE(args[1])->tp_name);
+        return NULL;
+    }
+    Py_ssize_t sep_len;
+    const char *sep = PyUnicode_AsUTF8AndSize(args[1], &sep_len);
+    if (sep == NULL)
+        return NULL;
+    /* a tuple, whose items no value's repr can replace */
+    PyObject *values = args[0];
+    if (PyTuple_Check(values))
+        Py_INCREF(values);
+    else if ((values = PySequence_Tuple(values)) == NULL)
+        return NULL;
+    LineBuf b = {.len = 0, .cap = sizeof b.stack};
+    b.data = b.stack;
+    PyObject *result = NULL;
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(values); k++)
+        if ((k && line_append(&b, sep, sep_len) < 0)
+            || line_append_number(&b, PyTuple_GET_ITEM(values, k)) < 0)
+            goto done;
+    if (line_append(&b, "\n", 1) == 0)
+        result = PyUnicode_DecodeUTF8(b.data, b.len, NULL);
+done:
+    if (b.data != b.stack)
+        PyMem_Free(b.data);
+    Py_DECREF(values);
+    return result;
+}
+
 /* The footprints the legalizer has placed and the area's keep-outs, with the
  * lattice search of stepplace.placer._nearest_free over them; its Python
  * reference is stepplace.placer.PyFreeSpace. */
@@ -1722,6 +2025,12 @@ static PyMethodDef fieldcore_functions[] = {
      "result is clamped into bounds, a 4-tuple (x_min, x_max, y_min, y_max).\n"
      "Draws rng.random() four times: direction x, direction y, jump x, jump\n"
      "y; see stepplace.placer.py_move_macro."},
+    {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
+     "repr_line(values, sep) -> str\n\n"
+     "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
+     "with repr's bytes; TypeError for any other value.  A float's digits\n"
+     "come from 128-bit integers where that is exact and unambiguous, else\n"
+     "from the interpreter's repr; see stepplace.io_cli.py_repr_line."},
     {NULL}
 };
 

@@ -18,11 +18,13 @@ the positions, and one ``place`` line per macro:
     place <id> <x> <y>
 
 All coordinates are area units; occupied regions are half-open rectangles, so
-edge-to-edge contact is not an overlap.  Floats are written with ``repr`` and
-round-trip exactly.  File writes are atomic (write temp, then rename), and
-the written file gets the mode ``open()`` would give it.  Every float total
-that reaches a file is added left to right (:func:`ordered_sum`), so the bytes
-do not depend on whether the interpreter's ``sum`` compensates.
+edge-to-edge contact is not an overlap.  Floats are written with the bytes
+``repr`` writes (:func:`repr_line`, the C core's where it loaded, which finds
+the same digits in integer arithmetic) and round-trip exactly.  File writes
+are atomic (write temp, then rename), and the written file gets the mode
+``open()`` would give it.  Every float total that reaches a file is added
+left to right (:func:`ordered_sum`), so the bytes do not depend on whether
+the interpreter's ``sum`` compensates.
 
 The ``stepplace`` CLI wraps this: ``place`` runs the placer, ``check``
 independently verifies a result, ``gen`` emits random instances, ``render``
@@ -66,9 +68,19 @@ from stepplace.placer import (
     round_step,
     stats_row,
 )
-from stepplace.stepfield import ordered_sum
+from stepplace.stepfield import c_repr_line, ordered_sum
 
 OUT_DIR_ENV = "STEPPLACE_OUT_DIR"
+
+
+def py_repr_line(values: Sequence[float | int], sep: str) -> str:
+    """The line the file writers write for ``values``: their ``repr``
+    joined by ``sep``, then a newline.  The reference of the C core's
+    ``repr_line``, and the fallback without it."""
+    return sep.join(map(repr, values)) + "\n"
+
+
+repr_line = py_repr_line if c_repr_line is None else c_repr_line
 
 
 class InstanceFormatError(ValueError):
@@ -242,17 +254,17 @@ def write_instance(
     initial: Placement | None = None,
 ) -> None:
     fp.write("# stepplace instance\n")
-    fp.write(f"area {area.width!r} {area.height!r}\n")
+    fp.write("area " + repr_line((area.width, area.height), " "))
     for b in area.blockages:
-        fp.write(f"blockage {b.x1!r} {b.y1!r} {b.x2!r} {b.y2!r}\n")
+        fp.write("blockage " + repr_line(b, " "))
     for m in netlist.macros:
-        fp.write(f"macro {m.id} {m.size_x!r} {m.size_y!r}\n")
+        fp.write(f"macro {m.id} " + repr_line((m.size_x, m.size_y), " "))
     for net in netlist.nets:
         fp.write("net " + " ".join(net.members) + "\n")
     if initial:
         for mid in sorted(initial):
             x, y = initial[mid]
-            fp.write(f"place {mid} {x!r} {y!r}\n")
+            fp.write(f"place {mid} " + repr_line((x, y), " "))
 
 
 def save_instance(
@@ -308,12 +320,12 @@ def write_result(
     for f in dataclasses.fields(config):
         v = getattr(config, f.name)
         fp.write(f"config {f.name} {'none' if v is None else repr(v)}\n")
-    fp.write(f"summary netlength_bb {total_bb!r}\n")
-    fp.write(f"summary overlap_area {overlap!r}\n")
+    fp.write("summary netlength_bb " + repr_line((total_bb,), ""))
+    fp.write("summary overlap_area " + repr_line((overlap,), ""))
     fp.write(f"summary legal {'true' if legal else 'false'}\n")
     for mid in sorted(placement):
         x, y = placement[mid]
-        fp.write(f"place {mid} {x!r} {y!r}\n")
+        fp.write(f"place {mid} " + repr_line((x, y), " "))
     return total_bb, overlap, legal
 
 
@@ -391,7 +403,7 @@ def write_stats_csv(fp: IO[str], rows: Iterable[RoundStats]) -> None:
     as it arrives, so ``rows`` may be a generator that runs the rounds."""
     fp.write(STATS_HEADER + "\n")
     for row in rows:
-        fp.write(",".join(map(repr, row)) + "\n")
+        fp.write(repr_line(row, ","))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +446,15 @@ class GenSpec:
             raise ValueError(
                 "degree weights need degrees >= 2 and finite weights >= 0"
             )
-        if sum(w for _, w in self.degree_weights) <= 0:
+        # generate_instance draws against this sum, so it must be finite
+        total = ordered_sum([w for _, w in self.degree_weights])
+        if total <= 0:
             raise ValueError("degree weights must not all be zero")
+        if total == math.inf:
+            raise ValueError(
+                f"degree weights {self.degree_weights!r} add up to inf; "
+                "their sum must be finite"
+            )
 
 
 def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:

@@ -26,7 +26,8 @@ source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
 store, :data:`CPlacementStore`, which is built on a C-core
 :class:`CostField`, commits a round and scores a candidate from what it
-holds, and the legalizer's :data:`CFreeSpace`.
+holds, the legalizer's :data:`CFreeSpace`, and :data:`c_repr_line`, which
+writes a line of floats and ints with the bytes of ``repr``.
 """
 
 from __future__ import annotations
@@ -137,6 +138,11 @@ _CFieldCore = getattr(_c_module, "FieldCore", None)
 #: :func:`stepplace.placer.py_move_macro` with the same bits, or None without
 #: the C core.
 c_move_macro = getattr(_c_module, "move_macro", None)
+
+#: The C core's ``repr_line``, which returns
+#: :func:`stepplace.io_cli.py_repr_line`'s string for floats and ints, byte
+#: for byte, or None without the C core.
+c_repr_line = getattr(_c_module, "repr_line", None)
 
 #: The C core's ``PlacementStore``, which answers as
 #: :class:`stepplace.placer.PlacementStore` does, bit for bit, and takes a

@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+import stepplace.io_cli as io_cli
 import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
@@ -110,12 +111,14 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     stats = str(tmp_path / "stats.csv")
     save_instance(inst, netlist, area)
     # the placer's field picks its backend through HAVE_C_CORE, and the
-    # placer scores with that backend's path; the py run also proposes and
-    # legalizes in Python, as a run without a C compiler does
+    # placer scores with that backend's path; the py run also proposes,
+    # legalizes and formats its files in Python, as a run without a C
+    # compiler does
     monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
     if backend == "py":
         monkeypatch.setattr(placer, "move_macro", placer.py_move_macro)
         monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
+        monkeypatch.setattr(io_cli, "repr_line", io_cli.py_repr_line)
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,
                  "--rounds", str(rounds), "--seed", "3", *flags])
     assert code == 0

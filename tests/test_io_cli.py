@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import xml.dom.minidom
@@ -26,10 +27,12 @@ from stepplace.io_cli import (
     load_result,
     main,
     parse_instance,
+    py_repr_line,
     render_svg,
     save_instance,
     save_result,
     write_instance,
+    write_result,
     write_stats_csv,
 )
 from oracles import oracle_check_result
@@ -210,6 +213,165 @@ class TestStatsCsv:
         assert float(lines[2].split(",")[1]) == 9.0
 
 
+# floats at the ends of the C formatter's integer path and of repr's two
+# notations (1e16 and 1e-05 are the first in exponent notation, 0.0001 the
+# last fixed one), large round numbers, and values that repr writes through
+# the interpreter on both cores
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-05, 0.0001,
+    0.00012207031249999999, 0.1, 1 / 3, -2.5, 266.83, 9007199254740993.0,
+    999999999999999.9, 1e15, 1e16, 1.5e16, 1e22, 1e37, 2.0**123, 1e100,
+    sys.float_info.max, -math.inf, math.nan,
+]
+
+
+@pytest.fixture
+def writers(backend, monkeypatch):
+    """The file writers on ``backend``'s formatter: the C core's
+    ``repr_line``, or its Python reference."""
+    if backend == "py":
+        monkeypatch.setattr(io_cli, "repr_line", py_repr_line)
+    else:
+        assert io_cli.repr_line is stepfield.c_repr_line
+    return backend
+
+
+def assert_fields_round_trip(line, values, sep=" "):
+    """``line`` ends in ``values`` written by ``repr`` and joined by
+    ``sep``, and each field reads back as its value, bit for bit."""
+    fields = line.split(sep)[-len(values):]
+    assert sep.join(fields) == sep.join(map(repr, values))
+    for tok, v in zip(fields, values):
+        assert float(tok).hex() == float(v).hex()
+
+
+class TestWriterLines:
+    """Every line the writers write is the ``repr`` join of its values, on
+    both formatters."""
+
+    def test_stats_rows(self, writers):
+        values = EDGE_FLOATS + EDGE_FLOATS[::-1]
+        rows = [RoundStats(0, 0, 0, 0.5, 1.0, 0.05)]  # int totals, as stats_row gives
+        rows += [RoundStats(k + 1, *values[5 * k:5 * k + 5])
+                 for k in range(len(values) // 5)]
+        buf = io.StringIO()
+        write_stats_csv(buf, rows)
+        header, *lines = buf.getvalue().split("\n")[:-1]
+        assert header == "round,netlength_bb,overlap_area,delta,beta,w"
+        assert lines[0] == "0,0,0,0.5,1.0,0.05"
+        for line, row in zip(lines, rows, strict=True):
+            assert_fields_round_trip(line, row, ",")
+
+    def test_result_summary_and_place_lines(self, writers):
+        finite = [v for v in EDGE_FLOATS if math.isfinite(v)]
+        ids = [f"m{k:02d}" for k in range(len(finite))]
+        netlist = Netlist([Macro(mid, 1.0, 1.0) for mid in ids],
+                          [Net(("m07", "m08")), Net(("m09", "m10", "m11"))])
+        area = PlacementArea(1e300, 1e300)
+        placement = {mid: (x, -x) for mid, x in zip(ids, finite)}
+        buf = io.StringIO()
+        summary = write_result(buf, placement, netlist, area, PlacerConfig(max_rounds=1))
+        lines = buf.getvalue().splitlines()
+        summary_lines = [ln for ln in lines if ln.startswith("summary")]
+        assert summary_lines[:2] == [
+            f"summary netlength_bb {summary[0]!r}",
+            f"summary overlap_area {summary[1]!r}",
+        ]
+        place = [ln for ln in lines if ln.startswith("place ")]
+        assert len(place) == len(ids)
+        for line, mid in zip(place, sorted(placement)):
+            assert line.startswith(f"place {mid} ")
+            assert_fields_round_trip(line, placement[mid])
+
+    def test_empty_result_writes_int_zero(self, writers):
+        buf = io.StringIO()
+        write_result(buf, {}, Netlist([], []), PlacementArea(4.0, 4.0),
+                     PlacerConfig(max_rounds=1))
+        assert "summary netlength_bb 0\nsummary overlap_area 0.0\n" in buf.getvalue()
+
+    def test_instance_lines(self, writers):
+        sizes = [v for v in EDGE_FLOATS if 0 < v < math.inf]
+        netlist = Netlist(
+            [Macro(f"m{k:02d}", v, sizes[-1 - k]) for k, v in enumerate(sizes)], []
+        )
+        area = PlacementArea(1e16, 1e37, (Rect(-0.0, 5e-324, 1e-05, 1e15),
+                                          Rect(0.1, 1 / 3, 1e15, 1e22)))
+        initial = {m.id: (v, -v) for m, v in zip(netlist.macros, EDGE_FLOATS)}
+        buf = io.StringIO()
+        write_instance(buf, netlist, area, initial)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "# stepplace instance"
+        assert lines[1] == "area 1e+16 1e+37"
+        for line, box in zip(lines[2:4], area.blockages, strict=True):
+            assert line.startswith("blockage ")
+            assert_fields_round_trip(line, box)
+        macro_lines = lines[4:4 + len(sizes)]
+        for line, m in zip(macro_lines, netlist.macros, strict=True):
+            assert line.startswith(f"macro {m.id} ")
+            assert_fields_round_trip(line, (m.size_x, m.size_y))
+        place = lines[4 + len(sizes):]
+        for line, mid in zip(place, sorted(initial), strict=True):
+            assert line.startswith(f"place {mid} ")
+            assert_fields_round_trip(line, initial[mid])
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+needs_c_repr = pytest.mark.skipif(
+    stepfield.c_repr_line is None, reason="C core not built"
+)
+SEPS = st.sampled_from([",", " ", "", ", ", "\u00b7"])
+
+
+@needs_c_repr
+class TestReprLine:
+    """The C core's ``repr_line`` against ``repr``: its integer path for
+    normal floats between 2**-13 and 2**123, the interpreter's for the rest."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=8), sep=SEPS)
+    def test_floats(self, values, sep):
+        assert stepfield.c_repr_line(values, sep) == py_repr_line(values, sep)
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1).map(_from_bits), max_size=8),
+           sep=SEPS)
+    def test_bit_patterns(self, values, sep):
+        assert stepfield.c_repr_line(values, sep) == py_repr_line(values, sep)
+
+    def test_sweep(self):
+        values = [5e-324, sys.float_info.max, *EDGE_FLOATS]
+        for e in range(-1074, 1024):
+            x = math.ldexp(1.0, e)
+            values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        for k in range(-30, 41):
+            lo = hi = float(f"1e{k}")
+            values.append(lo)
+            for _ in range(2):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                values += [lo, hi]
+        for base in (2**53, 10**16):
+            values += [float(base + d) for d in range(-40, 41)]
+        values += [-v for v in values]
+        got = stepfield.c_repr_line(values, " ")
+        assert got == py_repr_line(values, " ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(0, sys.maxsize), st.integers(),
+                                     st.booleans()), max_size=8))
+    def test_ints(self, values):
+        assert stepfield.c_repr_line(values, ",") == py_repr_line(values, ",")
+        edges = [0, 1, sys.maxsize, -sys.maxsize - 1, 2**63, 2**64, -(2**100)]
+        assert stepfield.c_repr_line(edges, ",") == py_repr_line(edges, ",")
+
+    @pytest.mark.parametrize("value", ["1.0", None, b"1", [1.0], 1j])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="floats and ints"):
+            stepfield.c_repr_line([1.0, value], ",")
+
+
 class TestGenerator:
     def test_deterministic_files(self, tmp_path):
         spec = GenSpec(macros=200, nets=300, seed=11)
@@ -260,6 +422,14 @@ class TestGenerator:
                 GenSpec(macros=5, nets=1, degree_weights=((2, 0.5), (3, w)))
         with pytest.raises(ValueError, match="degree cap"):
             generate_instance(GenSpec(macros=1, nets=1, seed=1))
+
+    def test_weights_with_an_infinite_sum_refused(self):
+        # each weight is finite, but the draw against their sum, inf, gave
+        # every net the last degree
+        with pytest.raises(ValueError, match=re.escape(
+            "degree weights ((2, 1e+308), (3, 1e+308)) add up to inf"
+        )):
+            GenSpec(macros=200, nets=300, degree_weights=((2, 1e308), (3, 1e308)))
 
 
 class TestChecker:
@@ -776,8 +946,9 @@ class TestCli:
             ("2:0.5,3:", "--degree-weights '2:0.5,3:': expected"),
             ("2:nan", "finite weights"),
             ("2:0.5,3:inf", "finite weights"),
+            ("2:1e308,3:1e308", "add up to inf; their sum must be finite"),
         ],
-        ids=["no-colon", "bad-degree", "no-weight", "nan", "inf"],
+        ids=["no-colon", "bad-degree", "no-weight", "nan", "inf", "inf-sum"],
     )
     def test_gen_bad_degree_weights_exit_1(self, tmp_path, capsys, weights, needle):
         out = tmp_path / "g.txt"
