@@ -25,8 +25,10 @@
  * the area's keep-outs with their weight, so its score method scores one
  * candidate move of the placer from what it holds (field sum, net terms,
  * overlap penalty against the other footprints, and keep-out term).  A
- * round commits its move to it in one call.  The module function move_macro
- * draws one proposal of a round from its rng.
+ * round commits its move to it in one call.  The module function proposals
+ * draws a round's candidates from its rng, each by the draw routine of the
+ * module function move_macro, which draws one, and first_min picks the
+ * round's winner from their scores.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
@@ -87,8 +89,9 @@ axis_components(Py_ssize_t s, Py_ssize_t t, int p, Py_ssize_t n,
         Py_ssize_t span2 = (Py_ssize_t)2 << a; /* support size = squared norm */
         double inv = 1.0 / (double)span2;
         Py_ssize_t base = n - (n >> a);
-        Py_ssize_t ks = s > 0 ? (s + span2 - 1) / span2 : 0;
-        Py_ssize_t kt = (t + span2 - 1) / span2;
+        /* ceil(s / span2) and ceil(t / span2): s, t >= 0, so a shift */
+        Py_ssize_t ks = s > 0 ? (s + span2 - 1) >> (a + 1) : 0;
+        Py_ssize_t kt = (t + span2 - 1) >> (a + 1);
         if (ks) {
             Py_ssize_t lo = (2 * ks - 2) << a;
             Py_ssize_t hi = (2 * ks) << a;
@@ -1309,8 +1312,8 @@ static PyTypeObject PlacementStoreType = {
     .tp_getset = PlacementStore_getset,
 };
 
-/* The name move_macro calls and the 0.5 its coins compare with, made once at
- * module init. */
+/* The rng method a proposal draws from and the 0.5 its coins compare with,
+ * made once at module init. */
 static PyObject *str_random, *one_half;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
@@ -1352,33 +1355,22 @@ gamma_jump(double span, PyObject *u_obj, double *out)
     return 0;
 }
 
-/* stepplace.placer.py_move_macro: the same four rng.random() draws in its
- * order, and the same float operations. */
+/* One proposal of stepplace.placer.py_move_macro around pos, a 2-tuple:
+ * the same four calls of random, rng's bound random, in its order, and the
+ * same float operations.  The (x, y) tuple, or NULL with an exception set
+ * after the draws the reference makes before it raises. */
 static PyObject *
-move_macro(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+propose(PyObject *pos, PyObject *bounds, PyObject *random)
 {
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "move_macro expected 3 arguments, got %zd", nargs);
-        return NULL;
-    }
-    PyObject *pos = PySequence_Tuple(args[0]), *draw[4] = {NULL, NULL, NULL, NULL};
-    PyObject *result = NULL;
-    if (pos == NULL)
-        return NULL;
-    if (PyTuple_GET_SIZE(pos) != 2) {
-        PyErr_Format(PyExc_ValueError, "pos must hold 2 values, got %zd",
-                     PyTuple_GET_SIZE(pos));
-        goto done;
-    }
+    PyObject *draw[4] = {NULL, NULL, NULL, NULL}, *result = NULL;
     /* direction x, direction y, jump x, jump y */
     for (int k = 0; k < 4; k++)
-        if ((draw[k] = PyObject_CallMethodNoArgs(args[2], str_random)) == NULL)
+        if ((draw[k] = PyObject_CallNoArgs(random)) == NULL)
             goto done;
     int a = coin(draw[0]);
     int b = a < 0 ? -1 : coin(draw[1]);
     if (b < 0)
         goto done;
-    PyObject *bounds = args[1];
     if (!PyTuple_Check(bounds) || PyTuple_GET_SIZE(bounds) != 4) {
         PyErr_SetString(PyExc_TypeError, "bounds must be a 4-tuple: x_min, x_max, y_min, y_max");
         goto done;
@@ -1394,13 +1386,128 @@ move_macro(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         || gamma_jump(b ? y - y_min + 1.0 : y_max - y, draw[3], &gy) < 0)
         goto done;
     double x_new = a ? x - gx : x + gx, y_new = b ? y - gy : y + gy;
-    result = Py_BuildValue("(dd)", py_min(py_max(x_new, x_min), x_max),
-                           py_min(py_max(y_new, y_min), y_max));
+    PyObject *cx = PyFloat_FromDouble(py_min(py_max(x_new, x_min), x_max));
+    PyObject *cy = cx ? PyFloat_FromDouble(py_min(py_max(y_new, y_min), y_max)) : NULL;
+    if (cy == NULL || (result = PyTuple_New(2)) == NULL) {
+        Py_XDECREF(cx);
+        Py_XDECREF(cy);
+        goto done;
+    }
+    PyTuple_SET_ITEM(result, 0, cx);
+    PyTuple_SET_ITEM(result, 1, cy);
 done:
     for (int k = 0; k < 4; k++)
         Py_XDECREF(draw[k]);
-    Py_DECREF(pos);
     return result;
+}
+
+/* pos as a tuple of its two values (ValueError for another count, before
+ * any draw, as the reference's unpacking), else NULL with an exception set */
+static PyObject *
+pos_pair(PyObject *pos)
+{
+    PyObject *t = PySequence_Tuple(pos);
+    if (t != NULL && PyTuple_GET_SIZE(t) != 2) {
+        PyErr_Format(PyExc_ValueError, "pos must hold 2 values, got %zd", PyTuple_GET_SIZE(t));
+        Py_CLEAR(t);
+    }
+    return t;
+}
+
+/* stepplace.placer.py_move_macro: one proposal */
+static PyObject *
+move_macro(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "move_macro expected 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *pos = pos_pair(args[0]), *random = NULL, *result = NULL;
+    if (pos != NULL && (random = PyObject_GetAttr(args[2], str_random)) != NULL)
+        result = propose(pos, args[1], random);
+    Py_XDECREF(random);
+    Py_XDECREF(pos);
+    return result;
+}
+
+/* stepplace.placer.py_proposals: [pos] and count proposals around it, each
+ * drawn as by move_macro */
+static PyObject *
+proposals(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "proposals expected 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_ssize_t count = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    if (count == -1 && PyErr_Occurred())
+        return NULL;
+    count = count > 0 ? count : 0;  /* range(count) is empty below 1 */
+    /* no list holds PY_SSIZE_T_MAX items, and 1 + count must not overflow */
+    PyObject *out = count < PY_SSIZE_T_MAX ? PyList_New(1 + count) : PyErr_NoMemory();
+    if (out == NULL)
+        return NULL;
+    Py_INCREF(args[0]);
+    PyList_SET_ITEM(out, 0, args[0]);
+    if (count == 0)
+        return out;
+    PyObject *pos = pos_pair(args[0]), *random = NULL;
+    if (pos == NULL || (random = PyObject_GetAttr(args[2], str_random)) == NULL)
+        goto fail;
+    for (Py_ssize_t k = 1; k <= count; k++) {
+        PyObject *p = propose(pos, args[1], random);
+        if (p == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, k, p);
+    }
+    Py_DECREF(random);
+    Py_DECREF(pos);
+    return out;
+fail:
+    Py_XDECREF(random);
+    Py_XDECREF(pos);
+    Py_DECREF(out);
+    return NULL;
+}
+
+/* stepplace.placer.py_first_min: the index of the first smallest score, -1
+ * where a score is not finite (each read as math.isfinite reads it, in
+ * order), compared as min compares them */
+static PyObject *
+first_min(PyObject *module, PyObject *scores)
+{
+    PyObject *seq = PySequence_Fast(scores, "scores must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    PyObject **v = PySequence_Fast_ITEMS(seq);
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), best = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        double d = PyFloat_AsDouble(v[k]);
+        if (d == -1.0 && PyErr_Occurred())
+            goto fail;
+        if (!isfinite(d)) {
+            Py_DECREF(seq);
+            return PyLong_FromSsize_t(-1);
+        }
+    }
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "min() arg is an empty sequence");
+        goto fail;
+    }
+    for (Py_ssize_t k = 1; k < n; k++) {
+        int less = PyFloat_CheckExact(v[k]) && PyFloat_CheckExact(v[best])
+            ? PyFloat_AS_DOUBLE(v[k]) < PyFloat_AS_DOUBLE(v[best])
+            : PyObject_RichCompareBool(v[k], v[best], Py_LT);
+        if (less < 0)
+            goto fail;
+        if (less)
+            best = k;
+    }
+    Py_DECREF(seq);
+    return PyLong_FromSsize_t(best);
+fail:
+    Py_DECREF(seq);
+    return NULL;
 }
 
 /* repr_line: sep.join(map(repr, values)) + "\n" for floats and ints, the
@@ -1534,7 +1641,18 @@ shortest_digits(uint64_t m, int e, uint64_t *digits, int *exp10)
     int vr_zeros = vr_exact;          /* what vr dropped was 0 before last */
     int removed = 0;
     unsigned last = 0;                /* the digit vr dropped last */
-    while (vp / 10 > vm / 10) {
+    /* two digits a pass while the interval holds a decimal two shorter
+     * (Ryu's loop), then at most one */
+    while (vp / 100 > vm / 100) {
+        vm_zeros &= vm % 100 == 0;
+        vr_zeros &= last == 0 && vr % 10 == 0;
+        last = (unsigned)(vr / 10 % 10);
+        vr /= 100;
+        vp /= 100;
+        vm /= 100;
+        removed += 2;
+    }
+    if (vp / 10 > vm / 10) {
         vm_zeros &= vm % 10 == 0;
         vr_zeros &= last == 0;
         last = (unsigned)(vr % 10);
@@ -2025,6 +2143,15 @@ static PyMethodDef fieldcore_functions[] = {
      "result is clamped into bounds, a 4-tuple (x_min, x_max, y_min, y_max).\n"
      "Draws rng.random() four times: direction x, direction y, jump x, jump\n"
      "y; see stepplace.placer.py_move_macro."},
+    {"proposals", (PyCFunction)(void (*)(void))proposals, METH_FASTCALL,
+     "proposals(pos, bounds, rng, count) -> [pos, (x, y), ...]\n\n"
+     "pos itself, then count proposals around it, each drawn as move_macro\n"
+     "draws one; raises where move_macro would, after the same draws; see\n"
+     "stepplace.placer.py_proposals."},
+    {"first_min", (PyCFunction)first_min, METH_O,
+     "first_min(scores) -> int\n\n"
+     "The index of the first smallest score, or -1 where a score is not\n"
+     "finite; see stepplace.placer.py_first_min."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"

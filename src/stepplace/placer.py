@@ -32,12 +32,15 @@ rectangles the field then grows under, and the statistics row takes both
 its totals from it.  Footprints sit in a spatial index, so the penalty and
 the overlap update test a footprint only against the macros near it.
 
-Where the C core loaded, each proposal is one call of its ``move_macro``,
-which draws from the round's rng as :func:`py_move_macro` does and returns
-the same bits.  A round evaluates its schedules (delta, beta and w) once,
-for its candidates' net-model sharpness and penalty factor, its field growth
-and its statistics row.  Likewise the legalizer's lattice search runs in the
-C core's ``FreeSpace`` where it loaded, which finds the points of
+Where the C core loaded, a round's candidates are one call of its
+``proposals``, which draws from the round's rng as :func:`py_proposals`
+does, one :func:`py_move_macro` per proposal, and returns the same bits;
+its winner is one call of its ``first_min``, which picks the index
+:func:`py_first_min` picks.  A round evaluates its schedules (delta, beta
+and w) once, taking the power of a growth both share once, for its
+candidates' net-model sharpness and penalty factor, its field growth and its
+statistics row.  Likewise the legalizer's lattice search runs in the C
+core's ``FreeSpace`` where it loaded, which finds the points of
 :class:`PyFreeSpace`.  Runs are deterministic for a given seed.
 """
 
@@ -75,7 +78,9 @@ from stepplace.stepfield import (
     CFreeSpace,
     CPlacementStore,
     GridRect,
+    c_first_min,
     c_move_macro,
+    c_proposals,
     ordered_sum,
 )
 
@@ -159,13 +164,16 @@ class PlacerConfig:
             raise ValueError("blockage_weight must be >= 0")
         if self.model_switch_round is not None and self.model_switch_round < 1:
             raise ValueError("model_switch_round must be >= 1")
-        # the default growth and the switch round, once: the schedules are
-        # read every round (attributes, not fields: fields() and eq are
-        # unchanged)
+        # the default growth, the growth both schedules share (None where
+        # they differ) and the switch round, once: the schedules are read
+        # every round (attributes, not fields: fields() and eq are unchanged)
+        growth = 1000.0 if self.max_rounds <= 1 else 1000.0 ** (1.0 / self.max_rounds)
+        dg = growth if self.delta_growth is None else self.delta_growth
+        wg = growth if self.w_growth is None else self.w_growth
+        object.__setattr__(self, "_growth", growth)
+        # equal values of one type give one power (3**34 and 3.0**34 differ)
         object.__setattr__(
-            self,
-            "_growth",
-            1000.0 if self.max_rounds <= 1 else 1000.0 ** (1.0 / self.max_rounds),
+            self, "_shared_growth", dg if type(dg) is type(wg) and dg == wg else None
         )
         object.__setattr__(
             self,
@@ -500,6 +508,37 @@ def py_move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
 move_macro = py_move_macro if c_move_macro is None else c_move_macro
 
 
+def py_proposals(
+    pos: Point, bounds: MacroBounds, rng: random.Random, count: int
+) -> list[Point]:
+    """A round's candidates: ``pos`` itself, then ``count`` proposals around
+    it, each drawn by :func:`py_move_macro`.
+
+    :func:`proposals` is the C core's twin of this function where the C core
+    loaded, which makes the same draws, returns the same bits and raises
+    where this does, after the same draws; else it is this function.
+    """
+    return [pos, *(py_move_macro(pos, bounds, rng) for _ in range(count))]
+
+
+proposals = py_proposals if c_proposals is None else c_proposals
+
+
+def py_first_min(scores: Sequence[float]) -> int:
+    """The index of the first smallest score (ties to the lowest index), or
+    -1 where a score is not finite.
+
+    :func:`first_min` is the C core's twin of this function where the C core
+    loaded, which returns the same index; else it is this function.
+    """
+    if not all(map(math.isfinite, scores)):
+        return -1
+    return scores.index(min(scores))
+
+
+first_min = py_first_min if c_first_min is None else c_first_min
+
+
 def penalty(factor: float, box: Box, grid: BucketGrid, key) -> float:
     """Overlap penalty of the footprint ``box`` against every footprint of
     ``grid`` but the one stored under ``key``: ``factor`` (the round's
@@ -519,15 +558,18 @@ def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
     penalty multiplier and field increment (:meth:`PlacerConfig.delta_at`
     and :meth:`PlacerConfig.w_at` of step ``rnd - 1``) and its net-model
     sharpness (:func:`beta_schedule`).  Round 0, the statistics row of the
-    initial state, takes step 0 and beta 1."""
-    if not rnd:
-        return config.delta_at(0), 1.0, config.w_at(0)
-    step = rnd - 1
-    return (
-        config.delta_at(step),
-        beta_schedule(rnd, config.max_rounds),
-        config.w_at(step),
-    )
+    initial state, takes step 0 and beta 1.  Where both schedules grow by
+    one growth, as by default, its power is taken once."""
+    step = rnd - 1 if rnd else 0
+    beta = beta_schedule(rnd, config.max_rounds) if rnd else 1.0
+    growth = config._shared_growth
+    if growth is not None:
+        try:
+            power = growth**step
+            return config.delta0 * power, beta, config.w0 * power
+        except OverflowError:
+            pass  # overflowed: each schedule alone, as delta_at and w_at give it
+    return config.delta_at(step), beta, config.w_at(step)
 
 
 def candidate_score(
@@ -633,22 +675,19 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     fld, store, rng = state.field, state.store, state.rng
     mi = rng.randrange(len(state.macro_order))
     mid = state.macro_order[mi]
-    x0 = state.placement[mid]
-    bounds = state.bounds[mi]
-    candidates = [x0]
-    for _ in range(config.candidates_per_round):
-        candidates.append(move_macro(x0, bounds, rng))
+    candidates = proposals(
+        state.placement[mid], state.bounds[mi], rng, config.candidates_per_round
+    )
     delta, beta, w = _schedules(rnd, config)
     model_beta = None if rnd >= config.switch_round else beta
     factor = config.penalty_c * delta
     scores = [candidate_score(state, mi, c, model_beta, factor) for c in candidates]
-    if not all(map(math.isfinite, scores)):
+    best = first_min(scores)
+    if best < 0:
         raise ValueError(
             f"round {rnd}: a candidate score is not finite; "
             "lower w0, w_growth, penalty_c or delta0"
         )
-    # the first lowest score: ties go to the lowest index
-    best = scores.index(min(scores))
     chosen = candidates[best]
 
     state.placement[mid] = chosen

@@ -116,7 +116,8 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     # compiler does
     monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
     if backend == "py":
-        monkeypatch.setattr(placer, "move_macro", placer.py_move_macro)
+        monkeypatch.setattr(placer, "proposals", placer.py_proposals)
+        monkeypatch.setattr(placer, "first_min", placer.py_first_min)
         monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
         monkeypatch.setattr(io_cli, "repr_line", io_cli.py_repr_line)
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,

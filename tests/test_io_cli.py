@@ -1152,7 +1152,7 @@ class TestCli:
         # 1e300 over a scale halved each round: the field folds its scale in
         # before the stored coefficients overflow (this exited 1 with "a
         # candidate score is not finite" in round 29), with the same bytes
-        # on both cores and with either move_macro
+        # on both cores and with either proposals and first_min
         inst = str(tmp_path / "inst.txt")
         assert main(["gen", "--out", inst, "--macros", "150", "--nets", "220",
                      "--seed", "3"]) == 0
@@ -1162,7 +1162,8 @@ class TestCli:
                 continue
             monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
             if backend == "py":
-                monkeypatch.setattr(placer, "move_macro", placer.py_move_macro)
+                monkeypatch.setattr(placer, "proposals", placer.py_proposals)
+                monkeypatch.setattr(placer, "first_min", placer.py_first_min)
             res, stats = str(tmp_path / f"{backend}.txt"), str(tmp_path / f"{backend}.csv")
             assert main(["place", "--in", inst, "--out", res, "--stats", stats,
                          "--w0", "1e300", "--rho", "0.5", "--rounds", "300"]) == 0

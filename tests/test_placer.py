@@ -517,6 +517,171 @@ class TestMoveMacro:
             assert b.y_min <= pos[1] <= b.y_max
 
 
+needs_c_round = pytest.mark.skipif(stepfield.c_proposals is None, reason="C core not built")
+
+
+def both_batches(pos, bounds, make_rng, count):
+    """``py_proposals`` and the C core's ``proposals`` on an rng each from
+    ``make_rng()``: per function its proposals as float hex strings (after
+    checking that the first candidate is ``pos`` itself), or the type of
+    what it raised, with the rng's state after the call."""
+    out = []
+    for fn in (placer.py_proposals, stepfield.c_proposals):
+        rng = make_rng()
+        try:
+            got = fn(pos, bounds, rng, count)
+            assert got[0] is pos and len(got) == 1 + len(range(count))
+            got = [tuple(float.hex(v) for v in p) for p in got[1:]]
+        except Exception as exc:  # the type is compared
+            got = type(exc)
+        out.append((got, rng.getstate() if hasattr(rng, "getstate") else rng.draws))
+    return out
+
+
+class TestProposals:
+    """A round's candidates in one call: the C core's ``proposals`` against
+    its reference ``py_proposals``, which draws by ``py_move_macro``."""
+
+    @needs_c_round
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x_min=st.floats(-1e6, 1e6),
+        y_min=st.floats(-1e6, 1e6),
+        spans=st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e6))] * 2),
+        at=st.tuples(*[st.floats(-2.0, 3.0)] * 2),
+        count=st.integers(0, 9),
+        seed=st.one_of(st.none(), st.integers(0, 2**64)),
+        # coin and jump draws for up to nine proposals; fewer than a batch
+        # needs make the rng raise (IndexError) in the middle of it
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from(COIN_DRAWS),
+                st.sampled_from(COIN_DRAWS),
+                st.sampled_from(JUMP_DRAWS),
+                st.sampled_from(JUMP_DRAWS),
+            ),
+            max_size=9,
+        ).map(lambda ds: [d for four in ds for d in four]),
+    )
+    # the third proposal's x jump overflows exp; the second proposal's
+    # fourth draw finds none left
+    @example(x_min=0.0, y_min=0.0, spans=(2000.0, 2000.0), at=(0.5, 0.5), count=4,
+             seed=None, draws=[0.1, 0.1, 0.5, 0.5] * 2 + [0.1, 0.1, 1e6, 0.5] * 2)
+    @example(x_min=0.0, y_min=0.0, spans=(2000.0, 2000.0), at=(0.5, 0.5), count=2,
+             seed=None, draws=[0.9, 0.2, 0.5, 0.5, 0.9, 0.2, 0.5])
+    def test_c_twin_draws_and_returns_the_same_bits(
+        self, x_min, y_min, spans, at, count, seed, draws
+    ):
+        b = MacroBounds(x_min, x_min + spans[0], y_min, y_min + spans[1])
+        pos = (x_min + at[0] * spans[0], y_min + at[1] * spans[1])
+        if seed is None:
+            py, c = both_batches(pos, b, lambda: FixedRng(draws), count)
+        else:
+            py, c = both_batches(pos, b, lambda: random.Random(seed), count)
+        assert c == py
+        if seed is not None:
+            assert isinstance(c[0], list)
+
+    @needs_c_round
+    def test_c_twin_raises_mid_batch_after_the_same_draws(self):
+        b = MacroBounds(0.0, 2000.0, 0.0, 2000.0)
+        ok = [0.1, 0.1, 0.5, 0.5]
+
+        class Boom(FixedRng):
+            def random(self):
+                if len(self.draws) == 6:
+                    raise RuntimeError("rng failed")
+                return super().random()
+
+        # the second proposal's third draw raises; its x jump overflows exp;
+        # its y jump is no number
+        for make, error, left in [
+            (lambda: Boom(ok * 3), RuntimeError, 6),
+            (lambda: FixedRng(ok + [0.1, 0.1, 1e6, 0.5] + ok), OverflowError, 4),
+            (lambda: FixedRng(ok + [0.1, 0.1, 0.5, "u"] + ok), TypeError, 4),
+        ]:
+            py, c = both_batches((1000.0, 1000.0), b, make, 3)
+            assert c == py and c[0] is error
+            assert len(c[1]) == left
+        # a pos of another length or a count range() refuses raises before
+        # any draw, and none is needed for no proposals
+        for pos, count, want in [((1.0,), 2, ValueError), ((1.0, 2.0, 3.0), 1, ValueError),
+                                 ((1.0, 1.0), 2.0, TypeError), ((1.0,), 0, list),
+                                 ((1.0,), -3, list)]:
+            py, c = both_batches(pos, b, lambda: FixedRng(ok), count)
+            assert c == py and (c[0] is want or type(c[0]) is want)
+            assert c[1] == ok
+        with pytest.raises(TypeError, match="4 arguments"):
+            stepfield.c_proposals((1.0, 1.0), b, FixedRng(ok))
+        # no list holds that many candidates: refused before any draw
+        rng = FixedRng(ok)
+        with pytest.raises(MemoryError):
+            stepfield.c_proposals((1.0, 1.0), b, rng, sys.maxsize)
+        assert rng.draws == ok
+
+    def test_round_calls_are_the_c_twins_where_the_core_loaded(self):
+        assert placer.proposals is (stepfield.c_proposals or placer.py_proposals)
+        assert placer.first_min is (stepfield.c_first_min or placer.py_first_min)
+
+    def test_golden_sequence_seed_123(self):
+        # the first proposal of TestMoveMacro's golden sequence, then one
+        # more from the same position
+        rng = random.Random(123)
+        got = placer.proposals((5.0, 5.0), MacroBounds(1.0, 9.0, 1.0, 9.0), rng, 2)
+        assert got[1:] == [(3.074028850104982, 3.8107333682727234),
+                           (7.102934740294829, 3.2931465796128188)]
+
+
+# scores a round may compare: ties, signed zeros, non-finite values, and
+# ints beside floats, near 2**53 too, where a float conversion would tie them
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf,
+                     2.0**53, 2**53 + 1, 2**53, 0, -1, 1]),
+    st.integers(-3, 3),
+    st.floats(),
+)
+
+
+class TestFirstMin:
+    """The winner of a round: the C core's ``first_min`` against its
+    reference ``py_first_min``."""
+
+    @needs_c_round
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(SCORES, min_size=1, max_size=10))
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([3.0, 1.0, 1, 1.0])
+    @example([2**53 + 1, 2.0**53])
+    @example([1.0, math.nan, -1.0])
+    @example([-math.inf, 0.0])
+    def test_c_twin_picks_the_same_index(self, scores):
+        assert stepfield.c_first_min(scores) == placer.py_first_min(scores)
+        assert stepfield.c_first_min(tuple(scores)) == placer.py_first_min(scores)
+
+    def test_first_smallest_or_minus_one(self):
+        assert placer.first_min([2.0, 1.0, 1.0, 3.0]) == 1
+        assert placer.first_min([0.0, -0.0]) == 0
+        assert placer.first_min([2**53 + 1, 2.0**53]) == 1
+        assert placer.first_min([1.0, math.inf, -1.0]) == -1
+        assert placer.first_min([math.nan]) == -1
+
+    @needs_c_round
+    @pytest.mark.parametrize("scores, error", [
+        ([], ValueError),
+        ([1.0, "s"], TypeError),
+        ([1.0, 10**400], OverflowError),
+        (None, TypeError),
+    ])
+    def test_c_twin_raises_as_the_reference(self, scores, error):
+        for fn in (placer.py_first_min, stepfield.c_first_min):
+            with pytest.raises(error):
+                fn(scores)
+        # a non-finite score before a bad one decides first
+        assert stepfield.c_first_min([math.nan, "s"]) == -1 == placer.py_first_min(
+            [math.nan, "s"])
+
+
 class TestBounds:
     def test_values(self):
         b = compute_bounds(Macro("a", 2, 4), PlacementArea(10, 10))
@@ -593,6 +758,37 @@ class TestPenalty:
         names = [f.name for f in fields(PlacerConfig)]
         assert "_growth" not in names and " _growth=" not in repr(cfg)
         assert cfg == PlacerConfig(max_rounds=max_rounds, delta0=0.3, w0=0.7)
+
+    @pytest.mark.parametrize("growths", [
+        {}, {"delta_growth": 1.5, "w_growth": 1.5}, {"delta_growth": 1.01},
+        {"delta_growth": 3, "w_growth": 3}, {"delta_growth": 3, "w_growth": 3.0},
+        {"delta_growth": 1.01, "w_growth": 1.02},
+    ])
+    def test_round_schedules_are_each_schedule_alone(self, growths):
+        # one power where both schedules share a growth (the default), with
+        # the bits of delta_at and w_at; 3**34 and 3.0**34 round apart
+        cfg = PlacerConfig(max_rounds=600, delta0=0.3, w0=0.7, **growths)
+        for rnd in (0, 1, 2, 35, 77, 599, 600):
+            step = max(rnd - 1, 0)
+            delta, beta, w = placer._schedules(rnd, cfg)
+            assert (delta.hex(), w.hex()) == (cfg.delta_at(step).hex(),
+                                              cfg.w_at(step).hex())
+            assert beta == (beta_schedule(rnd, 600) if rnd else 1.0)
+
+    def test_round_schedules_overflow_as_each_schedule(self):
+        # the checks at construction keep valid configs finite; past them,
+        # a power that overflows gives inf, as delta_at and w_at give it
+        cfg = PlacerConfig(max_rounds=10, delta_growth=2, w_growth=2)
+        for growth in (2, 1e300):
+            object.__setattr__(cfg, "_shared_growth", growth)
+            for attr in ("delta_growth", "w_growth"):
+                object.__setattr__(cfg, attr, growth)
+            assert placer._schedules(3, cfg) == (
+                cfg.delta_at(2), beta_schedule(3, 10), cfg.w_at(2))
+            object.__setattr__(cfg, "max_rounds", 2000)
+            delta, _, w = placer._schedules(1100, cfg)
+            assert delta == w == math.inf
+            object.__setattr__(cfg, "max_rounds", 10)
 
 
 class TestCandidateScore:
@@ -1245,8 +1441,9 @@ class TestPlacementStore:
     @needs_c_score
     def test_round_calls_what_the_benchmark_counts(self, monkeypatch):
         # the benchmark's tracer counts these calls; per round on the C core:
-        # candidates + 1 candidate_score, candidates move_macro, one
-        # CostField.increase per snapped meet of the moved macro, one inflate
+        # candidates + 1 candidate_score, one proposals call for the
+        # candidates, one CostField.increase per snapped meet of the moved
+        # macro, one inflate
         calls = {}
         moved = []
 
@@ -1261,7 +1458,7 @@ class TestPlacementStore:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        for name in ("candidate_score", "move_macro"):
+        for name in ("candidate_score", "proposals"):
             counting(placer, name)
         for name in ("increase", "inflate"):
             counting(CostField, name)
@@ -1288,7 +1485,7 @@ class TestPlacementStore:
             want = sum(r is not None for r in meets)
             assert calls == {
                 "candidate_score": cfg.candidates_per_round + 1,
-                "move_macro": cfg.candidates_per_round,
+                "proposals": 1,
                 "inflate": 1,
                 **({"increase": want} if want else {}),
             }
@@ -1320,9 +1517,10 @@ class TestRoundStep:
             assert state.last_scores[state.last_choice] <= state.last_scores[0]
             assert state.last_scores[state.last_choice] == min(state.last_scores)
 
-    def test_non_finite_score_raises_before_moving(self, backend):
+    def test_non_finite_score_raises_before_moving(self, monkeypatch, backend):
         # each increment is finite, but two of them on one field coefficient
         # are not
+        on_core(monkeypatch, backend)
         nl, area = tiny_instance(1)
         cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=5, w0=1e308,
                            w_growth=1.0)
@@ -1908,7 +2106,8 @@ def on_core(monkeypatch, backend):
     the store, the proposals and the lattice search are all Python's."""
     monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
     if backend == "py":
-        monkeypatch.setattr(placer, "move_macro", placer.py_move_macro)
+        monkeypatch.setattr(placer, "proposals", placer.py_proposals)
+        monkeypatch.setattr(placer, "first_min", placer.py_first_min)
         monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
 
 
