@@ -18,17 +18,17 @@
  * coefficients unchanged but records last_touched, so concurrent readers are
  * safe while no mutation is in flight.
  *
- * PlacementStore is the placer's placement: centers, half-sizes, nets, net
- * boxes, live overlap pairs and footprints, the footprints bucketed in a
- * grid of cells (a FootprintIndex) so that an overlap query tests only the
- * boxes near it.  It is built on the cost field it scores against and holds
- * the area's keep-outs with their weight, so its score method scores one
- * candidate move of the placer from what it holds (field sum, net terms,
- * overlap penalty against the other footprints, and keep-out term).  A
- * round commits its move to it in one call.  The module function proposals
- * draws a round's candidates from its rng, each by the draw routine of the
- * module function move_macro, which draws one, and first_min picks the
- * round's winner from their scores.
+ * PlacementStore is the placer's placement, its only copy: centers, bounds,
+ * half-sizes, nets, net boxes, live overlap pairs and footprints, the
+ * footprints bucketed in a grid of cells (a FootprintIndex) so that an
+ * overlap query tests only the boxes near it.  It is built on the cost
+ * field it scores against and holds the area's keep-outs with their weight.
+ * A round draws its candidates with the store's proposals, from the moving
+ * macro's center and bounds and the round's rng; its score method scores
+ * one candidate from what the store holds (field sum, net terms, overlap
+ * penalty against the other footprints, and keep-out term); the module
+ * function first_min picks the round's winner from their scores; and the
+ * round commits its move to the store in one call.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
@@ -694,6 +694,7 @@ typedef struct {
     PyTypeObject *rect_type;       /* the tuple type of move's rectangles */
     Py_ssize_t count;              /* macros */
     double *half, *center;         /* hx, hy and x, y per macro */
+    double *bound;                 /* x_min, x_max, y_min, y_max per macro */
     double width, height;
     Py_ssize_t n_blk;              /* keep-outs */
     double *blk, weight;           /* x1, y1, x2, y2 per keep-out; its weight */
@@ -846,6 +847,7 @@ PlacementStore_dealloc(PlacementStore *self)
     free(self->partners);
     free(self->half);
     free(self->center);
+    free(self->bound);
     free(self->net_at);
     free(self->members);
     free(self->nets_at);
@@ -989,13 +991,13 @@ static PyObject *
 PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"field", "width", "height", "min_cell_x", "min_cell_y",
-                             "halves", "centers", "nets", "blockages", "blockage_weight",
-                             "rect", NULL};
+                             "halves", "centers", "bounds", "nets", "blockages",
+                             "blockage_weight", "rect", NULL};
     double width, height, min_x, min_y, weight;
-    PyObject *field, *halves, *centers, *nets, *blockages, *rect;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OddddOOOOdO:PlacementStore", kwlist,
+    PyObject *field, *halves, *centers, *bounds, *nets, *blockages, *rect;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OddddOOOOOdO:PlacementStore", kwlist,
                                      &field, &width, &height, &min_x, &min_y, &halves,
-                                     &centers, &nets, &blockages, &weight, &rect))
+                                     &centers, &bounds, &nets, &blockages, &weight, &rect))
         return NULL;
     if (!PyType_Check(rect) || !PyType_IsSubtype((PyTypeObject *)rect, &PyTuple_Type)) {
         PyErr_SetString(PyExc_TypeError, "rect must be a subtype of tuple");
@@ -1030,6 +1032,7 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->count = -1;
     if (read_doubles(centers, 2, "macro", &self->count, &self->center, "centers") < 0
         || read_doubles(halves, 2, "macro", &self->count, &self->half, "halves") < 0
+        || read_doubles(bounds, 4, "macro", &self->count, &self->bound, "bounds") < 0
         || space_init(&self->index, self->count, width, height, min_x, min_y, blockages,
                       &self->n_blk, &self->blk) < 0)
         goto fail;
@@ -1248,70 +1251,6 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(score);
 }
 
-static PyObject *
-PlacementStore_get_field(PlacementStore *self, void *closure)
-{
-    Py_INCREF(self->field);
-    return self->field;
-}
-
-static PyMethodDef PlacementStore_methods[] = {
-    {"score", (PyCFunction)(void (*)(void))PlacementStore_score, METH_FASTCALL,
-     "score(i, x, y, beta, factor) -> float\n\n"
-     "Score of macro i centered at (x, y): the field sum under its footprint\n"
-     "snapped to the field's grid, plus the model length (beta, None for the\n"
-     "bounding box) of each of its nets with its pin at (x, y), plus factor\n"
-     "times the overlap circumference against every other footprint, plus\n"
-     "the keep-out weight times the overlap area with each keep-out; see\n"
-     "stepplace.placer.PlacementStore.score."},
-    {"move", (PyCFunction)(void (*)(void))PlacementStore_move, METH_FASTCALL,
-     "move(i, x, y) -> list[rect]\n\n"
-     "Center macro i at (x, y): store its footprint, recompute its nets' boxes\n"
-     "and bring its overlap pairs up to date; returns the snapped cells of\n"
-     "each of its meets with another footprint, in index order."},
-    {"box", (PyCFunction)PlacementStore_box, METH_O,
-     "box(i) -> (x1, y1, x2, y2)\n\nThe footprint of macro i."},
-    {"totals", (PyCFunction)PlacementStore_totals, METH_NOARGS,
-     "totals() -> (netlength, overlap)\n\n"
-     "The sums of the net boxes in net order and of the live pairs' areas in\n"
-     "the order the pairs entered; int 0 where there is nothing to sum."},
-    {"net_lengths", (PyCFunction)PlacementStore_net_lengths, METH_NOARGS,
-     "net_lengths() -> list[float]\n\nThe bounding-box length of each net."},
-    {"pairs", (PyCFunction)PlacementStore_pairs, METH_NOARGS,
-     "pairs() -> list[(i, j, area)]\n\n"
-     "The live overlap pairs, i < j, in the order they entered."},
-    {NULL}
-};
-
-static PyGetSetDef PlacementStore_getset[] = {
-    {"field", (getter)PlacementStore_get_field, NULL, "the CostField the store scores against",
-     NULL},
-    {NULL}
-};
-
-static PyTypeObject PlacementStoreType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "stepplace._fieldcore.PlacementStore",
-    .tp_doc = "PlacementStore(field, width, height, min_cell_x, min_cell_y, halves,\n"
-              "               centers, nets, blockages, blockage_weight, rect)\n\n"
-              "The placer's placement of the macros 0 .. count - 1 over a width x\n"
-              "height area, scored against field, a CostField on the C core:\n"
-              "halves and centers hold hx, hy and x, y per macro, nets the members\n"
-              "of each net as macro indices, blockages x1, y1, x2, y2 per keep-out,\n"
-              "each overlap area with one weighing blockage_weight in a score.  The\n"
-              "footprints sit in a grid of cells of at least min_cell_x by\n"
-              "min_cell_y, at most about count of them, the border cells reaching to\n"
-              "infinity.  move snaps meets to the field's grid and returns them as\n"
-              "rect instances.  stepplace.placer.PlacementStore is its Python\n"
-              "reference.",
-    .tp_basicsize = sizeof(PlacementStore),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = PlacementStore_new,
-    .tp_dealloc = (destructor)PlacementStore_dealloc,
-    .tp_methods = PlacementStore_methods,
-    .tp_getset = PlacementStore_getset,
-};
-
 /* The rng method a proposal draws from and the 0.5 its coins compare with,
  * made once at module init. */
 static PyObject *str_random, *one_half;
@@ -1355,91 +1294,62 @@ gamma_jump(double span, PyObject *u_obj, double *out)
     return 0;
 }
 
-/* One proposal of stepplace.placer.py_move_macro around pos, a 2-tuple:
- * the same four calls of random, rng's bound random, in its order, and the
- * same float operations.  The (x, y) tuple, or NULL with an exception set
- * after the draws the reference makes before it raises. */
+/* The tuple (x, y) of two floats, or NULL with an exception set. */
 static PyObject *
-propose(PyObject *pos, PyObject *bounds, PyObject *random)
+float_pair(double x, double y)
 {
-    PyObject *draw[4] = {NULL, NULL, NULL, NULL}, *result = NULL;
-    /* direction x, direction y, jump x, jump y */
-    for (int k = 0; k < 4; k++)
-        if ((draw[k] = PyObject_CallNoArgs(random)) == NULL)
-            goto done;
-    int a = coin(draw[0]);
-    int b = a < 0 ? -1 : coin(draw[1]);
-    if (b < 0)
-        goto done;
-    if (!PyTuple_Check(bounds) || PyTuple_GET_SIZE(bounds) != 4) {
-        PyErr_SetString(PyExc_TypeError, "bounds must be a 4-tuple: x_min, x_max, y_min, y_max");
-        goto done;
-    }
-    double x, y, x_min, x_max, y_min, y_max, gx, gy;
-    if (to_double(PyTuple_GET_ITEM(pos, 0), &x) < 0
-        || to_double(PyTuple_GET_ITEM(pos, 1), &y) < 0
-        || to_double(PyTuple_GET_ITEM(bounds, 0), &x_min) < 0
-        || to_double(PyTuple_GET_ITEM(bounds, 1), &x_max) < 0
-        || to_double(PyTuple_GET_ITEM(bounds, 2), &y_min) < 0
-        || to_double(PyTuple_GET_ITEM(bounds, 3), &y_max) < 0
-        || gamma_jump(a ? x - x_min + 1.0 : x_max - x, draw[2], &gx) < 0
-        || gamma_jump(b ? y - y_min + 1.0 : y_max - y, draw[3], &gy) < 0)
-        goto done;
-    double x_new = a ? x - gx : x + gx, y_new = b ? y - gy : y + gy;
-    PyObject *cx = PyFloat_FromDouble(py_min(py_max(x_new, x_min), x_max));
-    PyObject *cy = cx ? PyFloat_FromDouble(py_min(py_max(y_new, y_min), y_max)) : NULL;
-    if (cy == NULL || (result = PyTuple_New(2)) == NULL) {
+    PyObject *cx = PyFloat_FromDouble(x), *cy = cx ? PyFloat_FromDouble(y) : NULL;
+    PyObject *pair = cy ? PyTuple_New(2) : NULL;
+    if (pair == NULL) {
         Py_XDECREF(cx);
         Py_XDECREF(cy);
-        goto done;
+        return NULL;
     }
-    PyTuple_SET_ITEM(result, 0, cx);
-    PyTuple_SET_ITEM(result, 1, cy);
+    PyTuple_SET_ITEM(pair, 0, cx);
+    PyTuple_SET_ITEM(pair, 1, cy);
+    return pair;
+}
+
+/* One proposal of stepplace.placer.move_macro around the center c within
+ * the bounds b (x_min, x_max, y_min, y_max): the same four calls of random,
+ * rng's bound random, in its order, each coin compared before the next
+ * draw, and the same float operations.  The (x, y) tuple, or NULL with an
+ * exception set after the draws the reference makes before it raises. */
+static PyObject *
+propose(const double *c, const double *b, PyObject *random)
+{
+    PyObject *draw[4] = {NULL, NULL, NULL, NULL}, *result = NULL;
+    int down[2];  /* per axis: the coin says leftward (downward) */
+    /* direction x, direction y, jump x, jump y */
+    for (int k = 0; k < 4; k++)
+        if ((draw[k] = PyObject_CallNoArgs(random)) == NULL
+            || (k < 2 && (down[k] = coin(draw[k])) < 0))
+            goto done;
+    double gx, gy;
+    if (gamma_jump(down[0] ? c[0] - b[0] + 1.0 : b[1] - c[0], draw[2], &gx) < 0
+        || gamma_jump(down[1] ? c[1] - b[2] + 1.0 : b[3] - c[1], draw[3], &gy) < 0)
+        goto done;
+    double x = down[0] ? c[0] - gx : c[0] + gx, y = down[1] ? c[1] - gy : c[1] + gy;
+    result = float_pair(py_min(py_max(x, b[0]), b[1]), py_min(py_max(y, b[2]), b[3]));
 done:
     for (int k = 0; k < 4; k++)
         Py_XDECREF(draw[k]);
     return result;
 }
 
-/* pos as a tuple of its two values (ValueError for another count, before
- * any draw, as the reference's unpacking), else NULL with an exception set */
+/* stepplace.placer.PlacementStore.proposals: macro i's center, then count
+ * proposals around it within its bounds, each drawn by propose */
 static PyObject *
-pos_pair(PyObject *pos)
-{
-    PyObject *t = PySequence_Tuple(pos);
-    if (t != NULL && PyTuple_GET_SIZE(t) != 2) {
-        PyErr_Format(PyExc_ValueError, "pos must hold 2 values, got %zd", PyTuple_GET_SIZE(t));
-        Py_CLEAR(t);
-    }
-    return t;
-}
-
-/* stepplace.placer.py_move_macro: one proposal */
-static PyObject *
-move_macro(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "move_macro expected 3 arguments, got %zd", nargs);
+        PyErr_Format(PyExc_TypeError, "proposals expected 3 arguments, got %zd", nargs);
         return NULL;
     }
-    PyObject *pos = pos_pair(args[0]), *random = NULL, *result = NULL;
-    if (pos != NULL && (random = PyObject_GetAttr(args[2], str_random)) != NULL)
-        result = propose(pos, args[1], random);
-    Py_XDECREF(random);
-    Py_XDECREF(pos);
-    return result;
-}
-
-/* stepplace.placer.py_proposals: [pos] and count proposals around it, each
- * drawn as by move_macro */
-static PyObject *
-proposals(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "proposals expected 4 arguments, got %zd", nargs);
+    Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros");
+    if (i < 0)
         return NULL;
-    }
-    Py_ssize_t count = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    Py_ssize_t count = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
     if (count == -1 && PyErr_Occurred())
         return NULL;
     count = count > 0 ? count : 0;  /* range(count) is empty below 1 */
@@ -1447,28 +1357,113 @@ proposals(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     PyObject *out = count < PY_SSIZE_T_MAX ? PyList_New(1 + count) : PyErr_NoMemory();
     if (out == NULL)
         return NULL;
-    Py_INCREF(args[0]);
-    PyList_SET_ITEM(out, 0, args[0]);
-    if (count == 0)
-        return out;
-    PyObject *pos = pos_pair(args[0]), *random = NULL;
-    if (pos == NULL || (random = PyObject_GetAttr(args[2], str_random)) == NULL)
+    const double *c = s->center + 2 * i, *b = s->bound + 4 * i;
+    PyObject *random = NULL, *p = float_pair(c[0], c[1]);
+    if (p == NULL)
+        goto fail;
+    PyList_SET_ITEM(out, 0, p);
+    if (count && (random = PyObject_GetAttr(args[1], str_random)) == NULL)
         goto fail;
     for (Py_ssize_t k = 1; k <= count; k++) {
-        PyObject *p = propose(pos, args[1], random);
-        if (p == NULL)
+        if ((p = propose(c, b, random)) == NULL)
             goto fail;
         PyList_SET_ITEM(out, k, p);
     }
-    Py_DECREF(random);
-    Py_DECREF(pos);
+    Py_XDECREF(random);
     return out;
 fail:
     Py_XDECREF(random);
-    Py_XDECREF(pos);
     Py_DECREF(out);
     return NULL;
 }
+
+static PyObject *
+PlacementStore_get_centers(PlacementStore *self, void *closure)
+{
+    PyObject *out = PyList_New(self->count);
+    for (Py_ssize_t i = 0; out != NULL && i < self->count; i++) {
+        PyObject *c = float_pair(self->center[2 * i], self->center[2 * i + 1]);
+        if (c == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, c);
+    }
+    return out;
+}
+
+static PyObject *
+PlacementStore_get_field(PlacementStore *self, void *closure)
+{
+    Py_INCREF(self->field);
+    return self->field;
+}
+
+static PyMethodDef PlacementStore_methods[] = {
+    {"score", (PyCFunction)(void (*)(void))PlacementStore_score, METH_FASTCALL,
+     "score(i, x, y, beta, factor) -> float\n\n"
+     "Score of macro i centered at (x, y): the field sum under its footprint\n"
+     "snapped to the field's grid, plus the model length (beta, None for the\n"
+     "bounding box) of each of its nets with its pin at (x, y), plus factor\n"
+     "times the overlap circumference against every other footprint, plus\n"
+     "the keep-out weight times the overlap area with each keep-out; see\n"
+     "stepplace.placer.PlacementStore.score."},
+    {"move", (PyCFunction)(void (*)(void))PlacementStore_move, METH_FASTCALL,
+     "move(i, x, y) -> list[rect]\n\n"
+     "Center macro i at (x, y): store its footprint, recompute its nets' boxes\n"
+     "and bring its overlap pairs up to date; returns the snapped cells of\n"
+     "each of its meets with another footprint, in index order."},
+    {"box", (PyCFunction)PlacementStore_box, METH_O,
+     "box(i) -> (x1, y1, x2, y2)\n\nThe footprint of macro i."},
+    {"totals", (PyCFunction)PlacementStore_totals, METH_NOARGS,
+     "totals() -> (netlength, overlap)\n\n"
+     "The sums of the net boxes in net order and of the live pairs' areas in\n"
+     "the order the pairs entered; int 0 where there is nothing to sum."},
+    {"net_lengths", (PyCFunction)PlacementStore_net_lengths, METH_NOARGS,
+     "net_lengths() -> list[float]\n\nThe bounding-box length of each net."},
+    {"pairs", (PyCFunction)PlacementStore_pairs, METH_NOARGS,
+     "pairs() -> list[(i, j, area)]\n\n"
+     "The live overlap pairs, i < j, in the order they entered."},
+    {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
+     "proposals(i, rng, count) -> [(x, y), ...]\n\n"
+     "A round's candidates for macro i: its center, then count proposals\n"
+     "around it, each clamped into its bounds.  Per proposal and axis a coin\n"
+     "picks the direction and the jump is log-uniform over the span to the\n"
+     "bound on that side, drawing rng.random() four times: direction x,\n"
+     "direction y, jump x, jump y; see stepplace.placer.move_macro."},
+    {NULL}
+};
+
+static PyGetSetDef PlacementStore_getset[] = {
+    {"field", (getter)PlacementStore_get_field, NULL, "the CostField the store scores against",
+     NULL},
+    {"centers", (getter)PlacementStore_get_centers, NULL,
+     "each macro's center (x, y), in a new list on each read", NULL},
+    {NULL}
+};
+
+static PyTypeObject PlacementStoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "stepplace._fieldcore.PlacementStore",
+    .tp_doc = "PlacementStore(field, width, height, min_cell_x, min_cell_y, halves,\n"
+              "               centers, bounds, nets, blockages, blockage_weight, rect)\n\n"
+              "The placer's placement of the macros 0 .. count - 1 over a width x\n"
+              "height area, scored against field, a CostField on the C core:\n"
+              "halves, centers and bounds hold hx, hy, x, y and x_min, x_max,\n"
+              "y_min, y_max per macro (proposals clamps into the bounds), nets the\n"
+              "members of each net as macro indices, blockages x1, y1, x2, y2 per\n"
+              "keep-out, each overlap area with one weighing blockage_weight in a\n"
+              "score.  The footprints sit in a grid of cells of at least min_cell_x\n"
+              "by min_cell_y, at most about count of them, the border cells reaching\n"
+              "to infinity.  move snaps meets to the field's grid and returns them as\n"
+              "rect instances.  stepplace.placer.PlacementStore is its Python\n"
+              "reference.",
+    .tp_basicsize = sizeof(PlacementStore),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PlacementStore_new,
+    .tp_dealloc = (destructor)PlacementStore_dealloc,
+    .tp_methods = PlacementStore_methods,
+    .tp_getset = PlacementStore_getset,
+};
 
 /* stepplace.placer.py_first_min: the index of the first smallest score, -1
  * where a score is not finite (each read as math.isfinite reads it, in
@@ -2136,18 +2131,6 @@ static PyTypeObject FreeSpaceType = {
 };
 
 static PyMethodDef fieldcore_functions[] = {
-    {"move_macro", (PyCFunction)(void (*)(void))move_macro, METH_FASTCALL,
-     "move_macro(pos, bounds, rng) -> (x, y)\n\n"
-     "A proposal around pos: per axis a coin picks the direction, the jump\n"
-     "is log-uniform over the span to the bound on that side, and the\n"
-     "result is clamped into bounds, a 4-tuple (x_min, x_max, y_min, y_max).\n"
-     "Draws rng.random() four times: direction x, direction y, jump x, jump\n"
-     "y; see stepplace.placer.py_move_macro."},
-    {"proposals", (PyCFunction)(void (*)(void))proposals, METH_FASTCALL,
-     "proposals(pos, bounds, rng, count) -> [pos, (x, y), ...]\n\n"
-     "pos itself, then count proposals around it, each drawn as move_macro\n"
-     "draws one; raises where move_macro would, after the same draws; see\n"
-     "stepplace.placer.py_proposals."},
     {"first_min", (PyCFunction)first_min, METH_O,
      "first_min(scores) -> int\n\n"
      "The index of the first smallest score, or -1 where a score is not\n"

@@ -20,28 +20,28 @@ with respect to the placement and the field; the winning move and field
 updates are applied afterwards.
 
 The placement the rounds read and commit lives in one store keyed by macro
-index, the run's one backend object: the cost field it is built on, the
-area's keep-outs with their weight, each macro's center, half-sizes and
-footprint, the nets with their bounding-box lengths and the live overlap
-pairs with their areas.  On the C field core it is the C core's
-``PlacementStore``, else a :class:`PlacementStore`, its Python reference,
-which answers with the same bits; the state's field is the store's.  A
-candidate is scored by one ``score`` call on the store, on a C store one C
-call; a round's commit is one ``move`` on it, which returns the grid
-rectangles the field then grows under, and the statistics row takes both
-its totals from it.  Footprints sit in a spatial index, so the penalty and
-the overlap update test a footprint only against the macros near it.
+index, the run's one backend object and the placement's only copy: the cost
+field it is built on, the area's keep-outs with their weight, each macro's
+center, bounds, half-sizes and footprint, the nets with their bounding-box
+lengths and the live overlap pairs with their areas.  On the C field core it
+is the C core's ``PlacementStore``, else a :class:`PlacementStore`, its
+Python reference, which answers with the same bits; the state's field is the
+store's, and its ``placement`` a snapshot of the store's centers.  A round's
+candidates are one ``proposals`` call on the store, which draws from the
+round's rng as :func:`move_macro` does, once per proposal; a candidate is
+scored by one ``score`` call on it; a round's commit is one ``move`` on it,
+which returns the grid rectangles the field then grows under, and the
+statistics row takes both its totals from it.  On a C store each is one C
+call.  Footprints sit in a spatial index, so the penalty and the overlap
+update test a footprint only against the macros near it.
 
-Where the C core loaded, a round's candidates are one call of its
-``proposals``, which draws from the round's rng as :func:`py_proposals`
-does, one :func:`py_move_macro` per proposal, and returns the same bits;
-its winner is one call of its ``first_min``, which picks the index
-:func:`py_first_min` picks.  A round evaluates its schedules (delta, beta
-and w) once, taking the power of a growth both share once, for its
-candidates' net-model sharpness and penalty factor, its field growth and its
-statistics row.  Likewise the legalizer's lattice search runs in the C
-core's ``FreeSpace`` where it loaded, which finds the points of
-:class:`PyFreeSpace`.  Runs are deterministic for a given seed.
+A round's winner is one call of :data:`first_min`, the C core's where it
+loaded, which picks the index :func:`py_first_min` picks.  A round evaluates
+its schedules (delta, beta and w) once, taking the power of a growth both
+share once, for its candidates' net-model sharpness and penalty factor, its
+field growth and its statistics row.  Likewise the legalizer's lattice
+search runs in the C core's ``FreeSpace`` where it loaded, which finds the
+points of :class:`PyFreeSpace`.  Runs are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ from stepplace.stepfield import (
     CPlacementStore,
     GridRect,
     c_first_min,
-    c_move_macro,
-    c_proposals,
     ordered_sum,
 )
 
@@ -266,27 +264,30 @@ class RoundStats(NamedTuple):
 @dataclass
 class PlacerState:
     """Mutable loop state; create with :func:`new_state`, whose ``config``
-    is the only one its rounds and statistics rows accept."""
+    is the only one its rounds and statistics rows accept.  The store holds
+    the placement; :attr:`placement` and :attr:`field` read it."""
 
     config: PlacerConfig
     rng: random.Random
-    placement: Placement
-    # each macro's feasible centers, indexed like the store
-    bounds: list[MacroBounds]
     round: int
     macro_order: list[str]
-    # the placement keyed by index in macro_order, with the field and the
-    # keep-outs it scores against: the C core's PlacementStore on the C
-    # field core, else a PlacementStore
+    # the placement keyed by index in macro_order, with each macro's bounds
+    # and the field and keep-outs it scores against: the C core's
+    # PlacementStore on the C field core, else a PlacementStore
     store: PlacementStore | CPlacementStore
-    # scores and winning index of the most recent round's candidates
-    last_scores: list[float] | None = None
+    # winning index of the most recent round's candidates
     last_choice: int | None = None
 
     @property
     def field(self) -> CostField:
         """The cost field, the one the store scores against."""
         return self.store.field
+
+    @property
+    def placement(self) -> Placement:
+        """Each macro's center keyed by id, in ``macro_order``: a snapshot of
+        the store's centers, a new dict on each read."""
+        return dict(zip(self.macro_order, self.store.centers))
 
 
 def snap_to_grid(
@@ -321,17 +322,19 @@ class PlacementStore:
     with the same bits.
 
     It takes the C store's arguments, keying macros by index: ``halves``,
-    ``centers`` and ``blockages`` hold ``hx, hy``, ``x, y`` and ``x1, y1,
-    x2, y2`` per macro or keep-out, ``nets`` each net's members.  It keeps
-    ``field``, the ``width`` by ``height`` ``area``, the ``blockages`` and
-    their ``blockage_weight``, each macro's half-sizes (``halves[i]``) and
-    center (``centers[i]``), the nets (``nets``, and each macro's net
-    indices ascending in ``nets_of[i]``) with their bounding-box lengths, the
-    footprints in ``grid`` (a :class:`BucketGrid` with ``min_cell_x`` by
-    ``min_cell_y`` cells), and the live overlap pairs ``(i, j)``, ``i < j``,
-    with their areas, in the order the pairs entered: a pair that ends and
-    overlaps again goes to the end.  :meth:`move` snaps meets to the
-    field's grid over the area, as :class:`GridRect`, the C store's ``rect``.
+    ``centers``, ``bounds`` and ``blockages`` hold ``hx, hy``, ``x, y``,
+    ``x_min, x_max, y_min, y_max`` and ``x1, y1, x2, y2`` per macro or
+    keep-out, ``nets`` each net's members.  It keeps ``field``, the
+    ``width`` by ``height`` ``area``, the ``blockages`` and their
+    ``blockage_weight``, each macro's half-sizes (``halves[i]``), center
+    (``centers[i]``) and :class:`MacroBounds` (``bounds[i]``), the nets
+    (``nets``, and each macro's net indices ascending in ``nets_of[i]``)
+    with their bounding-box lengths, the footprints in ``grid`` (a
+    :class:`BucketGrid` with ``min_cell_x`` by ``min_cell_y`` cells), and the
+    live overlap pairs ``(i, j)``, ``i < j``, with their areas, in the order
+    the pairs entered: a pair that ends and overlaps again goes to the end.
+    :meth:`move` snaps meets to the field's grid over the area, as
+    :class:`GridRect`, the C store's ``rect``.
     """
 
     def __init__(
@@ -343,6 +346,7 @@ class PlacementStore:
         min_cell_y: float,
         halves: Sequence[float],
         centers: Sequence[float],
+        bounds: Sequence[float],
         nets: Sequence[Sequence[int]],
         blockages: Sequence[float],
         blockage_weight: float,
@@ -354,6 +358,7 @@ class PlacementStore:
         count = len(centers) // 2
         self.halves = [(halves[2 * i], halves[2 * i + 1]) for i in range(count)]
         self.centers = [(centers[2 * i], centers[2 * i + 1]) for i in range(count)]
+        self.bounds = [MacroBounds(*bounds[4 * i:4 * i + 4]) for i in range(count)]
         self.nets = [list(net) for net in nets]
         self.nets_of: list[list[int]] = [[] for _ in range(count)]
         for k, net in enumerate(self.nets):
@@ -422,6 +427,15 @@ class PlacementStore:
                 rects.append(snapped)
         return rects
 
+    def proposals(self, i: int, rng: random.Random, count: int) -> list[Point]:
+        """A round's candidates for macro ``i``: its center, then ``count``
+        proposals around it within its bounds, each drawn by
+        :func:`move_macro`.  The C store's ``proposals`` makes the same
+        draws, returns the same bits and raises where this does, after the
+        same draws."""
+        center, bounds = self.centers[i], self.bounds[i]
+        return [center, *(move_macro(center, bounds, rng) for _ in range(count))]
+
     def score(
         self, i: int, x: float, y: float, beta: float | None, factor: float
     ) -> float:
@@ -473,18 +487,15 @@ def gamma(span: float, u: float) -> float:
     return math.exp(math.log(span) * u)
 
 
-def py_move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
+def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
     """Propose a new position around ``pos``.
 
     Per axis a fair coin picks the direction; the jump length is log-uniform
     over the feasible span on that side (the leftward/downward span is
     measured to the bound, plus one unit so a minimal jump stays possible).
     Consumes exactly four rng draws: direction x, direction y, jump x, jump y.
-    The result is clamped into ``bounds``.
-
-    :func:`move_macro` is the C core's twin of this function where the C
-    core loaded, which draws the same and returns the same bits; else it is
-    this function.
+    The result is clamped into ``bounds``.  It is the draw of
+    :meth:`PlacementStore.proposals`, and the reference of the C store's.
     """
     x, y = pos
     a = 1 if rng.random() < 0.5 else -1
@@ -503,25 +514,6 @@ def py_move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
         min(max(x_new, bounds.x_min), bounds.x_max),
         min(max(y_new, bounds.y_min), bounds.y_max),
     )
-
-
-move_macro = py_move_macro if c_move_macro is None else c_move_macro
-
-
-def py_proposals(
-    pos: Point, bounds: MacroBounds, rng: random.Random, count: int
-) -> list[Point]:
-    """A round's candidates: ``pos`` itself, then ``count`` proposals around
-    it, each drawn by :func:`py_move_macro`.
-
-    :func:`proposals` is the C core's twin of this function where the C core
-    loaded, which makes the same draws, returns the same bits and raises
-    where this does, after the same draws; else it is this function.
-    """
-    return [pos, *(py_move_macro(pos, bounds, rng) for _ in range(count))]
-
-
-proposals = py_proposals if c_proposals is None else c_proposals
 
 
 def py_first_min(scores: Sequence[float]) -> int:
@@ -589,11 +581,11 @@ def new_state(
     config: PlacerConfig,
     initial: Placement | None = None,
 ) -> PlacerState:
-    """Initial loop state: bounds, placement (given positions clamped into
-    bounds, missing ones drawn uniformly), zero field plus one static
-    increase per blockage, and the placement store (the C core's on a C
-    field); :func:`stats_row` gives its statistics row 0.  A macro
-    :func:`~stepplace.netmodel.check_placeable` refuses, or an initial
+    """Initial loop state: the placement store (the C core's on a C field)
+    with each macro's bounds and center (a given position clamped into the
+    bounds, a missing one drawn uniformly), on a zero field plus one static
+    increase per blockage; :func:`stats_row` gives its statistics row 0.  A
+    macro :func:`~stepplace.netmodel.check_placeable` refuses, or an initial
     position that is NaN or names no macro, raises ``ValueError`` first."""
     macro_order = sorted(m.id for m in netlist.macros)
     macros = [netlist.by_id[mid] for mid in macro_order]
@@ -603,13 +595,13 @@ def new_state(
             if mid not in netlist.by_id:
                 raise ValueError(f"initial position for unknown macro {mid!r}")
     rng = random.Random(config.seed)
-    placement: Placement = {}
+    centers = array("d")
     for mid, b in zip(macro_order, bounds):
         if initial is not None and mid in initial:
-            placement[mid] = _clamped(mid, initial[mid], b)
+            centers.extend(_clamped(mid, initial[mid], b))
         else:
             x = rng.uniform(b.x_min, b.x_max)
-            placement[mid] = (x, rng.uniform(b.y_min, b.y_max))
+            centers.extend((x, rng.uniform(b.y_min, b.y_max)))
 
     fld = CostField(config.grid_p, config.grid_q)
     for blk in area.blockages:
@@ -625,19 +617,14 @@ def new_state(
         max((m.size_y for m in macros), default=1.0),
         # half-sizes as footprint_box computes them
         array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
-        array("d", [v for mid in macro_order for v in placement[mid]]),
+        centers,
+        array("d", [v for b in bounds for v in b]),
         [[bisect_left(macro_order, mid) for mid in net.members] for net in netlist.nets],
         array("d", [v for b in area.blockages for v in b]),
         config.blockage_weight, GridRect,
     )
     return PlacerState(
-        config=config,
-        rng=rng,
-        placement=placement,
-        bounds=bounds,
-        round=0,
-        macro_order=macro_order,
-        store=store,
+        config=config, rng=rng, round=0, macro_order=macro_order, store=store
     )
 
 
@@ -661,23 +648,23 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     remaining overlap of the moved macro, inflate.  Returns the round's
     statistics row.
 
-    The round's schedules give every candidate's net-model sharpness (None
-    from ``switch_round`` on) and penalty factor (``penalty_c * delta``).
-    The candidates' scores and the winner's index are left on
-    ``state.last_scores`` and ``state.last_choice``.  A ``config`` not equal
-    to ``state.config``, or a score that is not finite (the field or the
-    penalty overflowed), raises ``ValueError`` before anything moves.
+    The store draws the candidates (:meth:`PlacementStore.proposals`).  The
+    round's schedules give every candidate's net-model sharpness (None from
+    ``switch_round`` on) and penalty factor (``penalty_c * delta``).  The
+    winner's index is left on ``state.last_choice``.  A ``config`` not equal
+    to ``state.config``, a state with no macros, or a score that is not
+    finite (the field or the penalty overflowed), raises ``ValueError``
+    before anything moves, and all but a score before any draw.
     """
     _check_config(state, config)
     rnd = state.round + 1
     if rnd > config.max_rounds:
         raise ValueError("all configured rounds already executed")
+    if not state.macro_order:
+        raise ValueError("the state has no macros to move")
     fld, store, rng = state.field, state.store, state.rng
     mi = rng.randrange(len(state.macro_order))
-    mid = state.macro_order[mi]
-    candidates = proposals(
-        state.placement[mid], state.bounds[mi], rng, config.candidates_per_round
-    )
+    candidates = store.proposals(mi, rng, config.candidates_per_round)
     delta, beta, w = _schedules(rnd, config)
     model_beta = None if rnd >= config.switch_round else beta
     factor = config.penalty_c * delta
@@ -688,15 +675,12 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
             f"round {rnd}: a candidate score is not finite; "
             "lower w0, w_growth, penalty_c or delta0"
         )
-    chosen = candidates[best]
 
-    state.placement[mid] = chosen
-    for rect in store.move(mi, *chosen):
+    for rect in store.move(mi, *candidates[best]):
         fld.increase(rect, w)
     fld.inflate(config.inflation_rho)
 
     state.round = rnd
-    state.last_scores = scores
     state.last_choice = best
     return RoundStats(rnd, *store.totals(), delta, beta, w)
 

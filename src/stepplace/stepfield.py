@@ -25,11 +25,10 @@ cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
 store, :data:`CPlacementStore`, which is built on a C-core
-:class:`CostField`, commits a round and scores a candidate from what it
-holds, the round's :data:`c_proposals` and :data:`c_first_min`, which draw
-its candidates and pick its winner, the legalizer's :data:`CFreeSpace`, and
-:data:`c_repr_line`, which writes a line of floats and ints with the bytes
-of ``repr``.
+:class:`CostField` and draws a round's candidates, scores each and commits
+the winner from what it holds, the round's :data:`c_first_min`, which picks
+that winner, the legalizer's :data:`CFreeSpace`, and :data:`c_repr_line`,
+which writes a line of floats and ints with the bytes of ``repr``.
 """
 
 from __future__ import annotations
@@ -136,16 +135,8 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
 _c_module = _load_c_core(_user_cache_dir())
 _CFieldCore = getattr(_c_module, "FieldCore", None)
 
-#: The C core's ``move_macro``, which draws and returns the proposals of
-#: :func:`stepplace.placer.py_move_macro` with the same bits, or None without
-#: the C core.
-c_move_macro = getattr(_c_module, "move_macro", None)
-
-#: The C core's ``proposals`` and ``first_min``, which return
-#: :func:`stepplace.placer.py_proposals`'s list (drawing as it draws) and
-#: :func:`stepplace.placer.py_first_min`'s index with the same bits, or None
-#: without the C core.
-c_proposals = getattr(_c_module, "proposals", None)
+#: The C core's ``first_min``, which returns
+#: :func:`stepplace.placer.py_first_min`'s index, or None without the C core.
 c_first_min = getattr(_c_module, "first_min", None)
 
 #: The C core's ``repr_line``, which returns

@@ -19,9 +19,6 @@ import hashlib
 
 import pytest
 
-import stepplace.io_cli as io_cli
-import stepplace.placer as placer
-import stepplace.stepfield as stepfield
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
 from stepplace.netmodel import PlacementArea, Rect
 
@@ -99,7 +96,7 @@ def _digest(path):
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
+def test_place_bytes_are_pinned(tmp_path, on_core, backend, name):
     spec, blockages, rounds, flags = INSTANCES[name]
     netlist, area = generate_instance(spec)
     w, h = area.width, area.height
@@ -110,16 +107,9 @@ def test_place_bytes_are_pinned(tmp_path, monkeypatch, backend, name):
     res = str(tmp_path / "res.txt")
     stats = str(tmp_path / "stats.csv")
     save_instance(inst, netlist, area)
-    # the placer's field picks its backend through HAVE_C_CORE, and the
-    # placer scores with that backend's path; the py run also proposes,
-    # legalizes and formats its files in Python, as a run without a C
-    # compiler does
-    monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
-    if backend == "py":
-        monkeypatch.setattr(placer, "proposals", placer.py_proposals)
-        monkeypatch.setattr(placer, "first_min", placer.py_first_min)
-        monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
-        monkeypatch.setattr(io_cli, "repr_line", io_cli.py_repr_line)
+    # the py run places, legalizes and formats its files in Python, as a
+    # run without a C compiler does
+    on_core(backend)
     code = main(["place", "--in", inst, "--out", res, "--stats", stats,
                  "--rounds", str(rounds), "--seed", "3", *flags])
     assert code == 0

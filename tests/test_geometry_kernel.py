@@ -182,7 +182,8 @@ def stores(side, cell, centers, halves):
     store, whose bucket grid has cells as large as the largest box."""
     largest = max(1.0, *(2 * h for hs in halves for h in hs))
     args = (array("d", [v for h in halves for v in h]),
-            array("d", [v for c in centers for v in c]), [])
+            array("d", [v for c in centers for v in c]), array("d", [0.0] * 4 * len(centers)),
+            [])
     return (CPlacementStore(CostField(3, 3, "c"), side, side, cell, cell, *args,
                             array("d"), 1.0, GridRect),
             PlacementStore(CostField(3, 3, "py"), side, side, largest, largest, *args,
@@ -247,8 +248,9 @@ def test_footprint_index_sorts_many_hits():
 def test_footprint_index_rejects_bad_input():
     # a move the footprints cannot take raises and leaves the store as it was
     halves, centers = array("d", [0.5] * 4), array("d", [1.0, 1.0, 1.5, 1.5])
+    bounds = array("d", [0.5, 9.5] * 4)
     store = CPlacementStore(CostField(3, 3, "c"), 10.0, 10.0, 1.0, 1.0, halves, centers,
-                            [[0, 1]], array("d"), 1.0, GridRect)
+                            bounds, [[0, 1]], array("d"), 1.0, GridRect)
 
     def state():
         return store.pairs(), [store.box(i) for i in range(2)], store.net_lengths()
@@ -271,5 +273,5 @@ def test_footprint_index_rejects_bad_input():
     for sides in [(0.0, 10.0, 1.0, 1.0), (10.0, -1.0, 1.0, 1.0),
                   (10.0, 10.0, math.inf, 1.0), (10.0, 10.0, 1.0, math.nan)]:
         with pytest.raises(ValueError, match="positive and finite"):
-            CPlacementStore(CostField(3, 3, "c"), *sides, halves, centers, [], array("d"),
-                            1.0, GridRect)
+            CPlacementStore(CostField(3, 3, "c"), *sides, halves, centers, bounds, [],
+                            array("d"), 1.0, GridRect)

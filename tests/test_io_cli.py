@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import stepplace
 import stepplace.io_cli as io_cli
-import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 from stepplace.io_cli import (
     GenSpec,
@@ -1147,12 +1146,12 @@ class TestCli:
         assert blobs[0] == blobs[1]
 
     def test_huge_increments_with_fast_decay_run_alike_on_both_cores(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, on_core, capsys
     ):
         # 1e300 over a scale halved each round: the field folds its scale in
         # before the stored coefficients overflow (this exited 1 with "a
         # candidate score is not finite" in round 29), with the same bytes
-        # on both cores and with either proposals and first_min
+        # on both cores, the py run all Python, as a run without a C compiler
         inst = str(tmp_path / "inst.txt")
         assert main(["gen", "--out", inst, "--macros", "150", "--nets", "220",
                      "--seed", "3"]) == 0
@@ -1160,10 +1159,7 @@ class TestCli:
         for backend in ("c", "py"):
             if backend == "c" and not stepfield.HAVE_C_CORE:
                 continue
-            monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
-            if backend == "py":
-                monkeypatch.setattr(placer, "proposals", placer.py_proposals)
-                monkeypatch.setattr(placer, "first_min", placer.py_first_min)
+            on_core(backend)
             res, stats = str(tmp_path / f"{backend}.txt"), str(tmp_path / f"{backend}.csv")
             assert main(["place", "--in", inst, "--out", res, "--stats", stats,
                          "--w0", "1e300", "--rho", "0.5", "--rounds", "300"]) == 0

@@ -366,22 +366,45 @@ class FixedRng:
         return self.draws.pop(0)
 
 
-needs_c_move = pytest.mark.skipif(stepfield.c_move_macro is None, reason="C core not built")
+needs_c_move = pytest.mark.skipif(stepfield.CPlacementStore is None, reason="C core not built")
+
+
+def draw_stores(pos, bounds):
+    """A store of each loaded core, the C one first, each holding one macro
+    centered at ``pos`` with ``bounds``, which need not hold ``pos``."""
+    args = (8.0, 8.0, 1.0, 1.0, array("d", [0.5, 0.5]), array("d", pos),
+            array("d", bounds), [], array("d"), 1.0, GridRect)
+    py = placer.PlacementStore(CostField(1, 1, "py"), *args)
+    if stepfield.CPlacementStore is None:
+        return [py]
+    return [stepfield.CPlacementStore(CostField(1, 1, "c"), *args), py]
+
+
+def hexes(p):
+    """The bits of each coordinate of ``p``."""
+    return tuple(float.hex(v) for v in p)
+
+
+def after_draws(draw, make_rng):
+    """``draw(rng)`` on an rng from ``make_rng()``: what it returned, or the
+    type of what it raised, with the rng's state or leftover draws after it."""
+    rng = make_rng()
+    try:
+        got = draw(rng)
+    except Exception as exc:  # the type is compared
+        got = type(exc)
+    return got, rng.getstate() if hasattr(rng, "getstate") else rng.draws
 
 
 def both_moves(pos, bounds, make_rng):
-    """``py_move_macro`` and the C core's ``move_macro`` on an rng each from
-    ``make_rng()``: per function its result as float hex strings, or the type
-    of what it raised, with the rng's state after the call."""
-    out = []
-    for fn in (placer.py_move_macro, stepfield.c_move_macro):
-        rng = make_rng()
-        try:
-            got = tuple(float.hex(v) for v in fn(pos, bounds, rng))
-        except Exception as exc:  # the type is compared
-            got = type(exc)
-        out.append((got, rng.getstate() if hasattr(rng, "getstate") else rng.draws))
-    return out
+    """The Python draw ``move_macro`` and the C store's draw, one proposal
+    of its ``proposals`` for a macro centered at ``pos`` with ``bounds``, as
+    :func:`after_draws` gives each."""
+    c_store = draw_stores(pos, bounds)[0]
+    return [
+        after_draws(lambda rng: hexes(move_macro(pos, bounds, rng)), make_rng),
+        after_draws(lambda rng: hexes(c_store.proposals(0, rng, 1)[1]), make_rng),
+    ]
 
 
 # direction draws, just below and at the coin's edge, ints, and NaN; jump
@@ -482,28 +505,27 @@ class TestMoveMacro:
                 return super().random()
 
         # the third draw raises; a jump draw far above 1 over a span of 1001
-        # overflows exp, as math.exp raises
-        for make, error in [
-            (lambda: Boom([0.1, 0.1, 0.5, 0.5]), RuntimeError),
-            (lambda: FixedRng([0.1, 0.1, 1e6, 0.5]), OverflowError),
-            (lambda: FixedRng([0.9, 0.9, 0.5, 1e6]), OverflowError),
-            (lambda: FixedRng([0.1, 0.1, "u", 0.5]), TypeError),
+        # overflows exp, as math.exp raises; a jump draw or a coin draw that
+        # is no number (a coin is compared before the next draw)
+        for make, error, left in [
+            (lambda: Boom([0.1, 0.1, 0.5, 0.5]), RuntimeError, 2),
+            (lambda: FixedRng([0.1, 0.1, 1e6, 0.5]), OverflowError, 0),
+            (lambda: FixedRng([0.9, 0.9, 0.5, 1e6]), OverflowError, 0),
+            (lambda: FixedRng([0.1, 0.1, "u", 0.5]), TypeError, 0),
+            (lambda: FixedRng(["u", 0.1, 0.5, 0.5]), TypeError, 3),
+            (lambda: FixedRng([0.1, "u", 0.5, 0.5]), TypeError, 2),
         ]:
             py, c = both_moves((1000.0, 1000.0), b, make)
             assert c == py and c[0] is error
-        for pos in [(1.0,), (1.0, 2.0, 3.0)]:
-            py, c = both_moves(pos, b, lambda: FixedRng([0.1] * 4))
-            assert c == py and c[0] is ValueError
-        # the C twin unpacks the bounds as a 4-tuple, which a MacroBounds is
-        for bounds in [list(b), tuple(b)[:3]]:
-            with pytest.raises(TypeError, match="bounds must be a 4-tuple"):
-                stepfield.c_move_macro((1000.0, 1000.0), bounds, FixedRng([0.1] * 4))
+            assert len(c[1]) == left
         with pytest.raises(TypeError, match="3 arguments"):
-            stepfield.c_move_macro((1.0, 1.0), b)
+            draw_stores((1.0, 1.0), b)[0].proposals(0, FixedRng([0.1] * 4))
 
-    def test_move_macro_is_the_c_twin_where_the_core_loaded(self):
-        want = stepfield.c_move_macro or placer.py_move_macro
-        assert move_macro is want
+    def test_move_macro_is_the_python_draw_on_both_cores(self):
+        # the C core has no draw of its own beside its store's proposals
+        assert move_macro.__module__ == "stepplace.placer"
+        assert not hasattr(stepfield, "c_move_macro")
+        assert not hasattr(stepfield._c_module, "move_macro")
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
@@ -517,37 +539,38 @@ class TestMoveMacro:
             assert b.y_min <= pos[1] <= b.y_max
 
 
-needs_c_round = pytest.mark.skipif(stepfield.c_proposals is None, reason="C core not built")
+needs_c_round = pytest.mark.skipif(stepfield.c_first_min is None, reason="C core not built")
 
 
 def both_batches(pos, bounds, make_rng, count):
-    """``py_proposals`` and the C core's ``proposals`` on an rng each from
-    ``make_rng()``: per function its proposals as float hex strings (after
-    checking that the first candidate is ``pos`` itself), or the type of
-    what it raised, with the rng's state after the call."""
-    out = []
-    for fn in (placer.py_proposals, stepfield.c_proposals):
-        rng = make_rng()
-        try:
-            got = fn(pos, bounds, rng, count)
-            assert got[0] is pos and len(got) == 1 + len(range(count))
-            got = [tuple(float.hex(v) for v in p) for p in got[1:]]
-        except Exception as exc:  # the type is compared
-            got = type(exc)
-        out.append((got, rng.getstate() if hasattr(rng, "getstate") else rng.draws))
-    return out
+    """The C and the Python store's ``proposals`` for a macro centered at
+    ``pos`` with ``bounds``, as :func:`after_draws` gives each, its
+    proposals as float hex strings after checking that the first candidate
+    is the center."""
+
+    def batch(store):
+        def draw(rng):
+            got = store.proposals(0, rng, count)
+            assert hexes(got[0]) == hexes(pos) and len(got) == 1 + len(range(count))
+            return [hexes(p) for p in got[1:]]
+
+        return draw
+
+    return [after_draws(batch(store), make_rng) for store in draw_stores(pos, bounds)]
 
 
 class TestProposals:
-    """A round's candidates in one call: the C core's ``proposals`` against
-    its reference ``py_proposals``, which draws by ``py_move_macro``."""
+    """A round's candidates in one call on the store: the C store's
+    ``proposals`` against the Python store's, which draws by ``move_macro``
+    from the center and the bounds the store holds."""
 
-    @needs_c_round
+    @needs_c_move
     @settings(max_examples=300, deadline=None)
     @given(
         x_min=st.floats(-1e6, 1e6),
         y_min=st.floats(-1e6, 1e6),
         spans=st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e6))] * 2),
+        # the center in its bounds or up to 2 spans beyond them
         at=st.tuples(*[st.floats(-2.0, 3.0)] * 2),
         count=st.integers(0, 9),
         seed=st.one_of(st.none(), st.integers(0, 2**64)),
@@ -569,20 +592,23 @@ class TestProposals:
              seed=None, draws=[0.1, 0.1, 0.5, 0.5] * 2 + [0.1, 0.1, 1e6, 0.5] * 2)
     @example(x_min=0.0, y_min=0.0, spans=(2000.0, 2000.0), at=(0.5, 0.5), count=2,
              seed=None, draws=[0.9, 0.2, 0.5, 0.5, 0.9, 0.2, 0.5])
+    # a center beyond both bounds, below and above
+    @example(x_min=2.0, y_min=2.0, spans=(6.0, 6.0), at=(-2.0, 3.0), count=3,
+             seed=7, draws=[])
     def test_c_twin_draws_and_returns_the_same_bits(
         self, x_min, y_min, spans, at, count, seed, draws
     ):
         b = MacroBounds(x_min, x_min + spans[0], y_min, y_min + spans[1])
         pos = (x_min + at[0] * spans[0], y_min + at[1] * spans[1])
         if seed is None:
-            py, c = both_batches(pos, b, lambda: FixedRng(draws), count)
+            c, py = both_batches(pos, b, lambda: FixedRng(draws), count)
         else:
-            py, c = both_batches(pos, b, lambda: random.Random(seed), count)
+            c, py = both_batches(pos, b, lambda: random.Random(seed), count)
         assert c == py
         if seed is not None:
             assert isinstance(c[0], list)
 
-    @needs_c_round
+    @needs_c_move
     def test_c_twin_raises_mid_batch_after_the_same_draws(self):
         b = MacroBounds(0.0, 2000.0, 0.0, 2000.0)
         ok = [0.1, 0.1, 0.5, 0.5]
@@ -600,35 +626,39 @@ class TestProposals:
             (lambda: FixedRng(ok + [0.1, 0.1, 1e6, 0.5] + ok), OverflowError, 4),
             (lambda: FixedRng(ok + [0.1, 0.1, 0.5, "u"] + ok), TypeError, 4),
         ]:
-            py, c = both_batches((1000.0, 1000.0), b, make, 3)
+            c, py = both_batches((1000.0, 1000.0), b, make, 3)
             assert c == py and c[0] is error
             assert len(c[1]) == left
-        # a pos of another length or a count range() refuses raises before
-        # any draw, and none is needed for no proposals
-        for pos, count, want in [((1.0,), 2, ValueError), ((1.0, 2.0, 3.0), 1, ValueError),
-                                 ((1.0, 1.0), 2.0, TypeError), ((1.0,), 0, list),
-                                 ((1.0,), -3, list)]:
-            py, c = both_batches(pos, b, lambda: FixedRng(ok), count)
+        # a count range() refuses raises before any draw, and none is
+        # needed for no proposals
+        for count, want in [(2.0, TypeError), (0, list), (-3, list)]:
+            c, py = both_batches((1.0, 1.0), b, lambda: FixedRng(ok), count)
             assert c == py and (c[0] is want or type(c[0]) is want)
             assert c[1] == ok
-        with pytest.raises(TypeError, match="4 arguments"):
-            stepfield.c_proposals((1.0, 1.0), b, FixedRng(ok))
+        c_store = draw_stores((1.0, 1.0), b)[0]
+        with pytest.raises(TypeError, match="3 arguments"):
+            c_store.proposals(0, FixedRng(ok))
         # no list holds that many candidates: refused before any draw
         rng = FixedRng(ok)
         with pytest.raises(MemoryError):
-            stepfield.c_proposals((1.0, 1.0), b, rng, sys.maxsize)
+            c_store.proposals(0, rng, sys.maxsize)
         assert rng.draws == ok
 
     def test_round_calls_are_the_c_twins_where_the_core_loaded(self):
-        assert placer.proposals is (stepfield.c_proposals or placer.py_proposals)
+        # a round draws from its state's store, the C core's where it
+        # loaded, and picks its winner by the C core's first_min
         assert placer.first_min is (stepfield.c_first_min or placer.py_first_min)
+        nl, area = tiny_instance(2)
+        state = new_state(nl, area, PlacerConfig(max_rounds=1))
+        assert type(state.store) is (stepfield.CPlacementStore or placer.PlacementStore)
+        assert not hasattr(placer, "proposals") and not hasattr(placer, "py_proposals")
 
     def test_golden_sequence_seed_123(self):
         # the first proposal of TestMoveMacro's golden sequence, then one
-        # more from the same position
-        rng = random.Random(123)
-        got = placer.proposals((5.0, 5.0), MacroBounds(1.0, 9.0, 1.0, 9.0), rng, 2)
-        assert got[1:] == [(3.074028850104982, 3.8107333682727234),
+        # more from the same center, on each loaded core
+        for store in draw_stores((5.0, 5.0), MacroBounds(1.0, 9.0, 1.0, 9.0)):
+            got = store.proposals(0, random.Random(123), 2)
+            assert got == [(5.0, 5.0), (3.074028850104982, 3.8107333682727234),
                            (7.102934740294829, 3.2931465796128188)]
 
 
@@ -882,8 +912,8 @@ def kernel_sum(score, x, y, beta, nets):
     fld = CostField(0, 0, "c")
     fld.increase(GridRect(0, 0, 1, 1), score)
     store = stepfield.CPlacementStore(
-        fld, 1.0, 1.0, 1.0, 1.0, array("d", halves), array("d", centers), members,
-        array("d"), 0.0, GridRect,
+        fld, 1.0, 1.0, 1.0, 1.0, array("d", halves), array("d", centers),
+        array("d", [0.0] * 2 * len(centers)), members, array("d"), 0.0, GridRect,
     )
     return store.score(0, x, y, beta, 0.0)
 
@@ -995,7 +1025,7 @@ class TestNetTerms:
                 [index(m) for m in net.members] for net in nl.nets if mid in net.members
             ]
             for _ in range(4):
-                b = c_state.bounds[i]
+                b = compute_bounds(nl.by_id[mid], area)
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
                 want = candidate_score(py_state, i, pos, *args)
                 got = candidate_score(c_state, i, pos, *args)
@@ -1014,7 +1044,7 @@ def candidate_at(draw, kind, macro, state, area):
     """A candidate center of the given kind for ``macro`` in ``state`` on
     ``area``."""
     hx, hy = macro.size_x / 2.0, macro.size_y / 2.0
-    b = state.bounds[state.macro_order.index(macro.id)]
+    b = compute_bounds(macro, area)
     if kind == "inside":
         return draw(st.floats(b.x_min, b.x_max)), draw(st.floats(b.y_min, b.y_max))
     if kind == "outside":
@@ -1061,6 +1091,7 @@ def assert_stores_agree(c_store, py_store, count):
     ]
     assert [exact(v) for v in c_store.totals()] == [exact(v) for v in py_store.totals()]
     assert [c_store.box(i) for i in range(count)] == [py_store.box(i) for i in range(count)]
+    assert [hexes(c) for c in c_store.centers] == [hexes(c) for c in py_store.centers]
 
 
 class TestScoreCandidate:
@@ -1196,7 +1227,8 @@ class TestScoreCandidate:
         store = stepfield.CPlacementStore(
             CostField(2, 2, "c"), 8.0, 8.0, 1.0, 1.0,
             array("d", [v for h in halves for v in h]),
-            array("d", [v for c in centers for v in c]), [],
+            array("d", [v for c in centers for v in c]),
+            array("d", [0.0] * 4 * len(centers)), [],
             array("d", [v for b in blockages for v in b]), 5.0, GridRect,
         )
         got = store.score(0, 1.0, 1.0, None, 3.0)
@@ -1294,12 +1326,12 @@ class TestScoreCandidate:
         # outs (7) and their weight (8), which the store takes when it is
         # built, the store itself (1), and score's i, x, y, beta and factor
         # (2 to 6)
-        halves, centers = [0.5] * 4, [0.5, 0.5, 2.5, 2.5]
+        halves, centers, bounds = [0.5] * 4, [0.5, 0.5, 2.5, 2.5], [0.5, 3.5] * 4
 
         def build(field, blockages, weight):
             return stepfield.CPlacementStore(
                 field, 4.0, 4.0, 1.0, 1.0, array("d", halves), array("d", centers),
-                [[0, 1]], blockages, weight, GridRect,
+                array("d", bounds), [[0, 1]], blockages, weight, GridRect,
             )
 
         field, blockages, weight = CostField(2, 2, "c"), array("d", [0, 0, 1, 1]), 1.0
@@ -1312,8 +1344,8 @@ class TestScoreCandidate:
             value = CostField(2, 2, "py")
         elif value == "py store":
             value = placer.PlacementStore(
-                CostField(2, 2, "py"), 4.0, 4.0, 1.0, 1.0, halves, centers, [[0, 1]],
-                array("d"), 1.0, GridRect,
+                CostField(2, 2, "py"), 4.0, 4.0, 1.0, 1.0, halves, centers, bounds,
+                [[0, 1]], array("d"), 1.0, GridRect,
             )
         inputs[index] = value
         with pytest.raises(error, match=match):
@@ -1418,13 +1450,15 @@ class TestPlacementStore:
             ({"rect": list}, TypeError, "subtype of tuple"),
             ({"field": None}, TypeError, "field must be a CostField on the C core"),
             ({"width": 0.0}, ValueError, "positive and finite"),
+            ({"bounds": array("d", [1.0, 7.0] * 2)}, ValueError, "4 doubles per macro"),
         ],
     )
     def test_c_store_rejects_bad_input(self, change, error, match):
         args = dict(
             field=CostField(3, 3, "c"), width=8.0, height=8.0, min_cell_x=2.0,
             min_cell_y=2.0, halves=array("d", [1.0, 1.0, 1.0, 1.0]),
-            centers=array("d", [1.0, 1.0, 5.0, 5.0]), nets=[[0, 1]],
+            centers=array("d", [1.0, 1.0, 5.0, 5.0]),
+            bounds=array("d", [1.0, 7.0] * 4), nets=[[0, 1]],
             blockages=array("d"), blockage_weight=1.0, rect=GridRect,
         )
         store = stepfield.CPlacementStore(**args)
@@ -1441,9 +1475,9 @@ class TestPlacementStore:
     @needs_c_score
     def test_round_calls_what_the_benchmark_counts(self, monkeypatch):
         # the benchmark's tracer counts these calls; per round on the C core:
-        # candidates + 1 candidate_score, one proposals call for the
-        # candidates, one CostField.increase per snapped meet of the moved
-        # macro, one inflate
+        # candidates + 1 candidate_score, one CostField.increase per snapped
+        # meet of the moved macro, one inflate, and beside them one proposals
+        # call on the store for the candidates
         calls = {}
         moved = []
 
@@ -1458,14 +1492,23 @@ class TestPlacementStore:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        for name in ("candidate_score", "proposals"):
-            counting(placer, name)
-        for name in ("increase", "inflate"):
-            counting(CostField, name)
         nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
         cfg = PlacerConfig(max_rounds=200, grid_p=4, grid_q=4, seed=2)
         state = new_state(nl, area, cfg)
         assert state.field.backend == "c"
+        store = state.store
+
+        class Store:
+            """The state's C store, whose methods a test can replace."""
+
+            def __getattr__(self, name):
+                return getattr(store, name)
+
+        state.store = Store()
+        counting(state.store, "proposals")
+        counting(placer, "candidate_score")
+        for name in ("increase", "inflate"):
+            counting(CostField, name)
         grown = 0
         for _ in range(cfg.max_rounds):
             calls.clear()
@@ -1507,20 +1550,36 @@ def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):
     return Netlist(macros, nets), PlacementArea(side, side)
 
 
+def recorded_scores(monkeypatch):
+    """A list that holds the scores of every ``candidate_score`` call from
+    now on, in call order: clear it before a round to get that round's."""
+    scores = []
+    score = placer.candidate_score
+
+    def recording(*args):
+        scores.append(score(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(placer, "candidate_score", recording)
+    return scores
+
+
 class TestRoundStep:
-    def test_chosen_never_worse_than_staying(self):
+    def test_chosen_never_worse_than_staying(self, monkeypatch):
         nl, area = tiny_instance(1)
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=5)
         state = new_state(nl, area, cfg)
+        scores = recorded_scores(monkeypatch)
         for _ in range(60):
+            scores.clear()
             round_step(state, cfg)
-            assert state.last_scores[state.last_choice] <= state.last_scores[0]
-            assert state.last_scores[state.last_choice] == min(state.last_scores)
+            assert scores[state.last_choice] <= scores[0]
+            assert scores[state.last_choice] == min(scores)
 
-    def test_non_finite_score_raises_before_moving(self, monkeypatch, backend):
+    def test_non_finite_score_raises_before_moving(self, on_core, backend):
         # each increment is finite, but two of them on one field coefficient
         # are not
-        on_core(monkeypatch, backend)
+        on_core(backend)
         nl, area = tiny_instance(1)
         cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=5, w0=1e308,
                            w_growth=1.0)
@@ -1532,14 +1591,56 @@ class TestRoundStep:
                 round_step(state, cfg)
         assert repr((state.round, state.placement, state.field.cost(whole))) == before
 
-    def test_single_macro_stays_when_alone_scores_zero(self):
+    def test_state_without_macros_refused_before_any_draw(self, backend):
+        cfg = PlacerConfig(max_rounds=5)
+        state = state_on(backend, Netlist([], []), PlacementArea(10.0, 10.0), cfg)
+        drawn = state.rng.getstate()
+        with pytest.raises(ValueError, match="^the state has no macros to move$"):
+            round_step(state, cfg)
+        assert state.rng.getstate() == drawn and state.round == 0
+
+    def test_placement_is_a_snapshot_of_the_store(self, monkeypatch, backend):
+        # the store holds the only placement: state.placement reads its
+        # centers, bit for bit, and writing into the dict it returned moves
+        # nothing, so the next round scores the same candidates as a twin
+        # state's that saw no write
+        nl, area = tiny_instance(7)
+        cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=3)
+        state, twin = (state_on(backend, nl, area, cfg) for _ in range(2))
+        seen = []
+        score = placer.candidate_score
+
+        def recording(st, i, pos, *args):
+            seen.append((st is state, i, hexes(pos)))
+            return score(st, i, pos, *args)
+
+        monkeypatch.setattr(placer, "candidate_score", recording)
+        for _ in range(cfg.max_rounds // 2):
+            for s in (state, twin):
+                round_step(s, cfg)
+            assert {mid: hexes(p) for mid, p in state.placement.items()} == dict(
+                zip(state.macro_order, map(hexes, state.store.centers)))
+            placement = state.placement
+            for mid in placement:
+                placement[mid] = (0.0, 0.0)
+            assert state.placement != placement
+            seen.clear()
+        for s in (state, twin):
+            round_step(s, cfg)
+        mine = [c for own, *c in seen if own]
+        assert mine == [c for own, *c in seen if not own] and len(mine) == 9
+        assert state.placement == twin.placement
+
+    def test_single_macro_stays_when_alone_scores_zero(self, monkeypatch):
         nl = Netlist([Macro("a", 2, 2)], [])
         cfg = PlacerConfig(max_rounds=30, grid_p=3, grid_q=3, seed=2)
         state = new_state(nl, square_area(), cfg)
+        scores = recorded_scores(monkeypatch)
         for _ in range(30):
+            scores.clear()
             round_step(state, cfg)
-            assert state.last_scores[0] == 0.0
-            assert state.last_scores[state.last_choice] <= state.last_scores[0]
+            assert scores[0] == 0.0
+            assert scores[state.last_choice] <= scores[0]
 
     def test_bounds_safety_every_round(self):
         nl, area = tiny_instance(3)
@@ -1548,7 +1649,7 @@ class TestRoundStep:
         for _ in range(150):
             round_step(state, cfg)
             for mid, (x, y) in state.placement.items():
-                b = state.bounds[state.macro_order.index(mid)]
+                b = compute_bounds(nl.by_id[mid], area)
                 assert b.x_min <= x <= b.x_max
                 assert b.y_min <= y <= b.y_max
 
@@ -1693,15 +1794,15 @@ class TestRunPlacer:
 
 
 class TestBackendsAndSwitch:
-    def test_rounds_on_python_field_backend(self):
-        from stepplace.stepfield import CostField
-
+    def test_rounds_on_python_field_backend(self, monkeypatch):
         nl, area = tiny_instance(12)
         cfg = PlacerConfig(max_rounds=80, grid_p=4, grid_q=4, seed=3)
         state = state_on("py", nl, area, cfg)
+        scores = recorded_scores(monkeypatch)
         for _ in range(80):
+            scores.clear()
             round_step(state, cfg)
-            assert state.last_scores[state.last_choice] <= state.last_scores[0]
+            assert scores[state.last_choice] <= scores[0]
         fresh_bb = sum(
             bb_netlength([state.placement[m] for m in net.members])
             for net in nl.nets
@@ -1759,7 +1860,7 @@ class TestBackendsAndSwitch:
         with pytest.raises(TypeError, match="field must be a CostField on the C core"):
             stepfield.CPlacementStore(
                 states["py"].field, area.width, area.height, 1.0, 1.0, array("d"),
-                array("d"), [], array("d"), 1.0, GridRect,
+                array("d"), array("d"), [], array("d"), 1.0, GridRect,
             )
         for backend, other in (("c", "py"), ("py", "c")):
             with pytest.raises(AttributeError):
@@ -1768,12 +1869,14 @@ class TestBackendsAndSwitch:
 
     def test_both_stores_expose_the_same_methods(self, backend):
         # the C store and its Python reference answer the same calls, and
-        # each holds the field its state reads
+        # each holds the field its state reads and the centers (the Python
+        # store as attributes, the C store as properties)
         methods = [n for n in dir(placer.PlacementStore) if not n.startswith("_")]
-        assert methods == ["box", "move", "net_lengths", "pairs", "score", "totals"]
+        assert methods == ["box", "move", "net_lengths", "pairs", "proposals", "score",
+                           "totals"]
         if stepfield.CPlacementStore is not None:
             assert [n for n in dir(stepfield.CPlacementStore) if not n.startswith("_")] == (
-                sorted(methods + ["field"])
+                sorted(methods + ["centers", "field"])
             )
         nl, area = tiny_instance(17)
         cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=1)
@@ -2101,16 +2204,6 @@ class TestNaiveLegalize:
                 k: (x.hex(), y.hex()) for k, (x, y) in want.items()}
 
 
-def on_core(monkeypatch, backend):
-    """Run the placer and the legalizer on one core: on ``py`` the field,
-    the store, the proposals and the lattice search are all Python's."""
-    monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
-    if backend == "py":
-        monkeypatch.setattr(placer, "proposals", placer.py_proposals)
-        monkeypatch.setattr(placer, "first_min", placer.py_first_min)
-        monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
-
-
 class TestPlaceability:
     """Inputs the CLI refuses are refused by the library too, on both
     cores, with one message and before any store or search is built."""
@@ -2118,8 +2211,8 @@ class TestPlaceability:
     @pytest.mark.parametrize("w, h, side", [(math.inf, 4.0, "width"),
                                             (4.0, -math.inf, "height"),
                                             (math.nan, 4.0, "width")])
-    def test_non_finite_area_side(self, monkeypatch, backend, w, h, side):
-        on_core(monkeypatch, backend)
+    def test_non_finite_area_side(self, on_core, backend, w, h, side):
+        on_core(backend)
         with pytest.raises(ValueError, match=f"^placement area {side} must be finite: "):
             PlacementArea(w, h)
 
@@ -2131,8 +2224,8 @@ class TestPlaceability:
         ([(0.5, 1.0)], PlacementArea(2.0**52, 4.0), "1.0"),
         ([(2.0, 2.0)], PlacementArea(2.0**52, 4.0), "1.0"),
     ])
-    def test_sub_ulp_macro(self, monkeypatch, backend, sizes, area, ulp):
-        on_core(monkeypatch, backend)
+    def test_sub_ulp_macro(self, monkeypatch, on_core, backend, sizes, area, ulp):
+        on_core(backend)
         nl = Netlist([Macro(f"m{i}", sx, sy) for i, (sx, sy) in enumerate(sizes)], [])
         want = (rf"^macro m0 is too small for a {area.width!r} x {area.height!r} "
                 rf"area: its half-size must exceed {ulp}$")
@@ -2145,8 +2238,8 @@ class TestPlaceability:
             naive_legalize(start, nl, area, 6, 6)
         assert built == []
 
-    def test_nan_position(self, monkeypatch, backend):
-        on_core(monkeypatch, backend)
+    def test_nan_position(self, monkeypatch, on_core, backend):
+        on_core(backend)
         nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
         area = PlacementArea(10, 10)
         placement = {"a": (math.nan, 3.0), "b": (5.0, 5.0)}
