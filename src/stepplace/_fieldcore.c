@@ -23,12 +23,15 @@
  * footprints bucketed in a grid of cells (a FootprintIndex) so that an
  * overlap query tests only the boxes near it.  It is built on the cost
  * field it scores against and holds the area's keep-outs with their weight.
- * A round draws its candidates with the store's proposals, from the moving
- * macro's center and bounds and the round's rng; its score method scores
- * one candidate from what the store holds (field sum, net terms, overlap
- * penalty against the other footprints, and keep-out term); the module
- * function first_min picks the round's winner from their scores; and the
- * round commits its move to the store in one call.
+ * Its score method scores one candidate from what the store holds (field
+ * sum, net terms, overlap penalty against the other footprints, and keep-out
+ * term).  A whole round of the placer is one call of its round method: it
+ * draws the macro as rng.randrange does and the candidates as proposals does,
+ * from the macro's center and bounds, calls the placer's scoring hook once
+ * per candidate, picks the winner with the body of the module function
+ * first_min, commits the move as move does, grows the field under each
+ * snapped meet with the field core's increase body, and calls the field's
+ * inflate once.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
@@ -149,16 +152,12 @@ fold_scale(FieldCore *self, double s)
     self->scale = 1.0;
 }
 
-static PyObject *
-FieldCore_increase(FieldCore *self, PyObject *args)
+/* Adds value to every cell of a rectangle that passed check_rect; records
+ * last_touched. */
+static void
+field_increase(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_ssize_t b2,
+               double value)
 {
-    Py_ssize_t a1, b1, a2, b2;
-    double value;
-    if (!PyArg_ParseTuple(args, "nnnnd:increase", &a1, &b1, &a2, &b2, &value))
-        return NULL;
-    if (check_rect(self, a1, b1, a2, b2) < 0)
-        return NULL;
-
     Py_ssize_t ix[MAX_AXIS_COMPONENTS], iy[MAX_AXIS_COMPONENTS];
     double sx[MAX_AXIS_COMPONENTS], sy[MAX_AXIS_COMPONENTS];
     double nx[MAX_AXIS_COMPONENTS], ny[MAX_AXIS_COMPONENTS];
@@ -182,6 +181,18 @@ FieldCore_increase(FieldCore *self, PyObject *args)
             C[row + iy[j]] += vx * (sy[j] * ny[j]);
     }
     self->last_touched = (Py_ssize_t)kx * ky;
+}
+
+static PyObject *
+FieldCore_increase(FieldCore *self, PyObject *args)
+{
+    Py_ssize_t a1, b1, a2, b2;
+    double value;
+    if (!PyArg_ParseTuple(args, "nnnnd:increase", &a1, &b1, &a2, &b2, &value))
+        return NULL;
+    if (check_rect(self, a1, b1, a2, b2) < 0)
+        return NULL;
+    field_increase(self, a1, b1, a2, b2, value);
     Py_RETURN_NONE;
 }
 
@@ -1069,6 +1080,26 @@ fail:
     return NULL;
 }
 
+/* Centers macro i at (x, y): stores its footprint, recomputes its nets'
+ * boxes and brings its pairs up to date.  Returns the number of its meets
+ * with the other footprints, which update_pairs leaves in s->meets in index
+ * order, or -1 with an exception set. */
+static Py_ssize_t
+store_move(PlacementStore *s, Py_ssize_t i, double x, double y)
+{
+    const double *h = s->half + 2 * i;
+    const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
+    if (index_put(&s->index, i, box) < 0)
+        return -1;
+    s->center[2 * i] = x;
+    s->center[2 * i + 1] = y;
+    for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
+        Py_ssize_t k = s->nets_of[t];
+        s->net_bb[k] = bb_length(net_pins(s, k, -1, NULL));
+    }
+    return update_pairs(s, i);
+}
+
 static PyObject *
 PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1082,17 +1113,7 @@ PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t narg
     double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
     if (PyErr_Occurred())
         return NULL;
-    const double *h = self->half + 2 * i;
-    const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
-    if (index_put(&self->index, i, box) < 0)
-        return NULL;
-    self->center[2 * i] = x;
-    self->center[2 * i + 1] = y;
-    for (Py_ssize_t t = self->nets_at[i]; t < self->nets_at[i + 1]; t++) {
-        Py_ssize_t k = self->nets_of[t];
-        self->net_bb[k] = bb_length(net_pins(self, k, -1, NULL));
-    }
-    Py_ssize_t n = update_pairs(self, i);
+    Py_ssize_t n = store_move(self, i, x, y);
     if (n < 0)
         return NULL;
 
@@ -1251,9 +1272,10 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(score);
 }
 
-/* The rng method a proposal draws from and the 0.5 its coins compare with,
- * made once at module init. */
-static PyObject *str_random, *one_half;
+/* The rng methods a proposal and a round's macro draw from, the 0.5 a coin
+ * compares with, and the field method a round calls, made once at module
+ * init. */
+static PyObject *str_random, *str_getrandbits, *one_half, *str_inflate;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1337,19 +1359,13 @@ done:
     return result;
 }
 
-/* stepplace.placer.PlacementStore.proposals: macro i's center, then count
- * proposals around it within its bounds, each drawn by propose */
+/* stepplace.placer.PlacementStore.proposals: the list of macro i's center,
+ * then count_obj proposals around it within its bounds, each drawn by
+ * propose from rng; NULL with an exception set. */
 static PyObject *
-PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+store_proposals(PlacementStore *s, Py_ssize_t i, PyObject *rng, PyObject *count_obj)
 {
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "proposals expected 3 arguments, got %zd", nargs);
-        return NULL;
-    }
-    Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros");
-    if (i < 0)
-        return NULL;
-    Py_ssize_t count = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
+    Py_ssize_t count = PyNumber_AsSsize_t(count_obj, PyExc_OverflowError);
     if (count == -1 && PyErr_Occurred())
         return NULL;
     count = count > 0 ? count : 0;  /* range(count) is empty below 1 */
@@ -1362,7 +1378,7 @@ PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t na
     if (p == NULL)
         goto fail;
     PyList_SET_ITEM(out, 0, p);
-    if (count && (random = PyObject_GetAttr(args[1], str_random)) == NULL)
+    if (count && (random = PyObject_GetAttr(rng, str_random)) == NULL)
         goto fail;
     for (Py_ssize_t k = 1; k <= count; k++) {
         if ((p = propose(c, b, random)) == NULL)
@@ -1375,6 +1391,139 @@ fail:
     Py_XDECREF(random);
     Py_DECREF(out);
     return NULL;
+}
+
+static PyObject *
+PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "proposals expected 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros");
+    return i < 0 ? NULL : store_proposals(s, i, args[1], args[2]);
+}
+
+/* stepplace.placer.py_first_min over the n scores v: the index of the
+ * first smallest score, -1 where a score is not finite (each read as
+ * math.isfinite reads it, in order), compared as min compares them; -2 with
+ * an exception set. */
+static Py_ssize_t
+pick_first_min(PyObject **v, Py_ssize_t n)
+{
+    Py_ssize_t best = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        double d = PyFloat_AsDouble(v[k]);
+        if (d == -1.0 && PyErr_Occurred())
+            return -2;
+        if (!isfinite(d))
+            return -1;
+    }
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "min() arg is an empty sequence");
+        return -2;
+    }
+    for (Py_ssize_t k = 1; k < n; k++) {
+        int less = PyFloat_CheckExact(v[k]) && PyFloat_CheckExact(v[best])
+            ? PyFloat_AS_DOUBLE(v[k]) < PyFloat_AS_DOUBLE(v[best])
+            : PyObject_RichCompareBool(v[k], v[best], Py_LT);
+        if (less < 0)
+            return -2;
+        if (less)
+            best = k;
+    }
+    return best;
+}
+
+/* rng.randrange(n), n >= 1, as Python 3.10-3.12 draws it: getrandbits(k),
+ * k the bit length of n, called through rng until it is below n.  -1 with an
+ * exception set, a negative draw refused as proposals refuses that index. */
+static Py_ssize_t
+draw_index(PyObject *rng, Py_ssize_t n)
+{
+    int bits = 0;
+    for (Py_ssize_t v = n; v; v >>= 1)
+        bits++;
+    PyObject *k = PyLong_FromLong(bits);
+    if (k == NULL)
+        return -1;
+    Py_ssize_t r;
+    do {
+        PyObject *draw = PyObject_CallMethodOneArg(rng, str_getrandbits, k);
+        r = draw ? PyNumber_AsSsize_t(draw, PyExc_OverflowError) : -1;
+        Py_XDECREF(draw);
+    } while (r >= n);
+    Py_DECREF(k);
+    if (r < 0 && !PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "macro index %zd out of range for %zd macros", r, n);
+    return r < 0 ? -1 : r;
+}
+
+/* stepplace.placer.PlacementStore.round: one round of the placer.  Draws
+ * macro i as draw_index does and its candidates as proposals does, calls
+ * score(state, i, pos, beta, factor) once per candidate in order and picks
+ * the winner as first_min does.  Unless a score is not finite (-1, nothing
+ * moved), moves i there as move does, grows the field by w under each
+ * snapped meet in index order with the core's increase, and calls the
+ * field's inflate(rho) once.  Returns the winner's index. */
+static PyObject *
+PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 8) {
+        PyErr_Format(PyExc_TypeError, "round expected 8 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *score = args[0], *rng = args[2];
+    double w = PyFloat_AsDouble(args[6]);
+    if (w == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!isfinite(w) || s->count == 0) {
+        PyErr_SetString(PyExc_ValueError, isfinite(w) ? "the store has no macros to move"
+                                                      : "increase value must be finite");
+        return NULL;
+    }
+    Py_ssize_t i = draw_index(rng, s->count);
+    PyObject *cands = i < 0 ? NULL : store_proposals(s, i, rng, args[3]);
+    if (cands == NULL)
+        return NULL;
+    Py_ssize_t n = PyList_GET_SIZE(cands), best = -2;
+    PyObject *scores = PyList_New(n), *index = PyLong_FromSsize_t(i), *done = NULL;
+    if (scores == NULL || index == NULL)
+        goto out;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *argv[5] = {args[1], index, PyList_GET_ITEM(cands, k), args[4], args[5]};
+        PyObject *v = PyObject_Vectorcall(score, argv, 5, NULL);
+        if (v == NULL)
+            goto out;
+        PyList_SET_ITEM(scores, k, v);
+    }
+    best = pick_first_min(PySequence_Fast_ITEMS(scores), n);
+    if (best >= 0) {
+        PyObject *pos = PyList_GET_ITEM(cands, best);
+        Py_ssize_t meets = store_move(s, i, PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pos, 0)),
+                                      PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pos, 1)));
+        FieldCore *core = s->core;
+        for (Py_ssize_t t = 0; t < meets; t++) {
+            Py_ssize_t r[4];
+            int snapped = snap_box(s->meets + 4 * t, s->width, s->height, core->n, core->m, r);
+            if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0)) {
+                meets = -1;
+                break;
+            }
+            if (snapped)
+                field_increase(core, r[0], r[1], r[2], r[3], w);
+        }
+        if (meets >= 0)
+            done = PyObject_CallMethodOneArg(s->field, str_inflate, args[7]);
+        if (done == NULL)
+            best = -2;
+    }
+out:
+    Py_XDECREF(done);
+    Py_XDECREF(index);
+    Py_XDECREF(scores);
+    Py_DECREF(cands);
+    return best < -1 ? NULL : PyLong_FromSsize_t(best);
 }
 
 static PyObject *
@@ -1423,6 +1572,17 @@ static PyMethodDef PlacementStore_methods[] = {
     {"pairs", (PyCFunction)PlacementStore_pairs, METH_NOARGS,
      "pairs() -> list[(i, j, area)]\n\n"
      "The live overlap pairs, i < j, in the order they entered."},
+    {"round", (PyCFunction)(void (*)(void))PlacementStore_round, METH_FASTCALL,
+     "round(score, state, rng, count, beta, factor, w, rho) -> int\n\n"
+     "One round of the placer: draw a macro i as rng.randrange(macros) does\n"
+     "(getrandbits with rejection, through rng), its proposals(i, rng, count),\n"
+     "call score(state, i, pos, beta, factor) once per candidate in order,\n"
+     "and move i to the first smallest score; grow the field by w under each\n"
+     "snapped meet of the move, in index order, and call the field's\n"
+     "inflate(rho) once.  Returns the winner's index, or -1 with nothing\n"
+     "moved where a score is not finite.  A non-finite w or a store without\n"
+     "macros raises ValueError before any draw; see\n"
+     "stepplace.placer.PlacementStore.round."},
     {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
      "proposals(i, rng, count) -> [(x, y), ...]\n\n"
      "A round's candidates for macro i: its center, then count proposals\n"
@@ -1465,44 +1625,15 @@ static PyTypeObject PlacementStoreType = {
     .tp_getset = PlacementStore_getset,
 };
 
-/* stepplace.placer.py_first_min: the index of the first smallest score, -1
- * where a score is not finite (each read as math.isfinite reads it, in
- * order), compared as min compares them */
 static PyObject *
 first_min(PyObject *module, PyObject *scores)
 {
     PyObject *seq = PySequence_Fast(scores, "scores must be a sequence");
     if (seq == NULL)
         return NULL;
-    PyObject **v = PySequence_Fast_ITEMS(seq);
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), best = 0;
-    for (Py_ssize_t k = 0; k < n; k++) {
-        double d = PyFloat_AsDouble(v[k]);
-        if (d == -1.0 && PyErr_Occurred())
-            goto fail;
-        if (!isfinite(d)) {
-            Py_DECREF(seq);
-            return PyLong_FromSsize_t(-1);
-        }
-    }
-    if (n == 0) {
-        PyErr_SetString(PyExc_ValueError, "min() arg is an empty sequence");
-        goto fail;
-    }
-    for (Py_ssize_t k = 1; k < n; k++) {
-        int less = PyFloat_CheckExact(v[k]) && PyFloat_CheckExact(v[best])
-            ? PyFloat_AS_DOUBLE(v[k]) < PyFloat_AS_DOUBLE(v[best])
-            : PyObject_RichCompareBool(v[k], v[best], Py_LT);
-        if (less < 0)
-            goto fail;
-        if (less)
-            best = k;
-    }
+    Py_ssize_t best = pick_first_min(PySequence_Fast_ITEMS(seq), PySequence_Fast_GET_SIZE(seq));
     Py_DECREF(seq);
-    return PyLong_FromSsize_t(best);
-fail:
-    Py_DECREF(seq);
-    return NULL;
+    return best < -1 ? NULL : PyLong_FromSsize_t(best);
 }
 
 /* repr_line: sep.join(map(repr, values)) + "\n" for floats and ints, the
@@ -2157,8 +2288,12 @@ PyInit__fieldcore(void)
 {
     if (str_random == NULL
         && ((str_random = PyUnicode_InternFromString("random")) == NULL
-            || (one_half = PyFloat_FromDouble(0.5)) == NULL)) {
+            || (one_half = PyFloat_FromDouble(0.5)) == NULL
+            || (str_getrandbits = PyUnicode_InternFromString("getrandbits")) == NULL
+            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL)) {
         Py_CLEAR(str_random);
+        Py_CLEAR(one_half);
+        Py_CLEAR(str_getrandbits);
         return NULL;
     }
     PyObject *mod = PyModule_Create(&fieldcoremodule);

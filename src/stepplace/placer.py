@@ -26,22 +26,22 @@ center, bounds, half-sizes and footprint, the nets with their bounding-box
 lengths and the live overlap pairs with their areas.  On the C field core it
 is the C core's ``PlacementStore``, else a :class:`PlacementStore`, its
 Python reference, which answers with the same bits; the state's field is the
-store's, and its ``placement`` a snapshot of the store's centers.  A round's
-candidates are one ``proposals`` call on the store, which draws from the
-round's rng as :func:`move_macro` does, once per proposal; a candidate is
-scored by one ``score`` call on it; a round's commit is one ``move`` on it,
-which returns the grid rectangles the field then grows under, and the
-statistics row takes both its totals from it.  On a C store each is one C
-call.  Footprints sit in a spatial index, so the penalty and the overlap
-update test a footprint only against the macros near it.
+store's, and its ``placement`` a snapshot of the store's centers.  A whole
+round is one ``round`` call on the store: it draws the macro and its
+candidates (each proposal as :func:`move_macro` draws one), scores each
+through :func:`candidate_score`, one ``score`` call on the store, commits
+the first smallest as ``move`` does, and grows and inflates the field.  On a
+C store all but the rng, the scoring hook and the field's ``inflate`` runs
+in C.  The statistics row takes both its totals from the store.  Footprints
+sit in a spatial index, so the penalty and the overlap update test a
+footprint only against the macros near it.
 
-A round's winner is one call of :data:`first_min`, the C core's where it
-loaded, which picks the index :func:`py_first_min` picks.  A round evaluates
-its schedules (delta, beta and w) once, taking the power of a growth both
-share once, for its candidates' net-model sharpness and penalty factor, its
-field growth and its statistics row.  Likewise the legalizer's lattice
-search runs in the C core's ``FreeSpace`` where it loaded, which finds the
-points of :class:`PyFreeSpace`.  Runs are deterministic for a given seed.
+A round evaluates its schedules (delta, beta and w) once, taking the power
+of a growth both share once, for its candidates' net-model sharpness and
+penalty factor, its field growth and its statistics row.  Likewise the
+legalizer's lattice search runs in the C core's ``FreeSpace`` where it
+loaded, which finds the points of :class:`PyFreeSpace`.  Runs are
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -334,7 +334,9 @@ class PlacementStore:
     live overlap pairs ``(i, j)``, ``i < j``, with their areas, in the order
     the pairs entered: a pair that ends and overlaps again goes to the end.
     :meth:`move` snaps meets to the field's grid over the area, as
-    :class:`GridRect`, the C store's ``rect``.
+    :class:`GridRect`, the C store's ``rect``, and :meth:`round` runs a whole
+    round of the placer.  Every method that takes a macro index refuses one
+    outside ``0 .. count - 1`` with the C store's ``ValueError``.
     """
 
     def __init__(
@@ -377,8 +379,15 @@ class PlacementStore:
         for i in range(count):
             self._update_overlaps(i)
 
+    def _check(self, i: int) -> None:
+        """Refuse a macro index outside ``0 .. count - 1``, as the C store does."""
+        if not 0 <= i < len(self.centers):
+            raise ValueError(f"macro index {i} out of range for {len(self.centers)} "
+                             "macros")
+
     def box(self, i: int) -> Box:
         """The footprint of macro ``i``."""
+        self._check(i)
         (x, y), (hx, hy) = self.centers[i], self.halves[i]
         return (x - hx, y - hy, x + hx, y + hy)
 
@@ -415,6 +424,7 @@ class PlacementStore:
         the boxes of its nets, and bring its overlap pairs up to date.
         Returns the :func:`snap_to_grid` cells of each meet of its footprint
         with another one, in index order, leaving out empty ones."""
+        self._check(i)
         self.centers[i] = (float(x), float(y))
         self.grid.put(i, self.box(i))
         for k in self.nets_of[i]:
@@ -433,6 +443,7 @@ class PlacementStore:
         :func:`move_macro`.  The C store's ``proposals`` makes the same
         draws, returns the same bits and raises where this does, after the
         same draws."""
+        self._check(i)
         center, bounds = self.centers[i], self.bounds[i]
         return [center, *(move_macro(center, bounds, rng) for _ in range(count))]
 
@@ -445,6 +456,7 @@ class PlacementStore:
         :func:`penalty` of ``factor``, plus ``blockage_weight`` times its
         overlap area with each keep-out.  The C store's ``score`` adds the
         same terms in the same order."""
+        self._check(i)
         hx, hy = self.halves[i]
         fp = (x - hx, y - hy, x + hx, y + hy)
         snapped = snap_to_grid(fp, self.area, self.field.p, self.field.q)
@@ -459,6 +471,30 @@ class PlacementStore:
             if ix1 < ix2 and iy1 < iy2:
                 score += self.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
         return score
+
+    def round(self, score: Callable[..., float], state: object, rng: random.Random,
+              count: int, beta: float | None, factor: float, w: float,
+              rho: float) -> int:
+        """One round of the placer: draw a macro ``i`` by ``rng.randrange``,
+        score each of its :meth:`proposals` by ``score(state, i, pos, beta,
+        factor)`` in order, :meth:`move` it to the :data:`first_min` winner,
+        grow the field by ``w`` under each rectangle the move returned and
+        inflate it by ``rho``.  Returns the winner's index, or -1 with nothing
+        moved where a score is not finite.  A non-finite ``w`` or a store
+        without macros raises ``ValueError`` before any draw.  The C store's
+        ``round`` leaves the same bits, but grows the field in C."""
+        if not math.isfinite(w):
+            raise ValueError("increase value must be finite")
+        if not self.centers:
+            raise ValueError("the store has no macros to move")
+        i = rng.randrange(len(self.centers))
+        candidates = self.proposals(i, rng, count)
+        best = first_min([score(state, i, c, beta, factor) for c in candidates])
+        if best >= 0:
+            for rect in self.move(i, *candidates[best]):
+                self.field.increase(rect, w)
+            self.field.inflate(rho)
+        return best
 
     def totals(self) -> tuple[float | int, float | int]:
         """The sum of the net boxes in net order and of the live pairs'
@@ -648,7 +684,8 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     remaining overlap of the moved macro, inflate.  Returns the round's
     statistics row.
 
-    The store draws the candidates (:meth:`PlacementStore.proposals`).  The
+    The round is one :meth:`PlacementStore.round` call on the state's store,
+    which scores by :func:`candidate_score` as this module holds it.  The
     round's schedules give every candidate's net-model sharpness (None from
     ``switch_round`` on) and penalty factor (``penalty_c * delta``).  The
     winner's index is left on ``state.last_choice``.  A ``config`` not equal
@@ -662,27 +699,20 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
         raise ValueError("all configured rounds already executed")
     if not state.macro_order:
         raise ValueError("the state has no macros to move")
-    fld, store, rng = state.field, state.store, state.rng
-    mi = rng.randrange(len(state.macro_order))
-    candidates = store.proposals(mi, rng, config.candidates_per_round)
     delta, beta, w = _schedules(rnd, config)
-    model_beta = None if rnd >= config.switch_round else beta
-    factor = config.penalty_c * delta
-    scores = [candidate_score(state, mi, c, model_beta, factor) for c in candidates]
-    best = first_min(scores)
+    best = state.store.round(
+        candidate_score, state, state.rng, config.candidates_per_round,
+        None if rnd >= config.switch_round else beta, config.penalty_c * delta, w,
+        config.inflation_rho,
+    )
     if best < 0:
         raise ValueError(
             f"round {rnd}: a candidate score is not finite; "
             "lower w0, w_growth, penalty_c or delta0"
         )
-
-    for rect in store.move(mi, *candidates[best]):
-        fld.increase(rect, w)
-    fld.inflate(config.inflation_rho)
-
     state.round = rnd
     state.last_choice = best
-    return RoundStats(rnd, *store.totals(), delta, beta, w)
+    return RoundStats(rnd, *state.store.totals(), delta, beta, w)
 
 
 def run_placer(

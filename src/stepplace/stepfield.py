@@ -24,11 +24,11 @@ cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 ``_fieldcore.c`` there first if the cache holds no build of this exact
 source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
-store, :data:`CPlacementStore`, which is built on a C-core
-:class:`CostField` and draws a round's candidates, scores each and commits
-the winner from what it holds, the round's :data:`c_first_min`, which picks
-that winner, the legalizer's :data:`CFreeSpace`, and :data:`c_repr_line`,
-which writes a line of floats and ints with the bytes of ``repr``.
+store, :data:`CPlacementStore`, built on a C-core :class:`CostField`, whose
+one ``round`` call draws, scores through the placer's hook, commits, grows
+the field in C (no :meth:`CostField.increase` call) and inflates it;
+:data:`c_first_min`; the legalizer's :data:`CFreeSpace`; and
+:data:`c_repr_line`, which writes floats and ints with ``repr``'s bytes.
 """
 
 from __future__ import annotations

@@ -1081,6 +1081,12 @@ def exact(v):
     return v.hex() if isinstance(v, float) else v
 
 
+def coefficients(field):
+    """The bits of every coefficient of ``field`` (times its scale)."""
+    coefficient = field.core.coefficient
+    return [coefficient(fx, fy).hex() for fx in range(field.n) for fy in range(field.m)]
+
+
 def assert_stores_agree(c_store, py_store, count):
     """The C and the Python placement store answer alike, bit for bit."""
     assert [exact(v) for v in c_store.net_lengths()] == [
@@ -1169,26 +1175,13 @@ class TestScoreCandidate:
             py_state = new_state(nl, area, cfg)
         assert isinstance(c_state.store, stepfield.CPlacementStore)
         assert isinstance(py_state.store, placer.PlacementStore)
-        # the rectangles each store's move returned, in the order the round
-        # grew its field under them
-        grown = {"c": [], "py": []}
-
-        def recording(field):
-            def increase(rect, w):
-                grown[field.backend].append(rect)
-                CostField.increase(field, rect, w)
-            return increase
-
-        for state in (c_state, py_state):
-            state.field.increase = recording(state.field)
         assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
         for _ in range(draw(st.integers(0, 10), label="rounds")):
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
-            assert grown["c"] == grown["py"]
-            assert all(type(r) is GridRect for r in grown["c"])
             assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
-            grown["c"].clear()
-            grown["py"].clear()
+            # the C round grows its field in C, under the same rectangles
+            # in the same order as the Python round's increases
+            assert coefficients(c_state.field) == coefficients(py_state.field)
         i = draw(st.integers(0, n_macros - 1))
         macro = nl.by_id[c_state.macro_order[i]]
         args = round_args(cfg, c_state.round + 1)
@@ -1418,6 +1411,24 @@ class TestPlacementStore:
         write_stats_csv(buf, [row])
         assert buf.getvalue().splitlines()[1].startswith("0,0,0,")
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_index_out_of_range_refused_alike(self, backend, i):
+        # both stores refuse an index outside 0 .. count - 1 with one message,
+        # the Python store too, where a list would read -1 from the end
+        nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
+        state = state_on(backend, nl, square_area(), PlacerConfig(max_rounds=1))
+        store, rng = state.store, random.Random(1)
+        before, drawn = placed(state), rng.getstate()
+        for call in (
+            lambda: store.box(i),
+            lambda: store.move(i, 4.0, 4.0),
+            lambda: store.proposals(i, rng, 1),
+            lambda: store.score(i, 4.0, 4.0, None, 1.0),
+        ):
+            with pytest.raises(ValueError, match=f"^macro index {i} out of range for 2 macros$"):
+                call()
+        assert placed(state) == before and rng.getstate() == drawn
+
     @needs_c_score
     def test_many_moves_keep_both_stores_equal(self):
         # a crowded area, so pairs end and enter often and the C store
@@ -1475,9 +1486,9 @@ class TestPlacementStore:
     @needs_c_score
     def test_round_calls_what_the_benchmark_counts(self, monkeypatch):
         # the benchmark's tracer counts these calls; per round on the C core:
-        # candidates + 1 candidate_score, one CostField.increase per snapped
-        # meet of the moved macro, one inflate, and beside them one proposals
-        # call on the store for the candidates
+        # candidates + 1 candidate_score with the moving macro, and one
+        # CostField.inflate.  The field grows inside the C round, with no
+        # CostField.increase call, to the bits of the Python core's
         calls = {}
         moved = []
 
@@ -1494,27 +1505,18 @@ class TestPlacementStore:
 
         nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
         cfg = PlacerConfig(max_rounds=200, grid_p=4, grid_q=4, seed=2)
-        state = new_state(nl, area, cfg)
-        assert state.field.backend == "c"
-        store = state.store
-
-        class Store:
-            """The state's C store, whose methods a test can replace."""
-
-            def __getattr__(self, name):
-                return getattr(store, name)
-
-        state.store = Store()
-        counting(state.store, "proposals")
+        state, twin = (state_on(b, nl, area, cfg) for b in ("c", "py"))
         counting(placer, "candidate_score")
         for name in ("increase", "inflate"):
             counting(CostField, name)
         grown = 0
         for _ in range(cfg.max_rounds):
+            round_step(twin, cfg)
             calls.clear()
             moved.clear()
             state.last_choice = None
             round_step(state, cfg)
+            assert coefficients(state.field) == coefficients(twin.field)
             assert moved == [moved[0]] * (cfg.candidates_per_round + 1)
             macro = nl.by_id[state.macro_order[moved[0]]]
             box = footprint_box(macro, state.placement[macro.id])
@@ -1525,16 +1527,204 @@ class TestPlacementStore:
                 if m is not macro
                 and overlaps(box, footprint_box(m, state.placement[m.id]))
             ]
-            want = sum(r is not None for r in meets)
-            assert calls == {
-                "candidate_score": cfg.candidates_per_round + 1,
-                "proposals": 1,
-                "inflate": 1,
-                **({"increase": want} if want else {}),
-            }
+            assert calls == {"candidate_score": cfg.candidates_per_round + 1, "inflate": 1}
             assert state.last_choice is not None
-            grown += want
+            grown += sum(r is not None for r in meets)
         assert grown > 0
+
+
+def logged_round(state, log, count, beta, factor, w, rho):
+    """One ``round`` on the state's store, with a score hook that appends
+    each call's ``(i, pos, beta, factor)`` to ``log`` and then scores as
+    ``candidate_score`` does."""
+
+    def hook(st, i, pos, b, f):
+        log.append((i, hexes(pos), exact(b), exact(f)))
+        return candidate_score(st, i, pos, b, f)
+
+    return state.store.round(hook, state, state.rng, count, beta, factor, w, rho)
+
+
+def placed(state):
+    """The bits of what a round may change but the rng: the centers, the
+    field's coefficients and the totals."""
+    return ([hexes(c) for c in state.store.centers], coefficients(state.field),
+            [exact(v) for v in state.store.totals()])
+
+
+def drawn_by_round(state, count):
+    """The rng state a round leaves after its draws: the macro's, then four
+    per proposal."""
+    rng = random.Random()
+    rng.setstate(state.rng.getstate())
+    rng.randrange(len(state.macro_order))
+    for _ in range(4 * count):
+        rng.random()
+    return rng.getstate()
+
+
+class TestStoreRound:
+    """A whole round in one call on the store: the C store's ``round``
+    against the Python store's, its reference."""
+
+    @needs_c_score
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_c_round_equals_python_reference(self, data):
+        draw = data.draw
+        n_macros = draw(st.integers(2, 12), label="macros")
+        nl, area = generate_instance(GenSpec(
+            macros=n_macros,
+            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+            utilization=draw(st.sampled_from([0.3, 0.5, 0.8]), label="utilization"),
+            seed=draw(st.integers(0, 10**6), label="instance"),
+        ))
+        w, h = area.width, area.height
+        blockages = []
+        for _ in range(draw(st.integers(0, 3), label="blockages")):
+            x1, y1 = draw(st.floats(0, 0.8)), draw(st.floats(0, 0.8))
+            x2, y2 = x1 + draw(st.floats(0.05, 0.2)), y1 + draw(st.floats(0.05, 0.2))
+            blockages.append(Rect(x1 * w, y1 * h, x2 * w, y2 * h))
+        area = PlacementArea(w, h, tuple(blockages))
+        cfg = PlacerConfig(
+            max_rounds=1, grid_p=draw(st.integers(0, 5)), grid_q=draw(st.integers(0, 5)),
+            seed=draw(st.integers(0, 99)),
+            blockage_weight=draw(st.sampled_from([0.0, 1.0, 100.0])),
+        )
+        c_state, py_state = (state_on(b, nl, area, cfg) for b in ("c", "py"))
+        for _ in range(draw(st.integers(1, 12), label="rounds")):
+            args = (
+                draw(st.integers(0, 9), label="count"),
+                draw(st.one_of(st.none(), st.floats(1.0, 1e3)), label="beta"),
+                draw(st.floats(0.0, 1e3), label="factor"),
+                draw(st.floats(0.0, 1e3), label="w"),
+                draw(st.sampled_from([1.0, 0.995, 0.5, 0.01]), label="rho"),
+            )
+            logs = [], []
+            got = [logged_round(s, log, *args) for s, log in zip((c_state, py_state), logs)]
+            assert got[0] == got[1] >= 0
+            assert logs[0] == logs[1] and len(logs[0]) == args[0] + 1
+            assert len({i for i, *_ in logs[0]}) == 1
+            assert c_state.rng.getstate() == py_state.rng.getstate()
+            assert placed(c_state) == placed(py_state)
+
+    def test_macro_drawn_through_getrandbits(self, backend):
+        # the macro is drawn as randrange draws it: getrandbits(3) for 5
+        # macros, looked up on the rng, until a draw is below 5
+        class Logged(random.Random):
+            def getrandbits(self, k):
+                bits = super().getrandbits(k)
+                log.append((k, bits))
+                return bits
+
+        log = []
+        nl, area = tiny_instance(2, n_macros=5)
+        state = state_on(backend, nl, area, PlacerConfig(max_rounds=1, seed=1))
+        state.rng = Logged(4)
+        want = random.Random(4)
+        for _ in range(30):
+            log.clear()
+            i, seen = want.randrange(5), []
+            state.store.round(lambda st, j, *args: seen.append(j) or 0.0, state,
+                              state.rng, 0, None, 1.0, 1.0, 1.0)
+            assert seen == [i] and [k for k, _ in log] == [3] * len(log)
+            assert [b for _, b in log][-1] == i and all(b >= 5 for _, b in log[:-1])
+        assert state.rng.getstate() == want.getstate()
+
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_non_finite_score_moves_and_grows_nothing(self, backend, k):
+        # the hook's k-th score is not finite: -1, after every draw, with
+        # nothing moved, grown or inflated
+        nl, area = tiny_instance(4)
+        area = PlacementArea(area.width, area.height, (Rect(0.0, 0.0, 3.0, 3.0),))
+        cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=1)
+        state = state_on(backend, nl, area, cfg)
+        for _ in range(10):
+            round_step(state, cfg)
+        for bad in (math.inf, -math.inf, math.nan):
+            calls = []
+
+            def hook(st, i, pos, beta, factor):
+                calls.append(i)
+                return bad if len(calls) == k + 1 else candidate_score(
+                    st, i, pos, beta, factor)
+
+            inflates = []
+            state.field.inflate = inflates.append
+            before, drawn = placed(state), drawn_by_round(state, 8)
+            assert state.store.round(hook, state, state.rng, 8, None, 1.0, 2.0, 0.5) == -1
+            assert len(calls) == 9 and inflates == []
+            assert placed(state) == before and state.rng.getstate() == drawn
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_raising_hook_propagates_with_nothing_moved(self, backend, k):
+        nl, area = tiny_instance(4)
+        cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=1)
+        state = state_on(backend, nl, area, cfg)
+        for _ in range(10):
+            round_step(state, cfg)
+        calls = []
+
+        def hook(*args):
+            calls.append(args)
+            if len(calls) == k + 1:
+                raise RuntimeError("hook failed")
+            return candidate_score(*args)
+
+        before, drawn = placed(state), drawn_by_round(state, 8)
+        with pytest.raises(RuntimeError, match="hook failed"):
+            state.store.round(hook, state, state.rng, 8, 2.0, 1.0, 2.0, 0.5)
+        assert len(calls) == k + 1
+        assert placed(state) == before and state.rng.getstate() == drawn
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_non_finite_w_refused_before_any_draw(self, backend, w):
+        nl, area = tiny_instance(4)
+        state = state_on(backend, nl, area, PlacerConfig(max_rounds=1, seed=1))
+        before, drawn = placed(state), state.rng.getstate()
+        with pytest.raises(ValueError, match="^increase value must be finite$"):
+            state.store.round(candidate_score, state, state.rng, 8, None, 1.0, w, 0.5)
+        assert placed(state) == before and state.rng.getstate() == drawn
+
+    def test_empty_store_refused_before_any_draw(self, backend):
+        state = state_on(backend, Netlist([], []), PlacementArea(10.0, 10.0),
+                         PlacerConfig(max_rounds=1, seed=1))
+        drawn = state.rng.getstate()
+        # w is checked first, as on a store with macros
+        for w, match in ((1.0, "the store has no macros to move"),
+                         (math.nan, "increase value must be finite")):
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                state.store.round(candidate_score, state, state.rng, 8, None, 1.0, w, 0.5)
+        assert state.rng.getstate() == drawn
+
+    def test_round_step_is_one_store_round(self, monkeypatch, backend):
+        # round_step hands the store candidate_score as this module holds
+        # it at the call, the state, its rng and the round's schedules
+        nl, area = tiny_instance(5)
+        cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=3)
+        state = state_on(backend, nl, area, cfg)
+        hook = mock.Mock(side_effect=candidate_score)
+        monkeypatch.setattr(placer, "candidate_score", hook)
+        store = state.store
+        rounds = []
+
+        class Store:
+            """The state's store, recording each round call."""
+
+            def __getattr__(self, name):
+                return getattr(store, name)
+
+            def round(self, *args):
+                rounds.append(args)
+                return store.round(*args)
+
+        state.store = Store()
+        row = round_step(state, cfg)
+        ((score, st_, rng, count, beta, factor, w, rho),) = rounds
+        assert score is hook and st_ is state and rng is state.rng
+        assert (count, beta, factor, w, rho) == (
+            8, row.beta, cfg.penalty_c * row.delta, row.w, cfg.inflation_rho)
+        assert hook.call_count == 9
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):
@@ -1872,8 +2062,8 @@ class TestBackendsAndSwitch:
         # each holds the field its state reads and the centers (the Python
         # store as attributes, the C store as properties)
         methods = [n for n in dir(placer.PlacementStore) if not n.startswith("_")]
-        assert methods == ["box", "move", "net_lengths", "pairs", "proposals", "score",
-                           "totals"]
+        assert methods == ["box", "move", "net_lengths", "pairs", "proposals", "round",
+                           "score", "totals"]
         if stepfield.CPlacementStore is not None:
             assert [n for n in dir(stepfield.CPlacementStore) if not n.startswith("_")] == (
                 sorted(methods + ["centers", "field"])
