@@ -28,10 +28,9 @@
  * term).  A whole round of the placer is one call of its round method: it
  * draws the macro as rng.randrange does and the candidates as proposals does,
  * from the macro's center and bounds, calls the placer's scoring hook once
- * per candidate, picks the winner with the body of the module function
- * first_min, commits the move as move does, grows the field under each
- * snapped meet with the field core's increase body, and calls the field's
- * inflate once.
+ * per candidate, picks the winner as stepplace.placer.first_min does,
+ * commits the move as move does, grows the field under each snapped meet
+ * with the field core's increase body, and calls the field's inflate once.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
@@ -1275,7 +1274,7 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 /* The rng methods a proposal and a round's macro draw from, the 0.5 a coin
  * compares with, and the field method a round calls, made once at module
  * init. */
-static PyObject *str_random, *str_getrandbits, *one_half, *str_inflate;
+static PyObject *str_random, *str_getrandbits, *str_randrange, *one_half, *str_inflate;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1404,7 +1403,7 @@ PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t na
     return i < 0 ? NULL : store_proposals(s, i, args[1], args[2]);
 }
 
-/* stepplace.placer.py_first_min over the n scores v: the index of the
+/* stepplace.placer.first_min over the n scores v: the index of the
  * first smallest score, -1 where a score is not finite (each read as
  * math.isfinite reads it, in order), compared as min compares them; -2 with
  * an exception set. */
@@ -1435,28 +1434,54 @@ pick_first_min(PyObject **v, Py_ssize_t n)
     return best;
 }
 
-/* rng.randrange(n), n >= 1, as Python 3.10-3.12 draws it: getrandbits(k),
- * k the bit length of n, called through rng until it is below n.  -1 with an
- * exception set, a negative draw refused as proposals refuses that index. */
+/* 1 where rng.randrange(n) is Random.randrange's own draw, made here as
+ * Python 3.10-3.13 makes it: rng is a random.Random itself, not a subclass,
+ * which may draw through another generator, and the interpreter is no later
+ * one.  0 otherwise, -1 with an exception set. */
+static int
+draws_by_getrandbits(PyObject *rng)
+{
+#if PY_VERSION_HEX < 0x030E0000
+    static PyObject *random_type; /* random.Random, looked up once */
+    if (random_type == NULL) {
+        PyObject *mod = PyImport_ImportModule("random");
+        random_type = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
+        Py_XDECREF(mod);
+        if (random_type == NULL)
+            return -1;
+    }
+    return (PyObject *)Py_TYPE(rng) == random_type;
+#else
+    return 0;
+#endif
+}
+
+/* rng.randrange(n), n >= 1: where draws_by_getrandbits, getrandbits(k), k
+ * the bit length of n, called through rng until it is below n; else
+ * rng.randrange(n) itself.  -1 with an exception set, a draw outside
+ * 0 .. n - 1 refused as proposals refuses that index. */
 static Py_ssize_t
 draw_index(PyObject *rng, Py_ssize_t n)
 {
-    int bits = 0;
+    int own = draws_by_getrandbits(rng), bits = 0;
+    if (own < 0)
+        return -1;
     for (Py_ssize_t v = n; v; v >>= 1)
         bits++;
-    PyObject *k = PyLong_FromLong(bits);
-    if (k == NULL)
+    PyObject *arg = own ? PyLong_FromLong(bits) : PyLong_FromSsize_t(n);
+    if (arg == NULL)
         return -1;
     Py_ssize_t r;
     do {
-        PyObject *draw = PyObject_CallMethodOneArg(rng, str_getrandbits, k);
-        r = draw ? PyNumber_AsSsize_t(draw, PyExc_OverflowError) : -1;
+        PyObject *draw = PyObject_CallMethodOneArg(rng, own ? str_getrandbits : str_randrange,
+                                                   arg);
+        r = draw ? PyNumber_AsSsize_t(draw, NULL) : -1;
         Py_XDECREF(draw);
-    } while (r >= n);
-    Py_DECREF(k);
-    if (r < 0 && !PyErr_Occurred())
+    } while (own && r >= n);
+    Py_DECREF(arg);
+    if ((r < 0 || r >= n) && !PyErr_Occurred())
         PyErr_Format(PyExc_ValueError, "macro index %zd out of range for %zd macros", r, n);
-    return r < 0 ? -1 : r;
+    return r < 0 || r >= n ? -1 : r;
 }
 
 /* stepplace.placer.PlacementStore.round: one round of the placer.  Draws
@@ -1575,7 +1600,8 @@ static PyMethodDef PlacementStore_methods[] = {
     {"round", (PyCFunction)(void (*)(void))PlacementStore_round, METH_FASTCALL,
      "round(score, state, rng, count, beta, factor, w, rho) -> int\n\n"
      "One round of the placer: draw a macro i as rng.randrange(macros) does\n"
-     "(getrandbits with rejection, through rng), its proposals(i, rng, count),\n"
+     "(for a random.Random itself, getrandbits with rejection, through rng;\n"
+     "for any other rng, its randrange), its proposals(i, rng, count),\n"
      "call score(state, i, pos, beta, factor) once per candidate in order,\n"
      "and move i to the first smallest score; grow the field by w under each\n"
      "snapped meet of the move, in index order, and call the field's\n"
@@ -1624,17 +1650,6 @@ static PyTypeObject PlacementStoreType = {
     .tp_methods = PlacementStore_methods,
     .tp_getset = PlacementStore_getset,
 };
-
-static PyObject *
-first_min(PyObject *module, PyObject *scores)
-{
-    PyObject *seq = PySequence_Fast(scores, "scores must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t best = pick_first_min(PySequence_Fast_ITEMS(seq), PySequence_Fast_GET_SIZE(seq));
-    Py_DECREF(seq);
-    return best < -1 ? NULL : PyLong_FromSsize_t(best);
-}
 
 /* repr_line: sep.join(map(repr, values)) + "\n" for floats and ints, the
  * line every file writer of stepplace.io_cli writes (its Python reference
@@ -2262,10 +2277,6 @@ static PyTypeObject FreeSpaceType = {
 };
 
 static PyMethodDef fieldcore_functions[] = {
-    {"first_min", (PyCFunction)first_min, METH_O,
-     "first_min(scores) -> int\n\n"
-     "The index of the first smallest score, or -1 where a score is not\n"
-     "finite; see stepplace.placer.py_first_min."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
@@ -2290,10 +2301,12 @@ PyInit__fieldcore(void)
         && ((str_random = PyUnicode_InternFromString("random")) == NULL
             || (one_half = PyFloat_FromDouble(0.5)) == NULL
             || (str_getrandbits = PyUnicode_InternFromString("getrandbits")) == NULL
+            || (str_randrange = PyUnicode_InternFromString("randrange")) == NULL
             || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL)) {
         Py_CLEAR(str_random);
         Py_CLEAR(one_half);
         Py_CLEAR(str_getrandbits);
+        Py_CLEAR(str_randrange);
         return NULL;
     }
     PyObject *mod = PyModule_Create(&fieldcoremodule);

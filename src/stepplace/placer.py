@@ -78,7 +78,6 @@ from stepplace.stepfield import (
     CFreeSpace,
     CPlacementStore,
     GridRect,
-    c_first_min,
     ordered_sum,
 )
 
@@ -477,12 +476,15 @@ class PlacementStore:
               rho: float) -> int:
         """One round of the placer: draw a macro ``i`` by ``rng.randrange``,
         score each of its :meth:`proposals` by ``score(state, i, pos, beta,
-        factor)`` in order, :meth:`move` it to the :data:`first_min` winner,
+        factor)`` in order, :meth:`move` it to the :func:`first_min` winner,
         grow the field by ``w`` under each rectangle the move returned and
         inflate it by ``rho``.  Returns the winner's index, or -1 with nothing
         moved where a score is not finite.  A non-finite ``w`` or a store
         without macros raises ``ValueError`` before any draw.  The C store's
-        ``round`` leaves the same bits, but grows the field in C."""
+        ``round`` leaves the same bits, but grows the field in C; for an
+        ``rng`` that is a :class:`random.Random` itself it draws the macro
+        as ``randrange`` does on Python 3.10–3.13, through ``getrandbits``,
+        and any other ``rng`` it asks for ``randrange``."""
         if not math.isfinite(w):
             raise ValueError("increase value must be finite")
         if not self.centers:
@@ -552,19 +554,14 @@ def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
     )
 
 
-def py_first_min(scores: Sequence[float]) -> int:
+def first_min(scores: Sequence[float]) -> int:
     """The index of the first smallest score (ties to the lowest index), or
-    -1 where a score is not finite.
-
-    :func:`first_min` is the C core's twin of this function where the C core
-    loaded, which returns the same index; else it is this function.
+    -1 where a score is not finite.  The C store's ``round`` picks its
+    winner as this does.
     """
     if not all(map(math.isfinite, scores)):
         return -1
     return scores.index(min(scores))
-
-
-first_min = py_first_min if c_first_min is None else c_first_min
 
 
 def penalty(factor: float, box: Box, grid: BucketGrid, key) -> float:

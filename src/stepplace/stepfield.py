@@ -26,9 +26,9 @@ source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
 store, :data:`CPlacementStore`, built on a C-core :class:`CostField`, whose
 one ``round`` call draws, scores through the placer's hook, commits, grows
-the field in C (no :meth:`CostField.increase` call) and inflates it;
-:data:`c_first_min`; the legalizer's :data:`CFreeSpace`; and
-:data:`c_repr_line`, which writes floats and ints with ``repr``'s bytes.
+the field in C (no :meth:`CostField.increase` call) and inflates it; the
+legalizer's :data:`CFreeSpace`; and :data:`c_repr_line`, which writes floats
+and ints with ``repr``'s bytes.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
 
 _c_module = _load_c_core(_user_cache_dir())
 _CFieldCore = getattr(_c_module, "FieldCore", None)
-
-#: The C core's ``first_min``, which returns
-#: :func:`stepplace.placer.py_first_min`'s index, or None without the C core.
-c_first_min = getattr(_c_module, "first_min", None)
 
 #: The C core's ``repr_line``, which returns
 #: :func:`stepplace.io_cli.py_repr_line`'s string for floats and ints, byte

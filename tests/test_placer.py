@@ -539,9 +539,6 @@ class TestMoveMacro:
             assert b.y_min <= pos[1] <= b.y_max
 
 
-needs_c_round = pytest.mark.skipif(stepfield.c_first_min is None, reason="C core not built")
-
-
 def both_batches(pos, bounds, make_rng, count):
     """The C and the Python store's ``proposals`` for a macro centered at
     ``pos`` with ``bounds``, as :func:`after_draws` gives each, its
@@ -646,8 +643,8 @@ class TestProposals:
 
     def test_round_calls_are_the_c_twins_where_the_core_loaded(self):
         # a round draws from its state's store, the C core's where it
-        # loaded, and picks its winner by the C core's first_min
-        assert placer.first_min is (stepfield.c_first_min or placer.py_first_min)
+        # loaded, and the C store picks its winner itself
+        assert not hasattr(stepfield, "c_first_min") and not hasattr(placer, "py_first_min")
         nl, area = tiny_instance(2)
         state = new_state(nl, area, PlacerConfig(max_rounds=1))
         assert type(state.store) is (stepfield.CPlacementStore or placer.PlacementStore)
@@ -672,12 +669,23 @@ SCORES = st.one_of(
 )
 
 
-class TestFirstMin:
-    """The winner of a round: the C core's ``first_min`` against its
-    reference ``py_first_min``."""
+def picked_by_round(backend, scores):
+    """The index a ``round`` on a two-macro store of ``backend`` returns
+    where its hook scores the center and ``len(scores) - 1`` proposals with
+    ``scores``, in order."""
+    nl, area = tiny_instance(1, n_macros=2)
+    state = state_on(backend, nl, area, PlacerConfig(max_rounds=1, seed=1))
+    hook = iter(scores).__next__
+    return state.store.round(lambda *args: hook(), state, state.rng, len(scores) - 1,
+                             None, 1.0, 1.0, 1.0)
 
-    @needs_c_round
-    @settings(max_examples=500, deadline=None)
+
+class TestFirstMin:
+    """The winner of a round: ``first_min``, and the C store's ``round``,
+    which picks as it does, against it."""
+
+    @needs_c_move
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(SCORES, min_size=1, max_size=10))
     @example([0.0, -0.0])
     @example([-0.0, 0.0, -0.0])
@@ -686,8 +694,8 @@ class TestFirstMin:
     @example([1.0, math.nan, -1.0])
     @example([-math.inf, 0.0])
     def test_c_twin_picks_the_same_index(self, scores):
-        assert stepfield.c_first_min(scores) == placer.py_first_min(scores)
-        assert stepfield.c_first_min(tuple(scores)) == placer.py_first_min(scores)
+        want = placer.first_min(scores)
+        assert picked_by_round("c", scores) == want == picked_by_round("py", scores)
 
     def test_first_smallest_or_minus_one(self):
         assert placer.first_min([2.0, 1.0, 1.0, 3.0]) == 1
@@ -696,7 +704,7 @@ class TestFirstMin:
         assert placer.first_min([1.0, math.inf, -1.0]) == -1
         assert placer.first_min([math.nan]) == -1
 
-    @needs_c_round
+    @needs_c_move
     @pytest.mark.parametrize("scores, error", [
         ([], ValueError),
         ([1.0, "s"], TypeError),
@@ -704,11 +712,15 @@ class TestFirstMin:
         (None, TypeError),
     ])
     def test_c_twin_raises_as_the_reference(self, scores, error):
-        for fn in (placer.py_first_min, stepfield.c_first_min):
+        with pytest.raises(error):
+            placer.first_min(scores)
+        # a round scores its center and then count >= 0 proposals, so it
+        # never picks from no scores, nor from what is no sequence
+        for backend in ("c", "py") if scores else ():
             with pytest.raises(error):
-                fn(scores)
+                picked_by_round(backend, scores)
         # a non-finite score before a bad one decides first
-        assert stepfield.c_first_min([math.nan, "s"]) == -1 == placer.py_first_min(
+        assert picked_by_round("c", [math.nan, "s"]) == -1 == placer.first_min(
             [math.nan, "s"])
 
 
@@ -1442,7 +1454,8 @@ class TestPlacementStore:
             i = rng.randrange(len(ids))
             b = compute_bounds(nl.by_id[ids[i]], area)
             x, y = rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max)
-            assert c.move(i, x, y) == py.move(i, x, y)
+            rects = c.move(i, x, y)
+            assert all(type(r) is GridRect for r in rects) and rects == py.move(i, x, y)
             assert_stores_agree(c, py, len(ids))
 
     @needs_c_score
@@ -1630,6 +1643,33 @@ class TestStoreRound:
             assert seen == [i] and [k for k, _ in log] == [3] * len(log)
             assert [b for _, b in log][-1] == i and all(b >= 5 for _, b in log[:-1])
         assert state.rng.getstate() == want.getstate()
+
+    @needs_c_score
+    def test_rng_of_its_own_draws_the_macro_by_its_randrange(self):
+        # a Random subclass that overrides random() alone draws randrange
+        # from random(), not from getrandbits; the C round asks such an rng
+        # for randrange, so both stores draw the same macros from its own
+        # generator and leave the base generator's state alone
+        class Golden(random.Random):
+            k = 0
+
+            def random(self):
+                self.k += 1
+                return self.k * 0.6180339887498949 % 1.0
+
+        nl, area = tiny_instance(2, n_macros=5)
+        states = [state_on(b, nl, area, PlacerConfig(max_rounds=1, seed=1))
+                  for b in ("c", "py")]
+        for state in states:
+            state.rng = Golden(4)
+        untouched = random.Random(4).getstate()
+        for _ in range(20):
+            logs = [], []
+            got = [logged_round(s, log, 3, None, 1.0, 1.0, 0.5) for s, log in zip(states, logs)]
+            assert got[0] == got[1] >= 0 and logs[0] == logs[1]
+            assert states[0].rng.k == states[1].rng.k
+            assert all(s.rng.getstate() == untouched for s in states)
+            assert placed(states[0]) == placed(states[1])
 
     @pytest.mark.parametrize("k", [0, 3, 8])
     def test_non_finite_score_moves_and_grows_nothing(self, backend, k):
