@@ -31,6 +31,13 @@
  * per candidate, picks the winner as stepplace.placer.first_min does,
  * commits the move as move does, grows the field under each snapped meet
  * with the field core's increase body, and calls the field's inflate once.
+ * That hook is the module function candidate_score where the core loaded:
+ * it reads state.store and runs the score body on a C store with no Python
+ * frame between.  The kernel under it decides by arithmetic where it can,
+ * not by branches: a level of axis_components writes both of its possible
+ * components and counts the nonzero ones, index_hits stores each key it
+ * tests and counts the ones that meet, and field_cost sums four rows at a
+ * time, each in column order, joining the total in row order.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
@@ -81,7 +88,11 @@ typedef struct {
 /* Nonzero 1D components of the indicator of cells [s, t) (0-based).
  * Writes flat axis ids, their inner products, and the reciprocal of each
  * element's squared norm (a power of two, so division by it is exact);
- * returns the count.  The all-ones component is always last. */
+ * returns the count.  The all-ones component is always last.  Each level
+ * writes both of its possible components, the block holding s and the one
+ * holding t, and keeps each one whose inner product is not zero, without a
+ * branch: for s = 0 the first is the empty block before the axis, and where
+ * both are one block the second is zero. */
 static int
 axis_components(Py_ssize_t s, Py_ssize_t t, int p, Py_ssize_t n,
                 Py_ssize_t *ids, double *stars, double *inv_norms)
@@ -92,34 +103,26 @@ axis_components(Py_ssize_t s, Py_ssize_t t, int p, Py_ssize_t n,
         double inv = 1.0 / (double)span2;
         Py_ssize_t base = n - (n >> a);
         /* ceil(s / span2) and ceil(t / span2): s, t >= 0, so a shift */
-        Py_ssize_t ks = s > 0 ? (s + span2 - 1) >> (a + 1) : 0;
+        Py_ssize_t ks = (s + span2 - 1) >> (a + 1);
         Py_ssize_t kt = (t + span2 - 1) >> (a + 1);
-        if (ks) {
-            Py_ssize_t lo = (2 * ks - 2) << a;
-            Py_ssize_t hi = (2 * ks) << a;
-            Py_ssize_t d1 = s - lo, d2 = hi - s;
-            Py_ssize_t v = -(d1 < d2 ? d1 : d2);
-            if (kt == ks) {
-                Py_ssize_t e1 = t - lo, e2 = hi - t;
-                v += (e1 < e2 ? e1 : e2);
-            }
-            if (v) {
-                ids[cnt] = base + ks - 1;
-                inv_norms[cnt] = inv;
-                stars[cnt++] = (double)v;
-            }
-        }
-        if (kt != ks) {
-            Py_ssize_t lo = (2 * kt - 2) << a;
-            Py_ssize_t hi = (2 * kt) << a;
-            Py_ssize_t e1 = t - lo, e2 = hi - t;
-            Py_ssize_t v = e1 < e2 ? e1 : e2;
-            if (v) {
-                ids[cnt] = base + kt - 1;
-                inv_norms[cnt] = inv;
-                stars[cnt++] = (double)v;
-            }
-        }
+        /* block k spans [(k - 1) * span2, k * span2), its +1 half first;
+         * the inner product with [s, ...) is -min(s - lo, hi - s) */
+        Py_ssize_t lo = (ks - 1) * span2, hi = ks * span2;
+        Py_ssize_t d1 = s - lo, d2 = hi - s, e1 = t - lo, e2 = hi - t;
+        Py_ssize_t v = (kt == ks) * (e1 < e2 ? e1 : e2) - (d1 < d2 ? d1 : d2);
+        ids[cnt] = base + ks - 1;
+        inv_norms[cnt] = inv;
+        stars[cnt] = (double)v;
+        cnt += v != 0;
+        lo = (kt - 1) * span2;
+        hi = kt * span2;
+        e1 = t - lo;
+        e2 = hi - t;
+        v = (kt != ks) * (e1 < e2 ? e1 : e2);
+        ids[cnt] = base + kt - 1;
+        inv_norms[cnt] = inv;
+        stars[cnt] = (double)v;
+        cnt += v != 0;
     }
     ids[cnt] = n - 1;
     inv_norms[cnt] = 1.0 / (double)n;
@@ -206,14 +209,34 @@ field_cost(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_ssiz
     int kx = axis_components(a1, a2, self->p, self->n, ix, sx, nx);
     int ky = axis_components(b1, b2, self->q, self->m, iy, sy, ny);
 
-    double *C = self->coef;
+    /* four rows at a time, each summing its columns in order, and joining
+     * the total in row order */
+    const double *C = self->coef;
     Py_ssize_t m = self->m;
     double tot = 0.0;
-    for (int i = 0; i < kx; i++) {
-        Py_ssize_t row = ix[i] * m;
+    int i = 0;
+    for (; i + 4 <= kx; i += 4) {
+        const double *r0 = C + ix[i] * m, *r1 = C + ix[i + 1] * m;
+        const double *r2 = C + ix[i + 2] * m, *r3 = C + ix[i + 3] * m;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int j = 0; j < ky; j++) {
+            Py_ssize_t col = iy[j];
+            double w = sy[j];
+            s0 += r0[col] * w;
+            s1 += r1[col] * w;
+            s2 += r2[col] * w;
+            s3 += r3[col] * w;
+        }
+        tot += s0 * sx[i];
+        tot += s1 * sx[i + 1];
+        tot += s2 * sx[i + 2];
+        tot += s3 * sx[i + 3];
+    }
+    for (; i < kx; i++) {
+        const double *row = C + ix[i] * m;
         double sub = 0.0;
         for (int j = 0; j < ky; j++)
-            sub += C[row + iy[j]] * sy[j];
+            sub += row[iy[j]] * sy[j];
         tot += sub * sx[i];
     }
     self->last_touched = (Py_ssize_t)kx * ky;
@@ -453,7 +476,7 @@ py_min(double a, double b)
 static inline int
 boxes_meet(const double *a, const double *b)
 {
-    return py_max(a[0], b[0]) < py_min(a[2], b[2]) && py_max(a[1], b[1]) < py_min(a[3], b[3]);
+    return (py_max(a[0], b[0]) < py_min(a[2], b[2])) & (py_max(a[1], b[1]) < py_min(a[3], b[3]));
 }
 
 /* Keys in no particular order: one cell's, or the slots of one macro's pairs. */
@@ -521,9 +544,10 @@ index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
                 if (idx->mark[k] == q || k == skip)
                     continue;
                 idx->mark[k] = q;
-                const double *f = idx->boxes + 4 * k;
-                if (boxes_meet(query, f))
-                    idx->found[n++] = k;
+                /* stored, then kept by the meet test; fewer than count keys
+                 * come before it, so the slot is in the array */
+                idx->found[n] = k;
+                n += boxes_meet(query, idx->boxes + 4 * k);
             }
         }
     }
@@ -1203,18 +1227,15 @@ PlacementStore_pairs(PlacementStore *self, PyObject *unused)
     return out;
 }
 
-/* stepplace.placer.PlacementStore.score, term for term in its order: the
- * field sum under macro i's footprint at (x, y) snapped to the field's grid,
- * the lengths of i's nets in net order with its pin at (x, y), the overlap
- * penalty against every other footprint, in index order, and the weighted
- * keep-out overlap areas. */
+/* stepplace.placer.PlacementStore.score of the 5 args (i, x, y, beta,
+ * factor), term for term in its order: the field sum under macro i's
+ * footprint at (x, y) snapped to the field's grid, the lengths of i's nets
+ * in net order with its pin at (x, y), the overlap penalty against every
+ * other footprint, in index order, and the weighted keep-out overlap
+ * areas. */
 static PyObject *
-PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+store_score(PlacementStore *s, PyObject *const *args)
 {
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "score expected 5 arguments, got %zd", nargs);
-        return NULL;
-    }
     Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros");
     if (i < 0)
         return NULL;
@@ -1271,10 +1292,21 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(score);
 }
 
+static PyObject *
+PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "score expected 5 arguments, got %zd", nargs);
+        return NULL;
+    }
+    return store_score(s, args);
+}
+
 /* The rng methods a proposal and a round's macro draw from, the 0.5 a coin
  * compares with, and the field method a round calls, made once at module
  * init. */
-static PyObject *str_random, *str_getrandbits, *str_randrange, *one_half, *str_inflate;
+static PyObject *str_random, *str_getrandbits, *str_randrange, *one_half, *str_inflate,
+    *str_store, *str_score;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -2276,7 +2308,49 @@ static PyTypeObject FreeSpaceType = {
     .tp_methods = FreeSpace_methods,
 };
 
+/* stepplace.placer.py_candidate_score(state, i, pos, beta, factor), the
+ * placer's scoring hook: state.store.score(i, x, y, beta, factor) for
+ * x, y = pos.  For a pos that is a 2-tuple it reads state.store and, on a C
+ * store, runs the store's score body with no call between; any other store
+ * gets its score method called.  Any other call is handed to the Python
+ * function itself, so it returns, or raises, what that returns or raises. */
+static PyObject *
+candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
+                PyObject *kwnames)
+{
+    PyObject *pos = nargs == 5 ? args[2] : NULL;
+    if (kwnames == NULL && pos != NULL && PyTuple_CheckExact(pos)
+        && PyTuple_GET_SIZE(pos) == 2) {
+        PyObject *store = PyObject_GetAttr(args[0], str_store), *out;
+        if (store == NULL)
+            return NULL;
+        PyObject *argv[6] = {store, args[1], PyTuple_GET_ITEM(pos, 0),
+                             PyTuple_GET_ITEM(pos, 1), args[3], args[4]};
+        out = Py_IS_TYPE(store, &PlacementStoreType)
+            ? store_score((PlacementStore *)store, argv + 1)
+            : PyObject_VectorcallMethod(str_score, argv, 6, NULL);
+        Py_DECREF(store);
+        return out;
+    }
+    static PyObject *reference; /* placer.py_candidate_score, looked up once */
+    if (reference == NULL) {
+        PyObject *mod = PyImport_ImportModule("stepplace.placer");
+        reference = mod ? PyObject_GetAttrString(mod, "py_candidate_score") : NULL;
+        Py_XDECREF(mod);
+        if (reference == NULL)
+            return NULL;
+    }
+    return PyObject_Vectorcall(reference, args, nargs, kwnames);
+}
+
 static PyMethodDef fieldcore_functions[] = {
+    {"candidate_score", (PyCFunction)(void (*)(void))candidate_score,
+     METH_FASTCALL | METH_KEYWORDS,
+     "candidate_score(state, i, pos, beta, factor) -> float\n\n"
+     "state.store.score(i, x, y, beta, factor) for x, y = pos: the placer's\n"
+     "scoring hook, which runs a C store's score body with no Python frame.\n"
+     "stepplace.placer.py_candidate_score is its reference; any call but one\n"
+     "with a 2-tuple pos is handed to it."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
@@ -2302,11 +2376,15 @@ PyInit__fieldcore(void)
             || (one_half = PyFloat_FromDouble(0.5)) == NULL
             || (str_getrandbits = PyUnicode_InternFromString("getrandbits")) == NULL
             || (str_randrange = PyUnicode_InternFromString("randrange")) == NULL
-            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL)) {
+            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL
+            || (str_store = PyUnicode_InternFromString("store")) == NULL
+            || (str_score = PyUnicode_InternFromString("score")) == NULL)) {
         Py_CLEAR(str_random);
         Py_CLEAR(one_half);
         Py_CLEAR(str_getrandbits);
         Py_CLEAR(str_randrange);
+        Py_CLEAR(str_inflate);
+        Py_CLEAR(str_store);
         return NULL;
     }
     PyObject *mod = PyModule_Create(&fieldcoremodule);

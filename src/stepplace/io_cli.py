@@ -71,6 +71,7 @@ from stepplace.placer import (
 from stepplace.stepfield import c_repr_line, ordered_sum
 
 OUT_DIR_ENV = "STEPPLACE_OUT_DIR"
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(PlacerConfig))
 
 
 def py_repr_line(values: Sequence[float | int], sep: str) -> str:
@@ -361,7 +362,12 @@ def _parse_result(lines: Iterable[str]) -> ResultData:
             continue
         toks = line.split()
         if toks[0] == "config" and len(toks) == 3:
-            config[toks[1]] = toks[2]
+            key = toks[1]
+            if key not in _CONFIG_KEYS:
+                raise InstanceFormatError(f"line {ln}: unknown config key {key!r}")
+            if key in config:
+                raise InstanceFormatError(f"line {ln}: duplicate config {key}")
+            config[key] = toks[2]
         elif toks[0] == "summary" and len(toks) == 3:
             key, tok = toks[1], toks[2]
             if key in summary:
@@ -757,9 +763,8 @@ def _build_config(args: argparse.Namespace) -> PlacerConfig:
             raise InstanceFormatError(
                 f"config file {args.config!r} must hold a JSON object"
             )
-        valid = {f.name for f in dataclasses.fields(PlacerConfig)}
         for k, v in loaded.items():
-            if k not in valid:
+            if k not in _CONFIG_KEYS:
                 raise InstanceFormatError(
                     f"config file {args.config!r}: unknown config key {k!r}"
                 )

@@ -31,10 +31,12 @@ round is one ``round`` call on the store: it draws the macro and its
 candidates (each proposal as :func:`move_macro` draws one), scores each
 through :func:`candidate_score`, one ``score`` call on the store, commits
 the first smallest as ``move`` does, and grows and inflates the field.  On a
-C store all but the rng, the scoring hook and the field's ``inflate`` runs
-in C.  The statistics row takes both its totals from the store.  Footprints
-sit in a spatial index, so the penalty and the overlap update test a
-footprint only against the macros near it.
+C store all but the rng and the field's ``inflate`` runs in C: the scoring
+hook is the C core's ``candidate_score``, which scores with no Python
+frame, and :func:`py_candidate_score` is its reference.  The statistics row
+takes both its totals from the store.  Footprints sit in a spatial index,
+so the penalty and the overlap update test a footprint only against the
+macros near it.
 
 A round evaluates its schedules (delta, beta and w) once, taking the power
 of a growth both share once, for its candidates' net-model sharpness and
@@ -78,6 +80,7 @@ from stepplace.stepfield import (
     CFreeSpace,
     CPlacementStore,
     GridRect,
+    c_candidate_score,
     ordered_sum,
 )
 
@@ -597,15 +600,23 @@ def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
     return config.delta_at(step), beta, config.w_at(step)
 
 
-def candidate_score(
+def py_candidate_score(
     state: PlacerState, i: int, pos: Point, beta: float | None, factor: float
 ) -> float:
     """Score of moving macro ``i`` (its index in ``macro_order``) to ``pos``
     with net-model sharpness ``beta`` and penalty factor ``factor``: one
     ``score`` call on the state's store (see :meth:`PlacementStore.score`),
-    which returns the same float on both cores."""
+    which returns the same float on both cores.  The reference of the C
+    core's ``candidate_score``, and :func:`candidate_score` without it."""
     x, y = pos
     return state.store.score(i, x, y, beta, factor)
+
+
+#: The scoring hook a round calls per candidate: the C core's
+#: ``candidate_score`` where it loaded, which scores on a C store with no
+#: Python frame and returns or raises what :func:`py_candidate_score` does,
+#: else that function.
+candidate_score = py_candidate_score if c_candidate_score is None else c_candidate_score
 
 
 def new_state(

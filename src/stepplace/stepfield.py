@@ -26,9 +26,9 @@ source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
 store, :data:`CPlacementStore`, built on a C-core :class:`CostField`, whose
 one ``round`` call draws, scores through the placer's hook, commits, grows
-the field in C (no :meth:`CostField.increase` call) and inflates it; the
-legalizer's :data:`CFreeSpace`; and :data:`c_repr_line`, which writes floats
-and ints with ``repr``'s bytes.
+the field in C (no :meth:`CostField.increase` call) and inflates it; that
+hook, :data:`c_candidate_score`; the legalizer's :data:`CFreeSpace`; and
+:data:`c_repr_line`, which writes floats and ints with ``repr``'s bytes.
 """
 
 from __future__ import annotations
@@ -139,6 +139,12 @@ _CFieldCore = getattr(_c_module, "FieldCore", None)
 #: :func:`stepplace.io_cli.py_repr_line`'s string for floats and ints, byte
 #: for byte, or None without the C core.
 c_repr_line = getattr(_c_module, "repr_line", None)
+
+#: The C core's ``candidate_score``, the placer's scoring hook, which
+#: returns or raises what :func:`stepplace.placer.py_candidate_score` does,
+#: running a C store's ``score`` body with no Python frame.  None without
+#: the C core.
+c_candidate_score = getattr(_c_module, "candidate_score", None)
 
 #: The C core's ``PlacementStore``, which answers as
 #: :class:`stepplace.placer.PlacementStore` does, bit for bit, and takes a

@@ -17,11 +17,13 @@ def backend(request):
 def on_core(monkeypatch):
     """A switch that puts the runs after it on one core.  ``on_core("py")``
     makes the field and the store with its proposals and its round, the
-    legalizer's search and the file formatter Python's, as in a run
-    without the C core; ``on_core("c")`` makes them the loaded core's."""
+    round's scoring hook, the legalizer's search and the file formatter
+    Python's, as in a run without the C core; ``on_core("c")`` makes them
+    the loaded core's."""
     from stepplace import io_cli, placer, stepfield
 
     references = [
+        (placer, "candidate_score", placer.py_candidate_score),
         (placer, "FreeSpace", placer.PyFreeSpace),
         (io_cli, "repr_line", io_cli.py_repr_line),
     ]

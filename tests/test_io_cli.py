@@ -174,9 +174,13 @@ class TestResultFile:
              "^line 3: bad summary line 'summary legal maybe'$"),
             ({5: "summary legal false"}, "^line 5: duplicate summary legal$"),
             ({5: "summary hpwl 1.0"}, "^line 5: bad summary line"),
+            ({5: "config seed 1", 6: "config seed 99"},
+             "^line 6: duplicate config seed$"),
+            ({5: "config bogus_key 5"}, "^line 5: unknown config key 'bogus_key'$"),
         ],
         ids=["duplicate-place", "not-a-number", "nan", "inf", "legal-maybe",
-             "duplicate-summary", "unknown-summary"],
+             "duplicate-summary", "unknown-summary", "duplicate-config",
+             "unknown-config"],
     )
     def test_bad_line_named(self, tmp_path, lines, needle):
         # a valid file with one line replaced (or, past its end, appended)

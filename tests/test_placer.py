@@ -1361,6 +1361,83 @@ class TestScoreCandidate:
                 stepfield.CPlacementStore.score(*inputs[1:7])
 
 
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: ``float.hex`` of the float it returns, or
+    the type and message of what it raises."""
+    try:
+        return fn(*args).hex()
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestCCandidateScore:
+    """``placer.candidate_score`` is the C core's ``candidate_score`` where it
+    loaded, which returns and raises what ``placer.py_candidate_score``
+    does."""
+
+    def test_binding(self):
+        assert placer.py_candidate_score.__module__ == "stepplace.placer"
+        want = stepfield.c_candidate_score if stepfield.HAVE_C_CORE else None
+        assert stepfield.c_candidate_score is want
+        assert placer.candidate_score is (want or placer.py_candidate_score)
+
+    @needs_c_score
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_answers_as_the_python_hook(self, data):
+        draw = data.draw
+        n_macros = draw(st.integers(2, 8), label="macros")
+        nl, area = generate_instance(GenSpec(
+            macros=n_macros,
+            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+            seed=draw(st.integers(0, 10**6), label="instance"),
+        ))
+        cfg = PlacerConfig(
+            max_rounds=20,
+            grid_p=draw(st.integers(0, 6)),
+            grid_q=draw(st.integers(0, 6)),
+            seed=draw(st.integers(0, 99)),
+        )
+        state = state_on(draw(st.sampled_from(["c", "py"])), nl, area, cfg)
+        for _ in range(draw(st.integers(0, 4), label="rounds")):
+            round_step(state, cfg)
+        i = draw(st.sampled_from([-1, n_macros]) | st.integers(0, n_macros - 1))
+        coord = st.floats(-2 * area.width, 2 * area.width) | st.sampled_from(
+            [math.nan, math.inf, -math.inf])
+        x, y = draw(coord, label="x"), draw(coord, label="y")
+        pos = draw(st.sampled_from([(x, y), [x, y], (x, y, 0.0), 7]), label="pos")
+        holder = draw(st.sampled_from([state, state, object(), None]), label="state")
+        beta, factor = round_args(cfg, draw(st.integers(1, cfg.max_rounds)))
+        args = (holder, i, pos, beta, factor)
+        got = outcome(stepfield.c_candidate_score, *args)
+        touched = state.field.last_touched
+        assert got == outcome(placer.py_candidate_score, *args)
+        assert state.field.last_touched == touched
+        if holder is state and type(pos) is tuple and len(pos) == 2 and 0 <= i < n_macros:
+            assert (type(got) is str) == (math.isfinite(x) and math.isfinite(y))
+
+    @needs_c_score
+    def test_other_calls_go_to_the_python_hook(self):
+        nl, area = generate_instance(GenSpec(macros=4, nets=4, seed=3))
+        cfg = PlacerConfig(max_rounds=5, grid_p=3, grid_q=3, seed=1)
+        state = new_state(nl, area, cfg)
+        want = placer.py_candidate_score(state, 1, (1.0, 2.0), None, 0.5)
+        c_score = stepfield.c_candidate_score
+        for args, kwargs in [
+            ((state, 1, (1.0, 2.0), None), {"factor": 0.5}),
+            ((), {"state": state, "i": 1, "pos": (1.0, 2.0), "beta": None,
+                  "factor": 0.5}),
+            ((state, 1, (1, 2), None, 0.5), {}),
+        ]:
+            assert c_score(*args, **kwargs).hex() == want.hex()
+        for args in [(state, 1, (1.0, 2.0), None), (state, 1, (1.0, 2.0), None, 0.5, 0)]:
+            with pytest.raises(TypeError) as c_err:
+                c_score(*args)
+            with pytest.raises(TypeError) as py_err:
+                placer.py_candidate_score(*args)
+            assert str(c_err.value) == str(py_err.value)
+
+
 def state_on(backend, netlist, area, config, initial=None):
     """``new_state`` on the given field backend, with its placement store."""
     with mock.patch.object(stepfield, "HAVE_C_CORE", backend == "c"):

@@ -579,7 +579,7 @@ class TestCCoreLoader:
             warnings.simplefilter("error", RuntimeWarning)
             core = _load_c_core(str(tmp_path), [*ldshared, "-Wall", "-Werror"])
         assert sorted(n for n in vars(core) if not n.startswith("_")) == [
-            "FieldCore", "FreeSpace", "PlacementStore", "repr_line",
+            "FieldCore", "FreeSpace", "PlacementStore", "candidate_score", "repr_line",
         ]
 
     @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
