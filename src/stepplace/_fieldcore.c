@@ -29,15 +29,16 @@
  * draws the macro as rng.randrange does and the candidates as proposals does,
  * from the macro's center and bounds, calls the placer's scoring hook once
  * per candidate, picks the winner as stepplace.placer.first_min does,
- * commits the move as move does, grows the field under each snapped meet
- * with the field core's increase body, and calls the field's inflate once.
- * That hook is the module function candidate_score where the core loaded:
- * it reads state.store and runs the score body on a C store with no Python
- * frame between.  The kernel under it decides by arithmetic where it can,
- * not by branches: a level of axis_components writes both of its possible
- * components and counts the nonzero ones, index_hits stores each key it
- * tests and counts the ones that meet, and field_cost sums four rows at a
- * time, each in column order, joining the total in row order.
+ * commits it as move does, and calls the field's inflate once.  A commit is
+ * one body, shared by move and round: it moves the macro and grows the
+ * field under each snapped meet with the field core's increase body.  The
+ * hook gets the store itself; it is the module function candidate_score
+ * where the core loaded, which runs the score body on a C store with no
+ * Python frame between.  The kernel under it decides by arithmetic where
+ * it can, not by branches: a level of axis_components writes both of its
+ * possible components and counts the nonzero ones, index_hits stores each
+ * key it tests and counts the ones that meet, and field_cost sums four rows
+ * at a time, each in column order, joining the total in row order.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
@@ -725,7 +726,6 @@ typedef struct {
     PyObject *field;               /* the CostField, and its core */
     FieldCore *core;
     FootprintIndex index;          /* the footprints, keyed by macro index */
-    PyTypeObject *rect_type;       /* the tuple type of move's rectangles */
     Py_ssize_t count;              /* macros */
     double *half, *center;         /* hx, hy and x, y per macro */
     double *bound;                 /* x_min, x_max, y_min, y_max per macro */
@@ -893,7 +893,6 @@ PlacementStore_dealloc(PlacementStore *self)
     free(self->scratch);
     free(self->meets);
     free(self->blk);
-    Py_XDECREF(self->rect_type);
     Py_XDECREF(self->core);
     Py_XDECREF(self->field);
     Py_TYPE(self)->tp_free((PyObject *)self);
@@ -1026,17 +1025,13 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"field", "width", "height", "min_cell_x", "min_cell_y",
                              "halves", "centers", "bounds", "nets", "blockages",
-                             "blockage_weight", "rect", NULL};
+                             "blockage_weight", NULL};
     double width, height, min_x, min_y, weight;
-    PyObject *field, *halves, *centers, *bounds, *nets, *blockages, *rect;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OddddOOOOOdO:PlacementStore", kwlist,
+    PyObject *field, *halves, *centers, *bounds, *nets, *blockages;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OddddOOOOOd:PlacementStore", kwlist,
                                      &field, &width, &height, &min_x, &min_y, &halves,
-                                     &centers, &bounds, &nets, &blockages, &weight, &rect))
+                                     &centers, &bounds, &nets, &blockages, &weight))
         return NULL;
-    if (!PyType_Check(rect) || !PyType_IsSubtype((PyTypeObject *)rect, &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError, "rect must be a subtype of tuple");
-        return NULL;
-    }
     PyObject *core = PyObject_GetAttrString(field, "core");
     if (core == NULL && PyErr_ExceptionMatches(PyExc_AttributeError))
         PyErr_Clear();
@@ -1058,8 +1053,6 @@ PlacementStore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_INCREF(field);
     self->field = field;
     self->core = (FieldCore *)core;
-    Py_INCREF(rect);
-    self->rect_type = (PyTypeObject *)rect;
     self->width = width;
     self->height = height;
     self->weight = weight;
@@ -1103,13 +1096,19 @@ fail:
     return NULL;
 }
 
-/* Centers macro i at (x, y): stores its footprint, recomputes its nets'
- * boxes and brings its pairs up to date.  Returns the number of its meets
- * with the other footprints, which update_pairs leaves in s->meets in index
- * order, or -1 with an exception set. */
-static Py_ssize_t
-store_move(PlacementStore *s, Py_ssize_t i, double x, double y)
+/* Commits macro i at (x, y), one round's commit: refuses a non-finite w
+ * or footprint before anything moves, then stores the footprint,
+ * recomputes its nets' boxes, brings its pairs up to date and grows the
+ * field by w under each meet with another footprint (update_pairs leaves
+ * them in s->meets in index order) snapped to the field's grid, with the
+ * core's increase body.  0, or -1 with an exception set. */
+static int
+store_commit(PlacementStore *s, Py_ssize_t i, double x, double y, double w)
 {
+    if (!isfinite(w)) {
+        PyErr_SetString(PyExc_ValueError, "increase value must be finite");
+        return -1;
+    }
     const double *h = s->half + 2 * i;
     const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
     if (index_put(&s->index, i, box) < 0)
@@ -1120,47 +1119,34 @@ store_move(PlacementStore *s, Py_ssize_t i, double x, double y)
         Py_ssize_t k = s->nets_of[t];
         s->net_bb[k] = bb_length(net_pins(s, k, -1, NULL));
     }
-    return update_pairs(s, i);
+    Py_ssize_t n = update_pairs(s, i);
+    FieldCore *core = s->core;
+    for (Py_ssize_t t = 0; t < n; t++) {
+        Py_ssize_t r[4];
+        int snapped = snap_box(s->meets + 4 * t, s->width, s->height, core->n, core->m, r);
+        if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
+            return -1;
+        if (snapped)
+            field_increase(core, r[0], r[1], r[2], r[3], w);
+    }
+    return n < 0 ? -1 : 0;
 }
 
 static PyObject *
 PlacementStore_move(PlacementStore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "move expected 3 arguments, got %zd", nargs);
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "move expected 4 arguments, got %zd", nargs);
         return NULL;
     }
     Py_ssize_t i = index_key(args[0], self->count, "macro index", "macros");
     if (i < 0)
         return NULL;
     double x = PyFloat_AsDouble(args[1]), y = PyFloat_AsDouble(args[2]);
-    if (PyErr_Occurred())
+    double w = PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred() || store_commit(self, i, x, y, w) < 0)
         return NULL;
-    Py_ssize_t n = store_move(self, i, x, y);
-    if (n < 0)
-        return NULL;
-
-    PyObject *out = PyList_New(0);
-    for (Py_ssize_t t = 0; out != NULL && t < n; t++) {
-        Py_ssize_t r[4];
-        int snapped = snap_box(self->meets + 4 * t, self->width, self->height,
-                               self->core->n, self->core->m, r);
-        PyObject *rect = NULL;
-        if (snapped > 0 && (rect = self->rect_type->tp_alloc(self->rect_type, 4)) != NULL) {
-            for (int c = 0; c < 4; c++) {
-                PyObject *v = PyLong_FromSsize_t(r[c]);
-                if (v == NULL) {
-                    Py_CLEAR(rect);
-                    break;
-                }
-                PyTuple_SET_ITEM(rect, c, v);
-            }
-        }
-        if (snapped < 0 || (snapped > 0 && (rect == NULL || PyList_Append(out, rect) < 0)))
-            Py_CLEAR(out);
-        Py_XDECREF(rect);
-    }
-    return out;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1306,7 +1292,7 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
  * compares with, and the field method a round calls, made once at module
  * init. */
 static PyObject *str_random, *str_getrandbits, *str_randrange, *one_half, *str_inflate,
-    *str_store, *str_score;
+    *str_score;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1435,10 +1421,10 @@ PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t na
     return i < 0 ? NULL : store_proposals(s, i, args[1], args[2]);
 }
 
-/* stepplace.placer.first_min over the n scores v: the index of the
- * first smallest score, -1 where a score is not finite (each read as
- * math.isfinite reads it, in order), compared as min compares them; -2 with
- * an exception set. */
+/* stepplace.placer.first_min over the n >= 1 scores v (a round scores at
+ * least the macro's center): the index of the first smallest score, -1
+ * where a score is not finite (each read as math.isfinite reads it, in
+ * order), compared as min compares them; -2 with an exception set. */
 static Py_ssize_t
 pick_first_min(PyObject **v, Py_ssize_t n)
 {
@@ -1449,10 +1435,6 @@ pick_first_min(PyObject **v, Py_ssize_t n)
             return -2;
         if (!isfinite(d))
             return -1;
-    }
-    if (n == 0) {
-        PyErr_SetString(PyExc_ValueError, "min() arg is an empty sequence");
-        return -2;
     }
     for (Py_ssize_t k = 1; k < n; k++) {
         int less = PyFloat_CheckExact(v[k]) && PyFloat_CheckExact(v[best])
@@ -1518,20 +1500,19 @@ draw_index(PyObject *rng, Py_ssize_t n)
 
 /* stepplace.placer.PlacementStore.round: one round of the placer.  Draws
  * macro i as draw_index does and its candidates as proposals does, calls
- * score(state, i, pos, beta, factor) once per candidate in order and picks
+ * score(store, i, pos, beta, factor) once per candidate in order and picks
  * the winner as first_min does.  Unless a score is not finite (-1, nothing
- * moved), moves i there as move does, grows the field by w under each
- * snapped meet in index order with the core's increase, and calls the
- * field's inflate(rho) once.  Returns the winner's index. */
+ * moved), commits i there as move does and calls the field's inflate(rho)
+ * once.  Returns the winner's index. */
 static PyObject *
 PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "round expected 8 arguments, got %zd", nargs);
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "round expected 7 arguments, got %zd", nargs);
         return NULL;
     }
-    PyObject *score = args[0], *rng = args[2];
-    double w = PyFloat_AsDouble(args[6]);
+    PyObject *score = args[0], *rng = args[1];
+    double w = PyFloat_AsDouble(args[5]);
     if (w == -1.0 && PyErr_Occurred())
         return NULL;
     if (!isfinite(w) || s->count == 0) {
@@ -1540,7 +1521,7 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     Py_ssize_t i = draw_index(rng, s->count);
-    PyObject *cands = i < 0 ? NULL : store_proposals(s, i, rng, args[3]);
+    PyObject *cands = i < 0 ? NULL : store_proposals(s, i, rng, args[2]);
     if (cands == NULL)
         return NULL;
     Py_ssize_t n = PyList_GET_SIZE(cands), best = -2;
@@ -1548,7 +1529,8 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     if (scores == NULL || index == NULL)
         goto out;
     for (Py_ssize_t k = 0; k < n; k++) {
-        PyObject *argv[5] = {args[1], index, PyList_GET_ITEM(cands, k), args[4], args[5]};
+        PyObject *argv[5] = {(PyObject *)s, index, PyList_GET_ITEM(cands, k), args[3],
+                             args[4]};
         PyObject *v = PyObject_Vectorcall(score, argv, 5, NULL);
         if (v == NULL)
             goto out;
@@ -1557,21 +1539,9 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     best = pick_first_min(PySequence_Fast_ITEMS(scores), n);
     if (best >= 0) {
         PyObject *pos = PyList_GET_ITEM(cands, best);
-        Py_ssize_t meets = store_move(s, i, PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pos, 0)),
-                                      PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pos, 1)));
-        FieldCore *core = s->core;
-        for (Py_ssize_t t = 0; t < meets; t++) {
-            Py_ssize_t r[4];
-            int snapped = snap_box(s->meets + 4 * t, s->width, s->height, core->n, core->m, r);
-            if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0)) {
-                meets = -1;
-                break;
-            }
-            if (snapped)
-                field_increase(core, r[0], r[1], r[2], r[3], w);
-        }
-        if (meets >= 0)
-            done = PyObject_CallMethodOneArg(s->field, str_inflate, args[7]);
+        if (store_commit(s, i, PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pos, 0)),
+                         PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(pos, 1)), w) == 0)
+            done = PyObject_CallMethodOneArg(s->field, str_inflate, args[6]);
         if (done == NULL)
             best = -2;
     }
@@ -1614,10 +1584,12 @@ static PyMethodDef PlacementStore_methods[] = {
      "the keep-out weight times the overlap area with each keep-out; see\n"
      "stepplace.placer.PlacementStore.score."},
     {"move", (PyCFunction)(void (*)(void))PlacementStore_move, METH_FASTCALL,
-     "move(i, x, y) -> list[rect]\n\n"
-     "Center macro i at (x, y): store its footprint, recompute its nets' boxes\n"
-     "and bring its overlap pairs up to date; returns the snapped cells of\n"
-     "each of its meets with another footprint, in index order."},
+     "move(i, x, y, w) -> None\n\n"
+     "Commit macro i at (x, y): store its footprint, recompute its nets'\n"
+     "boxes, bring its overlap pairs up to date and grow the field by w under\n"
+     "each of its meets with another footprint, snapped to the field's grid,\n"
+     "in index order.  A bad index, a non-finite w or footprint raises\n"
+     "ValueError before anything moves."},
     {"box", (PyCFunction)PlacementStore_box, METH_O,
      "box(i) -> (x1, y1, x2, y2)\n\nThe footprint of macro i."},
     {"totals", (PyCFunction)PlacementStore_totals, METH_NOARGS,
@@ -1630,16 +1602,15 @@ static PyMethodDef PlacementStore_methods[] = {
      "pairs() -> list[(i, j, area)]\n\n"
      "The live overlap pairs, i < j, in the order they entered."},
     {"round", (PyCFunction)(void (*)(void))PlacementStore_round, METH_FASTCALL,
-     "round(score, state, rng, count, beta, factor, w, rho) -> int\n\n"
+     "round(score, rng, count, beta, factor, w, rho) -> int\n\n"
      "One round of the placer: draw a macro i as rng.randrange(macros) does\n"
      "(for a random.Random itself, getrandbits with rejection, through rng;\n"
      "for any other rng, its randrange), its proposals(i, rng, count),\n"
-     "call score(state, i, pos, beta, factor) once per candidate in order,\n"
-     "and move i to the first smallest score; grow the field by w under each\n"
-     "snapped meet of the move, in index order, and call the field's\n"
-     "inflate(rho) once.  Returns the winner's index, or -1 with nothing\n"
-     "moved where a score is not finite.  A non-finite w or a store without\n"
-     "macros raises ValueError before any draw; see\n"
+     "call score(store, i, pos, beta, factor) once per candidate in order,\n"
+     "with this store, move(i, x, y, w) to the first smallest score and call\n"
+     "the field's inflate(rho) once.  Returns the winner's index, or -1 with\n"
+     "nothing moved where a score is not finite.  A non-finite w or a store\n"
+     "without macros raises ValueError before any draw; see\n"
      "stepplace.placer.PlacementStore.round."},
     {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
      "proposals(i, rng, count) -> [(x, y), ...]\n\n"
@@ -1663,7 +1634,7 @@ static PyTypeObject PlacementStoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "stepplace._fieldcore.PlacementStore",
     .tp_doc = "PlacementStore(field, width, height, min_cell_x, min_cell_y, halves,\n"
-              "               centers, bounds, nets, blockages, blockage_weight, rect)\n\n"
+              "               centers, bounds, nets, blockages, blockage_weight)\n\n"
               "The placer's placement of the macros 0 .. count - 1 over a width x\n"
               "height area, scored against field, a CostField on the C core:\n"
               "halves, centers and bounds hold hx, hy, x, y and x_min, x_max,\n"
@@ -1672,9 +1643,8 @@ static PyTypeObject PlacementStoreType = {
               "keep-out, each overlap area with one weighing blockage_weight in a\n"
               "score.  The footprints sit in a grid of cells of at least min_cell_x\n"
               "by min_cell_y, at most about count of them, the border cells reaching\n"
-              "to infinity.  move snaps meets to the field's grid and returns them as\n"
-              "rect instances.  stepplace.placer.PlacementStore is its Python\n"
-              "reference.",
+              "to infinity.  move commits a macro and grows the field under its\n"
+              "meets.  stepplace.placer.PlacementStore is its Python reference.",
     .tp_basicsize = sizeof(PlacementStore),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PlacementStore_new,
@@ -2308,12 +2278,12 @@ static PyTypeObject FreeSpaceType = {
     .tp_methods = FreeSpace_methods,
 };
 
-/* stepplace.placer.py_candidate_score(state, i, pos, beta, factor), the
- * placer's scoring hook: state.store.score(i, x, y, beta, factor) for
- * x, y = pos.  For a pos that is a 2-tuple it reads state.store and, on a C
- * store, runs the store's score body with no call between; any other store
- * gets its score method called.  Any other call is handed to the Python
- * function itself, so it returns, or raises, what that returns or raises. */
+/* stepplace.placer.py_candidate_score(store, i, pos, beta, factor), the
+ * placer's scoring hook: store.score(i, x, y, beta, factor) for x, y = pos.
+ * For a pos that is a 2-tuple it runs a C store's score body with no call
+ * between; any other store gets its score method called.  Any other call
+ * is handed to the Python function itself, so it returns, or raises, what
+ * that returns or raises. */
 static PyObject *
 candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
@@ -2321,16 +2291,11 @@ candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
     PyObject *pos = nargs == 5 ? args[2] : NULL;
     if (kwnames == NULL && pos != NULL && PyTuple_CheckExact(pos)
         && PyTuple_GET_SIZE(pos) == 2) {
-        PyObject *store = PyObject_GetAttr(args[0], str_store), *out;
-        if (store == NULL)
-            return NULL;
-        PyObject *argv[6] = {store, args[1], PyTuple_GET_ITEM(pos, 0),
+        PyObject *argv[6] = {args[0], args[1], PyTuple_GET_ITEM(pos, 0),
                              PyTuple_GET_ITEM(pos, 1), args[3], args[4]};
-        out = Py_IS_TYPE(store, &PlacementStoreType)
-            ? store_score((PlacementStore *)store, argv + 1)
+        return Py_IS_TYPE(args[0], &PlacementStoreType)
+            ? store_score((PlacementStore *)args[0], argv + 1)
             : PyObject_VectorcallMethod(str_score, argv, 6, NULL);
-        Py_DECREF(store);
-        return out;
     }
     static PyObject *reference; /* placer.py_candidate_score, looked up once */
     if (reference == NULL) {
@@ -2346,8 +2311,8 @@ candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
 static PyMethodDef fieldcore_functions[] = {
     {"candidate_score", (PyCFunction)(void (*)(void))candidate_score,
      METH_FASTCALL | METH_KEYWORDS,
-     "candidate_score(state, i, pos, beta, factor) -> float\n\n"
-     "state.store.score(i, x, y, beta, factor) for x, y = pos: the placer's\n"
+     "candidate_score(store, i, pos, beta, factor) -> float\n\n"
+     "store.score(i, x, y, beta, factor) for x, y = pos: the placer's\n"
      "scoring hook, which runs a C store's score body with no Python frame.\n"
      "stepplace.placer.py_candidate_score is its reference; any call but one\n"
      "with a 2-tuple pos is handed to it."},
@@ -2377,14 +2342,12 @@ PyInit__fieldcore(void)
             || (str_getrandbits = PyUnicode_InternFromString("getrandbits")) == NULL
             || (str_randrange = PyUnicode_InternFromString("randrange")) == NULL
             || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL
-            || (str_store = PyUnicode_InternFromString("store")) == NULL
             || (str_score = PyUnicode_InternFromString("score")) == NULL)) {
         Py_CLEAR(str_random);
         Py_CLEAR(one_half);
         Py_CLEAR(str_getrandbits);
         Py_CLEAR(str_randrange);
         Py_CLEAR(str_inflate);
-        Py_CLEAR(str_store);
         return NULL;
     }
     PyObject *mod = PyModule_Create(&fieldcoremodule);

@@ -41,6 +41,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -60,6 +61,7 @@ from stepplace.netmodel import (
     meet,
 )
 from stepplace.placer import (
+    _INT_FIELDS,
     LegalizationError,
     PlacerConfig,
     RoundStats,
@@ -72,6 +74,9 @@ from stepplace.stepfield import c_repr_line, ordered_sum
 
 OUT_DIR_ENV = "STEPPLACE_OUT_DIR"
 _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(PlacerConfig))
+# the fields write_result may write as ``none``
+_OPTIONAL_KEYS = frozenset(f.name for f in dataclasses.fields(PlacerConfig)
+                           if f.default is None)
 
 
 def py_repr_line(values: Sequence[float | int], sep: str) -> str:
@@ -352,9 +357,14 @@ def load_result(path: str) -> ResultData:
 
 
 def _parse_result(lines: Iterable[str]) -> ResultData:
-    """The result file of ``lines``; errors name the line."""
+    """The result file of ``lines``; errors name the line.  A ``config``
+    value reads as :func:`write_result` writes it (``none`` for an optional
+    field, an int for an integer field, else a finite float), and a file
+    with every field must hold a set :class:`PlacerConfig` accepts."""
     positions: Placement = {}
     config: dict[str, str] = {}
+    values: dict[str, float | int | None] = {}
+    config_line: dict[str, int] = {}
     summary: dict[str, float | bool] = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -367,7 +377,17 @@ def _parse_result(lines: Iterable[str]) -> ResultData:
                 raise InstanceFormatError(f"line {ln}: unknown config key {key!r}")
             if key in config:
                 raise InstanceFormatError(f"line {ln}: duplicate config {key}")
-            config[key] = toks[2]
+            tok = config[key] = toks[2]
+            config_line[key] = ln
+            if tok == "none" and key in _OPTIONAL_KEYS:
+                values[key] = None
+            elif key not in _INT_FIELDS:
+                values[key] = _parse_float(tok, ln, f"config {key}")
+            elif not re.fullmatch("-?[0-9]+", tok):
+                raise InstanceFormatError(
+                    f"line {ln}: config {key} is not an integer: {tok!r}")
+            else:
+                values[key] = int(tok)
         elif toks[0] == "summary" and len(toks) == 3:
             key, tok = toks[1], toks[2]
             if key in summary:
@@ -389,6 +409,13 @@ def _parse_result(lines: Iterable[str]) -> ResultData:
             )
         else:
             raise InstanceFormatError(f"line {ln}: bad result line {line!r}")
+    if len(values) == len(_CONFIG_KEYS):
+        try:
+            PlacerConfig(**values)
+        except ValueError as e:
+            # each message starts with the field it refuses
+            ln = config_line.get(str(e).split()[0], max(config_line.values()))
+            raise InstanceFormatError(f"line {ln}: {e}") from None
     try:
         return ResultData(
             positions=positions,
@@ -846,7 +873,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
             code = 2
     total_bb, overlap, legal = save_result(out, final, netlist, area, config)
     print(
-        f"placed {len(netlist.macros)} macros in {config.max_rounds} rounds: "
+        f"placed {len(netlist.macros)} macros in {state.round} rounds: "
         f"netlength_bb={total_bb:.6g} overlap_area={overlap:.6g} "
         f"legal={'true' if legal else 'false'} -> {out}"
     )

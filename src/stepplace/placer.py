@@ -29,11 +29,12 @@ Python reference, which answers with the same bits; the state's field is the
 store's, and its ``placement`` a snapshot of the store's centers.  A whole
 round is one ``round`` call on the store: it draws the macro and its
 candidates (each proposal as :func:`move_macro` draws one), scores each
-through :func:`candidate_score`, one ``score`` call on the store, commits
-the first smallest as ``move`` does, and grows and inflates the field.  On a
-C store all but the rng and the field's ``inflate`` runs in C: the scoring
-hook is the C core's ``candidate_score``, which scores with no Python
-frame, and :func:`py_candidate_score` is its reference.  The statistics row
+through :func:`candidate_score`, handing it the store, commits the first
+smallest with ``move`` (the move and the field's growth under the macro's
+meets), and inflates the field.  On a C store all but the rng and the
+field's ``inflate`` runs in C: the scoring hook is the C core's
+``candidate_score``, which scores with no Python frame, and
+:func:`py_candidate_score` is its reference.  The statistics row
 takes both its totals from the store.  Footprints sit in a spatial index,
 so the penalty and the overlap update test a footprint only against the
 macros near it.
@@ -335,10 +336,10 @@ class PlacementStore:
     :class:`BucketGrid` with ``min_cell_x`` by ``min_cell_y`` cells), and the
     live overlap pairs ``(i, j)``, ``i < j``, with their areas, in the order
     the pairs entered: a pair that ends and overlaps again goes to the end.
-    :meth:`move` snaps meets to the field's grid over the area, as
-    :class:`GridRect`, the C store's ``rect``, and :meth:`round` runs a whole
-    round of the placer.  Every method that takes a macro index refuses one
-    outside ``0 .. count - 1`` with the C store's ``ValueError``.
+    :meth:`move` is a round's whole commit, the macro's move and the field's
+    growth under its meets, and :meth:`round` runs a whole round of the
+    placer.  Every method that takes a macro index refuses one outside
+    ``0 .. count - 1`` with the C store's ``ValueError``.
     """
 
     def __init__(
@@ -354,7 +355,6 @@ class PlacementStore:
         nets: Sequence[Sequence[int]],
         blockages: Sequence[float],
         blockage_weight: float,
-        rect: type,
     ) -> None:
         self.field, self.blockage_weight = field, blockage_weight
         self.area = PlacementArea(width, height)
@@ -421,23 +421,28 @@ class PlacementStore:
             meets.append(inter)
         return meets
 
-    def move(self, i: int, x: float, y: float) -> list[GridRect]:
-        """Center macro ``i`` at ``(x, y)``: store its footprint, recompute
-        the boxes of its nets, and bring its overlap pairs up to date.
-        Returns the :func:`snap_to_grid` cells of each meet of its footprint
-        with another one, in index order, leaving out empty ones."""
+    def move(self, i: int, x: float, y: float, w: float) -> None:
+        """Commit macro ``i`` at ``(x, y)``: store its footprint, recompute
+        its nets' boxes and overlap pairs, and grow the field by ``w`` under
+        the :func:`snap_to_grid` cells of each of its meets, in index order.
+        A bad index, a non-finite ``w`` or footprint raises the C store's
+        ``ValueError`` before anything moves."""
         self._check(i)
-        self.centers[i] = (float(x), float(y))
-        self.grid.put(i, self.box(i))
+        if not math.isfinite(w):
+            raise ValueError("increase value must be finite")
+        (hx, hy), x, y = self.halves[i], float(x), float(y)
+        box = (x - hx, y - hy, x + hx, y + hy)
+        if not all(map(math.isfinite, box)):
+            raise ValueError("footprint must be finite")
+        self.centers[i] = (x, y)
+        self.grid.put(i, box)
         for k in self.nets_of[i]:
             self.net_bb[k] = self._net_box(k)
-        rects = []
         p, q = self.field.p, self.field.q
         for inter in self._update_overlaps(i):
             snapped = snap_to_grid(inter, self.area, p, q)
             if snapped is not None:
-                rects.append(snapped)
-        return rects
+                self.field.increase(snapped, w)
 
     def proposals(self, i: int, rng: random.Random, count: int) -> list[Point]:
         """A round's candidates for macro ``i``: its center, then ``count``
@@ -474,30 +479,28 @@ class PlacementStore:
                 score += self.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
         return score
 
-    def round(self, score: Callable[..., float], state: object, rng: random.Random,
-              count: int, beta: float | None, factor: float, w: float,
-              rho: float) -> int:
+    def round(self, score: Callable[..., float], rng: random.Random, count: int,
+              beta: float | None, factor: float, w: float, rho: float) -> int:
         """One round of the placer: draw a macro ``i`` by ``rng.randrange``,
-        score each of its :meth:`proposals` by ``score(state, i, pos, beta,
-        factor)`` in order, :meth:`move` it to the :func:`first_min` winner,
-        grow the field by ``w`` under each rectangle the move returned and
-        inflate it by ``rho``.  Returns the winner's index, or -1 with nothing
-        moved where a score is not finite.  A non-finite ``w`` or a store
-        without macros raises ``ValueError`` before any draw.  The C store's
-        ``round`` leaves the same bits, but grows the field in C; for an
-        ``rng`` that is a :class:`random.Random` itself it draws the macro
-        as ``randrange`` does on Python 3.10–3.13, through ``getrandbits``,
-        and any other ``rng`` it asks for ``randrange``."""
+        score each of its :meth:`proposals` by ``score(self, i, pos, beta,
+        factor)`` in order, :meth:`move` it to the :func:`first_min` winner
+        with ``w`` and inflate the field by ``rho``.  Returns the winner's
+        index, or -1 with nothing moved where a score is not finite.  A
+        non-finite ``w`` or a store without macros raises ``ValueError``
+        before any draw.  The C store's ``round`` leaves the same bits, but
+        grows the field in C; for an ``rng`` that is a
+        :class:`random.Random` itself it draws the macro as ``randrange``
+        does on Python 3.10–3.13, through ``getrandbits``, and any other
+        ``rng`` it asks for ``randrange``."""
         if not math.isfinite(w):
             raise ValueError("increase value must be finite")
         if not self.centers:
             raise ValueError("the store has no macros to move")
         i = rng.randrange(len(self.centers))
         candidates = self.proposals(i, rng, count)
-        best = first_min([score(state, i, c, beta, factor) for c in candidates])
+        best = first_min([score(self, i, c, beta, factor) for c in candidates])
         if best >= 0:
-            for rect in self.move(i, *candidates[best]):
-                self.field.increase(rect, w)
+            self.move(i, *candidates[best], w)
             self.field.inflate(rho)
         return best
 
@@ -601,15 +604,15 @@ def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
 
 
 def py_candidate_score(
-    state: PlacerState, i: int, pos: Point, beta: float | None, factor: float
+    store: PlacementStore, i: int, pos: Point, beta: float | None, factor: float
 ) -> float:
     """Score of moving macro ``i`` (its index in ``macro_order``) to ``pos``
     with net-model sharpness ``beta`` and penalty factor ``factor``: one
-    ``score`` call on the state's store (see :meth:`PlacementStore.score`),
-    which returns the same float on both cores.  The reference of the C
-    core's ``candidate_score``, and :func:`candidate_score` without it."""
+    ``score`` call on ``store`` (see :meth:`PlacementStore.score`), which
+    returns the same float on both cores.  The reference of the C core's
+    ``candidate_score``, and :func:`candidate_score` without it."""
     x, y = pos
-    return state.store.score(i, x, y, beta, factor)
+    return store.score(i, x, y, beta, factor)
 
 
 #: The scoring hook a round calls per candidate: the C core's
@@ -665,7 +668,7 @@ def new_state(
         array("d", [v for b in bounds for v in b]),
         [[bisect_left(macro_order, mid) for mid in net.members] for net in netlist.nets],
         array("d", [v for b in area.blockages for v in b]),
-        config.blockage_weight, GridRect,
+        config.blockage_weight,
     )
     return PlacerState(
         config=config, rng=rng, round=0, macro_order=macro_order, store=store
@@ -709,7 +712,7 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
         raise ValueError("the state has no macros to move")
     delta, beta, w = _schedules(rnd, config)
     best = state.store.round(
-        candidate_score, state, state.rng, config.candidates_per_round,
+        candidate_score, state.rng, config.candidates_per_round,
         None if rnd >= config.switch_round else beta, config.penalty_c * delta, w,
         config.inflation_rho,
     )

@@ -25,9 +25,11 @@ cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 source; if that fails it warns once and falls back to the Python core, which
 returns the same bits.  The same C module holds the placer's placement
 store, :data:`CPlacementStore`, built on a C-core :class:`CostField`, whose
-one ``round`` call draws, scores through the placer's hook, commits, grows
-the field in C (no :meth:`CostField.increase` call) and inflates it; that
-hook, :data:`c_candidate_score`; the legalizer's :data:`CFreeSpace`; and
+``move`` commits a macro and grows the field under its meets in C (no
+:meth:`CostField.increase` call), and whose one ``round`` call draws, scores
+through the placer's hook, which it hands the store, commits as ``move``
+does and inflates the field; that hook, :data:`c_candidate_score`; the
+legalizer's :data:`CFreeSpace`; and
 :data:`c_repr_line`, which writes floats and ints with ``repr``'s bytes.
 """
 

@@ -73,6 +73,12 @@ class NaiveField:
         return float(self.arr[r.a1 : r.a2, r.b1 : r.b2].sum())
 
 
+def coefficients(field):
+    """The bits of every coefficient of ``field`` (times its scale)."""
+    coefficient = field.core.coefficient
+    return [coefficient(fx, fy).hex() for fx in range(field.n) for fy in range(field.m)]
+
+
 def intersection(a, b):
     """Corners of the intersection of two half-open ``(x1, y1, x2, y2)``
     rectangles, or None when it is empty (boundary contact is empty)."""

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import intersection
+from oracles import coefficients, intersection
 from stepplace.netmodel import (
     Macro,
     Netlist,
@@ -26,7 +26,7 @@ from stepplace.netmodel import (
     is_legal,
 )
 from stepplace.placer import PlacementStore, PlacerConfig, penalty
-from stepplace.stepfield import CostField, CPlacementStore, GridRect
+from stepplace.stepfield import CostField, CPlacementStore
 
 AREA = 10.0
 
@@ -185,9 +185,9 @@ def stores(side, cell, centers, halves):
             array("d", [v for c in centers for v in c]), array("d", [0.0] * 4 * len(centers)),
             [])
     return (CPlacementStore(CostField(3, 3, "c"), side, side, cell, cell, *args,
-                            array("d"), 1.0, GridRect),
+                            array("d"), 1.0),
             PlacementStore(CostField(3, 3, "py"), side, side, largest, largest, *args,
-                           array("d"), 1.0, GridRect))
+                           array("d"), 1.0))
 
 
 def assert_pairs_agree(c_store, py_store, count):
@@ -220,8 +220,9 @@ def test_footprint_index_hits_equal_bucket_grid_and_brute_force(case):
     c_store, py_store = stores(side, cell, centers, halves)
     assert_pairs_agree(c_store, py_store, len(centers))
     for i, x, y in moves:
-        assert c_store.move(i, x, y) == py_store.move(i, x, y)
+        assert c_store.move(i, x, y, 1.0) is py_store.move(i, x, y, 1.0) is None
         assert_pairs_agree(c_store, py_store, len(centers))
+        assert coefficients(c_store.field) == coefficients(py_store.field)
 
 
 @needs_c
@@ -237,8 +238,11 @@ def test_footprint_index_sorts_many_hits():
     rng.shuffle(order)
     for k in order:
         x, y = rng.randint(2, 18) / 2.0, rng.randint(2, 18) / 2.0
-        assert c_store.move(k, x, y) == py_store.move(k, x, y)
-    assert c_store.move(0, 5.0, 5.0) == py_store.move(0, 5.0, 5.0)
+        c_store.move(k, x, y, 1.0)
+        py_store.move(k, x, y, 1.0)
+    c_store.move(0, 5.0, 5.0, 1.0)
+    py_store.move(0, 5.0, 5.0, 1.0)
+    assert coefficients(c_store.field) == coefficients(py_store.field)
     # its pairs come last, in index order
     assert [(i, j) for i, j, _ in c_store.pairs()[-n:]] == [(0, j) for j in range(1, n + 1)]
     assert_pairs_agree(c_store, py_store, n + 1)
@@ -250,28 +254,31 @@ def test_footprint_index_rejects_bad_input():
     halves, centers = array("d", [0.5] * 4), array("d", [1.0, 1.0, 1.5, 1.5])
     bounds = array("d", [0.5, 9.5] * 4)
     store = CPlacementStore(CostField(3, 3, "c"), 10.0, 10.0, 1.0, 1.0, halves, centers,
-                            bounds, [[0, 1]], array("d"), 1.0, GridRect)
+                            bounds, [[0, 1]], array("d"), 1.0)
 
     def state():
-        return store.pairs(), [store.box(i) for i in range(2)], store.net_lengths()
+        return (store.pairs(), [store.box(i) for i in range(2)], store.net_lengths(),
+                coefficients(store.field))
 
     before = state()
-    assert before == ([(0, 1, 0.25)], [(0.5, 0.5, 1.5, 1.5), (1.0, 1.0, 2.0, 2.0)],
-                      [1.0])
+    assert before[:3] == ([(0, 1, 0.25)], [(0.5, 0.5, 1.5, 1.5), (1.0, 1.0, 2.0, 2.0)],
+                          [1.0])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="footprint must be finite"):
-            store.move(0, 1.0, bad)
+            store.move(0, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="increase value must be finite"):
+            store.move(0, 1.0, 1.0, bad)
         assert state() == before
     with pytest.raises(ValueError, match="macro index 2 out of range for 2 macros"):
-        store.move(2, 0.0, 0.0)
+        store.move(2, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="macro index -1 out of range"):
         store.box(-1)
     with pytest.raises(TypeError):
         store.box(0.0)
-    with pytest.raises(TypeError, match="3 arguments"):
-        store.move(0, 1.0)
+    with pytest.raises(TypeError, match="4 arguments"):
+        store.move(0, 1.0, 1.0)
     for sides in [(0.0, 10.0, 1.0, 1.0), (10.0, -1.0, 1.0, 1.0),
                   (10.0, 10.0, math.inf, 1.0), (10.0, 10.0, 1.0, math.nan)]:
         with pytest.raises(ValueError, match="positive and finite"):
             CPlacementStore(CostField(3, 3, "c"), *sides, halves, centers, bounds, [],
-                            array("d"), 1.0, GridRect)
+                            array("d"), 1.0)

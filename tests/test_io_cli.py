@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -129,6 +130,16 @@ class TestParseInstance:
         assert init2 == initial
 
 
+def config_lines(**written):
+    """Lines 5 on of a result file: one ``config`` line per field of a valid
+    config, as ``write_result`` writes it, with the ``written`` values."""
+    cfg = PlacerConfig(max_rounds=200)
+    text = {f.name: "none" if (v := getattr(cfg, f.name)) is None else repr(v)
+            for f in dataclasses.fields(cfg)}
+    return {5 + k: f"config {key} {v}"
+            for k, (key, v) in enumerate({**text, **written}.items())}
+
+
 class TestResultFile:
     def instance(self):
         return parse_instance(io.StringIO(FULL))[:2]
@@ -177,10 +188,14 @@ class TestResultFile:
             ({5: "config seed 1", 6: "config seed 99"},
              "^line 6: duplicate config seed$"),
             ({5: "config bogus_key 5"}, "^line 5: unknown config key 'bogus_key'$"),
+            (config_lines(grid_p="-5"), r"^line 7: grid_p must be in \[0, \d+\]$"),
+            ({5: "config seed abc"}, "^line 5: config seed is not an integer: 'abc'$"),
+            ({5: "config inflation_rho nan"},
+             "^line 5: config inflation_rho must be finite: 'nan'$"),
         ],
         ids=["duplicate-place", "not-a-number", "nan", "inf", "legal-maybe",
              "duplicate-summary", "unknown-summary", "duplicate-config",
-             "unknown-config"],
+             "unknown-config", "config-refused", "config-not-an-int", "config-nan"],
     )
     def test_bad_line_named(self, tmp_path, lines, needle):
         # a valid file with one line replaced (or, past its end, appended)
@@ -633,6 +648,17 @@ class TestCli:
             lines = fp.read().splitlines()
         assert lines[0] == "round,netlength_bb,overlap_area,delta,beta,w"
         assert len(lines) == 2002  # header + round 0 + one row per round
+
+    def test_place_without_macros_reports_the_rounds_run(self, tmp_path, capsys):
+        # with no macro to move no round runs: the stats file holds row 0
+        # only, and the report says 0 rounds
+        inst, res, stats = (str(tmp_path / n) for n in ("i.txt", "r.txt", "s.csv"))
+        assert main(["gen", "--out", inst, "--macros", "0", "--nets", "0"]) == 0
+        assert main(["place", "--in", inst, "--out", res, "--stats", stats,
+                     "--rounds", "500"]) == 0
+        assert "placed 0 macros in 0 rounds: " in capsys.readouterr().out
+        with open(stats) as fp:
+            assert len(fp.read().splitlines()) == 2  # header + row 0
 
     @pytest.mark.parametrize(
         "edit", ["netlength one ulp up", "legal flipped", "overlap_area edited"]

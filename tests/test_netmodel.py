@@ -306,7 +306,7 @@ class TestMarginalCost:
         # beta None scores with the exact bounding box
         cfg = PlacerConfig(max_rounds=10)
         state = new_state(nl, PlacementArea(20, 20), cfg, placement)
-        return candidate_score(state, state.macro_order.index(mid), pos, beta, 0.1)
+        return candidate_score(state.store, state.macro_order.index(mid), pos, beta, 0.1)
 
     def test_no_nets_returns_field_cost(self):
         nl = Netlist([Macro("solo", 1, 1)], [])
@@ -314,7 +314,7 @@ class TestMarginalCost:
         area = PlacementArea(20, 20)
         state = new_state(nl, area, cfg, {"solo": (1, 1)})
         state.field.increase(GridRect(0, 0, 64, 64), 1.5)
-        got = candidate_score(state, 0, (4, 5), 1.0, 0.1)
+        got = candidate_score(state.store, 0, (4, 5), 1.0, 0.1)
         fp = footprint_box(nl.by_id["solo"], (4, 5))
         snapped = snap_to_grid(fp, area, 6, 6)
         assert got == state.field.cost(snapped) > 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 import oracles
-from oracles import intersection, oracle_legalize
+from oracles import coefficients, intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance, write_stats_csv
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
@@ -373,7 +373,7 @@ def draw_stores(pos, bounds):
     """A store of each loaded core, the C one first, each holding one macro
     centered at ``pos`` with ``bounds``, which need not hold ``pos``."""
     args = (8.0, 8.0, 1.0, 1.0, array("d", [0.5, 0.5]), array("d", pos),
-            array("d", bounds), [], array("d"), 1.0, GridRect)
+            array("d", bounds), [], array("d"), 1.0)
     py = placer.PlacementStore(CostField(1, 1, "py"), *args)
     if stepfield.CPlacementStore is None:
         return [py]
@@ -676,7 +676,7 @@ def picked_by_round(backend, scores):
     nl, area = tiny_instance(1, n_macros=2)
     state = state_on(backend, nl, area, PlacerConfig(max_rounds=1, seed=1))
     hook = iter(scores).__next__
-    return state.store.round(lambda *args: hook(), state, state.rng, len(scores) - 1,
+    return state.store.round(lambda *args: hook(), state.rng, len(scores) - 1,
                              None, 1.0, 1.0, 1.0)
 
 
@@ -839,7 +839,7 @@ class TestCandidateScore:
         cfg = PlacerConfig(max_rounds=10, grid_p=3, grid_q=3, seed=1)
         state = new_state(nl, square_area(), cfg)
         for pos in [(1, 1), (4, 4), (6.5, 2.5)]:
-            assert candidate_score(state, 0, pos, 1.0, 0.1) == 0.0
+            assert candidate_score(state.store, 0, pos, 1.0, 0.1) == 0.0
 
     def test_two_pin_net_minimized_at_neighbor(self):
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [Net(("a", "b"))])
@@ -850,7 +850,7 @@ class TestCandidateScore:
         target = (6.0, 6.0)
         best = min(
             [(2, 2), (6, 6), (3, 7), (7, 3)],
-            key=lambda c: candidate_score(state, 0, c, None, 0.1),
+            key=lambda c: candidate_score(state.store, 0, c, None, 0.1),
         )
         assert best == target
 
@@ -865,8 +865,8 @@ class TestCandidateScore:
         height = 3.0
         s_uniform.field.increase(GridRect(0, 0, 8, 8), height)
         cands = [(1.0, 1.0), (5.0, 5.0), (7.0, 3.0), (3.0, 6.0)]
-        plain = [candidate_score(s_plain, 0, c, 1.0, 0.1) for c in cands]
-        unif = [candidate_score(s_uniform, 0, c, 1.0, 0.1) for c in cands]
+        plain = [candidate_score(s_plain.store, 0, c, 1.0, 0.1) for c in cands]
+        unif = [candidate_score(s_uniform.store, 0, c, 1.0, 0.1) for c in cands]
         # every candidate footprint snaps to a 2x2=4 cell region
         for p, u in zip(plain, unif):
             assert u == pytest.approx(p + height * 4, rel=1e-12)
@@ -879,8 +879,8 @@ class TestCandidateScore:
             max_rounds=10, grid_p=3, grid_q=3, seed=1, blockage_weight=50.0
         )
         state = new_state(nl, square_area(blockages=(blk,)), cfg)
-        on_block = candidate_score(state, 0, (2.0, 2.0), 1.0, 0.1)
-        off_block = candidate_score(state, 0, (6.9, 6.9), 1.0, 0.1)
+        on_block = candidate_score(state.store, 0, (2.0, 2.0), 1.0, 0.1)
+        off_block = candidate_score(state.store, 0, (6.9, 6.9), 1.0, 0.1)
         assert on_block >= 50.0 * 4.0  # full 2x2 footprint on the blockage
         assert off_block < on_block
 
@@ -894,7 +894,7 @@ class TestCandidateScore:
         state = new_state(nl, square_area(), cfg, initial=init)
         # field is empty, no nets: the score at b's position is the penalty
         factor = cfg.penalty_c * cfg.delta_at(0)
-        got = candidate_score(state, 0, (3.0, 3.0), None, factor)
+        got = candidate_score(state.store, 0, (3.0, 3.0), None, factor)
         assert got == penalty(factor, a_box(nl, (3.0, 3.0)), footprint_grid(nl, init), "a")
 
 
@@ -925,7 +925,7 @@ def kernel_sum(score, x, y, beta, nets):
     fld.increase(GridRect(0, 0, 1, 1), score)
     store = stepfield.CPlacementStore(
         fld, 1.0, 1.0, 1.0, 1.0, array("d", halves), array("d", centers),
-        array("d", [0.0] * 2 * len(centers)), members, array("d"), 0.0, GridRect,
+        array("d", [0.0] * 2 * len(centers)), members, array("d"), 0.0,
     )
     return store.score(0, x, y, beta, 0.0)
 
@@ -1039,8 +1039,8 @@ class TestNetTerms:
             for _ in range(4):
                 b = compute_bounds(nl.by_id[mid], area)
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                want = candidate_score(py_state, i, pos, *args)
-                got = candidate_score(c_state, i, pos, *args)
+                want = candidate_score(py_state.store, i, pos, *args)
+                got = candidate_score(c_state.store, i, pos, *args)
                 assert got.hex() == want.hex()
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
 
@@ -1093,12 +1093,6 @@ def exact(v):
     return v.hex() if isinstance(v, float) else v
 
 
-def coefficients(field):
-    """The bits of every coefficient of ``field`` (times its scale)."""
-    coefficient = field.core.coefficient
-    return [coefficient(fx, fy).hex() for fx in range(field.n) for fy in range(field.m)]
-
-
 def assert_stores_agree(c_store, py_store, count):
     """The C and the Python placement store answer alike, bit for bit."""
     assert [exact(v) for v in c_store.net_lengths()] == [
@@ -1113,8 +1107,8 @@ def assert_stores_agree(c_store, py_store, count):
 
 
 class TestScoreCandidate:
-    """``candidate_score`` is one ``score`` call on the state's store; the C
-    store's returns the float of the Python store's bit for bit."""
+    """``candidate_score`` is one ``score`` call on the store it is given; the
+    C store's returns the float of the Python store's bit for bit."""
 
     @needs_c_score
     @settings(max_examples=250, deadline=None)
@@ -1153,8 +1147,8 @@ class TestScoreCandidate:
         macro = nl.by_id[c_state.macro_order[i]]
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, c_state, area)
-            want = candidate_score(py_state, i, pos, *args)
-            got = candidate_score(c_state, i, pos, *args)
+            want = candidate_score(py_state.store, i, pos, *args)
+            got = candidate_score(c_state.store, i, pos, *args)
             assert got.hex() == want.hex(), (kind, pos)
             assert c_state.field.last_touched == py_state.field.last_touched
 
@@ -1199,8 +1193,8 @@ class TestScoreCandidate:
         args = round_args(cfg, c_state.round + 1)
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, c_state, area)
-            want = candidate_score(py_state, i, pos, *args)
-            got = candidate_score(c_state, i, pos, *args)
+            want = candidate_score(py_state.store, i, pos, *args)
+            got = candidate_score(c_state.store, i, pos, *args)
             assert got.hex() == want.hex(), (kind, pos)
 
     @needs_c_score
@@ -1234,7 +1228,7 @@ class TestScoreCandidate:
             array("d", [v for h in halves for v in h]),
             array("d", [v for c in centers for v in c]),
             array("d", [0.0] * 4 * len(centers)), [],
-            array("d", [v for b in blockages for v in b]), 5.0, GridRect,
+            array("d", [v for b in blockages for v in b]), 5.0,
         )
         got = store.score(0, 1.0, 1.0, None, 3.0)
         assert want > 0.0 and got.hex() == want.hex()
@@ -1336,7 +1330,7 @@ class TestScoreCandidate:
         def build(field, blockages, weight):
             return stepfield.CPlacementStore(
                 field, 4.0, 4.0, 1.0, 1.0, array("d", halves), array("d", centers),
-                array("d", bounds), [[0, 1]], blockages, weight, GridRect,
+                array("d", bounds), [[0, 1]], blockages, weight,
             )
 
         field, blockages, weight = CostField(2, 2, "c"), array("d", [0, 0, 1, 1]), 1.0
@@ -1350,7 +1344,7 @@ class TestScoreCandidate:
         elif value == "py store":
             value = placer.PlacementStore(
                 CostField(2, 2, "py"), 4.0, 4.0, 1.0, 1.0, halves, centers, bounds,
-                [[0, 1]], array("d"), 1.0, GridRect,
+                [[0, 1]], array("d"), 1.0,
             )
         inputs[index] = value
         with pytest.raises(error, match=match):
@@ -1406,14 +1400,15 @@ class TestCCandidateScore:
             [math.nan, math.inf, -math.inf])
         x, y = draw(coord, label="x"), draw(coord, label="y")
         pos = draw(st.sampled_from([(x, y), [x, y], (x, y, 0.0), 7]), label="pos")
-        holder = draw(st.sampled_from([state, state, object(), None]), label="state")
+        store = state.store
+        holder = draw(st.sampled_from([store, store, object(), None]), label="store")
         beta, factor = round_args(cfg, draw(st.integers(1, cfg.max_rounds)))
         args = (holder, i, pos, beta, factor)
         got = outcome(stepfield.c_candidate_score, *args)
         touched = state.field.last_touched
         assert got == outcome(placer.py_candidate_score, *args)
         assert state.field.last_touched == touched
-        if holder is state and type(pos) is tuple and len(pos) == 2 and 0 <= i < n_macros:
+        if holder is store and type(pos) is tuple and len(pos) == 2 and 0 <= i < n_macros:
             assert (type(got) is str) == (math.isfinite(x) and math.isfinite(y))
 
     @needs_c_score
@@ -1421,16 +1416,16 @@ class TestCCandidateScore:
         nl, area = generate_instance(GenSpec(macros=4, nets=4, seed=3))
         cfg = PlacerConfig(max_rounds=5, grid_p=3, grid_q=3, seed=1)
         state = new_state(nl, area, cfg)
-        want = placer.py_candidate_score(state, 1, (1.0, 2.0), None, 0.5)
-        c_score = stepfield.c_candidate_score
+        want = placer.py_candidate_score(state.store, 1, (1.0, 2.0), None, 0.5)
+        c_score, store = stepfield.c_candidate_score, state.store
         for args, kwargs in [
-            ((state, 1, (1.0, 2.0), None), {"factor": 0.5}),
-            ((), {"state": state, "i": 1, "pos": (1.0, 2.0), "beta": None,
+            ((store, 1, (1.0, 2.0), None), {"factor": 0.5}),
+            ((), {"store": store, "i": 1, "pos": (1.0, 2.0), "beta": None,
                   "factor": 0.5}),
-            ((state, 1, (1, 2), None, 0.5), {}),
+            ((store, 1, (1, 2), None, 0.5), {}),
         ]:
             assert c_score(*args, **kwargs).hex() == want.hex()
-        for args in [(state, 1, (1.0, 2.0), None), (state, 1, (1.0, 2.0), None, 0.5, 0)]:
+        for args in [(store, 1, (1.0, 2.0), None), (store, 1, (1.0, 2.0), None, 0.5, 0)]:
             with pytest.raises(TypeError) as c_err:
                 c_score(*args)
             with pytest.raises(TypeError) as py_err:
@@ -1467,11 +1462,15 @@ class TestPlacementStore:
         store = state.store
         assert store.pairs() == [(0, 1, 1.0), (2, 3, e), (4, 5, e)]
         assert stats_row(state, cfg).overlap_area == 1.0
-        assert store.move(0, 5.0, 30.0) == []  # the pair (0, 1) ends
+        # the pair (0, 1) ends, and with no meet the field does not grow
+        grown = CostField(6, 6, backend)
+        assert store.move(0, 5.0, 30.0, 1.0) is None
         assert store.pairs() == [(2, 3, e), (4, 5, e)]
-        assert store.move(0, 5.0, 5.0) == [snap_to_grid((5.0, 5.0, 6.0, 6.0),
-                                                        area, 6, 6)]
+        assert coefficients(state.field) == coefficients(grown)
+        assert store.move(0, 5.0, 5.0, 1.0) is None
         assert store.pairs() == [(2, 3, e), (4, 5, e), (0, 1, 1.0)]
+        grown.increase(snap_to_grid((5.0, 5.0, 6.0, 6.0), area, 6, 6), 1.0)
+        assert coefficients(state.field) == coefficients(grown)
         assert (e + e) + 1.0 != (1.0 + e) + e
         assert store.totals() == (0, (e + e) + 1.0)
         assert stats_row(state, cfg).overlap_area == (e + e) + 1.0
@@ -1487,8 +1486,10 @@ class TestPlacementStore:
         cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=3)
         state = state_on(backend, nl, PlacementArea(0.7, 0.7), cfg, init)
         assert state.store.box(0)[2] == x2 and state.store.box(1)[0] == x1
-        rects = state.store.move(0, *init["a"])
-        assert rects == [GridRect(5, 2, 6, 6)]
+        state.store.move(0, *init["a"], 1.0)
+        grown = CostField(3, 3, backend)
+        grown.increase(GridRect(5, 2, 6, 6), 1.0)
+        assert coefficients(state.field) == coefficients(grown)
 
     def test_no_pair_and_no_net_writes_int_zero(self, backend):
         nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
@@ -1510,13 +1511,59 @@ class TestPlacementStore:
         before, drawn = placed(state), rng.getstate()
         for call in (
             lambda: store.box(i),
-            lambda: store.move(i, 4.0, 4.0),
+            lambda: store.move(i, 4.0, 4.0, 1.0),
             lambda: store.proposals(i, rng, 1),
             lambda: store.score(i, 4.0, 4.0, None, 1.0),
         ):
             with pytest.raises(ValueError, match=f"^macro index {i} out of range for 2 macros$"):
                 call()
         assert placed(state) == before and rng.getstate() == drawn
+
+    @needs_c_score
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_move_commits_alike_on_both_stores(self, data):
+        # random commits, w = 0 and positions beyond the bounds and the area
+        # among them, leave both stores with the same bits; a refused one, a
+        # bad index, a NaN x or a non-finite w, leaves both as they were
+        draw = data.draw
+        n_macros = draw(st.integers(2, 10), label="macros")
+        nl, area = generate_instance(GenSpec(
+            macros=n_macros,
+            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+            utilization=draw(st.sampled_from([0.3, 0.8]), label="utilization"),
+            seed=draw(st.integers(0, 10**6), label="instance"),
+        ))
+        cfg = PlacerConfig(max_rounds=1, grid_p=draw(st.integers(0, 5)),
+                           grid_q=draw(st.integers(0, 5)), seed=draw(st.integers(0, 99)))
+        stores = [state_on(b, nl, area, cfg).store for b in ("c", "py")]
+
+        def snapshot(store):
+            return (coefficients(store.field),
+                    [(i, j, a.hex()) for i, j, a in store.pairs()],
+                    [v.hex() for v in store.net_lengths()],
+                    [hexes(c) for c in store.centers],
+                    [exact(v) for v in store.totals()])
+
+        side = max(area.width, area.height)
+        coord = st.floats(-side, 2 * side)
+        for _ in range(draw(st.integers(1, 20), label="moves")):
+            i = draw(st.integers(0, n_macros - 1) | st.sampled_from([-1, n_macros]))
+            x = draw(coord | st.just(math.nan), label="x")
+            y = draw(coord, label="y")
+            w = draw(st.sampled_from([0.0, 1.0, math.nan, math.inf])
+                     | st.floats(0.0, 1e3), label="w")
+            before = snapshot(stores[0])
+            refused = []
+            for store in stores:
+                try:
+                    store.move(i, x, y, w)
+                except ValueError as exc:
+                    refused.append(str(exc))
+            assert len(refused) in (0, 2) and len(set(refused)) <= 1
+            assert snapshot(stores[0]) == snapshot(stores[1])
+            if refused:
+                assert snapshot(stores[0]) == before
 
     @needs_c_score
     def test_many_moves_keep_both_stores_equal(self):
@@ -1531,9 +1578,10 @@ class TestPlacementStore:
             i = rng.randrange(len(ids))
             b = compute_bounds(nl.by_id[ids[i]], area)
             x, y = rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max)
-            rects = c.move(i, x, y)
-            assert all(type(r) is GridRect for r in rects) and rects == py.move(i, x, y)
+            w = rng.uniform(0.0, 2.0)
+            assert c.move(i, x, y, w) is py.move(i, x, y, w) is None
             assert_stores_agree(c, py, len(ids))
+            assert coefficients(c.field) == coefficients(py.field)
 
     @needs_c_score
     @pytest.mark.parametrize(
@@ -1548,7 +1596,7 @@ class TestPlacementStore:
             ({"halves": array("d", [1.0])}, ValueError, "2 doubles per macro"),
             ({"centers": array("f", [1.0, 1.0])}, TypeError, "doubles"),
             ({"centers": array("d", [math.nan, 1.0, 5.0, 5.0])}, ValueError, "finite"),
-            ({"rect": list}, TypeError, "subtype of tuple"),
+            ({"rect": GridRect}, TypeError, "at most 11 keyword arguments"),
             ({"field": None}, TypeError, "field must be a CostField on the C core"),
             ({"width": 0.0}, ValueError, "positive and finite"),
             ({"bounds": array("d", [1.0, 7.0] * 2)}, ValueError, "4 doubles per macro"),
@@ -1560,15 +1608,15 @@ class TestPlacementStore:
             min_cell_y=2.0, halves=array("d", [1.0, 1.0, 1.0, 1.0]),
             centers=array("d", [1.0, 1.0, 5.0, 5.0]),
             bounds=array("d", [1.0, 7.0] * 4), nets=[[0, 1]],
-            blockages=array("d"), blockage_weight=1.0, rect=GridRect,
+            blockages=array("d"), blockage_weight=1.0,
         )
         store = stepfield.CPlacementStore(**args)
         with pytest.raises(ValueError, match="out of range"):
-            store.move(2, 1.0, 1.0)
+            store.move(2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            store.move(0, math.inf, 1.0)
-        with pytest.raises(TypeError, match="3 arguments"):
-            store.move(0, 1.0)
+            store.move(0, math.inf, 1.0, 1.0)
+        with pytest.raises(TypeError, match="4 arguments"):
+            store.move(0, 1.0, 1.0)
         assert store.pairs() == [] and store.net_lengths() == [8.0]
         with pytest.raises(error, match=match):
             stepfield.CPlacementStore(**{**args, **change})
@@ -1632,7 +1680,7 @@ def logged_round(state, log, count, beta, factor, w, rho):
         log.append((i, hexes(pos), exact(b), exact(f)))
         return candidate_score(st, i, pos, b, f)
 
-    return state.store.round(hook, state, state.rng, count, beta, factor, w, rho)
+    return state.store.round(hook, state.rng, count, beta, factor, w, rho)
 
 
 def placed(state):
@@ -1715,7 +1763,7 @@ class TestStoreRound:
         for _ in range(30):
             log.clear()
             i, seen = want.randrange(5), []
-            state.store.round(lambda st, j, *args: seen.append(j) or 0.0, state,
+            state.store.round(lambda st, j, *args: seen.append(j) or 0.0,
                               state.rng, 0, None, 1.0, 1.0, 1.0)
             assert seen == [i] and [k for k, _ in log] == [3] * len(log)
             assert [b for _, b in log][-1] == i and all(b >= 5 for _, b in log[:-1])
@@ -1769,7 +1817,7 @@ class TestStoreRound:
             inflates = []
             state.field.inflate = inflates.append
             before, drawn = placed(state), drawn_by_round(state, 8)
-            assert state.store.round(hook, state, state.rng, 8, None, 1.0, 2.0, 0.5) == -1
+            assert state.store.round(hook, state.rng, 8, None, 1.0, 2.0, 0.5) == -1
             assert len(calls) == 9 and inflates == []
             assert placed(state) == before and state.rng.getstate() == drawn
 
@@ -1790,7 +1838,7 @@ class TestStoreRound:
 
         before, drawn = placed(state), drawn_by_round(state, 8)
         with pytest.raises(RuntimeError, match="hook failed"):
-            state.store.round(hook, state, state.rng, 8, 2.0, 1.0, 2.0, 0.5)
+            state.store.round(hook, state.rng, 8, 2.0, 1.0, 2.0, 0.5)
         assert len(calls) == k + 1
         assert placed(state) == before and state.rng.getstate() == drawn
 
@@ -1800,7 +1848,7 @@ class TestStoreRound:
         state = state_on(backend, nl, area, PlacerConfig(max_rounds=1, seed=1))
         before, drawn = placed(state), state.rng.getstate()
         with pytest.raises(ValueError, match="^increase value must be finite$"):
-            state.store.round(candidate_score, state, state.rng, 8, None, 1.0, w, 0.5)
+            state.store.round(candidate_score, state.rng, 8, None, 1.0, w, 0.5)
         assert placed(state) == before and state.rng.getstate() == drawn
 
     def test_empty_store_refused_before_any_draw(self, backend):
@@ -1811,12 +1859,12 @@ class TestStoreRound:
         for w, match in ((1.0, "the store has no macros to move"),
                          (math.nan, "increase value must be finite")):
             with pytest.raises(ValueError, match=f"^{match}$"):
-                state.store.round(candidate_score, state, state.rng, 8, None, 1.0, w, 0.5)
+                state.store.round(candidate_score, state.rng, 8, None, 1.0, w, 0.5)
         assert state.rng.getstate() == drawn
 
     def test_round_step_is_one_store_round(self, monkeypatch, backend):
         # round_step hands the store candidate_score as this module holds
-        # it at the call, the state, its rng and the round's schedules
+        # it at the call, the state's rng and the round's schedules
         nl, area = tiny_instance(5)
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=3)
         state = state_on(backend, nl, area, cfg)
@@ -1837,11 +1885,13 @@ class TestStoreRound:
 
         state.store = Store()
         row = round_step(state, cfg)
-        ((score, st_, rng, count, beta, factor, w, rho),) = rounds
-        assert score is hook and st_ is state and rng is state.rng
+        ((score, rng, count, beta, factor, w, rho),) = rounds
+        assert score is hook and rng is state.rng
         assert (count, beta, factor, w, rho) == (
             8, row.beta, cfg.penalty_c * row.delta, row.w, cfg.inflation_rho)
+        # the hook gets the store itself, not the state or this wrapper
         assert hook.call_count == 9
+        assert all(call.args[0] is store for call in hook.call_args_list)
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):
@@ -1918,7 +1968,7 @@ class TestRoundStep:
         score = placer.candidate_score
 
         def recording(st, i, pos, *args):
-            seen.append((st is state, i, hexes(pos)))
+            seen.append((st is state.store, i, hexes(pos)))
             return score(st, i, pos, *args)
 
         monkeypatch.setattr(placer, "candidate_score", recording)
@@ -2153,7 +2203,7 @@ class TestBackendsAndSwitch:
             (i,) = {args[1] for args in seen}
             assert 0 <= i < len(state.macro_order)
             for scored, _, _, b, f in seen:
-                assert scored is state and b == beta and f.hex() == factor
+                assert scored is state.store and b == beta and f.hex() == factor
         assert state.round == cfg.max_rounds
 
     @needs_c_score
@@ -2167,7 +2217,7 @@ class TestBackendsAndSwitch:
         with pytest.raises(TypeError, match="field must be a CostField on the C core"):
             stepfield.CPlacementStore(
                 states["py"].field, area.width, area.height, 1.0, 1.0, array("d"),
-                array("d"), array("d"), [], array("d"), 1.0, GridRect,
+                array("d"), array("d"), [], array("d"), 1.0,
             )
         for backend, other in (("c", "py"), ("py", "c")):
             with pytest.raises(AttributeError):
