@@ -1,9 +1,11 @@
 """Macro placement on a fast 2D step-function cost field.
 
-The package combines three layers:
+The package combines these layers:
 
 * :mod:`stepplace.stepfield` - the orthogonal-basis representation of 2D step
-  functions with logarithmic-time rectangle sums and rectangle increments;
+  functions with logarithmic-time rectangle sums and rectangle increments,
+  and ``core``, the one switch between the C core and :mod:`stepplace._pycore`,
+  the Python core with the C core's names;
 * :mod:`stepplace.netmodel` - netlists, placements, legality, and the
   bounding-box / smoothed net-length models;
 * :mod:`stepplace.placer` - the iterative placement heuristic that grows a

@@ -28,7 +28,7 @@
  * term).  A whole round of the placer is one call of its round method: it
  * draws the macro as rng.randrange does and the candidates as proposals does,
  * from the macro's center and bounds, calls the placer's scoring hook once
- * per candidate, picks the winner as stepplace.placer.first_min does,
+ * per candidate, picks the winner as stepplace._pycore.first_min does,
  * commits it as move does, and calls the field's inflate once.  A commit is
  * one body, shared by move and round: it moves the macro and grows the
  * field under each snapped meet with the field core's increase body.  The
@@ -42,13 +42,13 @@
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
- * search's lattices and runs the ring search of placer._nearest_free over
+ * search's lattices and runs the ring search of _pycore._nearest_free over
  * them, with the same cursors and jumps, so it finds the same point; both
  * take lattices whose footprints are all non-empty (netmodel.check_placeable).
  *
- * All of these do the float operations of the placer's Python reference in
- * its order, so they return its bits (build with -ffp-contract=off so no
- * multiply-add is fused).
+ * All of these do the float operations of their Python references, the
+ * same names in stepplace._pycore (stepfield.core where this did not load),
+ * in their order, so they return their bits (build with -ffp-contract=off).
  *
  * The module function repr_line writes the line of floats and ints that
  * every file writer of stepplace.io_cli writes, with the bytes repr writes;
@@ -688,7 +688,7 @@ index_key(PyObject *obj, Py_ssize_t count, const char *what, const char *of)
     return k;
 }
 
-/* placer.snap_to_grid: the cells of an n x m grid over a width x height
+/* _pycore.snap_to_grid: the cells of an n x m grid over a width x height
  * area that cover box clipped to the area, half-open, written to r; 1 if
  * the clipped box is not empty, else 0; -1 with an exception set where the
  * cover leaves the grid. */
@@ -716,7 +716,7 @@ snap_box(const double *box, double width, double height, Py_ssize_t n, Py_ssize_
     return 1;
 }
 
-/* The placer's placement, as stepplace.placer.PlacementStore keeps it in
+/* The placer's placement, as stepplace._pycore.PlacementStore keeps it in
  * Python: the cost field it scores against, the area's keep-outs with their
  * weight, each macro's center, half-sizes and footprint, the nets as index
  * arrays with their bounding-box lengths, and the live overlap pairs with
@@ -813,7 +813,7 @@ compact_pairs(PlacementStore *s)
 }
 
 /* Brings the pairs of macro i up to date with its footprint, as
- * placer.PlacementStore._update_overlaps does: a pair that stays keeps its
+ * _pycore.PlacementStore._update_overlaps does: a pair that stays keeps its
  * slot and takes its new area, a new pair takes a slot at the end, and a
  * dropped pair's slot dies.  The meets with the other footprints go to
  * s->meets in index order.  Returns their count, or -1 with MemoryError set
@@ -1124,6 +1124,8 @@ store_commit(PlacementStore *s, Py_ssize_t i, double x, double y, double w)
     for (Py_ssize_t t = 0; t < n; t++) {
         Py_ssize_t r[4];
         int snapped = snap_box(s->meets + 4 * t, s->width, s->height, core->n, core->m, r);
+        /* the one guard on the cells field_increase writes; as in store_score,
+         * it cannot fire */
         if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
             return -1;
         if (snapped)
@@ -1213,7 +1215,7 @@ PlacementStore_pairs(PlacementStore *self, PyObject *unused)
     return out;
 }
 
-/* stepplace.placer.PlacementStore.score of the 5 args (i, x, y, beta,
+/* stepplace._pycore.PlacementStore.score of the 5 args (i, x, y, beta,
  * factor), term for term in its order: the field sum under macro i's
  * footprint at (x, y) snapped to the field's grid, the lengths of i's nets
  * in net order with its pin at (x, y), the overlap penalty against every
@@ -1242,6 +1244,9 @@ store_score(PlacementStore *s, PyObject *const *args)
     double score = 0.0;
     Py_ssize_t r[4];
     int snapped = snap_box(fp, s->width, s->height, core->n, core->m, r);
+    /* the one guard on the cells field_cost reads; it cannot fire: snap_box
+     * leaves the grid only at a1 == a2 == n, yet x1 < width and cx = width /
+     * 2^p is exact for sides of at least MIN_AREA_SIDE, so x1 / cx < n */
     if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
         return NULL;
     if (snapped)
@@ -1255,7 +1260,7 @@ store_score(PlacementStore *s, PyObject *const *args)
         score += length;
     }
 
-    /* placer.penalty: circumference of every positive-area meet, in index
+    /* _pycore.penalty: circumference of every positive-area meet, in index
      * order, so the same floats are added in the same order as by a scan
      * over every footprint */
     FootprintIndex *idx = &s->index;
@@ -1291,8 +1296,7 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 /* The rng methods a proposal and a round's macro draw from, the 0.5 a coin
  * compares with, and the field method a round calls, made once at module
  * init. */
-static PyObject *str_random, *str_getrandbits, *str_randrange, *one_half, *str_inflate,
-    *str_score;
+static PyObject *str_random, *str_getrandbits, *str_randrange, *one_half, *str_inflate;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1311,7 +1315,7 @@ to_double(PyObject *obj, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* placer.gamma(span, u) into *out; u is read only where span >= 1, and an
+/* _pycore.gamma(span, u) into *out; u is read only where span >= 1, and an
  * exp that overflows raises OverflowError, as math.exp does.  -1 with an
  * exception set. */
 static int
@@ -1349,7 +1353,7 @@ float_pair(double x, double y)
     return pair;
 }
 
-/* One proposal of stepplace.placer.move_macro around the center c within
+/* One proposal of stepplace._pycore.move_macro around the center c within
  * the bounds b (x_min, x_max, y_min, y_max): the same four calls of random,
  * rng's bound random, in its order, each coin compared before the next
  * draw, and the same float operations.  The (x, y) tuple, or NULL with an
@@ -1376,7 +1380,7 @@ done:
     return result;
 }
 
-/* stepplace.placer.PlacementStore.proposals: the list of macro i's center,
+/* stepplace._pycore.PlacementStore.proposals: the list of macro i's center,
  * then count_obj proposals around it within its bounds, each drawn by
  * propose from rng; NULL with an exception set. */
 static PyObject *
@@ -1421,7 +1425,7 @@ PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t na
     return i < 0 ? NULL : store_proposals(s, i, args[1], args[2]);
 }
 
-/* stepplace.placer.first_min over the n >= 1 scores v (a round scores at
+/* stepplace._pycore.first_min over the n >= 1 scores v (a round scores at
  * least the macro's center): the index of the first smallest score, -1
  * where a score is not finite (each read as math.isfinite reads it, in
  * order), compared as min compares them; -2 with an exception set. */
@@ -1498,7 +1502,7 @@ draw_index(PyObject *rng, Py_ssize_t n)
     return r < 0 || r >= n ? -1 : r;
 }
 
-/* stepplace.placer.PlacementStore.round: one round of the placer.  Draws
+/* stepplace._pycore.PlacementStore.round: one round of the placer.  Draws
  * macro i as draw_index does and its candidates as proposals does, calls
  * score(store, i, pos, beta, factor) once per candidate in order and picks
  * the winner as first_min does.  Unless a score is not finite (-1, nothing
@@ -1582,7 +1586,7 @@ static PyMethodDef PlacementStore_methods[] = {
      "bounding box) of each of its nets with its pin at (x, y), plus factor\n"
      "times the overlap circumference against every other footprint, plus\n"
      "the keep-out weight times the overlap area with each keep-out; see\n"
-     "stepplace.placer.PlacementStore.score."},
+     "stepplace._pycore.PlacementStore.score."},
     {"move", (PyCFunction)(void (*)(void))PlacementStore_move, METH_FASTCALL,
      "move(i, x, y, w) -> None\n\n"
      "Commit macro i at (x, y): store its footprint, recompute its nets'\n"
@@ -1611,14 +1615,14 @@ static PyMethodDef PlacementStore_methods[] = {
      "the field's inflate(rho) once.  Returns the winner's index, or -1 with\n"
      "nothing moved where a score is not finite.  A non-finite w or a store\n"
      "without macros raises ValueError before any draw; see\n"
-     "stepplace.placer.PlacementStore.round."},
+     "stepplace._pycore.PlacementStore.round."},
     {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
      "proposals(i, rng, count) -> [(x, y), ...]\n\n"
      "A round's candidates for macro i: its center, then count proposals\n"
      "around it, each clamped into its bounds.  Per proposal and axis a coin\n"
      "picks the direction and the jump is log-uniform over the span to the\n"
      "bound on that side, drawing rng.random() four times: direction x,\n"
-     "direction y, jump x, jump y; see stepplace.placer.move_macro."},
+     "direction y, jump x, jump y; see stepplace._pycore.move_macro."},
     {NULL}
 };
 
@@ -1644,7 +1648,7 @@ static PyTypeObject PlacementStoreType = {
               "score.  The footprints sit in a grid of cells of at least min_cell_x\n"
               "by min_cell_y, at most about count of them, the border cells reaching\n"
               "to infinity.  move commits a macro and grows the field under its\n"
-              "meets.  stepplace.placer.PlacementStore is its Python reference.",
+              "meets.  stepplace._pycore.PlacementStore is its Python reference.",
     .tp_basicsize = sizeof(PlacementStore),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PlacementStore_new,
@@ -1655,7 +1659,7 @@ static PyTypeObject PlacementStoreType = {
 
 /* repr_line: sep.join(map(repr, values)) + "\n" for floats and ints, the
  * line every file writer of stepplace.io_cli writes (its Python reference
- * is io_cli.py_repr_line).
+ * is _pycore.repr_line).
  *
  * repr(x) of a float is the shortest decimal that reads back as x, the one
  * nearest x among those (David Gay's dtoa, mode 0, behind
@@ -1963,8 +1967,8 @@ done:
 }
 
 /* The footprints the legalizer has placed and the area's keep-outs, with the
- * lattice search of stepplace.placer._nearest_free over them; its Python
- * reference is stepplace.placer.PyFreeSpace. */
+ * lattice search of stepplace._pycore._nearest_free over them; its Python
+ * reference is stepplace._pycore.FreeSpace. */
 typedef struct {
     PyObject_HEAD
     FootprintIndex index;  /* the placed footprints, keyed 0 .. count - 1 */
@@ -1973,27 +1977,27 @@ typedef struct {
     double *blk;           /* x1, y1, x2, y2 per keep-out */
 } FreeSpace;
 
-/* netmodel.BucketGrid.first_hit over the index, then the first keep-out: a
- * box that meets query, or NULL if there is none. */
+/* netmodel.BucketGrid.first_hit over the index (the box of the least key
+ * that meets query, whatever the cells), then the first keep-out: a box that
+ * meets query, or NULL if there is none. */
 static const double *
 blocker(const FreeSpace *s, const double *query)
 {
     const FootprintIndex *idx = &s->index;
-    Py_ssize_t c[4];
+    Py_ssize_t c[4], best = -1;
     box_cells(idx, query, c);
     for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
         for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
             const Bucket *b = &idx->cells[i * idx->rows + j];
-            Py_ssize_t best = -1;
             for (Py_ssize_t t = 0; t < b->len; t++) {
                 Py_ssize_t k = b->keys[t];
                 if ((best < 0 || k < best) && boxes_meet(query, idx->boxes + 4 * k))
                     best = k;
             }
-            if (best >= 0)
-                return idx->boxes + 4 * best;
         }
     }
+    if (best >= 0)
+        return idx->boxes + 4 * best;
     for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4)
         if (boxes_meet(query, b))
             return b;
@@ -2011,7 +2015,7 @@ typedef struct {
  * 2**11, at the grid cap). */
 #define MAX_LATTICE ((Py_ssize_t)1 << 20)
 
-/* The number of points of placer._lattice(lo, hi, step): lo + i * step
+/* The number of points of _pycore._lattice(lo, hi, step): lo + i * step
  * while below hi, then hi; -1 above MAX_LATTICE. */
 static Py_ssize_t
 lattice_count(double lo, double hi, double step)
@@ -2022,7 +2026,7 @@ lattice_count(double lo, double hi, double step)
     return n < MAX_LATTICE ? n + 1 : -1;
 }
 
-/* Writes the points of placer._lattice(lo, hi, step) and the edges
+/* Writes the points of _pycore._lattice(lo, hi, step) and the edges
  * v - half and v + half of the footprints around them. */
 static void
 lattice_fill(Lattice *a, double lo, double hi, double step, double half)
@@ -2064,7 +2068,7 @@ bisect_right(const double *a, Py_ssize_t n, double v)
     return lo;
 }
 
-/* placer._nearest_index */
+/* _pycore._nearest_index */
 static Py_ssize_t
 nearest_index(const Lattice *a, double v)
 {
@@ -2074,7 +2078,7 @@ nearest_index(const Lattice *a, double v)
     return i > 0 && fabs(a->at[i - 1] - v) <= fabs(a->at[i] - v) ? i - 1 : i;
 }
 
-/* placer._nearest_free over the lattice xs x ys, with row holding two
+/* _pycore._nearest_free over the lattice xs x ys, with row holding two
  * cursors per column: the first point whose footprint no blocker meets, in
  * rings of index distance r around the point nearest (px, py), each by
  * ascending column, the upward cursor before the downward one.  Every cursor
@@ -2259,7 +2263,7 @@ static PyMethodDef FreeSpace_methods[] = {
      "axis, whose footprint (hx, hy the half sides around it) meets nothing,\n"
      "in rings of index distance around the point nearest (x, y); None if\n"
      "there is none.  Every footprint of the lattice must be non-empty.\n"
-     "See stepplace.placer._nearest_free."},
+     "See stepplace._pycore._nearest_free."},
     {NULL}
 };
 
@@ -2270,7 +2274,7 @@ static PyTypeObject FreeSpaceType = {
               "The legalizer's placed footprints, keyed 0 .. count - 1 and bucketed\n"
               "as in PlacementStore over a width x height area, and the keep-outs,\n"
               "x1, y1, x2, y2 per keep-out in a buffer of doubles.\n"
-              "stepplace.placer.PyFreeSpace is its Python reference.",
+              "stepplace._pycore.FreeSpace is its Python reference.",
     .tp_basicsize = sizeof(FreeSpace),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = FreeSpace_new,
@@ -2278,29 +2282,27 @@ static PyTypeObject FreeSpaceType = {
     .tp_methods = FreeSpace_methods,
 };
 
-/* stepplace.placer.py_candidate_score(store, i, pos, beta, factor), the
+/* stepplace._pycore.candidate_score(store, i, pos, beta, factor), the
  * placer's scoring hook: store.score(i, x, y, beta, factor) for x, y = pos.
- * For a pos that is a 2-tuple it runs a C store's score body with no call
- * between; any other store gets its score method called.  Any other call
- * is handed to the Python function itself, so it returns, or raises, what
- * that returns or raises. */
+ * For a C store and a pos that is a 2-tuple it runs the store's score body
+ * with no call between.  Any other call (in a run, the hook sees only the
+ * stores of its own core) is handed to the Python function itself, so it
+ * returns, or raises, what that returns or raises. */
 static PyObject *
 candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
 {
     PyObject *pos = nargs == 5 ? args[2] : NULL;
     if (kwnames == NULL && pos != NULL && PyTuple_CheckExact(pos)
-        && PyTuple_GET_SIZE(pos) == 2) {
-        PyObject *argv[6] = {args[0], args[1], PyTuple_GET_ITEM(pos, 0),
-                             PyTuple_GET_ITEM(pos, 1), args[3], args[4]};
-        return Py_IS_TYPE(args[0], &PlacementStoreType)
-            ? store_score((PlacementStore *)args[0], argv + 1)
-            : PyObject_VectorcallMethod(str_score, argv, 6, NULL);
+        && PyTuple_GET_SIZE(pos) == 2 && Py_IS_TYPE(args[0], &PlacementStoreType)) {
+        PyObject *argv[5] = {args[1], PyTuple_GET_ITEM(pos, 0), PyTuple_GET_ITEM(pos, 1),
+                             args[3], args[4]};
+        return store_score((PlacementStore *)args[0], argv);
     }
-    static PyObject *reference; /* placer.py_candidate_score, looked up once */
+    static PyObject *reference; /* _pycore.candidate_score, looked up once */
     if (reference == NULL) {
-        PyObject *mod = PyImport_ImportModule("stepplace.placer");
-        reference = mod ? PyObject_GetAttrString(mod, "py_candidate_score") : NULL;
+        PyObject *mod = PyImport_ImportModule("stepplace._pycore");
+        reference = mod ? PyObject_GetAttrString(mod, "candidate_score") : NULL;
         Py_XDECREF(mod);
         if (reference == NULL)
             return NULL;
@@ -2314,14 +2316,14 @@ static PyMethodDef fieldcore_functions[] = {
      "candidate_score(store, i, pos, beta, factor) -> float\n\n"
      "store.score(i, x, y, beta, factor) for x, y = pos: the placer's\n"
      "scoring hook, which runs a C store's score body with no Python frame.\n"
-     "stepplace.placer.py_candidate_score is its reference; any call but one\n"
-     "with a 2-tuple pos is handed to it."},
+     "stepplace._pycore.candidate_score is its reference; any call but one\n"
+     "with a C store and a 2-tuple pos is handed to it."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
      "with repr's bytes; TypeError for any other value.  A float's digits\n"
      "come from 128-bit integers where that is exact and unambiguous, else\n"
-     "from the interpreter's repr; see stepplace.io_cli.py_repr_line."},
+     "from the interpreter's repr; see stepplace._pycore.repr_line."},
     {NULL}
 };
 
@@ -2341,8 +2343,7 @@ PyInit__fieldcore(void)
             || (one_half = PyFloat_FromDouble(0.5)) == NULL
             || (str_getrandbits = PyUnicode_InternFromString("getrandbits")) == NULL
             || (str_randrange = PyUnicode_InternFromString("randrange")) == NULL
-            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL
-            || (str_score = PyUnicode_InternFromString("score")) == NULL)) {
+            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL)) {
         Py_CLEAR(str_random);
         Py_CLEAR(one_half);
         Py_CLEAR(str_getrandbits);

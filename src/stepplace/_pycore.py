@@ -1,0 +1,645 @@
+"""The Python core: the exports of the C core ``_fieldcore``, in plain Python.
+
+:class:`FieldCore` (the field's coefficients), :class:`PlacementStore` (the
+placer's placement with its draw, score, commit and round), :class:`FreeSpace`
+(the legalizer's placed footprints and lattice search), :func:`candidate_score`
+(the placer's scoring hook) and :func:`repr_line` (the file writers' lines)
+answer as the C core's do, bit for bit.  ``stepfield.core`` is this module
+where the C core did not load.  ``stepfield`` and ``placer`` import the
+helpers these share (the basis arithmetic, :func:`snap_to_grid`,
+:func:`move_macro`, :func:`first_min`, :func:`penalty`) under the same
+names.  This module imports only :mod:`stepplace.netmodel`, so no import
+cycle forms.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import operator
+import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, NamedTuple
+
+from stepplace.netmodel import (
+    Box,
+    BucketGrid,
+    PlacementArea,
+    Point,
+    bb_netlength,
+    meet,
+    model_length,
+    ordered_sum,
+    overlaps,
+)
+
+if TYPE_CHECKING:
+    from stepplace.stepfield import CostField
+
+__all__ = ["FieldCore", "FreeSpace", "PlacementStore", "candidate_score", "repr_line"]
+
+
+class GridRect(NamedTuple):
+    """Half-open cell rectangle ``[a1, a2) x [b1, b2)``; :class:`CostField`
+    rejects it if degenerate or out of the grid (``ValueError``), or if an
+    index is not an integer (``TypeError``)."""
+
+    a1: int
+    b1: int
+    a2: int
+    b2: int
+
+
+def blocks_at_level(p: int, a: int) -> int:
+    """Number of valid block indexes k at axis level a (1-based blocks)."""
+    if not 0 <= a <= p:
+        raise ValueError(f"level {a} out of range for exponent {p}")
+    if a == p:
+        return 1
+    return 1 << (p - a - 1)
+
+
+def flat_axis_id(p: int, a: int, k: int) -> int:
+    """Dense position of axis element (a, k) in [0, 2**p); all-ones is last."""
+    if not 1 <= k <= blocks_at_level(p, a):
+        raise ValueError(f"block {k} out of range at level {a} (exponent {p})")
+    n = 1 << p
+    if a == p:
+        return n - 1
+    return n - (n >> a) + (k - 1)
+
+
+def nonzero_basis_1d(s: int, t: int, p: int) -> list[tuple[int, int, float]]:
+    """All 1D basis elements not orthogonal to the indicator of cells [s, t).
+
+    Returns ``(level a, block k, inner product)`` triples, the all-ones
+    element last with inner product ``t - s``.  At most ``2p + 1`` entries.
+    """
+    n = 1 << p
+    if not 0 <= s < t <= n:
+        raise ValueError(f"invalid cell interval [{s}, {t}) for n={n}")
+    out: list[tuple[int, int, float]] = []
+    for a in range(p):
+        span2 = 2 << a
+        ks = (s + span2 - 1) // span2 if s > 0 else 0
+        kt = (t + span2 - 1) // span2
+        if ks:
+            lo = (2 * ks - 2) << a
+            hi = (2 * ks) << a
+            v = -min(s - lo, hi - s)
+            if kt == ks:
+                v += min(t - lo, hi - t)
+            if v:
+                out.append((a, ks, float(v)))
+        if kt != ks:
+            lo = (2 * kt - 2) << a
+            hi = (2 * kt) << a
+            v = min(t - lo, hi - t)
+            if v:
+                out.append((a, kt, float(v)))
+    out.append((p, 1, float(t - s)))
+    return out
+
+
+#: Most cell intervals :func:`_axis_block` keeps (an axis at exponent 11 has
+#: about two million).
+AXIS_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=AXIS_CACHE_SIZE)
+def _axis_block(s: int, t: int, p: int) -> tuple[tuple, tuple, tuple]:
+    """The nonzero 1D components of the indicator of cells [s, t) at exponent
+    ``p``, as the C core's ``axis_components`` writes them: their flat axis
+    ids, inner products, and the reciprocals of the elements' squared norms.
+    Memoized for the most recent :data:`AXIS_CACHE_SIZE` intervals."""
+    comps = nonzero_basis_1d(s, t, p)
+    ids = tuple(flat_axis_id(p, a, k) for a, k, _ in comps)
+    stars = tuple(v for _, _, v in comps)
+    inv_norms = tuple(1.0 / (2 << a if a < p else 1 << p) for a, _, _ in comps)
+    return ids, stars, inv_norms
+
+
+#: Smallest scale the field cores keep apart from the coefficients; below it
+#: ``inflate`` folds the scale into every coefficient.
+FOLD_BELOW = 2.0**-32
+
+#: Largest ``|value / scale|`` an ``increase`` stores while the scale is below
+#: 1; above it the scale is folded in first, so that neither the stored
+#: coefficients nor a read overflow where the field's values do not (the
+#: bound is derived beside the C core's ``FOLD_ABOVE``).
+FOLD_ABOVE = 2.0**800
+
+
+class FieldCore:
+    """Python core with the same interface as the C core, doing the same
+    float operations in the same order, so both return the same bits."""
+
+    def __init__(self, p: int, q: int) -> None:
+        self.p = p
+        self.q = q
+        self.n = 1 << p
+        self.m = 1 << q
+        self._coef = [0.0] * (self.n * self.m)
+        self._scale = 1.0  # every stored coefficient omits this factor
+        self.last_touched = 0
+
+    def _blocks(self, a1: int, b1: int, a2: int, b2: int):
+        """The rectangle's x and y :func:`_axis_block`, once it passed the C
+        core's checks; records ``last_touched``."""
+        for v in (a1, b1, a2, b2):
+            operator.index(v)  # TypeError on non-integers, as the C core's "n"
+        if not (0 <= a1 < a2 <= self.n and 0 <= b1 < b2 <= self.m):
+            raise ValueError(
+                f"rectangle ({a1},{b1})-({a2},{b2}) invalid for "
+                f"{self.n}x{self.m} grid"
+            )
+        bx, by = _axis_block(a1, a2, self.p), _axis_block(b1, b2, self.q)
+        self.last_touched = len(bx[0]) * len(by[0])
+        return bx, by
+
+    def _fold(self, s: float) -> None:
+        """Multiply every non-constant coefficient by ``s`` and the constant
+        one by the scale, then reset the scale to 1."""
+        const = self._coef[-1] * self._scale
+        # a zero keeps its bits (and its shared object) times s >= 0
+        self._coef = [c * s if c else c for c in self._coef]
+        self._coef[-1] = const
+        self._scale = 1.0
+
+    def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
+        (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
+        v = value / self._scale
+        if self._scale < 1.0 and abs(v) > FOLD_ABOVE:
+            # a value too large over the scale takes the scale folded in first
+            self._fold(self._scale)
+            v = value / self._scale
+        coef, m = self._coef, self.m
+        wy = [s * r for s, r in zip(sy, ny)]
+        for fx, s, r in zip(ix, sx, nx):
+            vx = s * r * v
+            row = fx * m
+            for fy, w in zip(iy, wy):
+                coef[row + fy] += vx * w
+
+    def cost(self, a1: int, b1: int, a2: int, b2: int) -> float:
+        (ix, sx, _), (iy, sy, _) = self._blocks(a1, b1, a2, b2)
+        coef, m = self._coef, self.m
+        tot = 0.0
+        for fx, s in zip(ix, sx):
+            row = fx * m
+            sub = 0.0
+            for fy, t in zip(iy, sy):
+                sub += coef[row + fy] * t
+            tot += sub * s
+        return tot * self._scale
+
+    def inflate(self, rho: float) -> None:
+        if not 0.0 < rho <= 1.0:
+            raise ValueError("decay factor must be in (0, 1]")
+        s = self._scale * rho
+        if s < FOLD_BELOW:
+            self._fold(s)
+        else:
+            self._scale = s
+            self._coef[-1] /= rho  # the constant element never decays
+
+    def coefficient(self, fx: int, fy: int) -> float:
+        if not (0 <= fx < self.n and 0 <= fy < self.m):
+            raise ValueError("axis component id out of range")
+        return self._coef[fx * self.m + fy] * self._scale
+
+
+class MacroBounds(NamedTuple):
+    """Feasible center coordinates keeping a macro inside the area."""
+
+    x_min: float
+    x_max: float
+    y_min: float
+    y_max: float
+
+
+def snap_to_grid(
+    box: Box, area: PlacementArea, p: int, q: int
+) -> GridRect | None:
+    """Smallest grid rectangle covering ``box`` (clipped to the area).
+
+    Cell sizes are ``area.width / 2**p`` by ``area.height / 2**q``.  Returns
+    None when the clipped rectangle is degenerate (a no-op for callers).
+    Outward rounding may conservatively widen the cover by one cell when a
+    boundary is not exactly representable.
+    """
+    n, m = 1 << p, 1 << q
+    cx = area.width / n
+    cy = area.height / m
+    x1, y1, x2, y2 = meet(box, (0.0, 0.0, area.width, area.height))
+    if not (x1 < x2 and y1 < y2):
+        return None
+    # 0 <= x1 < x2 <= width, and cx is width over a power of two exactly
+    # (PlacementArea's minimum side), so 0 <= x1 / cx < n and x2 / cx <= n
+    a1 = math.floor(x1 / cx)
+    b1 = math.floor(y1 / cy)
+    a2 = max(a1 + 1, math.ceil(x2 / cx))
+    b2 = max(b1 + 1, math.ceil(y2 / cy))
+    return GridRect(a1, b1, a2, b2)
+
+
+def gamma(span: float, u: float) -> float:
+    """Log-uniform jump length in [1, span] for a uniform sample ``u``.
+
+    Below one unit of slack there is no room to jump, so spans under 1
+    return 0.
+    """
+    if span < 1.0:
+        return 0.0
+    return math.exp(math.log(span) * u)
+
+
+def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
+    """Propose a new position around ``pos``.
+
+    Per axis a fair coin picks the direction; the jump length is log-uniform
+    over the feasible span on that side (the leftward/downward span is
+    measured to the bound, plus one unit so a minimal jump stays possible).
+    Consumes exactly four rng draws: direction x, direction y, jump x, jump y.
+    The result is clamped into ``bounds``.  It is the draw of
+    :meth:`PlacementStore.proposals`, and the reference of the C store's.
+    """
+    x, y = pos
+    a = 1 if rng.random() < 0.5 else -1
+    b = 1 if rng.random() < 0.5 else -1
+    ux = rng.random()
+    uy = rng.random()
+    if a == 1:
+        x_new = x - gamma(x - bounds.x_min + 1.0, ux)
+    else:
+        x_new = x + gamma(bounds.x_max - x, ux)
+    if b == 1:
+        y_new = y - gamma(y - bounds.y_min + 1.0, uy)
+    else:
+        y_new = y + gamma(bounds.y_max - y, uy)
+    return (
+        min(max(x_new, bounds.x_min), bounds.x_max),
+        min(max(y_new, bounds.y_min), bounds.y_max),
+    )
+
+
+def first_min(scores: Sequence[float]) -> int:
+    """The index of the first smallest score (ties to the lowest index), or
+    -1 where a score is not finite.  The C store's ``round`` picks its
+    winner as this does.
+    """
+    if not all(map(math.isfinite, scores)):
+        return -1
+    return scores.index(min(scores))
+
+
+def penalty(factor: float, box: Box, grid: BucketGrid, key) -> float:
+    """Overlap penalty of the footprint ``box`` against every footprint of
+    ``grid`` but the one stored under ``key``: ``factor`` (the round's
+    penalty constant times its multiplier) times the total circumference of
+    the pairwise footprint intersections, added in key order."""
+    total_circ = 0.0
+    for k in grid.hits(*box):
+        if k == key:
+            continue
+        ix1, iy1, ix2, iy2 = meet(box, grid[k])
+        total_circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1))
+    return factor * total_circ
+
+
+class PlacementStore:
+    """The placement as the rounds read and commit it, with the cost field
+    and the keep-outs a candidate is scored against.
+
+    It takes the C store's arguments, keying macros by index: ``halves``,
+    ``centers``, ``bounds`` and ``blockages`` hold ``hx, hy``, ``x, y``,
+    ``x_min, x_max, y_min, y_max`` and ``x1, y1, x2, y2`` per macro or
+    keep-out, ``nets`` each net's members.  It keeps ``field``, the
+    ``width`` by ``height`` ``area``, the ``blockages`` and their
+    ``blockage_weight``, each macro's half-sizes (``halves[i]``), center
+    (``centers[i]``) and :class:`MacroBounds` (``bounds[i]``), the nets
+    (``nets``, and each macro's net indices ascending in ``nets_of[i]``)
+    with their bounding-box lengths, the footprints in ``grid`` (a
+    :class:`BucketGrid` with ``min_cell_x`` by ``min_cell_y`` cells), and the
+    live overlap pairs ``(i, j)``, ``i < j``, with their areas, in the order
+    the pairs entered: a pair that ends and overlaps again goes to the end.
+    :meth:`move` is a round's whole commit, the macro's move and the field's
+    growth under its meets, and :meth:`round` runs a whole round of the
+    placer.  Every method that takes a macro index refuses one outside
+    ``0 .. count - 1`` with the C store's ``ValueError``.
+    """
+
+    def __init__(
+        self,
+        field: CostField,
+        width: float,
+        height: float,
+        min_cell_x: float,
+        min_cell_y: float,
+        halves: Sequence[float],
+        centers: Sequence[float],
+        bounds: Sequence[float],
+        nets: Sequence[Sequence[int]],
+        blockages: Sequence[float],
+        blockage_weight: float,
+    ) -> None:
+        self.field, self.blockage_weight = field, blockage_weight
+        self.area = PlacementArea(width, height)
+        self.blockages = list(zip(*[iter(blockages)] * 4))  # x1, y1, x2, y2 each
+        count = len(centers) // 2
+        self.halves = [(halves[2 * i], halves[2 * i + 1]) for i in range(count)]
+        self.centers = [(centers[2 * i], centers[2 * i + 1]) for i in range(count)]
+        self.bounds = [MacroBounds(*bounds[4 * i:4 * i + 4]) for i in range(count)]
+        self.nets = [list(net) for net in nets]
+        self.nets_of: list[list[int]] = [[] for _ in range(count)]
+        for k, net in enumerate(self.nets):
+            for i in net:
+                self.nets_of[i].append(k)
+        self.grid = BucketGrid(min_cell_x, min_cell_y)
+        for i in range(count):
+            self.grid.put(i, self.box(i))
+        self.net_bb = [self._net_box(k) for k in range(len(self.nets))]
+        # macro index pairs (i, j), i < j, with positive intersection area
+        self.pair_overlap: dict[tuple[int, int], float] = {}
+        # per macro index, the indices it overlaps, i.e. its keys in pair_overlap
+        self.partners: list[set[int]] = [set() for _ in range(count)]
+        # every pair enters pair_overlap as (i, j) in ascending order, as it
+        # would from a scan over all pairs
+        for i in range(count):
+            self._update_overlaps(i)
+
+    def _check(self, i: int) -> None:
+        """Refuse a macro index outside ``0 .. count - 1``, as the C store does."""
+        if not 0 <= i < len(self.centers):
+            raise ValueError(f"macro index {i} out of range for {len(self.centers)} "
+                             "macros")
+
+    def box(self, i: int) -> Box:
+        """The footprint of macro ``i``."""
+        self._check(i)
+        (x, y), (hx, hy) = self.centers[i], self.halves[i]
+        return (x - hx, y - hy, x + hx, y + hy)
+
+    def _net_box(self, k: int) -> float:
+        return bb_netlength([self.centers[i] for i in self.nets[k]])
+
+    def _update_overlaps(self, i: int) -> list[Box]:
+        """Bring ``pair_overlap`` and ``partners`` up to date for macro ``i``
+        at its footprint; returns the meets of that footprint with every
+        other one it overlaps, in index order."""
+        grid = self.grid
+        box = grid[i]
+        # hits come in index order, so pair_overlap gains new keys, and the
+        # caller's field its increases, in the order of a scan over every macro
+        hits = [j for j in grid.hits(*box) if j != i]
+        partners = self.partners
+        pair_overlap = self.pair_overlap
+        for j in partners[i].difference(hits):
+            pair_overlap.pop((i, j) if i < j else (j, i))
+            partners[j].discard(i)
+        partners[i] = set(hits)
+        meets = []
+        for j in hits:
+            partners[j].add(i)
+            inter = meet(box, grid[j])
+            pair_overlap[(i, j) if i < j else (j, i)] = (inter[2] - inter[0]) * (
+                inter[3] - inter[1]
+            )
+            meets.append(inter)
+        return meets
+
+    def move(self, i: int, x: float, y: float, w: float) -> None:
+        """Commit macro ``i`` at ``(x, y)``: store its footprint, recompute
+        its nets' boxes and overlap pairs, and grow the field by ``w`` under
+        the :func:`snap_to_grid` cells of each of its meets, in index order.
+        A bad index, a non-finite ``w`` or footprint raises the C store's
+        ``ValueError`` before anything moves."""
+        self._check(i)
+        if not math.isfinite(w):
+            raise ValueError("increase value must be finite")
+        (hx, hy), x, y = self.halves[i], float(x), float(y)
+        box = (x - hx, y - hy, x + hx, y + hy)
+        if not all(map(math.isfinite, box)):
+            raise ValueError("footprint must be finite")
+        self.centers[i] = (x, y)
+        self.grid.put(i, box)
+        for k in self.nets_of[i]:
+            self.net_bb[k] = self._net_box(k)
+        p, q = self.field.p, self.field.q
+        for inter in self._update_overlaps(i):
+            snapped = snap_to_grid(inter, self.area, p, q)
+            if snapped is not None:
+                self.field.increase(snapped, w)
+
+    def proposals(self, i: int, rng: random.Random, count: int) -> list[Point]:
+        """A round's candidates for macro ``i``: its center, then ``count``
+        proposals around it within its bounds, each drawn by
+        :func:`move_macro`.  The C store's raises where this does, after the
+        same draws."""
+        self._check(i)
+        center, bounds = self.centers[i], self.bounds[i]
+        return [center, *(move_macro(center, bounds, rng) for _ in range(count))]
+
+    def score(
+        self, i: int, x: float, y: float, beta: float | None, factor: float
+    ) -> float:
+        """Score of macro ``i`` centered at ``(x, y)``: the field cost of its
+        snapped footprint, plus the :func:`model_length` (sharpness ``beta``)
+        of each of its nets with its pin at ``(x, y)``, plus the
+        :func:`penalty` of ``factor``, plus ``blockage_weight`` times its
+        overlap area with each keep-out, in this order."""
+        self._check(i)
+        hx, hy = self.halves[i]
+        fp = (x - hx, y - hy, x + hx, y + hy)
+        snapped = snap_to_grid(fp, self.area, self.field.p, self.field.q)
+        score = self.field.cost(snapped) if snapped is not None else 0.0
+        centers = self.centers
+        for k in self.nets_of[i]:
+            pts = [(x, y) if j == i else centers[j] for j in self.nets[k]]
+            score += model_length(pts, beta)
+        score += penalty(factor, fp, self.grid, i)
+        for b in self.blockages:
+            ix1, iy1, ix2, iy2 = meet(fp, b)
+            if ix1 < ix2 and iy1 < iy2:
+                score += self.blockage_weight * ((ix2 - ix1) * (iy2 - iy1))
+        return score
+
+    def round(self, score: Callable[..., float], rng: random.Random, count: int,
+              beta: float | None, factor: float, w: float, rho: float) -> int:
+        """One round of the placer: draw a macro ``i`` by ``rng.randrange``,
+        score each of its :meth:`proposals` by ``score(self, i, pos, beta,
+        factor)`` in order, :meth:`move` it to the :func:`first_min` winner
+        with ``w`` and inflate the field by ``rho``.  Returns the winner's
+        index, or -1 with nothing moved where a score is not finite.  A
+        non-finite ``w`` or a store without macros raises ``ValueError``
+        before any draw.  The C store's ``round`` leaves the same bits, but
+        grows the field in C; for an ``rng`` that is a
+        :class:`random.Random` itself it draws the macro as ``randrange``
+        does on Python 3.10–3.13, through ``getrandbits``, and any other
+        ``rng`` it asks for ``randrange``."""
+        if not math.isfinite(w):
+            raise ValueError("increase value must be finite")
+        if not self.centers:
+            raise ValueError("the store has no macros to move")
+        i = rng.randrange(len(self.centers))
+        candidates = self.proposals(i, rng, count)
+        best = first_min([score(self, i, c, beta, factor) for c in candidates])
+        if best >= 0:
+            self.move(i, *candidates[best], w)
+            self.field.inflate(rho)
+        return best
+
+    def totals(self) -> tuple[float | int, float | int]:
+        """The sum of the net boxes in net order and of the live pairs'
+        areas in the order the pairs entered, each by :func:`ordered_sum`
+        (so int ``0`` where there is nothing to sum)."""
+        return ordered_sum(self.net_bb), ordered_sum(self.pair_overlap.values())
+
+    def net_lengths(self) -> list[float]:
+        """The bounding-box length of each net."""
+        return list(self.net_bb)
+
+    def pairs(self) -> list[tuple[int, int, float]]:
+        """The live overlap pairs ``(i, j, area)``, ``i < j``, in the order
+        they entered."""
+        return [(i, j, a) for (i, j), a in self.pair_overlap.items()]
+
+
+def candidate_score(
+    store: PlacementStore, i: int, pos: Point, beta: float | None, factor: float
+) -> float:
+    """Score of moving macro ``i`` (its index in ``macro_order``) to ``pos``
+    with net-model sharpness ``beta`` and penalty factor ``factor``: one
+    ``score`` call on ``store`` (see :meth:`PlacementStore.score`).  The C
+    core's hands this function every call it does not run itself."""
+    x, y = pos
+    return store.score(i, x, y, beta, factor)
+
+
+def _lattice(lo: float, hi: float, step: float) -> list[float]:
+    """Grid positions from lo to hi inclusive (endpoint always present)."""
+    vals = []
+    i = 0
+    while True:
+        v = lo + i * step
+        if v >= hi:
+            break
+        vals.append(v)
+        i += 1
+    vals.append(hi)
+    return vals
+
+
+
+def _nearest_index(vals: list[float], v: float) -> int:
+    """Index of the sorted ``vals`` entry nearest ``v``, ties to the lower."""
+    i = min(bisect_left(vals, v), len(vals) - 1)
+    return i - 1 if i > 0 and abs(vals[i - 1] - v) <= abs(vals[i] - v) else i
+
+
+def _nearest_free(
+    xs: list[float],
+    ys: list[float],
+    pos: Point,
+    half: Point,
+    blocker: Callable[[Box], Box | None],
+) -> Point | None:
+    """First lattice point ``(xs[i], ys[j])`` whose footprint, ``half`` the
+    macro's sides around it, ``blocker`` finds no box overlapping, in
+    Manhattan rings of index distance around the point nearest ``pos``: each
+    ring by ascending ``i``, ``+dj`` before ``-dj``.
+
+    Ring ``r`` holds at most one point of column ``i`` at or above row ``cj``
+    and one below it, so only two cursors per column are probed: the nearest
+    rows up and down not known to be blocked, ring by ring in that order.  A
+    blocker moves every cursor it covers past its rows, found by bisecting
+    the footprint edges, which are monotone and computed as in the overlap
+    test.  Precondition: every lattice footprint is non-empty, as
+    :func:`~stepplace.netmodel.check_placeable` makes the legalizer's; then
+    the result is that of probing every point.  (A jump may pass an empty
+    footprint, which overlaps nothing; the C search passes the same ones.)"""
+    hx, hy = half
+    ci, cj = _nearest_index(xs, pos[0]), _nearest_index(ys, pos[1])
+    lefts, rights = [x - hx for x in xs], [x + hx for x in xs]
+    bottoms, tops = [y - hy for y in ys], [y + hy for y in ys]
+    row = [cj, cj - 1] * len(xs)  # row[2 * i]: upward cursor, + 1: downward
+    queue: dict[int, list[int]] = {}  # ring -> cursors, some since moved on
+    for r in range(len(xs) + len(ys) - 1):
+        ring = queue.pop(r, [])
+        # columns ci - r and ci + r enter the search on ring r
+        for i in (ci - r, ci + r) if r else (ci,):
+            if 0 <= i < len(xs):
+                ring.append(2 * i)
+                if cj:
+                    queue.setdefault(r + 1, []).append(2 * i + 1)
+        ring.sort()
+        for c in ring:
+            i, j = c >> 1, row[c]
+            if abs(i - ci) + abs(j - cj) != r:
+                continue
+            x, y = xs[i], ys[j]
+            blk = blocker((x - hx, y - hy, x + hx, y + hy))
+            if blk is None:
+                return x, y
+            # blk covers rows lo .. hi - 1 of these columns, this point's too
+            lo, hi = bisect_right(tops, blk[1]), bisect_left(bottoms, blk[3])
+            for k in range(bisect_right(rights, blk[0]), bisect_left(lefts, blk[2])):
+                for u, to in ((2 * k, hi), (2 * k + 1, lo - 1)):
+                    if lo <= row[u] < hi:
+                        row[u] = to
+                        if 0 <= to < len(ys):
+                            queue.setdefault(abs(k - ci) + abs(to - cj), []).append(u)
+    return None
+
+
+class FreeSpace:
+    """The footprints the legalizer has placed and the area's keep-outs, with
+    the lattice search over them.
+
+    Footprints are keyed by ``0 .. count - 1`` in a :class:`BucketGrid` of
+    ``cell_x`` by ``cell_y`` cells, and ``blockages`` holds ``x1, y1, x2,
+    y2`` per keep-out.  A probe's blocker is the box of the least key that
+    meets it (:meth:`BucketGrid.first_hit`), else the first keep-out that
+    meets it, as in the C core, whatever either index's cells; ``width``,
+    ``height`` and ``count`` size the C index only.
+    :meth:`nearest_free` takes the precondition of :func:`_nearest_free`.
+    """
+
+    def __init__(self, width: float, height: float, cell_x: float, cell_y: float,
+                 count: int, blockages: Sequence[float]) -> None:
+        self.placed = BucketGrid(cell_x, cell_y)
+        self.blockages = list(zip(*[iter(blockages)] * 4))
+
+    def _blocker(self, box: Box) -> Box | None:
+        """A placed footprint or keep-out that meets ``box``, or None."""
+        return self.placed.first_hit(*box) or next(
+            (r for r in self.blockages if overlaps(box, r)), None
+        )
+
+    def put(self, key: int, x1: float, y1: float, x2: float, y2: float) -> None:
+        """Store the footprint under ``key``, or move it there."""
+        self.placed.put(key, (x1, y1, x2, y2))
+
+    def blocked(self, x1: float, y1: float, x2: float, y2: float) -> bool:
+        """Whether a placed footprint or a keep-out meets the box."""
+        return self._blocker((x1, y1, x2, y2)) is not None
+
+    def nearest_free(
+        self, x_lo: float, x_hi: float, x_step: float, y_lo: float, y_hi: float,
+        y_step: float, x: float, y: float, hx: float, hy: float,
+    ) -> Point | None:
+        """:func:`_nearest_free` over the lattice of :func:`_lattice` per
+        axis, from ``(x, y)``, for footprints ``hx`` by ``hy`` the half sides
+        around a point."""
+        return _nearest_free(
+            _lattice(x_lo, x_hi, x_step), _lattice(y_lo, y_hi, y_step), (x, y),
+            (hx, hy), self._blocker,
+        )
+
+
+def repr_line(values: Sequence[float | int], sep: str) -> str:
+    """The line the file writers write for ``values``: their ``repr``
+    joined by ``sep``, then a newline.  The reference of the C core's
+    ``repr_line``."""
+    return sep.join(map(repr, values)) + "\n"

@@ -19,12 +19,12 @@ the positions, and one ``place`` line per macro:
 
 All coordinates are area units; occupied regions are half-open rectangles, so
 edge-to-edge contact is not an overlap.  Floats are written with the bytes
-``repr`` writes (:func:`repr_line`, the C core's where it loaded, which finds
-the same digits in integer arithmetic) and round-trip exactly.  File writes
-are atomic (write temp, then rename), and the written file gets the mode
-``open()`` would give it.  Every float total that reaches a file is added
-left to right (:func:`ordered_sum`), so the bytes do not depend on whether
-the interpreter's ``sum`` compensates.
+``repr`` writes (``stepfield.core.repr_line``, looked up once per file; the
+C core's finds the same digits in integer arithmetic) and round-trip
+exactly.  File writes are atomic (write temp, then rename), and the written
+file gets the mode ``open()`` would give it.  Every float total that reaches
+a file is added left to right (:func:`ordered_sum`), so the bytes do not
+depend on whether the interpreter's ``sum`` compensates.
 
 The ``stepplace`` CLI wraps this: ``place`` runs the placer, ``check``
 independently verifies a result, ``gen`` emits random instances, ``render``
@@ -47,6 +47,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+from stepplace import stepfield
 from stepplace.netmodel import (
     Macro,
     Net,
@@ -59,6 +60,7 @@ from stepplace.netmodel import (
     footprint_box,
     is_legal,
     meet,
+    ordered_sum,
 )
 from stepplace.placer import (
     _INT_FIELDS,
@@ -70,23 +72,12 @@ from stepplace.placer import (
     round_step,
     stats_row,
 )
-from stepplace.stepfield import c_repr_line, ordered_sum
 
 OUT_DIR_ENV = "STEPPLACE_OUT_DIR"
 _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(PlacerConfig))
 # the fields write_result may write as ``none``
 _OPTIONAL_KEYS = frozenset(f.name for f in dataclasses.fields(PlacerConfig)
                            if f.default is None)
-
-
-def py_repr_line(values: Sequence[float | int], sep: str) -> str:
-    """The line the file writers write for ``values``: their ``repr``
-    joined by ``sep``, then a newline.  The reference of the C core's
-    ``repr_line``, and the fallback without it."""
-    return sep.join(map(repr, values)) + "\n"
-
-
-repr_line = py_repr_line if c_repr_line is None else c_repr_line
 
 
 class InstanceFormatError(ValueError):
@@ -259,6 +250,7 @@ def write_instance(
     area: PlacementArea,
     initial: Placement | None = None,
 ) -> None:
+    repr_line = stepfield.core.repr_line
     fp.write("# stepplace instance\n")
     fp.write("area " + repr_line((area.width, area.height), " "))
     for b in area.blockages:
@@ -322,6 +314,7 @@ def write_result(
     """Write a result file; returns its summary (netlength_bb, overlap_area,
     legal)."""
     total_bb, overlap, legal = _summarize(placement, netlist, area)
+    repr_line = stepfield.core.repr_line
     fp.write("# stepplace result\n")
     for f in dataclasses.fields(config):
         v = getattr(config, f.name)
@@ -434,6 +427,7 @@ STATS_HEADER = ",".join(RoundStats._fields)
 def write_stats_csv(fp: IO[str], rows: Iterable[RoundStats]) -> None:
     """Per-round statistics stream with a fixed header; each row is written
     as it arrives, so ``rows`` may be a generator that runs the rounds."""
+    repr_line = stepfield.core.repr_line
     fp.write(STATS_HEADER + "\n")
     for row in rows:
         fp.write(repr_line(row, ","))

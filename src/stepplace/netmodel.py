@@ -11,15 +11,27 @@ immutable snapshot, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from stepplace.stepfield import MAX_GRID_EXPONENT, ordered_sum
-
 Point = tuple[float, float]
 Placement = dict[str, Point]
+
+#: Largest accepted grid exponent per axis (resource guard: the field's
+#: coefficients are one dense array, so an axis pair (p, q) allocates
+#: 2**(p+q) doubles at construction, 32 MiB at the cap).
+MAX_GRID_EXPONENT = 11
+
+
+def ordered_sum(values: Iterable) -> float | int:
+    """Builtin ``sum(values)`` as Python 3.11 adds floats: left to right
+    (3.12 compensates), ``0`` when there is nothing to sum."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class Rect(NamedTuple):
@@ -239,24 +251,10 @@ class BucketGrid:
         return out
 
     def first_hit(self, x1: float, y1: float, x2: float, y2: float) -> Box | None:
-        """Box of the least key that meets the query with positive area in
-        the first cell holding one, the cells taken by column, then by row;
-        None if none."""
-        cells, boxes = self.cells, self.boxes
-        cx, cy = self.cell_x, self.cell_y
-        ys = range(math.floor(y1 / cy), math.floor(y2 / cy) + 1)
-        for i in range(math.floor(x1 / cx), math.floor(x2 / cx) + 1):
-            for j in ys:
-                best = None
-                for key in cells.get((i, j), ()):
-                    bx1, by1, bx2, by2 = boxes[key]
-                    if (bx1 if bx1 > x1 else x1) < (bx2 if bx2 < x2 else x2) and (
-                        by1 if by1 > y1 else y1
-                    ) < (by2 if by2 < y2 else y2) and (best is None or key < best):
-                        best = key
-                if best is not None:
-                    return boxes[best]
-        return None
+        """Box of the least key that meets the query with positive area, or
+        None; the cell layout cannot change the answer."""
+        hits = self.hits(x1, y1, x2, y2)
+        return self.boxes[hits[0]] if hits else None
 
     def pairs(self) -> list[tuple]:
         """Every overlapping pair ``(a, b)`` with ``a < b``, in ascending order."""

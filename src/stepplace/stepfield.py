@@ -19,31 +19,36 @@ records ``last_touched``; it may run from several threads while no
 ``increase``/``inflate`` is in flight, but ``last_touched`` then reports
 whichever call finished last.  Mutations require exclusive access.
 
-Backends: the first import loads the C core ``_fieldcore`` from the user
-cache (``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
+Cores: the first import loads the C core ``_fieldcore`` from the user cache
+(``$XDG_CACHE_HOME/stepplace``, else ``~/.cache/stepplace``), compiling
 ``_fieldcore.c`` there first if the cache holds no build of this exact
-source; if that fails it warns once and falls back to the Python core, which
-returns the same bits.  The same C module holds the placer's placement
-store, :data:`CPlacementStore`, built on a C-core :class:`CostField`, whose
-``move`` commits a macro and grows the field under its meets in C (no
-:meth:`CostField.increase` call), and whose one ``round`` call draws, scores
-through the placer's hook, which it hands the store, commits as ``move``
-does and inflates the field; that hook, :data:`c_candidate_score`; the
-legalizer's :data:`CFreeSpace`; and
-:data:`c_repr_line`, which writes floats and ints with ``repr``'s bytes.
+source (then removing this interpreter's builds of other sources); if that
+fails it warns once.  :data:`core` is the one switch: :data:`c_core`, the
+loaded module, else :mod:`stepplace._pycore`, which exports the same names
+with the same bits.  Every caller reads through it: the field for
+``backend="auto"``, the placer's store and scoring hook, the legalizer's
+free space and the file writers' ``repr_line``.  ``_pycore`` holds the
+basis arithmetic; this module re-exports its public part.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
-import operator
 import os
 import sys
 import warnings
-from collections.abc import Iterable
 from types import ModuleType
 from typing import IO, NamedTuple
+
+from stepplace import _pycore
+from stepplace._pycore import (  # the basis arithmetic, re-exported
+    GridRect,
+    blocks_at_level,
+    flat_axis_id,
+    nonzero_basis_1d,
+)
+from stepplace.netmodel import MAX_GRID_EXPONENT
 
 
 def _user_cache_dir() -> str:
@@ -62,7 +67,9 @@ def _load_c_core(
     that directory holds no build of this exact source.
 
     A build is named by the SHA-256 of the source and the interpreter's
-    extension suffix, so an edited source never loads a stale build.
+    extension suffix, so an edited source never loads a stale build.  After
+    a compile, the other ``_fieldcore-*`` builds with this suffix are
+    removed, so the cache holds one build per interpreter.
     ``compiler`` is the command the interpreter's ``CFLAGS``, ``CCSHARED``,
     ``-ffp-contract=off``, include dir, source and output are appended to;
     it defaults to the interpreter's ``LDSHARED``.  The loaded module is
@@ -81,6 +88,12 @@ def _load_c_core(
         target = os.path.join(cache_dir, f"_fieldcore-{digest}{suffix}")
         if not os.path.exists(target):
             _compile_c_core(source, target, compiler)
+            # this interpreter's builds of any other source are stale now
+            for name in os.listdir(cache_dir):
+                old = os.path.join(cache_dir, name)
+                if name.startswith("_fieldcore-") and name.endswith(suffix) and old != target:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(old)
         spec = importlib.util.spec_from_file_location("stepplace._fieldcore", target)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -134,56 +147,15 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
             os.unlink(tmp)
 
 
-_c_module = _load_c_core(_user_cache_dir())
-_CFieldCore = getattr(_c_module, "FieldCore", None)
+#: The loaded C core, or None where it did not load.
+c_core = _load_c_core(_user_cache_dir())
 
-#: The C core's ``repr_line``, which returns
-#: :func:`stepplace.io_cli.py_repr_line`'s string for floats and ints, byte
-#: for byte, or None without the C core.
-c_repr_line = getattr(_c_module, "repr_line", None)
+#: The core every caller reads through: :data:`c_core`, else
+#: :mod:`stepplace._pycore`, which exports the same names.
+core = _pycore if c_core is None else c_core
 
-#: The C core's ``candidate_score``, the placer's scoring hook, which
-#: returns or raises what :func:`stepplace.placer.py_candidate_score` does,
-#: running a C store's ``score`` body with no Python frame.  None without
-#: the C core.
-c_candidate_score = getattr(_c_module, "candidate_score", None)
-
-#: The C core's ``PlacementStore``, which answers as
-#: :class:`stepplace.placer.PlacementStore` does, bit for bit, and takes a
-#: :class:`CostField` on the C core.  None without the C core.
-CPlacementStore = getattr(_c_module, "PlacementStore", None)
-
-#: The C core's ``FreeSpace``, the legalizer's placed footprints and
-#: keep-outs with its lattice search, which finds the positions of
-#: :class:`stepplace.placer.PyFreeSpace`, bit for bit.  None without the C
-#: core.
-CFreeSpace = getattr(_c_module, "FreeSpace", None)
-
-
-def ordered_sum(values: Iterable) -> float | int:
-    """Builtin ``sum(values)`` as Python 3.11 adds floats: left to right
-    (3.12 compensates), ``0`` when there is nothing to sum."""
-    return functools.reduce(operator.add, values, 0)
-
-
-#: True exactly when ``CostField(..., backend="auto")`` runs on the C core.
-HAVE_C_CORE = _CFieldCore is not None
-
-#: Largest accepted grid exponent per axis (resource guard: the coefficients
-#: are one dense array, so an axis pair (p, q) allocates 2**(p+q) doubles at
-#: construction, 32 MiB at the cap).
-MAX_GRID_EXPONENT = 11
-
-
-class GridRect(NamedTuple):
-    """Half-open cell rectangle ``[a1, a2) x [b1, b2)``; :class:`CostField`
-    rejects it if degenerate or out of the grid (``ValueError``), or if an
-    index is not an integer (``TypeError``)."""
-
-    a1: int
-    b1: int
-    a2: int
-    b2: int
+#: True exactly when the C core loaded (the benchmark's worker reads it).
+HAVE_C_CORE = c_core is not None
 
 
 class BasisIndex(NamedTuple):
@@ -197,165 +169,6 @@ class BasisIndex(NamedTuple):
     l: int
 
 
-def blocks_at_level(p: int, a: int) -> int:
-    """Number of valid block indexes k at axis level a (1-based blocks)."""
-    if not 0 <= a <= p:
-        raise ValueError(f"level {a} out of range for exponent {p}")
-    if a == p:
-        return 1
-    return 1 << (p - a - 1)
-
-
-def flat_axis_id(p: int, a: int, k: int) -> int:
-    """Dense position of axis element (a, k) in [0, 2**p); all-ones is last."""
-    if not 1 <= k <= blocks_at_level(p, a):
-        raise ValueError(f"block {k} out of range at level {a} (exponent {p})")
-    n = 1 << p
-    if a == p:
-        return n - 1
-    return n - (n >> a) + (k - 1)
-
-
-def nonzero_basis_1d(s: int, t: int, p: int) -> list[tuple[int, int, float]]:
-    """All 1D basis elements not orthogonal to the indicator of cells [s, t).
-
-    Returns ``(level a, block k, inner product)`` triples, the all-ones
-    element last with inner product ``t - s``.  At most ``2p + 1`` entries.
-    """
-    n = 1 << p
-    if not 0 <= s < t <= n:
-        raise ValueError(f"invalid cell interval [{s}, {t}) for n={n}")
-    out: list[tuple[int, int, float]] = []
-    for a in range(p):
-        span2 = 2 << a
-        ks = (s + span2 - 1) // span2 if s > 0 else 0
-        kt = (t + span2 - 1) // span2
-        if ks:
-            lo = (2 * ks - 2) << a
-            hi = (2 * ks) << a
-            v = -min(s - lo, hi - s)
-            if kt == ks:
-                v += min(t - lo, hi - t)
-            if v:
-                out.append((a, ks, float(v)))
-        if kt != ks:
-            lo = (2 * kt - 2) << a
-            hi = (2 * kt) << a
-            v = min(t - lo, hi - t)
-            if v:
-                out.append((a, kt, float(v)))
-    out.append((p, 1, float(t - s)))
-    return out
-
-
-#: Most cell intervals :func:`_axis_block` keeps (an axis at exponent 11 has
-#: about two million).
-AXIS_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=AXIS_CACHE_SIZE)
-def _axis_block(s: int, t: int, p: int) -> tuple[tuple, tuple, tuple]:
-    """The nonzero 1D components of the indicator of cells [s, t) at exponent
-    ``p``, as the C core's ``axis_components`` writes them: their flat axis
-    ids, inner products, and the reciprocals of the elements' squared norms.
-    Memoized for the most recent :data:`AXIS_CACHE_SIZE` intervals."""
-    comps = nonzero_basis_1d(s, t, p)
-    ids = tuple(flat_axis_id(p, a, k) for a, k, _ in comps)
-    stars = tuple(v for _, _, v in comps)
-    inv_norms = tuple(1.0 / (2 << a if a < p else 1 << p) for a, _, _ in comps)
-    return ids, stars, inv_norms
-
-
-#: Smallest scale the field cores keep apart from the coefficients; below it
-#: ``inflate`` folds the scale into every coefficient.
-FOLD_BELOW = 2.0**-32
-
-#: Largest ``|value / scale|`` an ``increase`` stores while the scale is below
-#: 1; above it the scale is folded in first, so that neither the stored
-#: coefficients nor a read overflow where the field's values do not (the
-#: bound is derived beside the C core's ``FOLD_ABOVE``).
-FOLD_ABOVE = 2.0**800
-
-
-class _PyFieldCore:
-    """Python core with the same interface as the C core, doing the same
-    float operations in the same order, so both return the same bits."""
-
-    def __init__(self, p: int, q: int) -> None:
-        self.p = p
-        self.q = q
-        self.n = 1 << p
-        self.m = 1 << q
-        self._coef = [0.0] * (self.n * self.m)
-        self._scale = 1.0  # every stored coefficient omits this factor
-        self.last_touched = 0
-
-    def _blocks(self, a1: int, b1: int, a2: int, b2: int):
-        """The rectangle's x and y :func:`_axis_block`, once it passed the C
-        core's checks; records ``last_touched``."""
-        for v in (a1, b1, a2, b2):
-            operator.index(v)  # TypeError on non-integers, as the C core's "n"
-        if not (0 <= a1 < a2 <= self.n and 0 <= b1 < b2 <= self.m):
-            raise ValueError(
-                f"rectangle ({a1},{b1})-({a2},{b2}) invalid for "
-                f"{self.n}x{self.m} grid"
-            )
-        bx, by = _axis_block(a1, a2, self.p), _axis_block(b1, b2, self.q)
-        self.last_touched = len(bx[0]) * len(by[0])
-        return bx, by
-
-    def _fold(self, s: float) -> None:
-        """Multiply every non-constant coefficient by ``s`` and the constant
-        one by the scale, then reset the scale to 1."""
-        const = self._coef[-1] * self._scale
-        # a zero keeps its bits (and its shared object) times s >= 0
-        self._coef = [c * s if c else c for c in self._coef]
-        self._coef[-1] = const
-        self._scale = 1.0
-
-    def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
-        (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
-        v = value / self._scale
-        if self._scale < 1.0 and abs(v) > FOLD_ABOVE:
-            # a value too large over the scale takes the scale folded in first
-            self._fold(self._scale)
-            v = value / self._scale
-        coef, m = self._coef, self.m
-        wy = [s * r for s, r in zip(sy, ny)]
-        for fx, s, r in zip(ix, sx, nx):
-            vx = s * r * v
-            row = fx * m
-            for fy, w in zip(iy, wy):
-                coef[row + fy] += vx * w
-
-    def cost(self, a1: int, b1: int, a2: int, b2: int) -> float:
-        (ix, sx, _), (iy, sy, _) = self._blocks(a1, b1, a2, b2)
-        coef, m = self._coef, self.m
-        tot = 0.0
-        for fx, s in zip(ix, sx):
-            row = fx * m
-            sub = 0.0
-            for fy, t in zip(iy, sy):
-                sub += coef[row + fy] * t
-            tot += sub * s
-        return tot * self._scale
-
-    def inflate(self, rho: float) -> None:
-        if not 0.0 < rho <= 1.0:
-            raise ValueError("decay factor must be in (0, 1]")
-        s = self._scale * rho
-        if s < FOLD_BELOW:
-            self._fold(s)
-        else:
-            self._scale = s
-            self._coef[-1] /= rho  # the constant element never decays
-
-    def coefficient(self, fx: int, fy: int) -> float:
-        if not (0 <= fx < self.n and 0 <= fy < self.m):
-            raise ValueError("axis component id out of range")
-        return self._coef[fx * self.m + fy] * self._scale
-
-
 class CostField:
     """Step function over an ``n x m`` grid as orthogonal-basis coefficients.
 
@@ -366,9 +179,9 @@ class CostField:
     accepted (the placer only ever adds non-negative mass).
 
     ``backend`` is ``"c"`` or ``"py"``, and ``core`` the backend's coefficient
-    store.  A placement store is built on the field it scores against: a
-    :data:`CPlacementStore` on a field whose core is a C ``FieldCore``, and
-    reads that core directly.
+    store, the ``FieldCore`` of :data:`c_core` or of ``_pycore``; ``"auto"``
+    takes that of :data:`core`.  A placement store is built on the field it
+    scores against; the C core's reads the field's C ``FieldCore`` directly.
     """
 
     def __init__(self, p: int, q: int, backend: str = "auto") -> None:
@@ -379,17 +192,13 @@ class CostField:
                 f"grid exponent above limit {MAX_GRID_EXPONENT}; "
                 f"got p={p}, q={q}"
             )
-        if backend == "auto":
-            backend = "c" if HAVE_C_CORE else "py"
-        if backend == "c":
-            if not HAVE_C_CORE:
-                raise RuntimeError("C field core is not available")
-            self.core = _CFieldCore(p, q)
-        elif backend == "py":
-            self.core = _PyFieldCore(p, q)
-        else:
+        if backend not in ("auto", "c", "py"):
             raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
+        module = core if backend == "auto" else c_core if backend == "c" else _pycore
+        if module is None:
+            raise RuntimeError("C field core is not available")
+        self.core = module.FieldCore(p, q)
+        self.backend = "py" if module is _pycore else "c"
         self.p = p
         self.q = q
         self.n = 1 << p
@@ -397,7 +206,7 @@ class CostField:
 
     def increase(self, rect: GridRect, value: float) -> None:
         """Add ``value`` to every cell of ``rect``.  Where ``value`` over the
-        global scale exceeds :data:`FOLD_ABOVE`, the scale is folded into
+        global scale exceeds ``_pycore.FOLD_ABOVE``, the scale is folded into
         every coefficient first, in O(n*m)."""
         if not math.isfinite(value):
             raise ValueError("increase value must be finite")
@@ -410,7 +219,7 @@ class CostField:
     def inflate(self, rho: float) -> None:
         """Decay all non-constant coefficients by ``rho`` in (0, 1]; the
         total is preserved up to rounding.  O(1), except when the global
-        scale would fall below :data:`FOLD_BELOW`: then it is folded into
+        scale would fall below ``_pycore.FOLD_BELOW``: then it is folded into
         every coefficient, in O(n*m)."""
         self.core.inflate(rho)
 

@@ -12,27 +12,17 @@ def backend(request):
     return request.param
 
 
-
 @pytest.fixture
 def on_core(monkeypatch):
-    """A switch that puts the runs after it on one core.  ``on_core("py")``
-    makes the field and the store with its proposals and its round, the
-    round's scoring hook, the legalizer's search and the file formatter
-    Python's, as in a run without the C core; ``on_core("c")`` makes them
-    the loaded core's."""
-    from stepplace import io_cli, placer, stepfield
-
-    references = [
-        (placer, "candidate_score", placer.py_candidate_score),
-        (placer, "FreeSpace", placer.PyFreeSpace),
-        (io_cli, "repr_line", io_cli.py_repr_line),
-    ]
-    loaded = [getattr(owner, name) for owner, name, _ in references]
+    """A switch that puts the runs after it on one core: ``on_core("py")``
+    makes every layer Python's (``stepfield.core`` is ``_pycore``), as in a
+    run without the C core; ``on_core("c")`` makes it the loaded core."""
+    from stepplace import _pycore, placer, stepfield
 
     def switch(backend):
-        # the field picks its core by HAVE_C_CORE, and the store follows it
-        monkeypatch.setattr(stepfield, "HAVE_C_CORE", backend == "c")
-        for (owner, name, reference), own in zip(references, loaded):
-            monkeypatch.setattr(owner, name, reference if backend == "py" else own)
+        core = _pycore if backend == "py" else stepfield.c_core
+        monkeypatch.setattr(stepfield, "core", core)
+        # the round's hook, as placer holds it for the benchmark's tracer
+        monkeypatch.setattr(placer, "candidate_score", core.candidate_score)
 
     return switch

@@ -16,8 +16,14 @@ alters these bytes changes placer behaviour and must say so and re-pin them.
 """
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
+
+import stepplace
 
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
 from stepplace.netmodel import PlacementArea, Rect
@@ -95,22 +101,70 @@ def _digest(path):
         return hashlib.sha256(fp.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_place_bytes_are_pinned(tmp_path, on_core, backend, name):
+def place_argv(name, directory):
+    """The ``place`` arguments of pin ``name``, on its instance written to
+    ``directory``, writing ``res.txt`` and ``stats.csv`` there."""
     spec, blockages, rounds, flags = INSTANCES[name]
     netlist, area = generate_instance(spec)
     w, h = area.width, area.height
     area = PlacementArea(
         w, h, tuple(Rect(x1 * w, y1 * h, x2 * w, y2 * h) for x1, y1, x2, y2 in blockages)
     )
-    inst = str(tmp_path / "inst.txt")
-    res = str(tmp_path / "res.txt")
-    stats = str(tmp_path / "stats.csv")
+    inst = str(directory / "inst.txt")
     save_instance(inst, netlist, area)
+    return ["place", "--in", inst, "--out", str(directory / "res.txt"),
+            "--stats", str(directory / "stats.csv"), "--rounds", str(rounds),
+            "--seed", "3", *flags]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_place_bytes_are_pinned(tmp_path, on_core, backend, name):
+    argv = place_argv(name, tmp_path)
     # the py run places, legalizes and formats its files in Python, as a
     # run without a C compiler does
     on_core(backend)
-    code = main(["place", "--in", inst, "--out", res, "--stats", stats,
-                 "--rounds", str(rounds), "--seed", "3", *flags])
-    assert code == 0
-    assert (_digest(res), _digest(stats)) == PINS[name]
+    assert main(argv) == 0
+    assert (_digest(tmp_path / "res.txt"), _digest(tmp_path / "stats.csv")) == PINS[name]
+
+
+def interpreters():
+    """This interpreter, then each of ``python3.10`` .. ``python3.13`` that
+    runs (a pyenv shim with no version selected exits non-zero), each once,
+    by the executable it reports."""
+    found = {os.path.realpath(sys.executable): sys.executable}
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        path = shutil.which(name)
+        out = path and subprocess.run([path, "-c", "import sys; print(sys.executable)"],
+                                      capture_output=True, text=True)
+        if out and out.returncode == 0:
+            found.setdefault(os.path.realpath(out.stdout.strip()), path)
+    return list(found.values())
+
+
+def test_place_bytes_are_pinned_on_every_interpreter(tmp_path):
+    """Each interpreter found writes the pinned bytes from ``python -m
+    stepplace place`` in a fresh process: on its own C build in a private
+    cache, and on the Python core with the cache blocked by a file."""
+    pythons = interpreters()
+    if len(pythons) < 2:
+        pytest.skip("no Python interpreter but this one runs")
+    runs = {}
+    for name in sorted(INSTANCES):
+        (tmp_path / name).mkdir()
+        runs[name] = place_argv(name, tmp_path / name)
+    blocked = tmp_path / "cache-blocked"
+    blocked.write_text("")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stepplace.__file__)))
+    for k, python in enumerate(pythons):
+        for cache in (tmp_path / f"cache-{k}", blocked):
+            env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(cache)}
+            for name, argv in runs.items():
+                proc = subprocess.run([python, "-m", "stepplace", *argv], env=env,
+                                      capture_output=True, text=True)
+                where = (python, name, cache.name)
+                assert proc.returncode == 0, (where, proc.stderr)
+                # the fallback warns exactly where the cache is blocked
+                assert ("C field core unavailable" in proc.stderr) == (cache == blocked)
+                got = (_digest(tmp_path / name / "res.txt"),
+                       _digest(tmp_path / name / "stats.csv"))
+                assert got == PINS[name], where

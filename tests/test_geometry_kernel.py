@@ -25,8 +25,9 @@ from stepplace.netmodel import (
     footprint_grid,
     is_legal,
 )
-from stepplace.placer import PlacementStore, PlacerConfig, penalty
-from stepplace.stepfield import CostField, CPlacementStore
+from stepplace._pycore import PlacementStore
+from stepplace.placer import PlacerConfig, penalty
+from stepplace.stepfield import CostField, c_core
 
 AREA = 10.0
 
@@ -140,7 +141,7 @@ def test_is_legal_lists_equal_brute_force(layout, blocks):
     ]
 
 
-needs_c = pytest.mark.skipif(CPlacementStore is None, reason="C core not built")
+needs_c = pytest.mark.skipif(c_core is None, reason="C core not built")
 
 
 def half_units(lo, hi):
@@ -184,7 +185,7 @@ def stores(side, cell, centers, halves):
     args = (array("d", [v for h in halves for v in h]),
             array("d", [v for c in centers for v in c]), array("d", [0.0] * 4 * len(centers)),
             [])
-    return (CPlacementStore(CostField(3, 3, "c"), side, side, cell, cell, *args,
+    return (c_core.PlacementStore(CostField(3, 3, "c"), side, side, cell, cell, *args,
                             array("d"), 1.0),
             PlacementStore(CostField(3, 3, "py"), side, side, largest, largest, *args,
                            array("d"), 1.0))
@@ -253,7 +254,7 @@ def test_footprint_index_rejects_bad_input():
     # a move the footprints cannot take raises and leaves the store as it was
     halves, centers = array("d", [0.5] * 4), array("d", [1.0, 1.0, 1.5, 1.5])
     bounds = array("d", [0.5, 9.5] * 4)
-    store = CPlacementStore(CostField(3, 3, "c"), 10.0, 10.0, 1.0, 1.0, halves, centers,
+    store = c_core.PlacementStore(CostField(3, 3, "c"), 10.0, 10.0, 1.0, 1.0, halves, centers,
                             bounds, [[0, 1]], array("d"), 1.0)
 
     def state():
@@ -280,5 +281,5 @@ def test_footprint_index_rejects_bad_input():
     for sides in [(0.0, 10.0, 1.0, 1.0), (10.0, -1.0, 1.0, 1.0),
                   (10.0, 10.0, math.inf, 1.0), (10.0, 10.0, 1.0, math.nan)]:
         with pytest.raises(ValueError, match="positive and finite"):
-            CPlacementStore(CostField(3, 3, "c"), *sides, halves, centers, bounds, [],
+            c_core.PlacementStore(CostField(3, 3, "c"), *sides, halves, centers, bounds, [],
                             array("d"), 1.0)

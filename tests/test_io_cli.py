@@ -15,6 +15,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import stepplace
+import stepplace._pycore as _pycore
 import stepplace.io_cli as io_cli
 import stepplace.stepfield as stepfield
 from stepplace.io_cli import (
@@ -27,7 +28,6 @@ from stepplace.io_cli import (
     load_result,
     main,
     parse_instance,
-    py_repr_line,
     render_svg,
     save_instance,
     save_result,
@@ -244,13 +244,10 @@ EDGE_FLOATS = [
 
 
 @pytest.fixture
-def writers(backend, monkeypatch):
+def writers(backend, on_core):
     """The file writers on ``backend``'s formatter: the C core's
     ``repr_line``, or its Python reference."""
-    if backend == "py":
-        monkeypatch.setattr(io_cli, "repr_line", py_repr_line)
-    else:
-        assert io_cli.repr_line is stepfield.c_repr_line
+    on_core(backend)
     return backend
 
 
@@ -338,7 +335,7 @@ def _from_bits(bits):
 
 
 needs_c_repr = pytest.mark.skipif(
-    stepfield.c_repr_line is None, reason="C core not built"
+    stepfield.c_core is None, reason="C core not built"
 )
 SEPS = st.sampled_from([",", " ", "", ", ", "\u00b7"])
 
@@ -351,13 +348,13 @@ class TestReprLine:
     @settings(max_examples=500, deadline=None)
     @given(values=st.lists(st.floats(), max_size=8), sep=SEPS)
     def test_floats(self, values, sep):
-        assert stepfield.c_repr_line(values, sep) == py_repr_line(values, sep)
+        assert stepfield.c_core.repr_line(values, sep) == _pycore.repr_line(values, sep)
 
     @settings(max_examples=500, deadline=None)
     @given(values=st.lists(st.integers(0, 2**64 - 1).map(_from_bits), max_size=8),
            sep=SEPS)
     def test_bit_patterns(self, values, sep):
-        assert stepfield.c_repr_line(values, sep) == py_repr_line(values, sep)
+        assert stepfield.c_core.repr_line(values, sep) == _pycore.repr_line(values, sep)
 
     def test_sweep(self):
         values = [5e-324, sys.float_info.max, *EDGE_FLOATS]
@@ -373,21 +370,21 @@ class TestReprLine:
         for base in (2**53, 10**16):
             values += [float(base + d) for d in range(-40, 41)]
         values += [-v for v in values]
-        got = stepfield.c_repr_line(values, " ")
-        assert got == py_repr_line(values, " ")
+        got = stepfield.c_core.repr_line(values, " ")
+        assert got == _pycore.repr_line(values, " ")
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.one_of(st.integers(0, sys.maxsize), st.integers(),
                                      st.booleans()), max_size=8))
     def test_ints(self, values):
-        assert stepfield.c_repr_line(values, ",") == py_repr_line(values, ",")
+        assert stepfield.c_core.repr_line(values, ",") == _pycore.repr_line(values, ",")
         edges = [0, 1, sys.maxsize, -sys.maxsize - 1, 2**63, 2**64, -(2**100)]
-        assert stepfield.c_repr_line(edges, ",") == py_repr_line(edges, ",")
+        assert stepfield.c_core.repr_line(edges, ",") == _pycore.repr_line(edges, ",")
 
     @pytest.mark.parametrize("value", ["1.0", None, b"1", [1.0], 1j])
     def test_other_values_raise_type_error(self, value):
         with pytest.raises(TypeError, match="floats and ints"):
-            stepfield.c_repr_line([1.0, value], ",")
+            stepfield.c_core.repr_line([1.0, value], ",")
 
 
 class TestGenerator:
@@ -1195,6 +1192,44 @@ class TestCli:
                          "--w0", "1e300", "--rho", "0.5", "--rounds", "300"]) == 0
             blobs.append((open(res, "rb").read(), open(stats, "rb").read()))
         assert all(b == blobs[0] for b in blobs)
+        capsys.readouterr()
+
+    def test_python_core_run_reaches_no_c_object(self, tmp_path, on_core, capsys):
+        # under on_core("py") a whole place run, with a keep-out the
+        # legalizer searches around, calls no function or method of the C
+        # core; on the C core the same watch sees its calls
+        inst = tmp_path / "inst.txt"
+        inst.write_text("area 12 12\nblockage 4 4 8 8\n"
+                        + "".join(f"macro m{k} 2 2\nplace m{k} 6 6\n" for k in range(6))
+                        + "net m0 m1 m2\nnet m3 m4\n")
+        argv = ["place", "--in", str(inst), "--out", str(tmp_path / "res.txt"),
+                "--stats", str(tmp_path / "stats.csv"), "--rounds", "3", "--seed", "1"]
+
+        def watched(backend):
+            calls, python = [], set()
+
+            def profile(frame, event, arg):
+                if event == "c_call" and "stepplace._fieldcore" in (
+                        getattr(arg, "__module__", None),
+                        type(getattr(arg, "__self__", None)).__module__):
+                    calls.append(arg.__name__)
+                elif event == "call":
+                    python.add(frame.f_code.co_name)
+
+            on_core(backend)
+            sys.setprofile(profile)
+            try:
+                assert main(argv) == 0
+            finally:
+                sys.setprofile(None)
+            return calls, python
+
+        calls, python = watched("py")
+        assert calls == []
+        assert {"_nearest_free", "score", "repr_line"} <= python
+        if stepfield.HAVE_C_CORE:
+            calls, _ = watched("c")
+            assert {"round", "nearest_free", "repr_line"} <= set(calls)
         capsys.readouterr()
 
 

@@ -27,7 +27,7 @@ from stepplace.placer import (
     new_state,
     snap_to_grid,
 )
-from stepplace import stepfield
+from stepplace import _pycore, stepfield
 from stepplace.stepfield import GridRect
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -99,7 +99,7 @@ class TestDomainValidation:
         )
         at = {"a": (1.0, 1.5), "b": (2.0, 2.5), "c": (3.5, 3.5)}
         args = (nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1), at)
-        with mock.patch.object(stepfield, "HAVE_C_CORE", False):
+        with mock.patch.object(stepfield, "core", _pycore):
             store = new_state(*args).store
         assert store.nets == [[0, 1], [1, 2]]
         assert store.nets_of == [[0], [0, 1], [1]]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stepplace._pycore as _pycore
 import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 import oracles
@@ -59,8 +60,9 @@ def square_area(side=8.0, blockages=()):
     return PlacementArea(side, side, blockages)
 
 
-# ring probes of naive_legalize on blocked_instance(), plus one per macro
-PROBES = 451
+# ring probes of naive_legalize on blocked_instance(), plus one per macro,
+# with the least-keyed footprint as each probe's blocker
+PROBES = 449
 
 
 def blocked_instance():
@@ -84,7 +86,7 @@ def counted_legalize(start, netlist, area):
     its probes: one for each macro's start, one for each blocker query of the
     ring search."""
     probes = len(netlist.macros)
-    search, space = placer._nearest_free, placer.FreeSpace
+    search, core = _pycore._nearest_free, stepfield.core
 
     def counted_search(xs, ys, pos, half, blocker):
         def probe(box):
@@ -94,11 +96,11 @@ def counted_legalize(start, netlist, area):
 
         return search(xs, ys, pos, half, probe)
 
-    placer._nearest_free, placer.FreeSpace = counted_search, placer.PyFreeSpace
+    _pycore._nearest_free, stepfield.core = counted_search, _pycore
     try:
         got = naive_legalize(start, netlist, area, 6, 6)
     finally:
-        placer._nearest_free, placer.FreeSpace = search, space
+        _pycore._nearest_free, stepfield.core = search, core
     return got, probes
 
 
@@ -152,6 +154,20 @@ EMPTY_COLUMN = ((_B, _B + 1, 0.5, _B, _B, 1.0, _B - 1, _B - 1, 0.25, 0.25),
                 [(_B - 5, _B - 5, _B + 6, _B, False)])
 EMPTY_ROW = ((_B, _B, 1.0, _B, _B + 1.5, 0.5, _B, _B, 0.25, 0.25),
              [(_B - 5, _B - 5, _B + 5, _B + 3, False)])
+# two footprints meet the start: the least-keyed one, right of 2**51,
+# covers every row; the other, left of it, spares the empty footprint at
+# 2**51 + 1.  With 14 empty boxes before them the C index has cells 2**51
+# wide, so each search meets the other footprint in an earlier cell: they
+# agree only where both report the least key whatever their cells
+LEAST_KEY = ((_B - 0.5, _B - 0.5, 1.0, _B - 1, _B + 1, 1.0, _B - 0.5, _B - 1, 1.0, 0.25),
+             [(_B - 7, _B - 6, _B - 7, _B - 6, False)] * 14
+             + [(_B, _B - 2, _B + 2, _B + 3, False), (_B - 2, _B - 2, _B - 1, _B + 0.5, False)])
+# a case hypothesis found where the searches disagreed: the reference met
+# the later-keyed footprint first, in its finer cells
+LEAST_KEY_FOUND = (
+    (_B - 1, _B - 0.5, 0.5, _B - 1, _B + 1, 1.0, _B - 2, _B - 2, 0.5, 0.25),
+    [(_B - 7, _B - 6, _B - 7, _B - 6, False)] * 4
+    + [(_B - 1, _B - 6, _B - 0.5, _B + 6, False), (_B - 7, _B - 6, _B - 0.5, _B, False)])
 # a box that blocks the center and touches the free column or row beside it
 TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                    [(-0.5, 1.5, 1.0, 3.0)])
@@ -159,7 +175,7 @@ TOUCHING_ROW = ([0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                 [(-1.0, 1.5, 1.0, 3.0)])
 
 
-needs_c_space = pytest.mark.skipif(stepfield.CFreeSpace is None, reason="C core not built")
+needs_c_space = pytest.mark.skipif(stepfield.c_core is None, reason="C core not built")
 
 
 @st.composite
@@ -183,7 +199,7 @@ def lattice_searches(draw):
         lo, d = draw(base, label=f"{a} lo"), draw(step, label=f"{a} step")
         n = draw(st.integers(0, 9), label=f"{a} points")
         hi = lo + n * d + draw(st.sampled_from([0.0, d / 2]), label=f"{a} beyond")
-        vals = placer._lattice(lo, hi, d)
+        vals = _pycore._lattice(lo, hi, d)
         axes.append((lo, hi, d, vals, draw(half, label=f"h{a}")))
     (_, _, _, xs, hx), (_, _, _, ys, hy) = axes
 
@@ -209,7 +225,7 @@ def spaces_blocked_by(boxes, side):
     footprints = [b[:4] for b in boxes if not b[4]]
     keepouts = array("d", [v for b in boxes if b[4] for v in b[:4]])
     spaces = [make(side, side, 1.0, 1.0, len(footprints), keepouts)
-              for make in (stepfield.CFreeSpace, placer.PyFreeSpace)]
+              for make in (stepfield.c_core.FreeSpace, _pycore.FreeSpace)]
     for space in spaces:
         for k, box in enumerate(footprints):
             space.put(k, *box)
@@ -366,7 +382,7 @@ class FixedRng:
         return self.draws.pop(0)
 
 
-needs_c_move = pytest.mark.skipif(stepfield.CPlacementStore is None, reason="C core not built")
+needs_c_move = pytest.mark.skipif(stepfield.c_core is None, reason="C core not built")
 
 
 def draw_stores(pos, bounds):
@@ -374,10 +390,10 @@ def draw_stores(pos, bounds):
     centered at ``pos`` with ``bounds``, which need not hold ``pos``."""
     args = (8.0, 8.0, 1.0, 1.0, array("d", [0.5, 0.5]), array("d", pos),
             array("d", bounds), [], array("d"), 1.0)
-    py = placer.PlacementStore(CostField(1, 1, "py"), *args)
-    if stepfield.CPlacementStore is None:
+    py = _pycore.PlacementStore(CostField(1, 1, "py"), *args)
+    if stepfield.c_core is None:
         return [py]
-    return [stepfield.CPlacementStore(CostField(1, 1, "c"), *args), py]
+    return [stepfield.c_core.PlacementStore(CostField(1, 1, "c"), *args), py]
 
 
 def hexes(p):
@@ -523,9 +539,9 @@ class TestMoveMacro:
 
     def test_move_macro_is_the_python_draw_on_both_cores(self):
         # the C core has no draw of its own beside its store's proposals
-        assert move_macro.__module__ == "stepplace.placer"
+        assert move_macro.__module__ == "stepplace._pycore"
         assert not hasattr(stepfield, "c_move_macro")
-        assert not hasattr(stepfield._c_module, "move_macro")
+        assert not hasattr(stepfield.c_core, "move_macro")
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
@@ -647,7 +663,7 @@ class TestProposals:
         assert not hasattr(stepfield, "c_first_min") and not hasattr(placer, "py_first_min")
         nl, area = tiny_instance(2)
         state = new_state(nl, area, PlacerConfig(max_rounds=1))
-        assert type(state.store) is (stepfield.CPlacementStore or placer.PlacementStore)
+        assert type(state.store) is stepfield.core.PlacementStore
         assert not hasattr(placer, "proposals") and not hasattr(placer, "py_proposals")
 
     def test_golden_sequence_seed_123(self):
@@ -899,7 +915,7 @@ class TestCandidateScore:
 
 
 needs_c_score = pytest.mark.skipif(
-    stepfield.CPlacementStore is None, reason="C core not built"
+    stepfield.c_core is None, reason="C core not built"
 )
 
 
@@ -923,7 +939,7 @@ def kernel_sum(score, x, y, beta, nets):
     halves = [COVER, COVER] + [0.0] * (len(centers) - 2)
     fld = CostField(0, 0, "c")
     fld.increase(GridRect(0, 0, 1, 1), score)
-    store = stepfield.CPlacementStore(
+    store = stepfield.c_core.PlacementStore(
         fld, 1.0, 1.0, 1.0, 1.0, array("d", halves), array("d", centers),
         array("d", [0.0] * 2 * len(centers)), members, array("d"), 0.0,
     )
@@ -1177,10 +1193,10 @@ class TestScoreCandidate:
             model_switch_round=draw(st.integers(1, 40), label="switch"),
         )
         c_state = new_state(nl, area, cfg)
-        with mock.patch.object(stepfield, "HAVE_C_CORE", False):
+        with mock.patch.object(stepfield, "core", _pycore):
             py_state = new_state(nl, area, cfg)
-        assert isinstance(c_state.store, stepfield.CPlacementStore)
-        assert isinstance(py_state.store, placer.PlacementStore)
+        assert isinstance(c_state.store, stepfield.c_core.PlacementStore)
+        assert isinstance(py_state.store, _pycore.PlacementStore)
         assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
         for _ in range(draw(st.integers(0, 10), label="rounds")):
             assert round_step(c_state, cfg) == round_step(py_state, cfg)
@@ -1223,7 +1239,7 @@ class TestScoreCandidate:
         want = 0.0 + 3.0 * sum(circ_area(b)[0] for b in boxes[1:])
         for b in blockages:
             want += 5.0 * circ_area(b)[1]
-        store = stepfield.CPlacementStore(
+        store = stepfield.c_core.PlacementStore(
             CostField(2, 2, "c"), 8.0, 8.0, 1.0, 1.0,
             array("d", [v for h in halves for v in h]),
             array("d", [v for c in centers for v in c]),
@@ -1244,8 +1260,8 @@ class TestScoreCandidate:
         state = new_state(nl, area, cfg)
         assert state.field.backend == "c"
         for name in ("penalty", "model_length"):
-            monkeypatch.setattr(placer, name, boom)
-        monkeypatch.setattr(placer.PlacementStore, "score", boom)
+            monkeypatch.setattr(_pycore, name, boom)
+        monkeypatch.setattr(_pycore.PlacementStore, "score", boom)
         monkeypatch.setattr(CostField, "cost", boom)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
@@ -1269,7 +1285,7 @@ class TestScoreCandidate:
         # a state on the Python field core scores every candidate through
         # the Python store, the reference
         calls = []
-        reference = placer.PlacementStore.score
+        reference = _pycore.PlacementStore.score
 
         def counted(store, *args):
             calls.append(args[0])
@@ -1278,8 +1294,8 @@ class TestScoreCandidate:
         nl, area = generate_instance(GenSpec(macros=12, nets=18, seed=5))
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=2)
         state = state_on("py", nl, area, cfg)
-        assert type(state.store) is placer.PlacementStore
-        monkeypatch.setattr(placer.PlacementStore, "score", counted)
+        assert type(state.store) is _pycore.PlacementStore
+        monkeypatch.setattr(_pycore.PlacementStore, "score", counted)
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
         assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
@@ -1328,7 +1344,7 @@ class TestScoreCandidate:
         halves, centers, bounds = [0.5] * 4, [0.5, 0.5, 2.5, 2.5], [0.5, 3.5] * 4
 
         def build(field, blockages, weight):
-            return stepfield.CPlacementStore(
+            return stepfield.c_core.PlacementStore(
                 field, 4.0, 4.0, 1.0, 1.0, array("d", halves), array("d", centers),
                 array("d", bounds), [[0, 1]], blockages, weight,
             )
@@ -1342,7 +1358,7 @@ class TestScoreCandidate:
         if value == "py core":
             value = CostField(2, 2, "py")
         elif value == "py store":
-            value = placer.PlacementStore(
+            value = _pycore.PlacementStore(
                 CostField(2, 2, "py"), 4.0, 4.0, 1.0, 1.0, halves, centers, bounds,
                 [[0, 1]], array("d"), 1.0,
             )
@@ -1352,7 +1368,7 @@ class TestScoreCandidate:
                 build(inputs[0], *inputs[7:])
             else:
                 # the C method refuses anything but a C store
-                stepfield.CPlacementStore.score(*inputs[1:7])
+                stepfield.c_core.PlacementStore.score(*inputs[1:7])
 
 
 def outcome(fn, *args):
@@ -1365,15 +1381,14 @@ def outcome(fn, *args):
 
 
 class TestCCandidateScore:
-    """``placer.candidate_score`` is the C core's ``candidate_score`` where it
-    loaded, which returns and raises what ``placer.py_candidate_score``
+    """``placer.candidate_score`` is ``stepfield.core``'s: the C core's where
+    it loaded, which returns and raises what ``_pycore.candidate_score``
     does."""
 
     def test_binding(self):
-        assert placer.py_candidate_score.__module__ == "stepplace.placer"
-        want = stepfield.c_candidate_score if stepfield.HAVE_C_CORE else None
-        assert stepfield.c_candidate_score is want
-        assert placer.candidate_score is (want or placer.py_candidate_score)
+        assert _pycore.candidate_score.__module__ == "stepplace._pycore"
+        assert stepfield.core is (stepfield.c_core or _pycore)
+        assert placer.candidate_score is stepfield.core.candidate_score
 
     @needs_c_score
     @settings(max_examples=200, deadline=None)
@@ -1404,9 +1419,9 @@ class TestCCandidateScore:
         holder = draw(st.sampled_from([store, store, object(), None]), label="store")
         beta, factor = round_args(cfg, draw(st.integers(1, cfg.max_rounds)))
         args = (holder, i, pos, beta, factor)
-        got = outcome(stepfield.c_candidate_score, *args)
+        got = outcome(stepfield.c_core.candidate_score, *args)
         touched = state.field.last_touched
-        assert got == outcome(placer.py_candidate_score, *args)
+        assert got == outcome(_pycore.candidate_score, *args)
         assert state.field.last_touched == touched
         if holder is store and type(pos) is tuple and len(pos) == 2 and 0 <= i < n_macros:
             assert (type(got) is str) == (math.isfinite(x) and math.isfinite(y))
@@ -1416,8 +1431,8 @@ class TestCCandidateScore:
         nl, area = generate_instance(GenSpec(macros=4, nets=4, seed=3))
         cfg = PlacerConfig(max_rounds=5, grid_p=3, grid_q=3, seed=1)
         state = new_state(nl, area, cfg)
-        want = placer.py_candidate_score(state.store, 1, (1.0, 2.0), None, 0.5)
-        c_score, store = stepfield.c_candidate_score, state.store
+        want = _pycore.candidate_score(state.store, 1, (1.0, 2.0), None, 0.5)
+        c_score, store = stepfield.c_core.candidate_score, state.store
         for args, kwargs in [
             ((store, 1, (1.0, 2.0), None), {"factor": 0.5}),
             ((), {"store": store, "i": 1, "pos": (1.0, 2.0), "beta": None,
@@ -1429,13 +1444,13 @@ class TestCCandidateScore:
             with pytest.raises(TypeError) as c_err:
                 c_score(*args)
             with pytest.raises(TypeError) as py_err:
-                placer.py_candidate_score(*args)
+                _pycore.candidate_score(*args)
             assert str(c_err.value) == str(py_err.value)
 
 
 def state_on(backend, netlist, area, config, initial=None):
     """``new_state`` on the given field backend, with its placement store."""
-    with mock.patch.object(stepfield, "HAVE_C_CORE", backend == "c"):
+    with mock.patch.object(stepfield, "core", stepfield.c_core if backend == "c" else _pycore):
         state = new_state(netlist, area, config, initial)
     assert state.field.backend == backend
     return state
@@ -1443,7 +1458,7 @@ def state_on(backend, netlist, area, config, initial=None):
 
 class TestPlacementStore:
     """The store a round commits to: the C core's ``PlacementStore`` and its
-    Python reference ``placer.PlacementStore``."""
+    Python reference ``_pycore.PlacementStore``."""
 
     def test_reentered_pair_goes_to_the_end(self, backend):
         # three disjoint pairs of areas 1, e and e (e = 2**-53): in key order
@@ -1610,7 +1625,7 @@ class TestPlacementStore:
             bounds=array("d", [1.0, 7.0] * 4), nets=[[0, 1]],
             blockages=array("d"), blockage_weight=1.0,
         )
-        store = stepfield.CPlacementStore(**args)
+        store = stepfield.c_core.PlacementStore(**args)
         with pytest.raises(ValueError, match="out of range"):
             store.move(2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
@@ -1619,7 +1634,7 @@ class TestPlacementStore:
             store.move(0, 1.0, 1.0)
         assert store.pairs() == [] and store.net_lengths() == [8.0]
         with pytest.raises(error, match=match):
-            stepfield.CPlacementStore(**{**args, **change})
+            stepfield.c_core.PlacementStore(**{**args, **change})
 
     @needs_c_score
     def test_round_calls_what_the_benchmark_counts(self, monkeypatch):
@@ -2215,7 +2230,7 @@ class TestBackendsAndSwitch:
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
         states = {b: state_on(b, nl, area, cfg) for b in ("c", "py")}
         with pytest.raises(TypeError, match="field must be a CostField on the C core"):
-            stepfield.CPlacementStore(
+            stepfield.c_core.PlacementStore(
                 states["py"].field, area.width, area.height, 1.0, 1.0, array("d"),
                 array("d"), array("d"), [], array("d"), 1.0,
             )
@@ -2225,23 +2240,39 @@ class TestBackendsAndSwitch:
             assert states[backend].field.backend == backend
 
     def test_both_stores_expose_the_same_methods(self, backend):
-        # the C store and its Python reference answer the same calls, and
-        # each holds the field its state reads and the centers (the Python
-        # store as attributes, the C store as properties)
-        methods = [n for n in dir(placer.PlacementStore) if not n.startswith("_")]
-        assert methods == ["box", "move", "net_lengths", "pairs", "proposals", "round",
-                           "score", "totals"]
-        if stepfield.CPlacementStore is not None:
-            assert [n for n in dir(stepfield.CPlacementStore) if not n.startswith("_")] == (
-                sorted(methods + ["centers", "field"])
-            )
+        # one switch: _pycore exports the C module's names, each class pair
+        # has the same public methods (the C core's properties are the
+        # Python instances' attributes), and a state's store is the core's
+        def public(obj):
+            return sorted(n for n in dir(obj) if not n.startswith("_"))
+
+        exports = ["FieldCore", "FreeSpace", "PlacementStore", "candidate_score",
+                   "repr_line"]
+        assert sorted(_pycore.__all__) == exports
+        methods = {
+            "FieldCore": ["coefficient", "cost", "increase", "inflate"],
+            "FreeSpace": ["blocked", "nearest_free", "put"],
+            "PlacementStore": ["box", "move", "net_lengths", "pairs", "proposals",
+                               "round", "score", "totals"],
+        }
+        properties = {"FieldCore": ["last_touched"], "PlacementStore": ["centers", "field"]}
+        for name, want in methods.items():
+            assert public(getattr(_pycore, name)) == want
+        if stepfield.c_core is not None:
+            assert public(stepfield.c_core) == exports
+            for name, want in methods.items():
+                assert public(getattr(stepfield.c_core, name)) == sorted(
+                    want + properties.get(name, []))
         nl, area = tiny_instance(17)
         cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=1)
         state = state_on(backend, nl, area, cfg)
         assert type(state.store) is (
-            placer.PlacementStore if backend == "py" else stepfield.CPlacementStore
+            _pycore.PlacementStore if backend == "py" else stepfield.c_core.PlacementStore
         )
         assert state.field is state.store.field and state.field.backend == backend
+        for name, holder in (("FieldCore", state.field.core),
+                             ("PlacementStore", state.store)):
+            assert all(hasattr(holder, n) for n in properties[name])
 
     def test_mismatched_config_grid_rejected(self):
         nl, area = tiny_instance(14)
@@ -2433,7 +2464,7 @@ class TestNaiveLegalize:
         def blocker(box):
             return next((b for b in boxes if intersection(box, b)), None)
 
-        got = placer._nearest_free(xs, ys, pos, half, blocker)
+        got = _pycore._nearest_free(xs, ys, pos, half, blocker)
         want = oracles.oracle_nearest_free(xs, ys, pos, half, boxes)
         assert (got and tuple(v.hex() for v in got)) == (
             want and tuple(v.hex() for v in want))
@@ -2443,6 +2474,8 @@ class TestNaiveLegalize:
     @given(case=lattice_searches())
     @example(case=EMPTY_COLUMN)
     @example(case=EMPTY_ROW)
+    @example(case=LEAST_KEY)
+    @example(case=LEAST_KEY_FOUND)
     def test_c_search_matches_python_reference(self, case):
         """The C core's lattice search finds the Python reference's point,
         to the bit, and its start probe the same answer, on empty footprints
@@ -2464,8 +2497,8 @@ class TestNaiveLegalize:
         placement by ``float.hex``, or both raise :class:`LegalizationError`
         naming the same macro."""
         outcomes = []
-        for space in (stepfield.CFreeSpace, placer.PyFreeSpace):
-            with mock.patch.object(placer, "FreeSpace", space):
+        for core in (stepfield.c_core, _pycore):
+            with mock.patch.object(stepfield, "core", core):
                 try:
                     got = naive_legalize(*case)
                     outcomes.append({k: (x.hex(), y.hex()) for k, (x, y) in got.items()})
@@ -2475,7 +2508,7 @@ class TestNaiveLegalize:
 
     @needs_c_space
     def test_c_free_space_rejects_bad_input(self):
-        make = stepfield.CFreeSpace
+        make = stepfield.c_core.FreeSpace
         with pytest.raises(ValueError, match="positive and finite"):
             make(math.inf, 4.0, 1.0, 1.0, 2, array("d"))
         with pytest.raises(ValueError, match="4 doubles per box"):
@@ -2498,20 +2531,20 @@ class TestNaiveLegalize:
     def test_naive_legalize_runs_the_c_search_where_the_core_loaded(self, monkeypatch):
         """On the C core no Python search runs; without it the Python
         reference does, and both give the same placement."""
-        assert placer.FreeSpace is (stepfield.CFreeSpace or placer.PyFreeSpace)
+        assert stepfield.core is (stepfield.c_core or _pycore)
         start, netlist, area = blocked_instance()
         calls = 0
-        search = placer._nearest_free
+        search = _pycore._nearest_free
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return search(*args)
 
-        monkeypatch.setattr(placer, "_nearest_free", counted)
+        monkeypatch.setattr(_pycore, "_nearest_free", counted)
         got = naive_legalize(start, netlist, area, 6, 6)
-        assert (calls == 0) == (stepfield.CFreeSpace is not None)
-        monkeypatch.setattr(placer, "FreeSpace", placer.PyFreeSpace)
+        assert (calls == 0) == (stepfield.c_core is not None)
+        monkeypatch.setattr(stepfield, "core", _pycore)
         assert naive_legalize(start, netlist, area, 6, 6) == got
         assert calls > 0
 
@@ -2589,7 +2622,7 @@ class TestPlaceability:
         with pytest.raises(ValueError, match=want):
             run_placer(nl, area, PlacerConfig(max_rounds=5, seed=1))
         built = []
-        monkeypatch.setattr(placer, "FreeSpace", lambda *args: built.append(args))
+        monkeypatch.setattr(stepfield.core, "FreeSpace", lambda *args: built.append(args))
         start = {m.id: (m.size_x / 2, m.size_y / 2) for m in nl.macros}
         with pytest.raises(ValueError, match=want):
             naive_legalize(start, nl, area, 6, 6)
@@ -2604,7 +2637,7 @@ class TestPlaceability:
         with pytest.raises(ValueError, match=want):
             new_state(nl, area, PlacerConfig(max_rounds=5, seed=1), placement)
         built = []
-        monkeypatch.setattr(placer, "FreeSpace", lambda *args: built.append(args))
+        monkeypatch.setattr(stepfield.core, "FreeSpace", lambda *args: built.append(args))
         with pytest.raises(ValueError, match=want):
             naive_legalize(placement, nl, area, 6, 6)
         assert built == []
