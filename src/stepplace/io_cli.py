@@ -17,6 +17,9 @@ the positions, and one ``place`` line per macro:
     summary legal <true|false>
     place <id> <x> <y>
 
+One reader cuts both formats into lines; a refusal of either names its line,
+but for an instance without an ``area`` line.
+
 All coordinates are area units; occupied regions are half-open rectangles, so
 edge-to-edge contact is not an overlap.  Floats are written with the bytes
 ``repr`` writes (``stepfield.core.repr_line``, looked up once per file; the
@@ -43,9 +46,8 @@ import os
 import random
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from stepplace import stepfield
 from stepplace.netmodel import (
@@ -86,17 +88,16 @@ class InstanceFormatError(ValueError):
 
 def _atomic_write(path: str, write_body):
     """Write via a temp file in the target directory, then rename; returns
-    what ``write_body`` returned.  The file gets mode ``0o666`` less the
-    umask, as ``open()`` creates files (``mkstemp`` would leave ``0o600``)."""
+    what ``write_body`` returned.  The temp file is created with mode
+    ``0o666``, so the kernel applies the umask as ``open()`` does (reading
+    the umask would mean setting it for the whole process)."""
     d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as e:  # name the target, not the temp file
         raise OSError(e.errno, e.strerror, path) from None
     try:
-        umask = os.umask(0)  # the only way to read it is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fp:
             result = write_body(fp)
         os.replace(tmp, path)
@@ -109,14 +110,31 @@ def _atomic_write(path: str, write_body):
     return result
 
 
-def _parse_float(tok: str, ln: int, what: str) -> float:
+def _parse_float(tok: str, what: str) -> float:
     try:
         v = float(tok)
     except ValueError:
-        raise InstanceFormatError(f"line {ln}: {what} is not a number: {tok!r}")
+        raise InstanceFormatError(f"{what} is not a number: {tok!r}") from None
     if not math.isfinite(v):
-        raise InstanceFormatError(f"line {ln}: {what} must be finite: {tok!r}")
+        raise InstanceFormatError(f"{what} must be finite: {tok!r}")
     return v
+
+
+def _directives(lines: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """Each directive of ``lines`` as (line number, text, tokens): the text
+    before any ``#``, stripped; lines with no text are skipped."""
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line, line.split()
+
+
+def _read_place(toks: list[str], places: Placement) -> None:
+    """Store the ``place <id> <x> <y>`` line of ``toks`` in ``places``."""
+    if toks[1] in places:
+        raise InstanceFormatError(f"duplicate place for macro {toks[1]!r}")
+    places[toks[1]] = (_parse_float(toks[2], "place x"),
+                       _parse_float(toks[3], "place y"))
 
 
 def parse_instance(
@@ -124,96 +142,79 @@ def parse_instance(
 ) -> tuple[Netlist, PlacementArea, Placement | None]:
     """Parse an instance file; see the module docstring for the grammar.
 
-    Raises :class:`InstanceFormatError` with a line number on parse errors
-    and with the offending entity on validation errors.
+    Raises :class:`InstanceFormatError` naming the line, or, for a file
+    without one, the missing ``area`` line.
     """
     area: PlacementArea | None = None
     blockages: list[Rect] = []
     blockage_lines: list[int] = []
     macros: list[Macro] = []
-    macro_lines: list[int] = []
+    macro_line: dict[str, int] = {}
     nets: list[Net] = []
+    net_lines: list[int] = []
     places: Placement = {}
-    for ln, raw in enumerate(fp, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    place_line: dict[str, int] = {}
+    for ln, _, toks in _directives(fp):
         kind, args = toks[0], toks[1:]
-        if kind == "area":
-            if area is not None:
-                raise InstanceFormatError(f"line {ln}: duplicate area line")
-            if len(args) != 2:
-                raise InstanceFormatError(f"line {ln}: area needs width and height")
-            w = _parse_float(args[0], ln, "area width")
-            h = _parse_float(args[1], ln, "area height")
-            try:
-                area = PlacementArea(w, h)
-            except ValueError as e:
-                raise InstanceFormatError(f"line {ln}: {e}")
-        elif kind == "blockage":
-            if len(args) != 4:
-                raise InstanceFormatError(f"line {ln}: blockage needs x1 y1 x2 y2")
-            blockages.append(
-                Rect(*(_parse_float(a, ln, "blockage corner") for a in args))
-            )
-            blockage_lines.append(ln)
-        elif kind == "macro":
-            if len(args) != 3:
-                raise InstanceFormatError(f"line {ln}: macro needs id size_x size_y")
-            sx = _parse_float(args[1], ln, "macro size_x")
-            sy = _parse_float(args[2], ln, "macro size_y")
-            try:
-                macros.append(Macro(args[0], sx, sy))
-            except ValueError as e:
-                raise InstanceFormatError(f"line {ln}: {e}")
-            macro_lines.append(ln)
-        elif kind == "net":
-            if len(args) < 2:
-                raise InstanceFormatError(
-                    f"line {ln}: net needs at least 2 members"
+        try:
+            if kind == "area":
+                if area is not None:
+                    raise InstanceFormatError("duplicate area line")
+                if len(args) != 2:
+                    raise InstanceFormatError("area needs width and height")
+                area = PlacementArea(_parse_float(args[0], "area width"),
+                                     _parse_float(args[1], "area height"))
+            elif kind == "blockage":
+                if len(args) != 4:
+                    raise InstanceFormatError("blockage needs x1 y1 x2 y2")
+                blockages.append(
+                    Rect(*(_parse_float(a, "blockage corner") for a in args))
                 )
-            try:
+                blockage_lines.append(ln)
+            elif kind == "macro":
+                if len(args) != 3:
+                    raise InstanceFormatError("macro needs id size_x size_y")
+                macros.append(Macro(args[0], _parse_float(args[1], "macro size_x"),
+                                    _parse_float(args[2], "macro size_y")))
+                if args[0] in macro_line:
+                    raise InstanceFormatError(f"duplicate macro id {args[0]!r}")
+                macro_line[args[0]] = ln
+            elif kind == "net":
+                if len(args) < 2:
+                    raise InstanceFormatError("net needs at least 2 members")
                 nets.append(Net(tuple(args)))
-            except ValueError as e:
-                raise InstanceFormatError(f"line {ln}: {e}")
-        elif kind == "place":
-            if len(args) != 3:
-                raise InstanceFormatError(f"line {ln}: place needs id x y")
-            if args[0] in places:
-                raise InstanceFormatError(
-                    f"line {ln}: duplicate place for macro {args[0]!r}"
-                )
-            places[args[0]] = (
-                _parse_float(args[1], ln, "place x"),
-                _parse_float(args[2], ln, "place y"),
-            )
-        else:
-            raise InstanceFormatError(f"line {ln}: unknown directive {kind!r}")
+                net_lines.append(ln)
+            elif kind == "place":
+                if len(args) != 3:
+                    raise InstanceFormatError("place needs id x y")
+                _read_place(toks, places)
+                place_line[args[0]] = ln
+            else:
+                raise InstanceFormatError(f"unknown directive {kind!r}")
+        except ValueError as e:
+            raise InstanceFormatError(f"line {ln}: {e}") from None
 
     if area is None:
         raise InstanceFormatError("missing area line")
     w, h = area.width, area.height
-    # each blockage alone, so an error can name its line
-    for b, ln in zip(blockages, blockage_lines):
-        try:
-            PlacementArea(w, h, (b,))
-        except ValueError as e:
-            raise InstanceFormatError(f"line {ln}: {e}")
-    area = PlacementArea(w, h, tuple(blockages))
-    for m, ln in zip(macros, macro_lines):
-        try:
-            check_placeable(m, area)
-        except ValueError as e:
-            raise InstanceFormatError(f"line {ln}: {e}")
     try:
-        netlist = Netlist(macros, nets)
+        # each blockage alone, so the error names its line
+        for ln, b in zip(blockage_lines, blockages):
+            PlacementArea(w, h, (b,))
+        area = PlacementArea(w, h, tuple(blockages))
+        for ln, m in zip(macro_line.values(), macros):
+            check_placeable(m, area)
+        for ln, net in zip(net_lines, nets):
+            for mid in net.members:
+                if mid not in macro_line:
+                    raise InstanceFormatError(
+                        f"net {net.members!r} references unknown macro {mid!r}")
+        for mid, ln in place_line.items():
+            if mid not in macro_line:
+                raise InstanceFormatError(f"place line for unknown macro {mid!r}")
     except ValueError as e:
-        raise InstanceFormatError(str(e))
-    for mid in places:
-        if mid not in netlist.by_id:
-            raise InstanceFormatError(f"place line for unknown macro {mid!r}")
-    return netlist, area, (places or None)
+        raise InstanceFormatError(f"line {ln}: {e}") from None
+    return Netlist(macros, nets), area, (places or None)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -290,8 +291,6 @@ def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
         bb_netlength([placement[mid] for mid in net.members])
         for net in netlist.nets
     ])
-    if not placement:
-        return total_bb, 0.0, True
     report = is_legal(placement, netlist, area)
     by_id = netlist.by_id
     overlap = 0.0
@@ -359,49 +358,41 @@ def _parse_result(lines: Iterable[str]) -> ResultData:
     values: dict[str, float | int | None] = {}
     config_line: dict[str, int] = {}
     summary: dict[str, float | bool] = {}
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "config" and len(toks) == 3:
-            key = toks[1]
-            if key not in _CONFIG_KEYS:
-                raise InstanceFormatError(f"line {ln}: unknown config key {key!r}")
-            if key in config:
-                raise InstanceFormatError(f"line {ln}: duplicate config {key}")
-            tok = config[key] = toks[2]
-            config_line[key] = ln
-            if tok == "none" and key in _OPTIONAL_KEYS:
-                values[key] = None
-            elif key not in _INT_FIELDS:
-                values[key] = _parse_float(tok, ln, f"config {key}")
-            elif not re.fullmatch("-?[0-9]+", tok):
-                raise InstanceFormatError(
-                    f"line {ln}: config {key} is not an integer: {tok!r}")
+    for ln, line, toks in _directives(lines):
+        try:
+            if toks[0] == "config" and len(toks) == 3:
+                key = toks[1]
+                if key not in _CONFIG_KEYS:
+                    raise InstanceFormatError(f"unknown config key {key!r}")
+                if key in config:
+                    raise InstanceFormatError(f"duplicate config {key}")
+                tok = config[key] = toks[2]
+                config_line[key] = ln
+                if tok == "none" and key in _OPTIONAL_KEYS:
+                    values[key] = None
+                elif key not in _INT_FIELDS:
+                    values[key] = _parse_float(tok, f"config {key}")
+                elif not re.fullmatch("-?[0-9]+", tok):
+                    raise InstanceFormatError(
+                        f"config {key} is not an integer: {tok!r}")
+                else:
+                    values[key] = int(tok)
+            elif toks[0] == "summary" and len(toks) == 3:
+                key, tok = toks[1], toks[2]
+                if key in summary:
+                    raise InstanceFormatError(f"duplicate summary {key}")
+                if key == "legal" and tok in ("true", "false"):
+                    summary[key] = tok == "true"
+                elif key in ("netlength_bb", "overlap_area"):
+                    summary[key] = _parse_float(tok, f"summary {key}")
+                else:
+                    raise InstanceFormatError(f"bad summary line {line!r}")
+            elif toks[0] == "place" and len(toks) == 4:
+                _read_place(toks, positions)
             else:
-                values[key] = int(tok)
-        elif toks[0] == "summary" and len(toks) == 3:
-            key, tok = toks[1], toks[2]
-            if key in summary:
-                raise InstanceFormatError(f"line {ln}: duplicate summary {key}")
-            if key == "legal" and tok in ("true", "false"):
-                summary[key] = tok == "true"
-            elif key in ("netlength_bb", "overlap_area"):
-                summary[key] = _parse_float(tok, ln, f"summary {key}")
-            else:
-                raise InstanceFormatError(f"line {ln}: bad summary line {line!r}")
-        elif toks[0] == "place" and len(toks) == 4:
-            if toks[1] in positions:
-                raise InstanceFormatError(
-                    f"line {ln}: duplicate place for macro {toks[1]!r}"
-                )
-            positions[toks[1]] = (
-                _parse_float(toks[2], ln, "place x"),
-                _parse_float(toks[3], ln, "place y"),
-            )
-        else:
-            raise InstanceFormatError(f"line {ln}: bad result line {line!r}")
+                raise InstanceFormatError(f"bad result line {line!r}")
+        except ValueError as e:
+            raise InstanceFormatError(f"line {ln}: {e}") from None
     if len(values) == len(_CONFIG_KEYS):
         try:
             PlacerConfig(**values)

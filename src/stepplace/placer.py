@@ -82,6 +82,11 @@ class LegalizationError(Exception):
         super().__init__(message or f"no legal position found for macro {macro_id!r}")
 
 
+#: Largest accepted ``candidates_per_round`` (resource guard: a round holds
+#: its candidates and their scores in two lists, about 150 bytes per
+#: candidate, so about 10 MiB at the cap).
+MAX_CANDIDATES_PER_ROUND = 2**16
+
 _INT_FIELDS = frozenset(
     ("max_rounds", "candidates_per_round", "grid_p", "grid_q", "seed",
      "model_switch_round")
@@ -131,8 +136,9 @@ class PlacerConfig:
                 raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if not 0 <= self.max_rounds <= sys.maxsize:
             raise ValueError(f"max_rounds must be in [0, {sys.maxsize}]")
-        if self.candidates_per_round < 0:
-            raise ValueError("candidates_per_round must be >= 0")
+        if not 0 <= self.candidates_per_round <= MAX_CANDIDATES_PER_ROUND:
+            raise ValueError(
+                f"candidates_per_round must be in [0, {MAX_CANDIDATES_PER_ROUND}]")
         for name in ("grid_p", "grid_q"):
             v = getattr(self, name)
             if not 0 <= v <= MAX_GRID_EXPONENT:

@@ -89,8 +89,9 @@ class TestParseInstance:
             ("area 4 4\nmacro a 1 x\n", "line 2"),
             ("area 4 4\nnet a\n", "line 2: net needs at least 2"),
             ("area 4 4\nmacro a 1 1\nnet a a\n", "duplicate members"),
-            ("area 4 4\nmacro a 1 1\nnet a ghost\n", "unknown macro 'ghost'"),
-            ("area 4 4\nmacro a 1 1\nmacro a 2 2\n", "duplicate macro id"),
+            ("area 4 4\nmacro a 1 1\nnet a ghost\n",
+             r"^line 3: net \('a', 'ghost'\) references unknown macro 'ghost'$"),
+            ("area 4 4\nmacro a 1 1\nmacro a 2 2\n", "^line 3: duplicate macro id 'a'$"),
             ("area 4 4\nwat 1 2\n", "unknown directive"),
             ("area 4 4\nblockage 0 0 9 1\n", "outside the placement area"),
             ("area 5 5\n\nblockage 1 1 50 2\n",
@@ -102,7 +103,7 @@ class TestParseInstance:
             ("area 5 1e-321\n", r"^line 1: placement area 5\.0 x 1e-321 is too small"),
             ("area 5 5\nmacro a 10 2\n", "^line 2: macro a .* does not fit"),
             ("area 4 4\nmacro a 1 1\nplace a 1 1\nplace a 2 2\n", "duplicate place"),
-            ("area 4 4\nplace ghost 1 1\n", "unknown macro 'ghost'"),
+            ("area 4 4\nplace ghost 1 1\n", "^line 2: place line for unknown macro 'ghost'$"),
             ("area 4 4\nmacro a 0 1\n", "sizes must be positive"),
             ("area 4 4\nmacro a\x01b 1 1\n", "line 2: .*printable"),
         ],
@@ -192,10 +193,12 @@ class TestResultFile:
             ({5: "config seed abc"}, "^line 5: config seed is not an integer: 'abc'$"),
             ({5: "config inflation_rho nan"},
              "^line 5: config inflation_rho must be finite: 'nan'$"),
+            ({4: "place  a 1  2 3"}, "^line 4: bad result line 'place  a 1  2 3'$"),
         ],
         ids=["duplicate-place", "not-a-number", "nan", "inf", "legal-maybe",
              "duplicate-summary", "unknown-summary", "duplicate-config",
-             "unknown-config", "config-refused", "config-not-an-int", "config-nan"],
+             "unknown-config", "config-refused", "config-not-an-int", "config-nan",
+             "bad-place-keeps-its-text"],
     )
     def test_bad_line_named(self, tmp_path, lines, needle):
         # a valid file with one line replaced (or, past its end, appended)
@@ -215,6 +218,14 @@ class TestResultFile:
         prefix = f"{str(path)!r}: "
         msg = str(exc.value)
         assert msg.startswith(prefix) and re.search(needle, msg[len(prefix):])
+
+    @pytest.mark.parametrize("placement", [{}, {"b": (3.0, 3.0)}], ids=["empty", "partial"])
+    def test_every_macro_needs_a_position(self, placement):
+        # an empty placement is no exception: its summary would say legal
+        netlist = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [])
+        with pytest.raises(ValueError, match="^macro 'a' has no position$"):
+            write_result(io.StringIO(), placement, netlist, PlacementArea(4.0, 4.0),
+                         PlacerConfig(max_rounds=1))
 
 
 class TestStatsCsv:
@@ -723,6 +734,23 @@ class TestCli:
         for path in (inst, res, stats, svg):
             assert oct(os.stat(path).st_mode & 0o777) == oct(0o666 & ~umask), path
 
+    def test_writes_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is the process's: set even for a moment, it changes the
+        # mode of a file another thread creates meanwhile
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        path = tmp_path / "r.txt"
+        old = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            save_result(str(path), {"a": (1.0, 1.0)}, Netlist([Macro("a", 1, 1)], []),
+                        PlacementArea(4.0, 4.0), PlacerConfig(max_rounds=1))
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert oct(os.stat(path).st_mode & 0o777) == oct(0o666 & ~0o027)
+
     def test_stats_file_matches_run_placer_trace(self, tmp_path, instance_file):
         stats = tmp_path / "stats.csv"
         assert main(
@@ -1115,6 +1143,33 @@ class TestCli:
             assert main([*place, *extra]) == 1
             assert capsys.readouterr().err == "error: grid_p must be in [0, 11]\n"
 
+    @pytest.mark.parametrize("count", ["65537", "1000000000000000",
+                                       "100000000000000000000"])
+    def test_huge_candidate_count_refused(
+        self, tmp_path, instance_file, monkeypatch, capsys, count
+    ):
+        # before the run: a round's list of 1 + count candidates would not
+        # fit an index or the memory
+        def run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(io_cli, "new_state", run)
+        res = tmp_path / "r.txt"
+        assert main(["place", "--in", instance_file, "--out", str(res),
+                     "--candidates", count]) == 1
+        refusal = "candidates_per_round must be in [0, 65536]"
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        # check refuses the value on its config line
+        netlist, area, _ = load_instance(instance_file)
+        placement = {m.id: (area.width / 2, area.height / 2) for m in netlist.macros}
+        save_result(str(res), placement, netlist, area, PlacerConfig(max_rounds=5))
+        lines = res.read_text().splitlines()
+        ln = lines.index("config candidates_per_round 8") + 1
+        lines[ln - 1] = f"config candidates_per_round {count}"
+        res.write_text("\n".join(lines) + "\n")
+        assert main(["check", "--instance", instance_file, "--result", str(res)]) == 1
+        assert capsys.readouterr().err == f"error: {str(res)!r}: line {ln}: {refusal}\n"
+
     def test_out_dir_env_var(self, tmp_path, instance_file, monkeypatch):
         outdir = tmp_path / "outputs"
         outdir.mkdir()
@@ -1139,6 +1194,17 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(res)
+        # a refused input exits 1 with an error line (after the fallback's
+        # warning, where the C core is blocked), never a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepplace", "place", "--in", instance_file,
+             "--out", res, "--rounds", "5", "--candidates", "100000000000000000000"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            "error: candidates_per_round must be in [0, 65536]")
 
     def test_place_never_imports_numpy(self, tmp_path, instance_file):
         # both field cores are numpy-free, so a fresh place never loads it
@@ -1457,8 +1523,12 @@ def test_property_instance_text_parses_or_names_the_error(data):
     refused = library_refuses(text)
     try:
         netlist, area, initial = parse_instance(io.StringIO(text))
-    except InstanceFormatError:
+    except InstanceFormatError as e:
         assert refused is not False, text
+        # every refusal names a line of the text, but for a missing area
+        named = re.match(r"line (\d+): ", str(e))
+        assert str(e) == "missing area line" or (
+            named and 1 <= int(named[1]) <= len(lines)), (str(e), text)
         return
     assert refused is False, text
     buf = io.StringIO()

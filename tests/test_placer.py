@@ -38,6 +38,7 @@ from stepplace.netmodel import (
     overlaps,
 )
 from stepplace.placer import (
+    MAX_CANDIDATES_PER_ROUND,
     LegalizationError,
     MacroBounds,
     PlacerConfig,
@@ -2163,6 +2164,14 @@ class TestRunPlacer:
         # beyond the float range, before 1 / max_rounds overflows
         with pytest.raises(ValueError, match="max_rounds must be in"):
             PlacerConfig(max_rounds=10**400)
+        # a round holds all its candidates in a list; the C store would
+        # refuse 10**20 only with an OverflowError, and 10**15 runs out of
+        # memory
+        PlacerConfig(max_rounds=1, candidates_per_round=MAX_CANDIDATES_PER_ROUND)
+        for count in (MAX_CANDIDATES_PER_ROUND + 1, 10**15, 10**20):
+            with pytest.raises(ValueError, match=r"^candidates_per_round must be "
+                               rf"in \[0, {MAX_CANDIDATES_PER_ROUND}\]$"):
+                PlacerConfig(max_rounds=1, candidates_per_round=count)
 
 
 class TestBackendsAndSwitch:
