@@ -36,13 +36,20 @@
  * candidate_score where the core loaded, which runs the score body on a C
  * store with no Python frame between, and where the round's hook is that
  * function itself the round runs the same body on its doubles and picks the
- * winner over them, with no call, tuple or float per candidate.  A commit
- * is one body, shared by move and round: it moves the macro and grows the
- * field under each snapped meet with the field core's increase body.  The
- * kernel under the score decides by arithmetic where it can, not by
- * branches: a level of axis_components writes both of its
- * possible components and counts the nonzero ones, index_hits stores each
- * key it tests and counts the ones that meet, and field_cost sums four rows
+ * winner over them, with no call, tuple or float per candidate.  There it
+ * scores the first candidate in full and each later one by branch and
+ * bound: a lower bound of its score (the exact field sum, lower bounds of
+ * its smoothed nets and the keep-out terms, first without the overlap
+ * penalty, then with it) that already reaches the least score before it
+ * settles it before its smoothed nets, or its overlap query too, where the
+ * round's terms are small enough that its score is provably finite; the
+ * winner is never settled, so the bits are those of every score in full.
+ * A commit is one body, shared by move and round: it moves the macro and
+ * grows the field under each snapped meet with the field core's increase
+ * body.  The kernel under the score decides by arithmetic where it can,
+ * not by branches: a level of axis_components writes both of its possible
+ * components and counts the nonzero ones, index_hits stores each key it
+ * tests and counts the ones that meet, and field_cost sums four rows
  * at a time, each in column order, joining the total in row order.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
@@ -432,16 +439,11 @@ edge_axis(double d, double beta)
     return (a + log1p(exp(-2.0 * a))) / beta;
 }
 
-/* netmodel.model_length of one net, beta NULL for None; -1 with its
- * exception set where it raises */
+/* netmodel.model_length of one net with a sharpness beta (not None, whose
+ * length is bb_length); -1 with its exception set where it raises */
 static int
-net_length(NetPins p, const double *beta_at, double *out)
+net_length(NetPins p, double beta, double *out)
 {
-    if (beta_at == NULL) {
-        *out = bb_length(p);
-        return 0;
-    }
-    double beta = *beta_at;
     if (p.n == 2) {
         if (!(beta > 0.0)) {
             PyErr_SetString(PyExc_ValueError, "beta must be positive");
@@ -463,6 +465,35 @@ net_length(NetPins p, const double *beta_at, double *out)
     }
     *out = lse_axis(p, 0, alpha) + lse_axis(p, 1, alpha);
     return 0;
+}
+
+/* The limit of a lower bound of a score, of minus its field sum and of the
+ * most the terms the bound leaves out can add, within which a round settles
+ * a candidate by its bound (see PlacementStore_round); DBL_MAX is about
+ * 2^24 times it. */
+#define SETTLE_LIMIT 0x1p1000
+
+/* A lower bound of one net's model length, beta NULL or positive: at most
+ * the length net_length (bb_length for NULL) computes, bit for bit.  Where
+ * beta is NULL it is bb_length itself.  Else each axis leaves out a
+ * non-negative term, so that each step rounds at or below the length's
+ * step, and rounding is monotone: a 2-pin net's axis is fabs(beta * d) /
+ * beta, edge_axis without its log1p term; a larger net's axis is hi - lo,
+ * at most lse_axis's pos + neg. */
+static double
+net_bound(NetPins p, const double *beta)
+{
+    if (beta == NULL)
+        return bb_length(p);
+    if (p.n == 2) {
+        double dx = pin_at(p, 0, 0) - pin_at(p, 1, 0);
+        double dy = pin_at(p, 0, 1) - pin_at(p, 1, 1);
+        return fabs(*beta * dx) / *beta + fabs(*beta * dy) / *beta;
+    }
+    double hx, lx, hy, ly;
+    axis_extremes(p, 0, &hx, &lx);
+    axis_extremes(p, 1, &hy, &ly);
+    return (hx - lx) + (hy - ly);
 }
 
 /* Python's max(a, b) and min(a, b): the first argument unless the second is
@@ -1222,16 +1253,71 @@ PlacementStore_pairs(PlacementStore *self, PyObject *unused)
     return out;
 }
 
+/* sum plus the keep-out weight times the overlap area of the footprint fp
+ * with each keep-out it meets, in keep-out order */
+static double
+add_keepouts(const PlacementStore *s, const double *fp, double sum)
+{
+    for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4) {
+        double ix1 = py_max(fp[0], b[0]), iy1 = py_max(fp[1], b[1]);
+        double ix2 = py_min(fp[2], b[2]), iy2 = py_min(fp[3], b[3]);
+        if (ix1 < ix2 && iy1 < iy2)
+            sum += s->weight * ((ix2 - ix1) * (iy2 - iy1));
+    }
+    return sum;
+}
+
+/* _pycore.penalty of macro i's footprint fp: factor times the circumference
+ * of every positive-area meet with another footprint, in index order, so
+ * the same floats are added in the same order as by a scan over every
+ * footprint */
+static double
+overlap_penalty(PlacementStore *s, Py_ssize_t i, const double *fp, double factor)
+{
+    FootprintIndex *idx = &s->index;
+    Py_ssize_t n_hits = index_hits(idx, fp, i);
+    double circ = 0.0;
+    for (Py_ssize_t t = 0; t < n_hits; t++) {
+        const double *f = idx->boxes + 4 * idx->found[t];
+        double ix1 = py_max(fp[0], f[0]), iy1 = py_max(fp[1], f[1]);
+        double ix2 = py_min(fp[2], f[2]), iy2 = py_min(fp[3], f[3]);
+        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
+    }
+    return factor * circ;
+}
+
+/* Whether a lower bound of a candidate's score whose field sum is field
+ * settles the candidate against low, the least score before it in its
+ * round: the bound is at least low, so the candidate is not the first
+ * smallest, and it and minus the field sum are at most SETTLE_LIMIT, so
+ * that its score is finite (see PlacementStore_round). */
+static inline int
+settles(double bound, double field, double low)
+{
+    return bound >= low && bound <= SETTLE_LIMIT && field >= -SETTLE_LIMIT;
+}
+
 /* stepplace._pycore.PlacementStore.score of macro i at (x, y) with the
  * sharpness *beta (NULL for None) and the penalty factor, term for term in
  * its order: the field sum under macro i's footprint at (x, y) snapped to
  * the field's grid, the lengths of i's nets in net order with its pin at
  * (x, y), the overlap penalty against every other footprint, in index
  * order, and the weighted keep-out overlap areas.  The body of score and of
- * a round that scores by candidate_score.  0, or -1 with an exception set. */
+ * a round that scores by candidate_score.
+ *
+ * low is the least score before this candidate in a round that may settle
+ * it by a bound (PlacementStore_round), else inf, which settles nothing, as
+ * for score, candidate_score and a round's first candidate.  Where low is
+ * below inf, the score is added up in two stages before the smoothed net
+ * lengths, each a lower bound of the score in its order: first the field
+ * sum, the net bounds (net_bound) and the keep-out terms, with the penalty
+ * taken as 0, before the overlap query; then the same with the penalty.
+ * Where settles(), *out is that bound, which is at least low and at most
+ * the score.  Where beta is None the net bounds are the lengths, and the
+ * second stage is the score.  0, or -1 with an exception set. */
 static int
 score_at(PlacementStore *s, Py_ssize_t i, double x, double y, const double *beta,
-         double factor, double *out)
+         double factor, double low, double *out)
 {
     if (!(isfinite(x) && isfinite(y))) {
         PyErr_SetString(PyExc_ValueError, "candidate center must be finite");
@@ -1239,8 +1325,7 @@ score_at(PlacementStore *s, Py_ssize_t i, double x, double y, const double *beta
     }
 
     const double *h = s->half + 2 * i;
-    const double fx1 = x - h[0], fy1 = y - h[1], fx2 = x + h[0], fy2 = y + h[1];
-    const double fp[4] = {fx1, fy1, fx2, fy2};
+    const double fp[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
     FieldCore *core = s->core;
     double score = 0.0;
     Py_ssize_t r[4];
@@ -1254,34 +1339,27 @@ score_at(PlacementStore *s, Py_ssize_t i, double x, double y, const double *beta
         score = field_cost(core, r[0], r[1], r[2], r[3]);
 
     const double at[2] = {x, y};
-    for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
+    const Py_ssize_t *net = s->nets_of + s->nets_at[i], *end = s->nets_of + s->nets_at[i + 1];
+    int settle = low < INFINITY;
+    double bound = score;
+    if (settle || beta == NULL)
+        for (const Py_ssize_t *k = net; k < end; k++)
+            bound += net_bound(net_pins(s, *k, i, at), beta);
+    if (settle && settles(*out = add_keepouts(s, fp, bound), score, low))
+        return 0;
+    double pen = overlap_penalty(s, i, fp, factor);
+    if (settle || beta == NULL) {
+        *out = add_keepouts(s, fp, bound + pen);
+        if (beta == NULL || settles(*out, score, low))
+            return 0;
+    }
+    for (const Py_ssize_t *k = net; k < end; k++) {
         double length;
-        if (net_length(net_pins(s, s->nets_of[t], i, at), beta, &length) < 0)
+        if (net_length(net_pins(s, *k, i, at), *beta, &length) < 0)
             return -1;
         score += length;
     }
-
-    /* _pycore.penalty: circumference of every positive-area meet, in index
-     * order, so the same floats are added in the same order as by a scan
-     * over every footprint */
-    FootprintIndex *idx = &s->index;
-    Py_ssize_t n_hits = index_hits(idx, fp, i);
-    double circ = 0.0;
-    for (Py_ssize_t t = 0; t < n_hits; t++) {
-        const double *f = idx->boxes + 4 * idx->found[t];
-        double ix1 = py_max(fx1, f[0]), iy1 = py_max(fy1, f[1]);
-        double ix2 = py_min(fx2, f[2]), iy2 = py_min(fy2, f[3]);
-        circ += 2.0 * ((ix2 - ix1) + (iy2 - iy1));
-    }
-    score += factor * circ;
-
-    for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4) {
-        double ix1 = py_max(fx1, b[0]), iy1 = py_max(fy1, b[1]);
-        double ix2 = py_min(fx2, b[2]), iy2 = py_min(fy2, b[3]);
-        if (ix1 < ix2 && iy1 < iy2)
-            score += s->weight * ((ix2 - ix1) * (iy2 - iy1));
-    }
-    *out = score;
+    *out = add_keepouts(s, fp, score + pen);
     return 0;
 }
 
@@ -1296,7 +1374,7 @@ store_score(PlacementStore *s, PyObject *const *args)
     double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
     double factor = PyFloat_AsDouble(args[4]), out;
     if (PyErr_Occurred()
-        || score_at(s, i, x, y, args[3] == Py_None ? NULL : &beta, factor, &out) < 0)
+        || score_at(s, i, x, y, args[3] == Py_None ? NULL : &beta, factor, INFINITY, &out) < 0)
         return NULL;
     return PyFloat_FromDouble(out);
 }
@@ -1481,6 +1559,46 @@ min_index(const double *v, Py_ssize_t n)
     return best;
 }
 
+/* Whether a round of macro i over its n candidates xy may settle a candidate
+ * by a lower bound of its score (see PlacementStore_round): factor and the
+ * keep-out weight are not negative, beta is NULL or positive and finite,
+ * every candidate lies within SETTLE_LIMIT of the origin on each axis, and
+ * the most the terms a bound leaves out can add is at most SETTLE_LIMIT.
+ * That is, for the penalty, factor times 2 * count times
+ * 4 * ((X + |hx|) + (Y + |hy|)), X and Y the largest |x| and |y| of a
+ * candidate: a meet's side is at most its footprint's, fl(x + hx) -
+ * fl(x - hx) <= 2 * fl(X + |hx|), fewer than count footprints meet it, and
+ * the factor 2 covers the rounding of their sum; for the smoothed nets,
+ * alpha = 1 / beta times 4 * log(pins) per net, since per axis each of
+ * lse_axis's two log terms is at most alpha * log(pins), and edge_axis's
+ * log1p term at most log(2) / beta.  A candidate that is not finite raises
+ * in score_at whatever this says. */
+static int
+may_settle(const PlacementStore *s, Py_ssize_t i, const double *xy, Py_ssize_t n,
+           const double *beta, double factor)
+{
+    if (!(factor >= 0.0 && s->weight >= 0.0
+          && (beta == NULL || (*beta > 0.0 && *beta < INFINITY))))
+        return 0;
+    double X = 0.0, Y = 0.0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        X = py_max(X, fabs(xy[2 * k]));
+        Y = py_max(Y, fabs(xy[2 * k + 1]));
+    }
+    const double *h = s->half + 2 * i;
+    double spare = factor * (2.0 * (double)s->count
+                             * (4.0 * ((X + fabs(h[0])) + (Y + fabs(h[1])))));
+    if (beta != NULL) {
+        double logs = 0.0;
+        for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
+            Py_ssize_t k = s->nets_of[t];
+            logs += 4.0 * log((double)(s->net_at[k + 1] - s->net_at[k]));
+        }
+        spare += 1.0 / *beta * logs;
+    }
+    return X <= SETTLE_LIMIT && Y <= SETTLE_LIMIT && spare <= SETTLE_LIMIT;
+}
+
 /* stepplace._pycore.first_min over the n >= 1 scores v a hook returned:
  * the index of the first smallest score, -1 where a score is not finite
  * (each read as math.isfinite reads it, in order), compared as min compares
@@ -1581,7 +1699,25 @@ static PyObject *candidate_score(PyObject *module, PyObject *const *args, Py_ssi
  * new tuple per candidate, and what it returns is compared as min compares
  * it.  Unless a score is not finite (-1, nothing moved), commits i there as
  * move does and calls the field's inflate(rho) once.  Returns the winner's
- * index. */
+ * index.
+ *
+ * Scoring by score_at is branch and bound: the first candidate is scored
+ * in full, and, where may_settle, each later one may be settled by a bound
+ * of its score that is at least low, the least score before it (see
+ * score_at).  A settled candidate cannot be the first smallest, and its
+ * bound in v neither lowers low nor goes below the winner's score, which
+ * is below every score before it and so never settled; a tie keeps the
+ * earlier index.  So min_index picks the index the full scores give, and
+ * may_settle and settles() make a settled candidate's score finite, so
+ * that -1 keeps its meaning: every term after the field is non-negative,
+ * the field sum is at least -L and the bound at most L (L = SETTLE_LIMIT),
+ * so the bound's terms after the field add up to about 2L at most; each
+ * term of the score exceeds its bound's by at most what may_settle bounds
+ * by L, up to rounding far below L, and so every sum of the score stays
+ * within about -L and 4L, far from overflow.  Within a net length, too:
+ * the candidates lie within L of the origin, so the pins of a net whose
+ * bound is at most about 2L lie within about 3L, and lse_axis's pos and
+ * neg stay within about 4L. */
 static PyObject *
 PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1608,15 +1744,20 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     if (PyCFunction_Check(score)
         && PyCFunction_GET_FUNCTION(score) == (PyCFunction)(void (*)(void))candidate_score) {
         /* beta and factor converted once, as score converts them */
-        double *v = xy + 2 * n;
+        double *v = xy + 2 * n, low = INFINITY;
         double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
         double factor = PyFloat_AsDouble(args[4]);
+        const double *beta_at = args[3] == Py_None ? NULL : &beta;
         if (PyErr_Occurred())
             goto out;
-        for (Py_ssize_t k = 0; k < n; k++)
-            if (score_at(s, i, xy[2 * k], xy[2 * k + 1], args[3] == Py_None ? NULL : &beta,
-                         factor, v + k) < 0)
+        int settle = may_settle(s, i, xy, n, beta_at, factor);
+        for (Py_ssize_t k = 0; k < n; k++) {
+            if (score_at(s, i, xy[2 * k], xy[2 * k + 1], beta_at, factor,
+                         settle ? low : INFINITY, v + k) < 0)
                 goto out;
+            if (v[k] < low)
+                low = v[k];
+        }
         best = min_index(v, n);
     }
     else {
@@ -1709,7 +1850,11 @@ static PyMethodDef PlacementStore_methods[] = {
      "ValueError before any draw; see stepplace._pycore.PlacementStore.round.\n"
      "The candidates are held as C doubles.  Where score is candidate_score\n"
      "itself, each candidate is scored by the store's score body with no\n"
-     "call; any other score gets an (x, y) tuple per candidate."},
+     "call, and a later candidate whose lower bound (before its smoothed\n"
+     "nets) reaches the least score before it is settled by that bound,\n"
+     "where its score is provably finite: the winner, and so every bit, is\n"
+     "that of the full scores.  Any other score gets an (x, y) tuple per\n"
+     "candidate."},
     {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
      "proposals(i, rng, count) -> [(x, y), ...]\n\n"
      "A round's candidates for macro i: its center, then count proposals\n"

@@ -479,7 +479,11 @@ class PlacementStore:
         ``randrange`` nor ``_randbelow`` on the instance, it draws the macro
         as ``randrange`` does on Python 3.10–3.13, through ``getrandbits``,
         and any other ``rng`` it asks for ``randrange``; with the C
-        ``candidate_score`` itself as ``score`` it scores with no call."""
+        ``candidate_score`` itself as ``score`` it scores with no call, and
+        settles a later candidate by a lower bound of its score that
+        reaches the least score before it, where that score is provably
+        finite.  This one scores every candidate in full, the exact
+        reference of both."""
         if not math.isfinite(w):
             raise ValueError("increase value must be finite")
         if not self.centers:

@@ -34,10 +34,17 @@ with ``move`` (the move and the field's growth under the macro's meets),
 and inflates the field.  On the C core the round holds its candidates and
 their scores as C doubles, and with the C :data:`candidate_score` itself
 as the hook it scores each candidate with no call, so all but the rng's
-draws and the field's ``inflate`` runs in C.  Another hook is called with
-an ``(x, y)`` tuple per candidate.  The statistics row takes both its
-totals from the store.  Footprints sit in a spatial index, so the penalty
-and the overlap update test a footprint only against the macros near it.
+draws and the field's ``inflate`` runs in C.  There it scores the first
+candidate in full and settles a later one by a lower bound of its score
+(the field sum, lower bounds of the net lengths and the keep-out terms,
+without and then with the overlap penalty) that already reaches the least
+score before it, before its smoothed net lengths, where its score is
+provably finite: the winner is never settled, so the bits are those of the
+full scores, which ``_pycore`` computes for every candidate.  Another
+hook is called with an ``(x, y)`` tuple per candidate.  The statistics row
+takes both its totals from the store.  Footprints sit in a spatial index,
+so the penalty and the overlap update test a footprint only against the
+macros near it.
 
 A round evaluates its schedules (delta, beta and w) once, taking the power
 of a growth both share once, for its candidates' net-model sharpness and

@@ -1743,6 +1743,20 @@ class RandomOnly(random.Random):
         return 1.0 - super().random()
 
 
+class Scripted(random.Random):
+    """Draws macro 0, and the given values from random() in turn."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def randrange(self, n):
+        return 0
+
+    def random(self):
+        return next(self.draws)
+
+
 # the rngs a round may draw from, by name
 RNGS = {"random": random.Random, "subclass": SubRandom, "random-only": RandomOnly}
 # per method a round's draws go through, an override for a random.Random
@@ -1903,6 +1917,106 @@ class TestStoreRound:
             assert (got[0] == -1) == (args[2] == math.inf)
             if got[0] == -1:
                 assert placed(states[0]) == before
+
+    @needs_c_score
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_settled_candidates_leave_the_round_as_full_scores_do(self, data):
+        # the C round with the C hook settles a later candidate by a lower
+        # bound of its score that reaches the least score before it, where its
+        # score is finite; against the Python store's round and an oracle
+        # that scores every candidate in full (store.score settles nothing),
+        # at the guard's edges: factors and betas whose terms overflow, w up
+        # to 1e300, keep-outs, 2-pin and larger nets, a macro with no nets,
+        # and macros as wide or as high as the area, whose candidates tie
+        # with the center on that axis
+        draw = data.draw
+        side = 12.0
+        n = draw(st.integers(2, 6), label="macros")
+        sizes = st.sampled_from([1.0, 2.5, 4.0, side])
+        macros = [Macro(f"m{k}", draw(sizes), draw(sizes)) for k in range(n)]
+        # the last macro in no net, or every macro in some
+        pool = range(n - draw(st.integers(0, 1), label="netless"))
+        nets = [
+            Net(tuple(f"m{j}" for j in draw(st.lists(
+                st.sampled_from(pool), min_size=2, max_size=min(4, len(pool)), unique=True))))
+            for _ in range(draw(st.integers(0, 2 * n), label="nets") if len(pool) > 1 else 0)
+        ]
+        blockages = []
+        for _ in range(draw(st.integers(0, 2), label="keep-outs")):
+            x1, y1 = draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 8.0))
+            blockages.append(Rect(x1, y1, x1 + draw(st.floats(1.0, 4.0)),
+                                  y1 + draw(st.floats(1.0, 4.0))))
+        cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=3, seed=draw(st.integers(0, 99)),
+                           blockage_weight=draw(st.sampled_from([0.0, 1.0, 1e300])))
+        area = PlacementArea(side, side, tuple(blockages))
+        states = [state_on(b, Netlist(macros, nets), area, cfg) for b in ("c", "py")]
+        hooks = [stepfield.c_core.candidate_score, _pycore.candidate_score]
+        for _ in range(draw(st.integers(1, 4), label="rounds")):
+            count, beta, factor, w, rho = (
+                draw(st.sampled_from([1, 8, 20]), label="count"),
+                draw(st.sampled_from([None, 1e-308, 1e-300, 1e-3, 1.0, 50.0, 1e300]),
+                     label="beta"),
+                draw(st.sampled_from([0.0, 1.0, 1e300, 1e305, 1e307, 1.7e308]), label="factor"),
+                draw(st.one_of(st.just(1e300), st.floats(0.0, 1e300)), label="w"),
+                draw(st.sampled_from([1.0, 0.5]), label="rho"),
+            )
+            store, twin = states[0].store, random.Random()
+            twin.setstate(states[0].rng.getstate())
+            i = twin.randrange(n)
+            want = _pycore.first_min([store.score(i, x, y, beta, factor)
+                                      for x, y in store.proposals(i, twin, count)])
+            got = [s.store.round(hook, s.rng, count, beta, factor, w, rho)
+                   for s, hook in zip(states, hooks)]
+            assert got == [want, want]
+            assert states[0].rng.getstate() == states[1].rng.getstate() == twin.getstate()
+            assert placed(states[0]) == placed(states[1])
+            assert [exact(v) for v in stats_row(states[0], cfg)] == [
+                exact(v) for v in stats_row(states[1], cfg)]
+
+    @needs_c_score
+    def test_two_pin_bound_rounds_below_the_length(self):
+        # a 2-pin net's smoothed axis rounds fabs(beta * d) / beta, which may
+        # lie an ulp below |d|: here the proposal (1, 1) scores an ulp below
+        # the center, whose score its |dx| + |dy| reaches, so a bound of
+        # |dx| + |dy| would settle the winner
+        beta = 10.0
+        px, py = float.fromhex("0x1.b8441f9321ab7p+1"), float.fromhex("0x1.cb2ff0fef5dc4p+3")
+        cx = float.fromhex("0x1.78441f9321ab9p+2")
+        nl = Netlist([Macro("a", 2.0, 2.0), Macro("b", 1.0, 1.0)], [Net(("a", "b"))])
+        state = state_on("c", nl, PlacementArea(16.0, 16.0), PlacerConfig(max_rounds=1),
+                         initial={"a": (cx, 1.0), "b": (px, py)})
+        lengths = [model_length([c, (px, py)], beta) for c in [(cx, 1.0), (1.0, 1.0)]]
+        assert lengths[1] < lengths[0] <= abs(1.0 - px) + abs(1.0 - py)
+        # macro a, and its proposal down and left past its bounds: (1, 1)
+        rng = Scripted([0.0, 0.0, 1.0, 1.0])
+        hook = stepfield.c_core.candidate_score
+        assert state.store.round(hook, rng, 1, beta, 0.0, 0.0, 1.0) == 1
+        assert state.store.centers[0] == (1.0, 1.0)
+
+    @needs_c_score
+    @pytest.mark.parametrize("weight, beta, factor", [
+        # its keep-out term is DBL_MAX (weight DBL_MAX / 2, area 2), so its
+        # bound is, and its 2-pin net with beta 1e-292 adds about 1.4e292
+        (sys.float_info.max / 2, 1e-292, 0.0),
+        # its bound is 28, and it meets macro 2, so its penalty overflows
+        (1.0, None, 1.7e308),
+    ], ids=["keep-out", "penalty"])
+    def test_score_that_overflows_is_not_settled(self, weight, beta, factor):
+        # the proposal (1, 1) meets a keep-out and macro 2; its bound reaches
+        # the center's finite score, but its score overflows, so the round
+        # returns -1 with nothing moved
+        args = (16.0, 16.0, 1.0, 1.0, array("d", [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]),
+                array("d", [8.0, 8.0, 14.0, 14.0, 1.5, 1.5]),
+                array("d", [1.0, 15.0, 1.0, 15.0] + [0.5, 15.5, 0.5, 15.5] * 2), [[0, 1]],
+                array("d", [0.0, 0.0, 1.0, 2.0]), weight)
+        for core, backend in ((stepfield.c_core, "c"), (_pycore, "py")):
+            store = core.PlacementStore(CostField(2, 2, backend), *args)
+            assert math.isfinite(store.score(0, 8.0, 8.0, beta, factor))
+            assert store.score(0, 1.0, 1.0, beta, factor) == math.inf
+            rng = Scripted([0.0, 0.0, 1.0, 1.0])
+            assert store.round(core.candidate_score, rng, 1, beta, factor, 0.0, 1.0) == -1
+            assert store.centers[0] == (8.0, 8.0)
 
     @pytest.mark.parametrize("name", sorted(OVERRIDES))
     def test_instance_overrides_draw_alike_on_both_cores(self, on_core, name):
