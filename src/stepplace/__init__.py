@@ -33,7 +33,6 @@ from stepplace.placer import (
     PlacerConfig,
     PlacerState,
     RoundStats,
-    candidate_score,
     compute_bounds,
     gamma,
     move_macro,

@@ -32,11 +32,12 @@
  * does, commits it as move does, and calls the field's inflate once.  It
  * draws the macro of a random.Random itself as randrange does, by
  * getrandbits through rng, and calls rng.random for each proposal draw.
- * The hook gets the store itself; it is the module function
- * candidate_score where the core loaded, which runs the score body on a C
- * store with no Python frame between, and where the round's hook is that
- * function itself the round runs the same body on its doubles and picks the
- * winner over them, with no call, tuple or float per candidate.  There it
+ * The hook is called as score(store, i, x, y, beta, factor); it is the
+ * store's own unbound score method where the core loaded, and where the
+ * round's hook is that method itself the round runs the score body on its
+ * doubles, with no call or float per candidate.  Any other hook's results
+ * are read as float() reads them into the same doubles, and the winner is
+ * picked over those doubles either way.  With its own score the round
  * scores the first candidate in full and each later one by branch and
  * bound: a lower bound of its score (the exact field sum, lower bounds of
  * its smoothed nets and the keep-out terms, first without the overlap
@@ -1162,7 +1163,7 @@ store_commit(PlacementStore *s, Py_ssize_t i, double x, double y, double w)
     for (Py_ssize_t t = 0; t < n; t++) {
         Py_ssize_t r[4];
         int snapped = snap_box(s->meets + 4 * t, s->width, s->height, core->n, core->m, r);
-        /* the one guard on the cells field_increase writes; as in store_score,
+        /* the one guard on the cells field_increase writes; as in score_at,
          * it cannot fire */
         if (snapped < 0 || (snapped && check_rect(core, r[0], r[1], r[2], r[3]) < 0))
             return -1;
@@ -1303,15 +1304,15 @@ settles(double bound, double field, double low)
  * the field's grid, the lengths of i's nets in net order with its pin at
  * (x, y), the overlap penalty against every other footprint, in index
  * order, and the weighted keep-out overlap areas.  The body of score and of
- * a round that scores by candidate_score.
+ * a round whose hook is score itself.
  *
  * low is the least score before this candidate in a round that may settle
  * it by a bound (PlacementStore_round), else inf, which settles nothing, as
- * for score, candidate_score and a round's first candidate.  Where low is
- * below inf, the score is added up in two stages before the smoothed net
- * lengths, each a lower bound of the score in its order: first the field
- * sum, the net bounds (net_bound) and the keep-out terms, with the penalty
- * taken as 0, before the overlap query; then the same with the penalty.
+ * for score and a round's first candidate.  Where low is below inf, the
+ * score is added up in two stages before the smoothed net lengths, each a
+ * lower bound of the score in its order: first the field sum, the net
+ * bounds (net_bound) and the keep-out terms, with the penalty taken as 0,
+ * before the overlap query; then the same with the penalty.
  * Where settles(), *out is that bound, which is at least low and at most
  * the score.  Where beta is None the net bounds are the lengths, and the
  * second stage is the score.  0, or -1 with an exception set. */
@@ -1363,10 +1364,13 @@ score_at(PlacementStore *s, Py_ssize_t i, double x, double y, const double *beta
     return 0;
 }
 
-/* score of the 5 args (i, x, y, beta, factor) */
 static PyObject *
-store_score(PlacementStore *s, PyObject *const *args)
+PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 {
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "score expected 5 arguments, got %zd", nargs);
+        return NULL;
+    }
     Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros");
     if (i < 0)
         return NULL;
@@ -1379,21 +1383,12 @@ store_score(PlacementStore *s, PyObject *const *args)
     return PyFloat_FromDouble(out);
 }
 
-static PyObject *
-PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "score expected 5 arguments, got %zd", nargs);
-        return NULL;
-    }
-    return store_score(s, args);
-}
-
 /* The rng methods a round draws through and the one more name its instance
- * may override the macro draw under, the 0.5 a coin compares with, and the
- * field method a round calls, made once at module init. */
+ * may override the macro draw under, the 0.5 a coin compares with, the
+ * field method a round calls, and PlacementStore.score, the hook a round
+ * runs without a call, made once at module init. */
 static PyObject *str_random, *str_getrandbits, *str_randrange, *str_randbelow, *one_half,
-    *str_inflate;
+    *str_inflate, *score_method;
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1599,33 +1594,6 @@ may_settle(const PlacementStore *s, Py_ssize_t i, const double *xy, Py_ssize_t n
     return X <= SETTLE_LIMIT && Y <= SETTLE_LIMIT && spare <= SETTLE_LIMIT;
 }
 
-/* stepplace._pycore.first_min over the n >= 1 scores v a hook returned:
- * the index of the first smallest score, -1 where a score is not finite
- * (each read as math.isfinite reads it, in order), compared as min compares
- * them; -2 with an exception set. */
-static Py_ssize_t
-pick_first_min(PyObject **v, Py_ssize_t n)
-{
-    Py_ssize_t best = 0;
-    for (Py_ssize_t k = 0; k < n; k++) {
-        double d = PyFloat_AsDouble(v[k]);
-        if (d == -1.0 && PyErr_Occurred())
-            return -2;
-        if (!isfinite(d))
-            return -1;
-    }
-    for (Py_ssize_t k = 1; k < n; k++) {
-        int less = PyFloat_CheckExact(v[k]) && PyFloat_CheckExact(v[best])
-            ? PyFloat_AS_DOUBLE(v[k]) < PyFloat_AS_DOUBLE(v[best])
-            : PyObject_RichCompareBool(v[k], v[best], Py_LT);
-        if (less < 0)
-            return -2;
-        if (less)
-            best = k;
-    }
-    return best;
-}
-
 /* 1 where rng.randrange(n) is Random.randrange's own draw, made here as
  * Python 3.10-3.13 makes it: rng's type is random.Random, not a subclass,
  * which may draw through another generator; its instance holds neither of
@@ -1688,18 +1656,14 @@ draw_index(PyObject *rng, Py_ssize_t n)
     return r < 0 || r >= n ? -1 : r;
 }
 
-static PyObject *candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
-                                 PyObject *kwnames);
-
 /* stepplace._pycore.PlacementStore.round: one round of the placer.  Draws
  * macro i as draw_index does and its candidates as proposals does, as C
- * doubles, scores each in order and picks the winner as first_min does.
- * Where score is candidate_score itself, each score is score_at's, picked
- * over doubles; else score(store, i, (x, y), beta, factor) is called with a
- * new tuple per candidate, and what it returns is compared as min compares
- * it.  Unless a score is not finite (-1, nothing moved), commits i there as
- * move does and calls the field's inflate(rho) once.  Returns the winner's
- * index.
+ * doubles, scores each in order into a double and picks the winner over
+ * them as first_min does.  Where score is score_method, each score is
+ * score_at's; else score(store, i, x, y, beta, factor) is called and what
+ * it returns read as float() reads it.  Unless a score is not finite (-1,
+ * nothing moved), commits i there as move does and calls the field's
+ * inflate(rho) once.  Returns the winner's index.
  *
  * Scoring by score_at is branch and bound: the first candidate is scored
  * in full, and, where may_settle, each later one may be settled by a bound
@@ -1737,14 +1701,14 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t i = draw_index(args[1], s->count), count = 0, best = -2, n;
     double stack[3 * STACK_CANDIDATES];
     double *xy = i < 0 ? NULL : candidate_room(args[2], stack, &count);
-    PyObject *index = NULL, *scores = NULL, *done = NULL;
+    PyObject *index = NULL, *done = NULL;
     if (xy == NULL || draw_candidates(s, i, args[1], count, xy) < 0)
         goto out;
     n = 1 + count;
-    if (PyCFunction_Check(score)
-        && PyCFunction_GET_FUNCTION(score) == (PyCFunction)(void (*)(void))candidate_score) {
+    double *v = xy + 2 * n;
+    if (score == score_method) {
         /* beta and factor converted once, as score converts them */
-        double *v = xy + 2 * n, low = INFINITY;
+        double low = INFINITY;
         double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
         double factor = PyFloat_AsDouble(args[4]);
         const double *beta_at = args[3] == Py_None ? NULL : &beta;
@@ -1758,24 +1722,26 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
             if (v[k] < low)
                 low = v[k];
         }
-        best = min_index(v, n);
     }
     else {
-        if ((scores = PyList_New(n)) == NULL || (index = PyLong_FromSsize_t(i)) == NULL)
+        if ((index = PyLong_FromSsize_t(i)) == NULL)
             goto out;
         for (Py_ssize_t k = 0; k < n; k++) {
-            PyObject *pos = float_pair(xy[2 * k], xy[2 * k + 1]), *v = NULL;
-            if (pos != NULL) {
-                PyObject *argv[5] = {(PyObject *)s, index, pos, args[3], args[4]};
-                v = PyObject_Vectorcall(score, argv, 5, NULL);
-                Py_DECREF(pos);
-            }
-            if (v == NULL)
+            PyObject *argv[6] = {(PyObject *)s, index, PyFloat_FromDouble(xy[2 * k]),
+                                 PyFloat_FromDouble(xy[2 * k + 1]), args[3], args[4]};
+            PyObject *got = argv[2] && argv[3] ? PyObject_Vectorcall(score, argv, 6, NULL)
+                                               : NULL;
+            PyObject *f = got ? PyNumber_Float(got) : NULL;
+            Py_XDECREF(argv[2]);
+            Py_XDECREF(argv[3]);
+            Py_XDECREF(got);
+            if (f == NULL)
                 goto out;
-            PyList_SET_ITEM(scores, k, v);
+            v[k] = PyFloat_AS_DOUBLE(f);
+            Py_DECREF(f);
         }
-        best = pick_first_min(PySequence_Fast_ITEMS(scores), n);
     }
+    best = min_index(v, n);
     if (best >= 0) {
         if (store_commit(s, i, xy[2 * best], xy[2 * best + 1], w) == 0)
             done = PyObject_CallMethodOneArg(s->field, str_inflate, args[6]);
@@ -1785,7 +1751,6 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 out:
     Py_XDECREF(done);
     Py_XDECREF(index);
-    Py_XDECREF(scores);
     if (xy != stack)
         PyMem_Free(xy);
     return best < -1 ? NULL : PyLong_FromSsize_t(best);
@@ -1843,18 +1808,18 @@ static PyMethodDef PlacementStore_methods[] = {
      "round(score, rng, count, beta, factor, w, rho) -> int\n\n"
      "One round of the placer: draw a macro i as rng.randrange(macros) does,\n"
      "its proposals(i, rng, count), score each candidate in order as\n"
-     "score(store, i, pos, beta, factor) with this store, move(i, x, y, w)\n"
-     "to the first smallest score and call the field's inflate(rho) once.\n"
+     "float(score(store, i, x, y, beta, factor)) with this store,\n"
+     "move(i, x, y, w) to the first smallest score and call the field's\n"
+     "inflate(rho) once.\n"
      "Returns the winner's index, or -1 with nothing moved where a score is\n"
      "not finite.  A non-finite w or a store without macros raises\n"
      "ValueError before any draw; see stepplace._pycore.PlacementStore.round.\n"
-     "The candidates are held as C doubles.  Where score is candidate_score\n"
-     "itself, each candidate is scored by the store's score body with no\n"
-     "call, and a later candidate whose lower bound (before its smoothed\n"
+     "The candidates and their scores are held as C doubles.  Where score is\n"
+     "PlacementStore.score itself, each candidate is scored by its body with\n"
+     "no call, and a later candidate whose lower bound (before its smoothed\n"
      "nets) reaches the least score before it is settled by that bound,\n"
      "where its score is provably finite: the winner, and so every bit, is\n"
-     "that of the full scores.  Any other score gets an (x, y) tuple per\n"
-     "candidate."},
+     "that of the full scores."},
     {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
      "proposals(i, rng, count) -> [(x, y), ...]\n\n"
      "A round's candidates for macro i: its center, then count proposals\n"
@@ -2399,7 +2364,8 @@ FreeSpace_nearest_free(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
             return NULL;
         }
     }
-    Lattice xs = {lattice_count(a[0], a[1], a[2])}, ys = {lattice_count(a[3], a[4], a[5])};
+    Lattice xs = {.n = lattice_count(a[0], a[1], a[2])},
+            ys = {.n = lattice_count(a[3], a[4], a[5])};
     if (xs.n < 0 || ys.n < 0) {
         PyErr_SetString(PyExc_ValueError, "lattice step too fine for its span");
         return NULL;
@@ -2521,42 +2487,7 @@ static PyTypeObject FreeSpaceType = {
     .tp_methods = FreeSpace_methods,
 };
 
-/* stepplace._pycore.candidate_score(store, i, pos, beta, factor), the
- * placer's scoring hook: store.score(i, x, y, beta, factor) for x, y = pos.
- * For a C store and a pos that is a 2-tuple it runs the store's score body
- * with no call between.  Any other call (in a run, the hook sees only the
- * stores of its own core) is handed to the Python function itself, so it
- * returns, or raises, what that returns or raises. */
-static PyObject *
-candidate_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
-                PyObject *kwnames)
-{
-    PyObject *pos = nargs == 5 ? args[2] : NULL;
-    if (kwnames == NULL && pos != NULL && PyTuple_CheckExact(pos)
-        && PyTuple_GET_SIZE(pos) == 2 && Py_IS_TYPE(args[0], &PlacementStoreType)) {
-        PyObject *argv[5] = {args[1], PyTuple_GET_ITEM(pos, 0), PyTuple_GET_ITEM(pos, 1),
-                             args[3], args[4]};
-        return store_score((PlacementStore *)args[0], argv);
-    }
-    static PyObject *reference; /* _pycore.candidate_score, looked up once */
-    if (reference == NULL) {
-        PyObject *mod = PyImport_ImportModule("stepplace._pycore");
-        reference = mod ? PyObject_GetAttrString(mod, "candidate_score") : NULL;
-        Py_XDECREF(mod);
-        if (reference == NULL)
-            return NULL;
-    }
-    return PyObject_Vectorcall(reference, args, nargs, kwnames);
-}
-
 static PyMethodDef fieldcore_functions[] = {
-    {"candidate_score", (PyCFunction)(void (*)(void))candidate_score,
-     METH_FASTCALL | METH_KEYWORDS,
-     "candidate_score(store, i, pos, beta, factor) -> float\n\n"
-     "store.score(i, x, y, beta, factor) for x, y = pos: the placer's\n"
-     "scoring hook, which runs a C store's score body with no Python frame.\n"
-     "stepplace._pycore.candidate_score is its reference; any call but one\n"
-     "with a C store and a 2-tuple pos is handed to it."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
@@ -2597,7 +2528,10 @@ PyInit__fieldcore(void)
         return NULL;
     if (PyModule_AddType(mod, &FieldCoreType) < 0
         || PyModule_AddType(mod, &PlacementStoreType) < 0
-        || PyModule_AddType(mod, &FreeSpaceType) < 0) {
+        || PyModule_AddType(mod, &FreeSpaceType) < 0
+        || (score_method == NULL
+            && (score_method = PyObject_GetAttrString((PyObject *)&PlacementStoreType,
+                                                      "score")) == NULL)) {
         Py_DECREF(mod);
         return NULL;
     }

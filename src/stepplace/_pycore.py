@@ -1,15 +1,15 @@
 """The Python core: the exports of the C core ``_fieldcore``, in plain Python.
 
 :class:`FieldCore` (the field's coefficients), :class:`PlacementStore` (the
-placer's placement with its draw, score, commit and round), :class:`FreeSpace`
-(the legalizer's placed footprints and lattice search), :func:`candidate_score`
-(the placer's scoring hook) and :func:`repr_line` (the file writers' lines)
-answer as the C core's do, bit for bit.  ``stepfield.core`` is this module
-where the C core did not load.  ``stepfield`` and ``placer`` import the
-helpers these share (the basis arithmetic, :func:`snap_to_grid`,
-:func:`move_macro`, :func:`first_min`, :func:`penalty`) under the same
-names.  This module imports only :mod:`stepplace.netmodel`, so no import
-cycle forms.
+placer's placement with its draw, score, commit and round; its unbound
+``score`` is the placer's scoring hook), :class:`FreeSpace` (the
+legalizer's placed footprints and lattice search) and :func:`repr_line`
+(the file writers' lines) answer as the C core's do, bit for bit.
+``stepfield.core`` is this module where the C core did not load.
+``stepfield`` and ``placer`` import the helpers these share (the basis
+arithmetic, :func:`snap_to_grid`, :func:`move_macro`, :func:`first_min`,
+:func:`penalty`) under the same names.  This module imports only
+:mod:`stepplace.netmodel`, so no import cycle forms.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from stepplace.netmodel import (
 if TYPE_CHECKING:
     from stepplace.stepfield import CostField
 
-__all__ = ["FieldCore", "FreeSpace", "PlacementStore", "candidate_score", "repr_line"]
+__all__ = ["FieldCore", "FreeSpace", "PlacementStore", "repr_line"]
 
 
 class GridRect(NamedTuple):
@@ -468,29 +468,28 @@ class PlacementStore:
     def round(self, score: Callable[..., float], rng: random.Random, count: int,
               beta: float | None, factor: float, w: float, rho: float) -> int:
         """One round of the placer: draw a macro ``i`` by ``rng.randrange``,
-        score each of its :meth:`proposals` by ``score(self, i, pos, beta,
-        factor)`` in order, :meth:`move` it to the :func:`first_min` winner
-        with ``w`` and inflate the field by ``rho``.  Returns the winner's
-        index, or -1 with nothing moved where a score is not finite.  A
-        non-finite ``w`` or a store without macros raises ``ValueError``
-        before any draw.  The C store's ``round`` leaves the same bits, but
+        score each of its :meth:`proposals` ``(x, y)`` by ``float(score(self,
+        i, x, y, beta, factor))`` in order, :meth:`move` it to the
+        :func:`first_min` winner with ``w`` and inflate the field by ``rho``.
+        Returns the winner's index, or -1 with nothing moved where a score is
+        not finite.  A non-finite ``w`` or a store without macros raises
+        ``ValueError`` before any draw.  The C store's ``round`` leaves the same bits, but
         grows the field in C and holds the candidates as C doubles; for an
         ``rng`` that is a :class:`random.Random` itself, overriding neither
         ``randrange`` nor ``_randbelow`` on the instance, it draws the macro
         as ``randrange`` does on Python 3.10–3.13, through ``getrandbits``,
-        and any other ``rng`` it asks for ``randrange``; with the C
-        ``candidate_score`` itself as ``score`` it scores with no call, and
-        settles a later candidate by a lower bound of its score that
-        reaches the least score before it, where that score is provably
-        finite.  This one scores every candidate in full, the exact
-        reference of both."""
+        and any other ``rng`` it asks for ``randrange``; with its own
+        unbound ``score`` as ``score`` it scores with no call, and settles
+        a later candidate by a lower bound of its score that reaches the
+        least score before it, where that score is provably finite.  This
+        one scores every candidate in full, the exact reference of both."""
         if not math.isfinite(w):
             raise ValueError("increase value must be finite")
         if not self.centers:
             raise ValueError("the store has no macros to move")
         i = rng.randrange(len(self.centers))
         candidates = self.proposals(i, rng, count)
-        best = first_min([score(self, i, c, beta, factor) for c in candidates])
+        best = first_min([float(score(self, i, x, y, beta, factor)) for x, y in candidates])
         if best >= 0:
             self.move(i, *candidates[best], w)
             self.field.inflate(rho)
@@ -510,17 +509,6 @@ class PlacementStore:
         """The live overlap pairs ``(i, j, area)``, ``i < j``, in the order
         they entered."""
         return [(i, j, a) for (i, j), a in self.pair_overlap.items()]
-
-
-def candidate_score(
-    store: PlacementStore, i: int, pos: Point, beta: float | None, factor: float
-) -> float:
-    """Score of moving macro ``i`` (its index in ``macro_order``) to ``pos``
-    with net-model sharpness ``beta`` and penalty factor ``factor``: one
-    ``score`` call on ``store`` (see :meth:`PlacementStore.score`).  The C
-    core's hands this function every call it does not run itself."""
-    x, y = pos
-    return store.score(i, x, y, beta, factor)
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:

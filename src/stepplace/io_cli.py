@@ -46,6 +46,7 @@ import os
 import random
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -430,6 +431,11 @@ def write_stats_csv(fp: IO[str], rows: Iterable[RoundStats]) -> None:
 # ---------------------------------------------------------------------------
 # instance generation
 
+#: Largest ``macros`` and ``nets`` a :class:`GenSpec` accepts (resource guard:
+#: ``gen`` at the cap took 24 s and 515 MiB on a 2-vCPU Xeon VM, where 10**20
+#: ran until memory ran out; the benchmark ladder's largest rung is 6000/9000).
+MAX_GEN_COUNT = 10**6
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -453,6 +459,9 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.macros < 0 or self.nets < 0:
             raise ValueError("macro and net counts must be >= 0")
+        for name in ("macros", "nets"):
+            if getattr(self, name) > MAX_GEN_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_GEN_COUNT}")
         if not 0 < self.size_min <= self.size_max < math.inf:
             raise ValueError("need 0 < size_min <= size_max, size_max finite")
         if not 0 < self.utilization <= 1:
@@ -521,6 +530,7 @@ def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:
     weights = [w for _, w in spec.degree_weights]
     wsum = ordered_sum(weights)
     load = {m.id: 0 for m in macros}
+    available = sorted(load)  # the ids under the cap, which rng.sample draws from
     nets = []
     for _ in range(spec.nets):
         r = rng.random() * wsum
@@ -531,14 +541,15 @@ def generate_instance(spec: GenSpec) -> tuple[Netlist, PlacementArea]:
             if r < acc:
                 deg = d
                 break
-        candidates = sorted(mid for mid, c in load.items() if c < spec.degree_cap)
-        if len(candidates) < 2:
+        if len(available) < 2:
             raise ValueError(
                 "infeasible spec: degree cap leaves fewer than 2 macros available"
             )
-        members = sorted(rng.sample(candidates, min(deg, len(candidates))))
+        members = sorted(rng.sample(available, min(deg, len(available))))
         for mid in members:
             load[mid] += 1
+            if load[mid] == spec.degree_cap:
+                del available[bisect_left(available, mid)]
         nets.append(Net(tuple(members)))
     return Netlist(macros, nets), area
 

@@ -28,23 +28,22 @@ C core's, or its Python reference in :mod:`stepplace._pycore`, which
 answers with the same bits.  The state's field is the store's, and its
 ``placement`` a snapshot of the store's centers.  A whole round is one
 ``round`` call on the store: it draws the macro and its candidates (each
-proposal as :func:`move_macro` draws one), scores each through
-:data:`candidate_score`, handing it the store, commits the first smallest
-with ``move`` (the move and the field's growth under the macro's meets),
-and inflates the field.  On the C core the round holds its candidates and
-their scores as C doubles, and with the C :data:`candidate_score` itself
-as the hook it scores each candidate with no call, so all but the rng's
-draws and the field's ``inflate`` runs in C.  There it scores the first
-candidate in full and settles a later one by a lower bound of its score
-(the field sum, lower bounds of the net lengths and the keep-out terms,
-without and then with the overlap penalty) that already reaches the least
-score before it, before its smoothed net lengths, where its score is
-provably finite: the winner is never settled, so the bits are those of the
-full scores, which ``_pycore`` computes for every candidate.  Another
-hook is called with an ``(x, y)`` tuple per candidate.  The statistics row
-takes both its totals from the store.  Footprints sit in a spatial index,
-so the penalty and the overlap update test a footprint only against the
-macros near it.
+proposal as :func:`move_macro` draws one), scores each by
+:data:`candidate_score`, the store's own unbound ``score``, commits the
+first smallest with ``move`` (the move and the field's growth under the
+macro's meets), and inflates the field.  On the C core the round holds its
+candidates and their scores as C doubles, and with its own ``score`` as
+the hook it scores each candidate with no call, so all but the rng's draws
+and the field's ``inflate`` runs in C; there it settles a later candidate
+by a lower bound of its score (field sum, net-length bounds, keep-out
+terms, then the overlap penalty) that already reaches the least score
+before it, where its score is provably finite, so the bits stay those of
+the full scores, which ``_pycore`` computes for every candidate.  Another
+hook, such as the benchmark tracer's wrapper, is called per candidate and
+its result read as ``float()`` reads it.  The statistics row takes both
+its totals from the store.  Footprints sit in a spatial index, so the
+penalty and the overlap update test a footprint only against the macros
+near it.
 
 A round evaluates its schedules (delta, beta and w) once, taking the power
 of a growth both share once, for its candidates' net-model sharpness and
@@ -92,9 +91,9 @@ class LegalizationError(Exception):
         super().__init__(message or f"no legal position found for macro {macro_id!r}")
 
 
-#: Largest accepted ``candidates_per_round`` (resource guard: a round holds
-#: its candidates and their scores in two lists, about 150 bytes per
-#: candidate, so about 10 MiB at the cap).
+#: Largest accepted ``candidates_per_round`` (resource guard: a Python-core
+#: round holds its candidates and scores in two lists, about 150 bytes per
+#: candidate, so about 10 MiB at the cap; a C round holds 24 bytes each).
 MAX_CANDIDATES_PER_ROUND = 2**16
 
 _INT_FIELDS = frozenset(
@@ -313,9 +312,10 @@ def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
 
 
 #: The scoring hook :func:`round_step` hands the store, looked up here per
-#: round: ``stepfield.core.candidate_score`` as the package loaded.  The one
-#: alias of a core name, kept because the benchmark's tracer patches it.
-candidate_score = stepfield.core.candidate_score
+#: round: the unbound ``stepfield.core.PlacementStore.score`` as the package
+#: loaded, called as ``score(store, i, x, y, beta, factor)``.  The one alias
+#: of a core name, kept because the benchmark's tracer patches it.
+candidate_score = stepfield.core.PlacementStore.score
 
 
 def new_state(

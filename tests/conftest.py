@@ -1,5 +1,6 @@
 """Shared fixtures; the brute-force oracles live in oracles.py."""
 
+import functools
 import os
 import shutil
 import subprocess
@@ -17,20 +18,24 @@ def backend(request):
     return request.param
 
 
-@pytest.fixture
-def on_core(monkeypatch):
-    """A switch that puts the runs after it on one core: ``on_core("py")``
-    makes every layer Python's (``stepfield.core`` is ``_pycore``), as in a
-    run without the C core; ``on_core("c")`` makes it the loaded core."""
+def use_core(patch, backend):
+    """Put the runs after it on one core through ``patch`` (a
+    ``pytest.MonkeyPatch``): ``"py"`` makes every layer Python's
+    (``stepfield.core`` is ``_pycore``), as in a run without the C core;
+    ``"c"`` makes it the loaded core.  The round's hook, as placer holds it
+    for the benchmark's tracer, is that core's ``PlacementStore.score``."""
     from stepplace import _pycore, placer, stepfield
 
-    def switch(backend):
-        core = _pycore if backend == "py" else stepfield.c_core
-        monkeypatch.setattr(stepfield, "core", core)
-        # the round's hook, as placer holds it for the benchmark's tracer
-        monkeypatch.setattr(placer, "candidate_score", core.candidate_score)
+    core = _pycore if backend == "py" else stepfield.c_core
+    patch.setattr(stepfield, "core", core)
+    patch.setattr(placer, "candidate_score", core.PlacementStore.score)
 
-    return switch
+
+@pytest.fixture
+def on_core(monkeypatch):
+    """A switch that puts the rest of the test on one core (see
+    :func:`use_core`): ``on_core("py")`` or ``on_core("c")``."""
+    return functools.partial(use_core, monkeypatch)
 
 
 @pytest.fixture(scope="session")

@@ -7,16 +7,19 @@ tests compare two unrelated computation paths.  The one exception is
 :func:`oracle_legalize`, the legalizer's plain search kept as a reference for
 its faster probing: it shares the bucket grid and ``compute_bounds``.
 :func:`oracle_nearest_free` is the ring search alone, tested point by point,
-and :func:`oracle_check_result` the result checker that tests every pair.
+:func:`oracle_check_result` the result checker that tests every pair, and
+:func:`oracle_nets` the instance generator's nets as it first drew them,
+sorting the macros under the degree cap anew for every net.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 
 import numpy as np
 
-from stepplace.netmodel import footprint_box, footprint_grid, overlaps
+from stepplace.netmodel import footprint_box, footprint_grid, ordered_sum, overlaps
 from stepplace.placer import LegalizationError, compute_bounds
 from stepplace.stepfield import GridRect
 
@@ -254,3 +257,38 @@ def oracle_check_result(netlist, area, result):
     lines.append(f"total bounding-box netlength: {total!r}")
     lines.append(f"legal: {'true' if legal else 'false'}")
     return legal and not disagreements, lines
+
+
+def oracle_nets(spec, macro_ids):
+    """The members of each net ``generate_instance(spec)`` draws over the
+    macros ``macro_ids``, the ids under the degree cap sorted anew for every
+    net (quadratic); the rng first replays the two size draws per macro.
+    Raises the generator's ``ValueError`` where the cap leaves fewer than 2
+    macros."""
+    rng = random.Random(spec.seed)
+    for _ in range(2 * len(macro_ids)):
+        rng.uniform(spec.size_min, spec.size_max)
+    degrees = [d for d, _ in spec.degree_weights]
+    weights = [w for _, w in spec.degree_weights]
+    wsum = ordered_sum(weights)
+    load = dict.fromkeys(macro_ids, 0)
+    nets = []
+    for _ in range(spec.nets):
+        r = rng.random() * wsum
+        acc = 0.0
+        deg = degrees[-1]
+        for d, w in zip(degrees, weights):
+            acc += w
+            if r < acc:
+                deg = d
+                break
+        candidates = sorted(mid for mid, c in load.items() if c < spec.degree_cap)
+        if len(candidates) < 2:
+            raise ValueError(
+                "infeasible spec: degree cap leaves fewer than 2 macros available"
+            )
+        members = sorted(rng.sample(candidates, min(deg, len(candidates))))
+        for mid in members:
+            load[mid] += 1
+        nets.append(tuple(members))
+    return nets

@@ -35,7 +35,7 @@ from stepplace.io_cli import (
     write_result,
     write_stats_csv,
 )
-from oracles import oracle_check_result
+from oracles import oracle_check_result, oracle_nets
 from stepplace.netmodel import (
     Macro,
     Net,
@@ -451,6 +451,42 @@ class TestGenerator:
                 GenSpec(macros=5, nets=1, degree_weights=((2, 0.5), (3, w)))
         with pytest.raises(ValueError, match="degree cap"):
             generate_instance(GenSpec(macros=1, nets=1, seed=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        macros=st.integers(1, 40),
+        nets=st.integers(0, 120),
+        degree_cap=st.integers(1, 4) | st.just(10),
+        weights=st.sampled_from([((2, 0.75), (3, 0.2), (4, 0.05)), ((2, 1.0),),
+                                 ((3, 0.5), (9, 0.5)), ((2, 0.0), (50, 1.0))]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_nets_equal_the_per_net_sort(self, macros, nets, degree_cap, weights, seed):
+        # the generator keeps its ids under the cap in one sorted list and
+        # drops an id as it reaches the cap, so rng.sample draws from the
+        # list the oracle sorts anew for every net: the same nets, or the
+        # same refusal where the cap leaves fewer than 2 macros; utilization
+        # 0.3 gives an area that holds any one macro
+        spec = GenSpec(macros=macros, nets=nets, utilization=0.3, degree_cap=degree_cap,
+                       degree_weights=weights, seed=seed)
+        ids = [m.id for m in generate_instance(dataclasses.replace(spec, nets=0))[0].macros]
+        try:
+            want = oracle_nets(spec, ids)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                generate_instance(spec)
+            return
+        netlist, _ = generate_instance(spec)
+        assert [m.id for m in netlist.macros] == ids
+        assert [net.members for net in netlist.nets] == want
+
+    @pytest.mark.parametrize("field", ["macros", "nets"])
+    def test_counts_above_the_cap_refused(self, field):
+        # refused when the spec is built, before anything is generated
+        spec = {"macros": 0, "nets": 0, field: io_cli.MAX_GEN_COUNT + 1}
+        with pytest.raises(ValueError, match=f"^{field} must be at most {io_cli.MAX_GEN_COUNT}$"):
+            GenSpec(**spec)
+        GenSpec(**{**spec, field: io_cli.MAX_GEN_COUNT})
 
     def test_weights_with_an_infinite_sum_refused(self):
         # each weight is finite, but the draw against their sum, inf, gave
@@ -994,6 +1030,15 @@ class TestCli:
              "--nets", "2", "--seed", "1"]
         )
         assert code == 1
+
+    def test_gen_above_the_count_cap_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        code = main(["gen", "--out", str(out), "--macros", "0",
+                     "--nets", str(io_cli.MAX_GEN_COUNT + 1)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: nets must be at most {io_cli.MAX_GEN_COUNT}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "weights, needle",

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,7 @@ from stepplace.placer import (
     new_state,
     snap_to_grid,
 )
-from stepplace import _pycore, stepfield
+from stepplace import stepfield
 from stepplace.stepfield import GridRect
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -91,7 +90,7 @@ class TestDomainValidation:
         with pytest.raises(ValueError, match="duplicate macro id"):
             Netlist([Macro("a", 1, 1), Macro("a", 2, 2)], [])
 
-    def test_nets_of(self):
+    def test_nets_of(self, on_core):
         # the placer's per-macro nets, in netlist order
         nl = Netlist(
             [Macro("a", 1, 1), Macro("b", 1, 1), Macro("c", 1, 1)],
@@ -99,13 +98,14 @@ class TestDomainValidation:
         )
         at = {"a": (1.0, 1.5), "b": (2.0, 2.5), "c": (3.5, 3.5)}
         args = (nl, PlacementArea(4, 4), PlacerConfig(max_rounds=1), at)
-        with mock.patch.object(stepfield, "core", _pycore):
-            store = new_state(*args).store
+        on_core("py")
+        store = new_state(*args).store
         assert store.nets == [[0, 1], [1, 2]]
         assert store.nets_of == [[0], [0, 1], [1]]
         assert store.net_lengths() == [2.0, 2.5]
         # the C store reads the same nets
         if stepfield.HAVE_C_CORE:
+            on_core("c")
             assert new_state(*args).store.net_lengths() == [2.0, 2.5]
 
     def test_blockage_must_be_inside_area(self):
@@ -306,7 +306,7 @@ class TestMarginalCost:
         # beta None scores with the exact bounding box
         cfg = PlacerConfig(max_rounds=10)
         state = new_state(nl, PlacementArea(20, 20), cfg, placement)
-        return candidate_score(state.store, state.macro_order.index(mid), pos, beta, 0.1)
+        return candidate_score(state.store, state.macro_order.index(mid), *pos, beta, 0.1)
 
     def test_no_nets_returns_field_cost(self):
         nl = Netlist([Macro("solo", 1, 1)], [])
@@ -314,7 +314,7 @@ class TestMarginalCost:
         area = PlacementArea(20, 20)
         state = new_state(nl, area, cfg, {"solo": (1, 1)})
         state.field.increase(GridRect(0, 0, 64, 64), 1.5)
-        got = candidate_score(state.store, 0, (4, 5), 1.0, 0.1)
+        got = candidate_score(state.store, 0, 4, 5, 1.0, 0.1)
         fp = footprint_box(nl.by_id["solo"], (4, 5))
         snapped = snap_to_grid(fp, area, 6, 6)
         assert got == state.field.cost(snapped) > 0

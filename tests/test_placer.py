@@ -1,7 +1,9 @@
+import contextlib
 import io
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -10,13 +12,14 @@ from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import stepplace._pycore as _pycore
 import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 import oracles
+from conftest import use_core
 from oracles import coefficients, intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance, write_stats_csv
 from stepplace.netmodel import (
@@ -690,8 +693,8 @@ class TestProposals:
                            (7.102934740294829, 3.2931465796128188)]
 
 
-# scores a round may compare: ties, signed zeros, non-finite values, and
-# ints beside floats, near 2**53 too, where a float conversion would tie them
+# scores a hook may return: ties, signed zeros, non-finite values, and ints
+# beside floats, near 2**53 too, where float(), as a round reads them, ties them
 SCORES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf,
                      2.0**53, 2**53 + 1, 2**53, 0, -1, 1]),
@@ -713,7 +716,8 @@ def picked_by_round(backend, scores):
 
 class TestFirstMin:
     """The winner of a round: ``first_min``, and the C store's ``round``,
-    which picks as it does, against it."""
+    which reads each score as ``float()`` does and picks as it does, against
+    it."""
 
     @needs_c_move
     @settings(max_examples=300, deadline=None)
@@ -725,7 +729,7 @@ class TestFirstMin:
     @example([1.0, math.nan, -1.0])
     @example([-math.inf, 0.0])
     def test_c_twin_picks_the_same_index(self, scores):
-        want = placer.first_min(scores)
+        want = placer.first_min([float(v) for v in scores])
         assert picked_by_round("c", scores) == want == picked_by_round("py", scores)
 
     def test_first_smallest_or_minus_one(self):
@@ -746,13 +750,24 @@ class TestFirstMin:
         with pytest.raises(error):
             placer.first_min(scores)
         # a round scores its center and then count >= 0 proposals, so it
-        # never picks from no scores, nor from what is no sequence
-        for backend in ("c", "py") if scores else ():
-            with pytest.raises(error):
-                picked_by_round(backend, scores)
-        # a non-finite score before a bad one decides first
-        assert picked_by_round("c", [math.nan, "s"]) == -1 == placer.first_min(
-            [math.nan, "s"])
+        # never picks from no scores, nor from what is no sequence; it reads
+        # each score as float() reads it, so it raises what that raises, on
+        # a bad score after a non-finite one too
+        for bad in (scores, [math.nan, *scores]) if scores else ():
+            with pytest.raises((ValueError, OverflowError)) as want:
+                [float(v) for v in bad]
+            for backend in ("c", "py"):
+                with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                    picked_by_round(backend, bad)
+
+    @pytest.mark.parametrize("scores, want", [
+        # float() ties 2**53 + 1 with 2.0**53, so the first of them wins,
+        # and rounds it below 2**53 + 2
+        ([2**53 + 1, 2.0**53], 0),
+        ([2**53 + 2, 2**53 + 1], 1),
+    ])
+    def test_ints_read_as_float_reads_them(self, backend, scores, want):
+        assert picked_by_round(backend, scores) == want
 
 
 class TestBounds:
@@ -870,7 +885,7 @@ class TestCandidateScore:
         cfg = PlacerConfig(max_rounds=10, grid_p=3, grid_q=3, seed=1)
         state = new_state(nl, square_area(), cfg)
         for pos in [(1, 1), (4, 4), (6.5, 2.5)]:
-            assert candidate_score(state.store, 0, pos, 1.0, 0.1) == 0.0
+            assert candidate_score(state.store, 0, *pos, 1.0, 0.1) == 0.0
 
     def test_two_pin_net_minimized_at_neighbor(self):
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [Net(("a", "b"))])
@@ -881,7 +896,7 @@ class TestCandidateScore:
         target = (6.0, 6.0)
         best = min(
             [(2, 2), (6, 6), (3, 7), (7, 3)],
-            key=lambda c: candidate_score(state.store, 0, c, None, 0.1),
+            key=lambda c: candidate_score(state.store, 0, *c, None, 0.1),
         )
         assert best == target
 
@@ -896,8 +911,8 @@ class TestCandidateScore:
         height = 3.0
         s_uniform.field.increase(GridRect(0, 0, 8, 8), height)
         cands = [(1.0, 1.0), (5.0, 5.0), (7.0, 3.0), (3.0, 6.0)]
-        plain = [candidate_score(s_plain.store, 0, c, 1.0, 0.1) for c in cands]
-        unif = [candidate_score(s_uniform.store, 0, c, 1.0, 0.1) for c in cands]
+        plain = [candidate_score(s_plain.store, 0, *c, 1.0, 0.1) for c in cands]
+        unif = [candidate_score(s_uniform.store, 0, *c, 1.0, 0.1) for c in cands]
         # every candidate footprint snaps to a 2x2=4 cell region
         for p, u in zip(plain, unif):
             assert u == pytest.approx(p + height * 4, rel=1e-12)
@@ -910,8 +925,8 @@ class TestCandidateScore:
             max_rounds=10, grid_p=3, grid_q=3, seed=1, blockage_weight=50.0
         )
         state = new_state(nl, square_area(blockages=(blk,)), cfg)
-        on_block = candidate_score(state.store, 0, (2.0, 2.0), 1.0, 0.1)
-        off_block = candidate_score(state.store, 0, (6.9, 6.9), 1.0, 0.1)
+        on_block = candidate_score(state.store, 0, 2.0, 2.0, 1.0, 0.1)
+        off_block = candidate_score(state.store, 0, 6.9, 6.9, 1.0, 0.1)
         assert on_block >= 50.0 * 4.0  # full 2x2 footprint on the blockage
         assert off_block < on_block
 
@@ -925,7 +940,7 @@ class TestCandidateScore:
         state = new_state(nl, square_area(), cfg, initial=init)
         # field is empty, no nets: the score at b's position is the penalty
         factor = cfg.penalty_c * cfg.delta_at(0)
-        got = candidate_score(state.store, 0, (3.0, 3.0), None, factor)
+        got = candidate_score(state.store, 0, 3.0, 3.0, None, factor)
         assert got == penalty(factor, a_box(nl, (3.0, 3.0)), footprint_grid(nl, init), "a")
 
 
@@ -1070,10 +1085,10 @@ class TestNetTerms:
             for _ in range(4):
                 b = compute_bounds(nl.by_id[mid], area)
                 pos = (rng.uniform(b.x_min, b.x_max), rng.uniform(b.y_min, b.y_max))
-                want = candidate_score(py_state.store, i, pos, *args)
-                got = candidate_score(c_state.store, i, pos, *args)
+                want = py_state.store.score(i, *pos, *args)
+                got = c_state.store.score(i, *pos, *args)
                 assert got.hex() == want.hex()
-            assert round_step(c_state, cfg) == round_step(py_state, cfg)
+            assert step(c_state, cfg) == step(py_state, cfg)
 
 
 def round_args(cfg, rnd):
@@ -1138,8 +1153,8 @@ def assert_stores_agree(c_store, py_store, count):
 
 
 class TestScoreCandidate:
-    """``candidate_score`` is one ``score`` call on the store it is given; the
-    C store's returns the float of the Python store's bit for bit."""
+    """A store's ``score``: the C store's returns the float of the Python
+    store's bit for bit."""
 
     @needs_c_score
     @settings(max_examples=250, deadline=None)
@@ -1170,7 +1185,7 @@ class TestScoreCandidate:
         )
         c_state, py_state = (state_on(b, nl, area, cfg) for b in ("c", "py"))
         for _ in range(draw(st.integers(0, 12), label="rounds")):
-            assert round_step(c_state, cfg) == round_step(py_state, cfg)
+            assert step(c_state, cfg) == step(py_state, cfg)
         # the scored round: the last smoothed one, the switch, or any
         rnd = draw(st.sampled_from([switch - 1, switch, c_state.round + 1]))
         args = round_args(cfg, max(1, rnd))
@@ -1178,8 +1193,8 @@ class TestScoreCandidate:
         macro = nl.by_id[c_state.macro_order[i]]
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, c_state, area)
-            want = candidate_score(py_state.store, i, pos, *args)
-            got = candidate_score(c_state.store, i, pos, *args)
+            want = py_state.store.score(i, *pos, *args)
+            got = c_state.store.score(i, *pos, *args)
             assert got.hex() == want.hex(), (kind, pos)
             assert c_state.field.last_touched == py_state.field.last_touched
 
@@ -1207,14 +1222,12 @@ class TestScoreCandidate:
             seed=draw(st.integers(0, 99)),
             model_switch_round=draw(st.integers(1, 40), label="switch"),
         )
-        c_state = new_state(nl, area, cfg)
-        with mock.patch.object(stepfield, "core", _pycore):
-            py_state = new_state(nl, area, cfg)
+        c_state, py_state = (state_on(b, nl, area, cfg) for b in ("c", "py"))
         assert isinstance(c_state.store, stepfield.c_core.PlacementStore)
         assert isinstance(py_state.store, _pycore.PlacementStore)
         assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
         for _ in range(draw(st.integers(0, 10), label="rounds")):
-            assert round_step(c_state, cfg) == round_step(py_state, cfg)
+            assert step(c_state, cfg) == step(py_state, cfg)
             assert_stores_agree(c_state.store, py_state.store, len(c_state.macro_order))
             # the C round grows its field in C, under the same rectangles
             # in the same order as the Python round's increases
@@ -1224,8 +1237,8 @@ class TestScoreCandidate:
         args = round_args(cfg, c_state.round + 1)
         for kind in ("inside", "outside", "edge", "own", "touch"):
             pos = candidate_at(draw, kind, macro, c_state, area)
-            want = candidate_score(py_state.store, i, pos, *args)
-            got = candidate_score(c_state.store, i, pos, *args)
+            want = py_state.store.score(i, *pos, *args)
+            got = c_state.store.score(i, *pos, *args)
             assert got.hex() == want.hex(), (kind, pos)
 
     @needs_c_score
@@ -1296,7 +1309,7 @@ class TestScoreCandidate:
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
 
-    def test_numpy_field_runs_the_reference(self, monkeypatch):
+    def test_numpy_field_runs_the_reference(self, monkeypatch, on_core):
         # a state on the Python field core scores every candidate through
         # the Python store, the reference
         calls = []
@@ -1308,9 +1321,10 @@ class TestScoreCandidate:
 
         nl, area = generate_instance(GenSpec(macros=12, nets=18, seed=5))
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=2)
-        state = state_on("py", nl, area, cfg)
-        assert type(state.store) is _pycore.PlacementStore
         monkeypatch.setattr(_pycore.PlacementStore, "score", counted)
+        on_core("py")
+        state = new_state(nl, area, cfg)
+        assert type(state.store) is _pycore.PlacementStore
         for _ in range(cfg.max_rounds):
             round_step(state, cfg)
         assert len(calls) == cfg.max_rounds * (cfg.candidates_per_round + 1)
@@ -1386,89 +1400,58 @@ class TestScoreCandidate:
                 stepfield.c_core.PlacementStore.score(*inputs[1:7])
 
 
-def outcome(fn, *args):
-    """What ``fn(*args)`` gives: ``float.hex`` of the float it returns, or
-    the type and message of what it raises."""
-    try:
-        return fn(*args).hex()
-    except Exception as e:
-        return type(e), str(e)
+class TestScoringHook:
+    """``placer.candidate_score``, the hook ``round_step`` hands the store, is
+    the unbound ``score`` of ``stepfield.core``'s store, on either core."""
 
-
-class TestCCandidateScore:
-    """``placer.candidate_score`` is ``stepfield.core``'s: the C core's where
-    it loaded, which returns and raises what ``_pycore.candidate_score``
-    does."""
-
-    def test_binding(self):
-        assert _pycore.candidate_score.__module__ == "stepplace._pycore"
+    def test_binding(self, on_core):
         assert stepfield.core is (stepfield.c_core or _pycore)
-        assert placer.candidate_score is stepfield.core.candidate_score
+        assert placer.candidate_score is stepfield.core.PlacementStore.score
+        for backend in BACKENDS:
+            on_core(backend)
+            assert placer.candidate_score is stepfield.core.PlacementStore.score
+            assert stepfield.core is (_pycore if backend == "py" else stepfield.c_core)
 
-    @needs_c_score
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_answers_as_the_python_hook(self, data):
-        draw = data.draw
-        n_macros = draw(st.integers(2, 8), label="macros")
-        nl, area = generate_instance(GenSpec(
-            macros=n_macros,
-            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
-            seed=draw(st.integers(0, 10**6), label="instance"),
-        ))
-        cfg = PlacerConfig(
-            max_rounds=20,
-            grid_p=draw(st.integers(0, 6)),
-            grid_q=draw(st.integers(0, 6)),
-            seed=draw(st.integers(0, 99)),
-        )
-        state = state_on(draw(st.sampled_from(["c", "py"])), nl, area, cfg)
-        for _ in range(draw(st.integers(0, 4), label="rounds")):
-            round_step(state, cfg)
-        i = draw(st.sampled_from([-1, n_macros]) | st.integers(0, n_macros - 1))
-        coord = st.floats(-2 * area.width, 2 * area.width) | st.sampled_from(
-            [math.nan, math.inf, -math.inf])
-        x, y = draw(coord, label="x"), draw(coord, label="y")
-        pos = draw(st.sampled_from([(x, y), [x, y], (x, y, 0.0), 7]), label="pos")
-        store = state.store
-        holder = draw(st.sampled_from([store, store, object(), None]), label="store")
-        beta, factor = round_args(cfg, draw(st.integers(1, cfg.max_rounds)))
-        args = (holder, i, pos, beta, factor)
-        got = outcome(stepfield.c_core.candidate_score, *args)
-        touched = state.field.last_touched
-        assert got == outcome(_pycore.candidate_score, *args)
-        assert state.field.last_touched == touched
-        if holder is store and type(pos) is tuple and len(pos) == 2 and 0 <= i < n_macros:
-            assert (type(got) is str) == (math.isfinite(x) and math.isfinite(y))
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    def test_wrapped_hook_rounds_as_the_store_score(self, backend, beta):
+        # a wrapper of the tracer's shape calls the hook per candidate, where
+        # the C round runs the store's score itself: the same winners, draws,
+        # centers and coefficients, bit for bit
+        nl, area = generate_instance(GenSpec(macros=20, nets=30, seed=4))
+        cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=5)
+        states = [state_on(backend, nl, area, cfg) for _ in range(2)]
+        score = type(states[0].store).score
+        hooks = [score, lambda *a: score(*a)]
+        for _ in range(60):
+            got = [s.store.round(hook, s.rng, 8, beta, 0.5, 1.0, 0.995)
+                   for s, hook in zip(states, hooks)]
+            assert got[0] == got[1] >= 0
+            assert states[0].rng.getstate() == states[1].rng.getstate()
+            assert placed(states[0]) == placed(states[1])
 
-    @needs_c_score
-    def test_other_calls_go_to_the_python_hook(self):
-        nl, area = generate_instance(GenSpec(macros=4, nets=4, seed=3))
-        cfg = PlacerConfig(max_rounds=5, grid_p=3, grid_q=3, seed=1)
-        state = new_state(nl, area, cfg)
-        want = _pycore.candidate_score(state.store, 1, (1.0, 2.0), None, 0.5)
-        c_score, store = stepfield.c_core.candidate_score, state.store
-        for args, kwargs in [
-            ((store, 1, (1.0, 2.0), None), {"factor": 0.5}),
-            ((), {"store": store, "i": 1, "pos": (1.0, 2.0), "beta": None,
-                  "factor": 0.5}),
-            ((store, 1, (1, 2), None, 0.5), {}),
-        ]:
-            assert c_score(*args, **kwargs).hex() == want.hex()
-        for args in [(store, 1, (1.0, 2.0), None), (store, 1, (1.0, 2.0), None, 0.5, 0)]:
-            with pytest.raises(TypeError) as c_err:
-                c_score(*args)
-            with pytest.raises(TypeError) as py_err:
-                _pycore.candidate_score(*args)
-            assert str(c_err.value) == str(py_err.value)
+
+@contextlib.contextmanager
+def on(backend):
+    """Within it, every layer and the round's hook are ``backend``'s core's,
+    as ``on_core(backend)`` switches them for a whole test."""
+    with pytest.MonkeyPatch.context() as patch:
+        use_core(patch, backend)
+        yield
 
 
 def state_on(backend, netlist, area, config, initial=None):
     """``new_state`` on the given field backend, with its placement store."""
-    with mock.patch.object(stepfield, "core", stepfield.c_core if backend == "c" else _pycore):
+    with on(backend):
         state = new_state(netlist, area, config, initial)
     assert state.field.backend == backend
     return state
+
+
+def step(state, config):
+    """``round_step`` on the state's own core, whose store's ``score`` is the
+    hook; for tests that round states of both cores in turn."""
+    with on(state.field.backend):
+        return round_step(state, config)
 
 
 class TestPlacementStore:
@@ -1558,12 +1541,15 @@ class TestPlacementStore:
         # bad index, a NaN x or a non-finite w, leaves both as they were
         draw = data.draw
         n_macros = draw(st.integers(2, 10), label="macros")
-        nl, area = generate_instance(GenSpec(
-            macros=n_macros,
-            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
-            utilization=draw(st.sampled_from([0.3, 0.8]), label="utilization"),
-            seed=draw(st.integers(0, 10**6), label="instance"),
-        ))
+        try:
+            nl, area = generate_instance(GenSpec(
+                macros=n_macros,
+                nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+                utilization=draw(st.sampled_from([0.3, 0.8]), label="utilization"),
+                seed=draw(st.integers(0, 10**6), label="instance"),
+            ))
+        except ValueError:  # a macro larger than the area the spec implies
+            reject()
         cfg = PlacerConfig(max_rounds=1, grid_p=draw(st.integers(0, 5)),
                            grid_q=draw(st.integers(0, 5)), seed=draw(st.integers(0, 99)))
         stores = [state_on(b, nl, area, cfg).store for b in ("c", "py")]
@@ -1679,7 +1665,7 @@ class TestPlacementStore:
             counting(CostField, name)
         grown = 0
         for _ in range(cfg.max_rounds):
-            round_step(twin, cfg)
+            step(twin, cfg)
             calls.clear()
             moved.clear()
             state.last_choice = None
@@ -1703,12 +1689,12 @@ class TestPlacementStore:
 
 def logged_round(state, log, count, beta, factor, w, rho):
     """One ``round`` on the state's store, with a score hook that appends
-    each call's ``(i, pos, beta, factor)`` to ``log`` and then scores as
-    ``candidate_score`` does."""
+    each call's ``(i, (x, y), beta, factor)`` to ``log`` and then scores as
+    the store's ``score`` does."""
 
-    def hook(st, i, pos, b, f):
-        log.append((i, hexes(pos), exact(b), exact(f)))
-        return candidate_score(st, i, pos, b, f)
+    def hook(st, i, x, y, b, f):
+        log.append((i, hexes((x, y)), exact(b), exact(f)))
+        return st.score(i, x, y, b, f)
 
     return state.store.round(hook, state.rng, count, beta, factor, w, rho)
 
@@ -1780,12 +1766,15 @@ class TestStoreRound:
     def test_c_round_equals_python_reference(self, data):
         draw = data.draw
         n_macros = draw(st.integers(2, 12), label="macros")
-        nl, area = generate_instance(GenSpec(
-            macros=n_macros,
-            nets=draw(st.integers(0, 2 * n_macros), label="nets"),
-            utilization=draw(st.sampled_from([0.3, 0.5, 0.8]), label="utilization"),
-            seed=draw(st.integers(0, 10**6), label="instance"),
-        ))
+        try:
+            nl, area = generate_instance(GenSpec(
+                macros=n_macros,
+                nets=draw(st.integers(0, 2 * n_macros), label="nets"),
+                utilization=draw(st.sampled_from([0.3, 0.5, 0.8]), label="utilization"),
+                seed=draw(st.integers(0, 10**6), label="instance"),
+            ))
+        except ValueError:  # a macro larger than the area the spec implies
+            reject()
         w, h = area.width, area.height
         blockages = []
         for _ in range(draw(st.integers(0, 3), label="blockages")):
@@ -1893,18 +1882,18 @@ class TestStoreRound:
     def test_c_round_draws_and_scores_as_the_python_store(
         self, k, plus_one, instance, seed, rng, wrapped, rounds
     ):
-        # the C store's round, scoring by the C hook itself (as C doubles)
-        # or through a Python wrapper of it (as the tracer's), against the
-        # Python store's round with its own hook
+        # the C store's round, scoring by its own score itself (as C
+        # doubles) or through a Python wrapper of it (as the tracer's),
+        # against the Python store's round with its own score
         n = 2**k + plus_one
         nl, area = tiny_instance(instance, n_macros=n, n_nets=n)
         cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=1)
         states = [state_on(b, nl, area, cfg) for b in ("c", "py")]
         for state in states:
             state.rng = RNGS[rng](seed)
-        c_hook = stepfield.c_core.candidate_score
+        c_hook = stepfield.c_core.PlacementStore.score
         hooks = [(lambda *args: c_hook(*args)) if wrapped else c_hook,
-                 _pycore.candidate_score]
+                 _pycore.PlacementStore.score]
         for args in rounds:
             before = placed(states[0])
             got = [s.store.round(hook, s.rng, *args) for s, hook in zip(states, hooks)]
@@ -1922,7 +1911,7 @@ class TestStoreRound:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_settled_candidates_leave_the_round_as_full_scores_do(self, data):
-        # the C round with the C hook settles a later candidate by a lower
+        # the C round with its own score settles a later candidate by a lower
         # bound of its score that reaches the least score before it, where its
         # score is finite; against the Python store's round and an oracle
         # that scores every candidate in full (store.score settles nothing),
@@ -1951,7 +1940,7 @@ class TestStoreRound:
                            blockage_weight=draw(st.sampled_from([0.0, 1.0, 1e300])))
         area = PlacementArea(side, side, tuple(blockages))
         states = [state_on(b, Netlist(macros, nets), area, cfg) for b in ("c", "py")]
-        hooks = [stepfield.c_core.candidate_score, _pycore.candidate_score]
+        hooks = [stepfield.c_core.PlacementStore.score, _pycore.PlacementStore.score]
         for _ in range(draw(st.integers(1, 4), label="rounds")):
             count, beta, factor, w, rho = (
                 draw(st.sampled_from([1, 8, 20]), label="count"),
@@ -1990,7 +1979,7 @@ class TestStoreRound:
         assert lengths[1] < lengths[0] <= abs(1.0 - px) + abs(1.0 - py)
         # macro a, and its proposal down and left past its bounds: (1, 1)
         rng = Scripted([0.0, 0.0, 1.0, 1.0])
-        hook = stepfield.c_core.candidate_score
+        hook = stepfield.c_core.PlacementStore.score
         assert state.store.round(hook, rng, 1, beta, 0.0, 0.0, 1.0) == 1
         assert state.store.centers[0] == (1.0, 1.0)
 
@@ -2015,7 +2004,8 @@ class TestStoreRound:
             assert math.isfinite(store.score(0, 8.0, 8.0, beta, factor))
             assert store.score(0, 1.0, 1.0, beta, factor) == math.inf
             rng = Scripted([0.0, 0.0, 1.0, 1.0])
-            assert store.round(core.candidate_score, rng, 1, beta, factor, 0.0, 1.0) == -1
+            assert store.round(core.PlacementStore.score, rng, 1, beta, factor, 0.0,
+                               1.0) == -1
             assert store.centers[0] == (8.0, 8.0)
 
     @pytest.mark.parametrize("name", sorted(OVERRIDES))
@@ -2049,7 +2039,8 @@ class TestStoreRound:
         twin.randrange(5)
         before = placed(state)
         with pytest.raises(TypeError):
-            state.store.round(candidate_score, state.rng, count, None, 1.0, 1.0, 1.0)
+            state.store.round(type(state.store).score, state.rng, count, None, 1.0, 1.0,
+                              1.0)
         assert state.rng.getstate() == twin.getstate() and placed(state) == before
 
     def test_draws_that_are_no_int_refused(self, backend, monkeypatch):
@@ -2060,7 +2051,7 @@ class TestStoreRound:
         before = placed(state)
         monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: "bits")
         with pytest.raises(TypeError):
-            state.store.round(candidate_score, state.rng, 8, None, 1.0, 1.0, 1.0)
+            state.store.round(type(state.store).score, state.rng, 8, None, 1.0, 1.0, 1.0)
         assert placed(state) == before
 
     @pytest.mark.parametrize("k", [0, 3, 8])
@@ -2072,14 +2063,13 @@ class TestStoreRound:
         cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=1)
         state = state_on(backend, nl, area, cfg)
         for _ in range(10):
-            round_step(state, cfg)
+            step(state, cfg)
         for bad in (math.inf, -math.inf, math.nan):
             calls = []
 
-            def hook(st, i, pos, beta, factor):
+            def hook(st, i, *args):
                 calls.append(i)
-                return bad if len(calls) == k + 1 else candidate_score(
-                    st, i, pos, beta, factor)
+                return bad if len(calls) == k + 1 else st.score(i, *args)
 
             inflates = []
             state.field.inflate = inflates.append
@@ -2094,14 +2084,14 @@ class TestStoreRound:
         cfg = PlacerConfig(max_rounds=20, grid_p=4, grid_q=4, seed=1)
         state = state_on(backend, nl, area, cfg)
         for _ in range(10):
-            round_step(state, cfg)
+            step(state, cfg)
         calls = []
 
-        def hook(*args):
+        def hook(st, *args):
             calls.append(args)
             if len(calls) == k + 1:
                 raise RuntimeError("hook failed")
-            return candidate_score(*args)
+            return st.score(*args)
 
         before, drawn = placed(state), drawn_by_round(state, 8)
         with pytest.raises(RuntimeError, match="hook failed"):
@@ -2115,7 +2105,7 @@ class TestStoreRound:
         state = state_on(backend, nl, area, PlacerConfig(max_rounds=1, seed=1))
         before, drawn = placed(state), state.rng.getstate()
         with pytest.raises(ValueError, match="^increase value must be finite$"):
-            state.store.round(candidate_score, state.rng, 8, None, 1.0, w, 0.5)
+            state.store.round(type(state.store).score, state.rng, 8, None, 1.0, w, 0.5)
         assert placed(state) == before and state.rng.getstate() == drawn
 
     def test_empty_store_refused_before_any_draw(self, backend):
@@ -2126,16 +2116,18 @@ class TestStoreRound:
         for w, match in ((1.0, "the store has no macros to move"),
                          (math.nan, "increase value must be finite")):
             with pytest.raises(ValueError, match=f"^{match}$"):
-                state.store.round(candidate_score, state.rng, 8, None, 1.0, w, 0.5)
+                state.store.round(type(state.store).score, state.rng, 8, None, 1.0, w,
+                                  0.5)
         assert state.rng.getstate() == drawn
 
-    def test_round_step_is_one_store_round(self, monkeypatch, backend):
+    def test_round_step_is_one_store_round(self, monkeypatch, on_core, backend):
         # round_step hands the store candidate_score as this module holds
         # it at the call, the state's rng and the round's schedules
+        on_core(backend)
         nl, area = tiny_instance(5)
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=3)
-        state = state_on(backend, nl, area, cfg)
-        hook = mock.Mock(side_effect=candidate_score)
+        state = new_state(nl, area, cfg)
+        hook = mock.Mock(side_effect=placer.candidate_score)
         monkeypatch.setattr(placer, "candidate_score", hook)
         store = state.store
         rounds = []
@@ -2223,20 +2215,21 @@ class TestRoundStep:
             round_step(state, cfg)
         assert state.rng.getstate() == drawn and state.round == 0
 
-    def test_placement_is_a_snapshot_of_the_store(self, monkeypatch, backend):
+    def test_placement_is_a_snapshot_of_the_store(self, monkeypatch, on_core, backend):
         # the store holds the only placement: state.placement reads its
         # centers, bit for bit, and writing into the dict it returned moves
         # nothing, so the next round scores the same candidates as a twin
         # state's that saw no write
+        on_core(backend)
         nl, area = tiny_instance(7)
         cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=3)
-        state, twin = (state_on(backend, nl, area, cfg) for _ in range(2))
+        state, twin = (new_state(nl, area, cfg) for _ in range(2))
         seen = []
         score = placer.candidate_score
 
-        def recording(st, i, pos, *args):
-            seen.append((st is state.store, i, hexes(pos)))
-            return score(st, i, pos, *args)
+        def recording(st, i, x, y, *args):
+            seen.append((st is state.store, i, hexes((x, y))))
+            return score(st, i, x, y, *args)
 
         monkeypatch.setattr(placer, "candidate_score", recording)
         for _ in range(cfg.max_rounds // 2):
@@ -2426,10 +2419,12 @@ class TestRunPlacer:
 
 
 class TestBackendsAndSwitch:
-    def test_rounds_on_python_field_backend(self, monkeypatch):
+    def test_rounds_on_python_field_backend(self, monkeypatch, on_core):
+        on_core("py")
         nl, area = tiny_instance(12)
         cfg = PlacerConfig(max_rounds=80, grid_p=4, grid_q=4, seed=3)
-        state = state_on("py", nl, area, cfg)
+        state = new_state(nl, area, cfg)
+        assert state.field.backend == "py"
         scores = recorded_scores(monkeypatch)
         for _ in range(80):
             scores.clear()
@@ -2449,14 +2444,15 @@ class TestBackendsAndSwitch:
         placement, trace = run_placer(nl, area, cfg)
         assert len(trace) == 31
 
-    def test_round_row_is_the_stats_row(self, backend, monkeypatch):
+    def test_round_row_is_the_stats_row(self, backend, on_core, monkeypatch):
         # round_step builds its row from the schedules it scored with; it
         # equals stats_row's, field by field, on every round, among them
         # the first, those around the switch round and the last, and every
         # candidate is scored with the row's beta and delta
+        on_core(backend)
         nl, area = tiny_instance(3)
         cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=2)
-        state = state_on(backend, nl, area, cfg)
+        state = new_state(nl, area, cfg)
         assert 1 < cfg.switch_round - 1 < cfg.switch_round < cfg.max_rounds
         seen = []
         score = placer.candidate_score
@@ -2477,7 +2473,7 @@ class TestBackendsAndSwitch:
             factor = (cfg.penalty_c * row.delta).hex()
             (i,) = {args[1] for args in seen}
             assert 0 <= i < len(state.macro_order)
-            for scored, _, _, b, f in seen:
+            for scored, _, _, _, b, f in seen:
                 assert scored is state.store and b == beta and f.hex() == factor
         assert state.round == cfg.max_rounds
 
@@ -2506,8 +2502,7 @@ class TestBackendsAndSwitch:
         def public(obj):
             return sorted(n for n in dir(obj) if not n.startswith("_"))
 
-        exports = ["FieldCore", "FreeSpace", "PlacementStore", "candidate_score",
-                   "repr_line"]
+        exports = ["FieldCore", "FreeSpace", "PlacementStore", "repr_line"]
         assert sorted(_pycore.__all__) == exports
         methods = {
             "FieldCore": ["coefficient", "cost", "increase", "inflate"],
@@ -2550,7 +2545,7 @@ class TestBackendsAndSwitch:
         twin = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
         assert twin == cfg and twin is not cfg and state.config is cfg
         assert stats_row(state, twin) == stats_row(state, cfg)
-        row = round_step(state, twin)
+        row = step(state, twin)
         assert row.round == state.round == 1 and row == stats_row(state, twin)
 
     def test_other_config_refused_before_anything_moves(self, backend):
@@ -2558,13 +2553,13 @@ class TestBackendsAndSwitch:
         nl, area = tiny_instance(14)
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=1)
         state = state_on(backend, nl, area, cfg)
-        round_step(state, cfg)
+        step(state, cfg)
         other = replace(cfg, blockage_weight=0.0)
         whole = GridRect(0, 0, 16, 16)
         before = repr((state.round, state.placement, state.field.cost(whole)))
-        for step in (round_step, stats_row):
+        for call in (round_step, stats_row):
             with pytest.raises(ValueError, match="config differs from the one the state"):
-                step(state, other)
+                call(state, other)
             assert repr((state.round, state.placement, state.field.cost(whole))) == before
 
     def test_unknown_initial_macro_rejected(self):

@@ -568,18 +568,19 @@ class TestCCoreLoader:
         reason="the interpreter names no LDSHARED, or its compiler is missing",
     )
     def test_source_compiles_without_warnings(self, tmp_path, interpreters):
-        # the loader's own recipe, warnings as errors, on each interpreter
-        # found (the source branches on the version); -Wall reports an
-        # unused static function, so no deletion can leave dead C behind.  A
-        # failed build warns with the compiler's messages, here raised as an
-        # error.  Each import falls back to the Python core first: its cache
-        # is blocked by a file.
+        # the loader's own recipe, with -Wextra and -Wshadow, warnings as
+        # errors, on each interpreter found (the source branches on the
+        # version); -Wall reports an unused static function, so no deletion
+        # can leave dead C behind.  A failed build warns with the compiler's
+        # messages, here raised as an error.  Each import falls back to the
+        # Python core first: its cache is blocked by a file.
         code = (
             "import shlex, sys, sysconfig, warnings\n"
             "from stepplace.stepfield import _load_c_core\n"
             "warnings.simplefilter('error', RuntimeWarning)\n"
             "ldshared = shlex.split(sysconfig.get_config_var('LDSHARED'))\n"
-            "assert _load_c_core(sys.argv[1], [*ldshared, '-Wall', '-Werror'])\n"
+            "flags = ['-Wall', '-Wextra', '-Wno-unused-parameter', '-Wshadow', '-Werror']\n"
+            "assert _load_c_core(sys.argv[1], [*ldshared, *flags])\n"
         )
         blocked = tmp_path / "cache-blocked"
         blocked.write_text("")
