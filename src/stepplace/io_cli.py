@@ -58,13 +58,12 @@ from stepplace.netmodel import (
     Placement,
     PlacementArea,
     Rect,
-    bb_netlength,
     check_placeable,
     footprint_box,
-    is_legal,
-    meet,
     ordered_sum,
+    store_and_report,
 )
+from stepplace.netmodel import bb_netlength, is_legal  # noqa: F401 (tracer)
 from stepplace.placer import (
     _INT_FIELDS,
     LegalizationError,
@@ -291,20 +290,11 @@ class ResultData:
 
 
 def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
-    total_bb = ordered_sum([
-        bb_netlength([placement[mid] for mid in net.members])
-        for net in netlist.nets
-    ])
-    report = is_legal(placement, netlist, area)
-    by_id = netlist.by_id
-    overlap = 0.0
-    for mi, mj in report.overlaps:
-        ix1, iy1, ix2, iy2 = meet(
-            footprint_box(by_id[mi], placement[mi]),
-            footprint_box(by_id[mj], placement[mj]),
-        )
-        overlap += (ix2 - ix1) * (iy2 - iy1)
-    return total_bb, overlap, report.legal
+    """``(netlength_bb, overlap_area, legal)`` from one store of the placement
+    (:func:`store_and_report`): its net total, its pairs' areas added to ``0.0``."""
+    store, report = store_and_report(placement, netlist, area)
+    overlap = ordered_sum([0.0] + [a for _, _, a in store.pairs()])
+    return store.totals()[0], overlap, report.legal
 
 
 def write_result(

@@ -15,6 +15,7 @@ import functools
 import math
 import operator
 import sys
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -53,7 +54,8 @@ class Macro:
     size_y: float
 
     def __post_init__(self) -> None:
-        if not self.id or not self.id.isprintable() or any(c.isspace() for c in self.id):
+        # U+0020 is the one printable whitespace character
+        if not self.id or not self.id.isprintable() or " " in self.id:
             raise ValueError(
                 f"macro id must be non-empty and printable without whitespace: "
                 f"{self.id!r}"
@@ -188,12 +190,12 @@ class BucketGrid:
     boxes sharing an interior point share the cell of that point, so the
     buckets yield a superset of the overlapping boxes and an exact half-open
     test (the one of :func:`overlaps`) filters it: the cell size affects
-    speed only, never results.  With cells as large as the largest macro
-    (:func:`footprint_grid`), a footprint query visits at most 2x2 cells.
-    ``grid[key]`` is the box stored under ``key``.  The C core's
-    ``PlacementStore`` keeps its footprints in a C index of the same design,
-    whose overlap queries find the same keys in the same order, and so does
-    its legalizer's ``FreeSpace``.
+    speed only, never results.  With cells as large as the largest macro, a
+    footprint query visits at most 2x2 cells.  ``grid[key]`` is the box
+    stored under ``key``.  It indexes ``_pycore``'s placement store and free
+    space, the reference of the C core's, whose C index of the same design
+    finds the same keys in the same order; so a run on the C core, legality
+    and the result summary included (:func:`store_and_report`), builds none.
     """
 
     def __init__(self, cell_x: float, cell_y: float) -> None:
@@ -256,26 +258,6 @@ class BucketGrid:
         hits = self.hits(x1, y1, x2, y2)
         return self.boxes[hits[0]] if hits else None
 
-    def pairs(self) -> list[tuple]:
-        """Every overlapping pair ``(a, b)`` with ``a < b``, in ascending order."""
-        boxes = self.boxes
-        return [
-            (a, b) for a in sorted(boxes) for b in self.hits(*boxes[a]) if b > a
-        ]
-
-
-def footprint_grid(netlist: Netlist, placement: Placement) -> BucketGrid:
-    """Bucket grid of the footprints of every placed macro of the netlist,
-    with cells as large as the netlist's largest macro width and height."""
-    grid = BucketGrid(
-        max((m.size_x for m in netlist.macros), default=1.0),
-        max((m.size_y for m in netlist.macros), default=1.0),
-    )
-    for m in netlist.macros:
-        if m.id in placement:
-            grid.put(m.id, footprint_box(m, placement[m.id]))
-    return grid
-
 
 @dataclass
 class LegalityReport:
@@ -290,30 +272,67 @@ class LegalityReport:
         return not (self.out_of_area or self.overlaps or self.blockage_overlaps)
 
 
+def placement_store(netlist: Netlist, area: PlacementArea, centers: array, field=None,
+                    bounds: array | None = None, blockage_weight: float = 0.0):
+    """``stepfield.core``'s ``PlacementStore`` of the netlist in the area,
+    keyed by index in sorted ids, with ``centers`` (``bounds``) holding ``x,
+    y`` (``x_min, x_max, y_min, y_max``) per macro, the area's keep-outs and
+    footprint cells as large as the largest macro (a footprint touches at
+    most 2x2).  By default its field is a ``CostField(0, 0)`` and its bounds
+    and keep-out weight zero: a store to read footprints, pairs and totals
+    from, which runs no round."""
+    from stepplace import stepfield  # not at the top: stepfield imports this module
+
+    ids = sorted(netlist.by_id)
+    key = {mid: k for k, mid in enumerate(ids)}
+    macros = [netlist.by_id[mid] for mid in ids]
+    return stepfield.core.PlacementStore(
+        stepfield.CostField(0, 0) if field is None else field, area.width, area.height,
+        max((m.size_x for m in macros), default=1.0),
+        max((m.size_y for m in macros), default=1.0),
+        # half-sizes as footprint_box computes them
+        array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
+        centers, array("d", bytes(32 * len(ids))) if bounds is None else bounds,
+        [[key[mid] for mid in net.members] for net in netlist.nets],
+        array("d", [v for b in area.blockages for v in b]), blockage_weight,
+    )
+
+
+def store_and_report(placement: Placement, netlist: Netlist, area: PlacementArea):
+    """The :func:`placement_store` of a total placement and its
+    :func:`is_legal` report, whose pairs are the store's as it lists them
+    after construction: ascending by index, so by id.  A macro without a
+    position, or with a non-finite one, raises ``ValueError`` naming it
+    before any store is built."""
+    boxes, out_of_area = {}, []
+    for m in netlist.macros:
+        if m.id not in placement:
+            raise ValueError(f"macro {m.id!r} has no position")
+        x, y = placement[m.id]
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"macro {m.id!r} has a non-finite position ({x!r}, {y!r})")
+        x1, y1, x2, y2 = boxes[m.id] = footprint_box(m, (x, y))
+        if not (x1 >= 0 and x2 <= area.width and y1 >= 0 and y2 <= area.height):
+            out_of_area.append(m.id)
+    ids = sorted(boxes)
+    centers = array("d", [v for mid in ids for v in placement[mid]])
+    store = placement_store(netlist, area, centers)
+    blocked = [(mid, bi) for mid in ids for bi, b in enumerate(area.blockages)
+               if overlaps(boxes[mid], b)]
+    pairs = [(ids[i], ids[j]) for i, j, _ in store.pairs()]
+    return store, LegalityReport(out_of_area, pairs, blocked)
+
+
 def is_legal(
     placement: Placement, netlist: Netlist, area: PlacementArea
 ) -> LegalityReport:
     """Check the three legality conditions: inside the area, pairwise
     disjoint, disjoint from every blockage.  Half-open footprints make
-    edge-to-edge contact legal."""
-    for m in netlist.macros:
-        if m.id not in placement:
-            raise ValueError(f"macro {m.id!r} has no position")
-    grid = footprint_grid(netlist, placement)
-    boxes = grid.boxes
-
-    out_of_area = [
-        mid
-        for mid, (x1, y1, x2, y2) in boxes.items()
-        if not (x1 >= 0 and x2 <= area.width and y1 >= 0 and y2 <= area.height)
-    ]
-    blockage_overlaps = [
-        (mid, bi)
-        for mid in sorted(boxes)
-        for bi, b in enumerate(area.blockages)
-        if overlaps(boxes[mid], b)
-    ]
-    return LegalityReport(out_of_area, grid.pairs(), blockage_overlaps)
+    edge-to-edge contact legal.  The report lists the macros outside the
+    area in the netlist's order, the overlapping pairs ``(a, b)``, ``a <
+    b``, ascending, and each overlap ``(macro, keep-out index)`` by id, then
+    keep-out; its pairs are a placement store's (:func:`store_and_report`)."""
+    return store_and_report(placement, netlist, area)[1]
 
 
 def bb_netlength(points: list[Point]) -> float:

@@ -59,7 +59,6 @@ import math
 import random
 import sys
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -78,6 +77,7 @@ from stepplace.netmodel import (
     check_placeable,
     footprint_box,
     is_legal,
+    placement_store,
 )
 from stepplace.netmodel import bb_netlength, model_length  # noqa: F401 (tracer)
 from stepplace.stepfield import CostField
@@ -324,16 +324,15 @@ def new_state(
     config: PlacerConfig,
     initial: Placement | None = None,
 ) -> PlacerState:
-    """Initial loop state: ``stepfield.core``'s placement store, with each
-    macro's bounds and center (a given position clamped into the bounds, a
-    missing one drawn uniformly), on a zero field of that core plus one
-    static increase per blockage; :func:`stats_row` gives its statistics
-    row 0.  A macro :func:`~stepplace.netmodel.check_placeable` refuses, or
-    an initial position that is NaN or names no macro, raises ``ValueError``
-    first."""
-    macro_order = sorted(m.id for m in netlist.macros)
-    macros = [netlist.by_id[mid] for mid in macro_order]
-    bounds = [compute_bounds(m, area) for m in macros]
+    """Initial loop state: ``stepfield.core``'s placement store (built by
+    :func:`~stepplace.netmodel.placement_store`), with each macro's bounds
+    and center (a given position clamped into the bounds, a missing one
+    drawn uniformly), on a zero field of that core plus one static increase
+    per blockage; :func:`stats_row` gives its statistics row 0.  A macro
+    :func:`~stepplace.netmodel.check_placeable` refuses, or an initial
+    position that is NaN or names no macro, raises ``ValueError`` first."""
+    macro_order = sorted(netlist.by_id)
+    bounds = [compute_bounds(netlist.by_id[mid], area) for mid in macro_order]
     if initial is not None:
         for mid in initial:
             if mid not in netlist.by_id:
@@ -353,18 +352,8 @@ def new_state(
         if snapped is not None:
             fld.increase(snapped, config.blockage_weight)
 
-    # footprint cells at least as large as the largest macro: a footprint
-    # touches at most 2x2 of them
-    store = stepfield.core.PlacementStore(
-        fld, area.width, area.height,
-        max((m.size_x for m in macros), default=1.0),
-        max((m.size_y for m in macros), default=1.0),
-        # half-sizes as footprint_box computes them
-        array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
-        centers,
-        array("d", [v for b in bounds for v in b]),
-        [[bisect_left(macro_order, mid) for mid in net.members] for net in netlist.nets],
-        array("d", [v for b in area.blockages for v in b]),
+    store = placement_store(
+        netlist, area, centers, fld, array("d", [v for b in bounds for v in b]),
         config.blockage_weight,
     )
     return PlacerState(

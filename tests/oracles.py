@@ -3,9 +3,12 @@
 Everything here is built directly from definitions (dense vectors and
 matrices updated by slicing, rectangle corners compared one by one),
 independent of the library's coefficient and geometry-kernel arithmetic, so
-tests compare two unrelated computation paths.  The one exception is
+tests compare two unrelated computation paths.  The exceptions are
 :func:`oracle_legalize`, the legalizer's plain search kept as a reference for
-its faster probing: it shares the bucket grid and ``compute_bounds``.
+its faster probing, which shares the bucket grid and ``compute_bounds``, and
+:func:`oracle_is_legal` and :func:`oracle_summarize`, the legality check and
+the result summary as they were before both read a placement store: a
+:func:`footprint_grid` of the placement and its pairs.
 :func:`oracle_nearest_free` is the ring search alone, tested point by point,
 :func:`oracle_check_result` the result checker that tests every pair, and
 :func:`oracle_nets` the instance generator's nets as it first drew them,
@@ -19,7 +22,15 @@ from bisect import bisect_left
 
 import numpy as np
 
-from stepplace.netmodel import footprint_box, footprint_grid, ordered_sum, overlaps
+from stepplace.netmodel import (
+    BucketGrid,
+    LegalityReport,
+    bb_netlength,
+    footprint_box,
+    meet,
+    ordered_sum,
+    overlaps,
+)
 from stepplace.placer import LegalizationError, compute_bounds
 from stepplace.stepfield import GridRect
 
@@ -131,6 +142,62 @@ def oracle_nearest_free(xs, ys, pos, half, boxes):
                     for b in boxes)),
         None,
     )
+
+
+def footprint_grid(netlist, placement) -> BucketGrid:
+    """Bucket grid of the footprints of every placed macro of the netlist,
+    keyed by id, with cells as large as the netlist's largest macro width
+    and height."""
+    grid = BucketGrid(
+        max((m.size_x for m in netlist.macros), default=1.0),
+        max((m.size_y for m in netlist.macros), default=1.0),
+    )
+    for m in netlist.macros:
+        if m.id in placement:
+            grid.put(m.id, footprint_box(m, placement[m.id]))
+    return grid
+
+
+def oracle_is_legal(placement, netlist, area) -> LegalityReport:
+    """``netmodel.is_legal`` as it was before it read a placement store: the
+    pairs of a :func:`footprint_grid` of the placement, by one ``hits``
+    query per macro in id order."""
+    for m in netlist.macros:
+        if m.id not in placement:
+            raise ValueError(f"macro {m.id!r} has no position")
+    grid = footprint_grid(netlist, placement)
+    boxes = grid.boxes
+    out_of_area = [
+        mid
+        for mid, (x1, y1, x2, y2) in boxes.items()
+        if not (x1 >= 0 and x2 <= area.width and y1 >= 0 and y2 <= area.height)
+    ]
+    blockage_overlaps = [
+        (mid, bi)
+        for mid in sorted(boxes)
+        for bi, b in enumerate(area.blockages)
+        if overlaps(boxes[mid], b)
+    ]
+    pairs = [(a, b) for a in sorted(boxes) for b in grid.hits(*boxes[a]) if b > a]
+    return LegalityReport(out_of_area, pairs, blockage_overlaps)
+
+
+def oracle_summarize(placement, netlist, area):
+    """``io_cli._summarize`` as it was before it read a placement store:
+    ``bb_netlength`` of each net added in net order, and the meet of each
+    pair of :func:`oracle_is_legal` added from ``0.0``."""
+    total_bb = ordered_sum([
+        bb_netlength([placement[mid] for mid in net.members]) for net in netlist.nets
+    ])
+    report = oracle_is_legal(placement, netlist, area)
+    overlap = 0.0
+    for a, b in report.overlaps:
+        ix1, iy1, ix2, iy2 = meet(
+            footprint_box(netlist.by_id[a], placement[a]),
+            footprint_box(netlist.by_id[b], placement[b]),
+        )
+        overlap += (ix2 - ix1) * (iy2 - iy1)
+    return total_bb, overlap, report.legal
 
 
 def oracle_legalize(placement, netlist, area, grid_p, grid_q):

@@ -1,6 +1,8 @@
 """The geometry kernels against brute-force all-pairs scans: the bucket
 grid, and the overlap pairs of the C core's placement store, whose footprint
-index answers every overlap query, against both.
+index answers every overlap query, against both; and ``is_legal``, which
+reads a store's pairs, against the bucket-grid path it replaced, on both
+cores.
 
 Layouts mix sizes, put footprints edge to edge (half-unit lattice), partly or
 wholly outside the area, and sometimes include one macro far larger than the
@@ -15,14 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import coefficients, intersection
+from conftest import use_core
+from oracles import coefficients, footprint_grid, intersection, oracle_is_legal
 from stepplace.netmodel import (
     Macro,
     Netlist,
     PlacementArea,
     Rect,
     footprint_box,
-    footprint_grid,
     is_legal,
 )
 from stepplace._pycore import PlacementStore
@@ -109,15 +111,20 @@ def test_penalty_equals_all_pairs_formula(layout, x, y, step):
             assert got == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(layouts(), st.lists(st.tuples(coords, coords, sizes, sizes), max_size=3))
-def test_is_legal_lists_equal_brute_force(layout, blocks):
-    netlist, placement = layout
-    blockages = tuple(
+def keepouts(blocks):
+    """A keep-out ``w`` by ``h`` at each ``(x, y, w, h)``, moved into the area."""
+    return tuple(
         Rect(min(max(x, 0.0), AREA - w), min(max(y, 0.0), AREA - h),
              min(max(x, 0.0), AREA - w) + w, min(max(y, 0.0), AREA - h) + h)
         for x, y, w, h in blocks
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.lists(st.tuples(coords, coords, sizes, sizes), max_size=3))
+def test_is_legal_lists_equal_brute_force(layout, blocks):
+    netlist, placement = layout
+    blockages = keepouts(blocks)
     area = PlacementArea(AREA, AREA, blockages)
     rects = {m.id: footprint_box(m, placement[m.id]) for m in netlist.macros}
     ids = sorted(rects)
@@ -142,6 +149,23 @@ def test_is_legal_lists_equal_brute_force(layout, blocks):
 
 
 needs_c = pytest.mark.skipif(c_core is None, reason="C core not built")
+CORES = ["py"] + (["c"] if c_core is not None else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.lists(st.tuples(coords, coords, sizes, sizes), max_size=3))
+def test_is_legal_equals_the_bucket_grid_path_on_both_cores(layout, blocks):
+    # every list of the report, order included, is the one of the footprint
+    # grid's pairs: footprints edge to edge, outside the area, on keep-outs
+    netlist, placement = layout
+    area = PlacementArea(AREA, AREA, keepouts(blocks))
+    want = oracle_is_legal(placement, netlist, area)
+    for core in CORES:
+        with pytest.MonkeyPatch.context() as patch:
+            use_core(patch, core)
+            got = is_legal(placement, netlist, area)
+        assert (got.out_of_area, got.overlaps, got.blockage_overlaps) == (
+            want.out_of_area, want.overlaps, want.blockage_overlaps)
 
 
 def half_units(lo, hi):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import stepplace
 import stepplace._pycore as _pycore
 import stepplace.io_cli as io_cli
+import stepplace.netmodel as netmodel
 import stepplace.stepfield as stepfield
 from stepplace.io_cli import (
     GenSpec,
@@ -35,7 +36,8 @@ from stepplace.io_cli import (
     write_result,
     write_stats_csv,
 )
-from oracles import oracle_check_result, oracle_nets
+from conftest import use_core
+from oracles import oracle_check_result, oracle_nets, oracle_summarize
 from stepplace.netmodel import (
     Macro,
     Net,
@@ -46,6 +48,8 @@ from stepplace.netmodel import (
     is_legal,
 )
 from stepplace.placer import PlacerConfig, RoundStats, new_state, run_placer
+
+CORES = ["py"] + (["c"] if stepfield.HAVE_C_CORE else [])
 
 MINIMAL = """\
 # smallest useful instance
@@ -229,6 +233,16 @@ class TestResultFile:
         with pytest.raises(ValueError, match="^macro 'a' has no position$"):
             write_result(io.StringIO(), placement, netlist, PlacementArea(4.0, 4.0),
                          PlacerConfig(max_rounds=1))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_names_macro(self, on_core, bad):
+        # refused before the summary's store is built, alike on each core
+        netlist = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [Net(("a", "b"))])
+        for core in CORES:
+            on_core(core)
+            with pytest.raises(ValueError, match="^macro 'a' has a non-finite position"):
+                write_result(io.StringIO(), {"a": (bad, 1.0), "b": (3.0, 3.0)}, netlist,
+                             PlacementArea(4.0, 4.0), PlacerConfig(max_rounds=1))
 
 
 class TestStatsCsv:
@@ -570,6 +584,36 @@ class TestChecker:
         data = ResultData(placement, total_bb, 0.0, legal, {})
         ok, lines = check_result(netlist, area, data)
         assert ok and lines == ["total bounding-box netlength: 1e+16", "legal: true"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_summary_totals_equal_the_ordered_sums(self, data):
+        """The summary of one placement store is, by ``float.hex``, that of
+        the bucket-grid path (each net's ``bb_netlength`` in net order, each
+        pair's meet from ``0.0`` by id), with the same verdict, on random
+        placements that mostly overlap or leave the area, on both cores."""
+        draw = data.draw
+        n = draw(st.integers(1, 20), label="macros")
+        coord = st.one_of(st.integers(-4, 44).map(lambda k: k / 2), st.floats(-3, 23))
+        side = st.one_of(st.integers(1, 8).map(lambda k: k / 2), st.floats(0.01, 6))
+        macros = [Macro(f"m{i}", draw(side, label="w"), draw(side, label="h"))
+                  for i in range(n)]
+        ids = [m.id for m in macros]
+        members = st.lists(st.sampled_from(ids), min_size=2, max_size=5, unique=True)
+        nets = [Net(tuple(draw(members, label="net")))
+                for _ in range(draw(st.integers(0, 10) if n > 1 else st.just(0)))]
+        keepouts = [Rect(x, y, x + 2, y + 2) for x, y in draw(
+            st.lists(st.tuples(st.integers(0, 18), st.integers(0, 18)), max_size=2))]
+        netlist = Netlist(macros, nets)
+        area = PlacementArea(20.0, 20.0, tuple(keepouts))
+        positions = {mid: (draw(coord, label="x"), draw(coord, label="y")) for mid in ids}
+        want = oracle_summarize(positions, netlist, area)
+        for core in CORES:
+            with pytest.MonkeyPatch.context() as patch:
+                use_core(patch, core)
+                got = io_cli._summarize(positions, netlist, area)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
     @settings(max_examples=150, deadline=None)
@@ -1344,6 +1388,32 @@ class TestCli:
         if stepfield.HAVE_C_CORE:
             calls, _ = watched("c")
             assert {"round", "nearest_free", "repr_line"} <= set(calls)
+        capsys.readouterr()
+
+    def test_c_core_run_builds_no_bucket_grid(self, tmp_path, on_core, monkeypatch,
+                                              capsys):
+        # legality and the summary read a placement store of the core: on the
+        # C core a whole place run constructs no BucketGrid; on the Python
+        # core the state's store, the legalizer's free space, its legality
+        # guard's store and the summary's store each construct one
+        inst = tmp_path / "inst.txt"
+        inst.write_text("area 12 12\nblockage 4 4 8 8\n"
+                        + "".join(f"macro m{k} 2 2\nplace m{k} 6 6\n" for k in range(6))
+                        + "net m0 m1 m2\nnet m3 m4\n")
+        built = []
+        init = netmodel.BucketGrid.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(netmodel.BucketGrid, "__init__", counted)
+        for core in CORES:
+            on_core(core)
+            built.clear()
+            assert main(["place", "--in", str(inst), "--out", str(tmp_path / "res.txt"),
+                         "--rounds", "3", "--seed", "1"]) == 0
+            assert len(built) == (0 if core == "c" else 4)
         capsys.readouterr()
 
 

@@ -78,6 +78,19 @@ class TestDomainValidation:
         with pytest.raises(ValueError):
             Macro("a b", 1, 1)
 
+    @pytest.mark.parametrize("ch, ok", [
+        (" ", False), ("\t", False), ("\u00a0", False), ("\u1680", False),
+        ("\u2028", False), ("\u3000", False), ("\u00e9", True), ("_", True),
+    ])
+    def test_macro_id_whitespace_and_printability(self, ch, ok):
+        # U+0020 is the one whitespace character that is printable: every
+        # other one is refused as not printable, each with the one message
+        if ok:
+            assert Macro(f"a{ch}b", 1, 1).id == f"a{ch}b"
+        else:
+            with pytest.raises(ValueError, match="printable without whitespace"):
+                Macro(f"a{ch}b", 1, 1)
+
     def test_net_needs_two_distinct_members(self):
         with pytest.raises(ValueError):
             Net(("a",))
@@ -154,6 +167,14 @@ class TestLegality:
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [])
         with pytest.raises(ValueError, match="'b'"):
             is_legal({"a": (0.5, 0.5)}, nl, self.area())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_names_macro(self, on_core, backend, bad):
+        # refused before any store is built, so with one message on each core
+        on_core(backend)
+        nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [])
+        with pytest.raises(ValueError, match=r"^macro 'b' has a non-finite position"):
+            is_legal({"a": (0.5, 0.5), "b": (1.5, bad)}, nl, self.area())
 
 
 class TestBBNetlength:

@@ -20,7 +20,7 @@ import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 import oracles
 from conftest import use_core
-from oracles import coefficients, intersection, oracle_legalize
+from oracles import coefficients, footprint_grid, intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance, write_stats_csv
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
@@ -34,7 +34,6 @@ from stepplace.netmodel import (
     bb_netlength,
     beta_schedule,
     footprint_box,
-    footprint_grid,
     is_legal,
     meet,
     model_length,
@@ -1300,7 +1299,7 @@ class TestScoreCandidate:
         def boom(*args, **kwargs):
             raise AssertionError("the C path used the bucket grid")
 
-        for name in ("put", "hits", "first_hit", "pairs", "__getitem__"):
+        for name in ("put", "hits", "first_hit", "__getitem__"):
             monkeypatch.setattr(BucketGrid, name, boom)
         nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=2)
