@@ -31,15 +31,15 @@ depend on whether the interpreter's ``sum`` compensates.
 
 The ``stepplace`` CLI wraps this: ``place`` runs the placer, ``check``
 independently verifies a result, ``gen`` emits random instances, ``render``
-draws an SVG.  When the environment variable ``STEPPLACE_OUT_DIR`` is set,
-relative output paths are resolved under it.
+draws an SVG; :data:`COMMANDS` holds their flags.  A usage error, like any
+refused input, prints one ``error:`` line and exits 1.  When the environment
+variable ``STEPPLACE_OUT_DIR`` is set, relative output paths are resolved
+under it.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import html
 import json
 import math
 import os
@@ -48,6 +48,7 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
 from stepplace import stepfield
@@ -561,6 +562,8 @@ def render_svg(
     """Draw the instance 800 pixels wide: area outline, hatched blockages,
     labeled macro rectangles, and nets as center-to-center lines (centroid
     star for nets with more than two pins).  Output bytes are deterministic."""
+    import html  # here, so a run that draws nothing does not load it
+
     w = 800.0
     s = w / area.width
     h = area.height * s
@@ -759,16 +762,12 @@ def _distinct_files(*flags: tuple[str, str | None]) -> None:
         seen[real] = flag
 
 
-def _build_config(args: argparse.Namespace) -> PlacerConfig:
+def _build_config(args: SimpleNamespace) -> PlacerConfig:
     """Defaults, overridden by --config JSON, overridden by explicit flags.
     A config the flags alone would leave valid raises a ``ValueError`` that
     names the config file."""
     defaults = {"max_rounds": 10000}
-    flags = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(PlacerConfig)
-        if getattr(args, f.name) is not None
-    }
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     values: dict = {}
     if args.config:
         try:
@@ -792,32 +791,7 @@ def _build_config(args: argparse.Namespace) -> PlacerConfig:
         raise InstanceFormatError(f"config file {args.config!r}: {e}") from None
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    """One flag per :class:`PlacerConfig` field, stored under its name."""
-    sub.add_argument("--rounds", dest="max_rounds", metavar="ROUNDS", type=int,
-                     help="number of rounds (max_rounds)")
-    sub.add_argument("--candidates", dest="candidates_per_round",
-                     metavar="CANDIDATES", type=int,
-                     help="candidate positions per round")
-    sub.add_argument("--grid-p", dest="grid_p", type=int, help="x grid exponent")
-    sub.add_argument("--grid-q", dest="grid_q", type=int, help="y grid exponent")
-    sub.add_argument("--penalty-c", dest="penalty_c", type=float)
-    sub.add_argument("--delta0", dest="delta0", type=float,
-                     help="penalty multiplier base")
-    sub.add_argument("--delta-growth", dest="delta_growth", type=float)
-    sub.add_argument("--w0", dest="w0", type=float, help="field increment base")
-    sub.add_argument("--w-growth", dest="w_growth", type=float)
-    sub.add_argument("--rho", dest="inflation_rho", metavar="RHO", type=float,
-                     help="field inflation factor per round")
-    sub.add_argument("--blockage-weight", dest="blockage_weight", type=float)
-    sub.add_argument("--seed", dest="seed", type=int)
-    sub.add_argument("--model-switch-round", dest="model_switch_round", type=int)
-    sub.add_argument(
-        "--config", help="JSON file with PlacerConfig fields (flags take precedence)"
-    )
-
-
-def _cmd_place(args: argparse.Namespace) -> int:
+def _cmd_place(args: SimpleNamespace) -> int:
     out = _out_path(args.out)
     stats = _out_path(args.stats) if args.stats else None
     _distinct_files(
@@ -869,7 +843,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     netlist, area, _ = load_instance(args.instance)
     result = load_result(args.result)
     ok, lines = check_result(netlist, area, result)
@@ -888,19 +862,10 @@ def _degree_weights(text: str) -> tuple[tuple[int, float], ...]:
         raise ValueError(msg) from None
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(
-        macros=args.macros,
-        nets=args.nets,
-        size_min=args.size_min,
-        size_max=args.size_max,
-        utilization=args.utilization,
-        degree_weights=_degree_weights(args.degree_weights),
-        degree_cap=args.degree_cap,
-        aspect=args.aspect,
-        seed=args.seed,
-    )
-    netlist, area = generate_instance(spec)
+def _cmd_gen(args: SimpleNamespace) -> int:
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)}
+    fields["degree_weights"] = _degree_weights(args.degree_weights)
+    netlist, area = generate_instance(GenSpec(**fields))
     out = _out_path(args.out)
     save_instance(out, netlist, area)
     print(
@@ -910,7 +875,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: SimpleNamespace) -> int:
     out = _out_path(args.out)
     _distinct_files(
         ("--instance", args.instance), ("--result", args.result), ("--out", out)
@@ -925,62 +890,112 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stepplace",
-        description="Macro placement on a fast 2D step-function cost field.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line: COMMANDS[command] is (handler, summary, flags), and
+# flags[flag] is (attribute, type, default, help).  A flag without a type
+# takes no value and sets True; a default of ``...`` makes a flag required.
+_RENAMED = {"max_rounds": "rounds", "candidates_per_round": "candidates",
+            "inflation_rho": "rho"}  # the other PlacerConfig fields' flags: their names
+_CONFIG_FLAGS = {
+    "--" + _RENAMED.get(f.name, f.name.replace("_", "-")):
+        (f.name, int if f.name in _INT_FIELDS else float, None, f"sets {f.name}")
+    for f in dataclasses.fields(PlacerConfig)
+}
+COMMANDS = {
+    "place": (_cmd_place, "run the placer on an instance", {
+        "--in": ("infile", str, ..., "instance file"),
+        "--out": ("out", str, ..., "result file"),
+        "--stats": ("stats", str, None, "write per-round statistics CSV here"),
+        "--skip-legalize": ("skip_legalize", None, False, "keep the raw placement"),
+        **_CONFIG_FLAGS,
+        "--config": ("config", str, None, "JSON file of PlacerConfig fields"),
+    }),
+    "check": (_cmd_check, "independently verify a result file", {
+        "--instance": ("instance", str, ..., "instance file"),
+        "--result": ("result", str, ..., "result file"),
+    }),
+    "gen": (_cmd_gen, "generate a random instance", {  # GenSpec's fields
+        "--out": ("out", str, ..., "instance file to write"),
+        "--macros": ("macros", int, ..., "number of macros"),
+        "--nets": ("nets", int, ..., "number of nets"),
+        "--size-min": ("size_min", float, 2.0, "smallest macro side"),
+        "--size-max": ("size_max", float, 5.0, "largest macro side"),
+        "--utilization": ("utilization", float, 0.5, "macro area / area"),
+        "--degree-weights": ("degree_weights", str, "2:0.75,3:0.2,4:0.05", "d:w,..."),
+        "--degree-cap": ("degree_cap", int, 10, "most nets per macro"),
+        "--aspect": ("aspect", float, 1.0, "area width / height"),
+        "--seed": ("seed", int, 0, "generator seed"),
+    }),
+    "render": (_cmd_render, "draw an instance/result as SVG", {
+        "--instance": ("instance", str, ..., "instance file"),
+        "--result": ("result", str, None, "take positions from this result file"),
+        "--out": ("out", str, ..., "SVG file to write"),
+    }),
+}
+_HELP = ("-h", "--help")
 
-    p_place = sub.add_parser("place", help="run the placer on an instance")
-    p_place.add_argument("--in", dest="infile", required=True, help="instance file")
-    p_place.add_argument("--out", required=True, help="result file")
-    p_place.add_argument("--stats", help="write per-round statistics CSV here")
-    p_place.add_argument(
-        "--skip-legalize",
-        action="store_true",
-        help="keep the raw global placement (may contain overlaps)",
-    )
-    _add_config_flags(p_place)
-    p_place.set_defaults(func=_cmd_place)
 
-    p_check = sub.add_parser("check", help="independently verify a result file")
-    p_check.add_argument("--instance", required=True)
-    p_check.add_argument("--result", required=True)
-    p_check.set_defaults(func=_cmd_check)
+def _cmd_help(args: SimpleNamespace) -> int:
+    """Print the commands, or the flags of ``args.command``."""
+    if args.command is None:
+        print("usage: stepplace COMMAND [FLAGS], where COMMAND is one of")
+        rows = {c: summary for c, (_, summary, _) in COMMANDS.items()}
+    else:
+        _, summary, flags = COMMANDS[args.command]
+        print(f"usage: stepplace {args.command} [FLAGS], to {summary}")
+        rows = {f if t is None else f"{f} {f[2:].upper().replace('-', '_')}": text + (
+            " (required)" if d is ... else "" if d is None or t is None
+            else f" (default {d})") for f, (_, t, d, text) in flags.items()}
+    for name, text in rows.items():
+        print(f"  {name:<40}{text}")
+    return 0
 
-    p_gen = sub.add_parser("gen", help="generate a random instance")
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--macros", type=int, required=True)
-    p_gen.add_argument("--nets", type=int, required=True)
-    p_gen.add_argument("--size-min", dest="size_min", type=float, default=2.0)
-    p_gen.add_argument("--size-max", dest="size_max", type=float, default=5.0)
-    p_gen.add_argument("--utilization", type=float, default=0.5)
-    p_gen.add_argument(
-        "--degree-weights",
-        dest="degree_weights",
-        default="2:0.75,3:0.2,4:0.05",
-        help="comma-separated degree:weight pairs",
-    )
-    p_gen.add_argument("--degree-cap", dest="degree_cap", type=int, default=10)
-    p_gen.add_argument("--aspect", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(func=_cmd_gen)
 
-    p_render = sub.add_parser("render", help="draw an instance/result as SVG")
-    p_render.add_argument("--instance", required=True)
-    p_render.add_argument("--result", help="take positions from this result file")
-    p_render.add_argument("--out", required=True)
-    p_render.set_defaults(func=_cmd_render)
-
-    return parser
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """``argv`` (no program name) read against :data:`COMMANDS`: a command,
+    then its flags by full name, as ``--flag=value`` or ``--flag value``
+    (``-h``, ``--help`` or a flag of the command, bare or with ``=``, is no
+    value; a repeated flag keeps its last value).  Returns the attributes,
+    ``command`` and the handler ``func`` (:func:`_cmd_help` at a ``-h``); a
+    usage error raises ``ValueError``."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        return SimpleNamespace(command=None, func=_cmd_help)
+    if command not in COMMANDS:
+        what = f"unknown command {command!r}" if argv else "missing command"
+        raise ValueError(f"{what}: choose from place, check, gen, render")
+    func, _, flags = COMMANDS[command]
+    values = {attr: default for attr, _, default, _ in flags.values()}
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if tok in _HELP:
+            return SimpleNamespace(command=command, func=_cmd_help)
+        flag, eq, value = tok.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{command}: unrecognized argument {tok!r}")
+        attr, conv, _, _ = flags[flag]
+        if conv is None and eq:
+            raise ValueError(f"argument {flag}: takes no value")
+        if conv is not None and not eq:
+            value = next(tokens, None)
+            if value is None or value in _HELP or value.partition("=")[0] in flags:
+                raise ValueError(f"argument {flag}: expected one argument")
+        try:
+            values[attr] = True if conv is None else conv(value)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid {conv.__name__} "
+                             f"value: {value!r}") from None
+    missing = [f for f, (attr, _, _, _) in flags.items() if values[attr] is ...]
+    if missing:
+        raise ValueError(f"{command}: missing required {', '.join(missing)}")
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run ``argv`` (else ``sys.argv[1:]``) and return its exit code."""
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except (OSError, ValueError) as e:  # bad input, or a file not read/written
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -13,15 +13,19 @@ the result summary as they were before both read a placement store: a
 :func:`oracle_check_result` the result checker that tests every pair, and
 :func:`oracle_nets` the instance generator's nets as it first drew them,
 sorting the macros under the degree cap anew for every net.
+:func:`build_parser` is the ``stepplace`` command line as argparse read it,
+before ``io_cli.parse_args`` read it from one flag table.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 from bisect import bisect_left
 
 import numpy as np
 
+from stepplace import io_cli
 from stepplace.netmodel import (
     BucketGrid,
     LegalityReport,
@@ -359,3 +363,81 @@ def oracle_nets(spec, macro_ids):
             load[mid] += 1
         nets.append(tuple(members))
     return nets
+
+
+def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+    """One flag per :class:`PlacerConfig` field, stored under its name."""
+    sub.add_argument("--rounds", dest="max_rounds", metavar="ROUNDS", type=int,
+                     help="number of rounds (max_rounds)")
+    sub.add_argument("--candidates", dest="candidates_per_round",
+                     metavar="CANDIDATES", type=int,
+                     help="candidate positions per round")
+    sub.add_argument("--grid-p", dest="grid_p", type=int, help="x grid exponent")
+    sub.add_argument("--grid-q", dest="grid_q", type=int, help="y grid exponent")
+    sub.add_argument("--penalty-c", dest="penalty_c", type=float)
+    sub.add_argument("--delta0", dest="delta0", type=float,
+                     help="penalty multiplier base")
+    sub.add_argument("--delta-growth", dest="delta_growth", type=float)
+    sub.add_argument("--w0", dest="w0", type=float, help="field increment base")
+    sub.add_argument("--w-growth", dest="w_growth", type=float)
+    sub.add_argument("--rho", dest="inflation_rho", metavar="RHO", type=float,
+                     help="field inflation factor per round")
+    sub.add_argument("--blockage-weight", dest="blockage_weight", type=float)
+    sub.add_argument("--seed", dest="seed", type=int)
+    sub.add_argument("--model-switch-round", dest="model_switch_round", type=int)
+    sub.add_argument(
+        "--config", help="JSON file with PlacerConfig fields (flags take precedence)"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``io_cli.main`` built before its flag table: its
+    ``parse_args`` exits 2 on a usage error and 0 after printing help."""
+    parser = argparse.ArgumentParser(
+        prog="stepplace",
+        description="Macro placement on a fast 2D step-function cost field.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_place = sub.add_parser("place", help="run the placer on an instance")
+    p_place.add_argument("--in", dest="infile", required=True, help="instance file")
+    p_place.add_argument("--out", required=True, help="result file")
+    p_place.add_argument("--stats", help="write per-round statistics CSV here")
+    p_place.add_argument(
+        "--skip-legalize",
+        action="store_true",
+        help="keep the raw global placement (may contain overlaps)",
+    )
+    _add_config_flags(p_place)
+    p_place.set_defaults(func=io_cli._cmd_place)
+
+    p_check = sub.add_parser("check", help="independently verify a result file")
+    p_check.add_argument("--instance", required=True)
+    p_check.add_argument("--result", required=True)
+    p_check.set_defaults(func=io_cli._cmd_check)
+
+    p_gen = sub.add_parser("gen", help="generate a random instance")
+    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--macros", type=int, required=True)
+    p_gen.add_argument("--nets", type=int, required=True)
+    p_gen.add_argument("--size-min", dest="size_min", type=float, default=2.0)
+    p_gen.add_argument("--size-max", dest="size_max", type=float, default=5.0)
+    p_gen.add_argument("--utilization", type=float, default=0.5)
+    p_gen.add_argument(
+        "--degree-weights",
+        dest="degree_weights",
+        default="2:0.75,3:0.2,4:0.05",
+        help="comma-separated degree:weight pairs",
+    )
+    p_gen.add_argument("--degree-cap", dest="degree_cap", type=int, default=10)
+    p_gen.add_argument("--aspect", type=float, default=1.0)
+    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.set_defaults(func=io_cli._cmd_gen)
+
+    p_render = sub.add_parser("render", help="draw an instance/result as SVG")
+    p_render.add_argument("--instance", required=True)
+    p_render.add_argument("--result", help="take positions from this result file")
+    p_render.add_argument("--out", required=True)
+    p_render.set_defaults(func=io_cli._cmd_render)
+
+    return parser

@@ -37,7 +37,7 @@ from stepplace.io_cli import (
     write_stats_csv,
 )
 from conftest import use_core
-from oracles import oracle_check_result, oracle_nets, oracle_summarize
+from oracles import build_parser, oracle_check_result, oracle_nets, oracle_summarize
 from stepplace.netmodel import (
     Macro,
     Net,
@@ -1298,23 +1298,89 @@ class TestCli:
         assert proc.stderr.splitlines()[-1] == (
             "error: candidates_per_round must be in [0, 65536]")
 
-    def test_place_never_imports_numpy(self, tmp_path, instance_file):
-        # both field cores are numpy-free, so a fresh place never loads it
-        src = os.path.dirname(os.path.dirname(stepplace.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        argv = ["place", "--in", instance_file, "--out", str(tmp_path / "r.txt"),
+    def test_place_loads_no_unused_module(self, tmp_path, interpreters):
+        """A fresh ``place`` of a 5-macro instance leaves numpy (both field
+        cores are numpy-free), argparse, gettext, locale and html unloaded,
+        on every interpreter found.  A build of the C core imports
+        ``subprocess`` and so ``locale``: a first process builds it where the
+        cache lacks this interpreter's build, and where the core does not
+        load (its cache blocked) ``locale`` is let be."""
+        netlist, area = generate_instance(GenSpec(macros=5, nets=6, seed=3))
+        inst = str(tmp_path / "inst.txt")
+        save_instance(inst, netlist, area)
+        argv = ["place", "--in", inst, "--out", str(tmp_path / "r.txt"),
                 "--stats", str(tmp_path / "s.csv"), "--rounds", "200", "--seed", "4"]
         code = (
             "import sys\n"
             "import stepplace.io_cli\n"
             f"code = stepplace.io_cli.main({argv!r})\n"
-            "print(code, 'numpy' in sys.modules)\n"
+            "budget = ['numpy', 'argparse', 'gettext', 'html']\n"
+            "budget += ['locale'] * stepplace.stepfield.HAVE_C_CORE\n"
+            "print(code, *(m for m in budget if m in sys.modules))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, check=True,
-        )
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        src = os.path.dirname(os.path.dirname(stepplace.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for python in interpreters:
+            subprocess.run([python, "-c", "import stepplace.stepfield"], env=env,
+                           capture_output=True, check=True)
+            proc = subprocess.run([python, "-c", code], capture_output=True,
+                                  text=True, env=env, check=True)
+            assert proc.stdout.splitlines()[-1] == "0", (python, proc.stdout)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["place", "--in", "x", "--out", "y", "--rounds", "abc"],
+             "argument --rounds: invalid int value: 'abc'"),
+            (["place", "--out", "y"], "place: missing required --in"),
+            (["plac"], "unknown command 'plac': choose from place, check, gen, render"),
+            ([], "missing command: choose from place, check, gen, render"),
+            (["place", "--in", "x", "--out", "y", "--rou", "5"],
+             "place: unrecognized argument '--rou'"),
+            (["place", "--in", "x", "--out"], "argument --out: expected one argument"),
+            (["place", "--in", "x", "--out", "y", "--rounds", "1e3"],
+             "argument --rounds: invalid int value: '1e3'"),
+            (["place", "--in", "-h", "--out", "y"],
+             "argument --in: expected one argument"),
+            (["place", "--in", "x", "--skip-legalize=yes", "--out", "y"],
+             "argument --skip-legalize: takes no value"),
+            (["gen", "--out", "g.txt"], "gen: missing required --macros, --nets"),
+        ],
+        ids=["bad-int", "missing-flag", "unknown-command", "no-command",
+             "abbreviation", "no-value-at-end", "float-for-int", "help-as-value",
+             "value-for-switch", "two-missing"],
+    )
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_help_prints_usage_and_exits_0(self, capsys, monkeypatch):
+        for command, (_, summary, flags) in io_cli.COMMANDS.items():
+            # -h anywhere a flag may stand, after errors the flags would raise
+            first = next(iter(flags))
+            assert main([command, f"{first}=o", "-h", "--bogus", "--rounds"]) == 0
+            out, err = capsys.readouterr()
+            lines = out.splitlines()
+            assert err == ""
+            assert lines[0] == f"usage: stepplace {command} [FLAGS], to {summary}"
+            assert [line.split()[0] for line in lines[1:]] == list(flags)
+        monkeypatch.setattr(sys, "argv", ["stepplace", "--help"])
+        assert main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == list(io_cli.COMMANDS)
+
+    def test_values_may_start_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        # only -h, --help and the command's own flags count as a missing value
+        args = io_cli.parse_args(["place", "--in", "-", "--out", "--result",
+                                  "--w0", "-1", "--rho", "-inf", "--stats=--in"])
+        assert (args.infile, args.out, args.stats) == ("-", "--result", "--in")
+        assert (args.w0, args.inflation_rho) == (-1.0, -math.inf)
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--instance", "--out", "--result", "-r"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith("No such file or directory: '--out'\n")
 
     def test_determinism_of_result_and_stats_bytes(self, tmp_path, instance_file):
         blobs = []
@@ -1471,14 +1537,19 @@ def test_property_cli_never_raises(cli_workdir, data):
         return [f"{f}={draw(v, label=f)}" for f, v in flags.items()
                 if draw(st.booleans())]
 
+    def malformed():
+        # now and then a flag the command line refuses
+        return draw(st.lists(st.sampled_from(MALFORMED), max_size=1), label="malformed")
+
     gen = ["gen", "--out", str(cli_workdir / "g.txt"),
            f"--macros={draw(st.integers(-1, 8), label='--macros')}",
-           f"--nets={draw(st.integers(-1, 12), label='--nets')}", *some(GEN_FLAGS)]
+           f"--nets={draw(st.integers(-1, 12), label='--nets')}", *some(GEN_FLAGS),
+           *malformed()]
     place = ["place", "--in", str(cli_workdir / "inst.txt"),
              "--out", str(cli_workdir / "r.txt"),
              "--stats", str(cli_workdir / "s.csv"),
              f"--rounds={draw(st.integers(-1, 20), label='--rounds')}",
-             *some(PLACE_FLAGS)]
+             *some(PLACE_FLAGS), *malformed()]
     if draw(st.booleans()):
         place.append("--skip-legalize")
     for argv in (gen, place):
@@ -1489,6 +1560,118 @@ def test_property_cli_never_raises(cli_workdir, data):
         assert code in (0, 1, 2), (argv, code)
         if code == 1:
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("legalization failed: ")
+
+
+# tokens that make a command line a usage error
+MALFORMED = ["--seed", "--rounds=1e3", "--grid-p=", "--bogus", "--rou=5", "stray",
+             "--", "--skip-legalize=1", "-x"]
+# values a flag may get: mostly one its type reads, now and then any of
+# them, or one that starts with "-" (among them help flags and other flags)
+GOOD = {int: ["0", "7", " 3", "1_0"], float: ["1.5", "nan", "1e3", "0"],
+        str: ["x.txt", "a=b", "", "s p"]}
+ODD = ["abc", "1.5", "-1", "-inf", "-h", "--help", "--out", "--result=r", "--", "-x"]
+
+
+@st.composite
+def command_lines(draw):
+    """A ``stepplace`` argv drawn from the commands' flags, each given as
+    ``--flag=value``, ``--flag value`` or bare, among help flags, unknown and
+    abbreviated flags, stray tokens and a bare ``--``."""
+    command = draw(st.sampled_from([*io_cli.COMMANDS] * 3 + ["plac", "-h", ""]))
+    flags = io_cli.COMMANDS.get(command, io_cli.COMMANDS["place"])[2]
+    picks = [f for f, (_, _, d, _) in flags.items()
+             if d is ... and draw(st.integers(0, 7), label=f)]
+    picks += draw(st.lists(st.sampled_from(list(flags)), max_size=4))
+    picks += draw(st.lists(st.sampled_from(
+        ["-h", "--help", "--", "--bogus", "stray", "abbreviation"]), max_size=1))
+    argv = [command] if command else []
+    for tok in draw(st.permutations(picks)):
+        if tok == "abbreviation":
+            flag = draw(st.sampled_from(list(flags)))
+            tok = flag[:draw(st.integers(3, len(flag) - 1))]
+        conv = flags[tok][1] if tok in flags else str
+        form = draw(st.sampled_from(["=", "next"] * 6 + ["bare"]))
+        if conv is None and draw(st.integers(0, 4)):
+            form = "bare"  # a switch mostly without a value
+        value = draw(st.sampled_from(GOOD.get(conv, ["x"]) * 8 + ODD))
+        if tok in ("-h", "--help", "--", "stray") or form == "bare":
+            argv.append(tok)
+        else:
+            argv += [f"{tok}={value}"] if form == "=" else [tok, value]
+    return argv
+
+
+def argparse_reading(argv):
+    """How the argparse reference reads ``argv``: ``(0, vars)`` where it
+    accepts it, ``(0, None)`` where it prints help, ``(2, None)`` where it
+    refuses it."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return 0, vars(build_parser().parse_args(argv))
+        except SystemExit as e:
+            return e.code, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_property_command_line_reads_as_argparse_did(argv):
+    """``io_cli.parse_args`` against the argparse parser it replaced
+    (``oracles.build_parser``).  Where the reference accepts an argv, the
+    table reads the same attributes, handler included; where it refuses
+    one, ``main`` prints one ``error:`` line and returns 1; a ``-h`` that
+    the table reads as help the reference reads as help.
+
+    The deliberate differences, which these rules leave out:
+
+    * a flag is named in full: the reference took an unambiguous prefix
+      (``--rou`` for ``--rounds``), the table refuses it, and an ambiguous
+      one (``--s``) after a ``-h`` no longer stops the help;
+    * a value given as the next token may start with ``-`` unless it is
+      ``-h``, ``--help`` or one of the command's flags: the reference
+      refused ``--w0 -inf`` and ``--in --bogus`` for a missing value;
+    * a bare ``--`` is a stray token, not the end of the flags, and
+      ``--out=--`` gives the value ``--``, where the reference gave ``[]``;
+    * the first usage error left to right stops the reading, so an unknown
+      flag or a stray token before a ``-h`` is refused, where the reference
+      printed help (it refused them only after reading every flag).
+    """
+    flags = io_cli.COMMANDS.get(argv[0] if argv else "", (0, 0, {}))[2]
+    # odd: a token that may be an abbreviated flag (a bare "--" is a prefix
+    # of every flag) or gives the value "--"; dashed: a value after its
+    # flag that starts with "-" and names no flag
+    def abbreviated(tok):
+        name = tok.partition("=")[0]
+        return any(f != name and f.startswith(name) for f in [*flags, "--help"])
+
+    odd = any(t.startswith("--") and abbreviated(t) or t.endswith("=--") for t in argv)
+    dashed = any(
+        a in flags and flags[a][1] is not None and b.startswith("-")
+        and b not in ("-h", "--help") and b.partition("=")[0] not in flags
+        for a, b in zip(argv, argv[1:]))
+    code, want = argparse_reading(argv)
+    try:
+        args = io_cli.parse_args(argv)
+    except ValueError as e:
+        args = None
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        assert err.getvalue() == f"error: {e}\n" and "\n" not in str(e)
+    if want is not None and not (odd or dashed):
+        # by repr, so a NaN equals a NaN
+        assert args is not None, argv
+        assert {k: repr(v) for k, v in vars(args).items()} == {
+            k: repr(v) for k, v in want.items()}, argv
+    if code == 2 and not (odd or dashed):
+        assert args is None, argv
+    if code == 0 and want is None:  # the reference printed help
+        assert args is None or args.func is io_cli._cmd_help, argv
+    if args is not None and args.func is io_cli._cmd_help and not (odd or dashed):
+        assert (code, want) == (0, None), argv
+        assert args.command == (argv[0] if argv[0] in io_cli.COMMANDS else None)
 
 
 @settings(max_examples=150, deadline=None)
