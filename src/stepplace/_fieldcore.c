@@ -29,9 +29,22 @@
  * draws the macro as rng.randrange does and the candidates as proposals does,
  * from the macro's center and bounds, into C doubles, scores each with the
  * placer's scoring hook, picks the winner as stepplace._pycore.first_min
- * does, commits it as move does, and calls the field's inflate once.  It
- * draws the macro of a random.Random itself as randrange does, by
- * getrandbits through rng, and calls rng.random for each proposal draw.
+ * does, commits it as move does, and calls the field's inflate once.  Its
+ * step method is the placer's round_step in one call: it computes the
+ * round's delta, beta and w from the state's round and the config's
+ * _pycore.Schedule (libm pow, as float ** calls it), runs round's body,
+ * sets the state's round and last_choice and builds the statistics row.
+ * A round decides once how it draws from its rng.  From a random.Random
+ * itself, whose instance overrides none of random, getrandbits, randrange
+ * and _randbelow and whose class holds _random.Random's random and
+ * getrandbits, it draws the macro (as randrange does, by getrandbits with
+ * rejection) and every candidate from the generator's own Mersenne Twister
+ * words, read and advanced in place in CPython's object, once a guard run
+ * once per process found that object laid out and drawing as this core
+ * reads it (3.10-3.13, not on free-threaded builds).  Otherwise it draws
+ * by calls: a random.Random itself whose instance overrides neither
+ * randrange nor _randbelow by getrandbits through rng for the macro, any
+ * other rng by randrange, and rng.random for each proposal draw.
  * The hook is called as score(store, i, x, y, beta, factor); it is the
  * store's own unbound score method where the core loaded, and where the
  * round's hook is that method itself the round runs the score body on its
@@ -1200,11 +1213,13 @@ PlacementStore_box(PlacementStore *self, PyObject *arg)
     return Py_BuildValue("(dddd)", f[0], f[1], f[2], f[3]);
 }
 
-static PyObject *
-PlacementStore_totals(PlacementStore *self, PyObject *unused)
+/* The two totals of a statistics row into *net and *overlap: the sums of
+ * the net boxes and of the live pairs' areas, each left to right from 0
+ * (int 0 with nothing to sum), in one loop, so that the two chains of
+ * dependent adds overlap.  0, or -1 with an exception set and both NULL. */
+static int
+store_totals(const PlacementStore *self, PyObject **net, PyObject **overlap)
 {
-    /* the two sums, each left to right from 0 (int 0 with nothing to sum),
-     * in one loop, so that the two chains of dependent adds overlap */
     const double *bb = self->net_bb, *area = self->area;
     Py_ssize_t n_bb = self->n_nets, n_area = self->n_slots, k = 0;
     double sum_bb = 0.0, sum_area = 0.0;
@@ -1216,11 +1231,24 @@ PlacementStore_totals(PlacementStore *self, PyObject *unused)
         sum_bb += bb[t];
     for (Py_ssize_t t = k; t < n_area; t++)
         sum_area += area[t];
-    PyObject *a = n_bb ? PyFloat_FromDouble(sum_bb) : PyLong_FromLong(0);
-    PyObject *b = self->n_live ? PyFloat_FromDouble(sum_area) : PyLong_FromLong(0);
-    PyObject *out = a && b ? PyTuple_Pack(2, a, b) : NULL;
-    Py_XDECREF(a);
-    Py_XDECREF(b);
+    *net = n_bb ? PyFloat_FromDouble(sum_bb) : PyLong_FromLong(0);
+    *overlap = self->n_live ? PyFloat_FromDouble(sum_area) : PyLong_FromLong(0);
+    if (*net && *overlap)
+        return 0;
+    Py_CLEAR(*net);
+    Py_CLEAR(*overlap);
+    return -1;
+}
+
+static PyObject *
+PlacementStore_totals(PlacementStore *self, PyObject *unused)
+{
+    PyObject *net, *overlap;
+    if (store_totals(self, &net, &overlap) < 0)
+        return NULL;
+    PyObject *out = PyTuple_Pack(2, net, overlap);
+    Py_DECREF(net);
+    Py_DECREF(overlap);
     return out;
 }
 
@@ -1383,12 +1411,218 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(out);
 }
 
-/* The rng methods a round draws through and the one more name its instance
- * may override the macro draw under, the 0.5 a coin compares with, the
- * field method a round calls, and PlacementStore.score, the hook a round
- * runs without a call, made once at module init. */
+/* The rng methods a round draws through and the names its instance may
+ * override them under, the 0.5 a coin compares with, the field method a
+ * round calls, the PlacerState attributes step reads and writes, and
+ * PlacementStore.score, the hook a round runs without a call, made once at
+ * module init. */
 static PyObject *str_random, *str_getrandbits, *str_randrange, *str_randbelow, *one_half,
-    *str_inflate, *score_method;
+    *str_inflate, *str_round, *str_rng, *str_last_choice, *score_method;
+
+#if PY_VERSION_HEX < 0x030E0000
+/* random.Random, looked up once by random_class */
+static PyObject *random_type;
+
+/* random.Random, a borrowed reference; NULL with an exception set. */
+static PyObject *
+random_class(void)
+{
+    if (random_type == NULL) {
+        PyObject *mod = PyImport_ImportModule("random");
+        random_type = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
+        Py_XDECREF(mod);
+    }
+    return random_type;
+}
+#endif
+
+/* How a round draws from its rng, decided once per round by draw_kind:
+ * DRAW_CALLS asks the rng for randrange(n) and calls its random();
+ * DRAW_BITS draws the macro as randrange does on Python 3.10-3.13, by
+ * getrandbits(k) called through the rng with rejection, and calls its
+ * random(); DRAW_IN_PLACE makes the same draws from the rng's own
+ * Mersenne Twister words, with no call. */
+enum { DRAW_CALLS, DRAW_BITS, DRAW_IN_PLACE };
+
+/* The in-place draws read CPython's _random.Random object as
+ * Modules/_randommodule.c lays it out on 3.10-3.13, and only where the
+ * layout guard (mt_layout_ok) passed.  Free-threaded builds lock that
+ * object per call, so they draw by calls. */
+#if PY_VERSION_HEX < 0x030E0000 && !defined(Py_GIL_DISABLED)
+#define DRAWS_IN_PLACE 1
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    PyObject_HEAD
+    int index;
+    uint32_t state[MT_N];
+} MTObject;
+
+/* _random.Random's own random and getrandbits, as its type holds them */
+static PyObject *mt_random, *mt_getrandbits;
+/* the guard's verdict: 1 passed, 0 failed, -1 not yet run */
+static int mt_layout = -1;
+
+/* The next word of rng's stream, as _random's genrand_uint32 makes it:
+ * the 624 words regenerate at index 624, then one is tempered. */
+static uint32_t
+mt_word(MTObject *r)
+{
+    uint32_t *mt = r->state, y;
+    if (r->index >= MT_N) {
+        int k;
+        for (k = 0; k < MT_N - 1; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+            mt[k] = mt[k < MT_N - MT_M ? k + MT_M : k + MT_M - MT_N] ^ (y >> 1)
+                    ^ (-(y & 1U) & 0x9908b0dfU);
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+        r->index = 0;
+    }
+    y = mt[r->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* rng.random(): two words, ((a >> 5) * 2^26 + (b >> 6)) / 2^53 */
+static double
+mt_double(MTObject *r)
+{
+    uint32_t a = mt_word(r) >> 5, b = mt_word(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Whether the draw of one value by a method call, made, equals v. */
+static int
+drawn_equal(PyObject *made, double v)
+{
+    int eq = made != NULL && PyFloat_AsDouble(made) == v;
+    Py_XDECREF(made);
+    return eq;
+}
+
+/* The layout guard: _random.Random's basic size is MTObject's, random.Random
+ * derives from it, a seeded probe's words and index read in place equal its
+ * getstate(), and random() and getrandbits(k), k = 1 .. 32, drawn in place
+ * across two regenerations equal a twin's method calls, with equal final
+ * getstate()s.  Keeps _random.Random's random and getrandbits for
+ * draw_kind.  1 where all of that holds, 0 where not, -1 with an exception
+ * set. */
+static int
+mt_layout_ok(void)
+{
+    PyObject *mod = PyImport_ImportModule("_random");
+    PyObject *base = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
+    PyObject *cls = random_class();
+    PyObject *probe = NULL, *twin = NULL, *state = NULL, *other = NULL;
+    int ok = -1;
+    Py_XDECREF(mod);
+    if (base == NULL || cls == NULL)
+        goto done;
+    ok = 0;
+    if (!PyType_Check(base) || ((PyTypeObject *)base)->tp_basicsize != sizeof(MTObject)
+        || !PyType_Check(cls) || !PyType_IsSubtype((PyTypeObject *)cls, (PyTypeObject *)base))
+        goto done;
+    ok = -1;
+    if ((mt_random = PyObject_GetAttr(base, str_random)) == NULL
+        || (mt_getrandbits = PyObject_GetAttr(base, str_getrandbits)) == NULL
+        || (probe = PyObject_CallFunction(cls, "i", 20261020)) == NULL
+        || (twin = PyObject_CallFunction(cls, "i", 20261020)) == NULL
+        || (state = PyObject_CallMethod(probe, "getstate", NULL)) == NULL)
+        goto done;
+    ok = 0;
+    MTObject *r = (MTObject *)probe;
+    PyObject *words = PyTuple_Check(state) && PyTuple_GET_SIZE(state) == 3
+        ? PyTuple_GET_ITEM(state, 1) : NULL;
+    if (words == NULL || !PyTuple_Check(words) || PyTuple_GET_SIZE(words) != MT_N + 1)
+        goto done;
+    for (Py_ssize_t k = 0; k <= MT_N; k++) {
+        unsigned long v = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, k));
+        if (v != (k < MT_N ? (unsigned long)r->state[k] : (unsigned long)r->index))
+            goto done;
+    }
+    for (int rep = 0; rep < 40; rep++) {
+        if (!drawn_equal(PyObject_CallMethodNoArgs(twin, str_random), mt_double(r)))
+            goto done;
+        for (int k = 1; k <= 32; k++)
+            if (!drawn_equal(PyObject_CallMethod(twin, "getrandbits", "i", k),
+                             (double)(mt_word(r) >> (32 - k))))
+                goto done;
+    }
+    Py_SETREF(state, PyObject_CallMethod(probe, "getstate", NULL));
+    other = state ? PyObject_CallMethod(twin, "getstate", NULL) : NULL;
+    ok = other ? PyObject_RichCompareBool(state, other, Py_EQ) : -1;
+done:
+    if (PyErr_Occurred())
+        ok = -1;
+    Py_XDECREF(base);
+    Py_XDECREF(probe);
+    Py_XDECREF(twin);
+    Py_XDECREF(state);
+    Py_XDECREF(other);
+    return ok;
+}
+
+/* Whether rng's draws may be taken in place: the guard, run once per
+ * process on the first ask (an error in it counts as a failure). */
+static int
+mt_ready(void)
+{
+    if (mt_layout < 0) {
+        mt_layout = mt_layout_ok() == 1;
+        PyErr_Clear();
+    }
+    return mt_layout;
+}
+#endif
+
+/* The DRAW_ kind of a round on rng: DRAW_CALLS unless rng's type is
+ * random.Random itself, not a subclass, which may draw through another
+ * generator, and its instance holds neither randrange nor _randbelow, the
+ * methods randrange's draw goes through before getrandbits, on an
+ * interpreter no later than 3.13; of those, DRAW_IN_PLACE where the
+ * instance holds neither random nor getrandbits either, its class looks up
+ * _random.Random's own two, and the layout guard passed; else DRAW_BITS.
+ * The class's randrange and _randbelow are taken to be the random
+ * module's.  -1 with an exception set. */
+static int
+draw_kind(PyObject *rng)
+{
+#if PY_VERSION_HEX < 0x030E0000
+    PyObject *cls = random_class();
+    if (cls == NULL)
+        return -1;
+    if ((PyObject *)Py_TYPE(rng) != cls)
+        return DRAW_CALLS;
+    PyObject *dict = PyObject_GenericGetDict(rng, NULL);
+    if (dict == NULL)
+        return -1;
+    int kind = DRAW_CALLS, has = PyDict_Contains(dict, str_randrange);
+    if (has == 0)
+        has = PyDict_Contains(dict, str_randbelow);
+    if (has == 0) {
+        kind = DRAW_BITS;
+#ifdef DRAWS_IN_PLACE
+        has = PyDict_Contains(dict, str_random);
+        if (has == 0)
+            has = PyDict_Contains(dict, str_getrandbits);
+        if (has == 0 && mt_ready()
+            && _PyType_Lookup(Py_TYPE(rng), str_random) == mt_random
+            && _PyType_Lookup(Py_TYPE(rng), str_getrandbits) == mt_getrandbits)
+            kind = DRAW_IN_PLACE;
+#endif
+    }
+    Py_DECREF(dict);
+    return has < 0 ? -1 : kind;
+#else
+    return DRAW_CALLS;
+#endif
+}
 
 /* rng.random() < 0.5 as Python compares it: 1, 0, or -1 with an exception set */
 static int
@@ -1407,25 +1641,27 @@ to_double(PyObject *obj, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* _pycore.gamma(span, u) into *out; u is read only where span >= 1, and an
- * exp that overflows raises OverflowError, as math.exp does.  -1 with an
- * exception set. */
+/* One axis of a stepplace._pycore.move_macro proposal from the center c
+ * within [lo, hi], into *out: a jump of _pycore.gamma(span, u) down, over
+ * the span c - lo + 1, or up, over hi - c, clamped.  u is the draw u_obj
+ * read as a double where u_obj is not NULL, and is read only where the span
+ * is not below 1, as gamma reads it; an exp that overflows raises
+ * OverflowError, as math.exp does.  -1 with an exception set. */
 static int
-gamma_jump(double span, PyObject *u_obj, double *out)
+propose_axis(int down, double c, double lo, double hi, PyObject *u_obj, double u, double *out)
 {
-    if (span < 1.0) {
-        *out = 0.0;
-        return 0;
+    double span = down ? c - lo + 1.0 : hi - c, jump = 0.0;
+    if (!(span < 1.0)) {
+        if (u_obj != NULL && to_double(u_obj, &u) < 0)
+            return -1;
+        double e = log(span) * u;
+        jump = exp(e);
+        if (isinf(jump) && isfinite(e)) {
+            PyErr_SetString(PyExc_OverflowError, "math range error");
+            return -1;
+        }
     }
-    double u;
-    if (to_double(u_obj, &u) < 0)
-        return -1;
-    double e = log(span) * u;
-    *out = exp(e);
-    if (isinf(*out) && isfinite(e)) {
-        PyErr_SetString(PyExc_OverflowError, "math range error");
-        return -1;
-    }
+    *out = py_min(py_max(down ? c - jump : c + jump, lo), hi);
     return 0;
 }
 
@@ -1460,12 +1696,9 @@ propose(PyObject *random, const double *c, const double *b, double *xy)
         if ((draw[k] = PyObject_CallNoArgs(random)) == NULL
             || (k < 2 && (down[k] = coin(draw[k])) < 0))
             goto done;
-    for (int a = 0; a < 2; a++) {
-        double lo = b[2 * a], hi = b[2 * a + 1], jump;
-        if (gamma_jump(down[a] ? c[a] - lo + 1.0 : hi - c[a], draw[2 + a], &jump) < 0)
+    for (int a = 0; a < 2; a++)
+        if (propose_axis(down[a], c[a], b[2 * a], b[2 * a + 1], draw[2 + a], 0.0, xy + a) < 0)
             goto done;
-        xy[a] = py_min(py_max(down[a] ? c[a] - jump : c[a] + jump, lo), hi);
-    }
     rc = 0;
 done:
     for (int k = 0; k < 4; k++)
@@ -1474,10 +1707,11 @@ done:
 }
 
 /* Macro i's center, then count proposals around it within its bounds, each
- * drawn by propose from rng, into xy, x and y each; 0, or -1 with an
- * exception set. */
+ * drawn as propose draws it from rng, by the DRAW_ kind's draws, into xy,
+ * x and y each; 0, or -1 with an exception set. */
 static int
-draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, Py_ssize_t count, double *xy)
+draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, int kind, Py_ssize_t count,
+                double *xy)
 {
     /* the center as it stands before the draws, which may call Python */
     const double c[2] = {s->center[2 * i], s->center[2 * i + 1]}, *b = s->bound + 4 * i;
@@ -1485,6 +1719,21 @@ draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, Py_ssize_t count
     xy[1] = c[1];
     if (count == 0)
         return 0;
+#ifdef DRAWS_IN_PLACE
+    if (kind == DRAW_IN_PLACE) {
+        /* the same four draws per proposal; no error before its last */
+        for (Py_ssize_t k = 1; k <= count; k++) {
+            double u[4];
+            for (int t = 0; t < 4; t++)
+                u[t] = mt_double((MTObject *)rng);
+            for (int a = 0; a < 2; a++)
+                if (propose_axis(u[a] < 0.5, c[a], b[2 * a], b[2 * a + 1], NULL, u[2 + a],
+                                 xy + 2 * k + a) < 0)
+                    return -1;
+        }
+        return 0;
+    }
+#endif
     PyObject *random = PyObject_GetAttr(rng, str_random);
     int rc = random ? 0 : -1;
     for (Py_ssize_t k = 1; rc == 0 && k <= count; k++)
@@ -1526,7 +1775,9 @@ PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t na
     double *xy = i < 0 ? NULL : candidate_room(args[2], stack, &count);
     if (xy == NULL)
         return NULL;
-    PyObject *out = draw_candidates(s, i, args[1], count, xy) < 0 ? NULL : PyList_New(1 + count);
+    int kind = draw_kind(args[1]);
+    PyObject *out = kind < 0 || draw_candidates(s, i, args[1], kind, count, xy) < 0
+        ? NULL : PyList_New(1 + count);
     for (Py_ssize_t k = 0; out != NULL && k <= count; k++) {
         PyObject *p = float_pair(xy[2 * k], xy[2 * k + 1]);
         if (p == NULL)
@@ -1555,7 +1806,7 @@ min_index(const double *v, Py_ssize_t n)
 }
 
 /* Whether a round of macro i over its n candidates xy may settle a candidate
- * by a lower bound of its score (see PlacementStore_round): factor and the
+ * by a lower bound of its score (see store_round): factor and the
  * keep-out weight are not negative, beta is NULL or positive and finite,
  * every candidate lies within SETTLE_LIMIT of the origin on each axis, and
  * the most the terms a bound leaves out can add is at most SETTLE_LIMIT.
@@ -1594,52 +1845,27 @@ may_settle(const PlacementStore *s, Py_ssize_t i, const double *xy, Py_ssize_t n
     return X <= SETTLE_LIMIT && Y <= SETTLE_LIMIT && spare <= SETTLE_LIMIT;
 }
 
-/* 1 where rng.randrange(n) is Random.randrange's own draw, made here as
- * Python 3.10-3.13 makes it: rng's type is random.Random, not a subclass,
- * which may draw through another generator; its instance holds neither of
- * the methods that draw goes through before getrandbits (randrange,
- * _randbelow), where getrandbits, like random, is called through rng either
- * way; and the interpreter is no later one.  The class's own methods are
- * taken to be the random module's.  0 otherwise, -1 with an exception set. */
-static int
-draws_by_getrandbits(PyObject *rng)
-{
-#if PY_VERSION_HEX < 0x030E0000
-    static PyObject *random_type; /* random.Random, looked up once */
-    if (random_type == NULL) {
-        PyObject *mod = PyImport_ImportModule("random");
-        random_type = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
-        Py_XDECREF(mod);
-        if (random_type == NULL)
-            return -1;
-    }
-    if ((PyObject *)Py_TYPE(rng) != random_type)
-        return 0;
-    PyObject *dict = PyObject_GenericGetDict(rng, NULL);
-    if (dict == NULL)
-        return -1;
-    int has = PyDict_Contains(dict, str_randrange);
-    if (has == 0)
-        has = PyDict_Contains(dict, str_randbelow);
-    Py_DECREF(dict);
-    return has < 0 ? -1 : !has;
-#else
-    return 0;
-#endif
-}
-
-/* rng.randrange(n), n >= 1: where draws_by_getrandbits, getrandbits(k), k
- * the bit length of n, called through rng until it is below n; else
+/* rng.randrange(n), n >= 1, by the DRAW_ kind's draws: for DRAW_BITS, and
+ * DRAW_IN_PLACE with k above 32, getrandbits(k), k the bit length of n,
+ * called through rng until it is below n; for DRAW_IN_PLACE, one word
+ * >> (32 - k) per draw instead, as getrandbits(k) makes it; for DRAW_CALLS
  * rng.randrange(n) itself.  -1 with an exception set, a draw outside
  * 0 .. n - 1 refused as proposals refuses that index. */
 static Py_ssize_t
-draw_index(PyObject *rng, Py_ssize_t n)
+draw_index(PyObject *rng, Py_ssize_t n, int kind)
 {
-    int own = draws_by_getrandbits(rng), bits = 0;
-    if (own < 0)
-        return -1;
+    int bits = 0, own = kind != DRAW_CALLS;
     for (Py_ssize_t v = n; v; v >>= 1)
         bits++;
+#ifdef DRAWS_IN_PLACE
+    if (kind == DRAW_IN_PLACE && bits <= 32) {
+        Py_ssize_t r;
+        do
+            r = (Py_ssize_t)(mt_word((MTObject *)rng) >> (32 - bits));
+        while (r >= n);
+        return r;
+    }
+#endif
     PyObject *arg = own ? PyLong_FromLong(bits) : PyLong_FromSsize_t(n);
     if (arg == NULL)
         return -1;
@@ -1656,14 +1882,17 @@ draw_index(PyObject *rng, Py_ssize_t n)
     return r < 0 || r >= n ? -1 : r;
 }
 
-/* stepplace._pycore.PlacementStore.round: one round of the placer.  Draws
- * macro i as draw_index does and its candidates as proposals does, as C
- * doubles, scores each in order into a double and picks the winner over
- * them as first_min does.  Where score is score_method, each score is
+/* stepplace._pycore.PlacementStore.round, the body of round and of step:
+ * one round of the placer.  A non-finite w or a store without macros
+ * raises ValueError before any draw.  Takes the round's DRAW_ kind once,
+ * draws macro i as draw_index does and its candidates as proposals does,
+ * as C doubles, scores each in order into a double and picks the winner
+ * over them as first_min does.  Where score is score_method, each score is
  * score_at's; else score(store, i, x, y, beta, factor) is called and what
  * it returns read as float() reads it.  Unless a score is not finite (-1,
  * nothing moved), commits i there as move does and calls the field's
- * inflate(rho) once.  Returns the winner's index.
+ * inflate(rho) once.  Returns the winner's index, or -2 with an exception
+ * set.
  *
  * Scoring by score_at is branch and bound: the first candidate is scored
  * in full, and, where may_settle, each later one may be settled by a bound
@@ -1682,36 +1911,30 @@ draw_index(PyObject *rng, Py_ssize_t n)
  * the candidates lie within L of the origin, so the pins of a net whose
  * bound is at most about 2L lie within about 3L, and lse_axis's pos and
  * neg stay within about 4L. */
-static PyObject *
-PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+static Py_ssize_t
+store_round(PlacementStore *s, PyObject *score, PyObject *rng, PyObject *count_obj,
+            PyObject *beta_obj, PyObject *factor_obj, double w, PyObject *rho)
 {
-    if (nargs != 7) {
-        PyErr_Format(PyExc_TypeError, "round expected 7 arguments, got %zd", nargs);
-        return NULL;
-    }
-    PyObject *score = args[0];
-    double w = PyFloat_AsDouble(args[5]);
-    if (w == -1.0 && PyErr_Occurred())
-        return NULL;
     if (!isfinite(w) || s->count == 0) {
         PyErr_SetString(PyExc_ValueError, isfinite(w) ? "the store has no macros to move"
                                                       : "increase value must be finite");
-        return NULL;
+        return -2;
     }
-    Py_ssize_t i = draw_index(args[1], s->count), count = 0, best = -2, n;
+    int kind = draw_kind(rng);
+    Py_ssize_t i = kind < 0 ? -1 : draw_index(rng, s->count, kind), count = 0, best = -2, n;
     double stack[3 * STACK_CANDIDATES];
-    double *xy = i < 0 ? NULL : candidate_room(args[2], stack, &count);
+    double *xy = i < 0 ? NULL : candidate_room(count_obj, stack, &count);
     PyObject *index = NULL, *done = NULL;
-    if (xy == NULL || draw_candidates(s, i, args[1], count, xy) < 0)
+    if (xy == NULL || draw_candidates(s, i, rng, kind, count, xy) < 0)
         goto out;
     n = 1 + count;
     double *v = xy + 2 * n;
     if (score == score_method) {
         /* beta and factor converted once, as score converts them */
         double low = INFINITY;
-        double beta = args[3] == Py_None ? 0.0 : PyFloat_AsDouble(args[3]);
-        double factor = PyFloat_AsDouble(args[4]);
-        const double *beta_at = args[3] == Py_None ? NULL : &beta;
+        double beta = beta_obj == Py_None ? 0.0 : PyFloat_AsDouble(beta_obj);
+        double factor = PyFloat_AsDouble(factor_obj);
+        const double *beta_at = beta_obj == Py_None ? NULL : &beta;
         if (PyErr_Occurred())
             goto out;
         int settle = may_settle(s, i, xy, n, beta_at, factor);
@@ -1728,7 +1951,7 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
             goto out;
         for (Py_ssize_t k = 0; k < n; k++) {
             PyObject *argv[6] = {(PyObject *)s, index, PyFloat_FromDouble(xy[2 * k]),
-                                 PyFloat_FromDouble(xy[2 * k + 1]), args[3], args[4]};
+                                 PyFloat_FromDouble(xy[2 * k + 1]), beta_obj, factor_obj};
             PyObject *got = argv[2] && argv[3] ? PyObject_Vectorcall(score, argv, 6, NULL)
                                                : NULL;
             PyObject *f = got ? PyNumber_Float(got) : NULL;
@@ -1744,7 +1967,7 @@ PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     best = min_index(v, n);
     if (best >= 0) {
         if (store_commit(s, i, xy[2 * best], xy[2 * best + 1], w) == 0)
-            done = PyObject_CallMethodOneArg(s->field, str_inflate, args[6]);
+            done = PyObject_CallMethodOneArg(s->field, str_inflate, rho);
         if (done == NULL)
             best = -2;
     }
@@ -1753,7 +1976,153 @@ out:
     Py_XDECREF(index);
     if (xy != stack)
         PyMem_Free(xy);
+    return best;
+}
+
+static PyObject *
+PlacementStore_round(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "round expected 7 arguments, got %zd", nargs);
+        return NULL;
+    }
+    double w;
+    if (to_double(args[5], &w) < 0)
+        return NULL;
+    Py_ssize_t best = store_round(s, args[0], args[1], args[2], args[3], args[4], w, args[6]);
     return best < -1 ? NULL : PyLong_FromSsize_t(best);
+}
+
+/* base * growth**step as _pycore.grown computes it in floats: inf where
+ * the power overflows, as float ** raises OverflowError there. */
+static double
+grown(double base, double power)
+{
+    return isinf(power) ? INFINITY : base * power;
+}
+
+/* The fields of _pycore.Schedule, in its order. */
+enum { S_MAX_ROUNDS, S_SWITCH, S_COUNT, S_PENALTY, S_DELTA0, S_DELTA_GROWTH, S_W0,
+       S_W_GROWTH, S_RHO, S_FIELDS };
+
+/* A row of the tuple type row_type holding the n items, stolen, as
+ * tuple.__new__(row_type, items) builds it; NULL with an exception set,
+ * every item released, where an item is NULL or the row cannot be made. */
+static PyObject *
+new_row(PyTypeObject *row_type, PyObject **items, Py_ssize_t n)
+{
+    PyObject *row = NULL;
+    Py_ssize_t k = 0;
+    while (k < n && items[k] != NULL)
+        k++;
+#if PY_VERSION_HEX < 0x030E0000
+    /* as tuple_subtype_new fills one */
+    if (k == n && (row = row_type->tp_alloc(row_type, n)) != NULL)
+        for (k = 0; k < n; k++)
+            PyTuple_SET_ITEM(row, k, items[k]);
+#else
+    PyObject *plain = k == n ? PyTuple_New(n) : NULL;
+    if (plain != NULL) {
+        for (k = 0; k < n; k++)
+            PyTuple_SET_ITEM(plain, k, items[k]);
+        PyObject *args = PyTuple_Pack(1, plain);
+        row = args ? PyTuple_Type.tp_new(row_type, args, NULL) : NULL;
+        Py_XDECREF(args);
+        Py_DECREF(plain);
+    }
+#endif
+    if (row == NULL)
+        for (k = 0; k < n; k++)
+            Py_XDECREF(items[k]);
+    return row;
+}
+
+/* stepplace._pycore.PlacementStore.step: the state's next round on this
+ * store, with the schedules of the round computed here.  Reads
+ * state.round and state.rng, and the schedule, a _pycore.Schedule; refuses
+ * a round past its max_rounds, a negative state.round, then a store without
+ * macros, each with ValueError before any draw; computes delta and w as grown does, with
+ * libm pow as float ** calls it, and beta as max_rounds / (max_rounds -
+ * rnd + 1), in doubles where both ints are exact doubles, else as Python
+ * divides the ints; runs store_round with beta None from the switch round
+ * on and the factor penalty_c * delta; raises ValueError naming the round
+ * where a score is not finite, with nothing moved; sets state.round and
+ * state.last_choice, and returns row_type's row (rnd, netlength, overlap,
+ * delta, beta, w). */
+static PyObject *
+PlacementStore_step(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "step expected 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *state = args[1], *schedule = args[2];
+    PyTypeObject *row_type = (PyTypeObject *)args[3];
+    if (!PyTuple_Check(schedule) || PyTuple_GET_SIZE(schedule) != S_FIELDS
+        || !PyType_Check(row_type) || !PyType_IsSubtype(row_type, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "step expected a Schedule and a tuple type as its last arguments");
+        return NULL;
+    }
+    PyObject *const *sv = &PyTuple_GET_ITEM(schedule, 0);
+    double f[S_FIELDS];
+    for (int k = S_PENALTY; k <= S_W_GROWTH; k++)
+        if (to_double(sv[k], f + k) < 0)
+            return NULL;
+    /* max_rounds, at most PY_SSIZE_T_MAX where the config made it, so that
+     * every round number is a long long */
+    int over;
+    PyObject *round_obj = PyObject_GetAttr(state, str_round);
+    long long prev = round_obj ? PyLong_AsLongLongAndOverflow(round_obj, &over) : -1;
+    long long max_rounds = PyLong_AsLongLong(sv[S_MAX_ROUNDS]);
+    Py_XDECREF(round_obj);
+    if (PyErr_Occurred())
+        return NULL;
+    const char *refused = over > 0 || (over == 0 && prev >= max_rounds)
+        ? "all configured rounds already executed"
+        : over < 0 || prev < 0 ? "the state's round must not be negative"
+        : s->count == 0 ? "the state has no macros to move" : NULL;
+    if (refused != NULL) {
+        PyErr_SetString(PyExc_ValueError, refused);
+        return NULL;
+    }
+    long long switch_round = PyLong_AsLongLongAndOverflow(sv[S_SWITCH], &over);
+    long long rnd = prev + 1;
+    int smooth = over > 0 || rnd < switch_round;
+    double power = pow(f[S_DELTA_GROWTH], (double)prev);
+    double delta = grown(f[S_DELTA0], power);
+    double w = grown(f[S_W0], f[S_W_GROWTH] == f[S_DELTA_GROWTH] ? power
+                              : pow(f[S_W_GROWTH], (double)prev));
+    PyObject *beta;
+    if (max_rounds <= (1LL << 53)) {
+        beta = PyFloat_FromDouble((double)max_rounds / (double)(max_rounds - prev));
+    }
+    else {
+        /* past 2^53 a double division may round twice: Python's exact one */
+        PyObject *den = PyLong_FromLongLong(max_rounds - prev);
+        beta = den ? PyNumber_TrueDivide(sv[S_MAX_ROUNDS], den) : NULL;
+        Py_XDECREF(den);
+    }
+    PyObject *factor = PyFloat_FromDouble(f[S_PENALTY] * delta);
+    PyObject *rng = beta && factor ? PyObject_GetAttr(state, str_rng) : NULL;
+    Py_ssize_t best = rng ? store_round(s, args[0], rng, sv[S_COUNT], smooth ? beta : Py_None,
+                                        factor, w, sv[S_RHO]) : -2;
+    Py_XDECREF(rng);
+    Py_XDECREF(factor);
+    if (best == -1)
+        PyErr_Format(PyExc_ValueError, "round %lld: a candidate score is not finite; "
+                     "lower w0, w_growth, penalty_c or delta0", rnd);
+    PyObject *row[6] = {NULL, NULL, NULL, NULL, beta, NULL}, *choice = NULL;
+    if (best >= 0 && (row[0] = PyLong_FromLongLong(rnd)) != NULL
+        && PyObject_SetAttr(state, str_round, row[0]) == 0
+        && (choice = PyLong_FromSsize_t(best)) != NULL
+        && PyObject_SetAttr(state, str_last_choice, choice) == 0
+        && store_totals(s, row + 1, row + 2) == 0) {
+        row[3] = PyFloat_FromDouble(delta);
+        row[5] = PyFloat_FromDouble(w);
+    }
+    Py_XDECREF(choice);
+    return new_row(row_type, row, 6);
 }
 
 static PyObject *
@@ -1820,6 +2189,15 @@ static PyMethodDef PlacementStore_methods[] = {
      "nets) reaches the least score before it is settled by that bound,\n"
      "where its score is provably finite: the winner, and so every bit, is\n"
      "that of the full scores."},
+    {"step", (PyCFunction)(void (*)(void))PlacementStore_step, METH_FASTCALL,
+     "step(score, state, schedule, row_type) -> row\n\n"
+     "The placer state's next round: from state.round and the schedule (a\n"
+     "stepplace._pycore.Schedule) its delta, beta and w, then round(score,\n"
+     "state.rng, ...) with them; sets state.round and state.last_choice and\n"
+     "returns row_type's row (round, netlength, overlap, delta, beta, w).\n"
+     "Rounds exhausted, a negative state.round, a store without macros and a\n"
+     "score that is not finite raise ValueError before anything moves; see\n"
+     "stepplace._pycore.PlacementStore.step."},
     {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
      "proposals(i, rng, count) -> [(x, y), ...]\n\n"
      "A round's candidates for macro i: its center, then count proposals\n"
@@ -2487,7 +2865,26 @@ static PyTypeObject FreeSpaceType = {
     .tp_methods = FreeSpace_methods,
 };
 
+/* _draws_in_place(): whether a round may draw from a random.Random's own
+ * words, the layout guard run first where it has not run. */
+static PyObject *
+draws_in_place(PyObject *module, PyObject *unused)
+{
+#ifdef DRAWS_IN_PLACE
+    return PyBool_FromLong(mt_ready());
+#else
+    Py_RETURN_FALSE;
+#endif
+}
+
 static PyMethodDef fieldcore_functions[] = {
+    {"_draws_in_place", draws_in_place, METH_NOARGS,
+     "_draws_in_place() -> bool\n\n"
+     "Whether a round draws the macro and its candidates of a plain\n"
+     "random.Random from the generator's own Mersenne Twister words, in\n"
+     "place: on CPython 3.10-3.13 with the GIL, once a guard (run here where\n"
+     "it has not run yet) found _random.Random laid out and drawing as this\n"
+     "core reads it.  Where False, every round draws by method calls."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
@@ -2514,13 +2911,19 @@ PyInit__fieldcore(void)
             || (str_getrandbits = PyUnicode_InternFromString("getrandbits")) == NULL
             || (str_randrange = PyUnicode_InternFromString("randrange")) == NULL
             || (str_randbelow = PyUnicode_InternFromString("_randbelow")) == NULL
-            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL)) {
+            || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL
+            || (str_round = PyUnicode_InternFromString("round")) == NULL
+            || (str_rng = PyUnicode_InternFromString("rng")) == NULL
+            || (str_last_choice = PyUnicode_InternFromString("last_choice")) == NULL)) {
         Py_CLEAR(str_random);
         Py_CLEAR(one_half);
         Py_CLEAR(str_getrandbits);
         Py_CLEAR(str_randrange);
         Py_CLEAR(str_randbelow);
         Py_CLEAR(str_inflate);
+        Py_CLEAR(str_round);
+        Py_CLEAR(str_rng);
+        Py_CLEAR(str_last_choice);
         return NULL;
     }
     PyObject *mod = PyModule_Create(&fieldcoremodule);

@@ -1,14 +1,16 @@
 """The Python core: the exports of the C core ``_fieldcore``, in plain Python.
 
 :class:`FieldCore` (the field's coefficients), :class:`PlacementStore` (the
-placer's placement with its draw, score, commit and round; its unbound
-``score`` is the placer's scoring hook), :class:`FreeSpace` (the
-legalizer's placed footprints and lattice search) and :func:`repr_line`
-(the file writers' lines) answer as the C core's do, bit for bit.
-``stepfield.core`` is this module where the C core did not load.
-``stepfield`` and ``placer`` import the helpers these share (the basis
-arithmetic, :func:`snap_to_grid`, :func:`move_macro`, :func:`first_min`,
-:func:`penalty`) under the same names.  This module imports only
+placer's placement with its draw, score, commit and round, and ``step``,
+the placer's whole round; its unbound ``score`` is the placer's scoring
+hook), :class:`FreeSpace` (the legalizer's placed footprints and lattice
+search) and :func:`repr_line` (the file writers' lines) answer as the C
+core's do, bit for bit.  ``stepfield.core`` is this module where the C core
+did not load.  ``stepfield`` and ``placer`` import the helpers these share
+(the basis arithmetic, :func:`snap_to_grid`, :func:`move_macro`,
+:func:`first_min`, :func:`penalty`, and the round's :class:`Schedule`,
+:func:`grown` and :func:`schedules`) under the same names.  This module
+imports only
 :mod:`stepplace.netmodel`, so no import cycle forms.
 """
 
@@ -294,6 +296,48 @@ def first_min(scores: Sequence[float]) -> int:
     return scores.index(min(scores))
 
 
+class Schedule(NamedTuple):
+    """A config's scalars that a round reads, in floats where a schedule
+    computes with them: the rounds, the first round scored by the exact
+    bounding box, the proposals per round, the penalty constant, the bases
+    and growths of delta and w, and the inflation factor.  A store's
+    ``step`` reads them by position."""
+
+    max_rounds: int
+    switch_round: int
+    candidates: int
+    penalty_c: float
+    delta0: float
+    delta_growth: float
+    w0: float
+    w_growth: float
+    rho: float
+
+
+def grown(base: float, growth: float, step: int) -> float:
+    """``base * growth**step`` in floats, ``inf`` where the power overflows
+    (float ``**`` raises there, where libm ``pow`` gives ``inf``)."""
+    try:
+        return base * growth**step
+    except OverflowError:
+        return math.inf
+
+
+def schedules(rnd: int, schedule: Schedule) -> tuple[float, float, float]:
+    """The ``delta``, ``beta`` and ``w`` of the 1-based round ``rnd``, which
+    the caller keeps in ``0 .. max_rounds``: the penalty multiplier and
+    field increment of step ``rnd - 1`` (:func:`grown`) and the net-model
+    sharpness ``max_rounds / (max_rounds - rnd + 1)``, an int division.
+    Round 0, the statistics row of the initial state, takes step 0 and
+    beta 1."""
+    if rnd:
+        step, beta = rnd - 1, schedule.max_rounds / (schedule.max_rounds - rnd + 1)
+    else:
+        step, beta = 0, 1.0
+    return (grown(schedule.delta0, schedule.delta_growth, step), beta,
+            grown(schedule.w0, schedule.w_growth, step))
+
+
 def penalty(factor: float, box: Box, grid: BucketGrid, key) -> float:
     """Overlap penalty of the footprint ``box`` against every footprint of
     ``grid`` but the one stored under ``key``: ``factor`` (the round's
@@ -478,7 +522,11 @@ class PlacementStore:
         ``rng`` that is a :class:`random.Random` itself, overriding neither
         ``randrange`` nor ``_randbelow`` on the instance, it draws the macro
         as ``randrange`` does on Python 3.10–3.13, through ``getrandbits``,
-        and any other ``rng`` it asks for ``randrange``; with its own
+        and any other ``rng`` it asks for ``randrange``; where that
+        instance overrides neither ``random`` nor ``getrandbits`` either and
+        its class holds ``_random.Random``'s own, it takes the macro's and
+        the candidates' draws from the generator's own words, in place,
+        with no call (see ``_fieldcore._draws_in_place``); with its own
         unbound ``score`` as ``score`` it scores with no call, and settles
         a later candidate by a lower bound of its score that reaches the
         least score before it, where that score is provably finite.  This
@@ -494,6 +542,43 @@ class PlacementStore:
             self.move(i, *candidates[best], w)
             self.field.inflate(rho)
         return best
+
+    def step(self, score: Callable[..., float], state, schedule: Schedule,
+             row: type[tuple]) -> tuple:
+        """The placer state's next round ``rnd = state.round + 1`` on this
+        store: its :func:`schedules` from ``schedule``, then :meth:`round`
+        with ``score``, ``state.rng``, the schedule's candidates, ``beta``
+        (None from ``switch_round`` on), the factor ``penalty_c * delta``,
+        ``w`` and ``rho``.  Sets ``state.round`` and ``state.last_choice``
+        (the winner's index) and returns ``row``'s row ``(rnd, *totals(),
+        delta, beta, w)``.  Rounds exhausted, a negative ``state.round``, a
+        store without macros, then a score that is not finite (naming the
+        round) raise ``ValueError`` before anything moves, and all but a
+        score before any draw.  The C store's ``step`` leaves the same bits,
+        with the schedules computed in C and the round's body run with no
+        call."""
+        rnd = state.round + 1
+        if rnd > schedule.max_rounds:
+            raise ValueError("all configured rounds already executed")
+        if rnd < 1:
+            raise ValueError("the state's round must not be negative")
+        if not self.centers:
+            raise ValueError("the state has no macros to move")
+        delta, beta, w = schedules(rnd, schedule)
+        best = self.round(
+            score, state.rng, schedule.candidates,
+            None if rnd >= schedule.switch_round else beta, schedule.penalty_c * delta, w,
+            schedule.rho,
+        )
+        if best < 0:
+            raise ValueError(
+                f"round {rnd}: a candidate score is not finite; "
+                "lower w0, w_growth, penalty_c or delta0"
+            )
+        state.round = rnd
+        state.last_choice = best
+        # built as a tuple is, without the named tuple's Python __new__
+        return tuple.__new__(row, (rnd, *self.totals(), delta, beta, w))
 
     def totals(self) -> tuple[float | int, float | int]:
         """The sum of the net boxes in net order and of the live pairs'

@@ -26,15 +26,18 @@ footprint, the nets with their bounding-box lengths and the live overlap
 pairs with their areas.  It is ``stepfield.core``'s ``PlacementStore``: the
 C core's, or its Python reference in :mod:`stepplace._pycore`, which
 answers with the same bits.  The state's field is the store's, and its
-``placement`` a snapshot of the store's centers.  A whole round is one
-``round`` call on the store: it draws the macro and its candidates (each
-proposal as :func:`move_macro` draws one), scores each by
-:data:`candidate_score`, the store's own unbound ``score``, commits the
-first smallest with ``move`` (the move and the field's growth under the
-macro's meets), and inflates the field.  On the C core the round holds its
-candidates and their scores as C doubles, and with its own ``score`` as
-the hook it scores each candidate with no call, so all but the rng's draws
-and the field's ``inflate`` runs in C; there it settles a later candidate
+``placement`` a snapshot of the store's centers.  A whole round,
+:func:`round_step`, is one ``step`` call on the store: it computes the
+round's schedules, then runs the store's ``round``, which draws the macro
+and its candidates (each proposal as :func:`move_macro` draws one), scores
+each by :data:`candidate_score`, the store's own unbound ``score``, commits
+the first smallest with ``move`` (the move and the field's growth under the
+macro's meets), and inflates the field; ``step`` then sets the state's
+round and winner and builds the statistics row.  On the C core the round
+holds its candidates and their scores as C doubles, draws them from a plain
+:class:`random.Random`'s own Mersenne Twister words in place, and with its
+own ``score`` as the hook it scores each candidate with no call, so all but
+the field's ``inflate`` runs in C; there it settles a later candidate
 by a lower bound of its score (field sum, net-length bounds, keep-out
 terms, then the overlap penalty) that already reaches the least score
 before it, where its score is provably finite, so the bits stay those of
@@ -45,10 +48,11 @@ its totals from the store.  Footprints sit in a spatial index, so the
 penalty and the overlap update test a footprint only against the macros
 near it.
 
-A round evaluates its schedules (delta, beta and w) once, taking the power
-of a growth both share once, for its candidates' net-model sharpness and
-penalty factor, its field growth and its statistics row, which it builds
-with ``tuple.__new__`` (no named-tuple ``__new__``).  The legalizer keeps
+A round evaluates its schedules (delta, beta and w) once, in floats from
+the config's ``_schedule`` (:func:`~stepplace._pycore.schedules`), for its
+candidates' net-model sharpness and penalty factor, its field growth and
+its statistics row, which it builds as ``tuple.__new__`` does (no
+named-tuple ``__new__``).  The legalizer keeps
 its order here and searches in ``stepfield.core``'s ``FreeSpace``.
 Runs are deterministic for a given seed.
 """
@@ -65,6 +69,7 @@ from typing import NamedTuple
 from stepplace import stepfield
 # first_min and gamma: public names of this module too
 from stepplace._pycore import MacroBounds, first_min, gamma, snap_to_grid  # noqa: F401
+from stepplace._pycore import Schedule, grown, schedules
 # imported only for the benchmark's tracer, which patches these names here
 from stepplace._pycore import move_macro, penalty  # noqa: F401
 from stepplace.netmodel import (
@@ -107,7 +112,12 @@ class PlacerConfig:
     """Every tunable of the placement loop.
 
     ``delta_growth``/``w_growth`` default to the per-round factor that
-    multiplies the respective schedule by 1000 over the whole run.  The
+    multiplies the respective schedule by 1000 over the whole run.  Each
+    schedule computes in floats: ``delta_at(step)`` is ``float(delta0) *
+    float(delta_growth)**step``, and ``w_at`` likewise, so an int growth
+    powers as its float does.  The attribute ``_schedule``, set at
+    construction, holds the scalars a round reads
+    (:class:`~stepplace._pycore.Schedule`).  The
     attribute ``switch_round``, set at construction, is
     ``model_switch_round``, by default 80% of ``max_rounds``; rounds at or
     after it score with the exact bounding-box model instead of the smoothed
@@ -168,17 +178,8 @@ class PlacerConfig:
             raise ValueError("blockage_weight must be >= 0")
         if self.model_switch_round is not None and self.model_switch_round < 1:
             raise ValueError("model_switch_round must be >= 1")
-        # the default growth, the growth both schedules share (None where
-        # they differ) and the switch round, once: the schedules are read
-        # every round (attributes, not fields: fields() and eq are unchanged)
-        growth = 1000.0 if self.max_rounds <= 1 else 1000.0 ** (1.0 / self.max_rounds)
-        dg = growth if self.delta_growth is None else self.delta_growth
-        wg = growth if self.w_growth is None else self.w_growth
-        object.__setattr__(self, "_growth", growth)
-        # equal values of one type give one power (3**34 and 3.0**34 differ)
-        object.__setattr__(
-            self, "_shared_growth", dg if type(dg) is type(wg) and dg == wg else None
-        )
+        # the switch round and the round's scalars in floats, once: a round
+        # reads them (attributes, not fields: fields() and eq are unchanged)
         object.__setattr__(
             self,
             "switch_round",
@@ -186,29 +187,31 @@ class PlacerConfig:
             if self.model_switch_round is not None
             else max(1, int(round(0.8 * self.max_rounds))),
         )
+        growth = 1000.0 if self.max_rounds <= 1 else 1000.0 ** (1.0 / self.max_rounds)
+        object.__setattr__(self, "_schedule", Schedule(
+            self.max_rounds, self.switch_round, self.candidates_per_round,
+            float(self.penalty_c), float(self.delta0),
+            float(growth if self.delta_growth is None else self.delta_growth),
+            float(self.w0), float(growth if self.w_growth is None else self.w_growth),
+            float(self.inflation_rho),
+        ))
         last = max(self.max_rounds - 1, 0)
-        if not math.isfinite(self.penalty_c * self.delta_at(last)):
+        if not math.isfinite(self._schedule.penalty_c * self.delta_at(last)):
             raise ValueError(
                 "penalty_c * delta0 * delta_growth**(max_rounds - 1) must be finite"
             )
         if not math.isfinite(self.w_at(last)):
             raise ValueError("w0 * w_growth**(max_rounds - 1) must be finite")
 
-    def _grown(self, base: float, growth: float | None, step: int) -> float:
-        """``base * growth**step``, infinite where that overflows."""
-        try:
-            g = growth if growth is not None else self._growth
-            return base * g**step
-        except OverflowError:
-            return math.inf
-
     def delta_at(self, step: int) -> float:
-        """Penalty multiplier for a 0-based step."""
-        return self._grown(self.delta0, self.delta_growth, step)
+        """Penalty multiplier for a 0-based step: ``float(delta0) *
+        float(delta_growth)**step``, ``inf`` where the power overflows."""
+        return grown(self._schedule.delta0, self._schedule.delta_growth, step)
 
     def w_at(self, rnd: int) -> float:
-        """Field increment for a 0-based round."""
-        return self._grown(self.w0, self.w_growth, rnd)
+        """Field increment for a 0-based round, as :meth:`delta_at` from
+        ``w0`` and ``w_growth``."""
+        return grown(self._schedule.w0, self._schedule.w_growth, rnd)
 
 
 
@@ -288,29 +291,6 @@ class PlacerState:
 
 
 
-def _schedules(rnd: int, config: PlacerConfig) -> tuple[float, float, float]:
-    """The ``delta``, ``beta`` and ``w`` of the 1-based round ``rnd``, which
-    the caller keeps in ``0 .. max_rounds``: its penalty multiplier and
-    field increment (:meth:`PlacerConfig.delta_at` and
-    :meth:`PlacerConfig.w_at` of step ``rnd - 1``) and its net-model
-    sharpness (:func:`~stepplace.netmodel.beta_schedule`'s value, computed
-    here).  Round 0, the statistics row of the initial state, takes step 0
-    and beta 1.  Where both schedules grow by one growth, as by default, its
-    power is taken once."""
-    if rnd:
-        step, beta = rnd - 1, config.max_rounds / (config.max_rounds - rnd + 1)
-    else:
-        step, beta = 0, 1.0
-    growth = config._shared_growth
-    if growth is not None:
-        try:
-            power = growth**step
-            return config.delta0 * power, beta, config.w0 * power
-        except OverflowError:
-            pass  # overflowed: each schedule alone, as delta_at and w_at give it
-    return config.delta_at(step), beta, config.w_at(step)
-
-
 #: The scoring hook :func:`round_step` hands the store, looked up here per
 #: round: the unbound ``stepfield.core.PlacementStore.score`` as the package
 #: loaded, called as ``score(store, i, x, y, beta, factor)``.  The one alias
@@ -374,7 +354,8 @@ def stats_row(state: PlacerState, config: PlacerConfig) -> RoundStats:
         _check_config(state, config)
     rnd = state.round
     # built as a tuple is, without the named tuple's Python __new__
-    return tuple.__new__(RoundStats, (rnd, *state.store.totals(), *_schedules(rnd, config)))
+    return tuple.__new__(
+        RoundStats, (rnd, *state.store.totals(), *schedules(rnd, config._schedule)))
 
 
 def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
@@ -384,36 +365,19 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     remaining overlap of the moved macro, inflate.  Returns the round's
     statistics row.
 
-    The round is one ``round`` call on the state's store, which scores by
-    :data:`candidate_score` as this module holds it.  The
-    round's schedules give every candidate's net-model sharpness (None from
-    ``switch_round`` on) and penalty factor (``penalty_c * delta``).  The
-    winner's index is left on ``state.last_choice``.  A ``config`` not equal
-    to ``state.config``, a state with no macros, or a score that is not
-    finite (the field or the penalty overflowed), raises ``ValueError``
-    before anything moves, and all but a score before any draw.
+    The round is one ``step`` call on the state's store, which scores by
+    :data:`candidate_score` as this module holds it at the call.  The
+    round's schedules (:func:`~stepplace._pycore.schedules`) give every
+    candidate's net-model sharpness (None from ``switch_round`` on) and
+    penalty factor (``penalty_c * delta``).  The winner's index is left on
+    ``state.last_choice``.  A ``config`` not equal to ``state.config``,
+    rounds exhausted, a state with no macros, or a score that is not finite
+    (the field or the penalty overflowed), raises ``ValueError`` before
+    anything moves, and all but a score before any draw.
     """
     if config is not state.config:
         _check_config(state, config)
-    rnd = state.round + 1
-    if rnd > config.max_rounds:
-        raise ValueError("all configured rounds already executed")
-    if not state.macro_order:
-        raise ValueError("the state has no macros to move")
-    delta, beta, w = _schedules(rnd, config)
-    best = state.store.round(
-        candidate_score, state.rng, config.candidates_per_round,
-        None if rnd >= config.switch_round else beta, config.penalty_c * delta, w,
-        config.inflation_rho,
-    )
-    if best < 0:
-        raise ValueError(
-            f"round {rnd}: a candidate score is not finite; "
-            "lower w0, w_growth, penalty_c or delta0"
-        )
-    state.round = rnd
-    state.last_choice = best
-    return tuple.__new__(RoundStats, (rnd, *state.store.totals(), delta, beta, w))
+    return state.store.step(candidate_score, state, config._schedule, RoundStats)
 
 
 def run_placer(

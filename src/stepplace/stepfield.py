@@ -111,7 +111,10 @@ def _load_c_core(
 
 def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> None:
     """Compile ``source`` to a temp file beside ``target``, then move it into
-    place atomically, so concurrent importers never see a partial build."""
+    place atomically, so concurrent importers never see a partial build.
+    The cache directory is made first, so that a blocked cache fails before
+    the build's modules load."""
+    os.makedirs(os.path.dirname(target), exist_ok=True)
     import shlex
     import subprocess
     import sysconfig
@@ -122,7 +125,6 @@ def _compile_c_core(source: str, target: str, compiler: list[str] | None) -> Non
         if not cfg("LDSHARED"):
             raise ImportError("the interpreter names no LDSHARED linker")
         compiler = shlex.split(cfg("LDSHARED"))
-    os.makedirs(os.path.dirname(target), exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
     os.close(fd)
     try:

@@ -1453,7 +1453,7 @@ class TestCli:
         assert {"_nearest_free", "score", "repr_line"} <= python
         if stepfield.HAVE_C_CORE:
             calls, _ = watched("c")
-            assert {"round", "nearest_free", "repr_line"} <= set(calls)
+            assert {"step", "nearest_free", "repr_line"} <= set(calls)
         capsys.readouterr()
 
     def test_c_core_run_builds_no_bucket_grid(self, tmp_path, on_core, monkeypatch,

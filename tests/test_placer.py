@@ -1,3 +1,4 @@
+import _random
 import contextlib
 import io
 import math
@@ -852,30 +853,31 @@ class TestPenalty:
         {"delta_growth": 1.01, "w_growth": 1.02},
     ])
     def test_round_schedules_are_each_schedule_alone(self, growths):
-        # one power where both schedules share a growth (the default), with
-        # the bits of delta_at and w_at; 3**34 and 3.0**34 round apart
+        # each schedule in floats, the bits of delta_at and w_at: float(base)
+        # * float(growth)**step, so an int growth powers as its float does
+        # (3**34 and 3.0**34 round apart)
         cfg = PlacerConfig(max_rounds=600, delta0=0.3, w0=0.7, **growths)
+        default = 1000.0 ** (1.0 / 600)
+        dg, wg = (float(growths.get(k, default)) for k in ("delta_growth", "w_growth"))
+        assert all(type(v) is float for v in cfg._schedule[3:])
         for rnd in (0, 1, 2, 35, 77, 599, 600):
             step = max(rnd - 1, 0)
-            delta, beta, w = placer._schedules(rnd, cfg)
+            delta, beta, w = _pycore.schedules(rnd, cfg._schedule)
             assert (delta.hex(), w.hex()) == (cfg.delta_at(step).hex(),
                                               cfg.w_at(step).hex())
+            assert (delta.hex(), w.hex()) == ((0.3 * dg**step).hex(),
+                                              (0.7 * wg**step).hex())
             assert beta == (beta_schedule(rnd, 600) if rnd else 1.0)
 
     def test_round_schedules_overflow_as_each_schedule(self):
         # the checks at construction keep valid configs finite; past them,
-        # a power that overflows gives inf, as delta_at and w_at give it
-        cfg = PlacerConfig(max_rounds=10, delta_growth=2, w_growth=2)
-        for growth in (2, 1e300):
-            object.__setattr__(cfg, "_shared_growth", growth)
-            for attr in ("delta_growth", "w_growth"):
-                object.__setattr__(cfg, attr, growth)
-            assert placer._schedules(3, cfg) == (
-                cfg.delta_at(2), beta_schedule(3, 10), cfg.w_at(2))
-            object.__setattr__(cfg, "max_rounds", 2000)
-            delta, _, w = placer._schedules(1100, cfg)
+        # a power that overflows gives inf, where float ** raises
+        schedule = PlacerConfig(max_rounds=10)._schedule
+        for growth, at_3 in ((2.0, 0.04), (1e300, math.inf)):
+            s = schedule._replace(max_rounds=2000, delta_growth=growth, w_growth=growth)
+            assert _pycore.schedules(3, s) == (at_3, beta_schedule(3, 2000), at_3)
+            delta, _, w = _pycore.schedules(1100, s)
             assert delta == w == math.inf
-            object.__setattr__(cfg, "max_rounds", 10)
 
 
 class TestCandidateScore:
@@ -1752,6 +1754,12 @@ OVERRIDES = {
     "getrandbits": lambda rng: lambda k, draw=rng.getrandbits: draw(k) ^ 1,
     "random": lambda rng: lambda draw=rng.random: 1.0 - draw(),
 }
+# per method of _random.Random the draws go through, a replacement on the
+# random.Random class that draws otherwise
+CLASS_OVERRIDES = {
+    "random": lambda self: 1.0 - _random.Random.random(self),
+    "getrandbits": lambda self, k: _random.Random.getrandbits(self, k) ^ 1,
+}
 BACKENDS = ("c", "py") if stepfield.c_core is not None else ("py",)
 
 
@@ -2120,8 +2128,10 @@ class TestStoreRound:
         assert state.rng.getstate() == drawn
 
     def test_round_step_is_one_store_round(self, monkeypatch, on_core, backend):
-        # round_step hands the store candidate_score as this module holds
-        # it at the call, the state's rng and the round's schedules
+        # round_step makes one step call on the state's store: it hands the
+        # store candidate_score as this module holds it at the call, the
+        # state, whose rng the round draws from, the config's schedule and
+        # RoundStats
         on_core(backend)
         nl, area = tiny_instance(5)
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=3)
@@ -2129,27 +2139,280 @@ class TestStoreRound:
         hook = mock.Mock(side_effect=placer.candidate_score)
         monkeypatch.setattr(placer, "candidate_score", hook)
         store = state.store
-        rounds = []
+        steps = []
 
         class Store:
-            """The state's store, recording each round call."""
+            """The state's store, recording each step call."""
 
             def __getattr__(self, name):
                 return getattr(store, name)
 
-            def round(self, *args):
-                rounds.append(args)
-                return store.round(*args)
+            def step(self, *args):
+                steps.append(args)
+                return store.step(*args)
 
         state.store = Store()
+        twin = random.Random()
+        twin.setstate(state.rng.getstate())
         row = round_step(state, cfg)
-        ((score, rng, count, beta, factor, w, rho),) = rounds
-        assert score is hook and rng is state.rng
-        assert (count, beta, factor, w, rho) == (
-            8, row.beta, cfg.penalty_c * row.delta, row.w, cfg.inflation_rho)
-        # the hook gets the store itself, not the state or this wrapper
+        ((score, got, schedule, row_type),) = steps
+        assert score is hook and got is state and row_type is placer.RoundStats
+        growth = 1000.0 ** (1.0 / 10)
+        assert schedule is cfg._schedule and schedule == (
+            10, cfg.switch_round, 8, 10.0, 0.01, growth, 0.01, growth, 0.995)
+        assert type(row) is placer.RoundStats and row.round == state.round == 1
+        # the hook gets the store itself, not the state or this wrapper, and
+        # the macro and the proposals are drawn from the state's rng
         assert hook.call_count == 9
         assert all(call.args[0] is store for call in hook.call_args_list)
+        assert {call.args[1] for call in hook.call_args_list} == {twin.randrange(6)}
+        for _ in range(4 * 8):
+            twin.random()
+        assert state.rng.getstate() == twin.getstate()
+        # the hook is read at each call
+        other = mock.Mock(side_effect=hook)
+        monkeypatch.setattr(placer, "candidate_score", other)
+        round_step(state, cfg)
+        assert steps[1][0] is other and other.call_count == 9 and state.round == 2
+
+
+#: the cores a step runs on: the loaded core's store, then the reference
+STEP_BACKENDS = (BACKENDS[0], "py")
+
+
+def snapshot(state):
+    """``state.round``, ``last_choice``, the rng's state and the bits of
+    what a round may change."""
+    return state.round, state.last_choice, state.rng.getstate(), placed(state)
+
+
+def stepped(state, hook, schedule):
+    """``state.store.step(hook, state, schedule, RoundStats)`` as bits: the
+    row's type and each value with its type, or the ``ValueError``'s
+    message, then the state's :func:`snapshot`."""
+    try:
+        row = state.store.step(hook, state, schedule, placer.RoundStats)
+        got = (type(row), [(type(v), exact(v)) for v in row])
+    except ValueError as exc:
+        got = str(exc)
+    return (got, *snapshot(state))
+
+
+def power_or_inf(base, growth, step):
+    """``base * growth**step`` in floats, inf where the power overflows."""
+    try:
+        return float(base) * float(growth) ** step
+    except OverflowError:
+        return math.inf
+
+
+class TestStoreStep:
+    """The placer state's next round in one call: ``step`` on the loaded
+    core's store against ``_pycore``'s, its reference, and its schedules
+    against ``delta_at``, ``w_at`` and ``beta_schedule``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_step_equals_the_reference(self, data):
+        # rounds before, at and after the switch round and up to the last,
+        # int and float growths, max_rounds up to sys.maxsize, a store
+        # without macros, rounds exhausted, a field or a penalty that
+        # overflows, a schedule whose power overflows, and the store's own
+        # score beside a wrapper of it (the tracer's shape)
+        draw = data.draw
+        n = draw(st.integers(0, 6), label="macros")
+        max_rounds = draw(st.sampled_from([1, 2, 5, 40, 2**53 + 1, sys.maxsize]),
+                          label="max_rounds")
+        small = max_rounds <= 40
+        hot = draw(st.sampled_from([None, "field", "penalty"]), label="hot")
+        growths = [None, 1, 1.0] + ([1.01, 1.5, 3] if small and hot is None else [])
+        dg, wg = (draw(st.sampled_from(growths), label=k) for k in ("dg", "wg"))
+        cfg = PlacerConfig(
+            max_rounds=max_rounds, grid_p=3, grid_q=3, seed=draw(st.integers(0, 99)),
+            candidates_per_round=draw(st.sampled_from([0, 1, 8])),
+            penalty_c=1.7e308 if hot == "penalty" else 10.0,
+            delta0=1.0 if hot == "penalty" else 0.01,
+            w0=1e308 if hot == "field" else 0.01,
+            delta_growth=1.0 if hot else dg, w_growth=1.0 if hot else wg,
+            model_switch_round=draw(st.one_of(st.none(), st.integers(1, 45)),
+                                    label="switch"),
+        )
+        schedule = cfg._schedule
+        if small and draw(st.booleans(), label="overflow"):
+            schedule = schedule._replace(**{draw(st.sampled_from(
+                ["delta_growth", "w_growth"])): 1e300})
+        nl, area = tiny_instance(draw(st.integers(0, 10**6), label="instance"), n_macros=n,
+                                 n_nets=n if n > 1 else 0)
+        states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
+        hooks = [type(s.store).score for s in states]
+        if draw(st.booleans(), label="wrapped"):
+            hooks[0] = (lambda score: lambda *args: score(*args))(hooks[0])
+        sw = cfg.switch_round
+        start = draw(st.sampled_from(sorted(
+            {r for r in (0, sw - 2, sw - 1, sw, max_rounds - 2, max_rounds - 1, max_rounds)
+             if 0 <= r <= max_rounds})), label="start")
+        for s in states:
+            s.round = start
+        for _ in range(draw(st.integers(1, 3), label="rounds")):
+            before = snapshot(states[1])
+            got = [stepped(s, hook, schedule) for s, hook in zip(states, hooks)]
+            assert got[0] == got[1]
+            outcome, rnd, choice, drawn, after = got[0]
+            if isinstance(outcome, str):
+                # refused before anything moved; the rng drew only where a
+                # score came out non-finite
+                assert outcome in (
+                    "all configured rounds already executed",
+                    "the state has no macros to move", "increase value must be finite",
+                    f"round {before[0] + 1}: a candidate score is not finite; "
+                    "lower w0, w_growth, penalty_c or delta0")
+                assert (rnd, choice, after) == (before[0], before[1], before[3])
+                assert (drawn == before[2]) == ("not finite" not in outcome)
+                break
+            assert rnd == before[0] + 1 and 0 <= choice <= cfg.candidates_per_round
+            _, values = outcome
+            step = rnd - 1
+            want = [rnd, power_or_inf(schedule.delta0, schedule.delta_growth, step),
+                    beta_schedule(rnd, max_rounds),
+                    power_or_inf(schedule.w0, schedule.w_growth, step)]
+            assert [values[0][1]] + [v for _, v in values[3:]] == [
+                want[0], *map(float.hex, want[1:])]
+            assert [t for t, _ in values[:1] + values[3:]] == [int, float, float, float]
+            if schedule is cfg._schedule:
+                assert want[1] == cfg.delta_at(step) and want[3] == cfg.w_at(step)
+
+    @pytest.mark.parametrize("growth", [None, 1.0])
+    @pytest.mark.parametrize("max_rounds", [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3,
+                                            sys.maxsize])
+    def test_beta_is_the_int_division_past_two_to_the_53(self, max_rounds, growth):
+        # the last rounds of a run near and past 2**53, where a division of
+        # the ints' doubles may round twice (2**53 + 1 over 3 or 7 does),
+        # and the default growth's power of a step near max_rounds
+        nl, area = tiny_instance(3)
+        cfg = PlacerConfig(max_rounds=max_rounds, grid_p=3, grid_q=3, seed=1,
+                           delta_growth=growth, w_growth=growth)
+        states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
+        for left in (7, 3, 2, 1):
+            for s in states:
+                s.round = max_rounds - left
+            got = [stepped(s, type(s.store).score, cfg._schedule) for s in states]
+            assert got[0] == got[1]
+            row = got[0][0][1]
+            assert row[4] == (float, (max_rounds / left).hex())
+            assert row[3] == (float, cfg.delta_at(max_rounds - left).hex())
+        assert [stepped(s, type(s.store).score, cfg._schedule)[0] for s in states] == [
+            "all configured rounds already executed"] * 2
+
+    @pytest.mark.parametrize("which, message", [
+        ("delta_growth", "round 6: a candidate score is not finite; "
+                         "lower w0, w_growth, penalty_c or delta0"),
+        ("w_growth", "increase value must be finite"),
+    ])
+    def test_schedule_that_overflows_refused_alike(self, which, message):
+        # past the config's checks a power that overflows is inf: a factor
+        # of inf scores NaN or inf, and a w of inf is refused before any draw
+        nl, area = tiny_instance(3)
+        cfg = PlacerConfig(max_rounds=40, grid_p=3, grid_q=3, seed=1)
+        schedule = cfg._schedule._replace(**{which: 1e300})
+        states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
+        for s in states:
+            s.round = 5
+        before = placed(states[0])
+        got = [stepped(s, type(s.store).score, schedule) for s in states]
+        assert got[0] == got[1] and got[0][:3] == (message, 5, None)
+        assert got[0][4] == before
+
+    def test_negative_round_refused_before_any_draw(self):
+        nl, area = tiny_instance(3)
+        cfg = PlacerConfig(max_rounds=40, grid_p=3, grid_q=3, seed=1)
+        for backend in STEP_BACKENDS:
+            state = state_on(backend, nl, area, cfg)
+            state.round = -1
+            drawn = state.rng.getstate()
+            with pytest.raises(ValueError, match="^the state's round must not be negative$"):
+                state.store.step(type(state.store).score, state, cfg._schedule,
+                                 placer.RoundStats)
+            assert state.rng.getstate() == drawn
+
+
+def predrawn(seed, words):
+    """A ``random.Random(seed)`` after ``words`` words: at 624 its next draw
+    regenerates the words, below it that many words remain before that."""
+    rng = random.Random(seed)
+    for _ in range(words):
+        rng.getrandbits(32)
+    return rng
+
+
+class TestDrawsInPlace:
+    """A plain ``random.Random``'s draws, which the C store takes from the
+    generator's own words where its layout guard passed, against the
+    Python store's method calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64), words=st.integers(620, 624),
+           n=st.sampled_from([1, 2, 5, 6, 33]), count=st.sampled_from([0, 1, 8, 100]))
+    def test_round_and_proposals_draw_as_the_reference(self, seed, words, n, count):
+        # the generator regenerates its words in the macro draw or in the
+        # middle of the candidates' draws
+        nl, area = tiny_instance(seed % 1000, n_macros=n, n_nets=n if n > 1 else 0)
+        cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=3, seed=1)
+        states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
+        for s in states:
+            s.rng = predrawn(seed, words)
+        logs = [], []
+        got = [logged_round(s, log, count, None, 1.0, 1.0, 0.995)
+               for s, log in zip(states, logs)]
+        assert got[0] == got[1] >= 0 and logs[0] == logs[1]
+        assert states[0].rng.getstate() == states[1].rng.getstate()
+        got = [s.store.round(type(s.store).score, s.rng, count, 2.0, 1.0, 1.0, 0.995)
+               for s in states]
+        assert got[0] == got[1] >= 0
+        assert states[0].rng.getstate() == states[1].rng.getstate()
+        assert placed(states[0]) == placed(states[1])
+        for s in states:
+            s.rng = predrawn(seed, words)
+        got = [s.store.proposals(n - 1, s.rng, count) for s in states]
+        assert [list(map(hexes, g)) for g in got] == [list(map(hexes, got[1]))] * 2
+        assert states[0].rng.getstate() == states[1].rng.getstate()
+
+    @pytest.mark.parametrize("name", ["random", "getrandbits"])
+    def test_class_patch_draws_alike_on_both_cores(self, on_core, monkeypatch, name):
+        # a random.Random whose class holds another random or getrandbits
+        # draws through it on both cores
+        nl, area = generate_instance(GenSpec(macros=20, nets=30, utilization=0.5, seed=1000))
+        cfg = PlacerConfig(max_rounds=50, seed=3)
+        plain = new_state(nl, area, cfg)
+        for _ in range(cfg.max_rounds):
+            round_step(plain, cfg)
+        monkeypatch.setattr(random.Random, name, CLASS_OVERRIDES[name])
+        runs = []
+        for backend in BACKENDS:
+            on_core(backend)
+            state = new_state(nl, area, cfg)
+            for _ in range(cfg.max_rounds):
+                round_step(state, cfg)
+            runs.append(([hexes(c) for c in state.store.centers], state.rng.getstate()))
+        assert runs[0] == runs[-1]
+        assert runs[0][0] != [hexes(c) for c in plain.store.centers]
+
+
+def test_draws_in_place_on_every_interpreter(tmp_path, interpreters):
+    # the C core's layout guard passes on each interpreter found, each in a
+    # fresh process on its own build, so that a fallback to method calls
+    # fails here rather than quietly costing the rounds their speed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(placer.__file__)))
+    code = "import stepplace.stepfield as f; print(f.c_core._draws_in_place())"
+    procs = [
+        subprocess.Popen([python, "-c", code], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "XDG_CACHE_HOME": str(tmp_path / f"cache-{k}")})
+        for k, python in enumerate(interpreters)
+    ]
+    for python, proc in zip(interpreters, procs):
+        out, err = proc.communicate()
+        assert (proc.returncode, out.split()) == (0, ["True"]), (python, err)
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):
@@ -2507,7 +2770,7 @@ class TestBackendsAndSwitch:
             "FieldCore": ["coefficient", "cost", "increase", "inflate"],
             "FreeSpace": ["blocked", "nearest_free", "put"],
             "PlacementStore": ["box", "move", "net_lengths", "pairs", "proposals",
-                               "round", "score", "totals"],
+                               "round", "score", "step", "totals"],
         }
         properties = {"FieldCore": ["last_touched"], "PlacementStore": ["centers", "field"]}
         for name, want in methods.items():

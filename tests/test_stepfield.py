@@ -670,6 +670,23 @@ class TestCCoreLoader:
         want = stepplace.stepfield.core if cache == "loaded" else _pycore
         assert out.stdout.split() == [want.__name__]
 
+    def test_blocked_cache_loads_no_build_module(self, tmp_path, interpreters):
+        # a file where the cache dir would be fails the build at its first
+        # step, making that dir, before the modules only a compile needs
+        # load; the one warning names the reason
+        (tmp_path / "stepplace").write_text("")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stepplace.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path)}
+        code = ("import sys, stepplace.io_cli\n"
+                "print([m for m in ('locale', 'shlex', 'subprocess', 'sysconfig')"
+                " if m in sys.modules])\n")
+        for python in interpreters:
+            out = subprocess.run([python, "-c", code], env=env, capture_output=True,
+                                 text=True)
+            assert (out.returncode, out.stdout.split()) == (0, ["[]"]), (python, out.stderr)
+            assert out.stderr.count("C field core unavailable (") == 1, python
+            assert str(tmp_path / "stepplace") in out.stderr, python
+
     def test_import_falls_back_to_numpy_with_one_warning(self, tmp_path):
         # A regular file where the cache dir should be makes the build fail;
         # the cache is the only place the C core loads from.
