@@ -33,18 +33,18 @@
  * step method is the placer's round_step in one call: it computes the
  * round's delta, beta and w from the state's round and the config's
  * _pycore.Schedule (libm pow, as float ** calls it), runs round's body,
- * sets the state's round and last_choice and builds the statistics row.
- * A round decides once how it draws from its rng.  From a random.Random
- * itself, whose instance overrides none of random, getrandbits, randrange
- * and _randbelow and whose class holds _random.Random's random and
- * getrandbits, it draws the macro (as randrange does, by getrandbits with
- * rejection) and every candidate from the generator's own Mersenne Twister
- * words, read and advanced in place in CPython's object, once a guard run
- * once per process found that object laid out and drawing as this core
- * reads it (3.10-3.13, not on free-threaded builds).  Otherwise it draws
- * by calls: a random.Random itself whose instance overrides neither
- * randrange nor _randbelow by getrandbits through rng for the macro, any
- * other rng by randrange, and rng.random for each proposal draw.
+ * sets the state's round and last_choice and builds the _pycore.RoundStats
+ * row.  A round decides once how it draws from its rng.  From a
+ * random.Random itself, whose instance overrides none of random,
+ * getrandbits, randrange and _randbelow and whose class holds
+ * _random.Random's random and getrandbits, it draws the macro (as
+ * randrange does, by getrandbits with rejection) and every candidate from
+ * the generator's own Mersenne Twister words, read and advanced in place in
+ * CPython's object, once a guard run once per process, through
+ * _random.Random's own methods, found that object laid out and drawing as
+ * this core reads it (3.10-3.13, not on free-threaded builds).  Otherwise
+ * it draws by calls: the macro by rng.randrange, and each proposal draw by
+ * rng.random.
  * The hook is called as score(store, i, x, y, beta, factor); it is the
  * store's own unbound score method where the core loaded, and where the
  * round's hook is that method itself the round runs the score body on its
@@ -1413,36 +1413,20 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 
 /* The rng methods a round draws through and the names its instance may
  * override them under, the 0.5 a coin compares with, the field method a
- * round calls, the PlacerState attributes step reads and writes, and
- * PlacementStore.score, the hook a round runs without a call, made once at
- * module init. */
+ * round calls, the PlacerState and PlacerConfig attributes step reads and
+ * writes, PlacementStore.score, the hook a round runs without a call, and
+ * stepplace._pycore.RoundStats, the type of step's row, made once at module
+ * init. */
 static PyObject *str_random, *str_getrandbits, *str_randrange, *str_randbelow, *one_half,
-    *str_inflate, *str_round, *str_rng, *str_last_choice, *score_method;
-
-#if PY_VERSION_HEX < 0x030E0000
-/* random.Random, looked up once by random_class */
-static PyObject *random_type;
-
-/* random.Random, a borrowed reference; NULL with an exception set. */
-static PyObject *
-random_class(void)
-{
-    if (random_type == NULL) {
-        PyObject *mod = PyImport_ImportModule("random");
-        random_type = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
-        Py_XDECREF(mod);
-    }
-    return random_type;
-}
-#endif
+    *str_inflate, *str_round, *str_rng, *str_last_choice, *str_config, *str_schedule,
+    *score_method;
+static PyTypeObject *round_stats;
 
 /* How a round draws from its rng, decided once per round by draw_kind:
- * DRAW_CALLS asks the rng for randrange(n) and calls its random();
- * DRAW_BITS draws the macro as randrange does on Python 3.10-3.13, by
- * getrandbits(k) called through the rng with rejection, and calls its
- * random(); DRAW_IN_PLACE makes the same draws from the rng's own
+ * DRAW_CALLS asks the rng for randrange(n) and calls its random() for each
+ * proposal draw; DRAW_IN_PLACE makes the same draws from the rng's own
  * Mersenne Twister words, with no call. */
-enum { DRAW_CALLS, DRAW_BITS, DRAW_IN_PLACE };
+enum { DRAW_CALLS, DRAW_IN_PLACE };
 
 /* The in-place draws read CPython's _random.Random object as
  * Modules/_randommodule.c lays it out on 3.10-3.13, and only where the
@@ -1459,10 +1443,43 @@ typedef struct {
     uint32_t state[MT_N];
 } MTObject;
 
-/* _random.Random's own random and getrandbits, as its type holds them */
-static PyObject *mt_random, *mt_getrandbits;
-/* the guard's verdict: 1 passed, 0 failed, -1 not yet run */
+/* random.Random, _random.Random, and the latter's own random, getrandbits
+ * and getstate as its type holds them, looked up once by mt_load */
+static PyObject *random_type, *mt_type, *mt_random, *mt_getrandbits, *mt_getstate;
+/* the guard's verdict: 1 passed, 0 failed, -1 not yet reached */
 static int mt_layout = -1;
+
+/* Looks up random_type, mt_type and mt_type's three methods where they are
+ * not held yet: 0, or -1 with an exception set. */
+static int
+mt_load(void)
+{
+    if (mt_getstate != NULL)
+        return 0;
+    PyObject *mod = PyImport_ImportModule("random");
+    PyObject *cls = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
+    Py_XDECREF(mod);
+    mod = cls ? PyImport_ImportModule("_random") : NULL;
+    PyObject *base = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
+    Py_XDECREF(mod);
+    PyObject *got[3] = {NULL, NULL, NULL};
+    if (base != NULL && (got[0] = PyObject_GetAttr(base, str_random)) != NULL
+        && (got[1] = PyObject_GetAttr(base, str_getrandbits)) != NULL)
+        got[2] = PyObject_GetAttrString(base, "getstate");
+    if (got[2] == NULL) {
+        Py_XDECREF(cls);
+        Py_XDECREF(base);
+        Py_XDECREF(got[0]);
+        Py_XDECREF(got[1]);
+        return -1;
+    }
+    random_type = cls;
+    mt_type = base;
+    mt_random = got[0];
+    mt_getrandbits = got[1];
+    mt_getstate = got[2];
+    return 0;
+}
 
 /* The next word of rng's stream, as _random's genrand_uint32 makes it:
  * the 624 words regenerate at index 624, then one is tempered. */
@@ -1506,61 +1523,47 @@ drawn_equal(PyObject *made, double v)
     return eq;
 }
 
-/* The layout guard: _random.Random's basic size is MTObject's, random.Random
- * derives from it, a seeded probe's words and index read in place equal its
- * getstate(), and random() and getrandbits(k), k = 1 .. 32, drawn in place
- * across two regenerations equal a twin's method calls, with equal final
- * getstate()s.  Keeps _random.Random's random and getrandbits for
- * draw_kind.  1 where all of that holds, 0 where not, -1 with an exception
- * set. */
+/* The layout guard, after mt_load: _random.Random's basic size is
+ * MTObject's, random.Random derives from it, a seeded _random.Random
+ * probe's words and index read in place equal its getstate(), and random()
+ * and getrandbits(k), k = 1 .. 32, drawn in place across two regenerations
+ * equal those of a twin, with equal final getstate()s.  Every call goes to
+ * _random.Random's own methods, never through random.Random, whose
+ * methods a caller may have replaced.  1 where all of that holds, 0 where
+ * not, -1 with an exception set where a call failed. */
 static int
 mt_layout_ok(void)
 {
-    PyObject *mod = PyImport_ImportModule("_random");
-    PyObject *base = mod ? PyObject_GetAttrString(mod, "Random") : NULL;
-    PyObject *cls = random_class();
-    PyObject *probe = NULL, *twin = NULL, *state = NULL, *other = NULL;
-    int ok = -1;
-    Py_XDECREF(mod);
-    if (base == NULL || cls == NULL)
-        goto done;
-    ok = 0;
-    if (!PyType_Check(base) || ((PyTypeObject *)base)->tp_basicsize != sizeof(MTObject)
-        || !PyType_Check(cls) || !PyType_IsSubtype((PyTypeObject *)cls, (PyTypeObject *)base))
-        goto done;
-    ok = -1;
-    if ((mt_random = PyObject_GetAttr(base, str_random)) == NULL
-        || (mt_getrandbits = PyObject_GetAttr(base, str_getrandbits)) == NULL
-        || (probe = PyObject_CallFunction(cls, "i", 20261020)) == NULL
-        || (twin = PyObject_CallFunction(cls, "i", 20261020)) == NULL
-        || (state = PyObject_CallMethod(probe, "getstate", NULL)) == NULL)
-        goto done;
-    ok = 0;
+    if (!PyType_Check(mt_type) || ((PyTypeObject *)mt_type)->tp_basicsize != sizeof(MTObject)
+        || !PyType_Check(random_type)
+        || !PyType_IsSubtype((PyTypeObject *)random_type, (PyTypeObject *)mt_type))
+        return 0;
+    PyObject *probe = PyObject_CallFunction(mt_type, "i", 20261020);
+    PyObject *twin = probe ? PyObject_CallFunction(mt_type, "i", 20261020) : NULL;
+    PyObject *state = twin ? PyObject_CallOneArg(mt_getstate, probe) : NULL, *other = NULL;
     MTObject *r = (MTObject *)probe;
-    PyObject *words = PyTuple_Check(state) && PyTuple_GET_SIZE(state) == 3
-        ? PyTuple_GET_ITEM(state, 1) : NULL;
-    if (words == NULL || !PyTuple_Check(words) || PyTuple_GET_SIZE(words) != MT_N + 1)
+    int ok = 0;
+    if (state == NULL || !PyTuple_Check(state) || PyTuple_GET_SIZE(state) != MT_N + 1)
         goto done;
     for (Py_ssize_t k = 0; k <= MT_N; k++) {
-        unsigned long v = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(words, k));
+        unsigned long v = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(state, k));
         if (v != (k < MT_N ? (unsigned long)r->state[k] : (unsigned long)r->index))
             goto done;
     }
     for (int rep = 0; rep < 40; rep++) {
-        if (!drawn_equal(PyObject_CallMethodNoArgs(twin, str_random), mt_double(r)))
+        if (!drawn_equal(PyObject_CallOneArg(mt_random, twin), mt_double(r)))
             goto done;
         for (int k = 1; k <= 32; k++)
-            if (!drawn_equal(PyObject_CallMethod(twin, "getrandbits", "i", k),
+            if (!drawn_equal(PyObject_CallFunction(mt_getrandbits, "Oi", twin, k),
                              (double)(mt_word(r) >> (32 - k))))
                 goto done;
     }
-    Py_SETREF(state, PyObject_CallMethod(probe, "getstate", NULL));
-    other = state ? PyObject_CallMethod(twin, "getstate", NULL) : NULL;
+    Py_SETREF(state, PyObject_CallOneArg(mt_getstate, probe));
+    other = state ? PyObject_CallOneArg(mt_getstate, twin) : NULL;
     ok = other ? PyObject_RichCompareBool(state, other, Py_EQ) : -1;
 done:
     if (PyErr_Occurred())
         ok = -1;
-    Py_XDECREF(base);
     Py_XDECREF(probe);
     Py_XDECREF(twin);
     Py_XDECREF(state);
@@ -1568,57 +1571,49 @@ done:
     return ok;
 }
 
-/* Whether rng's draws may be taken in place: the guard, run once per
- * process on the first ask (an error in it counts as a failure). */
+/* Whether rng's draws may be taken in place: the guard's verdict, the guard
+ * run on the first ask.  -1 with an exception set where the guard could not
+ * finish (say, on MemoryError or KeyboardInterrupt), which leaves the
+ * verdict to the next ask. */
 static int
 mt_ready(void)
 {
-    if (mt_layout < 0) {
-        mt_layout = mt_layout_ok() == 1;
-        PyErr_Clear();
-    }
+    if (mt_layout < 0 && mt_load() == 0)
+        mt_layout = mt_layout_ok();
     return mt_layout;
 }
 #endif
 
-/* The DRAW_ kind of a round on rng: DRAW_CALLS unless rng's type is
+/* The DRAW_ kind of a round on rng: DRAW_IN_PLACE where rng's type is
  * random.Random itself, not a subclass, which may draw through another
- * generator, and its instance holds neither randrange nor _randbelow, the
- * methods randrange's draw goes through before getrandbits, on an
- * interpreter no later than 3.13; of those, DRAW_IN_PLACE where the
- * instance holds neither random nor getrandbits either, its class looks up
- * _random.Random's own two, and the layout guard passed; else DRAW_BITS.
- * The class's randrange and _randbelow are taken to be the random
- * module's.  -1 with an exception set. */
+ * generator, that type looks up _random.Random's own random and
+ * getrandbits, the instance holds none of random, getrandbits, randrange
+ * and _randbelow (the methods randrange's draw goes through), and the
+ * layout guard passed; else DRAW_CALLS.  The class's randrange and
+ * _randbelow are taken to be the random module's.  -1 with an exception
+ * set. */
 static int
 draw_kind(PyObject *rng)
 {
-#if PY_VERSION_HEX < 0x030E0000
-    PyObject *cls = random_class();
-    if (cls == NULL)
+#ifdef DRAWS_IN_PLACE
+    if (mt_load() < 0)
         return -1;
-    if ((PyObject *)Py_TYPE(rng) != cls)
+    PyTypeObject *type = Py_TYPE(rng);
+    if ((PyObject *)type != random_type || _PyType_Lookup(type, str_random) != mt_random
+        || _PyType_Lookup(type, str_getrandbits) != mt_getrandbits)
         return DRAW_CALLS;
     PyObject *dict = PyObject_GenericGetDict(rng, NULL);
     if (dict == NULL)
         return -1;
-    int kind = DRAW_CALLS, has = PyDict_Contains(dict, str_randrange);
-    if (has == 0)
-        has = PyDict_Contains(dict, str_randbelow);
-    if (has == 0) {
-        kind = DRAW_BITS;
-#ifdef DRAWS_IN_PLACE
-        has = PyDict_Contains(dict, str_random);
-        if (has == 0)
-            has = PyDict_Contains(dict, str_getrandbits);
-        if (has == 0 && mt_ready()
-            && _PyType_Lookup(Py_TYPE(rng), str_random) == mt_random
-            && _PyType_Lookup(Py_TYPE(rng), str_getrandbits) == mt_getrandbits)
-            kind = DRAW_IN_PLACE;
-#endif
-    }
+    PyObject *const names[4] = {str_random, str_getrandbits, str_randrange, str_randbelow};
+    int has = 0;
+    for (int k = 0; has == 0 && k < 4; k++)
+        has = PyDict_Contains(dict, names[k]);
     Py_DECREF(dict);
-    return has < 0 ? -1 : kind;
+    if (has != 0)
+        return has < 0 ? -1 : DRAW_CALLS;
+    has = mt_ready();
+    return has < 0 ? -1 : has ? DRAW_IN_PLACE : DRAW_CALLS;
 #else
     return DRAW_CALLS;
 #endif
@@ -1845,19 +1840,18 @@ may_settle(const PlacementStore *s, Py_ssize_t i, const double *xy, Py_ssize_t n
     return X <= SETTLE_LIMIT && Y <= SETTLE_LIMIT && spare <= SETTLE_LIMIT;
 }
 
-/* rng.randrange(n), n >= 1, by the DRAW_ kind's draws: for DRAW_BITS, and
- * DRAW_IN_PLACE with k above 32, getrandbits(k), k the bit length of n,
- * called through rng until it is below n; for DRAW_IN_PLACE, one word
- * >> (32 - k) per draw instead, as getrandbits(k) makes it; for DRAW_CALLS
+/* rng.randrange(n), n >= 1, by the DRAW_ kind's draws: for DRAW_IN_PLACE
+ * with n below 2^32, one word >> (32 - k) per draw, k the bit length of n,
+ * until it is below n, as randrange's getrandbits(k) draws it; else
  * rng.randrange(n) itself.  -1 with an exception set, a draw outside
  * 0 .. n - 1 refused as proposals refuses that index. */
 static Py_ssize_t
 draw_index(PyObject *rng, Py_ssize_t n, int kind)
 {
-    int bits = 0, own = kind != DRAW_CALLS;
+#ifdef DRAWS_IN_PLACE
+    int bits = 0;
     for (Py_ssize_t v = n; v; v >>= 1)
         bits++;
-#ifdef DRAWS_IN_PLACE
     if (kind == DRAW_IN_PLACE && bits <= 32) {
         Py_ssize_t r;
         do
@@ -1866,17 +1860,11 @@ draw_index(PyObject *rng, Py_ssize_t n, int kind)
         return r;
     }
 #endif
-    PyObject *arg = own ? PyLong_FromLong(bits) : PyLong_FromSsize_t(n);
-    if (arg == NULL)
-        return -1;
-    Py_ssize_t r;
-    do {
-        PyObject *draw = PyObject_CallMethodOneArg(rng, own ? str_getrandbits : str_randrange,
-                                                   arg);
-        r = draw ? PyNumber_AsSsize_t(draw, NULL) : -1;
-        Py_XDECREF(draw);
-    } while (own && r >= n);
-    Py_DECREF(arg);
+    PyObject *arg = PyLong_FromSsize_t(n);
+    PyObject *draw = arg ? PyObject_CallMethodOneArg(rng, str_randrange, arg) : NULL;
+    Py_ssize_t r = draw ? PyNumber_AsSsize_t(draw, NULL) : -1;
+    Py_XDECREF(draw);
+    Py_XDECREF(arg);
     if ((r < 0 || r >= n) && !PyErr_Occurred())
         PyErr_Format(PyExc_ValueError, "macro index %zd out of range for %zd macros", r, n);
     return r < 0 || r >= n ? -1 : r;
@@ -2005,66 +1993,34 @@ grown(double base, double power)
 enum { S_MAX_ROUNDS, S_SWITCH, S_COUNT, S_PENALTY, S_DELTA0, S_DELTA_GROWTH, S_W0,
        S_W_GROWTH, S_RHO, S_FIELDS };
 
-/* A row of the tuple type row_type holding the n items, stolen, as
- * tuple.__new__(row_type, items) builds it; NULL with an exception set,
+/* A RoundStats row holding the n items, stolen, as
+ * tuple.__new__(RoundStats, items) builds it; NULL with an exception set,
  * every item released, where an item is NULL or the row cannot be made. */
 static PyObject *
-new_row(PyTypeObject *row_type, PyObject **items, Py_ssize_t n)
+new_row(PyObject **items, Py_ssize_t n)
 {
-    PyObject *row = NULL;
+    PyObject *plain = NULL, *row = NULL;
     Py_ssize_t k = 0;
     while (k < n && items[k] != NULL)
         k++;
-#if PY_VERSION_HEX < 0x030E0000
-    /* as tuple_subtype_new fills one */
-    if (k == n && (row = row_type->tp_alloc(row_type, n)) != NULL)
-        for (k = 0; k < n; k++)
-            PyTuple_SET_ITEM(row, k, items[k]);
-#else
-    PyObject *plain = k == n ? PyTuple_New(n) : NULL;
-    if (plain != NULL) {
-        for (k = 0; k < n; k++)
-            PyTuple_SET_ITEM(plain, k, items[k]);
-        PyObject *args = PyTuple_Pack(1, plain);
-        row = args ? PyTuple_Type.tp_new(row_type, args, NULL) : NULL;
-        Py_XDECREF(args);
-        Py_DECREF(plain);
-    }
-#endif
-    if (row == NULL)
+    if (k < n || (plain = PyTuple_New(n)) == NULL) {
         for (k = 0; k < n; k++)
             Py_XDECREF(items[k]);
+        return NULL;
+    }
+    for (k = 0; k < n; k++)
+        PyTuple_SET_ITEM(plain, k, items[k]);
+    PyObject *args = PyTuple_Pack(1, plain);
+    row = args ? PyTuple_Type.tp_new(round_stats, args, NULL) : NULL;
+    Py_XDECREF(args);
+    Py_DECREF(plain);
     return row;
 }
 
-/* stepplace._pycore.PlacementStore.step: the state's next round on this
- * store, with the schedules of the round computed here.  Reads
- * state.round and state.rng, and the schedule, a _pycore.Schedule; refuses
- * a round past its max_rounds, a negative state.round, then a store without
- * macros, each with ValueError before any draw; computes delta and w as grown does, with
- * libm pow as float ** calls it, and beta as max_rounds / (max_rounds -
- * rnd + 1), in doubles where both ints are exact doubles, else as Python
- * divides the ints; runs store_round with beta None from the switch round
- * on and the factor penalty_c * delta; raises ValueError naming the round
- * where a score is not finite, with nothing moved; sets state.round and
- * state.last_choice, and returns row_type's row (rnd, netlength, overlap,
- * delta, beta, w). */
+/* The body of step, on the state's schedule sv, its S_FIELDS items. */
 static PyObject *
-PlacementStore_step(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+store_step(PlacementStore *s, PyObject *score, PyObject *state, PyObject *const *sv)
 {
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "step expected 4 arguments, got %zd", nargs);
-        return NULL;
-    }
-    PyObject *state = args[1], *schedule = args[2];
-    PyTypeObject *row_type = (PyTypeObject *)args[3];
-    if (!PyTuple_Check(schedule) || PyTuple_GET_SIZE(schedule) != S_FIELDS
-        || !PyType_Check(row_type) || !PyType_IsSubtype(row_type, &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "step expected a Schedule and a tuple type as its last arguments");
-        return NULL;
-    }
-    PyObject *const *sv = &PyTuple_GET_ITEM(schedule, 0);
     double f[S_FIELDS];
     for (int k = S_PENALTY; k <= S_W_GROWTH; k++)
         if (to_double(sv[k], f + k) < 0)
@@ -2089,10 +2045,8 @@ PlacementStore_step(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     long long switch_round = PyLong_AsLongLongAndOverflow(sv[S_SWITCH], &over);
     long long rnd = prev + 1;
     int smooth = over > 0 || rnd < switch_round;
-    double power = pow(f[S_DELTA_GROWTH], (double)prev);
-    double delta = grown(f[S_DELTA0], power);
-    double w = grown(f[S_W0], f[S_W_GROWTH] == f[S_DELTA_GROWTH] ? power
-                              : pow(f[S_W_GROWTH], (double)prev));
+    double delta = grown(f[S_DELTA0], pow(f[S_DELTA_GROWTH], (double)prev));
+    double w = grown(f[S_W0], pow(f[S_W_GROWTH], (double)prev));
     PyObject *beta;
     if (max_rounds <= (1LL << 53)) {
         beta = PyFloat_FromDouble((double)max_rounds / (double)(max_rounds - prev));
@@ -2105,7 +2059,7 @@ PlacementStore_step(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
     }
     PyObject *factor = PyFloat_FromDouble(f[S_PENALTY] * delta);
     PyObject *rng = beta && factor ? PyObject_GetAttr(state, str_rng) : NULL;
-    Py_ssize_t best = rng ? store_round(s, args[0], rng, sv[S_COUNT], smooth ? beta : Py_None,
+    Py_ssize_t best = rng ? store_round(s, score, rng, sv[S_COUNT], smooth ? beta : Py_None,
                                         factor, w, sv[S_RHO]) : -2;
     Py_XDECREF(rng);
     Py_XDECREF(factor);
@@ -2122,7 +2076,38 @@ PlacementStore_step(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
         row[5] = PyFloat_FromDouble(w);
     }
     Py_XDECREF(choice);
-    return new_row(row_type, row, 6);
+    return new_row(row, 6);
+}
+
+/* stepplace._pycore.PlacementStore.step: the state's next round on this
+ * store, with the schedules of the round computed here.  Reads
+ * state.round, state.rng and the schedule state.config._schedule, a
+ * _pycore.Schedule; refuses a round past its max_rounds, a negative
+ * state.round, then a store without macros, each with ValueError before
+ * any draw; computes delta and w as grown does, with libm pow as float **
+ * calls it, and beta as max_rounds / (max_rounds - rnd + 1), in doubles
+ * where both ints are exact doubles, else as Python divides the ints; runs
+ * store_round with beta None from the switch round on and the factor
+ * penalty_c * delta; raises ValueError naming the round where a score is
+ * not finite, with nothing moved; sets state.round and state.last_choice,
+ * and returns the RoundStats row (rnd, netlength, overlap, delta, beta,
+ * w). */
+static PyObject *
+PlacementStore_step(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "step expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *config = PyObject_GetAttr(args[1], str_config);
+    PyObject *schedule = config ? PyObject_GetAttr(config, str_schedule) : NULL, *row = NULL;
+    Py_XDECREF(config);
+    if (schedule != NULL && (!PyTuple_Check(schedule) || PyTuple_GET_SIZE(schedule) != S_FIELDS))
+        PyErr_SetString(PyExc_TypeError, "step expected the state's config to hold a Schedule");
+    else if (schedule != NULL)
+        row = store_step(s, args[0], args[1], &PyTuple_GET_ITEM(schedule, 0));
+    Py_XDECREF(schedule);
+    return row;
 }
 
 static PyObject *
@@ -2190,11 +2175,12 @@ static PyMethodDef PlacementStore_methods[] = {
      "where its score is provably finite: the winner, and so every bit, is\n"
      "that of the full scores."},
     {"step", (PyCFunction)(void (*)(void))PlacementStore_step, METH_FASTCALL,
-     "step(score, state, schedule, row_type) -> row\n\n"
-     "The placer state's next round: from state.round and the schedule (a\n"
-     "stepplace._pycore.Schedule) its delta, beta and w, then round(score,\n"
-     "state.rng, ...) with them; sets state.round and state.last_choice and\n"
-     "returns row_type's row (round, netlength, overlap, delta, beta, w).\n"
+     "step(score, state) -> RoundStats\n\n"
+     "The placer state's next round: from state.round and the schedule\n"
+     "state.config._schedule (a stepplace._pycore.Schedule) its delta, beta\n"
+     "and w, then round(score, state.rng, ...) with them; sets state.round\n"
+     "and state.last_choice and returns the stepplace._pycore.RoundStats row\n"
+     "(round, netlength, overlap, delta, beta, w).\n"
      "Rounds exhausted, a negative state.round, a store without macros and a\n"
      "score that is not finite raise ValueError before anything moves; see\n"
      "stepplace._pycore.PlacementStore.step."},
@@ -2866,12 +2852,13 @@ static PyTypeObject FreeSpaceType = {
 };
 
 /* _draws_in_place(): whether a round may draw from a random.Random's own
- * words, the layout guard run first where it has not run. */
+ * words, the layout guard run first where it has not reached a verdict. */
 static PyObject *
 draws_in_place(PyObject *module, PyObject *unused)
 {
 #ifdef DRAWS_IN_PLACE
-    return PyBool_FromLong(mt_ready());
+    int ready = mt_ready();
+    return ready < 0 ? NULL : PyBool_FromLong(ready);
 #else
     Py_RETURN_FALSE;
 #endif
@@ -2883,8 +2870,10 @@ static PyMethodDef fieldcore_functions[] = {
      "Whether a round draws the macro and its candidates of a plain\n"
      "random.Random from the generator's own Mersenne Twister words, in\n"
      "place: on CPython 3.10-3.13 with the GIL, once a guard (run here where\n"
-     "it has not run yet) found _random.Random laid out and drawing as this\n"
-     "core reads it.  Where False, every round draws by method calls."},
+     "it has not reached a verdict) found _random.Random laid out and drawing\n"
+     "as this core reads it.  Where False, every round draws by method calls.\n"
+     "An error that stops the guard, such as MemoryError, is raised here and\n"
+     "leaves the verdict to the next ask."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
@@ -2914,7 +2903,9 @@ PyInit__fieldcore(void)
             || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL
             || (str_round = PyUnicode_InternFromString("round")) == NULL
             || (str_rng = PyUnicode_InternFromString("rng")) == NULL
-            || (str_last_choice = PyUnicode_InternFromString("last_choice")) == NULL)) {
+            || (str_last_choice = PyUnicode_InternFromString("last_choice")) == NULL
+            || (str_config = PyUnicode_InternFromString("config")) == NULL
+            || (str_schedule = PyUnicode_InternFromString("_schedule")) == NULL)) {
         Py_CLEAR(str_random);
         Py_CLEAR(one_half);
         Py_CLEAR(str_getrandbits);
@@ -2924,7 +2915,22 @@ PyInit__fieldcore(void)
         Py_CLEAR(str_round);
         Py_CLEAR(str_rng);
         Py_CLEAR(str_last_choice);
+        Py_CLEAR(str_config);
+        Py_CLEAR(str_schedule);
         return NULL;
+    }
+    if (round_stats == NULL) {
+        PyObject *mod = PyImport_ImportModule("stepplace._pycore");
+        PyObject *row = mod ? PyObject_GetAttrString(mod, "RoundStats") : NULL;
+        Py_XDECREF(mod);
+        if (row == NULL)
+            return NULL;
+        if (!PyType_Check(row) || !PyType_IsSubtype((PyTypeObject *)row, &PyTuple_Type)) {
+            PyErr_SetString(PyExc_TypeError, "stepplace._pycore.RoundStats is no tuple type");
+            Py_DECREF(row);
+            return NULL;
+        }
+        round_stats = (PyTypeObject *)row;
     }
     PyObject *mod = PyModule_Create(&fieldcoremodule);
     if (mod == NULL)

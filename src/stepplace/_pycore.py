@@ -296,6 +296,18 @@ def first_min(scores: Sequence[float]) -> int:
     return scores.index(min(scores))
 
 
+class RoundStats(NamedTuple):
+    """One row of the per-round statistics stream (``stepplace.placer``
+    re-exports it); a store's ``step`` returns one."""
+
+    round: int
+    netlength_bb: float
+    overlap_area: float
+    delta: float
+    beta: float
+    w: float
+
+
 class Schedule(NamedTuple):
     """A config's scalars that a round reads, in floats where a schedule
     computes with them: the rounds, the first round scored by the exact
@@ -519,14 +531,13 @@ class PlacementStore:
         not finite.  A non-finite ``w`` or a store without macros raises
         ``ValueError`` before any draw.  The C store's ``round`` leaves the same bits, but
         grows the field in C and holds the candidates as C doubles; for an
-        ``rng`` that is a :class:`random.Random` itself, overriding neither
-        ``randrange`` nor ``_randbelow`` on the instance, it draws the macro
-        as ``randrange`` does on Python 3.10–3.13, through ``getrandbits``,
-        and any other ``rng`` it asks for ``randrange``; where that
-        instance overrides neither ``random`` nor ``getrandbits`` either and
-        its class holds ``_random.Random``'s own, it takes the macro's and
-        the candidates' draws from the generator's own words, in place,
-        with no call (see ``_fieldcore._draws_in_place``); with its own
+        ``rng`` that is a :class:`random.Random` itself, overriding none of
+        ``random``, ``getrandbits``, ``randrange`` and ``_randbelow`` on the
+        instance, whose class holds ``_random.Random``'s own ``random`` and
+        ``getrandbits``, it takes the macro's and the candidates' draws
+        from the generator's own words, in place, with no call (see
+        ``_fieldcore._draws_in_place``), and calls any other ``rng``'s
+        ``randrange`` and ``random`` as this one does; with its own
         unbound ``score`` as ``score`` it scores with no call, and settles
         a later candidate by a lower bound of its score that reaches the
         least score before it, where that score is provably finite.  This
@@ -543,21 +554,21 @@ class PlacementStore:
             self.field.inflate(rho)
         return best
 
-    def step(self, score: Callable[..., float], state, schedule: Schedule,
-             row: type[tuple]) -> tuple:
+    def step(self, score: Callable[..., float], state) -> RoundStats:
         """The placer state's next round ``rnd = state.round + 1`` on this
-        store: its :func:`schedules` from ``schedule``, then :meth:`round`
-        with ``score``, ``state.rng``, the schedule's candidates, ``beta``
-        (None from ``switch_round`` on), the factor ``penalty_c * delta``,
-        ``w`` and ``rho``.  Sets ``state.round`` and ``state.last_choice``
-        (the winner's index) and returns ``row``'s row ``(rnd, *totals(),
-        delta, beta, w)``.  Rounds exhausted, a negative ``state.round``, a
-        store without macros, then a score that is not finite (naming the
-        round) raise ``ValueError`` before anything moves, and all but a
-        score before any draw.  The C store's ``step`` leaves the same bits,
+        store: its :func:`schedules` from ``state.config._schedule``, then
+        :meth:`round` with ``score``, ``state.rng``, the schedule's
+        candidates, ``beta`` (None from ``switch_round`` on), the factor
+        ``penalty_c * delta``, ``w`` and ``rho``.  Sets ``state.round`` and
+        ``state.last_choice`` (the winner's index) and returns the
+        :class:`RoundStats` row ``(rnd, *totals(), delta, beta, w)``.
+        Rounds exhausted, a negative ``state.round``, a store without
+        macros, then a score that is not finite (naming the round) raise
+        ``ValueError`` before anything moves, and all but a score before
+        any draw.  The C store's ``step`` leaves the same bits,
         with the schedules computed in C and the round's body run with no
         call."""
-        rnd = state.round + 1
+        schedule, rnd = state.config._schedule, state.round + 1
         if rnd > schedule.max_rounds:
             raise ValueError("all configured rounds already executed")
         if rnd < 1:
@@ -578,7 +589,7 @@ class PlacementStore:
         state.round = rnd
         state.last_choice = best
         # built as a tuple is, without the named tuple's Python __new__
-        return tuple.__new__(row, (rnd, *self.totals(), delta, beta, w))
+        return tuple.__new__(RoundStats, (rnd, *self.totals(), delta, beta, w))
 
     def totals(self) -> tuple[float | int, float | int]:
         """The sum of the net boxes in net order and of the live pairs'

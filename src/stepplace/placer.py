@@ -64,12 +64,11 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 from stepplace import stepfield
 # first_min and gamma: public names of this module too
 from stepplace._pycore import MacroBounds, first_min, gamma, snap_to_grid  # noqa: F401
-from stepplace._pycore import Schedule, grown, schedules
+from stepplace._pycore import RoundStats, Schedule, grown, schedules
 # imported only for the benchmark's tracer, which patches these names here
 from stepplace._pycore import move_macro, penalty  # noqa: F401
 from stepplace.netmodel import (
@@ -251,17 +250,6 @@ def _clamped(mid: str, pos: Point, b: MacroBounds) -> Point:
     return min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max)
 
 
-class RoundStats(NamedTuple):
-    """One row of the per-round statistics stream."""
-
-    round: int
-    netlength_bb: float
-    overlap_area: float
-    delta: float
-    beta: float
-    w: float
-
-
 @dataclass
 class PlacerState:
     """Mutable loop state; create with :func:`new_state`, whose ``config``
@@ -366,8 +354,9 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     statistics row.
 
     The round is one ``step`` call on the state's store, which scores by
-    :data:`candidate_score` as this module holds it at the call.  The
-    round's schedules (:func:`~stepplace._pycore.schedules`) give every
+    :data:`candidate_score` as this module holds it at the call and reads
+    the schedules from ``state.config``, that is ``config``.  The round's
+    schedules (:func:`~stepplace._pycore.schedules`) give every
     candidate's net-model sharpness (None from ``switch_round`` on) and
     penalty factor (``penalty_c * delta``).  The winner's index is left on
     ``state.last_choice``.  A ``config`` not equal to ``state.config``,
@@ -377,7 +366,7 @@ def round_step(state: PlacerState, config: PlacerConfig) -> RoundStats:
     """
     if config is not state.config:
         _check_config(state, config)
-    return state.store.step(candidate_score, state, config._schedule, RoundStats)
+    return state.store.step(candidate_score, state)
 
 
 def run_placer(

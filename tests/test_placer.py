@@ -1,5 +1,6 @@
 import _random
 import contextlib
+import copy
 import io
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import sysconfig
 from array import array
 from dataclasses import fields, replace
 from itertools import accumulate
@@ -2129,9 +2131,9 @@ class TestStoreRound:
 
     def test_round_step_is_one_store_round(self, monkeypatch, on_core, backend):
         # round_step makes one step call on the state's store: it hands the
-        # store candidate_score as this module holds it at the call, the
-        # state, whose rng the round draws from, the config's schedule and
-        # RoundStats
+        # store candidate_score as this module holds it at the call and the
+        # state, whose rng the round draws from and whose config's schedule
+        # the round reads
         on_core(backend)
         nl, area = tiny_instance(5)
         cfg = PlacerConfig(max_rounds=10, grid_p=4, grid_q=4, seed=3)
@@ -2155,12 +2157,13 @@ class TestStoreRound:
         twin = random.Random()
         twin.setstate(state.rng.getstate())
         row = round_step(state, cfg)
-        ((score, got, schedule, row_type),) = steps
-        assert score is hook and got is state and row_type is placer.RoundStats
+        ((score, got),) = steps
+        assert score is hook and got is state and state.config is cfg
         growth = 1000.0 ** (1.0 / 10)
-        assert schedule is cfg._schedule and schedule == (
+        assert cfg._schedule == (
             10, cfg.switch_round, 8, 10.0, 0.01, growth, 0.01, growth, 0.995)
         assert type(row) is placer.RoundStats and row.round == state.round == 1
+        assert row.delta == 0.01 and row.w == 0.01 and row.beta == 1.0
         # the hook gets the store itself, not the state or this wrapper, and
         # the macro and the proposals are drawn from the state's rng
         assert hook.call_count == 9
@@ -2186,16 +2189,24 @@ def snapshot(state):
     return state.round, state.last_choice, state.rng.getstate(), placed(state)
 
 
-def stepped(state, hook, schedule):
-    """``state.store.step(hook, state, schedule, RoundStats)`` as bits: the
-    row's type and each value with its type, or the ``ValueError``'s
-    message, then the state's :func:`snapshot`."""
+def stepped(state, hook):
+    """``state.store.step(hook, state)`` as bits: the row's type and each
+    value with its type, or the ``ValueError``'s message, then the state's
+    :func:`snapshot`."""
     try:
-        row = state.store.step(hook, state, schedule, placer.RoundStats)
+        row = state.store.step(hook, state)
         got = (type(row), [(type(v), exact(v)) for v in row])
     except ValueError as exc:
         got = str(exc)
     return (got, *snapshot(state))
+
+
+def scheduled(cfg, schedule):
+    """A copy of ``cfg`` whose ``_schedule``, the scalars a store's ``step``
+    reads, is ``schedule``, one no config's checks would let through."""
+    out = copy.copy(cfg)
+    object.__setattr__(out, "_schedule", schedule)
+    return out
 
 
 def power_or_inf(base, growth, step):
@@ -2243,7 +2254,7 @@ class TestStoreStep:
                 ["delta_growth", "w_growth"])): 1e300})
         nl, area = tiny_instance(draw(st.integers(0, 10**6), label="instance"), n_macros=n,
                                  n_nets=n if n > 1 else 0)
-        states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
+        states = [state_on(b, nl, area, scheduled(cfg, schedule)) for b in STEP_BACKENDS]
         hooks = [type(s.store).score for s in states]
         if draw(st.booleans(), label="wrapped"):
             hooks[0] = (lambda score: lambda *args: score(*args))(hooks[0])
@@ -2255,7 +2266,7 @@ class TestStoreStep:
             s.round = start
         for _ in range(draw(st.integers(1, 3), label="rounds")):
             before = snapshot(states[1])
-            got = [stepped(s, hook, schedule) for s, hook in zip(states, hooks)]
+            got = [stepped(s, hook) for s, hook in zip(states, hooks)]
             assert got[0] == got[1]
             outcome, rnd, choice, drawn, after = got[0]
             if isinstance(outcome, str):
@@ -2295,12 +2306,12 @@ class TestStoreStep:
         for left in (7, 3, 2, 1):
             for s in states:
                 s.round = max_rounds - left
-            got = [stepped(s, type(s.store).score, cfg._schedule) for s in states]
+            got = [stepped(s, type(s.store).score) for s in states]
             assert got[0] == got[1]
             row = got[0][0][1]
             assert row[4] == (float, (max_rounds / left).hex())
             assert row[3] == (float, cfg.delta_at(max_rounds - left).hex())
-        assert [stepped(s, type(s.store).score, cfg._schedule)[0] for s in states] == [
+        assert [stepped(s, type(s.store).score)[0] for s in states] == [
             "all configured rounds already executed"] * 2
 
     @pytest.mark.parametrize("which, message", [
@@ -2313,12 +2324,12 @@ class TestStoreStep:
         # of inf scores NaN or inf, and a w of inf is refused before any draw
         nl, area = tiny_instance(3)
         cfg = PlacerConfig(max_rounds=40, grid_p=3, grid_q=3, seed=1)
-        schedule = cfg._schedule._replace(**{which: 1e300})
+        cfg = scheduled(cfg, cfg._schedule._replace(**{which: 1e300}))
         states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
         for s in states:
             s.round = 5
         before = placed(states[0])
-        got = [stepped(s, type(s.store).score, schedule) for s in states]
+        got = [stepped(s, type(s.store).score) for s in states]
         assert got[0] == got[1] and got[0][:3] == (message, 5, None)
         assert got[0][4] == before
 
@@ -2330,8 +2341,7 @@ class TestStoreStep:
             state.round = -1
             drawn = state.rng.getstate()
             with pytest.raises(ValueError, match="^the state's round must not be negative$"):
-                state.store.step(type(state.store).score, state, cfg._schedule,
-                                 placer.RoundStats)
+                state.store.step(type(state.store).score, state)
             assert state.rng.getstate() == drawn
 
 
@@ -2344,10 +2354,22 @@ def predrawn(seed, words):
     return rng
 
 
+#: whether the C core, where it loaded, draws a plain random.Random in
+#: place: on CPython 3.10-3.13 with the GIL
+IN_PLACE = (stepfield.c_core is not None and sys.version_info < (3, 14)
+            and not sysconfig.get_config_var("Py_GIL_DISABLED"))
+
+
 class TestDrawsInPlace:
     """A plain ``random.Random``'s draws, which the C store takes from the
     generator's own words where its layout guard passed, against the
     Python store's method calls."""
+
+    def setup_method(self):
+        # the C store's side of each comparison runs its in-place draws,
+        # whatever tests ran before in this process
+        if stepfield.c_core is not None:
+            assert stepfield.c_core._draws_in_place() is IN_PLACE
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**64), words=st.integers(620, 624),
@@ -2400,9 +2422,26 @@ class TestDrawsInPlace:
 def test_draws_in_place_on_every_interpreter(tmp_path, interpreters):
     # the C core's layout guard passes on each interpreter found, each in a
     # fresh process on its own build, so that a fallback to method calls
-    # fails here rather than quietly costing the rounds their speed
+    # fails here rather than quietly costing the rounds their speed.  An
+    # error that stops the guard is raised and leaves the verdict open, and
+    # the guard calls _random.Random's own methods, so replacing
+    # random.Random's at its first run changes nothing
     src = os.path.dirname(os.path.dirname(os.path.abspath(placer.__file__)))
-    code = "import stepplace.stepfield as f; print(f.c_core._draws_in_place())"
+    code = (
+        "import random, sys\n"
+        "import stepplace.stepfield as f\n"
+        "held, sys.modules['_random'] = sys.modules['_random'], None\n"
+        "try:\n"
+        "    f.c_core._draws_in_place()\n"
+        "except ImportError:\n"
+        "    print('open')\n"
+        "sys.modules['_random'] = held\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('the guard called random.Random')\n"
+        "for name in ('__init__', 'seed', 'random', 'getrandbits', 'getstate'):\n"
+        "    setattr(random.Random, name, refuse)\n"
+        "print(f.c_core._draws_in_place())\n"
+    )
     procs = [
         subprocess.Popen([python, "-c", code], stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True,
@@ -2412,7 +2451,7 @@ def test_draws_in_place_on_every_interpreter(tmp_path, interpreters):
     ]
     for python, proc in zip(interpreters, procs):
         out, err = proc.communicate()
-        assert (proc.returncode, out.split()) == (0, ["True"]), (python, err)
+        assert (proc.returncode, out.split()) == (0, ["open", "True"]), (python, err)
 
 
 def tiny_instance(seed=0, n_macros=6, n_nets=6, side=12.0):
