@@ -22,10 +22,7 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
-    beta_schedule,
     is_legal,
-    lse_netlength,
-    nl_netlength,
 )
 from stepplace.placer import (
     LegalizationError,
@@ -34,23 +31,17 @@ from stepplace.placer import (
     PlacerState,
     RoundStats,
     compute_bounds,
-    gamma,
-    move_macro,
     naive_legalize,
     new_state,
-    penalty,
     round_step,
     run_placer,
-    snap_to_grid,
     stats_row,
 )
 from stepplace.stepfield import (
     HAVE_C_CORE,
     MAX_GRID_EXPONENT,
-    BasisIndex,
     CostField,
     GridRect,
-    nonzero_basis_1d,
 )
 
 __version__ = "0.1.0"

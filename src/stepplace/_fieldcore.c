@@ -10,9 +10,10 @@
  * rho and divides the constant coefficient, which never decays, by rho.
  * Once the scale falls below FOLD_BELOW it is folded into every coefficient
  * and reset to 1, an O(n*m) step that a decay of 0.995 per inflate takes
- * once in 4425 inflates, or that an increase takes first where its value
- * over the scale exceeds FOLD_ABOVE, so that no stored coefficient and no
- * read overflows where the field's values do not.
+ * once in 4425 inflates.  An inflate also folds where the constant over rho
+ * would exceed FOLD_ABOVE, and an increase folds first where its value over
+ * the scale exceeds FOLD_ABOVE, so that no stored coefficient and no read
+ * overflows where the field's values do not.
  *
  * Single writer: increase/inflate require exclusive access; cost leaves the
  * coefficients unchanged but records last_touched, so concurrent readers are
@@ -26,15 +27,16 @@
  * Its score method scores one candidate from what the store holds (field
  * sum, net terms, overlap penalty against the other footprints, and keep-out
  * term).  A whole round of the placer is one call of its round method: it
- * draws the macro as rng.randrange does and the candidates as proposals does,
- * from the macro's center and bounds, into C doubles, scores each with the
- * placer's scoring hook, picks the winner as stepplace._pycore.first_min
- * does, commits it as move does, and calls the field's inflate once.  Its
- * step method is the placer's round_step in one call: it computes the
- * round's delta, beta and w from the state's round and the config's
- * _pycore.Schedule (libm pow, as float ** calls it), runs round's body,
- * sets the state's round and last_choice and builds the _pycore.RoundStats
- * row.  A round decides once how it draws from its rng.  From a
+ * draws the macro as rng.randrange does and its candidates (its center, then
+ * proposals drawn around it within its bounds as stepplace._pycore.move_macro
+ * draws them) into C doubles, scores each with the placer's scoring hook,
+ * picks the winner as stepplace._pycore.first_min does, commits it as move
+ * does, and calls the field's inflate once.  Its step method is the
+ * placer's round_step in one call: it computes the round's delta, beta and
+ * w from the state's round and the config's _pycore.Schedule (libm pow, as
+ * float ** calls it), runs round's body, sets the state's round and
+ * last_choice and builds the _pycore.RoundStats row.  A round decides once
+ * how it draws from its rng.  From a
  * random.Random itself, whose instance overrides none of random,
  * getrandbits, randrange and _randbelow and whose class holds
  * _random.Random's random and getrandbits, it draws the macro (as
@@ -67,10 +69,12 @@
  * at a time, each in column order, joining the total in row order.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
- * FootprintIndex, and the area's keep-outs.  Its nearest_free builds a
- * search's lattices and runs the ring search of _pycore._nearest_free over
- * them, with the same cursors and jumps, so it finds the same point; both
- * take lattices whose footprints are all non-empty (netmodel.check_placeable).
+ * FootprintIndex, and the area's keep-outs.  A probe takes index_hits, the
+ * one walk over the index's cells, and checks the keep-outs only where no
+ * footprint meets it.  Its nearest_free builds a search's lattices and
+ * runs the ring search of _pycore._nearest_free over them, with the same
+ * cursors and jumps, so it finds the same point; both take lattices whose
+ * footprints are all non-empty (netmodel.check_placeable).
  *
  * All of these do the float operations of their Python references, the
  * same names in stepplace._pycore (stepfield.core where this did not load),
@@ -291,13 +295,13 @@ FieldCore_inflate(FieldCore *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "decay factor must be in (0, 1]");
         return NULL;
     }
-    double s = self->scale * rho;
-    if (s < FOLD_BELOW) {
+    double s = self->scale * rho, *constant = self->coef + self->n * self->m - 1;
+    if (s < FOLD_BELOW || fabs(*constant / rho) > FOLD_ABOVE) {
         fold_scale(self, s);
     }
     else {
         self->scale = s;
-        self->coef[self->n * self->m - 1] /= rho; /* the constant never decays */
+        *constant /= rho; /* the constant never decays */
     }
     Py_RETURN_NONE;
 }
@@ -1660,22 +1664,6 @@ propose_axis(int down, double c, double lo, double hi, PyObject *u_obj, double u
     return 0;
 }
 
-/* The tuple (x, y) of two floats, or NULL with an exception set. */
-static PyObject *
-float_pair(double x, double y)
-{
-    PyObject *cx = PyFloat_FromDouble(x), *cy = cx ? PyFloat_FromDouble(y) : NULL;
-    PyObject *pair = cy ? PyTuple_New(2) : NULL;
-    if (pair == NULL) {
-        Py_XDECREF(cx);
-        Py_XDECREF(cy);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(pair, 0, cx);
-    PyTuple_SET_ITEM(pair, 1, cy);
-    return pair;
-}
-
 /* One proposal of stepplace._pycore.move_macro around the center c within
  * the bounds b (x_min, x_max, y_min, y_max), into xy: the same four calls
  * of random, rng's bound random, in its order (direction x, direction y,
@@ -1758,33 +1746,6 @@ candidate_room(PyObject *count_obj, double *stack, Py_ssize_t *count)
     return room ? room : (double *)PyErr_NoMemory();
 }
 
-static PyObject *
-PlacementStore_proposals(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "proposals expected 3 arguments, got %zd", nargs);
-        return NULL;
-    }
-    Py_ssize_t i = index_key(args[0], s->count, "macro index", "macros"), count;
-    double stack[3 * STACK_CANDIDATES];
-    double *xy = i < 0 ? NULL : candidate_room(args[2], stack, &count);
-    if (xy == NULL)
-        return NULL;
-    int kind = draw_kind(args[1]);
-    PyObject *out = kind < 0 || draw_candidates(s, i, args[1], kind, count, xy) < 0
-        ? NULL : PyList_New(1 + count);
-    for (Py_ssize_t k = 0; out != NULL && k <= count; k++) {
-        PyObject *p = float_pair(xy[2 * k], xy[2 * k + 1]);
-        if (p == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, k, p);
-    }
-    if (xy != stack)
-        PyMem_Free(xy);
-    return out;
-}
-
 /* stepplace._pycore.first_min over the n >= 1 scores v: the index of the
  * first smallest, -1 where a score is not finite. */
 static Py_ssize_t
@@ -1844,7 +1805,7 @@ may_settle(const PlacementStore *s, Py_ssize_t i, const double *xy, Py_ssize_t n
  * with n below 2^32, one word >> (32 - k) per draw, k the bit length of n,
  * until it is below n, as randrange's getrandbits(k) draws it; else
  * rng.randrange(n) itself.  -1 with an exception set, a draw outside
- * 0 .. n - 1 refused as proposals refuses that index. */
+ * 0 .. n - 1 refused as an index out of range. */
 static Py_ssize_t
 draw_index(PyObject *rng, Py_ssize_t n, int kind)
 {
@@ -1873,11 +1834,11 @@ draw_index(PyObject *rng, Py_ssize_t n, int kind)
 /* stepplace._pycore.PlacementStore.round, the body of round and of step:
  * one round of the placer.  A non-finite w or a store without macros
  * raises ValueError before any draw.  Takes the round's DRAW_ kind once,
- * draws macro i as draw_index does and its candidates as proposals does,
- * as C doubles, scores each in order into a double and picks the winner
- * over them as first_min does.  Where score is score_method, each score is
- * score_at's; else score(store, i, x, y, beta, factor) is called and what
- * it returns read as float() reads it.  Unless a score is not finite (-1,
+ * draws macro i as draw_index does and its candidates as draw_candidates
+ * does, as C doubles, scores each in order into a double and picks the
+ * winner over them as first_min does.  Where score is score_method, each
+ * score is score_at's; else score(store, i, x, y, beta, factor) is called
+ * and what it returns read as float() reads it.  Unless a score is not finite (-1,
  * nothing moved), commits i there as move does and calls the field's
  * inflate(rho) once.  Returns the winner's index, or -2 with an exception
  * set.
@@ -2115,7 +2076,7 @@ PlacementStore_get_centers(PlacementStore *self, void *closure)
 {
     PyObject *out = PyList_New(self->count);
     for (Py_ssize_t i = 0; out != NULL && i < self->count; i++) {
-        PyObject *c = float_pair(self->center[2 * i], self->center[2 * i + 1]);
+        PyObject *c = Py_BuildValue("(dd)", self->center[2 * i], self->center[2 * i + 1]);
         if (c == NULL)
             Py_CLEAR(out);
         else
@@ -2161,7 +2122,8 @@ static PyMethodDef PlacementStore_methods[] = {
     {"round", (PyCFunction)(void (*)(void))PlacementStore_round, METH_FASTCALL,
      "round(score, rng, count, beta, factor, w, rho) -> int\n\n"
      "One round of the placer: draw a macro i as rng.randrange(macros) does,\n"
-     "its proposals(i, rng, count), score each candidate in order as\n"
+     "its center and count proposals around it within its bounds (each as\n"
+     "stepplace._pycore.move_macro draws one), score each candidate in order as\n"
      "float(score(store, i, x, y, beta, factor)) with this store,\n"
      "move(i, x, y, w) to the first smallest score and call the field's\n"
      "inflate(rho) once.\n"
@@ -2184,13 +2146,6 @@ static PyMethodDef PlacementStore_methods[] = {
      "Rounds exhausted, a negative state.round, a store without macros and a\n"
      "score that is not finite raise ValueError before anything moves; see\n"
      "stepplace._pycore.PlacementStore.step."},
-    {"proposals", (PyCFunction)(void (*)(void))PlacementStore_proposals, METH_FASTCALL,
-     "proposals(i, rng, count) -> [(x, y), ...]\n\n"
-     "A round's candidates for macro i: its center, then count proposals\n"
-     "around it, each clamped into its bounds.  Per proposal and axis a coin\n"
-     "picks the direction and the jump is log-uniform over the span to the\n"
-     "bound on that side, drawing rng.random() four times: direction x,\n"
-     "direction y, jump x, jump y; see stepplace._pycore.move_macro."},
     {NULL}
 };
 
@@ -2210,7 +2165,7 @@ static PyTypeObject PlacementStoreType = {
               "The placer's placement of the macros 0 .. count - 1 over a width x\n"
               "height area, scored against field, a CostField on the C core:\n"
               "halves, centers and bounds hold hx, hy, x, y and x_min, x_max,\n"
-              "y_min, y_max per macro (proposals clamps into the bounds), nets the\n"
+              "y_min, y_max per macro (a round's proposals clamp into the bounds), nets the\n"
               "members of each net as macro indices, blockages x1, y1, x2, y2 per\n"
               "keep-out, each overlap area with one weighing blockage_weight in a\n"
               "score.  The footprints sit in a grid of cells of at least min_cell_x\n"
@@ -2545,27 +2500,15 @@ typedef struct {
     double *blk;           /* x1, y1, x2, y2 per keep-out */
 } FreeSpace;
 
-/* netmodel.BucketGrid.first_hit over the index (the box of the least key
- * that meets query, whatever the cells), then the first keep-out: a box that
- * meets query, or NULL if there is none. */
+/* A box that meets query: the footprint of the least key index_hits finds
+ * (whatever the cells), else the first keep-out that meets it, else NULL;
+ * _pycore.FreeSpace probes as this does. */
 static const double *
-blocker(const FreeSpace *s, const double *query)
+probe_box(FreeSpace *s, const double *query)
 {
-    const FootprintIndex *idx = &s->index;
-    Py_ssize_t c[4], best = -1;
-    box_cells(idx, query, c);
-    for (Py_ssize_t i = c[0]; i <= c[2]; i++) {
-        for (Py_ssize_t j = c[1]; j <= c[3]; j++) {
-            const Bucket *b = &idx->cells[i * idx->rows + j];
-            for (Py_ssize_t t = 0; t < b->len; t++) {
-                Py_ssize_t k = b->keys[t];
-                if ((best < 0 || k < best) && boxes_meet(query, idx->boxes + 4 * k))
-                    best = k;
-            }
-        }
-    }
-    if (best >= 0)
-        return idx->boxes + 4 * best;
+    FootprintIndex *idx = &s->index;
+    if (index_hits(idx, query, -1) > 0)
+        return idx->boxes + 4 * idx->found[0];
     for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4)
         if (boxes_meet(query, b))
             return b;
@@ -2657,7 +2600,7 @@ nearest_index(const Lattice *a, double v)
  * every footprint non-empty, the point is the first free one of the rings.
  * The point goes to out; returns 1, or 0 if every point is blocked. */
 static int
-ring_search(const FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
+ring_search(FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
             double px, double py, double *out)
 {
     Py_ssize_t nx = xs->n, ny = ys->n;
@@ -2675,7 +2618,7 @@ ring_search(const FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t
                 if (j < 0 || j >= ny || (j < cj ? cj - j : j - cj) != rem)
                     continue;
                 const double box[4] = {xs->low[k], ys->low[j], xs->high[k], ys->high[j]};
-                const double *blk = blocker(s, box);
+                const double *blk = probe_box(s, box);
                 if (blk == NULL) {
                     out[0] = xs->at[k];
                     out[1] = ys->at[j];
@@ -2766,7 +2709,7 @@ FreeSpace_blocked(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
     double box[4];
     if (fast_doubles(args, nargs, 4, "blocked", box) < 0)
         return NULL;
-    return PyBool_FromLong(blocker(s, box) != NULL);
+    return PyBool_FromLong(probe_box(s, box) != NULL);
 }
 
 static PyObject *

@@ -200,7 +200,8 @@ class FieldCore:
         if not 0.0 < rho <= 1.0:
             raise ValueError("decay factor must be in (0, 1]")
         s = self._scale * rho
-        if s < FOLD_BELOW:
+        if s < FOLD_BELOW or abs(self._coef[-1] / rho) > FOLD_ABOVE:
+            # the constant over rho too large to store takes the scale folded in
             self._fold(s)
         else:
             self._scale = s
@@ -264,8 +265,8 @@ def move_macro(pos: Point, bounds: MacroBounds, rng: random.Random) -> Point:
     over the feasible span on that side (the leftward/downward span is
     measured to the bound, plus one unit so a minimal jump stays possible).
     Consumes exactly four rng draws: direction x, direction y, jump x, jump y.
-    The result is clamped into ``bounds``.  It is the draw of
-    :meth:`PlacementStore.proposals`, and the reference of the C store's.
+    The result is clamped into ``bounds``.  It is the draw of each proposal
+    of :meth:`PlacementStore.round`, and the reference of the C store's.
     """
     x, y = pos
     a = 1 if rng.random() < 0.5 else -1
@@ -488,15 +489,6 @@ class PlacementStore:
             if snapped is not None:
                 self.field.increase(snapped, w)
 
-    def proposals(self, i: int, rng: random.Random, count: int) -> list[Point]:
-        """A round's candidates for macro ``i``: its center, then ``count``
-        proposals around it within its bounds, each drawn by
-        :func:`move_macro`.  The C store's raises where this does, after the
-        same draws."""
-        self._check(i)
-        center, bounds = self.centers[i], self.bounds[i]
-        return [center, *(move_macro(center, bounds, rng) for _ in range(count))]
-
     def score(
         self, i: int, x: float, y: float, beta: float | None, factor: float
     ) -> float:
@@ -524,17 +516,21 @@ class PlacementStore:
     def round(self, score: Callable[..., float], rng: random.Random, count: int,
               beta: float | None, factor: float, w: float, rho: float) -> int:
         """One round of the placer: draw a macro ``i`` by ``rng.randrange``,
-        score each of its :meth:`proposals` ``(x, y)`` by ``float(score(self,
-        i, x, y, beta, factor))`` in order, :meth:`move` it to the
-        :func:`first_min` winner with ``w`` and inflate the field by ``rho``.
-        Returns the winner's index, or -1 with nothing moved where a score is
-        not finite.  A non-finite ``w`` or a store without macros raises
-        ``ValueError`` before any draw.  The C store's ``round`` leaves the same bits, but
-        grows the field in C and holds the candidates as C doubles; for an
-        ``rng`` that is a :class:`random.Random` itself, overriding none of
-        ``random``, ``getrandbits``, ``randrange`` and ``_randbelow`` on the
-        instance, whose class holds ``_random.Random``'s own ``random`` and
-        ``getrandbits``, it takes the macro's and the candidates' draws
+        then its candidates, its center and ``count`` proposals around it
+        within its bounds, each drawn by :func:`move_macro`; score each
+        ``(x, y)`` by ``float(score(self, i, x, y, beta, factor))`` in order,
+        :meth:`move` it to the :func:`first_min` winner with ``w`` and
+        inflate the field by ``rho``.  Returns the winner's index, or -1
+        with nothing moved where a score is not finite.  A non-finite ``w``
+        or a store without macros raises ``ValueError`` before any draw, as
+        does a drawn index outside ``0 .. count - 1`` (read as
+        :func:`operator.index` reads it) after its draw.  The C store's
+        ``round`` raises where this does, after the same draws, and leaves
+        the same bits, but grows the field in C and holds the candidates as
+        C doubles; for an ``rng`` that is a :class:`random.Random` itself,
+        overriding none of ``random``, ``getrandbits``, ``randrange`` and
+        ``_randbelow`` on the instance, whose class holds
+        ``_random.Random``'s own ``random`` and ``getrandbits``, it takes the macro's and the candidates' draws
         from the generator's own words, in place, with no call (see
         ``_fieldcore._draws_in_place``), and calls any other ``rng``'s
         ``randrange`` and ``random`` as this one does; with its own
@@ -546,8 +542,10 @@ class PlacementStore:
             raise ValueError("increase value must be finite")
         if not self.centers:
             raise ValueError("the store has no macros to move")
-        i = rng.randrange(len(self.centers))
-        candidates = self.proposals(i, rng, count)
+        i = operator.index(rng.randrange(len(self.centers)))
+        self._check(i)
+        center, bounds = self.centers[i], self.bounds[i]
+        candidates = [center, *(move_macro(center, bounds, rng) for _ in range(count))]
         best = first_min([float(score(self, i, x, y, beta, factor)) for x, y in candidates])
         if best >= 0:
             self.move(i, *candidates[best], w)
@@ -690,8 +688,8 @@ class FreeSpace:
     Footprints are keyed by ``0 .. count - 1`` in a :class:`BucketGrid` of
     ``cell_x`` by ``cell_y`` cells, and ``blockages`` holds ``x1, y1, x2,
     y2`` per keep-out.  A probe's blocker is the box of the least key that
-    meets it (:meth:`BucketGrid.first_hit`), else the first keep-out that
-    meets it, as in the C core, whatever either index's cells; ``width``,
+    meets it (the first of :meth:`BucketGrid.hits`), else the first keep-out
+    that meets it, as in the C core, whatever either index's cells; ``width``,
     ``height`` and ``count`` size the C index only.
     :meth:`nearest_free` takes the precondition of :func:`_nearest_free`.
     """
@@ -703,9 +701,10 @@ class FreeSpace:
 
     def _blocker(self, box: Box) -> Box | None:
         """A placed footprint or keep-out that meets ``box``, or None."""
-        return self.placed.first_hit(*box) or next(
-            (r for r in self.blockages if overlaps(box, r)), None
-        )
+        hits = self.placed.hits(*box)
+        if hits:
+            return self.placed[hits[0]]
+        return next((r for r in self.blockages if overlaps(box, r)), None)
 
     def put(self, key: int, x1: float, y1: float, x2: float, y2: float) -> None:
         """Store the footprint under ``key``, or move it there."""

@@ -292,10 +292,12 @@ class ResultData:
 
 def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
     """``(netlength_bb, overlap_area, legal)`` from one store of the placement
-    (:func:`store_and_report`): its net total, its pairs' areas added to ``0.0``."""
+    (:func:`store_and_report`): its two totals, the overlap as a float.  A
+    fresh store holds its pairs ascending with no dead slot, so its overlap
+    total adds their areas in index order."""
     store, report = store_and_report(placement, netlist, area)
-    overlap = ordered_sum([0.0] + [a for _, _, a in store.pairs()])
-    return store.totals()[0], overlap, report.legal
+    total_bb, overlap = store.totals()
+    return total_bb, float(overlap), report.legal
 
 
 def write_result(

@@ -252,12 +252,6 @@ class BucketGrid:
         out.sort()
         return out
 
-    def first_hit(self, x1: float, y1: float, x2: float, y2: float) -> Box | None:
-        """Box of the least key that meets the query with positive area, or
-        None; the cell layout cannot change the answer."""
-        hits = self.hits(x1, y1, x2, y2)
-        return self.boxes[hits[0]] if hits else None
-
 
 @dataclass
 class LegalityReport:

@@ -423,8 +423,8 @@ def naive_legalize(
         b = compute_bounds(m, area)
         starts.append((m, b, _clamped(m.id, placement[m.id], b)))
     ids = sorted(netlist.by_id)
-    # keys in id order, so that the reference's first_hit, which reports
-    # the least key, picks the least id
+    # keys in id order, so that a probe's blocker, the footprint of the
+    # least key that meets it, is that of the least id
     key = {mid: k for k, mid in enumerate(ids)}
     space = stepfield.core.FreeSpace(
         area.width, area.height, max((m.size_x for m in netlist.macros), default=1.0),

@@ -73,8 +73,8 @@ def test_hits_equal_brute_force_after_moves(layout, moves, qx, qy, qw, qh):
     for box in [query] + [footprint_box(m, placement[m.id]) for m in netlist.macros]:
         want = brute_hits(netlist, placement, box)
         assert grid.hits(*box) == want
-        # first_hit reports the box of one of them, None if there is none
-        assert grid.first_hit(*box) in ([grid.boxes[k] for k in want] or [None])
+        # a probe's blocker, the first hit's box, is that of the least key
+        assert [grid[k] for k in grid.hits(*box)[:1]] == [grid.boxes[k] for k in want[:1]]
 
 
 def all_pairs_penalty(step, macro, pos, placement, netlist, config):

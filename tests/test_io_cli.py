@@ -1418,6 +1418,29 @@ class TestCli:
         assert all(b == blobs[0] for b in blobs)
         capsys.readouterr()
 
+    def test_huge_constant_with_fast_decay_runs_alike_on_both_cores(
+        self, tmp_path, on_core, capsys
+    ):
+        # 1e305 per round, inflated by 0.1: the field folds its scale in
+        # before the stored constant overflows (this exited 1 with "round
+        # 96: a candidate score is not finite"), with the same bytes on
+        # both cores
+        inst = str(tmp_path / "inst.txt")
+        assert main(["gen", "--out", inst, "--macros", "150", "--nets", "220",
+                     "--seed", "1"]) == 0
+        blobs = []
+        for backend in ("c", "py"):
+            if backend == "c" and not stepfield.HAVE_C_CORE:
+                continue
+            on_core(backend)
+            res, stats = str(tmp_path / f"{backend}.txt"), str(tmp_path / f"{backend}.csv")
+            assert main(["place", "--in", inst, "--out", res, "--stats", stats,
+                         "--w0", "1e305", "--w-growth", "1", "--rho", "0.1",
+                         "--rounds", "300"]) == 0
+            blobs.append((open(res, "rb").read(), open(stats, "rb").read()))
+        assert all(b == blobs[0] for b in blobs)
+        capsys.readouterr()
+
     def test_python_core_run_reaches_no_c_object(self, tmp_path, on_core, capsys):
         # under on_core("py") a whole place run, with a keep-out the
         # legalizer searches around, calls no function or method of the C

@@ -379,13 +379,18 @@ class TestGamma:
 
 
 class FixedRng:
-    """Returns the given draws in order from ``random()``."""
+    """Returns the given draws in order from ``random()``; its ``randrange``
+    draws nothing and picks index 0, a round's only macro in a
+    :func:`draw_stores` store."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
     def random(self):
         return self.draws.pop(0)
+
+    def randrange(self, n):
+        return 0
 
 
 needs_c_move = pytest.mark.skipif(stepfield.c_core is None, reason="C core not built")
@@ -418,15 +423,33 @@ def after_draws(draw, make_rng):
     return got, rng.getstate() if hasattr(rng, "getstate") else rng.draws
 
 
+def round_draws(store, rng, count):
+    """The candidates a ``round`` on the store draws from ``rng`` with
+    ``count`` proposals, as float hex strings, logged by its score hook.  The
+    hook scores each 0.0, so the center wins and nothing moves."""
+    log = []
+
+    def hook(st, i, x, y, beta, factor):
+        log.append(hexes((x, y)))
+        return 0.0
+
+    store.round(hook, rng, count, None, 1.0, 0.0, 1.0)
+    return log
+
+
 def both_moves(pos, bounds, make_rng):
-    """The Python draw ``move_macro`` and the C store's draw, one proposal
-    of its ``proposals`` for a macro centered at ``pos`` with ``bounds``, as
-    :func:`after_draws` gives each."""
+    """The Python draw ``move_macro``, after the macro's draw a round makes
+    first, and the C store's draw, the one proposal of a ``round`` on a
+    macro centered at ``pos`` with ``bounds``, as :func:`after_draws` gives
+    each."""
     c_store = draw_stores(pos, bounds)[0]
-    return [
-        after_draws(lambda rng: hexes(move_macro(pos, bounds, rng)), make_rng),
-        after_draws(lambda rng: hexes(c_store.proposals(0, rng, 1)[1]), make_rng),
-    ]
+
+    def py_move(rng):
+        rng.randrange(1)
+        return hexes(move_macro(pos, bounds, rng))
+
+    return [after_draws(py_move, make_rng),
+            after_draws(lambda rng: round_draws(c_store, rng, 1)[1], make_rng)]
 
 
 # direction draws, just below and at the coin's edge, ints, and NaN; jump
@@ -540,11 +563,11 @@ class TestMoveMacro:
             py, c = both_moves((1000.0, 1000.0), b, make)
             assert c == py and c[0] is error
             assert len(c[1]) == left
-        with pytest.raises(TypeError, match="3 arguments"):
-            draw_stores((1.0, 1.0), b)[0].proposals(0, FixedRng([0.1] * 4))
+        with pytest.raises(TypeError, match="7 arguments"):
+            draw_stores((1.0, 1.0), b)[0].round(max, FixedRng([0.1] * 4), 1)
 
     def test_move_macro_is_the_python_draw_on_both_cores(self):
-        # the C core has no draw of its own beside its store's proposals
+        # the C core has no draw of its own beside its store's round
         assert move_macro.__module__ == "stepplace._pycore"
         assert not hasattr(stepfield, "c_move_macro")
         assert not hasattr(stepfield.c_core, "move_macro")
@@ -562,16 +585,16 @@ class TestMoveMacro:
 
 
 def both_batches(pos, bounds, make_rng, count):
-    """The C and the Python store's ``proposals`` for a macro centered at
-    ``pos`` with ``bounds``, as :func:`after_draws` gives each, its
-    proposals as float hex strings after checking that the first candidate
+    """The C and the Python store's proposals for a macro centered at ``pos``
+    with ``bounds``, drawn by a ``round`` (:func:`round_draws`), as
+    :func:`after_draws` gives each, after checking that the first candidate
     is the center."""
 
     def batch(store):
         def draw(rng):
-            got = store.proposals(0, rng, count)
-            assert hexes(got[0]) == hexes(pos) and len(got) == 1 + len(range(count))
-            return [hexes(p) for p in got[1:]]
+            got = round_draws(store, rng, count)
+            assert got[0] == hexes(pos) and len(got) == 1 + len(range(count))
+            return got[1:]
 
         return draw
 
@@ -579,9 +602,9 @@ def both_batches(pos, bounds, make_rng, count):
 
 
 class TestProposals:
-    """A round's candidates in one call on the store: the C store's
-    ``proposals`` against the Python store's, which draws by ``move_macro``
-    from the center and the bounds the store holds."""
+    """A round's candidates, as its score hook sees them: the C store's
+    draws against the Python store's, which draws by ``move_macro`` from the
+    center and the bounds the store holds."""
 
     @needs_c_move
     @settings(max_examples=300, deadline=None)
@@ -654,27 +677,28 @@ class TestProposals:
             c, py = both_batches((1.0, 1.0), b, lambda: FixedRng(ok), count)
             assert c == py and (c[0] is want or type(c[0]) is want)
             assert c[1] == ok
-        c_store = draw_stores((1.0, 1.0), b)[0]
-        with pytest.raises(TypeError, match="3 arguments"):
-            c_store.proposals(0, FixedRng(ok))
-        # no list holds that many candidates: refused before any draw
-        rng = FixedRng(ok)
+        # no block holds that many candidates: refused before any proposal draw
+        c_store, rng = draw_stores((1.0, 1.0), b)[0], FixedRng(ok)
         with pytest.raises(MemoryError):
-            c_store.proposals(0, rng, sys.maxsize)
+            round_draws(c_store, rng, sys.maxsize)
         assert rng.draws == ok
 
     @needs_c_move
     def test_drawn_around_the_center_before_the_draws(self):
-        # an rng that moves the macro while it draws: every proposal is
-        # drawn around the center the call began with, as move_macro's are
+        # an rng that moves the macro while it draws the proposals: every
+        # proposal is drawn around the center the macro's draw left, as
+        # move_macro's are
         got = []
         for store in draw_stores((4.0, 4.0), MacroBounds(0.0, 8.0, 0.0, 8.0)):
             class Moving(random.Random):
+                def randrange(self, n):
+                    return 0
+
                 def random(self):
                     store.move(0, 1.0, 7.0, 1.0)
                     return super().random()
 
-            got.append([hexes(p) for p in store.proposals(0, Moving(3), 4)])
+            got.append(round_draws(store, Moving(3), 4))
         assert got[0] == got[1] and got[0][0] == hexes((4.0, 4.0))
 
     def test_round_calls_are_the_c_twins_where_the_core_loaded(self):
@@ -685,14 +709,28 @@ class TestProposals:
         state = new_state(nl, area, PlacerConfig(max_rounds=1))
         assert type(state.store) is stepfield.core.PlacementStore
         assert not hasattr(placer, "proposals") and not hasattr(placer, "py_proposals")
+        assert not hasattr(state.store, "proposals")
 
     def test_golden_sequence_seed_123(self):
         # the first proposal of TestMoveMacro's golden sequence, then one
-        # more from the same center, on each loaded core
-        for store in draw_stores((5.0, 5.0), MacroBounds(1.0, 9.0, 1.0, 9.0)):
-            got = store.proposals(0, random.Random(123), 2)
-            assert got == [(5.0, 5.0), (3.074028850104982, 3.8107333682727234),
-                           (7.102934740294829, 3.2931465796128188)]
+        # more from the same center, on each loaded core: from a subclass
+        # whose randrange draws nothing, by calls, then from a plain
+        # random.Random, in place on the C core, after the macro's draw
+        class NoMacroDraw(random.Random):
+            def randrange(self, n):
+                return 0
+
+        want = [(5.0, 5.0), (3.074028850104982, 3.8107333682727234),
+                (7.102934740294829, 3.2931465796128188)]
+        twin = random.Random(123)
+        twin.randrange(1)
+        b = MacroBounds(1.0, 9.0, 1.0, 9.0)
+        plain = [(5.0, 5.0), *(move_macro((5.0, 5.0), b, twin) for _ in range(2))]
+        for store in draw_stores((5.0, 5.0), b):
+            assert round_draws(store, NoMacroDraw(123), 2) == [hexes(p) for p in want]
+            rng = random.Random(123)
+            assert round_draws(store, rng, 2) == [hexes(p) for p in plain]
+            assert rng.getstate() == twin.getstate()
 
 
 # scores a hook may return: ties, signed zeros, non-finite values, and ints
@@ -1303,7 +1341,7 @@ class TestScoreCandidate:
         def boom(*args, **kwargs):
             raise AssertionError("the C path used the bucket grid")
 
-        for name in ("put", "hits", "first_hit", "__getitem__"):
+        for name in ("put", "hits", "__getitem__"):
             monkeypatch.setattr(BucketGrid, name, boom)
         nl, area = generate_instance(GenSpec(macros=40, nets=60, seed=5))
         cfg = PlacerConfig(max_rounds=60, grid_p=4, grid_q=4, seed=2)
@@ -1523,17 +1561,47 @@ class TestPlacementStore:
         # the Python store too, where a list would read -1 from the end
         nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
         state = state_on(backend, nl, square_area(), PlacerConfig(max_rounds=1))
-        store, rng = state.store, random.Random(1)
+
+        class DrawsI(random.Random):
+            def randrange(self, n):
+                return i
+
+        store, rng = state.store, DrawsI(1)
         before, drawn = placed(state), rng.getstate()
         for call in (
             lambda: store.box(i),
             lambda: store.move(i, 4.0, 4.0, 1.0),
-            lambda: store.proposals(i, rng, 1),
+            lambda: store.round(type(store).score, rng, 1, None, 1.0, 1.0, 1.0),
             lambda: store.score(i, 4.0, 4.0, None, 1.0),
         ):
             with pytest.raises(ValueError, match=f"^macro index {i} out of range for 2 macros$"):
                 call()
         assert placed(state) == before and rng.getstate() == drawn
+
+    def test_round_reads_the_drawn_macro_as_an_index(self, backend):
+        # both stores read the macro a round draws as operator.index does:
+        # a float is refused before any proposal draw, a bool is its int
+        nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
+        state = state_on(backend, nl, square_area(), PlacerConfig(max_rounds=1))
+        for drawn in (1.0, True):
+            class Draws(random.Random):
+                def randrange(self, n):
+                    return drawn
+
+            seen, rng = [], Draws(1)
+            before = rng.getstate()
+
+            def hook(st, i, x, y, beta, factor):
+                seen.append(i)
+                return 0.0
+
+            if drawn is True:
+                assert state.store.round(hook, rng, 1, None, 1.0, 1.0, 1.0) >= 0
+                assert seen and all(type(i) is int and i == 1 for i in seen)
+            else:
+                with pytest.raises(TypeError, match="^'float' object cannot be interpreted"):
+                    state.store.round(hook, rng, 1, None, 1.0, 1.0, 1.0)
+                assert rng.getstate() == before and not seen
 
     @needs_c_score
     @settings(max_examples=150, deadline=None)
@@ -1962,8 +2030,10 @@ class TestStoreRound:
             store, twin = states[0].store, random.Random()
             twin.setstate(states[0].rng.getstate())
             i = twin.randrange(n)
+            center, bounds = states[1].store.centers[i], states[1].store.bounds[i]
+            candidates = [center, *(move_macro(center, bounds, twin) for _ in range(count))]
             want = _pycore.first_min([store.score(i, x, y, beta, factor)
-                                      for x, y in store.proposals(i, twin, count)])
+                                      for x, y in candidates])
             got = [s.store.round(hook, s.rng, count, beta, factor, w, rho)
                    for s, hook in zip(states, hooks)]
             assert got == [want, want]
@@ -2392,11 +2462,6 @@ class TestDrawsInPlace:
         assert got[0] == got[1] >= 0
         assert states[0].rng.getstate() == states[1].rng.getstate()
         assert placed(states[0]) == placed(states[1])
-        for s in states:
-            s.rng = predrawn(seed, words)
-        got = [s.store.proposals(n - 1, s.rng, count) for s in states]
-        assert [list(map(hexes, g)) for g in got] == [list(map(hexes, got[1]))] * 2
-        assert states[0].rng.getstate() == states[1].rng.getstate()
 
     @pytest.mark.parametrize("name", ["random", "getrandbits"])
     def test_class_patch_draws_alike_on_both_cores(self, on_core, monkeypatch, name):
@@ -2808,8 +2873,8 @@ class TestBackendsAndSwitch:
         methods = {
             "FieldCore": ["coefficient", "cost", "increase", "inflate"],
             "FreeSpace": ["blocked", "nearest_free", "put"],
-            "PlacementStore": ["box", "move", "net_lengths", "pairs", "proposals",
-                               "round", "score", "step", "totals"],
+            "PlacementStore": ["box", "move", "net_lengths", "pairs", "round", "score",
+                               "step", "totals"],
         }
         properties = {"FieldCore": ["last_touched"], "PlacementStore": ["centers", "field"]}
         for name, want in methods.items():

@@ -433,6 +433,32 @@ class TestCostField:
             assert f.core._scale == scale
             assert coefs[0] == coefs[1]
 
+    def test_inflate_folds_before_the_stored_constant_overflows(self, backend):
+        # a uniform 1e300 stays 1e300: each inflate by 0.1 finds the constant
+        # over rho above FOLD_ABOVE and folds the scale in, where dividing
+        # the stored constant alone overflowed from the 9th inflate on
+        f = CostField(2, 2, backend=backend)
+        f.increase(GridRect(0, 0, 4, 4), 1e300)
+        for _ in range(12):
+            f.inflate(0.1)
+            assert f.cost(GridRect(0, 0, 1, 1)).hex() == (1e300).hex()
+
+    def test_inflate_fold_above_is_the_threshold(self):
+        # over rho 0.5, a constant of FOLD_ABOVE / 2 is divided as is and the
+        # next float up folds the scale in, on both cores alike
+        pytest.importorskip("stepplace._fieldcore")
+        edge = FOLD_ABOVE / 2
+        for value, scale in ((edge, 0.5), (math.nextafter(edge, math.inf), 1.0)):
+            coefs = []
+            for backend in ("c", "py"):
+                f = CostField(2, 2, backend=backend)
+                f.increase(GridRect(1, 0, 3, 2), 3.0)
+                f.increase(GridRect(0, 0, 4, 4), value)
+                f.inflate(0.5)
+                coefs.append([f.core.coefficient(i, j).hex() for i in range(4) for j in range(4)])
+            assert f.core._scale == scale
+            assert coefs[0] == coefs[1]
+
     def test_inflate_bad_rho(self, backend):
         f = CostField(2, 2, backend=backend)
         for rho in (0.0, -0.5, 1.5):
