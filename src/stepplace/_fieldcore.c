@@ -46,7 +46,8 @@
  * _random.Random's own methods, found that object laid out and drawing as
  * this core reads it (3.10-3.13, not on free-threaded builds).  Otherwise
  * it draws by calls: the macro by rng.randrange, and each proposal draw by
- * rng.random.
+ * rng.random.  Either way the log of each span a jump covers is taken once
+ * per round, per axis and direction, not once per proposal.
  * The hook is called as score(store, i, x, y, beta, factor); it is the
  * store's own unbound score method where the core loaded, and where the
  * round's hook is that method itself the round runs the score body on its
@@ -62,11 +63,15 @@
  * winner is never settled, so the bits are those of every score in full.
  * A commit is one body, shared by move and round: it moves the macro and
  * grows the field under each snapped meet with the field core's increase
- * body.  The kernel under the score decides by arithmetic where it can,
- * not by branches: a level of axis_components writes both of its possible
+ * body.  A macro committed at its own center, bit for bit, keeps its
+ * footprint and net boxes, and one with no live pair meets nothing, so its
+ * pairs are not looked up either (a round of 20 macros keeps its macro
+ * where it is about three times in four).  The kernel under the score decides by arithmetic where it
+ * can, not by branches: a level of axis_components writes both of its possible
  * components and counts the nonzero ones, index_hits stores each key it
- * tests and counts the ones that meet, and field_cost sums four rows
- * at a time, each in column order, joining the total in row order.
+ * tests and counts the ones that meet, field_cost sums four rows at a time,
+ * each in column order, joining the total in row order, and field_increase
+ * takes each column's factor once, not once per row.
  *
  * FreeSpace is the legalizer's: the footprints it has placed, in a
  * FootprintIndex, and the area's keep-outs.  A probe takes index_hits, the
@@ -205,13 +210,15 @@ field_increase(FieldCore *self, Py_ssize_t a1, Py_ssize_t b1, Py_ssize_t a2, Py_
         fold_scale(self, self->scale);
         v = value / self->scale;
     }
-    double *C = self->coef;
+    double *C = self->coef, vy[MAX_AXIS_COMPONENTS];
     Py_ssize_t m = self->m;
+    for (int j = 0; j < ky; j++)
+        vy[j] = sy[j] * ny[j];
     for (int i = 0; i < kx; i++) {
         double vx = sx[i] * nx[i] * v;
         Py_ssize_t row = ix[i] * m;
         for (int j = 0; j < ky; j++)
-            C[row + iy[j]] += vx * (sy[j] * ny[j]);
+            C[row + iy[j]] += vx * vy[j];
     }
     self->last_touched = (Py_ssize_t)kx * ky;
 }
@@ -1157,7 +1164,11 @@ fail:
  * recomputes its nets' boxes, brings its pairs up to date and grows the
  * field by w under each meet with another footprint (update_pairs leaves
  * them in s->meets in index order) snapped to the field's grid, with the
- * core's increase body.  0, or -1 with an exception set. */
+ * core's increase body.  A macro that stays where it is, bit for bit, keeps
+ * its footprint and net boxes, which are those it would get; without a
+ * live pair it also meets nothing, since every other move brought its
+ * pairs with this footprint up to date, so its pairs are not looked up
+ * either.  0, or -1 with an exception set. */
 static int
 store_commit(PlacementStore *s, Py_ssize_t i, double x, double y, double w)
 {
@@ -1165,15 +1176,21 @@ store_commit(PlacementStore *s, Py_ssize_t i, double x, double y, double w)
         PyErr_SetString(PyExc_ValueError, "increase value must be finite");
         return -1;
     }
-    const double *h = s->half + 2 * i;
-    const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
-    if (index_put(&s->index, i, box) < 0)
-        return -1;
-    s->center[2 * i] = x;
-    s->center[2 * i + 1] = y;
-    for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
-        Py_ssize_t k = s->nets_of[t];
-        s->net_bb[k] = bb_length(net_pins(s, k, -1, NULL));
+    const double at[2] = {x, y};
+    if (memcmp(at, s->center + 2 * i, sizeof at) != 0) {
+        const double *h = s->half + 2 * i;
+        const double box[4] = {x - h[0], y - h[1], x + h[0], y + h[1]};
+        if (index_put(&s->index, i, box) < 0)
+            return -1;
+        s->center[2 * i] = x;
+        s->center[2 * i + 1] = y;
+        for (Py_ssize_t t = s->nets_at[i]; t < s->nets_at[i + 1]; t++) {
+            Py_ssize_t k = s->nets_of[t];
+            s->net_bb[k] = bb_length(net_pins(s, k, -1, NULL));
+        }
+    }
+    else if (s->partners[i].len == 0) {
+        return 0;
     }
     Py_ssize_t n = update_pairs(s, i);
     FieldCore *core = s->core;
@@ -1642,18 +1659,20 @@ to_double(PyObject *obj, double *out)
 
 /* One axis of a stepplace._pycore.move_macro proposal from the center c
  * within [lo, hi], into *out: a jump of _pycore.gamma(span, u) down, over
- * the span c - lo + 1, or up, over hi - c, clamped.  u is the draw u_obj
+ * the span c - lo + 1, or up, over hi - c, clamped.  lg is log(span), or
+ * negative for a span below 1 (see draw_candidates).  u is the draw u_obj
  * read as a double where u_obj is not NULL, and is read only where the span
  * is not below 1, as gamma reads it; an exp that overflows raises
  * OverflowError, as math.exp does.  -1 with an exception set. */
 static int
-propose_axis(int down, double c, double lo, double hi, PyObject *u_obj, double u, double *out)
+propose_axis(int down, double c, double lo, double hi, double lg, PyObject *u_obj, double u,
+             double *out)
 {
-    double span = down ? c - lo + 1.0 : hi - c, jump = 0.0;
-    if (!(span < 1.0)) {
+    double jump = 0.0;
+    if (!(lg < 0.0)) {
         if (u_obj != NULL && to_double(u_obj, &u) < 0)
             return -1;
-        double e = log(span) * u;
+        double e = lg * u;
         jump = exp(e);
         if (isinf(jump) && isfinite(e)) {
             PyErr_SetString(PyExc_OverflowError, "math range error");
@@ -1665,13 +1684,13 @@ propose_axis(int down, double c, double lo, double hi, PyObject *u_obj, double u
 }
 
 /* One proposal of stepplace._pycore.move_macro around the center c within
- * the bounds b (x_min, x_max, y_min, y_max), into xy: the same four calls
- * of random, rng's bound random, in its order (direction x, direction y,
- * jump x, jump y), each coin compared before the next draw, and the same
- * float operations.  0, or -1 with an exception set after the draws the
- * reference makes before it raises. */
+ * the bounds b (x_min, x_max, y_min, y_max), whose spans' logs are lg,
+ * into xy: the same four calls of random, rng's bound random, in its order
+ * (direction x, direction y, jump x, jump y), each coin compared before the
+ * next draw, and the same float operations.  0, or -1 with an exception set
+ * after the draws the reference makes before it raises. */
 static int
-propose(PyObject *random, const double *c, const double *b, double *xy)
+propose(PyObject *random, const double *c, const double *b, const double *lg, double *xy)
 {
     PyObject *draw[4] = {NULL, NULL, NULL, NULL};
     int down[2], rc = -1; /* per axis: the coin says leftward (downward) */
@@ -1680,7 +1699,8 @@ propose(PyObject *random, const double *c, const double *b, double *xy)
             || (k < 2 && (down[k] = coin(draw[k])) < 0))
             goto done;
     for (int a = 0; a < 2; a++)
-        if (propose_axis(down[a], c[a], b[2 * a], b[2 * a + 1], draw[2 + a], 0.0, xy + a) < 0)
+        if (propose_axis(down[a], c[a], b[2 * a], b[2 * a + 1], lg[2 * a + down[a]],
+                         draw[2 + a], 0.0, xy + a) < 0)
             goto done;
     rc = 0;
 done:
@@ -1698,10 +1718,20 @@ draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, int kind, Py_ssi
 {
     /* the center as it stands before the draws, which may call Python */
     const double c[2] = {s->center[2 * i], s->center[2 * i + 1]}, *b = s->bound + 4 * i;
+    double lg[4];
     xy[0] = c[0];
     xy[1] = c[1];
     if (count == 0)
         return 0;
+    /* the log of each span a jump covers, once per round: lg[2 * a + down]
+     * for axis a and direction down, or -1 where the span is below 1 and
+     * no jump reads it (the log of any other span, NaN too, is not
+     * negative) */
+    for (int a = 0; a < 2; a++) {
+        const double span[2] = {b[2 * a + 1] - c[a], c[a] - b[2 * a] + 1.0};
+        for (int down = 0; down < 2; down++)
+            lg[2 * a + down] = span[down] < 1.0 ? -1.0 : log(span[down]);
+    }
 #ifdef DRAWS_IN_PLACE
     if (kind == DRAW_IN_PLACE) {
         /* the same four draws per proposal; no error before its last */
@@ -1709,10 +1739,12 @@ draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, int kind, Py_ssi
             double u[4];
             for (int t = 0; t < 4; t++)
                 u[t] = mt_double((MTObject *)rng);
-            for (int a = 0; a < 2; a++)
-                if (propose_axis(u[a] < 0.5, c[a], b[2 * a], b[2 * a + 1], NULL, u[2 + a],
-                                 xy + 2 * k + a) < 0)
+            for (int a = 0; a < 2; a++) {
+                int down = u[a] < 0.5;
+                if (propose_axis(down, c[a], b[2 * a], b[2 * a + 1], lg[2 * a + down], NULL,
+                                 u[2 + a], xy + 2 * k + a) < 0)
                     return -1;
+            }
         }
         return 0;
     }
@@ -1720,7 +1752,7 @@ draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, int kind, Py_ssi
     PyObject *random = PyObject_GetAttr(rng, str_random);
     int rc = random ? 0 : -1;
     for (Py_ssize_t k = 1; rc == 0 && k <= count; k++)
-        rc = propose(random, c, b, xy + 2 * k);
+        rc = propose(random, c, b, lg, xy + 2 * k);
     Py_XDECREF(random);
     return rc;
 }
@@ -1832,13 +1864,14 @@ draw_index(PyObject *rng, Py_ssize_t n, int kind)
 }
 
 /* stepplace._pycore.PlacementStore.round, the body of round and of step:
- * one round of the placer.  A non-finite w or a store without macros
- * raises ValueError before any draw.  Takes the round's DRAW_ kind once,
- * draws macro i as draw_index does and its candidates as draw_candidates
- * does, as C doubles, scores each in order into a double and picks the
- * winner over them as first_min does.  Where score is score_method, each
- * score is score_at's; else score(store, i, x, y, beta, factor) is called
- * and what it returns read as float() reads it.  Unless a score is not finite (-1,
+ * one round of the placer.  A non-finite w, then a rho outside (0, 1]
+ * (read as a double), then a store without macros raise ValueError before
+ * any draw.  Takes the round's DRAW_ kind once, draws macro i as
+ * draw_index does and its candidates as draw_candidates does, as C
+ * doubles, scores each in order into a double and picks the winner over
+ * them as first_min does.  Where score is score_method, each score is
+ * score_at's; else score(store, i, x, y, beta, factor) is called and what
+ * it returns read as float() reads it.  Unless a score is not finite (-1,
  * nothing moved), commits i there as move does and calls the field's
  * inflate(rho) once.  Returns the winner's index, or -2 with an exception
  * set.
@@ -1864,9 +1897,14 @@ static Py_ssize_t
 store_round(PlacementStore *s, PyObject *score, PyObject *rng, PyObject *count_obj,
             PyObject *beta_obj, PyObject *factor_obj, double w, PyObject *rho)
 {
-    if (!isfinite(w) || s->count == 0) {
-        PyErr_SetString(PyExc_ValueError, isfinite(w) ? "the store has no macros to move"
-                                                      : "increase value must be finite");
+    double decay = 1.0;
+    if (isfinite(w) && to_double(rho, &decay) < 0)
+        return -2;
+    const char *refused = !isfinite(w) ? "increase value must be finite"
+        : !(decay > 0.0 && decay <= 1.0) ? "decay factor must be in (0, 1]"
+        : s->count == 0 ? "the store has no macros to move" : NULL;
+    if (refused != NULL) {
+        PyErr_SetString(PyExc_ValueError, refused);
         return -2;
     }
     int kind = draw_kind(rng);
@@ -2234,18 +2272,27 @@ line_append(LineBuf *b, const char *s, Py_ssize_t n)
     return 0;
 }
 
-/* Writes the decimal digits of v at the end of the 20 bytes at end - 20;
- * returns how many. */
+/* "00" to "99": the two digits of each value below 100 */
+static const char DIGIT_PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Writes the decimal digits of v at the end of the 20 bytes at end - 20,
+ * two at a time; returns how many. */
 static int
 put_digits(char *end, uint64_t v)
 {
-    int n = 0;
-    do {
-        *--end = (char)('0' + v % 10);
-        v /= 10;
-        n++;
-    } while (v);
-    return n;
+    char *p = end;
+    for (; v >= 100; v /= 100)
+        memcpy(p -= 2, DIGIT_PAIRS + 2 * (v % 100), 2);
+    if (v >= 10)
+        memcpy(p -= 2, DIGIT_PAIRS + 2 * v, 2);
+    else
+        *--p = (char)('0' + v);
+    return (int)(end - p);
 }
 
 #ifdef __SIZEOF_INT128__

@@ -521,10 +521,11 @@ class PlacementStore:
         ``(x, y)`` by ``float(score(self, i, x, y, beta, factor))`` in order,
         :meth:`move` it to the :func:`first_min` winner with ``w`` and
         inflate the field by ``rho``.  Returns the winner's index, or -1
-        with nothing moved where a score is not finite.  A non-finite ``w``
-        or a store without macros raises ``ValueError`` before any draw, as
-        does a drawn index outside ``0 .. count - 1`` (read as
-        :func:`operator.index` reads it) after its draw.  The C store's
+        with nothing moved where a score is not finite.  A non-finite ``w``,
+        then a ``rho`` outside (0, 1], then a store without macros raise
+        ``ValueError`` before any draw; a drawn index outside
+        ``0 .. count - 1`` (read as :func:`operator.index` reads it) raises
+        it after its draw.  The C store's
         ``round`` raises where this does, after the same draws, and leaves
         the same bits, but grows the field in C and holds the candidates as
         C doubles; for an ``rng`` that is a :class:`random.Random` itself,
@@ -540,6 +541,8 @@ class PlacementStore:
         one scores every candidate in full, the exact reference of both."""
         if not math.isfinite(w):
             raise ValueError("increase value must be finite")
+        if not 0.0 < rho <= 1.0:
+            raise ValueError("decay factor must be in (0, 1]")
         if not self.centers:
             raise ValueError("the store has no macros to move")
         i = operator.index(rng.randrange(len(self.centers)))

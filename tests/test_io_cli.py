@@ -368,13 +368,28 @@ needs_c_repr = pytest.mark.skipif(
 SEPS = st.sampled_from([",", " ", "", ", ", "\u00b7"])
 
 
+def _digit_ints(d_max):
+    """Non-negative ints of 1 to ``d_max`` digits, each length alike."""
+    return st.integers(1, d_max).flatmap(
+        lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, 10**d - 1))
+
+
+#: ints of 1 to 20 digits, either sign: the two-digit writer's every length
+INTS_BY_DIGITS = st.tuples(_digit_ints(20), st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0])
+#: floats whose shortest form has 1 to 17 digits, from 1e-40 to 1e+57, inside
+#: and outside the integer path's range
+FLOATS_BY_DIGITS = st.tuples(_digit_ints(17), st.integers(-40, 40), st.booleans()).map(
+    lambda t: float(f"{'-' if t[2] else ''}{t[0]}e{t[1]}"))
+
+
 @needs_c_repr
 class TestReprLine:
     """The C core's ``repr_line`` against ``repr``: its integer path for
     normal floats between 2**-13 and 2**123, the interpreter's for the rest."""
 
     @settings(max_examples=500, deadline=None)
-    @given(values=st.lists(st.floats(), max_size=8), sep=SEPS)
+    @given(values=st.lists(st.one_of(st.floats(), FLOATS_BY_DIGITS), max_size=8), sep=SEPS)
     def test_floats(self, values, sep):
         assert stepfield.c_core.repr_line(values, sep) == _pycore.repr_line(values, sep)
 
@@ -403,10 +418,11 @@ class TestReprLine:
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.one_of(st.integers(0, sys.maxsize), st.integers(),
-                                     st.booleans()), max_size=8))
+                                     st.booleans(), INTS_BY_DIGITS), max_size=8))
     def test_ints(self, values):
         assert stepfield.c_core.repr_line(values, ",") == _pycore.repr_line(values, ",")
-        edges = [0, 1, sys.maxsize, -sys.maxsize - 1, 2**63, 2**64, -(2**100)]
+        edges = [0, 1, 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64, -(2**100),
+                 *(10**d for d in range(20)), *(10**d - 1 for d in range(1, 21))]
         assert stepfield.c_core.repr_line(edges, ",") == _pycore.repr_line(edges, ",")
 
     @pytest.mark.parametrize("value", ["1.0", None, b"1", [1.0], 1j])

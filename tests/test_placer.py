@@ -2199,6 +2199,63 @@ class TestStoreRound:
                                   0.5)
         assert state.rng.getstate() == drawn
 
+    @pytest.mark.parametrize("rho", [2.0, 0.0, -0.5, math.nan, math.inf])
+    def test_bad_rho_refused_before_any_draw(self, backend, rho):
+        # refused as w is, before the macro draw: nothing moved, grown or
+        # drawn, where the field's inflate once raised after the commit
+        nl, area = generate_instance(GenSpec(macros=20, nets=30, seed=1))
+        state = state_on(backend, nl, area, PlacerConfig(max_rounds=10, seed=7))
+        before, drawn = placed(state), state.rng.getstate()
+        with pytest.raises(ValueError, match=r"^decay factor must be in \(0, 1\]$"):
+            state.store.round(type(state.store).score, state.rng, 8, 1.0, 1.0, 5.0, rho)
+        assert placed(state) == before and state.rng.getstate() == drawn
+
+    @pytest.mark.parametrize("partnered", [True, False])
+    def test_unmoved_winner_commits_as_the_reference_move(self, backend, partnered):
+        # the center wins each round: the commit keeps the macro where it is
+        # and grows the field under its meets, as the Python store's move
+        # there does, whether the macro has live pairs or none
+        nl = Netlist([Macro(f"m{i}", 2, 2) for i in range(4)],
+                     [Net(("m0", "m1")), Net(("m1", "m2", "m3")), Net(("m0", "m3"))])
+        init = {"m0": (5.0, 5.0), "m1": (6.0, 6.5), "m2": (20.0, 20.0), "m3": (30.0, 5.0)}
+        area = PlacementArea(40.0, 40.0)
+        cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=1)
+        state, ref = state_on(backend, nl, area, cfg, init), state_on("py", nl, area, cfg, init)
+        i = 1 if partnered else 2
+        assert bool([p for p in ref.store.pairs() if i in p[:2]]) is partnered
+
+        class Chosen(random.Random):
+            def randrange(self, n):
+                return i
+
+        def center_wins(st, j, x, y, *args):
+            return 0.0 if (x, y) == st.centers[j] else 1.0
+
+        def agree():
+            for s in (state.store, ref.store):
+                assert s.centers[i] == init[f"m{i}"]
+            assert [(a, b, exact(v)) for a, b, v in state.store.pairs()] == [
+                (a, b, exact(v)) for a, b, v in ref.store.pairs()]
+            assert [exact(v) for v in state.store.totals()] == [
+                exact(v) for v in ref.store.totals()]
+            assert [exact(v) for v in state.store.net_lengths()] == [
+                exact(v) for v in ref.store.net_lengths()]
+            assert hexes(state.store.box(i)) == hexes(ref.store.box(i))
+            assert coefficients(state.field) == coefficients(ref.field)
+
+        state.rng = Chosen(3)
+        grown = coefficients(ref.field)
+        for w in (2.0, 0.5, 3.0):
+            assert state.store.round(center_wins, state.rng, 4, None, 1.0, w, 0.5) == 0
+            ref.store.move(i, *ref.store.centers[i], w)
+            ref.field.inflate(0.5)
+            agree()
+            assert state.store.move(i, *init[f"m{i}"], w) is None
+            ref.store.move(i, *init[f"m{i}"], w)
+            agree()
+        # a partnered macro's field grew under its meet, a lone one's did not
+        assert (coefficients(ref.field) == grown) is not partnered
+
     def test_round_step_is_one_store_round(self, monkeypatch, on_core, backend):
         # round_step makes one step call on the state's store: it hands the
         # store candidate_score as this module holds it at the call and the
@@ -2415,10 +2472,11 @@ class TestStoreStep:
             assert state.rng.getstate() == drawn
 
 
-def predrawn(seed, words):
-    """A ``random.Random(seed)`` after ``words`` words: at 624 its next draw
-    regenerates the words, below it that many words remain before that."""
-    rng = random.Random(seed)
+def predrawn(seed, words, cls=random.Random):
+    """A ``cls(seed)``, a ``random.Random``, after ``words`` words: at 624 its
+    next draw regenerates the words, below it that many words remain before
+    that."""
+    rng = cls(seed)
     for _ in range(words):
         rng.getrandbits(32)
     return rng
@@ -2441,17 +2499,34 @@ class TestDrawsInPlace:
         if stepfield.c_core is not None:
             assert stepfield.c_core._draws_in_place() is IN_PLACE
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**64), words=st.integers(620, 624),
-           n=st.sampled_from([1, 2, 5, 6, 33]), count=st.sampled_from([0, 1, 8, 100]))
-    def test_round_and_proposals_draw_as_the_reference(self, seed, words, n, count):
+           n=st.sampled_from([1, 2, 5, 6, 33]), count=st.sampled_from([0, 1, 8, 100]),
+           edges=st.tuples(*[st.sampled_from([None, "lo", "hi"])] * 2),
+           gap=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           cls=st.sampled_from([random.Random, SubRandom]))
+    def test_round_and_proposals_draw_as_the_reference(
+        self, seed, words, n, count, edges, gap, cls
+    ):
         # the generator regenerates its words in the macro draw or in the
-        # middle of the candidates' draws
+        # middle of the candidates' draws; a center on a bound, or within
+        # gap < 1 of it, has an upward span below 1 (no jump) or a downward
+        # one below 2; a plain random.Random is drawn in place, a subclass
+        # by calls
         nl, area = tiny_instance(seed % 1000, n_macros=n, n_nets=n if n > 1 else 0)
+        initial = None  # new_state's own placement
+        if edges != (None, None):
+            initial = {}
+            for m in nl.macros:
+                b = compute_bounds(m, area)
+                initial[m.id] = tuple(
+                    (lo + hi) / 2 if edge is None
+                    else min(lo + gap, hi) if edge == "lo" else max(hi - gap, lo)
+                    for edge, lo, hi in zip(edges, b[::2], b[1::2]))
         cfg = PlacerConfig(max_rounds=1, grid_p=3, grid_q=3, seed=1)
-        states = [state_on(b, nl, area, cfg) for b in STEP_BACKENDS]
+        states = [state_on(b, nl, area, cfg, initial) for b in STEP_BACKENDS]
         for s in states:
-            s.rng = predrawn(seed, words)
+            s.rng = predrawn(seed, words, cls)
         logs = [], []
         got = [logged_round(s, log, count, None, 1.0, 1.0, 0.995)
                for s, log in zip(states, logs)]
