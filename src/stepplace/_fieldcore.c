@@ -31,12 +31,17 @@
  * proposals drawn around it within its bounds as stepplace._pycore.move_macro
  * draws them) into C doubles, scores each with the placer's scoring hook,
  * picks the winner as stepplace._pycore.first_min does, commits it as move
- * does, and calls the field's inflate once.  Its step method is the
- * placer's round_step in one call: it computes the round's delta, beta and
- * w from the state's round and the config's _pycore.Schedule (libm pow, as
- * float ** calls it), runs round's body, sets the state's round and
- * last_choice and builds the _pycore.RoundStats row.  A round decides once
- * how it draws from its rng.  From a
+ * does, and inflates the field once.  Where the field resolves inflate to
+ * stepplace.stepfield.CostField.inflate, which that module hands the core
+ * once as it defines it, and holds the store's own core, the round runs
+ * that inflate's body, the field core's inflate, with no call; any other
+ * inflate (a subclass's, or one put on the class or the instance) is
+ * called.  Its step method is the placer's round_step in one call: it
+ * computes the round's delta, beta and w from the state's round and the
+ * config's _pycore.Schedule (libm pow, as float ** calls it), runs round's
+ * body, sets the state's round and last_choice and builds the
+ * _pycore.RoundStats row in place, with the type's tp_alloc.  A round
+ * decides once how it draws from its rng.  From a
  * random.Random itself, whose instance overrides none of random,
  * getrandbits, randrange and _randbelow and whose class holds
  * _random.Random's random and getrandbits, it draws the macro (as
@@ -44,7 +49,9 @@
  * the generator's own Mersenne Twister words, read and advanced in place in
  * CPython's object, once a guard run once per process, through
  * _random.Random's own methods, found that object laid out and drawing as
- * this core reads it (3.10-3.13, not on free-threaded builds).  Otherwise
+ * this core reads it (3.10-3.13, not on free-threaded builds); the words
+ * regenerate in CPython's two loops, and each proposal's eight are
+ * tempered in one run where they lie before the regeneration.  Otherwise
  * it draws by calls: the macro by rng.randrange, and each proposal draw by
  * rng.random.  Either way the log of each span a jump covers is taken once
  * per round, per axis and direction, not once per proposal.
@@ -292,15 +299,16 @@ FieldCore_cost(FieldCore *self, PyObject *args)
     return PyFloat_FromDouble(field_cost(self, a1, b1, a2, b2));
 }
 
-static PyObject *
-FieldCore_inflate(FieldCore *self, PyObject *args)
+/* Decays every non-constant coefficient by rho: the body of inflate and of
+ * a round's inflate of a field whose inflate is stepfield.CostField.inflate
+ * itself (see round_inflate).  0, or -1 with ValueError set for a rho
+ * outside (0, 1]. */
+static int
+field_inflate(FieldCore *self, double rho)
 {
-    double rho;
-    if (!PyArg_ParseTuple(args, "d:inflate", &rho))
-        return NULL;
     if (!(rho > 0.0 && rho <= 1.0)) {
         PyErr_SetString(PyExc_ValueError, "decay factor must be in (0, 1]");
-        return NULL;
+        return -1;
     }
     double s = self->scale * rho, *constant = self->coef + self->n * self->m - 1;
     if (s < FOLD_BELOW || fabs(*constant / rho) > FOLD_ABOVE) {
@@ -310,6 +318,15 @@ FieldCore_inflate(FieldCore *self, PyObject *args)
         self->scale = s;
         *constant /= rho; /* the constant never decays */
     }
+    return 0;
+}
+
+static PyObject *
+FieldCore_inflate(FieldCore *self, PyObject *arg)
+{
+    double rho = PyFloat_AsDouble(arg);
+    if ((rho == -1.0 && PyErr_Occurred()) || field_inflate(self, rho) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -370,7 +387,7 @@ static PyMethodDef FieldCore_methods[] = {
      "increase(a1, b1, a2, b2, value)\n\nAdd value to every cell of the rectangle."},
     {"cost", (PyCFunction)FieldCore_cost, METH_VARARGS,
      "cost(a1, b1, a2, b2) -> float\n\nSum of all cell values inside the rectangle."},
-    {"inflate", (PyCFunction)FieldCore_inflate, METH_VARARGS,
+    {"inflate", (PyCFunction)FieldCore_inflate, METH_O,
      "inflate(rho)\n\nDecay every non-constant coefficient by rho."},
     {"coefficient", (PyCFunction)FieldCore_coefficient, METH_VARARGS,
      "coefficient(fx, fy) -> float\n\nCurrent coefficient by flat axis ids."},
@@ -1433,15 +1450,48 @@ PlacementStore_score(PlacementStore *s, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* The rng methods a round draws through and the names its instance may
- * override them under, the 0.5 a coin compares with, the field method a
- * round calls, the PlacerState and PlacerConfig attributes step reads and
+ * override them under, the 0.5 a coin compares with, the field attributes
+ * a round reads, the PlacerState and PlacerConfig attributes step reads and
  * writes, PlacementStore.score, the hook a round runs without a call, and
  * stepplace._pycore.RoundStats, the type of step's row, made once at module
- * init. */
+ * init; own_inflate, stepfield.CostField.inflate, the field method a round
+ * runs without a call, set by _own_inflate. */
 static PyObject *str_random, *str_getrandbits, *str_randrange, *str_randbelow, *one_half,
-    *str_inflate, *str_round, *str_rng, *str_last_choice, *str_config, *str_schedule,
-    *score_method;
+    *str_inflate, *str_core, *str_round, *str_rng, *str_last_choice, *str_config,
+    *str_schedule, *score_method, *own_inflate;
 static PyTypeObject *round_stats;
+
+/* The field's inflate(rho) that ends a round.  Where the field's class
+ * holds own_inflate under inflate and nothing under core, looks attributes
+ * up as object does, and the instance holds no inflate and the store's core
+ * under core, field.inflate(rho) would run own_inflate's body,
+ * self.core.inflate(rho), on that core: field_inflate runs it here on
+ * decay, rho as a double, with no call.  Any other inflate is called: a
+ * subclass's, one put on the class (the benchmark's tracer puts its wrapper
+ * there) or on the instance.  0, or -1 with an exception set. */
+static int
+round_inflate(PlacementStore *s, PyObject *rho, double decay)
+{
+    PyObject *field = s->field;
+    PyTypeObject *type = Py_TYPE(field);
+    if (own_inflate != NULL && type->tp_getattro == PyObject_GenericGetAttr
+        && type->tp_dictoffset != 0 && _PyType_Lookup(type, str_inflate) == own_inflate
+        && _PyType_Lookup(type, str_core) == NULL) {
+        PyObject *dict = PyObject_GenericGetDict(field, NULL);
+        if (dict == NULL)
+            return -1;
+        int own = PyDict_GetItemWithError(dict, str_core) == (PyObject *)s->core
+            && PyDict_GetItemWithError(dict, str_inflate) == NULL;
+        Py_DECREF(dict);
+        if (PyErr_Occurred())
+            return -1;
+        if (own)
+            return field_inflate(s->core, decay);
+    }
+    PyObject *done = PyObject_CallMethodOneArg(field, str_inflate, rho);
+    Py_XDECREF(done);
+    return done == NULL ? -1 : 0;
+}
 
 /* How a round draws from its rng, decided once per round by draw_kind:
  * DRAW_CALLS asks the rng for randrange(n) and calls its random() for each
@@ -1502,37 +1552,62 @@ mt_load(void)
     return 0;
 }
 
+/* A state word tempered into a word of the stream, as genrand_uint32 does. */
+static inline uint32_t
+mt_temper(uint32_t y)
+{
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
 /* The next word of rng's stream, as _random's genrand_uint32 makes it:
- * the 624 words regenerate at index 624, then one is tempered. */
+ * the 624 words regenerate at index 624, in its two loops, which the
+ * compiler can vectorize, then one is tempered. */
 static uint32_t
 mt_word(MTObject *r)
 {
     uint32_t *mt = r->state, y;
     if (r->index >= MT_N) {
         int k;
-        for (k = 0; k < MT_N - 1; k++) {
+        for (k = 0; k < MT_N - MT_M; k++) {
             y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
-            mt[k] = mt[k < MT_N - MT_M ? k + MT_M : k + MT_M - MT_N] ^ (y >> 1)
-                    ^ (-(y & 1U) & 0x9908b0dfU);
+            mt[k] = mt[k + MT_M] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+        }
+        for (; k < MT_N - 1; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+            mt[k] = mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
         }
         y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
         mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
         r->index = 0;
     }
-    y = mt[r->index++];
-    y ^= y >> 11;
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= y >> 18;
-    return y;
+    return mt_temper(mt[r->index++]);
 }
 
-/* rng.random(): two words, ((a >> 5) * 2^26 + (b >> 6)) / 2^53 */
-static double
-mt_double(MTObject *r)
+/* The next n words of rng's stream into out, as n mt_word calls make them:
+ * tempered in one run where all n lie before the regeneration point, else
+ * word by word. */
+static void
+mt_words(MTObject *r, uint32_t *out, int n)
 {
-    uint32_t a = mt_word(r) >> 5, b = mt_word(r) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    if (r->index > MT_N - n) {
+        for (int t = 0; t < n; t++)
+            out[t] = mt_word(r);
+        return;
+    }
+    const uint32_t *mt = r->state + r->index;
+    for (int t = 0; t < n; t++)
+        out[t] = mt_temper(mt[t]);
+    r->index += n;
+}
+
+/* rng.random() from its two words a and b: ((a >> 5) * 2^26 + (b >> 6)) / 2^53 */
+static inline double
+mt_unit(uint32_t a, uint32_t b)
+{
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0);
 }
 
 /* Whether the draw of one value by a method call, made, equals v. */
@@ -1572,7 +1647,9 @@ mt_layout_ok(void)
             goto done;
     }
     for (int rep = 0; rep < 40; rep++) {
-        if (!drawn_equal(PyObject_CallOneArg(mt_random, twin), mt_double(r)))
+        uint32_t word[2];
+        mt_words(r, word, 2);
+        if (!drawn_equal(PyObject_CallOneArg(mt_random, twin), mt_unit(word[0], word[1])))
             goto done;
         for (int k = 1; k <= 32; k++)
             if (!drawn_equal(PyObject_CallFunction(mt_getrandbits, "Oi", twin, k),
@@ -1734,11 +1811,14 @@ draw_candidates(PlacementStore *s, Py_ssize_t i, PyObject *rng, int kind, Py_ssi
     }
 #ifdef DRAWS_IN_PLACE
     if (kind == DRAW_IN_PLACE) {
-        /* the same four draws per proposal; no error before its last */
+        /* the same four draws per proposal, from its eight words; no error
+         * before its last */
         for (Py_ssize_t k = 1; k <= count; k++) {
+            uint32_t word[8];
             double u[4];
+            mt_words((MTObject *)rng, word, 8);
             for (int t = 0; t < 4; t++)
-                u[t] = mt_double((MTObject *)rng);
+                u[t] = mt_unit(word[2 * t], word[2 * t + 1]);
             for (int a = 0; a < 2; a++) {
                 int down = u[a] < 0.5;
                 if (propose_axis(down, c[a], b[2 * a], b[2 * a + 1], lg[2 * a + down], NULL,
@@ -1872,9 +1952,10 @@ draw_index(PyObject *rng, Py_ssize_t n, int kind)
  * them as first_min does.  Where score is score_method, each score is
  * score_at's; else score(store, i, x, y, beta, factor) is called and what
  * it returns read as float() reads it.  Unless a score is not finite (-1,
- * nothing moved), commits i there as move does and calls the field's
- * inflate(rho) once.  Returns the winner's index, or -2 with an exception
- * set.
+ * nothing moved), commits i there as move does and inflates the field by
+ * rho once, as round_inflate does: in place where the field's inflate is
+ * CostField.inflate over the store's core, else by calling it.  Returns
+ * the winner's index, or -2 with an exception set.
  *
  * Scoring by score_at is branch and bound: the first candidate is scored
  * in full, and, where may_settle, each later one may be settled by a bound
@@ -1911,7 +1992,7 @@ store_round(PlacementStore *s, PyObject *score, PyObject *rng, PyObject *count_o
     Py_ssize_t i = kind < 0 ? -1 : draw_index(rng, s->count, kind), count = 0, best = -2, n;
     double stack[3 * STACK_CANDIDATES];
     double *xy = i < 0 ? NULL : candidate_room(count_obj, stack, &count);
-    PyObject *index = NULL, *done = NULL;
+    PyObject *index = NULL;
     if (xy == NULL || draw_candidates(s, i, rng, kind, count, xy) < 0)
         goto out;
     n = 1 + count;
@@ -1952,14 +2033,10 @@ store_round(PlacementStore *s, PyObject *score, PyObject *rng, PyObject *count_o
         }
     }
     best = min_index(v, n);
-    if (best >= 0) {
-        if (store_commit(s, i, xy[2 * best], xy[2 * best + 1], w) == 0)
-            done = PyObject_CallMethodOneArg(s->field, str_inflate, rho);
-        if (done == NULL)
-            best = -2;
-    }
+    if (best >= 0 && (store_commit(s, i, xy[2 * best], xy[2 * best + 1], w) < 0
+                      || round_inflate(s, rho, decay) < 0))
+        best = -2;
 out:
-    Py_XDECREF(done);
     Py_XDECREF(index);
     if (xy != stack)
         PyMem_Free(xy);
@@ -1993,26 +2070,22 @@ enum { S_MAX_ROUNDS, S_SWITCH, S_COUNT, S_PENALTY, S_DELTA0, S_DELTA_GROWTH, S_W
        S_W_GROWTH, S_RHO, S_FIELDS };
 
 /* A RoundStats row holding the n items, stolen, as
- * tuple.__new__(RoundStats, items) builds it; NULL with an exception set,
- * every item released, where an item is NULL or the row cannot be made. */
+ * tuple.__new__(RoundStats, items) builds it, with the type's tp_alloc and
+ * no tuple between; NULL with an exception set, every item released, where
+ * an item is NULL or the row cannot be made. */
 static PyObject *
 new_row(PyObject **items, Py_ssize_t n)
 {
-    PyObject *plain = NULL, *row = NULL;
     Py_ssize_t k = 0;
     while (k < n && items[k] != NULL)
         k++;
-    if (k < n || (plain = PyTuple_New(n)) == NULL) {
-        for (k = 0; k < n; k++)
+    PyObject *row = k < n ? NULL : round_stats->tp_alloc(round_stats, n);
+    for (k = 0; k < n; k++) {
+        if (row != NULL)
+            PyTuple_SET_ITEM(row, k, items[k]);
+        else
             Py_XDECREF(items[k]);
-        return NULL;
     }
-    for (k = 0; k < n; k++)
-        PyTuple_SET_ITEM(plain, k, items[k]);
-    PyObject *args = PyTuple_Pack(1, plain);
-    row = args ? PyTuple_Type.tp_new(round_stats, args, NULL) : NULL;
-    Py_XDECREF(args);
-    Py_DECREF(plain);
     return row;
 }
 
@@ -2163,8 +2236,10 @@ static PyMethodDef PlacementStore_methods[] = {
      "its center and count proposals around it within its bounds (each as\n"
      "stepplace._pycore.move_macro draws one), score each candidate in order as\n"
      "float(score(store, i, x, y, beta, factor)) with this store,\n"
-     "move(i, x, y, w) to the first smallest score and call the field's\n"
-     "inflate(rho) once.\n"
+     "move(i, x, y, w) to the first smallest score and inflate the field by\n"
+     "rho once: where the field resolves inflate to CostField.inflate over\n"
+     "this store's field core, by that core's inflate body with no call, else\n"
+     "by calling the field's inflate(rho).\n"
      "Returns the winner's index, or -1 with nothing moved where a score is\n"
      "not finite.  A non-finite w or a store without macros raises\n"
      "ValueError before any draw; see stepplace._pycore.PlacementStore.round.\n"
@@ -2841,6 +2916,14 @@ static PyTypeObject FreeSpaceType = {
     .tp_methods = FreeSpace_methods,
 };
 
+/* _own_inflate(f): holds f, stepfield.CostField.inflate, as own_inflate. */
+static PyObject *
+set_own_inflate(PyObject *module, PyObject *f)
+{
+    Py_XSETREF(own_inflate, Py_NewRef(f));
+    Py_RETURN_NONE;
+}
+
 /* _draws_in_place(): whether a round may draw from a random.Random's own
  * words, the layout guard run first where it has not reached a verdict. */
 static PyObject *
@@ -2855,6 +2938,12 @@ draws_in_place(PyObject *module, PyObject *unused)
 }
 
 static PyMethodDef fieldcore_functions[] = {
+    {"_own_inflate", set_own_inflate, METH_O,
+     "_own_inflate(f)\n\n"
+     "Hands the core stepplace.stepfield.CostField.inflate, once, as that\n"
+     "module defines it: a round whose field resolves inflate to f runs its\n"
+     "body, the field core's inflate, with no call.  Any other inflate, put on\n"
+     "a subclass, the class or the instance, is called once per round."},
     {"_draws_in_place", draws_in_place, METH_NOARGS,
      "_draws_in_place() -> bool\n\n"
      "Whether a round draws the macro and its candidates of a plain\n"
@@ -2891,6 +2980,7 @@ PyInit__fieldcore(void)
             || (str_randrange = PyUnicode_InternFromString("randrange")) == NULL
             || (str_randbelow = PyUnicode_InternFromString("_randbelow")) == NULL
             || (str_inflate = PyUnicode_InternFromString("inflate")) == NULL
+            || (str_core = PyUnicode_InternFromString("core")) == NULL
             || (str_round = PyUnicode_InternFromString("round")) == NULL
             || (str_rng = PyUnicode_InternFromString("rng")) == NULL
             || (str_last_choice = PyUnicode_InternFromString("last_choice")) == NULL
@@ -2902,6 +2992,7 @@ PyInit__fieldcore(void)
         Py_CLEAR(str_randrange);
         Py_CLEAR(str_randbelow);
         Py_CLEAR(str_inflate);
+        Py_CLEAR(str_core);
         Py_CLEAR(str_round);
         Py_CLEAR(str_rng);
         Py_CLEAR(str_last_choice);

@@ -135,7 +135,12 @@ FOLD_ABOVE = 2.0**800
 
 class FieldCore:
     """Python core with the same interface as the C core, doing the same
-    float operations in the same order, so both return the same bits."""
+    float operations in the same order, so both return the same bits.
+
+    ``increase``'s ``value`` and ``inflate``'s ``rho`` are read as the C
+    core's ``"d"`` format reads them, as ``math.ldexp(v, 0)`` reads ``v``:
+    by ``__float__``, else ``__index__``, else ``TypeError`` (a NumPy
+    float32 becomes a float, a ``str`` is refused)."""
 
     def __init__(self, p: int, q: int) -> None:
         self.p = p
@@ -170,6 +175,7 @@ class FieldCore:
         self._scale = 1.0
 
     def increase(self, a1: int, b1: int, a2: int, b2: int, value: float) -> None:
+        value = math.ldexp(value, 0)
         (ix, sx, nx), (iy, sy, ny) = self._blocks(a1, b1, a2, b2)
         v = value / self._scale
         if self._scale < 1.0 and abs(v) > FOLD_ABOVE:
@@ -197,6 +203,7 @@ class FieldCore:
         return tot * self._scale
 
     def inflate(self, rho: float) -> None:
+        rho = math.ldexp(rho, 0)
         if not 0.0 < rho <= 1.0:
             raise ValueError("decay factor must be in (0, 1]")
         s = self._scale * rho
@@ -527,8 +534,11 @@ class PlacementStore:
         ``0 .. count - 1`` (read as :func:`operator.index` reads it) raises
         it after its draw.  The C store's
         ``round`` raises where this does, after the same draws, and leaves
-        the same bits, but grows the field in C and holds the candidates as
-        C doubles; for an ``rng`` that is a :class:`random.Random` itself,
+        the same bits, but grows the field in C, runs
+        ``CostField.inflate``'s body in C where the field still resolves
+        ``inflate`` to it (any other ``inflate`` it calls, as this one
+        does), and holds the candidates as C doubles; for an ``rng`` that
+        is a :class:`random.Random` itself,
         overriding none of ``random``, ``getrandbits``, ``randrange`` and
         ``_randbelow`` on the instance, whose class holds
         ``_random.Random``'s own ``random`` and ``getrandbits``, it takes the macro's and the candidates' draws

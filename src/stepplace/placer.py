@@ -36,17 +36,18 @@ macro's meets), and inflates the field; ``step`` then sets the state's
 round and winner and builds the statistics row.  On the C core the round
 holds its candidates and their scores as C doubles, draws them from a plain
 :class:`random.Random`'s own Mersenne Twister words in place, and with its
-own ``score`` as the hook it scores each candidate with no call, so all but
-the field's ``inflate`` runs in C; there it settles a later candidate
-by a lower bound of its score (field sum, net-length bounds, keep-out
-terms, then the overlap penalty) that already reaches the least score
-before it, where its score is provably finite, so the bits stay those of
-the full scores, which ``_pycore`` computes for every candidate.  Another
-hook, such as the benchmark tracer's wrapper, is called per candidate and
-its result read as ``float()`` reads it.  The statistics row takes both
-its totals from the store.  Footprints sit in a spatial index, so the
-penalty and the overlap update test a footprint only against the macros
-near it.
+own ``score`` as the hook it scores each candidate with no call, and it
+runs ``CostField.inflate``'s body with no call where the field still
+resolves ``inflate`` to it, so the whole round runs in C; there it
+settles a later candidate by a lower bound of its score (field sum,
+net-length bounds, keep-out terms, then the overlap penalty) that already
+reaches the least score before it, where its score is provably finite,
+so the bits stay those of the full scores, which ``_pycore`` computes for
+every candidate.  Another hook, such as the benchmark tracer's wrapper, is
+called per candidate and its result read as ``float()`` reads it.  The
+statistics row takes both its totals from the store.  Footprints sit in a
+spatial index, so the penalty and the overlap update test a footprint only
+against the macros near it.
 
 A round evaluates its schedules (delta, beta and w) once, in floats from
 the config's ``_schedule`` (:func:`~stepplace._pycore.schedules`), for its

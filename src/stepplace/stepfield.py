@@ -261,3 +261,8 @@ class CostField:
         for j in range(self.m):
             fp.write(",".join(repr(dense[i][j]) for i in range(self.n)))
             fp.write("\n")
+
+
+if c_core is not None:
+    # a C round whose field resolves inflate to this one runs its body
+    c_core._own_inflate(CostField.inflate)

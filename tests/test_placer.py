@@ -1712,8 +1712,10 @@ class TestPlacementStore:
     def test_round_calls_what_the_benchmark_counts(self, monkeypatch):
         # the benchmark's tracer counts these calls; per round on the C core:
         # candidates + 1 candidate_score with the moving macro, and one
-        # CostField.inflate.  The field grows inside the C round, with no
-        # CostField.increase call, to the bits of the Python core's
+        # CostField.inflate: its wrapper on the class is called, where the
+        # round runs the unwrapped one's body in C.  The field grows inside
+        # the C round, with no CostField.increase call, to the bits of the
+        # Python core's
         calls = {}
         moved = []
 
@@ -2304,6 +2306,94 @@ class TestStoreRound:
         monkeypatch.setattr(placer, "candidate_score", other)
         round_step(state, cfg)
         assert steps[1][0] is other and other.call_count == 9 and state.round == 2
+
+
+class TestRoundInflate:
+    """The inflate that ends a C round: ``CostField.inflate``'s body, run in
+    place where the field resolves ``inflate`` to it, else whatever the
+    field resolves it to, called once."""
+
+    @needs_c_score
+    @pytest.mark.parametrize("case", ["fold-below", "fold-above"])
+    def test_every_inflate_leaves_the_same_bits(self, monkeypatch, case):
+        # forty halvings fold the scale below FOLD_BELOW at the 33rd; a
+        # uniform 1e300 over rho 0.1 folds the scale in at every inflate, as
+        # the constant over rho exceeds FOLD_ABOVE.  A counting wrapper on
+        # the class (as the benchmark's tracer puts one), a subclass's
+        # override and an instance attribute are each called once per round
+        # and leave the bits of the own inflate, which runs with no call
+        nl, area = generate_instance(GenSpec(macros=20, nets=30, seed=3))
+        cfg = PlacerConfig(max_rounds=40, grid_p=4, grid_q=4, seed=5)
+        rho = 0.5 if case == "fold-below" else 0.1
+        own = CostField.inflate
+        calls = []
+
+        def counting(field, r):
+            calls.append(r)
+            return own(field, r)
+
+        class Overriding(CostField):
+            def inflate(self, r):
+                return counting(self, r)
+
+        def run(variant):
+            state = state_on("c", nl, area, cfg)
+            if case == "fold-above":
+                state.field.increase(GridRect(0, 0, 16, 16), 1e300)
+            called = []
+            with monkeypatch.context() as patch:
+                if variant == "class":
+                    patch.setattr(CostField, "inflate", counting)
+                elif variant == "subclass":
+                    state.field.__class__ = Overriding
+                elif variant == "instance":
+                    state.field.inflate = lambda r: counting(state.field, r)
+                calls.clear()
+                sys.setprofile(lambda frame, event, arg: called.append(frame.f_code))
+                try:
+                    for _ in range(cfg.max_rounds):
+                        assert state.store.round(type(state.store).score, state.rng, 8,
+                                                 None, 1.0, 1.0, rho) >= 0
+                finally:
+                    sys.setprofile(None)
+            assert calls == ([] if variant == "own" else [rho] * cfg.max_rounds)
+            assert (own.__code__ in called) is (variant != "own")
+            if case == "fold-above":
+                assert state.field.core.coefficient(15, 15) == 1e300
+            return (coefficients(state.field), [exact(v) for v in state.store.totals()],
+                    [hexes(c) for c in state.store.centers])
+
+        runs = [run(v) for v in ("own", "class", "subclass", "instance")]
+        assert runs[1:] == runs[:1] * 3
+
+
+class TestDrawsAcrossTheRegeneration:
+    """A round started at each generator index from 612 to 624: the words of
+    its macro and proposals run up to and across the point where the
+    generator regenerates its 624 words."""
+
+    @pytest.mark.parametrize("index", range(612, 625))
+    def test_in_place_words_are_the_called_and_the_reference(self, index):
+        # the C store's in-place draws (a random.Random), its calls (a
+        # subclass) and the Python store draw the same candidates and leave
+        # the same rng state, by the store's score and by a hook
+        nl, area = generate_instance(GenSpec(macros=20, nets=30, seed=4))
+        cfg = PlacerConfig(max_rounds=1, grid_p=4, grid_q=4, seed=1)
+        runs = []
+        for backend, cls in ((BACKENDS[0], random.Random), (BACKENDS[0], SubRandom),
+                             ("py", random.Random)):
+            state = state_on(backend, nl, area, cfg)
+            state.rng = cls()
+            version, words, gauss = random.Random(index).getstate()
+            state.rng.setstate((version, words[:-1] + (index,), gauss))
+            log = []
+            got = [logged_round(state, log, 8, 2.0, 1.0, 1.0, 0.995),
+                   state.store.round(type(state.store).score, state.rng, 8, None, 1.0, 1.0,
+                                     0.995)]
+            runs.append((got, log, state.rng.getstate(), placed(state)))
+        assert runs[0][0][0] >= 0 and runs[1:] == runs[:1] * 2
+        if IN_PLACE:
+            assert stepfield.c_core._draws_in_place()
 
 
 #: the cores a step runs on: the loaded core's store, then the reference

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import sysconfig
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -464,6 +465,27 @@ class TestCostField:
         for rho in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 f.inflate(rho)
+
+    def test_values_are_read_as_doubles(self, backend):
+        # each core reads an increase value and a rho as the C core's "d"
+        # format does: a NumPy float32 by __float__, so the Python core's
+        # scale and reads stay floats with the C core's bits (it kept the
+        # float32 and read 0x1.5e66660000000p+2, a numpy.float32), a Decimal
+        # by __float__, an int by __index__, and a str is refused
+        f = CostField(3, 3, backend=backend)
+        f.increase(GridRect(0, 0, 5, 3), 1.0)
+        f.inflate(np.float32(0.1))
+        f.increase(GridRect(1, 1, 8, 8), np.float32(0.1))
+        got = f.cost(GridRect(0, 0, 4, 4))
+        assert type(got) is float and got.hex() == "0x1.5e66668200000p+2"
+        f.inflate(Decimal("0.5"))
+        f.core.increase(0, 0, 2, 2, Decimal("0.25"))
+        f.core.increase(2, 2, 3, 3, 10**20)
+        got = f.cost(GridRect(0, 0, 8, 8))
+        assert type(got) is float and got.hex() == "0x1.5af1d78b58c40p+66"
+        for call in (lambda: f.core.inflate("0.5"), lambda: f.core.increase(0, 0, 1, 1, "1")):
+            with pytest.raises(TypeError, match="^must be real number, not str$"):
+                call()
 
     def test_to_dense_and_dump(self, backend):
         f = CostField(2, 2, backend=backend)
