@@ -80,13 +80,16 @@
  * each in column order, joining the total in row order, and field_increase
  * takes each column's factor once, not once per row.
  *
- * FreeSpace is the legalizer's: the footprints it has placed, in a
- * FootprintIndex, and the area's keep-outs.  A probe takes index_hits, the
- * one walk over the index's cells, and checks the keep-outs only where no
- * footprint meets it.  Its nearest_free builds a search's lattices and
- * runs the ring search of _pycore._nearest_free over them, with the same
- * cursors and jumps, so it finds the same point; both take lattices whose
- * footprints are all non-empty (netmodel.check_placeable).
+ * The module function legalize is placer.naive_legalize's placing loop in
+ * one call, over flat arrays: the macros in placing order, each with its
+ * key, and the ladder's lattice pitches.  It holds the footprints it has
+ * placed in a FootprintIndex and the area's keep-outs.  A probe takes
+ * index_hits, the one walk over the index's cells, and checks the keep-outs
+ * only where no footprint meets it.  A macro keeps its start where a probe
+ * there meets nothing; otherwise each rung builds its lattices and runs the
+ * ring search of _pycore._nearest_free over them, with the same cursors and
+ * jumps, so it finds the same point; both take lattices whose footprints
+ * are all non-empty (netmodel.check_placeable).
  *
  * All of these do the float operations of their Python references, the
  * same names in stepplace._pycore (stepfield.core where this did not load),
@@ -2611,22 +2614,19 @@ done:
     return result;
 }
 
-/* The footprints the legalizer has placed and the area's keep-outs, with the
- * lattice search of stepplace._pycore._nearest_free over them; its Python
- * reference is stepplace._pycore.FreeSpace. */
+/* What the legalizer has filled: the footprints it has placed, in a
+ * FootprintIndex keyed by macro, and the area's keep-outs. */
 typedef struct {
-    PyObject_HEAD
-    FootprintIndex index;  /* the placed footprints, keyed 0 .. count - 1 */
-    Py_ssize_t count;
+    FootprintIndex index;
     Py_ssize_t n_blk;      /* keep-outs */
     double *blk;           /* x1, y1, x2, y2 per keep-out */
-} FreeSpace;
+} Occupied;
 
 /* A box that meets query: the footprint of the least key index_hits finds
  * (whatever the cells), else the first keep-out that meets it, else NULL;
- * _pycore.FreeSpace probes as this does. */
+ * _pycore.legalize probes as this does. */
 static const double *
-probe_box(FreeSpace *s, const double *query)
+probe_box(Occupied *s, const double *query)
 {
     FootprintIndex *idx = &s->index;
     if (index_hits(idx, query, -1) > 0)
@@ -2722,7 +2722,7 @@ nearest_index(const Lattice *a, double v)
  * every footprint non-empty, the point is the first free one of the rings.
  * The point goes to out; returns 1, or 0 if every point is blocked. */
 static int
-ring_search(FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
+ring_search(Occupied *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
             double px, double py, double *out)
 {
     Py_ssize_t nx = xs->n, ny = ys->n;
@@ -2763,158 +2763,111 @@ ring_search(FreeSpace *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
     return 0;
 }
 
-/* The count doubles of a fastcall, each as Python's float() takes it; -1 with
- * an exception set. */
+/* One rung of a macro's search: the ring search over the lattice
+ * lo + i * pitch below hi, then hi, per axis, from the macro's start, with
+ * m the macro's half sides, bounds and start.  The point goes to out;
+ * returns 1, 0 if every point is blocked, -1 with an exception set. */
 static int
-fast_doubles(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t count, const char *name,
-             double *out)
+lattice_search(Occupied *s, const double *m, const double *pitch, double *out)
 {
-    if (nargs != count) {
-        PyErr_Format(PyExc_TypeError, "%s expected %zd arguments, got %zd", name, count,
-                     nargs);
-        return -1;
-    }
-    for (Py_ssize_t t = 0; t < count; t++)
-        if (to_double(args[t], &out[t]) < 0)
-            return -1;
-    return 0;
-}
-
-static PyObject *
-FreeSpace_nearest_free(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[10]; /* x_lo, x_hi, x_step, y_lo, y_hi, y_step, x, y, hx, hy */
-    if (fast_doubles(args, nargs, 10, "nearest_free", a) < 0)
-        return NULL;
-    for (int t = 0; t < 10; t++) {
-        if (!isfinite(a[t]) || ((t == 2 || t == 5) && !(a[t] > 0.0))) {
-            PyErr_SetString(PyExc_ValueError,
-                            "nearest_free takes finite values and positive steps");
-            return NULL;
-        }
-    }
-    Lattice xs = {.n = lattice_count(a[0], a[1], a[2])},
-            ys = {.n = lattice_count(a[3], a[4], a[5])};
+    Lattice xs = {.n = lattice_count(m[2], m[3], pitch[0])},
+            ys = {.n = lattice_count(m[4], m[5], pitch[1])};
     if (xs.n < 0 || ys.n < 0) {
         PyErr_SetString(PyExc_ValueError, "lattice step too fine for its span");
-        return NULL;
+        return -1;
     }
     double *v = malloc((size_t)(3 * (xs.n + ys.n)) * sizeof(double));
     Py_ssize_t *row = malloc((size_t)(2 * xs.n) * sizeof(Py_ssize_t));
-    PyObject *out = NULL;
-    double found[2];
+    int found = -1;
     if (v == NULL || row == NULL) {
         PyErr_NoMemory();
-        goto done;
+    } else {
+        xs.at = v;
+        xs.low = v + xs.n;
+        xs.high = v + 2 * xs.n;
+        ys.at = v + 3 * xs.n;
+        ys.low = ys.at + ys.n;
+        ys.high = ys.at + 2 * ys.n;
+        lattice_fill(&xs, m[2], m[3], pitch[0], m[0]);
+        lattice_fill(&ys, m[4], m[5], pitch[1], m[1]);
+        found = ring_search(s, &xs, &ys, row, m[6], m[7], out);
     }
-    xs.at = v;
-    xs.low = v + xs.n;
-    xs.high = v + 2 * xs.n;
-    ys.at = v + 3 * xs.n;
-    ys.low = ys.at + ys.n;
-    ys.high = ys.at + 2 * ys.n;
-    lattice_fill(&xs, a[0], a[1], a[2], a[8]);
-    lattice_fill(&ys, a[3], a[4], a[5], a[9]);
-    if (ring_search(s, &xs, &ys, row, a[6], a[7], found))
-        out = Py_BuildValue("(dd)", found[0], found[1]);
-    else
-        out = Py_NewRef(Py_None);
-done:
     free(v);
     free(row);
+    return found;
+}
+
+/* legalize(width, height, macros, keys, pitches, blockages): the placing
+ * loop of placer.naive_legalize (see fieldcore_functions); its Python
+ * reference is stepplace._pycore.legalize. */
+static PyObject *
+legalize(PyObject *module, PyObject *args)
+{
+    double width, height;
+    PyObject *macros_obj, *keys_obj, *pitches_obj, *blockages;
+    if (!PyArg_ParseTuple(args, "ddOOOO:legalize", &width, &height, &macros_obj, &keys_obj,
+                          &pitches_obj, &blockages))
+        return NULL;
+    Occupied s = {.blk = NULL};
+    double *macros = NULL, *pitches = NULL;
+    Py_ssize_t count = -1, rungs = -1;
+    PyObject *keys = NULL, *out = NULL;
+    if (read_doubles(macros_obj, 8, "macro", &count, &macros, "macros") < 0
+        || read_doubles(pitches_obj, 2, "rung", &rungs, &pitches, "pitches") < 0
+        || (keys = PySequence_Fast(keys_obj, "keys must be a sequence")) == NULL)
+        goto fail;
+    int ok = PySequence_Fast_GET_SIZE(keys) == count;
+    for (Py_ssize_t k = 0; k < 8 * count; k++)
+        ok &= isfinite(macros[k]) && (k % 8 > 1 || macros[k] > 0.0);
+    for (Py_ssize_t k = 0; k < 2 * rungs; k++)
+        ok &= isfinite(pitches[k]) && pitches[k] > 0.0;
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "legalize takes one key per macro, finite "
+                                          "values, and positive half sides and pitches");
+        goto fail;
+    }
+    /* cells as large as the largest macro, as the placer's store has */
+    double cell[2] = {1.0, 1.0};
+    for (Py_ssize_t t = 0; t < count; t++)
+        for (int k = 0; k < 2; k++)
+            cell[k] = t ? py_max(cell[k], 2.0 * macros[8 * t + k]) : 2.0 * macros[k];
+    if (space_init(&s.index, count, width, height, cell[0], cell[1], blockages, &s.n_blk,
+                   &s.blk) < 0
+        || (out = PyList_New(0)) == NULL)
+        goto fail;
+    for (Py_ssize_t t = 0; t < count; t++) {
+        const double *m = macros + 8 * t;
+        Py_ssize_t key = index_key(PySequence_Fast_GET_ITEM(keys, t), count, "key", "macros");
+        if (key < 0)
+            goto fail;
+        double at[2] = {m[6], m[7]};
+        const double start[4] = {at[0] - m[0], at[1] - m[1], at[0] + m[0], at[1] + m[1]};
+        int moved = probe_box(&s, start) != NULL, found = !moved;
+        for (Py_ssize_t r = 0; r < rungs && !found; r++)
+            found = lattice_search(&s, m, pitches + 2 * r, at);
+        if (found < 0)
+            goto fail;
+        if (!found)
+            break;
+        const double box[4] = {at[0] - m[0], at[1] - m[1], at[0] + m[0], at[1] + m[1]};
+        PyObject *point = moved ? Py_BuildValue("(dd)", at[0], at[1]) : Py_NewRef(Py_None);
+        int err = point == NULL || index_put(&s.index, key, box) < 0
+                  || PyList_Append(out, point) < 0;
+        Py_XDECREF(point);
+        if (err)
+            goto fail;
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    index_free(&s.index);
+    free(s.blk);
+    free(macros);
+    free(pitches);
+    Py_XDECREF(keys);
     return out;
 }
-
-static PyObject *
-FreeSpace_blocked(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
-{
-    double box[4];
-    if (fast_doubles(args, nargs, 4, "blocked", box) < 0)
-        return NULL;
-    return PyBool_FromLong(probe_box(s, box) != NULL);
-}
-
-static PyObject *
-FreeSpace_put(FreeSpace *s, PyObject *const *args, Py_ssize_t nargs)
-{
-    double box[4];
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "put expected 5 arguments, got %zd", nargs);
-        return NULL;
-    }
-    Py_ssize_t key = index_key(args[0], s->count, "key", "footprints");
-    if (key < 0 || fast_doubles(args + 1, 4, 4, "put", box) < 0
-        || index_put(&s->index, key, box) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static void
-FreeSpace_dealloc(FreeSpace *s)
-{
-    index_free(&s->index);
-    free(s->blk);
-    Py_TYPE(s)->tp_free((PyObject *)s);
-}
-
-static PyObject *
-FreeSpace_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"width", "height", "min_cell_x", "min_cell_y", "count",
-                             "blockages", NULL};
-    double width, height, min_x, min_y;
-    Py_ssize_t count;
-    PyObject *blockages;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "ddddnO:FreeSpace", kwlist, &width, &height,
-                                     &min_x, &min_y, &count, &blockages))
-        return NULL;
-    if (count < 0) {
-        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
-        return NULL;
-    }
-    FreeSpace *s = (FreeSpace *)type->tp_alloc(type, 0);
-    if (s == NULL)
-        return NULL;
-    s->count = count;
-    if (space_init(&s->index, count, width, height, min_x, min_y, blockages, &s->n_blk,
-                   &s->blk) < 0) {
-        Py_DECREF(s);
-        return NULL;
-    }
-    return (PyObject *)s;
-}
-
-static PyMethodDef FreeSpace_methods[] = {
-    {"put", (PyCFunction)(void (*)(void))FreeSpace_put, METH_FASTCALL,
-     "put(key, x1, y1, x2, y2)\n\nStore the footprint under key, or move it there."},
-    {"blocked", (PyCFunction)(void (*)(void))FreeSpace_blocked, METH_FASTCALL,
-     "blocked(x1, y1, x2, y2) -> bool\n\n"
-     "Whether a placed footprint or a keep-out meets the box with positive area."},
-    {"nearest_free", (PyCFunction)(void (*)(void))FreeSpace_nearest_free, METH_FASTCALL,
-     "nearest_free(x_lo, x_hi, x_step, y_lo, y_hi, y_step, x, y, hx, hy)\n"
-     "    -> (x, y) | None\n\n"
-     "The first point of the lattice lo + i * step below hi, then hi, per\n"
-     "axis, whose footprint (hx, hy the half sides around it) meets nothing,\n"
-     "in rings of index distance around the point nearest (x, y); None if\n"
-     "there is none.  Every footprint of the lattice must be non-empty.\n"
-     "See stepplace._pycore._nearest_free."},
-    {NULL}
-};
-
-static PyTypeObject FreeSpaceType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "stepplace._fieldcore.FreeSpace",
-    .tp_doc = "FreeSpace(width, height, min_cell_x, min_cell_y, count, blockages)\n\n"
-              "The legalizer's placed footprints, keyed 0 .. count - 1 and bucketed\n"
-              "as in PlacementStore over a width x height area, and the keep-outs,\n"
-              "x1, y1, x2, y2 per keep-out in a buffer of doubles.\n"
-              "stepplace._pycore.FreeSpace is its Python reference.",
-    .tp_basicsize = sizeof(FreeSpace),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = FreeSpace_new,
-    .tp_dealloc = (destructor)FreeSpace_dealloc,
-    .tp_methods = FreeSpace_methods,
-};
 
 /* _own_inflate(f): holds f, stepfield.CostField.inflate, as own_inflate. */
 static PyObject *
@@ -2953,6 +2906,14 @@ static PyMethodDef fieldcore_functions[] = {
      "as this core reads it.  Where False, every round draws by method calls.\n"
      "An error that stops the guard, such as MemoryError, is raised here and\n"
      "leaves the verdict to the next ask."},
+    {"legalize", legalize, METH_VARARGS,
+     "legalize(width, height, macros, keys, pitches, blockages) -> list\n\n"
+     "Places the macros in order, each clear of the footprints placed\n"
+     "before it and of the keep-outs (x1, y1, x2, y2 each, in a width x\n"
+     "height area): macros holds half sides, bounds and start per macro,\n"
+     "keys each one's key, pitches an x and a y pitch per rung.  Returns\n"
+     "None for a kept start, else the point found; the list stops before\n"
+     "the first macro with no free point.  See stepplace._pycore.legalize."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"
@@ -3018,7 +2979,6 @@ PyInit__fieldcore(void)
         return NULL;
     if (PyModule_AddType(mod, &FieldCoreType) < 0
         || PyModule_AddType(mod, &PlacementStoreType) < 0
-        || PyModule_AddType(mod, &FreeSpaceType) < 0
         || (score_method == NULL
             && (score_method = PyObject_GetAttrString((PyObject *)&PlacementStoreType,
                                                       "score")) == NULL)) {

@@ -3,7 +3,7 @@
 :class:`FieldCore` (the field's coefficients), :class:`PlacementStore` (the
 placer's placement with its draw, score, commit and round, and ``step``,
 the placer's whole round; its unbound ``score`` is the placer's scoring
-hook), :class:`FreeSpace` (the legalizer's placed footprints and lattice
+hook), :func:`legalize` (the legalizer's placing loop with its lattice
 search) and :func:`repr_line` (the file writers' lines) answer as the C
 core's do, bit for bit.  ``stepfield.core`` is this module where the C core
 did not load.  ``stepfield`` and ``placer`` import the helpers these share
@@ -39,7 +39,7 @@ from stepplace.netmodel import (
 if TYPE_CHECKING:
     from stepplace.stepfield import CostField
 
-__all__ = ["FieldCore", "FreeSpace", "PlacementStore", "repr_line"]
+__all__ = ["FieldCore", "PlacementStore", "legalize", "repr_line"]
 
 
 class GridRect(NamedTuple):
@@ -694,50 +694,54 @@ def _nearest_free(
     return None
 
 
-class FreeSpace:
-    """The footprints the legalizer has placed and the area's keep-outs, with
-    the lattice search over them.
+def legalize(
+    width: float, height: float, macros: Sequence[float], keys: Sequence[int],
+    pitches: Sequence[float], blockages: Sequence[float],
+) -> list[Point | None]:
+    """The legalizer's placing loop: each macro in the order given, its
+    footprint kept clear of those placed before it and of the keep-outs.
 
-    Footprints are keyed by ``0 .. count - 1`` in a :class:`BucketGrid` of
-    ``cell_x`` by ``cell_y`` cells, and ``blockages`` holds ``x1, y1, x2,
-    y2`` per keep-out.  A probe's blocker is the box of the least key that
-    meets it (the first of :meth:`BucketGrid.hits`), else the first keep-out
-    that meets it, as in the C core, whatever either index's cells; ``width``,
-    ``height`` and ``count`` size the C index only.
-    :meth:`nearest_free` takes the precondition of :func:`_nearest_free`.
+    ``macros`` holds 8 floats per macro (half sides, ``x_min, x_max, y_min,
+    y_max`` and the clamped start), ``keys`` each macro's key, ``pitches``
+    an x and a y lattice pitch per rung, and ``blockages`` ``x1, y1, x2,
+    y2`` per keep-out.  A macro whose start footprint meets nothing keeps
+    it; any other takes the first point :func:`_nearest_free` finds over the
+    lattices of :func:`_lattice` on each rung in turn, under the
+    precondition of that search.  A probe's blocker is the footprint of the
+    least key that meets it (the first of :meth:`BucketGrid.hits`, in cells
+    as large as the largest macro), else the first keep-out that meets it,
+    as in the C core, whatever either index's cells; ``width`` and
+    ``height`` size the C index only.  Returns, in placing order, None for
+    a macro that kept its start and the point it moved to for any other,
+    stopping before the first macro with no free point.
     """
+    rows = list(zip(*[iter(macros)] * 8))
+    placed = BucketGrid(2.0 * max((r[0] for r in rows), default=0.5),
+                        2.0 * max((r[1] for r in rows), default=0.5))
+    keepouts = list(zip(*[iter(blockages)] * 4))
+    rungs = list(zip(*[iter(pitches)] * 2))
 
-    def __init__(self, width: float, height: float, cell_x: float, cell_y: float,
-                 count: int, blockages: Sequence[float]) -> None:
-        self.placed = BucketGrid(cell_x, cell_y)
-        self.blockages = list(zip(*[iter(blockages)] * 4))
-
-    def _blocker(self, box: Box) -> Box | None:
-        """A placed footprint or keep-out that meets ``box``, or None."""
-        hits = self.placed.hits(*box)
+    def blocker(box: Box) -> Box | None:
+        hits = placed.hits(*box)
         if hits:
-            return self.placed[hits[0]]
-        return next((r for r in self.blockages if overlaps(box, r)), None)
+            return placed[hits[0]]
+        return next((r for r in keepouts if overlaps(box, r)), None)
 
-    def put(self, key: int, x1: float, y1: float, x2: float, y2: float) -> None:
-        """Store the footprint under ``key``, or move it there."""
-        self.placed.put(key, (x1, y1, x2, y2))
-
-    def blocked(self, x1: float, y1: float, x2: float, y2: float) -> bool:
-        """Whether a placed footprint or a keep-out meets the box."""
-        return self._blocker((x1, y1, x2, y2)) is not None
-
-    def nearest_free(
-        self, x_lo: float, x_hi: float, x_step: float, y_lo: float, y_hi: float,
-        y_step: float, x: float, y: float, hx: float, hy: float,
-    ) -> Point | None:
-        """:func:`_nearest_free` over the lattice of :func:`_lattice` per
-        axis, from ``(x, y)``, for footprints ``hx`` by ``hy`` the half sides
-        around a point."""
-        return _nearest_free(
-            _lattice(x_lo, x_hi, x_step), _lattice(y_lo, y_hi, y_step), (x, y),
-            (hx, hy), self._blocker,
-        )
+    out: list[Point | None] = []
+    for key, (hx, hy, x_lo, x_hi, y_lo, y_hi, x, y) in zip(keys, rows):
+        found = None
+        if blocker((x - hx, y - hy, x + hx, y + hy)) is not None:
+            for px, py in rungs:
+                found = _nearest_free(_lattice(x_lo, x_hi, px), _lattice(y_lo, y_hi, py),
+                                      (x, y), (hx, hy), blocker)
+                if found is not None:
+                    break
+            else:
+                return out
+            x, y = found
+        out.append(found)
+        placed.put(key, (x - hx, y - hy, x + hx, y + hy))
+    return out
 
 
 def repr_line(values: Sequence[float | int], sep: str) -> str:

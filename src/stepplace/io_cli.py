@@ -349,7 +349,8 @@ def _parse_result(lines: Iterable[str]) -> ResultData:
     """The result file of ``lines``; errors name the line.  A ``config``
     value reads as :func:`write_result` writes it (``none`` for an optional
     field, an int for an integer field, else a finite float), and a file
-    with every field must hold a set :class:`PlacerConfig` accepts."""
+    with every field must hold a set :class:`PlacerConfig` accepts.  A
+    summary total is a finite float or exactly ``inf``, an overflowed sum."""
     positions: Placement = {}
     config: dict[str, str] = {}
     values: dict[str, float | int | None] = {}
@@ -381,7 +382,9 @@ def _parse_result(lines: Iterable[str]) -> ResultData:
                 if key == "legal" and tok in ("true", "false"):
                     summary[key] = tok == "true"
                 elif key in ("netlength_bb", "overlap_area"):
-                    summary[key] = _parse_float(tok, f"summary {key}")
+                    # inf is what write_result writes for a sum that overflowed
+                    summary[key] = math.inf if tok == "inf" else _parse_float(
+                        tok, f"summary {key}")
                 else:
                     raise InstanceFormatError(f"bad summary line {line!r}")
             elif toks[0] == "place" and len(toks) == 4:

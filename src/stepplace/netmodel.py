@@ -192,10 +192,11 @@ class BucketGrid:
     test (the one of :func:`overlaps`) filters it: the cell size affects
     speed only, never results.  With cells as large as the largest macro, a
     footprint query visits at most 2x2 cells.  ``grid[key]`` is the box
-    stored under ``key``.  It indexes ``_pycore``'s placement store and free
-    space, the reference of the C core's, whose C index of the same design
-    finds the same keys in the same order; so a run on the C core, legality
-    and the result summary included (:func:`store_and_report`), builds none.
+    stored under ``key``.  It indexes ``_pycore``'s placement store and the
+    footprints its ``legalize`` places, the reference of the C core's,
+    whose C index of the same design finds the same keys in the same order;
+    so a run on the C core, legality and the result summary included
+    (:func:`store_and_report`), builds none.
     """
 
     def __init__(self, cell_x: float, cell_y: float) -> None:
@@ -383,15 +384,6 @@ def nl_netlength(dx: float, dy: float, beta: float) -> float:
         return (a + math.log1p(math.exp(-2.0 * a))) / beta
 
     return axis(dx) + axis(dy)
-
-
-def beta_schedule(rnd: int, max_rounds: int) -> float:
-    """Smoothing sharpness for a 1-based round: rises from 1 to max_rounds."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    if not 1 <= rnd <= max_rounds:
-        raise ValueError(f"round {rnd} outside [1, {max_rounds}]")
-    return max_rounds / (max_rounds - rnd + 1)
 
 
 def model_length(points: list[Point], beta: float | None) -> float:

@@ -53,8 +53,9 @@ A round evaluates its schedules (delta, beta and w) once, in floats from
 the config's ``_schedule`` (:func:`~stepplace._pycore.schedules`), for its
 candidates' net-model sharpness and penalty factor, its field growth and
 its statistics row, which it builds as ``tuple.__new__`` does (no
-named-tuple ``__new__``).  The legalizer keeps
-its order here and searches in ``stepfield.core``'s ``FreeSpace``.
+named-tuple ``__new__``).  The legalizer checks its input, orders the
+macros and computes its ladder of lattice pitches here, and places them
+all in one call of ``stepfield.core``'s ``legalize``.
 Runs are deterministic for a given seed.
 """
 
@@ -80,7 +81,6 @@ from stepplace.netmodel import (
     PlacementArea,
     Point,
     check_placeable,
-    footprint_box,
     is_legal,
     placement_store,
 )
@@ -404,51 +404,45 @@ def naive_legalize(
     position (Manhattan rings over a lattice whose pitch is the area over
     ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Where that
     lattice has no free position, the search repeats on a lattice one
-    exponent finer per axis, up to ``max(exponent, 8)``.  The placed
-    footprints and the keep-outs sit in ``stepfield.core``'s ``FreeSpace``.
-    Its ring search (``_pycore._nearest_free``) probes only one cursor per
-    column and direction, and a probe's blocker, a placed footprint or else
-    a keep-out, moves the cursors past exactly the points it covers: in ring
-    order the first free cursor is the first free ring point, so the result
-    is that of probing every point, on both cores.  Before any search is
-    built, a macro without a position, with a NaN one, or that
+    exponent finer per axis, up to ``max(exponent, 8)``.  The placing loop
+    is one call of ``stepfield.core``'s ``legalize``, which holds the placed
+    footprints and the keep-outs.  Its ring search
+    (``_pycore._nearest_free``) probes only one cursor per column and
+    direction, and a probe's blocker, a placed footprint or else a keep-out,
+    moves the cursors past exactly the points it covers: in ring order the
+    first free cursor is the first free ring point, so the result is that
+    of probing every point, on both cores.  Before the call, a macro without
+    a position, with a NaN one, or that
     :func:`~stepplace.netmodel.check_placeable` refuses (which leaves every
     lattice footprint non-empty) raises ``ValueError`` naming it.  Raises
     :class:`LegalizationError` when a macro cannot be placed, and never
     returns an illegal placement.
     """
-    starts = []
-    for m in sorted(netlist.macros, key=lambda m: (-m.area, m.id)):
+    order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
+    starts, macros = [], array("d")
+    for m in order:
         if m.id not in placement:
             raise ValueError(f"macro {m.id!r} has no position")
         b = compute_bounds(m, area)
-        starts.append((m, b, _clamped(m.id, placement[m.id], b)))
-    ids = sorted(netlist.by_id)
+        starts.append(_clamped(m.id, placement[m.id], b))
+        macros.extend((m.size_x / 2.0, m.size_y / 2.0, *b, *starts[-1]))
     # keys in id order, so that a probe's blocker, the footprint of the
     # least key that meets it, is that of the least id
-    key = {mid: k for k, mid in enumerate(ids)}
-    space = stepfield.core.FreeSpace(
-        area.width, area.height, max((m.size_x for m in netlist.macros), default=1.0),
-        max((m.size_y for m in netlist.macros), default=1.0), len(ids),
+    key = {mid: k for k, mid in enumerate(sorted(netlist.by_id))}
+    pitches = array("d")
+    for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
+        p = max(grid_p, min(grid_p + k, _FINEST_RETRY))
+        q = max(grid_q, min(grid_q + k, _FINEST_RETRY))
+        pitches.extend((area.width / (1 << p), area.height / (1 << q)))
+    moved = stepfield.core.legalize(
+        area.width, area.height, macros, [key[m.id] for m in order], pitches,
         array("d", [v for b in area.blockages for v in b]),
     )
-    out: Placement = {}
-    for m, b, start in starts:
-        found = None if space.blocked(*footprint_box(m, start)) else start
-        for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
-            if found is not None:
-                break
-            p = max(grid_p, min(grid_p + k, _FINEST_RETRY))
-            q = max(grid_q, min(grid_q + k, _FINEST_RETRY))
-            found = space.nearest_free(
-                b.x_min, b.x_max, area.width / (1 << p),
-                b.y_min, b.y_max, area.height / (1 << q),
-                *start, m.size_x / 2.0, m.size_y / 2.0,
-            )
-        if found is None:
-            raise LegalizationError(m.id)
-        out[m.id] = found
-        space.put(key[m.id], *footprint_box(m, found))
+    if len(moved) < len(order):
+        raise LegalizationError(order[len(moved)].id)
+    out: Placement = {
+        m.id: start if to is None else to for m, start, to in zip(order, starts, moved)
+    }
 
     report = is_legal(out, netlist, area)
     if not report.legal:

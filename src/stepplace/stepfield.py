@@ -27,7 +27,7 @@ fails it warns once.  :data:`core` is the one switch: :data:`c_core`, the
 loaded module, else :mod:`stepplace._pycore`, which exports the same names
 with the same bits.  Every caller reads through it: the field for
 ``backend="auto"``, the placer's store and its scoring hook (the store's
-unbound ``score``), the legalizer's free space and the file writers'
+unbound ``score``), the legalizer's ``legalize`` and the file writers'
 ``repr_line``.  ``_pycore`` holds the basis arithmetic; this module
 re-exports its public part.
 """

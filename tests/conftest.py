@@ -31,6 +31,15 @@ def use_core(patch, backend):
     patch.setattr(placer, "candidate_score", core.PlacementStore.score)
 
 
+def round_beta(rnd, max_rounds):
+    """The net-model sharpness of the 1-based round ``rnd`` of a run of
+    ``max_rounds``, as the round computes it (``_pycore.schedules``)."""
+    from stepplace._pycore import schedules
+    from stepplace.placer import PlacerConfig
+
+    return schedules(rnd, PlacerConfig(max_rounds=max_rounds)._schedule)[1]
+
+
 @pytest.fixture
 def on_core(monkeypatch):
     """A switch that puts the rest of the test on one core (see

