@@ -948,7 +948,8 @@ update_pairs(PlacementStore *s, Py_ssize_t i)
         }
         s->slot_of[j] = -1;
     }
-    memcpy(mine->keys, s->scratch, (size_t)n * sizeof(Py_ssize_t));
+    if (n) /* a macro that never had a partner has no keys array */
+        memcpy(mine->keys, s->scratch, (size_t)n * sizeof(Py_ssize_t));
     mine->len = n;
     if (4 * (s->n_slots - s->n_live) > s->n_live)
         compact_pairs(s);
@@ -1077,7 +1078,8 @@ read_doubles(PyObject *obj, Py_ssize_t per, const char *item, Py_ssize_t *count,
     else if ((*out = malloc((size_t)(n ? n : 1) * sizeof(double))) == NULL)
         PyErr_NoMemory();
     else {
-        memcpy(*out, view.buf, (size_t)view.len);
+        if (view.len) /* an empty buffer's may be NULL */
+            memcpy(*out, view.buf, (size_t)view.len);
         *count = n / per;
         ok = 1;
     }

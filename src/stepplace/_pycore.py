@@ -632,7 +632,6 @@ def _lattice(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
-
 def _nearest_index(vals: list[float], v: float) -> int:
     """Index of the sorted ``vals`` entry nearest ``v``, ties to the lower."""
     i = min(bisect_left(vals, v), len(vals) - 1)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -125,7 +126,7 @@ def _directives(lines: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
     """Each directive of ``lines`` as (line number, text, tokens): the text
     before any ``#``, stripped; lines with no text are skipped."""
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[:raw.index("#")] if "#" in raw else raw).strip()
         if line:
             yield ln, line, line.split()
 
@@ -203,13 +204,14 @@ def parse_instance(
         for ln, b in zip(blockage_lines, blockages):
             PlacementArea(w, h, (b,))
         area = PlacementArea(w, h, tuple(blockages))
-        for ln, m in zip(macro_line.values(), macros):
-            check_placeable(m, area)
         try:
             netlist = Netlist(macros, nets)
+            netlist.bounds(area)  # checks each macro once; the placer reuses it
         except ValueError:
-            # the macro ids are distinct, so Netlist refused the first net
-            # with an unknown member; it alone walks the members
+            # the first macro check_placeable refuses in file order, else
+            # (the ids are distinct) the first net with an unknown member
+            for ln, m in zip(macro_line.values(), macros):
+                check_placeable(m, area)
             ln = next(ln for ln, net in zip(net_lines, nets)
                       if not macro_line.keys() >= set(net.members))
             raise
@@ -292,9 +294,10 @@ class ResultData:
 
 def _summarize(placement: Placement, netlist: Netlist, area: PlacementArea):
     """``(netlength_bb, overlap_area, legal)`` from one store of the placement
-    (:func:`store_and_report`): its two totals, the overlap as a float.  A
-    fresh store holds its pairs ascending with no dead slot, so its overlap
-    total adds their areas in index order."""
+    (:func:`store_and_report`, which gives ``naive_legalize``'s result the
+    store its legality check built): its two totals, the overlap as a float.
+    A fresh store holds its pairs ascending with no dead slot, so its
+    overlap total adds their areas in index order."""
     store, report = store_and_report(placement, netlist, area)
     total_bb, overlap = store.totals()
     return total_bb, float(overlap), report.legal
@@ -318,9 +321,8 @@ def write_result(
     fp.write("summary netlength_bb " + repr_line((total_bb,), ""))
     fp.write("summary overlap_area " + repr_line((overlap,), ""))
     fp.write(f"summary legal {'true' if legal else 'false'}\n")
-    for mid in sorted(placement):
-        x, y = placement[mid]
-        fp.write(f"place {mid} " + repr_line((x, y), " "))
+    fp.write("".join([f"place {mid} " + repr_line((x, y), " ") for mid, (x, y)
+                      in sorted(placement.items(), key=operator.itemgetter(0))]))
     return total_bb, overlap, legal
 
 

@@ -5,8 +5,9 @@ corner of the area.  Every macro's pins sit at its center, so net models
 operate on macro centers.  Occupied regions are half-open rectangles
 ``(x1, x2] x (y1, y2]``: two macros may share a boundary without overlapping.
 
-All functions here are pure; a placement passed in is treated as an
-immutable snapshot, so concurrent evaluation is safe.
+All functions here are pure but for what they keep (``Netlist.bounds``,
+a :class:`KeptPlacement`'s store), which a concurrent call at worst builds
+again; a placement passed in is treated as an immutable snapshot.
 """
 
 from __future__ import annotations
@@ -83,28 +84,55 @@ class Net:
 
 @dataclass
 class Netlist:
-    """Macros plus the hypergraph of nets connecting them."""
+    """Macros plus the hypergraph of nets connecting them, read as immutable
+    once built.  Construction builds what every :func:`placement_store` of it
+    reads: ``ids`` (sorted: a macro's index is its place), ``halves`` (``hx,
+    hy`` per macro, as :func:`footprint_box` halves the sizes), ``largest``
+    (the largest sides, 1.0 without macros), ``net_keys`` (member indices)."""
 
     macros: list[Macro]
     nets: list[Net]
     by_id: dict[str, Macro] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.by_id = {}
+        by_id = self.by_id = {}
         for m in self.macros:
-            if m.id in self.by_id:
+            if m.id in by_id:
                 raise ValueError(f"duplicate macro id {m.id!r}")
-            self.by_id[m.id] = m
-        for net in self.nets:
-            for mid in net.members:
-                if mid not in self.by_id:
-                    raise ValueError(
-                        f"net {net.members!r} references unknown macro {mid!r}"
-                    )
+            by_id[m.id] = m
+        self.ids = sorted(by_id)
+        index = {mid: k for k, mid in enumerate(self.ids)}
+        try:  # the members' walk, which finds an unknown one
+            self.net_keys = [operator.itemgetter(*net.members)(index) for net in self.nets]
+        except KeyError as e:
+            net = next(n for n in self.nets if e.args[0] in n.members)
+            raise ValueError(
+                f"net {net.members!r} references unknown macro {e.args[0]!r}") from None
+        sizes = array("d", [v for m in map(by_id.get, self.ids) for v in (m.size_x, m.size_y)])
+        self.halves = array("d", [v / 2.0 for v in sizes])
+        self.largest = max(sizes[0::2], default=1.0), max(sizes[1::2], default=1.0)
+        self._bounds: dict[tuple[float, float], array] = {}
 
     @property
     def total_macro_area(self) -> float:
         return ordered_sum([m.area for m in self.macros])
+
+    def bounds(self, area: PlacementArea) -> array:
+        """Each macro's center bounds ``x_min, x_max, y_min, y_max`` in the
+        area, by index: one pass that checks each by :func:`check_placeable`
+        (one ``math.ulp``) and bounds it, kept per area size, so that the
+        parser, ``new_state`` and ``naive_legalize`` share it."""
+        w, h = area.width, area.height
+        got = self._bounds.get((w, h))
+        if got is None:
+            ulp = math.ulp(max(w, h))
+            for mid in self.ids:
+                check_placeable(self.by_id[mid], area, ulp)
+            it = iter(self.halves)  # the lower bound is exact: hx - hx == 0
+            got = self._bounds[w, h] = array("d", [v for hx, hy in zip(it, it) for v in (
+                hx, w - hx if (w - hx) + hx <= w else _upper(w, hx),
+                hy, h - hy if (h - hy) + hy <= h else _upper(h, hy))])
+        return got
 
 
 #: Smallest side of a placement area: a grid cell is the side over up to
@@ -142,19 +170,31 @@ class PlacementArea:
                 )
 
 
-def check_placeable(macro: Macro, area: PlacementArea) -> None:
+def check_placeable(macro: Macro, area: PlacementArea, ulp: float | None = None) -> None:
     """Raise ``ValueError`` naming the macro unless it fits the area and its
-    half sides exceed one ulp of the area's larger side, so that its
-    footprint has distinct edges wherever its center lies in the area."""
+    half sides exceed one ulp of the area's larger side (``ulp``, computed
+    here if None), so that its footprint has distinct edges wherever its
+    center lies in the area."""
     w, h = area.width, area.height
     sx, sy = macro.size_x, macro.size_y
     if sx > w or sy > h:
         raise ValueError(f"macro {macro.id} ({sx!r} x {sy!r}) does not fit the "
                          f"{w!r} x {h!r} area")
-    ulp = math.ulp(max(w, h))
+    if ulp is None:
+        ulp = math.ulp(max(w, h))
     if not min(sx, sy) / 2.0 > ulp:
         raise ValueError(f"macro {macro.id} is too small for a {w!r} x {h!r} area: "
                          f"its half-size must exceed {ulp!r}")
+
+
+def _upper(span: float, half: float) -> float:
+    """Largest center, but at least ``half``, whose footprint edge stays at or
+    below ``span``: ``(span - half) + half`` can round one ulp past ``span``;
+    addition is monotone, so nudging it down fixes every smaller center too."""
+    hi = span - half
+    while hi + half > span:
+        hi = math.nextafter(hi, -math.inf)
+    return max(hi, half)
 
 
 Box = tuple[float, float, float, float]  # (x1, y1, x2, y2), as a Rect
@@ -275,22 +315,23 @@ def placement_store(netlist: Netlist, area: PlacementArea, centers: array, field
     footprint cells as large as the largest macro (a footprint touches at
     most 2x2).  By default its field is a ``CostField(0, 0)`` and its bounds
     and keep-out weight zero: a store to read footprints, pairs and totals
-    from, which runs no round."""
+    from, which runs no round.  Every call reads the store inputs the
+    netlist built once (see :class:`Netlist`)."""
     from stepplace import stepfield  # not at the top: stepfield imports this module
 
-    ids = sorted(netlist.by_id)
-    key = {mid: k for k, mid in enumerate(ids)}
-    macros = [netlist.by_id[mid] for mid in ids]
     return stepfield.core.PlacementStore(
         stepfield.CostField(0, 0) if field is None else field, area.width, area.height,
-        max((m.size_x for m in macros), default=1.0),
-        max((m.size_y for m in macros), default=1.0),
-        # half-sizes as footprint_box computes them
-        array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
-        centers, array("d", bytes(32 * len(ids))) if bounds is None else bounds,
-        [[key[mid] for mid in net.members] for net in netlist.nets],
-        array("d", [v for b in area.blockages for v in b]), blockage_weight,
+        *netlist.largest, netlist.halves, centers,
+        array("d", bytes(32 * len(netlist.ids))) if bounds is None else bounds,
+        netlist.net_keys, array("d", [v for b in area.blockages for v in b]), blockage_weight,
     )
+
+
+class KeptPlacement(dict):
+    """A placement that keeps the store and report :func:`store_and_report`
+    built of it, with the netlist, the area and a copy of the dict they were
+    built for (``kept``): a later call for that netlist and area gets them
+    back while the dict still equals that copy, and builds anew once not."""
 
 
 def store_and_report(placement: Placement, netlist: Netlist, area: PlacementArea):
@@ -298,24 +339,30 @@ def store_and_report(placement: Placement, netlist: Netlist, area: PlacementArea
     :func:`is_legal` report, whose pairs are the store's as it lists them
     after construction: ascending by index, so by id.  A macro without a
     position, or with a non-finite one, raises ``ValueError`` naming it
-    before any store is built."""
-    boxes, out_of_area = {}, []
+    before any store is built.  A :class:`KeptPlacement` keeps both, so that
+    the summary of ``naive_legalize``'s result reads its legality check's."""
+    kept = getattr(placement, "kept", None)
+    if kept and kept[0] is netlist and kept[1] is area and placement == kept[2]:
+        return kept[3], kept[4]
+    w, h, out_of_area = area.width, area.height, []
     for m in netlist.macros:
         if m.id not in placement:
             raise ValueError(f"macro {m.id!r} has no position")
         x, y = placement[m.id]
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"macro {m.id!r} has a non-finite position ({x!r}, {y!r})")
-        x1, y1, x2, y2 = boxes[m.id] = footprint_box(m, (x, y))
-        if not (x1 >= 0 and x2 <= area.width and y1 >= 0 and y2 <= area.height):
+        hx, hy = m.size_x / 2.0, m.size_y / 2.0
+        if not (x - hx >= 0 and x + hx <= w and y - hy >= 0 and y + hy <= h):
             out_of_area.append(m.id)
-    ids = sorted(boxes)
-    centers = array("d", [v for mid in ids for v in placement[mid]])
-    store = placement_store(netlist, area, centers)
-    blocked = [(mid, bi) for mid in ids for bi, b in enumerate(area.blockages)
-               if overlaps(boxes[mid], b)]
+    ids = netlist.ids
+    store = placement_store(netlist, area, array("d", [v for m in ids for v in placement[m]]))
+    blocked = [(mid, bi) for i, mid in enumerate(ids) for bi, b in enumerate(area.blockages)
+               if overlaps(store.box(i), b)] if area.blockages else []
     pairs = [(ids[i], ids[j]) for i, j, _ in store.pairs()]
-    return store, LegalityReport(out_of_area, pairs, blocked)
+    report = LegalityReport(out_of_area, pairs, blocked)
+    if isinstance(placement, KeptPlacement):
+        placement.kept = (netlist, area, dict(placement), store, report)
+    return store, report
 
 
 def is_legal(

@@ -75,12 +75,12 @@ from stepplace._pycore import RoundStats, Schedule, grown, schedules
 from stepplace._pycore import move_macro, penalty  # noqa: F401
 from stepplace.netmodel import (
     MAX_GRID_EXPONENT,
+    KeptPlacement,
     Macro,
     Netlist,
     Placement,
     PlacementArea,
     Point,
-    check_placeable,
     is_legal,
     placement_store,
 )
@@ -214,41 +214,19 @@ class PlacerConfig:
         return grown(self._schedule.w0, self._schedule.w_growth, rnd)
 
 
-
-def _safe_upper(span: float, half: float) -> float:
-    """Largest center so the footprint edge stays at or below ``span``.
-
-    ``(span - half) + half`` can round one ulp past ``span``; addition is
-    monotone, so nudging the endpoint down fixes every smaller center too.
-    """
-    hi = span - half
-    while hi + half > span:
-        hi = math.nextafter(hi, -math.inf)
-    return hi
-
-
 def compute_bounds(macro: Macro, area: PlacementArea) -> MacroBounds:
-    """Center-coordinate bounds of a macro that passes :func:`check_placeable`."""
-    check_placeable(macro, area)
-    hx = macro.size_x / 2.0
-    hy = macro.size_y / 2.0
-    # the lower bound is always exact: hx - hx == 0; the center hx itself is
-    # feasible because hx + hx == size_x <= width
-    return MacroBounds(
-        hx,
-        max(_safe_upper(area.width, hx), hx),
-        hy,
-        max(_safe_upper(area.height, hy), hy),
-    )
+    """Center-coordinate bounds of a macro that passes ``check_placeable``:
+    the :meth:`~stepplace.netmodel.Netlist.bounds` pass of the macro alone."""
+    return MacroBounds(*Netlist([macro], []).bounds(area))
 
 
-def _clamped(mid: str, pos: Point, b: MacroBounds) -> Point:
-    """``pos`` clamped into the bounds ``b`` of macro ``mid``; ``ValueError``
-    naming the macro where a coordinate is NaN, which no clamp can place."""
+def _clamped(mid: str, pos: Point, b) -> Point:
+    """``pos`` clamped into the bounds ``b`` (as a :class:`MacroBounds`) of macro
+    ``mid``; ``ValueError`` naming it where a coordinate is NaN."""
     x, y = pos
     if x != x or y != y:
         raise ValueError(f"macro {mid!r} has a NaN position ({x!r}, {y!r})")
-    return min(max(x, b.x_min), b.x_max), min(max(y, b.y_min), b.y_max)
+    return min(max(x, b[0]), b[1]), min(max(y, b[2]), b[3])
 
 
 @dataclass
@@ -279,7 +257,6 @@ class PlacerState:
         return dict(zip(self.macro_order, self.store.centers))
 
 
-
 #: The scoring hook :func:`round_step` hands the store, looked up here per
 #: round: the unbound ``stepfield.core.PlacementStore.score`` as the package
 #: loaded, called as ``score(store, i, x, y, beta, factor)``.  The one alias
@@ -293,27 +270,27 @@ def new_state(
     config: PlacerConfig,
     initial: Placement | None = None,
 ) -> PlacerState:
-    """Initial loop state: ``stepfield.core``'s placement store (built by
-    :func:`~stepplace.netmodel.placement_store`), with each macro's bounds
-    and center (a given position clamped into the bounds, a missing one
-    drawn uniformly), on a zero field of that core plus one static increase
-    per blockage; :func:`stats_row` gives its statistics row 0.  A macro
+    """Initial loop state: ``stepfield.core``'s placement store, built by
+    :func:`~stepplace.netmodel.placement_store` from the netlist's inputs and
+    its :meth:`~stepplace.netmodel.Netlist.bounds` pass, each built once per
+    netlist (a parsed one ran the pass in the parser), with each macro's
+    center (a given position clamped into its bounds, a missing one drawn
+    uniformly), on a zero field of that core plus one static increase per
+    blockage; :func:`stats_row` gives its statistics row 0.  A macro
     :func:`~stepplace.netmodel.check_placeable` refuses, or an initial
     position that is NaN or names no macro, raises ``ValueError`` first."""
-    macro_order = sorted(netlist.by_id)
-    bounds = [compute_bounds(netlist.by_id[mid], area) for mid in macro_order]
-    if initial is not None:
-        for mid in initial:
-            if mid not in netlist.by_id:
-                raise ValueError(f"initial position for unknown macro {mid!r}")
+    bounds = netlist.bounds(area)
+    initial = initial or {}
+    for mid in initial:
+        if mid not in netlist.by_id:
+            raise ValueError(f"initial position for unknown macro {mid!r}")
     rng = random.Random(config.seed)
-    centers = array("d")
-    for mid, b in zip(macro_order, bounds):
-        if initial is not None and mid in initial:
-            centers.extend(_clamped(mid, initial[mid], b))
+    uniform, it, centers = rng.uniform, iter(bounds), array("d")
+    for mid, x0, x1, y0, y1 in zip(netlist.ids, it, it, it, it):
+        if mid in initial:
+            centers.extend(_clamped(mid, initial[mid], (x0, x1, y0, y1)))
         else:
-            x = rng.uniform(b.x_min, b.x_max)
-            centers.extend((x, rng.uniform(b.y_min, b.y_max)))
+            centers.extend((uniform(x0, x1), uniform(y0, y1)))
 
     fld = CostField(config.grid_p, config.grid_q)
     for blk in area.blockages:
@@ -321,12 +298,9 @@ def new_state(
         if snapped is not None:
             fld.increase(snapped, config.blockage_weight)
 
-    store = placement_store(
-        netlist, area, centers, fld, array("d", [v for b in bounds for v in b]),
-        config.blockage_weight,
-    )
+    store = placement_store(netlist, area, centers, fld, bounds, config.blockage_weight)
     return PlacerState(
-        config=config, rng=rng, round=0, macro_order=macro_order, store=store
+        config=config, rng=rng, round=0, macro_order=list(netlist.ids), store=store
     )
 
 
@@ -411,38 +385,46 @@ def naive_legalize(
     direction, and a probe's blocker, a placed footprint or else a keep-out,
     moves the cursors past exactly the points it covers: in ring order the
     first free cursor is the first free ring point, so the result is that
-    of probing every point, on both cores.  Before the call, a macro without
-    a position, with a NaN one, or that
+    of probing every point, on both cores.  The bounds are the netlist's one
+    :meth:`~stepplace.netmodel.Netlist.bounds` pass.  Before the call, the
+    first macro in placing order without a position, that
     :func:`~stepplace.netmodel.check_placeable` refuses (which leaves every
-    lattice footprint non-empty) raises ``ValueError`` naming it.  Raises
-    :class:`LegalizationError` when a macro cannot be placed, and never
-    returns an illegal placement.
+    lattice footprint non-empty) or with a NaN position raises
+    ``ValueError`` naming it.  Raises :class:`LegalizationError` when a
+    macro cannot be placed, and never returns an illegal placement: the
+    :class:`~stepplace.netmodel.KeptPlacement` it returns keeps the store of
+    its legality check, which the result summary reads.
     """
-    order = sorted(netlist.macros, key=lambda m: (-m.area, m.id))
-    starts, macros = [], array("d")
-    for m in order:
-        if m.id not in placement:
-            raise ValueError(f"macro {m.id!r} has no position")
-        b = compute_bounds(m, area)
-        starts.append(_clamped(m.id, placement[m.id], b))
-        macros.extend((m.size_x / 2.0, m.size_y / 2.0, *b, *starts[-1]))
-    # keys in id order, so that a probe's blocker, the footprint of the
-    # least key that meets it, is that of the least id
-    key = {mid: k for k, mid in enumerate(sorted(netlist.by_id))}
+    ids, halves = netlist.ids, netlist.halves
+    areas = [netlist.by_id[mid].area for mid in ids]
+    # keys are indices, so a probe's blocker, the footprint of the least key
+    # that meets it, is that of the least id; by area, then id: a stable sort
+    keys = sorted(range(len(ids)), key=areas.__getitem__, reverse=True)
+    try:
+        bounds = netlist.bounds(area)
+        starts = [_clamped(ids[k], placement[ids[k]], bounds[4 * k:4 * k + 4]) for k in keys]
+    except (KeyError, ValueError):
+        for k in keys:  # the first refused in placing order, as before the pass
+            if ids[k] not in placement:
+                raise ValueError(f"macro {ids[k]!r} has no position") from None
+            _clamped(ids[k], placement[ids[k]], compute_bounds(netlist.by_id[ids[k]], area))
+        raise
+    macros = array("d")
+    for k, s in zip(keys, starts):
+        macros.extend((halves[2 * k], halves[2 * k + 1], *bounds[4 * k:4 * k + 4], *s))
     pitches = array("d")
     for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
         p = max(grid_p, min(grid_p + k, _FINEST_RETRY))
         q = max(grid_q, min(grid_q + k, _FINEST_RETRY))
         pitches.extend((area.width / (1 << p), area.height / (1 << q)))
     moved = stepfield.core.legalize(
-        area.width, area.height, macros, [key[m.id] for m in order], pitches,
+        area.width, area.height, macros, keys, pitches,
         array("d", [v for b in area.blockages for v in b]),
     )
-    if len(moved) < len(order):
-        raise LegalizationError(order[len(moved)].id)
-    out: Placement = {
-        m.id: start if to is None else to for m, start, to in zip(order, starts, moved)
-    }
+    if len(moved) < len(keys):
+        raise LegalizationError(ids[keys[len(moved)]])
+    out = KeptPlacement(
+        (ids[k], start if to is None else to) for k, start, to in zip(keys, starts, moved))
 
     report = is_legal(out, netlist, area)
     if not report.legal:

@@ -47,16 +47,50 @@ def on_core(monkeypatch):
     return functools.partial(use_core, monkeypatch)
 
 
+#: Where the ``interpreters`` fixture leaves what it found and skipped,
+#: for the terminal summary.
+_INTERPRETERS = pytest.StashKey[dict]()
+
+
+def _executable(name):
+    """The executable ``name`` runs, as it reports it, or None.  A pyenv
+    shim with no version selected exits non-zero; it is then run with
+    ``PYENV_VERSION`` set to each version ``pyenv whence`` names for it."""
+    path = shutil.which(name)
+    if path is None:
+        return None
+    envs = [None]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        whence = subprocess.run([pyenv, "whence", name], capture_output=True, text=True)
+        envs += [dict(os.environ, PYENV_VERSION=v) for v in whence.stdout.split()]
+    for env in envs:
+        out = subprocess.run([path, "-c", "import sys; print(sys.executable)"],
+                             capture_output=True, text=True, env=env)
+        if out.returncode == 0:
+            return out.stdout.strip()
+    return None
+
+
 @pytest.fixture(scope="session")
-def interpreters():
+def interpreters(request):
     """This interpreter, then each of ``python3.10`` .. ``python3.13`` that
-    runs (a pyenv shim with no version selected exits non-zero), each once,
-    by the executable it reports."""
+    runs (see :func:`_executable`), each once, by the executable it
+    reports; the terminal summary lists those found and the names skipped."""
     found = {os.path.realpath(sys.executable): sys.executable}
+    skipped = []
     for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
-        path = shutil.which(name)
-        out = path and subprocess.run([path, "-c", "import sys; print(sys.executable)"],
-                                      capture_output=True, text=True)
-        if out and out.returncode == 0:
-            found.setdefault(os.path.realpath(out.stdout.strip()), path)
+        exe = _executable(name)
+        if exe is None:
+            skipped.append(name)
+        else:
+            found.setdefault(os.path.realpath(exe), exe)
+    request.config.stash[_INTERPRETERS] = {"found": list(found.values()), "skipped": skipped}
     return list(found.values())
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    got = config.stash.get(_INTERPRETERS, None)
+    if got:
+        terminalreporter.write_line(f"interpreters: found {', '.join(got['found'])}; "
+                                    f"skipped {', '.join(got['skipped']) or 'none'}")

@@ -15,21 +15,29 @@ the result summary as they were before both read a placement store: a
 sorting the macros under the degree cap anew for every net.
 :func:`build_parser` is the ``stepplace`` command line as argparse read it,
 before ``io_cli.parse_args`` read it from one flag table.
+:func:`oracle_bounds` and :func:`oracle_placement_store` are the bounds and
+the store inputs as every caller built them anew before a netlist kept
+them, and :func:`oracle_legalize_refusal` and :func:`oracle_state_refusal`
+the refusals of ``naive_legalize`` and ``new_state`` as each checked its
+macros one by one.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
+from array import array
 from bisect import bisect_left
 
 import numpy as np
 
-from stepplace import io_cli
+from stepplace import io_cli, stepfield
 from stepplace.netmodel import (
     BucketGrid,
     LegalityReport,
     bb_netlength,
+    check_placeable,
     footprint_box,
     meet,
     ordered_sum,
@@ -441,3 +449,82 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=io_cli._cmd_render)
 
     return parser
+
+
+def _safe_upper(span, half):
+    hi = span - half
+    while hi + half > span:
+        hi = math.nextafter(hi, -math.inf)
+    return hi
+
+
+def oracle_bounds(netlist, area):
+    """``Netlist.bounds`` as ``compute_bounds`` found each macro's bounds
+    before the one pass: every call checks each macro in id order by
+    ``check_placeable``, which takes the ulp anew, and keeps nothing."""
+    out = array("d")
+    for mid in sorted(netlist.by_id):
+        m = netlist.by_id[mid]
+        check_placeable(m, area)
+        hx, hy = m.size_x / 2.0, m.size_y / 2.0
+        out.extend((hx, max(_safe_upper(area.width, hx), hx),
+                    hy, max(_safe_upper(area.height, hy), hy)))
+    return out
+
+
+def oracle_placement_store(netlist, area, centers, field=None, bounds=None,
+                           blockage_weight=0.0):
+    """``netmodel.placement_store`` as it was before the netlist kept the
+    store inputs: each call sorts the ids and builds the half-sizes, the
+    largest sizes and the nets' index lists anew."""
+    ids = sorted(netlist.by_id)
+    key = {mid: k for k, mid in enumerate(ids)}
+    macros = [netlist.by_id[mid] for mid in ids]
+    return stepfield.core.PlacementStore(
+        stepfield.CostField(0, 0) if field is None else field, area.width, area.height,
+        max((m.size_x for m in macros), default=1.0),
+        max((m.size_y for m in macros), default=1.0),
+        array("d", [v for m in macros for v in (m.size_x / 2.0, m.size_y / 2.0)]),
+        centers, array("d", bytes(32 * len(ids))) if bounds is None else bounds,
+        [[key[mid] for mid in net.members] for net in netlist.nets],
+        array("d", [v for b in area.blockages for v in b]), blockage_weight,
+    )
+
+
+def _nan_message(mid, pos):
+    x, y = pos
+    return f"macro {mid!r} has a NaN position ({x!r}, {y!r})" if x != x or y != y else None
+
+
+def oracle_legalize_refusal(placement, netlist, area):
+    """The message of the ``ValueError`` ``naive_legalize`` raises, or None:
+    the first macro, by area (largest first), then id, without a position,
+    that ``check_placeable`` refuses, or with a NaN position, in that order
+    per macro."""
+    for m in sorted(netlist.macros, key=lambda m: (-m.area, m.id)):
+        if m.id not in placement:
+            return f"macro {m.id!r} has no position"
+        try:
+            check_placeable(m, area)
+        except ValueError as e:
+            return str(e)
+        if nan := _nan_message(m.id, placement[m.id]):
+            return nan
+    return None
+
+
+def oracle_state_refusal(netlist, area, initial):
+    """The message of the ``ValueError`` ``new_state`` raises, or None: the
+    first macro in id order that ``check_placeable`` refuses, else an
+    initial position for an unknown macro, else the first NaN initial
+    position in id order."""
+    for mid in sorted(netlist.by_id):
+        try:
+            check_placeable(netlist.by_id[mid], area)
+        except ValueError as e:
+            return str(e)
+    for mid in initial:
+        if mid not in netlist.by_id:
+            return f"initial position for unknown macro {mid!r}"
+    return next((_nan_message(mid, initial[mid]) for mid in sorted(netlist.by_id)
+                 if mid in initial and _nan_message(mid, initial[mid])), None)

@@ -18,7 +18,9 @@ import stepplace
 import stepplace._pycore as _pycore
 import stepplace.io_cli as io_cli
 import stepplace.netmodel as netmodel
+import stepplace.placer as placer
 import stepplace.stepfield as stepfield
+import oracles
 from stepplace.io_cli import (
     GenSpec,
     InstanceFormatError,
@@ -109,6 +111,10 @@ class TestParseInstance:
             # cells of 1e-321 / 2**11 would round to 0 and divide by zero
             ("area 5 1e-321\n", r"^line 1: placement area 5\.0 x 1e-321 is too small"),
             ("area 5 5\nmacro a 10 2\n", "^line 2: macro a .* does not fit"),
+            # the first refused macro in file order, not in id order, and
+            # before a net with an unknown member on an earlier line
+            ("area 5 5\nnet z ghost\nmacro z 1 1e-20\nmacro a 10 2\n",
+             "^line 3: macro z is too small"),
             ("area 4 4\nmacro a 1 1\nplace a 1 1\nplace a 2 2\n", "duplicate place"),
             ("area 4 4\nplace ghost 1 1\n", "^line 2: place line for unknown macro 'ghost'$"),
             ("area 4 4\nmacro a 0 1\n", "sizes must be positive"),
@@ -1524,8 +1530,8 @@ class TestCli:
                                               capsys):
         # legality and the summary read a placement store of the core: on the
         # C core a whole place run constructs no BucketGrid; on the Python
-        # core the state's store, the legalizer's placed footprints, its legality
-        # guard's store and the summary's store each construct one
+        # core the state's store, the legalizer's placed footprints and its
+        # legality guard's store, which the summary reuses, each construct one
         inst = tmp_path / "inst.txt"
         inst.write_text("area 12 12\nblockage 4 4 8 8\n"
                         + "".join(f"macro m{k} 2 2\nplace m{k} 6 6\n" for k in range(6))
@@ -1543,7 +1549,49 @@ class TestCli:
             built.clear()
             assert main(["place", "--in", str(inst), "--out", str(tmp_path / "res.txt"),
                          "--rounds", "3", "--seed", "1"]) == 0
-            assert len(built) == (0 if core == "c" else 4)
+            assert len(built) == (0 if core == "c" else 3)
+        capsys.readouterr()
+
+    def test_place_checks_each_macro_once_and_builds_two_stores(
+            self, tmp_path, on_core, monkeypatch, capsys):
+        """One ``place`` with ``--stats`` on a generated 60/90 instance checks
+        each macro once (the parser's bounds pass, which ``new_state`` and
+        ``naive_legalize`` reuse) and builds at most two placement stores,
+        the state's and the legality guard's, which the summary reuses, on
+        both cores.  Its files hold the bytes of a run whose helpers build
+        everything anew for each caller, as before the netlist kept them:
+        ``oracle_bounds``, ``oracle_placement_store`` and a plain dict from
+        the legalizer, so that the summary builds its own store."""
+        netlist, area = generate_instance(GenSpec(macros=60, nets=90, seed=5))
+        inst, res, stats = (str(tmp_path / name) for name in ("i.txt", "r.txt", "s.csv"))
+        save_instance(inst, netlist, area)
+
+        def run(*patches):
+            with monkeypatch.context() as patch:
+                for owner, attr, value in patches:
+                    patch.setattr(owner, attr, value)
+                assert main(["place", "--in", inst, "--out", res, "--stats", stats,
+                             "--rounds", "300", "--seed", "2"]) == 0
+            with open(res, "rb") as r, open(stats, "rb") as s:
+                return r.read(), s.read()
+
+        def counted(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
+
+        for core in CORES:
+            on_core(core)
+            counts = {"checks": 0, "stores": 0}
+            store = stepfield.core.PlacementStore
+            got = run((netmodel, "check_placeable", counted("checks", netmodel.check_placeable)),
+                      (stepfield.core, "PlacementStore", counted("stores", store)))
+            assert counts["checks"] == len(netlist.macros) and counts["stores"] <= 2
+            assert got == run((netmodel.Netlist, "bounds", oracles.oracle_bounds),
+                              (netmodel, "placement_store", oracles.oracle_placement_store),
+                              (placer, "placement_store", oracles.oracle_placement_store),
+                              (placer, "KeptPlacement", dict))
         capsys.readouterr()
 
 

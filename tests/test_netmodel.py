@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepplace.netmodel import (
+    KeptPlacement,
     Macro,
     Net,
     Netlist,
@@ -18,6 +19,7 @@ from stepplace.netmodel import (
     model_length,
     nl_netlength,
     overlaps,
+    store_and_report,
 )
 from stepplace.placer import (
     PlacerConfig,
@@ -175,6 +177,27 @@ class TestLegality:
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [])
         with pytest.raises(ValueError, match=r"^macro 'b' has a non-finite position"):
             is_legal({"a": (0.5, 0.5), "b": (1.5, bad)}, nl, self.area())
+
+    def test_kept_store_serves_only_the_placement_it_holds(self, on_core, backend):
+        """A :class:`KeptPlacement` gets its store back for the same netlist
+        and area objects while it equals the dict the store was built from;
+        another area object, another netlist or a changed position gets a
+        new store, with the totals and report of a plain dict's."""
+        on_core(backend)
+        nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [Net(("a", "b"))])
+        area = self.area()
+        kept = KeptPlacement({"b": (3.0, 1.0), "a": (1.0, 1.0)})
+        store, report = store_and_report(kept, nl, area)
+        assert store_and_report(kept, nl, area) == (store, report)
+        for other_nl, other_area in ((nl, self.area()), (Netlist(nl.macros, nl.nets), area)):
+            assert store_and_report(kept, other_nl, other_area)[0] is not store
+            store = store_and_report(kept, nl, area)[0]  # kept anew for nl and area
+            assert store_and_report(kept, nl, area)[0] is store
+        kept["b"] = (2.0, 1.0)
+        got, got_report = store_and_report(kept, nl, area)
+        want, want_report = store_and_report(dict(kept), nl, area)
+        assert got is not store and (got.totals(), got_report) == (want.totals(), want_report)
+        assert got_report.overlaps == [("a", "b")]
 
 
 class TestBBNetlength:

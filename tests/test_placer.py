@@ -2,6 +2,7 @@ import _random
 import contextlib
 import copy
 import io
+import itertools
 import math
 import os
 import random
@@ -3494,3 +3495,31 @@ class TestPlaceability:
         with pytest.raises(ValueError, match=want):
             naive_legalize(placement, nl, area, 6, 6)
         assert built == []
+
+    def test_refusals_keep_their_order(self, monkeypatch, on_core, backend):
+        """``naive_legalize`` and ``new_state`` refuse as each did when it
+        checked its macros one by one (``oracle_legalize_refusal``,
+        ``oracle_state_refusal``), the same message for the same macro, and
+        the legalizer before its placing call: every way to give three
+        macros, whose area order is not their id order, a position, none, a
+        NaN one, a size too large or one under the area's ulp."""
+        on_core(backend)
+        calls = []
+        monkeypatch.setattr(stepfield.core, "legalize", lambda *args: calls.append(args) or [])
+        area = PlacementArea(16.0, 16.0)
+        states = {"ok": (3.0, (4.0, 4.0)), "missing": (3.0, None),
+                  "nan": (3.0, (math.nan, 4.0)), "large": (20.0, (4.0, 4.0)),
+                  "small": (1e-15, (4.0, 4.0))}
+        for case in itertools.product(states, repeat=3):
+            nl = Netlist([Macro(mid, side * scale, side) for mid, scale, (side, _) in
+                          zip("cab", (1.0, 0.5, 0.8), map(states.get, case))], [])
+            placement = {mid: states[c][1] for mid, c in zip("cab", case) if c != "missing"}
+            want = oracles.oracle_legalize_refusal(placement, nl, area)
+            calls.clear()
+            with pytest.raises(ValueError if want else LegalizationError) as err:
+                naive_legalize(placement, nl, area, 4, 4)
+            assert (str(err.value), len(calls)) == (want, 0) if want else len(calls) == 1
+            want = oracles.oracle_state_refusal(nl, area, placement)
+            with pytest.raises(ValueError) if want else contextlib.nullcontext() as err:
+                new_state(nl, area, PlacerConfig(max_rounds=1, seed=1), placement)
+            assert want is None or str(err.value) == want, case
