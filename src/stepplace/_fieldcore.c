@@ -82,14 +82,13 @@
  *
  * The module function legalize is placer.naive_legalize's placing loop in
  * one call, over flat arrays: the macros in placing order, each with its
- * key, and the ladder's lattice pitches.  It holds the footprints it has
- * placed in a FootprintIndex and the area's keep-outs.  A probe takes
- * index_hits, the one walk over the index's cells, and checks the keep-outs
- * only where no footprint meets it.  A macro keeps its start where a probe
- * there meets nothing; otherwise each rung builds its lattices and runs the
- * ring search of _pycore._nearest_free over them, with the same cursors and
- * jumps, so it finds the same point; both take lattices whose footprints
- * are all non-empty (netmodel.check_placeable).
+ * key.  It holds the footprints it has placed in a FootprintIndex and the
+ * area's keep-outs; a probe takes index_hits, then the keep-outs.  A macro
+ * keeps its start where a probe there meets nothing, else it takes the
+ * nearest free center as _pycore._free_candidate finds it: the candidates
+ * (start, bounds, and abutting a box in a window around the start, grown
+ * until it holds the answer) in rising distance, from a winner tree of the
+ * columns' cursors, which a blocker moves past the rows it covers.
  *
  * All of these do the float operations of their Python references, the
  * same names in stepplace._pycore (stepfield.core where this did not load),
@@ -2616,12 +2615,22 @@ done:
     return result;
 }
 
-/* What the legalizer has filled: the footprints it has placed, in a
- * FootprintIndex keyed by macro, and the area's keep-outs. */
+/* A cursor's point: distance from the start, x, y, the cursor (2 * column,
+ * + 1 downward) and its row; past the rows, INFINITY and cursor -1. */
+typedef struct {
+    double d, x, y;
+    Py_ssize_t u, j;
+} Probe;
+
+/* What the legalizer has filled: its placed footprints, in a FootprintIndex
+ * keyed by macro, and the keep-outs (x1, y1, x2, y2 each); and one block of
+ * room for a search's tree, candidates and boxes. */
 typedef struct {
     FootprintIndex index;
-    Py_ssize_t n_blk;      /* keep-outs */
-    double *blk;           /* x1, y1, x2, y2 per keep-out */
+    Py_ssize_t n_blk, nx, ny;
+    double *blk, *xs, *ys;
+    Probe *tree;
+    const double **near;
 } Occupied;
 
 /* A box that meets query: the footprint of the least key index_hits finds
@@ -2639,220 +2648,211 @@ probe_box(Occupied *s, const double *query)
     return NULL;
 }
 
-/* One axis of a search: its n lattice points and the footprint edges
- * around them. */
-typedef struct {
-    Py_ssize_t n;
-    double *at, *low, *high;
-} Lattice;
-
-/* Most points one lattice axis may hold (the legalizer's hold at most about
- * 2**11, at the grid cap). */
-#define MAX_LATTICE ((Py_ssize_t)1 << 20)
-
-/* The number of points of _pycore._lattice(lo, hi, step): lo + i * step
- * while below hi, then hi; -1 above MAX_LATTICE. */
-static Py_ssize_t
-lattice_count(double lo, double hi, double step)
+/* _pycore._below: the greatest center whose footprint, half either side, ends
+ * at or below edge; -below(-edge, half) is the least that starts at or above it. */
+static double
+below(double edge, double half)
 {
-    Py_ssize_t n = 0;
-    while (n < MAX_LATTICE && lo + (double)n * step < hi)
-        n++;
-    return n < MAX_LATTICE ? n + 1 : -1;
-}
-
-/* Writes the points of _pycore._lattice(lo, hi, step) and the edges
- * v - half and v + half of the footprints around them. */
-static void
-lattice_fill(Lattice *a, double lo, double hi, double step, double half)
-{
-    for (Py_ssize_t i = 0; i < a->n; i++) {
-        double v = i < a->n - 1 ? lo + (double)i * step : hi;
-        a->at[i] = v;
-        a->low[i] = v - half;
-        a->high[i] = v + half;
-    }
-}
-
-/* bisect.bisect_left and bisect_right over n ascending values */
-static Py_ssize_t
-bisect_left(const double *a, Py_ssize_t n, double v)
-{
-    Py_ssize_t lo = 0;
-    while (lo < n) {
-        Py_ssize_t mid = (lo + n) / 2;
-        if (a[mid] < v)
-            lo = mid + 1;
-        else
-            n = mid;
-    }
+    double lo = edge - half, hi, mid;
+    while (lo + half > edge)
+        lo = nextafter(lo, -INFINITY);
+    double step = py_max(py_max(fabs(lo), fabs(edge)) * 0x1p-52, 0x1p-1074);
+    for (; (hi = lo + step) + half <= edge; step *= 2.0)
+        lo = hi;
+    while (lo < (mid = lo + (hi - lo) / 2.0) && mid < hi)
+        *(mid + half <= edge ? &lo : &hi) = mid;
     return lo;
 }
 
-static Py_ssize_t
-bisect_right(const double *a, Py_ssize_t n, double v)
-{
-    Py_ssize_t lo = 0;
-    while (lo < n) {
-        Py_ssize_t mid = (lo + n) / 2;
-        if (v < a[mid])
-            n = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-/* _pycore._nearest_index */
-static Py_ssize_t
-nearest_index(const Lattice *a, double v)
-{
-    Py_ssize_t i = bisect_left(a->at, a->n, v);
-    if (i > a->n - 1)
-        i = a->n - 1;
-    return i > 0 && fabs(a->at[i - 1] - v) <= fabs(a->at[i] - v) ? i - 1 : i;
-}
-
-/* _pycore._nearest_free over the lattice xs x ys, with row holding two
- * cursors per column: the first point whose footprint no blocker meets, in
- * rings of index distance r around the point nearest (px, py), each by
- * ascending column, the upward cursor before the downward one.  Every cursor
- * of ring r is at distance r or more when the ring starts (one at less was
- * probed and moved on), and a blocker moves cursors only farther out, so
- * visiting the ring's columns in order and probing the cursors found at
- * distance r probes what the Python bucket queue does, in its order.  With
- * every footprint non-empty, the point is the first free one of the rings.
- * The point goes to out; returns 1, or 0 if every point is blocked. */
 static int
-ring_search(Occupied *s, const Lattice *xs, const Lattice *ys, Py_ssize_t *row,
-            double px, double py, double *out)
+compare_doubles(const void *a, const void *b)
 {
-    Py_ssize_t nx = xs->n, ny = ys->n;
-    Py_ssize_t ci = nearest_index(xs, px), cj = nearest_index(ys, py);
-    for (Py_ssize_t k = 0; k < nx; k++) {
-        row[2 * k] = cj;
-        row[2 * k + 1] = cj - 1;
+    double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* _pycore._axis along axis k (0: x, 1: y) of the n boxes near, for the
+ * macro m (half sides, bounds and start) and reach, written to v (room for
+ * 3 + 2 * n); returns their number. */
+static Py_ssize_t
+axis_fill(double *v, const double *m, int k, const double *const *near, Py_ssize_t n,
+          double reach)
+{
+    double lo = m[2 + 2 * k], hi = m[3 + 2 * k];
+    Py_ssize_t len = 0, out = 0;
+    for (Py_ssize_t t = -3; t < 2 * n; t++) {
+        double c = t < 0 ? m[t == -3 ? 2 + 2 * k : t == -2 ? 3 + 2 * k : 6 + k]
+                   : t % 2 ? -below(-near[t / 2][k + 2], m[k]) : below(near[t / 2][k], m[k]);
+        if (lo <= c && c <= hi && fabs(c - m[6 + k]) <= reach)
+            v[len++] = c + 0.0; /* a -0.0 becomes the 0.0 it equals */
     }
-    for (Py_ssize_t r = 0; r < nx + ny - 1; r++) {
-        Py_ssize_t k_end = ci + r < nx - 1 ? ci + r : nx - 1;
-        for (Py_ssize_t k = ci - r > 0 ? ci - r : 0; k <= k_end; k++) {
-            Py_ssize_t rem = r - (k < ci ? ci - k : k - ci);
-            for (Py_ssize_t u = 2 * k; u <= 2 * k + 1; u++) {
-                Py_ssize_t j = row[u];
-                if (j < 0 || j >= ny || (j < cj ? cj - j : j - cj) != rem)
-                    continue;
-                const double box[4] = {xs->low[k], ys->low[j], xs->high[k], ys->high[j]};
-                const double *blk = probe_box(s, box);
-                if (blk == NULL) {
-                    out[0] = xs->at[k];
-                    out[1] = ys->at[j];
-                    return 1;
-                }
-                /* blk covers rows lo .. hi - 1 of columns c1 .. c2 - 1, this point's too */
-                Py_ssize_t lo = bisect_right(ys->high, ny, blk[1]);
-                Py_ssize_t hi = bisect_left(ys->low, ny, blk[3]);
-                Py_ssize_t c1 = bisect_right(xs->high, nx, blk[0]);
-                Py_ssize_t c2 = bisect_left(xs->low, nx, blk[2]);
-                for (Py_ssize_t c = c1; c < c2; c++) {
-                    if (lo <= row[2 * c] && row[2 * c] < hi)
-                        row[2 * c] = hi;
-                    if (lo <= row[2 * c + 1] && row[2 * c + 1] < hi)
-                        row[2 * c + 1] = lo - 1;
-                }
-            }
+    qsort(v, (size_t)len, sizeof(double), compare_doubles);
+    for (Py_ssize_t t = 0; t < len; t++)
+        if (!out || v[t] != v[out - 1])
+            v[out++] = v[t];
+    return out;
+}
+
+/* bisect_left (bisect_right where right) over the n values a[i] + shift */
+static Py_ssize_t
+bisect(const double *a, Py_ssize_t n, double shift, double v, int right)
+{
+    Py_ssize_t lo = 0;
+    while (lo < n) {
+        Py_ssize_t mid = (lo + n) / 2;
+        if (right ? !(v < a[mid] + shift) : a[mid] + shift < v)
+            lo = mid + 1;
+        else
+            n = mid;
+    }
+    return lo;
+}
+
+/* Node i of the winner tree: the least of its children in (d, x, y) order */
+static inline void
+tree_pick(Probe *t, Py_ssize_t i)
+{
+    const Probe *a = &t[2 * i], *b = &t[2 * i + 1];
+    t[i] = (b->d != a->d ? b->d < a->d : b->x != a->x ? b->x < a->x : b->y < a->y) ? *b : *a;
+}
+
+/* The point of cursor u of the macro m's search at row j. */
+static Probe
+cursor_point(const Occupied *s, const double *m, Py_ssize_t u, Py_ssize_t j)
+{
+    if (u >= 2 * s->nx || j < 0 || j >= s->ny)
+        return (Probe){INFINITY, INFINITY, INFINITY, -1, j};
+    double x = s->xs[u / 2], y = s->ys[j];
+    return (Probe){fabs(x - m[6]) + fabs(y - m[7]), x, y, u, j};
+}
+
+/* _pycore._free_candidate for the macro m: the first free candidate in
+ * (d, x, y) order, from a winner tree whose leaves from node n are the
+ * cursors' points.  Writes it to out; returns 1, or 0 if none is free. */
+static int
+free_candidate(Occupied *s, const double *m, Probe *out)
+{
+    Py_ssize_t nx = s->nx, ny = s->ny, cj = bisect(s->ys, ny, 0.0, m[7], 0), n = 1;
+    Probe *t = s->tree;
+    while (n < 2 * nx)
+        n *= 2;
+    for (Py_ssize_t u = 0; u < n; u++)
+        t[n + u] = cursor_point(s, m, u, u % 2 ? cj - 1 : cj);
+    for (Py_ssize_t i = n - 1; i > 0; i--)
+        tree_pick(t, i);
+    for (Probe p = t[1]; p.u >= 0; p = t[1]) {
+        const double box[4] = {p.x - m[0], p.y - m[1], p.x + m[0], p.y + m[1]};
+        const double *blk = probe_box(s, box);
+        if (blk == NULL) {
+            /* a downward cursor's rows below at the same distance come first */
+            Py_ssize_t k = p.j;
+            while (p.u % 2 && k && cursor_point(s, m, p.u, k - 1).d == p.d)
+                k--;
+            while (k < p.j && probe_box(s, (const double[4]){box[0], s->ys[k] - m[1], box[2],
+                                                             s->ys[k] + m[1]}))
+                k++;
+            *out = cursor_point(s, m, p.u, k);
+            return 1;
         }
+        /* blk covers rows lo .. hi - 1 of columns u1 / 2 .. (u - 1) / 2 */
+        Py_ssize_t lo = bisect(s->ys, ny, m[1], blk[1], 1);
+        Py_ssize_t hi = bisect(s->ys, ny, -m[1], blk[3], 0);
+        Py_ssize_t u = 2 * bisect(s->xs, nx, m[0], blk[0], 1), u1 = u;
+        for (; u < 2 * nx && s->xs[u / 2] - m[0] < blk[2]; u++)
+            if (lo <= t[n + u].j && t[n + u].j < hi)
+                t[n + u] = cursor_point(s, m, u, u % 2 ? lo - 1 : hi);
+        for (Py_ssize_t a = (n + u1) / 2, b = (n + u - 1) / 2; a > 0; a /= 2, b /= 2)
+            for (Py_ssize_t i = a; i <= b; i++)
+                tree_pick(t, i);
     }
     return 0;
 }
 
-/* One rung of a macro's search: the ring search over the lattice
- * lo + i * pitch below hi, then hi, per axis, from the macro's start, with
- * m the macro's half sides, bounds and start.  The point goes to out;
- * returns 1, 0 if every point is blocked, -1 with an exception set. */
+/* _pycore.legalize's search for the macro m (half sides, bounds, start):
+ * the nearest free candidate within reach r of the boxes near the start, r
+ * grown until the candidate is nearer than r or r spans the bounds.  Writes
+ * the point to out; returns 1, or 0 if none is free. */
 static int
-lattice_search(Occupied *s, const double *m, const double *pitch, double *out)
+nearest_free(Occupied *s, const double *m, Probe *out)
 {
-    Lattice xs = {.n = lattice_count(m[2], m[3], pitch[0])},
-            ys = {.n = lattice_count(m[4], m[5], pitch[1])};
-    if (xs.n < 0 || ys.n < 0) {
-        PyErr_SetString(PyExc_ValueError, "lattice step too fine for its span");
-        return -1;
+    double reach = 0.5 * (m[0] + m[1]), span = py_max(fabs(m[2] - m[6]), fabs(m[3] - m[6]))
+                                               + py_max(fabs(m[4] - m[7]), fabs(m[5] - m[7]));
+    /* past a point found, the next window holds it; it may hold nearer */
+    for (int found = 0;; reach = found ? nextafter(out->d, INFINITY) : 2.0 * reach) {
+        double ex = 1.25 * reach + m[0], ey = 1.25 * reach + m[1];
+        const double window[4] = {m[6] - ex, m[7] - ey, m[6] + ex, m[7] + ey};
+        Py_ssize_t n = 0, hits = index_hits(&s->index, window, -1);
+        for (Py_ssize_t t = 0; t < hits + s->n_blk; t++) {
+            /* footprints in the window and keep-outs, grown within 1.25 * reach (L1) */
+            const double *b = t < hits ? s->index.boxes + 4 * s->index.found[t]
+                                       : s->blk + 4 * (t - hits);
+            if (py_max(py_max(b[0] - m[0] - m[6], m[6] - (b[2] + m[0])), 0.0)
+                    + py_max(py_max(b[1] - m[1] - m[7], m[7] - (b[3] + m[1])), 0.0)
+                < 1.25 * reach)
+                s->near[n++] = b;
+        }
+        s->nx = axis_fill(s->xs, m, 0, s->near, n, reach);
+        s->ny = axis_fill(s->ys, m, 1, s->near, n, reach);
+        found = free_candidate(s, m, out);
+        if (!(reach < span) || (found && out->d < reach))
+            return found;
     }
-    double *v = malloc((size_t)(3 * (xs.n + ys.n)) * sizeof(double));
-    Py_ssize_t *row = malloc((size_t)(2 * xs.n) * sizeof(Py_ssize_t));
-    int found = -1;
-    if (v == NULL || row == NULL) {
-        PyErr_NoMemory();
-    } else {
-        xs.at = v;
-        xs.low = v + xs.n;
-        xs.high = v + 2 * xs.n;
-        ys.at = v + 3 * xs.n;
-        ys.low = ys.at + ys.n;
-        ys.high = ys.at + 2 * ys.n;
-        lattice_fill(&xs, m[2], m[3], pitch[0], m[0]);
-        lattice_fill(&ys, m[4], m[5], pitch[1], m[1]);
-        found = ring_search(s, &xs, &ys, row, m[6], m[7], out);
-    }
-    free(v);
-    free(row);
-    return found;
 }
 
-/* legalize(width, height, macros, keys, pitches, blockages): the placing
- * loop of placer.naive_legalize (see fieldcore_functions); its Python
- * reference is stepplace._pycore.legalize. */
+/* legalize(width, height, macros, keys, blockages): the placing loop of
+ * placer.naive_legalize (see fieldcore_functions); its Python reference is
+ * stepplace._pycore.legalize. */
 static PyObject *
 legalize(PyObject *module, PyObject *args)
 {
     double width, height;
-    PyObject *macros_obj, *keys_obj, *pitches_obj, *blockages;
-    if (!PyArg_ParseTuple(args, "ddOOOO:legalize", &width, &height, &macros_obj, &keys_obj,
-                          &pitches_obj, &blockages))
+    PyObject *macros_obj, *keys_obj, *blockages;
+    if (!PyArg_ParseTuple(args, "ddOOO:legalize", &width, &height, &macros_obj, &keys_obj,
+                          &blockages))
         return NULL;
     Occupied s = {.blk = NULL};
-    double *macros = NULL, *pitches = NULL;
-    Py_ssize_t count = -1, rungs = -1;
+    double *macros = NULL;
+    Py_ssize_t count = -1;
     PyObject *keys = NULL, *out = NULL;
     if (read_doubles(macros_obj, 8, "macro", &count, &macros, "macros") < 0
-        || read_doubles(pitches_obj, 2, "rung", &rungs, &pitches, "pitches") < 0
         || (keys = PySequence_Fast(keys_obj, "keys must be a sequence")) == NULL)
         goto fail;
     int ok = PySequence_Fast_GET_SIZE(keys) == count;
     for (Py_ssize_t k = 0; k < 8 * count; k++)
         ok &= isfinite(macros[k]) && (k % 8 > 1 || macros[k] > 0.0);
-    for (Py_ssize_t k = 0; k < 2 * rungs; k++)
-        ok &= isfinite(pitches[k]) && pitches[k] > 0.0;
     if (!ok) {
         PyErr_SetString(PyExc_ValueError, "legalize takes one key per macro, finite "
-                                          "values, and positive half sides and pitches");
+                                          "values, and positive half sides");
         goto fail;
     }
     /* cells as large as the largest macro, as the placer's store has */
-    double cell[2] = {1.0, 1.0};
-    for (Py_ssize_t t = 0; t < count; t++)
-        for (int k = 0; k < 2; k++)
-            cell[k] = t ? py_max(cell[k], 2.0 * macros[8 * t + k]) : 2.0 * macros[k];
+    double cell[2] = {count ? 0.0 : 1.0, count ? 0.0 : 1.0};
+    for (Py_ssize_t t = 0; t < 2 * count; t++)
+        cell[t % 2] = py_max(cell[t % 2], 2.0 * macros[8 * (t / 2) + t % 2]);
     if (space_init(&s.index, count, width, height, cell[0], cell[1], blockages, &s.n_blk,
                    &s.blk) < 0
         || (out = PyList_New(0)) == NULL)
         goto fail;
+    /* candidates per axis: the start, two bounds and two per box */
+    Py_ssize_t room = 3 + 2 * (count + s.n_blk);
+    s.tree = malloc((size_t)room * (8 * sizeof(Probe) + 3 * sizeof(double)));
+    if (s.tree == NULL && PyErr_NoMemory() == NULL)
+        goto fail;
+    s.xs = (double *)(s.tree + 8 * room);
+    s.ys = s.xs + room;
+    s.near = (const double **)(s.ys + room);
     for (Py_ssize_t t = 0; t < count; t++) {
         const double *m = macros + 8 * t;
         Py_ssize_t key = index_key(PySequence_Fast_GET_ITEM(keys, t), count, "key", "macros");
         if (key < 0)
             goto fail;
-        double at[2] = {m[6], m[7]};
-        const double start[4] = {at[0] - m[0], at[1] - m[1], at[0] + m[0], at[1] + m[1]};
-        int moved = probe_box(&s, start) != NULL, found = !moved;
-        for (Py_ssize_t r = 0; r < rungs && !found; r++)
-            found = lattice_search(&s, m, pitches + 2 * r, at);
-        if (found < 0)
-            goto fail;
-        if (!found)
+        Probe at = {.x = m[6], .y = m[7]};
+        const double start[4] = {at.x - m[0], at.y - m[1], at.x + m[0], at.y + m[1]};
+        int moved = probe_box(&s, start) != NULL;
+        if (moved && !nearest_free(&s, m, &at))
             break;
-        const double box[4] = {at[0] - m[0], at[1] - m[1], at[0] + m[0], at[1] + m[1]};
-        PyObject *point = moved ? Py_BuildValue("(dd)", at[0], at[1]) : Py_NewRef(Py_None);
+        const double box[4] = {at.x - m[0], at.y - m[1], at.x + m[0], at.y + m[1]};
+        PyObject *point = moved ? Py_BuildValue("(dd)", at.x, at.y) : Py_NewRef(Py_None);
         int err = point == NULL || index_put(&s.index, key, box) < 0
                   || PyList_Append(out, point) < 0;
         Py_XDECREF(point);
@@ -2865,8 +2865,8 @@ fail:
 done:
     index_free(&s.index);
     free(s.blk);
+    free(s.tree);
     free(macros);
-    free(pitches);
     Py_XDECREF(keys);
     return out;
 }
@@ -2909,13 +2909,12 @@ static PyMethodDef fieldcore_functions[] = {
      "An error that stops the guard, such as MemoryError, is raised here and\n"
      "leaves the verdict to the next ask."},
     {"legalize", legalize, METH_VARARGS,
-     "legalize(width, height, macros, keys, pitches, blockages) -> list\n\n"
+     "legalize(width, height, macros, keys, blockages) -> list\n\n"
      "Places the macros in order, each clear of the footprints placed\n"
      "before it and of the keep-outs (x1, y1, x2, y2 each, in a width x\n"
      "height area): macros holds half sides, bounds and start per macro,\n"
-     "keys each one's key, pitches an x and a y pitch per rung.  Returns\n"
-     "None for a kept start, else the point found; the list stops before\n"
-     "the first macro with no free point.  See stepplace._pycore.legalize."},
+     "keys each one's key.  Returns None for a kept start, else the nearest\n"
+     "free center; stops before the first macro with none (_pycore.legalize)."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"

@@ -3,20 +3,20 @@
 :class:`FieldCore` (the field's coefficients), :class:`PlacementStore` (the
 placer's placement with its draw, score, commit and round, and ``step``,
 the placer's whole round; its unbound ``score`` is the placer's scoring
-hook), :func:`legalize` (the legalizer's placing loop with its lattice
+hook), :func:`legalize` (the legalizer's placing loop with its nearest-free
 search) and :func:`repr_line` (the file writers' lines) answer as the C
 core's do, bit for bit.  ``stepfield.core`` is this module where the C core
 did not load.  ``stepfield`` and ``placer`` import the helpers these share
 (the basis arithmetic, :func:`snap_to_grid`, :func:`move_macro`,
 :func:`first_min`, :func:`penalty`, and the round's :class:`Schedule`,
 :func:`grown` and :func:`schedules`) under the same names.  This module
-imports only
-:mod:`stepplace.netmodel`, so no import cycle forms.
+imports only :mod:`stepplace.netmodel`, so no import cycle forms.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 import random
@@ -618,126 +618,145 @@ class PlacementStore:
         return [(i, j, a) for (i, j), a in self.pair_overlap.items()]
 
 
-def _lattice(lo: float, hi: float, step: float) -> list[float]:
-    """Grid positions from lo to hi inclusive (endpoint always present)."""
-    vals = []
-    i = 0
-    while True:
-        v = lo + i * step
-        if v >= hi:
-            break
-        vals.append(v)
-        i += 1
-    vals.append(hi)
-    return vals
+def _below(edge: float, half: float) -> float:
+    """The greatest center ``v`` whose footprint, ``half`` either side, ends
+    at or below ``edge`` (``v + half`` rounds to at most it): ``edge - half``
+    nudged down, as :func:`~stepplace.netmodel._upper` nudges the bounds,
+    then up in doubling steps, then by bisection (``v + half`` is monotone).
+    ``-_below(-edge, half)`` is the least that starts at or above ``edge``."""
+    lo = edge - half
+    while lo + half > edge:
+        lo = math.nextafter(lo, -math.inf)
+    step = max(max(abs(lo), abs(edge)) * 2.0**-52, 5e-324)
+    while (hi := lo + step) + half <= edge:
+        lo, step = hi, 2.0 * step
+    while lo < (mid := lo + (hi - lo) / 2.0) < hi:
+        lo, hi = (mid, hi) if mid + half <= edge else (lo, mid)
+    return lo
 
 
-def _nearest_index(vals: list[float], v: float) -> int:
-    """Index of the sorted ``vals`` entry nearest ``v``, ties to the lower."""
-    i = min(bisect_left(vals, v), len(vals) - 1)
-    return i - 1 if i > 0 and abs(vals[i - 1] - v) <= abs(vals[i] - v) else i
+def _axis(lo: float, hi: float, start: float, half: float, sides, reach: float) -> list[float]:
+    """The candidate centers along one axis, ascending, once each (``+ 0.0``
+    makes a ``-0.0`` the ``0.0`` it equals): the bounds, the start and the
+    centers abutting each side ``(a, b)`` of ``sides`` from below ``a`` and
+    above ``b`` (:func:`_below`) that lie in ``[lo, hi]`` and at most
+    ``reach`` from the start."""
+    vals = [lo, hi, start] + [v for a, b in sides for v in (_below(a, half), -_below(-b, half))]
+    return sorted({v + 0.0 for v in vals if lo <= v <= hi and abs(v - start) <= reach})
 
 
-def _nearest_free(
+def _free_candidate(
     xs: list[float],
     ys: list[float],
-    pos: Point,
+    start: Point,
     half: Point,
     blocker: Callable[[Box], Box | None],
-) -> Point | None:
-    """First lattice point ``(xs[i], ys[j])`` whose footprint, ``half`` the
-    macro's sides around it, ``blocker`` finds no box overlapping, in
-    Manhattan rings of index distance around the point nearest ``pos``: each
-    ring by ascending ``i``, ``+dj`` before ``-dj``.
+) -> tuple[float, float, float] | None:
+    """``(d, x, y)`` of the first candidate ``(x, y)`` of ``xs`` by ``ys``
+    (both ascending) whose footprint, ``half`` the sides around it,
+    ``blocker`` finds no box overlapping, in rising distance ``d = |x - x0|
+    + |y - y0|`` from ``start``, ties by x, then y.
 
-    Ring ``r`` holds at most one point of column ``i`` at or above row ``cj``
-    and one below it, so only two cursors per column are probed: the nearest
-    rows up and down not known to be blocked, ring by ring in that order.  A
-    blocker moves every cursor it covers past its rows, found by bisecting
-    the footprint edges, which are monotone and computed as in the overlap
-    test.  Precondition: every lattice footprint is non-empty, as
-    :func:`~stepplace.netmodel.check_placeable` makes the legalizer's; then
-    the result is that of probing every point.  (A jump may pass an empty
-    footprint, which overlaps nothing; the C search passes the same ones.)"""
-    hx, hy = half
-    ci, cj = _nearest_index(xs, pos[0]), _nearest_index(ys, pos[1])
+    Each column has two cursors, the nearest rows at or above ``y0`` and
+    below it not known to be blocked, and a heap holds each cursor's next
+    point.  A blocker moves every cursor it covers past its rows, found by
+    bisecting the footprint edges (monotone, computed as in the overlap
+    test); an entry a cursor left behind is skipped.  With every footprint
+    non-empty (:func:`~stepplace.netmodel.check_placeable`) the result is
+    that of probing every candidate in turn; a jump may pass an empty one,
+    as the C search's does."""
+    (x0, y0), (hx, hy), ny = start, half, len(ys)
     lefts, rights = [x - hx for x in xs], [x + hx for x in xs]
     bottoms, tops = [y - hy for y in ys], [y + hy for y in ys]
+    dxs, dys = [abs(x - x0) for x in xs], [abs(y - y0) for y in ys]
+    cj = bisect_left(ys, y0)
     row = [cj, cj - 1] * len(xs)  # row[2 * i]: upward cursor, + 1: downward
-    queue: dict[int, list[int]] = {}  # ring -> cursors, some since moved on
-    for r in range(len(xs) + len(ys) - 1):
-        ring = queue.pop(r, [])
-        # columns ci - r and ci + r enter the search on ring r
-        for i in (ci - r, ci + r) if r else (ci,):
-            if 0 <= i < len(xs):
-                ring.append(2 * i)
-                if cj:
-                    queue.setdefault(r + 1, []).append(2 * i + 1)
-        ring.sort()
-        for c in ring:
-            i, j = c >> 1, row[c]
-            if abs(i - ci) + abs(j - cj) != r:
-                continue
-            x, y = xs[i], ys[j]
-            blk = blocker((x - hx, y - hy, x + hx, y + hy))
-            if blk is None:
-                return x, y
-            # blk covers rows lo .. hi - 1 of these columns, this point's too
-            lo, hi = bisect_right(tops, blk[1]), bisect_left(bottoms, blk[3])
-            for k in range(bisect_right(rights, blk[0]), bisect_left(lefts, blk[2])):
-                for u, to in ((2 * k, hi), (2 * k + 1, lo - 1)):
-                    if lo <= row[u] < hi:
-                        row[u] = to
-                        if 0 <= to < len(ys):
-                            queue.setdefault(abs(k - ci) + abs(to - cj), []).append(u)
+    # (d, x, y) is one point's, so the cursor and row are never compared
+    heap = [(dxs[u >> 1] + dys[j], xs[u >> 1], ys[j], u, j)
+            for u, j in enumerate(row) if 0 <= j < ny]
+    heapq.heapify(heap)
+    while heap:
+        d, x, y, u, j = heapq.heappop(heap)
+        if row[u] != j:
+            continue
+        blk = blocker((lefts[u >> 1], bottoms[j], rights[u >> 1], tops[j]))
+        if blk is None:
+            # a downward cursor's rows below at the same distance come first
+            k = j
+            while u & 1 and k and dxs[u >> 1] + dys[k - 1] == d:
+                k -= 1
+            k = next((r for r in range(k, j) if blocker(
+                (lefts[u >> 1], bottoms[r], rights[u >> 1], tops[r])) is None), j)
+            return d, x, ys[k]
+        # blk covers rows lo .. hi - 1 of these columns, this point's too
+        lo, hi = bisect_right(tops, blk[1]), bisect_left(bottoms, blk[3])
+        for k in range(bisect_right(rights, blk[0]), bisect_left(lefts, blk[2])):
+            for u, to in ((2 * k, hi), (2 * k + 1, lo - 1)):
+                if lo <= row[u] < hi:
+                    row[u] = to
+                    if 0 <= to < ny:
+                        heapq.heappush(heap, (dxs[k] + dys[to], xs[k], ys[to], u, to))
     return None
 
 
-def legalize(
-    width: float, height: float, macros: Sequence[float], keys: Sequence[int],
-    pitches: Sequence[float], blockages: Sequence[float],
-) -> list[Point | None]:
+def legalize(width: float, height: float, macros: Sequence[float], keys: Sequence[int],
+             blockages: Sequence[float]) -> list[Point | None]:
     """The legalizer's placing loop: each macro in the order given, its
     footprint kept clear of those placed before it and of the keep-outs.
 
     ``macros`` holds 8 floats per macro (half sides, ``x_min, x_max, y_min,
-    y_max`` and the clamped start), ``keys`` each macro's key, ``pitches``
-    an x and a y lattice pitch per rung, and ``blockages`` ``x1, y1, x2,
-    y2`` per keep-out.  A macro whose start footprint meets nothing keeps
-    it; any other takes the first point :func:`_nearest_free` finds over the
-    lattices of :func:`_lattice` on each rung in turn, under the
-    precondition of that search.  A probe's blocker is the footprint of the
-    least key that meets it (the first of :meth:`BucketGrid.hits`, in cells
-    as large as the largest macro), else the first keep-out that meets it,
-    as in the C core, whatever either index's cells; ``width`` and
-    ``height`` size the C index only.  Returns, in placing order, None for
-    a macro that kept its start and the point it moved to for any other,
-    stopping before the first macro with no free point.
-    """
+    y_max`` and the clamped start), ``keys`` each macro's key and
+    ``blockages`` ``x1, y1, x2, y2`` per keep-out.  A macro whose start
+    footprint meets nothing keeps it; any other takes the nearest free
+    candidate (:func:`_free_candidate`) of the :func:`_axis` values within
+    ``r`` of the start of the boxes near it, ``r`` growing from half the half
+    sides' sum until that candidate is nearer than ``r`` or ``r`` spans the
+    bounds.  A free center nearer than ``r`` takes each coordinate from the
+    start, a bound or the edge of a box near the start that blocks the next
+    center toward it; so with every footprint non-empty no free center is
+    nearer than the one taken (:func:`_below`).  A probe's blocker is the
+    footprint of the least key that meets it (the first of
+    :meth:`BucketGrid.hits`, in cells as large as the largest macro), else
+    the first keep-out that meets it, as in the C core, whatever either
+    index's cells; ``width`` and ``height`` size the C index only.  Returns,
+    in placing order, None for a macro that kept its start and the point it
+    moved to for any other, stopping before the first macro with none."""
     rows = list(zip(*[iter(macros)] * 8))
     placed = BucketGrid(2.0 * max((r[0] for r in rows), default=0.5),
                         2.0 * max((r[1] for r in rows), default=0.5))
     keepouts = list(zip(*[iter(blockages)] * 4))
-    rungs = list(zip(*[iter(pitches)] * 2))
 
     def blocker(box: Box) -> Box | None:
         hits = placed.hits(*box)
-        if hits:
-            return placed[hits[0]]
-        return next((r for r in keepouts if overlaps(box, r)), None)
+        return placed[hits[0]] if hits else next((r for r in keepouts if overlaps(box, r)), None)
 
     out: list[Point | None] = []
     for key, (hx, hy, x_lo, x_hi, y_lo, y_hi, x, y) in zip(keys, rows):
         found = None
         if blocker((x - hx, y - hy, x + hx, y + hy)) is not None:
-            for px, py in rungs:
-                found = _nearest_free(_lattice(x_lo, x_hi, px), _lattice(y_lo, y_hi, py),
-                                      (x, y), (hx, hy), blocker)
-                if found is not None:
+            reach = 0.5 * (hx + hy)
+            span = max(abs(x_lo - x), abs(x_hi - x)) + max(abs(y_lo - y), abs(y_hi - y))
+            while True:
+                ex, ey = 1.25 * reach + hx, 1.25 * reach + hy
+                window = (x - ex, y - ey, x + ex, y + ey)
+                # footprints in the window (by its cells, unless they outnumber the
+                # boxes) and keep-outs, grown within 1.25 * reach (L1)
+                near = ([placed[k] for k in placed.hits(*window)] if len(placed.boxes)
+                        > 4.0 * (ex / placed.cell_x + 1.0) * (ey / placed.cell_y + 1.0)
+                        else [b for b in placed.boxes.values() if overlaps(window, b)])
+                boxes = [b for b in near + keepouts if max(b[0] - hx - x, x - (b[2] + hx), 0.0)
+                         + max(b[1] - hy - y, y - (b[3] + hy), 0.0) < 1.25 * reach]
+                hit = _free_candidate(
+                    _axis(x_lo, x_hi, x, hx, [(b[0], b[2]) for b in boxes], reach),
+                    _axis(y_lo, y_hi, y, hy, [(b[1], b[3]) for b in boxes], reach),
+                    (x, y), (hx, hy), blocker)
+                if reach >= span or hit is not None and hit[0] < reach:
                     break
-            else:
+                # past a point found, the next window holds it; it may hold nearer
+                reach = 2.0 * reach if hit is None else math.nextafter(hit[0], math.inf)
+            if hit is None:
                 return out
-            x, y = found
+            x, y = found = hit[1:]
         out.append(found)
         placed.put(key, (x - hx, y - hy, x + hx, y + hy))
     return out

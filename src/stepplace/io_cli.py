@@ -834,9 +834,7 @@ def _cmd_place(args: SimpleNamespace) -> int:
         final = placement
     else:
         try:
-            final = naive_legalize(
-                placement, netlist, area, config.grid_p, config.grid_q
-            )
+            final = naive_legalize(placement, netlist, area)
         except LegalizationError as e:
             print(f"legalization failed: {e}", file=sys.stderr)
             final = placement

@@ -53,9 +53,9 @@ A round evaluates its schedules (delta, beta and w) once, in floats from
 the config's ``_schedule`` (:func:`~stepplace._pycore.schedules`), for its
 candidates' net-model sharpness and penalty factor, its field growth and
 its statistics row, which it builds as ``tuple.__new__`` does (no
-named-tuple ``__new__``).  The legalizer checks its input, orders the
-macros and computes its ladder of lattice pitches here, and places them
-all in one call of ``stepfield.core``'s ``legalize``.
+named-tuple ``__new__``).  The legalizer checks its input and orders the
+macros here, and places them all in one call of ``stepfield.core``'s
+``legalize``.
 Runs are deterministic for a given seed.
 """
 
@@ -89,11 +89,14 @@ from stepplace.stepfield import CostField
 
 
 class LegalizationError(Exception):
-    """No conflict-free position could be found for a macro."""
+    """A macro has no conflict-free position, given those placed before it,
+    or the legalizer's final check failed (``message`` says which)."""
 
     def __init__(self, macro_id: str, message: str | None = None) -> None:
         self.macro_id = macro_id
-        super().__init__(message or f"no legal position found for macro {macro_id!r}")
+        super().__init__(message or f"no free position exists for macro {macro_id!r}: "
+                         "each center in its bounds meets a keep-out or a macro "
+                         "placed before it")
 
 
 #: Largest accepted ``candidates_per_round`` (resource guard: a Python-core
@@ -359,42 +362,26 @@ def run_placer(
     return state.placement, trace
 
 
-# where a lattice has no free position, the legalizer retries on finer ones
-# up to this exponent (two past the default grid)
-_FINEST_RETRY = 8
-
-
-def naive_legalize(
-    placement: Placement,
-    netlist: Netlist,
-    area: PlacementArea,
-    grid_p: int,
-    grid_q: int,
-) -> Placement:
+def naive_legalize(placement: Placement, netlist: Netlist, area: PlacementArea) -> Placement:
     """Greedy legalizer for nearly-legal placements.
 
-    Macros are processed by area, largest first.  Each keeps its position if
-    conflict-free; otherwise it moves to the nearest conflict-free lattice
-    position (Manhattan rings over a lattice whose pitch is the area over
-    ``2**grid_p`` by ``2**grid_q``, deterministic tie order).  Where that
-    lattice has no free position, the search repeats on a lattice one
-    exponent finer per axis, up to ``max(exponent, 8)``.  The placing loop
-    is one call of ``stepfield.core``'s ``legalize``, which holds the placed
-    footprints and the keep-outs.  Its ring search
-    (``_pycore._nearest_free``) probes only one cursor per column and
-    direction, and a probe's blocker, a placed footprint or else a keep-out,
-    moves the cursors past exactly the points it covers: in ring order the
-    first free cursor is the first free ring point, so the result is that
-    of probing every point, on both cores.  The bounds are the netlist's one
+    Macros are processed by area, largest first, then by id.  Each keeps its
+    position if conflict-free; otherwise it moves to the nearest
+    conflict-free center (L1 distance, ties by x, then y) within its bounds.
+    The placing loop is one call of ``stepfield.core``'s ``legalize``, which
+    holds the placed footprints and the keep-outs; its search takes each
+    coordinate from the start, a bound or an edge of a nearby footprint or
+    keep-out grown by the macro's half sides, and probes these candidates in
+    rising distance, skipping those a probe's blocker covers (see
+    ``_pycore.legalize``).  The bounds are the netlist's one
     :meth:`~stepplace.netmodel.Netlist.bounds` pass.  Before the call, the
     first macro in placing order without a position, that
     :func:`~stepplace.netmodel.check_placeable` refuses (which leaves every
-    lattice footprint non-empty) or with a NaN position raises
-    ``ValueError`` naming it.  Raises :class:`LegalizationError` when a
-    macro cannot be placed, and never returns an illegal placement: the
-    :class:`~stepplace.netmodel.KeptPlacement` it returns keeps the store of
-    its legality check, which the result summary reads.
-    """
+    footprint non-empty) or with a NaN position raises ``ValueError`` naming
+    it.  Raises :class:`LegalizationError` naming the first macro with no
+    free center, given those placed before it, and never returns an illegal
+    placement: the :class:`~stepplace.netmodel.KeptPlacement` it returns
+    keeps the store of its legality check, which the summary reads."""
     ids, halves = netlist.ids, netlist.halves
     areas = [netlist.by_id[mid].area for mid in ids]
     # keys are indices, so a probe's blocker, the footprint of the least key
@@ -412,13 +399,8 @@ def naive_legalize(
     macros = array("d")
     for k, s in zip(keys, starts):
         macros.extend((halves[2 * k], halves[2 * k + 1], *bounds[4 * k:4 * k + 4], *s))
-    pitches = array("d")
-    for k in range(max(_FINEST_RETRY - min(grid_p, grid_q), 0) + 1):
-        p = max(grid_p, min(grid_p + k, _FINEST_RETRY))
-        q = max(grid_q, min(grid_q + k, _FINEST_RETRY))
-        pitches.extend((area.width / (1 << p), area.height / (1 << q)))
     moved = stepfield.core.legalize(
-        area.width, area.height, macros, keys, pitches,
+        area.width, area.height, macros, keys,
         array("d", [v for b in area.blockages for v in b]),
     )
     if len(moved) < len(keys):

@@ -4,13 +4,16 @@ Everything here is built directly from definitions (dense vectors and
 matrices updated by slicing, rectangle corners compared one by one),
 independent of the library's coefficient and geometry-kernel arithmetic, so
 tests compare two unrelated computation paths.  The exceptions are
-:func:`oracle_legalize`, the legalizer's plain search kept as a reference for
-its faster probing, which shares the bucket grid and ``compute_bounds``, and
+:func:`oracle_legalize`, the legalizer's lattice search as it was before
+it found the nearest free center, which shares the bucket grid and
+``compute_bounds``, :func:`oracle_nearest_legalize`, the legalizer by brute
+force over every candidate pair, which shares ``compute_bounds``, and
 :func:`oracle_is_legal` and :func:`oracle_summarize`, the legality check and
 the result summary as they were before both read a placement store: a
 :func:`footprint_grid` of the placement and its pairs.
-:func:`oracle_nearest_free` is the ring search alone, tested point by point,
-:func:`oracle_check_result` the result checker that tests every pair, and
+:func:`oracle_free_candidate` is the legalizer's search alone, tested pair
+by pair, :func:`oracle_check_result` the result checker that tests every
+pair, and
 :func:`oracle_nets` the instance generator's nets as it first drew them,
 sorting the macros under the degree cap anew for every net.
 :func:`build_parser` is the ``stepplace`` command line as argparse read it,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import struct
 from array import array
 from bisect import bisect_left
 
@@ -144,14 +148,15 @@ def ring_walk(xs, ys, pos):
                     yield xs[i], ys[j]
 
 
-def oracle_nearest_free(xs, ys, pos, half, boxes):
-    """First point of :func:`ring_walk` whose footprint, ``half`` the sides
-    around it, meets none of ``boxes``; every point is tested in turn."""
+def oracle_free_candidate(xs, ys, pos, half, boxes):
+    """``(d, x, y)`` of the first pair of ``xs`` by ``ys`` whose footprint,
+    ``half`` the sides around it, meets none of ``boxes``, every pair sorted
+    by ``d = |x - x0| + |y - y0|``, then x, then y, and tested in turn."""
     hx, hy = half
+    pairs = sorted((abs(x - pos[0]) + abs(y - pos[1]), x, y) for x in xs for y in ys)
     return next(
-        ((x, y) for x, y in ring_walk(xs, ys, pos)
-         if not any(intersection((x - hx, y - hy, x + hx, y + hy), b)
-                    for b in boxes)),
+        ((d, x, y) for d, x, y in pairs
+         if not any(intersection((x - hx, y - hy, x + hx, y + hy), b) for b in boxes)),
         None,
     )
 
@@ -210,6 +215,62 @@ def oracle_summarize(placement, netlist, area):
         )
         overlap += (ix2 - ix1) * (iy2 - iy1)
     return total_bb, overlap, report.legal
+
+
+def abut_below(edge, half):
+    """The greatest float ``c`` whose footprint edge ``c + half`` rounds to
+    at most ``edge``, by bisecting every float from -inf to inf in order
+    (``c + half`` is monotone in ``c``); ``-abut_below(-edge, half)`` is the
+    least center whose ``c - half`` is at least ``edge``."""
+    def float_at(i):  # the i-th float above 0.0, or -i-th below it
+        return struct.unpack("<d", struct.pack("<q", i if i >= 0 else -i - 2**63))[0]
+
+    lo, hi = -0x7FF0000000000000, 0x7FF0000000000000  # -inf, inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float_at(mid) + half <= edge:
+            lo = mid
+        else:
+            hi = mid
+    return float_at(lo)
+
+
+def oracle_nearest_legalize(placement, netlist, area):
+    """The greedy legalizer by brute force: each macro, by area, then id,
+    keeps its clamped start where its footprint meets no placed footprint
+    and no keep-out; otherwise it takes the first free pair of every ``(x,
+    y)`` candidate pair, sorted by ``|x - x0| + |y - y0|``, then x, then y.
+    A candidate coordinate is the start's, a bound, or the center abutting
+    an edge of any placed footprint or keep-out (:func:`abut_below`), within
+    the bounds.  Each probe tests every box.  Raises
+    :class:`LegalizationError` when no pair is free."""
+    placed, out = [], {}
+    for m in sorted(netlist.macros, key=lambda m: (-m.area, m.id)):
+        b = compute_bounds(m, area)
+        hx, hy = m.size_x / 2, m.size_y / 2
+        x0 = min(max(placement[m.id][0], b.x_min), b.x_max)
+        y0 = min(max(placement[m.id][1], b.y_min), b.y_max)
+        boxes = placed + list(area.blockages)
+
+        def free(pos):
+            fp = footprint_box(m, pos)
+            return not any(intersection(fp, o) for o in boxes)
+
+        found = (x0, y0) if free((x0, y0)) else None
+        if found is None:
+            xs = {x0, b.x_min, b.x_max}
+            ys = {y0, b.y_min, b.y_max}
+            for o in boxes:
+                xs |= {abut_below(o[0], hx), -abut_below(-o[2], hx)}
+                ys |= {abut_below(o[1], hy), -abut_below(-o[3], hy)}
+            pairs = sorted((abs(x - x0) + abs(y - y0), x, y) for x in xs for y in ys
+                           if b.x_min <= x <= b.x_max and b.y_min <= y <= b.y_max)
+            found = next(((x, y) for _, x, y in pairs if free((x, y))), None)
+        if found is None:
+            raise LegalizationError(m.id)
+        out[m.id] = found
+        placed.append(footprint_box(m, found))
+    return out
 
 
 def oracle_legalize(placement, netlist, area, grid_p, grid_q):

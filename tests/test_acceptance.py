@@ -181,7 +181,7 @@ def test_criterion_6_end_to_end_quality():
         placement, trace = run_placer(netlist, area, config)
         overlap_pct = 100.0 * trace[-1].overlap_area / total_area
         assert overlap_pct < 2.0, f"pre-legalization overlap {overlap_pct:.2f}%"
-        legal = naive_legalize(placement, netlist, area, config.grid_p, config.grid_q)
+        legal = naive_legalize(placement, netlist, area)
         assert is_legal(legal, netlist, area).legal
         final_bb = sum(
             bb_netlength([legal[mid] for mid in net.members])

@@ -999,11 +999,11 @@ class TestCli:
         assert "legalization failed" in capsys.readouterr().err
         assert os.path.exists(res)
 
-    def test_default_grid_run_legalizes_on_a_finer_lattice(self, tmp_path, capsys):
+    def test_default_grid_run_fills_a_gap_off_the_lattice(self, tmp_path, capsys):
         """a spans [0, 10.3] and c [15.6, 64], so b (5 wide) fits only with
         its left edge in [10.3, 10.6].  On the default 2**6 lattice its left
-        edges lie 1 apart and miss that gap; when the retry stopped at 2**6
-        the run exited 2.  The retry at 2**7 puts b at 13.0."""
+        edges lie 1 apart and miss that gap (a run exited 2 there); a retry
+        at 2**7 put b at 13.0.  The nearest free center abuts a: 12.8."""
         inst = tmp_path / "inst.txt"
         inst.write_text(
             "area 64 1\nmacro a 10.3 1\nmacro b 5 1\nmacro c 48.4 1\n"
@@ -1012,7 +1012,7 @@ class TestCli:
         res = str(tmp_path / "res.txt")
         assert main(["place", "--in", str(inst), "--out", res, "--rounds", "0"]) == 0
         assert load_result(res).positions == {
-            "a": (5.15, 0.5), "b": (13.0, 0.5), "c": (39.8, 0.5)}
+            "a": (5.15, 0.5), "b": (12.8, 0.5), "c": (39.8, 0.5)}
         assert main(["check", "--instance", str(inst), "--result", res]) == 0
 
     def test_gen_cli_and_render(self, tmp_path, capsys):
@@ -1520,7 +1520,7 @@ class TestCli:
 
         calls, python = watched("py")
         assert calls == []
-        assert {"_nearest_free", "score", "repr_line"} <= python
+        assert {"_free_candidate", "score", "repr_line"} <= python
         if stepfield.HAVE_C_CORE:
             calls, _ = watched("c")
             assert {"step", "legalize", "repr_line"} <= set(calls)
@@ -1938,10 +1938,11 @@ def test_property_instance_text_parses_or_names_the_error(data):
         netlist, area, initial = parse_instance(io.StringIO(text))
     except InstanceFormatError as e:
         assert refused is not False, text
-        # every refusal names a line of the text, but for a missing area
+        # every refusal names a line of the text, but for a missing area (a
+        # drawn token may hold a newline, so count the text's own lines)
         named = re.match(r"line (\d+): ", str(e))
         assert str(e) == "missing area line" or (
-            named and 1 <= int(named[1]) <= len(lines)), (str(e), text)
+            named and 1 <= int(named[1]) <= text.count("\n")), (str(e), text)
         return
     assert refused is False, text
     buf = io.StringIO()

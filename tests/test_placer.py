@@ -66,9 +66,9 @@ def square_area(side=8.0, blockages=()):
     return PlacementArea(side, side, blockages)
 
 
-# ring probes of naive_legalize on blocked_instance(), plus one per macro,
-# with the least-keyed footprint as each probe's blocker
-PROBES = 449
+# probes of naive_legalize's search on blocked_instance(), plus one per
+# macro, with the least-keyed footprint as each probe's blocker
+PROBES = 926
 
 
 def blocked_instance():
@@ -88,11 +88,10 @@ def blocked_instance():
 
 
 def counted_legalize(start, netlist, area):
-    """``naive_legalize`` at exponent 6 on the Python reference search, and
-    its probes: one for each macro's start, one for each blocker query of the
-    ring search."""
+    """``naive_legalize`` on the Python reference search, and its probes:
+    one for each macro's start, one for each blocker query of the search."""
     probes = len(netlist.macros)
-    search, core = _pycore._nearest_free, stepfield.core
+    search, core = _pycore._free_candidate, stepfield.core
 
     def counted_search(xs, ys, pos, half, blocker):
         def probe(box):
@@ -102,11 +101,11 @@ def counted_legalize(start, netlist, area):
 
         return search(xs, ys, pos, half, probe)
 
-    _pycore._nearest_free, stepfield.core = counted_search, _pycore
+    _pycore._free_candidate, stepfield.core = counted_search, _pycore
     try:
-        got = naive_legalize(start, netlist, area, 6, 6)
+        got = naive_legalize(start, netlist, area)
     finally:
-        _pycore._nearest_free, stepfield.core = search, core
+        _pycore._free_candidate, stepfield.core = search, core
     return got, probes
 
 
@@ -119,14 +118,14 @@ def box_edges(vals, h):
 
 
 @st.composite
-def ring_searches(draw):
-    """Arguments of ``_nearest_free`` plus the boxes its blocker reports,
+def candidate_searches(draw):
+    """Arguments of ``_free_candidate`` plus the boxes its blocker reports,
     with every footprint non-empty, as the legalizer's are.
 
     At ``2**51`` floats are 0.5 apart, so a half side of 0.75 rounds the
     footprint edges (to even) and one of 0.5 does not.  Box edges come from
     the footprint edges, so boxes often touch footprints edge to edge, and
-    from beyond the lattice, so some span whole columns or rows."""
+    from beyond the candidates, so some span whole columns or rows."""
     if draw(st.booleans(), label="at 2**51"):
         base, step = 2.0**51, st.sampled_from([0.5, 1.0, 1.5])
         half = st.sampled_from([0.5, 0.75, 1.0])
@@ -144,7 +143,7 @@ def ring_searches(draw):
         for a, b, c, d in draw(st.lists(st.tuples(ix, ix, iy, iy), max_size=6),
                                label="boxes")
     ]
-    # centers on, between and beyond the lattice points
+    # starts on, between and beyond the candidates
     pos = tuple(
         draw(st.sampled_from([v[0] - 1] + v + [v[-1] + 1]), label=f"{a} center")
         + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset")
@@ -157,18 +156,18 @@ def search_after(boxes, search, keys=None):
     """``legalize`` arguments over a ``2**53`` square: a macro kept at each
     of ``boxes`` (its start footprint, to the bit; a side that is empty
     takes a half of 1e-300, which the coordinates round away), then one
-    searching by ``search``, ``(x_lo, x_hi, x_pitch, y_lo, y_hi, y_pitch, x,
-    y, hx, hy)``; keys ascending, unless given."""
+    searching by ``search``, ``(x_lo, x_hi, y_lo, y_hi, x, y, hx, hy)``;
+    keys ascending, unless given."""
     macros = array("d")
     for x1, y1, x2, y2 in boxes:
         hx, hy = (x2 - x1) / 2 or 1e-300, (y2 - y1) / 2 or 1e-300
         x, y = x1 + hx, y1 + hy
         assert (x - hx, y - hy, x + hx, y + hy) == (x1, y1, x2, y2)
         macros.extend((hx, hy, x, x, y, y, x, y))
-    x_lo, x_hi, px, y_lo, y_hi, py, x, y, hx, hy = search
+    x_lo, x_hi, y_lo, y_hi, x, y, hx, hy = search
     macros.extend((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
     keys = list(range(len(boxes) + 1)) if keys is None else keys
-    return 2.0**53, 2.0**53, macros, keys, array("d", [px, py]), array("d")
+    return 2.0**53, 2.0**53, macros, keys, array("d")
 
 
 def legalize_args(*case):
@@ -185,9 +184,9 @@ def legalize_args(*case):
 # behind the footprint blocking the rest
 _B = 2.0**51
 EMPTY_COLUMN = search_after([(_B - 5, _B - 5, _B + 6, _B)],
-                            (_B, _B + 1, 0.5, _B, _B, 1.0, _B - 1, _B - 1, 0.25, 0.25))
+                            (_B, _B + 1, _B, _B, _B - 1, _B - 1, 0.25, 0.25))
 EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
-                         (_B, _B, 1.0, _B, _B + 1.5, 0.5, _B, _B, 0.25, 0.25))
+                         (_B, _B, _B, _B + 1.5, _B, _B, 0.25, 0.25))
 # two footprints meet the start: the least-keyed one, right of 2**51,
 # covers every row; the other, left of it, spares the empty footprint at
 # 2**51 + 1.  With 14 empty footprints before them the C index has cells
@@ -196,21 +195,21 @@ EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
 LEAST_KEY = search_after(
     [(_B - 7, _B - 6, _B - 7, _B - 6)] * 14
     + [(_B, _B - 2, _B + 2, _B + 3), (_B - 2, _B - 2, _B - 1, _B + 0.5)],
-    (_B - 0.5, _B - 0.5, 1.0, _B - 1, _B + 1, 1.0, _B - 0.5, _B - 1, 1.0, 0.25))
-# a case hypothesis found where the searches disagreed (the reference met
-# the later-keyed footprint first, in its finer cells), with the later one
-# placed first and ending where the least-keyed one begins, since placed
-# footprints never overlap: reporting it would spare the empty footprint
-# at 2**51 + 1, which the least-keyed one covers with every other point
+    (_B - 0.5, _B - 0.5, _B - 1, _B + 1, _B - 0.5, _B - 1, 1.0, 0.25))
+# a case hypothesis found where the lattice searches disagreed (the
+# reference met the later-keyed footprint first, in its finer cells), with
+# the later one placed first and ending where the least-keyed one begins,
+# since placed footprints never overlap; on the lattice, reporting it
+# spared the empty footprint at 2**51 + 1.  Among the nearest search's
+# candidates, either report covers it
 LEAST_KEY_FOUND = search_after(
     [(_B - 7, _B - 6, _B - 7, _B - 6)] * 4
     + [(_B - 7, _B - 6, _B - 1, _B), (_B - 1, _B - 6, _B - 0.5, _B + 6)],
-    (_B - 1, _B - 1, 0.5, _B - 1, _B + 1, 1.0, _B - 2, _B - 2, 0.5, 0.25),
+    (_B - 1, _B - 1, _B - 1, _B + 1, _B - 2, _B - 2, 0.5, 0.25),
     keys=[0, 1, 2, 3, 5, 4, 6])
-# test_coarse_lattice_falls_back_to_finer's case: c finds both points of
-# the first lattice taken and moves to a point of the second
+# test_fills_what_a_coarse_lattice_misses's case: b and c move beside a
 COARSE = legalize_args({m: (0.5, 0.5) for m in "abc"},
-                       Netlist([Macro(m, 1, 1) for m in "abc"], []), PlacementArea(4, 1), 0, 0)
+                       Netlist([Macro(m, 1, 1) for m in "abc"], []), PlacementArea(4, 1))
 # a box that blocks the center and touches the free column or row beside it
 TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                    [(-0.5, 1.5, 1.0, 3.0)])
@@ -223,14 +222,13 @@ needs_c_legalize = pytest.mark.skipif(stepfield.c_core is None, reason="C core n
 
 @st.composite
 def legalize_calls(draw):
-    """Arguments of ``legalize``: up to six macros with lattices near 0–100
+    """Arguments of ``legalize``: up to six macros with bounds near 0–100
     (where a half side of 1e-300 leaves every footprint empty) or at
-    ``2**51`` (where one of 0.25 leaves every other footprint empty),
-    one-point lattices (``hi == lo``) among them, starts on, between and
-    beyond the lattice points, so that footprints meet and macros search,
-    keys in any order, one to three rungs of pitches, and keep-outs with
-    edges from the footprint edges and from beyond, as in
-    :func:`ring_searches`."""
+    ``2**51`` (where one of 0.25 leaves every other footprint empty), bounds
+    of one point (``hi == lo``) among them, starts on, between and beyond
+    points a pitch apart in the bounds, so that footprints meet and macros
+    search, keys in any order, and keep-outs with edges from the footprint
+    edges and from beyond, as in :func:`candidate_searches`."""
     if draw(st.booleans(), label="at 2**51"):
         origin, shift = st.just(_B), st.sampled_from([k / 2 for k in range(-2, 3)])
         step, half = st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.25, 0.25, 0.5])
@@ -238,10 +236,9 @@ def legalize_calls(draw):
         origin, shift = st.floats(0, 100), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
         step = st.floats(0.125, 3)
         half = st.one_of(st.floats(0.5, 4), st.floats(0.05, 4), st.just(1e-300))
-    # the macros' lattices start near one corner, so that their footprints meet
+    # the macros' bounds start near one corner, so that their footprints meet
     corner = [draw(origin, label=f"{a} origin") for a in "xy"]
-    rungs = draw(st.lists(st.tuples(step, step), min_size=1, max_size=3), label="pitches")
-    px, py = rungs[0]
+    px, py = draw(step, label="x pitch"), draw(step, label="y pitch")
     macros, edges = array("d"), ([], [])
     for _ in range(draw(st.integers(1, 6), label="macros")):
         axes = []
@@ -249,7 +246,7 @@ def legalize_calls(draw):
             lo, h = o + draw(shift, label=f"{a} lo"), draw(half, label=f"h{a}")
             hi = lo + draw(st.integers(0, 4), label=f"{a} points") * d + draw(
                 st.sampled_from([0.0, d / 2]), label=f"{a} beyond")
-            vals = _pycore._lattice(lo, hi, d)
+            vals = [v for v in (lo + i * d for i in range(5)) if v < hi] + [hi]
             at = (draw(st.sampled_from([vals[0] - 1] + vals + [vals[-1] + 1]),
                        label=f"{a} start")
                   + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset"))
@@ -263,20 +260,18 @@ def legalize_calls(draw):
     for a, b, c, d in draw(st.lists(st.tuples(ix, ix, iy, iy), max_size=3), label="keep-outs"):
         keepouts.extend((ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)]))
     keys = draw(st.permutations(range(len(macros) // 8)), label="keys")
-    return (2.0**53, 2.0**53, macros, keys, array("d", [v for r in rungs for v in r]),
-            keepouts)
+    return 2.0**53, 2.0**53, macros, keys, keepouts
 
 
 @st.composite
 def legalizer_instances(draw):
-    """A start placement, netlist, area and grid exponents for
-    ``naive_legalize``: random macros and keep-outs over a window of the area
-    (``random``), macros and keep-outs on whole units, so that footprints
-    touch edge to edge (``touching``), macros as tall as the area, so that
-    their row lattice is one point (``row``), or macros at ``2**51``, where
-    floats are 0.5 apart, with half sides just above the ulp of the area's
-    ``2**52`` side (``2**51``).  Exponents from 0 make the coarse lattices
-    fail and retry finer, and full areas make the search fail."""
+    """A start placement, netlist and area for ``naive_legalize``: random
+    macros and keep-outs over a window of the area (``random``), macros and
+    keep-outs on whole units, so that footprints touch edge to edge
+    (``touching``), macros as tall as the area, so that their row bounds are
+    one point (``row``), or macros at ``2**51``, where floats are 0.5 apart,
+    with half sides just above the ulp of the area's ``2**52`` side
+    (``2**51``).  Full areas make the search fail."""
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
     kind = draw(st.sampled_from(["random", "touching", "row", "2**51"]), label="kind")
     n = draw(st.integers(1, 16), label="macros")
@@ -311,9 +306,7 @@ def legalizer_instances(draw):
         starts = [(_B + rng.randint(-4, 4) / 2, rng.uniform(0, h)) for _ in range(n)]
     macros = [Macro(f"m{i:02d}", sx, sy) for i, (sx, sy) in enumerate(sizes)]
     start = {m.id: pos for m, pos in zip(macros, starts)}
-    p = draw(st.integers(0, 8), label="grid_p")
-    q = draw(st.integers(0, 8), label="grid_q")
-    return start, Netlist(macros, []), PlacementArea(w, h, tuple(keepouts)), p, q
+    return start, Netlist(macros, []), PlacementArea(w, h, tuple(keepouts))
 
 
 class TestSnapToGrid:
@@ -3138,7 +3131,7 @@ class TestBlockagesEndToEnd:
         area = PlacementArea(12, 12, (Rect(4.0, 4.0, 8.0, 8.0),))
         cfg = PlacerConfig(max_rounds=4000, grid_p=4, grid_q=4, seed=21)
         placement, trace = run_placer(nl, area, cfg)
-        legal = naive_legalize(placement, nl, area, cfg.grid_p, cfg.grid_q)
+        legal = naive_legalize(placement, nl, area)
         rep = is_legal(legal, nl, area)
         assert rep.legal
         assert rep.blockage_overlaps == []
@@ -3149,39 +3142,77 @@ class TestNaiveLegalize:
         nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
         area = PlacementArea(4, 2)
         placement = {"a": (1.0, 1.0), "b": (3.0, 1.0)}
-        assert naive_legalize(placement, nl, area, 2, 1) == placement
+        assert naive_legalize(placement, nl, area) == placement
 
     def test_stacked_unit_macros_split_to_free_cell(self):
         nl = Netlist([Macro("a", 1, 1), Macro("b", 1, 1)], [])
         area = PlacementArea(2, 1)
         placement = {"a": (0.5, 0.5), "b": (0.5, 0.5)}
-        got = naive_legalize(placement, nl, area, 2, 1)
+        got = naive_legalize(placement, nl, area)
         assert got["a"] == (0.5, 0.5)
         assert got["b"] == (1.5, 0.5)
         assert is_legal(got, nl, area).legal
 
     def test_overfull_area_errors(self):
+        """Only where no free position exists, given the macros placed
+        before it, and the message says so."""
         nl = Netlist([Macro(f"m{i}", 1, 1) for i in range(3)], [])
         area = PlacementArea(2, 1)
         placement = {f"m{i}": (0.5, 0.5) for i in range(3)}
-        with pytest.raises(LegalizationError):
-            naive_legalize(placement, nl, area, 2, 1)
+        want = ("^no free position exists for macro 'm2': each center in its bounds "
+                "meets a keep-out or a macro placed before it$")
+        with pytest.raises(LegalizationError, match=want) as err:
+            naive_legalize(placement, nl, area)
+        assert err.value.macro_id == "m2"
 
-    def test_coarse_lattice_falls_back_to_finer(self):
-        # at exponent 0 the unit lattice is {0.5, 3.5}, and c finds both taken
+    def test_fills_what_a_coarse_lattice_misses(self):
+        # at exponent 0 the unit lattice is {0.5, 3.5}, and c found both
+        # taken; the nearest free centers put b and c beside a
         nl = Netlist([Macro(m, 1, 1) for m in "abc"], [])
         area = PlacementArea(4, 1)
         placement = {m: (0.5, 0.5) for m in "abc"}
         with pytest.raises(LegalizationError):
             oracle_legalize(placement, nl, area, 0, 0)
-        got = naive_legalize(placement, nl, area, 0, 0)
-        assert got == {"a": (0.5, 0.5), "b": (3.5, 0.5), "c": (2.5, 0.5)}
+        got = naive_legalize(placement, nl, area)
+        assert got == {"a": (0.5, 0.5), "b": (1.5, 0.5), "c": (2.5, 0.5)}
+
+    def test_three_macro_case_completes_on_both_cores(self, on_core, backend):
+        """a and b leave a gap of exactly 0.02 between y = 4.99 and 5.01;
+        no lattice up to 2**8 had a point there, so the lattice search
+        refused c, which fits at y = 5.0."""
+        on_core(backend)
+        nl = Netlist([Macro("a", 10, 4.99), Macro("b", 10, 4.99), Macro("c", 10, 0.02)], [])
+        area = PlacementArea(10, 10)
+        placement = {"a": (5.0, 2.495), "b": (5.0, 7.505), "c": (5.0, 2.0)}
+        for e in (6, 8):
+            with pytest.raises(LegalizationError, match="'c'"):
+                oracle_legalize(placement, nl, area, e, e)
+        got = naive_legalize(placement, nl, area)
+        assert got == {"a": (5.0, 2.495), "b": (5.0, 7.505), "c": (5.0, 5.0)}
+        assert is_legal(got, nl, area).legal
+
+    def test_abutting_gap_one_ulp_wide_completes_on_both_cores(self, on_core, backend):
+        """Between keep-outs ending at y = 0.4 and starting at 1.0 the only
+        free center of a macro 0.6 tall is the float after 0.7: 0.7 - 0.3
+        rounds below 0.4, and the next float's top still rounds to 1.0.  So
+        the center abutting the top keep-out is the greatest whose top ends
+        at 1.0, not 1.0 - 0.3."""
+        on_core(backend)
+        nl = Netlist([Macro("m", 10, 0.6)], [])
+        area = PlacementArea(10, 10, (Rect(0, 0, 10, 0.4), Rect(0, 1.0, 10, 10)))
+        y = math.nextafter(0.7, math.inf)
+        assert 0.7 - 0.3 < 0.4 and y + 0.3 == 1.0
+        got = naive_legalize({"m": (5.0, 0.3)}, nl, area)
+        assert got == {"m": (5.0, y)} == oracles.oracle_nearest_legalize(
+            {"m": (5.0, 0.3)}, nl, area)
+        assert is_legal(got, nl, area).legal
 
     def test_blockage_respected(self):
         nl = Netlist([Macro("a", 2, 2)], [])
         area = PlacementArea(6, 2, (Rect(0, 0, 2, 2),))
-        got = naive_legalize({"a": (1.0, 1.0)}, nl, area, 3, 1)
+        got = naive_legalize({"a": (1.0, 1.0)}, nl, area)
         assert is_legal(got, nl, area).legal
+        assert got == {"a": (3.0, 1.0)}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_overlapping_instances_legalize(self, seed):
@@ -3197,15 +3228,13 @@ class TestNaiveLegalize:
                    rng.uniform(m.size_y / 2, 10 - m.size_y / 2))
             for m in macros
         }
-        # a lattice pitch of 10 / 2**e at most half the smallest macro side
-        e = 4 if min(min(m.size_x, m.size_y) for m in macros) >= 1.25 else 5
-        got = naive_legalize(placement, nl, area, e, e)
+        got = naive_legalize(placement, nl, area)
         assert is_legal(got, nl, area).legal
 
     def test_missing_position_errors(self):
         nl = Netlist([Macro("a", 1, 1)], [])
         with pytest.raises(ValueError, match="'a'"):
-            naive_legalize({}, nl, PlacementArea(4, 4), 3, 3)
+            naive_legalize({}, nl, PlacementArea(4, 4))
 
     @pytest.mark.parametrize(
         "report, culprit",
@@ -3219,13 +3248,14 @@ class TestNaiveLegalize:
         placement = {"a": (0.5, 0.5), "b": (1.5, 0.5), "c": (2.5, 0.5)}
         monkeypatch.setattr(placer, "is_legal", lambda *args: report)
         with pytest.raises(LegalizationError) as err:
-            naive_legalize(placement, nl, PlacementArea(4, 4), 3, 3)
+            naive_legalize(placement, nl, PlacementArea(4, 4))
         assert err.value.macro_id == culprit
 
     def test_cursor_probes_are_a_fraction_of_the_oracles(self, monkeypatch):
-        """Same placement as the oracle, which probes every ring point, from
-        under a fifth of its probes.  The blocker choice is deterministic, so
-        the count is exact."""
+        """Same placement as the brute-force oracle, which probes every
+        candidate pair of every box in turn, from under a fifteenth of its
+        probes.  The blocker choice is deterministic, so the count is
+        exact."""
         start, netlist, area = blocked_instance()
         boxes = 0
         box = footprint_box
@@ -3236,13 +3266,13 @@ class TestNaiveLegalize:
             return box(*args)
 
         monkeypatch.setattr(oracles, "footprint_box", counted_box)
-        want = oracle_legalize(start, netlist, area, 6, 6)
+        want = oracles.oracle_nearest_legalize(start, netlist, area)
         # one footprint per probe, plus one per placed macro
         oracle_probes = boxes - len(netlist.macros)
         got, probes = counted_legalize(start, netlist, area)
         assert got == want
-        assert oracle_probes == 35240
-        assert probes == PROBES <= oracle_probes // 5
+        assert oracle_probes == 17604
+        assert probes == PROBES <= oracle_probes // 15
 
     def test_probes_do_not_depend_on_the_hash_seed(self):
         """String hashes order the bucket grid's sets; the blocker a probe
@@ -3267,20 +3297,20 @@ class TestNaiveLegalize:
         assert outs[0].split()[-1] == str(PROBES)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=ring_searches())
+    @given(case=candidate_searches())
     @example(case=TOUCHING_COLUMN)
     @example(case=TOUCHING_ROW)
-    def test_ring_search_matches_point_by_point_walk(self, case):
-        """The cursor walk returns the first free point of the walk that
-        probes every ring point, to the bit, whichever overlapping box the
-        blocker reports."""
+    def test_candidate_search_matches_pair_by_pair_walk(self, case):
+        """The cursor walk returns the first free pair of the walk that
+        probes every candidate pair in order, to the bit, whichever
+        overlapping box the blocker reports."""
         xs, ys, pos, half, boxes = case
 
         def blocker(box):
             return next((b for b in boxes if intersection(box, b)), None)
 
-        got = _pycore._nearest_free(xs, ys, pos, half, blocker)
-        want = oracles.oracle_nearest_free(xs, ys, pos, half, boxes)
+        got = _pycore._free_candidate(xs, ys, pos, half, blocker)
+        want = oracles.oracle_free_candidate(xs, ys, pos, half, boxes)
         assert (got and tuple(v.hex() for v in got)) == (
             want and tuple(v.hex() for v in want))
 
@@ -3301,15 +3331,16 @@ class TestNaiveLegalize:
             p and (p[0].hex(), p[1].hex()) for p in want]
 
     def test_examples_search_as_their_comments_say(self, monkeypatch):
-        # the last macro of each search_after example finds no free point,
-        # the others keeping their starts; the least-key ones would move it
+        # the last macro of each search_after example finds no free
+        # candidate, the others keeping their starts; LEAST_KEY's would move
         # to the empty footprint where the later-keyed blocker is reported.
-        # c of COARSE finds its point on the second rung only
+        # b and c of COARSE move beside a
         cases = (EMPTY_COLUMN, EMPTY_ROW, LEAST_KEY, LEAST_KEY_FOUND)
         for case in cases:
             assert _pycore.legalize(*case) == [None] * (len(case[3]) - 1)
-        assert _pycore.legalize(*COARSE) == [None, (3.5, 0.5), (2.5, 0.5)]
-        assert _pycore.legalize(*COARSE[:4], COARSE[4][:2], COARSE[5]) == [None, (3.5, 0.5)]
+        assert _pycore.legalize(*COARSE) == [None, (1.5, 0.5), (2.5, 0.5)]
+        assert _pycore.legalize(*COARSE[:2], COARSE[2][:16], COARSE[3][:2], COARSE[4]) == [
+            None, (1.5, 0.5)]
 
         class GreatestFirst(BucketGrid):
             def hits(self, *box):
@@ -3317,37 +3348,37 @@ class TestNaiveLegalize:
 
         monkeypatch.setattr(_pycore, "BucketGrid", GreatestFirst)
         assert [len(_pycore.legalize(*case)) == len(case[3]) for case in cases] == [
-            False, False, True, True]
+            False, False, True, False]
 
     @needs_c_legalize
     @settings(max_examples=120, deadline=None)
     @given(case=legalizer_instances())
     def test_c_legalizer_matches_python_reference(self, case):
         """``naive_legalize`` on the C core returns the Python reference's
-        placement by ``float.hex``, or both raise :class:`LegalizationError`
-        naming the same macro."""
+        placement by ``float.hex``, and the brute-force oracle's, or all
+        three raise :class:`LegalizationError` naming the same macro."""
         outcomes = []
-        for core in (stepfield.c_core, _pycore):
-            with mock.patch.object(stepfield, "core", core):
+        for legalize in (stepfield.c_core, _pycore, None):
+            with mock.patch.object(stepfield, "core", legalize or _pycore):
                 try:
-                    got = naive_legalize(*case)
+                    got = (legalize and naive_legalize or oracles.oracle_nearest_legalize)(*case)
                     outcomes.append({k: (x.hex(), y.hex()) for k, (x, y) in got.items()})
                 except LegalizationError as e:
                     outcomes.append(("LegalizationError", e.macro_id))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     @needs_c_legalize
     def test_c_legalize_rejects_bad_input(self):
         macro = [0.5, 0.5, 0.5, 3.5, 0.5, 3.5, 1.0, 1.0]
         corner = [0.0, 0.0, 1.5, 1.5]  # a keep-out over the start
 
-        def call(width=4.0, macros=macro, keys=(0,), pitches=(1.0, 1.0), blockages=()):
+        def call(width=4.0, macros=macro, keys=(0,), blockages=()):
             return stepfield.c_core.legalize(
-                width, 4.0, array("d", macros), list(keys), array("d", pitches),
-                array("d", blockages))
+                width, 4.0, array("d", macros), list(keys), array("d", blockages))
 
         assert call() == [None]
-        assert call(blockages=corner) == [(0.5, 2.5)]
+        # (1.0, 2.0) and (2.0, 1.0) abut the keep-out, at distance 1
+        assert call(blockages=corner) == [(1.0, 2.0)]
         assert call(blockages=[0.0, 0.0, 4.0, 4.0]) == []
         with pytest.raises(ValueError, match="positive and finite"):
             call(width=math.inf)
@@ -3357,24 +3388,20 @@ class TestNaiveLegalize:
             call(macros=macro[:7])
         with pytest.raises(ValueError, match="key 1 out of range for 1 macros"):
             call(keys=(1,))
-        refused = "one key per macro, finite values, and positive half sides and pitches"
+        refused = "one key per macro, finite values, and positive half sides$"
         with pytest.raises(ValueError, match=refused):
             call(keys=())
         for k, bad in ((0, 0.0), (1, -0.5), (6, math.inf), (3, math.nan)):
             with pytest.raises(ValueError, match=refused):
                 call(macros=macro[:k] + [bad] + macro[k + 1:])
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match=refused):
-                call(pitches=(1.0, 1.0, 1.0, bad))
-        with pytest.raises(ValueError, match="2 doubles per rung"):
-            call(pitches=(1.0,))
         # a footprint past the largest float
         with pytest.raises(ValueError, match="footprint must be finite"):
             call(macros=[8e307, 0.5, 1.7e308, 1.7e308, 0.5, 0.5, 1.7e308, 0.5])
-        # a lattice too fine for MAX_LATTICE, refused where a search needs it
-        assert call(pitches=(1e-9, 1.0)) == [None]
-        with pytest.raises(ValueError, match="too fine"):
-            call(pitches=(1e-9, 1.0), blockages=corner)
+        # bounds whose span overflows: the window grows to every box, and
+        # the search stops, on both cores
+        wide = [0.5, 0.5, -1e308, 1e308, 0.5, 3.5, 1.0, 1.0]
+        args = (4.0, 4.0, array("d", wide), [0], array("d", [-1.7e308, 0.0, 1.7e308, 4.0]))
+        assert stepfield.c_core.legalize(*args) == _pycore.legalize(*args) == []
 
     def test_naive_legalize_runs_the_c_search_where_the_core_loaded(self, monkeypatch):
         """On the C core no Python search runs; without it the Python
@@ -3383,19 +3410,19 @@ class TestNaiveLegalize:
         assert stepfield.core is (stepfield.c_core or _pycore)
         start, netlist, area = blocked_instance()
         calls = 0
-        search = _pycore._nearest_free
+        search = _pycore._free_candidate
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return search(*args)
 
-        monkeypatch.setattr(_pycore, "_nearest_free", counted)
+        monkeypatch.setattr(_pycore, "_free_candidate", counted)
         runs = []
         for core in (stepfield.core, _pycore):
             monkeypatch.setattr(stepfield, "core", core)
             monkeypatch.setattr(core, "legalize", mock.Mock(side_effect=core.legalize))
-            runs.append(naive_legalize(start, netlist, area, 6, 6))
+            runs.append(naive_legalize(start, netlist, area))
             assert core.legalize.call_count == 1
             if core is not _pycore:
                 assert (calls == 0) == (stepfield.c_core is not None)
@@ -3405,9 +3432,9 @@ class TestNaiveLegalize:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_property_matches_oracle(self, data):
-        """Where the plain search succeeds, the legalizer returns its
-        placement to the bit; where it fails, the legalizer returns a legal
-        placement or raises :class:`LegalizationError`."""
+        """The legalizer returns the brute-force oracle's placement to the
+        bit, which is legal, or both raise :class:`LegalizationError` naming
+        the same macro."""
         draw = data.draw
         rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
         w, h = rng.uniform(4, 40), rng.uniform(4, 40)
@@ -3430,22 +3457,46 @@ class TestNaiveLegalize:
         f = draw(st.floats(0.0, 1.0), label="window")
         start = {m.id: (rng.uniform(0, f * w), rng.uniform(0, f * h))
                  for m in macros}
-        p = draw(st.integers(2, 8), label="grid_p")
-        q = draw(st.integers(2, 8), label="grid_q")
         nl = Netlist(macros, [])
         try:
-            want = oracle_legalize(start, nl, area, p, q)
-        except LegalizationError:
-            want = None
-        try:
-            got = naive_legalize(start, nl, area, p, q)
-        except LegalizationError:
-            assert want is None
+            want = oracles.oracle_nearest_legalize(start, nl, area)
+        except LegalizationError as e:
+            with pytest.raises(LegalizationError) as err:
+                naive_legalize(start, nl, area)
+            assert err.value.macro_id == e.macro_id
             return
+        got = naive_legalize(start, nl, area)
         assert is_legal(got, nl, area).legal
-        if want is not None:
-            assert {k: (x.hex(), y.hex()) for k, (x, y) in got.items()} == {
-                k: (x.hex(), y.hex()) for k, (x, y) in want.items()}
+        assert {k: (x.hex(), y.hex()) for k, (x, y) in got.items()} == {
+            k: (x.hex(), y.hex()) for k, (x, y) in want.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_single_macro_moves_no_farther_than_the_lattice_search(self, data):
+        """One macro among random boxes (keep-outs, which may overlap):
+        wherever the lattice search finds a point, at any exponent, the
+        legalizer finds one at most as far from the clamped start, by the
+        same float distance."""
+        draw = data.draw
+        rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+        w, h = rng.uniform(4, 40), rng.uniform(4, 40)
+        boxes = []
+        for _ in range(draw(st.integers(0, 12), label="boxes")):
+            bw, bh = w * rng.uniform(0.02, 0.4), h * rng.uniform(0.02, 0.4)
+            x, y = rng.uniform(0, w - bw), rng.uniform(0, h - bh)
+            boxes.append(Rect(x, y, x + bw, y + bh))
+        macro = Macro("m", w * rng.uniform(0.02, 0.3), h * rng.uniform(0.02, 0.3))
+        nl, area = Netlist([macro], []), PlacementArea(w, h, tuple(boxes))
+        start = {"m": (rng.uniform(0, w), rng.uniform(0, h))}
+        p, q = draw(st.integers(0, 8), label="grid_p"), draw(st.integers(0, 8), label="grid_q")
+        try:
+            lattice = oracle_legalize(start, nl, area, p, q)["m"]
+        except LegalizationError:
+            return
+        b = compute_bounds(macro, area)
+        x0, y0 = min(max(start["m"][0], b.x_min), b.x_max), min(max(start["m"][1], b.y_min), b.y_max)
+        x, y = naive_legalize(start, nl, area)["m"]
+        assert abs(x - x0) + abs(y - y0) <= abs(lattice[0] - x0) + abs(lattice[1] - y0)
 
 
 class TestPlaceability:
@@ -3479,7 +3530,7 @@ class TestPlaceability:
         monkeypatch.setattr(stepfield.core, "legalize", lambda *args: built.append(args))
         start = {m.id: (m.size_x / 2, m.size_y / 2) for m in nl.macros}
         with pytest.raises(ValueError, match=want):
-            naive_legalize(start, nl, area, 6, 6)
+            naive_legalize(start, nl, area)
         assert built == []
 
     def test_nan_position(self, monkeypatch, on_core, backend):
@@ -3493,7 +3544,7 @@ class TestPlaceability:
         built = []
         monkeypatch.setattr(stepfield.core, "legalize", lambda *args: built.append(args))
         with pytest.raises(ValueError, match=want):
-            naive_legalize(placement, nl, area, 6, 6)
+            naive_legalize(placement, nl, area)
         assert built == []
 
     def test_refusals_keep_their_order(self, monkeypatch, on_core, backend):
@@ -3517,7 +3568,7 @@ class TestPlaceability:
             want = oracles.oracle_legalize_refusal(placement, nl, area)
             calls.clear()
             with pytest.raises(ValueError if want else LegalizationError) as err:
-                naive_legalize(placement, nl, area, 4, 4)
+                naive_legalize(placement, nl, area)
             assert (str(err.value), len(calls)) == (want, 0) if want else len(calls) == 1
             want = oracles.oracle_state_refusal(nl, area, placement)
             with pytest.raises(ValueError) if want else contextlib.nullcontext() as err:

@@ -40,6 +40,7 @@ from stepplace.stepfield import (
     blocks_at_level,
     flat_axis_id,
     nonzero_basis_1d,
+    _compile_c_core,
     _load_c_core,
 )
 
@@ -643,6 +644,70 @@ class TestCCoreLoader:
             _, err = proc.communicate()
             # its exports: test_placer's test_both_stores_expose_the_same_methods
             assert proc.returncode == 0, (python, err)
+
+    def test_legalizer_runs_clean_under_address_and_undefined_sanitizers(self, tmp_path):
+        """The C core, built with AddressSanitizer and UBSan (any report
+        aborts) into a private cache under the name the loader expects,
+        legalizes around keep-outs, stops at a macro with no free center,
+        completes the three-macro case, legalizes 600 macros started at
+        random and runs a short ``place``, with both runtimes preloaded:
+        exit 0 and nothing on stderr."""
+        runtimes = [
+            subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                           text=True).stdout.strip() if shutil.which("gcc") else ""
+            for name in ("libasan.so", "libubsan.so")]
+        if not all(os.path.isabs(r) and os.path.exists(r) for r in runtimes):
+            pytest.skip("gcc finds no libasan.so or libubsan.so runtime")
+        if not sysconfig.get_config_var("LDSHARED"):
+            pytest.skip("the interpreter names no LDSHARED linker")
+        source = os.path.join(os.path.dirname(stepplace.__file__), "_fieldcore.c")
+        digest = hashlib.sha256(open(source, "rb").read()).hexdigest()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        target = tmp_path / "stepplace" / f"_fieldcore-{digest}{suffix}"
+        flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+        _compile_c_core(source, str(target),
+                        [*shlex.split(sysconfig.get_config_var("LDSHARED")), *flags])
+        code = (
+            "import random, sys\n"
+            "from array import array\n"
+            "from stepplace import _pycore, stepfield\n"
+            "from stepplace.io_cli import GenSpec, generate_instance, main, save_instance\n"
+            "from stepplace.netmodel import Macro, Netlist, PlacementArea, Rect, is_legal\n"
+            "from stepplace.placer import LegalizationError, naive_legalize\n"
+            "assert stepfield.c_core.__file__ == sys.argv[1], stepfield.c_core\n"
+            "c = stepfield.c_core\n"
+            "m = array('d', [0.5, 0.5, 0.5, 3.5, 0.5, 3.5, 1.0, 1.0] * 3)\n"
+            "ko = array('d', [0.0, 0.0, 1.5, 1.5, 2.0, 2.0, 4.0, 2.5])\n"
+            "assert c.legalize(4.0, 4.0, m, [0, 1, 2], ko) == _pycore.legalize(\n"
+            "    4.0, 4.0, m, [0, 1, 2], ko)\n"
+            "full = array('d', [0.0, 0.0, 4.0, 4.0])\n"
+            "assert c.legalize(4.0, 4.0, m, [0, 1, 2], full) == []\n"
+            "nl = Netlist([Macro('a', 10, 4.99), Macro('b', 10, 4.99), Macro('c', 10, 0.02)], [])\n"
+            "got = naive_legalize({'a': (5.0, 2.495), 'b': (5.0, 7.505), 'c': (5.0, 2.0)},\n"
+            "                     nl, PlacementArea(10, 10))\n"
+            "assert got['c'] == (5.0, 5.0), got\n"
+            "nl, area = generate_instance(GenSpec(macros=600, nets=900, seed=1))\n"
+            "area = PlacementArea(area.width, area.height, (Rect(0, 0, area.width / 4,\n"
+            "                                                    area.height / 4),))\n"
+            "rng = random.Random(1)\n"
+            "start = {m.id: (rng.uniform(0, area.width), rng.uniform(0, area.height))\n"
+            "         for m in nl.macros}\n"
+            "try:\n"
+            "    assert is_legal(naive_legalize(start, nl, area), nl, area).legal\n"
+            "except LegalizationError:\n"
+            "    pass\n"
+            "nl, area = generate_instance(GenSpec(macros=60, nets=90, seed=2))\n"
+            "save_instance(sys.argv[2], nl, area)\n"
+            "assert main(['place', '--in', sys.argv[2], '--out', sys.argv[3],\n"
+            "             '--rounds', '300', '--seed', '1']) == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stepplace.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path),
+               "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(target), str(tmp_path / "i.txt"),
+             str(tmp_path / "r.txt")], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-4000:]
 
     @pytest.mark.skipif(shutil.which(SYSCONFIG_CC) is None, reason=f"no {SYSCONFIG_CC}")
     def test_module_beside_the_source_is_not_loaded(self, tmp_path):
