@@ -75,20 +75,26 @@
  * pairs are not looked up either (a round of 20 macros keeps its macro
  * where it is about three times in four).  The kernel under the score decides by arithmetic where it
  * can, not by branches: a level of axis_components writes both of its possible
- * components and counts the nonzero ones, index_hits stores each key it
+ * components and counts the nonzero ones, index_find stores each key it
  * tests and counts the ones that meet, field_cost sums four rows at a time,
  * each in column order, joining the total in row order, and field_increase
  * takes each column's factor once, not once per row.
  *
  * The module function legalize is placer.naive_legalize's placing loop in
- * one call, over flat arrays: the macros in placing order, each with its
- * key.  It holds the footprints it has placed in a FootprintIndex and the
- * area's keep-outs; a probe takes index_hits, then the keep-outs.  A macro
+ * one call, over the netlist's own arrays by index (half sides, bounds),
+ * the placement's centers by index and the placing order; it clamps each
+ * start into its bounds as placer._clamped does.  It holds the footprints
+ * it has placed in a FootprintIndex and the area's keep-outs; a probe takes
+ * the least key index_find finds, by a scan, then the keep-outs.  A macro
  * keeps its start where a probe there meets nothing, else it takes the
  * nearest free center as _pycore._free_candidate finds it: the candidates
  * (start, bounds, and abutting a box in a window around the start, grown
- * until it holds the answer) in rising distance, from a winner tree of the
- * columns' cursors, which a blocker moves past the rows it covers.
+ * until it holds the answer, a wider one skipping those nearer than the
+ * last reach) in rising distance, from a winner tree of the columns'
+ * cursors, which a blocker moves past the rows it covers.  The search reads
+ * only the edges of the boxes index_find finds, unsorted; the penalty and
+ * the pair update sort them (index_hits), since their sums and pair order
+ * depend on it.
  *
  * All of these do the float operations of their Python references, the
  * same names in stepplace._pycore (stepfield.core where this did not load),
@@ -610,12 +616,12 @@ compare_keys(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Writes to idx->found, ascending, every key but skip whose box meets the
- * query; returns their count.  Two such boxes share the cell of a common
- * point, and the clamp at the border is monotone, so the cells the query's
- * closed extent touches hold them. */
+/* Writes to idx->found, in no particular order, every key but skip whose
+ * box meets the query; returns their count.  Two such boxes share the cell
+ * of a common point, and the clamp at the border is monotone, so the cells
+ * the query's closed extent touches hold them. */
 static Py_ssize_t
-index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
+index_find(FootprintIndex *idx, const double *query, Py_ssize_t skip)
 {
     Py_ssize_t c[4], q = ++idx->query, n = 0;
     box_cells(idx, query, c);
@@ -634,8 +640,15 @@ index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
             }
         }
     }
-    /* a footprint meets a few boxes: sort them in place, unless many */
-    Py_ssize_t *found = idx->found;
+    return n;
+}
+
+/* index_find's keys, ascending: a footprint meets a few boxes, so they are
+ * sorted in place, unless many. */
+static Py_ssize_t
+index_hits(FootprintIndex *idx, const double *query, Py_ssize_t skip)
+{
+    Py_ssize_t n = index_find(idx, query, skip), *found = idx->found;
     if (n > 16) {
         qsort(found, (size_t)n, sizeof(Py_ssize_t), compare_keys);
     } else {
@@ -2633,15 +2646,18 @@ typedef struct {
     const double **near;
 } Occupied;
 
-/* A box that meets query: the footprint of the least key index_hits finds
+/* A box that meets query: the footprint of the least key index_find finds
  * (whatever the cells), else the first keep-out that meets it, else NULL;
  * _pycore.legalize probes as this does. */
 static const double *
 probe_box(Occupied *s, const double *query)
 {
     FootprintIndex *idx = &s->index;
-    if (index_hits(idx, query, -1) > 0)
-        return idx->boxes + 4 * idx->found[0];
+    Py_ssize_t n = index_find(idx, query, -1), least = n ? idx->found[0] : -1;
+    for (Py_ssize_t t = 1; t < n; t++)
+        least = idx->found[t] < least ? idx->found[t] : least;
+    if (n)
+        return idx->boxes + 4 * least;
     for (const double *b = s->blk; b < s->blk + 4 * s->n_blk; b += 4)
         if (boxes_meet(query, b))
             return b;
@@ -2686,7 +2702,18 @@ axis_fill(double *v, const double *m, int k, const double *const *near, Py_ssize
         if (lo <= c && c <= hi && fabs(c - m[6 + k]) <= reach)
             v[len++] = c + 0.0; /* a -0.0 becomes the 0.0 it equals */
     }
-    qsort(v, (size_t)len, sizeof(double), compare_doubles);
+    /* a window near the start holds a few boxes: sort in place, unless many */
+    if (len > 64) {
+        qsort(v, (size_t)len, sizeof(double), compare_doubles);
+    } else {
+        for (Py_ssize_t a = 1; a < len; a++) {
+            double c = v[a];
+            Py_ssize_t b = a;
+            for (; b > 0 && v[b - 1] > c; b--)
+                v[b] = v[b - 1];
+            v[b] = c;
+        }
+    }
     for (Py_ssize_t t = 0; t < len; t++)
         if (!out || v[t] != v[out - 1])
             v[out++] = v[t];
@@ -2726,18 +2753,40 @@ cursor_point(const Occupied *s, const double *m, Py_ssize_t u, Py_ssize_t j)
     return (Probe){fabs(x - m[6]) + fabs(y - m[7]), x, y, u, j};
 }
 
+/* The row cursor u of the macro m's search starts at: the first from j on,
+ * away from the start, whose point is at least skip away (no nearer ones
+ * follow it), found by bisection. */
+static Py_ssize_t
+first_far(const Occupied *s, const double *m, Py_ssize_t u, Py_ssize_t j, double skip)
+{
+    Py_ssize_t step = u % 2 ? -1 : 1, lo = 0, hi = u % 2 ? j + 1 : s->ny - j;
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (cursor_point(s, m, u, j + step * mid).d < skip)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return j + step * lo;
+}
+
 /* _pycore._free_candidate for the macro m: the first free candidate in
- * (d, x, y) order, from a winner tree whose leaves from node n are the
- * cursors' points.  Writes it to out; returns 1, or 0 if none is free. */
+ * (d, x, y) order, of those at least skip away, from a winner tree whose
+ * leaves from node n are the cursors' points.  Writes it to out; returns 1,
+ * or 0 if none is free. */
 static int
-free_candidate(Occupied *s, const double *m, Probe *out)
+free_candidate(Occupied *s, const double *m, double skip, Probe *out)
 {
     Py_ssize_t nx = s->nx, ny = s->ny, cj = bisect(s->ys, ny, 0.0, m[7], 0), n = 1;
     Probe *t = s->tree;
     while (n < 2 * nx)
         n *= 2;
-    for (Py_ssize_t u = 0; u < n; u++)
-        t[n + u] = cursor_point(s, m, u, u % 2 ? cj - 1 : cj);
+    for (Py_ssize_t u = 0; u < n; u++) {
+        Py_ssize_t j = u % 2 ? cj - 1 : cj;
+        if (skip > 0.0 && u < 2 * nx)
+            j = first_far(s, m, u, j, skip);
+        t[n + u] = cursor_point(s, m, u, j);
+    }
     for (Py_ssize_t i = n - 1; i > 0; i--)
         tree_pick(t, i);
     for (Probe p = t[1]; p.u >= 0; p = t[1]) {
@@ -2777,11 +2826,10 @@ nearest_free(Occupied *s, const double *m, Probe *out)
 {
     double reach = 0.5 * (m[0] + m[1]), span = py_max(fabs(m[2] - m[6]), fabs(m[3] - m[6]))
                                                + py_max(fabs(m[4] - m[7]), fabs(m[5] - m[7]));
-    /* past a point found, the next window holds it; it may hold nearer */
-    for (int found = 0;; reach = found ? nextafter(out->d, INFINITY) : 2.0 * reach) {
+    for (double skip = 0.0;;) {
         double ex = 1.25 * reach + m[0], ey = 1.25 * reach + m[1];
         const double window[4] = {m[6] - ex, m[7] - ey, m[6] + ex, m[7] + ey};
-        Py_ssize_t n = 0, hits = index_hits(&s->index, window, -1);
+        Py_ssize_t n = 0, hits = index_find(&s->index, window, -1);
         for (Py_ssize_t t = 0; t < hits + s->n_blk; t++) {
             /* footprints in the window and keep-outs, grown within 1.25 * reach (L1) */
             const double *b = t < hits ? s->index.boxes + 4 * s->index.found[t]
@@ -2793,46 +2841,69 @@ nearest_free(Occupied *s, const double *m, Probe *out)
         }
         s->nx = axis_fill(s->xs, m, 0, s->near, n, reach);
         s->ny = axis_fill(s->ys, m, 1, s->near, n, reach);
-        found = free_candidate(s, m, out);
+        int found = free_candidate(s, m, skip, out);
         if (!(reach < span) || (found && out->d < reach))
             return found;
+        /* none is free nearer than reach; past a point found, the next
+         * window holds it, and it may hold nearer */
+        skip = reach;
+        reach = found ? nextafter(out->d, INFINITY) : 2.0 * reach;
     }
 }
 
-/* legalize(width, height, macros, keys, blockages): the placing loop of
- * placer.naive_legalize (see fieldcore_functions); its Python reference is
- * stepplace._pycore.legalize. */
+/* legalize(width, height, halves, bounds, centers, order, blockages): the
+ * placing loop of placer.naive_legalize (see fieldcore_functions); its
+ * Python reference is stepplace._pycore.legalize. */
 static PyObject *
 legalize(PyObject *module, PyObject *args)
 {
     double width, height;
-    PyObject *macros_obj, *keys_obj, *blockages;
-    if (!PyArg_ParseTuple(args, "ddOOO:legalize", &width, &height, &macros_obj, &keys_obj,
-                          &blockages))
+    PyObject *halves, *bounds, *centers, *order_obj, *blockages;
+    if (!PyArg_ParseTuple(args, "ddOOOOO:legalize", &width, &height, &halves, &bounds,
+                          &centers, &order_obj, &blockages))
         return NULL;
     Occupied s = {.blk = NULL};
-    double *macros = NULL;
-    Py_ssize_t count = -1;
-    PyObject *keys = NULL, *out = NULL;
-    if (read_doubles(macros_obj, 8, "macro", &count, &macros, "macros") < 0
-        || (keys = PySequence_Fast(keys_obj, "keys must be a sequence")) == NULL)
+    double *half = NULL, *bound = NULL, *center = NULL;
+    Py_ssize_t count = -1, *order = NULL;
+    PyObject *seq = NULL, *out = NULL;
+    if (read_doubles(halves, 2, "macro", &count, &half, "halves") < 0
+        || read_doubles(bounds, 4, "macro", &count, &bound, "bounds") < 0
+        || read_doubles(centers, 2, "macro", &count, &center, "centers") < 0
+        || (seq = PySequence_Fast(order_obj, "order must be a sequence")) == NULL)
         goto fail;
-    int ok = PySequence_Fast_GET_SIZE(keys) == count;
-    for (Py_ssize_t k = 0; k < 8 * count; k++)
-        ok &= isfinite(macros[k]) && (k % 8 > 1 || macros[k] > 0.0);
+    int ok = PySequence_Fast_GET_SIZE(seq) == count;
+    for (Py_ssize_t k = 0; k < 2 * count; k++)
+        ok &= isfinite(half[k]) && half[k] > 0.0 && !isnan(center[k])
+              && isfinite(bound[2 * k]) && isfinite(bound[2 * k + 1]);
     if (!ok) {
-        PyErr_SetString(PyExc_ValueError, "legalize takes one key per macro, finite "
-                                          "values, and positive half sides");
+        PyErr_SetString(PyExc_ValueError, "legalize takes one index per macro, finite "
+                                          "bounds, positive half sides and no NaN center");
         goto fail;
     }
     /* cells as large as the largest macro, as the placer's store has */
     double cell[2] = {count ? 0.0 : 1.0, count ? 0.0 : 1.0};
-    for (Py_ssize_t t = 0; t < 2 * count; t++)
-        cell[t % 2] = py_max(cell[t % 2], 2.0 * macros[8 * (t / 2) + t % 2]);
+    for (Py_ssize_t k = 0; k < 2 * count; k++)
+        cell[k % 2] = py_max(cell[k % 2], 2.0 * half[k]);
     if (space_init(&s.index, count, width, height, cell[0], cell[1], blockages, &s.n_blk,
                    &s.blk) < 0
         || (out = PyList_New(0)) == NULL)
         goto fail;
+    /* the order's indices, each once: marked -1 in the index's marks, which
+     * its queries, numbered from 1, leave as they are */
+    if ((order = malloc((size_t)(count ? count : 1) * sizeof(Py_ssize_t))) == NULL
+        && PyErr_NoMemory() == NULL)
+        goto fail;
+    for (Py_ssize_t t = 0; t < count; t++) {
+        Py_ssize_t k = order[t] = index_key(PySequence_Fast_GET_ITEM(seq, t), count,
+                                            "index", "macros");
+        if (k < 0)
+            goto fail;
+        if (s.index.mark[k] < 0) {
+            PyErr_Format(PyExc_ValueError, "order repeats index %zd", k);
+            goto fail;
+        }
+        s.index.mark[k] = -1;
+    }
     /* candidates per axis: the start, two bounds and two per box */
     Py_ssize_t room = 3 + 2 * (count + s.n_blk);
     s.tree = malloc((size_t)room * (8 * sizeof(Probe) + 3 * sizeof(double)));
@@ -2842,18 +2913,18 @@ legalize(PyObject *module, PyObject *args)
     s.ys = s.xs + room;
     s.near = (const double **)(s.ys + room);
     for (Py_ssize_t t = 0; t < count; t++) {
-        const double *m = macros + 8 * t;
-        Py_ssize_t key = index_key(PySequence_Fast_GET_ITEM(keys, t), count, "key", "macros");
-        if (key < 0)
-            goto fail;
+        Py_ssize_t k = order[t];
+        const double *h = half + 2 * k, *b = bound + 4 * k, *c = center + 2 * k;
+        /* the start clamped into the bounds, as placer._clamped clamps it */
+        const double m[8] = {h[0], h[1], b[0], b[1], b[2], b[3],
+                             py_min(py_max(c[0], b[0]), b[1]), py_min(py_max(c[1], b[2]), b[3])};
         Probe at = {.x = m[6], .y = m[7]};
         const double start[4] = {at.x - m[0], at.y - m[1], at.x + m[0], at.y + m[1]};
-        int moved = probe_box(&s, start) != NULL;
-        if (moved && !nearest_free(&s, m, &at))
+        if (probe_box(&s, start) != NULL && !nearest_free(&s, m, &at))
             break;
         const double box[4] = {at.x - m[0], at.y - m[1], at.x + m[0], at.y + m[1]};
-        PyObject *point = moved ? Py_BuildValue("(dd)", at.x, at.y) : Py_NewRef(Py_None);
-        int err = point == NULL || index_put(&s.index, key, box) < 0
+        PyObject *point = Py_BuildValue("(dd)", at.x, at.y);
+        int err = point == NULL || index_put(&s.index, k, box) < 0
                   || PyList_Append(out, point) < 0;
         Py_XDECREF(point);
         if (err)
@@ -2866,8 +2937,11 @@ done:
     index_free(&s.index);
     free(s.blk);
     free(s.tree);
-    free(macros);
-    Py_XDECREF(keys);
+    free(half);
+    free(bound);
+    free(center);
+    free(order);
+    Py_XDECREF(seq);
     return out;
 }
 
@@ -2909,12 +2983,14 @@ static PyMethodDef fieldcore_functions[] = {
      "An error that stops the guard, such as MemoryError, is raised here and\n"
      "leaves the verdict to the next ask."},
     {"legalize", legalize, METH_VARARGS,
-     "legalize(width, height, macros, keys, blockages) -> list\n\n"
+     "legalize(width, height, halves, bounds, centers, order, blockages) -> list\n\n"
      "Places the macros in order, each clear of the footprints placed\n"
      "before it and of the keep-outs (x1, y1, x2, y2 each, in a width x\n"
-     "height area): macros holds half sides, bounds and start per macro,\n"
-     "keys each one's key.  Returns None for a kept start, else the nearest\n"
-     "free center; stops before the first macro with none (_pycore.legalize)."},
+     "height area): halves, bounds and centers hold 2, 4 and 2 doubles per\n"
+     "macro by index, order each index once.  Each start is the center\n"
+     "clamped into the bounds; returns, in order, the start where it is free,\n"
+     "else the nearest free center; stops before the first macro with none\n"
+     "(_pycore.legalize)."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"

@@ -645,32 +645,33 @@ def _axis(lo: float, hi: float, start: float, half: float, sides, reach: float) 
     return sorted({v + 0.0 for v in vals if lo <= v <= hi and abs(v - start) <= reach})
 
 
-def _free_candidate(
-    xs: list[float],
-    ys: list[float],
-    start: Point,
-    half: Point,
-    blocker: Callable[[Box], Box | None],
-) -> tuple[float, float, float] | None:
+def _free_candidate(xs: list[float], ys: list[float], start: Point, half: Point,
+                    blocker: Callable[[Box], Box | None],
+                    skip: float = 0.0) -> tuple[float, float, float] | None:
     """``(d, x, y)`` of the first candidate ``(x, y)`` of ``xs`` by ``ys``
     (both ascending) whose footprint, ``half`` the sides around it,
     ``blocker`` finds no box overlapping, in rising distance ``d = |x - x0|
-    + |y - y0|`` from ``start``, ties by x, then y.
+    + |y - y0|`` from ``start``, ties by x, then y, from ``d >= skip`` on.
 
     Each column has two cursors, the nearest rows at or above ``y0`` and
-    below it not known to be blocked, and a heap holds each cursor's next
-    point.  A blocker moves every cursor it covers past its rows, found by
-    bisecting the footprint edges (monotone, computed as in the overlap
-    test); an entry a cursor left behind is skipped.  With every footprint
-    non-empty (:func:`~stepplace.netmodel.check_placeable`) the result is
-    that of probing every candidate in turn; a jump may pass an empty one,
-    as the C search's does."""
+    below it at least ``skip`` away (bisected) not known to be blocked, and
+    a heap holds each cursor's next point.  A blocker moves every cursor it
+    covers past its rows, found by bisecting the footprint edges (monotone,
+    computed as in the overlap test); an entry a cursor left behind is
+    skipped.  With every footprint non-empty
+    (:func:`~stepplace.netmodel.check_placeable`) the result is that of
+    probing every candidate in turn; a jump may pass an empty one, as the C
+    search's does."""
     (x0, y0), (hx, hy), ny = start, half, len(ys)
     lefts, rights = [x - hx for x in xs], [x + hx for x in xs]
     bottoms, tops = [y - hy for y in ys], [y + hy for y in ys]
     dxs, dys = [abs(x - x0) for x in xs], [abs(y - y0) for y in ys]
     cj = bisect_left(ys, y0)
     row = [cj, cj - 1] * len(xs)  # row[2 * i]: upward cursor, + 1: downward
+    if skip:  # no row of a column dx >= skip away is nearer
+        row = [r for dx in dxs for r in ((cj, cj - 1) if dx >= skip else (
+            bisect_left(range(ny), True, cj, key=lambda j: dx + dys[j] >= skip),
+            bisect_left(range(cj), True, key=lambda j: dx + dys[j] < skip) - 1))]
     # (d, x, y) is one point's, so the cursor and row are never compared
     heap = [(dxs[u >> 1] + dys[j], xs[u >> 1], ys[j], u, j)
             for u, j in enumerate(row) if 0 <= j < ny]
@@ -699,42 +700,42 @@ def _free_candidate(
     return None
 
 
-def legalize(width: float, height: float, macros: Sequence[float], keys: Sequence[int],
-             blockages: Sequence[float]) -> list[Point | None]:
-    """The legalizer's placing loop: each macro in the order given, its
-    footprint kept clear of those placed before it and of the keep-outs.
+def legalize(width: float, height: float, halves: Sequence[float], bounds: Sequence[float],
+             centers: Sequence[float], order: Sequence[int],
+             blockages: Sequence[float]) -> list[Point]:
+    """The legalizer's placing loop: each macro in ``order``, its footprint
+    kept clear of those placed before it and of the keep-outs.
 
-    ``macros`` holds 8 floats per macro (half sides, ``x_min, x_max, y_min,
-    y_max`` and the clamped start), ``keys`` each macro's key and
-    ``blockages`` ``x1, y1, x2, y2`` per keep-out.  A macro whose start
-    footprint meets nothing keeps it; any other takes the nearest free
-    candidate (:func:`_free_candidate`) of the :func:`_axis` values within
-    ``r`` of the start of the boxes near it, ``r`` growing from half the half
-    sides' sum until that candidate is nearer than ``r`` or ``r`` spans the
+    ``halves``, ``bounds`` and ``centers`` hold 2, 4 and 2 floats per macro
+    by index, ``blockages`` 4 per keep-out.  A macro's start, its center
+    clamped into its bounds as ``placer._clamped`` clamps it, is kept where
+    its footprint meets nothing; else it takes the nearest free candidate
+    (:func:`_free_candidate`) of the :func:`_axis` values within ``r`` of
+    the start of the boxes near it, ``r`` growing from half the half sides'
+    sum until that candidate is nearer than ``r`` or ``r`` spans the
     bounds.  A free center nearer than ``r`` takes each coordinate from the
     start, a bound or the edge of a box near the start that blocks the next
-    center toward it; so with every footprint non-empty no free center is
-    nearer than the one taken (:func:`_below`).  A probe's blocker is the
-    footprint of the least key that meets it (the first of
-    :meth:`BucketGrid.hits`, in cells as large as the largest macro), else
-    the first keep-out that meets it, as in the C core, whatever either
-    index's cells; ``width`` and ``height`` size the C index only.  Returns,
-    in placing order, None for a macro that kept its start and the point it
-    moved to for any other, stopping before the first macro with none."""
-    rows = list(zip(*[iter(macros)] * 8))
-    placed = BucketGrid(2.0 * max((r[0] for r in rows), default=0.5),
-                        2.0 * max((r[1] for r in rows), default=0.5))
+    center toward it; so with every footprint non-empty none is nearer than
+    the one taken (:func:`_below`), and a wider window skips those nearer
+    than the last ``r``.  A probe's blocker is the footprint of the least
+    index that meets it (the first of :meth:`BucketGrid.hits`), else the
+    first keep-out that meets it, as in the C core, whatever either index's
+    cells (``width`` and ``height`` size the C index only).  Returns each
+    macro's point in placing order, stopping before the first with none."""
+    placed = BucketGrid(2.0 * max(halves[::2], default=0.5), 2.0 * max(halves[1::2], default=0.5))
     keepouts = list(zip(*[iter(blockages)] * 4))
 
     def blocker(box: Box) -> Box | None:
         hits = placed.hits(*box)
         return placed[hits[0]] if hits else next((r for r in keepouts if overlaps(box, r)), None)
 
-    out: list[Point | None] = []
-    for key, (hx, hy, x_lo, x_hi, y_lo, y_hi, x, y) in zip(keys, rows):
-        found = None
+    out: list[Point] = []
+    for key in order:
+        x_lo, x_hi, y_lo, y_hi = bounds[4 * key:4 * key + 4]
+        hx, hy, x, y = halves[2 * key], halves[2 * key + 1], centers[2 * key], centers[2 * key + 1]
+        x, y = min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi)
         if blocker((x - hx, y - hy, x + hx, y + hy)) is not None:
-            reach = 0.5 * (hx + hy)
+            reach, skip = 0.5 * (hx + hy), 0.0
             span = max(abs(x_lo - x), abs(x_hi - x)) + max(abs(y_lo - y), abs(y_hi - y))
             while True:
                 ex, ey = 1.25 * reach + hx, 1.25 * reach + hy
@@ -749,15 +750,16 @@ def legalize(width: float, height: float, macros: Sequence[float], keys: Sequenc
                 hit = _free_candidate(
                     _axis(x_lo, x_hi, x, hx, [(b[0], b[2]) for b in boxes], reach),
                     _axis(y_lo, y_hi, y, hy, [(b[1], b[3]) for b in boxes], reach),
-                    (x, y), (hx, hy), blocker)
+                    (x, y), (hx, hy), blocker, skip)
                 if reach >= span or hit is not None and hit[0] < reach:
                     break
-                # past a point found, the next window holds it; it may hold nearer
-                reach = 2.0 * reach if hit is None else math.nextafter(hit[0], math.inf)
+                # none is free nearer than reach; past a point found, the next
+                # window holds it and may hold nearer
+                skip, reach = reach, math.nextafter(hit[0], math.inf) if hit else 2.0 * reach
             if hit is None:
                 return out
-            x, y = found = hit[1:]
-        out.append(found)
+            x, y = hit[1:]
+        out.append((x, y))
         placed.put(key, (x - hx, y - hy, x + hx, y + hy))
     return out
 

@@ -366,47 +366,44 @@ def naive_legalize(placement: Placement, netlist: Netlist, area: PlacementArea) 
     """Greedy legalizer for nearly-legal placements.
 
     Macros are processed by area, largest first, then by id.  Each keeps its
-    position if conflict-free; otherwise it moves to the nearest
-    conflict-free center (L1 distance, ties by x, then y) within its bounds.
-    The placing loop is one call of ``stepfield.core``'s ``legalize``, which
-    holds the placed footprints and the keep-outs; its search takes each
-    coordinate from the start, a bound or an edge of a nearby footprint or
-    keep-out grown by the macro's half sides, and probes these candidates in
-    rising distance, skipping those a probe's blocker covers (see
-    ``_pycore.legalize``).  The bounds are the netlist's one
-    :meth:`~stepplace.netmodel.Netlist.bounds` pass.  Before the call, the
-    first macro in placing order without a position, that
-    :func:`~stepplace.netmodel.check_placeable` refuses (which leaves every
-    footprint non-empty) or with a NaN position raises ``ValueError`` naming
-    it.  Raises :class:`LegalizationError` naming the first macro with no
-    free center, given those placed before it, and never returns an illegal
-    placement: the :class:`~stepplace.netmodel.KeptPlacement` it returns
+    position, clamped into its bounds, if conflict-free; otherwise it moves
+    to the nearest conflict-free center (L1 distance, ties by x, then y)
+    within its bounds.  The placing loop is one call of ``stepfield.core``'s
+    ``legalize`` on the netlist's half sides and its one
+    :meth:`~stepplace.netmodel.Netlist.bounds` pass, the centers by index
+    and the placing order; it clamps the starts, holds the placed footprints
+    and the keep-outs, and probes candidates in rising distance (see
+    ``_pycore.legalize``).  Before the call, the first macro in placing
+    order without a position, that :func:`~stepplace.netmodel.check_placeable`
+    refuses (which leaves every footprint non-empty) or with a NaN position
+    raises ``ValueError`` naming it.  Raises :class:`LegalizationError`
+    naming the first macro with no free center, given those placed before
+    it, and never returns an illegal placement: the
+    :class:`~stepplace.netmodel.KeptPlacement` it returns, in placing order,
     keeps the store of its legality check, which the summary reads."""
-    ids, halves = netlist.ids, netlist.halves
+    ids = netlist.ids
     areas = [netlist.by_id[mid].area for mid in ids]
     # keys are indices, so a probe's blocker, the footprint of the least key
     # that meets it, is that of the least id; by area, then id: a stable sort
-    keys = sorted(range(len(ids)), key=areas.__getitem__, reverse=True)
+    order = sorted(range(len(ids)), key=areas.__getitem__, reverse=True)
     try:
         bounds = netlist.bounds(area)
-        starts = [_clamped(ids[k], placement[ids[k]], bounds[4 * k:4 * k + 4]) for k in keys]
+        centers = array("d", [v for x, y in map(placement.__getitem__, ids) for v in (x, y)])
+        if centers != centers:  # exactly where a center is NaN
+            raise ValueError
     except (KeyError, ValueError):
-        for k in keys:  # the first refused in placing order, as before the pass
+        for k in order:  # the first refused in placing order, as before the pass
             if ids[k] not in placement:
                 raise ValueError(f"macro {ids[k]!r} has no position") from None
             _clamped(ids[k], placement[ids[k]], compute_bounds(netlist.by_id[ids[k]], area))
         raise
-    macros = array("d")
-    for k, s in zip(keys, starts):
-        macros.extend((halves[2 * k], halves[2 * k + 1], *bounds[4 * k:4 * k + 4], *s))
-    moved = stepfield.core.legalize(
-        area.width, area.height, macros, keys,
+    points = stepfield.core.legalize(
+        area.width, area.height, netlist.halves, bounds, centers, order,
         array("d", [v for b in area.blockages for v in b]),
     )
-    if len(moved) < len(keys):
-        raise LegalizationError(ids[keys[len(moved)]])
-    out = KeptPlacement(
-        (ids[k], start if to is None else to) for k, start, to in zip(keys, starts, moved))
+    if len(points) < len(order):
+        raise LegalizationError(ids[order[len(points)]])
+    out = KeptPlacement(zip(map(ids.__getitem__, order), points))
 
     report = is_legal(out, netlist, area)
     if not report.legal:

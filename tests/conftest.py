@@ -5,8 +5,15 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
+
+# the field core loads here, once; the terminal summary names it, with the
+# loader's warning where the Python core stands in
+with warnings.catch_warnings(record=True) as _LOADER_WARNINGS:
+    warnings.simplefilter("always")
+    from stepplace import stepfield
 
 
 @pytest.fixture(params=["c", "py"])
@@ -90,6 +97,9 @@ def interpreters(request):
 
 
 def pytest_terminal_summary(terminalreporter, config):
+    said = [str(w.message) for w in _LOADER_WARNINGS if issubclass(w.category, RuntimeWarning)]
+    terminalreporter.write_line("field core: " + ("c" if stepfield.HAVE_C_CORE else
+                                                  f"py ({'; '.join(said) or 'no warning'})"))
     got = config.stash.get(_INTERPRETERS, None)
     if got:
         terminalreporter.write_line(f"interpreters: found {', '.join(got['found'])}; "

@@ -1,6 +1,7 @@
 import _random
 import contextlib
 import copy
+import gc
 import io
 import itertools
 import math
@@ -25,7 +26,7 @@ import stepplace.stepfield as stepfield
 import oracles
 from conftest import round_beta, use_core
 from oracles import coefficients, footprint_grid, intersection, oracle_legalize
-from stepplace.io_cli import GenSpec, generate_instance, write_stats_csv
+from stepplace.io_cli import GenSpec, generate_instance, write_result, write_stats_csv
 from stepplace.netmodel import (
     MIN_AREA_SIDE,
     BucketGrid,
@@ -67,8 +68,9 @@ def square_area(side=8.0, blockages=()):
 
 
 # probes of naive_legalize's search on blocked_instance(), plus one per
-# macro, with the least-keyed footprint as each probe's blocker
-PROBES = 926
+# macro, with the least-keyed footprint as each probe's blocker; a widened
+# window skips the candidates the smaller one found blocked
+PROBES = 801
 
 
 def blocked_instance():
@@ -93,13 +95,13 @@ def counted_legalize(start, netlist, area):
     probes = len(netlist.macros)
     search, core = _pycore._free_candidate, stepfield.core
 
-    def counted_search(xs, ys, pos, half, blocker):
+    def counted_search(xs, ys, pos, half, blocker, skip):
         def probe(box):
             nonlocal probes
             probes += 1
             return blocker(box)
 
-        return search(xs, ys, pos, half, probe)
+        return search(xs, ys, pos, half, probe, skip)
 
     _pycore._free_candidate, stepfield.core = counted_search, _pycore
     try:
@@ -152,22 +154,31 @@ def candidate_searches(draw):
     return xs, ys, pos, (hx, hy), boxes
 
 
-def search_after(boxes, search, keys=None):
-    """``legalize`` arguments over a ``2**53`` square: a macro kept at each
-    of ``boxes`` (its start footprint, to the bit; a side that is empty
-    takes a half of 1e-300, which the coordinates round away), then one
-    searching by ``search``, ``(x_lo, x_hi, y_lo, y_hi, x, y, hx, hy)``;
-    keys ascending, unless given."""
-    macros = array("d")
+def by_index(macros, order, blockages=()):
+    """``legalize`` arguments over a ``2**53`` square from ``macros`` in
+    placing order, ``(hx, hy, x_lo, x_hi, y_lo, y_hi, x, y)`` each, the one
+    at place ``t`` having index ``order[t]``."""
+    rows = dict(zip(order, macros))
+    halves, bounds, centers = (array("d", [v for k in sorted(rows) for v in rows[k][a:b]])
+                               for a, b in ((0, 2), (2, 6), (6, 8)))
+    return 2.0**53, 2.0**53, halves, bounds, centers, list(order), array("d", blockages)
+
+
+def search_after(boxes, search, order=None):
+    """``legalize`` arguments (:func:`by_index`): a macro kept at each of
+    ``boxes`` (its start footprint, to the bit; a side that is empty takes a
+    half of 1e-300, which the coordinates round away), then one searching by
+    ``search``, ``(x_lo, x_hi, y_lo, y_hi, x, y, hx, hy)``; indices
+    ascending, unless an order is given."""
+    macros = []
     for x1, y1, x2, y2 in boxes:
         hx, hy = (x2 - x1) / 2 or 1e-300, (y2 - y1) / 2 or 1e-300
         x, y = x1 + hx, y1 + hy
         assert (x - hx, y - hy, x + hx, y + hy) == (x1, y1, x2, y2)
-        macros.extend((hx, hy, x, x, y, y, x, y))
+        macros.append((hx, hy, x, x, y, y, x, y))
     x_lo, x_hi, y_lo, y_hi, x, y, hx, hy = search
-    macros.extend((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
-    keys = list(range(len(boxes) + 1)) if keys is None else keys
-    return 2.0**53, 2.0**53, macros, keys, array("d")
+    macros.append((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
+    return by_index(macros, range(len(macros)) if order is None else order)
 
 
 def legalize_args(*case):
@@ -181,10 +192,11 @@ def legalize_args(*case):
 
 
 # empty footprints a jump passes, at 2**51 + 1 in a column and in a row,
-# behind the footprint blocking the rest
+# behind the footprint blocking the rest; each start lies in its bounds,
+# so that the window whose search passes them spans the bounds
 _B = 2.0**51
 EMPTY_COLUMN = search_after([(_B - 5, _B - 5, _B + 6, _B)],
-                            (_B, _B + 1, _B, _B, _B - 1, _B - 1, 0.25, 0.25))
+                            (_B - 1, _B + 1, _B, _B, _B, _B, 0.25, 0.25))
 EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
                          (_B, _B, _B, _B + 1.5, _B, _B, 0.25, 0.25))
 # two footprints meet the start: the least-keyed one, right of 2**51,
@@ -195,7 +207,7 @@ EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
 LEAST_KEY = search_after(
     [(_B - 7, _B - 6, _B - 7, _B - 6)] * 14
     + [(_B, _B - 2, _B + 2, _B + 3), (_B - 2, _B - 2, _B - 1, _B + 0.5)],
-    (_B - 0.5, _B - 0.5, _B - 1, _B + 1, _B - 0.5, _B - 1, 1.0, 0.25))
+    (_B - 0.5, _B - 0.5, _B - 1, _B + 1, _B - 0.5, _B, 1.0, 0.25))
 # a case hypothesis found where the lattice searches disagreed (the
 # reference met the later-keyed footprint first, in its finer cells), with
 # the later one placed first and ending where the least-keyed one begins,
@@ -206,10 +218,18 @@ LEAST_KEY_FOUND = search_after(
     [(_B - 7, _B - 6, _B - 7, _B - 6)] * 4
     + [(_B - 7, _B - 6, _B - 1, _B), (_B - 1, _B - 6, _B - 0.5, _B + 6)],
     (_B - 1, _B - 1, _B - 1, _B + 1, _B - 2, _B - 2, 0.5, 0.25),
-    keys=[0, 1, 2, 3, 5, 4, 6])
+    order=[0, 1, 2, 3, 5, 4, 6])
 # test_fills_what_a_coarse_lattice_misses's case: b and c move beside a
 COARSE = legalize_args({m: (0.5, 0.5) for m in "abc"},
                        Netlist([Macro(m, 1, 1) for m in "abc"], []), PlacementArea(4, 1))
+# twenty macros in a row, then one started in its middle: the window that
+# reaches the free end holds more candidates than an insertion sort takes
+LONG_ROW = search_after([(k - 0.5, 0.0, k + 0.5, 1.0) for k in range(1, 21)],
+                        (0.5, 21.0, 0.5, 0.5, 10.5, 0.5, 0.5, 0.5))
+# starts of -0.0 at bounds of 0.0, and of +-inf: Python's max keeps the
+# first of two equal zeros, so the kept start is (-0.0, 3.0)
+SIGNED_ZERO = by_index([(0.5, 0.5, 0.0, 3.0, 0.0, 3.0, -0.0, math.inf),
+                        (0.5, 0.5, -1.0, 1.0, 0.0, 3.0, -math.inf, 0.0)], [1, 0])
 # a box that blocks the center and touches the free column or row beside it
 TOUCHING_COLUMN = ([-1.0, 0.0], [0.0, 1.0, 2.0], (0.0, 2.0), (0.5, 0.5),
                    [(-0.5, 1.5, 1.0, 3.0)])
@@ -222,13 +242,16 @@ needs_c_legalize = pytest.mark.skipif(stepfield.c_core is None, reason="C core n
 
 @st.composite
 def legalize_calls(draw):
-    """Arguments of ``legalize``: up to six macros with bounds near 0–100
-    (where a half side of 1e-300 leaves every footprint empty) or at
-    ``2**51`` (where one of 0.25 leaves every other footprint empty), bounds
-    of one point (``hi == lo``) among them, starts on, between and beyond
-    points a pitch apart in the bounds, so that footprints meet and macros
-    search, keys in any order, and keep-outs with edges from the footprint
-    edges and from beyond, as in :func:`candidate_searches`."""
+    """Arguments of ``legalize`` (:func:`by_index`): up to six macros with
+    bounds near 0–100 (where a half side of 1e-300 leaves every footprint
+    empty) or at ``2**51`` (where one of 0.25 leaves every other footprint
+    empty), bounds of one point (``hi == lo``) among them, starts on,
+    between and beyond points a pitch apart in the bounds, or ``±0.0`` or
+    ``±inf``, which the core clamps, so that footprints meet and macros
+    search, placed in any order, and up to eight keep-outs with edges from
+    the footprint edges and from beyond, as in :func:`candidate_searches`,
+    so that a window may hold more candidates than an insertion sort
+    takes."""
     if draw(st.booleans(), label="at 2**51"):
         origin, shift = st.just(_B), st.sampled_from([k / 2 for k in range(-2, 3)])
         step, half = st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.25, 0.25, 0.5])
@@ -239,7 +262,7 @@ def legalize_calls(draw):
     # the macros' bounds start near one corner, so that their footprints meet
     corner = [draw(origin, label=f"{a} origin") for a in "xy"]
     px, py = draw(step, label="x pitch"), draw(step, label="y pitch")
-    macros, edges = array("d"), ([], [])
+    macros, edges = [], ([], [])
     for _ in range(draw(st.integers(1, 6), label="macros")):
         axes = []
         for a, o, d, edge in (("x", corner[0], px, edges[0]), ("y", corner[1], py, edges[1])):
@@ -250,17 +273,18 @@ def legalize_calls(draw):
             at = (draw(st.sampled_from([vals[0] - 1] + vals + [vals[-1] + 1]),
                        label=f"{a} start")
                   + draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]), label=f"{a} offset"))
+            if draw(st.booleans(), label=f"{a} signed"):  # the clamp's ties and infinities
+                at = draw(st.sampled_from([-0.0, 0.0, -math.inf, math.inf]), label=f"{a} at")
             edge.extend(box_edges(vals, h))
             axes.append((lo, hi, at, h))
         (x_lo, x_hi, x, hx), (y_lo, y_hi, y, hy) = axes
-        macros.extend((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
+        macros.append((hx, hy, x_lo, x_hi, y_lo, y_hi, x, y))
     ex, ey = sorted(set(edges[0])), sorted(set(edges[1]))
     ix, iy = st.integers(0, len(ex) - 1), st.integers(0, len(ey) - 1)
-    keepouts = array("d")
-    for a, b, c, d in draw(st.lists(st.tuples(ix, ix, iy, iy), max_size=3), label="keep-outs"):
+    keepouts = []
+    for a, b, c, d in draw(st.lists(st.tuples(ix, ix, iy, iy), max_size=8), label="keep-outs"):
         keepouts.extend((ex[min(a, b)], ey[min(c, d)], ex[max(a, b)], ey[max(c, d)]))
-    keys = draw(st.permutations(range(len(macros) // 8)), label="keys")
-    return 2.0**53, 2.0**53, macros, keys, keepouts
+    return by_index(macros, draw(st.permutations(range(len(macros))), label="order"), keepouts)
 
 
 @st.composite
@@ -3153,6 +3177,32 @@ class TestNaiveLegalize:
         assert got["b"] == (1.5, 0.5)
         assert is_legal(got, nl, area).legal
 
+    def test_repeated_calls_hold_no_blocks(self, backend, on_core):
+        """After one warm-up, 200 rounds of ``naive_legalize`` (60 macros
+        from random starts, most of them moved) plus ``write_result``, and
+        of a legalizer that stops at a full area, grow
+        ``sys.getallocatedblocks()`` by less than one block per call."""
+        on_core(backend)
+        netlist, area = generate_instance(GenSpec(macros=60, nets=90, seed=2))
+        full = PlacementArea(area.width, area.height, (Rect(0, 0, area.width, area.height),))
+        rng, config = random.Random(2), PlacerConfig(max_rounds=1)
+        start = {m.id: (rng.uniform(0, area.width), rng.uniform(0, area.height))
+                 for m in netlist.macros}
+
+        def once():
+            write_result(io.StringIO(), naive_legalize(start, netlist, area), netlist, area,
+                         config)
+            with pytest.raises(LegalizationError):
+                naive_legalize(start, netlist, full)
+
+        once()
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for _ in range(200):
+            once()
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 200
+
     def test_overfull_area_errors(self):
         """Only where no free position exists, given the macros placed
         before it, and the message says so."""
@@ -3322,32 +3372,38 @@ class TestNaiveLegalize:
     @example(case=LEAST_KEY)
     @example(case=LEAST_KEY_FOUND)
     @example(case=COARSE)
+    @example(case=LONG_ROW)
+    @example(case=SIGNED_ZERO)
     def test_c_legalize_matches_python_reference(self, case):
-        """The C core's ``legalize`` keeps the starts and finds the points
-        the Python reference does, to the bit, and stops at the same macro,
-        on empty footprints too, which both searches jump over alike."""
+        """The C core's ``legalize`` clamps and keeps the starts and finds
+        the points the Python reference does, to the bit, and stops at the
+        same macro, on empty footprints too, which both searches jump over
+        alike."""
         got, want = stepfield.c_core.legalize(*case), _pycore.legalize(*case)
-        assert [p and (p[0].hex(), p[1].hex()) for p in got] == [
-            p and (p[0].hex(), p[1].hex()) for p in want]
+        assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
 
     def test_examples_search_as_their_comments_say(self, monkeypatch):
         # the last macro of each search_after example finds no free
         # candidate, the others keeping their starts; LEAST_KEY's would move
         # to the empty footprint where the later-keyed blocker is reported.
-        # b and c of COARSE move beside a
+        # b and c of COARSE move beside a; LONG_ROW's last macro to the free end
         cases = (EMPTY_COLUMN, EMPTY_ROW, LEAST_KEY, LEAST_KEY_FOUND)
         for case in cases:
-            assert _pycore.legalize(*case) == [None] * (len(case[3]) - 1)
-        assert _pycore.legalize(*COARSE) == [None, (1.5, 0.5), (2.5, 0.5)]
-        assert _pycore.legalize(*COARSE[:2], COARSE[2][:16], COARSE[3][:2], COARSE[4]) == [
-            None, (1.5, 0.5)]
+            kept = [tuple(case[4][2 * k:2 * k + 2]) for k in case[5][:-1]]
+            assert _pycore.legalize(*case) == kept
+        assert _pycore.legalize(*COARSE) == [(0.5, 0.5), (1.5, 0.5), (2.5, 0.5)]
+        first_two = (c[:k] for c, k in zip(COARSE[2:6], (4, 8, 4, 2)))
+        assert _pycore.legalize(*COARSE[:2], *first_two, COARSE[6]) == [(0.5, 0.5), (1.5, 0.5)]
+        assert _pycore.legalize(*LONG_ROW)[-1] == (21.0, 0.5)
+        assert [(x.hex(), y.hex()) for x, y in _pycore.legalize(*SIGNED_ZERO)] == [
+            ((-0.0).hex(), (3.0).hex()), ((-1.0).hex(), (0.0).hex())]
 
         class GreatestFirst(BucketGrid):
             def hits(self, *box):
                 return super().hits(*box)[::-1]
 
         monkeypatch.setattr(_pycore, "BucketGrid", GreatestFirst)
-        assert [len(_pycore.legalize(*case)) == len(case[3]) for case in cases] == [
+        assert [len(_pycore.legalize(*case)) == len(case[5]) for case in cases] == [
             False, False, True, False]
 
     @needs_c_legalize
@@ -3369,14 +3425,18 @@ class TestNaiveLegalize:
 
     @needs_c_legalize
     def test_c_legalize_rejects_bad_input(self):
-        macro = [0.5, 0.5, 0.5, 3.5, 0.5, 3.5, 1.0, 1.0]
+        macro = {"halves": [0.5, 0.5], "bounds": [0.5, 3.5, 0.5, 3.5], "centers": [1.0, 1.0]}
         corner = [0.0, 0.0, 1.5, 1.5]  # a keep-out over the start
 
-        def call(width=4.0, macros=macro, keys=(0,), blockages=()):
+        def call(width=4.0, order=(0,), blockages=(), **arrays):
+            arrays = {**macro, **arrays}
             return stepfield.c_core.legalize(
-                width, 4.0, array("d", macros), list(keys), array("d", blockages))
+                width, 4.0, *(array("d", arrays[a]) for a in ("halves", "bounds", "centers")),
+                list(order), array("d", blockages))
 
-        assert call() == [None]
+        assert call() == [(1.0, 1.0)]
+        # clamped into the bounds, not refused
+        assert call(centers=[math.inf, -math.inf]) == [(3.5, 0.5)]
         # (1.0, 2.0) and (2.0, 1.0) abut the keep-out, at distance 1
         assert call(blockages=corner) == [(1.0, 2.0)]
         assert call(blockages=[0.0, 0.0, 4.0, 4.0]) == []
@@ -3384,24 +3444,35 @@ class TestNaiveLegalize:
             call(width=math.inf)
         with pytest.raises(ValueError, match="4 doubles per box"):
             call(blockages=[0.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="8 doubles per macro"):
-            call(macros=macro[:7])
-        with pytest.raises(ValueError, match="key 1 out of range for 1 macros"):
-            call(keys=(1,))
-        refused = "one key per macro, finite values, and positive half sides$"
-        with pytest.raises(ValueError, match=refused):
-            call(keys=())
-        for k, bad in ((0, 0.0), (1, -0.5), (6, math.inf), (3, math.nan)):
+        # arrays of unequal macro counts (the half sides' count rules)
+        for name, per in (("halves", 2), ("bounds", 4), ("centers", 2)):
+            with pytest.raises(ValueError, match=f"{name} must hold {per} doubles per macro"):
+                call(**{name: macro[name] * 2 if name != "halves" else [0.5]})
+        with pytest.raises(ValueError, match="index 1 out of range for 1 macros"):
+            call(order=(1,))
+        two = {name: values * 2 for name, values in macro.items()}
+        assert call(order=(1, 0), **two) == [(1.0, 1.0), (1.0, 2.0)]
+        with pytest.raises(ValueError, match="order repeats index 1"):
+            call(order=(1, 1), **two)
+        refused = "one index per macro, finite bounds, positive half sides and no NaN center$"
+        for order in ((), (0, 0)):
             with pytest.raises(ValueError, match=refused):
-                call(macros=macro[:k] + [bad] + macro[k + 1:])
+                call(order=order)
+        for name, k, bad in (("halves", 0, 0.0), ("halves", 1, -0.5), ("halves", 0, math.inf),
+                             ("bounds", 2, -math.inf), ("bounds", 3, math.nan),
+                             ("centers", 1, math.nan)):
+            with pytest.raises(ValueError, match=refused):
+                call(**{name: macro[name][:k] + [bad] + macro[name][k + 1:]})
         # a footprint past the largest float
         with pytest.raises(ValueError, match="footprint must be finite"):
-            call(macros=[8e307, 0.5, 1.7e308, 1.7e308, 0.5, 0.5, 1.7e308, 0.5])
+            call(halves=[8e307, 0.5], bounds=[1.7e308, 1.7e308, 0.5, 0.5], centers=[0.0, 0.5])
         # bounds whose span overflows: the window grows to every box, and
         # the search stops, on both cores
-        wide = [0.5, 0.5, -1e308, 1e308, 0.5, 3.5, 1.0, 1.0]
-        args = (4.0, 4.0, array("d", wide), [0], array("d", [-1.7e308, 0.0, 1.7e308, 4.0]))
-        assert stepfield.c_core.legalize(*args) == _pycore.legalize(*args) == []
+        args = (4.0, 4.0, array("d", [0.5, 0.5]), array("d", [-1e308, 1e308, 0.5, 3.5]),
+                array("d", [1.0, 1.0]), [0], array("d", [-1.7e308, 0.0, 1.7e308, 4.0]))
+        # the last window skips the nearer candidates, all blocked, and
+        # probes the far bound's footprint, empty there (x +- 0.5 rounds to x)
+        assert stepfield.c_core.legalize(*args) == _pycore.legalize(*args) == [(-1e308, 0.5)]
 
     def test_naive_legalize_runs_the_c_search_where_the_core_loaded(self, monkeypatch):
         """On the C core no Python search runs; without it the Python

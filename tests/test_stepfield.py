@@ -649,9 +649,11 @@ class TestCCoreLoader:
         """The C core, built with AddressSanitizer and UBSan (any report
         aborts) into a private cache under the name the loader expects,
         legalizes around keep-outs, stops at a macro with no free center,
-        completes the three-macro case, legalizes 600 macros started at
-        random and runs a short ``place``, with both runtimes preloaded:
-        exit 0 and nothing on stderr."""
+        refuses a repeated, missing or out-of-range index, arrays of unequal
+        macro counts and a NaN center, fills a window with more candidates
+        than its insertion sort takes, completes the three-macro case,
+        legalizes 600 macros started at random and runs a short ``place``,
+        with both runtimes preloaded: exit 0 and nothing on stderr."""
         runtimes = [
             subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
                            text=True).stdout.strip() if shutil.which("gcc") else ""
@@ -676,12 +678,26 @@ class TestCCoreLoader:
             "from stepplace.placer import LegalizationError, naive_legalize\n"
             "assert stepfield.c_core.__file__ == sys.argv[1], stepfield.c_core\n"
             "c = stepfield.c_core\n"
-            "m = array('d', [0.5, 0.5, 0.5, 3.5, 0.5, 3.5, 1.0, 1.0] * 3)\n"
+            "m = (array('d', [0.5, 0.5] * 3), array('d', [0.5, 3.5, 0.5, 3.5] * 3),\n"
+            "     array('d', [1.0, 1.0, 9.0, 1.0, 1.0, -9.0]))\n"
             "ko = array('d', [0.0, 0.0, 1.5, 1.5, 2.0, 2.0, 4.0, 2.5])\n"
-            "assert c.legalize(4.0, 4.0, m, [0, 1, 2], ko) == _pycore.legalize(\n"
-            "    4.0, 4.0, m, [0, 1, 2], ko)\n"
+            "assert c.legalize(4.0, 4.0, *m, [2, 0, 1], ko) == _pycore.legalize(\n"
+            "    4.0, 4.0, *m, [2, 0, 1], ko)\n"
             "full = array('d', [0.0, 0.0, 4.0, 4.0])\n"
-            "assert c.legalize(4.0, 4.0, m, [0, 1, 2], full) == []\n"
+            "assert c.legalize(4.0, 4.0, *m, [0, 1, 2], full) == []\n"
+            "nan = array('d', [1.0, float('nan')] * 3)\n"
+            "for bad in ((*m, [0, 0, 1]), (*m, [0, 1]), (*m, [0, 1, 3]), (*m[:2], nan, range(3)),\n"
+            "            (m[0][:4], *m[1:], range(3)), (m[0], m[1][:8], m[2], range(3))):\n"
+            "    try:\n"
+            "        c.legalize(4.0, 4.0, *bad, ko)\n"
+            "    except ValueError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise AssertionError(bad)\n"
+            "kept = [v for k in range(1, 21) for v in (k, k, 0.5, 0.5)]\n"
+            "row = (array('d', [0.5] * 42), array('d', kept + [0.5, 21, 0.5, 0.5]),\n"
+            "       array('d', [v for k in range(1, 21) for v in (k, 0.5)] + [10.5, 0.5]))\n"
+            "assert c.legalize(32.0, 1.0, *row, range(21), array('d'))[-1] == (21.0, 0.5)\n"
             "nl = Netlist([Macro('a', 10, 4.99), Macro('b', 10, 4.99), Macro('c', 10, 0.02)], [])\n"
             "got = naive_legalize({'a': (5.0, 2.495), 'b': (5.0, 7.505), 'c': (5.0, 2.0)},\n"
             "                     nl, PlacementArea(10, 10))\n"
