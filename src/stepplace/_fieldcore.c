@@ -89,12 +89,11 @@
  * keeps its start where a probe there meets nothing, else it takes the
  * nearest free center as _pycore._free_candidate finds it: the candidates
  * (start, bounds, and abutting a box in a window around the start, grown
- * until it holds the answer, a wider one skipping those nearer than the
- * last reach) in rising distance, from a winner tree of the columns'
- * cursors, which a blocker moves past the rows it covers.  The search reads
- * only the edges of the boxes index_find finds, unsorted; the penalty and
- * the pair update sort them (index_hits), since their sums and pair order
- * depend on it.
+ * until it holds the answer) in rising distance, from a winner tree of the
+ * columns' cursors, which a blocker moves past the rows it covers.  The
+ * search reads only the edges of the boxes index_find finds, unsorted; the
+ * penalty and the pair update sort them (index_hits), since their sums and
+ * pair order depend on it.
  *
  * All of these do the float operations of their Python references, the
  * same names in stepplace._pycore (stepfield.core where this did not load),
@@ -2702,18 +2701,7 @@ axis_fill(double *v, const double *m, int k, const double *const *near, Py_ssize
         if (lo <= c && c <= hi && fabs(c - m[6 + k]) <= reach)
             v[len++] = c + 0.0; /* a -0.0 becomes the 0.0 it equals */
     }
-    /* a window near the start holds a few boxes: sort in place, unless many */
-    if (len > 64) {
-        qsort(v, (size_t)len, sizeof(double), compare_doubles);
-    } else {
-        for (Py_ssize_t a = 1; a < len; a++) {
-            double c = v[a];
-            Py_ssize_t b = a;
-            for (; b > 0 && v[b - 1] > c; b--)
-                v[b] = v[b - 1];
-            v[b] = c;
-        }
-    }
+    qsort(v, (size_t)len, sizeof(double), compare_doubles);
     for (Py_ssize_t t = 0; t < len; t++)
         if (!out || v[t] != v[out - 1])
             v[out++] = v[t];
@@ -2753,40 +2741,18 @@ cursor_point(const Occupied *s, const double *m, Py_ssize_t u, Py_ssize_t j)
     return (Probe){fabs(x - m[6]) + fabs(y - m[7]), x, y, u, j};
 }
 
-/* The row cursor u of the macro m's search starts at: the first from j on,
- * away from the start, whose point is at least skip away (no nearer ones
- * follow it), found by bisection. */
-static Py_ssize_t
-first_far(const Occupied *s, const double *m, Py_ssize_t u, Py_ssize_t j, double skip)
-{
-    Py_ssize_t step = u % 2 ? -1 : 1, lo = 0, hi = u % 2 ? j + 1 : s->ny - j;
-    while (lo < hi) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        if (cursor_point(s, m, u, j + step * mid).d < skip)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return j + step * lo;
-}
-
 /* _pycore._free_candidate for the macro m: the first free candidate in
- * (d, x, y) order, of those at least skip away, from a winner tree whose
- * leaves from node n are the cursors' points.  Writes it to out; returns 1,
- * or 0 if none is free. */
+ * (d, x, y) order, from a winner tree whose leaves from node n are the
+ * cursors' points.  Writes it to out; returns 1, or 0 if none is free. */
 static int
-free_candidate(Occupied *s, const double *m, double skip, Probe *out)
+free_candidate(Occupied *s, const double *m, Probe *out)
 {
     Py_ssize_t nx = s->nx, ny = s->ny, cj = bisect(s->ys, ny, 0.0, m[7], 0), n = 1;
     Probe *t = s->tree;
     while (n < 2 * nx)
         n *= 2;
-    for (Py_ssize_t u = 0; u < n; u++) {
-        Py_ssize_t j = u % 2 ? cj - 1 : cj;
-        if (skip > 0.0 && u < 2 * nx)
-            j = first_far(s, m, u, j, skip);
-        t[n + u] = cursor_point(s, m, u, j);
-    }
+    for (Py_ssize_t u = 0; u < n; u++)
+        t[n + u] = cursor_point(s, m, u, u % 2 ? cj - 1 : cj);
     for (Py_ssize_t i = n - 1; i > 0; i--)
         tree_pick(t, i);
     for (Probe p = t[1]; p.u >= 0; p = t[1]) {
@@ -2826,7 +2792,8 @@ nearest_free(Occupied *s, const double *m, Probe *out)
 {
     double reach = 0.5 * (m[0] + m[1]), span = py_max(fabs(m[2] - m[6]), fabs(m[3] - m[6]))
                                                + py_max(fabs(m[4] - m[7]), fabs(m[5] - m[7]));
-    for (double skip = 0.0;;) {
+    /* past a point found, the next window holds it; it may hold nearer */
+    for (int found = 0;; reach = found ? nextafter(out->d, INFINITY) : 2.0 * reach) {
         double ex = 1.25 * reach + m[0], ey = 1.25 * reach + m[1];
         const double window[4] = {m[6] - ex, m[7] - ey, m[6] + ex, m[7] + ey};
         Py_ssize_t n = 0, hits = index_find(&s->index, window, -1);
@@ -2841,13 +2808,9 @@ nearest_free(Occupied *s, const double *m, Probe *out)
         }
         s->nx = axis_fill(s->xs, m, 0, s->near, n, reach);
         s->ny = axis_fill(s->ys, m, 1, s->near, n, reach);
-        int found = free_candidate(s, m, skip, out);
+        found = free_candidate(s, m, out);
         if (!(reach < span) || (found && out->d < reach))
             return found;
-        /* none is free nearer than reach; past a point found, the next
-         * window holds it, and it may hold nearer */
-        skip = reach;
-        reach = found ? nextafter(out->d, INFINITY) : 2.0 * reach;
     }
 }
 
@@ -2990,7 +2953,8 @@ static PyMethodDef fieldcore_functions[] = {
      "macro by index, order each index once.  Each start is the center\n"
      "clamped into the bounds; returns, in order, the start where it is free,\n"
      "else the nearest free center; stops before the first macro with none\n"
-     "(_pycore.legalize)."},
+     "(_pycore.legalize).  The nearest holds where every footprint is\n"
+     "non-empty; a blocker's jump may pass an empty one."},
     {"repr_line", (PyCFunction)(void (*)(void))repr_line, METH_FASTCALL,
      "repr_line(values, sep) -> str\n\n"
      "sep.join(map(repr, values)) + '\\n' for a sequence of floats and ints,\n"

@@ -645,33 +645,32 @@ def _axis(lo: float, hi: float, start: float, half: float, sides, reach: float) 
     return sorted({v + 0.0 for v in vals if lo <= v <= hi and abs(v - start) <= reach})
 
 
-def _free_candidate(xs: list[float], ys: list[float], start: Point, half: Point,
-                    blocker: Callable[[Box], Box | None],
-                    skip: float = 0.0) -> tuple[float, float, float] | None:
+def _free_candidate(
+    xs: list[float],
+    ys: list[float],
+    start: Point,
+    half: Point,
+    blocker: Callable[[Box], Box | None],
+) -> tuple[float, float, float] | None:
     """``(d, x, y)`` of the first candidate ``(x, y)`` of ``xs`` by ``ys``
     (both ascending) whose footprint, ``half`` the sides around it,
     ``blocker`` finds no box overlapping, in rising distance ``d = |x - x0|
-    + |y - y0|`` from ``start``, ties by x, then y, from ``d >= skip`` on.
+    + |y - y0|`` from ``start``, ties by x, then y.
 
     Each column has two cursors, the nearest rows at or above ``y0`` and
-    below it at least ``skip`` away (bisected) not known to be blocked, and
-    a heap holds each cursor's next point.  A blocker moves every cursor it
-    covers past its rows, found by bisecting the footprint edges (monotone,
-    computed as in the overlap test); an entry a cursor left behind is
-    skipped.  With every footprint non-empty
-    (:func:`~stepplace.netmodel.check_placeable`) the result is that of
-    probing every candidate in turn; a jump may pass an empty one, as the C
-    search's does."""
+    below it not known to be blocked, and a heap holds each cursor's next
+    point.  A blocker moves every cursor it covers past its rows, found by
+    bisecting the footprint edges (monotone, computed as in the overlap
+    test); an entry a cursor left behind is skipped.  With every footprint
+    non-empty (:func:`~stepplace.netmodel.check_placeable`) the result is
+    that of probing every candidate in turn; a jump may pass an empty one,
+    as the C search's does."""
     (x0, y0), (hx, hy), ny = start, half, len(ys)
     lefts, rights = [x - hx for x in xs], [x + hx for x in xs]
     bottoms, tops = [y - hy for y in ys], [y + hy for y in ys]
     dxs, dys = [abs(x - x0) for x in xs], [abs(y - y0) for y in ys]
     cj = bisect_left(ys, y0)
     row = [cj, cj - 1] * len(xs)  # row[2 * i]: upward cursor, + 1: downward
-    if skip:  # no row of a column dx >= skip away is nearer
-        row = [r for dx in dxs for r in ((cj, cj - 1) if dx >= skip else (
-            bisect_left(range(ny), True, cj, key=lambda j: dx + dys[j] >= skip),
-            bisect_left(range(cj), True, key=lambda j: dx + dys[j] < skip) - 1))]
     # (d, x, y) is one point's, so the cursor and row are never compared
     heap = [(dxs[u >> 1] + dys[j], xs[u >> 1], ys[j], u, j)
             for u, j in enumerate(row) if 0 <= j < ny]
@@ -716,12 +715,12 @@ def legalize(width: float, height: float, halves: Sequence[float], bounds: Seque
     bounds.  A free center nearer than ``r`` takes each coordinate from the
     start, a bound or the edge of a box near the start that blocks the next
     center toward it; so with every footprint non-empty none is nearer than
-    the one taken (:func:`_below`), and a wider window skips those nearer
-    than the last ``r``.  A probe's blocker is the footprint of the least
-    index that meets it (the first of :meth:`BucketGrid.hits`), else the
-    first keep-out that meets it, as in the C core, whatever either index's
-    cells (``width`` and ``height`` size the C index only).  Returns each
-    macro's point in placing order, stopping before the first with none."""
+    the one taken (:func:`_below`).  A probe's blocker is the footprint of
+    the least index that meets it (the first of :meth:`BucketGrid.hits`),
+    else the first keep-out that meets it, as in the C core, whatever either
+    index's cells (``width`` and ``height`` size the C index only).  Returns
+    each macro's point in placing order, stopping before the first with
+    none."""
     placed = BucketGrid(2.0 * max(halves[::2], default=0.5), 2.0 * max(halves[1::2], default=0.5))
     keepouts = list(zip(*[iter(blockages)] * 4))
 
@@ -735,7 +734,7 @@ def legalize(width: float, height: float, halves: Sequence[float], bounds: Seque
         hx, hy, x, y = halves[2 * key], halves[2 * key + 1], centers[2 * key], centers[2 * key + 1]
         x, y = min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi)
         if blocker((x - hx, y - hy, x + hx, y + hy)) is not None:
-            reach, skip = 0.5 * (hx + hy), 0.0
+            reach = 0.5 * (hx + hy)
             span = max(abs(x_lo - x), abs(x_hi - x)) + max(abs(y_lo - y), abs(y_hi - y))
             while True:
                 ex, ey = 1.25 * reach + hx, 1.25 * reach + hy
@@ -750,12 +749,11 @@ def legalize(width: float, height: float, halves: Sequence[float], bounds: Seque
                 hit = _free_candidate(
                     _axis(x_lo, x_hi, x, hx, [(b[0], b[2]) for b in boxes], reach),
                     _axis(y_lo, y_hi, y, hy, [(b[1], b[3]) for b in boxes], reach),
-                    (x, y), (hx, hy), blocker, skip)
+                    (x, y), (hx, hy), blocker)
                 if reach >= span or hit is not None and hit[0] < reach:
                     break
-                # none is free nearer than reach; past a point found, the next
-                # window holds it and may hold nearer
-                skip, reach = reach, math.nextafter(hit[0], math.inf) if hit else 2.0 * reach
+                # past a point found, the next window holds it; it may hold nearer
+                reach = 2.0 * reach if hit is None else math.nextafter(hit[0], math.inf)
             if hit is None:
                 return out
             x, y = hit[1:]

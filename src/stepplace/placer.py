@@ -380,7 +380,9 @@ def naive_legalize(placement: Placement, netlist: Netlist, area: PlacementArea) 
     naming the first macro with no free center, given those placed before
     it, and never returns an illegal placement: the
     :class:`~stepplace.netmodel.KeptPlacement` it returns, in placing order,
-    keeps the store of its legality check, which the summary reads."""
+    keeps the store of its legality check, which the summary reads.  Its
+    points are the core's floats, kept ones too: a position of ints comes
+    back as the floats equal to it."""
     ids = netlist.ids
     areas = [netlist.by_id[mid].area for mid in ids]
     # keys are indices, so a probe's blocker, the footprint of the least key

@@ -68,9 +68,8 @@ def square_area(side=8.0, blockages=()):
 
 
 # probes of naive_legalize's search on blocked_instance(), plus one per
-# macro, with the least-keyed footprint as each probe's blocker; a widened
-# window skips the candidates the smaller one found blocked
-PROBES = 801
+# macro, with the least-keyed footprint as each probe's blocker
+PROBES = 926
 
 
 def blocked_instance():
@@ -95,13 +94,13 @@ def counted_legalize(start, netlist, area):
     probes = len(netlist.macros)
     search, core = _pycore._free_candidate, stepfield.core
 
-    def counted_search(xs, ys, pos, half, blocker, skip):
+    def counted_search(xs, ys, pos, half, blocker):
         def probe(box):
             nonlocal probes
             probes += 1
             return blocker(box)
 
-        return search(xs, ys, pos, half, probe, skip)
+        return search(xs, ys, pos, half, probe)
 
     _pycore._free_candidate, stepfield.core = counted_search, _pycore
     try:
@@ -192,11 +191,10 @@ def legalize_args(*case):
 
 
 # empty footprints a jump passes, at 2**51 + 1 in a column and in a row,
-# behind the footprint blocking the rest; each start lies in its bounds,
-# so that the window whose search passes them spans the bounds
+# behind the footprint blocking the rest
 _B = 2.0**51
 EMPTY_COLUMN = search_after([(_B - 5, _B - 5, _B + 6, _B)],
-                            (_B - 1, _B + 1, _B, _B, _B, _B, 0.25, 0.25))
+                            (_B, _B + 1, _B, _B, _B - 1, _B - 1, 0.25, 0.25))
 EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
                          (_B, _B, _B, _B + 1.5, _B, _B, 0.25, 0.25))
 # two footprints meet the start: the least-keyed one, right of 2**51,
@@ -207,7 +205,7 @@ EMPTY_ROW = search_after([(_B - 5, _B - 5, _B + 5, _B + 3)],
 LEAST_KEY = search_after(
     [(_B - 7, _B - 6, _B - 7, _B - 6)] * 14
     + [(_B, _B - 2, _B + 2, _B + 3), (_B - 2, _B - 2, _B - 1, _B + 0.5)],
-    (_B - 0.5, _B - 0.5, _B - 1, _B + 1, _B - 0.5, _B, 1.0, 0.25))
+    (_B - 0.5, _B - 0.5, _B - 1, _B + 1, _B - 0.5, _B - 1, 1.0, 0.25))
 # a case hypothesis found where the lattice searches disagreed (the
 # reference met the later-keyed footprint first, in its finer cells), with
 # the later one placed first and ending where the least-keyed one begins,
@@ -223,7 +221,7 @@ LEAST_KEY_FOUND = search_after(
 COARSE = legalize_args({m: (0.5, 0.5) for m in "abc"},
                        Netlist([Macro(m, 1, 1) for m in "abc"], []), PlacementArea(4, 1))
 # twenty macros in a row, then one started in its middle: the window that
-# reaches the free end holds more candidates than an insertion sort takes
+# reaches the free end holds 23 x candidates
 LONG_ROW = search_after([(k - 0.5, 0.0, k + 0.5, 1.0) for k in range(1, 21)],
                         (0.5, 21.0, 0.5, 0.5, 10.5, 0.5, 0.5, 0.5))
 # starts of -0.0 at bounds of 0.0, and of +-inf: Python's max keeps the
@@ -250,8 +248,7 @@ def legalize_calls(draw):
     ``±inf``, which the core clamps, so that footprints meet and macros
     search, placed in any order, and up to eight keep-outs with edges from
     the footprint edges and from beyond, as in :func:`candidate_searches`,
-    so that a window may hold more candidates than an insertion sort
-    takes."""
+    so that a window may hold many candidates."""
     if draw(st.booleans(), label="at 2**51"):
         origin, shift = st.just(_B), st.sampled_from([k / 2 for k in range(-2, 3)])
         step, half = st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([0.25, 0.25, 0.5])
@@ -3177,6 +3174,19 @@ class TestNaiveLegalize:
         assert got["b"] == (1.5, 0.5)
         assert is_legal(got, nl, area).legal
 
+    def test_int_positions_come_back_as_floats(self, backend, on_core):
+        """Kept and clamped points alike are the core's floats, so the
+        result file writes ``5.0`` for a kept coordinate of ``5``."""
+        on_core(backend)
+        nl = Netlist([Macro("a", 2, 2), Macro("b", 2, 2)], [])
+        area = PlacementArea(8, 4)
+        got = naive_legalize({"a": (5, 2), "b": (-3, 1)}, nl, area)
+        assert got == {"a": (5.0, 2.0), "b": (1.0, 1.0)}
+        assert {type(v) for p in got.values() for v in p} == {float}
+        fp = io.StringIO()
+        write_result(fp, got, nl, area, PlacerConfig(max_rounds=1))
+        assert fp.getvalue().endswith("place a 5.0 2.0\nplace b 1.0 1.0\n")
+
     def test_repeated_calls_hold_no_blocks(self, backend, on_core):
         """After one warm-up, 200 rounds of ``naive_legalize`` (60 macros
         from random starts, most of them moved) plus ``write_result``, and
@@ -3470,9 +3480,7 @@ class TestNaiveLegalize:
         # the search stops, on both cores
         args = (4.0, 4.0, array("d", [0.5, 0.5]), array("d", [-1e308, 1e308, 0.5, 3.5]),
                 array("d", [1.0, 1.0]), [0], array("d", [-1.7e308, 0.0, 1.7e308, 4.0]))
-        # the last window skips the nearer candidates, all blocked, and
-        # probes the far bound's footprint, empty there (x +- 0.5 rounds to x)
-        assert stepfield.c_core.legalize(*args) == _pycore.legalize(*args) == [(-1e308, 0.5)]
+        assert stepfield.c_core.legalize(*args) == _pycore.legalize(*args) == []
 
     def test_naive_legalize_runs_the_c_search_where_the_core_loaded(self, monkeypatch):
         """On the C core no Python search runs; without it the Python

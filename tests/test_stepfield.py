@@ -650,10 +650,10 @@ class TestCCoreLoader:
         aborts) into a private cache under the name the loader expects,
         legalizes around keep-outs, stops at a macro with no free center,
         refuses a repeated, missing or out-of-range index, arrays of unequal
-        macro counts and a NaN center, fills a window with more candidates
-        than its insertion sort takes, completes the three-macro case,
-        legalizes 600 macros started at random and runs a short ``place``,
-        with both runtimes preloaded: exit 0 and nothing on stderr."""
+        macro counts and a NaN center, fills a window of 23 x candidates,
+        completes the three-macro case, legalizes 600 macros started at
+        random and runs a short ``place``, with both runtimes preloaded:
+        exit 0 and nothing on stderr."""
         runtimes = [
             subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
                            text=True).stdout.strip() if shutil.which("gcc") else ""
